@@ -6,8 +6,9 @@
 //! embeddings bit-for-bit.  The int8 path (`ExecMode::Quantized`) is then
 //! calibrated on the warm-up split and measured on the same stream; its
 //! embedding error against the serial reference (cosine similarity, max-abs)
-//! is reported alongside the throughput, together with an int8-vs-f32 packed
-//! GEMM microbenchmark at square attention-sized shapes.  Writes
+//! is reported alongside the throughput, together with an f32-vs-int8 GEMM
+//! microbenchmark at square shapes and the paper's three projections, each
+//! row held against the core's FMA peak.  Writes
 //! `BENCH_baseline.json` (override with `--out <path>`) so future PRs can
 //! track the throughput trajectory.
 //!
@@ -133,12 +134,39 @@ fn main() {
         "     accuracy : embedding cosine vs serial — min {cos_min:.6}, mean {cos_mean:.6}, max abs err {max_err:.5}"
     );
 
-    // --- int8 vs f32 packed GEMM microbenchmark at square shapes.
-    let gemm = gemm_i8_microbench(&[64, 128, 256]);
-    for &(n, f32_us, i8_us) in &gemm {
+    // --- f32 vs int8 GEMM microbenchmark: square shapes plus the paper's
+    // three projections, against the core's FMA peak.
+    let gemm = gemm_microbench(&[
+        (64, 64, 64),
+        (128, 128, 128),
+        (256, 256, 256),
+        (138, 472, 100), // GRU input projection
+        (735, 372, 100), // attention K/V
+        (138, 200, 100), // attention Q
+    ]);
+    let peak_gflops = fma_clock_ghz().map(|ghz| ghz * 32.0);
+    match peak_gflops {
+        Some(peak) => println!(
+            "f32 peak: {peak:.1} GFLOP/s = 2 FMA x 8 lanes x 2 flops x {:.2} GHz \
+             (clock from a dependent-FMA chain, 4-cycle latency assumed)",
+            peak / 32.0
+        ),
+        None => println!("f32 peak: unknown (no avx2+fma: portable kernels ran)"),
+    }
+    for row in &gemm {
+        let (m, k, n) = row.shape;
+        let gflops = |us: f64| 2.0 * (m * k * n) as f64 / us / 1e3;
+        let of_peak = peak_gflops
+            .map(|peak| format!(" = {:.0}% of peak", 100.0 * gflops(row.f32_us) / peak))
+            .unwrap_or_default();
         println!(
-            "gemm {n:>4}²: f32 packed {f32_us:>8.1} µs, int8 {i8_us:>8.1} µs ({:.2}x)",
-            f32_us / i8_us
+            "gemm {:>11}: f32 {:>7.1} µs {:>5.1} GFLOP/s{of_peak}, int8 {:>7.1} µs {:>5.1} GOP/s ({:.2}x)",
+            row.label(),
+            row.f32_us,
+            gflops(row.f32_us),
+            row.i8_us,
+            gflops(row.i8_us),
+            row.f32_us / row.i8_us
         );
     }
 
@@ -187,7 +215,7 @@ fn main() {
     // `quant_gate` can later extend the same file.
     let gemm_rows: Vec<String> = gemm
         .iter()
-        .map(|&(n, f32_us, i8_us)| format!("\"{n}\": {:.3}", f32_us / i8_us))
+        .map(|row| format!("\"{}\": {:.3}", row.label(), row.f32_us / row.i8_us))
         .collect();
     let quant_row = format!(
         "{{\n    \"exec_mode\": \"Quantized\",\n    \"events_per_sec\": {:.1},\n    \"mean_batch_latency_ms\": {:.4},\n    \"speedup_vs_batched\": {:.3},\n    \"embedding_cosine_min\": {:.6},\n    \"embedding_cosine_mean\": {:.6},\n    \"embedding_max_abs_err\": {:.6},\n    \"clip_percentile\": {},\n    \"quantize_gru\": {},\n    \"gemm_i8_speedup\": {{ {} }}\n  }}",
@@ -231,53 +259,113 @@ fn run_stream(
     (eps, mean_ms, embeddings)
 }
 
-/// Times the f32 packed kernel against the int8 kernel (activation
-/// quantization included — the cost the engine actually pays) at square
-/// shapes.  Returns `(n, f32 µs, int8 µs)` per shape.
-fn gemm_i8_microbench(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
-    use tgnn_tensor::gemm::matmul_packed_into;
+/// One [`gemm_microbench`] measurement of `A (m×k) · Wᵀ (k×n)`.
+struct GemmRow {
+    shape: (usize, usize, usize),
+    f32_us: f64,
+    i8_us: f64,
+}
+
+impl GemmRow {
+    /// `"64"` for a square shape (the key `BENCH_baseline.json` has always
+    /// used), `"138x472x100"` otherwise.
+    fn label(&self) -> String {
+        let (m, k, n) = self.shape;
+        if m == k && k == n {
+            n.to_string()
+        } else {
+            format!("{m}x{k}x{n}")
+        }
+    }
+}
+
+/// Times the f32 kernel against the int8 kernel the way the engine runs
+/// them: weights packed once outside the loop, and for int8 the per-call
+/// activation quantization included.
+fn gemm_microbench(shapes: &[(usize, usize, usize)]) -> Vec<GemmRow> {
+    use tgnn_tensor::gemm::{matmul_prepacked_into, PackedB};
     use tgnn_tensor::gemm_i8::{
         matmul_i8_dequant_into, pack_rhs_i8, packed_rhs_len, padded_k, quantize_slice_into,
     };
-    use tgnn_tensor::{Matrix, TensorRng, Workspace};
+    use tgnn_tensor::{Matrix, TensorRng};
 
     let mut rng = TensorRng::new(11);
-    let mut out = Vec::with_capacity(sizes.len());
-    for &n in sizes {
-        let a = rng.uniform_matrix(n, n, -1.0, 1.0);
-        let b = rng.uniform_matrix(n, n, -1.0, 1.0);
-        let mut ws = Workspace::new();
-        let mut c = Matrix::zeros(n, n);
-        let iters = (100_000_000 / (n * n * n)).max(5);
+    let mut out = Vec::with_capacity(shapes.len());
+    for &shape in shapes {
+        let (m, k, n) = shape;
+        let a = rng.uniform_matrix(m, k, -1.0, 1.0);
+        let bt = rng.uniform_matrix(n, k, -1.0, 1.0);
+        let mut c = Matrix::zeros(m, n);
+        let iters = (100_000_000 / (m * k * n)).max(5);
 
-        matmul_packed_into(&a, &b, &mut c, &mut ws); // warm the pack buffer
+        let packed_f32 = PackedB::from_transposed(&bt);
+        matmul_prepacked_into(&a, &packed_f32, &mut c); // warm the caches
         let start = Instant::now();
         for _ in 0..iters {
-            matmul_packed_into(&a, &b, &mut c, &mut ws);
+            matmul_prepacked_into(std::hint::black_box(&a), &packed_f32, &mut c);
         }
         let f32_us = start.elapsed().as_secs_f64() / iters as f64 * 1e6;
 
-        // Weights pre-quantized and pre-packed (as QuantizedLinear does);
-        // activations quantized per call.
-        let bt = b.transpose();
-        let mut bt_q = vec![0i8; n * n];
+        let mut bt_q = vec![0i8; n * k];
         for i in 0..n {
-            quantize_slice_into(bt.row(i), 1.0 / 127.0, &mut bt_q[i * n..(i + 1) * n]);
+            quantize_slice_into(bt.row(i), 1.0 / 127.0, &mut bt_q[i * k..(i + 1) * k]);
         }
-        let mut packed = vec![0i8; packed_rhs_len(n, n)];
-        pack_rhs_i8(&bt_q, n, n, &mut packed);
+        let mut packed = vec![0i8; packed_rhs_len(n, k)];
+        pack_rhs_i8(&bt_q, n, k, &mut packed);
         let scales = vec![1.0f32; n];
-        let kp = padded_k(n);
-        let mut a_q = vec![0i8; n * kp];
+        let kp = padded_k(k);
+        let mut a_q = vec![0i8; m * kp];
         let start = Instant::now();
         for _ in 0..iters {
-            for i in 0..n {
+            for i in 0..m {
                 quantize_slice_into(a.row(i), 1.0 / 127.0, &mut a_q[i * kp..(i + 1) * kp]);
             }
-            matmul_i8_dequant_into(&a_q, n, n, &packed, n, &scales, None, &mut c);
+            matmul_i8_dequant_into(&a_q, m, k, &packed, n, &scales, None, &mut c);
         }
         let i8_us = start.elapsed().as_secs_f64() / iters as f64 * 1e6;
-        out.push((n, f32_us, i8_us));
+        out.push(GemmRow {
+            shape,
+            f32_us,
+            i8_us,
+        });
     }
     out
+}
+
+/// Core clock in GHz, estimated from a chain of dependent FMAs (4 cycles
+/// each on every x86 core since Skylake/Zen), or `None` where the `avx2,fma`
+/// kernels do not run.  `clock × 2 FMA ports × 8 lanes × 2 flops` is the
+/// f32 roofline the GEMM rows are held against.
+fn fma_clock_ghz() -> Option<f64> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        const CHAIN: u32 = 20_000_000;
+        const FMA_LATENCY_CYCLES: f64 = 4.0;
+
+        #[target_feature(enable = "fma")]
+        unsafe fn dependent_fma_chain(mut x: f32, a: f32, b: f32) -> f32 {
+            for _ in 0..CHAIN {
+                x = x.mul_add(a, b);
+            }
+            x
+        }
+
+        if !(std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
+        {
+            return None;
+        }
+        let bb = std::hint::black_box::<f32>;
+        let best = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                // SAFETY: `fma` support checked just above.
+                bb(unsafe { dependent_fma_chain(bb(0.5), bb(0.999), bb(1e-3)) });
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        Some(f64::from(CHAIN) * FMA_LATENCY_CYCLES / best / 1e9)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    None
 }

@@ -951,7 +951,7 @@ mod tests {
         let grad_memory = model.backward_embedding(&cache, &grad);
 
         // FTM gradients were accumulated.
-        assert!(model.output.weight.grad.max_abs() > 0.0);
+        assert!(model.output.weight().grad.max_abs() > 0.0);
         // Finite-difference check of d loss / d memory for a few coordinates.
         let eps = 1e-2;
         for idx in [0usize, cfg.memory_dim / 2, cfg.memory_dim - 1] {
@@ -1038,6 +1038,19 @@ mod tests {
                     "{variant:?} vertex {i} selection"
                 );
             }
+
+            // Steady state: the weights were packed by the call above and
+            // are never packed again.
+            let packs = tgnn_tensor::gemm::panel_packs_on_this_thread();
+            for _ in 0..50 {
+                let again = model.compute_embeddings_batch(&jobs, &mut ws);
+                assert_eq!(again[0].embedding, reference[0].embedding);
+            }
+            assert_eq!(
+                tgnn_tensor::gemm::panel_packs_on_this_thread(),
+                packs,
+                "{variant:?}: steady-state batches must not re-pack weights"
+            );
         }
     }
 
@@ -1074,15 +1087,28 @@ mod tests {
         let cfg_teacher = ModelConfig::tiny(0, 4);
         let teacher = TgnModel::new(cfg_teacher.clone(), &mut rng);
         let cfg_student = cfg_teacher.with_variant(OptimizationVariant::Sat);
-        let mut student = TgnModel::new(cfg_student, &mut rng);
+        let mut student = TgnModel::new(cfg_student.clone(), &mut rng);
+        // Serve once on the student's own weights so their packs exist; the
+        // transfer must not leave any of them behind.
+        let mut ws = Workspace::new();
+        let messages = rng.uniform_matrix(5, cfg_student.message_dim(), -1.0, 1.0);
+        let memories = rng.uniform_matrix(5, cfg_student.memory_dim, -1.0, 1.0);
+        let own = student.update_memory_ws(&messages, &memories, &mut ws);
         student.init_from_teacher(&teacher);
+        let served = student.update_memory_ws(&messages, &memories, &mut ws);
+        assert_ne!(served.as_slice(), own.as_slice());
         assert_eq!(
-            student.gru.w_in.weight.value.as_slice(),
-            teacher.gru.w_in.weight.value.as_slice()
+            served.as_slice(),
+            teacher.update_memory(&messages, &memories).as_slice(),
+            "served GRU after init_from_teacher is the teacher's, bit for bit"
         );
         assert_eq!(
-            student.output.weight.value.as_slice(),
-            teacher.output.weight.value.as_slice()
+            student.gru.w_in.weight().value.as_slice(),
+            teacher.gru.w_in.weight().value.as_slice()
+        );
+        assert_eq!(
+            student.output.weight().value.as_slice(),
+            teacher.output.weight().value.as_slice()
         );
     }
 }

@@ -748,30 +748,30 @@ mod tests {
 
         check_gradients(
             &loss,
-            &att.w_q.weight.grad,
+            &att.w_q.weight().grad,
             |i, j, eps| {
                 let mut p = att.clone();
-                p.w_q.weight.value[(i, j)] += eps;
+                p.w_q.weight_mut().value[(i, j)] += eps;
                 loss_fn(&p, &q, &nbrs)
             },
             3e-2,
         );
         check_gradients(
             &loss,
-            &att.w_k.weight.grad,
+            &att.w_k.weight().grad,
             |i, j, eps| {
                 let mut p = att.clone();
-                p.w_k.weight.value[(i, j)] += eps;
+                p.w_k.weight_mut().value[(i, j)] += eps;
                 loss_fn(&p, &q, &nbrs)
             },
             3e-2,
         );
         check_gradients(
             &loss,
-            &att.w_v.weight.grad,
+            &att.w_v.weight().grad,
             |i, j, eps| {
                 let mut p = att.clone();
-                p.w_v.weight.value[(i, j)] += eps;
+                p.w_v.weight_mut().value[(i, j)] += eps;
                 loss_fn(&p, &q, &nbrs)
             },
             3e-2,
@@ -873,10 +873,10 @@ mod tests {
 
         check_gradients(
             &loss,
-            &att.w_v.weight.grad,
+            &att.w_v.weight().grad,
             |i, j, eps| {
                 let mut p = att.clone();
-                p.w_v.weight.value[(i, j)] += eps;
+                p.w_v.weight_mut().value[(i, j)] += eps;
                 loss_fn(&p, &nbrs)
             },
             3e-2,

@@ -292,12 +292,12 @@ mod tests {
                 p.value.as_mut_slice().fill(0.0);
             }
         }
-        let wir = cell.w_ir.weight.value[(0, 0)];
-        let whr = cell.w_hr.weight.value[(0, 0)];
-        let wiz = cell.w_iz.weight.value[(0, 0)];
-        let whz = cell.w_hz.weight.value[(0, 0)];
-        let win = cell.w_in.weight.value[(0, 0)];
-        let whn = cell.w_hn.weight.value[(0, 0)];
+        let wir = cell.w_ir.weight().value[(0, 0)];
+        let whr = cell.w_hr.weight().value[(0, 0)];
+        let wiz = cell.w_iz.weight().value[(0, 0)];
+        let whz = cell.w_hz.weight().value[(0, 0)];
+        let win = cell.w_in.weight().value[(0, 0)];
+        let whn = cell.w_hn.weight().value[(0, 0)];
 
         let m = 0.7;
         let s = -0.3;
@@ -353,30 +353,30 @@ mod tests {
         // Check a representative subset of weights (full check is slow).
         check_gradients(
             &loss,
-            &cell.w_in.weight.grad,
+            &cell.w_in.weight().grad,
             |i, j, eps| {
                 let mut pert = cell.clone();
-                pert.w_in.weight.value[(i, j)] += eps;
+                pert.w_in.weight_mut().value[(i, j)] += eps;
                 loss_fn(&pert)
             },
             3e-2,
         );
         check_gradients(
             &loss,
-            &cell.w_hn.weight.grad,
+            &cell.w_hn.weight().grad,
             |i, j, eps| {
                 let mut pert = cell.clone();
-                pert.w_hn.weight.value[(i, j)] += eps;
+                pert.w_hn.weight_mut().value[(i, j)] += eps;
                 loss_fn(&pert)
             },
             3e-2,
         );
         check_gradients(
             &loss,
-            &cell.w_hz.weight.grad,
+            &cell.w_hz.weight().grad,
             |i, j, eps| {
                 let mut pert = cell.clone();
-                pert.w_hz.weight.value[(i, j)] += eps;
+                pert.w_hz.weight_mut().value[(i, j)] += eps;
                 loss_fn(&pert)
             },
             3e-2,
@@ -431,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_ws_steady_state_does_not_allocate() {
+    fn forward_ws_steady_state_does_not_allocate_or_pack() {
         let mut rng = TensorRng::new(9);
         let mut ws = Workspace::new();
         let cell = GruCell::new("g", 20, 10, &mut rng);
@@ -442,11 +442,17 @@ mod tests {
             ws.recycle_matrix(out);
         }
         let warm = ws.heap_allocs();
+        let packs = tgnn_tensor::gemm::panel_packs_on_this_thread();
         for _ in 0..50 {
             let out = cell.forward_ws(&m, &s, &mut ws);
             ws.recycle_matrix(out);
         }
         assert_eq!(ws.heap_allocs(), warm, "steady-state GRU must not allocate");
+        assert_eq!(
+            tgnn_tensor::gemm::panel_packs_on_this_thread(),
+            packs,
+            "steady-state GRU must not re-pack its weights"
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
-use tgnn_tensor::gemm::{matmul, matmul_packed_transb_into};
+use std::sync::OnceLock;
+use tgnn_tensor::gemm::{matmul, matmul_prepacked_into, PackedB};
 use tgnn_tensor::ops::add_row_broadcast;
 use tgnn_tensor::{Matrix, TensorRng, Workspace};
 
@@ -11,13 +12,24 @@ use tgnn_tensor::{Matrix, TensorRng, Workspace};
 ///
 /// Weights are stored as `out_dim × in_dim` (the natural layout for the
 /// hardware's Multiply-Accumulate arrays, which stream one output row per
-/// array pass).
+/// array pass).  For inference the layer also keeps `Wᵀ` packed into the
+/// GEMM microkernel's panel layout — weight-stationary, packed once on the
+/// first [`Self::forward_into`] — which is why `weight` is private: every
+/// mutable route to it ([`Self::weight_mut`], [`Self::params_mut`]) drops
+/// the pack, so a stale one cannot be served.
+///
+/// All forward paths follow the fused numeric contract stated in
+/// `ARCHITECTURE.md` (numeric identity) and are bit-identical to each other.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Linear {
-    pub weight: Param,
+    weight: Param,
     pub bias: Param,
     in_dim: usize,
     out_dim: usize,
+    /// `Wᵀ` in packed-panel layout; empty until first use and after any
+    /// mutable access to `weight`.  Not part of the serialized form.
+    #[serde(skip)]
+    packed: OnceLock<PackedB>,
 }
 
 impl Linear {
@@ -28,6 +40,7 @@ impl Linear {
             bias: Param::zeros(format!("{name}.bias"), 1, out_dim),
             in_dim,
             out_dim,
+            packed: OnceLock::new(),
         }
     }
 
@@ -46,7 +59,20 @@ impl Linear {
             bias: Param::new(format!("{name}.bias"), Matrix::from_vec(1, out_dim, bias)),
             in_dim,
             out_dim,
+            packed: OnceLock::new(),
         }
+    }
+
+    /// The `out_dim × in_dim` weight.
+    pub fn weight(&self) -> &Param {
+        &self.weight
+    }
+
+    /// Mutable access to the weight; drops the inference pack, which the
+    /// next [`Self::forward_into`] rebuilds from the new values.
+    pub fn weight_mut(&mut self) -> &mut Param {
+        self.packed.take();
+        &mut self.weight
     }
 
     /// Input dimensionality.
@@ -70,13 +96,14 @@ impl Linear {
     }
 
     /// Allocation-free forward pass writing into a pre-sized output: the
-    /// `x·Wᵀ` product runs on the packed kernel straight from the stored
-    /// `out_dim × in_dim` weight layout (no transpose materialised) and the
-    /// bias is added in place.  Bit-identical to [`Self::forward`].
+    /// `x·Wᵀ` product runs the FMA microkernel straight from the packed
+    /// weight (built here on first use, never again until the weight
+    /// changes) and the bias is added in place.  Bit-identical to
+    /// [`Self::forward`].
     ///
     /// # Panics
     /// Panics on shape mismatches.
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, ws: &mut Workspace) {
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(
             x.cols(),
             self.in_dim,
@@ -87,7 +114,10 @@ impl Linear {
             (x.rows(), self.out_dim),
             "Linear::forward_into: output shape mismatch"
         );
-        matmul_packed_transb_into(x, &self.weight.value, out, ws);
+        let packed = self
+            .packed
+            .get_or_init(|| PackedB::from_transposed(&self.weight.value));
+        matmul_prepacked_into(x, packed, out);
         let bias = self.bias.value.row(0);
         for i in 0..out.rows() {
             for (v, &b) in out.row_mut(i).iter_mut().zip(bias) {
@@ -100,7 +130,7 @@ impl Linear {
     /// (recycle it back when done).
     pub fn forward_ws(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
         let mut out = ws.take_matrix(x.rows(), self.out_dim);
-        self.forward_into(x, &mut out, ws);
+        self.forward_into(x, &mut out);
         out
     }
 
@@ -140,8 +170,10 @@ impl Linear {
         matmul(grad_out, &self.weight.value)
     }
 
-    /// The learnable parameters of the layer.
+    /// The learnable parameters of the layer (drops the inference pack,
+    /// like [`Self::weight_mut`]).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.packed.take();
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -197,10 +229,10 @@ mod tests {
         let loss_fn = |l: &Linear| l.forward(&x).sum();
         check_gradients(
             &loss_fn(&layer),
-            &layer.weight.grad,
+            &layer.weight().grad,
             |i, j, eps| {
                 let mut pert = layer.clone();
-                pert.weight.value[(i, j)] += eps;
+                pert.weight_mut().value[(i, j)] += eps;
                 loss_fn(&pert)
             },
             2e-2,
@@ -217,7 +249,7 @@ mod tests {
         );
         // grad_x: each element of x contributes sum of its weight column.
         for i in 0..4 {
-            let col_sum: f32 = (0..3).map(|o| layer.weight.value[(o, i)]).sum();
+            let col_sum: f32 = (0..3).map(|o| layer.weight().value[(o, i)]).sum();
             for r in 0..5 {
                 assert!(approx_eq(grad_x[(r, i)], col_sum, 1e-4));
             }
@@ -257,6 +289,42 @@ mod tests {
             );
             ws.recycle_matrix(out);
         }
+    }
+
+    #[test]
+    fn a_stale_pack_cannot_be_served() {
+        let mut rng = TensorRng::new(6);
+        let mut ws = Workspace::new();
+        let mut layer = Linear::new("t", 33, 12, &mut rng);
+        let x = rng.uniform_matrix(9, 33, -1.0, 1.0);
+        let assert_ws_matches_forward = |layer: &Linear, ws: &mut Workspace, what: &str| {
+            let out = layer.forward_ws(&x, ws);
+            assert_eq!(out.as_slice(), layer.forward(&x).as_slice(), "{what}");
+            ws.recycle_matrix(out);
+        };
+        assert_ws_matches_forward(&layer, &mut ws, "fresh layer"); // builds the pack
+
+        // An optimizer step through `params_mut`.
+        let before = layer.forward(&x);
+        let _ = layer.backward(&x, &Matrix::full(9, 12, 1.0));
+        crate::optim::Sgd::new(0.1).step(&mut layer.params_mut());
+        assert_ne!(layer.forward(&x).as_slice(), before.as_slice());
+        assert_ws_matches_forward(&layer, &mut ws, "after an optimizer step");
+
+        // A direct write through `weight_mut`.
+        layer.weight_mut().value[(0, 0)] += 1.0;
+        assert_ws_matches_forward(&layer, &mut ws, "after weight_mut");
+
+        // A load rebuilds the layer from its stored tensors: the pack is not
+        // part of the serialized form (`#[serde(skip)]`), so it starts empty.
+        let loaded = Linear::from_parts(
+            "t",
+            layer.weight().value.clone(),
+            layer.bias.value.row(0).to_vec(),
+        );
+        assert_ws_matches_forward(&loaded, &mut ws, "after a reload");
+        // A clone carries the (current) pack along.
+        assert_ws_matches_forward(&layer.clone(), &mut ws, "clone");
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl QuantizedLinear {
             act_scale > 0.0 && act_scale.is_finite(),
             "QuantizedLinear: activation scale must be positive and finite"
         );
-        let w = &layer.weight.value;
+        let w = &layer.weight().value;
         let weight = QTensor::quantize_per_row(w);
         let (out_dim, in_dim) = w.shape();
         let mut packed = vec![0i8; packed_rhs_len(out_dim, in_dim)];
@@ -155,7 +155,7 @@ mod tests {
                 // carries at most half a step of activation error times the
                 // weight magnitude and vice versa.  A loose analytical bound
                 // (1.5 quantization steps per accumulated term) must hold.
-                let w_amax = layer.weight.value.max_abs();
+                let w_amax = layer.weight().value.max_abs();
                 let bound =
                     in_dim as Float * 1.5 * (q.act_scale() * w_amax + (w_amax / 127.0) * 1.0);
                 let err = max_abs_diff(reference.as_slice(), out.as_slice());
@@ -220,7 +220,7 @@ mod tests {
         let layer = Linear::new("t", 16, 8, &mut rng);
         let q = QuantizedLinear::from_linear(&layer, 1.0);
         let back = q.weight().dequantize();
-        let err = max_abs_diff(layer.weight.value.as_slice(), back.as_slice());
+        let err = max_abs_diff(layer.weight().value.as_slice(), back.as_slice());
         assert!(err <= q.weight().step_bound() + 1e-7);
     }
 }

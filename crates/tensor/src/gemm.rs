@@ -1,34 +1,57 @@
 //! Matrix multiplication kernels.
 //!
-//! Four variants are provided:
+//! **One numeric contract.**  Every f32 kernel here computes each output
+//! element with a single accumulator that starts at `+0.0` and is updated
+//! with a *fused* multiply-add in strictly ascending-`k` order:
 //!
-//! * [`matmul`] — cache-blocked serial kernel, kept as the simple reference
-//!   implementation the others are validated against.
-//! * [`matmul_packed`] / [`matmul_packed_into`] — the inference hot-path
-//!   kernel: B is packed into contiguous `NR`-column panels (through a
-//!   [`Workspace`] so the hot path never allocates) and the inner loop is a
-//!   register-tiled `MR×NR` microkernel.  [`matmul_packed_transb_into`]
-//!   computes `A·Bᵀ` directly from a row-major B (the layout `Linear` stores
-//!   its weights in) without materialising the transpose.
-//! * [`par_matmul`] — rayon-parallel kernel splitting over output rows, used
-//!   for large batched products during training and for the 32-thread CPU
-//!   baseline measurements.
+//! ```text
+//! acc = 0.0;  for kk in 0..k { acc = a[i][kk].mul_add(b[kk][j], acc) }
+//! ```
 //!
-//! All variants produce bit-identical results for the same inputs because
-//! each output element is accumulated in strictly ascending-`k` order with a
-//! single accumulator, which keeps the software reference deterministic — a
-//! property the integration tests rely on when comparing the reference model
-//! with the accelerator simulator, and which lets the optimized engine swap
-//! kernels without perturbing embeddings.  (The sole caveat: kernels that
-//! skip zero `A` elements can differ in the *sign* of an exactly-zero output;
-//! the packed kernels never skip, matching the naive triple loop exactly.)
+//! No kernel skips, reorders or splits that recurrence, so all of them are
+//! bit-identical to this naive fused triple loop — including the sign of
+//! zeros and `0·∞ = NaN` — and therefore to each other.  That is what lets
+//! the engine swap kernels (`ExecMode::Serial` runs [`matmul`], the served
+//! path the packed kernel) without perturbing embeddings; `ARCHITECTURE.md`
+//! (numeric identity) states the contract for the whole stack.
+//!
+//! Each loop is compiled twice: under `avx2,fma` (picked at run time), where
+//! the multiply-add is one `vfmadd`, and portably, where `f32::mul_add` is a
+//! slow but exact libm call — so results are the same on every machine.
+//!
+//! * [`matmul`] / [`matmul_into`] — cache-blocked serial kernel, the simple
+//!   reference the others are validated against (training, LUT fusion and
+//!   `ExecMode::Serial` run it).
+//! * [`PackedB`] + [`matmul_prepacked_into`] — the inference hot path: the
+//!   constant operand is packed **once** into contiguous `NR`-column panels
+//!   (weight-stationary, like the paper's MAC arrays) and every call runs
+//!   the `MR×NR` register-tiled FMA microkernel straight from it.
+//! * [`matmul_packed_into`] / [`matmul_packed_transb_into`] — the same
+//!   microkernel after a per-call pack into the [`Workspace`]'s buffer, for
+//!   products whose right-hand side is not a constant.
+//! * [`par_matmul`] — rayon-parallel reference kernel splitting over output
+//!   rows, for large one-off products with no outer parallelism.
 
 use crate::workspace::Workspace;
 use crate::{Float, Matrix};
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// Cache-block edge (in elements) for the serial kernel.
 const BLOCK: usize = 64;
+
+/// True when the `avx2,fma` compilations of the loops may run on this CPU.
+#[inline]
+fn fma_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Serial blocked matrix product `A (m×k) · B (k×n) -> C (m×n)`.
 ///
@@ -61,26 +84,47 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(k, b.rows(), "matmul_into: inner dimension mismatch");
     assert_eq!(c.shape(), (m, n), "matmul_into: output shape mismatch");
     c.as_mut_slice().fill(0.0);
+    reference_loop(a.as_slice(), k, n, b.as_slice(), c.as_mut_slice());
+}
 
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let c_data = c.as_mut_slice();
+/// The reference kernel: `C (rows×n, pre-zeroed) += A (rows×k) · B (k×n)`,
+/// row count taken from `c.len() / n`.  Dispatches like
+/// [`packed_gemm_loop`], so the oracle never falls onto libm `fmaf` on a
+/// host that has the instruction.
+fn reference_loop(a: &[Float], k: usize, n: usize, b: &[Float], c: &mut [Float]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: feature presence checked at runtime just above.
+        unsafe { reference_loop_fma(a, k, n, b, c) };
+        return;
+    }
+    reference_loop_portable(a, k, n, b, c);
+}
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn reference_loop_fma(a: &[Float], k: usize, n: usize, b: &[Float], c: &mut [Float]) {
+    reference_loop_portable(a, k, n, b, c);
+}
+
+#[inline(always)]
+fn reference_loop_portable(a: &[Float], k: usize, n: usize, b: &[Float], c: &mut [Float]) {
+    if n == 0 {
+        return;
+    }
+    let m = c.len() / n;
     for i0 in (0..m).step_by(BLOCK) {
         let i1 = (i0 + BLOCK).min(m);
         for k0 in (0..k).step_by(BLOCK) {
             let k1 = (k0 + BLOCK).min(k);
             for i in i0..i1 {
-                let a_row = &a_data[i * k..(i + 1) * k];
-                let c_row = &mut c_data[i * n..(i + 1) * n];
+                let a_row = &a[i * k..(i + 1) * k];
+                let c_row = &mut c[i * n..(i + 1) * n];
                 for kk in k0..k1 {
                     let aik = a_row[kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b_data[kk * n..(kk + 1) * n];
-                    for j in 0..n {
-                        c_row[j] += aik * b_row[j];
+                    let b_row = &b[kk * n..(kk + 1) * n];
+                    for (cj, &bj) in c_row.iter_mut().zip(b_row) {
+                        *cj = aik.mul_add(bj, *cj);
                     }
                 }
             }
@@ -88,7 +132,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     }
 }
 
-/// Rayon-parallel matrix product, parallelised over blocks of output rows.
+/// Rayon-parallel matrix product, parallelised over output rows.
 ///
 /// Falls back to the serial kernel for small problems where the spawn
 /// overhead dominates.
@@ -109,60 +153,99 @@ pub fn par_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         .par_chunks_mut(n)
         .enumerate()
         .for_each(|(i, c_row)| {
-            let a_row = &a_data[i * k..(i + 1) * k];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = &b_data[kk * n..(kk + 1) * n];
-                for j in 0..n {
-                    c_row[j] += aik * b_row[j];
-                }
-            }
+            reference_loop(&a_data[i * k..(i + 1) * k], k, n, b_data, c_row);
         });
     c
 }
 
 /// Microkernel tile height (rows of A per register tile).
-pub const MR: usize = 4;
-/// Microkernel tile width (columns of B per packed panel); 8 `f32` lanes fill
-/// one 256-bit vector register.
-pub const NR: usize = 8;
+pub const MR: usize = 6;
+/// Microkernel tile width (columns of B per packed panel): two 256-bit
+/// vectors of 8 `f32` lanes.  `MR×NR = 6×16` keeps 12 independent
+/// accumulator registers in flight — enough to hide FMA latency on two
+/// issue ports — plus two for the panel row and one for the broadcast.
+pub const NR: usize = 16;
+
+thread_local! {
+    static PANEL_PACKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of times this thread has packed a right-hand side into panels
+/// (per-call packs and [`PackedB`] builds alike).  Steady-state inference
+/// keeps it constant; tests assert that.
+pub fn panel_packs_on_this_thread() -> u64 {
+    PANEL_PACKS.with(Cell::get)
+}
+
+/// Length of the panel buffer for a `k×n` right-hand side.
+fn packed_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * k * NR
+}
 
 /// Packs `B` (`k×n`, row-major) into `⌈n/NR⌉` contiguous column panels laid
 /// out `panel-major → k → lane`, zero-padding the last panel's missing lanes.
 /// When `TRANS` is true the source is interpreted as `Bᵀ` stored row-major
 /// (`n×k`), i.e. element `(kk, j)` is read from `b[j*k + kk]`.
 fn pack_b_panels<const TRANS: bool>(b: &[Float], k: usize, n: usize, packed: &mut [Float]) {
+    PANEL_PACKS.with(|c| c.set(c.get() + 1));
     let panels = n.div_ceil(NR);
     debug_assert!(packed.len() >= panels * k * NR);
     for p in 0..panels {
         let j0 = p * NR;
         let width = NR.min(n - j0);
         let dst_panel = &mut packed[p * k * NR..(p + 1) * k * NR];
-        for kk in 0..k {
-            let dst = &mut dst_panel[kk * NR..kk * NR + NR];
-            if TRANS {
-                for j in 0..width {
-                    dst[j] = b[(j0 + j) * k + kk];
-                }
-            } else {
-                dst[..width].copy_from_slice(&b[kk * n + j0..kk * n + j0 + width]);
+        if TRANS {
+            // One source row (= one lane) at a time: sequential reads, and
+            // the `NR`-strided writes of a panel stay within L1/L2.
+            if width < NR {
+                dst_panel.fill(0.0);
             }
-            dst[width..].fill(0.0);
+            for j in 0..width {
+                let src = &b[(j0 + j) * k..(j0 + j + 1) * k];
+                for (dst, &v) in dst_panel[j..].iter_mut().step_by(NR).zip(src) {
+                    *dst = v;
+                }
+            }
+        } else {
+            for kk in 0..k {
+                let dst = &mut dst_panel[kk * NR..kk * NR + NR];
+                dst[..width].copy_from_slice(&b[kk * n + j0..kk * n + j0 + width]);
+                dst[width..].fill(0.0);
+            }
         }
     }
 }
 
-/// `TILE_M×NR` register-tiled microkernel: accumulates
-/// `C[i0..i0+TILE_M, j0..j0+width] = A[i0..i0+TILE_M, :] · panel` with one
-/// accumulator per output element and `k` strictly ascending — bit-identical
-/// to the naive triple loop, but with the whole tile held in registers and
-/// the `NR` lanes vectorised.  `TILE_M` is a const generic so every tile
-/// height gets a fully unrolled register allocation.
+/// A right-hand side packed once into the microkernel's panel layout — the
+/// weight-stationary operand of [`matmul_prepacked_into`].  Immutable: a
+/// changed weight needs a new pack.
+#[derive(Clone, Debug)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    panels: Vec<Float>,
+}
+
+impl PackedB {
+    /// Packs `B = btᵀ` where `bt` is stored row-major as `n×k` — the layout
+    /// `Linear` keeps its `out_dim × in_dim` weights in.
+    pub fn from_transposed(bt: &Matrix) -> Self {
+        let (n, k) = bt.shape();
+        let mut panels = vec![0.0; packed_len(k, n)];
+        pack_b_panels::<true>(bt.as_slice(), k, n, &mut panels);
+        Self { k, n, panels }
+    }
+}
+
+/// One `TILE_M×NR` register tile:
+/// `C[i0..i0+TILE_M, j0..j0+width] = A[i0..i0+TILE_M, :] · panel`, with one
+/// accumulator per output element, fused multiply-add and `k` strictly
+/// ascending — the module's numeric contract.  `FMA` selects the intrinsics
+/// kernel (the tile held in 12 YMM registers) over the portable scalar one;
+/// `TILE_M` is a const generic so every tile height is fully unrolled.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_kernel<const TILE_M: usize>(
+fn micro_kernel<const TILE_M: usize, const FMA: bool>(
     a: &[Float],
     k: usize,
     i0: usize,
@@ -172,17 +255,31 @@ fn micro_kernel<const TILE_M: usize>(
     j0: usize,
     width: usize,
 ) {
-    let mut a_rows: [&[Float]; TILE_M] = [&[]; TILE_M];
-    for (i, row) in a_rows.iter_mut().enumerate() {
-        *row = &a[(i0 + i) * k..(i0 + i) * k + k];
-    }
+    let a_tile = &a[i0 * k..(i0 + TILE_M) * k];
+    let panel = &panel[..k * NR];
     let mut acc = [[0.0 as Float; NR]; TILE_M];
-    for kk in 0..k {
-        let b_lane: &[Float; NR] = panel[kk * NR..kk * NR + NR].try_into().unwrap();
-        for i in 0..TILE_M {
-            let aik = a_rows[i][kk];
-            for j in 0..NR {
-                acc[i][j] += aik * b_lane[j];
+    #[cfg(target_arch = "x86_64")]
+    if FMA {
+        // A panel at most one vector wide (the last one of `n = 100`) skips
+        // the upper vector.
+        // SAFETY: `FMA` is true only under `packed_gemm_loop_fma`, which runs
+        // after the `avx2` and `fma` checks; the slices above hold exactly
+        // `TILE_M * k` and `k * NR` elements.
+        unsafe {
+            if width <= 8 {
+                accumulate_tile_fma::<TILE_M, 1>(a_tile, k, panel, &mut acc)
+            } else {
+                accumulate_tile_fma::<TILE_M, 2>(a_tile, k, panel, &mut acc)
+            }
+        };
+    }
+    if !FMA {
+        for (kk, b_lane) in panel.chunks_exact(NR).enumerate() {
+            for (i, acc_row) in acc.iter_mut().enumerate() {
+                let aik = a_tile[i * k + kk];
+                for (s, &b) in acc_row.iter_mut().zip(b_lane) {
+                    *s = aik.mul_add(b, *s);
+                }
             }
         }
     }
@@ -192,28 +289,66 @@ fn micro_kernel<const TILE_M: usize>(
     }
 }
 
-/// Runs the packed microkernel over all row/panel tiles of `C = A·panels`,
-/// dispatching to an AVX2-compiled copy of the loop when the CPU supports it.
+/// The `avx2,fma` tile accumulation: per `k`, one panel row (its first `NV`
+/// vectors) and `TILE_M` broadcasts feed `NV·TILE_M` independent `vfmadd`
+/// chains.  Lanes beyond `8·NV` of `acc` are left untouched.
 ///
-/// The AVX2 path is the same Rust code compiled with 256-bit vectors enabled:
-/// per lane it still performs a scalar multiply followed by a scalar add (no
-/// FMA contraction), so its results are bit-identical to the portable path
-/// and to the naive triple loop.
-fn packed_gemm_loop(a: &[Float], m: usize, k: usize, n: usize, packed: &[Float], c: &mut [Float]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence checked at runtime just above.
-            unsafe { packed_gemm_loop_avx2(a, m, k, n, packed, c) };
-            return;
+/// # Safety
+/// The CPU must support `avx2` and `fma`; `a_tile.len() == TILE_M * k`,
+/// `panel.len() == k * NR` and `NV <= 2`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn accumulate_tile_fma<const TILE_M: usize, const NV: usize>(
+    a_tile: &[Float],
+    k: usize,
+    panel: &[Float],
+    acc: &mut [[Float; NR]; TILE_M],
+) {
+    use std::arch::x86_64::{
+        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    debug_assert_eq!(a_tile.len(), TILE_M * k);
+    debug_assert_eq!(panel.len(), k * NR);
+    debug_assert!(8 * NV <= NR);
+    let a_ptr = a_tile.as_ptr();
+    let b_ptr = panel.as_ptr();
+    let mut sums = [[_mm256_setzero_ps(); NV]; TILE_M];
+    for kk in 0..k {
+        let mut b = [_mm256_setzero_ps(); NV];
+        for (v, b_v) in b.iter_mut().enumerate() {
+            *b_v = _mm256_loadu_ps(b_ptr.add(kk * NR + 8 * v));
+        }
+        for (i, row) in sums.iter_mut().enumerate() {
+            let aik = _mm256_broadcast_ss(&*a_ptr.add(i * k + kk));
+            for (sum, &b_v) in row.iter_mut().zip(&b) {
+                *sum = _mm256_fmadd_ps(aik, b_v, *sum);
+            }
         }
     }
-    packed_gemm_loop_portable(a, m, k, n, packed, c);
+    for (acc_row, row) in acc.iter_mut().zip(&sums) {
+        for (v, &sum) in row.iter().enumerate() {
+            _mm256_storeu_ps(acc_row.as_mut_ptr().add(8 * v), sum);
+        }
+    }
+}
+
+/// Runs the microkernel over all row/panel tiles of `C = A·panels`: the
+/// `avx2,fma` kernel when the CPU has both, the portable one otherwise
+/// (same recurrence, same bits).
+fn packed_gemm_loop(a: &[Float], m: usize, k: usize, n: usize, packed: &[Float], c: &mut [Float]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: feature presence checked at runtime just above.
+        unsafe { packed_gemm_loop_fma(a, m, k, n, packed, c) };
+        return;
+    }
+    packed_gemm_tiles::<false>(a, m, k, n, packed, c);
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn packed_gemm_loop_avx2(
+#[target_feature(enable = "avx2,fma")]
+unsafe fn packed_gemm_loop_fma(
     a: &[Float],
     m: usize,
     k: usize,
@@ -221,11 +356,11 @@ unsafe fn packed_gemm_loop_avx2(
     packed: &[Float],
     c: &mut [Float],
 ) {
-    packed_gemm_loop_portable(a, m, k, n, packed, c);
+    packed_gemm_tiles::<true>(a, m, k, n, packed, c);
 }
 
 #[inline(always)]
-fn packed_gemm_loop_portable(
+fn packed_gemm_tiles<const FMA: bool>(
     a: &[Float],
     m: usize,
     k: usize,
@@ -233,30 +368,56 @@ fn packed_gemm_loop_portable(
     packed: &[Float],
     c: &mut [Float],
 ) {
-    let panels = n.div_ceil(NR);
-    for p in 0..panels {
+    for (p, panel) in packed[..packed_len(k, n)].chunks_exact(k * NR).enumerate() {
         let j0 = p * NR;
         let width = NR.min(n - j0);
-        let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let mut i0 = 0;
         while i0 + MR <= m {
-            micro_kernel::<MR>(a, k, i0, panel, c, n, j0, width);
+            micro_kernel::<MR, FMA>(a, k, i0, panel, c, n, j0, width);
             i0 += MR;
         }
         match m - i0 {
-            1 => micro_kernel::<1>(a, k, i0, panel, c, n, j0, width),
-            2 => micro_kernel::<2>(a, k, i0, panel, c, n, j0, width),
-            3 => micro_kernel::<3>(a, k, i0, panel, c, n, j0, width),
+            1 => micro_kernel::<1, FMA>(a, k, i0, panel, c, n, j0, width),
+            2 => micro_kernel::<2, FMA>(a, k, i0, panel, c, n, j0, width),
+            3 => micro_kernel::<3, FMA>(a, k, i0, panel, c, n, j0, width),
+            4 => micro_kernel::<4, FMA>(a, k, i0, panel, c, n, j0, width),
+            5 => micro_kernel::<5, FMA>(a, k, i0, panel, c, n, j0, width),
             _ => {}
         }
     }
 }
 
+/// Checks the shapes of `C = A·B` for the packed entry points and handles
+/// the degenerate ones; returns false when there is nothing left to compute.
+fn packed_shapes_ok(a: &Matrix, k: usize, n: usize, c: &mut Matrix, who: &str) -> bool {
+    assert_eq!(a.cols(), k, "{who}: inner dimension mismatch");
+    assert_eq!(c.shape(), (a.rows(), n), "{who}: output shape mismatch");
+    if k == 0 {
+        c.as_mut_slice().fill(0.0);
+    }
+    a.rows() > 0 && n > 0 && k > 0
+}
+
+/// The inference hot path: `A (m×k) · B -> C (m×n)` with `B` packed ahead
+/// of time.  No packing, no allocation.
+///
+/// # Panics
+/// Panics if shapes disagree.
+pub fn matmul_prepacked_into(a: &Matrix, b: &PackedB, c: &mut Matrix) {
+    if packed_shapes_ok(a, b.k, b.n, c, "matmul_prepacked_into") {
+        packed_gemm_loop(
+            a.as_slice(),
+            a.rows(),
+            b.k,
+            b.n,
+            &b.panels,
+            c.as_mut_slice(),
+        );
+    }
+}
+
 /// Packed register-tiled matrix product `A (m×k) · B (k×n) -> C (m×n)`,
 /// allocating only through the workspace (allocation-free once warm).
-///
-/// Prefer this over [`matmul`] on the inference hot path; see the crate docs
-/// for kernel-selection guidance.
 pub fn matmul_packed(a: &Matrix, b: &Matrix, ws: &mut Workspace) -> Matrix {
     let mut c = ws.take_matrix(a.rows(), b.cols());
     matmul_packed_into(a, b, &mut c, ws);
@@ -268,64 +429,25 @@ pub fn matmul_packed(a: &Matrix, b: &Matrix, ws: &mut Workspace) -> Matrix {
 /// # Panics
 /// Panics if shapes disagree.
 pub fn matmul_packed_into(a: &Matrix, b: &Matrix, c: &mut Matrix, ws: &mut Workspace) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(k, b.rows(), "matmul_packed_into: inner dimension mismatch");
-    assert_eq!(
-        c.shape(),
-        (m, n),
-        "matmul_packed_into: output shape mismatch"
-    );
-    if m == 0 || n == 0 {
-        return;
+    let (k, n) = b.shape();
+    if packed_shapes_ok(a, k, n, c, "matmul_packed_into") {
+        let packed = ws.pack_buffer(packed_len(k, n));
+        pack_b_panels::<false>(b.as_slice(), k, n, packed);
+        packed_gemm_loop(a.as_slice(), a.rows(), k, n, packed, c.as_mut_slice());
     }
-    if k == 0 {
-        c.as_mut_slice().fill(0.0);
-        return;
-    }
-    let packed_len = n.div_ceil(NR) * k * NR;
-    let packed = ws.pack_buffer(packed_len);
-    pack_b_panels::<false>(b.as_slice(), k, n, packed);
-    packed_gemm_loop(a.as_slice(), m, k, n, packed, c.as_mut_slice());
 }
 
 /// Packed product `A (m×k) · Bᵀ -> C (m×n)` where `bt` is B transposed,
-/// stored row-major as `n×k` — the layout [`crate::Matrix`] weights use in
-/// `Linear` (`out_dim × in_dim`).  Equivalent to
-/// `matmul(a, &bt.transpose())` (bit-identical) without materialising the
-/// transpose.
+/// stored row-major as `n×k`.  Equivalent to `matmul(a, &bt.transpose())`
+/// (bit-identical) without materialising the transpose; packs `bt` on every
+/// call, so a constant `bt` belongs in a [`PackedB`] instead.
 pub fn matmul_packed_transb_into(a: &Matrix, bt: &Matrix, c: &mut Matrix, ws: &mut Workspace) {
-    let (m, k) = a.shape();
-    let n = bt.rows();
-    assert_eq!(
-        k,
-        bt.cols(),
-        "matmul_packed_transb_into: inner dimension mismatch"
-    );
-    assert_eq!(
-        c.shape(),
-        (m, n),
-        "matmul_packed_transb_into: output shape mismatch"
-    );
-    if m == 0 || n == 0 {
-        return;
+    let (n, k) = bt.shape();
+    if packed_shapes_ok(a, k, n, c, "matmul_packed_transb_into") {
+        let packed = ws.pack_buffer(packed_len(k, n));
+        pack_b_panels::<true>(bt.as_slice(), k, n, packed);
+        packed_gemm_loop(a.as_slice(), a.rows(), k, n, packed, c.as_mut_slice());
     }
-    if k == 0 {
-        c.as_mut_slice().fill(0.0);
-        return;
-    }
-    let packed_len = n.div_ceil(NR) * k * NR;
-    let packed = ws.pack_buffer(packed_len);
-    pack_b_panels::<true>(bt.as_slice(), k, n, packed);
-    packed_gemm_loop(a.as_slice(), m, k, n, packed, c.as_mut_slice());
-}
-
-/// Convenience wrapper for [`matmul_packed_transb_into`] taking the output
-/// from the workspace.
-pub fn matmul_packed_transb(a: &Matrix, bt: &Matrix, ws: &mut Workspace) -> Matrix {
-    let mut c = ws.take_matrix(a.rows(), bt.rows());
-    matmul_packed_transb_into(a, bt, &mut c, ws);
-    c
 }
 
 /// Matrix–vector product `A (m×k) · x (k) -> y (m)`.
@@ -350,20 +472,12 @@ pub fn matvec_into(a: &Matrix, x: &[Float], y: &mut [Float]) {
 }
 
 /// Vector–matrix product `x (m) · A (m×n) -> y (n)`; equivalent to
-/// `Aᵀ · x` but avoids materialising the transpose.
+/// `Aᵀ · x` but avoids materialising the transpose.  Runs the reference
+/// kernel on a one-row `A`, so it is bit-identical to [`matmul`].
 pub fn vecmat(x: &[Float], a: &Matrix) -> Vec<Float> {
     assert_eq!(a.rows(), x.len(), "vecmat: dimension mismatch");
-    let n = a.cols();
-    let mut y = vec![0.0; n];
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = a.row(i);
-        for j in 0..n {
-            y[j] += xi * row[j];
-        }
-    }
+    let mut y = vec![0.0; a.cols()];
+    reference_loop(x, x.len(), a.cols(), a.as_slice(), &mut y);
     y
 }
 
@@ -406,13 +520,14 @@ mod tests {
     use super::*;
     use crate::TensorRng;
 
+    /// The numeric contract, written out: the naive fused triple loop.
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
             for j in 0..b.cols() {
-                let mut acc = 0.0;
+                let mut acc: Float = 0.0;
                 for k in 0..a.cols() {
-                    acc += a[(i, k)] * b[(k, j)];
+                    acc = a[(i, k)].mul_add(b[(k, j)], acc);
                 }
                 c[(i, j)] = acc;
             }
@@ -426,36 +541,6 @@ mod tests {
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
         let c = matmul(&a, &b);
         assert_eq!(c, Matrix::from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]));
-    }
-
-    #[test]
-    fn matmul_matches_naive_random() {
-        let mut rng = TensorRng::new(7);
-        for &(m, k, n) in &[(3, 5, 4), (17, 33, 9), (70, 70, 70), (1, 128, 1)] {
-            let a = rng.uniform_matrix(m, k, -1.0, 1.0);
-            let b = rng.uniform_matrix(k, n, -1.0, 1.0);
-            let c = matmul(&a, &b);
-            let reference = naive_matmul(&a, &b);
-            for i in 0..m {
-                for j in 0..n {
-                    assert!((c[(i, j)] - reference[(i, j)]).abs() < 1e-3);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn par_matmul_matches_serial() {
-        let mut rng = TensorRng::new(13);
-        let a = rng.uniform_matrix(80, 96, -1.0, 1.0);
-        let b = rng.uniform_matrix(96, 72, -1.0, 1.0);
-        let serial = matmul(&a, &b);
-        let parallel = par_matmul(&a, &b);
-        for i in 0..serial.rows() {
-            for j in 0..serial.cols() {
-                assert_eq!(serial[(i, j)], parallel[(i, j)], "determinism violated");
-            }
-        }
     }
 
     #[test]
@@ -481,11 +566,12 @@ mod tests {
 
         let z: Vec<Float> = (0..4).map(|i| 1.0 - i as Float).collect();
         let w = vecmat(&z, &a);
-        let z_row = Matrix::from_vec(1, 4, z);
-        let w_ref = matmul(&z_row, &a);
-        for j in 0..7 {
-            assert!((w[j] - w_ref[(0, j)]).abs() < 1e-5);
-        }
+        let w_ref = matmul(&Matrix::from_vec(1, 4, z), &a);
+        assert_eq!(
+            w.as_slice(),
+            w_ref.as_slice(),
+            "vecmat is the reference kernel"
+        );
     }
 
     #[test]
@@ -525,50 +611,99 @@ mod tests {
         (31, 47, 61),
         (64, 64, 64),
         (65, 63, 66),
+        // The paper's projections: GRU input, attention K/V, attention Q.
+        (138, 472, 100),
+        (735, 372, 100),
+        (138, 200, 100),
     ];
 
+    /// [`ODD_SHAPES`] plus every `MR`-edge height against every `NR`-edge
+    /// width.
+    fn kernel_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = ODD_SHAPES.to_vec();
+        for m in [5, 6, 7, 11, 12, 13] {
+            for n in [15, 16, 17, 31, 32, 33, 100] {
+                shapes.push((m, 3 + m + n % 7, n));
+            }
+        }
+        shapes
+    }
+
     #[test]
-    fn matmul_packed_is_bitwise_equal_to_naive_across_odd_shapes() {
+    fn every_kernel_is_bitwise_equal_to_the_naive_fused_loop() {
         let mut rng = TensorRng::new(77);
         let mut ws = Workspace::new();
-        for &(m, k, n) in ODD_SHAPES {
+        for (m, k, n) in kernel_shapes() {
             let a = rng.uniform_matrix(m, k, -1.0, 1.0);
             let b = rng.uniform_matrix(k, n, -1.0, 1.0);
+            let bt = b.transpose();
             let reference = naive_matmul(&a, &b);
+            let expect = reference.as_slice();
+            let shape = format!("{m}x{k}x{n}");
+
+            assert_eq!(matmul(&a, &b).as_slice(), expect, "matmul {shape}");
+            assert_eq!(par_matmul(&a, &b).as_slice(), expect, "par {shape}");
             let packed = matmul_packed(&a, &b, &mut ws);
-            assert_eq!(
-                packed.as_slice(),
-                reference.as_slice(),
-                "packed kernel diverged from naive at {m}x{k}x{n}"
-            );
+            assert_eq!(packed.as_slice(), expect, "packed {shape}");
             ws.recycle_matrix(packed);
 
-            let mut c = Matrix::full(m, n, 42.0); // stale contents must be overwritten
+            // Stale output contents must be overwritten.
+            let mut c = Matrix::full(m, n, 42.0);
             matmul_packed_into(&a, &b, &mut c, &mut ws);
-            assert_eq!(
-                c.as_slice(),
-                reference.as_slice(),
-                "into variant at {m}x{k}x{n}"
-            );
+            assert_eq!(c.as_slice(), expect, "packed_into {shape}");
+            c.as_mut_slice().fill(42.0);
+            matmul_packed_transb_into(&a, &bt, &mut c, &mut ws);
+            assert_eq!(c.as_slice(), expect, "transb {shape}");
+            c.as_mut_slice().fill(42.0);
+            let prepacked = PackedB::from_transposed(&bt);
+            let packs = panel_packs_on_this_thread();
+            matmul_prepacked_into(&a, &prepacked, &mut c);
+            assert_eq!(c.as_slice(), expect, "prepacked {shape}");
+            assert_eq!(panel_packs_on_this_thread(), packs, "prepacked packs");
+
+            // Both compilations of both loops, called directly, so an FMA
+            // host proves the portable fallback too.
+            c.as_mut_slice().fill(42.0);
+            packed_gemm_tiles::<false>(a.as_slice(), m, k, n, &prepacked.panels, c.as_mut_slice());
+            assert_eq!(c.as_slice(), expect, "portable tiles {shape}");
+            c.as_mut_slice().fill(0.0);
+            reference_loop_portable(a.as_slice(), k, n, b.as_slice(), c.as_mut_slice());
+            assert_eq!(c.as_slice(), expect, "portable reference {shape}");
+            #[cfg(target_arch = "x86_64")]
+            if fma_available() {
+                c.as_mut_slice().fill(42.0);
+                // SAFETY: feature presence checked just above.
+                unsafe {
+                    packed_gemm_loop_fma(a.as_slice(), m, k, n, &prepacked.panels, c.as_mut_slice())
+                };
+                assert_eq!(c.as_slice(), expect, "fma tiles {shape}");
+                c.as_mut_slice().fill(0.0);
+                // SAFETY: as above.
+                unsafe { reference_loop_fma(a.as_slice(), k, n, b.as_slice(), c.as_mut_slice()) };
+                assert_eq!(c.as_slice(), expect, "fma reference {shape}");
+            }
         }
     }
 
     #[test]
-    fn matmul_packed_transb_matches_explicit_transpose() {
-        let mut rng = TensorRng::new(78);
+    fn no_kernel_skips_zero_times_infinity() {
+        // 0·∞ = NaN must reach the output of every kernel; a zero-skip would
+        // mask it.  64³ keeps `par_matmul` on its parallel branch.
+        let mut rng = TensorRng::new(81);
         let mut ws = Workspace::new();
-        for &(m, k, n) in ODD_SHAPES {
-            let a = rng.uniform_matrix(m, k, -1.0, 1.0);
-            let bt = rng.uniform_matrix(n, k, -1.0, 1.0); // B transposed, row-major
-            let reference = naive_matmul(&a, &bt.transpose());
-            let mut c = ws.take_matrix(m, n);
-            matmul_packed_transb_into(&a, &bt, &mut c, &mut ws);
-            assert_eq!(
-                c.as_slice(),
-                reference.as_slice(),
-                "transb kernel at {m}x{k}x{n}"
-            );
-            ws.recycle_matrix(c);
+        let mut a = rng.uniform_matrix(64, 64, -1.0, 1.0);
+        let mut b = rng.uniform_matrix(64, 64, -1.0, 1.0);
+        a[(3, 5)] = 0.0;
+        b[(5, 7)] = Float::INFINITY;
+        let packed = matmul_packed(&a, &b, &mut ws);
+        let row = vecmat(a.row(3), &b);
+        for (name, got) in [
+            ("matmul", matmul(&a, &b)[(3, 7)]),
+            ("par_matmul", par_matmul(&a, &b)[(3, 7)]),
+            ("packed", packed[(3, 7)]),
+            ("vecmat", row[7]),
+        ] {
+            assert!(got.is_nan(), "{name} masked 0·inf: {got}");
         }
     }
 

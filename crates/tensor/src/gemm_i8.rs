@@ -272,7 +272,7 @@ pub fn matmul_i8_i32_into(a_q: &[i8], m: usize, k: usize, packed: &[i8], n: usiz
     }
 }
 
-/// Rows of A per register tile (mirrors the f32 kernel's `MR`).
+/// Rows of A per register tile.
 const MR_I8: usize = 4;
 
 #[allow(clippy::too_many_arguments)]

@@ -13,16 +13,16 @@
 //!
 //! | Kernel | Use when | Notes |
 //! |---|---|---|
-//! | [`gemm::matmul`] / [`gemm::matmul_into`] | reference / cold paths | cache-blocked triple loop; simplest; allocates its output |
-//! | [`gemm::matmul_packed`] / [`gemm::matmul_packed_into`] | the hot path | packs B into `NR`-column panels (via [`Workspace`], allocation-free when warm) and runs a register-tiled `MR×NR` microkernel; ≥2× faster than `matmul` at attention-sized shapes (64–256) |
-//! | [`gemm::matmul_packed_transb_into`] | `A·Bᵀ` with row-major B | what `Linear` layers need (`x·Wᵀ`); avoids materialising the transpose |
-//! | [`gemm::par_matmul`] | single large products (≥64³) with no outer parallelism | rayon split over output rows; don't nest it inside per-vertex parallelism |
+//! | [`gemm::PackedB`] + [`gemm::matmul_prepacked_into`] | the hot path: `x·Wᵀ` with a constant `W` | `W` packed **once** into `NR`-column panels, every call runs the `6×16` FMA microkernel straight from it — no packing, no allocation; what `Linear::forward_ws` does |
+//! | [`gemm::matmul_packed_into`] / [`gemm::matmul_packed_transb_into`] | both operands change per call | the same microkernel after a per-call pack into the [`Workspace`] (allocation-free when warm); the pack costs 5–15 % at the paper's shapes |
+//! | [`gemm::matmul`] / [`gemm::matmul_into`] | reference / cold paths | cache-blocked triple loop; simplest; ~3× slower than the microkernel |
+//! | [`gemm::par_matmul`] | single large products (≥64³) with no outer parallelism | the reference loop split over output rows with rayon; don't nest it inside per-vertex parallelism |
 //! | [`gemm_i8::matmul_i8_dequant_into`] | the int8 inference path | i8×i8→i32 accumulate on packed weight panels with a dequant-fused f32 epilogue; AVX2 `maddubs` dispatch, exact scalar fallback |
 //!
-//! All kernels accumulate every output element in strictly ascending-`k`
-//! order with a single accumulator, so they are interchangeable without
-//! perturbing results — the engine's deterministic serial mode relies on
-//! this.
+//! All f32 kernels compute every output element as one accumulator updated
+//! by a **fused** multiply-add in strictly ascending-`k` order (the contract
+//! is spelled out in [`gemm`]), so they are interchangeable bit for bit —
+//! the engine's deterministic serial mode relies on this.
 //!
 //! The crate is deliberately dependency-light (no BLAS): every experiment in
 //! the paper is reproduced with these kernels so that operation counts
