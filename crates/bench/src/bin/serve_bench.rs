@@ -29,7 +29,7 @@
 //! `--offered-load` above pipeline capacity this demonstrates the overload
 //! contract: `block` backpressures and serves everything bit-identically,
 //! the drop policies shed load while keeping per-tenant p99 bounded, and
-//! the weighted-fair scheduler keeps every tenant near its weight share.
+//! the weighted-fair drain keeps every tenant near its weight share.
 //! The per-tenant table (throughput, drop rate, late count, p99) is
 //! printed and recorded in the JSON row.
 //!
@@ -535,7 +535,7 @@ fn main() {
     // A paced multi-tenant run needs *sustained* pressure to demonstrate
     // fairness: replay the measurement feed for enough laps (timestamps
     // shifted by the feed's span each lap) to offer about one second of
-    // load, so the scheduler arbitrates across many rounds instead of one
+    // load, so the fair drain arbitrates across many rounds instead of one
     // burst-then-drain.
     let laps: usize = if num_tenants > 1 && offered_load > 0.0 {
         ((offered_load / measure_events.len() as f64).ceil() as usize).clamp(1, 50)
@@ -591,17 +591,6 @@ fn main() {
             (laps * measure_events.len() / max_batch + 8).max(256)
         } else {
             ServeConfig::default().results_capacity
-        },
-        // In multi-tenant mode the scheduler→batcher queue is a small
-        // handoff buffer, NOT a reservoir: weighted-fair draining only
-        // disciplines *admission* while the scheduler is blocked downstream
-        // with tenant queues still full.  A queue deep enough to absorb the
-        // combined ingress backlog would forward every queued event each
-        // burst and flatten the service shares to uniform.
-        admission_capacity: if num_tenants > 1 {
-            8
-        } else {
-            ServeConfig::default().admission_capacity
         },
         tenants: if num_tenants > 1 || backends.is_some() {
             tenants
@@ -1433,7 +1422,7 @@ fn check_overload_contract(
             );
         }
     }
-    // Fairness is only observable while the scheduler actually arbitrates:
+    // Fairness is only observable while the fair drain actually arbitrates:
     // the run must be paced (an unpaced burst is admitted almost entirely
     // before the pipeline serves its first batch, so service degenerates to
     // drain order) and heavily shedding.
@@ -1806,7 +1795,6 @@ fn scenario_pass(
         // pipeline speed — decides when the ingress queue fills: shallow
         // stage/results queues make the overload (and with it the cache
         // lookups) deterministic on any host.
-        admission_capacity: 8,
         stage_capacity: 1,
         results_capacity: 2,
         cache: Some(CacheConfig {
@@ -1902,7 +1890,7 @@ fn scenario_pass(
             // the 5 ms objective.  Draining then records those latencies
             // into the burn-rate lanes; one gate tick later `fired()`
             // observes the incident, and the rest of the burst behaves like
-            // a real serving loop — polling keeps the scheduler pulling, so
+            // a real serving loop — polling keeps the ingest worker pulling, so
             // the ingress queue dips below capacity, which is the only
             // regime where preemption (as opposed to queue-full fallback)
             // is observable.

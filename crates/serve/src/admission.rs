@@ -1,5 +1,5 @@
 //! Multi-tenant admission control: bounded per-tenant ingress queues, a
-//! weighted-fair scheduler, and per-tenant overload policies.
+//! weighted-fair drain, and per-tenant overload policies.
 //!
 //! A single unbounded FIFO with one implicit tenant stops working the moment
 //! offered load exceeds pipeline capacity: either memory grows without bound
@@ -13,8 +13,8 @@
 //!        ▼
 //!   [tenant 0: bounded VecDeque]──┐
 //!   [tenant 1: bounded VecDeque]──┤   weighted round-robin
-//!   [tenant …: bounded VecDeque]──┼──► [scheduler worker] ──► batcher SPSC
-//!   [tenant N: bounded VecDeque]──┘    (drains ≤ weight events
+//!   [tenant …: bounded VecDeque]──┼──► [ingest worker] ──► sealed batches
+//!   [tenant N: bounded VecDeque]──┘    (pulls ≤ weight events
 //!                                       per tenant per visit)
 //! ```
 //!
@@ -28,8 +28,9 @@
 //!   [`Disposition`]`::Stale` with its
 //!   age in epochs, and a cache miss degrades to a `DropNewest`-style
 //!   shed.  Drops can happen **only** here — an event the
-//!   scheduler has handed to the batcher is sealed and will be served.
-//! * **Weighted-fair draining** — the scheduler worker visits non-empty
+//!   ingest worker has pulled is sealed and will be served.
+//! * **Weighted-fair draining** — the ingest worker pulls straight from the
+//!   tenant queues (`AdmissionControl::pull`): it visits non-empty
 //!   tenants round-robin and takes up to `weight` events per visit
 //!   (deficit round robin with unit event cost), so under sustained
 //!   overload each backlogged tenant's service rate converges to
@@ -37,7 +38,7 @@
 //!   the offered load is.  An idle tenant costs nothing; its unused share
 //!   is redistributed to the backlogged ones by construction.
 //! * **Per-tenant chronology** — each tenant's stream must be
-//!   chronological; *across* tenants the scheduler may interleave freely
+//!   chronological; *across* tenants the fair drain may interleave freely
 //!   (that is what fairness means), so the merged stream is only
 //!   per-tenant ordered.  The shared temporal state observes cross-tenant
 //!   reordering through the commit log (`ServeReport::commit_log_clean`),
@@ -45,11 +46,11 @@
 //!   natural deployment shape, one sub-graph per tenant.  See
 //!   `ARCHITECTURE.md` for the full ordering contract.
 //!
-//! The submit path and the scheduler communicate through one mutex +
+//! The submit path and the ingest worker communicate through one mutex +
 //! two condvars (`space` for blocked submitters, `ready` for the idle
-//! scheduler); the scheduler never blocks on the downstream SPSC queue
-//! while holding the lock, so drop policies keep making progress even
-//! when the pipeline is saturated.
+//! worker); the worker never holds the lock while it blocks on the
+//! downstream queue, so drop policies keep making progress even when the
+//! pipeline is saturated.
 //!
 //! Configuring two tenants with different weights and policies:
 //!
@@ -114,7 +115,7 @@ pub(crate) type BurnGate = Arc<dyn Fn() -> bool + Send + Sync>;
 pub struct TenantSpec {
     /// Display name used in reports and the bench JSON.
     pub name: String,
-    /// Weighted-fair share: the scheduler drains up to `weight` events from
+    /// Weighted-fair share: the fair drain takes up to `weight` events from
     /// this tenant per round-robin visit, so a backlogged tenant's service
     /// rate is proportional to its weight.  Must be ≥ 1.
     pub weight: u32,
@@ -296,8 +297,8 @@ pub(crate) struct AdmittedEvent {
 pub(crate) struct EventMeta {
     pub tenant: TenantId,
     pub admitted_at: Instant,
-    /// When the scheduler drained the event out of its ingress queue —
-    /// initialized to `admitted_at` and re-stamped per burst, so the causal
+    /// When the ingest worker pulled the event out of its ingress queue —
+    /// initialized to `admitted_at` and re-stamped per pull, so the causal
     /// trace's ingress-wait segment measures real queue residency.
     pub picked_up_at: Instant,
     pub deadline: Option<Duration>,
@@ -305,6 +306,19 @@ pub(crate) struct EventMeta {
     /// admission (from the resolved `TenantSpec::backend`) so the batcher
     /// can seal per-backend batches without consulting the tenant table.
     pub backend: BackendKind,
+}
+
+/// Outcome of [`AdmissionControl::pull`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ingress {
+    /// Events were appended to the caller's batch; the instant is when the
+    /// wait for them ended (their pickup time), so the caller can time the
+    /// pull without the wait.
+    Ready(Instant),
+    /// The deadline passed with every queue empty.
+    Timeout,
+    /// The layer is closed and every queue is drained.
+    Closed,
 }
 
 /// Monotonic counters of one tenant's admission activity, snapshotted into
@@ -352,7 +366,9 @@ impl AdmissionCounters {
 struct TenantIngress {
     spec: TenantSpec,
     queue: VecDeque<AdmittedEvent>,
-    /// Deficit-round-robin credit carried across visits (unit event cost).
+    /// Deficit-round-robin credit (unit event cost).  Non-zero between
+    /// pulls only when a full batch cut this tenant's visit short: the
+    /// next pull resumes the visit instead of granting a fresh quantum.
     deficit: u64,
     counters: AdmissionCounters,
     last_timestamp: Timestamp,
@@ -377,7 +393,7 @@ impl TenantIngress {
 
 struct AdmissionState {
     tenants: Vec<TenantIngress>,
-    /// Round-robin cursor: index of the next tenant the scheduler visits.
+    /// Round-robin cursor: index of the next tenant the fair drain visits.
     cursor: usize,
     closed: bool,
 }
@@ -399,17 +415,18 @@ pub(crate) struct StaleServing {
 }
 
 /// The shared admission front end: per-tenant bounded queues plus the
-/// weighted-fair drain the scheduler worker runs.  One instance per
-/// `StreamServer`, shared between the submitting thread and the scheduler.
+/// weighted-fair drain the ingest worker runs.  One instance per
+/// `StreamServer`, shared between the submitting thread and that worker.
 pub(crate) struct AdmissionControl {
     state: Mutex<AdmissionState>,
     /// Signalled when a queue gains space (wakes `Block`/`Late` submitters).
     space: Condvar,
-    /// Signalled when work arrives or the layer closes (wakes the scheduler).
+    /// Signalled when work arrives or the layer closes (wakes the ingest
+    /// worker).
     ready: Condvar,
     /// Durability: every submit outcome (admit/drop/evict) is appended here
     /// under the admission lock, *before* the event becomes visible to the
-    /// scheduler — so no event can be sealed without a durable admit
+    /// ingest worker — so no event can be sealed without a durable admit
     /// preceding it in the log.  Lock order: admission lock, then the WAL's
     /// internal mutex (the batcher and poll take only the latter).
     wal: Option<Arc<Wal>>,
@@ -818,7 +835,7 @@ impl AdmissionControl {
                 state = self.space.wait(state).unwrap();
             }
             // Space freed *and* closed can be observed together (e.g. the
-            // scheduler drained a burst and then died): admitting now would
+            // ingest worker pulled a batch and then died): admitting now would
             // strand the event in a layer nothing will ever drain again, so
             // the closed check must be repeated after the wait.
             if state.closed {
@@ -826,7 +843,7 @@ impl AdmissionControl {
             }
         }
         // The admit is made durable *before* the event becomes visible to
-        // the scheduler (the state lock is still held), so a durable seal
+        // the ingest worker (the state lock is still held), so a durable seal
         // always has a durable admit before it in the log.
         self.log(&WalRecord::Admit {
             tenant: tenant.0,
@@ -894,47 +911,79 @@ impl AdmissionControl {
         }
     }
 
-    /// Scheduler side: blocks until work is available, then fills `out`
-    /// with the next weighted-fair burst — up to `weight + carried deficit`
-    /// events from the next non-empty tenant in round-robin order.  Returns
-    /// `false` once the layer is closed *and* every queue is drained (the
-    /// no-drop drain guarantee: close never discards admitted events).
-    pub fn next_burst(&self, out: &mut Vec<AdmittedEvent>) -> bool {
+    /// Ingest side.  Blocks until some tenant queue holds an event, then —
+    /// still under that one lock acquisition — appends weighted-fair
+    /// round-robin visits to `out` (up to `weight` events per non-empty
+    /// tenant per visit) until `out` holds `max` events or every queue is
+    /// empty, stamps each event's pickup time and returns `Ready`.
+    ///
+    /// Returns `Closed` once the layer is closed *and* every queue is
+    /// drained (the no-drop drain guarantee: close never discards admitted
+    /// events), and `Timeout` when `deadline` passes with nothing queued
+    /// (`None` waits indefinitely).  The lock is released before this
+    /// returns: the caller does its downstream `send` afterwards, so
+    /// submitters (and their drop policies) keep running while the pipeline
+    /// is saturated.
+    pub fn pull(
+        &self,
+        out: &mut Vec<AdmittedEvent>,
+        max: usize,
+        deadline: Option<Instant>,
+    ) -> Ingress {
         let mut state = self.state.lock().unwrap();
-        loop {
-            if state.tenants.iter().any(|t| !t.queue.is_empty()) {
-                break;
-            }
+        while state.tenants.iter().all(|t| t.queue.is_empty()) {
             if state.closed {
-                return false;
+                return Ingress::Closed;
             }
-            state = self.ready.wait(state).unwrap();
+            state = match deadline {
+                None => self.ready.wait(state).unwrap(),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Ingress::Timeout;
+                    }
+                    self.ready.wait_timeout(state, left).unwrap().0
+                }
+            };
         }
+        let picked_up_at = Instant::now();
+        let from = out.len();
         let n = state.tenants.len();
-        let cursor = state.cursor;
-        for step in 0..n {
-            let i = (cursor + step) % n;
+        // A full pass with nothing taken means every queue is empty.
+        let mut idle = 0;
+        while out.len() < max && idle < n {
+            let i = state.cursor;
             let t = &mut state.tenants[i];
             if t.queue.is_empty() {
                 // An idle tenant accumulates no credit: its share is
                 // redistributed, and it cannot burst later on stale credit.
                 t.deficit = 0;
-                continue;
-            }
-            t.deficit += u64::from(t.spec.weight);
-            let take = (t.deficit as usize).min(t.queue.len());
-            out.extend(t.queue.drain(..take));
-            t.deficit -= take as u64;
-            if t.queue.is_empty() {
-                t.deficit = 0;
+                idle += 1;
+            } else {
+                idle = 0;
+                if t.deficit == 0 {
+                    t.deficit = u64::from(t.spec.weight);
+                }
+                let take = (t.deficit as usize).min(t.queue.len()).min(max - out.len());
+                out.extend(t.queue.drain(..take));
+                t.deficit -= take as u64;
+                if t.queue.is_empty() {
+                    t.deficit = 0;
+                }
+                if t.deficit > 0 {
+                    // `out` is full mid-visit: the next pull resumes here.
+                    break;
+                }
             }
             state.cursor = (i + 1) % n;
-            drop(state);
-            // Wake every blocked submitter — possibly several tenants' worth.
-            self.space.notify_all();
-            return true;
         }
-        unreachable!("a non-empty tenant queue disappeared under the lock");
+        drop(state);
+        for e in &mut out[from..] {
+            e.meta.picked_up_at = picked_up_at;
+        }
+        // Wake every blocked submitter — possibly several tenants' worth.
+        self.space.notify_all();
+        Ingress::Ready(picked_up_at)
     }
 
     /// Raises every tenant's chronology floor to `t` (used after a warm-up
@@ -949,10 +998,12 @@ impl AdmissionControl {
     }
 
     /// Closes admission: future submits fail with `Closed`, blocked
-    /// submitters wake and fail, and the scheduler drains the remaining
-    /// queued events before `next_burst` returns `false`.
+    /// submitters wake and fail, and the ingest worker drains the remaining
+    /// queued events before `pull` returns `Closed`.  Callable from a
+    /// destructor mid-unwind: setting the flag is valid whatever state a
+    /// panicking lock holder left behind, so a poisoned lock is recovered.
     pub fn close(&self) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.closed = true;
         drop(state);
         self.space.notify_all();
@@ -967,47 +1018,6 @@ impl AdmissionControl {
     }
 }
 
-/// The scheduler worker: weighted-fair bursts out of the tenant queues into
-/// the batcher's SPSC queue.  The downstream `send` blocks when the pipeline
-/// is saturated — that blocking happens *outside* the admission lock, so
-/// submitters (and their drop policies) keep running meanwhile.  If the
-/// batcher is gone (pipeline shutdown or worker death), admission is closed
-/// so submitters unblock with `Closed` instead of hanging.
-pub(crate) fn scheduler_loop(
-    admission: std::sync::Arc<AdmissionControl>,
-    tx: crate::queue::Sender<AdmittedEvent>,
-    obs: crate::metrics::StageObs,
-    sampling: u64,
-) {
-    let sampling = sampling.max(1);
-    let mut burst = Vec::new();
-    let mut bursts = 0u64;
-    while admission.next_burst(&mut burst) {
-        // Scheduler spans are pre-epoch (no batch exists yet), so they
-        // carry epoch 0; one span covers forwarding one fair burst.  An
-        // unpaced feed degenerates to one-event bursts, so the timeline
-        // write is sampled 1-in-`sampling`
-        // (`ServeConfig::metrics_sampling`) — busy time still counts every
-        // burst.
-        let record = bursts.is_multiple_of(sampling);
-        bursts += 1;
-        let span = obs.enter_sampled(0, record);
-        // Stamp pickup once per burst: the causal trace's ingress-wait
-        // segment is the anchor event's admitted→picked-up residency.
-        let picked_up_at = Instant::now();
-        for mut ev in burst.drain(..) {
-            ev.meta.picked_up_at = picked_up_at;
-            if tx.send(ev).is_err() {
-                admission.close();
-                obs.exit_sampled(0, span, record);
-                return;
-            }
-        }
-        obs.exit_sampled(0, span, record);
-    }
-    // Closed and fully drained: dropping `tx` seals the batcher's tail.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,14 +1027,19 @@ mod tests {
         InteractionEvent::new(0, 1, 0, t)
     }
 
-    fn drain_order(ac: &AdmissionControl) -> Vec<TenantId> {
+    /// Closes the layer and pulls everything still queued, `max` events per
+    /// pull, in the order the ingest worker would see it.
+    fn drain_all(ac: &AdmissionControl, max: usize) -> Vec<AdmittedEvent> {
         ac.close();
-        let mut order = Vec::new();
-        let mut burst = Vec::new();
-        while ac.next_burst(&mut burst) {
-            order.extend(burst.drain(..).map(|e| e.meta.tenant));
+        let mut out = Vec::new();
+        loop {
+            let mut pulled = Vec::new();
+            if ac.pull(&mut pulled, max, None) == Ingress::Closed {
+                return out;
+            }
+            assert!(!pulled.is_empty() && pulled.len() <= max);
+            out.extend(pulled);
         }
-        order
     }
 
     #[test]
@@ -1036,24 +1051,31 @@ mod tests {
         // until the queues empty simultaneously.
         let weights = [8u32, 4, 2, 1];
         let rounds = 20usize;
-        let ac = AdmissionControl::new(
-            weights
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| {
-                    TenantSpec::new(format!("t{i}"))
-                        .with_weight(w)
-                        .with_capacity(512)
-                })
-                .collect(),
-        );
-        for (i, &w) in weights.iter().enumerate() {
-            for k in 0..(w as usize * rounds) {
-                ac.submit(TenantId(i as u32), ev(k as f64)).unwrap();
+        let backlogged = || {
+            let ac = AdmissionControl::new(
+                weights
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &w)| {
+                        TenantSpec::new(format!("t{i}"))
+                            .with_weight(w)
+                            .with_capacity(512)
+                    })
+                    .collect(),
+            );
+            for (i, &w) in weights.iter().enumerate() {
+                for k in 0..(w as usize * rounds) {
+                    ac.submit(TenantId(i as u32), ev(k as f64)).unwrap();
+                }
             }
-        }
-        let order = drain_order(&ac);
+            ac
+        };
+        let ac = backlogged();
+        // The pull size must not matter: a batch boundary that cuts a
+        // tenant's visit short resumes it on the next pull (7 splits the
+        // weight-8 visit, 15 is one round, 1000 takes everything at once).
         let total_w: u32 = weights.iter().sum();
+        let order: Vec<TenantId> = drain_all(&ac, 7).iter().map(|e| e.meta.tenant).collect();
         assert_eq!(order.len(), total_w as usize * rounds);
         // Every round serves exactly the weight vector.
         for (round, chunk) in order.chunks(total_w as usize).enumerate() {
@@ -1065,38 +1087,41 @@ mod tests {
                 );
             }
         }
+        for max in [15, 1000] {
+            let ac = backlogged();
+            let again: Vec<TenantId> = drain_all(&ac, max).iter().map(|e| e.meta.tenant).collect();
+            assert_eq!(again, order, "pull size {max} changed the drain order");
+        }
     }
 
     #[test]
     fn idle_tenants_do_not_accumulate_credit() {
         let ac = AdmissionControl::new(vec![
             TenantSpec::new("busy").with_weight(1).with_capacity(64),
-            TenantSpec::new("idle").with_weight(100).with_capacity(64),
+            TenantSpec::new("idle").with_weight(5).with_capacity(64),
         ]);
         // The idle tenant submits nothing for many rounds, then bursts.
         for k in 0..32 {
             ac.submit(TenantId(0), ev(k as f64)).unwrap();
         }
-        let mut burst = Vec::new();
-        for _ in 0..8 {
-            assert!(ac.next_burst(&mut burst));
-        }
-        burst.clear();
+        let mut pulled = Vec::new();
+        ac.pull(&mut pulled, 8, None);
+        assert_eq!(pulled.len(), 8, "eight one-event visits of the busy tenant");
         for k in 0..64 {
             ac.submit(TenantId(1), ev(k as f64)).unwrap();
         }
-        // The first burst for the idle tenant is bounded by its weight —
-        // no credit hoarded from the rounds it sat out.
-        let mut first_idle_burst = None;
-        let mut b = Vec::new();
-        while ac.next_burst(&mut b) {
-            if b.first().is_some_and(|e| e.meta.tenant == TenantId(1)) {
-                first_idle_burst = Some(b.len());
-                break;
-            }
-            b.clear();
-        }
-        assert!(first_idle_burst.is_some_and(|n| n <= 100));
+        // The idle tenant's first visit is bounded by its weight — no credit
+        // hoarded from the rounds it sat out.
+        let order: Vec<TenantId> = drain_all(&ac, 1000).iter().map(|e| e.meta.tenant).collect();
+        let first = order.iter().position(|&t| t == TenantId(1)).unwrap();
+        let run = order[first..]
+            .iter()
+            .take_while(|&&t| t == TenantId(1))
+            .count();
+        assert_eq!(
+            run, 5,
+            "first visit of the idle tenant must take its weight"
+        );
     }
 
     #[test]
@@ -1122,11 +1147,11 @@ mod tests {
         assert_eq!(c.dropped_newest, 5);
         assert_eq!(c.max_depth, 3);
         // The oldest (first-admitted) events survive.
-        ac.close();
-        let mut b = Vec::new();
-        assert!(ac.next_burst(&mut b));
-        let kept: Vec<f64> = b.iter().map(|e| e.event.timestamp).collect();
-        assert_eq!(kept, vec![0.0]); // weight 1: one event per burst
+        let kept: Vec<f64> = drain_all(&ac, 8)
+            .iter()
+            .map(|e| e.event.timestamp)
+            .collect();
+        assert_eq!(kept, vec![0.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -1144,10 +1169,10 @@ mod tests {
         let (_, c) = ac.tenant_snapshot(0);
         assert_eq!(c.admitted, 8);
         assert_eq!(c.dropped_oldest, 5);
-        ac.close();
-        let mut b = Vec::new();
-        assert!(ac.next_burst(&mut b));
-        let kept: Vec<f64> = b.iter().map(|e| e.event.timestamp).collect();
+        let kept: Vec<f64> = drain_all(&ac, 16)
+            .iter()
+            .map(|e| e.event.timestamp)
+            .collect();
         assert_eq!(kept, vec![5.0, 6.0, 7.0], "freshest events survive");
     }
 
@@ -1180,16 +1205,12 @@ mod tests {
             ac.submit(TenantId::DEFAULT, ev(9.0)),
             Err(SubmitError::Closed)
         ));
-        let mut got = 0;
-        let mut b = Vec::new();
-        while ac.next_burst(&mut b) {
-            got += b.drain(..).count();
-        }
+        let got = drain_all(&ac, 2).len();
         assert_eq!(got, 5, "close must drain, never discard, admitted events");
     }
 
     #[test]
-    fn blocked_submitter_unblocks_when_scheduler_drains() {
+    fn blocked_submitter_unblocks_when_ingest_pulls() {
         let ac = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")
             .with_capacity(1)
             .with_policy(OverloadPolicy::Block)]));
@@ -1200,7 +1221,8 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         let mut b = Vec::new();
-        assert!(ac.next_burst(&mut b)); // frees the slot
+        ac.pull(&mut b, 1, None); // frees the slot
+        assert_eq!(b.len(), 1);
         assert_eq!(
             submitter.join().unwrap().unwrap(),
             SubmitOutcome::Admitted,
@@ -1354,10 +1376,10 @@ mod tests {
         // The event has now been parked "before admission" for 500 ms.
         ac.advance_clock(Duration::from_millis(500));
         let mut b = Vec::new();
-        assert!(ac.next_burst(&mut b)); // frees the slot → the waiter admits
+        ac.pull(&mut b, 1, None); // frees the slot → the waiter admits
         assert!(submitter.join().unwrap().unwrap().is_admitted());
         b.clear();
-        assert!(ac.next_burst(&mut b));
+        ac.pull(&mut b, 1, None);
         let admitted = &b[0];
         assert_eq!(admitted.event.timestamp, 1.0);
         assert_eq!(admitted.meta.deadline, Some(deadline));
@@ -1547,12 +1569,7 @@ mod tests {
             ac.submit(TenantId::DEFAULT, ev(2.5)).unwrap_err(),
             SubmitError::OutOfOrder { .. }
         ));
-        ac.close();
-        let mut got = Vec::new();
-        let mut b = Vec::new();
-        while ac.next_burst(&mut b) {
-            got.extend(b.drain(..).map(|e| e.event));
-        }
+        let got: Vec<InteractionEvent> = drain_all(&ac, 2).iter().map(|e| e.event).collect();
         assert_eq!(got, tail, "restored tail drains in admit order");
     }
 

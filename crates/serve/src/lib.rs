@@ -11,24 +11,26 @@
 //!
 //! * [`StreamServer`] accepts a continuous chronological feed of
 //!   [`InteractionEvent`](tgnn_graph::InteractionEvent)s, micro-batches them
-//!   by size/deadline in an admission queue, and executes them through a
-//!   pipeline whose stages run as separate workers connected by bounded
-//!   queues — batch *k+1* samples while batch *k* computes.  The dominant
-//!   GNN compute stage is data-parallel (`ServeConfig::gnn_workers`): each
-//!   batch is split into independently computable sub-jobs served from a
-//!   shared MPMC dispatch queue by a pool of workers, and a reorder stage
-//!   merges the parts and restores epoch order, so the output stream is the
-//!   same for every worker count.
+//!   by size/deadline, and executes them through the paper's stage graph —
+//!   ingest → state → GNN pool → reorder — with a thread only where work
+//!   can overlap: one state worker runs sample → memory → gather → commit
+//!   in program order and dispatches each batch's GNN job before committing
+//!   it, so batch *k*'s GNN compute overlaps its write-back and batch
+//!   *k+1*'s state stages.  The dominant GNN compute stage is data-parallel
+//!   (`ServeConfig::gnn_workers`): each batch is split into independently
+//!   computable sub-jobs served from a shared MPMC dispatch queue by a pool
+//!   of workers, and a reorder stage merges the parts and restores epoch
+//!   order, so the output stream is the same for every worker count.
 //! * The vertex state is partitioned (`node_id % N`) behind
 //!   [`tgnn_graph::ShardedNeighborTable`] and
-//!   [`tgnn_core::ShardedMemory`]: per-shard locks plus an epoch-barrier
-//!   commit protocol keep concurrent stage access safe *and* chronological,
-//!   so the pipelined output is **bit-identical** to `ExecMode::Serial` on
-//!   the same batch sequence (asserted by this crate's property tests and by
-//!   `serve_bench`).
+//!   [`tgnn_core::ShardedMemory`] — shards are the unit of locks, snapshot
+//!   files and cache sweeps — and the single state worker commits epochs in
+//!   order, so the pipelined output is **bit-identical** to
+//!   `ExecMode::Serial` on the same batch sequence (asserted by this
+//!   crate's property tests and by `serve_bench`).
 //! * The admission front end is **multi-tenant** ([`admission`]): each
-//!   tenant owns a bounded ingress queue drained by a weighted-fair
-//!   scheduler, and a per-tenant [`OverloadPolicy`] — `Block`,
+//!   tenant owns a bounded ingress queue that the ingest worker drains
+//!   weighted-fair, and a per-tenant [`OverloadPolicy`] — `Block`,
 //!   `DropNewest`, `DropOldest`, `Late`, or `ServeStale` — governs what
 //!   happens when sustained overload fills the queue.  `ServeStale` answers
 //!   read-style overload from the [`cache`] — a bounded, sharded embedding
@@ -37,8 +39,7 @@
 //!   instead of dropping.  Single-tenant configurations
 //!   (the default) serve bit-identical results with the same
 //!   never-drop `Block` semantics as before (see
-//!   [`ServeConfig::tenants`](server::ServeConfig) for the one buffering
-//!   nuance).
+//!   [`ServeConfig::tenants`](server::ServeConfig)).
 //! * [`ServeReport`] exposes the backpressure picture: throughput, queue
 //!   depths, p50/p95/p99 batch latency, and per-tenant [`TenantStats`]
 //!   (drop counts, late counts, admission-to-completion percentiles).

@@ -13,9 +13,9 @@
 //! [`ServeConfig::metrics`](crate::server::ServeConfig::metrics) off.
 //!
 //! The **flight recorder** is the post-mortem half: a bounded seqlock ring
-//! shared by `Arc`, so it survives `UnwindPoolOnPanic` and the epoch-gate
-//! poisons.  After a GNN worker dies mid-epoch, [`MetricsHub::flight_dump`]
-//! still returns the poisoned epoch's partial timeline — the `Enter` with no
+//! shared by `Arc`, so it survives a worker panic and the unwind that
+//! follows.  After a GNN worker dies mid-epoch, [`MetricsHub::flight_dump`]
+//! still returns the faulted epoch's partial timeline — the `Enter` with no
 //! matching `Exit` pinpoints the stage that was holding the epoch.
 
 use crate::admission::AdmissionControl;
@@ -42,12 +42,15 @@ pub use crate::admission::AdmissionCounters;
 
 /// The pipeline stages visible to the flight recorder and the stage table.
 ///
-/// `Deliver` is a point event (the `poll` handoff to the caller), not a
-/// worker; every other variant names one worker loop (`Gnn` covers the whole
-/// data-parallel pool — records carry the worker index).
+/// These are *logical* stages, each recording its own spans: the ingest
+/// worker executes `Scheduler` and `Batcher`, the state worker `Sampler`,
+/// `Memory` and `Update`, and `Gnn` covers the whole data-parallel pool
+/// (records carry the worker index).  `Deliver` is a point event (the `poll`
+/// handoff to the caller), not a span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StageId {
-    /// Weighted-fair admission scheduler (pre-epoch: spans carry epoch 0).
+    /// Weighted-fair pull from the tenant ingress queues (pre-epoch: spans
+    /// carry epoch 0).
     Scheduler,
     /// Micro-batcher (seals epochs; spans cover sort + WAL append + send).
     Batcher,
@@ -164,12 +167,14 @@ pub(crate) const SLO_LANE_DROPS: usize = 1;
 /// epoch-level [`Gnn`](SegmentId::Gnn) wall-time segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SegmentId {
-    /// First admit of the epoch → scheduler pickup (ingress queue wait).
+    /// First admit of the epoch → pulled by the ingest worker (ingress
+    /// queue wait).
     IngressWait,
-    /// Scheduler pickup → epoch sealed by the batcher (size/deadline wait,
-    /// chronological sort, WAL `Seal` append).
+    /// Pulled → epoch sealed (size/deadline wait, chronological sort, WAL
+    /// `Seal` append).
     SealWait,
-    /// Neighbor sampling.
+    /// Sealed → sampled: the `ingest→state` queue wait, the previous epoch's
+    /// commit, and the neighbor sampling itself.
     Sample,
     /// Memory/GRU stage, including the gather and GNN sub-job dispatch.
     Memory,
@@ -381,10 +386,10 @@ impl StageObs {
     /// [`Self::enter`] with the flight-ring write gated on `record`.  Busy
     /// time and batch counts still accumulate on every call — only the
     /// timeline event is skipped.  For stages whose unit of work is one
-    /// *event* rather than one epoch (the admission scheduler forwarding
-    /// per-event bursts), recording every span would both dominate the
-    /// stage's own cost and flood the bounded ring, evicting the per-epoch
-    /// timeline the recorder exists to keep.
+    /// *event* rather than one epoch (the `scheduler` stage pulling a
+    /// trickling feed one event at a time), recording every span would both
+    /// dominate the stage's own cost and flood the bounded ring, evicting
+    /// the per-epoch timeline the recorder exists to keep.
     #[inline]
     pub fn enter_sampled(&self, epoch: u64, record: bool) -> Option<Instant> {
         if !self.enabled {
@@ -651,7 +656,7 @@ impl MetricsHub {
         self.inner.trace.dump()
     }
 
-    /// Live per-queue statistics, scheduler→batcher first.
+    /// Live per-queue statistics, ingest→state first.
     pub(crate) fn queue_stats(&self) -> Vec<QueueStats> {
         self.inner.queues.iter().map(|q| q()).collect()
     }
@@ -702,15 +707,8 @@ impl MetricsHub {
                 }
             })
             .collect();
-        let lat = inner.batch_latency_us.snapshot();
-        let us = 1e3; // µs per ms
-        let batch_latency = LatencySummary {
-            mean_ms: lat.mean() / us,
-            p50_ms: lat.percentile(0.50) as f64 / us,
-            p95_ms: lat.percentile(0.95) as f64 / us,
-            p99_ms: lat.percentile(0.99) as f64 / us,
-            max_ms: lat.max() as f64 / us,
-        };
+        // Recorded in µs: 1e3 units per ms.
+        let batch_latency = LatencySummary::from_histogram(&inner.batch_latency_us.snapshot(), 1e3);
         let mut admission = AdmissionTotals::default();
         let mut tenants = Vec::with_capacity(inner.admission.num_tenants());
         for i in 0..inner.admission.num_tenants() {
@@ -740,13 +738,11 @@ impl MetricsHub {
                 if served_batches == 0 {
                     return None;
                 }
-                let modeled = c.modeled_latencies.lock().unwrap();
                 Some(BackendMetrics {
                     kind: k,
                     served_batches,
                     served_events: c.served_events.load(Ordering::Relaxed),
-                    modeled_latency: (!modeled.is_empty())
-                        .then(|| LatencySummary::from_latencies(&modeled)),
+                    modeled_latency: c.modeled_latency(),
                 })
             })
             .collect();

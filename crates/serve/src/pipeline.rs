@@ -2,64 +2,64 @@
 //!
 //! ```text
 //!       per-tenant bounded ingress queues (OverloadPolicy at the bound)
-//!                         │  weighted round-robin
-//!                  [scheduler worker]      — see `admission`
-//!                         │  AdmittedEvent (SPSC)
-//!                   [batcher worker]
+//!                         │  weighted round-robin pull — see `admission`
+//!                   [ingest worker]   seals micro-batches (size / deadline)
 //!                         │  SealedBatch
-//!                   [sampler worker] ──── waits: neighbor-table shards @ epoch k-1
-//!                         │  SampledJob
-//!                   [memory worker]  ──── waits: memory shards @ epoch k-1
-//!               │         │              │
-//!      UpdateJob│         │GnnBatchHeader│GnnSubJob × P   (owned, self-contained)
-//!               ▼         │              ▼  (MPMC dispatch)
-//!        [update worker]  │     [gnn worker 0..N-1]
-//!         commits epoch k │              │  GnnSubResult (MPMC)
-//!         (releases k+1)  ▼              ▼
-//!                      [reorder worker] ── merges parts, restores epoch order
+//!                    [state worker]   sample → memory → gather → commit,
+//!                  │              │   in program order on one thread
+//!    GnnBatchHeader│              │GnnSubJob × P   (owned, self-contained)
+//!                  │              ▼  (MPMC dispatch, one queue per backend)
+//!                  │     [gnn worker 0..N-1]
+//!                  ▼              │  GnnSubResult (MPMC)
+//!               [reorder worker] ◄┘   merges parts, restores epoch order
 //!                         │  ServedBatch
 //!                         ▼
 //!                      results
 //! ```
 //!
-//! The memory worker emits the update job *before* the GNN work, so batch
-//! *k*'s write-back (cheap) runs concurrently with batch *k*'s GNN compute
-//! (dominant) — and, once the epoch gates open, with batch *k+1*'s sampling
-//! and memory stages.  That overlap is the software rendition of the paper's
-//! hardware pipeline; the epoch gates are what keep it bit-identical to the
-//! serial engine.
+//! A thread exists only where work can overlap.  The state stages cannot:
+//! sample(k+1) reads what commit(k) wrote, commit(k) needs memory(k)'s
+//! rows, and memory(k+1) needs sample(k+1) — so one worker runs them back
+//! to back (`StateStage::step`), and the same body replays warm-up and
+//! recovery.  The GNN stage can: its input is an owned, gathered job, so
+//! the state worker dispatches batch *k*'s sub-jobs *before* committing
+//! batch *k* and GNN(k) — the dominant cost per the paper's co-design
+//! analysis — runs concurrently with commit(k) and state(k+1).  That is the
+//! paper's two compute stages (memory updater, embedding unit) behind a
+//! prefetching front end, and the only overlap the dependencies allow.
 //!
-//! The GNN stage — the dominant cost per the paper's co-design analysis — is
-//! data-parallel: the memory worker splits each batch's owned
-//! [`GnnJobBatch`] into `P ≤ gnn_workers` contiguous sub-jobs and pushes
-//! them onto one shared MPMC dispatch queue that `N` identical workers
-//! consume (work-sharing: an idle worker takes the next sub-job, whatever
-//! its epoch).  Because [`GnnJobBatch::run`] is row-independent, computing
-//! the parts on any workers in any order and concatenating the results in
-//! part order is bitwise-equal to the unsplit run.  The reorder worker —
-//! single consumer of the sub-result queue — holds each epoch's parts until
-//! complete and emits [`ServedBatch`]es strictly in epoch order (headers
-//! arrive on an SPSC queue from the memory worker, which is already
+//! The GNN stage is data-parallel: the state worker splits each batch's
+//! owned [`GnnJobBatch`] into `P ≤ gnn_workers` contiguous sub-jobs and
+//! pushes them onto one shared MPMC dispatch queue that `N` identical
+//! workers consume (work-sharing: an idle worker takes the next sub-job,
+//! whatever its epoch).  Because [`GnnJobBatch::run`] is row-independent,
+//! computing the parts on any workers in any order and concatenating the
+//! results in part order is bitwise-equal to the unsplit run.  The reorder
+//! worker — single consumer of the sub-result queue — holds each epoch's
+//! parts until complete and emits [`ServedBatch`]es strictly in epoch order
+//! (headers arrive on an SPSC queue from the state worker, which is already
 //! chronological), so the client-visible stream is identical for every
 //! worker count, including `N = 1`.
 //!
-//! Ordering argument, stage by stage (epochs are 1-based batch numbers):
-//! * **sample(k)** reads only neighbor-table shards at epoch `k-1` — the gate
-//!   blocks until the update worker committed batch `k-1`'s interactions.
-//! * **memory(k)** reads memory rows / clocks / mailbox at epoch `k-1`
-//!   (gated), consumes mailbox messages and caches new ones (fields no other
-//!   in-flight stage touches), and gathers every value the GNN needs into an
-//!   owned job *before* the update job is emitted — so update(k) can never
-//!   race the gather.
+//! Ordering argument (epochs are 1-based batch numbers):
+//! * **state(k)** runs after state(k-1) on the same thread, so sampling and
+//!   the memory stage read exactly the epoch `k-1` tables, and every value
+//!   the GNN needs is gathered into an owned job *before* the commit
+//!   overwrites this epoch's rows.
 //! * **gnn(k, p)** is pure compute over the owned sub-job, on any worker.
 //! * **reorder** commits completed batches downstream in epoch order.
-//! * **update(k)** is the only writer of memory rows and the neighbor table,
-//!   and processes epochs in queue order.
+//!
+//! A dying worker unwinds the pipeline through its channels: every loop
+//! returns when its input closes or its output is gone, the ingest worker
+//! closes admission on the way out, and a panicking GNN worker closes its
+//! pool's queues (see `UnwindPoolOnPanic`).
 
-use crate::admission::{AdmittedEvent, EventMeta};
+use crate::admission::{AdmissionControl, AdmittedEvent, EventMeta, Ingress};
+use crate::cache::EmbeddingCache;
 use crate::durability::Durability;
 use crate::metrics::{SegmentId, StageObs};
 use crate::queue::{MpmcReceiver, MpmcSender, Receiver, Sender};
+use crate::server::{LatencySummary, NS_PER_MS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -69,15 +69,15 @@ use tgnn_core::stages::{run_memory_stage, GnnJobBatch, SampledBatch};
 use tgnn_core::tenancy::{Disposition, ResultMeta, TenantId};
 use tgnn_core::{BackendKind, ComputeBackend, ShardedMemory, TgnModel, NUM_BACKEND_KINDS};
 use tgnn_graph::chronology::CommitLog;
-use tgnn_graph::sharded::shard_of;
 use tgnn_graph::{
     EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, TemporalGraph, Timestamp,
 };
+use tgnn_obs::Histogram;
 use tgnn_tensor::{Float, Workspace};
 
-/// A micro-batch sealed by the admission batcher.  `metas` is aligned with
+/// A micro-batch sealed by the ingest worker.  `metas` is aligned with
 /// the batch's events and carries each event's tenant/deadline stamp.
-/// Every event in a sealed batch shares one `backend` — the batcher
+/// Every event in a sealed batch shares one `backend` — the ingest worker
 /// partitions mixed pendings per backend at seal time, so a batch is the
 /// unit of backend routing.
 #[derive(Debug)]
@@ -87,19 +87,6 @@ pub(crate) struct SealedBatch {
     pub metas: Vec<EventMeta>,
     pub backend: BackendKind,
     pub sealed_at: Instant,
-}
-
-/// A sealed batch with its neighbor samples.
-#[derive(Debug)]
-pub(crate) struct SampledJob {
-    pub epoch: u64,
-    pub sampled: SampledBatch,
-    pub metas: Vec<EventMeta>,
-    pub backend: BackendKind,
-    pub sealed_at: Instant,
-    /// When the sampler finished — the causal-trace anchor the memory
-    /// stage's segment starts from.
-    pub sampled_at: Instant,
 }
 
 /// Per-batch metadata sent to the reorder worker ahead of the batch's
@@ -115,7 +102,7 @@ pub(crate) struct GnnBatchHeader {
     /// reorder worker stamps it onto every result's `ResultMeta`.
     pub backend: BackendKind,
     pub sealed_at: Instant,
-    /// When the memory stage finished its gather and dispatched the
+    /// When the state worker finished the gather and dispatched the
     /// sub-jobs — the anchor the epoch-level GNN trace segment starts from.
     pub mem_done_at: Instant,
 }
@@ -127,7 +114,7 @@ pub(crate) struct GnnSubJob {
     pub epoch: u64,
     pub part: usize,
     pub job: GnnJobBatch,
-    /// When the memory worker pushed this part onto the dispatch queue —
+    /// When the state worker pushed this part onto the dispatch queue —
     /// what the worker's `GnnSubWait` trace segment measures from.
     pub dispatched_at: Instant,
 }
@@ -155,17 +142,8 @@ pub(crate) struct GnnSubResult {
 /// Test-only fault-injection hook: every GNN worker calls it with
 /// `(epoch, part)` before computing a sub-job and panics when it returns
 /// `true`.  The concurrency hardening tests use this to verify that a dying
-/// worker poisons the epoch gates and unwinds `submit`/`poll`/`drain`
-/// instead of hanging the pipeline.
+/// worker unwinds `submit`/`poll`/`drain` instead of hanging the pipeline.
 pub type GnnFaultHook = Arc<dyn Fn(u64, usize) -> bool + Send + Sync>;
-
-/// The state write-back of one batch.
-#[derive(Debug)]
-pub(crate) struct UpdateJob {
-    pub epoch: u64,
-    pub writes: Vec<(NodeId, Vec<Float>, Timestamp)>,
-    pub events: Vec<InteractionEvent>,
-}
 
 /// One completed micro-batch, as returned by `StreamServer::poll`.
 #[derive(Clone, Debug)]
@@ -218,18 +196,19 @@ pub struct ServedBatch {
 }
 
 /// Per-tenant completion-side counters fed by the reorder worker:
-/// served/late event counts and admission-to-completion latencies (the
-/// client-visible queueing + compute delay the overload policies bound).
+/// served/late event counts and the admission-to-completion latency
+/// distribution (the client-visible queueing + compute delay the overload
+/// policies bound).
 #[derive(Debug, Default)]
 pub(crate) struct TenantCollector {
     pub served: AtomicU64,
     pub late: AtomicU64,
     /// Overload events answered from the embedding cache (`ServeStale`) —
-    /// included in `served`, excluded from `latencies` (they bypass the
+    /// included in `served`, excluded from `latency_ns` (they bypass the
     /// pipeline, so their admission-to-completion delay is ~zero and would
     /// skew the distribution the deadline budgets).
     pub served_stale: AtomicU64,
-    pub latencies: Mutex<Vec<Duration>>,
+    pub latency_ns: Histogram,
 }
 
 /// Per-backend completion-side counters fed by the reorder worker: how many
@@ -240,13 +219,16 @@ pub(crate) struct BackendCollector {
     pub served_batches: AtomicU64,
     pub served_events: AtomicU64,
     /// Modeled per-batch service latencies (hwsim backends only).
-    pub modeled_latencies: Mutex<Vec<Duration>>,
+    pub modeled_latency_ns: Histogram,
 }
 
-/// Aggregate counters the reorder (terminal) worker feeds.
+/// Aggregate counters the reorder (terminal) worker feeds.  Latencies go
+/// into fixed-size log-linear histograms (nanoseconds), so a session's
+/// accounting footprint does not grow with the number of events served.
 #[derive(Debug)]
 pub(crate) struct Collector {
-    pub latencies: Mutex<Vec<Duration>>,
+    /// Seal-to-embeddings latency, one sample per served batch.
+    pub latency_ns: Histogram,
     pub events: AtomicUsize,
     pub embeddings: AtomicUsize,
     pub batches: AtomicUsize,
@@ -259,10 +241,19 @@ pub(crate) struct Collector {
     pub backends: [BackendCollector; NUM_BACKEND_KINDS],
 }
 
+impl BackendCollector {
+    /// The modeled service-latency summary; `None` until a modeled backend
+    /// has served a batch.
+    pub fn modeled_latency(&self) -> Option<LatencySummary> {
+        let h = self.modeled_latency_ns.snapshot();
+        (h.count() > 0).then(|| LatencySummary::from_histogram(&h, NS_PER_MS))
+    }
+}
+
 impl Collector {
     pub fn new(num_tenants: usize) -> Self {
         Self {
-            latencies: Mutex::new(Vec::new()),
+            latency_ns: Histogram::new(),
             events: AtomicUsize::new(0),
             embeddings: AtomicUsize::new(0),
             batches: AtomicUsize::new(0),
@@ -286,12 +277,12 @@ impl Collector {
         b.served_batches.fetch_add(1, Ordering::Relaxed);
         b.served_events.fetch_add(events as u64, Ordering::Relaxed);
         if let Some(d) = modeled {
-            b.modeled_latencies.lock().unwrap().push(d);
+            b.modeled_latency_ns.record(d.as_nanos() as u64);
         }
     }
 
     pub fn record_batch(&self, events: usize, embeddings: usize, latency: Duration) {
-        self.latencies.lock().unwrap().push(latency);
+        self.latency_ns.record(latency.as_nanos() as u64);
         self.events.fetch_add(events, Ordering::Relaxed);
         self.embeddings.fetch_add(embeddings, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -305,7 +296,7 @@ impl Collector {
         if late {
             t.late.fetch_add(1, Ordering::Relaxed);
         }
-        t.latencies.lock().unwrap().push(admit_latency);
+        t.latency_ns.record(admit_latency.as_nanos() as u64);
     }
 
     /// Records one overload event answered from the embedding cache: it is
@@ -318,109 +309,119 @@ impl Collector {
     }
 }
 
-/// Micro-batcher: accumulates admitted events and seals a micro-batch when
-/// `max_batch` events are pending or the oldest pending event is `deadline`
-/// old, whichever comes first.  Once an event reaches this worker it is
-/// guaranteed to be served — the overload drop policies act strictly
-/// upstream, in the tenant ingress queues.
+/// Closes admission when the ingest worker exits — by return *or* panic.
+/// The ingest worker is the only drain of the tenant queues: once it is
+/// gone, a `Block`/`Late` submitter parked on a full queue would wait
+/// forever, so its exit must fail them with `Closed` instead.
+struct CloseAdmissionOnExit(Arc<AdmissionControl>);
+
+impl Drop for CloseAdmissionOnExit {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// Ingest worker: pulls weighted-fair rounds straight out of the tenant
+/// ingress queues and seals a micro-batch when `max_batch` events are
+/// pending or the oldest pending event was picked up `deadline` ago,
+/// whichever comes first.  Once an event is pulled it is guaranteed to be
+/// served — the overload drop policies act strictly upstream, in the tenant
+/// ingress queues, and keep acting while this worker is blocked on the
+/// downstream queue (it holds no admission lock then).  The worker records
+/// two logical stages: a `scheduler` span per pull (pre-epoch, so epoch 0;
+/// flight-ring writes sampled 1-in-`sampling`) and a `batcher` span per
+/// seal.
 ///
 /// With durability on, the batch's `Seal` record is appended *before* the
 /// batch is sent downstream and its fsync is requested from the group-commit
 /// syncer; `poll` holds the epoch's results until the seal is durable.  A
 /// batch can therefore only ever be *delivered* with a durable seal, which
 /// is what lets recovery re-serve sealed-but-unacked epochs bit-identically
-/// — while the batcher itself never waits on the disk.
-pub(crate) fn batcher_loop(
-    rx: Receiver<AdmittedEvent>,
+/// — while the ingest worker itself never waits on the disk.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ingest_loop(
+    admission: Arc<AdmissionControl>,
     tx: Sender<SealedBatch>,
     max_batch: usize,
     deadline: Duration,
     next_epoch: Arc<AtomicU64>,
     durability: Option<Arc<Durability>>,
+    sched_obs: StageObs,
     obs: StageObs,
+    sampling: u64,
 ) {
-    let mut pending: Vec<InteractionEvent> = Vec::new();
-    let mut metas: Vec<EventMeta> = Vec::new();
-    let mut first_at: Option<Instant> = None;
-    let seal_one =
-        |pending: &mut Vec<InteractionEvent>, metas: &mut Vec<EventMeta>, backend: BackendKind| {
-            let epoch = next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            // The batcher's span covers the seal work (sort + WAL append +
-            // downstream send), not the accumulation wait — idle time is
-            // "waiting for admitted events".
-            let span = obs.enter(epoch);
-            // The weighted-fair merge is only per-tenant chronological, but the
-            // engine consumes each batch as a chronological stream (Algorithm 1),
-            // so restore global order inside the sealed batch.  The sort is
-            // stable, so each tenant's own order survives, and the single-tenant
-            // feed — already sorted — is untouched.
-            if pending.windows(2).any(|w| w[0].timestamp > w[1].timestamp) {
-                let mut items: Vec<(InteractionEvent, EventMeta)> =
-                    pending.drain(..).zip(metas.drain(..)).collect();
-                items.sort_by(|a, b| a.0.timestamp.total_cmp(&b.0.timestamp));
-                for (e, m) in items {
-                    pending.push(e);
-                    metas.push(m);
+    let _close_on_exit = CloseAdmissionOnExit(admission.clone());
+    let seal_one = |mut items: Vec<AdmittedEvent>, backend: BackendKind| {
+        let epoch = next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        // The batcher span covers the seal work (sort + WAL append +
+        // downstream send), not the accumulation wait — idle time is
+        // "waiting for admitted events".
+        let span = obs.enter(epoch);
+        // The weighted-fair merge is only per-tenant chronological, but the
+        // engine consumes each batch as a chronological stream (Algorithm 1),
+        // so restore global order inside the sealed batch.  The sort is
+        // stable, so each tenant's own order survives, and the single-tenant
+        // feed — already sorted — is untouched.
+        if items
+            .windows(2)
+            .any(|w| w[0].event.timestamp > w[1].event.timestamp)
+        {
+            items.sort_by(|a, b| a.event.timestamp.total_cmp(&b.event.timestamp));
+        }
+        // Claim the epoch's causal-trace slot and record the admission-side
+        // segments, anchored on the first event in sealed order (the same
+        // anchor `poll` measures `Total` against).  This runs after the
+        // chronological sort so the anchor is stable from here on.
+        obs.trace_begin(epoch);
+        let anchor = items[0].meta;
+        obs.trace_record(
+            epoch,
+            SegmentId::IngressWait,
+            anchor
+                .picked_up_at
+                .saturating_duration_since(anchor.admitted_at),
+        );
+        if let Some(d) = &durability {
+            if let Some(hook) = &d.wal_fault {
+                if hook(epoch) {
+                    // Crash injection: freeze the WAL first so records still
+                    // in its user-space buffer are lost exactly as a real
+                    // process death would lose them, then die.
+                    d.wal.freeze();
+                    panic!("injected WAL fault at epoch {epoch}");
                 }
             }
-            // Claim the epoch's causal-trace slot and record the admission-side
-            // segments, anchored on the first event in sealed order (the same
-            // anchor `poll` measures `Total` against).  This runs after the
-            // chronological sort so the anchor is stable from here on.
-            obs.trace_begin(epoch);
-            if let Some(m) = metas.first() {
-                obs.trace_record(
+            d.wal
+                .append(&tgnn_durable::WalRecord::Seal {
                     epoch,
-                    SegmentId::IngressWait,
-                    m.picked_up_at.saturating_duration_since(m.admitted_at),
-                );
-            }
-            if let Some(d) = &durability {
-                if let Some(hook) = &d.wal_fault {
-                    if hook(epoch) {
-                        // Crash injection: freeze the WAL first so records still
-                        // in its user-space buffer are lost exactly as a real
-                        // process death would lose them, then die.
-                        d.wal.freeze();
-                        panic!("injected WAL fault at epoch {epoch}");
-                    }
-                }
-                d.wal
-                    .append(&tgnn_durable::WalRecord::Seal {
-                        epoch,
-                        events: pending
-                            .iter()
-                            .zip(metas.iter())
-                            .map(|(e, m)| (m.tenant.0, *e))
-                            .collect(),
-                    })
-                    .expect("batcher: WAL seal append failed");
-                // Group commit: request (don't await) the seal fsync — the
-                // reorder worker holds the epoch until the synced watermark
-                // covers it, so sealing proceeds at compute speed while the
-                // durable-before-delivered contract still holds.
-                d.request_seal_sync(epoch);
-            }
-            let sealed_at = Instant::now();
-            if let Some(m) = metas.first() {
-                obs.trace_record(
-                    epoch,
-                    SegmentId::SealWait,
-                    sealed_at.saturating_duration_since(m.picked_up_at),
-                );
-            }
-            let ok = tx
-                .send(SealedBatch {
-                    epoch,
-                    batch: EventBatch::new(std::mem::take(pending)),
-                    metas: std::mem::take(metas),
-                    backend,
-                    sealed_at,
+                    events: items.iter().map(|a| (a.meta.tenant.0, a.event)).collect(),
                 })
-                .is_ok();
-            obs.exit(epoch, span);
-            ok
-        };
+                .expect("ingest: WAL seal append failed");
+            // Group commit: request (don't await) the seal fsync — `poll`
+            // holds the epoch until the synced watermark covers it, so
+            // sealing proceeds at compute speed while the
+            // durable-before-delivered contract still holds.
+            d.request_seal_sync(epoch);
+        }
+        let sealed_at = Instant::now();
+        obs.trace_record(
+            epoch,
+            SegmentId::SealWait,
+            sealed_at.saturating_duration_since(anchor.picked_up_at),
+        );
+        let (events, metas) = items.into_iter().map(|a| (a.event, a.meta)).unzip();
+        let ok = tx
+            .send(SealedBatch {
+                epoch,
+                batch: EventBatch::new(events),
+                metas,
+                backend,
+                sealed_at,
+            })
+            .is_ok();
+        obs.exit(epoch, span);
+        ok
+    };
     // Seal everything pending.  A homogeneous pending set (every event on
     // the same backend — always the case on a single-backend server) seals
     // as one batch, exactly as before backends existed.  A mixed set seals
@@ -429,244 +430,219 @@ pub(crate) fn batcher_loop(
     // unit of backend routing, so it must be single-backend.  The split
     // reorders events only *across* tenants (tenants are single-backend),
     // which the weighted-fair merge already permits.
-    let seal = |pending: &mut Vec<InteractionEvent>,
-                metas: &mut Vec<EventMeta>,
-                first_at: &mut Option<Instant>| {
-        if pending.is_empty() {
+    let seal = |pending: &mut Vec<AdmittedEvent>| {
+        let items = std::mem::replace(pending, Vec::with_capacity(max_batch));
+        let Some(first) = items.first().map(|a| a.meta.backend) else {
             return true;
-        }
-        *first_at = None;
-        let first = metas[0].backend;
-        if metas.iter().all(|m| m.backend == first) {
-            return seal_one(pending, metas, first);
-        }
-        let items: Vec<(InteractionEvent, EventMeta)> =
-            pending.drain(..).zip(metas.drain(..)).collect();
-        for kind in BackendKind::ALL {
-            let mut evs = Vec::new();
-            let mut ms = Vec::new();
-            for &(e, m) in &items {
-                if m.backend == kind {
-                    evs.push(e);
-                    ms.push(m);
-                }
-            }
-            if !evs.is_empty() && !seal_one(&mut evs, &mut ms, kind) {
-                return false;
-            }
-        }
-        true
-    };
-    loop {
-        let received = match first_at {
-            None => match rx.recv() {
-                Some(e) => crate::queue::RecvResult::Item(e),
-                None => crate::queue::RecvResult::Closed,
-            },
-            Some(t0) => {
-                let remaining = deadline.saturating_sub(t0.elapsed());
-                if remaining.is_zero() {
-                    if !seal(&mut pending, &mut metas, &mut first_at) {
-                        return;
-                    }
-                    continue;
-                }
-                rx.recv_timeout(remaining)
-            }
         };
-        match received {
-            crate::queue::RecvResult::Item(e) => {
-                if first_at.is_none() {
-                    first_at = Some(Instant::now());
-                }
-                pending.push(e.event);
-                metas.push(e.meta);
-                if pending.len() >= max_batch && !seal(&mut pending, &mut metas, &mut first_at) {
-                    return;
-                }
-            }
-            crate::queue::RecvResult::Timeout => {
-                if !seal(&mut pending, &mut metas, &mut first_at) {
-                    return;
-                }
-            }
-            crate::queue::RecvResult::Closed => {
-                let _ = seal(&mut pending, &mut metas, &mut first_at);
-                return;
-            }
+        if items.iter().all(|a| a.meta.backend == first) {
+            return seal_one(items, first);
+        }
+        BackendKind::ALL.into_iter().all(|kind| {
+            let part: Vec<AdmittedEvent> = items
+                .iter()
+                .filter(|a| a.meta.backend == kind)
+                .copied()
+                .collect();
+            part.is_empty() || seal_one(part, kind)
+        })
+    };
+    let sampling = sampling.max(1);
+    let mut pending: Vec<AdmittedEvent> = Vec::with_capacity(max_batch);
+    let mut pulls = 0u64;
+    loop {
+        let due = pending.first().map(|a| a.meta.picked_up_at + deadline);
+        // An unpaced feed degenerates to one-event pulls, so the timeline
+        // write is sampled (`ServeConfig::metrics_sampling`) — busy time
+        // still counts every pull.
+        let record = pulls.is_multiple_of(sampling);
+        let pulled = admission.pull(&mut pending, max_batch, due);
+        if let Ingress::Ready(since) = pulled {
+            // The span starts where the wait ended: busy time is the drain.
+            let span = sched_obs.enter_sampled(0, record).map(|_| since);
+            sched_obs.exit_sampled(0, span, record);
+            pulls += 1;
+        }
+        let closed = pulled == Ingress::Closed;
+        let expired = due.is_some_and(|d| Instant::now() >= d);
+        if (closed || expired || pending.len() >= max_batch) && (!seal(&mut pending) || closed) {
+            return;
         }
     }
 }
 
-/// Sampling worker: waits for the neighbor-table shards it reads to reach
-/// epoch `k-1`, then samples every touched vertex into a flat arena.
-pub(crate) fn sampler_loop(
-    rx: Receiver<SealedBatch>,
-    tx: Sender<SampledJob>,
-    table: Arc<ShardedNeighborTable>,
-    sampled_neighbors: usize,
-    obs: StageObs,
-) {
-    let num_shards = table.num_shards();
-    while let Some(SealedBatch {
-        epoch,
-        batch,
-        metas,
-        backend,
-        sealed_at,
-    }) = rx.recv()
-    {
-        let span = obs.enter(epoch);
-        let sampled = SampledBatch::assemble(batch, sampled_neighbors, |v, t, k, out| {
-            // Fine-grained epoch barrier: only the shard owning `v` must have
-            // absorbed the previous batch; other shards may still be
-            // committing while we read this one.
-            table.gate().wait_for(shard_of(v, num_shards), epoch - 1);
-            table.sample_into(v, t, k, out);
+/// Span handles of the three logical stages the state worker executes.
+pub(crate) struct StateObs {
+    pub sampler: StageObs,
+    pub memory: StageObs,
+    pub update: StageObs,
+}
+
+/// Runs `f` inside a stage span (no span when `obs` is `None`).  A panic in
+/// `f` leaves the `Enter` without an `Exit` — the dangling span the
+/// flight-recorder post-mortem pinpoints.
+fn in_span<R>(obs: Option<&StageObs>, epoch: u64, f: impl FnOnce() -> R) -> R {
+    let span = obs.and_then(|o| o.enter(epoch));
+    let out = f();
+    if let Some(o) = obs {
+        o.exit(epoch, span);
+    }
+    out
+}
+
+/// [`StateStage::step`]'s `dispatch` argument for a state-only step: no GNN
+/// job is gathered.
+pub(crate) const STATE_ONLY: Option<fn(GnnJobBatch, Instant)> = None;
+
+/// The temporal state and the one body that advances it by a batch.  The
+/// state worker, `StreamServer::warm_up` and `StreamServer::recover` all
+/// call [`Self::step`], which is what keeps served, warmed and recovered
+/// state bit-identical by construction.
+pub(crate) struct StateStage {
+    pub memory: Arc<ShardedMemory>,
+    pub table: Arc<ShardedNeighborTable>,
+    /// The shared stage model — always the same one regardless of which
+    /// backend computes embeddings: the temporal state is a single
+    /// trajectory, and only GNN compute is backend-specific.
+    pub model: Arc<TgnModel>,
+    pub graph: Arc<TemporalGraph>,
+    pub commit_log: Arc<Mutex<CommitLog>>,
+    /// Live-serving commit hooks (`None` on the replay paths, which run
+    /// quiesced and snapshot/seed explicitly): absorbed-event bookkeeping
+    /// plus snapshot capture at interval epochs…
+    pub durability: Option<Arc<Durability>>,
+    /// …and the embedding cache's staleness watermark + expiry sweep.
+    pub cache: Option<Arc<EmbeddingCache>>,
+    /// Stage spans (`None` on the replay paths).
+    pub obs: Option<StateObs>,
+    pub ws: Workspace,
+}
+
+impl StateStage {
+    /// A stage over the given tables with no commit hooks and no spans.
+    pub fn new(
+        memory: Arc<ShardedMemory>,
+        table: Arc<ShardedNeighborTable>,
+        model: Arc<TgnModel>,
+        graph: Arc<TemporalGraph>,
+        commit_log: Arc<Mutex<CommitLog>>,
+    ) -> Self {
+        Self {
+            memory,
+            table,
+            model,
+            graph,
+            commit_log,
+            durability: None,
+            cache: None,
+            obs: None,
+            ws: Workspace::new(),
+        }
+    }
+
+    /// Advances the state by one batch, in program order: **sample** the
+    /// neighbor table, run the **memory** stage (consume mailbox messages,
+    /// GRU, cache the batch's new raw messages), **gather** the owned GNN
+    /// job and hand it to `dispatch` with the instant sampling finished,
+    /// then **commit** memory rows and neighbor-table appends as `epoch`.
+    ///
+    /// `dispatch` is the only parameter: `Some` gathers a GNN job (the
+    /// batch's embeddings will be computed), `None` ([`STATE_ONLY`]) advances
+    /// the state only and skips the neighbor sampling nothing would read.  The job is
+    /// gathered *before* the commit overwrites this epoch's rows and
+    /// dispatched before it runs, so GNN(k) overlaps commit(k).
+    ///
+    /// With durability on, snapshot-interval epochs capture each shard's
+    /// payload through the `commit_epoch_with` observers — under the shard
+    /// lock, after the epoch's writes, before the epoch bump — so the
+    /// snapshot is the exact epoch-barrier state; the files are then
+    /// written by a background thread instead of stalling the committer on
+    /// disk I/O.  The embedding cache hooks the same observer to advance
+    /// its staleness watermark and sweep the shard's expired entries.
+    pub fn step(
+        &mut self,
+        epoch: u64,
+        batch: EventBatch,
+        dispatch: Option<impl FnOnce(GnnJobBatch, Instant)>,
+    ) {
+        let obs = self.obs.as_ref();
+        let (memory, table) = (&*self.memory, &*self.table);
+        let k = match dispatch {
+            Some(_) => self.model.config.sampled_neighbors,
+            None => 0,
+        };
+        let sampled = in_span(obs.map(|o| &o.sampler), epoch, || {
+            SampledBatch::assemble(batch, k, |v, t, k, out| table.sample_into(v, t, k, out))
         });
-        // The trace's `Sample` segment spans seal → sampled, so it covers
-        // the sealed-batch queue wait and the shard-gate wait as well as the
-        // sampling itself — the additive segments tile wall time, no gaps.
         let sampled_at = Instant::now();
-        obs.trace_record(
-            epoch,
-            SegmentId::Sample,
-            sampled_at.saturating_duration_since(sealed_at),
-        );
-        let ok = tx
-            .send(SampledJob {
-                epoch,
-                sampled,
-                metas,
-                backend,
-                sealed_at,
-                sampled_at,
-            })
-            .is_ok();
-        obs.exit(epoch, span);
-        if !ok {
-            return;
-        }
-    }
-}
-
-/// Memory worker: consumes mailbox messages, runs the GRU, caches the
-/// batch's new raw messages, gathers the owned GNN job, and emits the
-/// write-back job (before the GNN work, so the updater can release epoch `k`
-/// while the GNN stage computes).  The gathered job is split into at most
-/// `gnn_workers` sub-jobs: the batch header goes to the reorder worker (in
-/// epoch order), the sub-jobs onto the batch's *backend's* dispatch queue —
-/// `tx_gnn` is indexed by [`BackendKind::code`]; a homogeneous server has
-/// exactly one entry populated.  The memory stage itself always runs on the
-/// one shared `model` regardless of backend: the temporal state is a single
-/// trajectory, and only GNN compute is backend-specific.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn memory_loop(
-    rx: Receiver<SampledJob>,
-    tx_update: Sender<UpdateJob>,
-    tx_header: Sender<GnnBatchHeader>,
-    tx_gnn: Vec<Option<MpmcSender<GnnSubJob>>>,
-    gnn_workers: usize,
-    memory: Arc<ShardedMemory>,
-    model: Arc<TgnModel>,
-    graph: Arc<TemporalGraph>,
-    obs: StageObs,
-) {
-    let mut ws = Workspace::new();
-    let num_shards = memory.num_shards();
-    let mut mask = vec![false; num_shards];
-    while let Some(SampledJob {
-        epoch,
-        sampled,
-        metas,
-        backend,
-        sealed_at,
-        sampled_at,
-    }) = rx.recv()
-    {
-        let span = obs.enter(epoch);
-        // Wait-set: every shard this stage reads — the touched vertices
-        // (mailbox, clocks, own memory) and their sampled neighbors (memory
-        // rows gathered for the GNN).
-        memory.shard_mask(&sampled.touched, &mut mask);
-        for i in 0..sampled.len() {
-            for e in sampled.neighbors_of(i) {
-                mask[shard_of(e.neighbor, num_shards)] = true;
+        let updated = in_span(obs.map(|o| &o.memory), epoch, || {
+            let updated =
+                run_sharded_memory_stage(&sampled, memory, &self.model, &self.graph, &mut self.ws);
+            if let Some(dispatch) = dispatch {
+                let job = GnnJobBatch::gather(
+                    &sampled,
+                    &updated,
+                    &self.graph,
+                    &self.model.config,
+                    |v, dst| memory.copy_memory_into(v, dst),
+                );
+                dispatch(job, sampled_at);
             }
-        }
-        memory.gate().wait_for_mask(&mask, epoch - 1);
-
-        let updated = run_sharded_memory_stage(&sampled, &memory, &model, &graph, &mut ws);
-        // Gather everything the GNN reads BEFORE the update job is emitted:
-        // once the updater receives it, it may overwrite this epoch's rows.
-        let job = GnnJobBatch::gather(&sampled, &updated, &graph, &model.config, |v, dst| {
-            memory.copy_memory_into(v, dst)
+            updated
         });
-        let writes = writes_from(updated, &sampled);
-        let events = sampled.batch.events().to_vec();
-        if tx_update
-            .send(UpdateJob {
-                epoch,
-                writes,
-                events: events.clone(),
-            })
-            .is_err()
-        {
-            obs.exit(epoch, span);
-            return;
-        }
-        let parts = job.split(gnn_workers);
-        // `Memory` spans sampled → dispatch, covering the memory-shard gate
-        // wait, the GRU + gather, and the update-job handoff.
-        let mem_done_at = Instant::now();
-        obs.trace_record(
-            epoch,
-            SegmentId::Memory,
-            mem_done_at.saturating_duration_since(sampled_at),
-        );
-        if tx_header
-            .send(GnnBatchHeader {
-                epoch,
-                num_parts: parts.len(),
-                events,
-                metas,
-                backend,
-                sealed_at,
-                mem_done_at,
-            })
-            .is_err()
-        {
-            obs.exit(epoch, span);
-            return;
-        }
-        let dispatch = tx_gnn[backend.code()]
-            .as_ref()
-            .expect("memory: sealed batch routed to a backend with no dispatch queue");
-        for (part, job) in parts.into_iter().enumerate() {
-            if dispatch
-                .send(GnnSubJob {
-                    epoch,
-                    part,
-                    job,
-                    dispatched_at: mem_done_at,
-                })
-                .is_err()
+        in_span(obs.map(|o| &o.update), epoch, || {
+            let events = sampled.batch.events();
+            let writes: Vec<(NodeId, Vec<Float>, Timestamp)> = updated
+                .into_iter()
+                .map(|(v, m)| (v, m, sampled.query_time_of(v)))
+                .collect();
             {
-                obs.exit(epoch, span);
-                return;
+                let mut log = self.commit_log.lock().unwrap();
+                for (v, _, t) in &writes {
+                    log.commit(*v, *t);
+                }
             }
-        }
-        obs.exit(epoch, span);
+            if let Some(d) = &self.durability {
+                d.note_absorbed(events);
+            }
+            let cache = self.cache.as_deref();
+            match self.durability.as_ref().filter(|d| d.wants_snapshot(epoch)) {
+                None => {
+                    match cache {
+                        None => memory.commit_epoch(epoch, &writes),
+                        Some(c) => memory.commit_epoch_with(epoch, &writes, |s, _| {
+                            c.on_shard_committed(s, epoch)
+                        }),
+                    }
+                    table.commit_epoch(epoch, events);
+                }
+                Some(d) => {
+                    let num_shards = memory.num_shards();
+                    let mut mem_bufs: Vec<Vec<u8>> = vec![Vec::new(); num_shards];
+                    memory.commit_epoch_with(epoch, &writes, |s, m| {
+                        tgnn_durable::encode_memory_shard(m, &mut mem_bufs[s]);
+                        if let Some(c) = cache {
+                            c.on_shard_committed(s, epoch);
+                        }
+                    });
+                    let mut nbr_bufs: Vec<Vec<u8>> = vec![Vec::new(); num_shards];
+                    table.commit_epoch_with(epoch, events, |s, t| {
+                        tgnn_durable::encode_neighbor_shard(t, &mut nbr_bufs[s])
+                    });
+                    // Hand the captured payloads to the background writer: the
+                    // consistent cut is done, the disk I/O needs no lock.
+                    d.spawn_snapshot_write(epoch, mem_bufs, nbr_bufs);
+                }
+            }
+        });
     }
 }
 
-/// The memory-stage computation shared by the pipeline's memory worker and
-/// `StreamServer::warm_up`: consume the touched vertices' mailbox messages,
-/// run the GRU on them, and cache the batch's new raw messages (Eq. 4–5) in
-/// event order from the pre-write-back snapshots — the same
-/// information-leak-safe ordering as the serial engine.  Sharing one body is
-/// what keeps both paths bit-identical by construction.
-pub(crate) fn run_sharded_memory_stage(
+/// The memory-stage computation: consume the touched vertices' mailbox
+/// messages, run the GRU on them, and cache the batch's new raw messages
+/// (Eq. 4–5) in event order from the pre-write-back snapshots — the same
+/// information-leak-safe ordering as the serial engine.
+fn run_sharded_memory_stage(
     sampled: &SampledBatch,
     memory: &ShardedMemory,
     model: &TgnModel,
@@ -693,132 +669,98 @@ pub(crate) fn run_sharded_memory_stage(
     updated
 }
 
-/// Converts the memory stage's output into the update worker's write list,
-/// stamping each vertex with its query time.
-pub(crate) fn writes_from(
-    updated: HashMap<NodeId, Vec<Float>>,
-    sampled: &SampledBatch,
-) -> Vec<(NodeId, Vec<Float>, Timestamp)> {
-    updated
-        .into_iter()
-        .map(|(v, m)| {
-            let t = sampled.query_time_of(v);
-            (v, m, t)
-        })
-        .collect()
-}
-
-/// Poisons both epoch gates when the owning worker exits — by return *or*
-/// panic.  Held by the update worker (the only committer: once it is gone
-/// any stage still waiting on a watermark would wait forever) and by every
-/// GNN worker (a worker that dies mid-batch leaves the reorder stage short a
-/// part, so the pipeline behind it must unwind, not stall); poisoning turns
-/// the hang into a clean panic that unwinds the rest of the pipeline.  On an
-/// orderly shutdown this is harmless: shutdown ripples front to back, so the
-/// sampler and memory workers have already exited by the time the update
-/// queue or the GNN dispatch queue closes, and no waiter remains to observe
-/// the poison.
-struct PoisonGatesOnExit {
-    memory: Arc<ShardedMemory>,
-    table: Arc<ShardedNeighborTable>,
-}
-
-impl Drop for PoisonGatesOnExit {
-    fn drop(&mut self) {
-        self.memory.gate().poison();
-        self.table.gate().poison();
-    }
-}
-
-/// Update worker: the only writer of the sharded state.  Applies write-backs
-/// and neighbor-table appends shard by shard, bumping each shard's epoch
-/// watermark as it goes — which is what releases the next batch's sampling
-/// and memory stages.
-///
-/// With durability on, snapshot-interval epochs capture each shard's
-/// payload through the `commit_epoch_with` observers — under the shard lock,
-/// after the epoch's writes, before the gate bump — so the snapshot is the
-/// exact epoch-barrier state with no global pause; the files are then
-/// written by a background thread, overlapping the pipeline instead of
-/// stalling the single committer on disk I/O.
-pub(crate) fn update_loop(
-    rx: Receiver<UpdateJob>,
-    memory: Arc<ShardedMemory>,
-    table: Arc<ShardedNeighborTable>,
-    commit_log: Arc<Mutex<CommitLog>>,
-    durability: Option<Arc<Durability>>,
-    cache: Option<Arc<crate::cache::EmbeddingCache>>,
-    obs: StageObs,
+/// State worker: the only reader *and* writer of the sharded temporal
+/// state.  Per sealed batch it runs [`StateStage::step`], dispatching the
+/// gathered job between the memory stage and the commit: the batch header
+/// goes to the reorder worker (in epoch order), the job — split into at
+/// most `gnn_workers` sub-jobs — onto the batch's *backend's* dispatch
+/// queue (`tx_gnn` is indexed by [`BackendKind::code`]; a homogeneous
+/// server has exactly one entry populated).
+pub(crate) fn state_loop(
+    rx: Receiver<SealedBatch>,
+    tx_header: Sender<GnnBatchHeader>,
+    tx_gnn: Vec<Option<MpmcSender<GnnSubJob>>>,
+    gnn_workers: usize,
+    mut stage: StateStage,
 ) {
-    let _poison_on_exit = PoisonGatesOnExit {
-        memory: memory.clone(),
-        table: table.clone(),
+    let trace = stage.obs.as_ref().map(|o| o.memory.clone());
+    let trace_record = |epoch, seg, d| {
+        if let Some(t) = &trace {
+            t.trace_record(epoch, seg, d);
+        }
     };
-    while let Some(UpdateJob {
+    while let Some(SealedBatch {
         epoch,
-        writes,
-        events,
+        batch,
+        metas,
+        backend,
+        sealed_at,
     }) = rx.recv()
     {
-        let span = obs.enter(epoch);
-        {
-            let mut log = commit_log.lock().unwrap();
-            for (v, _, t) in &writes {
-                log.commit(*v, *t);
-            }
+        let events = batch.events().to_vec();
+        let mut downstream_alive = true;
+        stage.step(
+            epoch,
+            batch,
+            Some(|job: GnnJobBatch, sampled_at: Instant| {
+                // The additive trace segments tile wall time, no gaps:
+                // `Sample` spans seal → sampled (the sealed-batch queue wait,
+                // the previous epoch's commit, and the sampling itself),
+                // `Memory` spans sampled → dispatch (GRU + gather).
+                trace_record(
+                    epoch,
+                    SegmentId::Sample,
+                    sampled_at.saturating_duration_since(sealed_at),
+                );
+                let parts = job.split(gnn_workers);
+                let mem_done_at = Instant::now();
+                trace_record(
+                    epoch,
+                    SegmentId::Memory,
+                    mem_done_at.saturating_duration_since(sampled_at),
+                );
+                let dispatch = tx_gnn[backend.code()]
+                    .as_ref()
+                    .expect("state: sealed batch routed to a backend with no dispatch queue");
+                downstream_alive = tx_header
+                    .send(GnnBatchHeader {
+                        epoch,
+                        num_parts: parts.len(),
+                        events,
+                        metas,
+                        backend,
+                        sealed_at,
+                        mem_done_at,
+                    })
+                    .is_ok()
+                    && parts.into_iter().enumerate().all(|(part, job)| {
+                        dispatch
+                            .send(GnnSubJob {
+                                epoch,
+                                part,
+                                job,
+                                dispatched_at: mem_done_at,
+                            })
+                            .is_ok()
+                    });
+            }),
+        );
+        // The reorder worker or the GNN pool is gone — a worker died; unwind.
+        if !downstream_alive {
+            return;
         }
-        if let Some(d) = &durability {
-            d.note_absorbed(&events);
-        }
-        // The embedding cache hooks the same per-shard commit observer the
-        // snapshot writer uses — under the shard lock, after the epoch's
-        // writes, before the gate bump — to advance its staleness watermark
-        // and sweep the shard's expired entries.
-        match durability.as_ref().filter(|d| d.wants_snapshot(epoch)) {
-            None => {
-                match &cache {
-                    None => memory.commit_epoch(epoch, &writes),
-                    Some(c) => memory
-                        .commit_epoch_with(epoch, &writes, |s, _| c.on_shard_committed(s, epoch)),
-                }
-                table.commit_epoch(epoch, &events);
-            }
-            Some(d) => {
-                let num_shards = memory.num_shards();
-                let mut mem_bufs: Vec<Vec<u8>> = vec![Vec::new(); num_shards];
-                memory.commit_epoch_with(epoch, &writes, |s, m| {
-                    tgnn_durable::encode_memory_shard(m, &mut mem_bufs[s]);
-                    if let Some(c) = &cache {
-                        c.on_shard_committed(s, epoch);
-                    }
-                });
-                let mut nbr_bufs: Vec<Vec<u8>> = vec![Vec::new(); num_shards];
-                table.commit_epoch_with(epoch, &events, |s, t| {
-                    tgnn_durable::encode_neighbor_shard(t, &mut nbr_bufs[s])
-                });
-                // Hand the captured payloads to the background writer: the
-                // consistent cut is done, the disk I/O needs no lock.
-                d.spawn_snapshot_write(epoch, mem_bufs, nbr_bufs);
-            }
-        }
-        obs.exit(epoch, span);
     }
 }
 
 /// Unwinds the whole GNN pool when one worker dies mid-batch.  A panicking
-/// worker leaves the reorder stage short a part forever, and — unlike the
-/// single-committer update worker — its surviving peers would happily keep
-/// the pipeline flowing around the hole.  So on a *panicking* exit the guard
-/// closes both MPMC channels (failing the memory worker's dispatch sends and
-/// ending the reorder worker's part stream), which ripples the shutdown
-/// through every stage; the epoch gates are poisoned unconditionally, same
-/// as the updater's guard (harmless on an orderly exit, where no waiter
-/// remains).
+/// worker leaves the reorder stage short a part forever, and its surviving
+/// peers would happily keep the pipeline flowing around the hole.  So on a
+/// *panicking* exit the guard closes both MPMC channels (failing the state
+/// worker's dispatch sends and ending the reorder worker's part stream),
+/// which ripples the shutdown through every stage.
 struct UnwindPoolOnPanic {
     rx: MpmcReceiver<GnnSubJob>,
     tx: MpmcSender<GnnSubResult>,
-    /// Held only for its drop side effect (poisons both epoch gates).
-    _gates: PoisonGatesOnExit,
 }
 
 impl Drop for UnwindPoolOnPanic {
@@ -827,7 +769,6 @@ impl Drop for UnwindPoolOnPanic {
             self.rx.close();
             self.tx.close();
         }
-        // `_gates` drops after: poisons both epoch gates.
     }
 }
 
@@ -843,14 +784,11 @@ pub(crate) fn gnn_worker_loop(
     tx: MpmcSender<GnnSubResult>,
     backend: Arc<dyn ComputeBackend>,
     fault: Option<GnnFaultHook>,
-    memory: Arc<ShardedMemory>,
-    table: Arc<ShardedNeighborTable>,
     obs: StageObs,
 ) {
     let _unwind_on_panic = UnwindPoolOnPanic {
         rx: rx.clone(),
         tx: tx.clone(),
-        _gates: PoisonGatesOnExit { memory, table },
     };
     let mut ws = Workspace::new();
     while let Some(GnnSubJob {
@@ -908,7 +846,7 @@ pub(crate) fn gnn_worker_loop(
 }
 
 /// Reorder worker: the commit point of the data-parallel GNN stage.  Batch
-/// headers arrive in epoch order (SPSC from the memory worker); sub-results
+/// headers arrive in epoch order (SPSC from the state worker); sub-results
 /// arrive in arbitrary order from the worker pool.  For each header it
 /// collects the batch's parts — stashing parts of *later* epochs until their
 /// header is current — concatenates them in part order (bitwise-equal to the
@@ -920,9 +858,9 @@ pub(crate) fn reorder_loop(
     rx_parts: MpmcReceiver<GnnSubResult>,
     tx: Sender<ServedBatch>,
     collector: Arc<Collector>,
-    cache: Option<Arc<crate::cache::EmbeddingCache>>,
+    cache: Option<Arc<EmbeddingCache>>,
     obs: StageObs,
-    latency_us: tgnn_obs::Histogram,
+    latency_us: Histogram,
 ) {
     let mut stash: HashMap<(u64, usize), (PartEmbeddings, Option<Duration>, Instant)> =
         HashMap::new();
@@ -980,7 +918,7 @@ pub(crate) fn reorder_loop(
                     }
                 }
                 // The worker pool is gone with this batch incomplete — a
-                // worker died; unwind (the pool's poison guard handles the
+                // worker died; unwind (the closed dispatch queue stops the
                 // stages behind us).
                 None => return,
             }
@@ -1057,5 +995,104 @@ pub(crate) fn reorder_loop(
         if !ok {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Heap allocations made by the current thread (const-initialized,
+        /// so reading it never allocates).
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The system allocator plus a per-thread allocation count — lets a
+    /// test assert that a code path allocates nothing, undisturbed by the
+    /// other tests running on their own threads.
+    struct CountingAllocator;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the only addition is a
+    // thread-local counter bump that neither allocates nor unwinds
+    // (`try_with` tolerates a thread that is tearing down).
+    unsafe impl GlobalAlloc for CountingAllocator {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: `layout` is the caller's, forwarded unchanged.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` was returned by `System.alloc` with `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: same block, same layout, caller-checked `new_size`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+    #[test]
+    fn latency_accounting_is_constant_space_and_within_bucket_error() {
+        const EVENTS: usize = 200_000;
+        const BATCH: usize = 200;
+        let collector = Collector::new(2);
+        // A deterministic, heavy-tailed latency stream (xorshift): 50 µs to
+        // ~130 ms, the range the serve path actually produces.
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut exact: Vec<u64> = Vec::with_capacity(EVENTS);
+        for _ in 0..EVENTS {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            exact.push(50_000 + (x % 1_000_000) * (1 + (x >> 60) * 8));
+        }
+        let before = ALLOCATIONS.with(Cell::get);
+        for (i, &ns) in exact.iter().enumerate() {
+            let latency = Duration::from_nanos(ns);
+            collector.record_event(TenantId((i % 2) as u32), false, latency);
+            if i % BATCH == 0 {
+                collector.record_batch(BATCH, BATCH, latency);
+                collector.record_backend_batch(BackendKind::HwSim, BATCH, Some(latency));
+            }
+        }
+        assert_eq!(
+            ALLOCATIONS.with(Cell::get),
+            before,
+            "recording {EVENTS} served events must not allocate"
+        );
+
+        // Both tenants together saw every sample: their merged histogram
+        // must answer within the documented 6.25 % of exact nearest-rank.
+        let mut merged = collector.tenants[0].latency_ns.snapshot();
+        merged.merge(&collector.tenants[1].latency_ns.snapshot());
+        assert_eq!(merged.count(), EVENTS as u64);
+        let summary = LatencySummary::from_histogram(&merged, NS_PER_MS);
+        exact.sort_unstable();
+        let rank = |q: f64| exact[((q * EVENTS as f64).ceil() as usize).max(1) - 1] as f64 / 1e6;
+        for (label, got, want) in [
+            ("p50", summary.p50_ms, rank(0.50)),
+            ("p95", summary.p95_ms, rank(0.95)),
+            ("p99", summary.p99_ms, rank(0.99)),
+            ("max", summary.max_ms, rank(1.0)),
+        ] {
+            assert!(
+                got >= want && got <= want * 1.0625,
+                "{label}: histogram {got} ms vs exact {want} ms"
+            );
+        }
+        assert_eq!(collector.latency_ns.count(), (EVENTS / BATCH) as u64);
+        assert!(collector.backends[BackendKind::HwSim.code()]
+            .modeled_latency()
+            .is_some());
     }
 }

@@ -23,7 +23,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Occupancy statistics of one queue, for the backpressure report.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -91,17 +90,6 @@ impl<T> Inner<T> {
         self.pops.fetch_add(1, Ordering::Relaxed);
         self.depth_sum.fetch_add(depth as u64, Ordering::Relaxed);
     }
-}
-
-/// Result of a timed receive.
-#[derive(Debug, PartialEq)]
-pub enum RecvResult<T> {
-    /// An item arrived within the timeout.
-    Item(T),
-    /// The queue stayed empty for the full timeout but is still open.
-    Timeout,
-    /// The sender is gone and the queue is drained.
-    Closed,
 }
 
 /// Producer end.  Dropping it closes the queue.
@@ -217,33 +205,6 @@ impl<T> Receiver<T> {
                 return None;
             }
             q = inner.not_empty.wait(q).unwrap();
-        }
-    }
-
-    /// Pops the next item, blocking at most `timeout`.  Distinguishes an
-    /// empty-but-open queue (Timeout) from a closed-and-drained one (Closed),
-    /// which the deadline-driven batcher needs.
-    pub fn recv_timeout(&self, timeout: Duration) -> RecvResult<T> {
-        let inner = &*self.inner;
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = inner.queue.lock().unwrap();
-        loop {
-            if let Some(item) = q.pop_front() {
-                let depth = q.len();
-                drop(q);
-                inner.note_pop(depth);
-                inner.not_full.notify_one();
-                return RecvResult::Item(item);
-            }
-            if inner.closed.load(Ordering::Acquire) {
-                return RecvResult::Closed;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return RecvResult::Timeout;
-            }
-            let (guard, _) = inner.not_empty.wait_timeout(q, deadline - now).unwrap();
-            q = guard;
         }
     }
 
@@ -552,6 +513,7 @@ impl<T> MpmcMonitor<T> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_close_semantics() {

@@ -2,16 +2,15 @@
 //! backpressure-aware serve report.
 
 use crate::admission::{
-    scheduler_loop, AdmissionControl, AdmissionCounters, AdmittedEvent, StaleServing,
-    SubmitOutcome, TenantSpec,
+    AdmissionControl, AdmissionCounters, StaleServing, SubmitOutcome, TenantSpec,
 };
 use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
 use crate::metrics::{HubConfig, MetricsHub, MetricsSnapshot, StageId};
 use crate::pipeline::{
-    batcher_loop, gnn_worker_loop, memory_loop, reorder_loop, sampler_loop, update_loop, Collector,
-    GnnBatchHeader, GnnFaultHook, GnnSubJob, GnnSubResult, SampledJob, SealedBatch, ServedBatch,
-    UpdateJob,
+    gnn_worker_loop, ingest_loop, reorder_loop, state_loop, Collector, GnnBatchHeader,
+    GnnFaultHook, GnnSubJob, GnnSubResult, SealedBatch, ServedBatch, StateObs, StateStage,
+    STATE_ONLY,
 };
 use crate::queue::{channel, mpmc_channel, MpmcReceiver, MpmcSender, QueueStats, Receiver};
 use std::collections::VecDeque;
@@ -20,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tgnn_core::profiling::StageTimings;
-use tgnn_core::stages::{GnnJobBatch, SampledBatch};
+use tgnn_core::stages::GnnJobBatch;
 use tgnn_core::tenancy::{Disposition, OverloadPolicy, ResultMeta, TenantId};
 use tgnn_core::{
     BackendKind, ComputeBackend, F32Backend, Int8Backend, ShardedMemory, TgnModel,
@@ -33,6 +32,7 @@ use tgnn_durable::{
 use tgnn_graph::chronology::CommitLog;
 use tgnn_graph::{EventBatch, InteractionEvent, ShardedNeighborTable, TemporalGraph, Timestamp};
 use tgnn_hwsim::{DdrModel, DesignConfig, HwSimBackend};
+use tgnn_obs::HistogramSnapshot;
 use tgnn_tensor::Workspace;
 
 /// Tuning knobs of the streaming pipeline.
@@ -42,12 +42,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// …or once the oldest pending event is this old.
     pub batch_deadline: Duration,
-    /// Capacity of the scheduler→batcher handoff queue (events), and the
-    /// ingress bound of the implicit default tenant when `tenants` is
-    /// empty.  Backpressure starts here: with the default `Block` policy,
-    /// `submit` blocks once the ingress queue fills behind a full handoff
-    /// queue.
-    pub admission_capacity: usize,
     /// Capacity of each inter-stage queue (micro-batches in flight).
     pub stage_capacity: usize,
     /// Capacity of the results queue (completed batches awaiting `poll`).
@@ -60,16 +54,15 @@ pub struct ServeConfig {
     /// bit-identical to `ExecMode::Serial` for every worker count.
     pub gnn_workers: usize,
     /// Tenant table of the admission layer.  Empty (the default) means a
-    /// single implicit [`TenantId::DEFAULT`] tenant with `Block` policy and
-    /// an `admission_capacity`-event ingress queue: served results are
-    /// bit-identical to the pre-admission-layer server, and `submit` still
-    /// blocks rather than drop — though the buffering ahead of the batcher
-    /// is now the ingress queue *plus* the scheduler→batcher queue (each
-    /// `admission_capacity` deep), so the blocking point sits up to one
-    /// queue later than it used to.  With more than one entry, `submit_for`
-    /// routes each event to its tenant's bounded ingress queue and the
-    /// weighted-fair scheduler drains them into the micro-batcher; see
-    /// [`TenantSpec`] and [`OverloadPolicy`].
+    /// single implicit [`TenantId::DEFAULT`] tenant —
+    /// `TenantSpec::new("default")`: `Block` policy, 1024-event ingress
+    /// queue — so served results are bit-identical to the
+    /// pre-admission-layer server and `submit` blocks rather than drop.
+    /// Backpressure starts at that queue: the ingest worker pulls from it
+    /// only as fast as the pipeline accepts sealed batches.  With more than
+    /// one entry, `submit_for` routes each event to its tenant's bounded
+    /// ingress queue and the ingest worker drains them weighted-fair into
+    /// micro-batches; see [`TenantSpec`] and [`OverloadPolicy`].
     pub tenants: Vec<TenantSpec>,
     /// Bounded-staleness embedding cache keyed on `(vertex, epoch)`,
     /// populated with every served embedding and invalidated at the epoch
@@ -89,7 +82,7 @@ pub struct ServeConfig {
     /// `None` (the default) performs no logging, no snapshots, and no I/O
     /// on any hot path, and single-tenant served results are bit-for-bit
     /// the pre-durability server's.  One behaviour is shared by both
-    /// settings: the batcher restores chronological order *inside* each
+    /// settings: the ingest worker restores chronological order *inside* each
     /// multi-tenant sealed batch (stable sort, so per-tenant order is
     /// preserved), because the engine consumes every batch as a
     /// chronological stream — the weighted-fair cross-tenant interleave
@@ -104,15 +97,16 @@ pub struct ServeConfig {
     /// histograms, and the flight recorder stay empty.
     pub metrics: bool,
     /// Capacity of the flight recorder ring, in events.  Each epoch
-    /// generates roughly `2 × (6 + gnn_workers)` events, so the default
+    /// generates roughly `2 × (5 + gnn_workers)` events, so the default
     /// 4096 keeps a few hundred epochs of timeline for post-mortems.
     pub flight_capacity: usize,
-    /// 1-in-N sampling for per-event observability: the admission
-    /// scheduler's flight-ring spans (its unit of work is one burst, not
-    /// one epoch) and the causal-trace head-sample retention both keep
-    /// every N-th item.  `1` records everything; clamped to at least 1.
-    /// The default 64 keeps the scheduler's ring traffic from evicting the
-    /// per-epoch timeline.
+    /// 1-in-N sampling for per-event observability: the `scheduler`
+    /// stage's flight-ring spans (its unit of work is one pull from the
+    /// ingress queues — a single event on a trickling feed — not one epoch)
+    /// and the causal-trace head-sample retention both keep every N-th
+    /// item.  `1` records everything; clamped to at least 1.  The default
+    /// 64 keeps the scheduler's ring traffic from evicting the per-epoch
+    /// timeline.
     pub metrics_sampling: u64,
     /// Declared service-level objectives evaluated over burn-rate windows
     /// ([`SloConfig`](crate::SloConfig)); their status rides every
@@ -134,7 +128,6 @@ impl Default for ServeConfig {
         Self {
             max_batch: 200,
             batch_deadline: Duration::from_millis(50),
-            admission_capacity: 1024,
             stage_capacity: 4,
             results_capacity: 256,
             num_shards: 4,
@@ -157,7 +150,6 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("max_batch", &self.max_batch)
             .field("batch_deadline", &self.batch_deadline)
-            .field("admission_capacity", &self.admission_capacity)
             .field("stage_capacity", &self.stage_capacity)
             .field("results_capacity", &self.results_capacity)
             .field("num_shards", &self.num_shards)
@@ -177,7 +169,8 @@ impl std::fmt::Debug for ServeConfig {
 
 /// Latency percentiles over a set of measurements (micro-batch
 /// seal-to-embeddings, or per-tenant admission-to-completion), in
-/// milliseconds.  Percentiles use nearest-rank.
+/// milliseconds.  Percentiles use nearest-rank over a log-linear histogram
+/// (each value is reported as its bucket's upper bound, ≤ 6.25 % high).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Arithmetic mean.
@@ -192,22 +185,22 @@ pub struct LatencySummary {
     pub max_ms: f64,
 }
 
+/// Histogram units per millisecond for the collector's nanosecond samples.
+pub(crate) const NS_PER_MS: f64 = 1e6;
+
 impl LatencySummary {
-    pub(crate) fn from_latencies(latencies: &[Duration]) -> Self {
-        if latencies.is_empty() {
-            return Self::default();
-        }
-        let mut ms: Vec<f64> = latencies.iter().map(|l| l.as_secs_f64() * 1e3).collect();
-        ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = ms.len();
-        // Nearest-rank percentile.
-        let pick = |q: f64| ms[(((q * n as f64).ceil() as usize).max(1) - 1).min(n - 1)];
+    /// Summarizes a log-linear histogram whose samples were recorded in
+    /// units of `1 / per_ms` milliseconds (`1e6` for nanoseconds).  Each
+    /// percentile is the upper bound of the bucket holding its nearest-rank
+    /// sample — at most 6.25 % above the exact value; the mean uses bucket
+    /// midpoints and `max_ms` is the top non-empty bucket's upper bound.
+    pub(crate) fn from_histogram(h: &HistogramSnapshot, per_ms: f64) -> Self {
         Self {
-            mean_ms: ms.iter().sum::<f64>() / n as f64,
-            p50_ms: pick(0.50),
-            p95_ms: pick(0.95),
-            p99_ms: pick(0.99),
-            max_ms: ms[n - 1],
+            mean_ms: h.mean() / per_ms,
+            p50_ms: h.percentile(0.50) as f64 / per_ms,
+            p95_ms: h.percentile(0.95) as f64 / per_ms,
+            p99_ms: h.percentile(0.99) as f64 / per_ms,
+            max_ms: h.max() as f64 / per_ms,
         }
     }
 }
@@ -352,7 +345,7 @@ pub struct ServeReport {
     pub throughput_eps: f64,
     /// Seal-to-embeddings latency distribution.
     pub latency: LatencySummary,
-    /// Per-queue occupancy statistics, the scheduler→batcher queue first.
+    /// Per-queue occupancy statistics, the ingest→state queue first.
     pub queues: Vec<QueueStats>,
     /// Blocked `send`s on the inter-stage queues plus blocked `submit_for`
     /// calls on full tenant ingress queues — the client-visible
@@ -429,9 +422,10 @@ impl std::error::Error for SubmitError {}
 ///
 /// Feed chronological [`InteractionEvent`]s with [`Self::submit`] (or
 /// [`Self::submit_for`] on a multi-tenant configuration); the admission
-/// layer queues them per tenant, the weighted-fair scheduler drains tenants
-/// into the micro-batcher, and the stage workers stream sealed batches
-/// through sample → memory → {update, GNN}.  Completed batches come back
+/// layer queues them per tenant, the ingest worker drains tenants
+/// weighted-fair into micro-batches, the state worker advances the temporal
+/// state batch by batch (sample → memory → gather → commit) and the GNN
+/// pool computes each batch's embeddings meanwhile.  Completed batches come back
 /// via [`Self::poll`]; [`Self::drain`] flushes everything and returns the
 /// [`ServeReport`].
 pub struct StreamServer {
@@ -485,10 +479,9 @@ pub struct StreamServer {
 }
 
 impl StreamServer {
-    /// Builds the sharded state and spawns the pipeline workers: the
-    /// admission scheduler, batcher, sampler, memory, update, `gnn_workers`
-    /// GNN compute workers sharing one dispatch queue, and the reorder
-    /// worker that restores epoch order.
+    /// Builds the sharded state and spawns the pipeline workers: ingest,
+    /// state, `gnn_workers` GNN compute workers sharing one dispatch queue,
+    /// and the reorder worker that restores epoch order.
     ///
     /// # Panics
     /// Panics if `config.gnn_workers == 0`, if a configured tenant has a
@@ -526,7 +519,7 @@ impl StreamServer {
         let num_shards = config.num_shards;
         let gnn_workers = config.gnn_workers;
         let mut tenants = if config.tenants.is_empty() {
-            vec![TenantSpec::new("default").with_capacity(config.admission_capacity)]
+            vec![TenantSpec::new("default")]
         } else {
             config.tenants.clone()
         };
@@ -645,19 +638,13 @@ impl StreamServer {
         let commit_log = Arc::new(Mutex::new(CommitLog::new()));
         let next_epoch = Arc::new(AtomicU64::new(0));
 
-        let (submit_tx, submit_rx) =
-            channel::<AdmittedEvent>("scheduler→batcher", config.admission_capacity);
-        let (sealed_tx, sealed_rx) =
-            channel::<SealedBatch>("batcher→sampler", config.stage_capacity);
-        let (sampled_tx, sampled_rx) =
-            channel::<SampledJob>("sampler→memory", config.stage_capacity);
-        let (update_tx, update_rx) = channel::<UpdateJob>("memory→update", config.stage_capacity);
+        let (sealed_tx, sealed_rx) = channel::<SealedBatch>("ingest→state", config.stage_capacity);
         let (header_tx, header_rx) =
-            channel::<GnnBatchHeader>("memory→reorder", config.stage_capacity);
+            channel::<GnnBatchHeader>("state→reorder", config.stage_capacity);
         // The dispatch/result queues carry per-part items (up to gnn_workers
         // per batch), so they scale with the pool size to keep the same
         // number of batches in flight as the other stage queues.  One
-        // dispatch queue per prepared backend: the memory worker routes each
+        // dispatch queue per prepared backend: the state worker routes each
         // sealed batch's sub-jobs to its backend's queue.
         let mut gnn_txs: Vec<Option<MpmcSender<GnnSubJob>>> =
             (0..NUM_BACKEND_KINDS).map(|_| None).collect();
@@ -668,12 +655,12 @@ impl StreamServer {
                 continue;
             }
             let name: &'static str = if num_backends == 1 {
-                "memory→gnn"
+                "state→gnn"
             } else {
                 match kind {
-                    BackendKind::F32 => "memory→gnn[f32]",
-                    BackendKind::Int8 => "memory→gnn[int8]",
-                    BackendKind::HwSim => "memory→gnn[hwsim]",
+                    BackendKind::F32 => "state→gnn[f32]",
+                    BackendKind::Int8 => "state→gnn[int8]",
+                    BackendKind::HwSim => "state→gnn[hwsim]",
                 }
             };
             let (tx, rx) = mpmc_channel::<GnnSubJob>(name, config.stage_capacity * gnn_workers);
@@ -687,19 +674,7 @@ impl StreamServer {
 
         let mut queue_stats: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>> = vec![
             {
-                let m = submit_tx.monitor();
-                Box::new(move || m.stats())
-            },
-            {
                 let m = sealed_tx.monitor();
-                Box::new(move || m.stats())
-            },
-            {
-                let m = sampled_tx.monitor();
-                Box::new(move || m.stats())
-            },
-            {
-                let m = update_tx.monitor();
                 Box::new(move || m.stats())
             },
             {
@@ -740,59 +715,42 @@ impl StreamServer {
             d.set_obs(hub.durability_obs());
         }
 
-        let mut workers = Vec::with_capacity(6 + gnn_workers * num_backends);
+        let mut workers = Vec::with_capacity(3 + gnn_workers * num_backends);
         {
             let admission = admission.clone();
-            let obs = hub.stage_obs(StageId::Scheduler, 0);
-            let sampling = config.metrics_sampling;
-            workers.push(spawn("tgnn-serve-scheduler", move || {
-                scheduler_loop(admission, submit_tx, obs, sampling)
-            }));
-        }
-        {
             let next_epoch = next_epoch.clone();
             let (max_batch, deadline) = (config.max_batch, config.batch_deadline);
             let durability = durability.clone();
+            let sched_obs = hub.stage_obs(StageId::Scheduler, 0);
             let obs = hub.stage_obs(StageId::Batcher, 0);
-            workers.push(spawn("tgnn-serve-batcher", move || {
-                batcher_loop(
-                    submit_rx, sealed_tx, max_batch, deadline, next_epoch, durability, obs,
+            let sampling = config.metrics_sampling;
+            workers.push(spawn("tgnn-serve-ingest", move || {
+                ingest_loop(
+                    admission, sealed_tx, max_batch, deadline, next_epoch, durability, sched_obs,
+                    obs, sampling,
                 )
             }));
         }
         {
-            let table = table.clone();
-            let k = model.config.sampled_neighbors;
-            let obs = hub.stage_obs(StageId::Sampler, 0);
-            workers.push(spawn("tgnn-serve-sampler", move || {
-                sampler_loop(sealed_rx, sampled_tx, table, k, obs)
-            }));
-        }
-        {
-            let (memory, model, graph) = (memory.clone(), stage_model.clone(), graph.clone());
+            // The live stage carries what the quiesced replay paths
+            // (`warm_up`, `recover`) leave off: commit hooks and stage spans.
+            let mut stage = StateStage::new(
+                memory.clone(),
+                table.clone(),
+                stage_model.clone(),
+                graph.clone(),
+                commit_log.clone(),
+            );
+            stage.durability = durability.clone();
+            stage.cache = cache.clone();
+            stage.obs = Some(StateObs {
+                sampler: hub.stage_obs(StageId::Sampler, 0),
+                memory: hub.stage_obs(StageId::Memory, 0),
+                update: hub.stage_obs(StageId::Update, 0),
+            });
             let tx_gnn = gnn_txs;
-            let obs = hub.stage_obs(StageId::Memory, 0);
-            workers.push(spawn("tgnn-serve-memory", move || {
-                memory_loop(
-                    sampled_rx,
-                    update_tx,
-                    header_tx,
-                    tx_gnn,
-                    gnn_workers,
-                    memory,
-                    model,
-                    graph,
-                    obs,
-                )
-            }));
-        }
-        {
-            let (memory, table, log) = (memory.clone(), table.clone(), commit_log.clone());
-            let durability = durability.clone();
-            let cache = cache.clone();
-            let obs = hub.stage_obs(StageId::Update, 0);
-            workers.push(spawn("tgnn-serve-update", move || {
-                update_loop(update_rx, memory, table, log, durability, cache, obs)
+            workers.push(spawn("tgnn-serve-state", move || {
+                state_loop(sealed_rx, header_tx, tx_gnn, gnn_workers, stage)
             }));
         }
         // One pool of `gnn_workers` compute workers per prepared backend,
@@ -807,7 +765,6 @@ impl StreamServer {
                 let rx = gnn_rxs[kind.code()].as_ref().expect("queue exists").clone();
                 let tx = parts_tx.clone();
                 let backend = backends[kind.code()].as_ref().expect("built above").clone();
-                let (memory, table) = (memory.clone(), table.clone());
                 let fault = config.gnn_fault.clone();
                 let worker = pool * gnn_workers + i;
                 let obs = hub.stage_obs(StageId::Gnn, worker as u16);
@@ -817,7 +774,7 @@ impl StreamServer {
                     format!("tgnn-serve-gnn-{}-{i}", kind.label())
                 };
                 workers.push(spawn(&name, move || {
-                    gnn_worker_loop(rx, tx, backend, fault, memory, table, obs)
+                    gnn_worker_loop(rx, tx, backend, fault, obs)
                 }));
             }
         }
@@ -989,11 +946,11 @@ impl StreamServer {
         }
 
         // Replay sealed epochs newer than the snapshot through the same
-        // stage functions the pipeline runs — sampling the restored
-        // neighbor table, the shared memory stage, the same write-back —
-        // which is what makes the recovered state bit-identical to an
-        // uninterrupted run.
-        let k = server.model.config.sampled_neighbors;
+        // state step the pipeline runs — sampling the restored neighbor
+        // table, the shared memory stage, the same write-back — which is
+        // what makes the recovered state bit-identical to an uninterrupted
+        // run.
+        let mut stage = server.replay_stage();
         let mut ws = Workspace::new();
         let mut replayed_epochs = 0usize;
         let mut re_served_epochs = 0usize;
@@ -1012,103 +969,82 @@ impl StreamServer {
             }
             let events: Vec<InteractionEvent> = sealed.events.iter().map(|(_, e)| *e).collect();
             replayed_events += events.len();
-            let batch = EventBatch::new(events.clone());
-            let sampled = SampledBatch::assemble(batch, k, |v, t, kk, out| {
-                server.table.sample_into(v, t, kk, out)
-            });
-            let updated = crate::pipeline::run_sharded_memory_stage(
-                &sampled,
-                &server.memory,
-                &server.model,
-                &server.graph,
-                &mut ws,
-            );
-            // Gather before the write-back, exactly like the memory worker.
-            let job = (sealed.epoch > plan.acked).then(|| {
-                GnnJobBatch::gather(
-                    &sampled,
-                    &updated,
-                    &server.graph,
-                    &server.model.config,
-                    |v, dst| server.memory.copy_memory_into(v, dst),
-                )
-            });
-            let writes = crate::pipeline::writes_from(updated, &sampled);
-            {
-                let mut log = server.commit_log.lock().unwrap();
-                for (v, _, t) in &writes {
-                    log.commit(*v, *t);
-                }
-            }
-            d.note_absorbed(&events);
-            server.memory.commit_epoch(sealed.epoch, &writes);
-            server.table.commit_epoch(sealed.epoch, &events);
             replayed_epochs += 1;
-            if let Some(job) = job {
-                // Sealed but never delivered: recompute the embeddings and
-                // queue the batch for `poll`, ahead of anything new.  The
-                // job replays on the same backend that would have served it
-                // live — sealed batches are backend-homogeneous by
-                // construction, so the first event's tenant decides.
-                let kind = sealed
-                    .events
-                    .first()
-                    .and_then(|(t, _)| server.tenant_backends.get(*t as usize))
-                    .copied()
-                    .unwrap_or_default();
-                let be = server.backends[kind.code()]
-                    .as_ref()
-                    .expect("recover: every resolved tenant backend is prepared")
-                    .clone();
-                let out = be.run_gnn(&job, &mut ws);
-                let embeddings = out.embeddings;
-                // Seed the cache from the re-served epochs — these are
-                // bit-identical to what the crashed server computed, and the
-                // pre-raised watermark ages them correctly (entries already
-                // beyond the bound are simply never answered).
-                if let Some(c) = &server.cache {
-                    for (v, emb) in &embeddings {
-                        c.insert(*v, sealed.epoch, emb);
-                    }
-                }
-                let metas: Vec<ResultMeta> = sealed
-                    .events
-                    .iter()
-                    .map(|(t, _)| ResultMeta {
-                        tenant: TenantId(*t),
-                        disposition: Disposition::OnTime,
-                        backend: kind,
-                        // Re-served epochs never ran this session's
-                        // pipeline: no trace.
-                        trace_id: 0,
-                    })
-                    .collect();
-                server
-                    .collector
-                    .record_batch(events.len(), embeddings.len(), Duration::ZERO);
-                server
-                    .collector
-                    .record_backend_batch(kind, events.len(), out.modeled_latency);
-                for (t, _) in &sealed.events {
-                    server
-                        .collector
-                        .record_event(TenantId(*t), false, Duration::ZERO);
-                }
-                let now = Instant::now();
-                server.completed.push_back(ServedBatch {
-                    epoch: sealed.epoch,
-                    events,
-                    metas,
-                    embeddings,
-                    backend: kind,
-                    modeled_latency: out.modeled_latency,
-                    cache_epochs: Vec::new(),
-                    latency: Duration::ZERO,
-                    admitted_at: now,
-                    reordered_at: now,
-                });
-                re_served_epochs += 1;
+            d.note_absorbed(&events);
+            if sealed.epoch <= plan.acked {
+                // Sealed and delivered: replay for state only.
+                stage.step(sealed.epoch, EventBatch::new(events), STATE_ONLY);
+                continue;
             }
+            // Sealed but never delivered: recompute the embeddings and queue
+            // the batch for `poll`, ahead of anything new.  The job replays
+            // on the same backend that would have served it live — sealed
+            // batches are backend-homogeneous by construction, so the first
+            // event's tenant decides.
+            let kind = sealed
+                .events
+                .first()
+                .and_then(|(t, _)| server.tenant_backends.get(*t as usize))
+                .copied()
+                .unwrap_or_default();
+            let be = server.backends[kind.code()]
+                .as_ref()
+                .expect("recover: every resolved tenant backend is prepared")
+                .clone();
+            let mut out = None;
+            stage.step(
+                sealed.epoch,
+                EventBatch::new(events.clone()),
+                Some(|job: GnnJobBatch, _| out = Some(be.run_gnn(&job, &mut ws))),
+            );
+            let out = out.expect("step dispatches the gathered job");
+            let embeddings = out.embeddings;
+            // Seed the cache from the re-served epochs — these are
+            // bit-identical to what the crashed server computed, and the
+            // pre-raised watermark ages them correctly (entries already
+            // beyond the bound are simply never answered).
+            if let Some(c) = &server.cache {
+                for (v, emb) in &embeddings {
+                    c.insert(*v, sealed.epoch, emb);
+                }
+            }
+            let metas: Vec<ResultMeta> = sealed
+                .events
+                .iter()
+                .map(|(t, _)| ResultMeta {
+                    tenant: TenantId(*t),
+                    disposition: Disposition::OnTime,
+                    backend: kind,
+                    // Re-served epochs never ran this session's
+                    // pipeline: no trace.
+                    trace_id: 0,
+                })
+                .collect();
+            server
+                .collector
+                .record_batch(events.len(), embeddings.len(), Duration::ZERO);
+            server
+                .collector
+                .record_backend_batch(kind, events.len(), out.modeled_latency);
+            for (t, _) in &sealed.events {
+                server
+                    .collector
+                    .record_event(TenantId(*t), false, Duration::ZERO);
+            }
+            let now = Instant::now();
+            server.completed.push_back(ServedBatch {
+                epoch: sealed.epoch,
+                events,
+                metas,
+                embeddings,
+                backend: kind,
+                modeled_latency: out.modeled_latency,
+                cache_epochs: Vec::new(),
+                latency: Duration::ZERO,
+                admitted_at: now,
+                reordered_at: now,
+            });
+            re_served_epochs += 1;
         }
 
         // Admitted-but-unsealed events go back into their ingress queues,
@@ -1158,31 +1094,13 @@ impl StreamServer {
     /// Panics if events have already been submitted.
     pub fn warm_up(&mut self, events: &[InteractionEvent]) {
         assert_eq!(self.submitted, 0, "warm_up must run before any submissions");
-        let mut ws = Workspace::new();
+        let mut stage = self.replay_stage();
         for chunk in events.chunks(256) {
             let epoch = self.next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            let batch = EventBatch::new(chunk.to_vec());
-            // k = 0: we only need touched vertices and query times.
-            let sampled = SampledBatch::assemble(batch, 0, |_, _, _, _| {});
-            let updated = crate::pipeline::run_sharded_memory_stage(
-                &sampled,
-                &self.memory,
-                &self.model,
-                &self.graph,
-                &mut ws,
-            );
-            let writes = crate::pipeline::writes_from(updated, &sampled);
-            {
-                let mut log = self.commit_log.lock().unwrap();
-                for (v, _, t) in &writes {
-                    log.commit(*v, *t);
-                }
-            }
-            self.memory.commit_epoch(epoch, &writes);
-            self.table.commit_epoch(epoch, chunk);
-            if let Some(t) = sampled.batch.end_time() {
-                self.warm_timestamp = t;
-            }
+            stage.step(epoch, EventBatch::new(chunk.to_vec()), STATE_ONLY);
+        }
+        if let Some(last) = events.last() {
+            self.warm_timestamp = last.timestamp;
         }
         self.admission.set_timestamp_floor(self.warm_timestamp);
         if let Some(d) = &self.durability {
@@ -1369,7 +1287,6 @@ impl StreamServer {
 
     /// The aggregate report so far (cheap; callable live or after `drain`).
     pub fn report(&self) -> ServeReport {
-        let latencies = self.collector.latencies.lock().unwrap().clone();
         let first = *self.collector.first_submit.lock().unwrap();
         let last = *self.collector.last_complete.lock().unwrap();
         let total_time = match (first, last) {
@@ -1382,7 +1299,6 @@ impl StreamServer {
             .map(|i| {
                 let (spec, counters) = self.admission.tenant_snapshot(i);
                 let tc = &self.collector.tenants[i];
-                let latencies = tc.latencies.lock().unwrap();
                 let served = tc.served.load(Ordering::Relaxed);
                 TenantStats {
                     name: spec.name,
@@ -1393,7 +1309,7 @@ impl StreamServer {
                     served,
                     late: tc.late.load(Ordering::Relaxed),
                     served_stale: tc.served_stale.load(Ordering::Relaxed),
-                    latency: LatencySummary::from_latencies(&latencies),
+                    latency: LatencySummary::from_histogram(&tc.latency_ns.snapshot(), NS_PER_MS),
                     throughput_eps: if total_time.is_zero() {
                         0.0
                     } else {
@@ -1407,13 +1323,11 @@ impl StreamServer {
             .filter(|k| self.backends[k.code()].is_some())
             .map(|k| {
                 let c = &self.collector.backends[k.code()];
-                let modeled = c.modeled_latencies.lock().unwrap();
                 BackendStats {
                     kind: k,
                     served_batches: c.served_batches.load(Ordering::Relaxed),
                     served_events: c.served_events.load(Ordering::Relaxed),
-                    modeled_latency: (!modeled.is_empty())
-                        .then(|| LatencySummary::from_latencies(&modeled)),
+                    modeled_latency: c.modeled_latency(),
                 }
             })
             .collect();
@@ -1433,7 +1347,10 @@ impl StreamServer {
             } else {
                 num_events as f64 / total_time.as_secs_f64()
             },
-            latency: LatencySummary::from_latencies(&latencies),
+            latency: LatencySummary::from_histogram(
+                &self.collector.latency_ns.snapshot(),
+                NS_PER_MS,
+            ),
             queues,
             backpressure_blocks,
             tenants,
@@ -1470,6 +1387,18 @@ impl StreamServer {
     /// ([`MetricsHub::flight_dump`]) after a panic.
     pub fn metrics_hub(&self) -> MetricsHub {
         self.hub.clone()
+    }
+
+    /// The state step over this server's tables with no commit hooks and no
+    /// spans — what the quiesced replay paths (`warm_up`, `recover`) run.
+    fn replay_stage(&self) -> StateStage {
+        StateStage::new(
+            self.memory.clone(),
+            self.table.clone(),
+            self.model.clone(),
+            self.graph.clone(),
+            self.commit_log.clone(),
+        )
     }
 
     /// Read access to the sharded memory (diagnostics, tests).
@@ -1533,44 +1462,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_summary_percentiles_nearest_rank() {
-        let lats: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let s = LatencySummary::from_latencies(&lats);
-        assert_eq!(s.p50_ms, 50.0);
-        assert_eq!(s.p95_ms, 95.0);
-        assert_eq!(s.p99_ms, 99.0);
-        assert_eq!(s.max_ms, 100.0);
-        assert!((s.mean_ms - 50.5).abs() < 1e-9);
+    fn latency_summary_reads_histogram_percentiles_in_ms() {
+        let h = tgnn_obs::Histogram::new();
         assert_eq!(
-            LatencySummary::from_latencies(&[]),
+            LatencySummary::from_histogram(&h.snapshot(), NS_PER_MS),
             LatencySummary::default()
         );
-    }
-
-    #[test]
-    fn latency_summary_small_n_nearest_rank() {
-        // Nearest-rank at the edges: rank(q) = ceil(q·n), clamped to [1, n].
-        // n = 1: every percentile is the single sample.
-        let one = LatencySummary::from_latencies(&[Duration::from_millis(7)]);
-        assert_eq!(
-            (one.p50_ms, one.p95_ms, one.p99_ms, one.max_ms),
-            (7.0, 7.0, 7.0, 7.0)
-        );
-        // n = 2: p50 → rank ceil(1.0) = 1 (the smaller), p95/p99 → rank 2.
-        let two =
-            LatencySummary::from_latencies(&[Duration::from_millis(1), Duration::from_millis(2)]);
-        assert_eq!((two.p50_ms, two.p95_ms, two.p99_ms), (1.0, 2.0, 2.0));
-        // n = 10: p50 → rank 5, p95 → rank ceil(9.5) = 10, p99 → rank 10.
-        // (0.95 × 10 = 9.500000000000002 in f64 — ceil still lands on 10.)
-        let lats: Vec<Duration> = (1..=10).map(Duration::from_millis).collect();
-        let ten = LatencySummary::from_latencies(&lats);
-        assert_eq!(
-            (ten.p50_ms, ten.p95_ms, ten.p99_ms, ten.max_ms),
-            (5.0, 10.0, 10.0, 10.0)
-        );
-        // Order-independence: the sort inside must make reversed input equal.
-        let rev: Vec<Duration> = (1..=10).rev().map(Duration::from_millis).collect();
-        assert_eq!(LatencySummary::from_latencies(&rev), ten);
+        for ms in 1..=100u64 {
+            h.record(ms * 1_000_000);
+        }
+        let s = LatencySummary::from_histogram(&h.snapshot(), NS_PER_MS);
+        // Nearest-rank samples are 50 / 95 / 99 / 100 ms; each is reported
+        // as its bucket's upper bound, at most 6.25 % high and never low.
+        for (got, exact) in [
+            (s.p50_ms, 50.0),
+            (s.p95_ms, 95.0),
+            (s.p99_ms, 99.0),
+            (s.max_ms, 100.0),
+        ] {
+            assert!(
+                got >= exact && got <= exact * 1.0625,
+                "{got} vs exact {exact}"
+            );
+        }
+        assert!((s.mean_ms - 50.5).abs() <= 50.5 * 0.0625);
     }
 
     #[test]

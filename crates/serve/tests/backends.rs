@@ -370,7 +370,6 @@ fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
     let config = ServeConfig {
         max_batch: 8,
         batch_deadline: Duration::from_secs(3600),
-        admission_capacity: 4,
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 2,
@@ -515,7 +514,6 @@ fn per_tenant_staleness_bounds_tighten_the_shared_cache() {
     let config = ServeConfig {
         max_batch: 8,
         batch_deadline: Duration::from_secs(3600),
-        admission_capacity: 4,
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 2,

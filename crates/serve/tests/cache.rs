@@ -51,7 +51,6 @@ fn overload_config(bound: u64, num_shards: usize, gnn_workers: usize) -> ServeCo
     ServeConfig {
         max_batch: 8,
         batch_deadline: Duration::from_secs(3600),
-        admission_capacity: 4,
         stage_capacity: 1,
         results_capacity: 2,
         num_shards,

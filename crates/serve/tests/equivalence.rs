@@ -287,9 +287,9 @@ fn worker_panic_propagates_through_drain_instead_of_hanging() {
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), config);
-    // An event referencing a non-existent edge-feature row makes the memory
-    // worker panic; the epoch gates must poison so drain() unwinds instead
-    // of waiting forever on watermarks that will never advance.
+    // An event referencing a non-existent edge-feature row makes the state
+    // worker panic mid-step; its dropped channel ends must unwind every
+    // other worker so drain() propagates the panic instead of hanging.
     let mut bad = graph.events()[0];
     bad.edge_id = u32::MAX;
     server.submit(bad).unwrap();

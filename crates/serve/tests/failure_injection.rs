@@ -1,7 +1,9 @@
 //! Failure-injection tests for the data-parallel GNN stage: a panicking GNN
-//! worker (injected via the test-only [`GnnFaultHook`]) must poison the
-//! epoch gates and unwind `submit`/`poll`/`drain` with an error or panic —
-//! never hang the pipeline — for every pool size.
+//! worker (injected via the test-only [`GnnFaultHook`]) must unwind the
+//! pipeline through its closed channels — `submit` fails `Closed`, `poll`
+//! terminates, `drain` propagates the panic — never hang it, for every pool
+//! size.  (The ingest worker's death is drilled by the recovery suite's
+//! injected WAL fault.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,7 +29,7 @@ fn panic_once_at_epoch_2() -> GnnFaultHook {
 }
 
 #[test]
-fn panicking_gnn_worker_poisons_gates_and_fails_submit_poll_drain() {
+fn panicking_gnn_worker_fails_submit_poll_drain() {
     for gnn_workers in [1usize, 2, 4] {
         let (model, graph) = setup(17);
         let config = ServeConfig {
@@ -41,10 +43,11 @@ fn panicking_gnn_worker_poisons_gates_and_fails_submit_poll_drain() {
         let mut server = StreamServer::new(model, graph.clone(), config);
 
         // Keep submitting until the dead pipeline surfaces as a Closed
-        // error; the admission queue is deep, so a hang here would mean the
-        // poison never propagated back through the stages.  Repeating the
-        // last event keeps the stream chronological (equal timestamps are
-        // legal) while driving batches through the dying pipeline.
+        // error; the ingress queue is deep, so a hang here would mean the
+        // closed dispatch queue never rippled back through the stages.
+        // Repeating the last event keeps the stream chronological (equal
+        // timestamps are legal) while driving batches through the dying
+        // pipeline.
         let deadline = Instant::now() + Duration::from_secs(30);
         let events = &graph.events()[..64.min(graph.num_events())];
         let last = *events.last().unwrap();
@@ -66,17 +69,6 @@ fn panicking_gnn_worker_poisons_gates_and_fails_submit_poll_drain() {
 
         // poll must not hang either: the results queue is closed.
         while server.poll().is_some() {}
-
-        // The epoch gates must be poisoned — that is what turned the dead
-        // worker into a clean unwind instead of stages waiting forever.
-        assert!(
-            server.memory().gate().is_poisoned(),
-            "gnn_workers={gnn_workers}: memory gate not poisoned"
-        );
-        assert!(
-            server.neighbor_table().gate().is_poisoned(),
-            "gnn_workers={gnn_workers}: neighbor-table gate not poisoned"
-        );
 
         // drain must propagate the injected panic rather than hang.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.drain()));

@@ -76,8 +76,8 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
             }
             assert!(m.enabled);
             assert!(m.epochs > 0, "epochs must be sealed mid-stream");
-            assert_eq!(m.queues.len(), 8);
-            assert_eq!(m.queues[0].name, "scheduler→batcher");
+            assert_eq!(m.queues.len(), 5);
+            assert_eq!(m.queues[0].name, "ingest→state");
             live_seen = true;
         }
     }
@@ -150,7 +150,7 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
 
     // The renderers include their key markers.
     let table = m.render_table();
-    assert!(table.contains("scheduler→batcher"));
+    assert!(table.contains("ingest→state"));
     assert!(table.contains("batch latency"));
     let prom = m.to_prometheus();
     assert!(prom.contains("# TYPE tgnn_queue_depth gauge"));
@@ -272,7 +272,7 @@ fn metrics_off_disables_spans_histograms_and_flight_recorder() {
     let m = server.metrics();
     assert!(!m.enabled);
     // Queue stats and tenant counters are structural — they stay live.
-    assert_eq!(m.queues.len(), 8);
+    assert_eq!(m.queues.len(), 5);
     assert_eq!(m.tenants[0].served as usize, graph.num_events());
     // Everything the recording path feeds stays empty.
     assert_eq!(m.flight.recorded, 0);
@@ -294,8 +294,8 @@ fn metrics_off_disables_spans_histograms_and_flight_recorder() {
 }
 
 /// The flight-recorder drill: inject a GNN worker panic, let the pipeline
-/// poison itself, and assert the dump still yields the poisoned epoch's
-/// partial timeline — an `Enter` on the GNN stage with no matching `Exit`.
+/// unwind, and assert the dump still yields the faulted epoch's partial
+/// timeline — an `Enter` on the GNN stage with no matching `Exit`.
 #[test]
 fn flight_recorder_dump_survives_gnn_panic() {
     let (model, graph) = setup(17);
@@ -330,10 +330,6 @@ fn flight_recorder_dump_survives_gnn_panic() {
         while server.poll().is_some() {}
     }
     while server.poll().is_some() {}
-    assert!(
-        server.memory().gate().is_poisoned(),
-        "worker death must poison the gates"
-    );
     let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.drain()));
     assert!(drained.is_err(), "drain must propagate the worker panic");
 

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel};
 use tgnn_data::{generate, tiny};
 use tgnn_graph::TemporalGraph;
-use tgnn_serve::{ServeConfig, StreamServer};
+use tgnn_serve::{ServeConfig, StreamServer, TenantSpec};
 use tgnn_tensor::TensorRng;
 
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
@@ -29,14 +29,14 @@ fn sustained_overload_stays_bounded_and_completes() {
         for num_shards in [1usize, 3] {
             for gnn_workers in [1usize, 2, 4] {
                 let label = format!("seed={seed} shards={num_shards} gnn={gnn_workers}");
-                // Tiny bounds everywhere: the admission queue holds 2
+                // Tiny bounds everywhere: the ingress queue holds 2
                 // events, every stage holds 1 batch, and results hold 2 —
                 // submission immediately outruns the drain, so the whole
                 // run executes under backpressure.
                 let config = ServeConfig {
                     max_batch: 3,
                     batch_deadline: Duration::from_secs(3600),
-                    admission_capacity: 2,
+                    tenants: vec![TenantSpec::new("default").with_capacity(2)],
                     stage_capacity: 1,
                     results_capacity: 2,
                     num_shards,

@@ -113,7 +113,7 @@ fn base_config(dir: &Path, fsync: FsyncPolicy) -> ServeConfig {
         max_batch: 16,
         // Size-only sealing keeps micro-batch boundaries deterministic.
         batch_deadline: Duration::from_secs(3600),
-        admission_capacity: 32,
+        tenants: vec![TenantSpec::new("default").with_capacity(32)],
         stage_capacity: 2,
         results_capacity: 4,
         durability: Some(
