@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks of the dense kernels the model is built from:
-//! GEMM (blocked, packed, rayon-parallel), the GRU memory updater, and the
-//! two time encoders (cos vs LUT — the Section III-C optimization).
+//! GEMM (blocked, packed, rayon-parallel), the elementwise `vmath` kernels
+//! (sigmoid, tanh, exp, cos — each next to its libm loop), the GRU memory
+//! updater, and the two time encoders (cos vs LUT — the Section III-C
+//! optimization).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tgnn_nn::{CosTimeEncoder, GruCell, LutTimeEncoder};
 use tgnn_tensor::gemm::{matmul, matmul_packed_into, par_matmul};
+use tgnn_tensor::vmath::cos_time_into;
 use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
 
 fn bench_gemm(c: &mut Criterion) {
@@ -58,6 +61,52 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_vmath(c: &mut Criterion) {
+    // One median GRU batch of gate pre-activations: 111 rows × 100.
+    const ROWS: usize = 111;
+    const DIM: usize = 100;
+    let mut group = c.benchmark_group("vmath_111x100");
+    let mut rng = TensorRng::new(4);
+    let src = rng.uniform_vec(ROWS * DIM, -6.0, 6.0);
+    let mut buf = src.clone();
+    for (name, libm, kernel) in tgnn_bench::UNARY_KERNELS {
+        group.bench_function(format!("{name}/libm"), |bench| {
+            bench.iter(|| {
+                buf.copy_from_slice(&src);
+                buf.iter_mut().for_each(|x| *x = libm(*x));
+                black_box(buf[0])
+            })
+        });
+        group.bench_function(format!("{name}/kernel"), |bench| {
+            bench.iter(|| {
+                buf.copy_from_slice(&src);
+                kernel(&mut buf);
+                black_box(buf[0])
+            })
+        });
+    }
+    let omega = rng.uniform_vec(DIM, 1e-6, 1.5);
+    let phi = rng.uniform_vec(DIM, 0.0, std::f32::consts::PI);
+    let dts: Vec<Float> = (0..ROWS).map(|_| rng.pareto(0.5, 0.6).min(2.7e6)).collect();
+    group.bench_function("cos/libm", |bench| {
+        bench.iter(|| {
+            for (row, &dt) in buf.chunks_exact_mut(DIM).zip(&dts) {
+                for ((o, &w), &p) in row.iter_mut().zip(&omega).zip(&phi) {
+                    *o = (w * dt + p).cos();
+                }
+            }
+            black_box(buf[0])
+        })
+    });
+    group.bench_function("cos/kernel", |bench| {
+        bench.iter(|| {
+            cos_time_into(&omega, &phi, &dts, &mut buf);
+            black_box(buf[0])
+        })
+    });
+    group.finish();
+}
+
 fn bench_gru(c: &mut Criterion) {
     let mut group = c.benchmark_group("gru_memory_update");
     let mut rng = TensorRng::new(2);
@@ -90,5 +139,11 @@ fn bench_time_encoders(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_gru, bench_time_encoders);
+criterion_group!(
+    benches,
+    bench_gemm,
+    bench_vmath,
+    bench_gru,
+    bench_time_encoders
+);
 criterion_main!(benches);

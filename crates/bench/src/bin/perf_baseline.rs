@@ -8,16 +8,19 @@
 //! embedding error against the serial reference (cosine similarity, max-abs)
 //! is reported alongside the throughput, together with an f32-vs-int8 GEMM
 //! microbenchmark at square shapes and the paper's three projections, each
-//! row held against the core's FMA peak.  Writes
-//! `BENCH_baseline.json` (override with `--out <path>`) so future PRs can
-//! track the throughput trajectory.
+//! row held against the core's FMA peak, and an elementwise microbenchmark:
+//! the `tgnn_tensor::vmath` kernels against libm per element, and a GRU row
+//! split into its GEMM half and its gate pass.  Refreshes its own rows of
+//! `BENCH_baseline.json` (override with `--out <path>`) and carries every
+//! other binary's rows across, so future PRs can track the trajectory.
 //!
 //! Run with: `cargo run --release -p tgnn-bench --bin perf_baseline -- --scale 0.02`
 
 use std::sync::Arc;
 use std::time::Instant;
 use tgnn_bench::{
-    build_model, harness_model_config, merge_baseline_row, Dataset, FlagHelp, HarnessArgs,
+    baseline_rows, build_model, harness_model_config, merge_baseline_row, Dataset, FlagHelp,
+    HarnessArgs, UNARY_KERNELS,
 };
 use tgnn_core::quantized::quantize_model;
 use tgnn_core::{ExecMode, InferenceEngine, OptimizationVariant};
@@ -170,6 +173,24 @@ fn main() {
         );
     }
 
+    // --- Elementwise: libm vs the vmath kernels, and where a GRU row goes.
+    let elementwise = elementwise_microbench();
+    for row in &elementwise.kernels {
+        println!(
+            "elementwise {:>15}: libm {:>5.2} ns/element, kernel {:>5.2} ns/element ({:.1}x)",
+            row.label,
+            row.libm_ns,
+            row.kernel_ns,
+            row.libm_ns / row.kernel_ns
+        );
+    }
+    println!(
+        "gru 111x472->100: {:.0} ns/row = GEMM {:.0} + gate pass {:.0}",
+        elementwise.gru_gemm_ns + elementwise.gru_gates_ns,
+        elementwise.gru_gemm_ns,
+        elementwise.gru_gates_ns
+    );
+
     let serial = results[0].events_per_sec;
     let best = results
         .iter()
@@ -209,10 +230,11 @@ fn main() {
         best / serial
     ));
     json.push_str("  \"embeddings_bitwise_identical\": true\n}\n");
-    std::fs::write(&out_path, json).expect("failed to write throughput baseline");
+    // Rows this binary does not write (`serve_bench`'s, `quant_gate`'s) are
+    // carried across the rewrite: see the end of `main`.
+    let previous = baseline_rows(&std::fs::read_to_string(&out_path).unwrap_or_default());
+    std::fs::write(&out_path, &json).expect("failed to write throughput baseline");
 
-    // The int8 row rides in via the shared merge helper so `serve_bench` and
-    // `quant_gate` can later extend the same file.
     let gemm_rows: Vec<String> = gemm
         .iter()
         .map(|row| format!("\"{}\": {:.3}", row.label(), row.f32_us / row.i8_us))
@@ -230,6 +252,27 @@ fn main() {
         gemm_rows.join(", "),
     );
     merge_baseline_row(&out_path, "quant", &quant_row);
+    let mut kernel_rows: Vec<String> = elementwise
+        .kernels
+        .iter()
+        .map(|row| {
+            format!(
+                "    \"{}\": {{ \"libm_ns\": {:.3}, \"kernel_ns\": {:.3} }}",
+                row.label, row.libm_ns, row.kernel_ns
+            )
+        })
+        .collect();
+    kernel_rows.push(format!(
+        "    \"gru_111x472\": {{ \"gemm_ns_per_row\": {:.1}, \"gates_ns_per_row\": {:.1} }}",
+        elementwise.gru_gemm_ns, elementwise.gru_gates_ns
+    ));
+    let elementwise_row = format!("{{\n{}\n  }}", kernel_rows.join(",\n"));
+    merge_baseline_row(&out_path, "elementwise", &elementwise_row);
+    let written = std::fs::read_to_string(&out_path).expect("written just above");
+    let written: Vec<String> = baseline_rows(&written).into_iter().map(|r| r.0).collect();
+    for (key, row) in previous.iter().filter(|(key, _)| !written.contains(key)) {
+        merge_baseline_row(&out_path, key, row);
+    }
     println!("wrote {out_path}");
 }
 
@@ -330,6 +373,121 @@ fn gemm_microbench(shapes: &[(usize, usize, usize)]) -> Vec<GemmRow> {
         });
     }
     out
+}
+
+/// One libm-vs-kernel row of [`elementwise_microbench`], ns per element.
+struct ElementwiseRow {
+    label: String,
+    libm_ns: f64,
+    kernel_ns: f64,
+}
+
+struct Elementwise {
+    kernels: Vec<ElementwiseRow>,
+    /// A GRU row at the paper's 472 → 100, split into the two stacked
+    /// GEMMs and the fused gate pass (ns per row, 111-row batch).
+    gru_gemm_ns: f64,
+    gru_gates_ns: f64,
+}
+
+/// Best-of-5 mean time of `f` in ns, after a warm-up call.
+fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e9 / iters as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times libm against the `vmath` slice kernels on one GRU batch of gate
+/// pre-activations (111×100) and one attention batch of neighbors
+/// (735×100), and splits a GRU row into its GEMM half and its gate pass.
+fn elementwise_microbench() -> Elementwise {
+    use std::hint::black_box;
+    use tgnn_nn::GruCell;
+    use tgnn_tensor::vmath::{cos_time_into, gru_gates_into};
+    use tgnn_tensor::{TensorRng, Workspace};
+
+    let mut rng = TensorRng::new(13);
+    let mut kernels = Vec::new();
+    for rows in [111usize, 735] {
+        let dim = 100;
+        let src = rng.uniform_vec(rows * dim, -6.0, 6.0);
+        let mut buf = src.clone();
+        let iters = 200_000 / rows;
+        let per_element = |ns: f64| ns / (rows * dim) as f64;
+        // The copy that restores the input is part of both sides.
+        for (name, libm, kernel) in UNARY_KERNELS {
+            let libm_ns = time_ns(iters, || {
+                buf.copy_from_slice(&src);
+                for x in black_box(&mut buf).iter_mut() {
+                    *x = libm(*x);
+                }
+            });
+            let kernel_ns = time_ns(iters, || {
+                buf.copy_from_slice(&src);
+                kernel(black_box(&mut buf));
+            });
+            kernels.push(ElementwiseRow {
+                label: format!("{name}_{rows}x{dim}"),
+                libm_ns: per_element(libm_ns),
+                kernel_ns: per_element(kernel_ns),
+            });
+        }
+        // cos(ω·Δt + φ) over a heavy-tailed Δt, as the time encoder sees it.
+        let omega = rng.uniform_vec(dim, 1e-6, 1.5);
+        let phi = rng.uniform_vec(dim, 0.0, std::f32::consts::PI);
+        let dts: Vec<f32> = (0..rows).map(|_| rng.pareto(0.5, 0.6).min(2.7e6)).collect();
+        let libm_ns = time_ns(iters, || {
+            for (row, &dt) in buf.chunks_exact_mut(dim).zip(black_box(&dts)) {
+                for ((o, &w), &p) in row.iter_mut().zip(&omega).zip(&phi) {
+                    *o = (w * dt + p).cos();
+                }
+            }
+            black_box(&mut buf);
+        });
+        let kernel_ns = time_ns(iters, || {
+            cos_time_into(&omega, &phi, black_box(&dts), &mut buf);
+            black_box(&mut buf);
+        });
+        kernels.push(ElementwiseRow {
+            label: format!("cos_{rows}x{dim}"),
+            libm_ns: per_element(libm_ns),
+            kernel_ns: per_element(kernel_ns),
+        });
+    }
+
+    let (rows, input_dim, h) = (111, 472, 100);
+    let cell = GruCell::new("bench.gru", input_dim, h, &mut rng);
+    let messages = rng.normal_matrix(rows, input_dim, 0.5);
+    let hidden = rng.normal_matrix(rows, h, 0.5);
+    let mut ws = Workspace::new();
+    let (gi, gh) = (
+        cell.w_i.forward_ws(&messages, &mut ws),
+        cell.w_h.forward_ws(&hidden, &mut ws),
+    );
+    let mut out = ws.take_matrix(rows, h);
+    let gemm_ns = time_ns(2_000, || {
+        let gi = cell.w_i.forward_ws(black_box(&messages), &mut ws);
+        let gh = cell.w_h.forward_ws(black_box(&hidden), &mut ws);
+        black_box((gi.as_slice(), gh.as_slice()));
+        ws.recycle_matrix(gh);
+        ws.recycle_matrix(gi);
+    });
+    let gates_ns = time_ns(2_000, || {
+        gru_gates_into(black_box(&gi), black_box(&gh), &hidden, &mut out);
+        black_box(out.as_slice());
+    });
+    Elementwise {
+        kernels,
+        gru_gemm_ns: gemm_ns / rows as f64,
+        gru_gates_ns: gates_ns / rows as f64,
+    }
 }
 
 /// Core clock in GHz, estimated from a chain of dependent FMAs (4 cycles

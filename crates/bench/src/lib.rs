@@ -249,6 +249,30 @@ pub fn merge_baseline_row(path: &str, key: &str, row: &str) {
         .unwrap_or_else(|e| panic!("failed to write baseline row {key:?} to {path}: {e}"));
 }
 
+/// The top-level `(key, raw value)` rows of a baseline file, in file order —
+/// what a binary that rewrites its own rows uses to carry everyone else's
+/// across.  Stops at the first malformed row.
+pub fn baseline_rows(body: &str) -> Vec<(String, String)> {
+    let mut rows = Vec::new();
+    let mut at = 0;
+    while let Some(key_start) = body[at..].find('"').map(|i| at + i) {
+        let Some(key_len) = body[key_start + 1..].find('"') else {
+            break;
+        };
+        let key_end = key_start + 1 + key_len;
+        let Some(end) = json_value_end(body, key_end) else {
+            break;
+        };
+        let colon = key_end + body[key_end..].find(':').expect("json_value_end found it");
+        rows.push((
+            body[key_start + 1..key_end].to_string(),
+            body[colon + 1..end].trim().to_string(),
+        ));
+        at = end;
+    }
+    rows
+}
+
 /// Byte index just past the JSON value whose `"key":` starts at `key_start`
 /// — brace/bracket-balanced and string-aware, so object rows end at their
 /// own closing brace, not at the next occurrence of `}` in the file.
@@ -294,6 +318,21 @@ fn json_value_end(body: &str, key_start: usize) -> Option<usize> {
     }
     None
 }
+
+/// A unary `tgnn_tensor::vmath` kernel next to the libm expression it
+/// replaced: `(name, libm, kernel)`.
+pub type UnaryKernel = (&'static str, fn(f32) -> f32, fn(&mut [f32]));
+
+/// The rows `perf_baseline` and the `kernels` bench time libm-vs-kernel.
+pub const UNARY_KERNELS: [UnaryKernel; 3] = [
+    (
+        "sigmoid",
+        |x| 1.0 / (1.0 + (-x).exp()),
+        tgnn_tensor::vmath::sigmoid_slice,
+    ),
+    ("tanh", f32::tanh, tgnn_tensor::vmath::tanh_slice),
+    ("exp", f32::exp, tgnn_tensor::vmath::exp_slice),
+];
 
 /// Prints a markdown-style table row.
 pub fn print_row(cells: &[String]) {
@@ -356,6 +395,19 @@ mod tests {
         assert!(args.scale > 0.0 && args.scale <= 1.0);
         assert_eq!(format_ms(Duration::from_millis(5)), "5.000");
         assert_eq!(secs_to_ms(0.001), "1.000");
+    }
+
+    #[test]
+    fn baseline_rows_lists_top_level_rows_only() {
+        let body = "{\n  \"scale\": 0.02,\n  \"modes\": {\n    \"Serial\": { \"eps\": 1.0 }\n  },\n  \"ok\": true,\n  \"quant\": { \"name\": \"a, \\\"b\\\" }\", \"v\": [1, 2] }\n}\n";
+        let rows = baseline_rows(body);
+        let keys: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["scale", "modes", "ok", "quant"]);
+        assert_eq!(rows[0].1, "0.02");
+        assert_eq!(rows[2].1, "true");
+        assert!(rows[1].1.starts_with('{') && rows[1].1.ends_with('}'));
+        assert!(rows[3].1.ends_with("[1, 2] }"));
+        assert!(baseline_rows("").is_empty());
     }
 
     #[test]

@@ -1082,6 +1082,45 @@ mod tests {
     }
 
     #[test]
+    fn the_parameter_set_round_trips_by_name() {
+        // What a checkpoint holds is `params()`: (name, tensor) pairs.
+        // Written into a differently-seeded model by name, they must
+        // reproduce the original on the served path.
+        let cfg = ModelConfig::tiny(5, 4);
+        let model = TgnModel::new(cfg.clone(), &mut TensorRng::new(12));
+        let mut loaded = TgnModel::new(cfg.clone(), &mut TensorRng::new(13));
+        let names: Vec<&str> = model.params().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            &names[..4],
+            [
+                "gru.w_i.weight",
+                "gru.w_i.bias",
+                "gru.w_h.weight",
+                "gru.w_h.bias"
+            ]
+        );
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "parameter names must be unique");
+
+        let mut rng = TensorRng::new(14);
+        let mut ws = Workspace::new();
+        let messages = rng.uniform_matrix(6, cfg.message_dim(), -1.0, 1.0);
+        let memories = rng.uniform_matrix(6, cfg.memory_dim, -1.0, 1.0);
+        // Serve first, so `loaded` holds packs of the weights it is about to lose.
+        let own = loaded.update_memory_ws(&messages, &memories, &mut ws);
+        for dst in loaded.params_mut() {
+            let src = model.params().into_iter().find(|p| p.name == dst.name);
+            dst.value = src.expect("same architecture, same names").value.clone();
+        }
+        let served = loaded.update_memory_ws(&messages, &memories, &mut ws);
+        assert_ne!(served.as_slice(), own.as_slice());
+        assert_eq!(
+            served.as_slice(),
+            model.update_memory(&messages, &memories).as_slice()
+        );
+    }
+
+    #[test]
     fn init_from_teacher_copies_shared_modules() {
         let mut rng = TensorRng::new(9);
         let cfg_teacher = ModelConfig::tiny(0, 4);
@@ -1103,8 +1142,8 @@ mod tests {
             "served GRU after init_from_teacher is the teacher's, bit for bit"
         );
         assert_eq!(
-            student.gru.w_in.weight().value.as_slice(),
-            teacher.gru.w_in.weight().value.as_slice()
+            student.gru.w_i.weight().value.as_slice(),
+            teacher.gru.w_i.weight().value.as_slice()
         );
         assert_eq!(
             student.output.weight().value.as_slice(),

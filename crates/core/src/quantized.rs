@@ -66,16 +66,17 @@ use crate::inference::{ExecMode, InferenceEngine};
 use crate::model::{weighted_rows_into, EmbeddingJob, EmbeddingOutput, TgnModel};
 use tgnn_graph::{InteractionEvent, TemporalGraph};
 use tgnn_quant::{ActivationRanges, ActivationRecorder, QuantConfig, QuantizedLinear};
-use tgnn_tensor::ops::{sigmoid, softmax, tanh, top_k_indices};
+use tgnn_tensor::ops::{softmax, top_k_indices};
+use tgnn_tensor::vmath::gru_gates_into;
 use tgnn_tensor::{Float, Matrix, Workspace};
 
 /// Observer / calibration keys of every quantized layer input.  The names
 /// tie the recorder hooks in the f32 batched paths to the scales
 /// [`QuantizedTgn::from_model`] looks up.
 pub mod layers {
-    /// GRU message input (all three input-side projections share it).
+    /// GRU message input (input of the stacked input-side projection).
     pub const GRU_INPUT: &str = "gru.input";
-    /// GRU hidden-state input (all three hidden-side projections share it).
+    /// GRU hidden-state input (input of the stacked hidden-side projection).
     pub const GRU_HIDDEN: &str = "gru.hidden";
     /// Stacked neighbor inputs `[s_j || e_ij || Φ(Δt_j)]` — input of the
     /// attention key/value projections.
@@ -88,75 +89,35 @@ pub mod layers {
     pub const NODE_PROJ_INPUT: &str = "node_proj.input";
 }
 
-/// Int8 GRU: the six gate projections quantized, gate nonlinearities and the
-/// convex merge in f32 — mirroring `GruCell::forward_ws` exactly apart from
-/// the GEMM numeric.
+/// Int8 GRU: the two stacked gate projections quantized, the gate pass in
+/// f32 — `GruCell::forward_ws` exactly, apart from the GEMM numeric.  Weight
+/// scales are per output row, so each stacked product equals the three
+/// per-gate products it replaces, and each activation is quantized once.
 #[derive(Clone, Debug)]
 pub struct QuantizedGru {
-    w_ir: QuantizedLinear,
-    w_hr: QuantizedLinear,
-    w_iz: QuantizedLinear,
-    w_hz: QuantizedLinear,
-    w_in: QuantizedLinear,
-    w_hn: QuantizedLinear,
+    w_i: QuantizedLinear,
+    w_h: QuantizedLinear,
 }
 
 impl QuantizedGru {
     fn from_model(model: &TgnModel, ranges: &ActivationRanges) -> Self {
-        let s_in = ranges.scale(layers::GRU_INPUT);
-        let s_hid = ranges.scale(layers::GRU_HIDDEN);
         Self {
-            w_ir: QuantizedLinear::from_linear(&model.gru.w_ir, s_in),
-            w_hr: QuantizedLinear::from_linear(&model.gru.w_hr, s_hid),
-            w_iz: QuantizedLinear::from_linear(&model.gru.w_iz, s_in),
-            w_hz: QuantizedLinear::from_linear(&model.gru.w_hz, s_hid),
-            w_in: QuantizedLinear::from_linear(&model.gru.w_in, s_in),
-            w_hn: QuantizedLinear::from_linear(&model.gru.w_hn, s_hid),
+            w_i: QuantizedLinear::from_linear(&model.gru.w_i, ranges.scale(layers::GRU_INPUT)),
+            w_h: QuantizedLinear::from_linear(&model.gru.w_h, ranges.scale(layers::GRU_HIDDEN)),
         }
     }
 
-    /// The GRU forward pass with quantized gate projections (same elementwise
-    /// order as the f32 path; the returned matrix comes from the workspace).
+    /// The GRU forward pass with quantized gate projections (the returned
+    /// matrix comes from the workspace).
     pub fn forward_ws(&self, input: &Matrix, hidden: &Matrix, ws: &mut Workspace) -> Matrix {
         assert_eq!(input.rows(), hidden.rows(), "QuantizedGru: batch mismatch");
-
-        let mut r = self.w_ir.forward_ws(input, ws);
-        let hr = self.w_hr.forward_ws(hidden, ws);
-        for (a, &b) in r.as_mut_slice().iter_mut().zip(hr.as_slice()) {
-            *a = sigmoid(*a + b);
-        }
-        ws.recycle_matrix(hr);
-
-        let mut z = self.w_iz.forward_ws(input, ws);
-        let hz = self.w_hz.forward_ws(hidden, ws);
-        for (a, &b) in z.as_mut_slice().iter_mut().zip(hz.as_slice()) {
-            *a = sigmoid(*a + b);
-        }
-        ws.recycle_matrix(hz);
-
-        let mut n = self.w_in.forward_ws(input, ws);
-        let hn_lin = self.w_hn.forward_ws(hidden, ws);
-        for ((a, &ri), &h) in n
-            .as_mut_slice()
-            .iter_mut()
-            .zip(r.as_slice())
-            .zip(hn_lin.as_slice())
-        {
-            *a = tanh(*a + ri * h);
-        }
-        ws.recycle_matrix(hn_lin);
-        ws.recycle_matrix(r);
-
-        for ((a, &zi), &si) in n
-            .as_mut_slice()
-            .iter_mut()
-            .zip(z.as_slice())
-            .zip(hidden.as_slice())
-        {
-            *a = (1.0 - zi) * *a + zi * si;
-        }
-        ws.recycle_matrix(z);
-        n
+        let gi = self.w_i.forward_ws(input, ws);
+        let gh = self.w_h.forward_ws(hidden, ws);
+        let mut out = ws.take_matrix(hidden.rows(), hidden.cols());
+        gru_gates_into(&gi, &gh, hidden, &mut out);
+        ws.recycle_matrix(gh);
+        ws.recycle_matrix(gi);
+        out
     }
 }
 
@@ -588,6 +549,60 @@ mod tests {
             );
             assert!(q_engine.commit_log().is_clean());
         }
+    }
+
+    #[test]
+    fn stacked_quantized_gru_equals_the_six_matrix_product_bit_for_bit() {
+        use tgnn_nn::Linear;
+        use tgnn_tensor::ops::{add, hadamard, sigmoid_matrix, tanh_matrix};
+
+        let (model, graph) = setup(OptimizationVariant::NpMedium);
+        let events = graph.events();
+        let q = quantize_model(
+            &model,
+            &graph,
+            &events[..100],
+            &events[100..400],
+            50,
+            QuantConfig::default(),
+        );
+        let qgru = q.gru().expect("default config quantizes the GRU");
+        let (s_in, s_hid) = (
+            q.ranges.scale(layers::GRU_INPUT),
+            q.ranges.scale(layers::GRU_HIDDEN),
+        );
+        // Gate block `k` of a stacked layer as its own int8 layer.
+        let h = model.config.memory_dim;
+        let block = |layer: &Linear, k: usize, scale: Float| {
+            let rows: Vec<usize> = (k * h..(k + 1) * h).collect();
+            let gate = Linear::from_parts(
+                "gate",
+                layer.weight().value.gather_rows(&rows),
+                layer.bias.value.row(0)[k * h..(k + 1) * h].to_vec(),
+            );
+            QuantizedLinear::from_linear(&gate, scale)
+        };
+
+        // Inputs spanning the calibrated clip and a little beyond it.
+        let mut rng = TensorRng::new(41);
+        let mut ws = Workspace::new();
+        let (clip_in, clip_hid) = (140.0 * s_in, 140.0 * s_hid);
+        let m = rng.uniform_matrix(37, model.config.message_dim(), -clip_in, clip_in);
+        let s = rng.uniform_matrix(37, h, -clip_hid, clip_hid);
+        let mut lin = |layer: &Linear, k: usize, scale: Float, x: &Matrix| {
+            block(layer, k, scale).forward_ws(x, &mut ws)
+        };
+        let (w_i, w_h) = (&model.gru.w_i, &model.gru.w_h);
+        let r = sigmoid_matrix(&add(&lin(w_i, 0, s_in, &m), &lin(w_h, 0, s_hid, &s)));
+        let z = sigmoid_matrix(&add(&lin(w_i, 1, s_in, &m), &lin(w_h, 1, s_hid, &s)));
+        let hn = lin(w_h, 2, s_hid, &s);
+        let n = tanh_matrix(&add(&lin(w_i, 2, s_in, &m), &hadamard(&r, &hn)));
+        let six = Matrix::from_fn(37, h, |i, j| {
+            (1.0 - z[(i, j)]) * n[(i, j)] + z[(i, j)] * s[(i, j)]
+        });
+
+        let two = qgru.forward_ws(&m, &s, &mut Workspace::new());
+        assert_eq!(two.as_slice(), six.as_slice());
     }
 
     #[test]

@@ -351,6 +351,13 @@ impl GnnJobBatch {
         self.nbr_dt.len()
     }
 
+    /// Gathered neighbor rows a model that keeps at most `budget` per vertex
+    /// goes on to read: `Σ min(len_i, budget)` — what pruning leaves of
+    /// [`Self::total_neighbors`].
+    pub fn neighbors_within_budget(&self, budget: usize) -> usize {
+        self.ranges.iter().map(|&(_, len)| len.min(budget)).sum()
+    }
+
     /// True when the job holds no vertices.
     pub fn is_empty(&self) -> bool {
         self.touched.is_empty()

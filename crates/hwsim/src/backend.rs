@@ -71,7 +71,9 @@ impl HwSimBackend {
             edges: job.len(),
             memory_updates: job.len(),
             embeddings: job.len(),
-            neighbors_fetched: job.total_neighbors(),
+            // Every sampled neighbor is scored; only the ones pruning keeps
+            // are fetched and aggregated (as in `accelerator`/`perf_model`).
+            neighbors_fetched: job.neighbors_within_budget(self.model.config.neighbor_budget),
             neighbors_scored: job.total_neighbors(),
         };
         self.pipeline
@@ -102,12 +104,15 @@ impl ComputeBackend for HwSimBackend {
 mod tests {
     use super::*;
     use crate::design::DatapathPrecision;
-    use tgnn_core::{F32Backend, ModelConfig, SampledBatch};
+    use tgnn_core::{F32Backend, ModelConfig, OptimizationVariant, SampledBatch};
     use tgnn_graph::{EventBatch, InteractionEvent, TemporalGraph};
     use tgnn_tensor::{Matrix, TensorRng};
 
     fn gathered_job(seed: u64) -> (TgnModel, GnnJobBatch) {
-        let cfg = ModelConfig::tiny(0, 2);
+        gathered_job_of(seed, ModelConfig::tiny(0, 2))
+    }
+
+    fn gathered_job_of(seed: u64, cfg: ModelConfig) -> (TgnModel, GnnJobBatch) {
         let model = TgnModel::new(cfg.clone(), &mut TensorRng::new(seed));
         let events: Vec<InteractionEvent> = (0..12u32)
             .map(|i| InteractionEvent::new(i % 5, (i + 1) % 5, i, i as f64))
@@ -119,7 +124,15 @@ mod tests {
             Matrix::zeros(12, 2),
             events.clone(),
         );
-        let sampled = SampledBatch::assemble(EventBatch::new(events), 0, |_, _, _, _| {});
+        // Every touched vertex samples three neighbors.
+        let history = [0u32, 1, 2].map(|k| tgnn_graph::NeighborEntry {
+            neighbor: k,
+            edge_id: k,
+            timestamp: k as f64,
+        });
+        let sampled = SampledBatch::assemble(EventBatch::new(events), 0, |_, _, _, out| {
+            out.extend_from_slice(&history)
+        });
         let updated = std::collections::HashMap::new();
         let job = GnnJobBatch::gather(&sampled, &updated, &graph, &cfg, |_, dst| dst.fill(0.25));
         (model, job)
@@ -156,5 +169,24 @@ mod tests {
         );
         assert!(int8.modeled_latency(&job) <= fp32.modeled_latency(&job));
         assert_eq!(int8.kind(), BackendKind::HwSim);
+    }
+
+    #[test]
+    fn pruned_neighbors_are_not_charged_for_fetch_or_aggregation() {
+        let sat_lut = ModelConfig::tiny(0, 2).with_variant(OptimizationVariant::SatLut);
+        let mut np_small = ModelConfig::tiny(0, 2).with_variant(OptimizationVariant::NpSmall);
+        assert!(
+            np_small.neighbor_budget < 3,
+            "NP(S) must prune the 3 gathered neighbors"
+        );
+        let latency = |cfg: &ModelConfig| {
+            let (model, job) = gathered_job_of(5, cfg.clone());
+            assert_eq!(job.total_neighbors(), 3 * job.len());
+            HwSimBackend::u200(&model).modeled_latency(&job)
+        };
+        assert!(latency(&np_small) < latency(&sat_lut));
+        // No pruning, no discount.
+        np_small.neighbor_budget = np_small.sampled_neighbors;
+        assert_eq!(latency(&np_small), latency(&sat_lut));
     }
 }

@@ -12,28 +12,38 @@
 //! memory.  On the accelerator the four gates map to the Memory Update Unit:
 //! three Sg×Sg multiply-accumulate arrays connected by FIFOs plus an
 //! elementwise merge stage (Section IV-B).
+//!
+//! This is the stage the paper cannot parallelise across a vertex's events,
+//! so its per-row cost is the lever.  Here a batch is **two** GEMMs — the
+//! three input-side projections stacked into one `input → 3h` layer, the
+//! three hidden-side ones into one `hidden → 3h` layer — and **one** fused
+//! elementwise pass (`tgnn_tensor::vmath::gru_gates_into`) that evaluates
+//! σ/tanh with the stack's deterministic vector kernels and writes `s'`
+//! directly.  The training path ([`GruCell::forward_cached`]) runs the same
+//! kernels step by step and is bit-identical.
 
 use crate::linear::Linear;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
-use tgnn_tensor::ops::{sigmoid, tanh};
+use tgnn_tensor::ops::{add, hadamard, sigmoid_matrix, tanh_matrix};
+use tgnn_tensor::vmath::gru_gates_into;
 use tgnn_tensor::{Matrix, TensorRng, Workspace};
 
 /// GRU cell operating on batches (each row = one vertex).
+///
+/// The six gate projections are held as **two** stacked layers —
+/// `input → 3h` and `hidden → 3h`, output blocks `[r; z; n]` — so a batch
+/// costs two GEMMs and one fused elementwise pass
+/// ([`gru_gates_into`]) instead of six GEMMs and four passes.  Every output
+/// column still has its own ascending-`k` accumulator, so stacking changes no
+/// bit of any pre-activation, and pack-once / stale-pack safety is
+/// [`Linear`]'s.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GruCell {
-    /// Input-to-reset projection `W_ir, b_ir`.
-    pub w_ir: Linear,
-    /// Hidden-to-reset projection `W_hr, b_hr`.
-    pub w_hr: Linear,
-    /// Input-to-update projection `W_iz, b_iz`.
-    pub w_iz: Linear,
-    /// Hidden-to-update projection `W_hz, b_hz`.
-    pub w_hz: Linear,
-    /// Input-to-memory projection `W_in, b_in`.
-    pub w_in: Linear,
-    /// Hidden-to-memory projection `W_hn, b_hn`.
-    pub w_hn: Linear,
+    /// Input-side projections `[W_ir; W_iz; W_in]`, `[b_ir; b_iz; b_in]`.
+    pub w_i: Linear,
+    /// Hidden-side projections `[W_hr; W_hz; W_hn]`, `[b_hr; b_hz; b_hn]`.
+    pub w_h: Linear,
     input_dim: usize,
     hidden_dim: usize,
 }
@@ -53,15 +63,22 @@ pub struct GruCache {
 
 impl GruCell {
     /// Creates a GRU cell mapping `input_dim`-dimensional messages onto
-    /// `hidden_dim`-dimensional node memory.
+    /// `hidden_dim`-dimensional node memory.  Each gate block is drawn on
+    /// its own — in the order `ir, hr, iz, hz, in, hn`, Xavier-scaled by the
+    /// gate's `hidden_dim × fan_in` shape — so a seed yields the weights it
+    /// always has.
     pub fn new(name: &str, input_dim: usize, hidden_dim: usize, rng: &mut TensorRng) -> Self {
+        let mut gate = |fan_in: usize| rng.xavier_matrix(hidden_dim, fan_in);
+        let (ir, hr) = (gate(input_dim), gate(hidden_dim));
+        let (iz, hz) = (gate(input_dim), gate(hidden_dim));
+        let (i_n, hn) = (gate(input_dim), gate(hidden_dim));
+        let stacked = |name: String, r: Matrix, z: Matrix, n: Matrix| {
+            let weight = r.vconcat(&z).vconcat(&n);
+            Linear::from_parts(&name, weight, vec![0.0; 3 * hidden_dim])
+        };
         Self {
-            w_ir: Linear::new(&format!("{name}.w_ir"), input_dim, hidden_dim, rng),
-            w_hr: Linear::new(&format!("{name}.w_hr"), hidden_dim, hidden_dim, rng),
-            w_iz: Linear::new(&format!("{name}.w_iz"), input_dim, hidden_dim, rng),
-            w_hz: Linear::new(&format!("{name}.w_hz"), hidden_dim, hidden_dim, rng),
-            w_in: Linear::new(&format!("{name}.w_in"), input_dim, hidden_dim, rng),
-            w_hn: Linear::new(&format!("{name}.w_hn"), hidden_dim, hidden_dim, rng),
+            w_i: stacked(format!("{name}.w_i"), ir, iz, i_n),
+            w_h: stacked(format!("{name}.w_h"), hr, hz, hn),
             input_dim,
             hidden_dim,
         }
@@ -82,95 +99,56 @@ impl GruCell {
         self.forward_cached(input, hidden).0
     }
 
-    /// Allocation-free inference forward pass on workspace buffers and the
-    /// packed GEMM.  Elementwise operations run in the same order as
-    /// [`Self::forward`], so the result is bit-identical; no backward cache
-    /// is produced.  The returned matrix comes from the workspace — recycle
-    /// it when done.
+    fn check_shapes(&self, input: &Matrix, hidden: &Matrix) {
+        assert_eq!(input.cols(), self.input_dim, "GruCell: input dim mismatch");
+        assert_eq!(
+            hidden.cols(),
+            self.hidden_dim,
+            "GruCell: hidden dim mismatch"
+        );
+        assert_eq!(input.rows(), hidden.rows(), "GruCell: batch mismatch");
+    }
+
+    /// Allocation-free inference forward pass: two packed GEMMs into
+    /// workspace buffers, then the fused gate pass writes `s'` directly.
+    /// Bit-identical to [`Self::forward`]; no backward cache is produced.
+    /// The returned matrix comes from the workspace — recycle it when done.
     ///
     /// # Panics
     /// Panics on dimension mismatches.
     pub fn forward_ws(&self, input: &Matrix, hidden: &Matrix, ws: &mut Workspace) -> Matrix {
-        assert_eq!(input.cols(), self.input_dim, "GruCell: input dim mismatch");
-        assert_eq!(
-            hidden.cols(),
-            self.hidden_dim,
-            "GruCell: hidden dim mismatch"
-        );
-        assert_eq!(input.rows(), hidden.rows(), "GruCell: batch mismatch");
-
-        // r = σ(W_ir·m + b_ir + W_hr·s + b_hr)
-        let mut r = self.w_ir.forward_ws(input, ws);
-        let hr = self.w_hr.forward_ws(hidden, ws);
-        for (a, &b) in r.as_mut_slice().iter_mut().zip(hr.as_slice()) {
-            *a = sigmoid(*a + b);
-        }
-        ws.recycle_matrix(hr);
-
-        // z = σ(W_iz·m + b_iz + W_hz·s + b_hz)
-        let mut z = self.w_iz.forward_ws(input, ws);
-        let hz = self.w_hz.forward_ws(hidden, ws);
-        for (a, &b) in z.as_mut_slice().iter_mut().zip(hz.as_slice()) {
-            *a = sigmoid(*a + b);
-        }
-        ws.recycle_matrix(hz);
-
-        // n = tanh(W_in·m + b_in + r ⊙ (W_hn·s + b_hn))
-        let mut n = self.w_in.forward_ws(input, ws);
-        let hn_lin = self.w_hn.forward_ws(hidden, ws);
-        for ((a, &ri), &h) in n
-            .as_mut_slice()
-            .iter_mut()
-            .zip(r.as_slice())
-            .zip(hn_lin.as_slice())
-        {
-            *a = tanh(*a + ri * h);
-        }
-        ws.recycle_matrix(hn_lin);
-        ws.recycle_matrix(r);
-
-        // s' = (1 − z) ⊙ n + z ⊙ s, written over n.
-        for ((a, &zi), &si) in n
-            .as_mut_slice()
-            .iter_mut()
-            .zip(z.as_slice())
-            .zip(hidden.as_slice())
-        {
-            *a = (1.0 - zi) * *a + zi * si;
-        }
-        ws.recycle_matrix(z);
-        n
+        self.check_shapes(input, hidden);
+        let gi = self.w_i.forward_ws(input, ws);
+        let gh = self.w_h.forward_ws(hidden, ws);
+        let mut out = ws.take_matrix(hidden.rows(), self.hidden_dim);
+        gru_gates_into(&gi, &gh, hidden, &mut out);
+        ws.recycle_matrix(gh);
+        ws.recycle_matrix(gi);
+        out
     }
 
     /// Forward pass returning the new hidden state and the cache needed for
-    /// the backward pass.
+    /// the backward pass: the gate pass of [`Self::forward_ws`] taken apart
+    /// into whole-matrix steps (same kernels, same order, same bits).
     ///
     /// # Panics
     /// Panics on dimension mismatches.
     pub fn forward_cached(&self, input: &Matrix, hidden: &Matrix) -> (Matrix, GruCache) {
-        assert_eq!(input.cols(), self.input_dim, "GruCell: input dim mismatch");
-        assert_eq!(
-            hidden.cols(),
-            self.hidden_dim,
-            "GruCell: hidden dim mismatch"
-        );
-        assert_eq!(input.rows(), hidden.rows(), "GruCell: batch mismatch");
+        self.check_shapes(input, hidden);
+        let h = self.hidden_dim;
+        let gi = self.w_i.forward(input);
+        let gh = self.w_h.forward(hidden);
+        let gate = |g: &Matrix, k: usize| g.columns(k * h, (k + 1) * h);
 
-        let r_pre = tgnn_tensor::ops::add(&self.w_ir.forward(input), &self.w_hr.forward(hidden));
-        let z_pre = tgnn_tensor::ops::add(&self.w_iz.forward(input), &self.w_hz.forward(hidden));
-        let r = r_pre.map(sigmoid);
-        let z = z_pre.map(sigmoid);
-        let hn_lin = self.w_hn.forward(hidden);
-        let n_pre = tgnn_tensor::ops::add(
-            &self.w_in.forward(input),
-            &tgnn_tensor::ops::hadamard(&r, &hn_lin),
-        );
-        let n = n_pre.map(tanh);
+        let r = sigmoid_matrix(&add(&gate(&gi, 0), &gate(&gh, 0)));
+        let z = sigmoid_matrix(&add(&gate(&gi, 1), &gate(&gh, 1)));
+        let hn_lin = gate(&gh, 2);
+        let n = tanh_matrix(&add(&gate(&gi, 2), &hadamard(&r, &hn_lin)));
 
         // s' = (1 - z) ⊙ n + z ⊙ s
         let new_hidden = n
             .zip(&z, |ni, zi| (1.0 - zi) * ni)
-            .zip(&tgnn_tensor::ops::hadamard(&z, hidden), |a, b| a + b);
+            .zip(&hadamard(&z, hidden), |a, b| a + b);
 
         let cache = GruCache {
             input: input.clone(),
@@ -198,63 +176,45 @@ impl GruCell {
         // s' = (1 - z) ⊙ n + z ⊙ s
         let dn = grad_new_hidden.zip(z, |g, zi| g * (1.0 - zi));
         let dz = grad_new_hidden.zip(&tgnn_tensor::ops::sub(hidden, n), |g, diff| g * diff);
-        let ds_direct = tgnn_tensor::ops::hadamard(grad_new_hidden, z);
+        let ds_direct = hadamard(grad_new_hidden, z);
 
         // n = tanh(n_pre)
         let dn_pre = dn.zip(n, |g, ni| g * (1.0 - ni * ni));
         // n_pre = W_in·m + b_in + r ⊙ hn_lin
-        let dr = tgnn_tensor::ops::hadamard(&dn_pre, hn_lin);
-        let dhn_lin = tgnn_tensor::ops::hadamard(&dn_pre, r);
+        let dr = hadamard(&dn_pre, hn_lin);
+        let dhn_lin = hadamard(&dn_pre, r);
 
         // Gates: r = σ(r_pre), z = σ(z_pre)
         let dr_pre = dr.zip(r, |g, ri| g * ri * (1.0 - ri));
         let dz_pre = dz.zip(z, |g, zi| g * zi * (1.0 - zi));
 
-        // Propagate through the six affine projections.
-        let dm_r = self.w_ir.backward(input, &dr_pre);
-        let ds_r = self.w_hr.backward(hidden, &dr_pre);
-        let dm_z = self.w_iz.backward(input, &dz_pre);
-        let ds_z = self.w_hz.backward(hidden, &dz_pre);
-        let dm_n = self.w_in.backward(input, &dn_pre);
-        let ds_n = self.w_hn.backward(hidden, &dhn_lin);
-
-        let grad_input = tgnn_tensor::ops::add(&tgnn_tensor::ops::add(&dm_r, &dm_z), &dm_n);
-        let grad_hidden = tgnn_tensor::ops::add(
-            &tgnn_tensor::ops::add(&ds_r, &ds_z),
-            &tgnn_tensor::ops::add(&ds_n, &ds_direct),
-        );
+        // Propagate through the two stacked projections.
+        let d_gi = Matrix::hconcat_all(&[&dr_pre, &dz_pre, &dn_pre]);
+        let d_gh = Matrix::hconcat_all(&[&dr_pre, &dz_pre, &dhn_lin]);
+        let grad_input = self.w_i.backward(input, &d_gi);
+        let grad_hidden = add(&self.w_h.backward(hidden, &d_gh), &ds_direct);
         (grad_input, grad_hidden)
     }
 
-    /// Learnable parameters (12 tensors: 6 weights + 6 biases).
+    /// Learnable parameters (4 tensors: 2 stacked weights + 2 stacked
+    /// biases).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = Vec::with_capacity(12);
-        out.extend(self.w_ir.params_mut());
-        out.extend(self.w_hr.params_mut());
-        out.extend(self.w_iz.params_mut());
-        out.extend(self.w_hz.params_mut());
-        out.extend(self.w_in.params_mut());
-        out.extend(self.w_hn.params_mut());
+        let mut out = self.w_i.params_mut();
+        out.extend(self.w_h.params_mut());
         out
     }
 
     /// Immutable parameter access.
     pub fn params(&self) -> Vec<&Param> {
-        let mut out = Vec::with_capacity(12);
-        out.extend(self.w_ir.params());
-        out.extend(self.w_hr.params());
-        out.extend(self.w_iz.params());
-        out.extend(self.w_hz.params());
-        out.extend(self.w_in.params());
-        out.extend(self.w_hn.params());
+        let mut out = self.w_i.params();
+        out.extend(self.w_h.params());
         out
     }
 
     /// Multiply-accumulate count per batch of `batch` vertices (three
-    /// input-side and three hidden-side matrix products).
+    /// input-side and three hidden-side gate projections).
     pub fn macs(&self, batch: usize) -> u64 {
-        (3 * batch * self.input_dim * self.hidden_dim
-            + 3 * batch * self.hidden_dim * self.hidden_dim) as u64
+        self.w_i.macs(batch) + self.w_h.macs(batch)
     }
 }
 
@@ -263,46 +223,135 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_gradients;
     use tgnn_tensor::approx_eq;
+    use tgnn_tensor::gemm::matmul;
+    use tgnn_tensor::ops::{add_row_broadcast, sigmoid, tanh};
 
-    /// Scalar reference implementation of one GRU element for cross-checking.
-    #[allow(clippy::too_many_arguments)]
-    fn scalar_gru(
-        m: f32,
-        s: f32,
-        wir: f32,
-        whr: f32,
-        wiz: f32,
-        whz: f32,
-        win: f32,
-        whn: f32,
-    ) -> f32 {
-        let r = sigmoid(wir * m + whr * s);
-        let z = sigmoid(wiz * m + whz * s);
-        let n = (win * m + r * (whn * s)).tanh();
-        (1.0 - z) * n + z * s
+    /// Gate block `k` (`0 = r, 1 = z, 2 = n`) of a stacked layer, as the
+    /// standalone `h × fan_in` layer it replaces.
+    fn gate_block(layer: &Linear, k: usize) -> Linear {
+        let h = layer.out_dim() / 3;
+        let rows: Vec<usize> = (k * h..(k + 1) * h).collect();
+        Linear::from_parts(
+            "gate",
+            layer.weight().value.gather_rows(&rows),
+            layer.bias.value.row(0)[k * h..(k + 1) * h].to_vec(),
+        )
+    }
+
+    /// The GRU as the paper writes it (Eq. 7–10): six separate `matmul`s,
+    /// then the gates step by step.
+    fn six_matmul_oracle(cell: &GruCell, m: &Matrix, s: &Matrix) -> Matrix {
+        let lin = |layer: &Linear, k: usize, x: &Matrix| {
+            let gate = gate_block(layer, k);
+            let product = matmul(x, &gate.weight().value.transpose());
+            add_row_broadcast(&product, gate.bias.value.row(0))
+        };
+        let r = sigmoid_matrix(&add(&lin(&cell.w_i, 0, m), &lin(&cell.w_h, 0, s)));
+        let z = sigmoid_matrix(&add(&lin(&cell.w_i, 1, m), &lin(&cell.w_h, 1, s)));
+        let hn = lin(&cell.w_h, 2, s);
+        let n = tanh_matrix(&add(&lin(&cell.w_i, 2, m), &hadamard(&r, &hn)));
+        Matrix::from_fn(s.rows(), s.cols(), |i, j| {
+            (1.0 - z[(i, j)]) * n[(i, j)] + z[(i, j)] * s[(i, j)]
+        })
+    }
+
+    /// A cell with non-zero biases (a fresh one has none to get wrong).
+    fn biased_cell(input_dim: usize, hidden_dim: usize, rng: &mut TensorRng) -> GruCell {
+        let mut cell = GruCell::new("g", input_dim, hidden_dim, rng);
+        for layer in [&mut cell.w_i, &mut cell.w_h] {
+            layer.bias.value = rng.uniform_matrix(1, 3 * hidden_dim, -0.5, 0.5);
+        }
+        cell
+    }
+
+    #[test]
+    fn every_forward_is_bitwise_equal_to_the_six_matmul_oracle() {
+        let mut rng = TensorRng::new(8);
+        let mut ws = Workspace::new();
+        for (input_dim, hidden_dim) in [(1, 1), (12, 7), (37, 16), (472, 100)] {
+            let cell = biased_cell(input_dim, hidden_dim, &mut rng);
+            for batch in [1usize, 3, 17] {
+                let m = rng.uniform_matrix(batch, input_dim, -1.0, 1.0);
+                let s = rng.uniform_matrix(batch, hidden_dim, -1.0, 1.0);
+                let what = format!("{input_dim}→{hidden_dim}, batch {batch}");
+                let oracle = six_matmul_oracle(&cell, &m, &s);
+                assert_eq!(
+                    cell.forward(&m, &s).as_slice(),
+                    oracle.as_slice(),
+                    "forward {what}"
+                );
+                let (cached, cache) = cell.forward_cached(&m, &s);
+                assert_eq!(
+                    cached.as_slice(),
+                    oracle.as_slice(),
+                    "forward_cached {what}"
+                );
+                assert_eq!(cache.r.shape(), (batch, hidden_dim));
+                let out = cell.forward_ws(&m, &s, &mut ws);
+                assert_eq!(out.as_slice(), oracle.as_slice(), "forward_ws {what}");
+                ws.recycle_matrix(out);
+            }
+        }
+    }
+
+    #[test]
+    fn a_seeded_cell_holds_the_six_draws_it_replaces() {
+        let (input_dim, hidden_dim) = (9, 4);
+        let cell = GruCell::new("g", input_dim, hidden_dim, &mut TensorRng::new(21));
+        // The six `Linear::new` calls of the unstacked cell, in their order.
+        let mut rng = TensorRng::new(21);
+        for (name, layer, k, fan_in) in [
+            ("w_ir", &cell.w_i, 0, input_dim),
+            ("w_hr", &cell.w_h, 0, hidden_dim),
+            ("w_iz", &cell.w_i, 1, input_dim),
+            ("w_hz", &cell.w_h, 1, hidden_dim),
+            ("w_in", &cell.w_i, 2, input_dim),
+            ("w_hn", &cell.w_h, 2, hidden_dim),
+        ] {
+            let old = Linear::new(name, fan_in, hidden_dim, &mut rng);
+            let block = gate_block(layer, k);
+            assert_eq!(block.weight().value, old.weight().value, "{name} weight");
+            assert_eq!(block.bias.value, old.bias.value, "{name} bias");
+        }
+    }
+
+    #[test]
+    fn parameters_are_two_stacked_layers_and_rebuild_from_their_tensors() {
+        let mut rng = TensorRng::new(6);
+        let mut cell = biased_cell(5, 3, &mut rng);
+        let names: Vec<&str> = cell.params().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["g.w_i.weight", "g.w_i.bias", "g.w_h.weight", "g.w_h.bias"]
+        );
+        let shapes: Vec<_> = cell.params_mut().iter().map(|p| p.value.shape()).collect();
+        assert_eq!(shapes, [(9, 5), (1, 9), (9, 3), (1, 9)]);
+        // 3 input weights 3x5, 3 hidden weights 3x3, 6 biases of 3.
+        let total = crate::param::count_parameters(&cell.params());
+        assert_eq!(total, 3 * 15 + 3 * 9 + 6 * 3);
+
+        // What a load does: a new cell, every tensor overwritten by name.
+        let mut loaded = GruCell::new("g", 5, 3, &mut TensorRng::new(99));
+        for (dst, src) in loaded.params_mut().into_iter().zip(cell.params()) {
+            assert_eq!(dst.name, src.name);
+            dst.value = src.value.clone();
+        }
+        let m = rng.uniform_matrix(4, 5, -1.0, 1.0);
+        let s = rng.uniform_matrix(4, 3, -1.0, 1.0);
+        assert_eq!(loaded.forward(&m, &s), cell.forward(&m, &s));
     }
 
     #[test]
     fn matches_scalar_reference_for_1x1() {
         let mut rng = TensorRng::new(0);
-        let mut cell = GruCell::new("g", 1, 1, &mut rng);
-        // Zero the biases so the scalar reference applies.
-        for p in cell.params_mut() {
-            if p.name.ends_with(".bias") {
-                p.value.as_mut_slice().fill(0.0);
-            }
-        }
-        let wir = cell.w_ir.weight().value[(0, 0)];
-        let whr = cell.w_hr.weight().value[(0, 0)];
-        let wiz = cell.w_iz.weight().value[(0, 0)];
-        let whz = cell.w_hz.weight().value[(0, 0)];
-        let win = cell.w_in.weight().value[(0, 0)];
-        let whn = cell.w_hn.weight().value[(0, 0)];
-
-        let m = 0.7;
-        let s = -0.3;
+        let cell = GruCell::new("g", 1, 1, &mut rng);
+        let w = |layer: &Linear, k: usize| layer.weight().value[(k, 0)];
+        let (m, s) = (0.7, -0.3);
+        let r = sigmoid(w(&cell.w_i, 0) * m + w(&cell.w_h, 0) * s);
+        let z = sigmoid(w(&cell.w_i, 1) * m + w(&cell.w_h, 1) * s);
+        let n = tanh(w(&cell.w_i, 2) * m + r * (w(&cell.w_h, 2) * s));
+        let expected = (1.0 - z) * n + z * s;
         let out = cell.forward(&Matrix::row_vector(&[m]), &Matrix::row_vector(&[s]));
-        let expected = scalar_gru(m, s, wir, whr, wiz, whz, win, whn);
         assert!(approx_eq(out[(0, 0)], expected, 1e-5));
     }
 
@@ -326,7 +375,7 @@ mod tests {
         let mut rng = TensorRng::new(2);
         let mut cell = GruCell::new("g", 2, 3, &mut rng);
         // Force the update gate to saturate at 1 (z ≈ 1 ⇒ s' ≈ s).
-        cell.w_iz.bias.value.as_mut_slice().fill(50.0);
+        cell.w_i.bias.value.row_mut(0)[3..6].fill(50.0);
         let m = rng.uniform_matrix(4, 2, -1.0, 1.0);
         let s = rng.uniform_matrix(4, 3, -1.0, 1.0);
         let out = cell.forward(&m, &s);
@@ -350,33 +399,23 @@ mod tests {
         let grad_out = Matrix::full(4, 2, 1.0);
         let (_, _) = cell.backward(&cache, &grad_out);
 
-        // Check a representative subset of weights (full check is slow).
+        // Every gate block of both stacked weights.
         check_gradients(
             &loss,
-            &cell.w_in.weight().grad,
+            &cell.w_i.weight().grad,
             |i, j, eps| {
                 let mut pert = cell.clone();
-                pert.w_in.weight_mut().value[(i, j)] += eps;
+                pert.w_i.weight_mut().value[(i, j)] += eps;
                 loss_fn(&pert)
             },
             3e-2,
         );
         check_gradients(
             &loss,
-            &cell.w_hn.weight().grad,
+            &cell.w_h.weight().grad,
             |i, j, eps| {
                 let mut pert = cell.clone();
-                pert.w_hn.weight_mut().value[(i, j)] += eps;
-                loss_fn(&pert)
-            },
-            3e-2,
-        );
-        check_gradients(
-            &loss,
-            &cell.w_hz.weight().grad,
-            |i, j, eps| {
-                let mut pert = cell.clone();
-                pert.w_hz.weight_mut().value[(i, j)] += eps;
+                pert.w_h.weight_mut().value[(i, j)] += eps;
                 loss_fn(&pert)
             },
             3e-2,
@@ -416,18 +455,33 @@ mod tests {
     }
 
     #[test]
-    fn forward_ws_is_bitwise_identical_to_forward() {
-        let mut rng = TensorRng::new(8);
+    fn a_stale_pack_cannot_be_served() {
+        let mut rng = TensorRng::new(10);
         let mut ws = Workspace::new();
-        let cell = GruCell::new("g", 12, 7, &mut rng);
-        for batch in [1usize, 3, 17] {
-            let m = rng.uniform_matrix(batch, 12, -1.0, 1.0);
-            let s = rng.uniform_matrix(batch, 7, -1.0, 1.0);
-            let reference = cell.forward(&m, &s);
-            let out = cell.forward_ws(&m, &s, &mut ws);
-            assert_eq!(out.as_slice(), reference.as_slice(), "batch {batch}");
+        let mut cell = GruCell::new("g", 33, 12, &mut rng);
+        let m = rng.uniform_matrix(9, 33, -1.0, 1.0);
+        let s = rng.uniform_matrix(9, 12, -1.0, 1.0);
+        let assert_ws_matches_forward = |cell: &GruCell, ws: &mut Workspace, what: &str| {
+            let out = cell.forward_ws(&m, &s, ws);
+            assert_eq!(out.as_slice(), cell.forward(&m, &s).as_slice(), "{what}");
             ws.recycle_matrix(out);
+        };
+        assert_ws_matches_forward(&cell, &mut ws, "fresh cell"); // builds both packs
+
+        // An optimizer step through `params_mut`.
+        let (before, cache) = cell.forward_cached(&m, &s);
+        let _ = cell.backward(&cache, &Matrix::full(9, 12, 1.0));
+        crate::optim::Sgd::new(0.1).step(&mut cell.params_mut());
+        assert_ne!(cell.forward(&m, &s).as_slice(), before.as_slice());
+        assert_ws_matches_forward(&cell, &mut ws, "after an optimizer step");
+
+        // A direct write through `params_mut` (what a load does).
+        for p in cell.params_mut() {
+            p.value.as_mut_slice()[0] += 1.0;
         }
+        assert_ws_matches_forward(&cell, &mut ws, "after params_mut");
+        // A clone carries the (current) packs along.
+        assert_ws_matches_forward(&cell.clone(), &mut ws, "clone");
     }
 
     #[test]
@@ -462,14 +516,5 @@ mod tests {
         // 3 * (10*4) + 3 * (4*4) per row.
         assert_eq!(cell.macs(1), 120 + 48);
         assert_eq!(cell.macs(7), 7 * 168);
-    }
-
-    #[test]
-    fn parameter_count() {
-        let mut rng = TensorRng::new(6);
-        let cell = GruCell::new("g", 5, 3, &mut rng);
-        let total = crate::param::count_parameters(&cell.params());
-        // 3 input weights 3x5, 3 hidden weights 3x3, 6 biases of 3.
-        assert_eq!(total, 3 * 15 + 3 * 9 + 6 * 3);
     }
 }

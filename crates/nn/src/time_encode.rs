@@ -3,18 +3,26 @@
 //! * [`CosTimeEncoder`] — the trigonometric encoder of Eq. 6,
 //!   `Φ(Δt) = cos(ω·Δt + φ)` with learnable vectors ω, φ, shared by TGN and
 //!   most memory-based TGNNs.
+//!   Both the encoding and its derivative are evaluated by
+//!   `tgnn_tensor::vmath` (`cos_time_into` / `sin_time_into`), which forms
+//!   the argument `ω·Δt + φ` in one place — forward and backward cannot
+//!   round it differently, and no libm is involved.
 //! * [`LutTimeEncoder`] — the paper's LUT replacement (Section III-C): Δt is
 //!   bucketed into equal-frequency intervals and each interval stores a
-//!   learned encoding vector.  At inference the table can be *fused* with any
-//!   downstream weight matrix so the whole "time encoding + vector–matrix
-//!   multiply" collapses into a single table read
-//!   ([`LutTimeEncoder::fuse_with`]), which is what lets the hardware emit
-//!   the post-weight hidden features in one cycle.
+//!   learned encoding vector.  What is served today is the plain lookup
+//!   ([`LutTimeEncoder::forward_into`]) followed by the ordinary GEMMs.
+//!   On the hardware the table is additionally *fused* with the downstream
+//!   weight matrix so "time encoding + vector–matrix multiply" collapses
+//!   into a single table read; [`LutTimeEncoder::fuse_with`] computes that
+//!   table, but it has **no product caller yet** — folding it into the GRU
+//!   input and `W_v` projections is the ROADMAP candidate "fold the time
+//!   LUT".
 
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
 use tgnn_tensor::gemm::matmul;
 use tgnn_tensor::stats::{bin_index, equal_frequency_edges};
+use tgnn_tensor::vmath::{cos_time_into, sin_time_into};
 use tgnn_tensor::{Float, Matrix, TensorRng};
 
 /// Trigonometric time encoder `Φ(Δt) = cos(ω·Δt + φ)`.
@@ -72,14 +80,8 @@ impl CosTimeEncoder {
             (delta_t.len(), self.dim),
             "CosTimeEncoder::forward_into: output shape mismatch"
         );
-        let omega = self.omega.value.row(0);
-        let phi = self.phi.value.row(0);
-        for (i, &dt) in delta_t.iter().enumerate() {
-            let row = out.row_mut(i);
-            for j in 0..self.dim {
-                row[j] = (omega[j] * dt + phi[j]).cos();
-            }
-        }
+        let (omega, phi) = (self.omega.value.row(0), self.phi.value.row(0));
+        cos_time_into(omega, phi, delta_t, out.as_mut_slice());
     }
 
     /// Backward pass: accumulates gradients for ω and φ given the upstream
@@ -91,12 +93,15 @@ impl CosTimeEncoder {
             "CosTimeEncoder: batch mismatch"
         );
         assert_eq!(grad_out.cols(), self.dim, "CosTimeEncoder: dim mismatch");
+        // sin of the very argument the forward pass took the cosine of.
+        let mut sin = Matrix::zeros(delta_t.len(), self.dim);
+        let (omega, phi) = (self.omega.value.row(0), self.phi.value.row(0));
+        sin_time_into(omega, phi, delta_t, sin.as_mut_slice());
         let mut d_omega = Matrix::zeros(1, self.dim);
         let mut d_phi = Matrix::zeros(1, self.dim);
         for (i, &dt) in delta_t.iter().enumerate() {
             for j in 0..self.dim {
-                let arg = self.omega.value[(0, j)] * dt + self.phi.value[(0, j)];
-                let d_arg = -arg.sin() * grad_out[(i, j)];
+                let d_arg = -sin[(i, j)] * grad_out[(i, j)];
                 d_omega[(0, j)] += d_arg * dt;
                 d_phi[(0, j)] += d_arg;
             }
@@ -141,9 +146,9 @@ pub struct LutTimeEncoder {
 impl LutTimeEncoder {
     /// Calibrates the bin edges from a sample of Δt values (equal-frequency
     /// binning) and initialises each bin's vector from a trained
-    /// [`CosTimeEncoder`] evaluated at the bin's representative Δt (its
-    /// median sample).  This mirrors the paper's training recipe where the
-    /// LUT is learned to mimic the teacher's time encoding.
+    /// [`CosTimeEncoder`] evaluated at the bin's representative Δt — the
+    /// midpoint of its two edges.  This mirrors the paper's training recipe
+    /// where the LUT is learned to mimic the teacher's time encoding.
     pub fn calibrate(
         name: &str,
         delta_samples: &[Float],

@@ -40,9 +40,10 @@ use std::cell::Cell;
 /// Cache-block edge (in elements) for the serial kernel.
 const BLOCK: usize = 64;
 
-/// True when the `avx2,fma` compilations of the loops may run on this CPU.
+/// True when the `avx2,fma` compilations of the loops (here and in
+/// [`crate::vmath`]) may run on this CPU.
 #[inline]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")

@@ -24,6 +24,16 @@
 //! is spelled out in [`gemm`]), so they are interchangeable bit for bit —
 //! the engine's deterministic serial mode relies on this.
 //!
+//! # Transcendentals
+//!
+//! `exp`, `sigmoid`, `tanh` and the time encoder's `cos`/`sin` are defined
+//! by [`vmath`]: one plain-Rust lane function each, run by slice kernels
+//! that are compiled portably and under `avx2,fma` (~0.4–0.7 ns/element,
+//! 6–25× libm here) and are bit-identical either way.  [`ops`] builds its
+//! activations and softmax on them; nothing served calls libm.  Hand a
+//! kernel the whole buffer — the scalar `ops::sigmoid(x)` / `ops::tanh(x)`
+//! forms pay a dispatch per element.
+//!
 //! The crate is deliberately dependency-light (no BLAS): every experiment in
 //! the paper is reproduced with these kernels so that operation counts
 //! reported by `tgnn-core::complexity` correspond one-to-one to the code that
@@ -35,6 +45,7 @@ pub mod matrix;
 pub mod ops;
 pub mod rng;
 pub mod stats;
+pub mod vmath;
 pub mod workspace;
 
 pub use matrix::Matrix;

@@ -3,13 +3,22 @@
 //! These cover the nonlinearities of the GRU memory updater (sigmoid/tanh,
 //! Eq. 7–10 of the paper), the attention softmax (Eq. 15/16), and the small
 //! vector utilities the model and accelerator simulator share.
+//!
+//! Every transcendental here — [`sigmoid`], [`tanh`], the `exp` inside
+//! [`softmax`] / [`log_softmax`] — is evaluated by the slice kernels of
+//! [`crate::vmath`], never by libm, so the values are the same on every
+//! machine and on every path.  The scalar forms run a one-element slice:
+//! fine for a test or a loss term, wrong for a hot loop — hand the whole
+//! buffer to the `*_matrix` form or to the slice kernel instead.
 
+use crate::vmath::{exp_slice, sigmoid_slice, tanh_slice};
 use crate::{Float, Matrix};
 
 /// Logistic sigmoid.
 #[inline]
-pub fn sigmoid(x: Float) -> Float {
-    1.0 / (1.0 + (-x).exp())
+pub fn sigmoid(mut x: Float) -> Float {
+    sigmoid_slice(std::slice::from_mut(&mut x));
+    x
 }
 
 /// Derivative of the sigmoid expressed in terms of its output `s`.
@@ -20,8 +29,9 @@ pub fn sigmoid_grad_from_output(s: Float) -> Float {
 
 /// Hyperbolic tangent.
 #[inline]
-pub fn tanh(x: Float) -> Float {
-    x.tanh()
+pub fn tanh(mut x: Float) -> Float {
+    tanh_slice(std::slice::from_mut(&mut x));
+    x
 }
 
 /// Derivative of tanh expressed in terms of its output `t`.
@@ -38,12 +48,16 @@ pub fn relu(x: Float) -> Float {
 
 /// Elementwise sigmoid over a matrix.
 pub fn sigmoid_matrix(m: &Matrix) -> Matrix {
-    m.map(sigmoid)
+    let mut out = m.clone();
+    sigmoid_slice(out.as_mut_slice());
+    out
 }
 
 /// Elementwise tanh over a matrix.
 pub fn tanh_matrix(m: &Matrix) -> Matrix {
-    m.map(tanh)
+    let mut out = m.clone();
+    tanh_slice(out.as_mut_slice());
+    out
 }
 
 /// Numerically-stable softmax of a slice, written into a new vector.
@@ -56,9 +70,11 @@ pub fn softmax(logits: &[Float]) -> Vec<Float> {
     if !max.is_finite() {
         return vec![1.0 / logits.len() as Float; logits.len()];
     }
-    let exps: Vec<Float> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: Float = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
+    let mut out: Vec<Float> = logits.iter().map(|&x| x - max).collect();
+    exp_slice(&mut out);
+    let sum: Float = out.iter().sum();
+    out.iter_mut().for_each(|e| *e /= sum);
+    out
 }
 
 /// Softmax applied independently to every row of a matrix.
@@ -77,7 +93,9 @@ pub fn log_softmax(logits: &[Float]) -> Vec<Float> {
         return Vec::new();
     }
     let max = logits.iter().cloned().fold(Float::NEG_INFINITY, Float::max);
-    let log_sum: Float = logits.iter().map(|&x| (x - max).exp()).sum::<Float>().ln() + max;
+    let mut exps: Vec<Float> = logits.iter().map(|&x| x - max).collect();
+    exp_slice(&mut exps);
+    let log_sum: Float = exps.iter().sum::<Float>().ln() + max;
     logits.iter().map(|&x| x - log_sum).collect()
 }
 
@@ -188,6 +206,22 @@ mod tests {
     fn tanh_grad_identity() {
         let t = tanh(0.3);
         assert!(approx_eq(tanh_grad_from_output(t), 1.0 - t * t, 1e-7));
+    }
+
+    #[test]
+    fn scalar_and_matrix_forms_are_the_same_kernel() {
+        let m = Matrix::from_fn(7, 13, |i, j| {
+            (i as Float - 3.0) * 1.7 + j as Float * 0.31 - 2.0
+        });
+        let (s, t) = (sigmoid_matrix(&m), tanh_matrix(&m));
+        for (i, &x) in m.as_slice().iter().enumerate() {
+            assert_eq!(
+                s.as_slice()[i].to_bits(),
+                sigmoid(x).to_bits(),
+                "sigmoid({x})"
+            );
+            assert_eq!(t.as_slice()[i].to_bits(), tanh(x).to_bits(), "tanh({x})");
+        }
     }
 
     #[test]
