@@ -185,10 +185,11 @@ fn main() {
         );
     }
     println!(
-        "gru 111x472->100: {:.0} ns/row = GEMM {:.0} + gate pass {:.0}",
+        "gru 111x472->100: {:.0} ns/row = GEMM {:.0} + gate pass {:.0}; time LUT folded (K 372): GEMM {:.0}",
         elementwise.gru_gemm_ns + elementwise.gru_gates_ns,
         elementwise.gru_gemm_ns,
-        elementwise.gru_gates_ns
+        elementwise.gru_gates_ns,
+        elementwise.gru_gemm_folded_ns
     );
 
     let serial = results[0].events_per_sec;
@@ -263,8 +264,8 @@ fn main() {
         })
         .collect();
     kernel_rows.push(format!(
-        "    \"gru_111x472\": {{ \"gemm_ns_per_row\": {:.1}, \"gates_ns_per_row\": {:.1} }}",
-        elementwise.gru_gemm_ns, elementwise.gru_gates_ns
+        "    \"gru_111x472\": {{ \"gemm_ns_per_row\": {:.1}, \"gates_ns_per_row\": {:.1}, \"gemm_folded_ns_per_row\": {:.1} }}",
+        elementwise.gru_gemm_ns, elementwise.gru_gates_ns, elementwise.gru_gemm_folded_ns
     ));
     let elementwise_row = format!("{{\n{}\n  }}", kernel_rows.join(",\n"));
     merge_baseline_row(&out_path, "elementwise", &elementwise_row);
@@ -388,6 +389,9 @@ struct Elementwise {
     /// GEMMs and the fused gate pass (ns per row, 111-row batch).
     gru_gemm_ns: f64,
     gru_gates_ns: f64,
+    /// The GEMM half with the 100 time columns folded into a LUT read
+    /// (K 472 → 372 on the input side), as a LUT model serves it.
+    gru_gemm_folded_ns: f64,
 }
 
 /// Best-of-5 mean time of `f` in ns, after a warm-up call.
@@ -483,10 +487,26 @@ fn elementwise_microbench() -> Elementwise {
         gru_gates_into(black_box(&gi), black_box(&gh), &hidden, &mut out);
         black_box(out.as_slice());
     });
+    let time_dim = 100;
+    let folded = cell.clone().with_time_tail(Some(time_dim));
+    let cos = tgnn_nn::CosTimeEncoder::new("bench.cos", time_dim, &mut rng);
+    let dts: Vec<f32> = (0..rows).map(|_| rng.pareto(1.0, 1.3).min(1e5)).collect();
+    let lut = tgnn_nn::LutTimeEncoder::calibrate("bench.lut", &dts, 128, &cos);
+    let head = rng.normal_matrix(rows, input_dim - time_dim, 0.5);
+    let gemm_folded_ns = time_ns(2_000, || {
+        let gi = folded
+            .w_i
+            .forward_folded_ws(black_box(&head), &lut, &dts, &mut ws);
+        let gh = folded.w_h.forward_ws(black_box(&hidden), &mut ws);
+        black_box((gi.as_slice(), gh.as_slice()));
+        ws.recycle_matrix(gh);
+        ws.recycle_matrix(gi);
+    });
     Elementwise {
         kernels,
         gru_gemm_ns: gemm_ns / rows as f64,
         gru_gates_ns: gates_ns / rows as f64,
+        gru_gemm_folded_ns: gemm_folded_ns / rows as f64,
     }
 }
 

@@ -139,9 +139,11 @@ pub trait ComputeBackend: Send + Sync {
     /// The prepared weight set the stage entry points run on.
     fn model(&self) -> &Arc<TgnModel>;
 
-    /// The sampling stage — shared across backends (sampling touches no
-    /// model weights).  Provided so a backend is a complete set of stage
-    /// entry points; the default delegates to [`SampledBatch::assemble`].
+    /// The sampling stage — shared across backends (the attention decision
+    /// it records reads only `a`, `W_t` and the budget, which every backend
+    /// of one model shares).  Provided so a backend is a complete set of
+    /// stage entry points; the default delegates to
+    /// [`SampledBatch::assemble`].
     #[allow(clippy::type_complexity)]
     fn stage_sample(
         &self,
@@ -149,7 +151,9 @@ pub trait ComputeBackend: Send + Sync {
         k: usize,
         sample: &mut dyn FnMut(NodeId, Timestamp, usize, &mut Vec<NeighborEntry>),
     ) -> SampledBatch {
-        SampledBatch::assemble(batch, k, |v, t, kk, out| sample(v, t, kk, out))
+        SampledBatch::assemble(batch, k, self.model(), |v, t, kk, out| {
+            sample(v, t, kk, out)
+        })
     }
 
     /// The GRU memory stage on this backend's prepared model.  Note that a

@@ -180,8 +180,9 @@ fn distillation_step(
                     continue;
                 };
                 let dts: Vec<Float> = inputs.neighbors.iter().map(|c| c.delta_t).collect();
-                let full = sat.logits(&dts);
-                (sat.slots(), full[..dts.len()].to_vec())
+                let mut scored = tgnn_nn::attention::Selection::default();
+                sat.select(&dts, student.config.neighbor_budget, &mut scored);
+                (sat.slots(), scored.logits)
             };
             if student_logits.len() != teacher_logits.len() {
                 continue;

@@ -18,7 +18,7 @@
 use crate::complexity::{OpCounts, StageOps};
 use crate::config::{AttentionKind, TimeEncoderKind};
 use crate::memory::NodeMemory;
-use crate::model::{EmbeddingJob, EmbeddingOutput, NeighborContext, NeighborRef, TgnModel};
+use crate::model::{EmbeddingJob, NeighborContext, NeighborRef, TgnModel};
 use crate::profiling::{Stage, StageTimer, StageTimings};
 use crate::stages::{self, SampledBatch};
 use rayon::prelude::*;
@@ -342,11 +342,12 @@ impl InferenceEngine {
     }
 
     /// Stage 1: samples the supporting temporal neighbors of every touched
-    /// vertex from the FIFO neighbor table into one flat arena.
+    /// vertex from the FIFO neighbor table into one flat arena, and decides
+    /// from their Δt's which of them the GNN stage aggregates.
     pub fn stage_sample(&mut self, batch: &EventBatch) -> SampledBatch {
         let k = self.model.config.sampled_neighbors;
         let sampler = &self.sampler;
-        let sampled = SampledBatch::assemble(batch.clone(), k, |v, t, k, out| {
+        let sampled = SampledBatch::assemble(batch.clone(), k, &self.model, |v, t, k, out| {
             sampler.sample_into(v, t, k, out)
         });
         self.ops.sample.mems += 3 * sampled.total_sampled() as u64;
@@ -411,9 +412,10 @@ impl InferenceEngine {
             }
             ExecMode::Batched | ExecMode::Parallel | ExecMode::Quantized => {
                 let outputs = self.gnn_stage_fast(sampled, updated_memory, graph);
-                for (i, (&v, out)) in sampled.touched.iter().zip(outputs).enumerate() {
-                    self.count_gnn_ops(sampled.neighbors_of(i).len(), out.used_neighbors.len());
-                    embeddings.push((v, out.embedding));
+                for (i, (&v, embedding)) in sampled.touched.iter().zip(outputs).enumerate() {
+                    let kept = sampled.selection().ranges[i].1;
+                    self.count_gnn_ops(sampled.neighbors_of(i).len(), kept);
+                    embeddings.push((v, embedding));
                 }
             }
         }
@@ -580,43 +582,40 @@ impl InferenceEngine {
     }
 
     /// The batched / parallel GNN stage: builds zero-copy [`EmbeddingJob`]s
-    /// pointing into the memory table and the graph's feature storage, then
-    /// runs [`TgnModel::compute_embeddings_batch`] — on this thread's
-    /// workspace in [`ExecMode::Batched`], sharded over rayon workers with
-    /// per-worker workspaces in [`ExecMode::Parallel`].  Output order matches
-    /// `touched`.
+    /// pointing into the memory table and the graph's feature storage — for
+    /// the neighbors the sampling stage kept, nothing else is touched — then
+    /// runs [`TgnModel::embeddings_selected`]: on this thread's workspace in
+    /// [`ExecMode::Batched`], sharded over rayon workers with per-worker
+    /// workspaces in [`ExecMode::Parallel`].  Output order matches `touched`.
     fn gnn_stage_fast(
         &mut self,
         sampled: &SampledBatch,
         updated_memory: &HashMap<NodeId, Vec<Float>>,
         graph: &TemporalGraph,
-    ) -> Vec<EmbeddingOutput> {
+    ) -> Vec<Vec<Float>> {
         let model = &self.model;
         let memory = &self.memory;
         let cfg = &model.config;
         let touched = &sampled.touched;
+        let sel = sampled.selection();
 
-        // Flat neighbor-reference arena + per-vertex ranges (one Vec for the
-        // whole batch instead of per-vertex context clones).
-        let total = sampled.total_sampled();
-        let mut nbr_refs: Vec<NeighborRef<'_>> = Vec::with_capacity(total);
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(touched.len());
-        for (i, _) in touched.iter().enumerate() {
-            let query_time = sampled.query_times[i];
-            let entries = sampled.neighbors_of(i);
-            let start = nbr_refs.len();
-            for e in entries {
-                nbr_refs.push(NeighborRef {
+        // Flat neighbor-reference arena (one Vec for the whole batch instead
+        // of per-vertex context clones), indexed by the selection's ranges.
+        let mut nbr_refs: Vec<NeighborRef<'_>> = Vec::with_capacity(sel.kept.len());
+        for i in 0..touched.len() {
+            let (entries, dts) = (sampled.neighbors_of(i), sampled.delta_t_of(i));
+            nbr_refs.extend(sel.kept_of(i).iter().map(|&j| {
+                let e = &entries[j as usize];
+                NeighborRef {
                     memory: memory.memory_of(e.neighbor),
                     edge_feature: graph.edge_feature(e.edge_id),
-                    delta_t: (query_time - e.timestamp).max(0.0) as Float,
-                });
-            }
-            ranges.push((start, entries.len()));
+                    delta_t: dts[j as usize],
+                }
+            }));
         }
         let jobs: Vec<EmbeddingJob<'_>> = touched
             .iter()
-            .zip(&ranges)
+            .zip(&sel.ranges)
             .map(|(&v, &(start, len))| EmbeddingJob {
                 memory: updated_memory
                     .get(&v)
@@ -630,6 +629,12 @@ impl InferenceEngine {
                 neighbors: &nbr_refs[start..start + len],
             })
             .collect();
+        let rows_of = |embeddings: Matrix, ws: &mut Workspace| {
+            let rows = (0..embeddings.rows()).map(|i| embeddings.row_to_vec(i));
+            let rows: Vec<Vec<Float>> = rows.collect();
+            ws.recycle_matrix(embeddings);
+            rows
+        };
 
         // A calibration observer must see every batch, so its presence
         // forces the single-thread path even in ExecMode::Parallel —
@@ -637,11 +642,13 @@ impl InferenceEngine {
         // their activations would silently go unrecorded, biasing the
         // calibrated ranges.
         if let Some(o) = self.observer.as_deref_mut() {
-            return model.compute_embeddings_batch_obs(&jobs, &mut self.ws, Some(o));
+            let out = model.embeddings_selected(&jobs, (sel, 0), &mut self.ws, Some(o));
+            return rows_of(out, &mut self.ws);
         }
         let threads = rayon::current_num_threads();
         if self.mode != ExecMode::Parallel || threads <= 1 || jobs.len() < 2 * threads {
-            return model.compute_embeddings_batch(&jobs, &mut self.ws);
+            let out = model.embeddings_selected(&jobs, (sel, 0), &mut self.ws, None);
+            return rows_of(out, &mut self.ws);
         }
 
         // Shard over rayon workers, one persistent workspace per worker.
@@ -650,20 +657,17 @@ impl InferenceEngine {
         if self.par_workspaces.len() < num_chunks {
             self.par_workspaces.resize_with(num_chunks, Workspace::new);
         }
-        let mut results: Vec<Vec<EmbeddingOutput>> = Vec::new();
+        let mut results: Vec<Vec<Vec<Float>>> = Vec::new();
         results.resize_with(num_chunks, Vec::new);
-        let tasks: Vec<(
-            &[EmbeddingJob<'_>],
-            &mut Workspace,
-            &mut Vec<EmbeddingOutput>,
-        )> = jobs
+        let tasks: Vec<_> = jobs
             .chunks(chunk_size)
+            .enumerate()
             .zip(self.par_workspaces.iter_mut())
             .zip(results.iter_mut())
-            .map(|((chunk, ws), out)| (chunk, ws, out))
             .collect();
-        tasks.into_par_iter().for_each(|(chunk, ws, out)| {
-            *out = model.compute_embeddings_batch(chunk, ws);
+        tasks.into_par_iter().for_each(|(((c, chunk), ws), out)| {
+            let embeddings = model.embeddings_selected(chunk, (sel, c * chunk_size), ws, None);
+            *out = rows_of(embeddings, ws);
         });
         results.into_iter().flatten().collect()
     }

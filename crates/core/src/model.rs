@@ -12,12 +12,12 @@ use crate::config::{AttentionKind, ModelConfig, TimeEncoderKind};
 use crate::quantized::{layers, QuantizedTgn};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tgnn_nn::attention::{SimplifiedCache, VanillaCache};
+use tgnn_nn::attention::{Selection, SimplifiedCache, VanillaCache};
 use tgnn_nn::{
     CosTimeEncoder, GruCell, Linear, LutTimeEncoder, Param, SimplifiedAttention, VanillaAttention,
 };
-use tgnn_quant::ActivationObserver;
-use tgnn_tensor::ops::{softmax, top_k_indices};
+use tgnn_quant::{ActivationObserver, QuantizedLinear};
+use tgnn_tensor::ops::softmax_in_place;
 use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
 
 /// Per-neighbor context assembled by the caller (memory snapshot, edge
@@ -83,14 +83,8 @@ pub struct EmbeddingCache {
 /// Accumulates `Σ_j weights[j] · m.row(first_row + j)` into `out`,
 /// replicating `tgnn_tensor::ops::weighted_row_sum`'s accumulation order
 /// (including its zero-weight skip) over a contiguous row range so batched
-/// and per-vertex aggregation are bit-identical.  Shared with the quantized
-/// batch path in [`crate::quantized`].
-pub(crate) fn weighted_rows_into(
-    m: &Matrix,
-    first_row: usize,
-    weights: &[Float],
-    out: &mut [Float],
-) {
+/// and per-vertex aggregation are bit-identical.
+fn weighted_rows_into(m: &Matrix, first_row: usize, weights: &[Float], out: &mut [Float]) {
     out.fill(0.0);
     for (j, &w) in weights.iter().enumerate() {
         if w == 0.0 {
@@ -100,6 +94,63 @@ pub(crate) fn weighted_rows_into(
             *a += w * x;
         }
     }
+}
+
+/// Hands a projection's input to the calibration observer, if there is one:
+/// the rows of `x`, and for a folded layer the LUT rows its time tail reads.
+fn record_input(
+    obs: &mut Option<&mut dyn ActivationObserver>,
+    layer: &'static str,
+    x: &Matrix,
+    fold: Option<(&LutTimeEncoder, &[Float])>,
+) {
+    let Some(o) = obs else { return };
+    o.record(layer, x.as_slice());
+    if let Some((lut, dts)) = fold {
+        for &dt in dts {
+            o.record(layer, lut.table().value.row(lut.lookup_bin(dt)));
+        }
+    }
+}
+
+/// One projection of the batched GNN stage, on whichever datapath serves it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Projection<'a> {
+    F32(&'a Linear),
+    Int8(&'a QuantizedLinear),
+}
+
+impl Projection<'_> {
+    /// `x → y` into a workspace matrix; with `fold`, `x` stops before the
+    /// layer's time tail, which is the LUT's encoding of the given Δt's.
+    fn forward_ws(
+        self,
+        x: &Matrix,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        ws: &mut Workspace,
+    ) -> Matrix {
+        match (self, fold) {
+            (Self::F32(l), None) => l.forward_ws(x, ws),
+            (Self::F32(l), Some((lut, dts))) => l.forward_folded_ws(x, lut, dts, ws),
+            (Self::Int8(q), None) => q.forward_ws(x, ws),
+            (Self::Int8(q), Some((lut, dts))) => q.forward_folded_ws(x, lut, dts, ws),
+        }
+    }
+}
+
+/// The weight set one batched GNN stage runs on: the model's own f32 layers
+/// or an attached int8 snapshot ([`QuantizedTgn`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct GnnLayers<'a> {
+    pub node_proj: Option<Projection<'a>>,
+    /// Vanilla attention's query and key projections.
+    pub w_q: Option<Projection<'a>>,
+    pub w_k: Option<Projection<'a>>,
+    pub w_v: Projection<'a>,
+    pub output: Projection<'a>,
+    /// The LUT every time tail of these layers is folded over; `None`: the
+    /// layers take full-width inputs with the encoding materialised.
+    pub lut: Option<&'a LutTimeEncoder>,
 }
 
 /// The TGN-attn model with the paper's optimization knobs.
@@ -142,7 +193,11 @@ impl TgnModel {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid ModelConfig: {e}"));
-        let gru = GruCell::new("gru", config.message_dim(), config.memory_dim, rng);
+        // In a LUT model every layer whose input ends in a time encoding
+        // accumulates it apart, so the encoding can be folded into the layer.
+        let time_tail = (config.time_encoder == TimeEncoderKind::Lut).then_some(config.time_dim);
+        let gru = GruCell::new("gru", config.message_dim(), config.memory_dim, rng)
+            .with_time_tail(time_tail);
         let node_proj = if config.node_feature_dim > 0 {
             Some(Linear::new(
                 "node_proj",
@@ -181,8 +236,8 @@ impl TgnModel {
             config,
             gru,
             node_proj,
-            vanilla,
-            simplified,
+            vanilla: vanilla.map(|att| att.with_time_tail(time_tail)),
+            simplified: simplified.map(|att| att.with_time_tail(time_tail)),
             cos_encoder,
             lut_encoder: None,
             output,
@@ -225,13 +280,34 @@ impl TgnModel {
         self.config.time_encoder == TimeEncoderKind::Lut && self.lut_encoder.is_some()
     }
 
+    /// The LUT to fold `layer`'s time tail over, when the model serves from
+    /// one and the layer has a tail to fold.
+    pub(crate) fn fold_over(&self, layer: &Linear) -> Option<&LutTimeEncoder> {
+        self.lut_encoder
+            .as_ref()
+            .filter(|_| self.uses_lut() && layer.split().is_some())
+    }
+
+    /// The attention decision for one vertex from the Δt's of its sampled
+    /// neighbors, appended to `out`: [`SimplifiedAttention::select`] — no
+    /// feature is needed, so the sampling stage calls this before anything is
+    /// fetched — or, for vanilla attention, "keep all, score later".
+    pub fn select(&self, delta_t: &[Float], out: &mut Selection) {
+        match self.config.attention {
+            AttentionKind::Simplified => {
+                let att = self.simplified.as_ref();
+                let att = att.expect("simplified attention missing");
+                att.select(delta_t, self.config.neighbor_budget, out)
+            }
+            AttentionKind::Vanilla => out.keep_all(delta_t.len()),
+        }
+    }
+
     /// Encodes a batch of time deltas with the configured encoder.
     pub fn encode_time(&self, delta_t: &[Float]) -> Matrix {
-        if self.uses_lut() {
-            self.lut_encoder.as_ref().unwrap().forward(delta_t)
-        } else {
-            self.cos_encoder.forward(delta_t)
-        }
+        let mut out = Matrix::zeros(delta_t.len(), self.config.time_dim);
+        self.encode_time_into(delta_t, &mut out);
+        out
     }
 
     /// Updates a batch of vertex memories: `messages (B×message_dim)`,
@@ -260,34 +336,23 @@ impl TgnModel {
         }
     }
 
-    /// Builds the neighbor-side input matrix `[s_j || e_ij || Φ(Δt_j)]`.
+    /// Builds the neighbor-side input matrix `[s_j || e_ij || Φ(Δt_j)]` of one
+    /// vertex (the per-vertex reference's view of [`Self::neighbor_rows`]).
     fn neighbor_inputs(&self, neighbors: &[NeighborContext]) -> (Matrix, Vec<Float>) {
-        let n = neighbors.len();
-        let dts: Vec<Float> = neighbors.iter().map(|c| c.delta_t).collect();
-        if n == 0 {
-            return (Matrix::zeros(0, self.config.neighbor_input_dim()), dts);
-        }
-        let encodings = self.encode_time(&dts);
-        let mut input = Matrix::zeros(n, self.config.neighbor_input_dim());
-        for (j, ctx) in neighbors.iter().enumerate() {
-            assert_eq!(
-                ctx.memory.len(),
-                self.config.memory_dim,
-                "neighbor memory dim mismatch"
-            );
-            assert_eq!(
-                ctx.edge_feature.len(),
-                self.config.edge_feature_dim,
-                "neighbor edge feature dim mismatch"
-            );
-            let row = input.row_mut(j);
-            let m = self.config.memory_dim;
-            let e = self.config.edge_feature_dim;
-            row[..m].copy_from_slice(&ctx.memory);
-            row[m..m + e].copy_from_slice(&ctx.edge_feature);
-            row[m + e..].copy_from_slice(encodings.row(j));
-        }
-        (input, dts)
+        let refs: Vec<NeighborRef<'_>> = neighbors
+            .iter()
+            .map(|c| NeighborRef {
+                memory: &c.memory,
+                edge_feature: &c.edge_feature,
+                delta_t: c.delta_t,
+            })
+            .collect();
+        let job = EmbeddingJob {
+            memory: &[],
+            node_feature: None,
+            neighbors: &refs,
+        };
+        self.neighbor_rows(&[job], false, &mut Workspace::new())
     }
 
     /// Computes the embedding of one target vertex.
@@ -393,13 +458,9 @@ impl TgnModel {
     /// Encodes a batch of time deltas into a pre-sized output matrix
     /// (allocation-free [`Self::encode_time`]).
     pub fn encode_time_into(&self, delta_t: &[Float], out: &mut Matrix) {
-        if self.uses_lut() {
-            self.lut_encoder
-                .as_ref()
-                .unwrap()
-                .forward_into(delta_t, out);
-        } else {
-            self.cos_encoder.forward_into(delta_t, out);
+        match self.lut_encoder.as_ref().filter(|_| self.uses_lut()) {
+            Some(lut) => lut.forward_into(delta_t, out),
+            None => self.cos_encoder.forward_into(delta_t, out),
         }
     }
 
@@ -414,34 +475,33 @@ impl TgnModel {
         memories: &Matrix,
         ws: &mut Workspace,
     ) -> Matrix {
-        if let Some(qgru) = self.quantized.as_ref().and_then(|q| q.gru()) {
-            return qgru.forward_ws(messages, memories, ws);
-        }
-        self.gru.forward_ws(messages, memories, ws)
+        self.update_memory_with(messages, None, memories, ws)
     }
 
-    /// Computes the embeddings of a whole batch of vertices at once — the
-    /// GNN-stage hot path.
-    ///
-    /// Where the per-vertex [`Self::compute_embedding`] issues one small GEMM
-    /// per projection per vertex, this batches all vertices' query / key /
-    /// value projections and the output feature transformation into **one
-    /// GEMM per weight matrix per batch** on the packed kernel, with every
-    /// temporary taken from the workspace.  Per-row arithmetic is identical
-    /// to the per-vertex path, so results are bit-for-bit the same — the
-    /// engine's mode-equivalence tests rely on this.
-    ///
-    /// **Implementation note:** the attention math here deliberately inlines
-    /// (rather than calls) the aggregators' per-vertex forward passes —
-    /// batching all vertices into shared GEMMs is the whole point.  The
-    /// arithmetic therefore lives in three places: `tgnn_nn::attention`'s
-    /// `forward`/`forward_cached` (reference + training), its `forward_ws`
-    /// (allocation-free single-vertex serving), and this batch path.  If you
-    /// change any of it (scale factor, logit formula, top-k tie-breaking,
-    /// weighted-sum skip), change all three; the attention `forward_ws`
-    /// bitwise tests, the `batched_embeddings_are_bitwise_identical_to_per_vertex`
-    /// test, and the engine's mode-equivalence test pin them together and
-    /// will fail on any divergence.
+    /// [`Self::update_memory_ws`]; with `fold`, `messages` stop before the
+    /// time encoding, which is the LUT's of the given Δt's and is never
+    /// assembled ([`GruCell::forward_folded_ws`]).
+    pub(crate) fn update_memory_with(
+        &self,
+        messages: &Matrix,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        memories: &Matrix,
+        ws: &mut Workspace,
+    ) -> Matrix {
+        match (self.quantized.as_ref().and_then(|q| q.gru()), fold) {
+            (Some(qgru), _) => qgru.forward_ws(messages, memories, fold, ws),
+            (None, None) => self.gru.forward_ws(messages, memories, ws),
+            (None, Some((lut, dts))) => {
+                self.gru.forward_folded_ws(messages, lut, dts, memories, ws)
+            }
+        }
+    }
+
+    /// Computes the embeddings of a whole batch of vertices at once, given
+    /// every vertex's *sampled* neighbors: [`Self::select`], then
+    /// [`Self::embeddings_selected`] on the kept ones — bit-for-bit the
+    /// per-vertex [`Self::compute_embedding`].  The served paths select at
+    /// the sampling stage and never fetch the rest, so they skip this entry.
     ///
     /// # Panics
     /// Panics on dimension mismatches or when a job exceeds
@@ -451,30 +511,182 @@ impl TgnModel {
         jobs: &[EmbeddingJob<'_>],
         ws: &mut Workspace,
     ) -> Vec<EmbeddingOutput> {
-        if let Some(q) = &self.quantized {
-            return q.compute_embeddings_batch(self, jobs, ws);
+        let mut sel = Selection::default();
+        let mut dts = Vec::with_capacity(self.config.sampled_neighbors);
+        let mut kept_refs = Vec::new();
+        for job in jobs {
+            dts.clear();
+            dts.extend(job.neighbors.iter().map(|n| n.delta_t));
+            self.select(&dts, &mut sel);
+            let kept = sel.kept_of(sel.ranges.len() - 1);
+            kept_refs.extend(kept.iter().map(|&j| job.neighbors[j as usize]));
         }
-        self.compute_embeddings_batch_obs(jobs, ws, None)
+        let kept_jobs: Vec<EmbeddingJob<'_>> = jobs
+            .iter()
+            .zip(&sel.ranges)
+            .map(|(job, &(start, len))| EmbeddingJob {
+                neighbors: &kept_refs[start..start + len],
+                ..*job
+            })
+            .collect();
+        let mut vanilla_logits = Vec::new();
+        let embeddings = self.embed_selected(
+            self.gnn_layers(),
+            &kept_jobs,
+            (&sel, 0),
+            Some(&mut vanilla_logits),
+            ws,
+            None,
+        );
+        // Simplified attention scored the candidates in `select`, vanilla
+        // attention just now; either way one logit per sampled neighbor.
+        let logits = match self.config.attention {
+            AttentionKind::Simplified => &sel.logits,
+            AttentionKind::Vanilla => &vanilla_logits,
+        };
+        let mut scored = 0;
+        let outputs = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let first = scored;
+                scored += job.neighbors.len();
+                EmbeddingOutput {
+                    embedding: embeddings.row_to_vec(i),
+                    attention_logits: logits[first..scored].to_vec(),
+                    used_neighbors: sel.kept_of(i).iter().map(|&j| j as usize).collect(),
+                }
+            })
+            .collect();
+        ws.recycle_matrix(embeddings);
+        outputs
     }
 
-    /// The f32 batched GNN stage with an optional activation observer — the
-    /// calibration pass of [`crate::quantized`] attaches a recorder here to
-    /// capture the input range of every projection that will be quantized.
-    /// With `obs = None` this *is* [`Self::compute_embeddings_batch`]'s f32
-    /// body (the quantized dispatch never reaches it).
-    pub fn compute_embeddings_batch_obs(
+    /// The attached int8 snapshot if there is one, else the model's layers.
+    fn gnn_layers(&self) -> GnnLayers<'_> {
+        match &self.quantized {
+            Some(q) => q.gnn_layers(),
+            None => self.f32_gnn_layers(),
+        }
+    }
+
+    /// The model's own layers, folded when every time tail can be.
+    fn f32_gnn_layers(&self) -> GnnLayers<'_> {
+        let (w_q, w_k, w_v) = match self.config.attention {
+            AttentionKind::Vanilla => {
+                let att = self.vanilla.as_ref().expect("vanilla attention missing");
+                (Some(&att.w_q), Some(&att.w_k), &att.w_v)
+            }
+            AttentionKind::Simplified => {
+                let att = self.simplified.as_ref();
+                (None, None, &att.expect("simplified attention missing").w_v)
+            }
+        };
+        let foldable = [w_q, w_k].iter().flatten().all(|l| l.split().is_some());
+        GnnLayers {
+            node_proj: self.node_proj.as_ref().map(Projection::F32),
+            w_q: w_q.map(Projection::F32),
+            w_k: w_k.map(Projection::F32),
+            w_v: Projection::F32(w_v),
+            output: Projection::F32(&self.output),
+            lut: self.fold_over(w_v).filter(|_| foldable),
+        }
+    }
+
+    /// The batched GNN stage — the hot path of every mode but `Serial` and
+    /// of every served batch: one GEMM per weight matrix per batch on the
+    /// packed kernel (int8 with a quantized set attached), temporaries from
+    /// the workspace.  `jobs[i].neighbors` are the neighbors vertex `i`
+    /// **aggregates** (kept ones, kept order), weighted by entry
+    /// `selection.1 + i` of `selection.0` — a shard passes the batch's
+    /// selection and its offset.  Returns `jobs.len() × embedding_dim` in a
+    /// workspace matrix (recycle it).
+    ///
+    /// No attention decision is taken here: there is one `select`
+    /// ([`SimplifiedAttention::select`]) and every caller has been through
+    /// it; and one split rule ([`Linear::with_time_tail`]) says how a time
+    /// encoding enters a sum, here (folded) as in the unfolded reference.
+    /// With `obs` the f32 layers run and every input a quantized projection
+    /// would see is recorded (int8 calibration).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches or when a job exceeds
+    /// `config.sampled_neighbors`.
+    pub fn embeddings_selected(
         &self,
         jobs: &[EmbeddingJob<'_>],
+        selection: (&Selection, usize),
+        ws: &mut Workspace,
+        obs: Option<&mut dyn ActivationObserver>,
+    ) -> Matrix {
+        let layers = match obs {
+            Some(_) => self.f32_gnn_layers(),
+            None => self.gnn_layers(),
+        };
+        self.embed_selected(layers, jobs, selection, None, ws, obs)
+    }
+
+    /// The neighbor-side inputs of the rows `jobs` hold, stacked, plus their
+    /// Δt's: `[s_j ‖ e_ij]` when the layers fold the time encoding,
+    /// `[s_j ‖ e_ij ‖ Φ(Δt_j)]` otherwise.
+    fn neighbor_rows(
+        &self,
+        jobs: &[EmbeddingJob<'_>],
+        folded: bool,
+        ws: &mut Workspace,
+    ) -> (Matrix, Vec<Float>) {
+        let cfg = &self.config;
+        let (mem_dim, head) = (cfg.memory_dim, cfg.memory_dim + cfg.edge_feature_dim);
+        let total: usize = jobs.iter().map(|j| j.neighbors.len()).sum();
+        let width = if folded {
+            head
+        } else {
+            cfg.neighbor_input_dim()
+        };
+        let mut rows = ws.take_matrix(total, width);
+        let mut dts = ws.take(total);
+        let neighbors = jobs.iter().flat_map(|job| job.neighbors);
+        for (row, ctx) in neighbors.enumerate() {
+            assert_eq!(ctx.memory.len(), mem_dim, "neighbor memory dim mismatch");
+            assert_eq!(
+                ctx.edge_feature.len(),
+                cfg.edge_feature_dim,
+                "neighbor edge feature dim mismatch"
+            );
+            let dst = rows.row_mut(row);
+            dst[..mem_dim].copy_from_slice(ctx.memory);
+            dst[mem_dim..head].copy_from_slice(ctx.edge_feature);
+            dts[row] = ctx.delta_t;
+        }
+        if !folded && total > 0 {
+            let mut enc = ws.take_matrix(total, cfg.time_dim);
+            self.encode_time_into(&dts, &mut enc);
+            for row in 0..total {
+                rows.row_mut(row)[head..].copy_from_slice(enc.row(row));
+            }
+            ws.recycle_matrix(enc);
+        }
+        (rows, dts)
+    }
+
+    /// The one body of the batched GNN stage (see
+    /// [`Self::embeddings_selected`]); `vanilla_logits` receives vanilla
+    /// attention's pre-softmax logits, vertices back to back.
+    fn embed_selected(
+        &self,
+        layers: GnnLayers<'_>,
+        jobs: &[EmbeddingJob<'_>],
+        (sel, first): (&Selection, usize),
+        mut vanilla_logits: Option<&mut Vec<Float>>,
         ws: &mut Workspace,
         mut obs: Option<&mut dyn ActivationObserver>,
-    ) -> Vec<EmbeddingOutput> {
+    ) -> Matrix {
         let t = jobs.len();
-        if t == 0 {
-            return Vec::new();
-        }
         let cfg = &self.config;
         let mem_dim = cfg.memory_dim;
-        let nbr_in = cfg.neighbor_input_dim();
+        if t == 0 {
+            return ws.take_matrix(0, cfg.embedding_dim);
+        }
 
         // --- f'_i = s_i (+ W_s f_i + b_s) for every target.
         let mut f_prime = ws.take_matrix(t, mem_dim);
@@ -486,7 +698,7 @@ impl TgnModel {
             );
             f_prime.row_mut(i).copy_from_slice(job.memory);
         }
-        if let Some(proj) = &self.node_proj {
+        if let Some(proj) = layers.node_proj {
             let mut features = ws.take_matrix(t, cfg.node_feature_dim);
             for (i, job) in jobs.iter().enumerate() {
                 let feat = job
@@ -494,10 +706,8 @@ impl TgnModel {
                     .expect("model expects node features but none were supplied");
                 features.row_mut(i).copy_from_slice(feat);
             }
-            if let Some(o) = obs.as_deref_mut() {
-                o.record(layers::NODE_PROJ_INPUT, features.as_slice());
-            }
-            let projected = proj.forward_ws(&features, ws);
+            record_input(&mut obs, layers::NODE_PROJ_INPUT, &features, None);
+            let projected = proj.forward_ws(&features, None, ws);
             for (a, &b) in f_prime.as_mut_slice().iter_mut().zip(projected.as_slice()) {
                 *a += b;
             }
@@ -505,146 +715,77 @@ impl TgnModel {
             ws.recycle_matrix(features);
         }
 
-        // --- Stacked neighbor inputs `[s_j || e_ij || Φ(Δt_j)]` for all
-        // targets, each target's rows contiguous.
-        let total_n: usize = jobs.iter().map(|j| j.neighbors.len()).sum();
-        let mut offsets = Vec::with_capacity(t);
-        let mut nbr_input = ws.take_matrix(total_n, nbr_in);
-        let mut dts_all = ws.take(total_n);
-        {
-            let mut row = 0;
-            for job in jobs {
-                offsets.push(row);
-                for ctx in job.neighbors {
-                    assert_eq!(ctx.memory.len(), mem_dim, "neighbor memory dim mismatch");
-                    assert_eq!(
-                        ctx.edge_feature.len(),
-                        cfg.edge_feature_dim,
-                        "neighbor edge feature dim mismatch"
-                    );
-                    let dst = nbr_input.row_mut(row);
-                    dst[..mem_dim].copy_from_slice(ctx.memory);
-                    dst[mem_dim..mem_dim + cfg.edge_feature_dim].copy_from_slice(ctx.edge_feature);
-                    dts_all[row] = ctx.delta_t;
-                    row += 1;
-                }
-            }
-        }
-        if total_n > 0 {
-            let mut enc = ws.take_matrix(total_n, cfg.time_dim);
-            self.encode_time_into(&dts_all, &mut enc);
-            for row in 0..total_n {
-                nbr_input.row_mut(row)[mem_dim + cfg.edge_feature_dim..]
-                    .copy_from_slice(enc.row(row));
-            }
-            ws.recycle_matrix(enc);
-        }
-        if let Some(o) = obs.as_deref_mut() {
-            o.record(layers::ATTN_NEIGHBOR, nbr_input.as_slice());
-        }
+        // --- Neighbor-side inputs of the rows held, each target's contiguous.
+        let (nbr_rows, nbr_dts) = self.neighbor_rows(jobs, layers.lut.is_some(), ws);
+        let nbr_fold = layers.lut.map(|lut| (lut, &nbr_dts[..]));
+        record_input(&mut obs, layers::ATTN_NEIGHBOR, &nbr_rows, nbr_fold);
 
         // --- Aggregate per attention kind into `agg` (T×mem).
         let mut agg = ws.take_matrix(t, mem_dim);
-        let mut logits_out: Vec<Vec<Float>> = Vec::with_capacity(t);
-        let mut selected_out: Vec<Vec<usize>> = Vec::with_capacity(t);
-        match cfg.attention {
-            AttentionKind::Vanilla => {
-                let att = self.vanilla.as_ref().expect("vanilla attention missing");
-                // Query inputs `[f'_i || Φ(0)]`, one W_q GEMM for the batch.
-                let mut zero_enc = ws.take_matrix(1, cfg.time_dim);
-                self.encode_time_into(&[0.0], &mut zero_enc);
-                let mut query_input = ws.take_matrix(t, cfg.query_input_dim());
-                for i in 0..t {
-                    let dst = query_input.row_mut(i);
-                    dst[..mem_dim].copy_from_slice(f_prime.row(i));
-                    dst[mem_dim..].copy_from_slice(zero_enc.row(0));
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    o.record(layers::ATTN_QUERY, query_input.as_slice());
-                }
-                let q_all = att.w_q.forward_ws(&query_input, ws);
-                // One W_k / W_v GEMM over all targets' neighbors.
-                let k_all = att.w_k.forward_ws(&nbr_input, ws);
-                let v_all = att.w_v.forward_ws(&nbr_input, ws);
+        let v_all = layers.w_v.forward_ws(&nbr_rows, nbr_fold, ws);
+        match (layers.w_q, layers.w_k) {
+            (Some(w_q), Some(w_k)) => {
+                // Vanilla: queries from `[f'_i ‖ Φ(0)]`, one W_q GEMM for the
+                // batch and one W_k GEMM over all targets' neighbors.
+                let zero_dts = ws.take(t);
+                let q_fold = layers.lut.map(|lut| (lut, &zero_dts[..]));
+                let unfolded = q_fold.is_none().then(|| {
+                    let mut zero_enc = ws.take_matrix(1, cfg.time_dim);
+                    self.encode_time_into(&[0.0], &mut zero_enc);
+                    let mut query_input = ws.take_matrix(t, cfg.query_input_dim());
+                    for i in 0..t {
+                        let dst = query_input.row_mut(i);
+                        dst[..mem_dim].copy_from_slice(f_prime.row(i));
+                        dst[mem_dim..].copy_from_slice(zero_enc.row(0));
+                    }
+                    ws.recycle_matrix(zero_enc);
+                    query_input
+                });
+                let query_input = unfolded.as_ref().unwrap_or(&f_prime);
+                record_input(&mut obs, layers::ATTN_QUERY, query_input, q_fold);
+                let q_all = w_q.forward_ws(query_input, q_fold, ws);
+                unfolded.into_iter().for_each(|m| ws.recycle_matrix(m));
+                ws.recycle(zero_dts);
+                let k_all = w_k.forward_ws(&nbr_rows, nbr_fold, ws);
+                let mut weights = ws.take(cfg.sampled_neighbors);
+                let mut off = 0;
                 for (i, job) in jobs.iter().enumerate() {
                     let n = job.neighbors.len();
-                    if n == 0 {
-                        logits_out.push(Vec::new());
-                        selected_out.push(Vec::new());
-                        continue;
-                    }
-                    let off = offsets[i];
+                    let weights = &mut weights[..n];
                     let scale = 1.0 / (n as Float).sqrt();
-                    let logits: Vec<Float> = (0..n)
-                        .map(|j| tgnn_tensor::gemm::dot(q_all.row(i), k_all.row(off + j)) * scale)
-                        .collect();
-                    let weights = softmax(&logits);
-                    weighted_rows_into(&v_all, off, &weights, agg.row_mut(i));
-                    logits_out.push(logits);
-                    selected_out.push((0..n).collect());
+                    for (j, w) in weights.iter_mut().enumerate() {
+                        *w = tgnn_tensor::gemm::dot(q_all.row(i), k_all.row(off + j)) * scale;
+                    }
+                    if let Some(logits) = vanilla_logits.as_deref_mut() {
+                        logits.extend_from_slice(weights);
+                    }
+                    softmax_in_place(weights);
+                    weighted_rows_into(&v_all, off, weights, agg.row_mut(i));
+                    off += n;
                 }
-                ws.recycle_matrix(v_all);
+                ws.recycle(weights);
                 ws.recycle_matrix(k_all);
                 ws.recycle_matrix(q_all);
-                ws.recycle_matrix(query_input);
-                ws.recycle_matrix(zero_enc);
             }
-            AttentionKind::Simplified => {
-                let att = self
-                    .simplified
-                    .as_ref()
-                    .expect("simplified attention missing");
-                let budget = cfg.neighbor_budget;
-                let slots = att.slots();
-                // Per-vertex logits and top-k selection (tiny `slots×slots`
-                // work), then one stacked W_v GEMM over all selected rows.
-                let mut scaled = ws.take(slots);
-                let mut offsets_buf = ws.take(slots);
-                let mut weights_out: Vec<Vec<Float>> = Vec::with_capacity(t);
-                let mut total_selected = 0usize;
-                for job in jobs {
-                    let n = job.neighbors.len();
-                    scaled.iter_mut().for_each(|x| *x = 0.0);
-                    for (slot, ctx) in scaled.iter_mut().zip(job.neighbors) {
-                        *slot = ctx.delta_t / att.time_scale();
-                    }
-                    tgnn_tensor::gemm::matvec_into(&att.w_t.value, &scaled, &mut offsets_buf);
-                    let logits: Vec<Float> = (0..n)
-                        .map(|j| att.a.value[(0, j)] + offsets_buf[j])
-                        .collect();
-                    let selected = top_k_indices(&logits, budget.min(n));
-                    let selected_logits: Vec<Float> = selected.iter().map(|&j| logits[j]).collect();
-                    let weights = softmax(&selected_logits);
-                    total_selected += selected.len();
-                    logits_out.push(logits);
-                    selected_out.push(selected);
-                    weights_out.push(weights);
+            _ => {
+                // Simplified: the rows held are the kept ones, their weights
+                // were fixed when they were selected.
+                let mut off = 0;
+                for (i, job) in jobs.iter().enumerate() {
+                    let weights = sel.weights_of(first + i);
+                    assert_eq!(
+                        weights.len(),
+                        job.neighbors.len(),
+                        "selection / job mismatch"
+                    );
+                    weighted_rows_into(&v_all, off, weights, agg.row_mut(i));
+                    off += weights.len();
                 }
-                ws.recycle(offsets_buf);
-                ws.recycle(scaled);
-
-                let mut sel_input = ws.take_matrix(total_selected, nbr_in);
-                {
-                    let mut row = 0;
-                    for (i, selected) in selected_out.iter().enumerate() {
-                        for &j in selected {
-                            sel_input
-                                .row_mut(row)
-                                .copy_from_slice(nbr_input.row(offsets[i] + j));
-                            row += 1;
-                        }
-                    }
-                }
-                let v_sel = att.w_v.forward_ws(&sel_input, ws);
-                let mut row = 0;
-                for (i, weights) in weights_out.iter().enumerate() {
-                    weighted_rows_into(&v_sel, row, weights, agg.row_mut(i));
-                    row += weights.len();
-                }
-                ws.recycle_matrix(v_sel);
-                ws.recycle_matrix(sel_input);
             }
         }
+        ws.recycle_matrix(v_all);
+        ws.recycle(nbr_dts);
+        ws.recycle_matrix(nbr_rows);
 
         // --- FTM: one GEMM over `[h_agg || f'_i]` for the whole batch.
         let mut concat = ws.take_matrix(t, 2 * mem_dim);
@@ -653,27 +794,12 @@ impl TgnModel {
             dst[..mem_dim].copy_from_slice(agg.row(i));
             dst[mem_dim..].copy_from_slice(f_prime.row(i));
         }
-        if let Some(o) = obs {
-            o.record(layers::FTM_INPUT, concat.as_slice());
-        }
-        let out_mat = self.output.forward_ws(&concat, ws);
-
-        let mut outputs = Vec::with_capacity(t);
-        for (i, (logits, selected)) in logits_out.into_iter().zip(selected_out).enumerate() {
-            outputs.push(EmbeddingOutput {
-                embedding: out_mat.row_to_vec(i),
-                attention_logits: logits,
-                used_neighbors: selected,
-            });
-        }
-
-        ws.recycle_matrix(out_mat);
+        record_input(&mut obs, layers::FTM_INPUT, &concat, None);
+        let out_mat = layers.output.forward_ws(&concat, None, ws);
         ws.recycle_matrix(concat);
         ws.recycle_matrix(agg);
-        ws.recycle(dts_all);
-        ws.recycle_matrix(nbr_input);
         ws.recycle_matrix(f_prime);
-        outputs
+        out_mat
     }
 
     /// Backward pass of one embedding computation.  Accumulates gradients in
@@ -792,7 +918,9 @@ impl TgnModel {
             self.config.memory_dim, teacher.config.memory_dim,
             "init_from_teacher: incompatible memory dimensions"
         );
-        self.gru = teacher.gru.clone();
+        // The student's own split rule, whatever the teacher's encoder is.
+        let time_tail = self.gru.w_i.split().map(|s| self.gru.input_dim() - s);
+        self.gru = teacher.gru.clone().with_time_tail(time_tail);
         self.cos_encoder = teacher.cos_encoder.clone();
         self.node_proj = teacher.node_proj.clone();
         self.output = teacher.output.clone();
@@ -1052,6 +1180,205 @@ mod tests {
                 "{variant:?}: steady-state batches must not re-pack weights"
             );
         }
+    }
+
+    /// Jobs over owned neighbor contexts (the batched test's construction).
+    fn with_jobs<R>(
+        batch: &[(Vec<Float>, Vec<NeighborContext>)],
+        f: impl FnOnce(&[EmbeddingJob<'_>]) -> R,
+    ) -> R {
+        fn refs(nbrs: &[NeighborContext]) -> Vec<NeighborRef<'_>> {
+            let as_ref = |c| {
+                let c: &NeighborContext = c;
+                NeighborRef {
+                    memory: &c.memory,
+                    edge_feature: &c.edge_feature,
+                    delta_t: c.delta_t,
+                }
+            };
+            nbrs.iter().map(as_ref).collect()
+        }
+        let nbr_refs: Vec<Vec<NeighborRef<'_>>> = batch.iter().map(|(_, n)| refs(n)).collect();
+        let jobs: Vec<EmbeddingJob<'_>> = batch
+            .iter()
+            .zip(&nbr_refs)
+            .map(|((memory, _), neighbors)| EmbeddingJob {
+                memory,
+                node_feature: None,
+                neighbors,
+            })
+            .collect();
+        f(&jobs)
+    }
+
+    #[test]
+    fn a_model_without_time_tails_serves_the_bits_it_always_has() {
+        // `Baseline` takes neither new path (kept = all, no split), so what
+        // it serves must not move: three embeddings pinned at the parent
+        // commit of the change that introduced `select` and the time tail.
+        const PARENT: [[u32; 8]; 3] = [
+            [
+                0x3ec39888, 0x3e78a244, 0x3f141e48, 0xbd135924, 0xbe276b1e, 0x3fcb6b90, 0xbee96a0e,
+                0x3eb6e538,
+            ],
+            [
+                0x3f64cfba, 0xbcc3fbb1, 0xbf3e4122, 0x3f3d0a28, 0x3d3fd4e3, 0xbed74411, 0x3e90583f,
+                0x3e3e6c29,
+            ],
+            [
+                0x3e43c3d8, 0x3fc76da7, 0xbfcef383, 0xbd7e6767, 0xbf4f7dd5, 0x3f0fbbb2, 0x3da20de2,
+                0x3f74dc3f,
+            ],
+        ];
+        let cfg = ModelConfig::tiny(0, 4);
+        let mut rng = TensorRng::new(2024);
+        let model = TgnModel::new(cfg.clone(), &mut rng);
+        assert!(model.gru.w_i.split().is_none());
+        let batch: Vec<(Vec<Float>, Vec<NeighborContext>)> = (0..3)
+            .map(|i| {
+                let memory = rng.uniform_vec(cfg.memory_dim, -1.0, 1.0);
+                (memory, tiny_neighbors(&mut rng, i + 2, &cfg))
+            })
+            .collect();
+        let served = with_jobs(&batch, |jobs| {
+            model.compute_embeddings_batch(jobs, &mut Workspace::new())
+        });
+        for (out, parent) in served.iter().zip(PARENT) {
+            let bits: Vec<u32> = out.embedding.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits, parent);
+        }
+    }
+
+    #[test]
+    fn a_stale_fold_cannot_be_served() {
+        use crate::memory::Message;
+        use crate::stages::run_memory_stage;
+        use tgnn_nn::linear::fused_tables_built_on_this_thread;
+        use tgnn_nn::optim::Sgd;
+
+        let cfg = ModelConfig::tiny(0, 4).with_variant(OptimizationVariant::NpSmall);
+        let mut rng = TensorRng::new(31);
+        let mut model = TgnModel::new(cfg.clone(), &mut rng);
+        let samples = |rng: &mut TensorRng| -> Vec<Float> {
+            (0..500).map(|_| rng.pareto(1.0, 1.3).min(1e4)).collect()
+        };
+        model.calibrate_lut(&samples(&mut rng));
+        assert!(model.uses_lut() && model.gru.w_i.split().is_some());
+
+        // What is served: a GNN batch and a memory-stage batch, fixed inputs.
+        let batch: Vec<(Vec<Float>, Vec<NeighborContext>)> = (0..6)
+            .map(|i| {
+                let memory = rng.uniform_vec(cfg.memory_dim, -1.0, 1.0);
+                (memory, tiny_neighbors(&mut rng, i % 5, &cfg))
+            })
+            .collect();
+        let messages: Vec<(u32, Message)> = (0..5)
+            .map(|v| {
+                let message = Message {
+                    self_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
+                    other_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
+                    edge_feature: rng.uniform_vec(cfg.edge_feature_dim, -1.0, 1.0),
+                    event_time: 40.0 * (v + 1) as f64,
+                };
+                (v, message)
+            })
+            .collect();
+        let memories = rng.uniform_matrix(5, cfg.memory_dim, -1.0, 1.0);
+        let serve = |model: &TgnModel, ws: &mut Workspace| -> Vec<Vec<Float>> {
+            let mut rows: Vec<Vec<Float>> = with_jobs(&batch, |jobs| {
+                let outputs = model.compute_embeddings_batch(jobs, ws);
+                outputs.into_iter().map(|o| o.embedding).collect()
+            });
+            let read = |v: u32, dst: &mut [Float]| dst.copy_from_slice(memories.row(v as usize));
+            let updated = run_memory_stage(model, &messages, |_| 0.0, read, ws);
+            rows.extend(updated.into_iter().map(|(_, row)| row));
+            rows
+        };
+        // A freshly built model holding `model`'s values: another seed's
+        // weights overwritten by name, the encoder copied, nothing served.
+        let freshly_built = |model: &TgnModel| {
+            let mut fresh = TgnModel::new(model.config.clone(), &mut TensorRng::new(77));
+            fresh.lut_encoder = model.lut_encoder.clone();
+            for dst in fresh.params_mut() {
+                let src = model.params().into_iter().find(|p| p.name == dst.name);
+                dst.value = src.expect("same architecture").value.clone();
+            }
+            fresh
+        };
+        let ws = &mut Workspace::new();
+        let last = &mut serve(&model, ws); // builds every table and pack
+        let check = |model: &TgnModel, what: &str, ws: &mut Workspace, last: &mut Vec<_>| {
+            let served = serve(model, ws);
+            let fresh = serve(&freshly_built(model), &mut Workspace::new());
+            assert_eq!(served, fresh, "stale after {what}");
+            assert_ne!(&served, last, "{what} changed nothing that is served");
+            *last = served;
+        };
+
+        // Optimizer steps on the two folded layers.
+        let step = |layer: &mut Linear| {
+            let grad = TensorRng::new(8).uniform_matrix(layer.out_dim(), layer.in_dim(), -1.0, 1.0);
+            layer.weight_mut().grad = grad;
+            Sgd::new(0.1).step(&mut layer.params_mut());
+        };
+        step(&mut model.gru.w_i);
+        check(&model, "an optimizer step on gru.w_i", ws, last);
+        step(&mut model.simplified.as_mut().unwrap().w_v);
+        check(&model, "an optimizer step on sat.w_v", ws, last);
+
+        // The encoder changes under unchanged layers.
+        let table = model.lut_encoder.as_mut().unwrap().table_mut();
+        table
+            .value
+            .as_mut_slice()
+            .iter_mut()
+            .for_each(|v| *v *= 0.5);
+        check(&model, "table_mut", ws, last);
+        model.calibrate_lut(&samples(&mut rng));
+        check(&model, "a second calibrate_lut", ws, last);
+
+        // Whole modules replaced: by a teacher's (a model without tails)…
+        let teacher = TgnModel::new(ModelConfig::tiny(0, 4), &mut TensorRng::new(5));
+        model.init_from_teacher(&teacher);
+        assert!(
+            model.gru.w_i.split().is_some(),
+            "the student keeps its split"
+        );
+        check(&model, "init_from_teacher", ws, last);
+        // …and by a layer rebuilt from its tensors.
+        let w_i = &model.gru.w_i;
+        let mut weight = w_i.weight().value.clone();
+        weight.as_mut_slice().iter_mut().for_each(|v| *v *= 0.9);
+        model.gru.w_i = Linear::from_parts("gru.w_i", weight, w_i.bias.value.row(0).to_vec())
+            .with_time_tail(Some(cfg.time_dim));
+        check(&model, "a layer rebuilt from parts", ws, last);
+
+        // Parameters written by name, what a checkpoint load does.
+        let donor = TgnModel::new(cfg.clone(), &mut TensorRng::new(99));
+        for dst in model.params_mut() {
+            if let Some(src) = donor.params().into_iter().find(|p| p.name == dst.name) {
+                dst.value = src.value.clone();
+            }
+        }
+        check(&model, "a load by name", ws, last);
+
+        // A clone serves what its source does, and diverges alone.
+        let mut copy = model.clone();
+        assert_eq!(serve(&copy, ws), serve(&model, ws));
+        step(&mut copy.gru.w_i);
+        check(&copy, "a step on a clone", ws, last);
+        assert_ne!(serve(&copy, ws), serve(&model, ws));
+
+        // Steady state: no table built, no panel packed.
+        let (tables, packs) = (
+            fused_tables_built_on_this_thread(),
+            tgnn_tensor::gemm::panel_packs_on_this_thread(),
+        );
+        for _ in 0..50 {
+            let _ = serve(&model, ws);
+        }
+        assert_eq!(fused_tables_built_on_this_thread(), tables);
+        assert_eq!(tgnn_tensor::gemm::panel_packs_on_this_thread(), packs);
     }
 
     #[test]

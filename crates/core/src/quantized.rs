@@ -63,10 +63,10 @@
 
 use crate::config::AttentionKind;
 use crate::inference::{ExecMode, InferenceEngine};
-use crate::model::{weighted_rows_into, EmbeddingJob, EmbeddingOutput, TgnModel};
+use crate::model::{GnnLayers, Projection, TgnModel};
 use tgnn_graph::{InteractionEvent, TemporalGraph};
+use tgnn_nn::{Linear, LutTimeEncoder};
 use tgnn_quant::{ActivationRanges, ActivationRecorder, QuantConfig, QuantizedLinear};
-use tgnn_tensor::ops::{softmax, top_k_indices};
 use tgnn_tensor::vmath::gru_gates_into;
 use tgnn_tensor::{Float, Matrix, Workspace};
 
@@ -102,16 +102,27 @@ pub struct QuantizedGru {
 impl QuantizedGru {
     fn from_model(model: &TgnModel, ranges: &ActivationRanges) -> Self {
         Self {
-            w_i: QuantizedLinear::from_linear(&model.gru.w_i, ranges.scale(layers::GRU_INPUT)),
+            w_i: quantize(model, &model.gru.w_i, ranges.scale(layers::GRU_INPUT)),
             w_h: QuantizedLinear::from_linear(&model.gru.w_h, ranges.scale(layers::GRU_HIDDEN)),
         }
     }
 
     /// The GRU forward pass with quantized gate projections (the returned
-    /// matrix comes from the workspace).
-    pub fn forward_ws(&self, input: &Matrix, hidden: &Matrix, ws: &mut Workspace) -> Matrix {
+    /// matrix comes from the workspace).  With `fold`, `input` holds the
+    /// message columns before the time encoding, which is the LUT's of the
+    /// given Δt's and comes out of the input projection's folded table.
+    pub fn forward_ws(
+        &self,
+        input: &Matrix,
+        hidden: &Matrix,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        ws: &mut Workspace,
+    ) -> Matrix {
         assert_eq!(input.rows(), hidden.rows(), "QuantizedGru: batch mismatch");
-        let gi = self.w_i.forward_ws(input, ws);
+        let gi = match fold {
+            Some((lut, dts)) => self.w_i.forward_folded_ws(input, lut, dts, ws),
+            None => self.w_i.forward_ws(input, ws),
+        };
         let gh = self.w_h.forward_ws(hidden, ws);
         let mut out = ws.take_matrix(hidden.rows(), hidden.cols());
         gru_gates_into(&gi, &gh, hidden, &mut out);
@@ -121,10 +132,24 @@ impl QuantizedGru {
     }
 }
 
+/// The int8 snapshot of `layer`: folded over the model's LUT exactly when
+/// the f32 path folds the layer ([`TgnModel::fold_over`]), so both datapaths
+/// take the same inputs.
+fn quantize(model: &TgnModel, layer: &Linear, act_scale: Float) -> QuantizedLinear {
+    match model.fold_over(layer) {
+        Some(lut) => QuantizedLinear::from_linear_folded(layer, act_scale, lut),
+        None => QuantizedLinear::from_linear(layer, act_scale),
+    }
+}
+
 /// The quantized weight set of a [`TgnModel`]: every large projection as a
 /// [`QuantizedLinear`] (per-row int8 weights, pre-packed panels, calibrated
 /// activation scales).  Attach to a model with
 /// [`TgnModel::attach_quantized`](crate::TgnModel::attach_quantized).
+///
+/// An immutable snapshot: of the weights, and — for a model that serves from
+/// a LUT — of the time encoder too, whose table is folded into every layer
+/// with a time tail here, once.
 #[derive(Clone, Debug)]
 pub struct QuantizedTgn {
     /// The quantization configuration the weights were built with.
@@ -139,6 +164,8 @@ pub struct QuantizedTgn {
     /// Value projection (vanilla or simplified).
     w_v: QuantizedLinear,
     output: QuantizedLinear,
+    /// The LUT the attention layers were folded over, if they were.
+    lut: Option<LutTimeEncoder>,
 }
 
 impl QuantizedTgn {
@@ -154,21 +181,14 @@ impl QuantizedTgn {
                 let att = model.vanilla.as_ref().expect("vanilla attention missing");
                 let q_scale = ranges.scale(layers::ATTN_QUERY);
                 (
-                    Some(QuantizedLinear::from_linear(&att.w_q, q_scale)),
-                    Some(QuantizedLinear::from_linear(&att.w_k, nbr_scale)),
-                    QuantizedLinear::from_linear(&att.w_v, nbr_scale),
+                    Some(quantize(model, &att.w_q, q_scale)),
+                    Some(quantize(model, &att.w_k, nbr_scale)),
+                    &att.w_v,
                 )
             }
             AttentionKind::Simplified => {
-                let att = model
-                    .simplified
-                    .as_ref()
-                    .expect("simplified attention missing");
-                (
-                    None,
-                    None,
-                    QuantizedLinear::from_linear(&att.w_v, nbr_scale),
-                )
+                let att = model.simplified.as_ref();
+                (None, None, &att.expect("simplified attention missing").w_v)
             }
         };
         Self {
@@ -181,7 +201,8 @@ impl QuantizedTgn {
             }),
             w_q,
             w_k,
-            w_v,
+            lut: model.fold_over(w_v).cloned(),
+            w_v: quantize(model, w_v, nbr_scale),
             output: QuantizedLinear::from_linear(&model.output, ranges.scale(layers::FTM_INPUT)),
             ranges: ranges.clone(),
         }
@@ -192,213 +213,19 @@ impl QuantizedTgn {
         self.gru.as_ref()
     }
 
-    /// The batched GNN stage on the int8 kernels — the structural mirror of
-    /// `TgnModel::compute_embeddings_batch` with every large projection
-    /// replaced by its [`QuantizedLinear`].  Batch assembly, logits, softmax,
-    /// pruning, and aggregation stay f32.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatches or when a job exceeds
-    /// `config.sampled_neighbors`.
-    pub fn compute_embeddings_batch(
-        &self,
-        model: &TgnModel,
-        jobs: &[EmbeddingJob<'_>],
-        ws: &mut Workspace,
-    ) -> Vec<EmbeddingOutput> {
-        let t = jobs.len();
-        if t == 0 {
-            return Vec::new();
+    /// The int8 layers the batched GNN stage runs on
+    /// ([`TgnModel::embeddings_selected`]): every large projection replaced
+    /// by its [`QuantizedLinear`]; batch assembly, logits, softmax, pruning
+    /// and aggregation stay f32.
+    pub(crate) fn gnn_layers(&self) -> GnnLayers<'_> {
+        GnnLayers {
+            node_proj: self.node_proj.as_ref().map(Projection::Int8),
+            w_q: self.w_q.as_ref().map(Projection::Int8),
+            w_k: self.w_k.as_ref().map(Projection::Int8),
+            w_v: Projection::Int8(&self.w_v),
+            output: Projection::Int8(&self.output),
+            lut: self.lut.as_ref(),
         }
-        let cfg = &model.config;
-        let mem_dim = cfg.memory_dim;
-        let nbr_in = cfg.neighbor_input_dim();
-
-        // --- f'_i = s_i (+ W_s f_i + b_s), node projection quantized.
-        let mut f_prime = ws.take_matrix(t, mem_dim);
-        for (i, job) in jobs.iter().enumerate() {
-            assert_eq!(job.memory.len(), mem_dim, "target memory dim mismatch");
-            assert!(
-                job.neighbors.len() <= cfg.sampled_neighbors,
-                "more neighbors than the sampling budget"
-            );
-            f_prime.row_mut(i).copy_from_slice(job.memory);
-        }
-        if let Some(proj) = &self.node_proj {
-            let mut features = ws.take_matrix(t, cfg.node_feature_dim);
-            for (i, job) in jobs.iter().enumerate() {
-                let feat = job
-                    .node_feature
-                    .expect("model expects node features but none were supplied");
-                features.row_mut(i).copy_from_slice(feat);
-            }
-            let projected = proj.forward_ws(&features, ws);
-            for (a, &b) in f_prime.as_mut_slice().iter_mut().zip(projected.as_slice()) {
-                *a += b;
-            }
-            ws.recycle_matrix(projected);
-            ws.recycle_matrix(features);
-        }
-
-        // --- Stacked neighbor inputs, identical assembly to the f32 path.
-        let total_n: usize = jobs.iter().map(|j| j.neighbors.len()).sum();
-        let mut offsets = Vec::with_capacity(t);
-        let mut nbr_input = ws.take_matrix(total_n, nbr_in);
-        let mut dts_all = ws.take(total_n);
-        {
-            let mut row = 0;
-            for job in jobs {
-                offsets.push(row);
-                for ctx in job.neighbors {
-                    assert_eq!(ctx.memory.len(), mem_dim, "neighbor memory dim mismatch");
-                    assert_eq!(
-                        ctx.edge_feature.len(),
-                        cfg.edge_feature_dim,
-                        "neighbor edge feature dim mismatch"
-                    );
-                    let dst = nbr_input.row_mut(row);
-                    dst[..mem_dim].copy_from_slice(ctx.memory);
-                    dst[mem_dim..mem_dim + cfg.edge_feature_dim].copy_from_slice(ctx.edge_feature);
-                    dts_all[row] = ctx.delta_t;
-                    row += 1;
-                }
-            }
-        }
-        if total_n > 0 {
-            let mut enc = ws.take_matrix(total_n, cfg.time_dim);
-            model.encode_time_into(&dts_all, &mut enc);
-            for row in 0..total_n {
-                nbr_input.row_mut(row)[mem_dim + cfg.edge_feature_dim..]
-                    .copy_from_slice(enc.row(row));
-            }
-            ws.recycle_matrix(enc);
-        }
-
-        // --- Aggregate per attention kind, projections on int8.
-        let mut agg = ws.take_matrix(t, mem_dim);
-        let mut logits_out: Vec<Vec<Float>> = Vec::with_capacity(t);
-        let mut selected_out: Vec<Vec<usize>> = Vec::with_capacity(t);
-        match cfg.attention {
-            AttentionKind::Vanilla => {
-                let w_q = self.w_q.as_ref().expect("quantized w_q missing");
-                let w_k = self.w_k.as_ref().expect("quantized w_k missing");
-                let mut zero_enc = ws.take_matrix(1, cfg.time_dim);
-                model.encode_time_into(&[0.0], &mut zero_enc);
-                let mut query_input = ws.take_matrix(t, cfg.query_input_dim());
-                for i in 0..t {
-                    let dst = query_input.row_mut(i);
-                    dst[..mem_dim].copy_from_slice(f_prime.row(i));
-                    dst[mem_dim..].copy_from_slice(zero_enc.row(0));
-                }
-                let q_all = w_q.forward_ws(&query_input, ws);
-                let k_all = w_k.forward_ws(&nbr_input, ws);
-                let v_all = self.w_v.forward_ws(&nbr_input, ws);
-                for (i, job) in jobs.iter().enumerate() {
-                    let n = job.neighbors.len();
-                    if n == 0 {
-                        logits_out.push(Vec::new());
-                        selected_out.push(Vec::new());
-                        continue;
-                    }
-                    let off = offsets[i];
-                    let scale = 1.0 / (n as Float).sqrt();
-                    let logits: Vec<Float> = (0..n)
-                        .map(|j| tgnn_tensor::gemm::dot(q_all.row(i), k_all.row(off + j)) * scale)
-                        .collect();
-                    let weights = softmax(&logits);
-                    weighted_rows_into(&v_all, off, &weights, agg.row_mut(i));
-                    logits_out.push(logits);
-                    selected_out.push((0..n).collect());
-                }
-                ws.recycle_matrix(v_all);
-                ws.recycle_matrix(k_all);
-                ws.recycle_matrix(q_all);
-                ws.recycle_matrix(query_input);
-                ws.recycle_matrix(zero_enc);
-            }
-            AttentionKind::Simplified => {
-                let att = model
-                    .simplified
-                    .as_ref()
-                    .expect("simplified attention missing");
-                let budget = cfg.neighbor_budget;
-                let slots = att.slots();
-                // The slots×slots logit arithmetic is tiny — it stays f32 so
-                // the top-k pruning decisions match the f32 path as closely
-                // as possible.
-                let mut scaled = ws.take(slots);
-                let mut offsets_buf = ws.take(slots);
-                let mut weights_out: Vec<Vec<Float>> = Vec::with_capacity(t);
-                let mut total_selected = 0usize;
-                for job in jobs {
-                    let n = job.neighbors.len();
-                    scaled.iter_mut().for_each(|x| *x = 0.0);
-                    for (slot, ctx) in scaled.iter_mut().zip(job.neighbors) {
-                        *slot = ctx.delta_t / att.time_scale();
-                    }
-                    tgnn_tensor::gemm::matvec_into(&att.w_t.value, &scaled, &mut offsets_buf);
-                    let logits: Vec<Float> = (0..n)
-                        .map(|j| att.a.value[(0, j)] + offsets_buf[j])
-                        .collect();
-                    let selected = top_k_indices(&logits, budget.min(n));
-                    let selected_logits: Vec<Float> = selected.iter().map(|&j| logits[j]).collect();
-                    let weights = softmax(&selected_logits);
-                    total_selected += selected.len();
-                    logits_out.push(logits);
-                    selected_out.push(selected);
-                    weights_out.push(weights);
-                }
-                ws.recycle(offsets_buf);
-                ws.recycle(scaled);
-
-                let mut sel_input = ws.take_matrix(total_selected, nbr_in);
-                {
-                    let mut row = 0;
-                    for (i, selected) in selected_out.iter().enumerate() {
-                        for &j in selected {
-                            sel_input
-                                .row_mut(row)
-                                .copy_from_slice(nbr_input.row(offsets[i] + j));
-                            row += 1;
-                        }
-                    }
-                }
-                let v_sel = self.w_v.forward_ws(&sel_input, ws);
-                let mut row = 0;
-                for (i, weights) in weights_out.iter().enumerate() {
-                    weighted_rows_into(&v_sel, row, weights, agg.row_mut(i));
-                    row += weights.len();
-                }
-                ws.recycle_matrix(v_sel);
-                ws.recycle_matrix(sel_input);
-            }
-        }
-
-        // --- FTM on int8 over `[h_agg || f'_i]`.
-        let mut concat = ws.take_matrix(t, 2 * mem_dim);
-        for i in 0..t {
-            let dst = concat.row_mut(i);
-            dst[..mem_dim].copy_from_slice(agg.row(i));
-            dst[mem_dim..].copy_from_slice(f_prime.row(i));
-        }
-        let out_mat = self.output.forward_ws(&concat, ws);
-
-        let mut outputs = Vec::with_capacity(t);
-        for (i, (logits, selected)) in logits_out.into_iter().zip(selected_out).enumerate() {
-            outputs.push(EmbeddingOutput {
-                embedding: out_mat.row_to_vec(i),
-                attention_logits: logits,
-                used_neighbors: selected,
-            });
-        }
-
-        ws.recycle_matrix(out_mat);
-        ws.recycle_matrix(concat);
-        ws.recycle_matrix(agg);
-        ws.recycle(dts_all);
-        ws.recycle_matrix(nbr_input);
-        ws.recycle_matrix(f_prime);
-        outputs
     }
 }
 
@@ -553,9 +380,10 @@ mod tests {
 
     #[test]
     fn stacked_quantized_gru_equals_the_six_matrix_product_bit_for_bit() {
-        use tgnn_nn::Linear;
         use tgnn_tensor::ops::{add, hadamard, sigmoid_matrix, tanh_matrix};
 
+        // NP(M) serves from the LUT, so the input projection is folded: the
+        // identity is checked on the path that is served.
         let (model, graph) = setup(OptimizationVariant::NpMedium);
         let events = graph.events();
         let q = quantize_model(
@@ -571,6 +399,7 @@ mod tests {
             q.ranges.scale(layers::GRU_INPUT),
             q.ranges.scale(layers::GRU_HIDDEN),
         );
+        let lut = model.fold_over(&model.gru.w_i).expect("NP(M) folds");
         // Gate block `k` of a stacked layer as its own int8 layer.
         let h = model.config.memory_dim;
         let block = |layer: &Linear, k: usize, scale: Float| {
@@ -580,28 +409,37 @@ mod tests {
                 layer.weight().value.gather_rows(&rows),
                 layer.bias.value.row(0)[k * h..(k + 1) * h].to_vec(),
             );
-            QuantizedLinear::from_linear(&gate, scale)
+            match layer.split() {
+                Some(split) => QuantizedLinear::from_linear_folded(
+                    &gate.with_time_tail(Some(layer.in_dim() - split)),
+                    scale,
+                    lut,
+                ),
+                None => QuantizedLinear::from_linear(&gate, scale),
+            }
         };
 
         // Inputs spanning the calibrated clip and a little beyond it.
         let mut rng = TensorRng::new(41);
         let mut ws = Workspace::new();
         let (clip_in, clip_hid) = (140.0 * s_in, 140.0 * s_hid);
-        let m = rng.uniform_matrix(37, model.config.message_dim(), -clip_in, clip_in);
+        let head_dim = model.gru.w_i.split().expect("a time tail");
+        let m = rng.uniform_matrix(37, head_dim, -clip_in, clip_in);
+        let dts = rng.uniform_vec(37, 0.0, 1e5);
         let s = rng.uniform_matrix(37, h, -clip_hid, clip_hid);
-        let mut lin = |layer: &Linear, k: usize, scale: Float, x: &Matrix| {
-            block(layer, k, scale).forward_ws(x, &mut ws)
-        };
-        let (w_i, w_h) = (&model.gru.w_i, &model.gru.w_h);
-        let r = sigmoid_matrix(&add(&lin(w_i, 0, s_in, &m), &lin(w_h, 0, s_hid, &s)));
-        let z = sigmoid_matrix(&add(&lin(w_i, 1, s_in, &m), &lin(w_h, 1, s_hid, &s)));
-        let hn = lin(w_h, 2, s_hid, &s);
-        let n = tanh_matrix(&add(&lin(w_i, 2, s_in, &m), &hadamard(&r, &hn)));
+        let mut lin_i =
+            |k: usize| block(&model.gru.w_i, k, s_in).forward_folded_ws(&m, lut, &dts, &mut ws);
+        let (gi_r, gi_z, gi_n) = (lin_i(0), lin_i(1), lin_i(2));
+        let mut lin_h = |k: usize| block(&model.gru.w_h, k, s_hid).forward_ws(&s, &mut ws);
+        let r = sigmoid_matrix(&add(&gi_r, &lin_h(0)));
+        let z = sigmoid_matrix(&add(&gi_z, &lin_h(1)));
+        let hn = lin_h(2);
+        let n = tanh_matrix(&add(&gi_n, &hadamard(&r, &hn)));
         let six = Matrix::from_fn(37, h, |i, j| {
             (1.0 - z[(i, j)]) * n[(i, j)] + z[(i, j)] * s[(i, j)]
         });
 
-        let two = qgru.forward_ws(&m, &s, &mut Workspace::new());
+        let two = qgru.forward_ws(&m, &s, Some((lut, &dts)), &mut Workspace::new());
         assert_eq!(two.as_slice(), six.as_slice());
     }
 

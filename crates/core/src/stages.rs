@@ -10,27 +10,33 @@
 //! bit-identical to the serial engine.
 //!
 //! * [`SampledBatch`] — output of the sampling stage: touched vertices, query
-//!   times, and all sampled neighbor entries in one flat arena (no per-vertex
-//!   `Vec`s).
+//!   times, all sampled neighbor entries in one flat arena (no per-vertex
+//!   `Vec`s) and, next to it, the attention decision taken on their Δt's:
+//!   which neighbors the GNN stage will aggregate, and with what weights.
 //! * [`run_memory_stage`] — the allocation-free GRU memory update over the
 //!   vertices with pending mailbox messages, generic over how memory rows are
 //!   read (direct [`NodeMemory`](crate::NodeMemory) access in the engine,
 //!   per-shard locks in the pipeline).
 //! * [`GnnJobBatch`] — a self-contained, owned input for the batched GNN
-//!   stage: every memory row, edge feature, and Δt is copied out of the
-//!   shared state, so the compute stage can run while the update stage
-//!   commits the *next* batch's state.
+//!   stage: the memory row and edge feature of every *kept* neighbor are
+//!   copied out of the shared state (pruned ones are never fetched), so the
+//!   compute stage can run while the update stage commits the *next*
+//!   batch's state.
 
 use crate::config::ModelConfig;
 use crate::memory::Message;
 use crate::model::{EmbeddingJob, NeighborRef, TgnModel};
 use std::collections::HashMap;
 use tgnn_graph::{EventBatch, NeighborEntry, NodeId, TemporalGraph, Timestamp};
+use tgnn_nn::attention::Selection;
 use tgnn_tensor::{Float, Matrix, Workspace};
 
 /// Output of the sampling stage for one batch: the touched vertices in order
-/// of first appearance, their query times, and the sampled supporting
-/// neighbors of all vertices packed into one flat arena.
+/// of first appearance, their query times, the sampled supporting neighbors
+/// of all vertices packed into one flat arena, and the model's attention
+/// decision over them ([`TgnModel::select`]) — simplified attention scores
+/// a neighbor from its Δt alone, so what to prune is known here, before any
+/// neighbor feature is fetched.
 #[derive(Clone, Debug, Default)]
 pub struct SampledBatch {
     /// The batch of events this sampling belongs to.
@@ -42,20 +48,28 @@ pub struct SampledBatch {
     pub query_times: Vec<Timestamp>,
     /// Flat neighbor arena; `ranges` indexes into it.
     neighbors: Vec<NeighborEntry>,
+    /// Query time minus interaction time (≥ 0) of every sampled neighbor,
+    /// aligned with `neighbors`.
+    delta_t: Vec<Float>,
     /// Per-touched-vertex `(start, len)` into `neighbors`.
     ranges: Vec<(usize, usize)>,
+    /// Per touched vertex: logits over its sampled neighbors, the kept ones
+    /// (as indices into `neighbors_of`) and their weights.
+    selection: Selection,
     /// Vertex → index into `touched`.
     index: HashMap<NodeId, usize>,
 }
 
 impl SampledBatch {
     /// Builds the sampled batch by calling `sample(v, t, k, out)` once per
-    /// touched vertex, appending into the shared arena.  `sample` must append
-    /// at most `k` entries, most recent first — exactly the contract of
-    /// [`tgnn_graph::TemporalSampler::sample_into`].
+    /// touched vertex, appending into the shared arena, and has `model`
+    /// decide which of the sampled neighbors the vertex aggregates.  `sample`
+    /// must append at most `k` entries, most recent first — exactly the
+    /// contract of [`tgnn_graph::TemporalSampler::sample_into`].
     pub fn assemble(
         batch: EventBatch,
         k: usize,
+        model: &TgnModel,
         mut sample: impl FnMut(NodeId, Timestamp, usize, &mut Vec<NeighborEntry>),
     ) -> Self {
         let touched = batch.touched_vertices();
@@ -73,18 +87,25 @@ impl SampledBatch {
             }
         }
         let mut neighbors = Vec::with_capacity(touched.len() * k);
+        let mut delta_t = Vec::with_capacity(touched.len() * k);
         let mut ranges = Vec::with_capacity(touched.len());
+        let mut selection = Selection::default();
         for (i, &v) in touched.iter().enumerate() {
             let start = neighbors.len();
             sample(v, query_times[i], k, &mut neighbors);
             ranges.push((start, neighbors.len() - start));
+            let sampled = neighbors[start..].iter();
+            delta_t.extend(sampled.map(|e| (query_times[i] - e.timestamp).max(0.0) as Float));
+            model.select(&delta_t[start..], &mut selection);
         }
         Self {
             batch,
             touched,
             query_times,
             neighbors,
+            delta_t,
             ranges,
+            selection,
             index,
         }
     }
@@ -103,6 +124,20 @@ impl SampledBatch {
     pub fn neighbors_of(&self, i: usize) -> &[NeighborEntry] {
         let (start, len) = self.ranges[i];
         &self.neighbors[start..start + len]
+    }
+
+    /// The Δt of the `i`-th touched vertex's sampled neighbors, aligned with
+    /// [`Self::neighbors_of`].
+    pub fn delta_t_of(&self, i: usize) -> &[Float] {
+        let (start, len) = self.ranges[i];
+        &self.delta_t[start..start + len]
+    }
+
+    /// The attention decision over the batch: entry `i` lists the neighbors
+    /// the `i`-th touched vertex aggregates as indices into
+    /// [`Self::neighbors_of`] (all of them under vanilla attention).
+    pub fn selection(&self) -> &Selection {
+        &self.selection
     }
 
     /// Total number of sampled neighbor entries across the batch.
@@ -163,27 +198,48 @@ pub fn run_memory_stage_obs(
     for (dt, (v, msg)) in dts.iter_mut().zip(with_messages) {
         *dt = (msg.event_time - last_update(*v)).max(0.0) as Float;
     }
-    let mut encodings = ws.take_matrix(rows, cfg.time_dim);
-    model.encode_time_into(&dts, &mut encodings);
+    // A LUT model's GRU reads the time encoding's contribution from its
+    // fused table: the messages stop at the edge feature and no encoding is
+    // materialised.  Otherwise the encoding is the message's last block.
+    let lut = model.fold_over(&model.gru.w_i);
+    let head = 2 * cfg.memory_dim + cfg.edge_feature_dim;
+    let width = if lut.is_some() {
+        head
+    } else {
+        cfg.message_dim()
+    };
 
-    let mut messages = ws.take_matrix(rows, cfg.message_dim());
+    let mut messages = ws.take_matrix(rows, width);
     let mut memories = ws.take_matrix(rows, cfg.memory_dim);
     let mem_dim = cfg.memory_dim;
-    let efeat = cfg.edge_feature_dim;
     for (i, (v, msg)) in with_messages.iter().enumerate() {
         let row = messages.row_mut(i);
         row[..mem_dim].copy_from_slice(&msg.self_memory);
         row[mem_dim..2 * mem_dim].copy_from_slice(&msg.other_memory);
-        row[2 * mem_dim..2 * mem_dim + efeat].copy_from_slice(&msg.edge_feature);
-        row[2 * mem_dim + efeat..].copy_from_slice(encodings.row(i));
+        row[2 * mem_dim..head].copy_from_slice(&msg.edge_feature);
         read_memory(*v, memories.row_mut(i));
     }
+    if lut.is_none() {
+        let mut encodings = ws.take_matrix(rows, cfg.time_dim);
+        model.encode_time_into(&dts, &mut encodings);
+        for i in 0..rows {
+            messages.row_mut(i)[head..].copy_from_slice(encodings.row(i));
+        }
+        ws.recycle_matrix(encodings);
+    }
     if let Some(o) = obs {
-        o.record(crate::quantized::layers::GRU_INPUT, messages.as_slice());
-        o.record(crate::quantized::layers::GRU_HIDDEN, memories.as_slice());
+        use crate::quantized::layers::{GRU_HIDDEN, GRU_INPUT};
+        o.record(GRU_INPUT, messages.as_slice());
+        if let Some(lut) = lut {
+            for &dt in &dts {
+                o.record(GRU_INPUT, lut.table().value.row(lut.lookup_bin(dt)));
+            }
+        }
+        o.record(GRU_HIDDEN, memories.as_slice());
     }
 
-    let updated = model.update_memory_ws(&messages, &memories, ws);
+    let fold = lut.map(|lut| (lut, &dts[..]));
+    let updated = model.update_memory_with(&messages, fold, &memories, ws);
     let out = with_messages
         .iter()
         .enumerate()
@@ -192,7 +248,6 @@ pub fn run_memory_stage_obs(
     ws.recycle_matrix(updated);
     ws.recycle_matrix(memories);
     ws.recycle_matrix(messages);
-    ws.recycle_matrix(encodings);
     ws.recycle(dts);
     out
 }
@@ -204,24 +259,36 @@ pub fn run_memory_stage_obs(
 /// stage that commits the next batch — so everything it reads is copied out
 /// of the shared state at gather time.  Because the gathered values equal
 /// what the serial engine would have read, and the compute path is the same
-/// [`TgnModel::compute_embeddings_batch`], the results stay bit-identical.
+/// [`TgnModel::embeddings_selected`], the results stay bit-identical.
+///
+/// The job holds two arenas.  Per **sampled** neighbor: its Δt (4 bytes —
+/// the sampling stage's decision was taken on these).  Per **kept**
+/// neighbor, in kept order: its memory row and edge feature, and in
+/// `selection` its index among the vertex's sampled neighbors and its
+/// attention weight.  Pruned neighbors cost their Δt and nothing else.
 #[derive(Clone, Debug)]
 pub struct GnnJobBatch {
     touched: Vec<NodeId>,
     self_memory: Matrix,
     node_features: Option<Matrix>,
+    /// Kept arena: one row per kept neighbor.
     nbr_memory: Matrix,
     nbr_edge: Matrix,
+    /// Sampled arena: one Δt per sampled neighbor.
     nbr_dt: Vec<Float>,
+    /// Per vertex `(start, len)` into the sampled arena.
     ranges: Vec<(usize, usize)>,
+    /// Per vertex the kept neighbors (its `ranges` index the kept arena).
+    selection: Selection,
 }
 
 impl GnnJobBatch {
     /// Gathers the owned GNN inputs for a sampled batch: the (updated) memory
     /// of every touched vertex, its static node feature (if the model uses
-    /// them), and each sampled neighbor's memory row, edge feature, and time
-    /// delta.  `read_memory` supplies pre-write-back memory rows, matching
-    /// what the serial engine reads during its GNN stage.
+    /// them), the memory row and edge feature of each neighbor the sampling
+    /// stage **kept**, and every sampled neighbor's time delta.
+    /// `read_memory` supplies pre-write-back memory rows, matching what the
+    /// serial engine reads during its GNN stage.
     pub fn gather(
         sampled: &SampledBatch,
         updated: &HashMap<NodeId, Vec<Float>>,
@@ -230,7 +297,6 @@ impl GnnJobBatch {
         mut read_memory: impl FnMut(NodeId, &mut [Float]),
     ) -> Self {
         let t = sampled.len();
-        let total = sampled.total_sampled();
         let mem_dim = cfg.memory_dim;
 
         let mut self_memory = Matrix::zeros(t, mem_dim);
@@ -248,18 +314,18 @@ impl GnnJobBatch {
             f
         });
 
-        let mut nbr_memory = Matrix::zeros(total, mem_dim);
-        let mut nbr_edge = Matrix::zeros(total, cfg.edge_feature_dim);
-        let mut nbr_dt = vec![0.0; total];
+        let kept = sampled.selection.kept.len();
+        let mut nbr_memory = Matrix::zeros(kept, mem_dim);
+        let mut nbr_edge = Matrix::zeros(kept, cfg.edge_feature_dim);
         let mut row = 0;
         for i in 0..t {
-            let query_time = sampled.query_times[i];
-            for e in sampled.neighbors_of(i) {
+            let entries = sampled.neighbors_of(i);
+            for &j in sampled.selection.kept_of(i) {
+                let e = &entries[j as usize];
                 read_memory(e.neighbor, nbr_memory.row_mut(row));
                 nbr_edge
                     .row_mut(row)
                     .copy_from_slice(graph.edge_feature(e.edge_id));
-                nbr_dt[row] = (query_time - e.timestamp).max(0.0) as Float;
                 row += 1;
             }
         }
@@ -270,8 +336,9 @@ impl GnnJobBatch {
             node_features,
             nbr_memory,
             nbr_edge,
-            nbr_dt,
+            nbr_dt: sampled.delta_t.clone(),
             ranges: sampled.ranges.clone(),
+            selection: sampled.selection.clone(),
         }
     }
 
@@ -313,27 +380,30 @@ impl GnnJobBatch {
                 m.as_slice()[a * m.cols()..b * m.cols()].to_vec(),
             )
         };
+        // Arena span of a vertex chunk: ranges are contiguous in vertex
+        // order, so the span is [first range's start, last range's end).
+        let span = |ranges: &[(usize, usize)]| {
+            let (last_start, last_len) = ranges[ranges.len() - 1];
+            ranges[0].0..last_start + last_len
+        };
         let mut out = Vec::with_capacity(parts);
         let mut start = 0usize;
         for p in 0..parts {
-            let len = base + usize::from(p < extra);
-            let end = start + len;
-            // Neighbor-arena span of this vertex chunk: ranges are contiguous
-            // in vertex order, so the span is [first chunk start, last end).
-            let nbr_start = self.ranges[start].0;
-            let (last_start, last_len) = self.ranges[end - 1];
-            let nbr_end = last_start + last_len;
+            let end = start + base + usize::from(p < extra);
+            let sampled = span(&self.ranges[start..end]);
+            let kept = span(&self.selection.ranges[start..end]);
             out.push(GnnJobBatch {
                 touched: self.touched[start..end].to_vec(),
                 self_memory: rows(&self.self_memory, start, end),
                 node_features: self.node_features.as_ref().map(|f| rows(f, start, end)),
-                nbr_memory: rows(&self.nbr_memory, nbr_start, nbr_end),
-                nbr_edge: rows(&self.nbr_edge, nbr_start, nbr_end),
-                nbr_dt: self.nbr_dt[nbr_start..nbr_end].to_vec(),
+                nbr_memory: rows(&self.nbr_memory, kept.start, kept.end),
+                nbr_edge: rows(&self.nbr_edge, kept.start, kept.end),
+                nbr_dt: self.nbr_dt[sampled.clone()].to_vec(),
                 ranges: self.ranges[start..end]
                     .iter()
-                    .map(|&(s, l)| (s - nbr_start, l))
+                    .map(|&(s, l)| (s - sampled.start, l))
                     .collect(),
+                selection: self.selection.slice(start..end, sampled),
             });
             start = end;
         }
@@ -345,17 +415,18 @@ impl GnnJobBatch {
         self.touched.len()
     }
 
-    /// Total number of gathered neighbor rows across the job — the
-    /// neighbor-fetch workload a modeled backend feeds its datapath model.
+    /// Total number of *sampled* neighbors across the job — the candidates a
+    /// modeled backend's datapath scores.
     pub fn total_neighbors(&self) -> usize {
         self.nbr_dt.len()
     }
 
-    /// Gathered neighbor rows a model that keeps at most `budget` per vertex
-    /// goes on to read: `Σ min(len_i, budget)` — what pruning leaves of
-    /// [`Self::total_neighbors`].
+    /// Neighbor rows a model that keeps at most `budget` per vertex goes on
+    /// to read, `Σ min(kept_i, budget)` — with the budget the job was
+    /// gathered under, the rows it actually holds.
     pub fn neighbors_within_budget(&self, budget: usize) -> usize {
-        self.ranges.iter().map(|&(_, len)| len.min(budget)).sum()
+        let kept = self.selection.ranges.iter();
+        kept.map(|&(_, len)| len.min(budget)).sum()
     }
 
     /// True when the job holds no vertices.
@@ -366,90 +437,215 @@ impl GnnJobBatch {
     /// Runs the batched GNN compute on the gathered inputs — pure in the
     /// model and the job, so it can execute on any worker thread.
     pub fn run(&self, model: &TgnModel, ws: &mut Workspace) -> Vec<(NodeId, Vec<Float>)> {
-        let total = self.nbr_dt.len();
-        let mut nbr_refs: Vec<NeighborRef<'_>> = Vec::with_capacity(total);
-        for r in 0..total {
-            nbr_refs.push(NeighborRef {
-                memory: self.nbr_memory.row(r),
-                edge_feature: self.nbr_edge.row(r),
-                delta_t: self.nbr_dt[r],
-            });
+        let mut nbr_refs: Vec<NeighborRef<'_>> = Vec::with_capacity(self.selection.kept.len());
+        for (&(first, _), &(start, len)) in self.ranges.iter().zip(&self.selection.ranges) {
+            for row in start..start + len {
+                nbr_refs.push(NeighborRef {
+                    memory: self.nbr_memory.row(row),
+                    edge_feature: self.nbr_edge.row(row),
+                    delta_t: self.nbr_dt[first + self.selection.kept[row] as usize],
+                });
+            }
         }
-        let jobs: Vec<EmbeddingJob<'_>> = self
-            .touched
-            .iter()
-            .enumerate()
-            .map(|(i, _)| EmbeddingJob {
+        let jobs: Vec<EmbeddingJob<'_>> = (0..self.touched.len())
+            .map(|i| EmbeddingJob {
                 memory: self.self_memory.row(i),
                 node_feature: self.node_features.as_ref().map(|f| f.row(i)),
                 neighbors: {
-                    let (start, len) = self.ranges[i];
+                    let (start, len) = self.selection.ranges[i];
                     &nbr_refs[start..start + len]
                 },
             })
             .collect();
-        let outputs = model.compute_embeddings_batch(&jobs, ws);
-        self.touched
-            .iter()
-            .zip(outputs)
-            .map(|(&v, out)| (v, out.embedding))
-            .collect()
+        let embeddings = model.embeddings_selected(&jobs, (&self.selection, 0), ws, None);
+        let out = (self.touched.iter().enumerate())
+            .map(|(i, &v)| (v, embeddings.row_to_vec(i)))
+            .collect();
+        ws.recycle_matrix(embeddings);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{OptimizationVariant, TimeEncoderKind};
+    use crate::model::NeighborContext;
+    use tgnn_graph::{FifoSampler, TemporalSampler};
     use tgnn_tensor::TensorRng;
 
-    /// A synthetic gathered job with `t` vertices, vertex `i` having `i % 4`
-    /// neighbors, every value drawn from the RNG so misaligned splits show.
-    fn synthetic_job(cfg: &ModelConfig, t: usize, rng: &mut TensorRng) -> GnnJobBatch {
-        let mut ranges = Vec::with_capacity(t);
-        let mut total = 0usize;
-        for i in 0..t {
-            let k = i % 4;
-            ranges.push((total, k));
-            total += k;
+    /// Everything a gather needs, on a generated stream: a model of the
+    /// given rung sampling 10 neighbors (so NP(L/M/S) keep 6/4/2), a random
+    /// memory table, and a sampled batch whose vertices have anything from
+    /// no history at all to a full neighbor list.
+    struct Fixture {
+        model: TgnModel,
+        graph: TemporalGraph,
+        memory: Matrix,
+        updated: HashMap<NodeId, Vec<Float>>,
+        sampled: SampledBatch,
+    }
+
+    fn fixture(variant: OptimizationVariant, seed: u64) -> Fixture {
+        let graph = tgnn_data::generate(&tgnn_data::DatasetConfig {
+            node_feature_dim: 3,
+            ..tgnn_data::tiny(seed)
+        });
+        let mut cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim());
+        cfg.sampled_neighbors = 10;
+        let cfg = cfg.with_variant(variant);
+        let mut rng = TensorRng::new(seed);
+        let mut model = TgnModel::new(cfg.clone(), &mut rng);
+        if cfg.time_encoder == TimeEncoderKind::Lut {
+            let deltas = tgnn_data::delta_t::memory_delta_t(graph.events(), graph.num_nodes());
+            model.calibrate_lut(&deltas);
         }
-        GnnJobBatch {
-            touched: (0..t as NodeId).collect(),
-            self_memory: rng.uniform_matrix(t, cfg.memory_dim, -1.0, 1.0),
-            node_features: (cfg.node_feature_dim > 0)
-                .then(|| rng.uniform_matrix(t, cfg.node_feature_dim, -1.0, 1.0)),
-            nbr_memory: rng.uniform_matrix(total, cfg.memory_dim, -1.0, 1.0),
-            nbr_edge: rng.uniform_matrix(total, cfg.edge_feature_dim, -1.0, 1.0),
-            nbr_dt: (0..total).map(|_| rng.uniform(0.0, 10.0)).collect(),
-            ranges,
+        // 300 events of history, then a batch of 60: some of its vertices
+        // have been seen ten times and more, some once or twice, and the
+        // first one never (its history is withheld).
+        let mut sampler = FifoSampler::new(graph.num_nodes(), cfg.sampled_neighbors);
+        graph.events()[..300]
+            .iter()
+            .for_each(|e| sampler.observe(e));
+        let batch = EventBatch::new(graph.events()[300..360].to_vec());
+        let newcomer = batch.events()[0].src;
+        let sampled =
+            SampledBatch::assemble(batch, cfg.sampled_neighbors, &model, |v, t, k, out| {
+                if v != newcomer {
+                    sampler.sample_into(v, t, k, out)
+                }
+            });
+        let counts: Vec<usize> = (0..sampled.len())
+            .map(|i| sampled.neighbors_of(i).len())
+            .collect();
+        assert!(counts.contains(&0) && counts.contains(&10), "{counts:?}");
+        assert!(counts.contains(&1), "{counts:?}");
+        // Every third touched vertex got a memory update this batch.
+        let updated = (sampled.touched.iter().step_by(3))
+            .map(|&v| (v, rng.uniform_vec(cfg.memory_dim, -1.0, 1.0)))
+            .collect();
+        Fixture {
+            memory: rng.uniform_matrix(graph.num_nodes(), cfg.memory_dim, -1.0, 1.0),
+            model,
+            graph,
+            updated,
+            sampled,
+        }
+    }
+
+    impl Fixture {
+        fn gather(&self) -> GnnJobBatch {
+            GnnJobBatch::gather(
+                &self.sampled,
+                &self.updated,
+                &self.graph,
+                &self.model.config,
+                |v, dst| dst.copy_from_slice(self.memory.row(v as usize)),
+            )
+        }
+
+        /// The oracle: fetch **every** sampled neighbor of vertex `i` and let
+        /// the per-vertex reference decide what to do with them.
+        fn fetch_everything(&self, i: usize) -> crate::model::EmbeddingOutput {
+            let v = self.sampled.touched[i];
+            let contexts: Vec<NeighborContext> = self
+                .sampled
+                .neighbors_of(i)
+                .iter()
+                .map(|e| NeighborContext {
+                    memory: self.memory.row(e.neighbor as usize).to_vec(),
+                    edge_feature: self.graph.edge_feature(e.edge_id).to_vec(),
+                    delta_t: (self.sampled.query_times[i] - e.timestamp).max(0.0) as Float,
+                })
+                .collect();
+            let own = self.updated.get(&v).map(Vec::as_slice);
+            self.model.compute_embedding(
+                own.unwrap_or(self.memory.row(v as usize)),
+                Some(self.graph.node_feature(v)),
+                &contexts,
+            )
         }
     }
 
     #[test]
-    fn split_partitions_vertices_and_rebases_neighbor_ranges() {
-        let cfg = ModelConfig::tiny(3, 2);
-        let mut rng = TensorRng::new(11);
-        let job = synthetic_job(&cfg, 10, &mut rng);
-        for parts in [1usize, 2, 3, 7, 10, 25] {
+    fn pruned_gather_and_run_equal_the_fetch_everything_oracle_bitwise() {
+        for variant in OptimizationVariant::ladder() {
+            let f = fixture(variant, 17);
+            let (cfg, sel) = (&f.model.config, f.sampled.selection());
+            let job = f.gather();
+            let mut ws = Workspace::new();
+            let served = job.run(&f.model, &mut ws);
+            assert_eq!(served.len(), f.sampled.len());
+
+            let mut logits_seen = 0;
+            for (i, (v, embedding)) in served.iter().enumerate() {
+                let oracle = f.fetch_everything(i);
+                assert_eq!(*v, f.sampled.touched[i]);
+                assert_eq!(embedding, &oracle.embedding, "{variant:?} vertex {i}");
+                // What the sampling stage decided is what the reference
+                // decides with every feature in hand — which is also what the
+                // distillation loss reads off an `EmbeddingOutput`.
+                let kept: Vec<usize> = sel.kept_of(i).iter().map(|&j| j as usize).collect();
+                assert_eq!(kept, oracle.used_neighbors, "{variant:?} vertex {i}");
+                let n = f.sampled.neighbors_of(i).len();
+                assert_eq!(kept.len(), n.min(cfg.neighbor_budget));
+                if cfg.attention == crate::config::AttentionKind::Simplified {
+                    let scored = &sel.logits[logits_seen..logits_seen + n];
+                    assert_eq!(scored, &oracle.attention_logits[..]);
+                    logits_seen += n;
+                }
+            }
+
+            // Job invariants: every sampled neighbor is counted, only kept
+            // ones are held.
+            assert_eq!(job.total_neighbors(), f.sampled.total_sampled());
+            assert_eq!(job.nbr_dt.len(), f.sampled.total_sampled());
+            let held = job.neighbors_within_budget(cfg.neighbor_budget);
+            assert_eq!(held, sel.kept.len());
+            assert_eq!((job.nbr_memory.rows(), job.nbr_edge.rows()), (held, held));
+            let prunes = cfg.neighbor_budget < cfg.sampled_neighbors;
+            assert_eq!(held < job.total_neighbors(), prunes, "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn split_partitions_vertices_and_rebases_both_arenas() {
+        let f = fixture(OptimizationVariant::NpMedium, 11);
+        let job = f.gather();
+        let t = job.len();
+        for parts in [1usize, 2, 3, 7, t, t + 15] {
             let subs = job.clone().split(parts);
-            assert_eq!(subs.len(), parts.min(10), "parts={parts}");
+            assert_eq!(subs.len(), parts.min(t), "parts={parts}");
             let sizes: Vec<usize> = subs.iter().map(|s| s.len()).collect();
-            assert_eq!(sizes.iter().sum::<usize>(), 10);
+            assert_eq!(sizes.iter().sum::<usize>(), t);
             assert!(sizes.iter().all(|&s| s > 0));
             assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
             // Concatenating sub-jobs in part order reproduces the original
-            // vertex order and per-vertex neighbor data exactly.
+            // vertex order and per-vertex data exactly, in both arenas.
             let mut vi = 0usize;
             for sub in &subs {
+                assert_eq!(sub.ranges[0].0, 0, "sampled arena rebased");
+                assert_eq!(sub.selection.ranges[0].0, 0, "kept arena rebased");
+                let sampled: usize = sub.ranges.iter().map(|r| r.1).sum();
+                assert_eq!(
+                    (sub.nbr_dt.len(), sub.total_neighbors()),
+                    (sampled, sampled)
+                );
+                assert_eq!(sub.selection.logits.len(), sampled);
+                let kept = sub.selection.kept.len();
+                assert_eq!((sub.nbr_memory.rows(), sub.nbr_edge.rows()), (kept, kept));
+                assert_eq!(sub.selection.weights.len(), kept);
                 for i in 0..sub.len() {
                     assert_eq!(sub.touched[i], job.touched[vi]);
                     assert_eq!(sub.self_memory.row(i), job.self_memory.row(vi));
-                    let (os, ol) = job.ranges[vi];
-                    let (ss, sl) = sub.ranges[i];
-                    assert_eq!(sl, ol);
-                    for r in 0..ol {
-                        assert_eq!(sub.nbr_memory.row(ss + r), job.nbr_memory.row(os + r));
-                        assert_eq!(sub.nbr_edge.row(ss + r), job.nbr_edge.row(os + r));
-                        assert_eq!(sub.nbr_dt[ss + r], job.nbr_dt[os + r]);
+                    let ((os, ol), (ss, sl)) = (job.ranges[vi], sub.ranges[i]);
+                    assert_eq!(sub.nbr_dt[ss..ss + sl], job.nbr_dt[os..os + ol]);
+                    assert_eq!(sub.selection.kept_of(i), job.selection.kept_of(vi));
+                    assert_eq!(sub.selection.weights_of(i), job.selection.weights_of(vi));
+                    let ((ok, kl), (sk, _)) = (job.selection.ranges[vi], sub.selection.ranges[i]);
+                    for r in 0..kl {
+                        assert_eq!(sub.nbr_memory.row(sk + r), job.nbr_memory.row(ok + r));
+                        assert_eq!(sub.nbr_edge.row(sk + r), job.nbr_edge.row(ok + r));
                     }
                     vi += 1;
                 }
@@ -459,36 +655,48 @@ mod tests {
 
     #[test]
     fn split_run_concat_is_bitwise_identical_to_unsplit_run() {
-        let cfg = ModelConfig::tiny(3, 2);
-        let mut rng = TensorRng::new(42);
-        let model = TgnModel::new(cfg.clone(), &mut rng);
-        let job = synthetic_job(&cfg, 13, &mut rng);
-        let mut ws = Workspace::new();
-        let reference = job.run(&model, &mut ws);
-        for parts in [1usize, 2, 4, 5, 13, 64] {
-            let merged: Vec<(NodeId, Vec<Float>)> = job
-                .clone()
-                .split(parts)
-                .into_iter()
-                .flat_map(|sub| {
-                    let mut ws = Workspace::new();
-                    sub.run(&model, &mut ws)
-                })
-                .collect();
-            assert_eq!(merged, reference, "parts={parts}");
+        for variant in [OptimizationVariant::Baseline, OptimizationVariant::NpMedium] {
+            let f = fixture(variant, 42);
+            let job = f.gather();
+            let mut ws = Workspace::new();
+            let reference = job.run(&f.model, &mut ws);
+            for parts in [1usize, 2, 4, 5, 13, 64] {
+                let merged: Vec<(NodeId, Vec<Float>)> = job
+                    .clone()
+                    .split(parts)
+                    .into_iter()
+                    .flat_map(|sub| {
+                        let mut ws = Workspace::new();
+                        sub.run(&f.model, &mut ws)
+                    })
+                    .collect();
+                assert_eq!(merged, reference, "{variant:?} parts={parts}");
+            }
         }
     }
 
     #[test]
     fn split_handles_empty_and_single_vertex_jobs() {
-        let cfg = ModelConfig::tiny(0, 2);
-        let mut rng = TensorRng::new(3);
-        let empty = synthetic_job(&cfg, 0, &mut rng);
-        let parts = empty.split(4);
+        let f = fixture(OptimizationVariant::NpSmall, 3);
+        let job_of = |events: &[tgnn_graph::InteractionEvent]| {
+            let sampled = SampledBatch::assemble(
+                EventBatch::new(events.to_vec()),
+                0,
+                &f.model,
+                |_, _, _, _| {},
+            );
+            GnnJobBatch::gather(&sampled, &f.updated, &f.graph, &f.model.config, |_, dst| {
+                dst.fill(0.5)
+            })
+        };
+        let parts = job_of(&[]).split(4);
         assert_eq!(parts.len(), 1);
         assert!(parts[0].is_empty());
-        let single = synthetic_job(&cfg, 1, &mut rng);
-        let parts = single.split(4);
+        assert!(parts[0].run(&f.model, &mut Workspace::new()).is_empty());
+        // A self-loop touches one vertex.
+        let mut lonely = f.graph.events()[0];
+        lonely.dst = lonely.src;
+        let parts = job_of(&[lonely]).split(4);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].len(), 1);
     }

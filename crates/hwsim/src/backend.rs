@@ -130,7 +130,7 @@ mod tests {
             edge_id: k,
             timestamp: k as f64,
         });
-        let sampled = SampledBatch::assemble(EventBatch::new(events), 0, |_, _, _, out| {
+        let sampled = SampledBatch::assemble(EventBatch::new(events), 0, &model, |_, _, _, out| {
             out.extend_from_slice(&history)
         });
         let updated = std::collections::HashMap::new();
@@ -188,5 +188,21 @@ mod tests {
         // No pruning, no discount.
         np_small.neighbor_budget = np_small.sampled_neighbors;
         assert_eq!(latency(&np_small), latency(&sat_lut));
+    }
+
+    #[test]
+    fn modeled_latency_is_what_it_was_before_pruned_rows_stopped_being_gathered() {
+        // The model has always charged kept rows only; gathering kept rows
+        // only changes what the job holds, not what the model is fed.  The
+        // constants are the parent commit's (seconds, as f64 bits).
+        for (variant, parent) in [
+            (OptimizationVariant::Baseline, 0x3ed53754d9eb7b45u64),
+            (OptimizationVariant::SatLut, 0x3ed38f3413f83c74),
+            (OptimizationVariant::NpSmall, 0x3ed2245378c9f604),
+        ] {
+            let (model, job) = gathered_job_of(5, ModelConfig::tiny(0, 2).with_variant(variant));
+            let latency = HwSimBackend::u200(&model).modeled_latency(&job);
+            assert_eq!(latency.to_bits(), parent, "{variant:?}: {latency:e}");
+        }
     }
 }

@@ -21,8 +21,8 @@
 use crate::linear::Linear;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
-use tgnn_tensor::gemm::{matvec, matvec_into};
-use tgnn_tensor::ops::{softmax, top_k_indices, weighted_row_sum};
+use tgnn_tensor::gemm::dot;
+use tgnn_tensor::ops::{softmax, softmax_in_place, weighted_row_sum};
 use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
 
 /// Output of an attention forward pass, including what is needed for
@@ -38,6 +38,71 @@ pub struct PrunedAttentionOutput {
     /// Pre-softmax logits over all candidate neighbors (used by the
     /// knowledge-distillation loss, Eq. 17).
     pub logits: Vec<Float>,
+}
+
+/// The attention decision of a run of vertices in flat arenas — what
+/// [`SimplifiedAttention::select`] writes and everything downstream of the
+/// sampling stage reads: which candidates to fetch, and with what weight to
+/// aggregate them.  One entry in `ranges` per vertex; no per-vertex `Vec`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Selection {
+    /// Pre-softmax logits, one per candidate, vertices back to back (empty
+    /// for vertices entered with [`Self::keep_all`]).
+    pub logits: Vec<Float>,
+    /// Kept candidates as indices into their vertex's candidate list, best
+    /// first.
+    pub kept: Vec<u32>,
+    /// Softmax weights over each vertex's kept candidates, aligned with
+    /// `kept` wherever logits were scored.
+    pub weights: Vec<Float>,
+    /// Per vertex `(start, len)` into `kept`.
+    pub ranges: Vec<(usize, usize)>,
+    /// `Δt/τ` of the vertex scored last, zero-padded to the slot count.
+    scaled: Vec<Float>,
+}
+
+impl Selection {
+    /// Enters a vertex that keeps all `n` of its candidates and scores them
+    /// later, from their features (vanilla attention).
+    pub fn keep_all(&mut self, n: usize) {
+        self.ranges.push((self.kept.len(), n));
+        self.kept.extend(0..n as u32);
+    }
+
+    /// The kept candidates of vertex `i`, best first.
+    pub fn kept_of(&self, i: usize) -> &[u32] {
+        let (start, len) = self.ranges[i];
+        &self.kept[start..start + len]
+    }
+
+    /// The softmax weights of vertex `i`'s kept candidates.
+    pub fn weights_of(&self, i: usize) -> &[Float] {
+        let (start, len) = self.ranges[i];
+        &self.weights[start..start + len]
+    }
+
+    /// The part of the selection that belongs to the contiguous run of
+    /// vertices `vertices`, whose candidates are `candidates` of the logit
+    /// arena — with every range rebased to the new arenas.
+    pub fn slice(
+        &self,
+        vertices: std::ops::Range<usize>,
+        candidates: std::ops::Range<usize>,
+    ) -> Selection {
+        fn part<T: Clone>(arena: &[T], range: std::ops::Range<usize>) -> Vec<T> {
+            arena.get(range).map_or_else(Vec::new, <[T]>::to_vec)
+        }
+        let ranges = &self.ranges[vertices];
+        let first = ranges.first().map_or(0, |r| r.0);
+        let kept = first..ranges.last().map_or(0, |r| r.0 + r.1);
+        Selection {
+            logits: part(&self.logits, candidates),
+            kept: part(&self.kept, kept.clone()),
+            weights: part(&self.weights, kept),
+            ranges: ranges.iter().map(|&(s, l)| (s - first, l)).collect(),
+            scaled: Vec::new(),
+        }
+    }
 }
 
 /// Transformer-style temporal attention (Eq. 11–15).
@@ -92,6 +157,15 @@ impl VanillaAttention {
             head_dim,
             value_dim,
         }
+    }
+
+    /// Declares the last `time_dim` columns of the query- and neighbor-side
+    /// inputs a time encoding (see [`Linear::with_time_tail`]).
+    pub fn with_time_tail(mut self, time_dim: Option<usize>) -> Self {
+        self.w_q = self.w_q.with_time_tail(time_dim);
+        self.w_k = self.w_k.with_time_tail(time_dim);
+        self.w_v = self.w_v.with_time_tail(time_dim);
+        self
     }
 
     /// Output (value) dimensionality.
@@ -417,34 +491,56 @@ impl SimplifiedAttention {
         self.neighbor_in_dim
     }
 
-    /// Computes the attention logits for a Δt vector without touching any
-    /// neighbor features.  `delta_t` must have at most `slots` entries
-    /// (missing slots — vertices with fewer temporal neighbors — are treated
-    /// as absent and receive a logit of `-inf` so they never get selected).
-    pub fn logits(&self, delta_t: &[Float]) -> Vec<Float> {
-        assert!(
-            delta_t.len() <= self.slots,
-            "SimplifiedAttention: too many neighbors"
-        );
-        let scaled: Vec<Float> = self.padded_scaled_dt(delta_t);
-        let offsets = matvec(&self.w_t.value, &scaled);
-        (0..self.slots)
-            .map(|j| {
-                if j < delta_t.len() {
-                    self.a.value[(0, j)] + offsets[j]
-                } else {
-                    Float::NEG_INFINITY
-                }
-            })
-            .collect()
+    /// Declares the last `time_dim` columns of the neighbor-side input a
+    /// time encoding (see [`Linear::with_time_tail`]).
+    pub fn with_time_tail(mut self, time_dim: Option<usize>) -> Self {
+        self.w_v = self.w_v.with_time_tail(time_dim);
+        self
     }
 
-    fn padded_scaled_dt(&self, delta_t: &[Float]) -> Vec<Float> {
-        let mut scaled = vec![0.0; self.slots];
-        for (i, &dt) in delta_t.iter().enumerate() {
-            scaled[i] = dt / self.time_scale;
+    /// **The** simplified-attention decision for one vertex, appended to
+    /// `out`: logits `a + W_t·(Δt/τ)` over the `delta_t.len()` present
+    /// candidates (absent slots count as Δt = 0 and are never ranked), the
+    /// top `budget` of them, the softmax over the kept.  No neighbor feature
+    /// is needed, so the sampling stage calls it before any is fetched;
+    /// every forward of this aggregator goes through it.  The ranking is a
+    /// total order — higher logit first, `NaN` last, ties to the lower
+    /// index — so a bad checkpoint cannot make the sort panic.
+    ///
+    /// # Panics
+    /// Panics if there are more candidates than slots.
+    pub fn select(&self, delta_t: &[Float], budget: usize, out: &mut Selection) {
+        let n = delta_t.len();
+        assert!(n <= self.slots, "SimplifiedAttention: too many neighbors");
+        out.scaled.clear();
+        out.scaled.resize(self.slots, 0.0);
+        for (slot, &dt) in out.scaled.iter_mut().zip(delta_t) {
+            *slot = dt / self.time_scale;
         }
-        scaled
+        let first = out.logits.len();
+        for j in 0..n {
+            let offset = dot(self.w_t.value.row(j), &out.scaled);
+            out.logits.push(self.a.value[(0, j)] + offset);
+        }
+        let logits = &out.logits[first..];
+
+        let start = out.kept.len();
+        let keep = budget.min(n);
+        out.kept.extend(0..n as u32);
+        out.kept[start..].sort_unstable_by(|&i, &j| {
+            let (li, lj) = (logits[i as usize], logits[j as usize]);
+            let by_value = match (li.is_nan(), lj.is_nan()) {
+                (false, false) => lj.partial_cmp(&li).expect("neither logit is NaN"),
+                (i_nan, j_nan) => i_nan.cmp(&j_nan),
+            };
+            by_value.then(i.cmp(&j))
+        });
+        out.kept.truncate(start + keep);
+        out.ranges.push((start, keep));
+
+        out.weights
+            .extend(out.kept[start..].iter().map(|&j| logits[j as usize]));
+        softmax_in_place(&mut out.weights[start..]);
     }
 
     /// Forward pass for one target vertex with pruning budget `budget`
@@ -458,6 +554,21 @@ impl SimplifiedAttention {
         self.forward_cached(delta_t, neighbor_input, budget).0
     }
 
+    fn check_inputs(&self, delta_t: &[Float], neighbor_input: &Matrix) {
+        assert_eq!(
+            delta_t.len(),
+            neighbor_input.rows(),
+            "SimplifiedAttention: Δt / neighbor count mismatch"
+        );
+        if !delta_t.is_empty() {
+            assert_eq!(
+                neighbor_input.cols(),
+                self.neighbor_in_dim,
+                "SimplifiedAttention: neighbor dim mismatch"
+            );
+        }
+    }
+
     /// Forward pass that also returns the backward cache.
     pub fn forward_cached(
         &self,
@@ -465,68 +576,37 @@ impl SimplifiedAttention {
         neighbor_input: &Matrix,
         budget: usize,
     ) -> (PrunedAttentionOutput, SimplifiedCache) {
-        assert_eq!(
-            delta_t.len(),
-            neighbor_input.rows(),
-            "SimplifiedAttention: Δt / neighbor count mismatch"
-        );
-        if !delta_t.is_empty() {
-            assert_eq!(
-                neighbor_input.cols(),
-                self.neighbor_in_dim,
-                "SimplifiedAttention: neighbor dim mismatch"
-            );
-        }
-        let logits = self.logits(delta_t);
-        let present_logits: Vec<Float> = logits[..delta_t.len()].to_vec();
-
-        // Top-k pruning on the logits of the present neighbors.
-        let selected = top_k_indices(&present_logits, budget.min(delta_t.len()));
-        if selected.is_empty() {
-            let out = PrunedAttentionOutput {
-                output: vec![0.0; self.value_dim],
-                weights: Vec::new(),
-                selected: Vec::new(),
-                logits: present_logits,
-            };
-            let cache = SimplifiedCache {
-                neighbor_input: neighbor_input.clone(),
-                scaled_dt: self.padded_scaled_dt(delta_t),
-                selected: Vec::new(),
-                weights: Vec::new(),
-                v_selected: Matrix::zeros(0, self.value_dim),
-            };
-            return (out, cache);
-        }
-
-        let selected_logits: Vec<Float> = selected.iter().map(|&j| present_logits[j]).collect();
-        let weights = softmax(&selected_logits);
+        self.check_inputs(delta_t, neighbor_input);
+        let mut sel = Selection::default();
+        self.select(delta_t, budget, &mut sel);
+        let selected: Vec<usize> = sel.kept.iter().map(|&j| j as usize).collect();
 
         // Only the selected neighbors' values are computed/fetched.
-        let selected_input = neighbor_input.gather_rows(&selected);
-        let v_selected = self.w_v.forward(&selected_input);
-        let output = weighted_row_sum(&v_selected, &weights);
-
+        let v_selected = if selected.is_empty() {
+            Matrix::zeros(0, self.value_dim)
+        } else {
+            self.w_v.forward(&neighbor_input.gather_rows(&selected))
+        };
         let out = PrunedAttentionOutput {
-            output,
-            weights: weights.clone(),
+            output: weighted_row_sum(&v_selected, &sel.weights),
+            weights: sel.weights.clone(),
             selected: selected.clone(),
-            logits: present_logits,
+            logits: sel.logits,
         };
         let cache = SimplifiedCache {
             neighbor_input: neighbor_input.clone(),
-            scaled_dt: self.padded_scaled_dt(delta_t),
+            scaled_dt: sel.scaled,
             selected,
-            weights,
+            weights: sel.weights,
             v_selected,
         };
         (out, cache)
     }
 
     /// Allocation-light inference forward pass mirroring
-    /// [`Self::forward`] bit-for-bit: scratch (scaled Δt, logit offsets, the
-    /// gathered selected-neighbor inputs and their value projections) lives
-    /// in the workspace; only the returned vectors are freshly allocated.
+    /// [`Self::forward`] bit-for-bit: the gathered selected-neighbor inputs
+    /// and their value projections live in the workspace; only the returned
+    /// vectors are freshly allocated.
     pub fn forward_ws(
         &self,
         delta_t: &[Float],
@@ -534,65 +614,29 @@ impl SimplifiedAttention {
         budget: usize,
         ws: &mut Workspace,
     ) -> PrunedAttentionOutput {
-        assert_eq!(
-            delta_t.len(),
-            neighbor_input.rows(),
-            "SimplifiedAttention: Δt / neighbor count mismatch"
-        );
-        assert!(
-            delta_t.len() <= self.slots,
-            "SimplifiedAttention: too many neighbors"
-        );
-        if !delta_t.is_empty() {
-            assert_eq!(
-                neighbor_input.cols(),
-                self.neighbor_in_dim,
-                "SimplifiedAttention: neighbor dim mismatch"
-            );
+        self.check_inputs(delta_t, neighbor_input);
+        let mut sel = Selection::default();
+        self.select(delta_t, budget, &mut sel);
+        let selected: Vec<usize> = sel.kept.iter().map(|&j| j as usize).collect();
+        let mut output = vec![0.0; self.value_dim];
+        if !selected.is_empty() {
+            // Only the selected neighbors' values are computed/fetched.
+            let mut selected_input = ws.take_matrix(selected.len(), self.neighbor_in_dim);
+            for (dst, &src) in selected.iter().enumerate() {
+                selected_input
+                    .row_mut(dst)
+                    .copy_from_slice(neighbor_input.row(src));
+            }
+            let v_selected = self.w_v.forward_ws(&selected_input, ws);
+            output = weighted_row_sum(&v_selected, &sel.weights);
+            ws.recycle_matrix(v_selected);
+            ws.recycle_matrix(selected_input);
         }
-        // Logits `a + W_t·Δt` on workspace scratch.
-        let mut scaled = ws.take(self.slots);
-        for (slot, &dt) in scaled.iter_mut().zip(delta_t) {
-            *slot = dt / self.time_scale;
-        }
-        let mut offsets = ws.take(self.slots);
-        matvec_into(&self.w_t.value, &scaled, &mut offsets);
-        let logits: Vec<Float> = (0..delta_t.len())
-            .map(|j| self.a.value[(0, j)] + offsets[j])
-            .collect();
-        ws.recycle(offsets);
-        ws.recycle(scaled);
-
-        let selected = top_k_indices(&logits, budget.min(delta_t.len()));
-        if selected.is_empty() {
-            return PrunedAttentionOutput {
-                output: vec![0.0; self.value_dim],
-                weights: Vec::new(),
-                selected: Vec::new(),
-                logits,
-            };
-        }
-
-        let selected_logits: Vec<Float> = selected.iter().map(|&j| logits[j]).collect();
-        let weights = softmax(&selected_logits);
-
-        // Only the selected neighbors' values are computed/fetched.
-        let mut selected_input = ws.take_matrix(selected.len(), self.neighbor_in_dim);
-        for (dst, &src) in selected.iter().enumerate() {
-            selected_input
-                .row_mut(dst)
-                .copy_from_slice(neighbor_input.row(src));
-        }
-        let v_selected = self.w_v.forward_ws(&selected_input, ws);
-        let output = weighted_row_sum(&v_selected, &weights);
-        ws.recycle_matrix(v_selected);
-        ws.recycle_matrix(selected_input);
-
         PrunedAttentionOutput {
             output,
-            weights,
+            weights: sel.weights,
             selected,
-            logits,
+            logits: sel.logits,
         }
     }
 
@@ -798,14 +842,95 @@ mod tests {
         );
     }
 
+    /// An aggregator whose logits are exactly `logits` (`W_t = 0`, `a` set).
+    fn sat_with_logits(logits: &[Float]) -> SimplifiedAttention {
+        let mut att =
+            SimplifiedAttention::new("sat", logits.len(), 3, 2, 1.0, &mut TensorRng::new(0));
+        att.w_t.value.as_mut_slice().fill(0.0);
+        att.a.value.row_mut(0).copy_from_slice(logits);
+        att
+    }
+
+    fn kept_of(logits: &[Float], n: usize, budget: usize) -> (Vec<u32>, Vec<Float>) {
+        let mut sel = Selection::default();
+        sat_with_logits(logits).select(&vec![1.0; n], budget, &mut sel);
+        assert_eq!(sel.ranges, [(0, budget.min(n))]);
+        assert_eq!(sel.logits.len(), n);
+        (sel.kept, sel.weights)
+    }
+
     #[test]
-    fn simplified_logits_ignore_features_and_respect_missing_slots() {
+    fn select_scores_present_slots_only_and_ignores_features() {
         let mut rng = TensorRng::new(30);
         let att = SimplifiedAttention::new("sat", 6, 8, 4, 1.0, &mut rng);
-        let logits = att.logits(&[0.5, 1.0, 2.0]);
-        assert_eq!(logits.len(), 6);
-        assert!(logits[..3].iter().all(|l| l.is_finite()));
-        assert!(logits[3..].iter().all(|l| l.is_infinite() && *l < 0.0));
+        let mut sel = Selection::default();
+        att.select(&[0.5, 1.0, 2.0], 6, &mut sel);
+        assert_eq!(sel.logits.len(), 3, "absent slots get no logit");
+        assert!(sel.logits.iter().all(|l| l.is_finite()));
+        assert_eq!(sel.kept.len(), 3, "and are never kept");
+        // A second vertex appends; the first one's entries stay put.
+        let first = sel.clone();
+        att.select(&[0.1], 6, &mut sel);
+        assert_eq!(sel.ranges.len(), 2);
+        assert_eq!(sel.kept_of(0), first.kept_of(0));
+        assert_eq!(sel.weights_of(0), first.weights_of(0));
+        assert_eq!(
+            (sel.kept_of(1), sel.weights_of(1)),
+            (&[0u32][..], &[1.0][..])
+        );
+    }
+
+    #[test]
+    fn select_ranks_by_value_then_index_for_every_budget() {
+        let v = [0.1, 0.9, 0.5, 0.9, 0.2];
+        assert_eq!(kept_of(&v, 5, 3).0, [1, 3, 2]);
+        assert_eq!(kept_of(&v, 5, 5).0, [1, 3, 2, 4, 0]);
+        assert_eq!(
+            kept_of(&v, 5, 99).0,
+            [1, 3, 2, 4, 0],
+            "budget > n keeps all"
+        );
+        let (kept, weights) = kept_of(&v, 5, 0);
+        assert!(kept.is_empty() && weights.is_empty());
+        // Fewer present candidates than slots: only those are ranked.
+        assert_eq!(kept_of(&v, 2, 4).0, [1, 0]);
+        assert_eq!(kept_of(&v, 0, 4).0, [0u32; 0]);
+        // All equal: index order, uniform weights.
+        let (kept, weights) = kept_of(&[0.3; 4], 4, 3);
+        assert_eq!(kept, [0, 1, 2]);
+        assert!(weights.iter().all(|&w| approx_eq(w, 1.0 / 3.0, 1e-6)));
+    }
+
+    #[test]
+    fn select_is_a_total_order_over_nan_and_infinities() {
+        let (nan, inf) = (Float::NAN, Float::INFINITY);
+        // NaN ranks last whatever its sign or position; ±∞ rank as values.
+        let v = [nan, 1.0, -inf, inf, -nan, 1.0, 0.0];
+        assert_eq!(kept_of(&v, 7, 7).0, [3, 1, 5, 6, 2, 0, 4]);
+        assert_eq!(kept_of(&v, 7, 2).0, [3, 1]);
+        assert_eq!(kept_of(&[nan; 5], 5, 3).0, [0, 1, 2]);
+        // ±0 are one value: the lower index wins.
+        assert_eq!(kept_of(&[-0.0, 0.0, -0.0], 3, 3).0, [0, 1, 2]);
+        // Every pattern of NaNs sorts without a panic (std ≥ 1.81 panics on
+        // a comparator that is not a total order) and yields a permutation.
+        for mask in 0u32..64 {
+            let logits: Vec<Float> = (0..6)
+                .map(|j| {
+                    if mask >> j & 1 == 1 {
+                        nan
+                    } else {
+                        (j % 3) as Float
+                    }
+                })
+                .collect();
+            let mut kept = kept_of(&logits, 6, 6).0;
+            let nans = mask.count_ones() as usize;
+            assert!(kept[6 - nans..]
+                .iter()
+                .all(|&j| logits[j as usize].is_nan()));
+            kept.sort_unstable();
+            assert_eq!(kept, [0, 1, 2, 3, 4, 5], "mask {mask:06b}");
+        }
     }
 
     #[test]

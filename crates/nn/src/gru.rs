@@ -24,10 +24,11 @@
 
 use crate::linear::Linear;
 use crate::param::Param;
+use crate::time_encode::LutTimeEncoder;
 use serde::{Deserialize, Serialize};
 use tgnn_tensor::ops::{add, hadamard, sigmoid_matrix, tanh_matrix};
 use tgnn_tensor::vmath::gru_gates_into;
-use tgnn_tensor::{Matrix, TensorRng, Workspace};
+use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
 
 /// GRU cell operating on batches (each row = one vertex).
 ///
@@ -84,6 +85,13 @@ impl GruCell {
         }
     }
 
+    /// Declares the last `time_dim` message columns a time encoding (see
+    /// [`Linear::with_time_tail`]); `None` leaves the cell as it is.
+    pub fn with_time_tail(mut self, time_dim: Option<usize>) -> Self {
+        self.w_i = self.w_i.with_time_tail(time_dim);
+        self
+    }
+
     /// Message (input) dimensionality.
     pub fn input_dim(&self) -> usize {
         self.input_dim
@@ -119,6 +127,38 @@ impl GruCell {
     pub fn forward_ws(&self, input: &Matrix, hidden: &Matrix, ws: &mut Workspace) -> Matrix {
         self.check_shapes(input, hidden);
         let gi = self.w_i.forward_ws(input, ws);
+        self.gates_ws(gi, hidden, ws)
+    }
+
+    /// [`Self::forward_ws`] of a cell with a time tail, **folded**: `head`
+    /// holds the message columns before the time encoding and row `i`'s
+    /// encoding is `lut`'s of `delta_t[i]`, read from the fused table
+    /// instead of being assembled and multiplied
+    /// ([`Linear::forward_folded_into`]).  Bit-identical to
+    /// [`Self::forward_ws`] on `[head ‖ lut.forward(delta_t)]`.
+    ///
+    /// # Panics
+    /// Panics if the cell has no time tail or on dimension mismatches.
+    pub fn forward_folded_ws(
+        &self,
+        head: &Matrix,
+        lut: &LutTimeEncoder,
+        delta_t: &[Float],
+        hidden: &Matrix,
+        ws: &mut Workspace,
+    ) -> Matrix {
+        assert_eq!(
+            hidden.shape(),
+            (head.rows(), self.hidden_dim),
+            "GruCell: hidden shape mismatch"
+        );
+        let gi = self.w_i.forward_folded_ws(head, lut, delta_t, ws);
+        self.gates_ws(gi, hidden, ws)
+    }
+
+    /// Hidden-side GEMM and the fused gate pass, given the input-side
+    /// pre-activations (consumed).
+    fn gates_ws(&self, gi: Matrix, hidden: &Matrix, ws: &mut Workspace) -> Matrix {
         let gh = self.w_h.forward_ws(hidden, ws);
         let mut out = ws.take_matrix(hidden.rows(), self.hidden_dim);
         gru_gates_into(&gi, &gh, hidden, &mut out);
@@ -507,6 +547,33 @@ mod tests {
             packs,
             "steady-state GRU must not re-pack its weights"
         );
+    }
+
+    #[test]
+    fn a_cell_with_a_time_tail_folds_bit_identically() {
+        let mut rng = TensorRng::new(11);
+        let mut ws = Workspace::new();
+        for (head_dim, time_dim, hidden_dim) in [(372, 100, 100), (11, 6, 7), (3, 1, 1)] {
+            let cell = biased_cell(head_dim + time_dim, hidden_dim, &mut rng)
+                .with_time_tail(Some(time_dim));
+            let mut lut =
+                LutTimeEncoder::with_edges("lut", (0..=8).map(|b| b as Float).collect(), time_dim);
+            lut.table_mut().value = rng.uniform_matrix(8, time_dim, -1.0, 1.0);
+            for batch in [1usize, 5, 111] {
+                let head = rng.uniform_matrix(batch, head_dim, -1.0, 1.0);
+                let dts = rng.uniform_vec(batch, -1.0, 9.0);
+                let s = rng.uniform_matrix(batch, hidden_dim, -1.0, 1.0);
+                let m = head.hconcat(&lut.forward(&dts));
+                let what = format!("{head_dim}+{time_dim}→{hidden_dim}, batch {batch}");
+                let reference = cell.forward(&m, &s);
+                let unfolded = cell.forward_ws(&m, &s, &mut ws);
+                assert_eq!(unfolded.as_slice(), reference.as_slice(), "unfolded {what}");
+                ws.recycle_matrix(unfolded);
+                let folded = cell.forward_folded_ws(&head, &lut, &dts, &s, &mut ws);
+                assert_eq!(folded.as_slice(), reference.as_slice(), "folded {what}");
+                ws.recycle_matrix(folded);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,35 @@
 //! Learnable parameter container.
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tgnn_tensor::{Float, Matrix};
+
+/// Identity of one state of a layer's values, for a cache derived from more
+/// than one layer: the fused time table a split [`crate::Linear`] keeps is a
+/// function of its own weight *and* of a [`crate::LutTimeEncoder`]'s table,
+/// which it does not own.  The encoder draws a fresh stamp every time it
+/// hands out mutable access to its table, so **equal stamps imply equal
+/// contents** and a cache tagged with a stamp can be validated without
+/// comparing tables.  A copy keeps its source's stamp (same contents);
+/// `Default` — what a `#[serde(skip)]` field gets on deserialisation — draws
+/// a new one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stamp(u64);
+
+impl Stamp {
+    /// A stamp no other value in this process holds.
+    pub fn fresh() -> Self {
+        // Relaxed: only uniqueness matters; the counter publishes no data.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Stamp(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for Stamp {
+    fn default() -> Self {
+        Self::fresh()
+    }
+}
 
 /// A learnable parameter: a value matrix and its accumulated gradient.
 ///

@@ -9,16 +9,17 @@
 //!   round it differently, and no libm is involved.
 //! * [`LutTimeEncoder`] — the paper's LUT replacement (Section III-C): Δt is
 //!   bucketed into equal-frequency intervals and each interval stores a
-//!   learned encoding vector.  What is served today is the plain lookup
-//!   ([`LutTimeEncoder::forward_into`]) followed by the ordinary GEMMs.
-//!   On the hardware the table is additionally *fused* with the downstream
-//!   weight matrix so "time encoding + vector–matrix multiply" collapses
-//!   into a single table read; [`LutTimeEncoder::fuse_with`] computes that
-//!   table, but it has **no product caller yet** — folding it into the GRU
-//!   input and `W_v` projections is the ROADMAP candidate "fold the time
-//!   LUT".
+//!   learned encoding vector.  On the hardware the table is additionally
+//!   *fused* with the downstream weight matrix so "time encoding +
+//!   vector–matrix multiply" collapses into a single table read;
+//!   [`LutTimeEncoder::fuse_with`] computes that table, and every
+//!   [`crate::Linear`] whose input ends in a time encoding serves from it
+//!   ([`crate::Linear::forward_folded_into`]): the batched and served paths
+//!   look a bin up per row and never materialise an encoding.  The plain
+//!   lookup ([`LutTimeEncoder::forward_into`]) remains for the per-vertex
+//!   reference and training paths.
 
-use crate::param::Param;
+use crate::param::{Param, Stamp};
 use serde::{Deserialize, Serialize};
 use tgnn_tensor::gemm::matmul;
 use tgnn_tensor::stats::{bin_index, equal_frequency_edges};
@@ -134,13 +135,22 @@ impl CosTimeEncoder {
 /// a learnable encoding vector.  Lookup is a binary search over the bin
 /// edges (on hardware: a pipelined comparator tree over BRAM) followed by a
 /// table read — no arithmetic.
+///
+/// The table is private because tables fused with it are cached elsewhere
+/// ([`crate::Linear`]): every mutable route to it ([`Self::table_mut`],
+/// [`Self::params_mut`]) redraws [`Self::stamp`], which those caches are
+/// validated against, so a stale fused table cannot be served.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LutTimeEncoder {
     /// Bin edges, strictly increasing, `bins + 1` entries.
     edges: Vec<Float>,
     /// Encoding table (`bins × dim`).
-    pub table: Param,
+    table: Param,
     dim: usize,
+    /// Identity of the table's current contents.  Not part of the
+    /// serialized form: a loaded encoder draws its own.
+    #[serde(skip)]
+    stamp: Stamp,
 }
 
 impl LutTimeEncoder {
@@ -171,6 +181,7 @@ impl LutTimeEncoder {
             edges,
             table: Param::new(format!("{name}.table"), table),
             dim: reference.dim(),
+            stamp: Stamp::fresh(),
         }
     }
 
@@ -187,7 +198,26 @@ impl LutTimeEncoder {
             edges,
             table: Param::zeros(format!("{name}.table"), nbins, dim),
             dim,
+            stamp: Stamp::fresh(),
         }
+    }
+
+    /// The encoding table (`bins × dim`).
+    pub fn table(&self) -> &Param {
+        &self.table
+    }
+
+    /// Mutable access to the table; redraws [`Self::stamp`], so every table
+    /// fused with the old contents is rebuilt before it is next used.
+    pub fn table_mut(&mut self) -> &mut Param {
+        self.stamp = Stamp::fresh();
+        &mut self.table
+    }
+
+    /// Identity of the table's current contents: two encoders with equal
+    /// stamps hold equal tables.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
     /// Output dimensionality.
@@ -251,6 +281,8 @@ impl LutTimeEncoder {
     /// matrix `W (out × dim)`: the returned `bins × out` matrix is the fused
     /// LUT stored in on-chip memory, so that at inference the time encoding
     /// *and* its vector–matrix multiplication cost a single table read.
+    /// Each entry is the fused ascending-`k` chain from `+0.0` of the numeric
+    /// contract, i.e. exactly what any GEMM kernel yields for the table row.
     pub fn fuse_with(&self, weight: &Matrix) -> Matrix {
         assert_eq!(
             weight.cols(),
@@ -260,9 +292,9 @@ impl LutTimeEncoder {
         matmul(&self.table.value, &weight.transpose())
     }
 
-    /// Learnable parameters.
+    /// Learnable parameters (redraws the stamp, like [`Self::table_mut`]).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.table]
+        vec![self.table_mut()]
     }
 
     /// Immutable parameter access.
@@ -377,9 +409,9 @@ mod tests {
     fn lut_forward_is_piecewise_constant_and_saturates() {
         let lut = {
             let mut l = LutTimeEncoder::with_edges("lut", vec![0.0, 1.0, 2.0, 4.0], 2);
-            l.table.value.set_row(0, &[1.0, 0.0]);
-            l.table.value.set_row(1, &[0.0, 1.0]);
-            l.table.value.set_row(2, &[0.5, 0.5]);
+            l.table_mut().value.set_row(0, &[1.0, 0.0]);
+            l.table_mut().value.set_row(1, &[0.0, 1.0]);
+            l.table_mut().value.set_row(2, &[0.5, 0.5]);
             l
         };
         assert_eq!(lut.forward(&[0.2]).row(0), &[1.0, 0.0]);
@@ -401,8 +433,8 @@ mod tests {
             vec![0.0, 0.0, 3.0],
         ]);
         lut.backward(&dts, &grad);
-        assert_eq!(lut.table.grad.row(0), &[1.0, 2.0, 0.0]);
-        assert_eq!(lut.table.grad.row(1), &[0.0, 0.0, 3.0]);
+        assert_eq!(lut.table().grad.row(0), &[1.0, 2.0, 0.0]);
+        assert_eq!(lut.table().grad.row(1), &[0.0, 0.0, 3.0]);
     }
 
     #[test]
@@ -423,5 +455,23 @@ mod tests {
             assert!(approx_eq(fused[(bin, j)], explicit[(0, j)], 1e-4));
         }
         assert_eq!(lut.table_bytes(4), lut.bins() * 5 * 4);
+    }
+
+    #[test]
+    fn every_mutable_route_to_the_table_redraws_the_stamp() {
+        let mut lut = LutTimeEncoder::with_edges("lut", vec![0.0, 1.0, 2.0], 3);
+        let original = lut.stamp();
+        assert_eq!(lut.clone().stamp(), original, "a copy holds the same table");
+        assert_eq!(lut.table().value.shape(), (2, 3));
+        assert_eq!(lut.stamp(), original, "reading changes nothing");
+
+        let _ = lut.table_mut();
+        let after_table_mut = lut.stamp();
+        assert_ne!(after_table_mut, original);
+        let _ = lut.params_mut();
+        assert_ne!(lut.stamp(), after_table_mut);
+        // Two encoders never share a stamp unless one is a copy of the other.
+        let twin = LutTimeEncoder::with_edges("lut", vec![0.0, 1.0, 2.0], 3);
+        assert_ne!(twin.stamp(), lut.stamp());
     }
 }

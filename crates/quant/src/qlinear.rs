@@ -8,10 +8,17 @@
 //! dequantizes + adds the f32 bias in the fused epilogue.  The only
 //! per-call temporaries (the quantized activation rows) come from the
 //! workspace's i8 pool, so the hot path stays allocation-free.
+//!
+//! A layer whose input ends in a LUT time encoding can be built **folded**
+//! ([`QuantizedLinear::from_linear_folded`]): the time columns of a row take
+//! one of `bins` quantized values, so their i32 partial sums against the
+//! quantized time columns of the weight are computed once per bin and the
+//! forward pass multiplies the remaining columns only, then adds the row's
+//! bin entry — the int8 counterpart of `Linear::forward_folded_into`.
 
 use crate::qtensor::QTensor;
 use serde::{Deserialize, Serialize};
-use tgnn_nn::Linear;
+use tgnn_nn::{Linear, LutTimeEncoder};
 use tgnn_tensor::gemm_i8::{
     matmul_i8_dequant_into, pack_rhs_i8, packed_rhs_len, padded_k, quantize_slice_into,
 };
@@ -31,8 +38,13 @@ pub struct QuantizedLinear {
     bias: Vec<Float>,
     /// Static input-activation scale from calibration.
     act_scale: Float,
+    /// Columns the GEMM multiplies: all of the layer's, or those before the
+    /// time encoding when folded.
     in_dim: usize,
     out_dim: usize,
+    /// Folded layers: per LUT bin, the dequantized contribution of the time
+    /// columns (`bins × out_dim`).
+    time_table: Option<Matrix>,
 }
 
 impl QuantizedLinear {
@@ -42,30 +54,79 @@ impl QuantizedLinear {
     /// # Panics
     /// Panics if `act_scale` is not positive and finite.
     pub fn from_linear(layer: &Linear, act_scale: Float) -> Self {
+        Self::build(layer, act_scale, layer.in_dim(), None)
+    }
+
+    /// [`Self::from_linear`] of a layer with a time tail, folded over `lut`:
+    /// the weight is quantized whole (same per-row scales), the GEMM packs
+    /// the columns before the split only, and the time columns become a
+    /// `bins × out` table of `Σ_k q(table[b][k])·W_q[j][split + k]`, exact
+    /// in i32, times the dequant factor.  Serve it with
+    /// [`Self::forward_folded_ws`].
+    ///
+    /// # Panics
+    /// Panics if the layer has no time tail of `lut`'s width or `act_scale`
+    /// is not positive and finite.
+    pub fn from_linear_folded(layer: &Linear, act_scale: Float, lut: &LutTimeEncoder) -> Self {
+        let split = layer
+            .split()
+            .expect("QuantizedLinear::from_linear_folded: the layer has no time tail");
+        assert_eq!(
+            lut.dim(),
+            layer.in_dim() - split,
+            "QuantizedLinear::from_linear_folded: time dim mismatch"
+        );
+        Self::build(layer, act_scale, split, Some(&lut.table().value))
+    }
+
+    /// Quantizes `layer`, packing its first `head` input columns; `table`
+    /// rows (time encodings) are folded over the remaining ones.
+    fn build(layer: &Linear, act_scale: Float, head: usize, table: Option<&Matrix>) -> Self {
         assert!(
             act_scale > 0.0 && act_scale.is_finite(),
             "QuantizedLinear: activation scale must be positive and finite"
         );
         let w = &layer.weight().value;
         let weight = QTensor::quantize_per_row(w);
-        let (out_dim, in_dim) = w.shape();
-        let mut packed = vec![0i8; packed_rhs_len(out_dim, in_dim)];
-        pack_rhs_i8(weight.as_slice(), out_dim, in_dim, &mut packed);
+        let out_dim = w.rows();
+        let head_rows: Vec<i8> = (0..out_dim)
+            .flat_map(|j| weight.row(j)[..head].iter().copied())
+            .collect();
+        let mut packed = vec![0i8; packed_rhs_len(out_dim, head)];
+        pack_rhs_i8(&head_rows, out_dim, head, &mut packed);
         let combined_scales: Vec<Float> = (0..out_dim)
             .map(|j| act_scale * weight.row_scale(j))
             .collect();
+        let time_table = table.map(|table| {
+            let mut q_row = vec![0i8; table.cols()];
+            let mut folded = Matrix::zeros(table.rows(), out_dim);
+            for b in 0..table.rows() {
+                quantize_slice_into(table.row(b), act_scale, &mut q_row);
+                for (j, out) in folded.row_mut(b).iter_mut().enumerate() {
+                    let sum: i32 = q_row
+                        .iter()
+                        .zip(&weight.row(j)[head..])
+                        .map(|(&a, &w)| a as i32 * w as i32)
+                        .sum();
+                    *out = sum as Float * combined_scales[j];
+                }
+            }
+            folded
+        });
         Self {
             weight,
             packed,
             combined_scales,
             bias: layer.bias.value.row(0).to_vec(),
             act_scale,
-            in_dim,
+            in_dim: head,
             out_dim,
+            time_table,
         }
     }
 
-    /// Input dimensionality.
+    /// Input columns the GEMM multiplies (a folded layer's exclude the time
+    /// encoding).
     pub fn in_dim(&self) -> usize {
         self.in_dim
     }
@@ -128,6 +189,39 @@ impl QuantizedLinear {
     pub fn forward_ws(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
         let mut out = ws.take_matrix(x.rows(), self.out_dim);
         self.forward_into(x, &mut out, ws);
+        out
+    }
+
+    /// The forward pass of a folded layer, output from the workspace: the
+    /// int8 GEMM over `head` (the input columns before the time encoding),
+    /// then row `i` gains the table entry of `lut`'s bin for `delta_t[i]`.
+    /// `lut` must be the encoder the layer was folded over.
+    ///
+    /// # Panics
+    /// Panics if the layer was not built folded or on shape mismatches.
+    pub fn forward_folded_ws(
+        &self,
+        head: &Matrix,
+        lut: &LutTimeEncoder,
+        delta_t: &[Float],
+        ws: &mut Workspace,
+    ) -> Matrix {
+        let table = self
+            .time_table
+            .as_ref()
+            .expect("QuantizedLinear::forward_folded_ws: the layer is not folded");
+        assert_eq!(
+            (delta_t.len(), lut.bins()),
+            (head.rows(), table.rows()),
+            "QuantizedLinear::forward_folded_ws: Δt count / LUT mismatch"
+        );
+        let mut out = self.forward_ws(head, ws);
+        for (i, &dt) in delta_t.iter().enumerate() {
+            let entry = table.row(lut.lookup_bin(dt));
+            for (v, &t) in out.row_mut(i).iter_mut().zip(entry) {
+                *v += t;
+            }
+        }
         out
     }
 }
@@ -222,5 +316,36 @@ mod tests {
         let back = q.weight().dequantize();
         let err = max_abs_diff(layer.weight().value.as_slice(), back.as_slice());
         assert!(err <= q.weight().step_bound() + 1e-7);
+    }
+
+    #[test]
+    fn folded_forward_tracks_the_unfolded_layer_to_rounding() {
+        let mut rng = TensorRng::new(8);
+        let (head_dim, time_dim, out_dim, bins) = (20, 6, 9, 5);
+        let layer =
+            Linear::new("t", head_dim + time_dim, out_dim, &mut rng).with_time_tail(Some(time_dim));
+        let edges = (0..=bins).map(|b| b as Float).collect();
+        let mut lut = LutTimeEncoder::with_edges("lut", edges, time_dim);
+        lut.table_mut().value = rng.uniform_matrix(bins, time_dim, -1.0, 1.0);
+        let head = rng.uniform_matrix(7, head_dim, -1.0, 1.0);
+        let dts = rng.uniform_vec(7, -1.0, 6.0);
+        let mut ws = Workspace::new();
+
+        let scale = 1.0 / 127.0;
+        let folded = QuantizedLinear::from_linear_folded(&layer, scale, &lut);
+        assert_eq!(folded.in_dim(), head_dim);
+        let unfolded = QuantizedLinear::from_linear(&layer, scale);
+        let out = folded.forward_folded_ws(&head, &lut, &dts, &mut ws);
+        let full = unfolded.forward_ws(&head.hconcat(&lut.forward(&dts)), &mut ws);
+        // Same quantized operands, same exact i32 partial sums; only the
+        // point at which they are dequantized and added differs.
+        let err = max_abs_diff(out.as_slice(), full.as_slice());
+        assert!(
+            err < 1e-5,
+            "folded int8 strayed from unfolded int8 by {err}"
+        );
+        // Deterministic: a second call reproduces the bits.
+        let again = folded.forward_folded_ws(&head, &lut, &dts, &mut ws);
+        assert_eq!(again.as_slice(), out.as_slice());
     }
 }

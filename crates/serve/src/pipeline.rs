@@ -572,7 +572,9 @@ impl StateStage {
             None => 0,
         };
         let sampled = in_span(obs.map(|o| &o.sampler), epoch, || {
-            SampledBatch::assemble(batch, k, |v, t, k, out| table.sample_into(v, t, k, out))
+            SampledBatch::assemble(batch, k, &self.model, |v, t, k, out| {
+                table.sample_into(v, t, k, out)
+            })
         });
         let sampled_at = Instant::now();
         let updated = in_span(obs.map(|o| &o.memory), epoch, || {

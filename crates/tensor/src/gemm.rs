@@ -186,8 +186,16 @@ fn packed_len(k: usize, n: usize) -> usize {
 /// Packs `B` (`k×n`, row-major) into `⌈n/NR⌉` contiguous column panels laid
 /// out `panel-major → k → lane`, zero-padding the last panel's missing lanes.
 /// When `TRANS` is true the source is interpreted as `Bᵀ` stored row-major
-/// (`n×k`), i.e. element `(kk, j)` is read from `b[j*k + kk]`.
-fn pack_b_panels<const TRANS: bool>(b: &[Float], k: usize, n: usize, packed: &mut [Float]) {
+/// (`n` rows of stride `ld ≥ k`), i.e. element `(kk, j)` is read from
+/// `b[j*ld + kk]` — a stride above `k` packs a column range of a wider
+/// matrix.  Untransposed sources are dense (`ld == n`).
+fn pack_b_panels<const TRANS: bool>(
+    b: &[Float],
+    ld: usize,
+    k: usize,
+    n: usize,
+    packed: &mut [Float],
+) {
     PANEL_PACKS.with(|c| c.set(c.get() + 1));
     let panels = n.div_ceil(NR);
     debug_assert!(packed.len() >= panels * k * NR);
@@ -202,7 +210,7 @@ fn pack_b_panels<const TRANS: bool>(b: &[Float], k: usize, n: usize, packed: &mu
                 dst_panel.fill(0.0);
             }
             for j in 0..width {
-                let src = &b[(j0 + j) * k..(j0 + j + 1) * k];
+                let src = &b[(j0 + j) * ld..(j0 + j) * ld + k];
                 for (dst, &v) in dst_panel[j..].iter_mut().step_by(NR).zip(src) {
                     *dst = v;
                 }
@@ -210,7 +218,7 @@ fn pack_b_panels<const TRANS: bool>(b: &[Float], k: usize, n: usize, packed: &mu
         } else {
             for kk in 0..k {
                 let dst = &mut dst_panel[kk * NR..kk * NR + NR];
-                dst[..width].copy_from_slice(&b[kk * n + j0..kk * n + j0 + width]);
+                dst[..width].copy_from_slice(&b[kk * ld + j0..kk * ld + j0 + width]);
                 dst[width..].fill(0.0);
             }
         }
@@ -231,15 +239,32 @@ impl PackedB {
     /// Packs `B = btᵀ` where `bt` is stored row-major as `n×k` — the layout
     /// `Linear` keeps its `out_dim × in_dim` weights in.
     pub fn from_transposed(bt: &Matrix) -> Self {
-        let (n, k) = bt.shape();
+        Self::from_transposed_cols(bt, 0..bt.cols())
+    }
+
+    /// [`Self::from_transposed`] of the column range `cols` of `bt` alone:
+    /// the pack of `B[cols, :]`, for a product over part of the inner
+    /// dimension (see [`matmul_prepacked_cols_into`]).
+    ///
+    /// # Panics
+    /// Panics if `cols` is not within `0..bt.cols()`.
+    pub fn from_transposed_cols(bt: &Matrix, cols: std::ops::Range<usize>) -> Self {
+        assert!(
+            cols.start <= cols.end && cols.end <= bt.cols(),
+            "PackedB::from_transposed_cols: column range out of bounds"
+        );
+        let (n, k) = (bt.rows(), cols.len());
         let mut panels = vec![0.0; packed_len(k, n)];
-        pack_b_panels::<true>(bt.as_slice(), k, n, &mut panels);
+        if n > 0 && k > 0 {
+            pack_b_panels::<true>(&bt.as_slice()[cols.start..], bt.cols(), k, n, &mut panels);
+        }
         Self { k, n, panels }
     }
 }
 
 /// One `TILE_M×NR` register tile:
-/// `C[i0..i0+TILE_M, j0..j0+width] = A[i0..i0+TILE_M, :] · panel`, with one
+/// `C[i0..i0+TILE_M, j0..j0+width] = A[i0..i0+TILE_M, :] · panel` (rows of
+/// `A` are `k` long and `lda ≥ k` apart), with one
 /// accumulator per output element, fused multiply-add and `k` strictly
 /// ascending — the module's numeric contract.  `FMA` selects the intrinsics
 /// kernel (the tile held in 12 YMM registers) over the portable scalar one;
@@ -248,6 +273,7 @@ impl PackedB {
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel<const TILE_M: usize, const FMA: bool>(
     a: &[Float],
+    lda: usize,
     k: usize,
     i0: usize,
     panel: &[Float],
@@ -256,7 +282,7 @@ fn micro_kernel<const TILE_M: usize, const FMA: bool>(
     j0: usize,
     width: usize,
 ) {
-    let a_tile = &a[i0 * k..(i0 + TILE_M) * k];
+    let a_tile = &a[i0 * lda..(i0 + TILE_M - 1) * lda + k];
     let panel = &panel[..k * NR];
     let mut acc = [[0.0 as Float; NR]; TILE_M];
     #[cfg(target_arch = "x86_64")]
@@ -265,19 +291,19 @@ fn micro_kernel<const TILE_M: usize, const FMA: bool>(
         // the upper vector.
         // SAFETY: `FMA` is true only under `packed_gemm_loop_fma`, which runs
         // after the `avx2` and `fma` checks; the slices above hold exactly
-        // `TILE_M * k` and `k * NR` elements.
+        // `(TILE_M - 1) * lda + k` and `k * NR` elements.
         unsafe {
             if width <= 8 {
-                accumulate_tile_fma::<TILE_M, 1>(a_tile, k, panel, &mut acc)
+                accumulate_tile_fma::<TILE_M, 1>(a_tile, lda, k, panel, &mut acc)
             } else {
-                accumulate_tile_fma::<TILE_M, 2>(a_tile, k, panel, &mut acc)
+                accumulate_tile_fma::<TILE_M, 2>(a_tile, lda, k, panel, &mut acc)
             }
         };
     }
     if !FMA {
         for (kk, b_lane) in panel.chunks_exact(NR).enumerate() {
             for (i, acc_row) in acc.iter_mut().enumerate() {
-                let aik = a_tile[i * k + kk];
+                let aik = a_tile[i * lda + kk];
                 for (s, &b) in acc_row.iter_mut().zip(b_lane) {
                     *s = aik.mul_add(b, *s);
                 }
@@ -295,13 +321,15 @@ fn micro_kernel<const TILE_M: usize, const FMA: bool>(
 /// chains.  Lanes beyond `8·NV` of `acc` are left untouched.
 ///
 /// # Safety
-/// The CPU must support `avx2` and `fma`; `a_tile.len() == TILE_M * k`,
+/// The CPU must support `avx2` and `fma`;
+/// `a_tile.len() == (TILE_M - 1) * lda + k` with `lda >= k`,
 /// `panel.len() == k * NR` and `NV <= 2`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn accumulate_tile_fma<const TILE_M: usize, const NV: usize>(
     a_tile: &[Float],
+    lda: usize,
     k: usize,
     panel: &[Float],
     acc: &mut [[Float; NR]; TILE_M],
@@ -309,7 +337,8 @@ unsafe fn accumulate_tile_fma<const TILE_M: usize, const NV: usize>(
     use std::arch::x86_64::{
         _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
-    debug_assert_eq!(a_tile.len(), TILE_M * k);
+    debug_assert!(lda >= k);
+    debug_assert_eq!(a_tile.len(), (TILE_M - 1) * lda + k);
     debug_assert_eq!(panel.len(), k * NR);
     debug_assert!(8 * NV <= NR);
     let a_ptr = a_tile.as_ptr();
@@ -321,7 +350,7 @@ unsafe fn accumulate_tile_fma<const TILE_M: usize, const NV: usize>(
             *b_v = _mm256_loadu_ps(b_ptr.add(kk * NR + 8 * v));
         }
         for (i, row) in sums.iter_mut().enumerate() {
-            let aik = _mm256_broadcast_ss(&*a_ptr.add(i * k + kk));
+            let aik = _mm256_broadcast_ss(&*a_ptr.add(i * lda + kk));
             for (sum, &b_v) in row.iter_mut().zip(&b) {
                 *sum = _mm256_fmadd_ps(aik, b_v, *sum);
             }
@@ -334,35 +363,46 @@ unsafe fn accumulate_tile_fma<const TILE_M: usize, const NV: usize>(
     }
 }
 
-/// Runs the microkernel over all row/panel tiles of `C = A·panels`: the
-/// `avx2,fma` kernel when the CPU has both, the portable one otherwise
-/// (same recurrence, same bits).
-fn packed_gemm_loop(a: &[Float], m: usize, k: usize, n: usize, packed: &[Float], c: &mut [Float]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: feature presence checked at runtime just above.
-        unsafe { packed_gemm_loop_fma(a, m, k, n, packed, c) };
-        return;
-    }
-    packed_gemm_tiles::<false>(a, m, k, n, packed, c);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn packed_gemm_loop_fma(
+/// Runs the microkernel over all row/panel tiles of `C = A·panels`, the
+/// `m` rows of `A` being `k` long and `lda ≥ k` apart: the `avx2,fma`
+/// kernel when the CPU has both, the portable one otherwise (same
+/// recurrence, same bits).
+fn packed_gemm_loop(
     a: &[Float],
+    lda: usize,
     m: usize,
     k: usize,
     n: usize,
     packed: &[Float],
     c: &mut [Float],
 ) {
-    packed_gemm_tiles::<true>(a, m, k, n, packed, c);
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: feature presence checked at runtime just above.
+        unsafe { packed_gemm_loop_fma(a, lda, m, k, n, packed, c) };
+        return;
+    }
+    packed_gemm_tiles::<false>(a, lda, m, k, n, packed, c);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn packed_gemm_loop_fma(
+    a: &[Float],
+    lda: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    packed: &[Float],
+    c: &mut [Float],
+) {
+    packed_gemm_tiles::<true>(a, lda, m, k, n, packed, c);
 }
 
 #[inline(always)]
 fn packed_gemm_tiles<const FMA: bool>(
     a: &[Float],
+    lda: usize,
     m: usize,
     k: usize,
     n: usize,
@@ -374,15 +414,15 @@ fn packed_gemm_tiles<const FMA: bool>(
         let width = NR.min(n - j0);
         let mut i0 = 0;
         while i0 + MR <= m {
-            micro_kernel::<MR, FMA>(a, k, i0, panel, c, n, j0, width);
+            micro_kernel::<MR, FMA>(a, lda, k, i0, panel, c, n, j0, width);
             i0 += MR;
         }
         match m - i0 {
-            1 => micro_kernel::<1, FMA>(a, k, i0, panel, c, n, j0, width),
-            2 => micro_kernel::<2, FMA>(a, k, i0, panel, c, n, j0, width),
-            3 => micro_kernel::<3, FMA>(a, k, i0, panel, c, n, j0, width),
-            4 => micro_kernel::<4, FMA>(a, k, i0, panel, c, n, j0, width),
-            5 => micro_kernel::<5, FMA>(a, k, i0, panel, c, n, j0, width),
+            1 => micro_kernel::<1, FMA>(a, lda, k, i0, panel, c, n, j0, width),
+            2 => micro_kernel::<2, FMA>(a, lda, k, i0, panel, c, n, j0, width),
+            3 => micro_kernel::<3, FMA>(a, lda, k, i0, panel, c, n, j0, width),
+            4 => micro_kernel::<4, FMA>(a, lda, k, i0, panel, c, n, j0, width),
+            5 => micro_kernel::<5, FMA>(a, lda, k, i0, panel, c, n, j0, width),
             _ => {}
         }
     }
@@ -405,9 +445,39 @@ fn packed_shapes_ok(a: &Matrix, k: usize, n: usize, c: &mut Matrix, who: &str) -
 /// # Panics
 /// Panics if shapes disagree.
 pub fn matmul_prepacked_into(a: &Matrix, b: &PackedB, c: &mut Matrix) {
-    if packed_shapes_ok(a, b.k, b.n, c, "matmul_prepacked_into") {
+    assert_eq!(
+        a.cols(),
+        b.k,
+        "matmul_prepacked_into: inner dimension mismatch"
+    );
+    matmul_prepacked_cols_into(a, 0, b, c);
+}
+
+/// [`matmul_prepacked_into`] over a column range of `A`:
+/// `A[:, first_col..first_col + k] · B -> C`, `k` being `B`'s inner
+/// dimension.  The rows are read in place at `A`'s own stride, so a product
+/// over part of the inner dimension costs no copy — and, being the same
+/// microkernel, equals the product with the columns copied out, bit for bit.
+///
+/// # Panics
+/// Panics if the column range leaves `A` or the output shape disagrees.
+pub fn matmul_prepacked_cols_into(a: &Matrix, first_col: usize, b: &PackedB, c: &mut Matrix) {
+    assert!(
+        first_col + b.k <= a.cols(),
+        "matmul_prepacked_cols_into: column range out of bounds"
+    );
+    assert_eq!(
+        c.shape(),
+        (a.rows(), b.n),
+        "matmul_prepacked_cols_into: output shape mismatch"
+    );
+    if b.k == 0 {
+        c.as_mut_slice().fill(0.0);
+    }
+    if a.rows() > 0 && b.n > 0 && b.k > 0 {
         packed_gemm_loop(
-            a.as_slice(),
+            &a.as_slice()[first_col..],
+            a.cols(),
             a.rows(),
             b.k,
             b.n,
@@ -433,8 +503,8 @@ pub fn matmul_packed_into(a: &Matrix, b: &Matrix, c: &mut Matrix, ws: &mut Works
     let (k, n) = b.shape();
     if packed_shapes_ok(a, k, n, c, "matmul_packed_into") {
         let packed = ws.pack_buffer(packed_len(k, n));
-        pack_b_panels::<false>(b.as_slice(), k, n, packed);
-        packed_gemm_loop(a.as_slice(), a.rows(), k, n, packed, c.as_mut_slice());
+        pack_b_panels::<false>(b.as_slice(), n, k, n, packed);
+        packed_gemm_loop(a.as_slice(), k, a.rows(), k, n, packed, c.as_mut_slice());
     }
 }
 
@@ -446,8 +516,8 @@ pub fn matmul_packed_transb_into(a: &Matrix, bt: &Matrix, c: &mut Matrix, ws: &m
     let (n, k) = bt.shape();
     if packed_shapes_ok(a, k, n, c, "matmul_packed_transb_into") {
         let packed = ws.pack_buffer(packed_len(k, n));
-        pack_b_panels::<true>(bt.as_slice(), k, n, packed);
-        packed_gemm_loop(a.as_slice(), a.rows(), k, n, packed, c.as_mut_slice());
+        pack_b_panels::<true>(bt.as_slice(), k, k, n, packed);
+        packed_gemm_loop(a.as_slice(), k, a.rows(), k, n, packed, c.as_mut_slice());
     }
 }
 
@@ -662,10 +732,31 @@ mod tests {
             assert_eq!(c.as_slice(), expect, "prepacked {shape}");
             assert_eq!(panel_packs_on_this_thread(), packs, "prepacked packs");
 
+            // A column range of A against the pack of the same range of B:
+            // the product with both ranges copied out.
+            for cols in [0..k / 3, k / 3..k, k..k] {
+                let part = PackedB::from_transposed_cols(&bt, cols.clone());
+                c.as_mut_slice().fill(42.0);
+                matmul_prepacked_cols_into(&a, cols.start, &part, &mut c);
+                let copied = naive_matmul(
+                    &a.columns(cols.start, cols.end),
+                    &bt.columns(cols.start, cols.end).transpose(),
+                );
+                assert_eq!(c.as_slice(), copied.as_slice(), "cols {cols:?} of {shape}");
+            }
+
             // Both compilations of both loops, called directly, so an FMA
             // host proves the portable fallback too.
             c.as_mut_slice().fill(42.0);
-            packed_gemm_tiles::<false>(a.as_slice(), m, k, n, &prepacked.panels, c.as_mut_slice());
+            packed_gemm_tiles::<false>(
+                a.as_slice(),
+                k,
+                m,
+                k,
+                n,
+                &prepacked.panels,
+                c.as_mut_slice(),
+            );
             assert_eq!(c.as_slice(), expect, "portable tiles {shape}");
             c.as_mut_slice().fill(0.0);
             reference_loop_portable(a.as_slice(), k, n, b.as_slice(), c.as_mut_slice());
@@ -675,7 +766,15 @@ mod tests {
                 c.as_mut_slice().fill(42.0);
                 // SAFETY: feature presence checked just above.
                 unsafe {
-                    packed_gemm_loop_fma(a.as_slice(), m, k, n, &prepacked.panels, c.as_mut_slice())
+                    packed_gemm_loop_fma(
+                        a.as_slice(),
+                        k,
+                        m,
+                        k,
+                        n,
+                        &prepacked.panels,
+                        c.as_mut_slice(),
+                    )
                 };
                 assert_eq!(c.as_slice(), expect, "fma tiles {shape}");
                 c.as_mut_slice().fill(0.0);

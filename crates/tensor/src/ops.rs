@@ -63,18 +63,26 @@ pub fn tanh_matrix(m: &Matrix) -> Matrix {
 /// Numerically-stable softmax of a slice, written into a new vector.
 /// Returns a uniform distribution for an empty or all-`-inf` input.
 pub fn softmax(logits: &[Float]) -> Vec<Float> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
-    let max = logits.iter().cloned().fold(Float::NEG_INFINITY, Float::max);
-    if !max.is_finite() {
-        return vec![1.0 / logits.len() as Float; logits.len()];
-    }
-    let mut out: Vec<Float> = logits.iter().map(|&x| x - max).collect();
-    exp_slice(&mut out);
-    let sum: Float = out.iter().sum();
-    out.iter_mut().for_each(|e| *e /= sum);
+    let mut out = logits.to_vec();
+    softmax_in_place(&mut out);
     out
+}
+
+/// [`softmax`] overwriting the logits with their weights (no allocation; the
+/// same arithmetic, so the same bits).
+pub fn softmax_in_place(xs: &mut [Float]) {
+    if xs.is_empty() {
+        return;
+    }
+    let max = xs.iter().cloned().fold(Float::NEG_INFINITY, Float::max);
+    if !max.is_finite() {
+        xs.fill(1.0 / xs.len() as Float);
+        return;
+    }
+    xs.iter_mut().for_each(|x| *x -= max);
+    exp_slice(xs);
+    let sum: Float = xs.iter().sum();
+    xs.iter_mut().for_each(|e| *e /= sum);
 }
 
 /// Softmax applied independently to every row of a matrix.
@@ -170,22 +178,6 @@ pub fn squared_distance(a: &[Float], b: &[Float]) -> Float {
 /// Cosine similarity between two slices (0 if either is the zero vector).
 /// Re-exported from [`crate::stats`], where the comparison statistics live.
 pub use crate::stats::cosine_similarity;
-
-/// Returns the indices of the `k` largest values, in descending value order.
-/// Ties are broken by the lower index.  Used by the temporal-neighbor pruning
-/// strategy (Section III-B) to keep the neighbors with the top attention
-/// logits.
-pub fn top_k_indices(values: &[Float], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[b]
-            .partial_cmp(&values[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k.min(values.len()));
-    idx
-}
 
 #[cfg(test)]
 mod tests {
@@ -288,14 +280,6 @@ mod tests {
         let out = weighted_row_sum(&m, &[0.5, 0.25, 0.25]);
         assert!(approx_eq(out[0], 0.75, 1e-6));
         assert!(approx_eq(out[1], 0.5, 1e-6));
-    }
-
-    #[test]
-    fn top_k_orders_by_value_then_index() {
-        let v = vec![0.1, 0.9, 0.5, 0.9, 0.2];
-        assert_eq!(top_k_indices(&v, 3), vec![1, 3, 2]);
-        assert_eq!(top_k_indices(&v, 10).len(), 5);
-        assert!(top_k_indices(&v, 0).is_empty());
     }
 
     #[test]

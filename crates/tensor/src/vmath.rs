@@ -241,26 +241,66 @@ pub fn sin_time_into(omega: &[Float], phi: &[Float], dts: &[Float], out: &mut [F
     time_rows::<true>(omega, phi, dts, out);
 }
 
+/// Lanes per step of the gate pass: one 256-bit vector of `f32`.
+const GATE_LANES: usize = 8;
+
+/// One lane of the gate recurrence: `(1 − z)·n + z·s`.
+#[inline(always)]
+fn gru_gate_lane(gi: [Float; 3], gh: [Float; 3], s: Float) -> Float {
+    let r = sigmoid_lane(gi[0] + gh[0]);
+    let z = sigmoid_lane(gi[1] + gh[1]);
+    let n = tanh_lane(gi[2] + r * gh[2]);
+    (1.0 - z) * n + z * s
+}
+
+/// Lanes `from..to` of one row's gate pass; `gi`/`gh` are the row's
+/// `[r | z | n]` blocks, each `h` wide.
+#[inline(always)]
+fn gru_gate_lanes(
+    gi: &[Float],
+    gh: &[Float],
+    s: &[Float],
+    h: usize,
+    (from, to): (usize, usize),
+    out: &mut [Float],
+) {
+    // Equal, loop-invariant lengths let the loop vectorise without
+    // per-element bounds checks.
+    let gi = [0, 1, 2].map(|k| &gi[k * h + from..k * h + to]);
+    let gh = [0, 1, 2].map(|k| &gh[k * h + from..k * h + to]);
+    let (s, out) = (&s[from..to], &mut out[from..to]);
+    for j in 0..to - from {
+        out[j] = gru_gate_lane(gi.map(|g| g[j]), gh.map(|g| g[j]), s[j]);
+    }
+}
+
 #[inline(always)]
 fn gru_gates_portable(gi: &[Float], gh: &[Float], hidden: &[Float], h: usize, out: &mut [Float]) {
     if h == 0 {
         return;
     }
+    // Whole vectors first.  The `h % 8` lanes left over (4 of the paper's
+    // 100) would run lane by lane; instead the last *full* vector's worth of
+    // lanes, `h − 8..h`, runs as one more step, recomputing up to seven
+    // lanes it overlaps — the lane function is pure in its inputs, which
+    // the pass does not overwrite, so the bits are the same.  (Rows narrower
+    // than a vector have only their leftover lanes.)
+    let full = h - h % GATE_LANES;
     let rows = gi.chunks_exact(3 * h).zip(gh.chunks_exact(3 * h));
     let state = hidden.chunks_exact(h).zip(out.chunks_exact_mut(h));
     for ((gi, gh), (s, out)) in rows.zip(state) {
-        let (gi_r, gi_zn) = gi.split_at(h);
-        let (gi_z, gi_n) = gi_zn.split_at(h);
-        let (gh_r, gh_zn) = gh.split_at(h);
-        let (gh_z, gh_n) = gh_zn.split_at(h);
-        // Equal, loop-invariant lengths let the loop below vectorise without
-        // per-element bounds checks.
-        let (gi_n, gh_n, s, out) = (&gi_n[..h], &gh_n[..h], &s[..h], &mut out[..h]);
-        for j in 0..h {
-            let r = sigmoid_lane(gi_r[j] + gh_r[j]);
-            let z = sigmoid_lane(gi_z[j] + gh_z[j]);
-            let n = tanh_lane(gi_n[j] + r * gh_n[j]);
-            out[j] = (1.0 - z) * n + z * s[j];
+        gru_gate_lanes(gi, gh, s, h, (0, full), out);
+        if full == h {
+            continue;
+        }
+        // `h − (h − 8)` folds to a constant trip count, which is what makes
+        // the overlapping step one vector step: spelled so that it does not
+        // fold (a `Range`'s `len()`, a `saturating_sub`) the step runs lane
+        // by lane and `perf_baseline`'s gate row is ~50–100 ns/row worse.
+        if h < GATE_LANES {
+            gru_gate_lanes(gi, gh, s, h, (0, h), out);
+        } else {
+            gru_gate_lanes(gi, gh, s, h, (h - GATE_LANES, h), out);
         }
     }
 }
@@ -405,7 +445,9 @@ mod tests {
     #[test]
     fn both_compilations_of_the_gru_gate_pass_equal_the_lane_functions() {
         let mut rng = TensorRng::new(17);
-        let shapes = (1..=33).map(|h| (2, h)).chain([(0, 5), (3, 0), (111, 100)]);
+        let shapes = (0..=33)
+            .map(|h| (2, h))
+            .chain([(0, 5), (111, 100), (5, 300)]);
         for (rows, h) in shapes {
             let gi = rng.uniform_vec(rows * 3 * h, -6.0, 6.0);
             let gh = rng.uniform_vec(rows * 3 * h, -6.0, 6.0);
