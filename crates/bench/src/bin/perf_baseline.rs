@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tgnn_bench::{
     baseline_rows, build_model, harness_model_config, merge_baseline_row, Dataset, FlagHelp,
-    HarnessArgs, UNARY_KERNELS,
+    HarnessArgs,
 };
 use tgnn_core::quantized::quantize_model;
 use tgnn_core::{ExecMode, InferenceEngine, OptimizationVariant};
@@ -35,6 +35,21 @@ struct ModeResult {
     events_per_sec: f64,
     mean_latency_ms: f64,
 }
+
+/// A unary `tgnn_tensor::vmath` kernel next to the libm expression it
+/// replaced: `(name, libm, kernel)`.
+type UnaryKernel = (&'static str, fn(f32) -> f32, fn(&mut [f32]));
+
+/// The libm-vs-kernel rows of the `elementwise` section.
+const UNARY_KERNELS: [UnaryKernel; 3] = [
+    (
+        "sigmoid",
+        |x| 1.0 / (1.0 + (-x).exp()),
+        tgnn_tensor::vmath::sigmoid_slice,
+    ),
+    ("tanh", f32::tanh, tgnn_tensor::vmath::tanh_slice),
+    ("exp", f32::exp, tgnn_tensor::vmath::exp_slice),
+];
 
 /// Binary-specific flags, enumerated for `--help`.
 const BASELINE_FLAGS: &[FlagHelp] = &[(
@@ -231,7 +246,7 @@ fn main() {
         best / serial
     ));
     json.push_str("  \"embeddings_bitwise_identical\": true\n}\n");
-    // Rows this binary does not write (`serve_bench`'s, `quant_gate`'s) are
+    // Rows this binary does not write (`quant_gate`'s) are
     // carried across the rewrite: see the end of `main`.
     let previous = baseline_rows(&std::fs::read_to_string(&out_path).unwrap_or_default());
     std::fs::write(&out_path, &json).expect("failed to write throughput baseline");

@@ -1,13 +1,11 @@
-//! Shared harness code for the table/figure regeneration binaries and the
-//! criterion benches.
+//! Shared harness code for the table/figure regeneration binaries,
+//! `perf_baseline`, `quant_gate` and `crash_drill`.
 //!
 //! Every binary accepts a `--scale <f64>` argument (default 0.02) that
 //! controls the fraction of the paper-scale synthetic datasets used, and a
 //! `--epochs <n>` argument for the experiments that involve training.  With
 //! the defaults each binary finishes in seconds; pass `--scale 1.0` to run at
 //! the paper's dataset sizes.
-
-pub mod scenarios;
 
 use std::time::Duration;
 use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel, TimeEncoderKind};
@@ -319,21 +317,6 @@ fn json_value_end(body: &str, key_start: usize) -> Option<usize> {
     None
 }
 
-/// A unary `tgnn_tensor::vmath` kernel next to the libm expression it
-/// replaced: `(name, libm, kernel)`.
-pub type UnaryKernel = (&'static str, fn(f32) -> f32, fn(&mut [f32]));
-
-/// The rows `perf_baseline` and the `kernels` bench time libm-vs-kernel.
-pub const UNARY_KERNELS: [UnaryKernel; 3] = [
-    (
-        "sigmoid",
-        |x| 1.0 / (1.0 + (-x).exp()),
-        tgnn_tensor::vmath::sigmoid_slice,
-    ),
-    ("tanh", f32::tanh, tgnn_tensor::vmath::tanh_slice),
-    ("exp", f32::exp, tgnn_tensor::vmath::exp_slice),
-];
-
 /// Prints a markdown-style table row.
 pub fn print_row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
@@ -437,8 +420,8 @@ mod tests {
         assert!(!body.contains("\"y\": 2"), "{body}");
 
         // Replacing a row that is NOT last must leave the rows after it
-        // intact — the perf_baseline → serve_bench → quant_gate sequence
-        // re-runs `pipeline` with `quant_gate` already behind it.
+        // intact — `perf_baseline` re-merges `quant` with `quant_gate`
+        // already behind it.
         merge_baseline_row(
             path,
             "gamma",
@@ -495,16 +478,16 @@ mod tests {
     #[test]
     fn usage_text_enumerates_shared_and_extra_flags() {
         let extra: &[FlagHelp] = &[
-            ("--tenants", "<n>", "number of tenants"),
+            ("--out", "<path>", "baseline file"),
             ("--smoke", "", "tiny fixed-seed run"),
         ];
-        let text = HarnessArgs::usage("serve_bench", "Streaming benchmark.", extra);
+        let text = HarnessArgs::usage("quant_gate", "Accuracy gate.", extra);
         for (flag, _, desc) in SHARED_FLAGS.iter().chain(extra) {
             assert!(text.contains(flag), "missing flag {flag}:\n{text}");
             assert!(text.contains(desc), "missing description for {flag}");
         }
         assert!(text.contains("--help"));
-        assert!(text.contains("serve_bench"));
+        assert!(text.contains("quant_gate"));
     }
 
     /// Dedicated regression test for the valueless-flag alignment fix in

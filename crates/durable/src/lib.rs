@@ -43,7 +43,7 @@ pub use snapshot::{
 };
 pub use wal::{
     read_wal, repair_torn_tail, segment_name, AdmitDisposition, TornTail, Wal, WalFaultHook,
-    WalRecord, WalScan, WalStats,
+    WalFaultPoint, WalRecord, WalScan, WalStats,
 };
 
 /// When the WAL writer calls `fsync`.
@@ -106,10 +106,10 @@ pub struct DurabilityConfig {
     pub fsync: FsyncPolicy,
     /// WAL segment rotation threshold in bytes.
     pub segment_bytes: u64,
-    /// Test-only crash injection: called with the epoch before its `Seal`
-    /// record is appended; returning `true` freezes the WAL (losing buffered
-    /// records, as a real crash would) and panics the batcher so the
-    /// pipeline unwinds through the normal poison machinery.
+    /// Test-only fault injection, consulted at every [`WalFaultPoint`]:
+    /// before a `Seal` append it can crash the batcher (freezing the WAL, so
+    /// buffered records are lost as in a real crash); before a group-commit
+    /// fsync it can stall the syncer.
     pub wal_fault: Option<WalFaultHook>,
 }
 
@@ -137,7 +137,7 @@ impl DurabilityConfig {
         self
     }
 
-    /// Installs a WAL crash-injection hook (tests only).
+    /// Installs a WAL fault-injection hook (tests only).
     pub fn with_wal_fault(mut self, hook: WalFaultHook) -> Self {
         self.wal_fault = Some(hook);
         self
@@ -196,7 +196,8 @@ impl From<std::io::Error> for DurableError {
     }
 }
 
-/// Convenience: wraps a closure as a [`WalFaultHook`].
+/// Convenience: wraps a crash-injection closure — called with the epoch at
+/// every [`WalFaultPoint::Seal`], `true` = crash — as a [`WalFaultHook`].
 pub fn wal_fault_hook(f: impl Fn(u64) -> bool + Send + Sync + 'static) -> WalFaultHook {
-    Arc::new(f)
+    Arc::new(move |point| matches!(point, WalFaultPoint::Seal(epoch) if f(epoch)))
 }

@@ -49,12 +49,23 @@ use tgnn_graph::InteractionEvent;
 /// as an invalid frame (torn tail / corruption), not an allocation request.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Test-only fault hook: called with the epoch before a `Seal` record is
-/// appended; returning `true` freezes the WAL (buffered, unflushed records
-/// are lost — simulating process death) and makes the caller panic so the
-/// pipeline unwinds through the same poison machinery a real worker death
-/// uses.
-pub type WalFaultHook = Arc<dyn Fn(u64) -> bool + Send + Sync>;
+/// Where a [`WalFaultHook`] is consulted, with the epoch concerned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WalFaultPoint {
+    /// The ingest worker is about to append this epoch's `Seal` record.
+    /// Returning `true` freezes the WAL (buffered, unflushed records are
+    /// lost — simulating process death) and makes the caller panic so the
+    /// pipeline unwinds through the same poison machinery a real worker
+    /// death uses.
+    Seal(u64),
+    /// The group-commit syncer is about to fsync every seal up to this
+    /// epoch.  The hook may block to model a stalled disk; its return value
+    /// is ignored.
+    Sync(u64),
+}
+
+/// Test-only fault hook, consulted at every [`WalFaultPoint`].
+pub type WalFaultHook = Arc<dyn Fn(WalFaultPoint) -> bool + Send + Sync>;
 
 /// What admission did with a submitted event — the disposition recorded in
 /// its [`WalRecord::Admit`] entry so drops-at-ingress survive a restart.

@@ -31,7 +31,7 @@ use std::time::Instant;
 use tgnn_core::ShardedMemory;
 use tgnn_durable::{
     encode_memory_shard, encode_neighbor_shard, write_snapshot, DurabilityConfig, FsyncPolicy,
-    SnapshotMeta, Wal, WalFaultHook, WalRecord,
+    SnapshotMeta, Wal, WalFaultHook, WalFaultPoint, WalRecord,
 };
 use tgnn_graph::{InteractionEvent, ShardedNeighborTable};
 
@@ -272,6 +272,9 @@ impl Durability {
             // Span = one group commit, tagged with the highest epoch it
             // covers; the fsync latency additionally feeds the histogram.
             let span = self.obs.get().map(|o| (o, o.syncer.enter(target)));
+            if let Some(hook) = &self.wal_fault {
+                hook(WalFaultPoint::Sync(target));
+            }
             if let Err(e) = self.wal.flush(true) {
                 // Release waiters before unwinding so the reorder worker
                 // cannot hang on a dead syncer.

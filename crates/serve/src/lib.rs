@@ -27,7 +27,7 @@
 //!   files and cache sweeps — and the single state worker commits epochs in
 //!   order, so the pipelined output is **bit-identical** to
 //!   `ExecMode::Serial` on the same batch sequence (asserted by this
-//!   crate's property tests and by `serve_bench`).
+//!   crate's property tests and replayed by every `benchmark/` run).
 //! * The admission front end is **multi-tenant** ([`admission`]): each
 //!   tenant owns a bounded ingress queue that the ingest worker drains
 //!   weighted-fair, and a per-tenant [`OverloadPolicy`] — `Block`,
@@ -90,8 +90,8 @@ pub use admission::{AdmissionCounters, SubmitOutcome, TenantSpec};
 pub use cache::{CacheConfig, CacheStats, EmbeddingCache};
 pub use durability::{DurabilityStats, RecoveryReport};
 pub use metrics::{
-    render_flight_timeline, BackendMetrics, MetricsHub, MetricsLogger, MetricsSnapshot, SegmentId,
-    SloConfig, SpanRecord, StageId, TraceExemplar, TraceStats,
+    render_flight_timeline, MetricsHub, MetricsLogger, MetricsSnapshot, SegmentId, SloConfig,
+    SpanRecord, StageId, TraceExemplar, TraceStats,
 };
 pub use pipeline::{GnnFaultHook, ServedBatch};
 pub use queue::QueueStats;
@@ -101,7 +101,9 @@ pub use server::{
 };
 pub use tgnn_core::tenancy::{Disposition, OverloadPolicy, ResultMeta, TenantId};
 pub use tgnn_core::{BackendKind, ComputeBackend, F32Backend, Int8Backend};
-pub use tgnn_durable::{wal_fault_hook, DurabilityConfig, DurableError, FsyncPolicy, WalFaultHook};
+pub use tgnn_durable::{
+    wal_fault_hook, DurabilityConfig, DurableError, FsyncPolicy, WalFaultHook, WalFaultPoint,
+};
 pub use tgnn_hwsim::HwSimBackend;
 pub use tgnn_obs::{
     Blame, BurnState, CriticalPath, SloStatus, SpanKind, TraceSegment, TraceView,

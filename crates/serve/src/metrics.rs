@@ -8,8 +8,9 @@
 //! [`MetricsSnapshot`] from lock-free counters.  The recording side is built
 //! on `tgnn-obs`: every worker gets a `StageObs` handle at spawn, and each
 //! epoch's pass through a stage costs two `Instant` reads, two relaxed
-//! counter adds, and two flight-recorder ring writes — measured at ≤ 2 % of
-//! `serve_bench` throughput, and a handful of branch-predicted no-ops with
+//! counter adds, and two flight-recorder ring writes — budgeted at ≤ 2 % of
+//! throughput (`benchmark/`'s `serve.metrics_overhead_pct` row measures
+//! it), and a handful of branch-predicted no-ops with
 //! [`ServeConfig::metrics`](crate::server::ServeConfig::metrics) off.
 //!
 //! The **flight recorder** is the post-mortem half: a bounded seqlock ring
@@ -23,7 +24,7 @@ use crate::cache::{CacheStats, EmbeddingCache};
 use crate::durability::Durability;
 use crate::pipeline::Collector;
 use crate::queue::QueueStats;
-use crate::server::LatencySummary;
+use crate::server::{BackendStats, LatencySummary, NS_PER_MS};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::Path;
@@ -416,12 +417,6 @@ impl StageObs {
         }
     }
 
-    /// Whether recording is compiled in *and* enabled for this session.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Claims the trace slot for `epoch` (the batcher calls this once, at
     /// seal time, before any stage records segments).
     #[inline]
@@ -479,8 +474,6 @@ struct HubInner {
     stage_busy_ns: Vec<Counter>,
     stage_batches: Vec<Counter>,
     stage_workers: Vec<u16>,
-    /// Seal-to-embeddings latency, recorded by the reorder worker (µs).
-    batch_latency_us: Histogram,
     /// Group-commit fsync latency, recorded by the WAL syncer (µs).
     wal_fsync_us: Histogram,
     queues: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>>,
@@ -496,7 +489,7 @@ struct HubInner {
     slo: Option<Arc<SloEngine>>,
     /// Admit→deliver latency of traced deliveries (µs) — the tail-exemplar
     /// reference distribution, distinct from the seal-to-embeddings
-    /// `batch_latency_us`.
+    /// `Collector::latency_ns`.
     delivery_latency_us: Histogram,
     /// Tail exemplars: full traces of deliveries that landed in the top
     /// (p99) bucket of `delivery_latency_us`.
@@ -528,7 +521,6 @@ impl MetricsHub {
                 stage_busy_ns: (0..NUM_STAGES).map(|_| Counter::new()).collect(),
                 stage_batches: (0..NUM_STAGES).map(|_| Counter::new()).collect(),
                 stage_workers,
-                batch_latency_us: Histogram::new(),
                 wal_fsync_us: Histogram::new(),
                 queues: cfg.queues,
                 collector: cfg.collector,
@@ -567,11 +559,6 @@ impl MetricsHub {
             snap: self.stage_obs(StageId::SnapWriter, 0),
             fsync_us: self.inner.wal_fsync_us.clone(),
         }
-    }
-
-    /// The reorder worker's seal-to-embeddings latency histogram.
-    pub(crate) fn batch_latency_hist(&self) -> Histogram {
-        self.inner.batch_latency_us.clone()
     }
 
     /// Records delivery of an epoch's results to the caller (`poll`) and —
@@ -707,8 +694,9 @@ impl MetricsHub {
                 }
             })
             .collect();
-        // Recorded in µs: 1e3 units per ms.
-        let batch_latency = LatencySummary::from_histogram(&inner.batch_latency_us.snapshot(), 1e3);
+        // The same histogram `ServeReport::latency` reads.
+        let batch_latency =
+            LatencySummary::from_histogram(&inner.collector.latency_ns.snapshot(), NS_PER_MS);
         let mut admission = AdmissionTotals::default();
         let mut tenants = Vec::with_capacity(inner.admission.num_tenants());
         for i in 0..inner.admission.num_tenants() {
@@ -730,21 +718,10 @@ impl MetricsHub {
                 late: tc.late.load(Ordering::Relaxed),
             });
         }
-        let backends: Vec<BackendMetrics> = BackendKind::ALL
+        let backends: Vec<BackendStats> = BackendKind::ALL
             .into_iter()
-            .filter_map(|k| {
-                let c = &inner.collector.backends[k.code()];
-                let served_batches = c.served_batches.load(Ordering::Relaxed);
-                if served_batches == 0 {
-                    return None;
-                }
-                Some(BackendMetrics {
-                    kind: k,
-                    served_batches,
-                    served_events: c.served_events.load(Ordering::Relaxed),
-                    modeled_latency: c.modeled_latency(),
-                })
-            })
+            .map(|k| inner.collector.backends[k.code()].stats(k))
+            .filter(|b| b.served_batches > 0)
             .collect();
         let epochs = inner.next_epoch.load(Ordering::SeqCst);
         let durability = inner.durability.as_ref().map(|d| {
@@ -972,23 +949,6 @@ pub struct TenantMetrics {
     pub late: u64,
 }
 
-/// Per-backend slice of a [`MetricsSnapshot`]: which compute backends are
-/// serving batches and, for modeled backends (hwsim), the distribution of
-/// modeled service latencies.  Only backends that have served at least one
-/// batch appear.
-#[derive(Clone, Debug)]
-pub struct BackendMetrics {
-    /// Which datapath this row describes.
-    pub kind: BackendKind,
-    /// Pipeline-served micro-batches this backend computed.
-    pub served_batches: u64,
-    /// Events inside those batches.
-    pub served_events: u64,
-    /// Modeled service-latency distribution (one sample per served batch);
-    /// `None` for backends that really execute where they are measured.
-    pub modeled_latency: Option<LatencySummary>,
-}
-
 /// Durability slice of a [`MetricsSnapshot`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DurabilityMetrics {
@@ -1082,7 +1042,9 @@ pub struct MetricsSnapshot {
     /// serve-path counterpart of the engine's `core::profiling` report.
     pub stage_timings: StageTimings,
     /// Seal-to-embeddings latency percentiles from the log-linear histogram
-    /// (≤ 6.25 % relative error; `max_ms` is the top non-empty bucket).
+    /// (≤ 6.25 % relative error; `max_ms` is the top non-empty bucket) — the
+    /// histogram [`ServeReport::latency`](crate::ServeReport::latency) reads,
+    /// so the two always agree; recorded with metrics on or off.
     pub batch_latency: LatencySummary,
     /// Admission counters summed over tenants (drops broken out by policy).
     pub admission: AdmissionTotals,
@@ -1090,7 +1052,7 @@ pub struct MetricsSnapshot {
     pub tenants: Vec<TenantMetrics>,
     /// Per-backend serving counters, [`BackendKind::code`] order; empty
     /// until a backend serves its first batch.
-    pub backends: Vec<BackendMetrics>,
+    pub backends: Vec<BackendStats>,
     /// WAL fsync count/latency and snapshot-writer lag; `None` without
     /// durability.
     pub durability: Option<DurabilityMetrics>,

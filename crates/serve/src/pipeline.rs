@@ -59,7 +59,7 @@ use crate::cache::EmbeddingCache;
 use crate::durability::Durability;
 use crate::metrics::{SegmentId, StageObs};
 use crate::queue::{MpmcReceiver, MpmcSender, Receiver, Sender};
-use crate::server::{LatencySummary, NS_PER_MS};
+use crate::server::{BackendStats, LatencySummary, NS_PER_MS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -242,11 +242,17 @@ pub(crate) struct Collector {
 }
 
 impl BackendCollector {
-    /// The modeled service-latency summary; `None` until a modeled backend
-    /// has served a batch.
-    pub fn modeled_latency(&self) -> Option<LatencySummary> {
+    /// This backend's row of the serve report and of the metrics snapshot;
+    /// `modeled_latency` is `None` until a modeled backend has served a
+    /// batch.
+    pub fn stats(&self, kind: BackendKind) -> BackendStats {
         let h = self.modeled_latency_ns.snapshot();
-        (h.count() > 0).then(|| LatencySummary::from_histogram(&h, NS_PER_MS))
+        BackendStats {
+            kind,
+            served_batches: self.served_batches.load(Ordering::Relaxed),
+            served_events: self.served_events.load(Ordering::Relaxed),
+            modeled_latency: (h.count() > 0).then(|| LatencySummary::from_histogram(&h, NS_PER_MS)),
+        }
     }
 }
 
@@ -383,7 +389,7 @@ pub(crate) fn ingest_loop(
         );
         if let Some(d) = &durability {
             if let Some(hook) = &d.wal_fault {
-                if hook(epoch) {
+                if hook(tgnn_durable::WalFaultPoint::Seal(epoch)) {
                     // Crash injection: freeze the WAL first so records still
                     // in its user-space buffer are lost exactly as a real
                     // process death would lose them, then die.
@@ -862,7 +868,6 @@ pub(crate) fn reorder_loop(
     collector: Arc<Collector>,
     cache: Option<Arc<EmbeddingCache>>,
     obs: StageObs,
-    latency_us: Histogram,
 ) {
     let mut stash: HashMap<(u64, usize), (PartEmbeddings, Option<Duration>, Instant)> =
         HashMap::new();
@@ -941,9 +946,6 @@ pub(crate) fn reorder_loop(
         let latency = sealed_at.elapsed();
         collector.record_batch(events.len(), embeddings.len(), latency);
         collector.record_backend_batch(backend, events.len(), modeled_latency);
-        if obs.enabled() {
-            latency_us.record(latency.as_micros() as u64);
-        }
         // Grade each event's deadline disposition at the completion point:
         // the admission-to-completion delay (queueing + batching + compute)
         // is what the tenant's deadline budgets.  The disposition is pure
@@ -1094,7 +1096,8 @@ mod tests {
         }
         assert_eq!(collector.latency_ns.count(), (EVENTS / BATCH) as u64);
         assert!(collector.backends[BackendKind::HwSim.code()]
-            .modeled_latency()
+            .stats(BackendKind::HwSim)
+            .modeled_latency
             .is_some());
     }
 }

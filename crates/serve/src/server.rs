@@ -90,11 +90,12 @@ pub struct ServeConfig {
     pub durability: Option<DurabilityConfig>,
     /// Whether the pipeline records live metrics and flight-recorder spans
     /// (`true` by default — the recording cost is a couple of relaxed
-    /// atomics per stage per batch, ≤ 2 % of `serve_bench` throughput;
-    /// `serve_bench --no-metrics` measures the difference).  With `false`,
-    /// [`StreamServer::metrics`] still answers (queue depths and tenant
-    /// counters are maintained regardless) but stage spans, latency
-    /// histograms, and the flight recorder stay empty.
+    /// atomics per stage per batch, budgeted at ≤ 2 % of throughput; a
+    /// traced `benchmark/` run measures it as `serve.metrics_overhead_pct`).
+    /// With `false`, [`StreamServer::metrics`] still answers (queue depths,
+    /// tenant counters and the batch-latency histogram are maintained
+    /// regardless) but stage spans, the fsync and delivery histograms, causal
+    /// traces, and the flight recorder stay empty.
     pub metrics: bool,
     /// Capacity of the flight recorder ring, in events.  Each epoch
     /// generates roughly `2 × (5 + gnn_workers)` events, so the default
@@ -258,7 +259,8 @@ impl TenantStats {
     }
 }
 
-/// Per-backend slice of the serve report: how many pipeline-served batches
+/// Per-backend slice of the serve report and of the
+/// [`MetricsSnapshot`]: how many pipeline-served batches
 /// each prepared compute backend answered and, for modeled backends
 /// (hwsim), the distribution of modeled service latencies.  Stale cache
 /// answers are served by the cache, not a backend, and are excluded.
@@ -787,11 +789,8 @@ impl StreamServer {
             let collector = collector.clone();
             let cache = cache.clone();
             let obs = hub.stage_obs(StageId::Reorder, 0);
-            let latency_us = hub.batch_latency_hist();
             workers.push(spawn("tgnn-serve-reorder", move || {
-                reorder_loop(
-                    header_rx, parts_rx, results_tx, collector, cache, obs, latency_us,
-                )
+                reorder_loop(header_rx, parts_rx, results_tx, collector, cache, obs)
             }));
         }
         // Seal group commit (`OnSeal` only): one worker fsyncs all pending
@@ -1203,10 +1202,13 @@ impl StreamServer {
                 .pop_front()
                 .or_else(|| self.results_rx.try_recv());
         };
-        if self.completed.is_empty() {
-            if let Some(b) = self.results_rx.try_recv() {
-                self.completed.push_back(b);
-            }
+        // Empty the bounded results queue before testing the seal gate: were
+        // batches left there while the front waits on a slow fsync, a stall
+        // longer than `results_capacity` batches would back the pipeline up
+        // to admission and block a single-threaded client inside `submit`,
+        // where it can never poll again.
+        while let Some(b) = self.results_rx.try_recv() {
+            self.completed.push_back(b);
         }
         let front_epoch = self.completed.front()?.epoch;
         if !d.seal_synced(front_epoch) {
@@ -1321,15 +1323,7 @@ impl StreamServer {
         let backends: Vec<BackendStats> = BackendKind::ALL
             .into_iter()
             .filter(|k| self.backends[k.code()].is_some())
-            .map(|k| {
-                let c = &self.collector.backends[k.code()];
-                BackendStats {
-                    kind: k,
-                    served_batches: c.served_batches.load(Ordering::Relaxed),
-                    served_events: c.served_events.load(Ordering::Relaxed),
-                    modeled_latency: c.modeled_latency(),
-                }
-            })
+            .map(|k| self.collector.backends[k.code()].stats(k))
             .collect();
         let backpressure_blocks = queues.iter().map(|q| q.blocked_sends).sum::<u64>()
             + tenants

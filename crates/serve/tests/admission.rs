@@ -77,6 +77,26 @@ fn run_multi_tenant(
     (served, report, assignment, admitted, dropped)
 }
 
+/// Bitwise replay: the serial engine, fed exactly the scheduler's merged
+/// micro-batch sequence, must reproduce every served embedding — what was
+/// shed at admission never entered the semantics.
+fn assert_matches_serial(
+    model: TgnModel,
+    graph: &TemporalGraph,
+    served: &[ServedBatch],
+    label: &str,
+) {
+    let mut engine = InferenceEngine::new(model, graph.num_nodes()).with_mode(ExecMode::Serial);
+    for batch in served {
+        let reference = engine.process_batch(&EventBatch::new(batch.events.clone()), graph);
+        assert_eq!(
+            reference.embeddings, batch.embeddings,
+            "{label}: multi-tenant pipeline diverged bitwise from the serial engine in epoch {}",
+            batch.epoch
+        );
+    }
+}
+
 /// Sorted multiset of event identities.
 fn multiset(events: impl Iterator<Item = InteractionEvent>) -> Vec<(u32, u32, u32, u64)> {
     let mut v: Vec<_> = events.map(|e| key(&e)).collect();
@@ -193,6 +213,8 @@ fn drop_policies_never_drop_admitted_events() {
                     total_dropped > 0,
                     "{label}: overload at capacity 4 must cause drops"
                 );
+
+                assert_matches_serial(model.clone(), &graph, &served, &label);
 
                 // Tenant attribution on every result matches the submitter.
                 for b in &served {
@@ -447,17 +469,7 @@ fn multi_tenant_block_policy_serves_everything_bit_identically() {
         "tiny bounds must produce client-visible backpressure"
     );
 
-    // Bitwise replay: the engine is fed exactly the scheduler's merged
-    // micro-batch sequence.
-    let mut engine = InferenceEngine::new(model, graph.num_nodes()).with_mode(ExecMode::Serial);
-    for batch in &served {
-        let reference = engine.process_batch(&EventBatch::new(batch.events.clone()), &graph);
-        assert_eq!(
-            reference.embeddings, batch.embeddings,
-            "multi-tenant pipeline diverged bitwise from the serial engine in epoch {}",
-            batch.epoch
-        );
-    }
+    assert_matches_serial(model, &graph, &served, "block");
 }
 
 #[test]

@@ -334,7 +334,10 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
                 let mut events_by_backend = 0usize;
                 for &kind in &declared {
                     let row = backend_row(&report, kind, &label);
-                    assert!(row.served_batches > 0, "{label}: {kind} row never served");
+                    assert!(
+                        row.served_batches > 0 && row.served_events > 0,
+                        "{label}: declared backend {kind} never served"
+                    );
                     assert_eq!(
                         row.modeled_latency.is_some(),
                         kind == BackendKind::HwSim,

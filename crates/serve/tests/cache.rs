@@ -15,12 +15,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use tgnn_core::{
-    Disposition, ModelConfig, OptimizationVariant, OverloadPolicy, TenantId, TgnModel,
+    Disposition, ExecMode, InferenceEngine, ModelConfig, OptimizationVariant, OverloadPolicy,
+    TenantId, TgnModel,
 };
 use tgnn_data::{generate, tiny};
-use tgnn_graph::{InteractionEvent, TemporalGraph};
+use tgnn_graph::{EventBatch, InteractionEvent, TemporalGraph};
 use tgnn_serve::{
-    CacheConfig, DurabilityConfig, FsyncPolicy, ServeConfig, ServedBatch, StreamServer,
+    CacheConfig, DurabilityConfig, FsyncPolicy, ServeConfig, ServedBatch, SloConfig, StreamServer,
     SubmitError, SubmitOutcome, TenantSpec,
 };
 use tgnn_tensor::{Float, TensorRng};
@@ -184,6 +185,27 @@ fn verify_stale_batches(served: &[ServedBatch], bound: u64, label: &str) -> usiz
     checked
 }
 
+/// The cache and the shedding policy must not perturb what *is* computed:
+/// the pipeline-served batches (epoch > 0; stale answers never entered the
+/// pipeline) replay bit-identically through `ExecMode::Serial`.
+fn assert_fresh_matches_serial(
+    model: &TgnModel,
+    graph: &TemporalGraph,
+    served: &[ServedBatch],
+    label: &str,
+) {
+    let mut engine =
+        InferenceEngine::new(model.clone(), graph.num_nodes()).with_mode(ExecMode::Serial);
+    for b in served.iter().filter(|b| b.epoch > 0) {
+        let reference = engine.process_batch(&EventBatch::new(b.events.clone()), graph);
+        assert_eq!(
+            reference.embeddings, b.embeddings,
+            "{label}: fresh embeddings diverged from the serial engine in epoch {}",
+            b.epoch
+        );
+    }
+}
+
 /// Submits one lap of `base` (timestamps shifted by `lap`) **without ever
 /// polling**: the stages and results queue back up within a few epochs, the
 /// ingress queue fills, and every later submission exercises the ServeStale
@@ -239,6 +261,7 @@ fn stale_answers_are_bit_identical_to_served_history_under_overload() {
                 // ingress queue is full for most of the lap — ≥ 2× the load
                 // the run can drain.
                 let (admitted2, stale2, dropped2) = burst_lap(&mut server, base, 1, span);
+                let burst_dropped = dropped2.len();
                 out.admitted.extend(admitted2);
                 out.stale.extend(stale2);
                 out.dropped.extend(dropped2);
@@ -300,9 +323,134 @@ fn stale_answers_are_bit_identical_to_served_history_under_overload() {
                 assert!(cache.stale_age.max <= 32, "{label}");
                 assert!(cache.stats.hits >= out.stale.len() as u64, "{label}");
                 assert!(cache.hit_rate > 0.0, "{label}");
+
+                assert_fresh_matches_serial(&model, &graph, &served, &label);
+
+                // Served quality: on the identical feed DropNewest sheds
+                // strictly more, because every cache hit above is an answer
+                // it throws away.
+                let mut config = overload_config(32, num_shards, gnn_workers);
+                config.tenants[0] = config.tenants[0]
+                    .clone()
+                    .with_policy(OverloadPolicy::DropNewest);
+                let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+                warm_lap(
+                    &mut server,
+                    base,
+                    0,
+                    span,
+                    &mut Outcomes::default(),
+                    &mut Vec::new(),
+                );
+                let (_, stale_dn, dropped_dn) = burst_lap(&mut server, base, 1, span);
+                server.drain();
+                assert!(
+                    stale_dn.is_empty(),
+                    "{label}: DropNewest never serves stale"
+                );
+                assert!(
+                    burst_dropped < dropped_dn.len(),
+                    "{label}: ServeStale dropped {burst_dropped} of the burst, DropNewest {}",
+                    dropped_dn.len()
+                );
             }
         }
     }
+}
+
+/// The SLO burn-rate gate, live: once an objective fires, a `ServeStale`
+/// tenant answers cache hits stale **while its ingress queue still has
+/// space** (`preempt_stale` only counts submits that found headroom).  The
+/// incident is made of drops, which the test controls: a `DropNewest`
+/// background tenant warms the cache, then floods an unpolled pipeline until
+/// 10 000 submits were shed — a hundred times the drop objective's 1 % budget,
+/// however long the gate's cached verdict takes to refresh.
+#[test]
+fn burn_gate_preempts_stale_serving_while_the_queue_has_space() {
+    let (model, graph) = setup(13);
+    let base = &graph.events()[..200.min(graph.num_events())];
+    let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
+    let (background, subject) = (TenantId::DEFAULT, TenantId(1));
+    let mut config = overload_config(32, 2, 1);
+    config.tenants = vec![
+        TenantSpec::new("background")
+            .with_capacity(4)
+            .with_policy(OverloadPolicy::DropNewest),
+        // Roomy and polled after every submit: this queue never fills, so
+        // any stale answer it gets is a pre-emption.
+        TenantSpec::new("subject")
+            .with_capacity(64)
+            .with_policy(OverloadPolicy::ServeStale),
+    ];
+    config.slo = Some(SloConfig {
+        preempt_stale: true,
+        // Only the drop objective may fire.
+        latency_objective: Duration::from_secs(3600),
+        ..SloConfig::default()
+    });
+    let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+    let mut served = Vec::new();
+
+    // Warm (the laps' tenant is `TenantId::DEFAULT`, the background one):
+    // every vertex of the feed served once, polled.
+    warm_lap(
+        &mut server,
+        base,
+        0,
+        span,
+        &mut Outcomes::default(),
+        &mut served,
+    );
+    // Incident: unpolled, the bounded pipeline wedges and the rest is shed.
+    let (mut lap, mut shed) = (0u64, 0);
+    while shed < 10_000 {
+        lap += 1;
+        shed += burst_lap(&mut server, base, lap, span).2.len();
+    }
+    // Serve normally again until the gate's next verdict reaches admission.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let mut admitted = 0u64;
+    'serve: loop {
+        lap += 1;
+        for &e in base {
+            let mut e = e;
+            e.timestamp += lap as f64 * span;
+            let outcome = server.submit_for(subject, e).unwrap();
+            while let Some(b) = server.poll() {
+                served.push(b);
+            }
+            match outcome {
+                SubmitOutcome::Admitted => admitted += 1,
+                SubmitOutcome::ServedStale => break 'serve,
+                SubmitOutcome::Dropped => panic!("a queue with space never sheds"),
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a fired drop objective never pre-empted the ServeStale tenant"
+        );
+    }
+    let report = server.drain();
+    while let Some(b) = server.poll() {
+        served.push(b);
+    }
+
+    let t = &report.tenants[subject.index()];
+    assert_eq!(
+        t.counters.preempt_stale, 1,
+        "the stale answer found headroom"
+    );
+    assert_eq!(t.dropped(), 0);
+    assert_eq!(t.served_stale, 1);
+    assert_eq!(t.served, admitted + 1, "admitted + the stale answer");
+    let b = &report.tenants[background.index()];
+    assert_eq!(b.counters.submitted, b.served + b.dropped());
+    assert!(verify_stale_batches(&served, 32, "burn gate") > 0);
+    assert_fresh_matches_serial(&model, &graph, &served, "burn gate");
+    assert!(
+        !server.metrics().trace.exemplars.is_empty(),
+        "the first traced delivery always qualifies as a tail exemplar"
+    );
 }
 
 #[test]

@@ -3,15 +3,20 @@
 //! pipeline through its closed channels — `submit` fails `Closed`, `poll`
 //! terminates, `drain` propagates the panic — never hang it, for every pool
 //! size.  (The ingest worker's death is drilled by the recovery suite's
-//! injected WAL fault.)
+//! injected WAL fault.)  Plus the stalled-disk drill: a group-commit fsync
+//! that outlasts the results queue must not deadlock a one-thread client.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel};
 use tgnn_data::{generate, tiny};
 use tgnn_graph::TemporalGraph;
-use tgnn_serve::{GnnFaultHook, ServeConfig, StreamServer, SubmitError};
+use tgnn_serve::{
+    DurabilityConfig, GnnFaultHook, ServeConfig, StreamServer, SubmitError, TenantSpec,
+    WalFaultPoint,
+};
 use tgnn_tensor::TensorRng;
 
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
@@ -116,4 +121,74 @@ fn fault_on_late_epoch_still_unwinds_after_successful_batches() {
     assert!(served_events <= 16, "served past the faulted epoch");
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.drain()));
     assert!(result.is_err(), "drain must propagate the worker panic");
+}
+
+/// ROADMAP 1b′: under durability `poll` holds a batch back until its `Seal`
+/// is fsynced.  If it also left every later batch in the bounded `results`
+/// queue, an fsync stall longer than `results_capacity` batches would fill
+/// that queue, back the pipeline up to admission, and block the only thread
+/// that polls inside `submit` — for good, even after the disk recovers.
+/// Here the syncer's first fsync stalls until the whole feed (24 batches
+/// against a results queue of 2) has been submitted; the submit-then-poll
+/// `Block` client must get through it on its own.
+#[test]
+fn fsync_stall_longer_than_the_results_queue_does_not_deadlock_a_block_client() {
+    let (model, graph) = setup(31);
+    let dir = std::env::temp_dir().join(format!("tgnn-fsync-stall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The stall: the syncer blocks on this channel at its first fsync and
+    // runs freely once the sender is gone.  The client drops it after its
+    // last submit; the watchdog below drops it if the client never gets
+    // there, so a failure shows the deadlock outliving the stall.
+    let (release, stalled) = mpsc::channel::<()>();
+    let stalled = Mutex::new(stalled);
+    let release = Arc::new(Mutex::new(Some(release)));
+    let config = ServeConfig {
+        max_batch: 4,
+        batch_deadline: Duration::from_secs(3600),
+        stage_capacity: 1,
+        results_capacity: 2,
+        tenants: vec![TenantSpec::new("block").with_capacity(8)],
+        durability: Some(
+            DurabilityConfig::new(&dir).with_wal_fault(Arc::new(move |point| {
+                if let WalFaultPoint::Sync(_) = point {
+                    let _ = stalled.lock().unwrap().recv();
+                }
+                false
+            })),
+        ),
+        ..ServeConfig::default()
+    };
+    let mut server = StreamServer::new(model, graph.clone(), config);
+    let events: Vec<_> = graph.events()[..96].to_vec();
+    let total = events.len();
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let end_stall = release.clone();
+    let client = std::thread::spawn(move || {
+        let mut delivered = 0usize;
+        for e in events {
+            server.submit(e).unwrap();
+            while let Some(b) = server.poll() {
+                delivered += b.events.len();
+            }
+        }
+        assert_eq!(delivered, 0, "no delivery before its seal is durable");
+        end_stall.lock().unwrap().take();
+        server.drain();
+        while let Some(b) = server.poll() {
+            delivered += b.events.len();
+        }
+        done_tx.send(delivered).unwrap();
+    });
+    let delivered = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .or_else(|_| {
+            release.lock().unwrap().take();
+            done_rx.recv_timeout(Duration::from_secs(2))
+        })
+        .expect("Block client stuck inside submit, even after the fsync stall ended");
+    client.join().unwrap();
+    assert_eq!(delivered, total, "every event is delivered exactly once");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,7 @@
 //! even after a worker panic poisons the pipeline).
 //!
 //! A JSONL sampler thread also appends one snapshot line per 50 ms to a
-//! temp file while the stream runs, the same mechanism `serve_bench
-//! --metrics-out` uses for offline dashboards.
+//! temp file while the stream runs — the feed for offline dashboards.
 //!
 //! Run with: `cargo run --release --example metrics_dump`
 
