@@ -95,12 +95,18 @@ pub struct DurabilityConfig {
     /// Root directory: WAL segments live directly in it, snapshots in
     /// `snap-{epoch:08}/` subdirectories.
     pub dir: PathBuf,
-    /// Snapshot every `n` committed epochs (plus the warm-up floor snapshot
-    /// and the final drain snapshot).  `0` disables interval snapshots.
-    /// The default (256) trades recovery time for serving throughput: a
-    /// snapshot encodes and fsyncs the entire sharded state, so it should
-    /// be rare next to WAL appends, and the WAL tail it leaves for replay
-    /// (≤ 256 epochs) recovers in well under a second.
+    /// Snapshot interval, in units of **full batches of events**: the server
+    /// captures an image every `snapshot_every × max_batch` absorbed events
+    /// (plus the warm-up floor snapshot and the final drain snapshot).  `0`
+    /// disables interval snapshots.  Events, not epochs, because an epoch
+    /// holds whatever arrived while the state worker was busy — `max_batch`
+    /// events at saturation (where this *is* "every `n` epochs"), one or two
+    /// at partial load, where counting epochs would write a hundred times
+    /// the images for the same replay bound.  The default (256) trades
+    /// recovery time for serving throughput: a snapshot encodes and fsyncs
+    /// the entire sharded state, so it should be rare next to WAL appends,
+    /// and the WAL tail it leaves for replay (≤ 256 × `max_batch` events)
+    /// recovers in well under a second.
     pub snapshot_every: u64,
     /// When the WAL fsyncs.
     pub fsync: FsyncPolicy,
@@ -125,7 +131,7 @@ impl DurabilityConfig {
         }
     }
 
-    /// Sets the snapshot interval (epochs).
+    /// Sets the snapshot interval (full batches of events; see the field).
     pub fn with_snapshot_every(mut self, every: u64) -> Self {
         self.snapshot_every = every;
         self

@@ -50,7 +50,11 @@
 //! two condvars (`space` for blocked submitters, `ready` for the idle
 //! worker); the worker never holds the lock while it blocks on the
 //! downstream queue, so drop policies keep making progress even when the
-//! pipeline is saturated.
+//! pipeline is saturated.  Each side notifies only when the other is
+//! actually parked (`ingest` / `space_waiters`, kept under the same
+//! mutex — the discipline `queue.rs` documents): at one or two events per
+//! micro-batch an unconditional `notify` per submit and per pull is a
+//! kernel entry per event.
 //!
 //! Configuring two tenants with different weights and policies:
 //!
@@ -157,6 +161,8 @@ pub struct TenantSpec {
     /// is `min(tenant, global)` — the cache sweeps entries past the global
     /// bound, so a tenant cannot see *older* answers than the cache keeps;
     /// it can only demand fresher ones.  `None` means the global bound.
+    /// Epochs are served micro-batches of whatever size load produced; see
+    /// [`CacheConfig::staleness_bound_epochs`](crate::CacheConfig).
     pub staleness_bound_epochs: Option<u64>,
 }
 
@@ -315,8 +321,11 @@ pub(crate) enum Ingress {
     /// wait for them ended (their pickup time), so the caller can time the
     /// pull without the wait.
     Ready(Instant),
-    /// The deadline passed with every queue empty.
-    Timeout,
+    /// Nothing was appended, but the caller should re-evaluate its seal
+    /// condition: the deadline passed with every queue empty, or
+    /// [`AdmissionControl::kick`] announced that the state worker went idle
+    /// while the caller holds events back.
+    Woken,
     /// The layer is closed and every queue is drained.
     Closed,
 }
@@ -396,6 +405,26 @@ struct AdmissionState {
     /// Round-robin cursor: index of the next tenant the fair drain visits.
     cursor: usize,
     closed: bool,
+    /// Whether the ingest worker is asleep in [`AdmissionControl::pull`]:
+    /// set by the worker before it waits, reset by whoever wakes it, so a
+    /// submit costs a futex call only when the worker is really asleep.
+    ingest: IngestWait,
+    /// Submitters inside `space.wait` (full queue or dry token bucket).
+    space_waiters: usize,
+    /// Set by [`AdmissionControl::kick`], consumed by `pull`.
+    kicked: bool,
+}
+
+/// What the wakers of the ingest worker need to know about it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum IngestWait {
+    /// Not inside `ready.wait` (or already notified).
+    Awake,
+    /// Asleep with nothing in hand: only an arrival concerns it.
+    ParkedEmpty,
+    /// Asleep holding pulled events back for a fuller batch: an idle state
+    /// worker concerns it too ([`AdmissionControl::kick`]).
+    ParkedHolding,
 }
 
 /// Everything the submit path needs to answer an overload event from the
@@ -482,6 +511,9 @@ impl AdmissionControl {
                 tenants,
                 cursor: 0,
                 closed: false,
+                ingest: IngestWait::Awake,
+                space_waiters: 0,
+                kicked: false,
             }),
             space: Condvar::new(),
             ready: Condvar::new(),
@@ -548,6 +580,14 @@ impl AdmissionControl {
         *clock = Some(t + by);
         drop(clock);
         self.space.notify_all();
+    }
+
+    /// Whether the ingest worker is asleep in [`Self::pull`] with every
+    /// queue empty — i.e. it has pulled, and acted on, everything submitted
+    /// so far (tests only: the synchronisation point that replaces a sleep).
+    #[cfg(test)]
+    pub(crate) fn ingest_parked(&self) -> bool {
+        self.state.lock().unwrap().ingest != IngestWait::Awake
     }
 
     /// Appends a WAL record for a submit outcome.  A WAL that cannot accept
@@ -669,7 +709,9 @@ impl AdmissionControl {
                         }
                         let rate = t.spec.rate_eps.expect("throttled without a rate limit");
                         let wait = Duration::from_secs_f64(((1.0 - t.tokens) / rate).max(1e-4));
+                        state.space_waiters += 1;
                         state = self.space.wait_timeout(state, wait).unwrap().0;
+                        state.space_waiters -= 1;
                     }
                 }
                 OverloadPolicy::ServeStale => {
@@ -832,7 +874,9 @@ impl AdmissionControl {
                 if state.closed {
                     return Err(SubmitError::Closed);
                 }
+                state.space_waiters += 1;
                 state = self.space.wait(state).unwrap();
+                state.space_waiters -= 1;
             }
             // Space freed *and* closed can be observed together (e.g. the
             // ingest worker pulled a batch and then died): admitting now would
@@ -872,9 +916,41 @@ impl AdmissionControl {
         t.counters.submitted += 1;
         t.counters.admitted += 1;
         t.counters.max_depth = t.counters.max_depth.max(t.queue.len());
-        drop(state);
-        self.ready.notify_one();
+        self.wake_ingest(state);
         Ok(SubmitOutcome::Admitted)
+    }
+
+    /// Releases the state lock and wakes the ingest worker if — and only if
+    /// — it is parked in [`Self::pull`].
+    fn wake_ingest(&self, mut state: std::sync::MutexGuard<'_, AdmissionState>) {
+        let parked = std::mem::replace(&mut state.ingest, IngestWait::Awake) != IngestWait::Awake;
+        drop(state);
+        if parked {
+            self.ready.notify_one();
+        }
+    }
+
+    /// The state worker went idle: makes a [`Self::pull`] that is waiting
+    /// for more events while its caller already holds some return
+    /// [`Ingress::Woken`], so the ingest worker can seal what it has instead
+    /// of sitting on it until the next arrival or the deadline.
+    ///
+    /// The flag is what closes the race with a worker that found the state
+    /// worker busy and is on its way *into* `pull`: it checks `kicked` under
+    /// the state lock before it ever waits.  A worker asleep with nothing in
+    /// hand is left asleep — there is nothing to seal, and once an event
+    /// arrives it reads `Sender::receiver_parked` itself; waking it anyway
+    /// would cost a context switch per served batch at partial load, where
+    /// the state worker parks after every one.  For the same reason a `pull`
+    /// entered empty-handed drops a pending kick.  Runs under the
+    /// sealed-batch queue's mutex (see `queue::channel_with_idle_hook`);
+    /// tolerates a poisoned lock like [`Self::close`], for the same reason.
+    pub fn kick(&self) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if state.ingest != IngestWait::ParkedEmpty {
+            state.kicked = true;
+            self.wake_ingest(state);
+        }
     }
 
     /// Recovery: puts a reconstructed ingress tail back into a tenant's
@@ -904,11 +980,7 @@ impl AdmissionControl {
             t.counters.admitted += 1;
         }
         t.counters.max_depth = t.counters.max_depth.max(t.queue.len());
-        let nonempty = !events.is_empty();
-        drop(state);
-        if nonempty {
-            self.ready.notify_one();
-        }
+        self.wake_ingest(state);
     }
 
     /// Ingest side.  Blocks until some tenant queue holds an event, then —
@@ -919,11 +991,11 @@ impl AdmissionControl {
     ///
     /// Returns `Closed` once the layer is closed *and* every queue is
     /// drained (the no-drop drain guarantee: close never discards admitted
-    /// events), and `Timeout` when `deadline` passes with nothing queued
-    /// (`None` waits indefinitely).  The lock is released before this
-    /// returns: the caller does its downstream `send` afterwards, so
-    /// submitters (and their drop policies) keep running while the pipeline
-    /// is saturated.
+    /// events), and `Woken` when `deadline` passes with nothing queued
+    /// (`None` waits indefinitely) or a [`Self::kick`] arrives while `out`
+    /// already holds events.  The lock is released before this returns: the
+    /// caller does its downstream `send` afterwards, so submitters (and
+    /// their drop policies) keep running while the pipeline is saturated.
     pub fn pull(
         &self,
         out: &mut Vec<AdmittedEvent>,
@@ -935,17 +1007,28 @@ impl AdmissionControl {
             if state.closed {
                 return Ingress::Closed;
             }
-            state = match deadline {
-                None => self.ready.wait(state).unwrap(),
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Ingress::Timeout;
-                    }
-                    self.ready.wait_timeout(state, left).unwrap().0
-                }
+            if std::mem::take(&mut state.kicked) && !out.is_empty() {
+                return Ingress::Woken;
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                return Ingress::Woken;
+            }
+            state.ingest = if out.is_empty() {
+                IngestWait::ParkedEmpty
+            } else {
+                IngestWait::ParkedHolding
             };
+            state = match left {
+                None => self.ready.wait(state).unwrap(),
+                Some(l) => self.ready.wait_timeout(state, l).unwrap().0,
+            };
+            // A timeout (or a spurious wakeup) leaves it set.
+            state.ingest = IngestWait::Awake;
         }
+        // The caller re-reads `Sender::receiver_parked` after every `Ready`,
+        // which is at least as fresh as any kick recorded before now.
+        state.kicked = false;
         let picked_up_at = Instant::now();
         let from = out.len();
         let n = state.tenants.len();
@@ -977,12 +1060,15 @@ impl AdmissionControl {
             }
             state.cursor = (i + 1) % n;
         }
+        let blocked_submitters = state.space_waiters > 0;
         drop(state);
         for e in &mut out[from..] {
             e.meta.picked_up_at = picked_up_at;
         }
-        // Wake every blocked submitter — possibly several tenants' worth.
-        self.space.notify_all();
+        if blocked_submitters {
+            // Wake every blocked submitter — possibly several tenants' worth.
+            self.space.notify_all();
+        }
         Ingress::Ready(picked_up_at)
     }
 
@@ -1230,6 +1316,56 @@ mod tests {
         );
         let (_, c) = ac.tenant_snapshot(0);
         assert_eq!(c.blocked_submits, 1);
+    }
+
+    #[test]
+    fn kick_returns_a_waiting_pull_only_when_it_holds_events() {
+        let ac = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")]));
+        // Nothing in hand: the kick is dropped, the pull keeps waiting (here:
+        // until its deadline) and the flag does not linger.
+        ac.kick();
+        let mut held = Vec::new();
+        let soon = Instant::now() + Duration::from_millis(5);
+        assert_eq!(ac.pull(&mut held, 8, Some(soon)), Ingress::Woken);
+        assert!(
+            Instant::now() >= soon,
+            "returned on the deadline, not the kick"
+        );
+        // One event in hand, none queued: a kick that lands before the wait
+        // is seen on entry...
+        ac.submit(TenantId::DEFAULT, ev(0.0)).unwrap();
+        assert!(matches!(ac.pull(&mut held, 8, None), Ingress::Ready(_)));
+        ac.kick();
+        assert_eq!(ac.pull(&mut held, 8, None), Ingress::Woken);
+        // ...and one that lands during the wait wakes it.
+        let puller = {
+            let ac = ac.clone();
+            std::thread::spawn(move || ac.pull(&mut held, 8, None))
+        };
+        while !ac.ingest_parked() {
+            std::thread::yield_now();
+        }
+        ac.kick();
+        assert_eq!(puller.join().unwrap(), Ingress::Woken);
+        // A worker asleep empty-handed is not disturbed: the kick leaves it
+        // parked (no wakeup to lose — it is still marked asleep afterwards)
+        // and only an arrival gets it out.
+        let puller = {
+            let ac = ac.clone();
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                (ac.pull(&mut out, 8, None), out.len())
+            })
+        };
+        while !ac.ingest_parked() {
+            std::thread::yield_now();
+        }
+        ac.kick();
+        assert!(ac.ingest_parked(), "kicked awake with nothing to seal");
+        ac.submit(TenantId::DEFAULT, ev(1.0)).unwrap();
+        let (pulled, n) = puller.join().unwrap();
+        assert!(matches!(pulled, Ingress::Ready(_)));
+        assert_eq!(n, 1);
     }
 
     #[test]

@@ -57,6 +57,13 @@ pub struct CacheConfig {
     /// embedding may still be served.  A hit's `age_epochs` never exceeds
     /// this; entries older than the bound are invisible to [`EmbeddingCache::get`]
     /// and swept at the next epoch-barrier commit of their shard.
+    ///
+    /// An epoch is one served micro-batch, and a micro-batch is as large as
+    /// load made it: `max_batch` events under the overload this cache
+    /// exists for, as few as one or two on a lightly loaded server.  So the
+    /// bound is at most `staleness_bound_epochs × max_batch` events of
+    /// history and can be far less (64 epochs ≈ 130 events at two-event
+    /// batches) — it only ever errs towards fresher answers, never staler.
     pub staleness_bound_epochs: u64,
 }
 

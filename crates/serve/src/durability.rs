@@ -21,7 +21,12 @@
 //!   so post-drain polls still reach the log.
 //! * **Snapshots** are captured at epoch barriers via the
 //!   `commit_epoch_with` observers and written *after* a full WAL
-//!   flush+fsync, so a snapshot never runs ahead of the durable log.
+//!   flush+fsync, so a snapshot never runs ahead of the durable log.  The
+//!   cadence is counted in absorbed **events** (`snapshot_every ×
+//!   max_batch`), not epochs: an epoch holds whatever arrived while the
+//!   state worker was busy — two events at partial load — and an image per
+//!   `snapshot_every` *epochs* would then cost a hundred times the I/O for
+//!   the same replay bound.
 
 use crate::metrics::DurabilityObs;
 use std::path::PathBuf;
@@ -100,8 +105,14 @@ pub struct RecoveryReport {
 /// server's `poll`/`drain` paths.
 pub(crate) struct Durability {
     pub wal: Arc<Wal>,
-    pub snapshot_every: u64,
     pub wal_fault: Option<WalFaultHook>,
+    /// Absorbed events between interval snapshots: `snapshot_every ×
+    /// max_batch` (0 = none) — the same cut as "every `snapshot_every`
+    /// epochs" whenever batches are full.
+    snapshot_interval_events: u64,
+    /// `events_total` at which the state worker captures the next interval
+    /// snapshot; moved on by every capture, quiesced ones included.
+    next_snapshot_at: AtomicU64,
     dir: PathBuf,
     /// Highest epoch delivered to the client (the ack watermark).
     acked: AtomicU64,
@@ -151,12 +162,16 @@ struct SealSyncState {
 impl Durability {
     /// Opens the WAL (continuing after segment `last_seq`; `0` for a fresh
     /// log) and an idle snapshot writer over the configured directory.
-    pub fn open(cfg: &DurabilityConfig, last_seq: u64) -> std::io::Result<Self> {
+    /// `max_batch` is the server's batch cap — the event count one
+    /// `snapshot_every` unit stands for.
+    pub fn open(cfg: &DurabilityConfig, last_seq: u64, max_batch: usize) -> std::io::Result<Self> {
         let wal = Arc::new(Wal::open(&cfg.dir, last_seq, cfg.segment_bytes, cfg.fsync)?);
+        let snapshot_interval_events = cfg.snapshot_every.saturating_mul(max_batch as u64);
         Ok(Self {
             wal,
-            snapshot_every: cfg.snapshot_every,
             wal_fault: cfg.wal_fault.clone(),
+            snapshot_interval_events,
+            next_snapshot_at: AtomicU64::new(snapshot_interval_events),
             dir: cfg.dir.clone(),
             acked: AtomicU64::new(0),
             events_total: AtomicU64::new(0),
@@ -319,9 +334,32 @@ impl Durability {
         *self.warm_timestamp.lock().unwrap() = t;
     }
 
-    /// Whether the update worker should capture a snapshot at this epoch.
-    pub fn wants_snapshot(&self, epoch: u64) -> bool {
-        self.snapshot_every > 0 && epoch.is_multiple_of(self.snapshot_every)
+    /// Whether the state worker should capture an interval snapshot at the
+    /// epoch it is committing: true once `snapshot_every × max_batch` events
+    /// have been absorbed since the last capture, and then not again until
+    /// as many more have been (a `true` is the caller's commitment to
+    /// capture).  Call after [`Self::note_absorbed`] for the epoch.
+    pub fn snapshot_due(&self) -> bool {
+        if self.snapshot_interval_events == 0
+            || self.events_total.load(Ordering::Relaxed)
+                < self.next_snapshot_at.load(Ordering::Relaxed)
+        {
+            return false;
+        }
+        self.mark_snapshot_captured();
+        true
+    }
+
+    /// Restarts the interval count from the current absorbed total.  Only
+    /// the thread that owns the state (the state worker, or the server while
+    /// the pipeline is quiesced) calls this, so a plain store suffices.
+    fn mark_snapshot_captured(&self) {
+        self.next_snapshot_at.store(
+            self.events_total
+                .load(Ordering::Relaxed)
+                .saturating_add(self.snapshot_interval_events),
+            Ordering::Relaxed,
+        );
     }
 
     /// Records delivery of an epoch's results to the client: appends the
@@ -357,6 +395,7 @@ impl Durability {
             .store(meta.events_total, Ordering::Relaxed);
         *self.max_timestamp.lock().unwrap() = meta.max_timestamp;
         *self.warm_timestamp.lock().unwrap() = meta.warm_timestamp;
+        self.mark_snapshot_captured();
     }
 
     /// Writes a snapshot from pre-captured shard payloads.  The WAL is
@@ -449,6 +488,7 @@ impl Durability {
         table: &ShardedNeighborTable,
     ) {
         self.finish_snapshot_write();
+        self.mark_snapshot_captured();
         let n = memory.num_shards();
         let mut mem = vec![Vec::new(); n];
         memory.commit_epoch_with(epoch, &[], |s, m| encode_memory_shard(m, &mut mem[s]));

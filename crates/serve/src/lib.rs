@@ -11,7 +11,9 @@
 //!
 //! * [`StreamServer`] accepts a continuous chronological feed of
 //!   [`InteractionEvent`](tgnn_graph::InteractionEvent)s, micro-batches them
-//!   by size/deadline, and executes them through the paper's stage graph —
+//!   — a batch is whatever arrived while the previous one was being
+//!   processed, capped at `max_batch` — and executes them through the
+//!   paper's stage graph —
 //!   ingest → state → GNN pool → reorder — with a thread only where work
 //!   can overlap: one state worker runs sample → memory → gather → commit
 //!   in program order and dispatches each batch's GNN job before committing
@@ -93,7 +95,7 @@ pub use metrics::{
     render_flight_timeline, MetricsHub, MetricsLogger, MetricsSnapshot, SegmentId, SloConfig,
     SpanRecord, StageId, TraceExemplar, TraceStats,
 };
-pub use pipeline::{GnnFaultHook, ServedBatch};
+pub use pipeline::{GnnFaultHook, SealReason, ServedBatch};
 pub use queue::QueueStats;
 pub use server::{
     BackendStats, CacheReport, LatencySummary, ServeConfig, ServeReport, StaleAgeSummary,
@@ -106,6 +108,6 @@ pub use tgnn_durable::{
 };
 pub use tgnn_hwsim::HwSimBackend;
 pub use tgnn_obs::{
-    Blame, BurnState, CriticalPath, SloStatus, SpanKind, TraceSegment, TraceView,
-    MAX_TRACE_SEGMENTS,
+    Blame, BurnState, CriticalPath, HistogramSnapshot, SloStatus, SpanKind, TraceSegment,
+    TraceView, MAX_TRACE_SEGMENTS,
 };

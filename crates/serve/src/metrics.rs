@@ -22,7 +22,7 @@
 use crate::admission::AdmissionControl;
 use crate::cache::{CacheStats, EmbeddingCache};
 use crate::durability::Durability;
-use crate::pipeline::Collector;
+use crate::pipeline::{Collector, SealReason};
 use crate::queue::QueueStats;
 use crate::server::{BackendStats, LatencySummary, NS_PER_MS};
 use std::collections::VecDeque;
@@ -35,8 +35,8 @@ use std::time::{Duration, Instant};
 use tgnn_core::profiling::{Stage, StageTimings};
 use tgnn_core::BackendKind;
 use tgnn_obs::{
-    bucket_index, BurnState, Counter, FlightRecorder, Histogram, SloEngine, SloSpec, SloStatus,
-    SpanKind, TraceSlab, TraceView,
+    bucket_index, BurnState, Counter, FlightRecorder, Histogram, HistogramSnapshot, SloEngine,
+    SloSpec, SloStatus, SpanKind, TraceSlab, TraceView,
 };
 
 pub use crate::admission::AdmissionCounters;
@@ -140,7 +140,10 @@ impl StageId {
 
 /// Epochs the causal-trace slab keeps live (ring-evicted beyond this).
 /// Tail exemplars are copied out of the slab at delivery, so eviction only
-/// bounds how far back [`MetricsHub::trace_dump`] can see.
+/// bounds how far back [`MetricsHub::trace_dump`] can see — in epochs, so in
+/// *events* the window follows the batch size load chose: ~200 k events at
+/// saturation, a couple of thousand (≈ 0.1 s at 20 k events/s) on a lightly
+/// loaded server sealing two-event batches.
 pub(crate) const TRACE_CAPACITY: usize = 1024;
 
 /// How many tail exemplars / head samples the hub retains.
@@ -754,6 +757,8 @@ impl MetricsHub {
             batches_served: inner.collector.batches.load(Ordering::Relaxed) as u64,
             events_served: inner.collector.events.load(Ordering::Relaxed) as u64,
             embeddings: inner.collector.embeddings.load(Ordering::Relaxed) as u64,
+            seals: std::array::from_fn(|i| inner.collector.seals[i].load(Ordering::Relaxed)),
+            batch_events: inner.collector.batch_events.snapshot(),
             queues: self.queue_stats(),
             stages,
             stage_timings: self.stage_timings(),
@@ -1034,6 +1039,17 @@ pub struct MetricsSnapshot {
     pub events_served: u64,
     /// Embeddings produced.
     pub embeddings: u64,
+    /// Micro-batches sealed, by [`SealReason::code`]: how the batcher is
+    /// adapting — mostly `idle` at partial load, mostly `full` at
+    /// saturation; a growing `deadline` count means stragglers are waiting
+    /// out `batch_deadline` behind slow batches.
+    pub seals: [u64; SealReason::ALL.len()],
+    /// Events per pipeline-served micro-batch (stale cache answers
+    /// excluded) — the batch size load chose, capped by `max_batch`.  One
+    /// sample per batch counted in `backends`; sizes up to 31 are exact,
+    /// larger ones read as their log-linear bucket's upper bound (≤ 6.25 %
+    /// high: a 200-event batch reads 207).
+    pub batch_events: HistogramSnapshot,
     /// Live per-queue statistics (depth is the instantaneous occupancy).
     pub queues: Vec<QueueStats>,
     /// Per-stage busy/idle and span counts, pipeline order.
@@ -1068,6 +1084,20 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Exact `(events, batches)` behind `batch_events`, from the backend
+    /// counters that are bumped alongside it.
+    fn pipeline_served(&self) -> (u64, u64) {
+        self.backends.iter().fold((0, 0), |(e, b), s| {
+            (e + s.served_events, b + s.served_batches)
+        })
+    }
+
+    /// Exact mean of `batch_events` (0 before the first batch).
+    fn mean_batch_events(&self) -> f64 {
+        let (events, batches) = self.pipeline_served();
+        events as f64 / batches.max(1) as f64
+    }
+
     /// Renders the snapshot as a human-readable table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -1095,6 +1125,19 @@ impl MetricsSnapshot {
                 self.batch_latency.p95_ms,
                 self.batch_latency.p99_ms,
                 self.batch_latency.max_ms
+            ),
+        );
+        push(
+            &mut out,
+            format!(
+                "batch events   mean {:.1}   p50 {}   p99 {}   max {}   sealed {}",
+                self.mean_batch_events(),
+                self.batch_events.percentile(0.50),
+                self.batch_events.percentile(0.99),
+                self.batch_events.max(),
+                SealReason::ALL
+                    .map(|r| format!("{} {}", r.label(), self.seals[r.code()]))
+                    .join(" / ")
             ),
         );
         push(
@@ -1271,6 +1314,25 @@ impl MetricsSnapshot {
             "counter",
             self.embeddings.to_string(),
         );
+        out.push_str("# TYPE tgnn_seals_total counter\n");
+        for r in SealReason::ALL {
+            out.push_str(&format!(
+                "tgnn_seals_total{{reason=\"{}\"}} {}\n",
+                r.label(),
+                self.seals[r.code()]
+            ));
+        }
+        out.push_str("# TYPE tgnn_batch_events summary\n");
+        for q in [0.5, 0.95, 0.99] {
+            out.push_str(&format!(
+                "tgnn_batch_events{{quantile=\"{q}\"}} {}\n",
+                self.batch_events.percentile(q)
+            ));
+        }
+        let (events, batches) = self.pipeline_served();
+        out.push_str(&format!(
+            "tgnn_batch_events_sum {events}\ntgnn_batch_events_count {batches}\n"
+        ));
         out.push_str("# TYPE tgnn_queue_depth gauge\n");
         for q in &self.queues {
             out.push_str(&format!(
@@ -1514,6 +1576,16 @@ impl MetricsSnapshot {
             self.batch_latency.p95_ms,
             self.batch_latency.p99_ms,
             self.batch_latency.max_ms
+        ));
+        s.push_str(&format!(
+            ",\"seals\":{{{}}},\"batch_events\":{{\"mean\":{:.2},\"p50\":{},\"p99\":{},\"max\":{}}}",
+            SealReason::ALL
+                .map(|r| format!("\"{}\":{}", r.label(), self.seals[r.code()]))
+                .join(","),
+            self.mean_batch_events(),
+            self.batch_events.percentile(0.50),
+            self.batch_events.percentile(0.99),
+            self.batch_events.max()
         ));
         s.push_str(",\"queues\":[");
         for (i, q) in self.queues.iter().enumerate() {

@@ -3,7 +3,8 @@
 //! ```text
 //!       per-tenant bounded ingress queues (OverloadPolicy at the bound)
 //!                         │  weighted round-robin pull — see `admission`
-//!                   [ingest worker]   seals micro-batches (size / deadline)
+//!                   [ingest worker]   seals micro-batches (state worker idle /
+//!                         │            `max_batch` cap / deadline backstop)
 //!                         │  SealedBatch
 //!                    [state worker]   sample → memory → gather → commit,
 //!                  │              │   in program order on one thread
@@ -16,6 +17,17 @@
 //!                         ▼
 //!                      results
 //! ```
+//!
+//! Batch size is a function of load, not a setting: the ingest worker
+//! seals whatever it holds the moment the state worker parks on an empty
+//! sealed-batch queue ([`SealReason::Idle`]), so a lightly loaded server
+//! serves batches of one or two events at compute latency, and a saturated
+//! one — whose state worker always finds the next batch waiting — fills
+//! every batch to `max_batch` exactly as a size-only batcher would.  Why an
+//! early seal is safe: served embeddings are defined on the *served* batch
+//! boundaries (every identity check replays those), a `Seal` record carries
+//! its events so recovery re-serves the same boundaries, and a smaller
+//! batch only means the memory a later event reads is fresher.
 //!
 //! A thread exists only where work can overlap.  The state stages cannot:
 //! sample(k+1) reads what commit(k) wrote, commit(k) needs memory(k)'s
@@ -87,6 +99,48 @@ pub(crate) struct SealedBatch {
     pub metas: Vec<EventMeta>,
     pub backend: BackendKind,
     pub sealed_at: Instant,
+}
+
+/// Why the ingest worker sealed a micro-batch — the counters an operator
+/// reads to see the batcher adapt to load
+/// ([`MetricsSnapshot::seals`](crate::MetricsSnapshot::seals)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SealReason {
+    /// `max_batch` events were pending: the cap, the steady state at
+    /// saturation.
+    Full,
+    /// The state worker was parked on an empty sealed-batch queue: the
+    /// steady state at partial load.
+    Idle,
+    /// The oldest pending event was `batch_deadline` old: the backstop.
+    Deadline,
+    /// Admission closed (drain): the remainder.
+    Close,
+}
+
+impl SealReason {
+    /// Every reason, in [`Self::code`] order.
+    pub const ALL: [SealReason; 4] = [
+        SealReason::Full,
+        SealReason::Idle,
+        SealReason::Deadline,
+        SealReason::Close,
+    ];
+
+    /// Dense index into per-reason arrays.
+    pub fn code(self) -> usize {
+        self as usize
+    }
+
+    /// Stable lower-case label (metric label value).
+    pub fn label(self) -> &'static str {
+        match self {
+            SealReason::Full => "full",
+            SealReason::Idle => "idle",
+            SealReason::Deadline => "deadline",
+            SealReason::Close => "close",
+        }
+    }
 }
 
 /// Per-batch metadata sent to the reorder worker ahead of the batch's
@@ -239,6 +293,10 @@ pub(crate) struct Collector {
     /// batches — stale cache answers are served by the cache, not a
     /// backend, and are tracked by the tenant/cache counters instead.
     pub backends: [BackendCollector; NUM_BACKEND_KINDS],
+    /// Sealed batches by [`SealReason::code`], fed by the ingest worker.
+    pub seals: [AtomicU64; SealReason::ALL.len()],
+    /// Events per pipeline-served batch.
+    pub batch_events: Histogram,
 }
 
 impl BackendCollector {
@@ -269,6 +327,8 @@ impl Collector {
                 .map(|_| TenantCollector::default())
                 .collect(),
             backends: Default::default(),
+            seals: Default::default(),
+            batch_events: Histogram::new(),
         }
     }
 
@@ -279,6 +339,7 @@ impl Collector {
         events: usize,
         modeled: Option<Duration>,
     ) {
+        self.batch_events.record(events as u64);
         let b = &self.backends[kind.code()];
         b.served_batches.fetch_add(1, Ordering::Relaxed);
         b.served_events.fetch_add(events as u64, Ordering::Relaxed);
@@ -328,15 +389,31 @@ impl Drop for CloseAdmissionOnExit {
 }
 
 /// Ingest worker: pulls weighted-fair rounds straight out of the tenant
-/// ingress queues and seals a micro-batch when `max_batch` events are
-/// pending or the oldest pending event was picked up `deadline` ago,
-/// whichever comes first.  Once an event is pulled it is guaranteed to be
-/// served — the overload drop policies act strictly upstream, in the tenant
-/// ingress queues, and keep acting while this worker is blocked on the
-/// downstream queue (it holds no admission lock then).  The worker records
-/// two logical stages: a `scheduler` span per pull (pre-epoch, so epoch 0;
-/// flight-ring writes sampled 1-in-`sampling`) and a `batcher` span per
-/// seal.
+/// ingress queues and seals what it holds as soon as one of these is true
+/// ([`SealReason`]):
+///
+/// * **idle** — the state worker is parked on the empty sealed-batch queue
+///   (`tx.receiver_parked()`), so anything held back now only adds latency;
+/// * **full** — `max_batch` events are pending (the cap);
+/// * **deadline** — the oldest pending event was picked up `deadline` ago
+///   (the backstop: it only fires when the state worker is neither idle nor
+///   producing backpressure for that long);
+/// * **close** — admission closed and the queues are drained.
+///
+/// There is one sealing path; load decides which condition trips first.
+/// At saturation the state worker always finds a sealed batch waiting, never
+/// parks, and every batch fills to the cap.  No event waits for a later
+/// arrival: if the worker is waiting in `pull` with events in hand when the
+/// state worker parks, the sealed-batch queue's idle hook
+/// (`AdmissionControl::kick`) wakes it — the lost-wakeup argument is in
+/// `queue.rs` and on `kick`.
+///
+/// Once an event is pulled it is guaranteed to be served — the overload
+/// drop policies act strictly upstream, in the tenant ingress queues, and
+/// keep acting while this worker is blocked on the downstream queue (it
+/// holds no admission lock then).  The worker records two logical stages: a
+/// `scheduler` span per pull (pre-epoch, so epoch 0; flight-ring writes
+/// sampled 1-in-`sampling`) and a `batcher` span per seal.
 ///
 /// With durability on, the batch's `Seal` record is appended *before* the
 /// batch is sent downstream and its fsync is requested from the group-commit
@@ -352,13 +429,17 @@ pub(crate) fn ingest_loop(
     deadline: Duration,
     next_epoch: Arc<AtomicU64>,
     durability: Option<Arc<Durability>>,
+    collector: Arc<Collector>,
     sched_obs: StageObs,
     obs: StageObs,
     sampling: u64,
 ) {
     let _close_on_exit = CloseAdmissionOnExit(admission.clone());
-    let seal_one = |mut items: Vec<AdmittedEvent>, backend: BackendKind| {
+    // Seals `items` (all on `backend`) as the next epoch and leaves the
+    // buffer empty for reuse.
+    let seal_one = |items: &mut Vec<AdmittedEvent>, backend: BackendKind, reason: SealReason| {
         let epoch = next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        collector.seals[reason.code()].fetch_add(1, Ordering::Relaxed);
         // The batcher span covers the seal work (sort + WAL append +
         // downstream send), not the accumulation wait — idle time is
         // "waiting for admitted events".
@@ -415,7 +496,7 @@ pub(crate) fn ingest_loop(
             SegmentId::SealWait,
             sealed_at.saturating_duration_since(anchor.picked_up_at),
         );
-        let (events, metas) = items.into_iter().map(|a| (a.event, a.meta)).unzip();
+        let (events, metas) = items.drain(..).map(|a| (a.event, a.meta)).unzip();
         let ok = tx
             .send(SealedBatch {
                 epoch,
@@ -436,24 +517,28 @@ pub(crate) fn ingest_loop(
     // unit of backend routing, so it must be single-backend.  The split
     // reorders events only *across* tenants (tenants are single-backend),
     // which the weighted-fair merge already permits.
-    let seal = |pending: &mut Vec<AdmittedEvent>| {
-        let items = std::mem::replace(pending, Vec::with_capacity(max_batch));
-        let Some(first) = items.first().map(|a| a.meta.backend) else {
+    let seal = |pending: &mut Vec<AdmittedEvent>, reason: SealReason| {
+        let Some(first) = pending.first().map(|a| a.meta.backend) else {
             return true;
         };
-        if items.iter().all(|a| a.meta.backend == first) {
-            return seal_one(items, first);
+        if pending.iter().all(|a| a.meta.backend == first) {
+            return seal_one(pending, first, reason);
         }
-        BackendKind::ALL.into_iter().all(|kind| {
-            let part: Vec<AdmittedEvent> = items
+        let sealed = BackendKind::ALL.into_iter().all(|kind| {
+            let mut part: Vec<AdmittedEvent> = pending
                 .iter()
                 .filter(|a| a.meta.backend == kind)
                 .copied()
                 .collect();
-            part.is_empty() || seal_one(part, kind)
-        })
+            part.is_empty() || seal_one(&mut part, kind, reason)
+        });
+        pending.clear();
+        sealed
     };
     let sampling = sampling.max(1);
+    // One buffer for the worker's lifetime: a seal copies out exactly the
+    // events it holds, so a two-event batch no longer costs a
+    // `max_batch`-sized allocation.
     let mut pending: Vec<AdmittedEvent> = Vec::with_capacity(max_batch);
     let mut pulls = 0u64;
     loop {
@@ -470,8 +555,18 @@ pub(crate) fn ingest_loop(
             pulls += 1;
         }
         let closed = pulled == Ingress::Closed;
-        let expired = due.is_some_and(|d| Instant::now() >= d);
-        if (closed || expired || pending.len() >= max_batch) && (!seal(&mut pending) || closed) {
+        let reason = if pending.len() >= max_batch {
+            SealReason::Full
+        } else if closed {
+            SealReason::Close
+        } else if due.is_some_and(|d| Instant::now() >= d) {
+            SealReason::Deadline
+        } else if !pending.is_empty() && tx.receiver_parked() {
+            SealReason::Idle
+        } else {
+            continue;
+        };
+        if !seal(&mut pending, reason) || closed {
             return;
         }
     }
@@ -558,8 +653,9 @@ impl StateStage {
     /// gathered *before* the commit overwrites this epoch's rows and
     /// dispatched before it runs, so GNN(k) overlaps commit(k).
     ///
-    /// With durability on, snapshot-interval epochs capture each shard's
-    /// payload through the `commit_epoch_with` observers — under the shard
+    /// With durability on, the epoch that completes a snapshot interval
+    /// (`Durability::snapshot_due`, counted in absorbed events) captures each
+    /// shard's payload through the `commit_epoch_with` observers — under the shard
     /// lock, after the epoch's writes, before the epoch bump — so the
     /// snapshot is the exact epoch-barrier state; the files are then
     /// written by a background thread instead of stalling the committer on
@@ -614,7 +710,7 @@ impl StateStage {
                 d.note_absorbed(events);
             }
             let cache = self.cache.as_deref();
-            match self.durability.as_ref().filter(|d| d.wants_snapshot(epoch)) {
+            match self.durability.as_ref().filter(|d| d.snapshot_due()) {
                 None => {
                     match cache {
                         None => memory.commit_epoch(epoch, &writes),
@@ -1044,6 +1140,210 @@ mod tests {
 
     #[global_allocator]
     static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+    use crate::admission::TenantSpec;
+    use crate::metrics::{HubConfig, MetricsHub, StageId};
+    use crate::queue::{channel_with_idle_hook, QueueMonitor};
+    use std::sync::mpsc;
+    use std::thread::{self, JoinHandle};
+
+    /// An ingest worker between a real `AdmissionControl` and a sealed-batch
+    /// queue whose `Receiver` the test itself drives — the state worker's
+    /// idleness is whatever the test makes it.
+    struct IngestRig {
+        admission: Arc<AdmissionControl>,
+        rx: Receiver<SealedBatch>,
+        sealed: QueueMonitor<SealedBatch>,
+        collector: Arc<Collector>,
+        next_epoch: Arc<AtomicU64>,
+        worker: Option<JoinHandle<()>>,
+        submitted: AtomicU64,
+    }
+
+    impl IngestRig {
+        fn new(max_batch: usize, deadline: Duration) -> Self {
+            let admission = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")]));
+            let (tx, rx) = {
+                let admission = admission.clone();
+                channel_with_idle_hook("ingest→state", 4, move || admission.kick())
+            };
+            let sealed = tx.monitor();
+            let collector = Arc::new(Collector::new(1));
+            let next_epoch = Arc::new(AtomicU64::new(0));
+            let hub = MetricsHub::new(HubConfig {
+                enabled: false,
+                flight_capacity: 16,
+                queues: Vec::new(),
+                collector: collector.clone(),
+                admission: admission.clone(),
+                durability: None,
+                cache: None,
+                next_epoch: next_epoch.clone(),
+                gnn_workers: 1,
+                metrics_sampling: 1,
+                slo_engine: None,
+            });
+            let worker = {
+                let (admission, collector, next_epoch) =
+                    (admission.clone(), collector.clone(), next_epoch.clone());
+                let (sched, batcher) = (
+                    hub.stage_obs(StageId::Scheduler, 0),
+                    hub.stage_obs(StageId::Batcher, 0),
+                );
+                thread::spawn(move || {
+                    ingest_loop(
+                        admission, tx, max_batch, deadline, next_epoch, None, collector, sched,
+                        batcher, 1,
+                    )
+                })
+            };
+            Self {
+                admission,
+                rx,
+                sealed,
+                collector,
+                next_epoch,
+                worker: Some(worker),
+                submitted: AtomicU64::new(0),
+            }
+        }
+
+        fn submit(&self, n: usize) {
+            for _ in 0..n {
+                let t = self.submitted.fetch_add(1, Ordering::Relaxed) as f64;
+                self.admission
+                    .submit(TenantId::DEFAULT, InteractionEvent::new(0, 1, 0, t))
+                    .unwrap();
+            }
+        }
+
+        /// Blocks until the worker has pulled everything submitted so far,
+        /// decided what to do with it, and gone back to sleep in `pull`.
+        fn settle(&self) {
+            while !self.admission.ingest_parked() {
+                thread::yield_now();
+            }
+        }
+
+        /// Pops the next sealed batch without ever parking the receiver: to
+        /// the ingest worker the state worker looks busy throughout.
+        fn take_while_busy(&self) -> SealedBatch {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            loop {
+                if let Some(b) = self.rx.try_recv() {
+                    return b;
+                }
+                assert!(Instant::now() < give_up, "no batch was sealed");
+                thread::yield_now();
+            }
+        }
+
+        fn seals(&self, reason: SealReason) -> u64 {
+            self.collector.seals[reason.code()].load(Ordering::Relaxed)
+        }
+
+        fn sealed_epochs(&self) -> u64 {
+            self.next_epoch.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Drop for IngestRig {
+        fn drop(&mut self) {
+            self.admission.close();
+            if let Some(w) = self.worker.take() {
+                // A failed assertion is already unwinding; don't mask it.
+                if w.join().is_err() && !thread::panicking() {
+                    panic!("ingest worker panicked");
+                }
+            }
+        }
+    }
+
+    /// Blocks in `rx.recv()` on a helper thread — so a broken wake path
+    /// fails the test on a timeout instead of hanging it — and runs
+    /// `meanwhile` on the test thread once the helper is spawned.
+    fn recv_on_helper(rig: &IngestRig, meanwhile: impl FnOnce()) -> SealedBatch {
+        thread::scope(|s| {
+            let (out, got) = mpsc::channel();
+            s.spawn(move || out.send(rig.rx.recv()));
+            meanwhile();
+            let got = got.recv_timeout(Duration::from_secs(10));
+            if got.is_err() {
+                // Release the helper (a close seals the remainder) so the
+                // scope can end and the failure below is reported.
+                rig.admission.close();
+            }
+            got.expect("the parked receiver was never handed a batch")
+                .expect("queue closed")
+        })
+    }
+
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    #[test]
+    fn ingest_seals_a_single_event_when_the_receiver_is_parked() {
+        let rig = IngestRig::new(8, HOUR);
+        let batch = recv_on_helper(&rig, || {
+            while !rig.sealed.receiver_parked() {
+                thread::yield_now();
+            }
+            rig.submit(1);
+        });
+        assert_eq!(batch.batch.len(), 1);
+        assert_eq!(batch.epoch, 1);
+        assert_eq!(rig.seals(SealReason::Idle), 1);
+    }
+
+    #[test]
+    fn ingest_holds_a_partial_batch_while_the_receiver_is_busy() {
+        const CAP: usize = 8;
+        let rig = IngestRig::new(CAP, HOUR);
+        rig.submit(CAP - 1);
+        rig.settle();
+        assert_eq!(rig.sealed_epochs(), 0, "sealed below the cap, nobody idle");
+        assert_eq!(rig.sealed.depth(), 0);
+        rig.submit(1);
+        let batch = rig.take_while_busy();
+        assert_eq!(batch.batch.len(), CAP);
+        assert_eq!(rig.seals(SealReason::Full), 1);
+        assert_eq!(rig.sealed_epochs(), 1);
+    }
+
+    #[test]
+    fn ingest_is_woken_to_seal_when_the_receiver_parks_after_the_last_arrival() {
+        // The wake path: the event arrives while the state worker is busy,
+        // then nothing else does.  The worker is asleep in `pull` holding it
+        // when the receiver parks; only the queue's idle hook can get it out
+        // before the (one-hour) deadline.
+        let rig = IngestRig::new(8, HOUR);
+        rig.submit(1);
+        rig.settle();
+        assert_eq!(rig.sealed_epochs(), 0, "held back: the receiver is busy");
+        let batch = recv_on_helper(&rig, || ());
+        assert_eq!(batch.batch.len(), 1);
+        assert_eq!(rig.seals(SealReason::Idle), 1);
+    }
+
+    #[test]
+    fn ingest_deadline_is_the_backstop_behind_a_busy_receiver() {
+        let rig = IngestRig::new(8, Duration::from_millis(20));
+        rig.submit(3);
+        let batch = rig.take_while_busy();
+        assert_eq!(batch.batch.len(), 3);
+        assert_eq!(rig.seals(SealReason::Deadline), 1);
+        assert_eq!(rig.seals(SealReason::Idle) + rig.seals(SealReason::Full), 0);
+    }
+
+    #[test]
+    fn ingest_seals_the_remainder_on_close() {
+        let rig = IngestRig::new(8, HOUR);
+        rig.submit(2);
+        rig.settle();
+        rig.admission.close();
+        let batch = rig.take_while_busy();
+        assert_eq!(batch.batch.len(), 2);
+        assert_eq!(rig.seals(SealReason::Close), 1);
+    }
 
     #[test]
     fn latency_accounting_is_constant_space_and_within_bucket_error() {

@@ -16,9 +16,36 @@
 //!   `send` fails once every receiver is gone — so a dying worker pool can
 //!   never strand a blocked producer or consumer.
 //!
-//! Both are a plain mutex + condvars — at micro-batch granularity (hundreds
-//! of events per item) lock overhead is noise, and a mutex keeps the
-//! close/backpressure semantics obvious.
+//! Both are a plain mutex + condvars — a mutex keeps the close/backpressure
+//! semantics obvious.  What is *not* noise once a micro-batch can be a single
+//! event (see `pipeline::ingest_loop`: batches shrink to whatever arrived
+//! while the state worker was busy) is the kernel entry behind every
+//! `Condvar::notify_*`: std's condvar always makes the futex call, waiter or
+//! not.  So each end records under the queue mutex that it is about to park
+//! and the other end notifies only then.
+//!
+//! Lost-wakeup arguments, all of one shape — *the flag and the condition it
+//! guards change under the same mutex the waiter checks them under*:
+//! * **close / receiver gone** — `Sender::drop` / `Receiver::drop` set their
+//!   flag and notify while holding the queue mutex; a peer checks the flag
+//!   and then waits without releasing that mutex in between, so the notify
+//!   cannot land between its check and its wait.
+//! * **parked flags** — a receiver sets `receiver_parked` and a sender
+//!   `sender_parked` immediately before `Condvar::wait`, mutex held (the
+//!   wait releases it atomically).  The peer pushes or pops under the same
+//!   mutex and reads the flag there: set means the waiter is inside `wait`
+//!   (or already woken and about to re-check the queue), so one notify
+//!   reaches it; clear means it has not checked the queue yet and will see
+//!   the item or the free slot before it ever waits.  The notifier clears
+//!   the flag — one wakeup per park, not one per item pushed while the
+//!   woken thread is still on its way back to the mutex.
+//! * **idle hook** ([`channel_with_idle_hook`]) — runs right after the
+//!   receiver sets `receiver_parked`, still under the queue mutex, so
+//!   whoever the hook wakes is guaranteed to read `true` from
+//!   [`Sender::receiver_parked`] until the next `send`.  The hook may take
+//!   other locks (the sealed-batch queue's takes the admission lock); that
+//!   is safe as long as nobody calls into this queue while holding them —
+//!   the ingest worker, the only user, never does.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -48,11 +75,27 @@ pub struct QueueStats {
     pub blocked_sends: u64,
 }
 
+/// The SPSC state the queue mutex guards.
 #[derive(Debug)]
+struct Spsc<T> {
+    queue: VecDeque<T>,
+    /// The receiver is blocked in `recv` on an empty queue and nothing has
+    /// been pushed since: set by the receiver before it waits, cleared by
+    /// the `send` that wakes it.
+    receiver_parked: bool,
+    /// The sender is blocked in `send` on a full queue; set and cleared the
+    /// same way from the other side.
+    sender_parked: bool,
+}
+
+/// Called by the receiver when it parks on an empty queue.
+type IdleHook = Box<dyn Fn() + Send + Sync>;
+
 struct Inner<T> {
-    queue: Mutex<VecDeque<T>>,
+    state: Mutex<Spsc<T>>,
     not_full: Condvar,
     not_empty: Condvar,
+    on_idle: Option<IdleHook>,
     closed: AtomicBool,
     receiver_gone: AtomicBool,
     capacity: usize,
@@ -74,7 +117,7 @@ impl<T> Inner<T> {
             capacity: self.capacity,
             pushes,
             pops,
-            depth: self.queue.lock().unwrap().len(),
+            depth: self.state.lock().unwrap().queue.len(),
             max_depth: self.max_depth.load(Ordering::Relaxed),
             mean_depth: if samples == 0 {
                 0.0
@@ -85,10 +128,27 @@ impl<T> Inner<T> {
         }
     }
 
-    /// Records the post-pop depth so the mean sees troughs as well as peaks.
-    fn note_pop(&self, depth: usize) {
+    /// Finishes a pop: records the post-pop depth (so the mean sees troughs
+    /// as well as peaks) and wakes the sender if it was parked on a full
+    /// queue.
+    fn popped(&self, mut state: std::sync::MutexGuard<'_, Spsc<T>>) {
+        let depth = state.queue.len();
+        let wake = std::mem::take(&mut state.sender_parked);
+        drop(state);
         self.pops.fetch_add(1, Ordering::Relaxed);
         self.depth_sum.fetch_add(depth as u64, Ordering::Relaxed);
+        if wake {
+            self.not_full.notify_one();
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for Inner<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Inner")
+            .field("name", &self.name)
+            .field("capacity", &self.capacity)
+            .finish_non_exhaustive()
     }
 }
 
@@ -116,11 +176,40 @@ pub struct QueueMonitor<T> {
 /// # Panics
 /// Panics if `capacity == 0`.
 pub fn channel<T>(name: &'static str, capacity: usize) -> (Sender<T>, Receiver<T>) {
+    new_channel(name, capacity, None)
+}
+
+/// [`channel`] whose receiver calls `on_idle` each time it parks on an empty
+/// queue — after [`Sender::receiver_parked`] has turned `true`, before it
+/// sleeps.  This is how a consumer going idle wakes a producer that is
+/// holding work back for it (see the module header for the ordering
+/// argument and the locking rule).
+///
+/// # Panics
+/// Panics if `capacity == 0`.
+pub fn channel_with_idle_hook<T>(
+    name: &'static str,
+    capacity: usize,
+    on_idle: impl Fn() + Send + Sync + 'static,
+) -> (Sender<T>, Receiver<T>) {
+    new_channel(name, capacity, Some(Box::new(on_idle)))
+}
+
+fn new_channel<T>(
+    name: &'static str,
+    capacity: usize,
+    on_idle: Option<IdleHook>,
+) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "spsc channel: capacity must be positive");
     let inner = Arc::new(Inner {
-        queue: Mutex::new(VecDeque::with_capacity(capacity)),
+        state: Mutex::new(Spsc {
+            queue: VecDeque::with_capacity(capacity),
+            receiver_parked: false,
+            sender_parked: false,
+        }),
         not_full: Condvar::new(),
         not_empty: Condvar::new(),
+        on_idle,
         closed: AtomicBool::new(false),
         receiver_gone: AtomicBool::new(false),
         capacity,
@@ -147,24 +236,35 @@ impl<T> Sender<T> {
         if inner.receiver_gone.load(Ordering::Acquire) {
             return Err(item);
         }
-        let mut q = inner.queue.lock().unwrap();
-        if q.len() >= inner.capacity {
+        let mut s = inner.state.lock().unwrap();
+        if s.queue.len() >= inner.capacity {
             inner.blocked_sends.fetch_add(1, Ordering::Relaxed);
-            while q.len() >= inner.capacity {
+            while s.queue.len() >= inner.capacity {
                 if inner.receiver_gone.load(Ordering::Acquire) {
                     return Err(item);
                 }
-                q = inner.not_full.wait(q).unwrap();
+                s.sender_parked = true;
+                s = inner.not_full.wait(s).unwrap();
             }
         }
-        q.push_back(item);
-        let depth = q.len();
-        drop(q);
+        s.queue.push_back(item);
+        let depth = s.queue.len();
+        let wake = std::mem::take(&mut s.receiver_parked);
+        drop(s);
         inner.pushes.fetch_add(1, Ordering::Relaxed);
         inner.depth_sum.fetch_add(depth as u64, Ordering::Relaxed);
         inner.max_depth.fetch_max(depth, Ordering::Relaxed);
-        inner.not_empty.notify_one();
+        if wake {
+            inner.not_empty.notify_one();
+        }
         Ok(())
+    }
+
+    /// Whether the receiver is parked in `recv` on an empty queue right now
+    /// — i.e. the consumer has nothing to do.  Only the sender can end that
+    /// state, so a `true` stays true until this sender's next `send`.
+    pub fn receiver_parked(&self) -> bool {
+        self.inner.state.lock().unwrap().receiver_parked
     }
 
     /// A monitoring handle for this queue.
@@ -181,7 +281,7 @@ impl<T> Drop for Sender<T> {
         // a receiver checks `closed` and then waits while holding that mutex,
         // so notifying lock-free could land between its check and its wait —
         // a lost wakeup that would park the receiver forever.
-        let _guard = self.inner.queue.lock().unwrap();
+        let _guard = self.inner.state.lock().unwrap();
         self.inner.closed.store(true, Ordering::Release);
         self.inner.not_empty.notify_all();
     }
@@ -192,32 +292,34 @@ impl<T> Receiver<T> {
     /// the queue is closed *and* drained.
     pub fn recv(&self) -> Option<T> {
         let inner = &*self.inner;
-        let mut q = inner.queue.lock().unwrap();
+        let mut s = inner.state.lock().unwrap();
         loop {
-            if let Some(item) = q.pop_front() {
-                let depth = q.len();
-                drop(q);
-                inner.note_pop(depth);
-                inner.not_full.notify_one();
+            if let Some(item) = s.queue.pop_front() {
+                inner.popped(s);
                 return Some(item);
             }
             if inner.closed.load(Ordering::Acquire) {
                 return None;
             }
-            q = inner.not_empty.wait(q).unwrap();
+            // Still set after a wakeup means nothing was pushed (spurious,
+            // or the close raced in): the idle announcement stands.
+            if !s.receiver_parked {
+                s.receiver_parked = true;
+                if let Some(on_idle) = &inner.on_idle {
+                    on_idle();
+                }
+            }
+            s = inner.not_empty.wait(s).unwrap();
         }
     }
 
     /// Non-blocking pop.
     pub fn try_recv(&self) -> Option<T> {
         let inner = &*self.inner;
-        let mut q = inner.queue.lock().unwrap();
-        let item = q.pop_front();
-        let depth = q.len();
-        drop(q);
+        let mut s = inner.state.lock().unwrap();
+        let item = s.queue.pop_front();
         if item.is_some() {
-            inner.note_pop(depth);
-            inner.not_full.notify_one();
+            inner.popped(s);
         }
         item
     }
@@ -234,7 +336,7 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         // Same lost-wakeup discipline as Sender::drop: a sender checks
         // `receiver_gone` and waits under the queue mutex.
-        let _guard = self.inner.queue.lock().unwrap();
+        let _guard = self.inner.state.lock().unwrap();
         self.inner.receiver_gone.store(true, Ordering::Release);
         self.inner.not_full.notify_all();
     }
@@ -243,12 +345,18 @@ impl<T> Drop for Receiver<T> {
 impl<T> QueueMonitor<T> {
     /// Current queue depth.
     pub fn depth(&self) -> usize {
-        self.inner.queue.lock().unwrap().len()
+        self.inner.state.lock().unwrap().queue.len()
     }
 
     /// Lifetime statistics.
     pub fn stats(&self) -> QueueStats {
         self.inner.stats()
+    }
+
+    /// [`Sender::receiver_parked`], for a test that does not hold the sender.
+    #[cfg(test)]
+    pub(crate) fn receiver_parked(&self) -> bool {
+        self.inner.state.lock().unwrap().receiver_parked
     }
 }
 
@@ -266,6 +374,11 @@ struct MpmcState<T> {
     /// Set by the last sender dropping or an explicit `close()` from either
     /// end: no further sends succeed, receivers drain then observe Closed.
     closed: bool,
+    /// Receivers inside `not_empty.wait` / senders inside `not_full.wait`:
+    /// a push or pop notifies only when the matching count is non-zero (the
+    /// SPSC parked flags, as counts because the ends are clonable).
+    parked_receivers: usize,
+    parked_senders: usize,
 }
 
 #[derive(Debug)]
@@ -350,6 +463,8 @@ pub fn mpmc_channel<T>(name: &'static str, capacity: usize) -> (MpmcSender<T>, M
             senders: 1,
             receivers: 1,
             closed: false,
+            parked_receivers: 0,
+            parked_senders: 0,
         }),
         not_full: Condvar::new(),
         not_empty: Condvar::new(),
@@ -384,18 +499,23 @@ impl<T> MpmcSender<T> {
             if state.queue.len() < inner.capacity {
                 state.queue.push_back(item);
                 let depth = state.queue.len();
+                let wake = state.parked_receivers > 0;
                 drop(state);
                 inner.pushes.fetch_add(1, Ordering::Relaxed);
                 inner.depth_sum.fetch_add(depth as u64, Ordering::Relaxed);
                 inner.max_depth.fetch_max(depth, Ordering::Relaxed);
-                inner.not_empty.notify_one();
+                if wake {
+                    inner.not_empty.notify_one();
+                }
                 return Ok(());
             }
             if !counted_block {
                 inner.blocked_sends.fetch_add(1, Ordering::Relaxed);
                 counted_block = true;
             }
+            state.parked_senders += 1;
             state = inner.not_full.wait(state).unwrap();
+            state.parked_senders -= 1;
         }
     }
 
@@ -449,15 +569,20 @@ impl<T> MpmcReceiver<T> {
         loop {
             if let Some(item) = state.queue.pop_front() {
                 let depth = state.queue.len();
+                let wake = state.parked_senders > 0;
                 drop(state);
                 inner.note_pop(depth);
-                inner.not_full.notify_one();
+                if wake {
+                    inner.not_full.notify_one();
+                }
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
+            state.parked_receivers += 1;
             state = inner.not_empty.wait(state).unwrap();
+            state.parked_receivers -= 1;
         }
     }
 
@@ -611,6 +736,34 @@ mod tests {
         tx.send(1).unwrap();
         drop(rx);
         assert_eq!(tx.send(2), Err(2));
+    }
+
+    #[test]
+    fn receiver_parked_is_true_exactly_while_the_receiver_sleeps_on_an_empty_queue() {
+        let idle_calls = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = {
+            let idle_calls = idle_calls.clone();
+            channel_with_idle_hook::<u32>("test", 2, move || {
+                idle_calls.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        assert!(!tx.receiver_parked(), "nobody is receiving");
+        tx.send(1).unwrap();
+        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(idle_calls.load(Ordering::SeqCst), 0, "an item was waiting");
+        let consumer = thread::spawn(move || (rx.recv(), rx));
+        // The hook runs after the flag is set, so once it has run the flag
+        // must read true — and stay true until this thread sends.
+        while idle_calls.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
+        assert!(tx.receiver_parked());
+        tx.send(2).unwrap();
+        assert!(!tx.receiver_parked(), "send ends the idle period");
+        let (got, rx) = consumer.join().unwrap();
+        assert_eq!(got, Some(2));
+        assert_eq!(idle_calls.load(Ordering::SeqCst), 1, "one call per park");
+        drop(rx);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use crate::pipeline::{
     GnnFaultHook, GnnSubJob, GnnSubResult, SealedBatch, ServedBatch, StateObs, StateStage,
     STATE_ONLY,
 };
-use crate::queue::{channel, mpmc_channel, MpmcReceiver, MpmcSender, QueueStats, Receiver};
+use crate::queue::{
+    channel, channel_with_idle_hook, mpmc_channel, MpmcReceiver, MpmcSender, QueueStats, Receiver,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,9 +40,20 @@ use tgnn_tensor::Workspace;
 /// Tuning knobs of the streaming pipeline.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Seal a micro-batch once this many events are pending.
+    /// The **cap** on a micro-batch, in events.  Batch size is not set, it
+    /// follows load: the ingest worker seals whatever is pending as soon as
+    /// the state worker runs out of sealed batches, so a lightly loaded
+    /// server serves batches of one or two events and only a saturated one —
+    /// where a sealed batch is always waiting — fills them to this cap.  It
+    /// bounds the work per epoch (and the GEMM row count), not the latency.
+    /// Also the unit [`DurabilityConfig::snapshot_every`] is denominated in.
     pub max_batch: usize,
-    /// …or once the oldest pending event is this old.
+    /// The **backstop**: seal once the oldest pending event has waited this
+    /// long, whatever the state worker is doing.  At partial load the idle
+    /// rule seals long before it; under backpressure the cap does.  It fires
+    /// only when the state worker stays busy for this long while fewer than
+    /// `max_batch` events arrive — a bound on how long a straggler can wait
+    /// behind one slow batch.
     pub batch_deadline: Duration,
     /// Capacity of each inter-stage queue (micro-batches in flight).
     pub stage_capacity: usize,
@@ -97,9 +110,13 @@ pub struct ServeConfig {
     /// regardless) but stage spans, the fsync and delivery histograms, causal
     /// traces, and the flight recorder stay empty.
     pub metrics: bool,
-    /// Capacity of the flight recorder ring, in events.  Each epoch
-    /// generates roughly `2 × (5 + gnn_workers)` events, so the default
-    /// 4096 keeps a few hundred epochs of timeline for post-mortems.
+    /// Capacity of the flight recorder ring, in span events.  Each epoch
+    /// generates roughly `2 × (5 + gnn_workers)` of them, so the default
+    /// 4096 keeps a few hundred epochs of timeline for post-mortems — a few
+    /// hundred *micro-batches*, whatever size load made them: tens of
+    /// thousands of stream events at saturation, a few hundred on a lightly
+    /// loaded server (there the last few hundred epochs are also the last
+    /// tens of milliseconds, which is what a post-mortem wants).
     pub flight_capacity: usize,
     /// 1-in-N sampling for per-event observability: the `scheduler`
     /// stage's flight-ring spans (its unit of work is one pull from the
@@ -548,7 +565,8 @@ impl StreamServer {
         let num_tenants = tenants.len();
         let durability = config.durability.as_ref().map(|dcfg| {
             Arc::new(
-                Durability::open(dcfg, wal_last_seq).expect("StreamServer: opening the WAL failed"),
+                Durability::open(dcfg, wal_last_seq, config.max_batch)
+                    .expect("StreamServer: opening the WAL failed"),
             )
         });
         let collector = Arc::new(Collector::new(num_tenants));
@@ -640,7 +658,17 @@ impl StreamServer {
         let commit_log = Arc::new(Mutex::new(CommitLog::new()));
         let next_epoch = Arc::new(AtomicU64::new(0));
 
-        let (sealed_tx, sealed_rx) = channel::<SealedBatch>("ingest→state", config.stage_capacity);
+        // The state worker parking on this queue is the batcher's seal
+        // signal; the hook wakes an ingest worker that is holding events
+        // back while it waits for more.
+        let (sealed_tx, sealed_rx) = {
+            let admission = admission.clone();
+            channel_with_idle_hook::<SealedBatch>(
+                "ingest→state",
+                config.stage_capacity,
+                move || admission.kick(),
+            )
+        };
         let (header_tx, header_rx) =
             channel::<GnnBatchHeader>("state→reorder", config.stage_capacity);
         // The dispatch/result queues carry per-part items (up to gnn_workers
@@ -723,13 +751,14 @@ impl StreamServer {
             let next_epoch = next_epoch.clone();
             let (max_batch, deadline) = (config.max_batch, config.batch_deadline);
             let durability = durability.clone();
+            let collector = collector.clone();
             let sched_obs = hub.stage_obs(StageId::Scheduler, 0);
             let obs = hub.stage_obs(StageId::Batcher, 0);
             let sampling = config.metrics_sampling;
             workers.push(spawn("tgnn-serve-ingest", move || {
                 ingest_loop(
-                    admission, sealed_tx, max_batch, deadline, next_epoch, durability, sched_obs,
-                    obs, sampling,
+                    admission, sealed_tx, max_batch, deadline, next_epoch, durability, collector,
+                    sched_obs, obs, sampling,
                 )
             }));
         }

@@ -374,10 +374,14 @@ fn weighted_fair_draining_bounds_every_tenants_share_under_overload() {
 
 #[test]
 fn late_policy_flags_deadline_misses_without_altering_results() {
-    // Two identical runs under OverloadPolicy::Late differing only in the
-    // deadline: an unmissable one (1 hour) and an unmeetable one (zero).
-    // Every embedding must be bitwise identical between the runs — the
-    // disposition flag is the only difference.
+    // Two runs under OverloadPolicy::Late differing only in the deadline:
+    // an unmissable one (1 hour) and an unmeetable one (zero).  Batch
+    // boundaries are a function of load (the ingest worker seals when the
+    // state worker goes idle), so two live servers need not cut the stream
+    // alike; what the disposition must not do is change *values*.  So each
+    // run is graded against the serial engine on the boundaries it actually
+    // served, and the runs are compared on what the deadline does decide —
+    // the per-event disposition.
     let (model, graph) = setup(7);
     let events = &graph.events()[..160.min(graph.num_events())];
     let run = |deadline: Duration| -> Vec<ServedBatch> {
@@ -405,31 +409,22 @@ fn late_policy_flags_deadline_misses_without_altering_results() {
         }
         served
     };
-    let on_time = run(Duration::from_secs(3600));
-    let late = run(Duration::ZERO);
-
-    assert_eq!(on_time.len(), late.len());
-    let mut late_count = 0usize;
-    for (a, b) in on_time.iter().zip(&late) {
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.events, b.events, "batch boundaries must be identical");
-        assert_eq!(
-            a.embeddings, b.embeddings,
-            "Late results must be bitwise-identical to on-time results"
+    for (deadline, want, label) in [
+        (Duration::from_secs(3600), Disposition::OnTime, "on-time"),
+        (Duration::ZERO, Disposition::Late, "late"),
+    ] {
+        let served = run(deadline);
+        let stream: Vec<InteractionEvent> = served.iter().flat_map(|b| b.events.clone()).collect();
+        assert_eq!(stream, events, "{label}: every event served once, in order");
+        assert!(
+            served.iter().all(|b| b.events.len() <= 13),
+            "{label}: max_batch is the cap"
         );
-        for m in &a.metas {
-            assert_eq!(m.disposition, Disposition::OnTime);
-        }
-        for m in &b.metas {
-            assert_eq!(m.disposition, Disposition::Late);
-            late_count += 1;
+        assert_matches_serial(model.clone(), &graph, &served, label);
+        for m in served.iter().flat_map(|b| &b.metas) {
+            assert_eq!(m.disposition, want, "{label}");
         }
     }
-    assert_eq!(
-        late_count,
-        events.len(),
-        "every zero-deadline result is late"
-    );
 }
 
 #[test]

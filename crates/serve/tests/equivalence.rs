@@ -12,7 +12,7 @@ use tgnn_core::{
 };
 use tgnn_data::{generate, tiny};
 use tgnn_graph::{EventBatch, TemporalGraph};
-use tgnn_serve::{ServeConfig, ServedBatch, StreamServer};
+use tgnn_serve::{SealReason, ServeConfig, ServedBatch, StreamServer};
 use tgnn_tensor::TensorRng;
 
 fn setup(seed: u64, variant: OptimizationVariant) -> (TgnModel, TemporalGraph) {
@@ -41,8 +41,9 @@ fn serve_stream(
 ) -> (Vec<ServedBatch>, tgnn_serve::ServeReport) {
     let config = ServeConfig {
         max_batch,
-        // Effectively disable deadline sealing so micro-batch boundaries are
-        // deterministic (size-only) for the replay comparison.
+        // No deadline seals: batches are cut by the cap or by the state
+        // worker going idle, so the boundaries vary from run to run — the
+        // replay comparison follows whatever was served.
         batch_deadline: Duration::from_secs(3600),
         num_shards,
         gnn_workers,
@@ -248,7 +249,7 @@ fn single_event_batches_preserve_chronology() {
 }
 
 #[test]
-fn deadline_seals_partial_batches() {
+fn partial_batches_are_served_without_reaching_the_cap() {
     let (model, graph) = setup(5, OptimizationVariant::Sat);
     let graph = Arc::new(graph);
     let config = ServeConfig {
@@ -261,7 +262,8 @@ fn deadline_seals_partial_batches() {
     for &e in &graph.events()[..25] {
         server.submit(e).unwrap();
     }
-    // The deadline, not the size bound, must seal these events.
+    // No further arrival, no drain: the idle state worker (or, behind a busy
+    // one, the deadline) must get these events served — never the size cap.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let mut got = 0;
     while got < 25 && std::time::Instant::now() < deadline {
@@ -271,7 +273,8 @@ fn deadline_seals_partial_batches() {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
-    assert_eq!(got, 25, "deadline-sealed batches never arrived");
+    assert_eq!(got, 25, "partial batches never arrived");
+    assert_eq!(server.metrics().seals[SealReason::Full.code()], 0);
     let report = server.drain();
     assert!(report.commit_log_clean);
 }

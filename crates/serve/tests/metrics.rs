@@ -12,7 +12,9 @@ use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel};
 use tgnn_data::{generate, tiny};
 use tgnn_durable::{DurabilityConfig, FsyncPolicy};
 use tgnn_graph::TemporalGraph;
-use tgnn_serve::{render_flight_timeline, ServeConfig, SpanKind, StageId, StreamServer};
+use tgnn_serve::{
+    render_flight_timeline, SealReason, ServeConfig, SpanKind, StageId, StreamServer,
+};
 use tgnn_tensor::TensorRng;
 
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
@@ -160,6 +162,65 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
     let json = m.to_json_line();
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"stages\":["));
+}
+
+/// The batcher's adaptation is observable: why each batch was sealed and how
+/// large load let it grow, under names dashboards can rely on.
+#[test]
+fn seal_reasons_and_batch_sizes_are_exported_under_pinned_names() {
+    const EVENTS: usize = 20;
+    let (model, graph) = setup(41);
+    let config = ServeConfig {
+        max_batch: 8,
+        batch_deadline: Duration::from_secs(3600),
+        ..ServeConfig::default()
+    };
+    let mut server = StreamServer::new(model, graph.clone(), config);
+    // Lockstep: one event in flight.  Whenever it is sealed the state
+    // worker has nothing else to do, so every batch is an idle seal of one.
+    for &e in &graph.events()[..EVENTS] {
+        server.submit(e).unwrap();
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        while server.poll().is_none() {
+            assert!(std::time::Instant::now() < give_up, "event never delivered");
+            std::thread::yield_now();
+        }
+    }
+    server.drain();
+    let m = server.metrics();
+    let seals = |r: SealReason| m.seals[r.code()];
+    assert_eq!(seals(SealReason::Idle), EVENTS as u64);
+    assert_eq!(
+        seals(SealReason::Full) + seals(SealReason::Deadline) + seals(SealReason::Close),
+        0
+    );
+    assert_eq!(m.batch_events.count(), EVENTS as u64);
+    assert_eq!(m.batch_events.max(), 1);
+
+    let prom = m.to_prometheus();
+    for line in [
+        "# TYPE tgnn_seals_total counter",
+        "tgnn_seals_total{reason=\"full\"} 0",
+        "tgnn_seals_total{reason=\"idle\"} 20",
+        "tgnn_seals_total{reason=\"deadline\"} 0",
+        "tgnn_seals_total{reason=\"close\"} 0",
+        "# TYPE tgnn_batch_events summary",
+        "tgnn_batch_events{quantile=\"0.5\"} 1",
+        "tgnn_batch_events{quantile=\"0.99\"} 1",
+        "tgnn_batch_events_sum 20",
+        "tgnn_batch_events_count 20",
+    ] {
+        assert!(
+            prom.lines().any(|l| l == line),
+            "missing `{line}` in:\n{prom}"
+        );
+    }
+    assert!(m
+        .render_table()
+        .contains("sealed full 0 / idle 20 / deadline 0 / close 0"));
+    assert!(m
+        .to_json_line()
+        .contains("\"seals\":{\"full\":0,\"idle\":20,\"deadline\":0,\"close\":0}"));
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel};
 use tgnn_data::{generate, tiny};
 use tgnn_graph::TemporalGraph;
-use tgnn_serve::{ServeConfig, StreamServer, TenantSpec};
+use tgnn_serve::{SealReason, ServeConfig, StreamServer, TenantSpec};
 use tgnn_tensor::TensorRng;
 
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
@@ -95,4 +95,58 @@ fn sustained_overload_stays_bounded_and_completes() {
             }
         }
     }
+}
+
+/// Load-adaptive batching at its other end: a saturated pipeline fills
+/// every batch to `max_batch`.  The ingest worker seals early only when the
+/// state worker is parked on an empty sealed-batch queue, and under
+/// backpressure it never is — it is blocked *sending*, with the next batch
+/// already queued behind it.  The ingress queue is smaller than a batch, so
+/// no single pull can fill one: the worker has to hold a partial batch
+/// across pulls, which is exactly where a wrong idle signal would cut it.
+#[test]
+fn saturated_pipeline_fills_every_batch_to_the_cap() {
+    const CAP: usize = 8;
+    const RAMP: usize = 16;
+    let (model, graph) = setup(11);
+    let config = ServeConfig {
+        max_batch: CAP,
+        batch_deadline: Duration::from_secs(3600),
+        tenants: vec![TenantSpec::new("default").with_capacity(CAP / 2)],
+        // The hook never fires; it holds every GNN sub-job for 2 ms, which
+        // makes the pipeline slower than any submitter on any host.
+        gnn_fault: Some(Arc::new(|_, _| {
+            std::thread::sleep(Duration::from_millis(2));
+            false
+        })),
+        ..ServeConfig::default()
+    };
+    let mut server = StreamServer::new(model, graph.clone(), config);
+    let mut sizes = Vec::new();
+    for &e in graph.events() {
+        server.submit(e).unwrap();
+        while let Some(b) = server.poll() {
+            sizes.push(b.events.len());
+        }
+    }
+    server.drain();
+    while let Some(b) = server.poll() {
+        sizes.push(b.events.len());
+    }
+    assert_eq!(sizes.iter().sum::<usize>(), graph.num_events());
+    assert!(sizes.iter().all(|&n| n <= CAP), "max_batch is the cap");
+    // After the ramp (the queues between the state worker and the held GNN
+    // stage filling up) and before the remainder sealed at close.
+    let steady = &sizes[RAMP..sizes.len() - 1];
+    let full = steady.iter().filter(|&&n| n == CAP).count();
+    assert!(
+        full * 100 >= steady.len() * 95,
+        "{full} of {} steady-state batches were full: {sizes:?}",
+        steady.len()
+    );
+    let seals = server.metrics().seals;
+    assert!(
+        seals[SealReason::Full.code()] >= full as u64,
+        "full batches are sealed by the cap: {seals:?}"
+    );
 }

@@ -111,7 +111,9 @@ fn assert_matches_serial(
 fn base_config(dir: &Path, fsync: FsyncPolicy) -> ServeConfig {
     ServeConfig {
         max_batch: 16,
-        // Size-only sealing keeps micro-batch boundaries deterministic.
+        // No deadline seals.  Where the ingest worker cuts the stream still
+        // depends on timing (it seals when the state worker goes idle), so
+        // every check below replays the boundaries that were served.
         batch_deadline: Duration::from_secs(3600),
         tenants: vec![TenantSpec::new("default").with_capacity(32)],
         stage_capacity: 2,
@@ -310,6 +312,96 @@ fn crash_recovery_is_bit_identical_across_faults_shards_and_workers() {
 }
 
 #[test]
+fn paced_feed_snapshots_by_absorbed_events_and_recovers_bit_identically() {
+    // One event in flight at a time, so every epoch holds one event — 16
+    // epochs where a saturated server has one.  The snapshot cadence must
+    // not notice: `snapshot_every` (4) × `max_batch` (16) = an image per 64
+    // absorbed events, exactly as with full batches, not one per 4 events.
+    const INTERVAL: u64 = 4 * 16;
+    const FAULT_EPOCH: u64 = 150;
+    let (model, graph) = setup(17);
+    let events = &graph.events()[..240.min(graph.num_events())];
+    let td = TempDir::new("paced-cadence");
+    let config = base_config(td.path(), FsyncPolicy::Always);
+
+    let mut first = config.clone();
+    first.gnn_fault = Some(Arc::new(|epoch, _| epoch == FAULT_EPOCH));
+    let mut server = StreamServer::new(model.clone(), graph.clone(), first);
+    let mut served: Vec<ServedBatch> = Vec::new();
+    for &e in &events[..FAULT_EPOCH as usize] {
+        server.submit(e).unwrap();
+        if served.len() as u64 + 1 == FAULT_EPOCH {
+            break; // this epoch's GNN worker dies; nothing more is delivered
+        }
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        let batch = loop {
+            if let Some(b) = server.poll() {
+                break b;
+            }
+            assert!(std::time::Instant::now() < give_up, "event never delivered");
+            std::thread::yield_now();
+        };
+        assert_eq!(batch.events.len(), 1, "lockstep epochs hold one event");
+        served.push(batch);
+    }
+    let absorbed = FAULT_EPOCH - 1;
+    // Interval snapshots are written in the background; wait for the count
+    // the cadence predicts, then make sure it stays there.
+    let snapshots = |s: &StreamServer| s.report().durability.unwrap().snapshots;
+    let give_up = std::time::Instant::now() + Duration::from_secs(30);
+    while snapshots(&server) < absorbed / INTERVAL {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "interval snapshot never landed"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        snapshots(&server),
+        absorbed / INTERVAL,
+        "{absorbed} absorbed events in one-event epochs"
+    );
+    let crashed = catch_unwind(AssertUnwindSafe(move || server.drain())).is_err();
+    assert!(crashed, "the injected fault must surface as a drain panic");
+
+    // Second life: the newest image is the one taken at 128 *events*.
+    let (mut server, report) = StreamServer::recover(model.clone(), graph.clone(), config)
+        .unwrap_or_else(|e| panic!("recover failed: {e}"));
+    assert_eq!(report.snapshot_epoch, (absorbed / INTERVAL) * INTERVAL);
+    assert_eq!(report.acked, absorbed);
+    assert_eq!(report.re_served_epochs, 1, "the faulted epoch comes back");
+    let resume = report.resume_from[0] as usize;
+    assert_eq!(
+        resume, FAULT_EPOCH as usize,
+        "fsync=always: every Ok submit"
+    );
+    while let Some(b) = server.poll() {
+        served.push(b);
+    }
+    for &e in &events[resume..] {
+        server.submit(e).unwrap();
+        while let Some(b) = server.poll() {
+            served.push(b);
+        }
+    }
+    let report2 = server.drain();
+    while let Some(b) = server.poll() {
+        served.push(b);
+    }
+    assert!(report2.commit_log_clean);
+    let delivered: Vec<InteractionEvent> = served.iter().flat_map(|b| b.events.clone()).collect();
+    assert_eq!(delivered, events, "the feed, exactly once, in order");
+    for (i, b) in served.iter().enumerate() {
+        assert_eq!(
+            b.epoch,
+            1 + i as u64,
+            "epoch sequence has a gap or duplicate"
+        );
+    }
+    assert_matches_serial(model, &graph, &[], &served, "paced");
+}
+
+#[test]
 fn torn_wal_tail_is_recoverable_at_every_byte_offset() {
     // WAL layer, exhaustively: a log whose final record is cut at every
     // possible byte offset must scan as a torn tail (records before it
@@ -415,10 +507,16 @@ fn server_recovers_from_torn_final_record_at_every_offset() {
             graph.clone(),
             base_config(td.path(), FsyncPolicy::Always),
         );
-        for &e in events {
+        // The last event's batch must be delivered after `drain` (whose
+        // snapshot appends a `SnapshotMark`), so that the log ends in an
+        // `Ack`: no polling once it is submitted — an idle pipeline would
+        // otherwise seal, serve and hand it over within the same loop turn.
+        let (last, head) = events.split_last().unwrap();
+        for &e in head {
             server.submit(e).unwrap();
             while server.poll().is_some() {}
         }
+        server.submit(*last).unwrap();
         server.drain();
         while server.poll().is_some() {}
     }

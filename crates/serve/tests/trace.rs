@@ -125,11 +125,12 @@ fn additive_segments_tile_the_measured_latency_across_topologies() {
 
 #[test]
 fn durability_run_conserves_and_surfaces_wal_sync_wait() {
-    // Lockstep feed: submit exactly one epoch's worth of events, then
-    // spin-poll until it delivers.  With the pipeline this shallow the
-    // batch completes well inside the syncer's group-commit window, so the
-    // spin itself witnesses the blocked delivery gate — the race that a
-    // free-running feed only wins on warm-up epochs.
+    // Lockstep feed: submit a batch's worth of events (one epoch, or two
+    // when the idle state worker is handed the first event alone), then
+    // spin-poll until an epoch delivers.  With the pipeline this shallow
+    // the batch completes well inside the syncer's group-commit window, so
+    // the spin itself witnesses the blocked delivery gate — the race that
+    // a free-running feed only wins on warm-up epochs.
     let dir = TempDir::new("conserve");
     let config = ServeConfig {
         max_batch: 2,

@@ -64,7 +64,13 @@ fn main() {
         "--- prometheus exposition ({} lines, excerpt) ---",
         prom.lines().count()
     );
-    for line in prom.lines().filter(|l| l.starts_with("tgnn_stage_busy")) {
+    // The stage busy counters, and the batcher adapting to load: why each
+    // batch was sealed and how large load let it grow.
+    for line in prom.lines().filter(|l| {
+        ["tgnn_stage_busy", "tgnn_seals_total", "tgnn_batch_events"]
+            .iter()
+            .any(|p| l.starts_with(p))
+    }) {
         println!("{line}");
     }
 

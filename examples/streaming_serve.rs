@@ -36,11 +36,12 @@ fn main() {
     let mut model = TgnModel::new(config, &mut rng);
     model.calibrate_lut(&memory_delta_t(graph.events(), graph.num_nodes()));
 
-    // 3. A streaming server: 4 vertex shards, micro-batches of up to 200
-    //    events sealed after at most 20 ms, and the dominant GNN compute
-    //    stage data-parallel over 2 workers (the reorder stage keeps the
-    //    output stream in epoch order and bit-identical to the serial
-    //    engine for any worker count).
+    // 3. A streaming server: 4 vertex shards, micro-batches sealed whenever
+    //    the state worker runs out of work — capped at 200 events, with a
+    //    20 ms backstop for a straggler behind a slow batch — and the
+    //    dominant GNN compute stage data-parallel over 2 workers (the
+    //    reorder stage keeps the output stream in epoch order and
+    //    bit-identical to the serial engine for any worker count).
     let serve_config = ServeConfig {
         max_batch: 200,
         batch_deadline: Duration::from_millis(20),
