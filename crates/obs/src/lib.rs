@@ -1,10 +1,11 @@
 //! `tgnn-obs`: dependency-free observability primitives for the serve pipeline.
 //!
-//! Three pieces, each usable on its own:
+//! Five pieces, each usable on its own:
 //!
-//! * [`Counter`] / [`Gauge`] / [`Registry`] — lock-free scalar metrics with
-//!   static handle registration: a handle is grabbed once at pipeline spawn
-//!   and recording a sample afterwards is a single relaxed atomic op.
+//! * [`Counter`] — a lock-free scalar: a handle is cloned once at pipeline
+//!   spawn and recording afterwards is a single relaxed atomic op.  Whoever
+//!   owns a counter reads it; names are given where values are exported
+//!   (`tgnn-serve`'s metric catalogue), not where they are recorded.
 //! * [`Histogram`] — a log-linear histogram with a *fixed* bucket layout
 //!   (16 sub-buckets per octave, ≤ 6.25 % relative error), so snapshots
 //!   taken on different threads or machines are mergeable bucket-by-bucket
@@ -28,15 +29,15 @@
 
 #![warn(missing_docs)]
 
+mod counter;
 mod flight;
 mod hist;
-mod registry;
 mod slo;
 mod trace;
 
+pub use counter::Counter;
 pub use flight::{FlightRecord, FlightRecorder, SpanKind};
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use slo::{
     BurnState, SloEngine, SloSpec, SloStatus, FAST_WINDOW_SECONDS, RING_SECONDS,
     SLOW_WINDOW_SECONDS,

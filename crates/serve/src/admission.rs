@@ -372,6 +372,23 @@ impl AdmissionCounters {
     }
 }
 
+/// Totals over tenants: the monotonic counters add, `max_depth` keeps the
+/// deepest queue.
+impl std::ops::AddAssign for AdmissionCounters {
+    fn add_assign(&mut self, t: Self) {
+        self.submitted += t.submitted;
+        self.admitted += t.admitted;
+        self.dropped_newest += t.dropped_newest;
+        self.dropped_oldest += t.dropped_oldest;
+        self.dropped_throttled += t.dropped_throttled;
+        self.served_stale += t.served_stale;
+        self.blocked_submits += t.blocked_submits;
+        self.throttled += t.throttled;
+        self.preempt_stale += t.preempt_stale;
+        self.max_depth = self.max_depth.max(t.max_depth);
+    }
+}
+
 struct TenantIngress {
     spec: TenantSpec,
     queue: VecDeque<AdmittedEvent>,
@@ -1096,7 +1113,7 @@ impl AdmissionControl {
         self.ready.notify_all();
     }
 
-    /// Snapshot of one tenant's spec and counters (for the serve report).
+    /// Snapshot of one tenant's spec and counters (for the metrics snapshot).
     pub fn tenant_snapshot(&self, index: usize) -> (TenantSpec, AdmissionCounters) {
         let state = self.state.lock().unwrap();
         let t = &state.tenants[index];

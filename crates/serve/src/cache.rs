@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use tgnn_graph::sharded::shard_of;
 use tgnn_graph::NodeId;
+use tgnn_obs::{Histogram, HistogramSnapshot};
 use tgnn_tensor::Float;
 
 /// Configuration of the embedding cache (see [`ServeConfig::cache`]).
@@ -92,7 +93,40 @@ struct CacheShard {
     log: VecDeque<(NodeId, u64)>,
 }
 
-/// Point-in-time counters of the cache (see [`EmbeddingCache::stats`]).
+/// Nearest-rank percentiles over the ages (in epoch barriers) of the
+/// session's cache-served stale answers.  Ages up to 31 epochs are exact;
+/// older ones read as their histogram bucket's upper bound (≤ 6.25 % high).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StaleAgeSummary {
+    /// Number of stale answers the distribution covers.
+    pub count: u64,
+    /// Median age.
+    pub p50: u64,
+    /// 95th-percentile age.
+    pub p95: u64,
+    /// 99th-percentile age.
+    pub p99: u64,
+    /// Oldest answer served — exact, not bucket-rounded.  Never exceeds the
+    /// configured staleness bound (property-tested in `tests/cache.rs`).
+    pub max: u64,
+}
+
+impl StaleAgeSummary {
+    fn from_histogram(h: &HistogramSnapshot, max: u64) -> Self {
+        // A bucket's upper bound can overshoot the oldest age by one
+        // bucket width; the exact maximum caps every percentile.
+        Self {
+            count: h.count(),
+            p50: h.percentile(0.50).min(max),
+            p95: h.percentile(0.95).min(max),
+            p99: h.percentile(0.99).min(max),
+            max,
+        }
+    }
+}
+
+/// Point-in-time counters of the cache (see [`EmbeddingCache::stats`]) —
+/// the one cache row of both the serve report and the metrics snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered within the staleness bound.
@@ -112,8 +146,10 @@ pub struct CacheStats {
     pub entries: usize,
     /// The epoch-barrier watermark invalidation has advanced to.
     pub committed_epoch: u64,
-    /// The configured staleness bound, echoed for report plumbing.
+    /// The configured staleness bound, in epochs.
     pub staleness_bound: u64,
+    /// Age distribution of the stale answers actually served.
+    pub stale_age: StaleAgeSummary,
 }
 
 impl CacheStats {
@@ -149,8 +185,11 @@ pub struct EmbeddingCache {
     evictions: AtomicU64,
     expired: AtomicU64,
     served_stale: AtomicU64,
-    /// Age (epochs) of every stale-served answer, for report percentiles.
-    stale_ages: Mutex<Vec<u64>>,
+    /// Age (epochs) of the stale-served answers: constant space, however
+    /// long the overload lasts.
+    stale_age_hist: Histogram,
+    /// The oldest of them, exact — the staleness contract's witness.
+    stale_age_max: AtomicU64,
 }
 
 impl EmbeddingCache {
@@ -174,13 +213,9 @@ impl EmbeddingCache {
             evictions: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             served_stale: AtomicU64::new(0),
-            stale_ages: Mutex::new(Vec::new()),
+            stale_age_hist: Histogram::new(),
+            stale_age_max: AtomicU64::new(0),
         }
-    }
-
-    /// The configured staleness bound in epochs.
-    pub fn staleness_bound(&self) -> u64 {
-        self.staleness_bound
     }
 
     /// The epoch-barrier watermark invalidation has advanced to.
@@ -312,12 +347,8 @@ impl EmbeddingCache {
     /// Counts one overload event answered stale, at `age_epochs`.
     pub(crate) fn record_stale_serve(&self, age_epochs: u64) {
         self.served_stale.fetch_add(1, Ordering::Relaxed);
-        self.stale_ages.lock().unwrap().push(age_epochs);
-    }
-
-    /// Snapshot of the ages of every stale-served answer so far (epochs).
-    pub fn stale_ages(&self) -> Vec<u64> {
-        self.stale_ages.lock().unwrap().clone()
+        self.stale_age_hist.record(age_epochs);
+        self.stale_age_max.fetch_max(age_epochs, Ordering::Relaxed);
     }
 
     /// Point-in-time counters.
@@ -336,6 +367,10 @@ impl EmbeddingCache {
                 .sum(),
             committed_epoch: self.committed_epoch(),
             staleness_bound: self.staleness_bound,
+            stale_age: StaleAgeSummary::from_histogram(
+                &self.stale_age_hist.snapshot(),
+                self.stale_age_max.load(Ordering::Relaxed),
+            ),
         }
     }
 }
@@ -476,7 +511,29 @@ mod tests {
         c.record_stale_serve(3);
         let s = c.stats();
         assert_eq!(s.served_stale, 2);
-        assert_eq!(c.stale_ages(), vec![1, 3]);
+        assert_eq!((s.stale_age.count, s.stale_age.max), (2, 3));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stale_age_summary_nearest_rank() {
+        let c = cache(16, 200, 1);
+        assert_eq!(c.stats().stale_age, StaleAgeSummary::default());
+        c.record_stale_serve(3);
+        let s = c.stats().stale_age;
+        assert_eq!((s.count, s.p50, s.p99, s.max), (1, 3, 3, 3));
+        let c = cache(16, 200, 1);
+        (1..=100).for_each(|age| c.record_stale_serve(age));
+        let s = c.stats().stale_age;
+        // Ages below 32 are exact; above, a percentile is its bucket's upper
+        // bound (50 → 51, 95 → 95, 99 → 99).  The maximum is always exact.
+        assert_eq!(
+            (s.count, s.p50, s.p95, s.p99, s.max),
+            (100, 51, 95, 99, 100)
+        );
+        let c = cache(16, 200, 1);
+        (1..=31).for_each(|age| c.record_stale_serve(age));
+        let s = c.stats().stale_age;
+        assert_eq!((s.p50, s.p95, s.p99, s.max), (16, 30, 31, 31));
     }
 }

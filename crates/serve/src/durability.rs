@@ -40,8 +40,8 @@ use tgnn_durable::{
 };
 use tgnn_graph::{InteractionEvent, ShardedNeighborTable};
 
-/// Durability-side counters surfaced in the serve report when
-/// `ServeConfig::durability` is set.
+/// Durability-side counters surfaced in the serve report and the metrics
+/// snapshot when `ServeConfig::durability` is set.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DurabilityStats {
     /// WAL records appended this session.
@@ -60,6 +60,19 @@ pub struct DurabilityStats {
     pub last_snapshot_epoch: u64,
     /// Highest epoch whose results were delivered to the client.
     pub acked_epoch: u64,
+    /// Epochs sealed since the last completed snapshot — how much WAL
+    /// replay a crash right now would cost.
+    pub snapshot_lag_epochs: u64,
+    /// Wall-clock seconds since the last completed snapshot (since the
+    /// durability handle was opened when none has completed yet) — makes a
+    /// stalled snapshot writer visible even when epochs stop advancing.
+    pub snapshot_lag_seconds: f64,
+    /// Median group-commit fsync latency, µs (0 with metrics off).
+    pub fsync_p50_us: u64,
+    /// p99 group-commit fsync latency, µs.
+    pub fsync_p99_us: u64,
+    /// Mean group-commit fsync latency, µs.
+    pub fsync_mean_us: f64,
 }
 
 /// What `StreamServer::recover` found in the durability directory and how it
@@ -497,17 +510,20 @@ impl Durability {
         self.write_snapshot_payloads(epoch, floor, mem, nbr);
     }
 
-    /// Wall-clock seconds since the last completed snapshot (since this
-    /// handle was opened when none has completed yet) — the time-based
-    /// snapshot-writer lag gauge.
-    pub fn snapshot_lag_seconds(&self) -> f64 {
-        let elapsed = self.opened.elapsed().as_nanos() as u64;
-        elapsed.saturating_sub(self.last_snapshot_ns.load(Ordering::Relaxed)) as f64 / 1e9
-    }
-
-    /// Point-in-time counters for the serve report.
-    pub fn stats(&self) -> DurabilityStats {
+    /// Point-in-time counters; `epochs` is the highest epoch assigned so
+    /// far, the reference of the epoch-based snapshot lag.
+    pub fn stats(&self, epochs: u64) -> DurabilityStats {
         let w = self.wal.stats();
+        let last_snapshot_epoch = self.last_snapshot_epoch.load(Ordering::Relaxed);
+        let since_open = self.opened.elapsed().as_nanos() as u64;
+        let since_snapshot =
+            since_open.saturating_sub(self.last_snapshot_ns.load(Ordering::Relaxed));
+        // Empty until the server attaches the workers' handles.
+        let fsync = self
+            .obs
+            .get()
+            .map(|o| o.fsync_us.snapshot())
+            .unwrap_or_default();
         DurabilityStats {
             wal_records: w.records.load(Ordering::Relaxed),
             wal_bytes: w.bytes.load(Ordering::Relaxed),
@@ -515,8 +531,13 @@ impl Durability {
             wal_rotations: w.rotations.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
             snapshot_ms_total: *self.snapshot_ms_total.lock().unwrap(),
-            last_snapshot_epoch: self.last_snapshot_epoch.load(Ordering::Relaxed),
+            last_snapshot_epoch,
             acked_epoch: self.acked(),
+            snapshot_lag_epochs: epochs.saturating_sub(last_snapshot_epoch),
+            snapshot_lag_seconds: since_snapshot as f64 / 1e9,
+            fsync_p50_us: fsync.percentile(0.50),
+            fsync_p99_us: fsync.percentile(0.99),
+            fsync_mean_us: fsync.mean(),
         }
     }
 }

@@ -42,9 +42,15 @@
 //!   (the default) serve bit-identical results with the same
 //!   never-drop `Block` semantics as before (see
 //!   [`ServeConfig::tenants`](server::ServeConfig)).
-//! * [`ServeReport`] exposes the backpressure picture: throughput, queue
-//!   depths, p50/p95/p99 batch latency, and per-tenant [`TenantStats`]
-//!   (drop counts, late counts, admission-to-completion percentiles).
+//! * The server's numbers have one read path.  [`MetricsHub::snapshot`]
+//!   ([`StreamServer::metrics`]) is the only code that reads the pipeline's
+//!   counters and histograms, into a typed [`MetricsSnapshot`]: throughput,
+//!   queue depths, p50/p95/p99 batch latency, per-tenant [`TenantStats`]
+//!   (drop counts, late counts, admission-to-completion percentiles),
+//!   per-backend, WAL and cache rows.  [`ServeReport`] — what `drain`
+//!   returns — is a view of that snapshot plus the commit log, and
+//!   [`export`] renders it: a table, and Prometheus text / a JSONL line
+//!   that are two walks over one metric catalogue.
 //!
 //! The end-to-end narrative of the system — admission through shards,
 //! stages, the quantized engine, and results — lives in the repository's
@@ -83,23 +89,24 @@
 pub mod admission;
 pub mod cache;
 pub mod durability;
+pub mod export;
 pub mod metrics;
 pub mod pipeline;
 pub mod queue;
 pub mod server;
 
 pub use admission::{AdmissionCounters, SubmitOutcome, TenantSpec};
-pub use cache::{CacheConfig, CacheStats, EmbeddingCache};
+pub use cache::{CacheConfig, CacheStats, EmbeddingCache, StaleAgeSummary};
 pub use durability::{DurabilityStats, RecoveryReport};
+pub use export::render_flight_timeline;
 pub use metrics::{
-    render_flight_timeline, MetricsHub, MetricsLogger, MetricsSnapshot, SegmentId, SloConfig,
-    SpanRecord, StageId, TraceExemplar, TraceStats,
+    MetricsHub, MetricsLogger, MetricsSnapshot, SegmentId, SloConfig, SpanRecord, StageId,
+    TraceExemplar, TraceStats,
 };
 pub use pipeline::{GnnFaultHook, SealReason, ServedBatch};
 pub use queue::QueueStats;
 pub use server::{
-    BackendStats, CacheReport, LatencySummary, ServeConfig, ServeReport, StaleAgeSummary,
-    StreamServer, SubmitError, TenantStats,
+    BackendStats, LatencySummary, ServeConfig, ServeReport, StreamServer, SubmitError, TenantStats,
 };
 pub use tgnn_core::tenancy::{Disposition, OverloadPolicy, ResultMeta, TenantId};
 pub use tgnn_core::{BackendKind, ComputeBackend, F32Backend, Int8Backend};

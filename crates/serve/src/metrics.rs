@@ -1,13 +1,18 @@
 //! Live observability of the serve pipeline: stage spans, queue depths,
 //! latency histograms, and the flight recorder.
 //!
-//! Everything here is *continuous* — unlike [`ServeReport`](crate::server::ServeReport),
-//! which is a drain-time artifact, [`StreamServer::metrics`](crate::StreamServer::metrics)
+//! There is one read path.  [`MetricsHub::snapshot`] is the only code that
+//! reads the writers — the collector, the admission counters, the WAL and
+//! cache counters, the stage spans — and assembles a typed
+//! [`MetricsSnapshot`]; [`ServeReport`](crate::server::ServeReport) is a
+//! view of that snapshot plus the commit log.  The snapshot names what it
+//! exports once, in its metric catalogue, and both machine formats
+//! ([`MetricsSnapshot::to_prometheus`], [`MetricsSnapshot::to_json_line`])
+//! are walks over that list.  [`StreamServer::metrics`](crate::StreamServer::metrics)
 //! can be called at any moment (under load, after a graceful drain, or while
-//! the pipeline is unwinding from a worker panic) and assembles a typed
-//! [`MetricsSnapshot`] from lock-free counters.  The recording side is built
-//! on `tgnn-obs`: every worker gets a `StageObs` handle at spawn, and each
-//! epoch's pass through a stage costs two `Instant` reads, two relaxed
+//! the pipeline is unwinding from a worker panic).  The recording side is
+//! built on `tgnn-obs`: every worker gets a `StageObs` handle at spawn, and
+//! each epoch's pass through a stage costs two `Instant` reads, two relaxed
 //! counter adds, and two flight-recorder ring writes — budgeted at ≤ 2 % of
 //! throughput (`benchmark/`'s `serve.metrics_overhead_pct` row measures
 //! it), and a handful of branch-predicted no-ops with
@@ -19,12 +24,12 @@
 //! still returns the faulted epoch's partial timeline — the `Enter` with no
 //! matching `Exit` pinpoints the stage that was holding the epoch.
 
-use crate::admission::AdmissionControl;
+use crate::admission::{AdmissionControl, AdmissionCounters};
 use crate::cache::{CacheStats, EmbeddingCache};
-use crate::durability::Durability;
+use crate::durability::{Durability, DurabilityStats};
 use crate::pipeline::{Collector, SealReason};
 use crate::queue::QueueStats;
-use crate::server::{BackendStats, LatencySummary, NS_PER_MS};
+use crate::server::{BackendStats, LatencySummary, TenantStats, NS_PER_MS};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::Path;
@@ -32,14 +37,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tgnn_core::profiling::{Stage, StageTimings};
 use tgnn_core::BackendKind;
 use tgnn_obs::{
-    bucket_index, BurnState, Counter, FlightRecorder, Histogram, HistogramSnapshot, SloEngine,
-    SloSpec, SloStatus, SpanKind, TraceSlab, TraceView,
+    bucket_index, Counter, FlightRecorder, Histogram, HistogramSnapshot, SloEngine, SloSpec,
+    SloStatus, SpanKind, TraceSlab, TraceView,
 };
-
-pub use crate::admission::AdmissionCounters;
 
 /// The pipeline stages visible to the flight recorder and the stage table.
 ///
@@ -73,23 +75,22 @@ pub enum StageId {
     Deliver,
 }
 
-/// Number of [`StageId`] variants (flight-recorder stage codes are indices).
-pub const NUM_STAGES: usize = 10;
-
-/// The worker stages (everything but `Deliver`), in pipeline order.
-pub(crate) const WORKER_STAGES: [StageId; 9] = [
-    StageId::Scheduler,
-    StageId::Batcher,
-    StageId::Sampler,
-    StageId::Memory,
-    StageId::Gnn,
-    StageId::Update,
-    StageId::Reorder,
-    StageId::WalSync,
-    StageId::SnapWriter,
-];
-
 impl StageId {
+    /// Every stage, in flight-recorder code order: the worker stages in
+    /// pipeline order, then `Deliver`.
+    pub const ALL: [StageId; 10] = [
+        StageId::Scheduler,
+        StageId::Batcher,
+        StageId::Sampler,
+        StageId::Memory,
+        StageId::Gnn,
+        StageId::Update,
+        StageId::Reorder,
+        StageId::WalSync,
+        StageId::SnapWriter,
+        StageId::Deliver,
+    ];
+
     /// Stable human-readable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -106,35 +107,14 @@ impl StageId {
         }
     }
 
+    /// The flight-recorder stage code: the index into [`Self::ALL`] (the
+    /// variants are declared in that order).
     pub(crate) fn code(self) -> u8 {
-        match self {
-            StageId::Scheduler => 0,
-            StageId::Batcher => 1,
-            StageId::Sampler => 2,
-            StageId::Memory => 3,
-            StageId::Gnn => 4,
-            StageId::Update => 5,
-            StageId::Reorder => 6,
-            StageId::WalSync => 7,
-            StageId::SnapWriter => 8,
-            StageId::Deliver => 9,
-        }
+        self as u8
     }
 
     pub(crate) fn from_code(c: u8) -> Option<StageId> {
-        Some(match c {
-            0 => StageId::Scheduler,
-            1 => StageId::Batcher,
-            2 => StageId::Sampler,
-            3 => StageId::Memory,
-            4 => StageId::Gnn,
-            5 => StageId::Update,
-            6 => StageId::Reorder,
-            7 => StageId::WalSync,
-            8 => StageId::SnapWriter,
-            9 => StageId::Deliver,
-            _ => return None,
-        })
+        StageId::ALL.get(c as usize).copied()
     }
 }
 
@@ -218,21 +198,10 @@ impl SegmentId {
         SegmentId::Total,
     ];
 
-    /// The stable wire code stored in trace segments.
+    /// The stable wire code stored in trace segments: the index into
+    /// [`Self::ALL`] (the variants are declared in that order).
     pub fn code(self) -> u8 {
-        match self {
-            SegmentId::IngressWait => 0,
-            SegmentId::SealWait => 1,
-            SegmentId::Sample => 2,
-            SegmentId::Memory => 3,
-            SegmentId::Gnn => 4,
-            SegmentId::ReorderBarrier => 5,
-            SegmentId::WalSyncWait => 6,
-            SegmentId::Deliver => 7,
-            SegmentId::GnnSubWait => 8,
-            SegmentId::GnnSubCompute => 9,
-            SegmentId::Total => 10,
-        }
+        self as u8
     }
 
     /// Decodes a trace-segment code.
@@ -477,8 +446,6 @@ struct HubInner {
     stage_busy_ns: Vec<Counter>,
     stage_batches: Vec<Counter>,
     stage_workers: Vec<u16>,
-    /// Group-commit fsync latency, recorded by the WAL syncer (µs).
-    wal_fsync_us: Histogram,
     queues: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>>,
     collector: Arc<Collector>,
     admission: Arc<AdmissionControl>,
@@ -502,6 +469,15 @@ struct HubInner {
     metrics_sampling: u64,
 }
 
+/// `n` per second of `over`; 0 over an empty interval.
+pub(crate) fn per_second(n: u64, over: Duration) -> f64 {
+    if over.is_zero() {
+        0.0
+    } else {
+        n as f64 / over.as_secs_f64()
+    }
+}
+
 /// Cloneable, `Send + Sync` handle to a server's live metrics.  Obtained
 /// from [`StreamServer::metrics_hub`](crate::StreamServer::metrics_hub); it
 /// does not borrow the server, so a sampler thread (or a panic handler) can
@@ -513,18 +489,17 @@ pub struct MetricsHub {
 
 impl MetricsHub {
     pub(crate) fn new(cfg: HubConfig) -> Self {
-        let mut stage_workers = vec![1u16; NUM_STAGES];
+        let per_stage = || StageId::ALL.iter().map(|_| Counter::new()).collect();
+        let mut stage_workers = vec![1u16; StageId::ALL.len()];
         stage_workers[StageId::Gnn.code() as usize] = cfg.gnn_workers as u16;
-        let slo = cfg.slo_engine;
         MetricsHub {
             inner: Arc::new(HubInner {
                 enabled: cfg.enabled,
                 started: Instant::now(),
                 recorder: Arc::new(FlightRecorder::new(cfg.flight_capacity)),
-                stage_busy_ns: (0..NUM_STAGES).map(|_| Counter::new()).collect(),
-                stage_batches: (0..NUM_STAGES).map(|_| Counter::new()).collect(),
+                stage_busy_ns: per_stage(),
+                stage_batches: per_stage(),
                 stage_workers,
-                wal_fsync_us: Histogram::new(),
                 queues: cfg.queues,
                 collector: cfg.collector,
                 admission: cfg.admission,
@@ -532,7 +507,7 @@ impl MetricsHub {
                 cache: cfg.cache,
                 next_epoch: cfg.next_epoch,
                 trace: Arc::new(TraceSlab::new(TRACE_CAPACITY)),
-                slo,
+                slo: cfg.slo_engine,
                 delivery_latency_us: Histogram::new(),
                 exemplars: Mutex::new(VecDeque::new()),
                 head_samples: Mutex::new(VecDeque::new()),
@@ -555,12 +530,13 @@ impl MetricsHub {
         }
     }
 
-    /// The observability bundle for the durability workers.
+    /// The observability bundle for the durability workers; `Durability`
+    /// owns it (and reads the fsync histogram back in its `stats`).
     pub(crate) fn durability_obs(&self) -> DurabilityObs {
         DurabilityObs {
             syncer: self.stage_obs(StageId::WalSync, 0),
             snap: self.stage_obs(StageId::SnapWriter, 0),
-            fsync_us: self.inner.wal_fsync_us.clone(),
+            fsync_us: Histogram::new(),
         }
     }
 
@@ -646,41 +622,20 @@ impl MetricsHub {
         self.inner.trace.dump()
     }
 
-    /// Live per-queue statistics, ingest→state first.
-    pub(crate) fn queue_stats(&self) -> Vec<QueueStats> {
-        self.inner.queues.iter().map(|q| q()).collect()
-    }
-
-    /// Table-I-shaped busy-time breakdown from the worker span counters:
-    /// sampler → `sample`, memory → `memory`, GNN pool (summed) → `gnn`,
-    /// update → `update`.  The serve-path mirror of what
-    /// `InferenceEngine` reports through `core::profiling`.
-    pub(crate) fn stage_timings(&self) -> StageTimings {
-        let busy =
-            |s: StageId| Duration::from_nanos(self.inner.stage_busy_ns[s.code() as usize].get());
-        let mut t = StageTimings::default();
-        t.add(Stage::Sample, busy(StageId::Sampler));
-        t.add(Stage::Memory, busy(StageId::Memory));
-        t.add(Stage::Gnn, busy(StageId::Gnn));
-        t.add(Stage::Update, busy(StageId::Update));
-        t
-    }
-
-    /// Whether this session records metrics (`ServeConfig::metrics`).
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
-    /// Assembles a point-in-time [`MetricsSnapshot`].  Lock-free on the hot
-    /// counters; the queue depths and tenant counters take their short
-    /// registration locks.  Callable at any moment — including while the
-    /// pipeline is poisoned.
+    /// Assembles a point-in-time [`MetricsSnapshot`] — the one function that
+    /// reads the pipeline's writers (collector, admission counters, WAL and
+    /// cache counters, stage spans); every report is a view of its result.
+    /// Lock-free on the hot counters; the queue depths and tenant counters
+    /// take their short registration locks.  Callable at any moment —
+    /// including while the pipeline is poisoned.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = &self.inner;
+        let c = &inner.collector;
         let uptime = inner.started.elapsed();
-        let stages = WORKER_STAGES
-            .iter()
-            .map(|&s| {
+        let stages = StageId::ALL
+            .into_iter()
+            .filter(|&s| s != StageId::Deliver)
+            .map(|s| {
                 let code = s.code() as usize;
                 let busy = Duration::from_nanos(inner.stage_busy_ns[code].get());
                 let workers = inner.stage_workers[code];
@@ -697,48 +652,41 @@ impl MetricsHub {
                 }
             })
             .collect();
-        // The same histogram `ServeReport::latency` reads.
-        let batch_latency =
-            LatencySummary::from_histogram(&inner.collector.latency_ns.snapshot(), NS_PER_MS);
-        let mut admission = AdmissionTotals::default();
-        let mut tenants = Vec::with_capacity(inner.admission.num_tenants());
-        for i in 0..inner.admission.num_tenants() {
-            let (spec, counters) = inner.admission.tenant_snapshot(i);
-            admission.submitted += counters.submitted;
-            admission.admitted += counters.admitted;
-            admission.dropped_newest += counters.dropped_newest;
-            admission.dropped_oldest += counters.dropped_oldest;
-            admission.dropped_throttled += counters.dropped_throttled;
-            admission.blocked_submits += counters.blocked_submits;
-            admission.throttled += counters.throttled;
-            admission.served_stale += counters.served_stale;
-            let tc = &inner.collector.tenants[i];
-            tenants.push(TenantMetrics {
-                name: spec.name,
-                counters,
-                served: tc.served.load(Ordering::Relaxed),
-                served_stale: tc.served_stale.load(Ordering::Relaxed),
-                late: tc.late.load(Ordering::Relaxed),
-            });
-        }
-        let backends: Vec<BackendStats> = BackendKind::ALL
+        let first = *c.first_submit.lock().unwrap();
+        let last = *c.last_complete.lock().unwrap();
+        let total_time = match (first, last) {
+            (Some(a), Some(b)) => b.saturating_duration_since(a),
+            _ => Duration::ZERO,
+        };
+        let mut admission = AdmissionCounters::default();
+        let tenants: Vec<TenantStats> = (0..inner.admission.num_tenants())
+            .map(|i| {
+                let (spec, counters) = inner.admission.tenant_snapshot(i);
+                admission += counters;
+                let tc = &c.tenants[i];
+                let served = tc.served.load(Ordering::Relaxed);
+                TenantStats {
+                    name: spec.name,
+                    weight: spec.weight,
+                    policy: spec.policy,
+                    backend: spec.backend.unwrap_or_default(),
+                    counters,
+                    served,
+                    late: tc.late.load(Ordering::Relaxed),
+                    served_stale: tc.served_stale.load(Ordering::Relaxed),
+                    latency: LatencySummary::from_histogram(&tc.latency_ns.snapshot(), NS_PER_MS),
+                    throughput_eps: per_second(served, total_time),
+                }
+            })
+            .collect();
+        // One row per *prepared* backend — every kind some tenant routes to
+        // — whether or not it has served yet: an idle pool is information.
+        let backends = BackendKind::ALL
             .into_iter()
-            .map(|k| inner.collector.backends[k.code()].stats(k))
-            .filter(|b| b.served_batches > 0)
+            .filter(|k| tenants.iter().any(|t| t.backend == *k))
+            .map(|k| c.backends[k.code()].stats(k))
             .collect();
         let epochs = inner.next_epoch.load(Ordering::SeqCst);
-        let durability = inner.durability.as_ref().map(|d| {
-            let stats = d.stats();
-            let f = inner.wal_fsync_us.snapshot();
-            DurabilityMetrics {
-                snapshot_lag_epochs: epochs.saturating_sub(stats.last_snapshot_epoch),
-                snapshot_lag_seconds: d.snapshot_lag_seconds(),
-                fsync_p50_us: f.percentile(0.50),
-                fsync_p99_us: f.percentile(0.99),
-                fsync_mean_us: f.mean(),
-                stats,
-            }
-        });
         let dl = inner.delivery_latency_us.snapshot();
         let trace = TraceStats {
             capacity: inner.trace.capacity(),
@@ -749,31 +697,30 @@ impl MetricsHub {
             exemplars: inner.exemplars.lock().unwrap().iter().cloned().collect(),
             head_samples: inner.head_samples.lock().unwrap().iter().cloned().collect(),
         };
-        let slo = inner.slo.as_ref().map(|e| e.status()).unwrap_or_default();
         MetricsSnapshot {
             enabled: inner.enabled,
             uptime,
+            total_time,
             epochs,
-            batches_served: inner.collector.batches.load(Ordering::Relaxed) as u64,
-            events_served: inner.collector.events.load(Ordering::Relaxed) as u64,
-            embeddings: inner.collector.embeddings.load(Ordering::Relaxed) as u64,
-            seals: std::array::from_fn(|i| inner.collector.seals[i].load(Ordering::Relaxed)),
-            batch_events: inner.collector.batch_events.snapshot(),
-            queues: self.queue_stats(),
+            batches_served: c.batches.load(Ordering::Relaxed) as u64,
+            events_served: c.events.load(Ordering::Relaxed) as u64,
+            embeddings: c.embeddings.load(Ordering::Relaxed) as u64,
+            seals: std::array::from_fn(|i| c.seals[i].load(Ordering::Relaxed)),
+            batch_events: c.batch_events.snapshot(),
+            queues: inner.queues.iter().map(|q| q()).collect(),
             stages,
-            stage_timings: self.stage_timings(),
-            batch_latency,
+            batch_latency: LatencySummary::from_histogram(&c.latency_ns.snapshot(), NS_PER_MS),
             admission,
             tenants,
             backends,
-            durability,
-            cache: inner.cache.as_ref().map(|c| c.stats()),
+            durability: inner.durability.as_ref().map(|d| d.stats(epochs)),
+            cache: inner.cache.as_ref().map(|cache| cache.stats()),
             flight: FlightStats {
                 capacity: inner.recorder.capacity(),
                 recorded: inner.recorder.recorded(),
                 dropped: inner.recorder.dropped(),
             },
-            slo,
+            slo: inner.slo.as_ref().map(|e| e.status()).unwrap_or_default(),
             trace,
         }
     }
@@ -916,64 +863,6 @@ pub struct StageSnapshot {
     pub busy_frac: f64,
 }
 
-/// Admission counters summed over every tenant.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AdmissionTotals {
-    /// `submit_for` calls that returned `Ok`.
-    pub submitted: u64,
-    /// Events that entered an ingress queue.
-    pub admitted: u64,
-    /// Drops by [`OverloadPolicy::DropNewest`](tgnn_core::tenancy::OverloadPolicy).
-    pub dropped_newest: u64,
-    /// Evictions by [`OverloadPolicy::DropOldest`](tgnn_core::tenancy::OverloadPolicy).
-    pub dropped_oldest: u64,
-    /// Rate-limit drops (empty token bucket, drop policies).
-    pub dropped_throttled: u64,
-    /// Blocked `submit_for` calls (Block/Late backpressure).
-    pub blocked_submits: u64,
-    /// Rate-limited `submit_for` waits (Block/Late policies).
-    pub throttled: u64,
-    /// Events answered from the embedding cache
-    /// ([`OverloadPolicy::ServeStale`](tgnn_core::tenancy::OverloadPolicy)).
-    pub served_stale: u64,
-}
-
-/// Per-tenant slice of a [`MetricsSnapshot`].
-#[derive(Clone, Debug)]
-pub struct TenantMetrics {
-    /// Display name from the tenant's spec.
-    pub name: String,
-    /// Admission-side counters (see [`AdmissionCounters`]).
-    pub counters: AdmissionCounters,
-    /// Events whose results were delivered (including stale cache answers).
-    pub served: u64,
-    /// Events answered from the embedding cache under overload (subset of
-    /// `served`; excluded from the latency distribution).
-    pub served_stale: u64,
-    /// Served events graded late.
-    pub late: u64,
-}
-
-/// Durability slice of a [`MetricsSnapshot`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DurabilityMetrics {
-    /// WAL/snapshot lifetime counters (same shape as the serve report's).
-    pub stats: crate::durability::DurabilityStats,
-    /// Epochs sealed since the last completed snapshot — how much WAL
-    /// replay a crash right now would cost.
-    pub snapshot_lag_epochs: u64,
-    /// Wall-clock seconds since the last completed snapshot (since the
-    /// durability handle was opened when none has completed yet) — makes a
-    /// stalled snapshot writer visible even when epochs stop advancing.
-    pub snapshot_lag_seconds: f64,
-    /// Median group-commit fsync latency, µs.
-    pub fsync_p50_us: u64,
-    /// p99 group-commit fsync latency, µs.
-    pub fsync_p99_us: u64,
-    /// Mean group-commit fsync latency, µs.
-    pub fsync_mean_us: f64,
-}
-
 /// Flight-recorder occupancy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlightStats {
@@ -1023,14 +912,18 @@ pub struct TraceStats {
 /// A typed point-in-time view of the serve pipeline, assembled by
 /// [`StreamServer::metrics`](crate::StreamServer::metrics) /
 /// [`MetricsHub::snapshot`].  Renderable as a human table
-/// ([`Self::render_table`]), Prometheus-style text ([`Self::to_prometheus`]),
-/// or a JSONL line ([`Self::to_json_line`]).
+/// ([`Self::render_table`]) and — both walks over one metric catalogue, so
+/// they export the same families under the same names — as Prometheus-style
+/// text ([`Self::to_prometheus`]) or a JSONL line ([`Self::to_json_line`]).
 #[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     /// Whether the session records metrics (`false` ⇒ counters are zeros).
     pub enabled: bool,
     /// Time since the pipeline was spawned.
     pub uptime: Duration,
+    /// First submit → last completed batch: the serving time every
+    /// throughput figure (the report's, each tenant's) divides by.
+    pub total_time: Duration,
     /// Highest epoch assigned so far (warm-up chunks + sealed batches).
     pub epochs: u64,
     /// Micro-batches that completed the pipeline.
@@ -1054,26 +947,26 @@ pub struct MetricsSnapshot {
     pub queues: Vec<QueueStats>,
     /// Per-stage busy/idle and span counts, pipeline order.
     pub stages: Vec<StageSnapshot>,
-    /// The Table-I-shaped sample/memory/GNN/update busy breakdown — the
-    /// serve-path counterpart of the engine's `core::profiling` report.
-    pub stage_timings: StageTimings,
     /// Seal-to-embeddings latency percentiles from the log-linear histogram
     /// (≤ 6.25 % relative error; `max_ms` is the top non-empty bucket) — the
     /// histogram [`ServeReport::latency`](crate::ServeReport::latency) reads,
     /// so the two always agree; recorded with metrics on or off.
     pub batch_latency: LatencySummary,
-    /// Admission counters summed over tenants (drops broken out by policy).
-    pub admission: AdmissionTotals,
-    /// Per-tenant admission + completion counters.
-    pub tenants: Vec<TenantMetrics>,
-    /// Per-backend serving counters, [`BackendKind::code`] order; empty
-    /// until a backend serves its first batch.
+    /// Admission counters summed over tenants (drops broken out by policy;
+    /// `max_depth` is the deepest tenant queue).
+    pub admission: AdmissionCounters,
+    /// Per-tenant admission + completion statistics, indexed by
+    /// [`TenantId::index`](tgnn_core::tenancy::TenantId::index) — the rows
+    /// [`ServeReport::tenants`](crate::ServeReport::tenants) carries.
+    pub tenants: Vec<TenantStats>,
+    /// Per-backend serving counters, one row per prepared compute backend
+    /// ([`BackendKind::code`] order), idle ones included.
     pub backends: Vec<BackendStats>,
-    /// WAL fsync count/latency and snapshot-writer lag; `None` without
+    /// WAL counters, fsync latency and snapshot-writer lag; `None` without
     /// durability.
-    pub durability: Option<DurabilityMetrics>,
-    /// Embedding-cache counters (hits, misses, stale serves, occupancy);
-    /// `None` when no cache is configured.
+    pub durability: Option<DurabilityStats>,
+    /// Embedding-cache counters (hits, misses, stale serves and their age
+    /// distribution, occupancy); `None` when no cache is configured.
     pub cache: Option<CacheStats>,
     /// Flight-recorder occupancy.
     pub flight: FlightStats,
@@ -1083,749 +976,23 @@ pub struct MetricsSnapshot {
     pub trace: TraceStats,
 }
 
-impl MetricsSnapshot {
-    /// Exact `(events, batches)` behind `batch_events`, from the backend
-    /// counters that are bumped alongside it.
-    fn pipeline_served(&self) -> (u64, u64) {
-        self.backends.iter().fold((0, 0), |(e, b), s| {
-            (e + s.served_events, b + s.served_batches)
-        })
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    /// Exact mean of `batch_events` (0 before the first batch).
-    fn mean_batch_events(&self) -> f64 {
-        let (events, batches) = self.pipeline_served();
-        events as f64 / batches.max(1) as f64
+    /// `code()` is `self as u8`, which is the index into `ALL` only while
+    /// the variants are declared in `ALL`'s order.
+    #[test]
+    fn stage_and_segment_codes_index_their_all_arrays() {
+        for (i, s) in StageId::ALL.into_iter().enumerate() {
+            assert_eq!(s.code() as usize, i);
+            assert_eq!(StageId::from_code(i as u8), Some(s));
+        }
+        assert_eq!(StageId::from_code(StageId::ALL.len() as u8), None);
+        for (i, s) in SegmentId::ALL.into_iter().enumerate() {
+            assert_eq!(s.code() as usize, i);
+            assert_eq!(SegmentId::from_code(i as u8), Some(s));
+        }
+        assert_eq!(SegmentId::from_code(SegmentId::ALL.len() as u8), None);
     }
-
-    /// Renders the snapshot as a human-readable table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let push = |out: &mut String, s: String| {
-            out.push_str(&s);
-            out.push('\n');
-        };
-        push(
-            &mut out,
-            format!(
-                "uptime {:8.2}s   epochs {}   batches {}   events {}   embeddings {}{}",
-                self.uptime.as_secs_f64(),
-                self.epochs,
-                self.batches_served,
-                self.events_served,
-                self.embeddings,
-                if self.enabled { "" } else { "   [metrics off]" }
-            ),
-        );
-        push(
-            &mut out,
-            format!(
-                "batch latency  p50 {:.3} ms   p95 {:.3} ms   p99 {:.3} ms   max {:.3} ms",
-                self.batch_latency.p50_ms,
-                self.batch_latency.p95_ms,
-                self.batch_latency.p99_ms,
-                self.batch_latency.max_ms
-            ),
-        );
-        push(
-            &mut out,
-            format!(
-                "batch events   mean {:.1}   p50 {}   p99 {}   max {}   sealed {}",
-                self.mean_batch_events(),
-                self.batch_events.percentile(0.50),
-                self.batch_events.percentile(0.99),
-                self.batch_events.max(),
-                SealReason::ALL
-                    .map(|r| format!("{} {}", r.label(), self.seals[r.code()]))
-                    .join(" / ")
-            ),
-        );
-        push(
-            &mut out,
-            format!(
-                "{:<22} {:>5} {:>5} {:>9} {:>10} {:>8}",
-                "queue", "depth", "max", "mean", "pushes", "blocked"
-            ),
-        );
-        for q in &self.queues {
-            push(
-                &mut out,
-                format!(
-                    "{:<22} {:>5} {:>5} {:>9.2} {:>10} {:>8}",
-                    q.name, q.depth, q.max_depth, q.mean_depth, q.pushes, q.blocked_sends
-                ),
-            );
-        }
-        push(
-            &mut out,
-            format!(
-                "{:<22} {:>7} {:>12} {:>7} {:>10}",
-                "stage", "workers", "busy", "busy%", "spans"
-            ),
-        );
-        for s in &self.stages {
-            if s.batches == 0 && s.busy.is_zero() {
-                continue;
-            }
-            push(
-                &mut out,
-                format!(
-                    "{:<22} {:>7} {:>10.3}ms {:>6.1}% {:>10}",
-                    s.stage.label(),
-                    s.workers,
-                    s.busy.as_secs_f64() * 1e3,
-                    s.busy_frac * 100.0,
-                    s.batches
-                ),
-            );
-        }
-        for t in &self.tenants {
-            push(
-                &mut out,
-                format!(
-                    "tenant {:<15} submitted {:>8}  admitted {:>8}  dropped {:>6}  served {:>8}  stale {:>6}  late {:>6}",
-                    t.name,
-                    t.counters.submitted,
-                    t.counters.admitted,
-                    t.counters.dropped(),
-                    t.served,
-                    t.served_stale,
-                    t.late
-                ),
-            );
-        }
-        for b in &self.backends {
-            let modeled = match &b.modeled_latency {
-                Some(m) => format!(
-                    "  modeled p50 {:.3} ms  p99 {:.3} ms  max {:.3} ms",
-                    m.p50_ms, m.p99_ms, m.max_ms
-                ),
-                None => String::new(),
-            };
-            push(
-                &mut out,
-                format!(
-                    "backend {:<6} batches {:>8}  events {:>8}{}",
-                    b.kind.label(),
-                    b.served_batches,
-                    b.served_events,
-                    modeled
-                ),
-            );
-        }
-        if let Some(c) = &self.cache {
-            push(
-                &mut out,
-                format!(
-                    "cache  hits {}  misses {}  hit-rate {:.1}%  served-stale {}  entries {}  evictions {}  expired {}  bound {} epochs",
-                    c.hits,
-                    c.misses,
-                    c.hit_rate() * 100.0,
-                    c.served_stale,
-                    c.entries,
-                    c.evictions,
-                    c.expired,
-                    c.staleness_bound
-                ),
-            );
-        }
-        if let Some(d) = &self.durability {
-            push(
-                &mut out,
-                format!(
-                    "wal  records {}  fsyncs {}  fsync p50/p99 {}/{} µs   snapshots {}  lag {} epochs / {:.1}s",
-                    d.stats.wal_records,
-                    d.stats.wal_fsyncs,
-                    d.fsync_p50_us,
-                    d.fsync_p99_us,
-                    d.stats.snapshots,
-                    d.snapshot_lag_epochs,
-                    d.snapshot_lag_seconds
-                ),
-            );
-        }
-        let burn = |b: Option<f64>| match b {
-            Some(v) => format!("{v:.2}"),
-            None => "-".to_string(),
-        };
-        for s in &self.slo {
-            push(
-                &mut out,
-                format!(
-                    "slo {:<10} budget {:.3}  burn fast {} / slow {}  [{}]",
-                    s.name,
-                    s.error_budget,
-                    burn(s.fast_burn),
-                    burn(s.slow_burn),
-                    burn_state_label(s.state)
-                ),
-            );
-        }
-        if self.trace.begun > 0 {
-            push(
-                &mut out,
-                format!(
-                    "traces  begun {}  conflicts {}  overflows {}  deliver p99 {:.3} ms  tail exemplars {}  head samples {}",
-                    self.trace.begun,
-                    self.trace.conflicts,
-                    self.trace.overflows,
-                    self.trace.delivery_p99_ms,
-                    self.trace.exemplars.len(),
-                    self.trace.head_samples.len()
-                ),
-            );
-        }
-        push(
-            &mut out,
-            format!(
-                "flight recorder  {} / {} events ({} overwritten)",
-                self.flight.recorded.min(self.flight.capacity as u64),
-                self.flight.capacity,
-                self.flight.dropped
-            ),
-        );
-        out
-    }
-
-    /// Renders the snapshot as Prometheus-style text exposition.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut scalar = |name: &str, kind: &str, v: String| {
-            out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
-        };
-        scalar(
-            "tgnn_uptime_seconds",
-            "gauge",
-            format!("{:.3}", self.uptime.as_secs_f64()),
-        );
-        scalar("tgnn_epochs_total", "counter", self.epochs.to_string());
-        scalar(
-            "tgnn_batches_served_total",
-            "counter",
-            self.batches_served.to_string(),
-        );
-        scalar(
-            "tgnn_events_served_total",
-            "counter",
-            self.events_served.to_string(),
-        );
-        scalar(
-            "tgnn_embeddings_total",
-            "counter",
-            self.embeddings.to_string(),
-        );
-        out.push_str("# TYPE tgnn_seals_total counter\n");
-        for r in SealReason::ALL {
-            out.push_str(&format!(
-                "tgnn_seals_total{{reason=\"{}\"}} {}\n",
-                r.label(),
-                self.seals[r.code()]
-            ));
-        }
-        out.push_str("# TYPE tgnn_batch_events summary\n");
-        for q in [0.5, 0.95, 0.99] {
-            out.push_str(&format!(
-                "tgnn_batch_events{{quantile=\"{q}\"}} {}\n",
-                self.batch_events.percentile(q)
-            ));
-        }
-        let (events, batches) = self.pipeline_served();
-        out.push_str(&format!(
-            "tgnn_batch_events_sum {events}\ntgnn_batch_events_count {batches}\n"
-        ));
-        out.push_str("# TYPE tgnn_queue_depth gauge\n");
-        for q in &self.queues {
-            out.push_str(&format!(
-                "tgnn_queue_depth{{queue=\"{}\"}} {}\n",
-                q.name, q.depth
-            ));
-        }
-        out.push_str("# TYPE tgnn_queue_pushes_total counter\n");
-        for q in &self.queues {
-            out.push_str(&format!(
-                "tgnn_queue_pushes_total{{queue=\"{}\"}} {}\n",
-                q.name, q.pushes
-            ));
-        }
-        out.push_str("# TYPE tgnn_queue_blocked_sends_total counter\n");
-        for q in &self.queues {
-            out.push_str(&format!(
-                "tgnn_queue_blocked_sends_total{{queue=\"{}\"}} {}\n",
-                q.name, q.blocked_sends
-            ));
-        }
-        out.push_str("# TYPE tgnn_stage_busy_seconds_total counter\n");
-        for s in &self.stages {
-            out.push_str(&format!(
-                "tgnn_stage_busy_seconds_total{{stage=\"{}\"}} {:.6}\n",
-                s.stage.label(),
-                s.busy.as_secs_f64()
-            ));
-        }
-        out.push_str("# TYPE tgnn_stage_spans_total counter\n");
-        for s in &self.stages {
-            out.push_str(&format!(
-                "tgnn_stage_spans_total{{stage=\"{}\"}} {}\n",
-                s.stage.label(),
-                s.batches
-            ));
-        }
-        out.push_str("# TYPE tgnn_batch_latency_ms summary\n");
-        for (q, v) in [
-            (0.5, self.batch_latency.p50_ms),
-            (0.95, self.batch_latency.p95_ms),
-            (0.99, self.batch_latency.p99_ms),
-        ] {
-            out.push_str(&format!(
-                "tgnn_batch_latency_ms{{quantile=\"{q}\"}} {v:.3}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "tgnn_batch_latency_ms_count {}\n",
-            self.batches_served
-        ));
-        out.push_str("# TYPE tgnn_admission_dropped_total counter\n");
-        for (policy, v) in [
-            ("newest", self.admission.dropped_newest),
-            ("oldest", self.admission.dropped_oldest),
-            ("throttled", self.admission.dropped_throttled),
-        ] {
-            out.push_str(&format!(
-                "tgnn_admission_dropped_total{{policy=\"{policy}\"}} {v}\n"
-            ));
-        }
-        let mut scalar = |name: &str, kind: &str, v: String| {
-            out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
-        };
-        scalar(
-            "tgnn_admission_submitted_total",
-            "counter",
-            self.admission.submitted.to_string(),
-        );
-        scalar(
-            "tgnn_admission_blocked_submits_total",
-            "counter",
-            self.admission.blocked_submits.to_string(),
-        );
-        out.push_str("# TYPE tgnn_tenant_served_total counter\n");
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "tgnn_tenant_served_total{{tenant=\"{}\"}} {}\n",
-                t.name, t.served
-            ));
-        }
-        out.push_str("# TYPE tgnn_tenant_served_stale_total counter\n");
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "tgnn_tenant_served_stale_total{{tenant=\"{}\"}} {}\n",
-                t.name, t.served_stale
-            ));
-        }
-        out.push_str("# TYPE tgnn_tenant_late_total counter\n");
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "tgnn_tenant_late_total{{tenant=\"{}\"}} {}\n",
-                t.name, t.late
-            ));
-        }
-        if !self.backends.is_empty() {
-            out.push_str("# TYPE tgnn_backend_served_batches_total counter\n");
-            for b in &self.backends {
-                out.push_str(&format!(
-                    "tgnn_backend_served_batches_total{{backend=\"{}\"}} {}\n",
-                    b.kind.label(),
-                    b.served_batches
-                ));
-            }
-            out.push_str("# TYPE tgnn_backend_served_events_total counter\n");
-            for b in &self.backends {
-                out.push_str(&format!(
-                    "tgnn_backend_served_events_total{{backend=\"{}\"}} {}\n",
-                    b.kind.label(),
-                    b.served_events
-                ));
-            }
-            if self.backends.iter().any(|b| b.modeled_latency.is_some()) {
-                out.push_str("# TYPE tgnn_backend_modeled_latency_ms summary\n");
-                for b in &self.backends {
-                    let Some(m) = &b.modeled_latency else {
-                        continue;
-                    };
-                    for (q, v) in [(0.5, m.p50_ms), (0.95, m.p95_ms), (0.99, m.p99_ms)] {
-                        out.push_str(&format!(
-                            "tgnn_backend_modeled_latency_ms{{backend=\"{}\",quantile=\"{q}\"}} {v:.6}\n",
-                            b.kind.label()
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some(c) = &self.cache {
-            let mut scalar = |name: &str, kind: &str, v: String| {
-                out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
-            };
-            scalar("tgnn_cache_hits_total", "counter", c.hits.to_string());
-            scalar("tgnn_cache_misses_total", "counter", c.misses.to_string());
-            scalar(
-                "tgnn_cache_insertions_total",
-                "counter",
-                c.insertions.to_string(),
-            );
-            scalar(
-                "tgnn_cache_evictions_total",
-                "counter",
-                c.evictions.to_string(),
-            );
-            scalar("tgnn_cache_expired_total", "counter", c.expired.to_string());
-            scalar(
-                "tgnn_cache_served_stale_total",
-                "counter",
-                c.served_stale.to_string(),
-            );
-            scalar("tgnn_cache_entries", "gauge", c.entries.to_string());
-            scalar(
-                "tgnn_cache_staleness_bound_epochs",
-                "gauge",
-                c.staleness_bound.to_string(),
-            );
-        }
-        if let Some(d) = &self.durability {
-            let mut scalar = |name: &str, kind: &str, v: String| {
-                out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
-            };
-            scalar(
-                "tgnn_wal_fsyncs_total",
-                "counter",
-                d.stats.wal_fsyncs.to_string(),
-            );
-            scalar(
-                "tgnn_wal_records_total",
-                "counter",
-                d.stats.wal_records.to_string(),
-            );
-            scalar("tgnn_wal_fsync_p99_us", "gauge", d.fsync_p99_us.to_string());
-            scalar(
-                "tgnn_snapshot_lag_epochs",
-                "gauge",
-                d.snapshot_lag_epochs.to_string(),
-            );
-            scalar(
-                "tgnn_snapshot_lag_seconds",
-                "gauge",
-                format!("{:.3}", d.snapshot_lag_seconds),
-            );
-        }
-        if !self.slo.is_empty() {
-            out.push_str("# TYPE tgnn_slo_burn_rate gauge\n");
-            for s in &self.slo {
-                for (window, v) in [("fast", s.fast_burn), ("slow", s.slow_burn)] {
-                    if let Some(v) = v {
-                        out.push_str(&format!(
-                            "tgnn_slo_burn_rate{{slo=\"{}\",window=\"{window}\"}} {v:.4}\n",
-                            s.name
-                        ));
-                    }
-                }
-            }
-            out.push_str("# TYPE tgnn_slo_fired gauge\n");
-            for s in &self.slo {
-                out.push_str(&format!(
-                    "tgnn_slo_fired{{slo=\"{}\"}} {}\n",
-                    s.name,
-                    u8::from(s.state == BurnState::Fired)
-                ));
-            }
-        }
-        let mut scalar = |name: &str, kind: &str, v: String| {
-            out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
-        };
-        scalar(
-            "tgnn_traces_begun_total",
-            "counter",
-            self.trace.begun.to_string(),
-        );
-        scalar(
-            "tgnn_trace_conflicts_total",
-            "counter",
-            self.trace.conflicts.to_string(),
-        );
-        scalar(
-            "tgnn_trace_delivery_p99_ms",
-            "gauge",
-            format!("{:.3}", self.trace.delivery_p99_ms),
-        );
-        out
-    }
-
-    /// Renders the snapshot as one JSON line (the JSONL sampler format).
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        s.push_str(&format!(
-            "\"uptime_s\":{:.3},\"enabled\":{},\"epochs\":{},\"batches\":{},\"events\":{},\"embeddings\":{}",
-            self.uptime.as_secs_f64(),
-            self.enabled,
-            self.epochs,
-            self.batches_served,
-            self.events_served,
-            self.embeddings
-        ));
-        s.push_str(&format!(
-            ",\"latency_ms\":{{\"p50\":{:.3},\"p95\":{:.3},\"p99\":{:.3},\"max\":{:.3}}}",
-            self.batch_latency.p50_ms,
-            self.batch_latency.p95_ms,
-            self.batch_latency.p99_ms,
-            self.batch_latency.max_ms
-        ));
-        s.push_str(&format!(
-            ",\"seals\":{{{}}},\"batch_events\":{{\"mean\":{:.2},\"p50\":{},\"p99\":{},\"max\":{}}}",
-            SealReason::ALL
-                .map(|r| format!("\"{}\":{}", r.label(), self.seals[r.code()]))
-                .join(","),
-            self.mean_batch_events(),
-            self.batch_events.percentile(0.50),
-            self.batch_events.percentile(0.99),
-            self.batch_events.max()
-        ));
-        s.push_str(",\"queues\":[");
-        for (i, q) in self.queues.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"depth\":{},\"max\":{},\"mean\":{:.3},\"pushes\":{},\"blocked\":{}}}",
-                q.name, q.depth, q.max_depth, q.mean_depth, q.pushes, q.blocked_sends
-            ));
-        }
-        s.push_str("],\"stages\":[");
-        let mut first = true;
-        for st in &self.stages {
-            if st.batches == 0 && st.busy.is_zero() {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "{{\"stage\":\"{}\",\"busy_ms\":{:.3},\"busy_frac\":{:.4},\"spans\":{}}}",
-                st.stage.label(),
-                st.busy.as_secs_f64() * 1e3,
-                st.busy_frac,
-                st.batches
-            ));
-        }
-        s.push_str("],\"admission\":{");
-        s.push_str(&format!(
-            "\"submitted\":{},\"admitted\":{},\"dropped_newest\":{},\"dropped_oldest\":{},\"dropped_throttled\":{},\"blocked\":{}}}",
-            self.admission.submitted,
-            self.admission.admitted,
-            self.admission.dropped_newest,
-            self.admission.dropped_oldest,
-            self.admission.dropped_throttled,
-            self.admission.blocked_submits
-        ));
-        s.push_str(",\"tenants\":[");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"served\":{},\"served_stale\":{},\"late\":{},\"dropped\":{}}}",
-                json_escape(&t.name),
-                t.served,
-                t.served_stale,
-                t.late,
-                t.counters.dropped()
-            ));
-        }
-        s.push(']');
-        if !self.backends.is_empty() {
-            s.push_str(",\"backends\":[");
-            for (i, b) in self.backends.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"backend\":\"{}\",\"batches\":{},\"events\":{}",
-                    b.kind.label(),
-                    b.served_batches,
-                    b.served_events
-                ));
-                if let Some(m) = &b.modeled_latency {
-                    s.push_str(&format!(
-                        ",\"modeled_ms\":{{\"p50\":{:.6},\"p99\":{:.6},\"max\":{:.6}}}",
-                        m.p50_ms, m.p99_ms, m.max_ms
-                    ));
-                }
-                s.push('}');
-            }
-            s.push(']');
-        }
-        if let Some(c) = &self.cache {
-            s.push_str(&format!(
-                ",\"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.4},\"insertions\":{},\"evictions\":{},\"expired\":{},\"served_stale\":{},\"entries\":{},\"staleness_bound\":{}}}",
-                c.hits,
-                c.misses,
-                c.hit_rate(),
-                c.insertions,
-                c.evictions,
-                c.expired,
-                c.served_stale,
-                c.entries,
-                c.staleness_bound
-            ));
-        }
-        if let Some(d) = &self.durability {
-            s.push_str(&format!(
-                ",\"durability\":{{\"wal_records\":{},\"wal_fsyncs\":{},\"fsync_p50_us\":{},\"fsync_p99_us\":{},\"snapshots\":{},\"snapshot_lag_epochs\":{},\"snapshot_lag_seconds\":{:.3}}}",
-                d.stats.wal_records,
-                d.stats.wal_fsyncs,
-                d.fsync_p50_us,
-                d.fsync_p99_us,
-                d.stats.snapshots,
-                d.snapshot_lag_epochs,
-                d.snapshot_lag_seconds
-            ));
-        }
-        if !self.slo.is_empty() {
-            s.push_str(",\"slo\":[");
-            let json_burn = |b: Option<f64>| match b {
-                Some(v) => format!("{v:.4}"),
-                None => "null".to_string(),
-            };
-            for (i, o) in self.slo.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"name\":\"{}\",\"budget\":{},\"fast_burn\":{},\"slow_burn\":{},\"state\":\"{}\"}}",
-                    json_escape(&o.name),
-                    o.error_budget,
-                    json_burn(o.fast_burn),
-                    json_burn(o.slow_burn),
-                    burn_state_label(o.state)
-                ));
-            }
-            s.push(']');
-        }
-        s.push_str(&format!(
-            ",\"trace\":{{\"begun\":{},\"conflicts\":{},\"overflows\":{},\"delivery_p99_ms\":{:.3},\"exemplars\":{},\"head_samples\":{}}}",
-            self.trace.begun,
-            self.trace.conflicts,
-            self.trace.overflows,
-            self.trace.delivery_p99_ms,
-            self.trace.exemplars.len(),
-            self.trace.head_samples.len()
-        ));
-        s.push_str(&format!(
-            ",\"flight\":{{\"recorded\":{},\"dropped\":{}}}",
-            self.flight.recorded, self.flight.dropped
-        ));
-        s.push('}');
-        s
-    }
-}
-
-/// Stable lower-case label of a [`BurnState`] (reports and JSON).
-fn burn_state_label(b: BurnState) -> &'static str {
-    match b {
-        BurnState::NoData => "no-data",
-        BurnState::Ok => "ok",
-        BurnState::Fired => "fired",
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Renders a flight-recorder dump as a per-epoch, per-stage timeline — the
-/// post-mortem view: each line is one epoch, each segment one stage span
-/// (`enter→exit` in ms since pipeline spawn).  An open segment (`→…`) means
-/// the stage entered the epoch and never exited — after a panic, that is
-/// the poisoned stage; its duration-so-far (up to the dump's last tick) is
-/// printed so the reader can see how long the epoch has been held.
-///
-/// Records are sorted by `(tick, seq)` before pairing, so same-tick
-/// enter/exit races (coarse clocks, cross-worker ties) pair
-/// deterministically in recording order rather than ring order.
-pub fn render_flight_timeline(records: &[SpanRecord]) -> String {
-    use std::collections::BTreeMap;
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let mut records: Vec<SpanRecord> = records.to_vec();
-    records.sort_by_key(|r| (r.at, r.seq));
-    // The dump's horizon: open spans report duration-so-far against the
-    // last tick any worker recorded.
-    let now = records.last().map(|r| r.at).unwrap_or_default();
-    // epoch → (stage, worker) → (enter, exit) / marks, keeping stage order
-    // of first appearance within the epoch.
-    type Segment = ((StageId, u16), Option<Duration>, Option<Duration>);
-    #[derive(Default)]
-    struct EpochLine {
-        segments: Vec<Segment>,
-        marks: Vec<(StageId, Duration)>,
-    }
-    let mut epochs: BTreeMap<u64, EpochLine> = BTreeMap::new();
-    for r in &records {
-        let line = epochs.entry(r.epoch).or_default();
-        match r.kind {
-            SpanKind::Mark => line.marks.push((r.stage, r.at)),
-            SpanKind::Enter => line.segments.push(((r.stage, r.worker), Some(r.at), None)),
-            SpanKind::Exit => {
-                // Close the open segment of this (stage, worker); an exit
-                // whose enter was overwritten by the ring starts a
-                // half-open segment.
-                match line
-                    .segments
-                    .iter_mut()
-                    .rev()
-                    .find(|(k, _, exit)| *k == (r.stage, r.worker) && exit.is_none())
-                {
-                    Some(seg) => seg.2 = Some(r.at),
-                    None => line.segments.push(((r.stage, r.worker), None, Some(r.at))),
-                }
-            }
-        }
-    }
-    let mut out = String::new();
-    for (epoch, line) in &epochs {
-        if *epoch == 0 {
-            out.push_str("pre-epoch   ");
-        } else {
-            out.push_str(&format!("epoch {epoch:>5} "));
-        }
-        for ((stage, worker), enter, exit) in &line.segments {
-            let name = if *stage == StageId::Gnn {
-                format!("{}[{}]", stage.label(), worker)
-            } else {
-                stage.label().to_string()
-            };
-            match (enter, exit) {
-                (Some(a), Some(b)) => {
-                    out.push_str(&format!("| {} {:.3}→{:.3} ", name, ms(*a), ms(*b)))
-                }
-                (Some(a), None) => out.push_str(&format!(
-                    "| {} {:.3}→… {:.3}ms so far ",
-                    name,
-                    ms(*a),
-                    ms(now.saturating_sub(*a))
-                )),
-                (None, Some(b)) => out.push_str(&format!("| {} …→{:.3} ", name, ms(*b))),
-                (None, None) => {}
-            }
-        }
-        for (stage, at) in &line.marks {
-            out.push_str(&format!("| {} @{:.3} ", stage.label(), ms(*at)));
-        }
-        out.push('\n');
-    }
-    out
 }

@@ -6,7 +6,7 @@ use crate::admission::{
 };
 use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
-use crate::metrics::{HubConfig, MetricsHub, MetricsSnapshot, StageId};
+use crate::metrics::{per_second, HubConfig, MetricsHub, MetricsSnapshot, StageId};
 use crate::pipeline::{
     gnn_worker_loop, ingest_loop, reorder_loop, state_loop, Collector, GnnBatchHeader,
     GnnFaultHook, GnnSubJob, GnnSubResult, SealedBatch, ServedBatch, StateObs, StateStage,
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tgnn_core::profiling::StageTimings;
+use tgnn_core::profiling::{Stage, StageTimings};
 use tgnn_core::stages::GnnJobBatch;
 use tgnn_core::tenancy::{Disposition, OverloadPolicy, ResultMeta, TenantId};
 use tgnn_core::{
@@ -295,58 +295,6 @@ pub struct BackendStats {
     pub modeled_latency: Option<LatencySummary>,
 }
 
-/// Nearest-rank percentiles over the ages (in epoch barriers) of the
-/// session's cache-served stale answers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StaleAgeSummary {
-    /// Number of stale answers the distribution covers.
-    pub count: u64,
-    /// Median age.
-    pub p50: u64,
-    /// 95th-percentile age.
-    pub p95: u64,
-    /// 99th-percentile age.
-    pub p99: u64,
-    /// Oldest answer served.  Never exceeds the configured staleness bound
-    /// (property-tested in `tests/cache.rs`).
-    pub max: u64,
-}
-
-impl StaleAgeSummary {
-    pub(crate) fn from_ages(ages: &[u64]) -> Self {
-        if ages.is_empty() {
-            return Self::default();
-        }
-        let mut sorted = ages.to_vec();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let pick = |q: f64| sorted[(((q * n as f64).ceil() as usize).max(1) - 1).min(n - 1)];
-        Self {
-            count: n as u64,
-            p50: pick(0.50),
-            p95: pick(0.95),
-            p99: pick(0.99),
-            max: sorted[n - 1],
-        }
-    }
-}
-
-/// Embedding-cache slice of the serve report: raw counters, the derived hit
-/// rate, the staleness bound the session ran with, and the stale-age
-/// distribution of every cache-served answer.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CacheReport {
-    /// Raw cache counters (hits, misses, insertions, evictions, expiry
-    /// sweeps, stale serves, entries, watermark).
-    pub stats: CacheStats,
-    /// `hits / (hits + misses)` over the session.
-    pub hit_rate: f64,
-    /// Configured staleness bound in epochs.
-    pub staleness_bound_epochs: u64,
-    /// Age distribution of the stale answers actually served.
-    pub stale_age: StaleAgeSummary,
-}
-
 /// Aggregate report of a serve session — throughput, tail latency, queue
 /// occupancy (the backpressure picture), per-tenant admission statistics,
 /// and state-consistency counters.
@@ -389,9 +337,10 @@ pub struct ServeReport {
     /// WAL/snapshot counters when the session ran with
     /// [`ServeConfig::durability`]; `None` on the legacy path.
     pub durability: Option<DurabilityStats>,
-    /// Embedding-cache counters when the session ran with a cache
+    /// Embedding-cache counters (hit rate, staleness bound and stale-age
+    /// distribution included) when the session ran with a cache
     /// ([`ServeConfig::cache`] or any `ServeStale` tenant); `None` otherwise.
-    pub cache: Option<CacheReport>,
+    pub cache: Option<CacheStats>,
     /// Per-stage busy-time breakdown (sample / memory / GNN / update) from
     /// the worker span counters — the serve-path counterpart of the batch
     /// engine's Table-I-shaped `core::profiling` report.  All zeros when
@@ -1316,83 +1265,42 @@ impl StreamServer {
         self.report()
     }
 
-    /// The aggregate report so far (cheap; callable live or after `drain`).
+    /// The aggregate report so far (cheap; callable live or after `drain`):
+    /// a view of [`Self::metrics`] — every count and latency in it is the
+    /// snapshot's — plus what only the server holds, the commit log and the
+    /// shard/worker counts.
     pub fn report(&self) -> ServeReport {
-        let first = *self.collector.first_submit.lock().unwrap();
-        let last = *self.collector.last_complete.lock().unwrap();
-        let total_time = match (first, last) {
-            (Some(a), Some(b)) => b.saturating_duration_since(a),
-            _ => Duration::ZERO,
-        };
-        let num_events = self.collector.events.load(Ordering::Relaxed);
-        let queues: Vec<QueueStats> = self.hub.queue_stats();
-        let tenants: Vec<TenantStats> = (0..self.admission.num_tenants())
-            .map(|i| {
-                let (spec, counters) = self.admission.tenant_snapshot(i);
-                let tc = &self.collector.tenants[i];
-                let served = tc.served.load(Ordering::Relaxed);
-                TenantStats {
-                    name: spec.name,
-                    weight: spec.weight,
-                    policy: spec.policy,
-                    backend: spec.backend.unwrap_or_default(),
-                    counters,
-                    served,
-                    late: tc.late.load(Ordering::Relaxed),
-                    served_stale: tc.served_stale.load(Ordering::Relaxed),
-                    latency: LatencySummary::from_histogram(&tc.latency_ns.snapshot(), NS_PER_MS),
-                    throughput_eps: if total_time.is_zero() {
-                        0.0
-                    } else {
-                        served as f64 / total_time.as_secs_f64()
-                    },
-                }
-            })
-            .collect();
-        let backends: Vec<BackendStats> = BackendKind::ALL
-            .into_iter()
-            .filter(|k| self.backends[k.code()].is_some())
-            .map(|k| self.collector.backends[k.code()].stats(k))
-            .collect();
-        let backpressure_blocks = queues.iter().map(|q| q.blocked_sends).sum::<u64>()
-            + tenants
-                .iter()
-                .map(|t| t.counters.blocked_submits)
-                .sum::<u64>();
+        let m = self.hub.snapshot();
+        let mut stage_timings = StageTimings::default();
+        for (stage, id) in [
+            (Stage::Sample, StageId::Sampler),
+            (Stage::Memory, StageId::Memory),
+            (Stage::Gnn, StageId::Gnn),
+            (Stage::Update, StageId::Update),
+        ] {
+            let busy = m.stages.iter().find(|s| s.stage == id).map(|s| s.busy);
+            stage_timings.add(stage, busy.unwrap_or_default());
+        }
         let log = self.commit_log.lock().unwrap();
         ServeReport {
-            num_events,
-            num_batches: self.collector.batches.load(Ordering::Relaxed),
-            num_embeddings: self.collector.embeddings.load(Ordering::Relaxed),
-            total_time,
-            throughput_eps: if total_time.is_zero() {
-                0.0
-            } else {
-                num_events as f64 / total_time.as_secs_f64()
-            },
-            latency: LatencySummary::from_histogram(
-                &self.collector.latency_ns.snapshot(),
-                NS_PER_MS,
-            ),
-            queues,
-            backpressure_blocks,
-            tenants,
-            backends,
+            num_events: m.events_served as usize,
+            num_batches: m.batches_served as usize,
+            num_embeddings: m.embeddings as usize,
+            total_time: m.total_time,
+            throughput_eps: per_second(m.events_served, m.total_time),
+            latency: m.batch_latency,
+            backpressure_blocks: m.queues.iter().map(|q| q.blocked_sends).sum::<u64>()
+                + m.admission.blocked_submits,
+            queues: m.queues,
+            tenants: m.tenants,
+            backends: m.backends,
             commits: log.commits(),
             commit_log_clean: log.is_clean(),
             num_shards: self.num_shards,
             gnn_workers: self.gnn_workers,
-            durability: self.durability.as_ref().map(|d| d.stats()),
-            cache: self.cache.as_ref().map(|c| {
-                let stats = c.stats();
-                CacheReport {
-                    stats,
-                    hit_rate: stats.hit_rate(),
-                    staleness_bound_epochs: c.staleness_bound(),
-                    stale_age: StaleAgeSummary::from_ages(&c.stale_ages()),
-                }
-            }),
-            stage_timings: self.hub.stage_timings(),
+            durability: m.durability,
+            cache: m.cache,
+            stage_timings,
         }
     }
 
@@ -1509,17 +1417,5 @@ mod tests {
             );
         }
         assert!((s.mean_ms - 50.5).abs() <= 50.5 * 0.0625);
-    }
-
-    #[test]
-    fn stale_age_summary_nearest_rank() {
-        assert_eq!(StaleAgeSummary::from_ages(&[]), StaleAgeSummary::default());
-        let s = StaleAgeSummary::from_ages(&[3]);
-        assert_eq!((s.count, s.p50, s.p99, s.max), (1, 3, 3, 3));
-        let s = StaleAgeSummary::from_ages(&(1..=100).collect::<Vec<u64>>());
-        assert_eq!(
-            (s.count, s.p50, s.p95, s.p99, s.max),
-            (100, 50, 95, 99, 100)
-        );
     }
 }

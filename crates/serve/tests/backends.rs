@@ -622,6 +622,6 @@ fn per_tenant_staleness_bounds_tighten_the_shared_cache() {
     );
     let report = server.report();
     let cache = report.cache.as_ref().expect("ServeStale run reports cache");
-    assert_eq!(cache.staleness_bound_epochs, global_bound);
+    assert_eq!(cache.staleness_bound, global_bound);
     assert!(cache.stale_age.max <= global_bound);
 }

@@ -296,8 +296,8 @@ fn slo_engine_reports_latency_and_drop_lanes_from_live_traffic() {
     // And the renderers cover the new sections.
     assert!(m.render_table().contains("slo"));
     assert!(m.to_prometheus().contains("tgnn_slo_burn_rate"));
-    assert!(m.to_json_line().contains("\"slo\""));
-    assert!(m.to_json_line().contains("\"trace\""));
+    assert!(m.to_json_line().contains("\"tgnn_slo_burn_rate\":{"));
+    assert!(m.to_json_line().contains("\"tgnn_traces_begun_total\":"));
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! even after a worker panic poisons the pipeline).
 //!
 //! A JSONL sampler thread also appends one snapshot line per 50 ms to a
-//! temp file while the stream runs — the feed for offline dashboards.
+//! temp file while the stream runs — the feed for offline dashboards.  The
+//! Prometheus text and the JSONL line are two renderings of one metric
+//! catalogue (ARCHITECTURE.md §9), so they carry the same family names.
 //!
 //! Run with: `cargo run --release --example metrics_dump`
 
@@ -67,9 +69,13 @@ fn main() {
     // The stage busy counters, and the batcher adapting to load: why each
     // batch was sealed and how large load let it grow.
     for line in prom.lines().filter(|l| {
-        ["tgnn_stage_busy", "tgnn_seals_total", "tgnn_batch_events"]
-            .iter()
-            .any(|p| l.starts_with(p))
+        [
+            "tgnn_stage_busy_seconds",
+            "tgnn_seals_total",
+            "tgnn_batch_events",
+        ]
+        .iter()
+        .any(|p| l.contains(p))
     }) {
         println!("{line}");
     }
