@@ -8,7 +8,8 @@
 //! embedding error against the serial reference (cosine similarity, max-abs)
 //! is reported alongside the throughput, together with an f32-vs-int8 GEMM
 //! microbenchmark at square shapes and the paper's three projections, each
-//! row held against the core's FMA peak, and an elementwise microbenchmark:
+//! f32 row held against the measured FMA peak of the width its kernel runs
+//! and each int8 row as a multiple of it, and an elementwise microbenchmark:
 //! the `tgnn_tensor::vmath` kernels against libm per element, and a GRU row
 //! split into its GEMM half and its gate pass.  Refreshes its own rows of
 //! `BENCH_baseline.json` (override with `--out <path>`) and carries every
@@ -153,7 +154,7 @@ fn main() {
     );
 
     // --- f32 vs int8 GEMM microbenchmark: square shapes plus the paper's
-    // three projections, against the core's FMA peak.
+    // three projections.
     let gemm = gemm_microbench(&[
         (64, 64, 64),
         (128, 128, 128),
@@ -162,15 +163,24 @@ fn main() {
         (735, 372, 100), // attention K/V
         (138, 200, 100), // attention Q
     ]);
-    let peak_gflops = fma_clock_ghz().map(|ghz| ghz * 32.0);
-    match peak_gflops {
-        Some(peak) => println!(
-            "f32 peak: {peak:.1} GFLOP/s = 2 FMA x 8 lanes x 2 flops x {:.2} GHz \
-             (clock from a dependent-FMA chain, 4-cycle latency assumed)",
-            peak / 32.0
-        ),
-        None => println!("f32 peak: unknown (no avx2+fma: portable kernels ran)"),
+    // Each row against the measured peak of the width its kernel runs.
+    let (f32_kernel, int8_kernel) = tgnn_tensor::dispatched_kernels();
+    let roofline = fma_peak_gflops();
+    for (lanes, peak) in &roofline {
+        println!(
+            "f32 peak {lanes:>2} lanes: {peak:.1} GFLOP/s (12 independent FMA chains, measured)"
+        );
     }
+    let lanes = match f32_kernel {
+        "avx512f" => 16,
+        "avx2+fma" => 8,
+        _ => 0,
+    };
+    let peak_gflops = roofline
+        .iter()
+        .find(|(width, _)| *width == lanes)
+        .map(|(_, peak)| *peak);
+    println!("gemm kernels: f32 {f32_kernel}, int8 {int8_kernel}");
     for row in &gemm {
         let (m, k, n) = row.shape;
         let gflops = |us: f64| 2.0 * (m * k * n) as f64 / us / 1e3;
@@ -178,7 +188,7 @@ fn main() {
             .map(|peak| format!(" = {:.0}% of peak", 100.0 * gflops(row.f32_us) / peak))
             .unwrap_or_default();
         println!(
-            "gemm {:>11}: f32 {:>7.1} µs {:>5.1} GFLOP/s{of_peak}, int8 {:>7.1} µs {:>5.1} GOP/s ({:.2}x)",
+            "gemm {:>11}: f32 {:>7.1} µs {:>5.1} GFLOP/s{of_peak}, int8 {:>7.1} µs {:>5.1} GOP/s = {:.2}x f32",
             row.label(),
             row.f32_us,
             gflops(row.f32_us),
@@ -525,40 +535,76 @@ fn elementwise_microbench() -> Elementwise {
     }
 }
 
-/// Core clock in GHz, estimated from a chain of dependent FMAs (4 cycles
-/// each on every x86 core since Skylake/Zen), or `None` where the `avx2,fma`
-/// kernels do not run.  `clock × 2 FMA ports × 8 lanes × 2 flops` is the
-/// f32 roofline the GEMM rows are held against.
-fn fma_clock_ghz() -> Option<f64> {
+/// The f32 FMA roofline, measured: `(lanes, GFLOP/s)` for the 8-lane
+/// (`avx2,fma`) and, where the CPU has it, the 16-lane (`avx512f`) width.
+/// Twelve independent chains per width keep two FMA ports busy through a
+/// 4–6-cycle latency, so the figure is the issue rate the core sustains —
+/// port count and any wide-vector clock penalty included — not a port
+/// count assumed times a clock.  Empty where no FMA kernel runs.
+fn fma_peak_gflops() -> Vec<(usize, f64)> {
     #[cfg(target_arch = "x86_64")]
     {
-        const CHAIN: u32 = 20_000_000;
-        const FMA_LATENCY_CYCLES: f64 = 4.0;
+        use std::arch::is_x86_feature_detected as has;
+        use std::arch::x86_64::*;
+        const STEPS: u64 = 5_000_000;
+        const CHAINS: usize = 12;
 
-        #[target_feature(enable = "fma")]
-        unsafe fn dependent_fma_chain(mut x: f32, a: f32, b: f32) -> f32 {
-            for _ in 0..CHAIN {
-                x = x.mul_add(a, b);
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn chains_8(a: f32, b: f32) -> f32 {
+            let (a, b) = (_mm256_set1_ps(a), _mm256_set1_ps(b));
+            let mut x = [_mm256_set1_ps(0.5); CHAINS];
+            for _ in 0..STEPS {
+                for x in x.iter_mut() {
+                    *x = _mm256_fmadd_ps(*x, a, b);
+                }
             }
-            x
+            let mut lanes = [0.0; 8];
+            let sum = x
+                .into_iter()
+                .fold(_mm256_setzero_ps(), |s, x| _mm256_add_ps(s, x));
+            _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
+            lanes.iter().sum()
         }
 
-        if !(std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma"))
-        {
-            return None;
+        #[target_feature(enable = "avx512f")]
+        unsafe fn chains_16(a: f32, b: f32) -> f32 {
+            let (a, b) = (_mm512_set1_ps(a), _mm512_set1_ps(b));
+            let mut x = [_mm512_set1_ps(0.5); CHAINS];
+            for _ in 0..STEPS {
+                for x in x.iter_mut() {
+                    *x = _mm512_fmadd_ps(*x, a, b);
+                }
+            }
+            _mm512_reduce_add_ps(
+                x.into_iter()
+                    .fold(_mm512_setzero_ps(), |s, x| _mm512_add_ps(s, x)),
+            )
         }
+
         let bb = std::hint::black_box::<f32>;
-        let best = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                // SAFETY: `fma` support checked just above.
-                bb(unsafe { dependent_fma_chain(bb(0.5), bb(0.999), bb(1e-3)) });
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min);
-        Some(f64::from(CHAIN) * FMA_LATENCY_CYCLES / best / 1e9)
+        let gflops = |lanes: usize, chains: unsafe fn(f32, f32) -> f32| {
+            let best = (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    // SAFETY: the caller checked the chain's features.
+                    bb(unsafe { chains(bb(0.999), bb(1e-3)) });
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            (
+                lanes,
+                (STEPS as usize * CHAINS * lanes * 2) as f64 / best / 1e9,
+            )
+        };
+        let mut roofline = Vec::new();
+        if has!("avx2") && has!("fma") {
+            roofline.push(gflops(8, chains_8));
+            if has!("avx512f") {
+                roofline.push(gflops(16, chains_16));
+            }
+        }
+        roofline
     }
     #[cfg(not(target_arch = "x86_64"))]
-    None
+    Vec::new()
 }

@@ -187,6 +187,8 @@ impl MetricsSnapshot {
             self.flight.capacity,
             self.flight.dropped
         );
+        let (f32_kernel, int8_kernel) = self.gemm_kernels;
+        let _ = writeln!(out, "kernels  f32 {f32_kernel}  int8 {int8_kernel}");
         out
     }
 
@@ -334,6 +336,9 @@ impl MetricsSnapshot {
             ("tgnn_flight_recorded_total", Int(f.recorded)),
             ("tgnn_flight_dropped_total", Int(f.dropped)),
         ]);
+        let (f32_kernel, int8_kernel) = self.gemm_kernels;
+        let kernels = vec![("f32", f32_kernel.into()), ("int8", int8_kernel.into())];
+        c.push("tgnn_kernel_info", "gauge", "", kernels, Int(1));
         c.0
     }
 

@@ -722,6 +722,7 @@ impl MetricsHub {
             },
             slo: inner.slo.as_ref().map(|e| e.status()).unwrap_or_default(),
             trace,
+            gemm_kernels: tgnn_tensor::dispatched_kernels(),
         }
     }
 
@@ -974,6 +975,10 @@ pub struct MetricsSnapshot {
     pub slo: Vec<SloStatus>,
     /// Causal-trace slab counters plus retained tail/head exemplars.
     pub trace: TraceStats,
+    /// The GEMM kernels this process dispatches, `(f32, int8)`, by the CPU
+    /// feature each is built for ([`tgnn_tensor::dispatched_kernels`]) —
+    /// the server's own answer to "which code served", for comparing hosts.
+    pub gemm_kernels: (&'static str, &'static str),
 }
 
 #[cfg(test)]

@@ -237,6 +237,28 @@ fn seal_reasons_and_batch_sizes_are_exported_under_pinned_names() {
 }
 
 #[test]
+fn kernel_info_names_the_dispatched_kernels() {
+    let (model, graph) = setup(42);
+    let mut server = StreamServer::new(model, graph, ServeConfig::default());
+    server.drain();
+    let m = server.metrics();
+    let (f32_kernel, int8_kernel) = tgnn_tensor::dispatched_kernels();
+    assert_eq!(m.gemm_kernels, (f32_kernel, int8_kernel));
+    let info = format!("tgnn_kernel_info{{f32=\"{f32_kernel}\",int8=\"{int8_kernel}\"}} 1");
+    let prom = m.to_prometheus();
+    assert!(
+        prom.lines().any(|l| l == info),
+        "missing `{info}` in:\n{prom}"
+    );
+    let table = m.render_table();
+    let line = format!("kernels  f32 {f32_kernel}  int8 {int8_kernel}");
+    assert!(
+        table.lines().any(|l| l == line),
+        "missing `{line}` in:\n{table}"
+    );
+}
+
+#[test]
 fn durable_session_reports_fsync_latency_and_snapshot_lag() {
     let (model, graph) = setup(29);
     let td = TempDir::new("durable");

@@ -15,9 +15,22 @@
 //! path the packed kernel) without perturbing embeddings; `ARCHITECTURE.md`
 //! (numeric identity) states the contract for the whole stack.
 //!
-//! Each loop is compiled twice: under `avx2,fma` (picked at run time), where
-//! the multiply-add is one `vfmadd`, and portably, where `f32::mul_add` is a
-//! slow but exact libm call — so results are the same on every machine.
+//! **Why lane width cannot change a bit.**  The contract is per output
+//! element: lane `j` of a vector accumulator *is* element `j`'s
+//! accumulator, and a vector FMA is `NR`-or-fewer independent scalar FMAs,
+//! each rounded once, in the order the loop issues them — ascending `k`.
+//! Nothing crosses lanes (no horizontal add, no split of `k` into partial
+//! sums), so a 16-lane tile, an 8-lane one and the scalar loop run the same
+//! recurrence on every element and produce the same bits; padded lanes are
+//! computed and discarded.  The identity matrix below proves it per shape.
+//!
+//! The packed loop is compiled three times and picked at run time by CPU
+//! feature (`F32Kernel`): under `avx512f`, a `MR_512×2NR` tile of ZMM
+//! accumulators over two adjacent panels; under `avx2,fma`, the `MR×NR`
+//! YMM tile, which the 512-bit kernel also runs for a last panel at most 8
+//! wide; and portably, where `f32::mul_add` is a slow but exact libm call —
+//! so results are the same on every machine.  The reference loop is
+//! compiled twice (`avx2,fma` and portably).
 //!
 //! * [`matmul`] / [`matmul_into`] — cache-blocked serial kernel, the simple
 //!   reference the others are validated against (training, LUT fusion and
@@ -25,16 +38,13 @@
 //! * [`PackedB`] + [`matmul_prepacked_into`] — the inference hot path: the
 //!   constant operand is packed **once** into contiguous `NR`-column panels
 //!   (weight-stationary, like the paper's MAC arrays) and every call runs
-//!   the `MR×NR` register-tiled FMA microkernel straight from it.
+//!   the register-tiled FMA microkernel straight from it.
 //! * [`matmul_packed_into`] / [`matmul_packed_transb_into`] — the same
 //!   microkernel after a per-call pack into the [`Workspace`]'s buffer, for
 //!   products whose right-hand side is not a constant.
-//! * [`par_matmul`] — rayon-parallel reference kernel splitting over output
-//!   rows, for large one-off products with no outer parallelism.
 
 use crate::workspace::Workspace;
 use crate::{Float, Matrix};
-use rayon::prelude::*;
 use std::cell::Cell;
 
 /// Cache-block edge (in elements) for the serial kernel.
@@ -133,39 +143,75 @@ fn reference_loop_portable(a: &[Float], k: usize, n: usize, b: &[Float], c: &mut
     }
 }
 
-/// Rayon-parallel matrix product, parallelised over output rows.
-///
-/// Falls back to the serial kernel for small problems where the spawn
-/// overhead dominates.
-pub fn par_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(k, b.rows(), "par_matmul: inner dimension mismatch");
+/// Tile height (rows of A per register tile) of the portable and 256-bit
+/// tiles: `MR×NR = 6×16` is 12 independent YMM accumulators — enough to
+/// hide FMA latency on two issue ports — plus two for the panel row and one
+/// for the broadcast, 15 of AVX2's 16 registers.
+pub const MR: usize = 6;
+/// Tile height of the 512-bit tile, which spans two adjacent panels: one
+/// ZMM accumulator per row and panel, so `MR_512×2NR = 12×32` is 24
+/// independent chains plus two panel rows and a broadcast — 27 of
+/// AVX-512's 32 registers — and each broadcast feeds two FMAs.
+pub const MR_512: usize = 12;
+/// Panel width (columns of B per packed panel): two 256-bit vectors or one
+/// 512-bit vector of `f32` lanes.  The 512-bit tile grows in `MR` and in
+/// panels per tile, not in `NR`, so an `n = 100` product keeps its 12 %
+/// zero padding: three two-panel tiles and a 4-wide tail on the 256-bit
+/// tile.
+pub const NR: usize = 16;
 
-    // Small problems: not worth parallelising.
-    if m * n * k < 64 * 64 * 64 {
-        return matmul(a, b);
-    }
-
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let mut c = Matrix::zeros(m, n);
-    c.as_mut_slice()
-        .par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, c_row)| {
-            reference_loop(&a_data[i * k..(i + 1) * k], k, n, b_data, c_row);
-        });
-    c
+/// One compilation of the packed loop.  All of them run the module's
+/// recurrence and are bit-identical; [`F32Kernel::dispatched`] picks the
+/// fastest the CPU has, per call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum F32Kernel {
+    /// Scalar `f32::mul_add` loops: exact everywhere, slow without FMA.
+    Portable,
+    /// `MR×NR` tile of 12 YMM `vfmadd` chains.
+    Avx2,
+    /// `MR_512×2NR` tile of 24 ZMM chains over two panels; a lone last
+    /// panel runs one ZMM per row, or, at most 8 wide (the last one of
+    /// `n = 100`), the 256-bit tile at the same height.
+    Avx512,
 }
 
-/// Microkernel tile height (rows of A per register tile).
-pub const MR: usize = 6;
-/// Microkernel tile width (columns of B per packed panel): two 256-bit
-/// vectors of 8 `f32` lanes.  `MR×NR = 6×16` keeps 12 independent
-/// accumulator registers in flight — enough to hide FMA latency on two
-/// issue ports — plus two for the panel row and one for the broadcast.
-pub const NR: usize = 16;
+impl F32Kernel {
+    /// Every compilation, slowest first.
+    #[cfg(test)]
+    pub(crate) const ALL: [Self; 3] = [Self::Portable, Self::Avx2, Self::Avx512];
+
+    /// The fastest compilation this CPU runs.
+    pub(crate) fn dispatched() -> Self {
+        if Self::Avx512.available() {
+            Self::Avx512
+        } else if Self::Avx2.available() {
+            Self::Avx2
+        } else {
+            Self::Portable
+        }
+    }
+
+    /// True when this CPU can run the compilation.
+    pub(crate) fn available(self) -> bool {
+        match self {
+            Self::Portable => true,
+            Self::Avx2 => fma_available(),
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => fma_available() && std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Self::Avx512 => false,
+        }
+    }
+
+    /// The CPU feature the compilation is built for.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Self::Portable => "portable",
+            Self::Avx2 => "avx2+fma",
+            Self::Avx512 => "avx512f",
+        }
+    }
+}
 
 thread_local! {
     static PANEL_PACKS: Cell<u64> = const { Cell::new(0) };
@@ -262,46 +308,56 @@ impl PackedB {
     }
 }
 
-/// One `TILE_M×NR` register tile:
-/// `C[i0..i0+TILE_M, j0..j0+width] = A[i0..i0+TILE_M, :] · panel` (rows of
-/// `A` are `k` long and `lda ≥ k` apart), with one
+/// A register tile's accumulators as they leave the registers: `TILE_M`
+/// rows of up to two panels' lanes.
+type Tile<const TILE_M: usize> = [[Float; 2 * NR]; TILE_M];
+
+/// One register tile over `NP` adjacent panels:
+/// `C[i0..i0+TILE_M, j0..j0+width] = A[i0..i0+TILE_M, :] · panels` (rows of
+/// `A` are `k` long and `lda ≥ k` apart, `width ≤ NP·NR`), with one
 /// accumulator per output element, fused multiply-add and `k` strictly
-/// ascending — the module's numeric contract.  `FMA` selects the intrinsics
-/// kernel (the tile held in 12 YMM registers) over the portable scalar one;
-/// `TILE_M` is a const generic so every tile height is fully unrolled.
+/// ascending — the module's numeric contract.  `ISA` is an [`F32Kernel`]
+/// as `u8` and selects the intrinsics tiles (YMM or ZMM accumulators) over
+/// the portable scalar one; `TILE_M` is a const generic so every tile
+/// height is fully unrolled.  Only the 512-bit kernel spans two panels.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_kernel<const TILE_M: usize, const FMA: bool>(
+fn micro_kernel<const TILE_M: usize, const NP: usize, const ISA: u8>(
     a: &[Float],
     lda: usize,
     k: usize,
     i0: usize,
-    panel: &[Float],
+    panels: &[Float],
     c: &mut [Float],
     n: usize,
     j0: usize,
     width: usize,
 ) {
+    let portable = ISA == F32Kernel::Portable as u8;
+    debug_assert!(NP == 1 || ISA == F32Kernel::Avx512 as u8);
     let a_tile = &a[i0 * lda..(i0 + TILE_M - 1) * lda + k];
-    let panel = &panel[..k * NR];
-    let mut acc = [[0.0 as Float; NR]; TILE_M];
+    let panels = &panels[..NP * k * NR];
+    let mut acc: Tile<TILE_M> = [[0.0; 2 * NR]; TILE_M];
     #[cfg(target_arch = "x86_64")]
-    if FMA {
-        // A panel at most one vector wide (the last one of `n = 100`) skips
-        // the upper vector.
-        // SAFETY: `FMA` is true only under `packed_gemm_loop_fma`, which runs
-        // after the `avx2` and `fma` checks; the slices above hold exactly
-        // `(TILE_M - 1) * lda + k` and `k * NR` elements.
+    if !portable {
+        // A panel at most one YMM wide (the last one of `n = 100`) runs the
+        // 256-bit tile on its first vector, whichever kernel is dispatched.
+        // SAFETY: a vector `ISA` is set only under `packed_gemm_loop_fma` /
+        // `packed_gemm_loop_avx512`, which run after `F32Kernel::available`
+        // (`avx2` + `fma`, plus `avx512f` for the second); the slices above
+        // hold exactly `(TILE_M - 1) * lda + k` and `NP * k * NR` elements.
         unsafe {
             if width <= 8 {
-                accumulate_tile_fma::<TILE_M, 1>(a_tile, lda, k, panel, &mut acc)
+                accumulate_tile_fma::<TILE_M, 1>(a_tile, lda, k, panels, &mut acc)
+            } else if ISA == F32Kernel::Avx512 as u8 {
+                accumulate_tile_avx512::<TILE_M, NP>(a_tile, lda, k, panels, &mut acc)
             } else {
-                accumulate_tile_fma::<TILE_M, 2>(a_tile, lda, k, panel, &mut acc)
+                accumulate_tile_fma::<TILE_M, 2>(a_tile, lda, k, panels, &mut acc)
             }
         };
     }
-    if !FMA {
-        for (kk, b_lane) in panel.chunks_exact(NR).enumerate() {
+    if portable {
+        for (kk, b_lane) in panels.chunks_exact(NR).enumerate() {
             for (i, acc_row) in acc.iter_mut().enumerate() {
                 let aik = a_tile[i * lda + kk];
                 for (s, &b) in acc_row.iter_mut().zip(b_lane) {
@@ -323,7 +379,7 @@ fn micro_kernel<const TILE_M: usize, const FMA: bool>(
 /// # Safety
 /// The CPU must support `avx2` and `fma`;
 /// `a_tile.len() == (TILE_M - 1) * lda + k` with `lda >= k`,
-/// `panel.len() == k * NR` and `NV <= 2`.
+/// `panel.len() >= k * NR` and `NV <= 2`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
@@ -332,14 +388,14 @@ unsafe fn accumulate_tile_fma<const TILE_M: usize, const NV: usize>(
     lda: usize,
     k: usize,
     panel: &[Float],
-    acc: &mut [[Float; NR]; TILE_M],
+    acc: &mut Tile<TILE_M>,
 ) {
     use std::arch::x86_64::{
         _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
     debug_assert!(lda >= k);
     debug_assert_eq!(a_tile.len(), (TILE_M - 1) * lda + k);
-    debug_assert_eq!(panel.len(), k * NR);
+    debug_assert!(panel.len() >= k * NR);
     debug_assert!(8 * NV <= NR);
     let a_ptr = a_tile.as_ptr();
     let b_ptr = panel.as_ptr();
@@ -363,10 +419,59 @@ unsafe fn accumulate_tile_fma<const TILE_M: usize, const NV: usize>(
     }
 }
 
+/// The `avx512f` tile accumulation over `NP` adjacent panels: per `k`, one
+/// 16-lane row of each panel and `TILE_M` broadcasts feed `NP·TILE_M`
+/// independent `vfmadd` chains — the 256-bit tile's recurrence at twice
+/// the lanes.  Two panels make each broadcast feed two FMAs: one load per
+/// FMA left the 12-row, one-panel tile load-bound at ~60 % of the 512-bit
+/// peak.  Lanes beyond `16·NP` of `acc` are left untouched.
+///
+/// # Safety
+/// The CPU must support `avx512f`;
+/// `a_tile.len() == (TILE_M - 1) * lda + k` with `lda >= k`,
+/// `panels.len() == NP * k * NR` and `NP <= 2`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn accumulate_tile_avx512<const TILE_M: usize, const NP: usize>(
+    a_tile: &[Float],
+    lda: usize,
+    k: usize,
+    panels: &[Float],
+    acc: &mut Tile<TILE_M>,
+) {
+    use std::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    debug_assert!(lda >= k);
+    debug_assert_eq!(a_tile.len(), (TILE_M - 1) * lda + k);
+    debug_assert_eq!(panels.len(), NP * k * NR);
+    debug_assert!(NP <= 2);
+    let a_ptr = a_tile.as_ptr();
+    let b_ptr = panels.as_ptr();
+    let mut sums = [[_mm512_setzero_ps(); NP]; TILE_M];
+    for kk in 0..k {
+        let mut b = [_mm512_setzero_ps(); NP];
+        for (p, b_p) in b.iter_mut().enumerate() {
+            *b_p = _mm512_loadu_ps(b_ptr.add(p * k * NR + kk * NR));
+        }
+        for (i, row) in sums.iter_mut().enumerate() {
+            let aik = _mm512_set1_ps(*a_ptr.add(i * lda + kk));
+            for (sum, &b_p) in row.iter_mut().zip(&b) {
+                *sum = _mm512_fmadd_ps(aik, b_p, *sum);
+            }
+        }
+    }
+    for (acc_row, row) in acc.iter_mut().zip(&sums) {
+        for (p, &sum) in row.iter().enumerate() {
+            _mm512_storeu_ps(acc_row.as_mut_ptr().add(p * NR), sum);
+        }
+    }
+}
+
 /// Runs the microkernel over all row/panel tiles of `C = A·panels`, the
-/// `m` rows of `A` being `k` long and `lda ≥ k` apart: the `avx2,fma`
-/// kernel when the CPU has both, the portable one otherwise (same
-/// recurrence, same bits).
+/// `m` rows of `A` being `k` long and `lda ≥ k` apart, on the fastest
+/// compilation the CPU has (same recurrence, same bits on every one).
 fn packed_gemm_loop(
     a: &[Float],
     lda: usize,
@@ -376,13 +481,32 @@ fn packed_gemm_loop(
     packed: &[Float],
     c: &mut [Float],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: feature presence checked at runtime just above.
-        unsafe { packed_gemm_loop_fma(a, lda, m, k, n, packed, c) };
-        return;
+    // SAFETY: `dispatched` returns a kernel this CPU runs.
+    unsafe { packed_gemm_loop_on(F32Kernel::dispatched(), a, lda, m, k, n, packed, c) }
+}
+
+/// [`packed_gemm_loop`] on the given compilation.
+///
+/// # Safety
+/// `kernel.available()` must hold.
+#[allow(clippy::too_many_arguments)]
+unsafe fn packed_gemm_loop_on(
+    kernel: F32Kernel,
+    a: &[Float],
+    lda: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    packed: &[Float],
+    c: &mut [Float],
+) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        F32Kernel::Avx512 => packed_gemm_loop_avx512(a, lda, m, k, n, packed, c),
+        #[cfg(target_arch = "x86_64")]
+        F32Kernel::Avx2 => packed_gemm_loop_fma(a, lda, m, k, n, packed, c),
+        _ => packed_gemm_tiles::<{ F32Kernel::Portable as u8 }>(a, lda, m, k, n, packed, c),
     }
-    packed_gemm_tiles::<false>(a, lda, m, k, n, packed, c);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -396,11 +520,12 @@ unsafe fn packed_gemm_loop_fma(
     packed: &[Float],
     c: &mut [Float],
 ) {
-    packed_gemm_tiles::<true>(a, lda, m, k, n, packed, c);
+    packed_gemm_tiles::<{ F32Kernel::Avx2 as u8 }>(a, lda, m, k, n, packed, c);
 }
 
-#[inline(always)]
-fn packed_gemm_tiles<const FMA: bool>(
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn packed_gemm_loop_avx512(
     a: &[Float],
     lda: usize,
     m: usize,
@@ -409,22 +534,48 @@ fn packed_gemm_tiles<const FMA: bool>(
     packed: &[Float],
     c: &mut [Float],
 ) {
-    for (p, panel) in packed[..packed_len(k, n)].chunks_exact(k * NR).enumerate() {
-        let j0 = p * NR;
-        let width = NR.min(n - j0);
+    packed_gemm_tiles::<{ F32Kernel::Avx512 as u8 }>(a, lda, m, k, n, packed, c);
+}
+
+#[inline(always)]
+fn packed_gemm_tiles<const ISA: u8>(
+    a: &[Float],
+    lda: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    packed: &[Float],
+    c: &mut [Float],
+) {
+    let avx512 = ISA == F32Kernel::Avx512 as u8;
+    let mr = if avx512 { MR_512 } else { MR };
+    let mut j0 = 0;
+    while j0 < n {
+        // The 512-bit kernel spans two panels while more than a ZMM and a
+        // YMM of columns remain, so a last panel ≤ 8 wide keeps its
+        // 256-bit tile.
+        let pair = avx512 && n - j0 > NR + 8;
+        let width = (if pair { 2 * NR } else { NR }).min(n - j0);
+        let panels = &packed[j0 * k..];
         let mut i0 = 0;
-        while i0 + MR <= m {
-            micro_kernel::<MR, FMA>(a, lda, k, i0, panel, c, n, j0, width);
-            i0 += MR;
+        while i0 < m {
+            let rows = mr.min(m - i0);
+            macro_rules! tile_of_height {
+                ($np:literal: $($h:literal)*) => {
+                    match rows {
+                        $($h => micro_kernel::<$h, $np, ISA>(a, lda, k, i0, panels, c, n, j0, width),)*
+                        _ => unreachable!("tiles are at most MR_512 rows"),
+                    }
+                };
+            }
+            if pair {
+                tile_of_height!(2: 1 2 3 4 5 6 7 8 9 10 11 12);
+            } else {
+                tile_of_height!(1: 1 2 3 4 5 6 7 8 9 10 11 12);
+            }
+            i0 += rows;
         }
-        match m - i0 {
-            1 => micro_kernel::<1, FMA>(a, lda, k, i0, panel, c, n, j0, width),
-            2 => micro_kernel::<2, FMA>(a, lda, k, i0, panel, c, n, j0, width),
-            3 => micro_kernel::<3, FMA>(a, lda, k, i0, panel, c, n, j0, width),
-            4 => micro_kernel::<4, FMA>(a, lda, k, i0, panel, c, n, j0, width),
-            5 => micro_kernel::<5, FMA>(a, lda, k, i0, panel, c, n, j0, width),
-            _ => {}
-        }
+        j0 += width;
     }
 }
 
@@ -688,11 +839,11 @@ mod tests {
         (138, 200, 100),
     ];
 
-    /// [`ODD_SHAPES`] plus every `MR`-edge height against every `NR`-edge
-    /// width.
+    /// [`ODD_SHAPES`] plus every `MR`- and `MR_512`-edge height against
+    /// every `NR`-edge width.
     fn kernel_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = ODD_SHAPES.to_vec();
-        for m in [5, 6, 7, 11, 12, 13] {
+        for m in [5, 6, 7, 11, 12, 13, 23, 24, 25] {
             for n in [15, 16, 17, 31, 32, 33, 100] {
                 shapes.push((m, 3 + m + n % 7, n));
             }
@@ -713,7 +864,6 @@ mod tests {
             let shape = format!("{m}x{k}x{n}");
 
             assert_eq!(matmul(&a, &b).as_slice(), expect, "matmul {shape}");
-            assert_eq!(par_matmul(&a, &b).as_slice(), expect, "par {shape}");
             let packed = matmul_packed(&a, &b, &mut ws);
             assert_eq!(packed.as_slice(), expect, "packed {shape}");
             ws.recycle_matrix(packed);
@@ -745,42 +895,84 @@ mod tests {
                 assert_eq!(c.as_slice(), copied.as_slice(), "cols {cols:?} of {shape}");
             }
 
-            // Both compilations of both loops, called directly, so an FMA
-            // host proves the portable fallback too.
-            c.as_mut_slice().fill(42.0);
-            packed_gemm_tiles::<false>(
-                a.as_slice(),
-                k,
-                m,
-                k,
-                n,
-                &prepacked.panels,
-                c.as_mut_slice(),
-            );
-            assert_eq!(c.as_slice(), expect, "portable tiles {shape}");
+            // Every compilation of both loops, called directly, so one host
+            // proves each fallback below its dispatched kernel too.
+            for kernel in runnable_kernels() {
+                c.as_mut_slice().fill(42.0);
+                run_packed(kernel, &a, &prepacked, &mut c);
+                assert_eq!(c.as_slice(), expect, "{} tiles {shape}", kernel.name());
+            }
             c.as_mut_slice().fill(0.0);
             reference_loop_portable(a.as_slice(), k, n, b.as_slice(), c.as_mut_slice());
             assert_eq!(c.as_slice(), expect, "portable reference {shape}");
             #[cfg(target_arch = "x86_64")]
             if fma_available() {
-                c.as_mut_slice().fill(42.0);
-                // SAFETY: feature presence checked just above.
-                unsafe {
-                    packed_gemm_loop_fma(
-                        a.as_slice(),
-                        k,
-                        m,
-                        k,
-                        n,
-                        &prepacked.panels,
-                        c.as_mut_slice(),
-                    )
-                };
-                assert_eq!(c.as_slice(), expect, "fma tiles {shape}");
                 c.as_mut_slice().fill(0.0);
-                // SAFETY: as above.
+                // SAFETY: feature presence checked just above.
                 unsafe { reference_loop_fma(a.as_slice(), k, n, b.as_slice(), c.as_mut_slice()) };
                 assert_eq!(c.as_slice(), expect, "fma reference {shape}");
+            }
+        }
+    }
+
+    /// The packed-loop compilations this CPU runs; each one it lacks is
+    /// named on stdout, so a host without it does not pass silently.
+    fn runnable_kernels() -> Vec<F32Kernel> {
+        F32Kernel::ALL
+            .into_iter()
+            .filter(|kernel| {
+                let runs = kernel.available();
+                if !runs {
+                    println!("skipped: cpu lacks {}", kernel.name());
+                }
+                runs
+            })
+            .collect()
+    }
+
+    /// `C = A·B` on one compilation of the packed loop, called directly.
+    fn run_packed(kernel: F32Kernel, a: &Matrix, b: &PackedB, c: &mut Matrix) {
+        assert!(kernel.available(), "{} cannot run here", kernel.name());
+        let (m, k) = a.shape();
+        // SAFETY: availability asserted just above.
+        unsafe {
+            packed_gemm_loop_on(
+                kernel,
+                a.as_slice(),
+                k,
+                m,
+                k,
+                b.n,
+                &b.panels,
+                c.as_mut_slice(),
+            )
+        };
+    }
+
+    #[test]
+    fn every_tile_height_meets_every_width_remainder_on_every_kernel() {
+        // Heights 1..=MR_512 (+1, a full tile and a one-row tail) against
+        // every width up to three panels: one panel of every width, a full
+        // panel plus every remainder, a two-panel tile plus every remainder
+        // — each tile shape of the 512-bit kernel (two panels, one, the
+        // 256-bit tail) with its padded lanes included.
+        let mut rng = TensorRng::new(78);
+        for kernel in runnable_kernels() {
+            for m in 1..=MR_512 + 1 {
+                for n in 1..=3 * NR {
+                    let k = 1 + (3 * m + n) % 19;
+                    let a = rng.uniform_matrix(m, k, -1.0, 1.0);
+                    let b = rng.uniform_matrix(k, n, -1.0, 1.0);
+                    let mut c = Matrix::full(m, n, 42.0);
+                    run_packed(
+                        kernel,
+                        &a,
+                        &PackedB::from_transposed(&b.transpose()),
+                        &mut c,
+                    );
+                    let name = kernel.name();
+                    assert_eq!(c, naive_matmul(&a, &b), "{name} {m}x{k}x{n}");
+                }
             }
         }
     }
@@ -788,7 +980,7 @@ mod tests {
     #[test]
     fn no_kernel_skips_zero_times_infinity() {
         // 0·∞ = NaN must reach the output of every kernel; a zero-skip would
-        // mask it.  64³ keeps `par_matmul` on its parallel branch.
+        // mask it.
         let mut rng = TensorRng::new(81);
         let mut ws = Workspace::new();
         let mut a = rng.uniform_matrix(64, 64, -1.0, 1.0);
@@ -799,11 +991,17 @@ mod tests {
         let row = vecmat(a.row(3), &b);
         for (name, got) in [
             ("matmul", matmul(&a, &b)[(3, 7)]),
-            ("par_matmul", par_matmul(&a, &b)[(3, 7)]),
             ("packed", packed[(3, 7)]),
             ("vecmat", row[7]),
         ] {
             assert!(got.is_nan(), "{name} masked 0·inf: {got}");
+        }
+        let prepacked = PackedB::from_transposed(&b.transpose());
+        for kernel in runnable_kernels() {
+            let mut c = Matrix::zeros(64, 64);
+            run_packed(kernel, &a, &prepacked, &mut c);
+            let got = c[(3, 7)];
+            assert!(got.is_nan(), "{} masked 0·inf: {got}", kernel.name());
         }
     }
 

@@ -12,37 +12,56 @@
 //! ```
 //!
 //! where `A_q`/`B_q` are `i8` (activations / weights), the accumulation is
-//! exact `i32`, and the epilogue fuses the dequantization (`scale[j]`
-//! typically `a_scale · w_scale[j]`) and bias add so no intermediate i32
-//! matrix is materialised.
+//! exact `i32`, and the epilogue applies the dequantization (`scale[j]`
+//! typically `a_scale · w_scale[j]`) and bias add in the same pass, so no
+//! intermediate i32 matrix is materialised.  The epilogue is **unfused** on
+//! every path — `(acc as f32 · scale) + bias`, three roundings, no FMA —
+//! so given the same integer sum every path writes the same bits.
 //!
-//! Layout contract (shared by the scalar and AVX2 paths, so both produce
-//! **identical** results — integer accumulation is exact regardless of
-//! vectorisation):
+//! Layout contract (shared by the scalar, AVX2 and VNNI paths, so all three
+//! produce **identical** results — integer accumulation is exact regardless
+//! of vectorisation):
 //!
 //! * The right-hand side is the weight matrix in `Linear`'s natural
 //!   `out_dim × in_dim` row-major layout (i.e. already transposed), packed by
 //!   [`pack_rhs_i8`] into panels of [`NR_I8`] output columns × k-blocks of
 //!   [`KB_I8`] values: within a k-block the 4 consecutive `k` values of one
 //!   output column are adjacent bytes.  This is the byte order
-//!   `maddubs`/`madd` reduce natively: 4 adjacent bytes → one i32 lane.
+//!   `maddubs`/`madd` and `vpdpbusd` reduce natively: 4 adjacent bytes →
+//!   one i32 lane.
 //! * The left-hand side rows are `i8` with a stride rounded up to a multiple
 //!   of [`KB_I8`] and zero-padded (see [`padded_k`]), so the vector path can
 //!   read whole 4-byte groups without a tail loop.
 //!
-//! The AVX2 path uses the standard `abs/sign` trick to feed the unsigned ×
-//! signed `maddubs` instruction with two signed operands:
+//! The loop is compiled three times and picked at run time by CPU feature
+//! (`I8Kernel`).  The AVX2 path uses the standard `abs/sign` trick to feed
+//! the unsigned × signed `maddubs` instruction with two signed operands:
 //! `maddubs(|a|, sign(b, a)) = a·b` per byte pair.  Because quantized values
 //! are clamped to `[-127, 127]` (never −128), the intermediate i16 pair sums
 //! are bounded by `2·127² = 32258 < 32767` and can never saturate, keeping
 //! the vector path exactly equal to the scalar loop.
+//!
+//! The VNNI path (`avx512_vnni`) replaces `maddubs + madd + add` with one
+//! `vpdpbusd`: four u8 × i8 products, each exact in i16 (`|255·127| <
+//! 2¹⁵`), summed into an i32 lane without saturation.  Its unsigned operand
+//! is the weight offset by +128 (`b ^ 0x80` as u8 ∈ `[1, 255]`), flipped in
+//! the register once per panel row and shared by the tile's `MR_VNNI` rows
+//! — offsetting each broadcast activation instead costs one more
+//! instruction per `vpdpbusd` and measured half the speed.  Each row's
+//! accumulators start at `−128·Σ_k a[i][k]`, so they end at
+//! `Σ_k (b + 128)·a − 128·Σ_k a = Σ_k a·b`: every step is exact arithmetic
+//! modulo 2³² and the true sum fits in an i32, so the result equals the
+//! scalar loop's (k-padding cancels too: a padded weight byte is 0, so
+//! `(0 + 128)·a` meets its own `−128·a`).  Two 8-column panels share one
+//! ZMM register, so the packed layout did not change.
 
 use crate::{Float, Matrix};
 
-/// Output columns per packed panel (i32 lanes in one 256-bit register).
+/// Output columns per packed panel: the i32 lanes of one 256-bit register,
+/// or half of a 512-bit one (the VNNI path runs two panels per register).
 pub const NR_I8: usize = 8;
-/// `k` values per block — the 4 adjacent bytes one `maddubs`+`madd` pair
-/// reduces into a single i32 lane.
+/// `k` values per block — the 4 adjacent bytes one `maddubs`+`madd` pair,
+/// or one `vpdpbusd`, reduces into a single i32 lane.
 pub const KB_I8: usize = 4;
 
 /// Quantized values are clamped to `±Q_MAX`; −128 is excluded so the AVX2
@@ -198,13 +217,102 @@ pub fn pack_rhs_i8(bt: &[i8], n: usize, k: usize, packed: &mut [i8]) {
 ///   `a_scale · w_scale[j]`.
 /// * `bias` — optional per-output-column f32 bias (length `n`).
 ///
-/// Dispatches to an AVX2 `maddubs` microkernel when the CPU supports it; the
-/// scalar fallback produces bit-identical results (exact integer math).
+/// Runs the fastest compilation the CPU has — VNNI, AVX2 or scalar — and
+/// all three produce bit-identical results (exact integer math, the same
+/// unfused epilogue).
 ///
 /// # Panics
 /// Panics on undersized buffers.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_i8_dequant_into(
+    a_q: &[i8],
+    m: usize,
+    k: usize,
+    packed: &[i8],
+    n: usize,
+    scales: &[Float],
+    bias: Option<&[Float]>,
+    out: &mut Matrix,
+) {
+    // SAFETY: `dispatched` returns a kernel this CPU runs.
+    unsafe {
+        matmul_i8_dequant_on(
+            I8Kernel::dispatched(),
+            a_q,
+            m,
+            k,
+            packed,
+            n,
+            scales,
+            bias,
+            out,
+        )
+    }
+}
+
+/// One compilation of the int8 loop.  Integer accumulation is exact, so all
+/// of them produce the same sums, and through the same epilogue the same
+/// bits; [`I8Kernel::dispatched`] picks the fastest the CPU has, per call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum I8Kernel {
+    /// Scalar loops.
+    Scalar,
+    /// `maddubs` + `madd` + `add` on one 8-lane panel, `MR_I8` rows a tile.
+    Avx2,
+    /// `vpdpbusd` on two panels per ZMM register, `MR_VNNI` rows a tile.
+    Vnni,
+}
+
+impl I8Kernel {
+    /// Every compilation, slowest first.
+    #[cfg(test)]
+    pub(crate) const ALL: [Self; 3] = [Self::Scalar, Self::Avx2, Self::Vnni];
+
+    /// The fastest compilation this CPU runs.
+    pub(crate) fn dispatched() -> Self {
+        if Self::Vnni.available() {
+            Self::Vnni
+        } else if Self::Avx2.available() {
+            Self::Avx2
+        } else {
+            Self::Scalar
+        }
+    }
+
+    /// True when this CPU can run the compilation.
+    pub(crate) fn available(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                Self::Scalar => true,
+                Self::Avx2 => has!("avx2"),
+                Self::Vnni => has!("avx512f") && has!("avx512vnni"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Self::Scalar
+        }
+    }
+
+    /// The CPU feature the compilation is built for.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Self::Scalar => "scalar",
+            Self::Avx2 => "avx2",
+            Self::Vnni => "avx512_vnni",
+        }
+    }
+}
+
+/// [`matmul_i8_dequant_into`] on the given compilation.
+///
+/// # Safety
+/// `kernel.available()` must hold.
+#[allow(clippy::too_many_arguments)]
+unsafe fn matmul_i8_dequant_on(
+    kernel: I8Kernel,
     a_q: &[i8],
     m: usize,
     k: usize,
@@ -232,18 +340,14 @@ pub fn matmul_i8_dequant_into(
     if m == 0 || n == 0 {
         return;
     }
-
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence checked at runtime just above.
-            unsafe {
-                gemm_i8_loop_avx2(a_q, m, kp, packed, n, scales, bias, out.as_mut_slice());
-            }
-            return;
-        }
+    let out = out.as_mut_slice();
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        I8Kernel::Vnni => gemm_i8_loop_vnni(a_q, m, kp, packed, n, scales, bias, out),
+        #[cfg(target_arch = "x86_64")]
+        I8Kernel::Avx2 => gemm_i8_loop_avx2(a_q, m, kp, packed, n, scales, bias, out),
+        _ => gemm_i8_loop_scalar(a_q, m, kp, packed, n, scales, bias, out),
     }
-    gemm_i8_loop_scalar(a_q, m, kp, packed, n, scales, bias, out.as_mut_slice());
 }
 
 /// Raw i32 accumulation (no dequant) — the reference the property tests pin
@@ -272,7 +376,7 @@ pub fn matmul_i8_i32_into(a_q: &[i8], m: usize, k: usize, packed: &[i8], n: usiz
     }
 }
 
-/// Rows of A per register tile.
+/// Rows of A per AVX2 register tile.
 const MR_I8: usize = 4;
 
 #[allow(clippy::too_many_arguments)]
@@ -386,6 +490,120 @@ unsafe fn gemm_i8_loop_avx2(
     }
 }
 
+/// Rows of A per VNNI register tile: 12 ZMM accumulators, each panel row
+/// loaded (and offset) once for 12 `vpdpbusd`s.
+const MR_VNNI: usize = 12;
+
+/// VNNI microkernel: `MR_VNNI` rows at a time against every panel pair,
+/// `vpdpbusd` reducing 4 bytes per lane per instruction.  The weights are
+/// offset to unsigned in registers and each row's accumulators start at
+/// the offset's correction — exact, see the module docs — and the dequant
+/// epilogue is vectorised but unfused, as in the scalar loop.
+///
+/// # Safety
+/// The CPU must support `avx512f` and `avx512vnni`; `a_q` holds `m` rows of
+/// `kp` bytes, `packed` holds `⌈n/NR_I8⌉` panels of `kp·NR_I8` bytes,
+/// `scales` (and `bias`) hold `n` values and `out` holds `m × n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_i8_loop_vnni(
+    a_q: &[i8],
+    m: usize,
+    kp: usize,
+    packed: &[i8],
+    n: usize,
+    scales: &[Float],
+    bias: Option<&[Float]>,
+    out: &mut [Float],
+) {
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = MR_VNNI.min(m - i0);
+        let a_rows = &a_q[i0 * kp..(i0 + rows) * kp];
+        let out_rows = &mut out[i0 * n..(i0 + rows) * n];
+        macro_rules! tile_of_height {
+            ($($h:literal)*) => {
+                match rows {
+                    $($h => vnni_rows::<$h>(a_rows, kp, packed, n, scales, bias, out_rows),)*
+                    _ => unreachable!("tiles are at most MR_VNNI rows"),
+                }
+            };
+        }
+        tile_of_height!(1 2 3 4 5 6 7 8 9 10 11 12);
+        i0 += rows;
+    }
+}
+
+/// One `TILE_M`-row tile of [`gemm_i8_loop_vnni`] across all panels, two
+/// at a time: lanes 0–7 of a ZMM are panel `p`, lanes 8–15 panel `p + 1`
+/// (zero weights for a lone last panel, never stored).
+///
+/// # Safety
+/// As [`gemm_i8_loop_vnni`], with `a_rows` and `out` the tile's `TILE_M`
+/// rows.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn vnni_rows<const TILE_M: usize>(
+    a_rows: &[i8],
+    kp: usize,
+    packed: &[i8],
+    n: usize,
+    scales: &[Float],
+    bias: Option<&[Float]>,
+    out: &mut [Float],
+) {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(a_rows.len(), TILE_M * kp);
+    debug_assert_eq!(out.len(), TILE_M * n);
+    // −128 · Σ_k a[i][k]: cancels what the +128 on the weights adds.
+    let mut start = [_mm512_setzero_si512(); TILE_M];
+    for (s, row) in start.iter_mut().zip(a_rows.chunks_exact(kp)) {
+        let sum: i32 = row.iter().map(|&x| i32::from(x)).sum();
+        *s = _mm512_set1_epi32(sum.wrapping_mul(-128));
+    }
+    let flip = _mm512_set1_epi8(i8::MIN);
+    let a_ptr = a_rows.as_ptr();
+    let panel_bytes = kp * NR_I8;
+    let panels = n.div_ceil(NR_I8);
+    for p in (0..panels).step_by(2) {
+        let pair = p + 1 < panels;
+        let j0 = p * NR_I8;
+        let width = (2 * NR_I8).min(n - j0);
+        let panel = packed.as_ptr().add(p * panel_bytes);
+        let mut acc = start;
+        for kb in 0..kp / KB_I8 {
+            let at = kb * NR_I8 * KB_I8;
+            let low = _mm256_loadu_si256(panel.add(at) as *const __m256i);
+            let b = if pair {
+                let high = _mm256_loadu_si256(panel.add(panel_bytes + at) as *const __m256i);
+                _mm512_inserti64x4::<1>(_mm512_castsi256_si512(low), high)
+            } else {
+                _mm512_zextsi256_si512(low)
+            };
+            // b + 128 as u8 (the sign bit flipped).
+            let b_u8 = _mm512_xor_si512(b, flip);
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a_dword = (a_ptr.add(r * kp + kb * KB_I8) as *const i32).read_unaligned();
+                *acc_r = _mm512_dpbusd_epi32(*acc_r, b_u8, _mm512_set1_epi32(a_dword));
+            }
+        }
+        // Dequant epilogue, unfused: i32 → f32, × scale, + bias.
+        let mask: __mmask16 = ((1u32 << width) - 1) as __mmask16;
+        let scale = _mm512_maskz_loadu_ps(mask, scales.as_ptr().add(j0));
+        let bias = bias.map(|b| _mm512_maskz_loadu_ps(mask, b.as_ptr().add(j0)));
+        for (r, &acc_r) in acc.iter().enumerate() {
+            let v = _mm512_mul_ps(_mm512_cvtepi32_ps(acc_r), scale);
+            let v = match bias {
+                Some(b) => _mm512_add_ps(v, b),
+                None => v,
+            };
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add(r * n + j0), mask, v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,15 +651,52 @@ mod tests {
         (4, 8, 8),
         (5, 9, 17),
         (7, 33, 9),
+        (12, 10, 16),
         (13, 64, 1),
+        (13, 11, 24),
         (16, 31, 24),
+        (24, 7, 25),
         (31, 47, 61),
         (64, 64, 64),
         (65, 63, 66),
+        // The paper's projections: GRU input, attention K/V, attention Q.
+        (138, 472, 100),
+        (35, 372, 100),
+        (17, 200, 100),
     ];
 
+    /// The int8 compilations this CPU runs; each one it lacks is named on
+    /// stdout, so a host without it does not pass silently.
+    fn runnable_kernels() -> Vec<I8Kernel> {
+        I8Kernel::ALL
+            .into_iter()
+            .filter(|kernel| {
+                let runs = kernel.available();
+                if !runs {
+                    println!("skipped: cpu lacks {}", kernel.name());
+                }
+                runs
+            })
+            .collect()
+    }
+
+    /// `dequant(A·Bᵀ)` on one compilation, called directly.
+    fn run(
+        kernel: I8Kernel,
+        a: &[i8],
+        (m, k, n): (usize, usize, usize),
+        packed: &[i8],
+        scales: &[Float],
+        bias: Option<&[Float]>,
+        out: &mut Matrix,
+    ) {
+        assert!(kernel.available(), "{} cannot run here", kernel.name());
+        // SAFETY: availability asserted just above.
+        unsafe { matmul_i8_dequant_on(kernel, a, m, k, packed, n, scales, bias, out) };
+    }
+
     #[test]
-    fn dispatch_matches_naive_reference_exactly_across_shapes_and_seeds() {
+    fn every_kernel_matches_naive_reference_exactly_across_shapes_and_seeds() {
         for seed in [7u64, 21, 99] {
             let mut rng = TensorRng::new(seed);
             for &(m, k, n) in SHAPES {
@@ -457,30 +712,59 @@ mod tests {
                 matmul_i8_i32_into(&a, m, k, &packed, n, &mut c_i32);
                 assert_eq!(c_i32, reference, "i32 path at {m}x{k}x{n} seed {seed}");
 
-                // Dequant path with unit scales must equal the i32 reference
-                // cast to f32 (plus bias when supplied).
-                let scales = vec![1.0; n];
-                let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25).collect();
-                let mut out = Matrix::full(m, n, 42.0);
-                matmul_i8_dequant_into(&a, m, k, &packed, n, &scales, Some(&bias), &mut out);
-                for i in 0..m {
-                    for j in 0..n {
-                        assert_eq!(
-                            out[(i, j)],
-                            reference[i * n + j] as f32 + bias[j],
-                            "dequant path at {m}x{k}x{n} ({i},{j})"
-                        );
+                // Every dequant path equals the exact sum through the
+                // unfused epilogue, `(acc as f32 · scale) + bias`, bit for
+                // bit — with and without a bias.
+                let scales = rng.uniform_vec(n, 1e-4, 2e-2);
+                let bias = rng.uniform_vec(n, -1.0, 1.0);
+                for kernel in runnable_kernels() {
+                    for bias in [Some(&bias[..]), None] {
+                        let mut out = Matrix::full(m, n, 42.0);
+                        run(kernel, &a, (m, k, n), &packed, &scales, bias, &mut out);
+                        for i in 0..m {
+                            for j in 0..n {
+                                let v = reference[i * n + j] as f32 * scales[j];
+                                assert_eq!(
+                                    out[(i, j)],
+                                    bias.map_or(v, |b| v + b[j]),
+                                    "{} at {m}x{k}x{n} ({i},{j}) seed {seed}",
+                                    kernel.name()
+                                );
+                            }
+                        }
                     }
                 }
+                let mut out = Matrix::full(m, n, 42.0);
+                matmul_i8_dequant_into(&a, m, k, &packed, n, &scales, None, &mut out);
+                let dispatched = I8Kernel::dispatched();
+                let mut expect = Matrix::full(m, n, 42.0);
+                run(
+                    dispatched,
+                    &a,
+                    (m, k, n),
+                    &packed,
+                    &scales,
+                    None,
+                    &mut expect,
+                );
+                assert_eq!(out, expect, "the public entry runs the dispatched kernel");
             }
         }
     }
 
     #[test]
     fn extreme_values_do_not_saturate_the_vector_path() {
-        // All-±127 operands maximise every intermediate the AVX2 path
-        // produces; the result must still match exact integer math.
-        for &(m, k, n) in &[(4, 64, 8), (5, 129, 9)] {
+        // All-±127 operands maximise every intermediate the vector paths
+        // produce — the AVX2 i16 pair sums, the VNNI offset weights and
+        // row corrections — at the paper's depths and `k % 4 ≠ 0`; the
+        // result must still match exact integer math.
+        for &(m, k, n) in &[
+            (4, 64, 8),
+            (5, 129, 9),
+            (13, 472, 100),
+            (12, 1001, 24),
+            (3, 1001, 17),
+        ] {
             let kp = padded_k(k);
             let mut a = vec![0i8; m * kp];
             for i in 0..m {
@@ -488,18 +772,27 @@ mod tests {
                     a[i * kp + kk] = if (i + kk) % 2 == 0 { 127 } else { -127 };
                 }
             }
+            // One row of each sign throughout: every product at its largest.
+            a[..k].fill(-127);
             let bt: Vec<i8> = (0..n * k)
-                .map(|x| if x % 3 == 0 { -127 } else { 127 })
+                .map(|x| if x % 3 == 0 || x < k { -127 } else { 127 })
                 .collect();
             let mut packed = vec![0i8; packed_rhs_len(n, k)];
             pack_rhs_i8(&bt, n, k, &mut packed);
             let reference = naive_i8(&a, m, k, &bt, n);
             let scales = vec![1.0; n];
-            let mut out = Matrix::zeros(m, n);
-            matmul_i8_dequant_into(&a, m, k, &packed, n, &scales, None, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    assert_eq!(out[(i, j)], reference[i * n + j] as f32, "({i},{j})");
+            for kernel in runnable_kernels() {
+                let mut out = Matrix::zeros(m, n);
+                run(kernel, &a, (m, k, n), &packed, &scales, None, &mut out);
+                for i in 0..m {
+                    for j in 0..n {
+                        assert_eq!(
+                            out[(i, j)],
+                            reference[i * n + j] as f32,
+                            "{} {m}x{k}x{n} ({i},{j})",
+                            kernel.name()
+                        );
+                    }
                 }
             }
         }

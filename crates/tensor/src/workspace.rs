@@ -41,8 +41,9 @@ impl Workspace {
 
     /// Checks out a zero-filled buffer of exactly `len` elements.
     ///
-    /// Prefers the pooled buffer with the largest capacity so one warm
-    /// large-shape call can serve all smaller subsequent requests.
+    /// Takes the pooled buffer with the smallest capacity that fits, so
+    /// large buffers stay free for large requests; when none fits, the
+    /// largest one, which grows once and then serves that shape.
     pub fn take(&mut self, len: usize) -> Vec<Float> {
         let mut buf = match best_fit(&self.pool, len) {
             Some(idx) => self.pool.swap_remove(idx),
