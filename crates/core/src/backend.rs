@@ -130,8 +130,8 @@ pub struct GnnStageOutput {
 /// A prepared compute backend: owned weights plus the stage entry points.
 ///
 /// Implementations must be cheap to share (`Send + Sync`) — the serving
-/// pipeline hands one `Arc<dyn ComputeBackend>` to every worker of the
-/// backend's GNN pool.
+/// pipeline's GNN worker and its recovery path hold the same
+/// `Arc<dyn ComputeBackend>`.
 pub trait ComputeBackend: Send + Sync {
     /// Which datapath this backend implements.
     fn kind(&self) -> BackendKind;

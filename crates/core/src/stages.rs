@@ -347,69 +347,6 @@ impl GnnJobBatch {
         &self.touched
     }
 
-    /// Splits the job into at most `parts` contiguous sub-jobs over the
-    /// touched vertices, each self-contained and independently computable.
-    ///
-    /// Because [`Self::run`] is row-independent (each embedding depends only
-    /// on its own vertex's gathered inputs — the property that already makes
-    /// the batched path bit-identical to the serial engine), running the
-    /// sub-jobs in any order and concatenating their outputs **in part
-    /// order** reproduces the unsplit job's output bitwise, for every
-    /// `parts`.  This is what lets a pool of GNN workers share one batch.
-    ///
-    /// Chunks are balanced (sizes differ by at most one); fewer than `parts`
-    /// sub-jobs are returned when the job has fewer vertices.  An empty job
-    /// returns itself as a single part.
-    ///
-    /// # Panics
-    /// Panics if `parts == 0`.
-    pub fn split(self, parts: usize) -> Vec<GnnJobBatch> {
-        assert!(parts > 0, "GnnJobBatch::split: need at least one part");
-        let t = self.touched.len();
-        if parts == 1 || t <= 1 {
-            return vec![self];
-        }
-        let parts = parts.min(t);
-        let base = t / parts;
-        let extra = t % parts; // first `extra` chunks get one more vertex
-                               // Row ranges are contiguous, so each sub-matrix is one slice copy.
-        let rows = |m: &Matrix, a: usize, b: usize| {
-            Matrix::from_vec(
-                b - a,
-                m.cols(),
-                m.as_slice()[a * m.cols()..b * m.cols()].to_vec(),
-            )
-        };
-        // Arena span of a vertex chunk: ranges are contiguous in vertex
-        // order, so the span is [first range's start, last range's end).
-        let span = |ranges: &[(usize, usize)]| {
-            let (last_start, last_len) = ranges[ranges.len() - 1];
-            ranges[0].0..last_start + last_len
-        };
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for p in 0..parts {
-            let end = start + base + usize::from(p < extra);
-            let sampled = span(&self.ranges[start..end]);
-            let kept = span(&self.selection.ranges[start..end]);
-            out.push(GnnJobBatch {
-                touched: self.touched[start..end].to_vec(),
-                self_memory: rows(&self.self_memory, start, end),
-                node_features: self.node_features.as_ref().map(|f| rows(f, start, end)),
-                nbr_memory: rows(&self.nbr_memory, kept.start, kept.end),
-                nbr_edge: rows(&self.nbr_edge, kept.start, kept.end),
-                nbr_dt: self.nbr_dt[sampled.clone()].to_vec(),
-                ranges: self.ranges[start..end]
-                    .iter()
-                    .map(|&(s, l)| (s - sampled.start, l))
-                    .collect(),
-                selection: self.selection.slice(start..end, sampled),
-            });
-            start = end;
-        }
-        out
-    }
-
     /// Number of embeddings the job will produce.
     pub fn len(&self) -> usize {
         self.touched.len()
@@ -606,98 +543,5 @@ mod tests {
             let prunes = cfg.neighbor_budget < cfg.sampled_neighbors;
             assert_eq!(held < job.total_neighbors(), prunes, "{variant:?}");
         }
-    }
-
-    #[test]
-    fn split_partitions_vertices_and_rebases_both_arenas() {
-        let f = fixture(OptimizationVariant::NpMedium, 11);
-        let job = f.gather();
-        let t = job.len();
-        for parts in [1usize, 2, 3, 7, t, t + 15] {
-            let subs = job.clone().split(parts);
-            assert_eq!(subs.len(), parts.min(t), "parts={parts}");
-            let sizes: Vec<usize> = subs.iter().map(|s| s.len()).collect();
-            assert_eq!(sizes.iter().sum::<usize>(), t);
-            assert!(sizes.iter().all(|&s| s > 0));
-            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-            // Concatenating sub-jobs in part order reproduces the original
-            // vertex order and per-vertex data exactly, in both arenas.
-            let mut vi = 0usize;
-            for sub in &subs {
-                assert_eq!(sub.ranges[0].0, 0, "sampled arena rebased");
-                assert_eq!(sub.selection.ranges[0].0, 0, "kept arena rebased");
-                let sampled: usize = sub.ranges.iter().map(|r| r.1).sum();
-                assert_eq!(
-                    (sub.nbr_dt.len(), sub.total_neighbors()),
-                    (sampled, sampled)
-                );
-                assert_eq!(sub.selection.logits.len(), sampled);
-                let kept = sub.selection.kept.len();
-                assert_eq!((sub.nbr_memory.rows(), sub.nbr_edge.rows()), (kept, kept));
-                assert_eq!(sub.selection.weights.len(), kept);
-                for i in 0..sub.len() {
-                    assert_eq!(sub.touched[i], job.touched[vi]);
-                    assert_eq!(sub.self_memory.row(i), job.self_memory.row(vi));
-                    let ((os, ol), (ss, sl)) = (job.ranges[vi], sub.ranges[i]);
-                    assert_eq!(sub.nbr_dt[ss..ss + sl], job.nbr_dt[os..os + ol]);
-                    assert_eq!(sub.selection.kept_of(i), job.selection.kept_of(vi));
-                    assert_eq!(sub.selection.weights_of(i), job.selection.weights_of(vi));
-                    let ((ok, kl), (sk, _)) = (job.selection.ranges[vi], sub.selection.ranges[i]);
-                    for r in 0..kl {
-                        assert_eq!(sub.nbr_memory.row(sk + r), job.nbr_memory.row(ok + r));
-                        assert_eq!(sub.nbr_edge.row(sk + r), job.nbr_edge.row(ok + r));
-                    }
-                    vi += 1;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_run_concat_is_bitwise_identical_to_unsplit_run() {
-        for variant in [OptimizationVariant::Baseline, OptimizationVariant::NpMedium] {
-            let f = fixture(variant, 42);
-            let job = f.gather();
-            let mut ws = Workspace::new();
-            let reference = job.run(&f.model, &mut ws);
-            for parts in [1usize, 2, 4, 5, 13, 64] {
-                let merged: Vec<(NodeId, Vec<Float>)> = job
-                    .clone()
-                    .split(parts)
-                    .into_iter()
-                    .flat_map(|sub| {
-                        let mut ws = Workspace::new();
-                        sub.run(&f.model, &mut ws)
-                    })
-                    .collect();
-                assert_eq!(merged, reference, "{variant:?} parts={parts}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_handles_empty_and_single_vertex_jobs() {
-        let f = fixture(OptimizationVariant::NpSmall, 3);
-        let job_of = |events: &[tgnn_graph::InteractionEvent]| {
-            let sampled = SampledBatch::assemble(
-                EventBatch::new(events.to_vec()),
-                0,
-                &f.model,
-                |_, _, _, _| {},
-            );
-            GnnJobBatch::gather(&sampled, &f.updated, &f.graph, &f.model.config, |_, dst| {
-                dst.fill(0.5)
-            })
-        };
-        let parts = job_of(&[]).split(4);
-        assert_eq!(parts.len(), 1);
-        assert!(parts[0].is_empty());
-        assert!(parts[0].run(&f.model, &mut Workspace::new()).is_empty());
-        // A self-loop touches one vertex.
-        let mut lonely = f.graph.events()[0];
-        lonely.dst = lonely.src;
-        let parts = job_of(&[lonely]).split(4);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].len(), 1);
     }
 }

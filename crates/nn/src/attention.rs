@@ -80,29 +80,6 @@ impl Selection {
         let (start, len) = self.ranges[i];
         &self.weights[start..start + len]
     }
-
-    /// The part of the selection that belongs to the contiguous run of
-    /// vertices `vertices`, whose candidates are `candidates` of the logit
-    /// arena — with every range rebased to the new arenas.
-    pub fn slice(
-        &self,
-        vertices: std::ops::Range<usize>,
-        candidates: std::ops::Range<usize>,
-    ) -> Selection {
-        fn part<T: Clone>(arena: &[T], range: std::ops::Range<usize>) -> Vec<T> {
-            arena.get(range).map_or_else(Vec::new, <[T]>::to_vec)
-        }
-        let ranges = &self.ranges[vertices];
-        let first = ranges.first().map_or(0, |r| r.0);
-        let kept = first..ranges.last().map_or(0, |r| r.0 + r.1);
-        Selection {
-            logits: part(&self.logits, candidates),
-            kept: part(&self.kept, kept.clone()),
-            weights: part(&self.weights, kept),
-            ranges: ranges.iter().map(|&(s, l)| (s - first, l)).collect(),
-            scaled: Vec::new(),
-        }
-    }
 }
 
 /// Transformer-style temporal attention (Eq. 11–15).

@@ -150,8 +150,8 @@ pub struct TenantSpec {
     /// means the server default: the one backend a homogeneous server runs
     /// (f32, or int8 when the model carries an attached quantized weight
     /// set).  Declaring a backend on *any* tenant switches the server into
-    /// heterogeneous routing — per-backend GNN dispatch queues and worker
-    /// pools over one shared temporal-state trajectory.  The server
+    /// heterogeneous routing — the one GNN worker computes each batch on its
+    /// backend, over one shared temporal-state trajectory.  The server
     /// resolves `None` to the concrete default at build time, so every
     /// admitted event is stamped with a concrete kind.
     pub backend: Option<BackendKind>,
@@ -297,8 +297,8 @@ pub(crate) struct AdmittedEvent {
 }
 
 /// Per-event metadata carried through the pipeline alongside the event
-/// itself (the stages never look at it; the reorder worker turns it into
-/// the served batch's `ResultMeta`).
+/// itself (the stages never look at it; the GNN worker turns it into the
+/// served batch's `ResultMeta`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventMeta {
     pub tenant: TenantId,
@@ -674,7 +674,7 @@ impl AdmissionControl {
             modeled_latency: None,
             latency: Duration::ZERO,
             admitted_at: now,
-            reordered_at: now,
+            completed_at: now,
         });
         Some(age)
     }

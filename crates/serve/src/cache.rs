@@ -10,7 +10,7 @@
 //!
 //! ## Placement and contracts
 //!
-//! * **Population** — the reorder worker (the pipeline's commit point for
+//! * **Population** — the GNN worker (the pipeline's commit point for
 //!   results) inserts every `(vertex, embedding)` pair of a [`ServedBatch`]
 //!   under the batch's epoch, so a cache entry is by construction exactly
 //!   the embedding a client saw at that epoch.  Nothing else writes
@@ -133,8 +133,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing fresh enough (absent or beyond the bound).
     pub misses: u64,
-    /// Entries written by the reorder/delivery path (including recovery
-    /// seeding).
+    /// Entries written by the GNN worker (including recovery seeding).
     pub insertions: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
@@ -169,8 +168,8 @@ impl CacheStats {
 pub(crate) type CachedEventHit = (Vec<(NodeId, Vec<Float>, u64)>, u64);
 
 /// The sharded, bounded, epoch-aware embedding cache.  One instance per
-/// [`StreamServer`](crate::StreamServer); shared by the reorder worker
-/// (population), the update worker (invalidation at the epoch barrier), and
+/// [`StreamServer`](crate::StreamServer); shared by the GNN worker
+/// (population), the state worker (invalidation at the epoch barrier), and
 /// the admission layer (`ServeStale` lookups).  Cache shards are leaf locks:
 /// nothing is acquired while one is held.
 pub struct EmbeddingCache {
@@ -257,7 +256,7 @@ impl EmbeddingCache {
         self.committed.fetch_max(epoch, Ordering::AcqRel);
     }
 
-    /// Records the embedding served for `v` at `epoch` (the reorder worker's
+    /// Records the embedding served for `v` at `epoch` (the GNN worker's
     /// population path, and recovery's bit-exact re-served seeding).
     pub(crate) fn insert(&self, v: NodeId, epoch: u64, embedding: &[Float]) {
         let mut s = self.shards[shard_of(v, self.shards.len())].lock().unwrap();

@@ -147,11 +147,10 @@ pub(crate) struct Durability {
     /// even when epochs stop advancing (the epoch-based lag stays flat
     /// then).
     last_snapshot_ns: AtomicU64,
-    /// Group-commit coordination between the batcher, the syncer worker,
-    /// and the reorder worker (see [`Self::request_seal_sync`]).
+    /// Group-commit coordination between the batcher, the syncer worker
+    /// and `poll` (see [`Self::request_seal_sync`]).
     seal_sync: Mutex<SealSyncState>,
     seal_req: Condvar,
-    seal_done: Condvar,
     /// The in-flight background snapshot write, if any (see
     /// [`Self::spawn_snapshot_write`]).  At most one at a time.
     pending_snapshot: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -201,7 +200,6 @@ impl Durability {
                 shutdown: false,
             }),
             seal_req: Condvar::new(),
-            seal_done: Condvar::new(),
             pending_snapshot: Mutex::new(None),
             obs: OnceLock::new(),
         })
@@ -238,7 +236,6 @@ impl Durability {
                     .expect("durability: WAL seal flush failed");
                 let mut s = self.seal_sync.lock().unwrap();
                 s.synced = s.synced.max(epoch);
-                self.seal_done.notify_all();
             }
         }
     }
@@ -304,8 +301,8 @@ impl Durability {
                 hook(WalFaultPoint::Sync(target));
             }
             if let Err(e) = self.wal.flush(true) {
-                // Release waiters before unwinding so the reorder worker
-                // cannot hang on a dead syncer.
+                // Mark shutdown before unwinding so `poll`'s seal gate opens
+                // instead of waiting on a dead syncer.
                 self.shutdown_seal_sync();
                 panic!("wal-sync: WAL flush failed: {e}");
             }
@@ -317,16 +314,14 @@ impl Durability {
             }
             let mut s = self.seal_sync.lock().unwrap();
             s.synced = s.synced.max(target);
-            self.seal_done.notify_all();
         }
     }
 
-    /// Signals the syncer worker to exit and releases every seal waiter.
+    /// Signals the syncer worker to exit and opens `poll`'s seal gate.
     pub fn shutdown_seal_sync(&self) {
         let mut s = self.seal_sync.lock().unwrap();
         s.shutdown = true;
         self.seal_req.notify_all();
-        self.seal_done.notify_all();
     }
 
     /// Records a committed batch's events for snapshot metadata.  Batches

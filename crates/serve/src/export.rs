@@ -75,8 +75,8 @@ impl MetricsSnapshot {
         }
         let _ = writeln!(
             out,
-            "{:<22} {:>7} {:>12} {:>7} {:>10}",
-            "stage", "workers", "busy", "busy%", "spans"
+            "{:<22} {:>12} {:>7} {:>10}",
+            "stage", "busy", "busy%", "spans"
         );
         for s in &self.stages {
             if s.batches == 0 && s.busy.is_zero() {
@@ -84,9 +84,8 @@ impl MetricsSnapshot {
             }
             let _ = writeln!(
                 out,
-                "{:<22} {:>7} {:>10.3}ms {:>6.1}% {:>10}",
+                "{:<22} {:>10.3}ms {:>6.1}% {:>10}",
                 s.stage.label(),
-                s.workers,
                 s.busy.as_secs_f64() * 1e3,
                 s.busy_frac * 100.0,
                 s.batches
@@ -224,8 +223,7 @@ impl MetricsSnapshot {
             ("tgnn_queue_blocked_sends_total", |q| Int(q.blocked_sends)),
         ];
         c.labelled("queue", &self.queues, |q| q.name.to_string(), &queue);
-        let stage: [FamilyOf<StageSnapshot>; 4] = [
-            ("tgnn_stage_workers", |s| Int(s.workers as u64)),
+        let stage: [FamilyOf<StageSnapshot>; 3] = [
             ("tgnn_stage_busy_seconds_total", |s| {
                 Float(s.busy.as_secs_f64(), 6)
             }),
@@ -570,9 +568,9 @@ pub fn render_flight_timeline(records: &[SpanRecord]) -> String {
     // The dump's horizon: open spans report duration-so-far against the
     // last tick any worker recorded.
     let now = records.last().map(|r| r.at).unwrap_or_default();
-    // epoch → (stage, worker) → (enter, exit) / marks, keeping stage order
-    // of first appearance within the epoch.
-    type Segment = ((StageId, u16), Option<Duration>, Option<Duration>);
+    // epoch → stage → (enter, exit) / marks, keeping stage order of first
+    // appearance within the epoch.
+    type Segment = (StageId, Option<Duration>, Option<Duration>);
     #[derive(Default)]
     struct EpochLine {
         segments: Vec<Segment>,
@@ -583,19 +581,18 @@ pub fn render_flight_timeline(records: &[SpanRecord]) -> String {
         let line = epochs.entry(r.epoch).or_default();
         match r.kind {
             SpanKind::Mark => line.marks.push((r.stage, r.at)),
-            SpanKind::Enter => line.segments.push(((r.stage, r.worker), Some(r.at), None)),
+            SpanKind::Enter => line.segments.push((r.stage, Some(r.at), None)),
             SpanKind::Exit => {
-                // Close the open segment of this (stage, worker); an exit
-                // whose enter was overwritten by the ring starts a
-                // half-open segment.
+                // Close the open segment of this stage; an exit whose enter
+                // was overwritten by the ring starts a half-open segment.
                 match line
                     .segments
                     .iter_mut()
                     .rev()
-                    .find(|(k, _, exit)| *k == (r.stage, r.worker) && exit.is_none())
+                    .find(|(s, _, exit)| *s == r.stage && exit.is_none())
                 {
                     Some(seg) => seg.2 = Some(r.at),
-                    None => line.segments.push(((r.stage, r.worker), None, Some(r.at))),
+                    None => line.segments.push((r.stage, None, Some(r.at))),
                 }
             }
         }
@@ -607,12 +604,8 @@ pub fn render_flight_timeline(records: &[SpanRecord]) -> String {
         } else {
             out.push_str(&format!("epoch {epoch:>5} "));
         }
-        for ((stage, worker), enter, exit) in &line.segments {
-            let name = if *stage == StageId::Gnn {
-                format!("{}[{}]", stage.label(), worker)
-            } else {
-                stage.label().to_string()
-            };
+        for (stage, enter, exit) in &line.segments {
+            let name = stage.label();
             match (enter, exit) {
                 (Some(a), Some(b)) => {
                     out.push_str(&format!("| {} {:.3}→{:.3} ", name, ms(*a), ms(*b)))

@@ -14,15 +14,14 @@
 //!   — a batch is whatever arrived while the previous one was being
 //!   processed, capped at `max_batch` — and executes them through the
 //!   paper's stage graph —
-//!   ingest → state → GNN pool → reorder — with a thread only where work
-//!   can overlap: one state worker runs sample → memory → gather → commit
-//!   in program order and dispatches each batch's GNN job before committing
-//!   it, so batch *k*'s GNN compute overlaps its write-back and batch
-//!   *k+1*'s state stages.  The dominant GNN compute stage is data-parallel
-//!   (`ServeConfig::gnn_workers`): each batch is split into independently
-//!   computable sub-jobs served from a shared MPMC dispatch queue by a pool
-//!   of workers, and a reorder stage merges the parts and restores epoch
-//!   order, so the output stream is the same for every worker count.
+//!   ingest → state → GNN, three workers over three queues — with a thread
+//!   only where work can overlap: one state worker runs sample → memory →
+//!   gather → commit in program order and dispatches each batch's GNN job
+//!   before committing it, so batch *k*'s GNN compute overlaps its
+//!   write-back and batch *k+1*'s state stages.  One GNN worker, like the
+//!   paper's single embedding unit, computes the jobs in epoch order on
+//!   whichever backend each batch was sealed for, so results leave in epoch
+//!   order for any backend mix.
 //! * The vertex state is partitioned (`node_id % N`) behind
 //!   [`tgnn_graph::ShardedNeighborTable`] and
 //!   [`tgnn_core::ShardedMemory`] — shards are the unit of locks, snapshot

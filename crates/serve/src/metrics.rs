@@ -47,9 +47,8 @@ use tgnn_obs::{
 ///
 /// These are *logical* stages, each recording its own spans: the ingest
 /// worker executes `Scheduler` and `Batcher`, the state worker `Sampler`,
-/// `Memory` and `Update`, and `Gnn` covers the whole data-parallel pool
-/// (records carry the worker index).  `Deliver` is a point event (the `poll`
-/// handoff to the caller), not a span.
+/// `Memory` and `Update`, and the GNN worker `Gnn`.  `Deliver` is a point
+/// event (the `poll` handoff to the caller), not a span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StageId {
     /// Weighted-fair pull from the tenant ingress queues (pre-epoch: spans
@@ -59,14 +58,13 @@ pub enum StageId {
     Batcher,
     /// Neighbor sampler.
     Sampler,
-    /// Memory/GRU stage (also gathers and dispatches the GNN sub-jobs).
+    /// Memory/GRU stage (also gathers and dispatches the GNN job).
     Memory,
-    /// Data-parallel GNN pool worker.
+    /// GNN worker: compute on the batch's backend, then the cache insert,
+    /// dispositions and counters that commit the batch downstream.
     Gnn,
     /// State write-back / epoch committer.
     Update,
-    /// Part merge + epoch reorder.
-    Reorder,
     /// WAL group-commit fsync worker.
     WalSync,
     /// Background snapshot writer.
@@ -78,14 +76,13 @@ pub enum StageId {
 impl StageId {
     /// Every stage, in flight-recorder code order: the worker stages in
     /// pipeline order, then `Deliver`.
-    pub const ALL: [StageId; 10] = [
+    pub const ALL: [StageId; 9] = [
         StageId::Scheduler,
         StageId::Batcher,
         StageId::Sampler,
         StageId::Memory,
         StageId::Gnn,
         StageId::Update,
-        StageId::Reorder,
         StageId::WalSync,
         StageId::SnapWriter,
         StageId::Deliver,
@@ -100,7 +97,6 @@ impl StageId {
             StageId::Memory => "memory",
             StageId::Gnn => "gnn",
             StageId::Update => "update",
-            StageId::Reorder => "reorder",
             StageId::WalSync => "wal-sync",
             StageId::SnapWriter => "snap-writer",
             StageId::Deliver => "deliver",
@@ -129,13 +125,6 @@ pub(crate) const TRACE_CAPACITY: usize = 1024;
 /// How many tail exemplars / head samples the hub retains.
 const EXEMPLAR_RING: usize = 8;
 
-/// How many of an epoch's GNN sub-jobs record their informational
-/// `GnnSubWait`/`GnnSubCompute` trace segments.  Wide pools would otherwise
-/// exhaust the per-trace segment cap
-/// ([`MAX_TRACE_SEGMENTS`](tgnn_obs::MAX_TRACE_SEGMENTS)) and evict the
-/// additive delivery-side segments the conservation check depends on.
-pub(crate) const GNN_SUB_TRACE_PARTS: usize = 8;
-
 /// SLO lane index of the admit→deliver latency objective.
 pub(crate) const SLO_LANE_LATENCY: usize = 0;
 /// SLO lane index of the drop-rate objective.
@@ -146,9 +135,10 @@ pub(crate) const SLO_LANE_DROPS: usize = 1;
 /// The **additive** segments tile a traced epoch's admit→deliver wall time
 /// without gaps or overlap, so their sum reconciles with the measured
 /// [`Total`](SegmentId::Total) (asserted within epsilon by the serve
-/// crate's trace-conservation tests).  The two `GnnSub*` codes are
-/// *informational*: one pair per data-parallel sub-job, overlapping the
-/// epoch-level [`Gnn`](SegmentId::Gnn) wall-time segment.
+/// crate's trace-conservation tests).  [`GnnWait`](SegmentId::GnnWait) and
+/// [`GnnCompute`](SegmentId::GnnCompute) are *informational*: one pair per
+/// epoch that splits the additive [`Gnn`](SegmentId::Gnn) segment into its
+/// queue wait and its compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SegmentId {
     /// First admit of the epoch → pulled by the ingest worker (ingress
@@ -160,23 +150,24 @@ pub enum SegmentId {
     /// Sealed → sampled: the `ingest→state` queue wait, the previous epoch's
     /// commit, and the neighbor sampling itself.
     Sample,
-    /// Memory/GRU stage, including the gather and GNN sub-job dispatch.
+    /// Memory/GRU stage, including the gather and the GNN job dispatch.
     Memory,
-    /// GNN pool wall time: dispatch → the *last* sub-part finished (the
-    /// parts run in parallel; this is the epoch-level envelope).
+    /// GNN job dispatched → computed: the `state→gnn` queue wait plus the
+    /// backend's compute.
     Gnn,
-    /// Last part finished → epoch merged back into order by the reorder
-    /// worker (barrier wait on earlier epochs plus the merge itself).
+    /// Computed → handed to `gnn→results`: the GNN worker's cache insert,
+    /// dispositions and counters.  The name stays because `benchmark/`
+    /// reads this segment as `serve.seg.reorder_barrier.share`.
     ReorderBarrier,
     /// Time delivery was observed blocked on the WAL group-commit
     /// watermark (zero without durability or when the fsync won the race).
     WalSyncWait,
-    /// Reorder completion → `poll` handoff, minus the WAL-sync wait.
+    /// Handed to `gnn→results` → `poll` handoff, minus the WAL-sync wait.
     Deliver,
-    /// One GNN sub-job's dispatch→start wait (informational, not additive).
-    GnnSubWait,
-    /// One GNN sub-job's compute time (informational, not additive).
-    GnnSubCompute,
+    /// The GNN job's dispatch → start wait (informational, not additive).
+    GnnWait,
+    /// The GNN job's compute time (informational, not additive).
+    GnnCompute,
     /// The measured admit→deliver latency the additive segments reconcile
     /// against (recorded once, at delivery).
     Total,
@@ -193,8 +184,8 @@ impl SegmentId {
         SegmentId::ReorderBarrier,
         SegmentId::WalSyncWait,
         SegmentId::Deliver,
-        SegmentId::GnnSubWait,
-        SegmentId::GnnSubCompute,
+        SegmentId::GnnWait,
+        SegmentId::GnnCompute,
         SegmentId::Total,
     ];
 
@@ -220,8 +211,8 @@ impl SegmentId {
             SegmentId::ReorderBarrier => "reorder-barrier",
             SegmentId::WalSyncWait => "wal-sync-wait",
             SegmentId::Deliver => "deliver",
-            SegmentId::GnnSubWait => "gnn-sub-wait",
-            SegmentId::GnnSubCompute => "gnn-sub-compute",
+            SegmentId::GnnWait => "gnn-wait",
+            SegmentId::GnnCompute => "gnn-compute",
             SegmentId::Total => "total",
         }
     }
@@ -333,7 +324,6 @@ impl SloHandle {
 pub(crate) struct StageObs {
     enabled: bool,
     stage: StageId,
-    worker: u16,
     recorder: Arc<FlightRecorder>,
     busy_ns: Counter,
     batches: Counter,
@@ -370,7 +360,7 @@ impl StageObs {
         }
         if record {
             self.recorder
-                .record(self.stage.code(), self.worker, epoch, SpanKind::Enter);
+                .record(self.stage.code(), 0, epoch, SpanKind::Enter);
         }
         Some(Instant::now())
     }
@@ -385,7 +375,7 @@ impl StageObs {
         self.batches.inc();
         if record {
             self.recorder
-                .record(self.stage.code(), self.worker, epoch, SpanKind::Exit);
+                .record(self.stage.code(), 0, epoch, SpanKind::Exit);
         }
     }
 
@@ -428,7 +418,6 @@ pub(crate) struct HubConfig {
     pub durability: Option<Arc<Durability>>,
     pub cache: Option<Arc<EmbeddingCache>>,
     pub next_epoch: Arc<AtomicU64>,
-    pub gnn_workers: usize,
     /// `ServeConfig::metrics_sampling`: 1-in-N flight-ring sampling for
     /// per-event stages, shared with trace head-sample retention.
     pub metrics_sampling: u64,
@@ -442,10 +431,9 @@ struct HubInner {
     started: Instant,
     recorder: Arc<FlightRecorder>,
     /// Busy-nanoseconds and completed-batch counters, indexed by
-    /// `StageId::code()`; the GNN pool's workers share one pair.
+    /// `StageId::code()`.
     stage_busy_ns: Vec<Counter>,
     stage_batches: Vec<Counter>,
-    stage_workers: Vec<u16>,
     queues: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>>,
     collector: Arc<Collector>,
     admission: Arc<AdmissionControl>,
@@ -490,8 +478,6 @@ pub struct MetricsHub {
 impl MetricsHub {
     pub(crate) fn new(cfg: HubConfig) -> Self {
         let per_stage = || StageId::ALL.iter().map(|_| Counter::new()).collect();
-        let mut stage_workers = vec![1u16; StageId::ALL.len()];
-        stage_workers[StageId::Gnn.code() as usize] = cfg.gnn_workers as u16;
         MetricsHub {
             inner: Arc::new(HubInner {
                 enabled: cfg.enabled,
@@ -499,7 +485,6 @@ impl MetricsHub {
                 recorder: Arc::new(FlightRecorder::new(cfg.flight_capacity)),
                 stage_busy_ns: per_stage(),
                 stage_batches: per_stage(),
-                stage_workers,
                 queues: cfg.queues,
                 collector: cfg.collector,
                 admission: cfg.admission,
@@ -517,12 +502,11 @@ impl MetricsHub {
     }
 
     /// The recording handle a worker loop carries.
-    pub(crate) fn stage_obs(&self, stage: StageId, worker: u16) -> StageObs {
+    pub(crate) fn stage_obs(&self, stage: StageId) -> StageObs {
         let code = stage.code() as usize;
         StageObs {
             enabled: self.inner.enabled,
             stage,
-            worker,
             recorder: self.inner.recorder.clone(),
             busy_ns: self.inner.stage_busy_ns[code].clone(),
             batches: self.inner.stage_batches[code].clone(),
@@ -534,8 +518,8 @@ impl MetricsHub {
     /// owns it (and reads the fsync histogram back in its `stats`).
     pub(crate) fn durability_obs(&self) -> DurabilityObs {
         DurabilityObs {
-            syncer: self.stage_obs(StageId::WalSync, 0),
-            snap: self.stage_obs(StageId::SnapWriter, 0),
+            syncer: self.stage_obs(StageId::WalSync),
+            snap: self.stage_obs(StageId::SnapWriter),
             fsync_us: Histogram::new(),
         }
     }
@@ -548,7 +532,7 @@ impl MetricsHub {
     ///   the reconciliation reference);
     /// * `wal_wait` — time delivery was observed blocked on the WAL
     ///   group-commit watermark ([`SegmentId::WalSyncWait`]);
-    /// * `since_reorder` — reorder completion → this handoff; minus
+    /// * `since_completed` — handed to `gnn→results` → this handoff; minus
     ///   `wal_wait` it becomes [`SegmentId::Deliver`].
     ///
     /// `traced` is false for results that never ran the pipeline in this
@@ -565,7 +549,7 @@ impl MetricsHub {
         traced: bool,
         total: Duration,
         wal_wait: Duration,
-        since_reorder: Duration,
+        since_completed: Duration,
     ) {
         let inner = &self.inner;
         if !inner.enabled {
@@ -583,7 +567,7 @@ impl MetricsHub {
         inner.trace.record(
             epoch,
             SegmentId::Deliver.code(),
-            since_reorder.saturating_sub(wal_wait),
+            since_completed.saturating_sub(wal_wait),
         );
         inner.trace.record(epoch, SegmentId::Total.code(), total);
         let us = total.as_micros() as u64;
@@ -638,16 +622,14 @@ impl MetricsHub {
             .map(|s| {
                 let code = s.code() as usize;
                 let busy = Duration::from_nanos(inner.stage_busy_ns[code].get());
-                let workers = inner.stage_workers[code];
                 StageSnapshot {
                     stage: s,
-                    workers,
                     busy,
                     batches: inner.stage_batches[code].get(),
                     busy_frac: if uptime.is_zero() {
                         0.0
                     } else {
-                        busy.as_secs_f64() / (uptime.as_secs_f64() * workers as f64)
+                        busy.as_secs_f64() / uptime.as_secs_f64()
                     },
                 }
             })
@@ -742,7 +724,6 @@ impl MetricsHub {
                     seq: r.seq,
                     at: Duration::from_nanos(r.tick_ns),
                     stage: StageId::from_code(r.stage)?,
-                    worker: r.worker,
                     epoch: r.epoch,
                     kind: r.kind,
                 })
@@ -837,10 +818,8 @@ pub struct SpanRecord {
     pub seq: u64,
     /// Time since the pipeline was spawned.
     pub at: Duration,
-    /// Which stage recorded the event.
+    /// Which stage recorded the event (each stage is one worker thread).
     pub stage: StageId,
-    /// Worker index within the stage (GNN pool workers are 0..N-1).
-    pub worker: u16,
     /// The epoch the event belongs to (0 = pre-epoch scheduler work).
     pub epoch: u64,
     /// Enter, exit, or mark.
@@ -852,15 +831,12 @@ pub struct SpanRecord {
 pub struct StageSnapshot {
     /// Which stage.
     pub stage: StageId,
-    /// Number of workers the stage runs (1 except the GNN pool).
-    pub workers: u16,
-    /// Cumulative busy time across the stage's workers (includes downstream
-    /// backpressure blocking; excludes waiting for input).
+    /// Cumulative busy time of the stage (includes downstream backpressure
+    /// blocking; excludes waiting for input).
     pub busy: Duration,
-    /// Spans completed (≈ epochs processed; sub-jobs for the GNN pool).
+    /// Spans completed (≈ epochs processed).
     pub batches: u64,
-    /// `busy / (uptime × workers)` — the stage's utilization; idle is
-    /// `1 - busy_frac`.
+    /// `busy / uptime` — the stage's utilization; idle is `1 - busy_frac`.
     pub busy_frac: f64,
 }
 

@@ -7,12 +7,10 @@
 //!                         │            `max_batch` cap / deadline backstop)
 //!                         │  SealedBatch
 //!                    [state worker]   sample → memory → gather → commit,
-//!                  │              │   in program order on one thread
-//!    GnnBatchHeader│              │GnnSubJob × P   (owned, self-contained)
-//!                  │              ▼  (MPMC dispatch, one queue per backend)
-//!                  │     [gnn worker 0..N-1]
-//!                  ▼              │  GnnSubResult (MPMC)
-//!               [reorder worker] ◄┘   merges parts, restores epoch order
+//!                         │            in program order on one thread
+//!                         │  GnnJob (owned, self-contained, epoch order)
+//!                     [gnn worker]    every prepared backend; cache insert,
+//!                         │            dispositions, counters
 //!                         │  ServedBatch
 //!                         ▼
 //!                      results
@@ -34,43 +32,34 @@
 //! rows, and memory(k+1) needs sample(k+1) — so one worker runs them back
 //! to back (`StateStage::step`), and the same body replays warm-up and
 //! recovery.  The GNN stage can: its input is an owned, gathered job, so
-//! the state worker dispatches batch *k*'s sub-jobs *before* committing
-//! batch *k* and GNN(k) — the dominant cost per the paper's co-design
-//! analysis — runs concurrently with commit(k) and state(k+1).  That is the
-//! paper's two compute stages (memory updater, embedding unit) behind a
-//! prefetching front end, and the only overlap the dependencies allow.
+//! the state worker dispatches batch *k*'s job *before* committing batch
+//! *k* and GNN(k) — the dominant cost per the paper's co-design analysis —
+//! runs concurrently with commit(k) and state(k+1).  That is the paper's
+//! two compute stages (memory updater, embedding unit) behind a prefetching
+//! front end, and the only overlap the dependencies allow.
 //!
-//! The GNN stage is data-parallel: the state worker splits each batch's
-//! owned [`GnnJobBatch`] into `P ≤ gnn_workers` contiguous sub-jobs and
-//! pushes them onto one shared MPMC dispatch queue that `N` identical
-//! workers consume (work-sharing: an idle worker takes the next sub-job,
-//! whatever its epoch).  Because [`GnnJobBatch::run`] is row-independent,
-//! computing the parts on any workers in any order and concatenating the
-//! results in part order is bitwise-equal to the unsplit run.  The reorder
-//! worker — single consumer of the sub-result queue — holds each epoch's
-//! parts until complete and emits [`ServedBatch`]es strictly in epoch order
-//! (headers arrive on an SPSC queue from the state worker, which is already
-//! chronological), so the client-visible stream is identical for every
-//! worker count, including `N = 1`.
+//! One GNN worker holds every prepared backend and computes each job on the
+//! backend its batch was sealed for, as the paper's single embedding unit
+//! takes the memory updater's output in chronological order.
 //!
 //! Ordering argument (epochs are 1-based batch numbers):
 //! * **state(k)** runs after state(k-1) on the same thread, so sampling and
 //!   the memory stage read exactly the epoch `k-1` tables, and every value
 //!   the GNN needs is gathered into an owned job *before* the commit
 //!   overwrites this epoch's rows.
-//! * **gnn(k, p)** is pure compute over the owned sub-job, on any worker.
-//! * **reorder** commits completed batches downstream in epoch order.
+//! * **gnn(k)** is pure compute over the owned job.  The state worker sends
+//!   jobs in epoch order onto a FIFO queue with one consumer, so results
+//!   leave in epoch order for any backend mix.
 //!
 //! A dying worker unwinds the pipeline through its channels: every loop
-//! returns when its input closes or its output is gone, the ingest worker
-//! closes admission on the way out, and a panicking GNN worker closes its
-//! pool's queues (see `UnwindPoolOnPanic`).
+//! returns when its input closes or its output is gone, and the ingest
+//! worker closes admission on the way out.
 
 use crate::admission::{AdmissionControl, AdmittedEvent, EventMeta, Ingress};
 use crate::cache::EmbeddingCache;
 use crate::durability::Durability;
 use crate::metrics::{SegmentId, StageObs};
-use crate::queue::{MpmcReceiver, MpmcSender, Receiver, Sender};
+use crate::queue::{Receiver, Sender};
 use crate::server::{BackendStats, LatencySummary, NS_PER_MS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -143,61 +132,29 @@ impl SealReason {
     }
 }
 
-/// Per-batch metadata sent to the reorder worker ahead of the batch's
-/// sub-jobs; headers arrive in epoch order on an SPSC queue, which is what
-/// fixes the output order regardless of how the sub-jobs race.
+/// One batch's GNN work, sent by the state worker in epoch order: the owned
+/// gathered job plus what the GNN worker needs to turn its output into a
+/// [`ServedBatch`].
 #[derive(Debug)]
-pub(crate) struct GnnBatchHeader {
+pub(crate) struct GnnJob {
     pub epoch: u64,
-    pub num_parts: usize,
+    pub job: GnnJobBatch,
     pub events: Vec<InteractionEvent>,
     pub metas: Vec<EventMeta>,
-    /// The backend whose dispatch queue this batch's sub-jobs went to; the
-    /// reorder worker stamps it onto every result's `ResultMeta`.
+    /// The backend the batch was sealed for; it computes the job and is
+    /// stamped onto every result's `ResultMeta`.
     pub backend: BackendKind,
     pub sealed_at: Instant,
-    /// When the state worker finished the gather and dispatched the
-    /// sub-jobs — the anchor the epoch-level GNN trace segment starts from.
-    pub mem_done_at: Instant,
-}
-
-/// One independently computable slice of a batch's GNN work, dispatched to
-/// whichever worker is free.
-#[derive(Debug)]
-pub(crate) struct GnnSubJob {
-    pub epoch: u64,
-    pub part: usize,
-    pub job: GnnJobBatch,
-    /// When the state worker pushed this part onto the dispatch queue —
-    /// what the worker's `GnnSubWait` trace segment measures from.
+    /// When the state worker finished the gather and sent the job — the
+    /// anchor the GNN trace segments start from.
     pub dispatched_at: Instant,
 }
 
-/// One sub-job's output: `(vertex, embedding)` pairs in the sub-job's
-/// vertex order.
-pub(crate) type PartEmbeddings = Vec<(NodeId, Vec<Float>)>;
-
-/// A computed sub-job, routed back to the reorder worker.
-#[derive(Debug)]
-pub(crate) struct GnnSubResult {
-    pub epoch: u64,
-    pub part: usize,
-    pub embeddings: PartEmbeddings,
-    /// Service latency the backend *models* for this part (hwsim-style
-    /// backends only; `None` for backends that execute where they are
-    /// measured).  The reorder worker takes the max over parts as the
-    /// batch's modeled latency.
-    pub modeled_latency: Option<Duration>,
-    /// When the worker finished this part; the reorder worker takes the max
-    /// over parts as the end of the epoch-level GNN trace segment.
-    pub completed_at: Instant,
-}
-
-/// Test-only fault-injection hook: every GNN worker calls it with
-/// `(epoch, part)` before computing a sub-job and panics when it returns
-/// `true`.  The concurrency hardening tests use this to verify that a dying
-/// worker unwinds `submit`/`poll`/`drain` instead of hanging the pipeline.
-pub type GnnFaultHook = Arc<dyn Fn(u64, usize) -> bool + Send + Sync>;
+/// Test-only fault-injection hook: the GNN worker calls it with the epoch
+/// before computing a batch and panics when it returns `true`.  The
+/// concurrency hardening tests use this to verify that a dying worker
+/// unwinds `submit`/`poll`/`drain` instead of hanging the pipeline.
+pub type GnnFaultHook = Arc<dyn Fn(u64) -> bool + Send + Sync>;
 
 /// One completed micro-batch, as returned by `StreamServer::poll`.
 #[derive(Clone, Debug)]
@@ -231,9 +188,7 @@ pub struct ServedBatch {
     /// to route on it.
     pub backend: BackendKind,
     /// Service latency a modeled backend (hwsim) predicted for this batch's
-    /// GNN work on its simulated datapath — the max across the batch's
-    /// sub-jobs, since the parts run in parallel on the modeled hardware
-    /// just as they do on the worker pool.  `None` for backends that really
+    /// GNN work on its simulated datapath.  `None` for backends that really
     /// execute where they are measured.
     pub modeled_latency: Option<Duration>,
     /// Seal-to-embeddings pipeline latency (zero for stale batches).
@@ -244,12 +199,12 @@ pub struct ServedBatch {
     /// never ran the pipeline this session (stale cache answers, recovery
     /// re-serves) it is the batch's construction time.
     pub admitted_at: Instant,
-    /// When the reorder worker committed the batch downstream — the anchor
-    /// the delivery-side trace segments start from.
-    pub reordered_at: Instant,
+    /// When the GNN worker handed the batch to the results queue — the
+    /// anchor the delivery-side trace segments start from.
+    pub completed_at: Instant,
 }
 
-/// Per-tenant completion-side counters fed by the reorder worker:
+/// Per-tenant completion-side counters fed by the GNN worker:
 /// served/late event counts and the admission-to-completion latency
 /// distribution (the client-visible queueing + compute delay the overload
 /// policies bound).
@@ -265,7 +220,7 @@ pub(crate) struct TenantCollector {
     pub latency_ns: Histogram,
 }
 
-/// Per-backend completion-side counters fed by the reorder worker: how many
+/// Per-backend completion-side counters fed by the GNN worker: how many
 /// batches/events each compute backend served, and — for modeled backends —
 /// the distribution of modeled service latencies.
 #[derive(Debug, Default)]
@@ -276,7 +231,7 @@ pub(crate) struct BackendCollector {
     pub modeled_latency_ns: Histogram,
 }
 
-/// Aggregate counters the reorder (terminal) worker feeds.  Latencies go
+/// Aggregate counters the GNN (terminal) worker feeds.  Latencies go
 /// into fixed-size log-linear histograms (nanoseconds), so a session's
 /// accounting footprint does not grow with the number of events served.
 #[derive(Debug)]
@@ -774,19 +729,10 @@ fn run_sharded_memory_stage(
 }
 
 /// State worker: the only reader *and* writer of the sharded temporal
-/// state.  Per sealed batch it runs [`StateStage::step`], dispatching the
-/// gathered job between the memory stage and the commit: the batch header
-/// goes to the reorder worker (in epoch order), the job — split into at
-/// most `gnn_workers` sub-jobs — onto the batch's *backend's* dispatch
-/// queue (`tx_gnn` is indexed by [`BackendKind::code`]; a homogeneous
-/// server has exactly one entry populated).
-pub(crate) fn state_loop(
-    rx: Receiver<SealedBatch>,
-    tx_header: Sender<GnnBatchHeader>,
-    tx_gnn: Vec<Option<MpmcSender<GnnSubJob>>>,
-    gnn_workers: usize,
-    mut stage: StateStage,
-) {
+/// state.  Per sealed batch it runs [`StateStage::step`] and sends the
+/// gathered job to the GNN worker between the memory stage and the commit,
+/// in epoch order.
+pub(crate) fn state_loop(rx: Receiver<SealedBatch>, tx: Sender<GnnJob>, mut stage: StateStage) {
     let trace = stage.obs.as_ref().map(|o| o.memory.clone());
     let trace_record = |epoch, seg, d| {
         if let Some(t) = &trace {
@@ -811,94 +757,62 @@ pub(crate) fn state_loop(
                 // `Sample` spans seal → sampled (the sealed-batch queue wait,
                 // the previous epoch's commit, and the sampling itself),
                 // `Memory` spans sampled → dispatch (GRU + gather).
+                let dispatched_at = Instant::now();
                 trace_record(
                     epoch,
                     SegmentId::Sample,
                     sampled_at.saturating_duration_since(sealed_at),
                 );
-                let parts = job.split(gnn_workers);
-                let mem_done_at = Instant::now();
                 trace_record(
                     epoch,
                     SegmentId::Memory,
-                    mem_done_at.saturating_duration_since(sampled_at),
+                    dispatched_at.saturating_duration_since(sampled_at),
                 );
-                let dispatch = tx_gnn[backend.code()]
-                    .as_ref()
-                    .expect("state: sealed batch routed to a backend with no dispatch queue");
-                downstream_alive = tx_header
-                    .send(GnnBatchHeader {
+                downstream_alive = tx
+                    .send(GnnJob {
                         epoch,
-                        num_parts: parts.len(),
+                        job,
                         events,
                         metas,
                         backend,
                         sealed_at,
-                        mem_done_at,
+                        dispatched_at,
                     })
-                    .is_ok()
-                    && parts.into_iter().enumerate().all(|(part, job)| {
-                        dispatch
-                            .send(GnnSubJob {
-                                epoch,
-                                part,
-                                job,
-                                dispatched_at: mem_done_at,
-                            })
-                            .is_ok()
-                    });
+                    .is_ok();
             }),
         );
-        // The reorder worker or the GNN pool is gone — a worker died; unwind.
+        // The GNN worker is gone — it died; unwind.
         if !downstream_alive {
             return;
         }
     }
 }
 
-/// Unwinds the whole GNN pool when one worker dies mid-batch.  A panicking
-/// worker leaves the reorder stage short a part forever, and its surviving
-/// peers would happily keep the pipeline flowing around the hole.  So on a
-/// *panicking* exit the guard closes both MPMC channels (failing the state
-/// worker's dispatch sends and ending the reorder worker's part stream),
-/// which ripples the shutdown through every stage.
-struct UnwindPoolOnPanic {
-    rx: MpmcReceiver<GnnSubJob>,
-    tx: MpmcSender<GnnSubResult>,
-}
-
-impl Drop for UnwindPoolOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.rx.close();
-            self.tx.close();
-        }
-    }
-}
-
-/// GNN worker: pure batched compute over owned sub-jobs from its backend's
-/// dispatch queue, on a persistent per-worker workspace.  One of `N`
-/// identical workers per backend; work-sharing order does not matter because
-/// the reorder worker restores epoch/part order downstream.  The worker runs
-/// whatever its [`ComputeBackend`] executes — f32 kernels, int8 kernels, or
-/// f32 kernels plus a modeled latency (hwsim) — and every backend's results
-/// funnel into the one shared sub-result queue.
-pub(crate) fn gnn_worker_loop(
-    rx: MpmcReceiver<GnnSubJob>,
-    tx: MpmcSender<GnnSubResult>,
-    backend: Arc<dyn ComputeBackend>,
+/// GNN worker: the pipeline's embedding unit and its commit point.  It
+/// holds every prepared backend (indexed by [`BackendKind::code`]; `None`
+/// for kinds no tenant routes to) and computes each job on the one its
+/// batch was sealed for — f32 kernels, int8 kernels, or f32 kernels plus a
+/// modeled latency (hwsim) — on one persistent workspace.  Jobs arrive in
+/// epoch order and leave in it.  Per batch it then populates the embedding
+/// cache, feeds the collector, grades each event's deadline and emits the
+/// [`ServedBatch`].
+pub(crate) fn gnn_loop(
+    rx: Receiver<GnnJob>,
+    tx: Sender<ServedBatch>,
+    backends: Vec<Option<Arc<dyn ComputeBackend>>>,
+    collector: Arc<Collector>,
+    cache: Option<Arc<EmbeddingCache>>,
     fault: Option<GnnFaultHook>,
     obs: StageObs,
 ) {
-    let _unwind_on_panic = UnwindPoolOnPanic {
-        rx: rx.clone(),
-        tx: tx.clone(),
-    };
     let mut ws = Workspace::new();
-    while let Some(GnnSubJob {
+    while let Some(GnnJob {
         epoch,
-        part,
         job,
+        events,
+        metas,
+        backend,
+        sealed_at,
         dispatched_at,
     }) = rx.recv()
     {
@@ -907,129 +821,15 @@ pub(crate) fn gnn_worker_loop(
         // dangling span is exactly what the post-mortem dump pinpoints.
         let span = obs.enter(epoch);
         if let Some(hook) = &fault {
-            assert!(
-                !hook(epoch, part),
-                "injected GNN worker fault at epoch {epoch} part {part}"
-            );
+            assert!(!hook(epoch), "injected GNN worker fault at epoch {epoch}");
         }
-        // Per-part informational trace segments (they overlap the epoch's
-        // additive `Gnn` envelope).  Capped to the first parts so a wide
-        // pool cannot overflow the trace slot and evict the additive
-        // delivery segments recorded later.
         let started = Instant::now();
-        if part < crate::metrics::GNN_SUB_TRACE_PARTS {
-            obs.trace_record(
-                epoch,
-                SegmentId::GnnSubWait,
-                started.saturating_duration_since(dispatched_at),
-            );
-        }
-        let out = backend.run_gnn(&job, &mut ws);
-        let completed_at = Instant::now();
-        if part < crate::metrics::GNN_SUB_TRACE_PARTS {
-            obs.trace_record(
-                epoch,
-                SegmentId::GnnSubCompute,
-                completed_at.saturating_duration_since(started),
-            );
-        }
-        let ok = tx
-            .send(GnnSubResult {
-                epoch,
-                part,
-                embeddings: out.embeddings,
-                modeled_latency: out.modeled_latency,
-                completed_at,
-            })
-            .is_ok();
-        obs.exit(epoch, span);
-        if !ok {
-            return;
-        }
-    }
-}
-
-/// Reorder worker: the commit point of the data-parallel GNN stage.  Batch
-/// headers arrive in epoch order (SPSC from the state worker); sub-results
-/// arrive in arbitrary order from the worker pool.  For each header it
-/// collects the batch's parts — stashing parts of *later* epochs until their
-/// header is current — concatenates them in part order (bitwise-equal to the
-/// unsplit run), and emits the [`ServedBatch`].  The stash is bounded by the
-/// header/dispatch queue capacities: only in-flight epochs can have parts
-/// outstanding.
-pub(crate) fn reorder_loop(
-    rx_header: Receiver<GnnBatchHeader>,
-    rx_parts: MpmcReceiver<GnnSubResult>,
-    tx: Sender<ServedBatch>,
-    collector: Arc<Collector>,
-    cache: Option<Arc<EmbeddingCache>>,
-    obs: StageObs,
-) {
-    let mut stash: HashMap<(u64, usize), (PartEmbeddings, Option<Duration>, Instant)> =
-        HashMap::new();
-    while let Some(GnnBatchHeader {
-        epoch,
-        num_parts,
-        events,
-        metas,
-        backend,
-        sealed_at,
-        mem_done_at,
-    }) = rx_header.recv()
-    {
-        let span = obs.enter(epoch);
-        let mut parts: Vec<Option<PartEmbeddings>> = vec![None; num_parts];
-        let mut have = 0usize;
-        // The last part's completion closes the epoch-level `Gnn` trace
-        // segment; everything after it (until the batch is committed
-        // downstream) is the reorder barrier.
-        let mut last_done: Option<Instant> = None;
-        // A modeled backend predicts per-part service latencies; the batch's
-        // modeled latency is the max over parts (they run in parallel on the
-        // modeled hardware just as on the pool).
-        let mut modeled_latency: Option<Duration> = None;
-        let note_modeled = |m: Option<Duration>, acc: &mut Option<Duration>| {
-            if let Some(d) = m {
-                *acc = Some(acc.map_or(d, |a| a.max(d)));
-            }
-        };
-        for (p, slot) in parts.iter_mut().enumerate() {
-            if let Some((r, modeled, done)) = stash.remove(&(epoch, p)) {
-                *slot = Some(r);
-                note_modeled(modeled, &mut modeled_latency);
-                last_done = Some(last_done.map_or(done, |t| t.max(done)));
-                have += 1;
-            }
-        }
-        while have < num_parts {
-            match rx_parts.recv() {
-                Some(GnnSubResult {
-                    epoch: e,
-                    part,
-                    embeddings,
-                    modeled_latency: modeled,
-                    completed_at,
-                }) => {
-                    if e == epoch {
-                        debug_assert!(parts[part].is_none(), "duplicate sub-result");
-                        parts[part] = Some(embeddings);
-                        note_modeled(modeled, &mut modeled_latency);
-                        last_done = Some(last_done.map_or(completed_at, |t| t.max(completed_at)));
-                        have += 1;
-                    } else {
-                        stash.insert((e, part), (embeddings, modeled, completed_at));
-                    }
-                }
-                // The worker pool is gone with this batch incomplete — a
-                // worker died; unwind (the closed dispatch queue stops the
-                // stages behind us).
-                None => return,
-            }
-        }
-        let mut embeddings = Vec::new();
-        for part in parts {
-            embeddings.extend(part.expect("all parts collected"));
-        }
+        let out = backends[backend.code()]
+            .as_ref()
+            .expect("gnn: sealed batch routed to a backend that was not prepared")
+            .run_gnn(&job, &mut ws);
+        let computed = Instant::now();
+        let embeddings = out.embeddings;
         // Populate the embedding cache at the delivery commit point: a
         // cache entry is by construction exactly the embedding served for
         // this (vertex, epoch), which is what makes `ServeStale` hits
@@ -1041,7 +841,7 @@ pub(crate) fn reorder_loop(
         }
         let latency = sealed_at.elapsed();
         collector.record_batch(events.len(), embeddings.len(), latency);
-        collector.record_backend_batch(backend, events.len(), modeled_latency);
+        collector.record_backend_batch(backend, events.len(), out.modeled_latency);
         // Grade each event's deadline disposition at the completion point:
         // the admission-to-completion delay (queueing + batching + compute)
         // is what the tenant's deadline budgets.  The disposition is pure
@@ -1065,18 +865,15 @@ pub(crate) fn reorder_loop(
                 }
             })
             .collect();
-        let reordered_at = Instant::now();
-        let last_done = last_done.unwrap_or(reordered_at);
-        obs.trace_record(
-            epoch,
-            SegmentId::Gnn,
-            last_done.saturating_duration_since(mem_done_at),
-        );
-        obs.trace_record(
-            epoch,
-            SegmentId::ReorderBarrier,
-            reordered_at.saturating_duration_since(last_done),
-        );
+        let completed_at = Instant::now();
+        for (seg, from, to) in [
+            (SegmentId::GnnWait, dispatched_at, started),
+            (SegmentId::GnnCompute, started, computed),
+            (SegmentId::Gnn, dispatched_at, computed),
+            (SegmentId::ReorderBarrier, computed, completed_at),
+        ] {
+            obs.trace_record(epoch, seg, to.saturating_duration_since(from));
+        }
         let ok = tx
             .send(ServedBatch {
                 epoch,
@@ -1085,10 +882,10 @@ pub(crate) fn reorder_loop(
                 embeddings,
                 cache_epochs: Vec::new(),
                 backend,
-                modeled_latency,
+                modeled_latency: out.modeled_latency,
                 latency,
-                admitted_at: admitted_at.unwrap_or(reordered_at),
-                reordered_at,
+                admitted_at: admitted_at.unwrap_or(completed_at),
+                completed_at,
             })
             .is_ok();
         obs.exit(epoch, span);
@@ -1179,7 +976,6 @@ mod tests {
                 durability: None,
                 cache: None,
                 next_epoch: next_epoch.clone(),
-                gnn_workers: 1,
                 metrics_sampling: 1,
                 slo_engine: None,
             });
@@ -1187,8 +983,8 @@ mod tests {
                 let (admission, collector, next_epoch) =
                     (admission.clone(), collector.clone(), next_epoch.clone());
                 let (sched, batcher) = (
-                    hub.stage_obs(StageId::Scheduler, 0),
-                    hub.stage_obs(StageId::Batcher, 0),
+                    hub.stage_obs(StageId::Scheduler),
+                    hub.stage_obs(StageId::Batcher),
                 );
                 thread::spawn(move || {
                     ingest_loop(

@@ -9,12 +9,13 @@
 //!
 //! Two flavours share the semantics:
 //! * [`channel`] — single-producer single-consumer, one end per stage;
-//! * [`mpmc_channel`] — multi-producer multi-consumer with clonable ends,
-//!   used as the dispatch/result queues of the data-parallel GNN worker
-//!   pool.  The channel closes when the last [`MpmcSender`] drops (or
+//! * [`mpmc_channel`] — multi-producer multi-consumer with clonable ends.
+//!   The channel closes when the last [`MpmcSender`] drops (or
 //!   [`MpmcSender::close`]/[`MpmcReceiver::close`] is called explicitly), and
-//!   `send` fails once every receiver is gone — so a dying worker pool can
-//!   never strand a blocked producer or consumer.
+//!   `send` fails once every receiver is gone.  No pipeline stage uses it
+//!   (every stage is one thread, connected by [`channel`]s); it stays because
+//!   `benchmark/` times it (`serve.queue_mpmc.ns_per_item`), and goes when
+//!   that benchmark is next re-baselined.
 //!
 //! Both are a plain mutex + condvars — a mutex keeps the close/backpressure
 //! semantics obvious.  What is *not* noise once a micro-batch can be a single
@@ -451,7 +452,8 @@ pub struct MpmcMonitor<T> {
 }
 
 /// Creates a bounded MPMC channel.  Both ends are clonable; the channel
-/// closes when the last sender drops (or either end calls `close()`).
+/// closes when the last sender drops (or either end calls `close()`).  The
+/// pipeline does not use it; it is kept for `benchmark/`, which times it.
 ///
 /// # Panics
 /// Panics if `capacity == 0`.

@@ -1,5 +1,10 @@
 //! The streaming inference server: admission, worker lifecycle, and the
 //! backpressure-aware serve report.
+//!
+//! A server owns three pipeline workers over three queues, whatever its
+//! backend mix — `tgnn-serve-ingest` → `ingest→state` →
+//! `tgnn-serve-state` → `state→gnn` → `tgnn-serve-gnn` → `gnn→results` →
+//! `poll` — plus `tgnn-serve-wal-sync` under `FsyncPolicy::OnSeal`.
 
 use crate::admission::{
     AdmissionControl, AdmissionCounters, StaleServing, SubmitOutcome, TenantSpec,
@@ -8,13 +13,10 @@ use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
 use crate::metrics::{per_second, HubConfig, MetricsHub, MetricsSnapshot, StageId};
 use crate::pipeline::{
-    gnn_worker_loop, ingest_loop, reorder_loop, state_loop, Collector, GnnBatchHeader,
-    GnnFaultHook, GnnSubJob, GnnSubResult, SealedBatch, ServedBatch, StateObs, StateStage,
-    STATE_ONLY,
+    gnn_loop, ingest_loop, state_loop, Collector, GnnFaultHook, GnnJob, SealedBatch, ServedBatch,
+    StateObs, StateStage, STATE_ONLY,
 };
-use crate::queue::{
-    channel, channel_with_idle_hook, mpmc_channel, MpmcReceiver, MpmcSender, QueueStats, Receiver,
-};
+use crate::queue::{channel, channel_with_idle_hook, QueueStats, Receiver};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,11 +63,6 @@ pub struct ServeConfig {
     pub results_capacity: usize,
     /// Number of vertex shards for the neighbor table and the memory table.
     pub num_shards: usize,
-    /// Number of data-parallel GNN compute workers.  Each batch's GNN job is
-    /// split into up to this many sub-jobs served from one shared dispatch
-    /// queue; the reorder stage keeps the output stream in epoch order and
-    /// bit-identical to `ExecMode::Serial` for every worker count.
-    pub gnn_workers: usize,
     /// Tenant table of the admission layer.  Empty (the default) means a
     /// single implicit [`TenantId::DEFAULT`] tenant —
     /// `TenantSpec::new("default")`: `Block` policy, 1024-event ingress
@@ -86,7 +83,7 @@ pub struct ServeConfig {
     /// explicitly to size the capacity/staleness bound, or to enable the
     /// cache (and its hit/miss metrics) without the policy.
     pub cache: Option<CacheConfig>,
-    /// Test-only fault-injection hook passed to every GNN worker; `None` in
+    /// Test-only fault-injection hook passed to the GNN worker; `None` in
     /// production.  See [`GnnFaultHook`].
     pub gnn_fault: Option<GnnFaultHook>,
     /// Opt-in durability: write-ahead log of admission outcomes plus
@@ -111,9 +108,11 @@ pub struct ServeConfig {
     /// traces, and the flight recorder stay empty.
     pub metrics: bool,
     /// Capacity of the flight recorder ring, in span events.  Each epoch
-    /// generates roughly `2 × (5 + gnn_workers)` of them, so the default
-    /// 4096 keeps a few hundred epochs of timeline for post-mortems — a few
-    /// hundred *micro-batches*, whatever size load made them: tens of
+    /// generates about 11 of them — an enter and an exit for each of its
+    /// five stage spans (batcher, sampler, memory, GNN, update) plus the
+    /// delivery mark — so the default 4096 keeps a few hundred epochs of
+    /// timeline for post-mortems — a few hundred *micro-batches*, whatever
+    /// size load made them: tens of
     /// thousands of stream events at saturation, a few hundred on a lightly
     /// loaded server (there the last few hundred epochs are also the last
     /// tens of milliseconds, which is what a post-mortem wants).
@@ -149,7 +148,6 @@ impl Default for ServeConfig {
             stage_capacity: 4,
             results_capacity: 256,
             num_shards: 4,
-            gnn_workers: 1,
             tenants: Vec::new(),
             cache: None,
             gnn_fault: None,
@@ -171,7 +169,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("stage_capacity", &self.stage_capacity)
             .field("results_capacity", &self.results_capacity)
             .field("num_shards", &self.num_shards)
-            .field("gnn_workers", &self.gnn_workers)
             .field("tenants", &self.tenants)
             .field("cache", &self.cache)
             .field("gnn_fault", &self.gnn_fault.as_ref().map(|_| "<hook>"))
@@ -289,9 +286,9 @@ pub struct BackendStats {
     pub served_batches: u64,
     /// Events inside those batches.
     pub served_events: u64,
-    /// Modeled service-latency distribution (one sample per served batch,
-    /// the max across the batch's sub-jobs); `None` for backends that
-    /// really execute where they are measured (f32, int8).
+    /// Modeled service-latency distribution (one sample per served batch);
+    /// `None` for backends that really execute where they are measured
+    /// (f32, int8).
     pub modeled_latency: Option<LatencySummary>,
 }
 
@@ -332,8 +329,6 @@ pub struct ServeReport {
     pub commit_log_clean: bool,
     /// Shard count the session ran with.
     pub num_shards: usize,
-    /// Data-parallel GNN worker count the session ran with.
-    pub gnn_workers: usize,
     /// WAL/snapshot counters when the session ran with
     /// [`ServeConfig::durability`]; `None` on the legacy path.
     pub durability: Option<DurabilityStats>,
@@ -393,9 +388,9 @@ impl std::error::Error for SubmitError {}
 /// layer queues them per tenant, the ingest worker drains tenants
 /// weighted-fair into micro-batches, the state worker advances the temporal
 /// state batch by batch (sample → memory → gather → commit) and the GNN
-/// pool computes each batch's embeddings meanwhile.  Completed batches come back
-/// via [`Self::poll`]; [`Self::drain`] flushes everything and returns the
-/// [`ServeReport`].
+/// worker computes each batch's embeddings meanwhile.  Completed batches
+/// come back via [`Self::poll`]; [`Self::drain`] flushes everything and
+/// returns the [`ServeReport`].
 pub struct StreamServer {
     admission: Arc<AdmissionControl>,
     results_rx: Receiver<ServedBatch>,
@@ -435,7 +430,6 @@ pub struct StreamServer {
     warm_timestamp: Timestamp,
     submitted: usize,
     num_shards: usize,
-    gnn_workers: usize,
     durability: Option<Arc<Durability>>,
     /// SLO recording handle: `poll` grades every pipeline delivery against
     /// the latency objective (a no-op without `ServeConfig::slo`).
@@ -448,15 +442,14 @@ pub struct StreamServer {
 
 impl StreamServer {
     /// Builds the sharded state and spawns the pipeline workers: ingest,
-    /// state, `gnn_workers` GNN compute workers sharing one dispatch queue,
-    /// and the reorder worker that restores epoch order.
+    /// state and GNN.
     ///
     /// # Panics
-    /// Panics if `config.gnn_workers == 0`, if a configured tenant has a
-    /// zero weight or ingress capacity, or if `config.durability` points at
-    /// a directory that already contains WAL segments — a prior durable
-    /// session ended there, and silently appending to its log would corrupt
-    /// the seal sequence; call [`Self::recover`] instead.
+    /// Panics if a configured tenant has a zero weight or ingress capacity,
+    /// or if `config.durability` points at a directory that already contains
+    /// WAL segments — a prior durable session ended there, and silently
+    /// appending to its log would corrupt the seal sequence; call
+    /// [`Self::recover`] instead.
     pub fn new(model: TgnModel, graph: Arc<TemporalGraph>, config: ServeConfig) -> Self {
         if let Some(dcfg) = &config.durability {
             assert!(
@@ -479,13 +472,8 @@ impl StreamServer {
         config: ServeConfig,
         wal_last_seq: u64,
     ) -> Self {
-        assert!(
-            config.gnn_workers > 0,
-            "StreamServer: need at least one GNN worker"
-        );
         let num_nodes = graph.num_nodes();
         let num_shards = config.num_shards;
-        let gnn_workers = config.gnn_workers;
         let mut tenants = if config.tenants.is_empty() {
             vec![TenantSpec::new("default")]
         } else {
@@ -580,7 +568,6 @@ impl StreamServer {
                 )),
             });
         }
-        let num_backends = backends.iter().flatten().count();
         // The sampling/memory/update stages run once on one shared model —
         // a single temporal-state trajectory regardless of who computes
         // embeddings.  A heterogeneous session pins that model to f32
@@ -618,61 +605,23 @@ impl StreamServer {
                 move || admission.kick(),
             )
         };
-        let (header_tx, header_rx) =
-            channel::<GnnBatchHeader>("state→reorder", config.stage_capacity);
-        // The dispatch/result queues carry per-part items (up to gnn_workers
-        // per batch), so they scale with the pool size to keep the same
-        // number of batches in flight as the other stage queues.  One
-        // dispatch queue per prepared backend: the state worker routes each
-        // sealed batch's sub-jobs to its backend's queue.
-        let mut gnn_txs: Vec<Option<MpmcSender<GnnSubJob>>> =
-            (0..NUM_BACKEND_KINDS).map(|_| None).collect();
-        let mut gnn_rxs: Vec<Option<MpmcReceiver<GnnSubJob>>> =
-            (0..NUM_BACKEND_KINDS).map(|_| None).collect();
-        for kind in BackendKind::ALL {
-            if backends[kind.code()].is_none() {
-                continue;
-            }
-            let name: &'static str = if num_backends == 1 {
-                "state→gnn"
-            } else {
-                match kind {
-                    BackendKind::F32 => "state→gnn[f32]",
-                    BackendKind::Int8 => "state→gnn[int8]",
-                    BackendKind::HwSim => "state→gnn[hwsim]",
-                }
-            };
-            let (tx, rx) = mpmc_channel::<GnnSubJob>(name, config.stage_capacity * gnn_workers);
-            gnn_txs[kind.code()] = Some(tx);
-            gnn_rxs[kind.code()] = Some(rx);
-        }
-        let (parts_tx, parts_rx) =
-            mpmc_channel::<GnnSubResult>("gnn→reorder", config.stage_capacity * gnn_workers);
+        let (gnn_tx, gnn_rx) = channel::<GnnJob>("state→gnn", config.stage_capacity);
         let (results_tx, results_rx) =
-            channel::<ServedBatch>("reorder→results", config.results_capacity);
-
-        let mut queue_stats: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>> = vec![
+            channel::<ServedBatch>("gnn→results", config.results_capacity);
+        let queue_stats: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>> = vec![
             {
                 let m = sealed_tx.monitor();
                 Box::new(move || m.stats())
             },
             {
-                let m = header_tx.monitor();
+                let m = gnn_tx.monitor();
+                Box::new(move || m.stats())
+            },
+            {
+                let m = results_tx.monitor();
                 Box::new(move || m.stats())
             },
         ];
-        for tx in gnn_txs.iter().flatten() {
-            let m = tx.monitor();
-            queue_stats.push(Box::new(move || m.stats()));
-        }
-        queue_stats.push({
-            let m = parts_tx.monitor();
-            Box::new(move || m.stats())
-        });
-        queue_stats.push({
-            let m = results_tx.monitor();
-            Box::new(move || m.stats())
-        });
 
         // The metrics hub must exist before any worker spawns: every worker
         // carries its `StageObs` handle from birth, and the durability
@@ -686,7 +635,6 @@ impl StreamServer {
             durability: durability.clone(),
             cache: cache.clone(),
             next_epoch: next_epoch.clone(),
-            gnn_workers: gnn_workers * num_backends,
             metrics_sampling: config.metrics_sampling,
             slo_engine,
         });
@@ -694,15 +642,15 @@ impl StreamServer {
             d.set_obs(hub.durability_obs());
         }
 
-        let mut workers = Vec::with_capacity(3 + gnn_workers * num_backends);
+        let mut workers = Vec::with_capacity(3);
         {
             let admission = admission.clone();
             let next_epoch = next_epoch.clone();
             let (max_batch, deadline) = (config.max_batch, config.batch_deadline);
             let durability = durability.clone();
             let collector = collector.clone();
-            let sched_obs = hub.stage_obs(StageId::Scheduler, 0);
-            let obs = hub.stage_obs(StageId::Batcher, 0);
+            let sched_obs = hub.stage_obs(StageId::Scheduler);
+            let obs = hub.stage_obs(StageId::Batcher);
             let sampling = config.metrics_sampling;
             workers.push(spawn("tgnn-serve-ingest", move || {
                 ingest_loop(
@@ -724,51 +672,22 @@ impl StreamServer {
             stage.durability = durability.clone();
             stage.cache = cache.clone();
             stage.obs = Some(StateObs {
-                sampler: hub.stage_obs(StageId::Sampler, 0),
-                memory: hub.stage_obs(StageId::Memory, 0),
-                update: hub.stage_obs(StageId::Update, 0),
+                sampler: hub.stage_obs(StageId::Sampler),
+                memory: hub.stage_obs(StageId::Memory),
+                update: hub.stage_obs(StageId::Update),
             });
-            let tx_gnn = gnn_txs;
             workers.push(spawn("tgnn-serve-state", move || {
-                state_loop(sealed_rx, header_tx, tx_gnn, gnn_workers, stage)
+                state_loop(sealed_rx, gnn_tx, stage)
             }));
         }
-        // One pool of `gnn_workers` compute workers per prepared backend,
-        // each pool draining its backend's dispatch queue and feeding the
-        // one shared parts queue the reorder worker consumes.
-        for (pool, kind) in BackendKind::ALL
-            .into_iter()
-            .filter(|k| backends[k.code()].is_some())
-            .enumerate()
         {
-            for i in 0..gnn_workers {
-                let rx = gnn_rxs[kind.code()].as_ref().expect("queue exists").clone();
-                let tx = parts_tx.clone();
-                let backend = backends[kind.code()].as_ref().expect("built above").clone();
-                let fault = config.gnn_fault.clone();
-                let worker = pool * gnn_workers + i;
-                let obs = hub.stage_obs(StageId::Gnn, worker as u16);
-                let name = if num_backends == 1 {
-                    format!("tgnn-serve-gnn-{i}")
-                } else {
-                    format!("tgnn-serve-gnn-{}-{i}", kind.label())
-                };
-                workers.push(spawn(&name, move || {
-                    gnn_worker_loop(rx, tx, backend, fault, obs)
-                }));
-            }
-        }
-        // The originals were cloned into the pools; drop them so the
-        // dispatch and result channels close exactly when the last worker
-        // exits.
-        drop(gnn_rxs);
-        drop(parts_tx);
-        {
+            let backends = backends.clone();
             let collector = collector.clone();
             let cache = cache.clone();
-            let obs = hub.stage_obs(StageId::Reorder, 0);
-            workers.push(spawn("tgnn-serve-reorder", move || {
-                reorder_loop(header_rx, parts_rx, results_tx, collector, cache, obs)
+            let fault = config.gnn_fault.clone();
+            let obs = hub.stage_obs(StageId::Gnn);
+            workers.push(spawn("tgnn-serve-gnn", move || {
+                gnn_loop(gnn_rx, results_tx, backends, collector, cache, fault, obs)
             }));
         }
         // Seal group commit (`OnSeal` only): one worker fsyncs all pending
@@ -803,7 +722,6 @@ impl StreamServer {
             warm_timestamp: Timestamp::NEG_INFINITY,
             submitted: 0,
             num_shards,
-            gnn_workers,
             durability,
             slo: slo_handle,
             wal_block_since: None,
@@ -1019,7 +937,7 @@ impl StreamServer {
                 cache_epochs: Vec::new(),
                 latency: Duration::ZERO,
                 admitted_at: now,
-                reordered_at: now,
+                completed_at: now,
             });
             re_served_epochs += 1;
         }
@@ -1159,7 +1077,7 @@ impl StreamServer {
             traced,
             total,
             wal_wait,
-            now.saturating_duration_since(b.reordered_at),
+            now.saturating_duration_since(b.completed_at),
         );
         Some(b)
     }
@@ -1233,9 +1151,9 @@ impl StreamServer {
             self.completed.push_back(b);
         }
         if let Some(d) = &self.durability {
-            // The pipeline workers are done appending and the reorder worker
-            // has released every delivery gate: stop the group-commit syncer
-            // (it flushes any still-pending seal requests on its way out)…
+            // The pipeline workers are done appending: stop the group-commit
+            // syncer (it flushes any still-pending seal requests on its way
+            // out)…
             d.shutdown_seal_sync();
             // …then make the whole tail durable before any panic can
             // propagate.  (A frozen WAL — crash injection — no-ops this, as
@@ -1268,7 +1186,7 @@ impl StreamServer {
     /// The aggregate report so far (cheap; callable live or after `drain`):
     /// a view of [`Self::metrics`] — every count and latency in it is the
     /// snapshot's — plus what only the server holds, the commit log and the
-    /// shard/worker counts.
+    /// shard count.
     pub fn report(&self) -> ServeReport {
         let m = self.hub.snapshot();
         let mut stage_timings = StageTimings::default();
@@ -1297,7 +1215,6 @@ impl StreamServer {
             commits: log.commits(),
             commit_log_clean: log.is_clean(),
             num_shards: self.num_shards,
-            gnn_workers: self.gnn_workers,
             durability: m.durability,
             cache: m.cache,
             stage_timings,
@@ -1358,8 +1275,7 @@ impl Drop for StreamServer {
             drop(w);
         }
         if let Some(d) = &self.durability {
-            // Release the syncer and any reorder worker waiting on it so the
-            // detached threads can exit.
+            // Release the syncer so the detached thread can exit.
             d.shutdown_seal_sync();
             // Best-effort: push any buffered tail (e.g. post-drain acks) to
             // disk.  Workers may still be appending, which is fine — flush

@@ -19,6 +19,8 @@ use tgnn_graph::{EventBatch, InteractionEvent, TemporalGraph};
 use tgnn_serve::{ServeConfig, ServedBatch, StreamServer, SubmitError, TenantSpec};
 use tgnn_tensor::TensorRng;
 
+mod common;
+
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     let graph = generate(&tiny(seed));
     let cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim())
@@ -74,6 +76,7 @@ fn run_multi_tenant(
     while let Some(b) = server.poll() {
         served.push(b);
     }
+    common::assert_conserved(&server.metrics());
     (served, report, assignment, admitted, dropped)
 }
 
@@ -109,120 +112,117 @@ fn drop_policies_never_drop_admitted_events() {
     // The no-loss property of the drop policies: every event is either
     // admitted (and then served exactly once, even those still queued at
     // drain time) or dropped at submit (and never served) — across
-    // policies, seeds, and worker counts, with tiny bounds so drops and
-    // backpressure actually happen.
+    // policies and seeds, with tiny bounds so drops and backpressure
+    // actually happen.
     for seed in [3u64, 23] {
         let (model, graph) = setup(seed);
         let events = &graph.events()[..220.min(graph.num_events())];
         for policy in [OverloadPolicy::DropNewest, OverloadPolicy::DropOldest] {
-            for gnn_workers in [1usize, 2] {
-                let label = format!("seed={seed} policy={} gnn={gnn_workers}", policy.label());
-                let tenants: Vec<TenantSpec> = (0..3)
-                    .map(|i| {
-                        TenantSpec::new(format!("t{i}"))
-                            .with_weight(1 + i as u32)
-                            .with_capacity(4)
-                            .with_policy(policy)
-                    })
-                    .collect();
-                let config = ServeConfig {
-                    max_batch: 5,
-                    batch_deadline: Duration::from_secs(3600),
-                    stage_capacity: 1,
-                    results_capacity: 2,
-                    num_shards: 2,
-                    gnn_workers,
-                    tenants,
-                    ..ServeConfig::default()
-                };
-                let (served, report, assignment, admitted, dropped) =
-                    run_multi_tenant(model.clone(), &graph, events, config, 3);
+            let label = format!("seed={seed} policy={}", policy.label());
+            let tenants: Vec<TenantSpec> = (0..3)
+                .map(|i| {
+                    TenantSpec::new(format!("t{i}"))
+                        .with_weight(1 + i as u32)
+                        .with_capacity(4)
+                        .with_policy(policy)
+                })
+                .collect();
+            let config = ServeConfig {
+                max_batch: 5,
+                batch_deadline: Duration::from_secs(3600),
+                stage_capacity: 1,
+                results_capacity: 2,
+                num_shards: 2,
+                tenants,
+                ..ServeConfig::default()
+            };
+            let (served, report, assignment, admitted, dropped) =
+                run_multi_tenant(model.clone(), &graph, events, config, 3);
 
-                // Exactly-once accounting.  The two policies differ in
-                // *where* the loss is visible: DropNewest rejects at submit
-                // (outcome `Dropped`, admitted events untouchable), while
-                // DropOldest always admits the incoming event but may evict
-                // an earlier admitted-but-not-yet-scheduled one (visible
-                // only in the report's eviction counter).  In both cases an
-                // event the scheduler has sealed into a batch is never lost.
-                assert_eq!(admitted.len() + dropped.len(), events.len(), "{label}");
-                let served_events = multiset(served.iter().flat_map(|b| b.events.iter().copied()));
-                let admitted_keys = multiset(admitted.iter().copied());
-                let total_evicted: u64 = report
-                    .tenants
-                    .iter()
-                    .map(|t| t.counters.dropped_oldest)
-                    .sum();
+            // Exactly-once accounting.  The two policies differ in
+            // *where* the loss is visible: DropNewest rejects at submit
+            // (outcome `Dropped`, admitted events untouchable), while
+            // DropOldest always admits the incoming event but may evict
+            // an earlier admitted-but-not-yet-scheduled one (visible
+            // only in the report's eviction counter).  In both cases an
+            // event the scheduler has sealed into a batch is never lost.
+            assert_eq!(admitted.len() + dropped.len(), events.len(), "{label}");
+            let served_events = multiset(served.iter().flat_map(|b| b.events.iter().copied()));
+            let admitted_keys = multiset(admitted.iter().copied());
+            let total_evicted: u64 = report
+                .tenants
+                .iter()
+                .map(|t| t.counters.dropped_oldest)
+                .sum();
+            match policy {
+                OverloadPolicy::DropNewest => {
+                    assert_eq!(
+                        served_events, admitted_keys,
+                        "{label}: every admitted event is served exactly once"
+                    );
+                    assert_eq!(total_evicted, 0, "{label}");
+                }
+                OverloadPolicy::DropOldest => {
+                    assert!(dropped.is_empty(), "{label}: DropOldest always admits");
+                    assert!(
+                        served_events
+                            .iter()
+                            .all(|k| admitted_keys.binary_search(k).is_ok()),
+                        "{label}: served events must all have been admitted"
+                    );
+                    assert_eq!(
+                        served_events.len() + total_evicted as usize,
+                        admitted_keys.len(),
+                        "{label}: admitted = served + evicted, nothing else"
+                    );
+                }
+                _ => unreachable!(),
+            }
+            for k in multiset(dropped.iter().copied()).iter() {
+                assert!(
+                    served_events.binary_search(k).is_err(),
+                    "{label}: a dropped event was served"
+                );
+            }
+
+            // Report-side accounting agrees with the client's view.
+            let total_dropped: u64 = report.tenants.iter().map(|t| t.dropped()).sum();
+            let total_served: u64 = report.tenants.iter().map(|t| t.served).sum();
+            assert_eq!(
+                total_dropped as usize,
+                dropped.len() + total_evicted as usize,
+                "{label}"
+            );
+            assert_eq!(total_served as usize, served_events.len(), "{label}");
+            for t in &report.tenants {
+                assert!(
+                    t.counters.max_depth <= 4,
+                    "{label}: ingress depth {} exceeded the bound",
+                    t.counters.max_depth
+                );
                 match policy {
                     OverloadPolicy::DropNewest => {
-                        assert_eq!(
-                            served_events, admitted_keys,
-                            "{label}: every admitted event is served exactly once"
-                        );
-                        assert_eq!(total_evicted, 0, "{label}");
+                        assert_eq!(t.counters.dropped_oldest, 0, "{label}")
                     }
                     OverloadPolicy::DropOldest => {
-                        assert!(dropped.is_empty(), "{label}: DropOldest always admits");
-                        assert!(
-                            served_events
-                                .iter()
-                                .all(|k| admitted_keys.binary_search(k).is_ok()),
-                            "{label}: served events must all have been admitted"
-                        );
-                        assert_eq!(
-                            served_events.len() + total_evicted as usize,
-                            admitted_keys.len(),
-                            "{label}: admitted = served + evicted, nothing else"
-                        );
+                        assert_eq!(t.counters.dropped_newest, 0, "{label}")
                     }
                     _ => unreachable!(),
                 }
-                for k in multiset(dropped.iter().copied()).iter() {
-                    assert!(
-                        served_events.binary_search(k).is_err(),
-                        "{label}: a dropped event was served"
-                    );
-                }
+            }
+            assert!(
+                total_dropped > 0,
+                "{label}: overload at capacity 4 must cause drops"
+            );
 
-                // Report-side accounting agrees with the client's view.
-                let total_dropped: u64 = report.tenants.iter().map(|t| t.dropped()).sum();
-                let total_served: u64 = report.tenants.iter().map(|t| t.served).sum();
-                assert_eq!(
-                    total_dropped as usize,
-                    dropped.len() + total_evicted as usize,
-                    "{label}"
-                );
-                assert_eq!(total_served as usize, served_events.len(), "{label}");
-                for t in &report.tenants {
-                    assert!(
-                        t.counters.max_depth <= 4,
-                        "{label}: ingress depth {} exceeded the bound",
-                        t.counters.max_depth
-                    );
-                    match policy {
-                        OverloadPolicy::DropNewest => {
-                            assert_eq!(t.counters.dropped_oldest, 0, "{label}")
-                        }
-                        OverloadPolicy::DropOldest => {
-                            assert_eq!(t.counters.dropped_newest, 0, "{label}")
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                assert!(
-                    total_dropped > 0,
-                    "{label}: overload at capacity 4 must cause drops"
-                );
+            assert_matches_serial(model.clone(), &graph, &served, &label);
 
-                assert_matches_serial(model.clone(), &graph, &served, &label);
-
-                // Tenant attribution on every result matches the submitter.
-                for b in &served {
-                    assert_eq!(b.metas.len(), b.events.len(), "{label}");
-                    for (e, m) in b.events.iter().zip(&b.metas) {
-                        assert_eq!(assignment[&key(e)], m.tenant, "{label}");
-                        assert_eq!(m.disposition, Disposition::OnTime, "{label}");
-                    }
+            // Tenant attribution on every result matches the submitter.
+            for b in &served {
+                assert_eq!(b.metas.len(), b.events.len(), "{label}");
+                for (e, m) in b.events.iter().zip(&b.metas) {
+                    assert_eq!(assignment[&key(e)], m.tenant, "{label}");
+                    assert_eq!(m.disposition, Disposition::OnTime, "{label}");
                 }
             }
         }
@@ -286,6 +286,7 @@ fn overloaded_shares(
     }
     let report = server.drain();
     while server.poll().is_some() {}
+    common::assert_conserved(&server.metrics());
 
     assert!(
         dropped > submitted / 10,
@@ -351,11 +352,11 @@ fn weighted_fair_draining_bounds_every_tenants_share_under_overload() {
     // ±5 points — over the whole run, the arrival-order start and the
     // equal-depth drain tail (≤ 1024 events per tenant) included, hence the
     // long run.  A backlog on every host needs a pipeline slower than any
-    // submitter: the hook never fires, it holds each GNN sub-job for 2 ms
+    // submitter: the hook never fires, it holds each GNN job for 2 ms
     // (≤ 100 k events/s; the default pipeline otherwise keeps up with this
     // loop in a release build).
     let config = ServeConfig {
-        gnn_fault: Some(Arc::new(|_, _| {
+        gnn_fault: Some(Arc::new(|_| {
             std::thread::sleep(Duration::from_millis(2));
             false
         })),

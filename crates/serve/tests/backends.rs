@@ -25,6 +25,8 @@ use tgnn_serve::{
 };
 use tgnn_tensor::{Float, TensorRng};
 
+mod common;
+
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     let graph = generate(&tiny(seed));
     let cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim())
@@ -63,12 +65,11 @@ fn quantized_setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
 
 /// No deadline seals: batches are cut by the cap or by the state worker
 /// going idle, so the replay comparisons follow the served boundaries.
-fn routed_config(tenants: Vec<TenantSpec>, num_shards: usize, gnn_workers: usize) -> ServeConfig {
+fn routed_config(tenants: Vec<TenantSpec>, num_shards: usize) -> ServeConfig {
     ServeConfig {
         max_batch: 32,
         batch_deadline: Duration::from_secs(3600),
         num_shards,
-        gnn_workers,
         tenants,
         ..ServeConfig::default()
     }
@@ -180,37 +181,35 @@ fn f32_routed_tenant_is_bit_identical_to_batched_engine() {
     for seed in [3u64, 11] {
         let (model, graph) = setup(seed);
         let events = &graph.events()[..200.min(graph.num_events())];
-        for gnn_workers in [1usize, 2, 4] {
-            for num_shards in [1usize, 4] {
-                let label = format!("f32 seed={seed} shards={num_shards} gnn={gnn_workers}");
-                let tenants = vec![TenantSpec::new("f32").with_backend(BackendKind::F32)];
-                let (served, report) = serve_routed(
-                    model.clone(),
-                    &graph,
-                    events,
-                    |_| TenantId::DEFAULT,
-                    routed_config(tenants, num_shards, gnn_workers),
-                    true,
-                );
-                let total: usize = served.iter().map(|b| b.events.len()).sum();
-                assert_eq!(total, events.len(), "{label}: events lost or duplicated");
-                assert!(report.commit_log_clean, "{label}");
-                assert_routing(&served, &[BackendKind::F32], &label);
-                assert!(
-                    served.iter().all(|b| b.modeled_latency.is_none()),
-                    "{label}: a real backend must not model latency"
-                );
-                assert_eq!(report.tenants[0].backend, BackendKind::F32, "{label}");
-                let row = backend_row(&report, BackendKind::F32, &label);
-                assert_eq!(report.backends.len(), 1, "{label}: one active backend");
-                assert_eq!(row.served_events as usize, events.len(), "{label}");
-                assert_eq!(row.served_batches as usize, served.len(), "{label}");
-                assert!(row.modeled_latency.is_none(), "{label}");
-                let engine = InferenceEngine::new(model.clone(), graph.num_nodes())
-                    .with_mode(ExecMode::Batched);
-                let compared = assert_matches_engine(engine, &graph, &served, |_| true, &label);
-                assert_eq!(compared, served.len(), "{label}: batches skipped");
-            }
+        for num_shards in [1usize, 4] {
+            let label = format!("f32 seed={seed} shards={num_shards}");
+            let tenants = vec![TenantSpec::new("f32").with_backend(BackendKind::F32)];
+            let (served, report) = serve_routed(
+                model.clone(),
+                &graph,
+                events,
+                |_| TenantId::DEFAULT,
+                routed_config(tenants, num_shards),
+                true,
+            );
+            let total: usize = served.iter().map(|b| b.events.len()).sum();
+            assert_eq!(total, events.len(), "{label}: events lost or duplicated");
+            assert!(report.commit_log_clean, "{label}");
+            assert_routing(&served, &[BackendKind::F32], &label);
+            assert!(
+                served.iter().all(|b| b.modeled_latency.is_none()),
+                "{label}: a real backend must not model latency"
+            );
+            assert_eq!(report.tenants[0].backend, BackendKind::F32, "{label}");
+            let row = backend_row(&report, BackendKind::F32, &label);
+            assert_eq!(report.backends.len(), 1, "{label}: one active backend");
+            assert_eq!(row.served_events as usize, events.len(), "{label}");
+            assert_eq!(row.served_batches as usize, served.len(), "{label}");
+            assert!(row.modeled_latency.is_none(), "{label}");
+            let engine =
+                InferenceEngine::new(model.clone(), graph.num_nodes()).with_mode(ExecMode::Batched);
+            let compared = assert_matches_engine(engine, &graph, &served, |_| true, &label);
+            assert_eq!(compared, served.len(), "{label}: batches skipped");
         }
     }
 }
@@ -220,31 +219,29 @@ fn int8_routed_tenant_is_bit_identical_to_quantized_engine() {
     for seed in [3u64, 11] {
         let (model, graph) = quantized_setup(seed);
         let events = &graph.events()[..200.min(graph.num_events())];
-        for gnn_workers in [1usize, 2, 4] {
-            for num_shards in [1usize, 4] {
-                let label = format!("int8 seed={seed} shards={num_shards} gnn={gnn_workers}");
-                let tenants = vec![TenantSpec::new("int8").with_backend(BackendKind::Int8)];
-                let (served, report) = serve_routed(
-                    model.clone(),
-                    &graph,
-                    events,
-                    |_| TenantId::DEFAULT,
-                    routed_config(tenants, num_shards, gnn_workers),
-                    true,
-                );
-                let total: usize = served.iter().map(|b| b.events.len()).sum();
-                assert_eq!(total, events.len(), "{label}: events lost or duplicated");
-                assert_routing(&served, &[BackendKind::Int8], &label);
-                assert_eq!(report.tenants[0].backend, BackendKind::Int8, "{label}");
-                let row = backend_row(&report, BackendKind::Int8, &label);
-                assert_eq!(report.backends.len(), 1, "{label}: one active backend");
-                assert_eq!(row.served_events as usize, events.len(), "{label}");
-                assert!(row.modeled_latency.is_none(), "{label}");
-                let engine = InferenceEngine::new(model.clone(), graph.num_nodes())
-                    .with_mode(ExecMode::Quantized);
-                let compared = assert_matches_engine(engine, &graph, &served, |_| true, &label);
-                assert_eq!(compared, served.len(), "{label}: batches skipped");
-            }
+        for num_shards in [1usize, 4] {
+            let label = format!("int8 seed={seed} shards={num_shards}");
+            let tenants = vec![TenantSpec::new("int8").with_backend(BackendKind::Int8)];
+            let (served, report) = serve_routed(
+                model.clone(),
+                &graph,
+                events,
+                |_| TenantId::DEFAULT,
+                routed_config(tenants, num_shards),
+                true,
+            );
+            let total: usize = served.iter().map(|b| b.events.len()).sum();
+            assert_eq!(total, events.len(), "{label}: events lost or duplicated");
+            assert_routing(&served, &[BackendKind::Int8], &label);
+            assert_eq!(report.tenants[0].backend, BackendKind::Int8, "{label}");
+            let row = backend_row(&report, BackendKind::Int8, &label);
+            assert_eq!(report.backends.len(), 1, "{label}: one active backend");
+            assert_eq!(row.served_events as usize, events.len(), "{label}");
+            assert!(row.modeled_latency.is_none(), "{label}");
+            let engine = InferenceEngine::new(model.clone(), graph.num_nodes())
+                .with_mode(ExecMode::Quantized);
+            let compared = assert_matches_engine(engine, &graph, &served, |_| true, &label);
+            assert_eq!(compared, served.len(), "{label}: batches skipped");
         }
     }
 }
@@ -267,93 +264,91 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
     for seed in [5u64, 19] {
         let (model, graph) = quantized_setup(seed);
         let events = &graph.events()[..240.min(graph.num_events())];
-        for gnn_workers in [1usize, 2] {
-            for num_shards in [1usize, 3] {
-                let label = format!("mixed seed={seed} shards={num_shards} gnn={gnn_workers}");
-                let tenants = vec![
-                    TenantSpec::new("prod-f32").with_backend(BackendKind::F32),
-                    TenantSpec::new("batch-int8").with_backend(BackendKind::Int8),
-                    TenantSpec::new("canary-hwsim").with_backend(BackendKind::HwSim),
-                ];
-                let (served, report) = serve_routed(
-                    model.clone(),
-                    &graph,
-                    events,
-                    |i| TenantId(i as u32 % 3),
-                    routed_config(tenants, num_shards, gnn_workers),
-                    false,
+        for num_shards in [1usize, 3] {
+            let label = format!("mixed seed={seed} shards={num_shards}");
+            let tenants = vec![
+                TenantSpec::new("prod-f32").with_backend(BackendKind::F32),
+                TenantSpec::new("batch-int8").with_backend(BackendKind::Int8),
+                TenantSpec::new("canary-hwsim").with_backend(BackendKind::HwSim),
+            ];
+            let (served, report) = serve_routed(
+                model.clone(),
+                &graph,
+                events,
+                |i| TenantId(i as u32 % 3),
+                routed_config(tenants, num_shards),
+                false,
+            );
+            let total: usize = served.iter().map(|b| b.events.len()).sum();
+            assert_eq!(total, events.len(), "{label}: events lost or duplicated");
+            assert!(
+                served.windows(2).all(|w| w[0].epoch < w[1].epoch),
+                "{label}: epochs out of order"
+            );
+            assert_routing(&served, &declared, &label);
+
+            // Modeled latency appears exactly on the modeled backend.
+            for b in &served {
+                assert_eq!(
+                    b.modeled_latency.is_some(),
+                    b.backend == BackendKind::HwSim,
+                    "{label}: epoch {} modeled-latency stamp is wrong for {}",
+                    b.epoch,
+                    b.backend
                 );
-                let total: usize = served.iter().map(|b| b.events.len()).sum();
-                assert_eq!(total, events.len(), "{label}: events lost or duplicated");
+            }
+
+            // Per-tenant engine replays.  f32 and hwsim both verify
+            // against the f32 engine (hwsim computes with the same f32
+            // kernels; only its latency is simulated).
+            let mut f32_model = model.clone();
+            f32_model.detach_quantized();
+            let f32_engine =
+                InferenceEngine::new(f32_model, graph.num_nodes()).with_mode(ExecMode::Batched);
+            let f32_compared = assert_matches_engine(
+                f32_engine,
+                &graph,
+                &served,
+                |b| b.backend != BackendKind::Int8,
+                &label,
+            );
+            let int8_engine = InferenceEngine::new(model.clone(), graph.num_nodes())
+                .with_mode(ExecMode::Quantized);
+            let int8_compared = assert_matches_engine(
+                int8_engine,
+                &graph,
+                &served,
+                |b| b.backend == BackendKind::Int8,
+                &label,
+            );
+            assert_eq!(f32_compared + int8_compared, served.len(), "{label}");
+            assert!(int8_compared > 0, "{label}: int8 tenant never served");
+
+            // Report: three active backends, all of them exercised, and
+            // the modeled row carries a latency summary.
+            assert_eq!(report.backends.len(), 3, "{label}");
+            let mut events_by_backend = 0usize;
+            for &kind in &declared {
+                let row = backend_row(&report, kind, &label);
                 assert!(
-                    served.windows(2).all(|w| w[0].epoch < w[1].epoch),
-                    "{label}: epochs out of order"
+                    row.served_batches > 0 && row.served_events > 0,
+                    "{label}: declared backend {kind} never served"
                 );
-                assert_routing(&served, &declared, &label);
-
-                // Modeled latency appears exactly on the modeled backend.
-                for b in &served {
-                    assert_eq!(
-                        b.modeled_latency.is_some(),
-                        b.backend == BackendKind::HwSim,
-                        "{label}: epoch {} modeled-latency stamp is wrong for {}",
-                        b.epoch,
-                        b.backend
-                    );
-                }
-
-                // Per-tenant engine replays.  f32 and hwsim both verify
-                // against the f32 engine (hwsim computes with the same f32
-                // kernels; only its latency is simulated).
-                let mut f32_model = model.clone();
-                f32_model.detach_quantized();
-                let f32_engine =
-                    InferenceEngine::new(f32_model, graph.num_nodes()).with_mode(ExecMode::Batched);
-                let f32_compared = assert_matches_engine(
-                    f32_engine,
-                    &graph,
-                    &served,
-                    |b| b.backend != BackendKind::Int8,
-                    &label,
+                assert_eq!(
+                    row.modeled_latency.is_some(),
+                    kind == BackendKind::HwSim,
+                    "{label}: {kind} modeled-latency row is wrong"
                 );
-                let int8_engine = InferenceEngine::new(model.clone(), graph.num_nodes())
-                    .with_mode(ExecMode::Quantized);
-                let int8_compared = assert_matches_engine(
-                    int8_engine,
-                    &graph,
-                    &served,
-                    |b| b.backend == BackendKind::Int8,
-                    &label,
+                events_by_backend += row.served_events as usize;
+            }
+            assert_eq!(events_by_backend, events.len(), "{label}");
+            for (i, &kind) in declared.iter().enumerate() {
+                assert_eq!(report.tenants[i].backend, kind, "{label}");
+                assert_eq!(
+                    report.tenants[i].served as usize,
+                    events.len() / 3 + usize::from(i < events.len() % 3),
+                    "{label}: tenant {i} served count"
                 );
-                assert_eq!(f32_compared + int8_compared, served.len(), "{label}");
-                assert!(int8_compared > 0, "{label}: int8 tenant never served");
-
-                // Report: three active backends, all of them exercised, and
-                // the modeled row carries a latency summary.
-                assert_eq!(report.backends.len(), 3, "{label}");
-                let mut events_by_backend = 0usize;
-                for &kind in &declared {
-                    let row = backend_row(&report, kind, &label);
-                    assert!(
-                        row.served_batches > 0 && row.served_events > 0,
-                        "{label}: declared backend {kind} never served"
-                    );
-                    assert_eq!(
-                        row.modeled_latency.is_some(),
-                        kind == BackendKind::HwSim,
-                        "{label}: {kind} modeled-latency row is wrong"
-                    );
-                    events_by_backend += row.served_events as usize;
-                }
-                assert_eq!(events_by_backend, events.len(), "{label}");
-                for (i, &kind) in declared.iter().enumerate() {
-                    assert_eq!(report.tenants[i].backend, kind, "{label}");
-                    assert_eq!(
-                        report.tenants[i].served as usize,
-                        events.len() / 3 + usize::from(i < events.len() % 3),
-                        "{label}: tenant {i} served count"
-                    );
-                }
             }
         }
     }
@@ -376,7 +371,6 @@ fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 2,
-        gnn_workers: 2,
         cache: Some(CacheConfig {
             capacity: 1024,
             staleness_bound_epochs: 64,
@@ -421,17 +415,11 @@ fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
     }
 
     assert_routing(&served, &declared, "overload");
+    common::assert_conserved(&server.metrics());
     let report = server.report();
     let mut dropped_total = 0;
     for (i, t) in report.tenants.iter().enumerate() {
         assert_eq!(t.backend, declared[i], "tenant {i} backend");
-        assert_eq!(
-            t.counters.submitted,
-            t.served + t.dropped(),
-            "tenant {i} ({}) leaked events: {:?}",
-            t.name,
-            t.counters
-        );
         // `admitted` counts events that *entered* the queue — DropOldest
         // evicts already-admitted events, so the decomposition only holds
         // for policies that never evict.
@@ -464,8 +452,7 @@ fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
 /// the same batch composition, the same modeled-latency stream, and
 /// bit-identical embeddings, run to run.  "Same sealing" needs a cap of one:
 /// two live servers cut a stream alike only when load has no say in it (a
-/// larger batch ends wherever the state worker happened to go idle).  The
-/// pool still races — every one-event job splits across both workers.
+/// larger batch ends wherever the state worker happened to go idle).
 #[test]
 fn hwsim_backend_is_deterministic_run_to_run() {
     let (model, graph) = setup(29);
@@ -479,7 +466,7 @@ fn hwsim_backend_is_deterministic_run_to_run() {
             |_| TenantId::DEFAULT,
             ServeConfig {
                 max_batch: 1,
-                ..routed_config(tenants, 2, 2)
+                ..routed_config(tenants, 2)
             },
             true,
         )
@@ -526,7 +513,6 @@ fn per_tenant_staleness_bounds_tighten_the_shared_cache() {
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 2,
-        gnn_workers: 2,
         cache: Some(CacheConfig {
             capacity: 1024,
             staleness_bound_epochs: global_bound,

@@ -3,7 +3,7 @@
 //! originally served at the epoch the cache recorded (`cache_epochs`), its
 //! age may never exceed the configured staleness bound, and the exactly-once
 //! accounting of the admission layer must still balance — across seeds,
-//! shard counts, GNN pool sizes, and staleness bounds, with tiny queue
+//! shard counts and staleness bounds, with tiny queue
 //! bounds so every run executes at ≥ 2× overload.  Plus the durability
 //! drill: a crashed-and-recovered server cold-starts the cache at the
 //! recovered epoch floor, so a pre-crash entry can never be served beyond
@@ -25,6 +25,8 @@ use tgnn_serve::{
     SubmitError, SubmitOutcome, TenantSpec,
 };
 use tgnn_tensor::{Float, TensorRng};
+
+mod common;
 
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     let graph = generate(&tiny(seed));
@@ -48,14 +50,13 @@ fn multiset<'a>(events: impl Iterator<Item = &'a InteractionEvent>) -> Vec<(u32,
 /// A tiny-bounds ServeStale config: submission immediately outruns the
 /// drain, so the ingress queue is full for most of the run and the stale
 /// path actually executes.
-fn overload_config(bound: u64, num_shards: usize, gnn_workers: usize) -> ServeConfig {
+fn overload_config(bound: u64, num_shards: usize) -> ServeConfig {
     ServeConfig {
         max_batch: 8,
         batch_deadline: Duration::from_secs(3600),
         stage_capacity: 1,
         results_capacity: 2,
         num_shards,
-        gnn_workers,
         cache: Some(CacheConfig {
             capacity: 1024,
             staleness_bound_epochs: bound,
@@ -132,7 +133,7 @@ fn warm_lap(
 fn verify_stale_batches(served: &[ServedBatch], bound: u64, label: &str) -> usize {
     // Epoch → vertex → embedding, from the pipeline-served batches.  A stale
     // answer can be polled before the pipeline batch it was copied from
-    // (the reorder worker inserts into the cache before pushing to the
+    // (the GNN worker inserts into the cache before pushing to the
     // results queue), so history is built over the whole run first.
     let mut history: HashMap<u64, HashMap<u32, &[Float]>> = HashMap::new();
     for b in served.iter().filter(|b| b.epoch > 0) {
@@ -244,116 +245,115 @@ fn stale_answers_are_bit_identical_to_served_history_under_overload() {
         let base = &graph.events()[..200.min(graph.num_events())];
         let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
         for num_shards in [1usize, 3] {
-            for gnn_workers in [1usize, 2] {
-                let label = format!("seed={seed} shards={num_shards} gnn={gnn_workers}");
-                // Bound 32 > the ~25 epochs one lap seals, so everything the
-                // warm lap serves is still fresh during the burst.
-                let config = overload_config(32, num_shards, gnn_workers);
-                let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+            let label = format!("seed={seed} shards={num_shards}");
+            // Bound 32 > the ~25 epochs one lap seals, so everything the
+            // warm lap serves is still fresh during the burst.
+            let config = overload_config(32, num_shards);
+            let mut server = StreamServer::new(model.clone(), graph.clone(), config);
 
-                // Warm lap: every event eventually admitted, populating the
-                // cache with every vertex the feed touches.
-                let mut served = Vec::new();
-                let mut out = Outcomes::default();
-                warm_lap(&mut server, base, 0, span, &mut out, &mut served);
-                let warm_submissions = out.total();
-                // Burst lap: no polling, so the pipeline backs up and the
-                // ingress queue is full for most of the lap — ≥ 2× the load
-                // the run can drain.
-                let (admitted2, stale2, dropped2) = burst_lap(&mut server, base, 1, span);
-                let burst_dropped = dropped2.len();
-                out.admitted.extend(admitted2);
-                out.stale.extend(stale2);
-                out.dropped.extend(dropped2);
-                server.drain();
-                while let Some(b) = server.poll() {
-                    served.push(b);
-                }
-
-                // Client-side and report-side accounting must agree, and
-                // every submission lands in exactly one bucket.
-                assert_eq!(out.total(), warm_submissions + base.len(), "{label}");
-                let report = server.report();
-                let t = &report.tenants[0];
-                assert_eq!(t.counters.admitted as usize, out.admitted.len(), "{label}");
-                assert_eq!(t.served_stale as usize, out.stale.len(), "{label}");
-                assert_eq!(t.dropped() as usize, out.dropped.len(), "{label}");
-                assert_eq!(
-                    t.served as usize,
-                    out.admitted.len() + out.stale.len(),
-                    "{label}: served must count pipeline results plus stale answers"
-                );
-
-                // The run must actually exercise the degraded mode — a
-                // vacuous pass here would hide a dead cache.
-                assert!(
-                    !out.stale.is_empty(),
-                    "{label}: overload never produced a stale serve"
-                );
-
-                // Pipeline deliveries are exactly the admitted events; stale
-                // answers are exactly the ServedStale events; the two never
-                // overlap in delivery.
-                let pipeline_events = multiset(
-                    served
-                        .iter()
-                        .filter(|b| b.epoch > 0)
-                        .flat_map(|b| b.events.iter()),
-                );
-                assert_eq!(pipeline_events, multiset(out.admitted.iter()), "{label}");
-                let stale_events = multiset(
-                    served
-                        .iter()
-                        .filter(|b| b.epoch == 0)
-                        .flat_map(|b| b.events.iter()),
-                );
-                assert_eq!(stale_events, multiset(out.stale.iter()), "{label}");
-
-                // Bit-identity + bound on every stale entry.
-                let checked = verify_stale_batches(&served, 32, &label);
-                assert!(checked > 0, "{label}: no stale embeddings verified");
-
-                // The report's cache slice agrees.
-                let cache = report
-                    .cache
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{label}: ServeStale run must report cache stats"));
-                assert_eq!(cache.staleness_bound, 32, "{label}");
-                assert_eq!(cache.stale_age.count as usize, out.stale.len(), "{label}");
-                assert!(cache.stale_age.max <= 32, "{label}");
-                assert!(cache.hits >= out.stale.len() as u64, "{label}");
-                assert!(cache.hit_rate() > 0.0, "{label}");
-
-                assert_fresh_matches_serial(&model, &graph, &served, &label);
-
-                // Served quality: on the identical feed DropNewest sheds
-                // strictly more, because every cache hit above is an answer
-                // it throws away.
-                let mut config = overload_config(32, num_shards, gnn_workers);
-                config.tenants[0] = config.tenants[0]
-                    .clone()
-                    .with_policy(OverloadPolicy::DropNewest);
-                let mut server = StreamServer::new(model.clone(), graph.clone(), config);
-                warm_lap(
-                    &mut server,
-                    base,
-                    0,
-                    span,
-                    &mut Outcomes::default(),
-                    &mut Vec::new(),
-                );
-                let (_, stale_dn, dropped_dn) = burst_lap(&mut server, base, 1, span);
-                server.drain();
-                assert!(
-                    stale_dn.is_empty(),
-                    "{label}: DropNewest never serves stale"
-                );
-                assert!(
-                    burst_dropped < dropped_dn.len(),
-                    "{label}: ServeStale dropped {burst_dropped} of the burst, DropNewest {}",
-                    dropped_dn.len()
-                );
+            // Warm lap: every event eventually admitted, populating the
+            // cache with every vertex the feed touches.
+            let mut served = Vec::new();
+            let mut out = Outcomes::default();
+            warm_lap(&mut server, base, 0, span, &mut out, &mut served);
+            let warm_submissions = out.total();
+            // Burst lap: no polling, so the pipeline backs up and the
+            // ingress queue is full for most of the lap — ≥ 2× the load
+            // the run can drain.
+            let (admitted2, stale2, dropped2) = burst_lap(&mut server, base, 1, span);
+            let burst_dropped = dropped2.len();
+            out.admitted.extend(admitted2);
+            out.stale.extend(stale2);
+            out.dropped.extend(dropped2);
+            server.drain();
+            while let Some(b) = server.poll() {
+                served.push(b);
             }
+
+            // Client-side and report-side accounting must agree, and
+            // every submission lands in exactly one bucket.
+            assert_eq!(out.total(), warm_submissions + base.len(), "{label}");
+            let report = server.report();
+            let t = &report.tenants[0];
+            assert_eq!(t.counters.admitted as usize, out.admitted.len(), "{label}");
+            assert_eq!(t.served_stale as usize, out.stale.len(), "{label}");
+            assert_eq!(t.dropped() as usize, out.dropped.len(), "{label}");
+            assert_eq!(
+                t.served as usize,
+                out.admitted.len() + out.stale.len(),
+                "{label}: served must count pipeline results plus stale answers"
+            );
+            common::assert_conserved(&server.metrics());
+
+            // The run must actually exercise the degraded mode — a
+            // vacuous pass here would hide a dead cache.
+            assert!(
+                !out.stale.is_empty(),
+                "{label}: overload never produced a stale serve"
+            );
+
+            // Pipeline deliveries are exactly the admitted events; stale
+            // answers are exactly the ServedStale events; the two never
+            // overlap in delivery.
+            let pipeline_events = multiset(
+                served
+                    .iter()
+                    .filter(|b| b.epoch > 0)
+                    .flat_map(|b| b.events.iter()),
+            );
+            assert_eq!(pipeline_events, multiset(out.admitted.iter()), "{label}");
+            let stale_events = multiset(
+                served
+                    .iter()
+                    .filter(|b| b.epoch == 0)
+                    .flat_map(|b| b.events.iter()),
+            );
+            assert_eq!(stale_events, multiset(out.stale.iter()), "{label}");
+
+            // Bit-identity + bound on every stale entry.
+            let checked = verify_stale_batches(&served, 32, &label);
+            assert!(checked > 0, "{label}: no stale embeddings verified");
+
+            // The report's cache slice agrees.
+            let cache = report
+                .cache
+                .as_ref()
+                .unwrap_or_else(|| panic!("{label}: ServeStale run must report cache stats"));
+            assert_eq!(cache.staleness_bound, 32, "{label}");
+            assert_eq!(cache.stale_age.count as usize, out.stale.len(), "{label}");
+            assert!(cache.stale_age.max <= 32, "{label}");
+            assert!(cache.hits >= out.stale.len() as u64, "{label}");
+            assert!(cache.hit_rate() > 0.0, "{label}");
+
+            assert_fresh_matches_serial(&model, &graph, &served, &label);
+
+            // Served quality: on the identical feed DropNewest sheds
+            // strictly more, because every cache hit above is an answer
+            // it throws away.
+            let mut config = overload_config(32, num_shards);
+            config.tenants[0] = config.tenants[0]
+                .clone()
+                .with_policy(OverloadPolicy::DropNewest);
+            let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+            warm_lap(
+                &mut server,
+                base,
+                0,
+                span,
+                &mut Outcomes::default(),
+                &mut Vec::new(),
+            );
+            let (_, stale_dn, dropped_dn) = burst_lap(&mut server, base, 1, span);
+            server.drain();
+            assert!(
+                stale_dn.is_empty(),
+                "{label}: DropNewest never serves stale"
+            );
+            assert!(
+                burst_dropped < dropped_dn.len(),
+                "{label}: ServeStale dropped {burst_dropped} of the burst, DropNewest {}",
+                dropped_dn.len()
+            );
         }
     }
 }
@@ -370,8 +370,8 @@ fn burn_gate_preempts_stale_serving_while_the_queue_has_space() {
     let (model, graph) = setup(13);
     let base = &graph.events()[..200.min(graph.num_events())];
     let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
-    let (background, subject) = (TenantId::DEFAULT, TenantId(1));
-    let mut config = overload_config(32, 2, 1);
+    let subject = TenantId(1);
+    let mut config = overload_config(32, 2);
     config.tenants = vec![
         TenantSpec::new("background")
             .with_capacity(4)
@@ -443,8 +443,7 @@ fn burn_gate_preempts_stale_serving_while_the_queue_has_space() {
     assert_eq!(t.dropped(), 0);
     assert_eq!(t.served_stale, 1);
     assert_eq!(t.served, admitted + 1, "admitted + the stale answer");
-    let b = &report.tenants[background.index()];
-    assert_eq!(b.counters.submitted, b.served + b.dropped());
+    common::assert_conserved(&server.metrics());
     assert!(verify_stale_batches(&served, 32, "burn gate") > 0);
     assert_fresh_matches_serial(&model, &graph, &served, "burn gate");
     assert!(
@@ -461,7 +460,7 @@ fn tight_staleness_bound_is_enforced_and_expires_entries() {
     let (model, graph) = setup(7);
     let base = &graph.events()[..200.min(graph.num_events())];
     let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
-    let config = overload_config(2, 2, 2);
+    let config = overload_config(2, 2);
     let mut server = StreamServer::new(model.clone(), graph.clone(), config);
     // Warm lap (~25 sealed epochs ≫ the 2-epoch bound, so early entries age
     // out and the commit-barrier sweep runs for real), then a burst lap in
@@ -497,6 +496,7 @@ fn tight_staleness_bound_is_enforced_and_expires_entries() {
     let t = &report.tenants[0];
     assert_eq!(t.served_stale as usize, out.stale.len());
     assert_eq!(t.served, t.counters.admitted + t.served_stale);
+    common::assert_conserved(&server.metrics());
 }
 
 /// Self-cleaning scratch directory (the workspace is dependency-free, so no
@@ -537,14 +537,14 @@ fn recovery_cold_starts_the_cache_without_violating_the_bound() {
     // Bound 32 > the ~25 epochs one lap seals: the re-warmed cache stays
     // fresh through the whole burst lap.
     let bound = 32u64;
-    let mut config = overload_config(bound, 2, 2);
+    let mut config = overload_config(bound, 2);
     // Durable, snapshot-eager, crash at epoch 6.
     config.durability = Some(
         DurabilityConfig::new(td.path())
             .with_snapshot_every(4)
             .with_fsync(FsyncPolicy::Always),
     );
-    config.gnn_fault = Some(Arc::new(|epoch, _part| epoch == 6));
+    config.gnn_fault = Some(Arc::new(|epoch| epoch == 6));
 
     // First life: submit until the crash closes admission.
     let mut server = StreamServer::new(model.clone(), graph.clone(), config.clone());

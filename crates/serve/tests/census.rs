@@ -1,5 +1,6 @@
 //! Thread and queue census: the server owns exactly the workers and queues
-//! its stage graph (ingest → state → GNN pool → reorder) names.  A
+//! its stage graph (ingest → state → GNN) names — three workers over three
+//! queues for any backend mix, plus the WAL syncer under `OnSeal`.  A
 //! re-introduced stage thread or inter-stage queue fails here.
 //!
 //! One `#[test]` only: the census reads this process's thread list, so the
@@ -14,7 +15,7 @@ use tgnn_core::{BackendKind, ModelConfig, TgnModel};
 use tgnn_data::{generate, tiny};
 use tgnn_graph::TemporalGraph;
 use tgnn_quant::QuantConfig;
-use tgnn_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, StreamServer, TenantSpec};
+use tgnn_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, StreamServer, TenantId, TenantSpec};
 use tgnn_tensor::TensorRng;
 
 fn setup() -> (TgnModel, Arc<TemporalGraph>) {
@@ -63,116 +64,66 @@ fn settled_threads(expected: usize) -> Vec<String> {
     serve_threads()
 }
 
-fn count(names: &[String], prefix: &str) -> usize {
-    names.iter().filter(|n| n.starts_with(prefix)).count()
-}
-
 #[test]
 fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
     let (model, graph) = setup();
     let wal_dir: PathBuf = std::env::temp_dir().join(format!("tgnn-census-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    struct Case {
-        label: &'static str,
-        config: ServeConfig,
-        gnn_threads: usize,
-        wal_sync: usize,
-        queues: Vec<&'static str>,
-    }
-    let single_backend = vec![
-        "ingest→state",
-        "state→reorder",
-        "state→gnn",
-        "gnn→reorder",
-        "reorder→results",
-    ];
+    // Whatever the backend mix: one worker per stage, one queue per hop.
+    let pipeline = ["tgnn-serve-gnn", "tgnn-serve-inge", "tgnn-serve-stat"];
+    let queues = ["ingest→state", "state→gnn", "gnn→results"];
     let cases = [
-        Case {
-            label: "default",
-            config: ServeConfig::default(),
-            gnn_threads: 1,
-            wal_sync: 0,
-            queues: single_backend.clone(),
-        },
-        Case {
-            label: "gnn_workers=3",
-            config: ServeConfig {
-                gnn_workers: 3,
-                ..ServeConfig::default()
-            },
-            gnn_threads: 3,
-            wal_sync: 0,
-            queues: single_backend.clone(),
-        },
-        Case {
-            label: "two backends × 2 workers",
-            config: ServeConfig {
-                gnn_workers: 2,
+        ("default", ServeConfig::default(), &pipeline[..]),
+        (
+            "f32 + int8 + hwsim",
+            ServeConfig {
                 tenants: vec![
                     TenantSpec::new("a").with_backend(BackendKind::F32),
                     TenantSpec::new("b").with_backend(BackendKind::Int8),
+                    TenantSpec::new("c").with_backend(BackendKind::HwSim),
                 ],
                 ..ServeConfig::default()
             },
-            gnn_threads: 4,
-            wal_sync: 0,
-            queues: vec![
-                "ingest→state",
-                "state→reorder",
-                "state→gnn[f32]",
-                "state→gnn[int8]",
-                "gnn→reorder",
-                "reorder→results",
-            ],
-        },
-        Case {
-            label: "durable (OnSeal)",
-            config: ServeConfig {
+            &pipeline[..],
+        ),
+        (
+            "durable (OnSeal)",
+            ServeConfig {
                 durability: Some(DurabilityConfig::new(&wal_dir).with_fsync(FsyncPolicy::OnSeal)),
                 ..ServeConfig::default()
             },
-            gnn_threads: 1,
-            wal_sync: 1,
-            queues: single_backend.clone(),
-        },
+            &[
+                "tgnn-serve-gnn",
+                "tgnn-serve-inge",
+                "tgnn-serve-stat",
+                "tgnn-serve-wal-",
+            ][..],
+        ),
     ];
 
-    for case in cases {
-        let label = case.label;
+    for (label, config, expected) in cases {
         assert!(
             serve_threads().is_empty(),
             "{label}: a previous server's workers outlived its drain"
         );
-        let mut server = StreamServer::new(model.clone(), graph.clone(), case.config);
-        let threads = settled_threads(3 + case.gnn_threads + case.wal_sync);
-        for (prefix, expected) in [
-            ("tgnn-serve-inge", 1),
-            ("tgnn-serve-stat", 1),
-            ("tgnn-serve-gnn-", case.gnn_threads),
-            ("tgnn-serve-reor", 1),
-            ("tgnn-serve-wal-", case.wal_sync),
-        ] {
-            assert_eq!(
-                count(&threads, prefix),
-                expected,
-                "{label}: `{prefix}*` threads in {threads:?}"
-            );
-        }
-        assert_eq!(
-            threads.len(),
-            3 + case.gnn_threads + case.wal_sync,
-            "{label}: unexpected worker in {threads:?}"
-        );
-        let queues: Vec<&str> = server.report().queues.iter().map(|q| q.name).collect();
-        assert_eq!(queues, case.queues, "{label}");
+        let tenants = config.tenants.len().max(1) as u32;
+        let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+        let threads = settled_threads(expected.len());
+        assert_eq!(threads, expected, "{label}: `tgnn-serve-*` threads");
+        let names: Vec<&str> = server.report().queues.iter().map(|q| q.name).collect();
+        assert_eq!(names, queues, "{label}");
 
         // The census holds under load too, and drain joins every worker.
-        for &e in &graph.events()[..64] {
-            server.submit_for(tgnn_serve::TenantId(0), e).unwrap();
+        for (i, &e) in graph.events()[..64].iter().enumerate() {
+            server.submit_for(TenantId(i as u32 % tenants), e).unwrap();
         }
         let report = server.drain();
         assert_eq!(report.num_events, 64, "{label}");
+        if tenants > 1 {
+            let served = report.backends.iter().filter(|b| b.served_batches > 0);
+            assert_eq!(served.count(), 3, "{label}: every backend served");
+        }
     }
     let _ = std::fs::remove_dir_all(&wal_dir);
 }

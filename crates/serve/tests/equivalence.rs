@@ -37,7 +37,6 @@ fn serve_stream(
     warm: &[tgnn_graph::InteractionEvent],
     num_shards: usize,
     max_batch: usize,
-    gnn_workers: usize,
 ) -> (Vec<ServedBatch>, tgnn_serve::ServeReport) {
     let config = ServeConfig {
         max_batch,
@@ -46,7 +45,6 @@ fn serve_stream(
         // replay comparison follows whatever was served.
         batch_deadline: Duration::from_secs(3600),
         num_shards,
-        gnn_workers,
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), config);
@@ -110,35 +108,22 @@ fn pipelined_output_is_bit_identical_across_shards_and_batch_sizes() {
         let (model, graph) = setup(seed, OptimizationVariant::NpMedium);
         let graph = Arc::new(graph);
         let events = &graph.events()[..240.min(graph.num_events())];
-        for gnn_workers in [1usize, 2, 4] {
-            for num_shards in [1usize, 2, 4, 7] {
-                for max_batch in [17usize, 64] {
-                    let label = format!(
-                        "seed={seed} shards={num_shards} batch={max_batch} gnn={gnn_workers}"
-                    );
-                    let (served, report) = serve_stream(
-                        model.clone(),
-                        &graph,
-                        events,
-                        &[],
-                        num_shards,
-                        max_batch,
-                        gnn_workers,
-                    );
-                    let total: usize = served.iter().map(|b| b.events.len()).sum();
-                    assert_eq!(total, events.len(), "{label}: events lost or duplicated");
-                    assert!(report.commit_log_clean, "{label}");
-                    assert_eq!(report.num_batches, served.len(), "{label}");
-                    assert_eq!(report.num_shards, num_shards, "{label}");
-                    assert_eq!(report.gnn_workers, gnn_workers, "{label}");
-                    // Epochs arrive in order — for every worker count, the
-                    // reorder stage must undo the pool's racing.
-                    assert!(
-                        served.windows(2).all(|w| w[0].epoch < w[1].epoch),
-                        "{label}: epochs out of order"
-                    );
-                    assert_matches_serial(model.clone(), &graph, &[], &served, &label);
-                }
+        for num_shards in [1usize, 2, 4, 7] {
+            for max_batch in [17usize, 64] {
+                let label = format!("seed={seed} shards={num_shards} batch={max_batch}");
+                let (served, report) =
+                    serve_stream(model.clone(), &graph, events, &[], num_shards, max_batch);
+                let total: usize = served.iter().map(|b| b.events.len()).sum();
+                assert_eq!(total, events.len(), "{label}: events lost or duplicated");
+                assert!(report.commit_log_clean, "{label}");
+                assert_eq!(report.num_batches, served.len(), "{label}");
+                assert_eq!(report.num_shards, num_shards, "{label}");
+                // Epochs arrive in order.
+                assert!(
+                    served.windows(2).all(|w| w[0].epoch < w[1].epoch),
+                    "{label}: epochs out of order"
+                );
+                assert_matches_serial(model.clone(), &graph, &[], &served, &label);
             }
         }
     }
@@ -148,7 +133,7 @@ fn pipelined_output_is_bit_identical_across_shards_and_batch_sizes() {
 /// runs the packed int8 kernels — and because every quantized stage is
 /// row-independent exact integer math, the served embeddings must still be
 /// **bit-identical** to `ExecMode::Quantized` replaying the same batches,
-/// across shard counts and GNN worker counts.  Accuracy against the f32
+/// across shard counts.  Accuracy against the f32
 /// serial reference is bounded separately (cosine agreement), mirroring the
 /// accuracy-gated deployment contract.
 #[test]
@@ -171,50 +156,40 @@ fn quantized_pipeline_is_bit_identical_to_quantized_engine() {
     ));
     model.attach_quantized(q);
 
-    for gnn_workers in [1usize, 2, 4] {
-        for num_shards in [1usize, 4] {
-            let label = format!("quantized shards={num_shards} gnn={gnn_workers}");
-            let (served, report) = serve_stream(
-                model.clone(),
-                &graph,
-                events,
-                &[],
-                num_shards,
-                32,
-                gnn_workers,
-            );
-            assert!(report.commit_log_clean, "{label}");
-            let total: usize = served.iter().map(|b| b.events.len()).sum();
-            assert_eq!(total, events.len(), "{label}: events lost or duplicated");
+    for num_shards in [1usize, 4] {
+        let label = format!("quantized shards={num_shards}");
+        let (served, report) = serve_stream(model.clone(), &graph, events, &[], num_shards, 32);
+        assert!(report.commit_log_clean, "{label}");
+        let total: usize = served.iter().map(|b| b.events.len()).sum();
+        assert_eq!(total, events.len(), "{label}: events lost or duplicated");
 
-            // Bitwise identity vs the quantized engine on the same batches.
-            let mut engine = InferenceEngine::new(model.clone(), graph.num_nodes())
-                .with_mode(ExecMode::Quantized);
-            // f32 serial reference for the accuracy bound.
-            let mut f32_model = model.clone();
-            f32_model.detach_quantized();
-            let mut serial =
-                InferenceEngine::new(f32_model, graph.num_nodes()).with_mode(ExecMode::Serial);
-            for batch in &served {
-                let events = EventBatch::new(batch.events.clone());
-                let reference = engine.process_batch(&events, &graph);
-                assert_eq!(
-                    reference.embeddings, batch.embeddings,
-                    "{label}: served embeddings diverged bitwise from the quantized engine in epoch {}",
-                    batch.epoch
+        // Bitwise identity vs the quantized engine on the same batches.
+        let mut engine =
+            InferenceEngine::new(model.clone(), graph.num_nodes()).with_mode(ExecMode::Quantized);
+        // f32 serial reference for the accuracy bound.
+        let mut f32_model = model.clone();
+        f32_model.detach_quantized();
+        let mut serial =
+            InferenceEngine::new(f32_model, graph.num_nodes()).with_mode(ExecMode::Serial);
+        for batch in &served {
+            let events = EventBatch::new(batch.events.clone());
+            let reference = engine.process_batch(&events, &graph);
+            assert_eq!(
+                reference.embeddings, batch.embeddings,
+                "{label}: served embeddings diverged bitwise from the quantized engine in epoch {}",
+                batch.epoch
+            );
+            let f32_out = serial.process_batch(&events, &graph);
+            for ((v_a, e_a), (v_b, e_b)) in f32_out.embeddings.iter().zip(&batch.embeddings) {
+                assert_eq!(v_a, v_b, "{label}: vertex order diverged");
+                // Sanity bound only — the tiny random test model has
+                // far coarser activations than the calibrated harness
+                // config the accuracy gate (quant_gate) measures.
+                let cos = cosine_agreement(e_a, e_b);
+                assert!(
+                    cos >= 0.98,
+                    "{label}: served int8 embedding of vertex {v_a} strayed from f32 (cosine {cos})"
                 );
-                let f32_out = serial.process_batch(&events, &graph);
-                for ((v_a, e_a), (v_b, e_b)) in f32_out.embeddings.iter().zip(&batch.embeddings) {
-                    assert_eq!(v_a, v_b, "{label}: vertex order diverged");
-                    // Sanity bound only — the tiny random test model has
-                    // far coarser activations than the calibrated harness
-                    // config the accuracy gate (quant_gate) measures.
-                    let cos = cosine_agreement(e_a, e_b);
-                    assert!(
-                        cos >= 0.98,
-                        "{label}: served int8 embedding of vertex {v_a} strayed from f32 (cosine {cos})"
-                    );
-                }
             }
         }
     }
@@ -226,14 +201,10 @@ fn warmed_up_server_matches_warmed_up_serial_engine() {
     let graph = Arc::new(graph);
     let warm = graph.train_events().to_vec();
     let measure: Vec<_> = graph.events()[graph.train_end()..].to_vec();
-    for gnn_workers in [1usize, 3] {
-        let (served, report) =
-            serve_stream(model.clone(), &graph, &measure, &warm, 4, 50, gnn_workers);
-        assert!(report.commit_log_clean);
-        assert!(report.num_embeddings > 0);
-        let label = format!("warmed gnn={gnn_workers}");
-        assert_matches_serial(model.clone(), &graph, &warm, &served, &label);
-    }
+    let (served, report) = serve_stream(model.clone(), &graph, &measure, &warm, 4, 50);
+    assert!(report.commit_log_clean);
+    assert!(report.num_embeddings > 0);
+    assert_matches_serial(model, &graph, &warm, &served, "warmed");
 }
 
 #[test]
@@ -242,7 +213,7 @@ fn single_event_batches_preserve_chronology() {
     let graph = Arc::new(graph);
     let events = &graph.events()[..60];
     // Workers exceed batch vertices: every batch degenerates to one sub-job.
-    let (served, report) = serve_stream(model.clone(), &graph, events, &[], 3, 1, 4);
+    let (served, report) = serve_stream(model.clone(), &graph, events, &[], 3, 1);
     assert_eq!(served.len(), 60, "one micro-batch per event");
     assert!(report.commit_log_clean);
     assert_matches_serial(model.clone(), &graph, &[], &served, "batch=1");

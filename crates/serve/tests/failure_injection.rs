@@ -1,20 +1,23 @@
-//! Failure-injection tests for the data-parallel GNN stage: a panicking GNN
-//! worker (injected via the test-only [`GnnFaultHook`]) must unwind the
-//! pipeline through its closed channels — `submit` fails `Closed`, `poll`
-//! terminates, `drain` propagates the panic — never hang it, for every pool
-//! size.  (The ingest worker's death is drilled by the recovery suite's
-//! injected WAL fault.)  Plus the stalled-disk drill: a group-commit fsync
-//! that outlasts the results queue must not deadlock a one-thread client.
+//! Failure-injection tests for the GNN stage: a panicking GNN worker
+//! (injected via the test-only [`GnnFaultHook`]) must unwind the pipeline
+//! through its dropped channel ends — `submit` fails `Closed`, `poll`
+//! terminates, `drain` propagates the panic — never hang it, whichever
+//! backend the faulted epoch was routed to.  (The ingest worker's death is
+//! drilled by the recovery suite's injected WAL fault.)  Plus the
+//! stalled-disk drill: a group-commit fsync that outlasts the results queue
+//! must not deadlock a one-thread client.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel};
+use tgnn_core::quantized::quantize_model;
+use tgnn_core::{BackendKind, ModelConfig, OptimizationVariant, TgnModel};
 use tgnn_data::{generate, tiny};
-use tgnn_graph::TemporalGraph;
+use tgnn_graph::{InteractionEvent, TemporalGraph};
+use tgnn_quant::QuantConfig;
 use tgnn_serve::{
-    DurabilityConfig, GnnFaultHook, ServeConfig, StreamServer, SubmitError, TenantSpec,
+    DurabilityConfig, GnnFaultHook, ServeConfig, StreamServer, SubmitError, TenantId, TenantSpec,
     WalFaultPoint,
 };
 use tgnn_tensor::TensorRng;
@@ -27,61 +30,136 @@ fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     (model, Arc::new(graph))
 }
 
-/// A hook that fires exactly once, on the first sub-job of epoch >= 2.
+/// A hook that fires exactly once, on the first epoch >= 2.
 fn panic_once_at_epoch_2() -> GnnFaultHook {
     let fired = AtomicBool::new(false);
-    Arc::new(move |epoch, _part| epoch >= 2 && !fired.swap(true, Ordering::SeqCst))
+    Arc::new(move |epoch| epoch >= 2 && !fired.swap(true, Ordering::SeqCst))
+}
+
+/// Feeds `server` until its dead pipeline surfaces as `Closed`, then checks
+/// that `poll` terminates and `drain` propagates the worker panic.  The
+/// ingress queue is deep, so a hang in the submit loop would mean the
+/// closed queues never rippled back through the stages.  Repeating the last
+/// event keeps each tenant's stream chronological (equal timestamps are
+/// legal) while driving batches through the dying pipeline.
+fn assert_dead_worker_unwinds(
+    mut server: StreamServer,
+    feed: &[(TenantId, InteractionEvent)],
+    label: &str,
+) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let last = *feed.last().unwrap();
+    let mut stream = feed.iter().copied().chain(std::iter::repeat(last));
+    // The only way out of this loop is observing Closed (the deadline
+    // assert below fails the test if the pipeline hangs instead).
+    loop {
+        let (tenant, e) = stream.next().unwrap();
+        match server.submit_for(tenant, e) {
+            Ok(_) => {}
+            Err(SubmitError::Closed) => break,
+            Err(other) => panic!("{label}: unexpected submit error: {other}"),
+        }
+        while server.poll().is_some() {}
+        assert!(
+            Instant::now() < deadline,
+            "{label}: submit never observed the dead pipeline"
+        );
+    }
+
+    // poll must not hang either: the results queue is closed.
+    while server.poll().is_some() {}
+
+    // drain must propagate the injected panic rather than hang.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.drain()));
+    assert!(
+        result.is_err(),
+        "{label}: drain must propagate the worker panic"
+    );
 }
 
 #[test]
 fn panicking_gnn_worker_fails_submit_poll_drain() {
-    for gnn_workers in [1usize, 2, 4] {
-        let (model, graph) = setup(17);
-        let config = ServeConfig {
-            max_batch: 8,
-            batch_deadline: Duration::from_millis(1),
-            num_shards: 2,
-            gnn_workers,
-            gnn_fault: Some(panic_once_at_epoch_2()),
-            ..ServeConfig::default()
-        };
-        let mut server = StreamServer::new(model, graph.clone(), config);
+    // One backend.
+    let (model, graph) = setup(17);
+    let config = ServeConfig {
+        max_batch: 8,
+        batch_deadline: Duration::from_millis(1),
+        num_shards: 2,
+        gnn_fault: Some(panic_once_at_epoch_2()),
+        ..ServeConfig::default()
+    };
+    let server = StreamServer::new(model.clone(), graph.clone(), config);
+    let feed: Vec<_> = graph.events()[..64.min(graph.num_events())]
+        .iter()
+        .map(|&e| (TenantId::DEFAULT, e))
+        .collect();
+    assert_dead_worker_unwinds(server, &feed, "one backend");
 
-        // Keep submitting until the dead pipeline surfaces as a Closed
-        // error; the ingress queue is deep, so a hang here would mean the
-        // closed dispatch queue never rippled back through the stages.
-        // Repeating the last event keeps the stream chronological (equal
-        // timestamps are legal) while driving batches through the dying
-        // pipeline.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let events = &graph.events()[..64.min(graph.num_events())];
-        let last = *events.last().unwrap();
-        let mut stream = events.iter().copied().chain(std::iter::repeat(last));
-        // The only way out of this loop is observing Closed (the deadline
-        // assert below fails the test if the pipeline hangs instead).
-        loop {
-            match server.submit(stream.next().unwrap()) {
-                Ok(()) => {}
-                Err(SubmitError::Closed) => break,
-                Err(other) => panic!("unexpected submit error: {other}"),
+    // Two backends behind the one GNN worker, the fault on an int8-routed
+    // epoch.  Event i goes to tenant i mod 2 (f32, int8); fed in lockstep,
+    // every epoch is one event, so epochs 1 and 3 are f32, 2 and 4 int8.
+    let mut model = model;
+    let quantized = quantize_model(
+        &model,
+        &graph,
+        &[],
+        &graph.events()[..64],
+        16,
+        QuantConfig {
+            quantize_gru: false,
+            ..QuantConfig::default()
+        },
+    );
+    model.attach_quantized(Arc::new(quantized));
+    const FAULT_EPOCH: u64 = 4;
+    let config = ServeConfig {
+        max_batch: 8,
+        batch_deadline: Duration::from_secs(3600),
+        num_shards: 2,
+        tenants: vec![
+            TenantSpec::new("f32").with_backend(BackendKind::F32),
+            TenantSpec::new("int8").with_backend(BackendKind::Int8),
+        ],
+        gnn_fault: Some(Arc::new(|epoch| epoch == FAULT_EPOCH)),
+        ..ServeConfig::default()
+    };
+    let mut server = StreamServer::new(model, graph.clone(), config);
+    let feed: Vec<_> = graph.events()[..64]
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| (TenantId(i as u32 % 2), e))
+        .collect();
+    let give_up = Instant::now() + Duration::from_secs(30);
+    let mut backends = Vec::new();
+    for &(tenant, e) in &feed[..FAULT_EPOCH as usize - 1] {
+        server.submit_for(tenant, e).unwrap();
+        let b = loop {
+            if let Some(b) = server.poll() {
+                break b;
             }
-            while server.poll().is_some() {}
-            assert!(
-                Instant::now() < deadline,
-                "gnn_workers={gnn_workers}: submit never observed the dead pipeline"
-            );
-        }
-
-        // poll must not hang either: the results queue is closed.
-        while server.poll().is_some() {}
-
-        // drain must propagate the injected panic rather than hang.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.drain()));
-        assert!(
-            result.is_err(),
-            "gnn_workers={gnn_workers}: drain must propagate the worker panic"
-        );
+            assert!(Instant::now() < give_up, "event never delivered");
+            std::thread::yield_now();
+        };
+        assert_eq!(b.events, [e], "lockstep epochs hold one event");
+        backends.push(b.backend);
     }
+    assert_eq!(
+        backends,
+        [BackendKind::F32, BackendKind::Int8, BackendKind::F32],
+        "the one GNN worker serves both backends"
+    );
+    // The faulted epoch is sealed alone before anything else is fed.
+    let (tenant, e) = feed[FAULT_EPOCH as usize - 1];
+    assert_eq!(tenant, TenantId(1), "the int8 tenant");
+    server.submit_for(tenant, e).unwrap();
+    while server.metrics().epochs < FAULT_EPOCH {
+        assert!(
+            Instant::now() < give_up,
+            "the faulted epoch was never sealed"
+        );
+        std::thread::yield_now();
+    }
+    assert_dead_worker_unwinds(server, &feed[FAULT_EPOCH as usize..], "f32 + int8");
 }
 
 #[test]
@@ -93,8 +171,7 @@ fn fault_on_late_epoch_still_unwinds_after_successful_batches() {
         max_batch: 4,
         batch_deadline: Duration::from_secs(3600), // cap / idle seals only
         num_shards: 3,
-        gnn_workers: 2,
-        gnn_fault: Some(Arc::new(|epoch, _| epoch == 5)),
+        gnn_fault: Some(Arc::new(|epoch| epoch == 5)),
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), config);

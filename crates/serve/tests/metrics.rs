@@ -21,6 +21,8 @@ use tgnn_serve::{
 };
 use tgnn_tensor::TensorRng;
 
+mod common;
+
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     let graph = generate(&tiny(seed));
     let cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim())
@@ -57,7 +59,6 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
         max_batch: 8,
         batch_deadline: Duration::from_millis(1),
         num_shards: 2,
-        gnn_workers: 2,
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), config);
@@ -82,8 +83,8 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
             }
             assert!(m.enabled);
             assert!(m.epochs > 0, "epochs must be sealed mid-stream");
-            assert_eq!(m.queues.len(), 5);
-            assert_eq!(m.queues[0].name, "ingest→state");
+            let queues: Vec<&str> = m.queues.iter().map(|q| q.name).collect();
+            assert_eq!(queues, ["ingest→state", "state→gnn", "gnn→results"]);
             live_seen = true;
         }
     }
@@ -99,7 +100,7 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
     assert_eq!(m.embeddings as usize, report.num_embeddings);
     assert!(polled > 0, "batches must have been delivered");
 
-    // Every worker stage saw work; the GNN pool reports both workers.
+    // Every worker stage saw work.
     for stage in [
         StageId::Scheduler,
         StageId::Batcher,
@@ -107,7 +108,6 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
         StageId::Memory,
         StageId::Gnn,
         StageId::Update,
-        StageId::Reorder,
     ] {
         let s = m
             .stages
@@ -117,8 +117,6 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
         assert!(s.batches > 0, "{} recorded no spans", stage.label());
         assert!(!s.busy.is_zero(), "{} recorded no busy time", stage.label());
     }
-    let gnn = m.stages.iter().find(|s| s.stage == StageId::Gnn).unwrap();
-    assert_eq!(gnn.workers, 2);
 
     // Satellite (b): the Table-I-shaped breakdown in the drain report is
     // the snapshot's stage rows under the engine's stage names.
@@ -162,7 +160,7 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
         .any(|r| r.stage == StageId::Deliver && r.kind == SpanKind::Mark));
     let timeline = render_flight_timeline(&dump);
     assert!(timeline.contains("epoch"));
-    assert!(timeline.contains("gnn["));
+    assert!(timeline.contains("| gnn "));
 
     // The renderers include their key markers.
     let table = m.render_table();
@@ -370,7 +368,7 @@ fn metrics_off_disables_spans_histograms_and_flight_recorder() {
     let m = server.metrics();
     assert!(!m.enabled);
     // Queue stats and tenant counters are structural — they stay live.
-    assert_eq!(m.queues.len(), 5);
+    assert_eq!(m.queues.len(), 3);
     assert_eq!(m.tenants[0].served as usize, graph.num_events());
     // Everything the recording path feeds stays empty.
     assert_eq!(m.flight.recorded, 0);
@@ -403,13 +401,12 @@ fn flight_recorder_dump_survives_gnn_panic() {
     let fired = Arc::new(AtomicBool::new(false));
     let hook = {
         let fired = fired.clone();
-        Arc::new(move |epoch: u64, _part: usize| epoch >= 2 && !fired.swap(true, Ordering::SeqCst))
+        Arc::new(move |epoch: u64| epoch >= 2 && !fired.swap(true, Ordering::SeqCst))
     };
     let config = ServeConfig {
         max_batch: 8,
         batch_deadline: Duration::from_millis(1),
         num_shards: 2,
-        gnn_workers: 2,
         gnn_fault: Some(hook),
         ..ServeConfig::default()
     };
@@ -434,22 +431,18 @@ fn flight_recorder_dump_survives_gnn_panic() {
     let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.drain()));
     assert!(drained.is_err(), "drain must propagate the worker panic");
 
-    // The dump works after the panic, and some GNN worker entered an epoch
+    // The dump works after the panic, and the GNN worker entered an epoch
     // it never exited — the poisoned epoch's partial timeline.
     let dump = hub.flight_dump();
     assert!(!dump.is_empty(), "flight dump empty after panic");
-    let poisoned = (0u16..2).any(|w| {
-        let enters = dump
-            .iter()
-            .filter(|r| r.stage == StageId::Gnn && r.worker == w && r.kind == SpanKind::Enter)
-            .count();
-        let exits = dump
-            .iter()
-            .filter(|r| r.stage == StageId::Gnn && r.worker == w && r.kind == SpanKind::Exit)
-            .count();
-        enters > exits
-    });
-    assert!(poisoned, "no GNN worker shows an Enter without an Exit");
+    let gnn_spans = |kind| {
+        let gnn = dump.iter().filter(|r| r.stage == StageId::Gnn);
+        gnn.filter(|r| r.kind == kind).count()
+    };
+    assert!(
+        gnn_spans(SpanKind::Enter) > gnn_spans(SpanKind::Exit),
+        "the GNN worker shows no Enter without an Exit"
+    );
     // The rendered timeline marks the dangling span as open.
     let timeline = render_flight_timeline(&dump);
     assert!(
@@ -513,7 +506,6 @@ fn timeline_renders_open_spans_and_sorts_ties_by_seq() {
         seq,
         at,
         stage,
-        worker: 0,
         epoch: 7,
         kind,
     };
@@ -995,6 +987,7 @@ fn report_and_snapshot_agree_row_for_row() {
     let submitted: u64 = report.tenants.iter().map(|t| t.counters.submitted).sum();
     assert_eq!(m.admission.submitted, submitted);
     assert_eq!(submitted, 120);
+    common::assert_conserved(&m);
 
     let kinds = |rows: &[tgnn_serve::BackendStats]| -> Vec<(BackendKind, u64, u64)> {
         rows.iter()
@@ -1008,7 +1001,7 @@ fn report_and_snapshot_agree_row_for_row() {
         [BackendKind::F32, BackendKind::Int8, BackendKind::HwSim],
         "every prepared backend has a row"
     );
-    assert_eq!(m.backends[1].served_batches, 0, "the int8 pool is idle");
+    assert_eq!(m.backends[1].served_batches, 0, "the int8 backend is idle");
     for (r, s) in report.backends.iter().zip(&m.backends) {
         assert_eq!(r.modeled_latency, s.modeled_latency);
     }

@@ -1,8 +1,7 @@
 //! Overload property test: submit events faster than the pipeline can drain
 //! them, with tiny queue bounds, and assert the backpressure design holds —
 //! bounded queue memory, no deadlock, and eventual completion with every
-//! event served exactly once — across seeds × shard counts × GNN worker
-//! counts.
+//! event served exactly once — across seeds × shard counts.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,6 +10,8 @@ use tgnn_data::{generate, tiny};
 use tgnn_graph::TemporalGraph;
 use tgnn_serve::{SealReason, ServeConfig, StreamServer, TenantSpec};
 use tgnn_tensor::TensorRng;
+
+mod common;
 
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     let graph = generate(&tiny(seed));
@@ -27,72 +28,70 @@ fn sustained_overload_stays_bounded_and_completes() {
         let (model, graph) = setup(seed);
         let events = &graph.events()[..200.min(graph.num_events())];
         for num_shards in [1usize, 3] {
-            for gnn_workers in [1usize, 2, 4] {
-                let label = format!("seed={seed} shards={num_shards} gnn={gnn_workers}");
-                // Tiny bounds everywhere: the ingress queue holds 2
-                // events, every stage holds 1 batch, and results hold 2 —
-                // submission immediately outruns the drain, so the whole
-                // run executes under backpressure.
-                let config = ServeConfig {
-                    max_batch: 3,
-                    batch_deadline: Duration::from_secs(3600),
-                    tenants: vec![TenantSpec::new("default").with_capacity(2)],
-                    stage_capacity: 1,
-                    results_capacity: 2,
-                    num_shards,
-                    gnn_workers,
-                    ..ServeConfig::default()
-                };
-                let mut server = StreamServer::new(model.clone(), graph.clone(), config);
-                let mut served_events = 0usize;
-                for &e in events {
-                    server.submit(e).unwrap_or_else(|err| {
-                        panic!("{label}: submit failed under overload: {err}")
-                    });
-                    // Poll without waiting — the producer never yields to
-                    // the pipeline voluntarily.
-                    while let Some(b) = server.poll() {
-                        served_events += b.events.len();
-                    }
-                    assert!(
-                        Instant::now() < deadline,
-                        "{label}: overload run deadlocked"
-                    );
-                }
-                let report = server.drain();
+            let label = format!("seed={seed} shards={num_shards}");
+            // Tiny bounds everywhere: the ingress queue holds 2
+            // events, every stage holds 1 batch, and results hold 2 —
+            // submission immediately outruns the drain, so the whole
+            // run executes under backpressure.
+            let config = ServeConfig {
+                max_batch: 3,
+                batch_deadline: Duration::from_secs(3600),
+                tenants: vec![TenantSpec::new("default").with_capacity(2)],
+                stage_capacity: 1,
+                results_capacity: 2,
+                num_shards,
+                ..ServeConfig::default()
+            };
+            let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+            let mut served_events = 0usize;
+            for &e in events {
+                server
+                    .submit(e)
+                    .unwrap_or_else(|err| panic!("{label}: submit failed under overload: {err}"));
+                // Poll without waiting — the producer never yields to
+                // the pipeline voluntarily.
                 while let Some(b) = server.poll() {
                     served_events += b.events.len();
                 }
-                // Eventual completion: nothing lost, nothing duplicated.
-                assert_eq!(served_events, events.len(), "{label}");
-                assert_eq!(report.num_events, events.len(), "{label}");
-                assert!(report.commit_log_clean, "{label}");
-                // Queue-accounting sanity: recorded depths respect the
-                // configured capacities.  (This cannot fail while `send`
-                // itself enforces the bound — the falsifiable boundedness
-                // evidence is the blocked-send count below: if a regression
-                // made any queue grow without blocking, an overloaded run
-                // with these tiny bounds would record zero blocks.)
-                for q in &report.queues {
-                    assert!(
-                        q.max_depth <= q.capacity,
-                        "{label}: queue {} overflowed its bound ({} > {})",
-                        q.name,
-                        q.max_depth,
-                        q.capacity
-                    );
-                }
                 assert!(
-                    report.backpressure_blocks > 0,
-                    "{label}: overload never hit backpressure — either the \
-                     pipeline outran a saturating producer on tiny bounds or \
-                     a queue grew unboundedly instead of blocking"
-                );
-                assert!(
-                    server.neighbor_table().check_invariants().is_ok(),
-                    "{label}"
+                    Instant::now() < deadline,
+                    "{label}: overload run deadlocked"
                 );
             }
+            let report = server.drain();
+            while let Some(b) = server.poll() {
+                served_events += b.events.len();
+            }
+            // Eventual completion: nothing lost, nothing duplicated.
+            assert_eq!(served_events, events.len(), "{label}");
+            assert_eq!(report.num_events, events.len(), "{label}");
+            common::assert_conserved(&server.metrics());
+            assert!(report.commit_log_clean, "{label}");
+            // Queue-accounting sanity: recorded depths respect the
+            // configured capacities.  (This cannot fail while `send`
+            // itself enforces the bound — the falsifiable boundedness
+            // evidence is the blocked-send count below: if a regression
+            // made any queue grow without blocking, an overloaded run
+            // with these tiny bounds would record zero blocks.)
+            for q in &report.queues {
+                assert!(
+                    q.max_depth <= q.capacity,
+                    "{label}: queue {} overflowed its bound ({} > {})",
+                    q.name,
+                    q.max_depth,
+                    q.capacity
+                );
+            }
+            assert!(
+                report.backpressure_blocks > 0,
+                "{label}: overload never hit backpressure — either the \
+                 pipeline outran a saturating producer on tiny bounds or \
+                 a queue grew unboundedly instead of blocking"
+            );
+            assert!(
+                server.neighbor_table().check_invariants().is_ok(),
+                "{label}"
+            );
         }
     }
 }
@@ -113,9 +112,9 @@ fn saturated_pipeline_fills_every_batch_to_the_cap() {
         max_batch: CAP,
         batch_deadline: Duration::from_secs(3600),
         tenants: vec![TenantSpec::new("default").with_capacity(CAP / 2)],
-        // The hook never fires; it holds every GNN sub-job for 2 ms, which
+        // The hook never fires; it holds every GNN job for 2 ms, which
         // makes the pipeline slower than any submitter on any host.
-        gnn_fault: Some(Arc::new(|_, _| {
+        gnn_fault: Some(Arc::new(|_| {
             std::thread::sleep(Duration::from_millis(2));
             false
         })),

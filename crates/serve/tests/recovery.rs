@@ -4,7 +4,7 @@
 //! **bit-identically** — every admitted event served exactly once, never
 //! twice, never lost, and every served embedding equal to what an
 //! uninterrupted `ExecMode::Serial` replay of the same micro-batch sequence
-//! produces — across seeds, shard counts, and GNN pool sizes.  Plus the
+//! produces — across seeds and shard counts.  Plus the
 //! torn-tail contract: a WAL truncated at *every* byte offset of its final
 //! record recovers cleanly.
 
@@ -23,6 +23,8 @@ use tgnn_serve::{
     StreamServer, SubmitError, TenantId, TenantSpec,
 };
 use tgnn_tensor::TensorRng;
+
+mod common;
 
 fn setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     let graph = generate(&tiny(seed));
@@ -130,7 +132,7 @@ fn base_config(dir: &Path, fsync: FsyncPolicy) -> ServeConfig {
 enum Fault {
     /// Batcher freezes the WAL and panics before sealing this epoch.
     Wal(u64),
-    /// A GNN worker panics on this epoch's first sub-job.
+    /// The GNN worker panics on this epoch's job.
     Gnn(u64),
 }
 
@@ -178,7 +180,7 @@ fn run_first_life(
         }
         Fault::Gnn(epoch) => {
             let at = *epoch;
-            config.gnn_fault = Some(Arc::new(move |e, _part| e == at));
+            config.gnn_fault = Some(Arc::new(move |e| e == at));
         }
     }
     let mut server = StreamServer::new(model, graph.clone(), config);
@@ -210,7 +212,7 @@ fn run_first_life(
 }
 
 #[test]
-fn crash_recovery_is_bit_identical_across_faults_shards_and_workers() {
+fn crash_recovery_is_bit_identical_across_faults_and_shards() {
     for seed in [3u64, 11] {
         let (model, graph) = setup(seed);
         let all = &graph.events()[..240.min(graph.num_events())];
@@ -218,94 +220,88 @@ fn crash_recovery_is_bit_identical_across_faults_shards_and_workers() {
         let warm_len = if seed == 11 { 48 } else { 0 };
         let (warm, events) = all.split_at(warm_len);
         for num_shards in [2usize, 3] {
-            for gnn_workers in [1usize, 2] {
-                for fault in [Fault::Wal(4), Fault::Gnn(3)] {
-                    let label = format!(
-                        "seed={seed} shards={num_shards} gnn={gnn_workers} fault={}",
-                        fault.label()
-                    );
-                    let td = TempDir::new(&label.replace([' ', '='], "-"));
-                    let mut config = base_config(td.path(), FsyncPolicy::Always);
-                    config.num_shards = num_shards;
-                    config.gnn_workers = gnn_workers;
+            for fault in [Fault::Wal(4), Fault::Gnn(3)] {
+                let label = format!("seed={seed} shards={num_shards} fault={}", fault.label());
+                let td = TempDir::new(&label.replace([' ', '='], "-"));
+                let mut config = base_config(td.path(), FsyncPolicy::Always);
+                config.num_shards = num_shards;
 
-                    let (mut served, submitted) =
-                        run_first_life(model.clone(), &graph, events, warm, config.clone(), &fault);
+                let (mut served, submitted) =
+                    run_first_life(model.clone(), &graph, events, warm, config.clone(), &fault);
 
-                    // Second life: recover, collect the re-served epochs,
-                    // resume the feed from the durable submit index, drain.
-                    let (mut server, report) =
-                        StreamServer::recover(model.clone(), graph.clone(), config)
-                            .unwrap_or_else(|e| panic!("{label}: recover failed: {e}"));
-                    let resume = report.resume_from[0] as usize;
-                    match fault {
-                        // The WAL froze at the crash point: submits that
-                        // returned Ok afterwards are not durable, and the
-                        // client re-sends them from the resume index.
-                        Fault::Wal(_) => assert!(
-                            resume <= submitted,
-                            "{label}: resume index past the submit count"
-                        ),
-                        // The WAL outlived the fault: with fsync=always
-                        // every Ok submit is durable.
-                        Fault::Gnn(_) => assert_eq!(
-                            resume, submitted,
-                            "{label}: every Ok submit must be durable"
-                        ),
-                    }
-                    let polled_epochs: Vec<u64> = served.iter().map(|b| b.epoch).collect();
-                    let mut re_served = 0usize;
-                    while let Some(b) = server.poll() {
-                        assert!(
-                            !polled_epochs.contains(&b.epoch),
-                            "{label}: epoch {} served twice",
-                            b.epoch
-                        );
-                        // Recovery stamps what it re-serves with trace id 0;
-                        // an epoch the live pipeline sealed from the replayed
-                        // ingress meanwhile is a first serve, not a re-serve.
-                        re_served += usize::from(b.metas.iter().all(|m| m.trace_id == 0));
-                        served.push(b);
-                    }
-                    assert_eq!(re_served, report.re_served_epochs, "{label}");
-                    for &e in &events[resume..] {
-                        server
-                            .submit(e)
-                            .unwrap_or_else(|err| panic!("{label}: resumed submit failed: {err}"));
-                        while let Some(b) = server.poll() {
-                            served.push(b);
-                        }
-                    }
-                    let report2 = server.drain();
-                    while let Some(b) = server.poll() {
-                        served.push(b);
-                    }
-                    assert!(
-                        server.neighbor_table().check_invariants().is_ok(),
-                        "{label}"
-                    );
-                    assert!(report2.commit_log_clean, "{label}");
-                    assert!(report2.durability.is_some(), "{label}");
-
-                    // Exactly once: the union of both lives' deliveries is
-                    // the whole feed, nothing duplicated, nothing lost.
-                    assert_eq!(
-                        multiset(served.iter().flat_map(|b| b.events.iter())),
-                        multiset(events.iter()),
-                        "{label}: served multiset != submitted multiset"
-                    );
-                    // Epoch order: contiguous across the crash.
-                    served.sort_by_key(|b| b.epoch);
-                    for (i, b) in served.iter().enumerate() {
-                        assert_eq!(
-                            b.epoch,
-                            served[0].epoch + i as u64,
-                            "{label}: epoch sequence has a gap or duplicate"
-                        );
-                    }
-                    // Bit-identity: the recovered stream replays serially.
-                    assert_matches_serial(model.clone(), &graph, warm, &served, &label);
+                // Second life: recover, collect the re-served epochs,
+                // resume the feed from the durable submit index, drain.
+                let (mut server, report) =
+                    StreamServer::recover(model.clone(), graph.clone(), config)
+                        .unwrap_or_else(|e| panic!("{label}: recover failed: {e}"));
+                let resume = report.resume_from[0] as usize;
+                match fault {
+                    // The WAL froze at the crash point: submits that
+                    // returned Ok afterwards are not durable, and the
+                    // client re-sends them from the resume index.
+                    Fault::Wal(_) => assert!(
+                        resume <= submitted,
+                        "{label}: resume index past the submit count"
+                    ),
+                    // The WAL outlived the fault: with fsync=always
+                    // every Ok submit is durable.
+                    Fault::Gnn(_) => assert_eq!(
+                        resume, submitted,
+                        "{label}: every Ok submit must be durable"
+                    ),
                 }
+                let polled_epochs: Vec<u64> = served.iter().map(|b| b.epoch).collect();
+                let mut re_served = 0usize;
+                while let Some(b) = server.poll() {
+                    assert!(
+                        !polled_epochs.contains(&b.epoch),
+                        "{label}: epoch {} served twice",
+                        b.epoch
+                    );
+                    // Recovery stamps what it re-serves with trace id 0;
+                    // an epoch the live pipeline sealed from the replayed
+                    // ingress meanwhile is a first serve, not a re-serve.
+                    re_served += usize::from(b.metas.iter().all(|m| m.trace_id == 0));
+                    served.push(b);
+                }
+                assert_eq!(re_served, report.re_served_epochs, "{label}");
+                for &e in &events[resume..] {
+                    server
+                        .submit(e)
+                        .unwrap_or_else(|err| panic!("{label}: resumed submit failed: {err}"));
+                    while let Some(b) = server.poll() {
+                        served.push(b);
+                    }
+                }
+                let report2 = server.drain();
+                while let Some(b) = server.poll() {
+                    served.push(b);
+                }
+                assert!(
+                    server.neighbor_table().check_invariants().is_ok(),
+                    "{label}"
+                );
+                assert!(report2.commit_log_clean, "{label}");
+                assert!(report2.durability.is_some(), "{label}");
+
+                // Exactly once: the union of both lives' deliveries is
+                // the whole feed, nothing duplicated, nothing lost.
+                assert_eq!(
+                    multiset(served.iter().flat_map(|b| b.events.iter())),
+                    multiset(events.iter()),
+                    "{label}: served multiset != submitted multiset"
+                );
+                // Epoch order: contiguous across the crash.
+                served.sort_by_key(|b| b.epoch);
+                for (i, b) in served.iter().enumerate() {
+                    assert_eq!(
+                        b.epoch,
+                        served[0].epoch + i as u64,
+                        "{label}: epoch sequence has a gap or duplicate"
+                    );
+                }
+                // Bit-identity: the recovered stream replays serially.
+                assert_matches_serial(model.clone(), &graph, warm, &served, &label);
             }
         }
     }
@@ -325,13 +321,13 @@ fn paced_feed_snapshots_by_absorbed_events_and_recovers_bit_identically() {
     let config = base_config(td.path(), FsyncPolicy::Always);
 
     let mut first = config.clone();
-    first.gnn_fault = Some(Arc::new(|epoch, _| epoch == FAULT_EPOCH));
+    first.gnn_fault = Some(Arc::new(|epoch| epoch == FAULT_EPOCH));
     let mut server = StreamServer::new(model.clone(), graph.clone(), first);
     let mut served: Vec<ServedBatch> = Vec::new();
     for &e in &events[..FAULT_EPOCH as usize] {
         server.submit(e).unwrap();
         if served.len() as u64 + 1 == FAULT_EPOCH {
-            break; // this epoch's GNN worker dies; nothing more is delivered
+            break; // the GNN worker dies on this epoch; nothing more is delivered
         }
         let give_up = std::time::Instant::now() + Duration::from_secs(30);
         let batch = loop {
@@ -705,6 +701,7 @@ fn ingress_drops_are_durable_and_never_resurrected() {
         while let Some(b) = server.poll() {
             served.push(b);
         }
+        common::assert_conserved(&server.metrics());
     }
     assert!(!dropped.is_empty(), "capacity 4 under burst must drop");
 

@@ -1,10 +1,10 @@
 //! Causal-trace conservation: every traced epoch's additive segments —
 //! ingress wait, seal wait, sample, memory, GNN, reorder barrier, WAL-sync
 //! wait, deliver — must tile the measured admit→deliver latency.  The
-//! property is checked across seeds × shards × gnn_workers, with and
-//! without durability (the durability run must surface a non-zero WAL-sync
-//! wait segment somewhere), plus the tail/head exemplar retention and the
-//! SLO engine's end-to-end wiring.
+//! property is checked across seeds × shards, with and without durability
+//! (the durability run must surface a non-zero WAL-sync wait segment
+//! somewhere), plus the per-epoch GNN wait/compute pair, the tail/head
+//! exemplar retention and the SLO engine's end-to-end wiring.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -105,21 +105,40 @@ fn run(config: ServeConfig, seed: u64) -> (Vec<TraceView>, usize) {
     (hub.trace_dump(), polled)
 }
 
+/// The informational GNN pair of every complete trace: exactly one queue
+/// wait and one compute segment, which split the additive `Gnn` segment to
+/// the nanosecond (all three are differences of the same three instants).
+fn assert_gnn_pair_splits_gnn(traces: &[TraceView], label: &str) {
+    for v in traces.iter().filter(|v| total_of(v).is_some()) {
+        let count = |id: SegmentId| v.segments.iter().filter(|s| s.code == id.code()).count();
+        let sum = |id: SegmentId| v.total_where(|c| c == id.code());
+        for id in [SegmentId::Gnn, SegmentId::GnnWait, SegmentId::GnnCompute] {
+            assert_eq!(count(id), 1, "{label}: epoch {} {}", v.epoch, id.label());
+        }
+        assert_eq!(
+            sum(SegmentId::GnnWait) + sum(SegmentId::GnnCompute),
+            sum(SegmentId::Gnn),
+            "{label}: epoch {}",
+            v.epoch
+        );
+    }
+}
+
 #[test]
 fn additive_segments_tile_the_measured_latency_across_topologies() {
-    for &(seed, shards, workers) in &[(3u64, 1usize, 1usize), (5, 2, 2), (7, 4, 3)] {
+    for &(seed, shards) in &[(3u64, 1usize), (5, 2), (7, 4)] {
         let config = ServeConfig {
             max_batch: 8,
             batch_deadline: Duration::from_millis(1),
             num_shards: shards,
-            gnn_workers: workers,
             ..ServeConfig::default()
         };
-        let label = format!("seed={seed} shards={shards} workers={workers}");
+        let label = format!("seed={seed} shards={shards}");
         let (traces, polled) = run(config, seed);
         assert!(polled > 0, "{label}: nothing served");
         let checked = assert_conserved(&traces, &label);
         assert!(checked > 0, "{label}: no complete traces to check");
+        assert_gnn_pair_splits_gnn(&traces, &label);
     }
 }
 
@@ -136,7 +155,6 @@ fn durability_run_conserves_and_surfaces_wal_sync_wait() {
         max_batch: 2,
         batch_deadline: Duration::from_secs(3600),
         num_shards: 2,
-        gnn_workers: 2,
         durability: Some(DurabilityConfig::new(dir.path()).with_fsync(FsyncPolicy::OnSeal)),
         ..ServeConfig::default()
     };
@@ -184,7 +202,6 @@ fn critical_path_blames_the_dominant_segment() {
         max_batch: 8,
         batch_deadline: Duration::from_millis(1),
         num_shards: 2,
-        gnn_workers: 2,
         ..ServeConfig::default()
     };
     let (traces, _) = run(config, 13);
@@ -193,8 +210,8 @@ fn critical_path_blames_the_dominant_segment() {
     for v in &traces {
         if total_of(v).is_some() {
             // The analyzer ranks whatever it is fed; blame wants only the
-            // additive decomposition, not the informational per-part or
-            // reference segments.
+            // additive decomposition, not the informational GNN pair or
+            // the reference segment.
             let additive: Vec<_> = v
                 .segments
                 .iter()
@@ -232,7 +249,6 @@ fn tail_and_head_exemplars_are_retained_in_the_snapshot() {
         max_batch: 8,
         batch_deadline: Duration::from_millis(1),
         num_shards: 2,
-        gnn_workers: 2,
         // Head-sample every delivered epoch so the ring cannot be empty.
         metrics_sampling: 1,
         ..ServeConfig::default()
@@ -268,7 +284,6 @@ fn slo_engine_reports_latency_and_drop_lanes_from_live_traffic() {
         max_batch: 8,
         batch_deadline: Duration::from_millis(1),
         num_shards: 2,
-        gnn_workers: 2,
         slo: Some(SloConfig {
             // Generous objective: healthy traffic must not fire.
             latency_objective: Duration::from_secs(5),

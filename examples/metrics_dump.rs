@@ -35,7 +35,6 @@ fn main() {
         max_batch: 64,
         batch_deadline: Duration::from_millis(5),
         num_shards: 4,
-        gnn_workers: 2,
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), serve_config);

@@ -38,15 +38,13 @@ fn main() {
 
     // 3. A streaming server: 4 vertex shards, micro-batches sealed whenever
     //    the state worker runs out of work — capped at 200 events, with a
-    //    20 ms backstop for a straggler behind a slow batch — and the
-    //    dominant GNN compute stage data-parallel over 2 workers (the
-    //    reorder stage keeps the output stream in epoch order and
-    //    bit-identical to the serial engine for any worker count).
+    //    20 ms backstop for a straggler behind a slow batch.  Three workers
+    //    (ingest, state, GNN) over three queues; the one GNN worker computes
+    //    batches in epoch order, bit-identical to the serial engine.
     let serve_config = ServeConfig {
         max_batch: 200,
         batch_deadline: Duration::from_millis(20),
         num_shards: 4,
-        gnn_workers: 2,
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), serve_config);
@@ -69,8 +67,8 @@ fn main() {
         embeddings += batch.embeddings.len();
     }
     println!(
-        "served {} events in {} micro-batches → {} embeddings ({} gnn workers)",
-        report.num_events, report.num_batches, embeddings, report.gnn_workers
+        "served {} events in {} micro-batches → {} embeddings",
+        report.num_events, report.num_batches, embeddings
     );
     println!(
         "throughput: {:.0} edges/sec — latency mean {:.3} ms, p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms",
