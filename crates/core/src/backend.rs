@@ -31,9 +31,9 @@
 //!   by the caller against the shared state and is identical for every
 //!   backend.
 
-use crate::memory::Message;
+use crate::memory::MemoryTable;
 use crate::model::TgnModel;
-use crate::stages::{run_memory_stage, GnnJobBatch, SampledBatch};
+use crate::stages::{run_memory_stage, GnnJobBatch, SampledBatch, UpdatedRows};
 use std::sync::Arc;
 use std::time::Duration;
 use tgnn_graph::{EventBatch, NeighborEntry, NodeId, Timestamp};
@@ -162,18 +162,12 @@ pub trait ComputeBackend: Send + Sync {
     /// this entry point is for standalone single-backend use.
     fn run_memory(
         &self,
-        with_messages: &[(NodeId, Message)],
-        last_update: &mut dyn FnMut(NodeId) -> Timestamp,
-        read_memory: &mut dyn FnMut(NodeId, &mut [Float]),
+        table: &mut dyn MemoryTable,
+        touched: &[NodeId],
+        query_times: &[Timestamp],
         ws: &mut Workspace,
-    ) -> Vec<(NodeId, Vec<Float>)> {
-        run_memory_stage(
-            self.model(),
-            with_messages,
-            last_update,
-            |v, dst| read_memory(v, dst),
-            ws,
-        )
+    ) -> UpdatedRows {
+        run_memory_stage(self.model(), table, touched, query_times, ws)
     }
 
     /// The backend-specific GNN compute stage: runs the gathered job on the

@@ -364,7 +364,7 @@ impl InferenceEngine {
         sampled: &SampledBatch,
         graph: &TemporalGraph,
     ) -> HashMap<NodeId, Vec<Float>> {
-        let updated_memory = self.update_memories(&sampled.touched);
+        let updated_memory = self.update_memories(&sampled.touched, &sampled.query_times);
         for e in sampled.batch.events() {
             self.memory.cache_interaction_messages(
                 e.src,
@@ -518,18 +518,12 @@ impl InferenceEngine {
     /// back).  In the batched/parallel modes all temporaries come from the
     /// engine workspace and the GRU runs on the packed kernels; results are
     /// bit-identical to the serial reference.
-    fn update_memories(&mut self, touched: &[NodeId]) -> HashMap<NodeId, Vec<Float>> {
+    fn update_memories(
+        &mut self,
+        touched: &[NodeId],
+        query_times: &[Timestamp],
+    ) -> HashMap<NodeId, Vec<Float>> {
         let cfg = &self.model.config;
-        let mut with_messages: Vec<(NodeId, crate::memory::Message)> = Vec::new();
-        for &v in touched {
-            if let Some(msg) = self.memory.take_message(v) {
-                with_messages.push((v, msg));
-            }
-        }
-        if with_messages.is_empty() {
-            return HashMap::new();
-        }
-        let rows = with_messages.len();
         let time_macs = match cfg.time_encoder {
             TimeEncoderKind::Cos => 2 * cfg.time_dim as u64,
             TimeEncoderKind::Lut => 0,
@@ -537,6 +531,13 @@ impl InferenceEngine {
 
         if self.mode == ExecMode::Serial {
             // Reference path: per-call allocations, blocked GEMM.
+            let with_messages: Vec<(NodeId, crate::memory::Message)> = (touched.iter())
+                .filter_map(|&v| Some((v, self.memory.take_message(v)?.clone())))
+                .collect();
+            if with_messages.is_empty() {
+                return HashMap::new();
+            }
+            let rows = with_messages.len();
             let mut messages = Matrix::zeros(rows, cfg.message_dim());
             let mut memories = Matrix::zeros(rows, cfg.memory_dim);
             let dts: Vec<Float> = with_messages
@@ -561,21 +562,21 @@ impl InferenceEngine {
 
         // Hot path: the shared allocation-free memory stage (also used by the
         // streaming pipeline) on this engine's workspace.
-        let memory = &self.memory;
         let obs = self
             .observer
             .as_deref_mut()
             .map(|o| o as &mut dyn tgnn_quant::ActivationObserver);
-        let out: HashMap<NodeId, Vec<Float>> = stages::run_memory_stage_obs(
+        let updated = stages::run_memory_stage_obs(
             &self.model,
-            &with_messages,
-            |v| memory.last_update(v),
-            |v, dst| dst.copy_from_slice(memory.memory_of(v)),
+            &mut self.memory,
+            touched,
+            query_times,
             &mut self.ws,
             obs,
-        )
-        .into_iter()
-        .collect();
+        );
+        let rows = updated.len();
+        let out = updated.iter().map(|(v, row)| (v, row.to_vec())).collect();
+        updated.recycle(&mut self.ws);
         self.ops.memory.mems += (rows * (cfg.message_dim() + cfg.memory_dim)) as u64;
         self.ops.memory.macs += rows as u64 * (time_macs + self.model.gru.macs(1));
         out
@@ -733,7 +734,8 @@ impl InferenceEngine {
         }
         let touched = batch.touched_vertices();
         let query_times = latest_event_times(batch);
-        let updated = self.update_memories(&touched);
+        let aligned: Vec<Timestamp> = touched.iter().map(|v| query_times[v]).collect();
+        let updated = self.update_memories(&touched, &aligned);
         for e in batch.events() {
             self.memory.cache_interaction_messages(
                 e.src,

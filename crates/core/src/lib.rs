@@ -69,11 +69,11 @@ pub use complexity::{OpCounts, StageOps};
 pub use config::{AttentionKind, ModelConfig, OptimizationVariant, TimeEncoderKind};
 pub use inference::{ExecMode, InferenceEngine, InferenceReport};
 pub use link_prediction::LinkDecoder;
-pub use memory::{Message, NodeMemory};
+pub use memory::{MemoryTable, Message, NodeMemory};
 pub use model::TgnModel;
 pub use profiling::{Stage, StageTimings};
 pub use quantized::{calibrate_activations, quantize_model, QuantizedTgn};
-pub use sharded::ShardedMemory;
-pub use stages::{GnnJobBatch, SampledBatch};
+pub use sharded::{MemoryWrites, ShardedMemory};
+pub use stages::{GnnJobBatch, SampledBatch, UpdatedMemory, UpdatedRows};
 pub use tenancy::{Disposition, OverloadPolicy, ResultMeta, TenantId};
 pub use training::{TrainConfig, Trainer};

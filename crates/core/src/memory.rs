@@ -14,7 +14,7 @@ use tgnn_tensor::{Float, Matrix};
 
 /// A cached raw message for one vertex: everything needed to rebuild
 /// `m_v = s_v || s_u || f_e || Φ(Δt)` at memory-update time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Message {
     /// Snapshot of the destination vertex's own memory when the message was
     /// generated.
@@ -42,19 +42,66 @@ impl Message {
         out.extend_from_slice(time_encoding);
         out
     }
+
+    /// Writes the message head `s_v ‖ s_u ‖ f_e` (everything but the time
+    /// encoding) into `dst`, which must be exactly that long.
+    pub fn write_head(&self, dst: &mut [Float]) {
+        let (own, rest) = dst.split_at_mut(self.self_memory.len());
+        let (other, edge) = rest.split_at_mut(self.other_memory.len());
+        own.copy_from_slice(&self.self_memory);
+        other.copy_from_slice(&self.other_memory);
+        edge.copy_from_slice(&self.edge_feature);
+    }
+}
+
+/// One mailbox slot: the buffers of the last message written into it and
+/// whether that message is still pending.  Consuming the message only
+/// clears `pending`, so the next write reuses the buffers in place — after
+/// a vertex's first interaction its slot never touches the heap again.
+#[derive(Clone, Debug, Default)]
+struct Slot {
+    pending: bool,
+    message: Message,
+}
+
+impl Slot {
+    /// The mailbox's one write path: overwrites the slot in place with the
+    /// message a vertex whose memory is `own` receives from an interaction
+    /// at `event_time` with a vertex whose memory is `other`.
+    fn write(
+        &mut self,
+        own: &[Float],
+        other: &[Float],
+        edge_feature: &[Float],
+        event_time: Timestamp,
+    ) {
+        let m = &mut self.message;
+        for (dst, src) in [
+            (&mut m.self_memory, own),
+            (&mut m.other_memory, other),
+            (&mut m.edge_feature, edge_feature),
+        ] {
+            dst.clear();
+            dst.extend_from_slice(src);
+        }
+        m.event_time = event_time;
+        self.pending = true;
+    }
 }
 
 /// The node memory table and mailbox — the state persisted in the FPGA
 /// board's external DDR memory (Vertex Memory Table + Vertex Mailbox in
-/// Fig. 2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Fig. 2).  As on the board, a vertex's mailbox slot is a fixed place that
+/// every message for it is written into; snapshots go through
+/// `tgnn_durable`'s codec, which reads only pending messages.
+#[derive(Clone, Debug)]
 pub struct NodeMemory {
     memory: Matrix,
     /// Timestamp of the last committed memory update per vertex.
     last_update: Vec<Timestamp>,
     /// Cached raw message per vertex ("Most-Recent" aggregator: only the
     /// latest message is kept).
-    mailbox: Vec<Option<Message>>,
+    mailbox: Vec<Slot>,
     memory_dim: usize,
 }
 
@@ -64,7 +111,7 @@ impl NodeMemory {
         Self {
             memory: Matrix::zeros(num_nodes, memory_dim),
             last_update: vec![0.0; num_nodes],
-            mailbox: vec![None; num_nodes],
+            mailbox: vec![Slot::default(); num_nodes],
             memory_dim,
         }
     }
@@ -114,26 +161,32 @@ impl NodeMemory {
         self.last_update[v as usize]
     }
 
-    /// Read (without consuming) the cached message of a vertex.
+    /// Read (without consuming) the pending message of a vertex.
     pub fn cached_message(&self, v: NodeId) -> Option<&Message> {
-        self.mailbox[v as usize].as_ref()
+        let slot = &self.mailbox[v as usize];
+        slot.pending.then_some(&slot.message)
     }
 
-    /// Take (consume) the cached message of a vertex, leaving the mailbox
-    /// slot empty.
-    pub fn take_message(&mut self, v: NodeId) -> Option<Message> {
-        self.mailbox[v as usize].take()
+    /// Consumes the pending message of a vertex: from now on the slot reads
+    /// empty to every reader.  Returns what was consumed, read in place —
+    /// the slot keeps its buffers for the next message written into it.
+    pub fn take_message(&mut self, v: NodeId) -> Option<&Message> {
+        let slot = &mut self.mailbox[v as usize];
+        std::mem::take(&mut slot.pending).then_some(&slot.message)
     }
 
     /// Store a new cached message for a vertex, replacing any previous one
     /// (the "Most-Recent" message aggregator of TGN).
     pub fn store_message(&mut self, v: NodeId, message: Message) {
-        self.mailbox[v as usize] = Some(message);
+        self.mailbox[v as usize] = Slot {
+            pending: true,
+            message,
+        };
     }
 
     /// Builds the pair of raw messages generated by an interaction
-    /// `(src, dst)` (Eq. 4–5) from the *current* memory snapshots, and stores
-    /// them in the mailbox.
+    /// `(src, dst)` (Eq. 4–5) from the *current* memory snapshots, and
+    /// writes them into the two vertices' mailbox slots in place.
     pub fn cache_interaction_messages(
         &mut self,
         src: NodeId,
@@ -141,38 +194,38 @@ impl NodeMemory {
         edge_feature: &[Float],
         event_time: Timestamp,
     ) {
-        let src_mem = self.memory_of(src).to_vec();
-        let dst_mem = self.memory_of(dst).to_vec();
-        self.store_message(
-            src,
-            Message {
-                self_memory: src_mem.clone(),
-                other_memory: dst_mem.clone(),
-                edge_feature: edge_feature.to_vec(),
-                event_time,
-            },
-        );
-        self.store_message(
-            dst,
-            Message {
-                self_memory: dst_mem,
-                other_memory: src_mem,
-                edge_feature: edge_feature.to_vec(),
-                event_time,
-            },
-        );
+        let (memory, mailbox) = (&self.memory, &mut self.mailbox);
+        for (v, other) in [(src, dst), (dst, src)] {
+            let (v, other) = (v as usize, other as usize);
+            mailbox[v].write(memory.row(v), memory.row(other), edge_feature, event_time);
+        }
+    }
+
+    /// One half of [`Self::cache_interaction_messages`] for an interaction
+    /// whose counterpart lives in another table (another shard of
+    /// [`ShardedMemory`](crate::ShardedMemory)): writes the message `v`
+    /// receives from a vertex whose memory is `other`.
+    pub(crate) fn cache_message_from(
+        &mut self,
+        v: NodeId,
+        other: &[Float],
+        edge_feature: &[Float],
+        event_time: Timestamp,
+    ) {
+        let v = v as usize;
+        self.mailbox[v].write(self.memory.row(v), other, edge_feature, event_time);
     }
 
     /// Number of vertices that currently have a pending cached message.
     pub fn pending_messages(&self) -> usize {
-        self.mailbox.iter().filter(|m| m.is_some()).count()
+        self.mailbox.iter().filter(|m| m.pending).count()
     }
 
     /// Resets all state (memory, clocks, mailbox).
     pub fn reset(&mut self) {
         self.memory.as_mut_slice().fill(0.0);
         self.last_update.iter_mut().for_each(|t| *t = 0.0);
-        self.mailbox.iter_mut().for_each(|m| *m = None);
+        self.mailbox.iter_mut().for_each(|m| m.pending = false);
     }
 
     /// External-memory footprint in bytes (memory table + mailbox), matching
@@ -181,6 +234,39 @@ impl NodeMemory {
         let memory_table = self.num_nodes() * self.memory_dim * bytes_per_word;
         let mailbox = self.num_nodes() * config.message_dim() * bytes_per_word;
         memory_table + mailbox
+    }
+}
+
+/// The memory table a memory stage runs over
+/// ([`run_memory_stage`](crate::stages::run_memory_stage)): a plain
+/// [`NodeMemory`] in the engine, the per-shard locks of a
+/// [`ShardedMemory`](crate::ShardedMemory) in the pipeline.
+pub trait MemoryTable {
+    /// Consumes `v`'s pending message, writing its head `s_v ‖ s_u ‖ f_e`
+    /// into `head` and returning its event time; `None`, with `head`
+    /// untouched, when the slot is empty.
+    fn take_message_into(&mut self, v: NodeId, head: &mut [Float]) -> Option<Timestamp>;
+
+    /// Timestamp of the last committed memory update of `v`.
+    fn last_update(&self, v: NodeId) -> Timestamp;
+
+    /// Copies `v`'s memory row into `dst`.
+    fn copy_memory_into(&self, v: NodeId, dst: &mut [Float]);
+}
+
+impl MemoryTable for NodeMemory {
+    fn take_message_into(&mut self, v: NodeId, head: &mut [Float]) -> Option<Timestamp> {
+        let m = self.take_message(v)?;
+        m.write_head(head);
+        Some(m.event_time)
+    }
+
+    fn last_update(&self, v: NodeId) -> Timestamp {
+        NodeMemory::last_update(self, v)
+    }
+
+    fn copy_memory_into(&self, v: NodeId, dst: &mut [Float]) {
+        dst.copy_from_slice(self.memory_of(v));
     }
 }
 
@@ -256,6 +342,37 @@ mod tests {
         assert_eq!(m1.edge_feature, m2.edge_feature);
         assert_eq!(m1.event_time, 3.0);
         assert_eq!(mem.pending_messages(), 2);
+    }
+
+    #[test]
+    fn consumed_slots_read_empty_and_rewrites_reuse_their_buffers() {
+        let mut mem = NodeMemory::new(3, 2);
+        mem.set_memory(0, &[1.0, 2.0], 0.0);
+        mem.set_memory(1, &[3.0, 4.0], 0.0);
+        mem.cache_interaction_messages(0, 1, &[0.5, 0.25], 1.0);
+        let buffers = |mem: &NodeMemory| {
+            let m = &mem.mailbox[0].message;
+            [&m.self_memory, &m.other_memory, &m.edge_feature].map(|b| b.as_ptr())
+        };
+        let first = buffers(&mem);
+
+        let taken = mem.take_message(0).unwrap().clone();
+        assert_eq!(taken.other_memory, vec![3.0, 4.0]);
+        assert!(mem.cached_message(0).is_none());
+        assert!(mem.take_message(0).is_none());
+        assert_eq!(mem.pending_messages(), 1);
+
+        // A write into the consumed slot, then one replacing a pending
+        // message: both in place.
+        mem.set_memory(1, &[5.0, 6.0], 1.0);
+        mem.cache_interaction_messages(1, 0, &[0.75, 1.0], 2.0);
+        mem.cache_interaction_messages(0, 2, &[0.0, 0.0], 3.0);
+        assert_eq!(buffers(&mem), first);
+        let m = mem.cached_message(0).unwrap();
+        assert_eq!(
+            (m.other_memory.as_slice(), m.event_time),
+            (&[0.0, 0.0][..], 3.0)
+        );
     }
 
     #[test]

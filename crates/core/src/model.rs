@@ -1251,7 +1251,7 @@ mod tests {
 
     #[test]
     fn a_stale_fold_cannot_be_served() {
-        use crate::memory::Message;
+        use crate::memory::{Message, NodeMemory};
         use crate::stages::run_memory_stage;
         use tgnn_nn::linear::fused_tables_built_on_this_thread;
         use tgnn_nn::optim::Sgd;
@@ -1289,9 +1289,16 @@ mod tests {
                 let outputs = model.compute_embeddings_batch(jobs, ws);
                 outputs.into_iter().map(|o| o.embedding).collect()
             });
-            let read = |v: u32, dst: &mut [Float]| dst.copy_from_slice(memories.row(v as usize));
-            let updated = run_memory_stage(model, &messages, |_| 0.0, read, ws);
-            rows.extend(updated.into_iter().map(|(_, row)| row));
+            let mut table = NodeMemory::new(messages.len(), cfg.memory_dim);
+            for (v, message) in &messages {
+                table.set_memory(*v, memories.row(*v as usize), 0.0);
+                table.store_message(*v, message.clone());
+            }
+            let touched: Vec<u32> = messages.iter().map(|(v, _)| *v).collect();
+            let times = vec![0.0; touched.len()];
+            let updated = run_memory_stage(model, &mut table, &touched, &times, ws);
+            rows.extend(updated.iter().map(|(_, row)| row.to_vec()));
+            updated.recycle(ws);
             rows
         };
         // A freshly built model holding `model`'s values: another seed's

@@ -2,16 +2,23 @@
 //! the memory-table counterpart of
 //! [`tgnn_graph::ShardedNeighborTable`].
 //!
-//! Partitioning follows the same `node_id % N` scheme, and the same
-//! [`EpochGate`] protocol orders cross-batch access: the streaming pipeline's
-//! memory stage for batch *k+1* waits until every shard it reads has
-//! committed batch *k*'s write-backs, while the updater may still be
-//! committing other shards — that concurrency is what the per-shard locks
-//! buy, and the gate is what keeps the result bit-identical to the serial
-//! engine.
+//! Partitioning follows the same `node_id % N` scheme.  In the streaming
+//! server one state worker is the only reader and writer of this state: it
+//! samples, runs the memory stage and commits batch *k* before it touches
+//! batch *k+1*, so program order on that thread is what keeps the result
+//! bit-identical to the serial engine.  What the shards and their locks
+//! still buy is the commit observer: `commit_epoch_with` visits each shard
+//! under its lock right after the shard applies its writes, which is where
+//! the durability layer captures a consistent snapshot payload and the
+//! embedding cache advances its staleness watermark.  The [`EpochGate`]
+//! records each shard's committed epoch.
+//!
+//! Mailbox slots are overwritten in place ([`NodeMemory`]), and the memory
+//! stage consumes messages through [`MemoryTable`], reading them under the
+//! shard lock — the state worker's per-event path does not allocate.
 
 use crate::config::ModelConfig;
-use crate::memory::{Message, NodeMemory};
+use crate::memory::{MemoryTable, Message, NodeMemory};
 use std::sync::Mutex;
 use tgnn_graph::sharded::{local_index, shard_len, shard_of, EpochGate};
 use tgnn_graph::{NodeId, Timestamp};
@@ -107,17 +114,17 @@ impl ShardedMemory {
         self.with_shard(v, |m, local| m.last_update(local))
     }
 
-    /// Take (consume) the cached mailbox message of a vertex.
+    /// Consumes the pending mailbox message of a vertex and returns a copy
+    /// of it (the memory stage reads it in place through [`MemoryTable`]).
     pub fn take_message(&self, v: NodeId) -> Option<Message> {
-        self.with_shard(v, |m, local| m.take_message(local))
+        self.with_shard(v, |m, local| m.take_message(local).cloned())
     }
 
     /// Builds and stores the pair of raw messages generated by an interaction
-    /// `(src, dst)` from the *current* memory snapshots — semantics identical
-    /// to [`NodeMemory::cache_interaction_messages`].  This is the memory
-    /// worker's per-event hot path, so the shard locks are taken once per
-    /// endpoint (once total when both endpoints share a shard) instead of
-    /// once per read/store.
+    /// `(src, dst)` from the *current* memory snapshots — the body is
+    /// [`NodeMemory::cache_interaction_messages`]'s: this only takes the shard
+    /// locks, once per endpoint (once total when both endpoints share a
+    /// shard).
     pub fn cache_interaction_messages(
         &self,
         src: NodeId,
@@ -146,58 +153,38 @@ impl ShardedMemory {
         } else {
             (&mut *shard_hi, &mut *shard_lo)
         };
-        let src_mem = src_shard.memory_of(l_src).to_vec();
-        let dst_mem = dst_shard.memory_of(l_dst).to_vec();
-        src_shard.store_message(
-            l_src,
-            Message {
-                self_memory: src_mem.clone(),
-                other_memory: dst_mem.clone(),
-                edge_feature: edge_feature.to_vec(),
-                event_time,
-            },
-        );
-        dst_shard.store_message(
-            l_dst,
-            Message {
-                self_memory: dst_mem,
-                other_memory: src_mem,
-                edge_feature: edge_feature.to_vec(),
-                event_time,
-            },
-        );
+        src_shard.cache_message_from(l_src, dst_shard.memory_of(l_dst), edge_feature, event_time);
+        dst_shard.cache_message_from(l_dst, src_shard.memory_of(l_src), edge_feature, event_time);
     }
 
     /// Commits one batch (epoch) of memory write-backs: every shard applies
     /// the writes it owns, then its epoch watermark is bumped — including
-    /// shards with no writes, so waiters never stall on idle shards.
+    /// shards with no writes.
     ///
     /// Epochs must be committed in increasing order (enforced by the gate).
-    pub fn commit_epoch(&self, epoch: u64, writes: &[(NodeId, Vec<Float>, Timestamp)]) {
+    pub fn commit_epoch<W: MemoryWrites + ?Sized>(&self, epoch: u64, writes: &W) {
         self.commit_epoch_with(epoch, writes, |_, _| {});
     }
 
     /// [`Self::commit_epoch`] with a per-shard observer: after shard `s`
     /// applies its writes — still under its lock, *before* its epoch
-    /// watermark is bumped — `observe(s, &shard)` runs.  Because downstream
-    /// stages wait on their full shard mask for this epoch before touching
-    /// state, the observer sees exactly the post-epoch shard image with no
-    /// global pause; the durability layer uses this to capture snapshot
-    /// payloads at the epoch barrier.
-    pub fn commit_epoch_with(
+    /// watermark is bumped — `observe(s, &shard)` runs, so it sees exactly
+    /// the post-epoch shard image with no global pause; the durability layer
+    /// uses this to capture snapshot payloads at the epoch barrier.
+    pub fn commit_epoch_with<W: MemoryWrites + ?Sized>(
         &self,
         epoch: u64,
-        writes: &[(NodeId, Vec<Float>, Timestamp)],
+        writes: &W,
         mut observe: impl FnMut(usize, &NodeMemory),
     ) {
         for s in 0..self.num_shards {
             {
                 let mut shard = self.shards[s].lock().unwrap();
-                for (v, row, t) in writes {
-                    if shard_of(*v, self.num_shards) == s {
-                        shard.set_memory(local_index(*v, self.num_shards) as NodeId, row, *t);
+                writes.for_each_write(|v, row, t| {
+                    if shard_of(v, self.num_shards) == s {
+                        shard.set_memory(local_index(v, self.num_shards) as NodeId, row, t);
                     }
-                }
+                });
                 observe(s, &shard);
             }
             self.gate.commit(s, epoch);
@@ -230,6 +217,48 @@ impl ShardedMemory {
             .iter()
             .map(|s| s.lock().unwrap().pending_messages())
             .sum()
+    }
+}
+
+/// One batch of memory write-backs `(vertex, new row, time)`, however the
+/// caller holds them: a list of owned rows, or the memory stage's output
+/// matrix stamped with the batch's query times.
+pub trait MemoryWrites {
+    /// Calls `f(vertex, row, time)` for every write, in order.
+    fn for_each_write(&self, f: impl FnMut(NodeId, &[Float], Timestamp));
+}
+
+impl MemoryWrites for [(NodeId, Vec<Float>, Timestamp)] {
+    fn for_each_write(&self, mut f: impl FnMut(NodeId, &[Float], Timestamp)) {
+        for (v, row, t) in self {
+            f(*v, row, *t);
+        }
+    }
+}
+
+impl<const N: usize> MemoryWrites for [(NodeId, Vec<Float>, Timestamp); N] {
+    fn for_each_write(&self, f: impl FnMut(NodeId, &[Float], Timestamp)) {
+        self[..].for_each_write(f)
+    }
+}
+
+impl MemoryWrites for Vec<(NodeId, Vec<Float>, Timestamp)> {
+    fn for_each_write(&self, f: impl FnMut(NodeId, &[Float], Timestamp)) {
+        self[..].for_each_write(f)
+    }
+}
+
+impl MemoryTable for &ShardedMemory {
+    fn take_message_into(&mut self, v: NodeId, head: &mut [Float]) -> Option<Timestamp> {
+        self.with_shard(v, |m, local| m.take_message_into(local, head))
+    }
+
+    fn last_update(&self, v: NodeId) -> Timestamp {
+        ShardedMemory::last_update(self, v)
+    }
+
+    fn copy_memory_into(&self, v: NodeId, dst: &mut [Float]) {
+        ShardedMemory::copy_memory_into(self, v, dst)
     }
 }
 
@@ -273,7 +302,7 @@ mod tests {
         for v in [1u32, 2] {
             let got = sharded.take_message(v).unwrap();
             let want = reference.take_message(v).unwrap();
-            assert_eq!(got, want, "vertex {v}");
+            assert_eq!(&got, want, "vertex {v}");
         }
         assert!(sharded.take_message(1).is_none());
     }

@@ -14,20 +14,25 @@
 //!   `Vec`s) and, next to it, the attention decision taken on their Δt's:
 //!   which neighbors the GNN stage will aggregate, and with what weights.
 //! * [`run_memory_stage`] — the allocation-free GRU memory update over the
-//!   vertices with pending mailbox messages, generic over how memory rows are
-//!   read (direct [`NodeMemory`](crate::NodeMemory) access in the engine,
-//!   per-shard locks in the pipeline).
-//! * [`GnnJobBatch`] — a self-contained, owned input for the batched GNN
-//!   stage: the memory row and edge feature of every *kept* neighbor are
-//!   copied out of the shared state (pruned ones are never fetched), so the
-//!   compute stage can run while the update stage commits the *next*
-//!   batch's state.
+//!   vertices with pending mailbox messages, generic over the table it
+//!   consumes them from ([`MemoryTable`]: a plain
+//!   [`NodeMemory`](crate::NodeMemory) in the engine, per-shard locks in the
+//!   pipeline).  Its output, [`UpdatedRows`], is one workspace matrix that
+//!   the GNN gather and the commit both read.
+//! * [`GnnJobBatch`] — a self-contained input for the batched GNN stage:
+//!   the memory row of every *kept* neighbor is copied out of the shared
+//!   state (pruned ones are never fetched), so the compute stage can run
+//!   while the commit overwrites memory rows.  Static edge and node
+//!   features are not copied: the job holds edge ids and the immutable
+//!   graph, and the GNN stage reads the features from it in place.
 
 use crate::config::ModelConfig;
-use crate::memory::Message;
+use crate::memory::MemoryTable;
 use crate::model::{EmbeddingJob, NeighborRef, TgnModel};
+use crate::sharded::MemoryWrites;
 use std::collections::HashMap;
-use tgnn_graph::{EventBatch, NeighborEntry, NodeId, TemporalGraph, Timestamp};
+use std::sync::Arc;
+use tgnn_graph::{EdgeId, EventBatch, NeighborEntry, NodeId, TemporalGraph, Timestamp};
 use tgnn_nn::attention::Selection;
 use tgnn_tensor::{Float, Matrix, Workspace};
 
@@ -159,23 +164,93 @@ impl SampledBatch {
     }
 }
 
-/// Runs the GRU memory update over the vertices that had a pending mailbox
-/// message — the allocation-free memory stage shared by
+/// The memory stage's output for one batch: the new memory row of every
+/// touched vertex that had a pending mailbox message, in touched order, as
+/// rows of one workspace matrix — not yet written back.  Each row is stamped
+/// with its vertex's query time, the time it is committed at.  Hand the
+/// matrix back with [`Self::recycle`] once the batch is committed.
+#[derive(Debug)]
+pub struct UpdatedRows {
+    vertices: Vec<NodeId>,
+    times: Vec<Timestamp>,
+    /// Per touched vertex: its row, or [`Self::NO_ROW`].
+    row_of: Vec<u32>,
+    rows: Matrix,
+}
+
+impl UpdatedRows {
+    const NO_ROW: u32 = u32::MAX;
+
+    /// Number of updated vertices.
+    pub fn len(&self) -> usize {
+        self.vertices.len()
+    }
+
+    /// True when no touched vertex had a pending message.
+    pub fn is_empty(&self) -> bool {
+        self.vertices.is_empty()
+    }
+
+    /// `(vertex, new memory)` in touched order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[Float])> {
+        self.vertices
+            .iter()
+            .enumerate()
+            .map(|(r, &v)| (v, self.rows.row(r)))
+    }
+
+    /// Returns the rows' buffer to the workspace they came from.
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.recycle_matrix(self.rows);
+    }
+}
+
+/// Where a GNN gather reads the memory stage's new rows from: the
+/// engine's per-vertex map or the pipeline's [`UpdatedRows`].
+pub trait UpdatedMemory {
+    /// The new memory of `v`, the batch's `i`-th touched vertex, if the
+    /// memory stage updated it.
+    fn updated(&self, i: usize, v: NodeId) -> Option<&[Float]>;
+}
+
+impl UpdatedMemory for UpdatedRows {
+    fn updated(&self, i: usize, _: NodeId) -> Option<&[Float]> {
+        let r = self.row_of[i];
+        (r != Self::NO_ROW).then(|| self.rows.row(r as usize))
+    }
+}
+
+impl UpdatedMemory for HashMap<NodeId, Vec<Float>> {
+    fn updated(&self, _: usize, v: NodeId) -> Option<&[Float]> {
+        self.get(&v).map(Vec::as_slice)
+    }
+}
+
+impl MemoryWrites for UpdatedRows {
+    fn for_each_write(&self, mut f: impl FnMut(NodeId, &[Float], Timestamp)) {
+        for ((v, row), &t) in self.iter().zip(&self.times) {
+            f(v, row, t);
+        }
+    }
+}
+
+/// Runs the GRU memory update over the touched vertices that have a pending
+/// mailbox message — the allocation-free memory stage shared by
 /// [`ExecMode::Batched`](crate::ExecMode) and the streaming pipeline.
 ///
-/// `with_messages` lists `(vertex, consumed message)` in touched order;
-/// `last_update` and `read_memory` abstract the memory-table reads so the
-/// caller can serve them from a plain [`NodeMemory`](crate::NodeMemory) or
-/// from per-shard locks.  Returns `(vertex, new memory)` in input order.
-/// Results are bit-identical to the engine's serial reference path.
+/// Each message is consumed from `table` (a plain
+/// [`NodeMemory`](crate::NodeMemory) in the engine, per-shard locks in the
+/// pipeline) straight into the GRU's input matrix; `query_times` is aligned
+/// with `touched`.  Results are bit-identical to the engine's serial
+/// reference path.
 pub fn run_memory_stage(
     model: &TgnModel,
-    with_messages: &[(NodeId, Message)],
-    last_update: impl FnMut(NodeId) -> Timestamp,
-    read_memory: impl FnMut(NodeId, &mut [Float]),
+    table: &mut (impl MemoryTable + ?Sized),
+    touched: &[NodeId],
+    query_times: &[Timestamp],
     ws: &mut Workspace,
-) -> Vec<(NodeId, Vec<Float>)> {
-    run_memory_stage_obs(model, with_messages, last_update, read_memory, ws, None)
+) -> UpdatedRows {
+    run_memory_stage_obs(model, table, touched, query_times, ws, None)
 }
 
 /// [`run_memory_stage`] with an optional activation observer recording the
@@ -183,21 +258,13 @@ pub fn run_memory_stage(
 /// calibration pass uses to derive the GRU's static activation scales.
 pub fn run_memory_stage_obs(
     model: &TgnModel,
-    with_messages: &[(NodeId, Message)],
-    mut last_update: impl FnMut(NodeId) -> Timestamp,
-    mut read_memory: impl FnMut(NodeId, &mut [Float]),
+    table: &mut (impl MemoryTable + ?Sized),
+    touched: &[NodeId],
+    query_times: &[Timestamp],
     ws: &mut Workspace,
     obs: Option<&mut dyn tgnn_quant::ActivationObserver>,
-) -> Vec<(NodeId, Vec<Float>)> {
-    let rows = with_messages.len();
-    if rows == 0 {
-        return Vec::new();
-    }
+) -> UpdatedRows {
     let cfg = &model.config;
-    let mut dts = ws.take(rows);
-    for (dt, (v, msg)) in dts.iter_mut().zip(with_messages) {
-        *dt = (msg.event_time - last_update(*v)).max(0.0) as Float;
-    }
     // A LUT model's GRU reads the time encoding's contribution from its
     // fused table: the messages stop at the edge feature and no encoding is
     // materialised.  Otherwise the encoding is the message's last block.
@@ -209,17 +276,31 @@ pub fn run_memory_stage_obs(
         cfg.message_dim()
     };
 
-    let mut messages = ws.take_matrix(rows, width);
-    let mut memories = ws.take_matrix(rows, cfg.memory_dim);
-    let mem_dim = cfg.memory_dim;
-    for (i, (v, msg)) in with_messages.iter().enumerate() {
-        let row = messages.row_mut(i);
-        row[..mem_dim].copy_from_slice(&msg.self_memory);
-        row[mem_dim..2 * mem_dim].copy_from_slice(&msg.other_memory);
-        row[2 * mem_dim..head].copy_from_slice(&msg.edge_feature);
-        read_memory(*v, memories.row_mut(i));
+    // Sized for every touched vertex, cut to the ones with a message.
+    let mut messages = ws.take_matrix(touched.len(), width);
+    let mut memories = ws.take_matrix(touched.len(), cfg.memory_dim);
+    let mut dts = ws.take(touched.len());
+    let mut vertices = Vec::with_capacity(touched.len());
+    let mut times = Vec::with_capacity(touched.len());
+    let mut row_of = Vec::with_capacity(touched.len());
+    for (&v, &t) in touched.iter().zip(query_times) {
+        let r = vertices.len();
+        let Some(event_time) = table.take_message_into(v, &mut messages.row_mut(r)[..head]) else {
+            row_of.push(UpdatedRows::NO_ROW);
+            continue;
+        };
+        dts[r] = (event_time - table.last_update(v)).max(0.0) as Float;
+        table.copy_memory_into(v, memories.row_mut(r));
+        row_of.push(r as u32);
+        vertices.push(v);
+        times.push(t);
     }
-    if lut.is_none() {
+    let rows = vertices.len();
+    let mut messages = first_rows(messages, rows);
+    let memories = first_rows(memories, rows);
+    dts.truncate(rows);
+
+    if lut.is_none() && rows > 0 {
         let mut encodings = ws.take_matrix(rows, cfg.time_dim);
         model.encode_time_into(&dts, &mut encodings);
         for i in 0..rows {
@@ -227,7 +308,7 @@ pub fn run_memory_stage_obs(
         }
         ws.recycle_matrix(encodings);
     }
-    if let Some(o) = obs {
+    if let (Some(o), true) = (obs, rows > 0) {
         use crate::quantized::layers::{GRU_HIDDEN, GRU_INPUT};
         o.record(GRU_INPUT, messages.as_slice());
         if let Some(lut) = lut {
@@ -238,61 +319,86 @@ pub fn run_memory_stage_obs(
         o.record(GRU_HIDDEN, memories.as_slice());
     }
 
-    let fold = lut.map(|lut| (lut, &dts[..]));
-    let updated = model.update_memory_with(&messages, fold, &memories, ws);
-    let out = with_messages
-        .iter()
-        .enumerate()
-        .map(|(i, (v, _))| (*v, updated.row_to_vec(i)))
-        .collect();
-    ws.recycle_matrix(updated);
+    let updated = if rows == 0 {
+        ws.take_matrix(0, cfg.memory_dim)
+    } else {
+        let fold = lut.map(|lut| (lut, &dts[..]));
+        model.update_memory_with(&messages, fold, &memories, ws)
+    };
     ws.recycle_matrix(memories);
     ws.recycle_matrix(messages);
     ws.recycle(dts);
-    out
+    UpdatedRows {
+        vertices,
+        times,
+        row_of,
+        rows: updated,
+    }
 }
 
-/// A self-contained, owned input for the batched GNN stage.
+/// The first `rows` rows of `m`, in its buffer.
+fn first_rows(m: Matrix, rows: usize) -> Matrix {
+    let cols = m.cols();
+    let mut data = m.into_vec();
+    data.truncate(rows * cols);
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// A self-contained input for the batched GNN stage.
 ///
 /// Where the engine's in-process GNN stage points zero-copy into the live
-/// memory table, a pipelined GNN stage runs *concurrently* with the update
-/// stage that commits the next batch — so everything it reads is copied out
-/// of the shared state at gather time.  Because the gathered values equal
-/// what the serial engine would have read, and the compute path is the same
-/// [`TgnModel::embeddings_selected`], the results stay bit-identical.
+/// memory table, a pipelined GNN stage runs *concurrently* with the commit
+/// that overwrites memory rows — so the job owns a copy of every memory row
+/// it reads, taken at gather time.  Static features are never written: the
+/// job holds the graph and the kept neighbors' edge ids, and [`Self::run`]
+/// reads edge and node features from the graph's tables in place.  Because
+/// the values read equal what the serial engine would have read, and the
+/// compute path is the same [`TgnModel::embeddings_selected`], the results
+/// stay bit-identical.
 ///
 /// The job holds two arenas.  Per **sampled** neighbor: its Δt (4 bytes —
 /// the sampling stage's decision was taken on these).  Per **kept**
-/// neighbor, in kept order: its memory row and edge feature, and in
-/// `selection` its index among the vertex's sampled neighbors and its
-/// attention weight.  Pruned neighbors cost their Δt and nothing else.
-#[derive(Clone, Debug)]
+/// neighbor, in kept order: its memory row and edge id, and in `selection`
+/// its index among the vertex's sampled neighbors and its attention weight.
+/// Pruned neighbors cost their Δt and nothing else.
+#[derive(Clone)]
 pub struct GnnJobBatch {
     touched: Vec<NodeId>,
     self_memory: Matrix,
-    node_features: Option<Matrix>,
-    /// Kept arena: one row per kept neighbor.
+    /// Kept arena: one memory row and one edge id per kept neighbor.
     nbr_memory: Matrix,
-    nbr_edge: Matrix,
+    nbr_edges: Vec<EdgeId>,
     /// Sampled arena: one Δt per sampled neighbor.
     nbr_dt: Vec<Float>,
     /// Per vertex `(start, len)` into the sampled arena.
     ranges: Vec<(usize, usize)>,
     /// Per vertex the kept neighbors (its `ranges` index the kept arena).
     selection: Selection,
+    /// The static node and edge features the job reads.
+    graph: Arc<TemporalGraph>,
+}
+
+impl std::fmt::Debug for GnnJobBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GnnJobBatch")
+            .field("touched", &self.touched)
+            .field("kept", &self.nbr_edges.len())
+            .field("sampled", &self.nbr_dt.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl GnnJobBatch {
-    /// Gathers the owned GNN inputs for a sampled batch: the (updated) memory
-    /// of every touched vertex, its static node feature (if the model uses
-    /// them), the memory row and edge feature of each neighbor the sampling
-    /// stage **kept**, and every sampled neighbor's time delta.
+    /// Gathers the GNN inputs for a sampled batch: the (updated) memory of
+    /// every touched vertex, the memory row and edge id of each neighbor the
+    /// sampling stage **kept**, and every sampled neighbor's time delta.
     /// `read_memory` supplies pre-write-back memory rows, matching what the
-    /// serial engine reads during its GNN stage.
+    /// serial engine reads during its GNN stage.  Only memory — the mutable
+    /// state — is copied; features stay in `graph`.
     pub fn gather(
         sampled: &SampledBatch,
-        updated: &HashMap<NodeId, Vec<Float>>,
-        graph: &TemporalGraph,
+        updated: &impl UpdatedMemory,
+        graph: &Arc<TemporalGraph>,
         cfg: &ModelConfig,
         mut read_memory: impl FnMut(NodeId, &mut [Float]),
     ) -> Self {
@@ -301,44 +407,33 @@ impl GnnJobBatch {
 
         let mut self_memory = Matrix::zeros(t, mem_dim);
         for (i, &v) in sampled.touched.iter().enumerate() {
-            match updated.get(&v) {
+            match updated.updated(i, v) {
                 Some(m) => self_memory.row_mut(i).copy_from_slice(m),
                 None => read_memory(v, self_memory.row_mut(i)),
             }
         }
-        let node_features = (cfg.node_feature_dim > 0).then(|| {
-            let mut f = Matrix::zeros(t, cfg.node_feature_dim);
-            for (i, &v) in sampled.touched.iter().enumerate() {
-                f.row_mut(i).copy_from_slice(graph.node_feature(v));
-            }
-            f
-        });
 
         let kept = sampled.selection.kept.len();
         let mut nbr_memory = Matrix::zeros(kept, mem_dim);
-        let mut nbr_edge = Matrix::zeros(kept, cfg.edge_feature_dim);
-        let mut row = 0;
+        let mut nbr_edges = Vec::with_capacity(kept);
         for i in 0..t {
             let entries = sampled.neighbors_of(i);
             for &j in sampled.selection.kept_of(i) {
                 let e = &entries[j as usize];
-                read_memory(e.neighbor, nbr_memory.row_mut(row));
-                nbr_edge
-                    .row_mut(row)
-                    .copy_from_slice(graph.edge_feature(e.edge_id));
-                row += 1;
+                read_memory(e.neighbor, nbr_memory.row_mut(nbr_edges.len()));
+                nbr_edges.push(e.edge_id);
             }
         }
 
         Self {
             touched: sampled.touched.clone(),
             self_memory,
-            node_features,
             nbr_memory,
-            nbr_edge,
+            nbr_edges,
             nbr_dt: sampled.delta_t.clone(),
             ranges: sampled.ranges.clone(),
             selection: sampled.selection.clone(),
+            graph: graph.clone(),
         }
     }
 
@@ -372,22 +467,25 @@ impl GnnJobBatch {
     }
 
     /// Runs the batched GNN compute on the gathered inputs — pure in the
-    /// model and the job, so it can execute on any worker thread.
+    /// model and the job (the graph it reads is immutable), so it can
+    /// execute on any worker thread.
     pub fn run(&self, model: &TgnModel, ws: &mut Workspace) -> Vec<(NodeId, Vec<Float>)> {
-        let mut nbr_refs: Vec<NeighborRef<'_>> = Vec::with_capacity(self.selection.kept.len());
+        let graph = &*self.graph;
+        let mut nbr_refs: Vec<NeighborRef<'_>> = Vec::with_capacity(self.nbr_edges.len());
         for (&(first, _), &(start, len)) in self.ranges.iter().zip(&self.selection.ranges) {
             for row in start..start + len {
                 nbr_refs.push(NeighborRef {
                     memory: self.nbr_memory.row(row),
-                    edge_feature: self.nbr_edge.row(row),
+                    edge_feature: graph.edge_feature(self.nbr_edges[row]),
                     delta_t: self.nbr_dt[first + self.selection.kept[row] as usize],
                 });
             }
         }
-        let jobs: Vec<EmbeddingJob<'_>> = (0..self.touched.len())
-            .map(|i| EmbeddingJob {
+        let node_features = model.config.node_feature_dim > 0;
+        let jobs: Vec<EmbeddingJob<'_>> = (self.touched.iter().enumerate())
+            .map(|(i, &v)| EmbeddingJob {
                 memory: self.self_memory.row(i),
-                node_feature: self.node_features.as_ref().map(|f| f.row(i)),
+                node_feature: node_features.then(|| graph.node_feature(v)),
                 neighbors: {
                     let (start, len) = self.selection.ranges[i];
                     &nbr_refs[start..start + len]
@@ -417,17 +515,17 @@ mod tests {
     /// no history at all to a full neighbor list.
     struct Fixture {
         model: TgnModel,
-        graph: TemporalGraph,
+        graph: Arc<TemporalGraph>,
         memory: Matrix,
         updated: HashMap<NodeId, Vec<Float>>,
         sampled: SampledBatch,
     }
 
     fn fixture(variant: OptimizationVariant, seed: u64) -> Fixture {
-        let graph = tgnn_data::generate(&tgnn_data::DatasetConfig {
+        let graph = Arc::new(tgnn_data::generate(&tgnn_data::DatasetConfig {
             node_feature_dim: 3,
             ..tgnn_data::tiny(seed)
-        });
+        }));
         let mut cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim());
         cfg.sampled_neighbors = 10;
         let cfg = cfg.with_variant(variant);
@@ -539,7 +637,7 @@ mod tests {
             assert_eq!(job.nbr_dt.len(), f.sampled.total_sampled());
             let held = job.neighbors_within_budget(cfg.neighbor_budget);
             assert_eq!(held, sel.kept.len());
-            assert_eq!((job.nbr_memory.rows(), job.nbr_edge.rows()), (held, held));
+            assert_eq!((job.nbr_memory.rows(), job.nbr_edges.len()), (held, held));
             let prunes = cfg.neighbor_budget < cfg.sampled_neighbors;
             assert_eq!(held < job.total_neighbors(), prunes, "{variant:?}");
         }

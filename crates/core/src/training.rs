@@ -283,7 +283,7 @@ impl StreamState {
             }
         }
         for &v in &touched {
-            if let Some(msg) = self.memory.take_message(v) {
+            if let Some(msg) = self.memory.take_message(v).cloned() {
                 let dt = (msg.event_time - self.memory.last_update(v)).max(0.0) as Float;
                 let enc = model.encode_time(&[dt]);
                 let assembled = msg.assemble(enc.row(0));

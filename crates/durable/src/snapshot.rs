@@ -19,12 +19,15 @@
 //!
 //! ## Consistency
 //!
-//! Shard payloads are captured by the update worker *under each shard's
-//! lock, before that shard's epoch gate is bumped* (the `commit_epoch_with`
-//! observers in `tgnn-core`/`tgnn-graph`).  Because downstream stages wait on
-//! the full shard mask of the next epoch before touching state, each
-//! captured shard is exactly the post-batch state of the snapshot's epoch —
-//! the epoch barrier is the consistency point, with no global pause.
+//! Shard payloads are captured by the state worker *under each shard's
+//! lock, after the epoch's writes and before that shard's epoch gate is
+//! bumped* (the `commit_epoch_with` observers in `tgnn-core`/`tgnn-graph`).
+//! That worker is the state's only writer and commits epoch *k* before it
+//! touches epoch *k+1*, so each captured shard is exactly the post-batch
+//! state of the snapshot's epoch — the epoch barrier is the consistency
+//! point, with no global pause.  The codec reads only pending mailbox
+//! messages: a consumed slot encodes as an empty one, whatever buffers it
+//! keeps for the next message.
 //!
 //! ## The `floor` flag
 //!
@@ -145,7 +148,8 @@ pub fn decode_memory_shard(payload: &[u8]) -> Result<NodeMemory, DurableError> {
     let mut c = Cursor::new(payload);
     let n = c.u32()? as usize;
     let dim = c.u32()? as usize;
-    if n.saturating_mul(dim) > payload.len() / 4 + 1 {
+    // Every vertex costs at least its row, its clock and its mailbox tag.
+    if n.saturating_mul(dim.saturating_mul(4).saturating_add(9)) > payload.len() {
         return Err(DurableError::corrupt("memory shard dimensions implausible"));
     }
     let mut mem = NodeMemory::new(n, dim);
@@ -155,16 +159,21 @@ pub fn decode_memory_shard(payload: &[u8]) -> Result<NodeMemory, DurableError> {
         mem.set_memory(v as u32, row, t);
     }
     for v in 0..n {
-        if c.u8()? == 1 {
-            mem.store_message(
-                v as u32,
-                Message {
+        match c.u8()? {
+            0 => {}
+            1 => {
+                let message = Message {
                     self_memory: c.float_vec()?,
                     other_memory: c.float_vec()?,
                     edge_feature: c.float_vec()?,
                     event_time: c.f64()?,
-                },
-            );
+                };
+                if message.self_memory.len() != dim || message.other_memory.len() != dim {
+                    return Err(DurableError::corrupt("mailbox message width mismatch"));
+                }
+                mem.store_message(v as u32, message);
+            }
+            _ => return Err(DurableError::corrupt("unknown mailbox tag")),
         }
     }
     c.done()?;
@@ -493,6 +502,9 @@ pub fn load_snapshot(entry: &SnapshotEntry) -> Result<LoadedSnapshot, DurableErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgnn_core::{MemoryTable, ShardedMemory};
+    use tgnn_graph::sharded::{local_index, shard_len};
+    use tgnn_tensor::{Float, TensorRng};
 
     fn sample_memory() -> NodeMemory {
         let mut mem = NodeMemory::new(3, 2);
@@ -564,6 +576,167 @@ mod tests {
         encode_memory_shard(&mem, &mut buf);
         assert_memory_eq(&decode_memory_shard(&buf).unwrap(), &mem);
         assert!(decode_memory_shard(&buf[..buf.len() - 1]).is_err());
+    }
+
+    const DIM: usize = 4;
+    const EDGE_DIM: usize = 3;
+
+    /// The mailbox as it behaved before slots were reused in place: every
+    /// message a fresh allocation, a consumed one dropped.
+    struct FreshMailbox {
+        rows: Vec<(Vec<Float>, f64)>,
+        mailbox: Vec<Option<Message>>,
+    }
+
+    impl FreshMailbox {
+        fn new(n: usize) -> Self {
+            Self {
+                rows: vec![(vec![0.0; DIM], 0.0); n],
+                mailbox: vec![None; n],
+            }
+        }
+
+        fn interact(&mut self, src: usize, dst: usize, edge: &[Float], t: f64) {
+            let (s, d) = (self.rows[src].0.clone(), self.rows[dst].0.clone());
+            for (v, own, other) in [(src, &s, &d), (dst, &d, &s)] {
+                self.mailbox[v] = Some(Message {
+                    self_memory: own.clone(),
+                    other_memory: other.clone(),
+                    edge_feature: edge.to_vec(),
+                    event_time: t,
+                });
+            }
+        }
+
+        /// A `NodeMemory` built fresh with shard `shard` of this state
+        /// (vertices `v % shards == shard`, at local index `v / shards`).
+        fn build(&self, shards: usize, shard: usize) -> NodeMemory {
+            let n = self.rows.len();
+            let mut mem = NodeMemory::new(shard_len(n, shards, shard), DIM);
+            for v in (shard..n).step_by(shards) {
+                let local = local_index(v as u32, shards) as u32;
+                mem.set_memory(local, &self.rows[v].0, self.rows[v].1);
+                if let Some(m) = &self.mailbox[v] {
+                    mem.store_message(local, m.clone());
+                }
+            }
+            mem
+        }
+    }
+
+    fn encoded(mem: &NodeMemory) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_memory_shard(mem, &mut buf);
+        buf
+    }
+
+    /// A random stream of interactions (message writes into empty, pending
+    /// and consumed slots), consumptions and memory write-backs, applied to
+    /// a `NodeMemory`, a `ShardedMemory` and the fresh-allocation reference:
+    /// every read agrees, and every snapshot encodes byte for byte as a
+    /// `NodeMemory` built fresh — a consumed slot is a `0` tag, nothing of
+    /// its old message survives.
+    #[test]
+    fn in_place_mailbox_reads_and_encodes_as_a_fresh_one() {
+        const NODES: usize = 7;
+        for (seed, shards) in [(1, 1), (2, 3), (3, 2)] {
+            let mut rng = TensorRng::new(seed);
+            let mut plain = NodeMemory::new(NODES, DIM);
+            let sharded = ShardedMemory::new(NODES, DIM, shards);
+            let mut fresh = FreshMailbox::new(NODES);
+            let mut epoch = 0;
+            let mut head = [0.0; 2 * DIM + EDGE_DIM];
+            for step in 0..600 {
+                let t = step as f64;
+                let v = rng.index(NODES);
+                match rng.index(4) {
+                    0 | 1 => {
+                        let u = rng.index(NODES);
+                        let edge: Vec<Float> = (0..EDGE_DIM).map(|_| rng.normal()).collect();
+                        plain.cache_interaction_messages(v as u32, u as u32, &edge, t);
+                        sharded.cache_interaction_messages(v as u32, u as u32, &edge, t);
+                        fresh.interact(v, u, &edge, t);
+                    }
+                    2 => {
+                        let want = fresh.mailbox[v].take();
+                        if step % 2 == 0 {
+                            assert_eq!(plain.take_message(v as u32), want.as_ref());
+                            assert_eq!(sharded.take_message(v as u32), want);
+                        } else {
+                            // The memory stage's path: the head read in place.
+                            let want = want.map(|m| {
+                                let mut h = head;
+                                m.write_head(&mut h);
+                                (h, m.event_time)
+                            });
+                            let got = plain.take_message_into(v as u32, &mut head);
+                            assert_eq!(got.map(|t| (head, t)), want);
+                            let got = (&sharded).take_message_into(v as u32, &mut head);
+                            assert_eq!(got.map(|t| (head, t)), want);
+                        }
+                        assert!(plain.cached_message(v as u32).is_none());
+                    }
+                    _ => {
+                        let row: Vec<Float> = (0..DIM).map(|_| rng.normal()).collect();
+                        plain.set_memory(v as u32, &row, t);
+                        epoch += 1;
+                        sharded.commit_epoch(epoch, &[(v as u32, row.clone(), t)]);
+                        fresh.rows[v] = (row, t);
+                    }
+                }
+                let pending = fresh.mailbox.iter().flatten().count();
+                assert_eq!(plain.pending_messages(), pending);
+                assert_eq!(sharded.pending_messages(), pending);
+                for v in 0..NODES {
+                    assert_eq!(plain.cached_message(v as u32), fresh.mailbox[v].as_ref());
+                }
+                assert_eq!(encoded(&plain), encoded(&fresh.build(1, 0)), "step {step}");
+                epoch += 1;
+                sharded.commit_epoch_with(epoch, &[], |s, m| {
+                    assert_eq!(encoded(m), encoded(&fresh.build(shards, s)), "step {step}");
+                });
+            }
+        }
+    }
+
+    /// Every truncated prefix of a payload holding pending and consumed
+    /// slots, and every flip of a header byte or mailbox tag, decodes to an
+    /// error or to a `NodeMemory` — never a panic.
+    #[test]
+    fn memory_shard_decoder_survives_truncation_and_flipped_tags() {
+        let mut mem = NodeMemory::new(4, 2);
+        mem.set_memory(1, &[0.5, -1.0], 2.0);
+        mem.cache_interaction_messages(0, 1, &[0.25, 0.75, 1.5], 3.0);
+        mem.cache_interaction_messages(2, 3, &[1.0, 2.0, 3.0], 4.0);
+        let _ = mem.take_message(1);
+        let _ = mem.take_message(3);
+        let buf = encoded(&mem);
+        assert_memory_eq(&decode_memory_shard(&buf).unwrap(), &mem);
+
+        for len in 0..buf.len() {
+            assert!(decode_memory_shard(&buf[..len]).is_err(), "prefix {len}");
+        }
+        // The header (node count, width) and the four mailbox tags.
+        let mut positions: Vec<usize> = (0..8).collect();
+        let mut at = 8 + 4 * (2 * 4 + 8);
+        for v in 0..4u32 {
+            positions.push(at);
+            at += 1;
+            if let Some(m) = mem.cached_message(v) {
+                at += 3 * 4 + 4 * (m.self_memory.len() + m.other_memory.len());
+                at += 4 * m.edge_feature.len() + 8;
+            }
+        }
+        assert_eq!(at, buf.len(), "tag positions follow the encoding");
+        for &i in &positions {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = buf.clone();
+                bad[i] ^= mask;
+                if let Ok(m) = decode_memory_shard(&bad) {
+                    let _ = encoded(&m);
+                }
+            }
+        }
     }
 
     #[test]

@@ -117,13 +117,13 @@ mod tests {
         let events: Vec<InteractionEvent> = (0..12u32)
             .map(|i| InteractionEvent::new(i % 5, (i + 1) % 5, i, i as f64))
             .collect();
-        let graph = TemporalGraph::new(
+        let graph = std::sync::Arc::new(TemporalGraph::new(
             "backend-test",
             5,
             Matrix::zeros(5, 0),
             Matrix::zeros(12, 2),
             events.clone(),
-        );
+        ));
         // Every touched vertex samples three neighbors.
         let history = [0u32, 1, 2].map(|k| tgnn_graph::NeighborEntry {
             neighbor: k,

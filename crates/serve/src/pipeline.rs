@@ -8,7 +8,8 @@
 //!                         │  SealedBatch
 //!                    [state worker]   sample → memory → gather → commit,
 //!                         │            in program order on one thread
-//!                         │  GnnJob (owned, self-contained, epoch order)
+//!                         │  GnnJob (memory rows copied, features by id,
+//!                         │          epoch order)
 //!                     [gnn worker]    every prepared backend; cache insert,
 //!                         │            dispositions, counters
 //!                         │  ServedBatch
@@ -31,12 +32,14 @@
 //! sample(k+1) reads what commit(k) wrote, commit(k) needs memory(k)'s
 //! rows, and memory(k+1) needs sample(k+1) — so one worker runs them back
 //! to back (`StateStage::step`), and the same body replays warm-up and
-//! recovery.  The GNN stage can: its input is an owned, gathered job, so
-//! the state worker dispatches batch *k*'s job *before* committing batch
-//! *k* and GNN(k) — the dominant cost per the paper's co-design analysis —
-//! runs concurrently with commit(k) and state(k+1).  That is the paper's
-//! two compute stages (memory updater, embedding unit) behind a prefetching
-//! front end, and the only overlap the dependencies allow.
+//! recovery.  The GNN stage can: its input is a gathered job that owns a
+//! copy of every memory row it reads (static features it reads from the
+//! immutable graph by id), so the state worker dispatches batch *k*'s job
+//! *before* committing batch *k* and GNN(k) — the dominant cost per the
+//! paper's co-design analysis — runs concurrently with commit(k) and
+//! state(k+1).  That is the paper's two compute stages (memory updater,
+//! embedding unit) behind a prefetching front end, and the only overlap the
+//! dependencies allow.
 //!
 //! One GNN worker holds every prepared backend and computes each job on the
 //! backend its batch was sealed for, as the paper's single embedding unit
@@ -44,12 +47,12 @@
 //!
 //! Ordering argument (epochs are 1-based batch numbers):
 //! * **state(k)** runs after state(k-1) on the same thread, so sampling and
-//!   the memory stage read exactly the epoch `k-1` tables, and every value
-//!   the GNN needs is gathered into an owned job *before* the commit
+//!   the memory stage read exactly the epoch `k-1` tables, and every memory
+//!   row the GNN needs is copied into the job *before* the commit
 //!   overwrites this epoch's rows.
-//! * **gnn(k)** is pure compute over the owned job.  The state worker sends
-//!   jobs in epoch order onto a FIFO queue with one consumer, so results
-//!   leave in epoch order for any backend mix.
+//! * **gnn(k)** is pure compute over the job and the immutable graph.  The
+//!   state worker sends jobs in epoch order onto a FIFO queue with one
+//!   consumer, so results leave in epoch order for any backend mix.
 //!
 //! A dying worker unwinds the pipeline through its channels: every loop
 //! returns when its input closes or its output is gone, and the ingest
@@ -61,18 +64,16 @@ use crate::durability::Durability;
 use crate::metrics::{SegmentId, StageObs};
 use crate::queue::{Receiver, Sender};
 use crate::server::{BackendStats, LatencySummary, NS_PER_MS};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tgnn_core::memory::Message;
-use tgnn_core::stages::{run_memory_stage, GnnJobBatch, SampledBatch};
+use tgnn_core::stages::{run_memory_stage, GnnJobBatch, SampledBatch, UpdatedRows};
 use tgnn_core::tenancy::{Disposition, ResultMeta, TenantId};
-use tgnn_core::{BackendKind, ComputeBackend, ShardedMemory, TgnModel, NUM_BACKEND_KINDS};
-use tgnn_graph::chronology::CommitLog;
-use tgnn_graph::{
-    EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, TemporalGraph, Timestamp,
+use tgnn_core::{
+    BackendKind, ComputeBackend, MemoryWrites, ShardedMemory, TgnModel, NUM_BACKEND_KINDS,
 };
+use tgnn_graph::chronology::CommitLog;
+use tgnn_graph::{EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, TemporalGraph};
 use tgnn_obs::Histogram;
 use tgnn_tensor::{Float, Workspace};
 
@@ -132,7 +133,7 @@ impl SealReason {
     }
 }
 
-/// One batch's GNN work, sent by the state worker in epoch order: the owned
+/// One batch's GNN work, sent by the state worker in epoch order: the
 /// gathered job plus what the GNN worker needs to turn its output into a
 /// [`ServedBatch`].
 #[derive(Debug)]
@@ -598,7 +599,7 @@ impl StateStage {
 
     /// Advances the state by one batch, in program order: **sample** the
     /// neighbor table, run the **memory** stage (consume mailbox messages,
-    /// GRU, cache the batch's new raw messages), **gather** the owned GNN
+    /// GRU, cache the batch's new raw messages), **gather** the GNN
     /// job and hand it to `dispatch` with the instant sampling finished,
     /// then **commit** memory rows and neighbor-table appends as `epoch`.
     ///
@@ -651,15 +652,11 @@ impl StateStage {
         });
         in_span(obs.map(|o| &o.update), epoch, || {
             let events = sampled.batch.events();
-            let writes: Vec<(NodeId, Vec<Float>, Timestamp)> = updated
-                .into_iter()
-                .map(|(v, m)| (v, m, sampled.query_time_of(v)))
-                .collect();
             {
                 let mut log = self.commit_log.lock().unwrap();
-                for (v, _, t) in &writes {
-                    log.commit(*v, *t);
-                }
+                updated.for_each_write(|v, _, t| {
+                    log.commit(v, t);
+                });
             }
             if let Some(d) = &self.durability {
                 d.note_absorbed(events);
@@ -668,8 +665,8 @@ impl StateStage {
             match self.durability.as_ref().filter(|d| d.snapshot_due()) {
                 None => {
                     match cache {
-                        None => memory.commit_epoch(epoch, &writes),
-                        Some(c) => memory.commit_epoch_with(epoch, &writes, |s, _| {
+                        None => memory.commit_epoch(epoch, &updated),
+                        Some(c) => memory.commit_epoch_with(epoch, &updated, |s, _| {
                             c.on_shard_committed(s, epoch)
                         }),
                     }
@@ -678,7 +675,7 @@ impl StateStage {
                 Some(d) => {
                     let num_shards = memory.num_shards();
                     let mut mem_bufs: Vec<Vec<u8>> = vec![Vec::new(); num_shards];
-                    memory.commit_epoch_with(epoch, &writes, |s, m| {
+                    memory.commit_epoch_with(epoch, &updated, |s, m| {
                         tgnn_durable::encode_memory_shard(m, &mut mem_bufs[s]);
                         if let Some(c) = cache {
                             c.on_shard_committed(s, epoch);
@@ -694,34 +691,29 @@ impl StateStage {
                 }
             }
         });
+        updated.recycle(&mut self.ws);
     }
 }
 
 /// The memory-stage computation: consume the touched vertices' mailbox
-/// messages, run the GRU on them, and cache the batch's new raw messages
-/// (Eq. 4–5) in event order from the pre-write-back snapshots — the same
-/// information-leak-safe ordering as the serial engine.
+/// messages in place, run the GRU on them, and write the batch's new raw
+/// messages (Eq. 4–5) into their mailbox slots in event order from the
+/// pre-write-back snapshots — the same information-leak-safe ordering as the
+/// serial engine.  The new rows stay in a matrix of `ws` until the commit.
 fn run_sharded_memory_stage(
     sampled: &SampledBatch,
     memory: &ShardedMemory,
     model: &TgnModel,
     graph: &TemporalGraph,
     ws: &mut Workspace,
-) -> HashMap<NodeId, Vec<Float>> {
-    let with_messages: Vec<(NodeId, Message)> = sampled
-        .touched
-        .iter()
-        .filter_map(|&v| memory.take_message(v).map(|m| (v, m)))
-        .collect();
-    let updated: HashMap<NodeId, Vec<Float>> = run_memory_stage(
+) -> UpdatedRows {
+    let updated = run_memory_stage(
         model,
-        &with_messages,
-        |v| memory.last_update(v),
-        |v, dst| memory.copy_memory_into(v, dst),
+        &mut &*memory,
+        &sampled.touched,
+        &sampled.query_times,
         ws,
-    )
-    .into_iter()
-    .collect();
+    );
     for e in sampled.batch.events() {
         memory.cache_interaction_messages(e.src, e.dst, graph.edge_feature(e.edge_id), e.timestamp);
     }
@@ -1072,6 +1064,59 @@ mod tests {
             got.expect("the parked receiver was never handed a batch")
                 .expect("queue closed")
         })
+    }
+
+    /// The state step allocates per batch, never per event: mailbox slots
+    /// are rewritten in place, the memory stage's new rows live in the
+    /// stage's workspace, and the GNN job holds edge ids instead of copied
+    /// features.  Once warm, a 200-event step may allocate only a constant
+    /// more than a 50-event one (amortised growth of the batch's own
+    /// vectors), where a per-event allocation would add hundreds.
+    #[test]
+    fn state_step_allocations_scale_with_batches_not_events() {
+        use tgnn_core::{ModelConfig, OptimizationVariant, TimeEncoderKind};
+        use tgnn_tensor::TensorRng;
+
+        let graph = Arc::new(tgnn_data::generate(&tgnn_data::tiny(11)));
+        let cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim())
+            .with_variant(OptimizationVariant::NpMedium);
+        let mut model = TgnModel::new(cfg, &mut TensorRng::new(11));
+        if model.config.time_encoder == TimeEncoderKind::Lut {
+            let deltas = tgnn_data::delta_t::memory_delta_t(graph.events(), graph.num_nodes());
+            model.calibrate_lut(&deltas);
+        }
+        let nodes = graph.num_nodes();
+        let mut stage = StateStage::new(
+            Arc::new(ShardedMemory::for_config(nodes, &model.config, 2)),
+            Arc::new(ShardedNeighborTable::new(
+                nodes,
+                model.config.sampled_neighbors,
+                2,
+            )),
+            Arc::new(model),
+            graph.clone(),
+            Arc::new(Mutex::new(CommitLog::new())),
+        );
+
+        let mut events = graph.events().iter().cloned();
+        let mut epoch = 0;
+        let mut step = |stage: &mut StateStage, n: usize| {
+            let batch = EventBatch::new(events.by_ref().take(n).collect());
+            assert_eq!(batch.len(), n, "the stream ran out");
+            epoch += 1;
+            let before = ALLOCATIONS.with(Cell::get);
+            stage.step(epoch, batch, Some(|job: GnnJobBatch, _| drop(job)));
+            ALLOCATIONS.with(Cell::get) - before
+        };
+        for n in [50, 200, 50, 200] {
+            step(&mut stage, n);
+        }
+        let small = step(&mut stage, 50);
+        let large = step(&mut stage, 200);
+        assert!(
+            large <= small + 24,
+            "a 200-event step made {large} allocations, a 50-event step {small}"
+        );
     }
 
     const HOUR: Duration = Duration::from_secs(3600);
