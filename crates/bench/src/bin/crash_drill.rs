@@ -91,10 +91,9 @@ fn main() {
     }
     let config = ServeConfig {
         max_batch: MAX_BATCH,
-        // No deadline seals: a batch is cut when the state worker goes idle
-        // or at the cap.  Where the cuts fall depends on timing, which is
-        // why both checks below replay the boundaries that were *served*.
-        batch_deadline: Duration::from_secs(3600),
+        // A batch is whatever was pending when the state worker pulled, up
+        // to the cap.  Where the cuts fall depends on timing, which is why
+        // both checks below replay the boundaries that were *served*.
         // The first life never polls, so the results queue holds the feed —
         // one batch per event at worst.
         results_capacity: feed.len() + 8,

@@ -42,7 +42,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use tgnn_graph::InteractionEvent;
 
 /// Largest frame payload the reader accepts; a length above this is treated
@@ -52,7 +52,7 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// Where a [`WalFaultHook`] is consulted, with the epoch concerned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalFaultPoint {
-    /// The ingest worker is about to append this epoch's `Seal` record.
+    /// The state worker is about to append this epoch's `Seal` record.
     /// Returning `true` freezes the WAL (buffered, unflushed records are
     /// lost — simulating process death) and makes the caller panic so the
     /// pipeline unwinds through the same poison machinery a real worker
@@ -273,12 +273,26 @@ struct WalWriter {
     /// if the process had died.
     frozen: bool,
     /// Segments retired by rotation whose tails were `write`n but not yet
-    /// `fsync`ed.  The next sync point drains this list along with the
-    /// current segment — without it, a rotation would strand the old
-    /// segment's tail in the page cache forever while every later fsync
-    /// targets only the new file, and the synced watermark could mark seals
-    /// durable that a power loss would erase.
+    /// `fsync`ed — always the segments just below `seq`, oldest first.  The
+    /// next sync point drains this list along with the current segment —
+    /// without it, a rotation would strand the old segment's tail in the
+    /// page cache forever while every later fsync targets only the new
+    /// file, and the synced watermark could mark seals durable that a power
+    /// loss would erase.
     pending_sync: Vec<Arc<File>>,
+}
+
+/// What one sync point must `fsync`, taken under the writer lock.
+struct SyncBatch {
+    /// Segments retired since the previous sync point, oldest first: the
+    /// ones numbered `seq - retired.len()` up to `seq - 1`.
+    retired: Vec<Arc<File>>,
+    current: Arc<File>,
+    /// The current segment's number.  Every segment below it holds frames
+    /// appended before this sync point, so the sync point is complete only
+    /// once all of them are synced — the ones another sync point took
+    /// included.
+    seq: u64,
 }
 
 /// Segment file name for a sequence number.
@@ -320,16 +334,13 @@ impl WalWriter {
     /// Flushes and collects *every* handle the caller must fsync to make all
     /// flushed frames durable: segments retired since the last sync point
     /// (their tails were written at rotation but not yet synced), then the
-    /// current segment.  Returns an empty list when frozen.
-    fn flush_for_sync(&mut self) -> std::io::Result<Vec<Arc<File>>> {
-        match self.flush_os()? {
-            Some(current) => {
-                let mut handles = std::mem::take(&mut self.pending_sync);
-                handles.push(current);
-                Ok(handles)
-            }
-            None => Ok(Vec::new()),
-        }
+    /// current segment.  `None` when frozen.
+    fn flush_for_sync(&mut self) -> std::io::Result<Option<SyncBatch>> {
+        Ok(self.flush_os()?.map(|current| SyncBatch {
+            retired: std::mem::take(&mut self.pending_sync),
+            current,
+            seq: self.seq,
+        }))
     }
 }
 
@@ -339,6 +350,21 @@ pub struct Wal {
     inner: Mutex<WalWriter>,
     policy: FsyncPolicy,
     stats: WalStats,
+    /// Retired segments known synced, shared by concurrent sync points.
+    retired: Mutex<RetiredSync>,
+    /// Signalled when [`RetiredSync::synced_below`] rises or a sync fails.
+    retired_cv: Condvar,
+}
+
+/// How far the retired segments are synced.  A sync point that took no
+/// retired handle may still have to wait here: another sync point can have
+/// taken a segment holding an earlier frame and be inside its `fsync`.
+struct RetiredSync {
+    /// Every segment numbered below this one is synced (or predates this
+    /// writer).
+    synced_below: u64,
+    /// A sync point failed: the watermark will not rise again.
+    failed: bool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -377,6 +403,11 @@ impl Wal {
             }),
             policy,
             stats: WalStats::default(),
+            retired: Mutex::new(RetiredSync {
+                synced_below: seq,
+                failed: false,
+            }),
+            retired_cv: Condvar::new(),
         })
     }
 
@@ -394,70 +425,110 @@ impl Wal {
     /// record is flushed and fsynced before returning; under the other
     /// policies it becomes durable at the next [`Self::flush`] point.
     pub fn append(&self, rec: &WalRecord) -> std::io::Result<()> {
-        let handles = {
-            let mut w = self.inner.lock().unwrap();
-            if w.frozen {
-                return Ok(());
+        self.append_unsynced(rec)?;
+        if self.policy == FsyncPolicy::Always {
+            self.flush(true)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::append`] without the [`FsyncPolicy::Always`] fsync: the
+    /// record becomes durable at the next [`Self::flush`] point, which a
+    /// caller that must not hold its own lock across the disk wait issues
+    /// after releasing it.  Any `flush(true)` that starts after this returns
+    /// — another appender's included — returns only once this record is
+    /// synced, even when a rotation retired its segment and a concurrent
+    /// sync point took that segment's handle.
+    pub fn append_unsynced(&self, rec: &WalRecord) -> std::io::Result<()> {
+        let mut w = self.inner.lock().unwrap();
+        if w.frozen {
+            return Ok(());
+        }
+        // Encode straight into the writer buffer — a placeholder header
+        // patched after the payload lands — so the hot append path (one per
+        // submitted event) allocates nothing.
+        let start = w.buf.len();
+        w.buf.extend_from_slice(&[0u8; 8]);
+        rec.encode_payload(&mut w.buf);
+        let len = (w.buf.len() - start - 8) as u32;
+        let crc = crc32(&w.buf[start + 8..]);
+        w.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        w.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        let frame_bytes = (w.buf.len() - start) as u64;
+        self.stats.records.fetch_add(1, Ordering::Relaxed);
+        self.stats.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
+        // Rotate once the segment (including what is buffered for it) would
+        // exceed its budget.  The whole buffer still lands in the *current*
+        // segment — frames never split across files.  The retiring
+        // segment's handle joins the pending-sync list: its just-written
+        // tail is only in the page cache, and the next sync point must fsync
+        // it too, or the synced watermark would cover bytes a power loss
+        // could erase.
+        if w.file_bytes + w.buf.len() as u64 >= w.segment_bytes {
+            if let Some(retired) = w.flush_os()? {
+                w.pending_sync.push(retired);
             }
-            // Encode straight into the writer buffer — a placeholder header
-            // patched after the payload lands — so the hot append path (one
-            // per submitted event) allocates nothing.
-            let start = w.buf.len();
-            w.buf.extend_from_slice(&[0u8; 8]);
-            rec.encode_payload(&mut w.buf);
-            let len = (w.buf.len() - start - 8) as u32;
-            let crc = crc32(&w.buf[start + 8..]);
-            w.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-            w.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-            let frame_bytes = (w.buf.len() - start) as u64;
-            self.stats.records.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
-            // Rotate once the segment (including what is buffered for it)
-            // would exceed its budget.  The whole buffer still lands in the
-            // *current* segment — frames never split across files.  The
-            // retiring segment's handle joins the pending-sync list: its
-            // just-written tail is only in the page cache, and the next sync
-            // point must fsync it too, or the synced watermark would cover
-            // bytes a power loss could erase.
-            if w.file_bytes + w.buf.len() as u64 >= w.segment_bytes {
-                if let Some(retired) = w.flush_os()? {
-                    w.pending_sync.push(retired);
-                }
-                w.seq += 1;
-                w.file = WalWriter::open_segment(&w.dir, w.seq)?;
-                w.file_bytes = 0;
-                self.stats.rotations.fetch_add(1, Ordering::Relaxed);
-            }
-            if self.policy == FsyncPolicy::Always {
-                w.flush_for_sync()?
-            } else {
-                Vec::new()
-            }
-        };
-        self.sync_handles(handles)
+            w.seq += 1;
+            w.file = WalWriter::open_segment(&w.dir, w.seq)?;
+            w.file_bytes = 0;
+            self.stats.rotations.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Flushes buffered frames to the OS; with `sync` also fsyncs.  The
     /// caller picks the flush points (batch seal, snapshot, drain) and maps
     /// the configured policy to the `sync` argument.  The fsync itself runs
     /// outside the writer lock (see `WalWriter::flush_os`), so appenders
-    /// on other threads proceed while this call waits on the disk.
+    /// on other threads proceed while this call waits on the disk.  With
+    /// `sync`, it returns once every frame appended before it is synced.
     pub fn flush(&self, sync: bool) -> std::io::Result<()> {
         if sync {
-            let handles = self.inner.lock().unwrap().flush_for_sync()?;
-            self.sync_handles(handles)?;
+            let batch = self.inner.lock().unwrap().flush_for_sync()?;
+            if let Some(batch) = batch {
+                self.sync_batch(batch)?;
+            }
         } else {
             self.inner.lock().unwrap().flush_os()?;
         }
         Ok(())
     }
 
-    /// `fsync`s segment handles collected by `flush_for_sync` (outside the
-    /// lock): rotation-retired segments first, then the current one.
-    fn sync_handles(&self, handles: Vec<Arc<File>>) -> std::io::Result<()> {
-        for f in handles {
-            f.sync_data()?;
-            self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+    /// `fsync`s a batch collected by `flush_for_sync` (outside the writer
+    /// lock): its retired segments, then the current one.  Then it waits
+    /// until every segment below its own retired ones is synced — those
+    /// went to earlier sync points, which may still be inside their
+    /// `fsync` — and raises the retired watermark past its own.  Sync
+    /// points take retired segments in order, so the watermark rises
+    /// without gaps.
+    fn sync_batch(&self, batch: SyncBatch) -> std::io::Result<()> {
+        let first = batch.seq - batch.retired.len() as u64;
+        let synced = batch
+            .retired
+            .iter()
+            .chain([&batch.current])
+            .try_for_each(|f| {
+                f.sync_data()?;
+                self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            });
+        let mut r = self.retired.lock().unwrap();
+        if let Err(e) = synced {
+            r.failed = true;
+            self.retired_cv.notify_all();
+            return Err(e);
+        }
+        while r.synced_below < first {
+            if r.failed {
+                return Err(std::io::Error::other(
+                    "an earlier WAL segment failed to sync",
+                ));
+            }
+            r = self.retired_cv.wait(r).unwrap();
+        }
+        if r.synced_below < batch.seq {
+            r.synced_below = batch.seq;
+            self.retired_cv.notify_all();
         }
         Ok(())
     }
@@ -750,6 +821,36 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    #[test]
+    fn a_sync_point_waits_for_a_retired_segment_another_one_is_syncing() {
+        // Thread A's append rotates, so its frame sits in the retired
+        // segment R; a concurrent sync point S takes R's handle and is
+        // inside its fsync.  A later sync point that finds the pending list
+        // empty must not return — vouching for the frames before it — until
+        // S has synced R.
+        let dir = std::env::temp_dir().join(format!("tgnn-wal-retired-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = Wal::open(&dir, 0, 4096, FsyncPolicy::OnSeal).unwrap();
+        let mut epoch = 0u64;
+        while wal.stats().rotations.load(Ordering::Relaxed) == 0 {
+            wal.append_unsynced(&WalRecord::Ack { epoch }).unwrap();
+            epoch += 1;
+        }
+        let taken = wal.inner.lock().unwrap().flush_for_sync().unwrap().unwrap();
+        assert_eq!(taken.retired.len(), 1, "S holds the retired segment");
+        std::thread::scope(|s| {
+            let later = s.spawn(|| wal.flush(true));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(
+                !later.is_finished(),
+                "a sync point returned while an earlier frame's segment was unsynced"
+            );
+            wal.sync_batch(taken).unwrap();
+            later.join().unwrap().unwrap();
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

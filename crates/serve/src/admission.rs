@@ -13,7 +13,7 @@
 //!        ▼
 //!   [tenant 0: bounded VecDeque]──┐
 //!   [tenant 1: bounded VecDeque]──┤   weighted round-robin
-//!   [tenant …: bounded VecDeque]──┼──► [ingest worker] ──► sealed batches
+//!   [tenant …: bounded VecDeque]──┼──► [state worker] ──► sealed batches
 //!   [tenant N: bounded VecDeque]──┘    (pulls ≤ weight events
 //!                                       per tenant per visit)
 //! ```
@@ -28,9 +28,10 @@
 //!   [`Disposition`]`::Stale` with its
 //!   age in epochs, and a cache miss degrades to a `DropNewest`-style
 //!   shed.  Drops can happen **only** here — an event the
-//!   ingest worker has pulled is sealed and will be served.
-//! * **Weighted-fair draining** — the ingest worker pulls straight from the
-//!   tenant queues (`AdmissionControl::pull`): it visits non-empty
+//!   state worker has pulled is sealed and will be served.
+//! * **Weighted-fair draining** — the state worker pulls straight from the
+//!   tenant queues (`AdmissionControl::pull`), each time it finishes a
+//!   batch, everything pending up to `max_batch`: it visits non-empty
 //!   tenants round-robin and takes up to `weight` events per visit
 //!   (deficit round robin with unit event cost), so under sustained
 //!   overload each backlogged tenant's service rate converges to
@@ -46,15 +47,20 @@
 //!   natural deployment shape, one sub-graph per tenant.  See
 //!   `ARCHITECTURE.md` for the full ordering contract.
 //!
-//! The submit path and the ingest worker communicate through one mutex +
+//! The submit path and the state worker communicate through one mutex +
 //! two condvars (`space` for blocked submitters, `ready` for the idle
-//! worker); the worker never holds the lock while it blocks on the
-//! downstream queue, so drop policies keep making progress even when the
+//! worker); the worker holds the lock only inside `pull`, never while it
+//! steps a batch, so drop policies keep making progress even when the
 //! pipeline is saturated.  Each side notifies only when the other is
-//! actually parked (`ingest` / `space_waiters`, kept under the same
+//! actually parked (`puller_parked` / `space_waiters`, kept under the same
 //! mutex — the discipline `queue.rs` documents): at one or two events per
 //! micro-batch an unconditional `notify` per submit and per pull is a
 //! kernel entry per event.
+//!
+//! With durability on, every submit outcome is appended to the WAL under
+//! the lock — so log order is visibility order — and, under
+//! `FsyncPolicy::Always`, fsynced after the lock is released, before
+//! `submit` returns (see `AdmissionControl::submit`).
 //!
 //! Configuring two tenants with different weights and policies:
 //!
@@ -101,7 +107,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tgnn_core::tenancy::{Disposition, OverloadPolicy, ResultMeta, TenantId};
 use tgnn_core::BackendKind;
-use tgnn_durable::{AdmitDisposition, Wal, WalRecord};
+use tgnn_durable::{AdmitDisposition, FsyncPolicy, Wal, WalRecord};
 use tgnn_graph::{InteractionEvent, Timestamp};
 
 use crate::cache::EmbeddingCache;
@@ -124,7 +130,11 @@ pub struct TenantSpec {
     /// rate is proportional to its weight.  Must be ≥ 1.
     pub weight: u32,
     /// Bound of this tenant's ingress queue (events).  The overload policy
-    /// decides what happens when it is full.  Must be ≥ 1.
+    /// decides what happens when it is full.  Must be ≥ 1.  A batch holds
+    /// only what is queued when the state worker pulls, so at saturation a
+    /// batch is `min(max_batch, Σ ingress capacities)` events: keep the
+    /// sum at or above [`ServeConfig::max_batch`](crate::ServeConfig) for
+    /// full batches (the default 1024 is five times the default cap).
     pub ingress_capacity: usize,
     /// Behaviour at the ingress bound; see [`OverloadPolicy`].
     pub policy: OverloadPolicy,
@@ -303,7 +313,7 @@ pub(crate) struct AdmittedEvent {
 pub(crate) struct EventMeta {
     pub tenant: TenantId,
     pub admitted_at: Instant,
-    /// When the ingest worker pulled the event out of its ingress queue —
+    /// When the state worker pulled the event out of its ingress queue —
     /// initialized to `admitted_at` and re-stamped per pull, so the causal
     /// trace's ingress-wait segment measures real queue residency.
     pub picked_up_at: Instant,
@@ -317,15 +327,14 @@ pub(crate) struct EventMeta {
 /// Outcome of [`AdmissionControl::pull`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Ingress {
-    /// Events were appended to the caller's batch; the instant is when the
-    /// wait for them ended (their pickup time), so the caller can time the
-    /// pull without the wait.
-    Ready(Instant),
-    /// Nothing was appended, but the caller should re-evaluate its seal
-    /// condition: the deadline passed with every queue empty, or
-    /// [`AdmissionControl::kick`] announced that the state worker went idle
-    /// while the caller holds events back.
-    Woken,
+    /// Events were appended to the caller's batch.
+    Ready {
+        /// When the wait for them ended (their pickup time), so the caller
+        /// can time the pull without the wait.
+        picked_up_at: Instant,
+        /// Admission had already closed: these events are the remainder.
+        closed: bool,
+    },
     /// The layer is closed and every queue is drained.
     Closed,
 }
@@ -422,26 +431,12 @@ struct AdmissionState {
     /// Round-robin cursor: index of the next tenant the fair drain visits.
     cursor: usize,
     closed: bool,
-    /// Whether the ingest worker is asleep in [`AdmissionControl::pull`]:
+    /// Whether the state worker is asleep in [`AdmissionControl::pull`]:
     /// set by the worker before it waits, reset by whoever wakes it, so a
     /// submit costs a futex call only when the worker is really asleep.
-    ingest: IngestWait,
+    puller_parked: bool,
     /// Submitters inside `space.wait` (full queue or dry token bucket).
     space_waiters: usize,
-    /// Set by [`AdmissionControl::kick`], consumed by `pull`.
-    kicked: bool,
-}
-
-/// What the wakers of the ingest worker need to know about it.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum IngestWait {
-    /// Not inside `ready.wait` (or already notified).
-    Awake,
-    /// Asleep with nothing in hand: only an arrival concerns it.
-    ParkedEmpty,
-    /// Asleep holding pulled events back for a fuller batch: an idle state
-    /// worker concerns it too ([`AdmissionControl::kick`]).
-    ParkedHolding,
 }
 
 /// Everything the submit path needs to answer an overload event from the
@@ -461,20 +456,20 @@ pub(crate) struct StaleServing {
 }
 
 /// The shared admission front end: per-tenant bounded queues plus the
-/// weighted-fair drain the ingest worker runs.  One instance per
+/// weighted-fair drain the state worker runs.  One instance per
 /// `StreamServer`, shared between the submitting thread and that worker.
 pub(crate) struct AdmissionControl {
     state: Mutex<AdmissionState>,
     /// Signalled when a queue gains space (wakes `Block`/`Late` submitters).
     space: Condvar,
-    /// Signalled when work arrives or the layer closes (wakes the ingest
+    /// Signalled when work arrives or the layer closes (wakes the state
     /// worker).
     ready: Condvar,
     /// Durability: every submit outcome (admit/drop/evict) is appended here
     /// under the admission lock, *before* the event becomes visible to the
-    /// ingest worker — so no event can be sealed without a durable admit
-    /// preceding it in the log.  Lock order: admission lock, then the WAL's
-    /// internal mutex (the batcher and poll take only the latter).
+    /// state worker — so no event's `Seal` can precede its `Admit` in the
+    /// log.  Lock order: admission lock, then the WAL's internal mutex (the
+    /// batcher and poll take only the latter).
     wal: Option<Arc<Wal>>,
     /// `ServeStale` support; `None` when no tenant runs that policy.  The
     /// cache shard locks and the stale output lock are leaf locks taken
@@ -528,9 +523,8 @@ impl AdmissionControl {
                 tenants,
                 cursor: 0,
                 closed: false,
-                ingest: IngestWait::Awake,
+                puller_parked: false,
                 space_waiters: 0,
-                kicked: false,
             }),
             space: Condvar::new(),
             ready: Condvar::new(),
@@ -599,19 +593,22 @@ impl AdmissionControl {
         self.space.notify_all();
     }
 
-    /// Whether the ingest worker is asleep in [`Self::pull`] with every
-    /// queue empty — i.e. it has pulled, and acted on, everything submitted
+    /// Whether the state worker is asleep in [`Self::pull`] with every
+    /// queue empty — i.e. it has pulled, and stepped, everything submitted
     /// so far (tests only: the synchronisation point that replaces a sleep).
     #[cfg(test)]
-    pub(crate) fn ingest_parked(&self) -> bool {
-        self.state.lock().unwrap().ingest != IngestWait::Awake
+    pub(crate) fn puller_parked(&self) -> bool {
+        self.state.lock().unwrap().puller_parked
     }
 
-    /// Appends a WAL record for a submit outcome.  A WAL that cannot accept
-    /// writes voids the durability contract, so failure is fatal.
+    /// Appends a WAL record for a submit outcome, under the admission lock
+    /// and without an fsync: `submit` syncs after releasing the lock.  A WAL
+    /// that cannot accept writes voids the durability contract, so failure
+    /// is fatal.
     fn log(&self, rec: &WalRecord) {
         if let Some(wal) = &self.wal {
-            wal.append(rec).expect("admission WAL append failed");
+            wal.append_unsynced(rec)
+                .expect("admission WAL append failed");
         }
     }
 
@@ -686,7 +683,38 @@ impl AdmissionControl {
     /// (admitted or dropped-newest), so after a drain
     /// `submitted == served + dropped()` holds exactly for every policy —
     /// calls that fail with an error are not part of the accounting.
+    ///
+    /// Durability: the outcome's WAL record (`Admit`, plus an `Evict` for a
+    /// `DropOldest` eviction) is appended under the admission lock, so log
+    /// order is visibility order and every `Seal` follows its events'
+    /// `Admit`s.  Under `FsyncPolicy::Always` the fsync runs after the lock
+    /// is released — holding the lock across the disk wait starved the
+    /// state worker's `pull` — and before this returns, so a returned
+    /// submit is still durable.  Should the state worker seal the event
+    /// first, the seal's own fsync covers the `Admit` that precedes it.
     pub fn submit(
+        &self,
+        tenant: TenantId,
+        event: InteractionEvent,
+    ) -> Result<SubmitOutcome, SubmitError> {
+        let outcome = self.admit(tenant, event);
+        // Only the `Ok` paths append a record.
+        if outcome.is_ok() {
+            if let Some(wal) = self
+                .wal
+                .as_ref()
+                .filter(|w| w.policy() == FsyncPolicy::Always)
+            {
+                wal.flush(true).expect("admission WAL fsync failed");
+            }
+        }
+        outcome
+    }
+
+    /// [`Self::submit`] up to the fsync: the policy decision, its WAL
+    /// record and the enqueue, all under one lock acquisition that is
+    /// released on return.
+    fn admit(
         &self,
         tenant: TenantId,
         event: InteractionEvent,
@@ -896,15 +924,15 @@ impl AdmissionControl {
                 state.space_waiters -= 1;
             }
             // Space freed *and* closed can be observed together (e.g. the
-            // ingest worker pulled a batch and then died): admitting now would
+            // state worker pulled a batch and then died): admitting now would
             // strand the event in a layer nothing will ever drain again, so
             // the closed check must be repeated after the wait.
             if state.closed {
                 return Err(SubmitError::Closed);
             }
         }
-        // The admit is made durable *before* the event becomes visible to
-        // the ingest worker (the state lock is still held), so a durable seal
+        // The admit is logged *before* the event becomes visible to the
+        // state worker (the state lock is still held), so a durable seal
         // always has a durable admit before it in the log.
         self.log(&WalRecord::Admit {
             tenant: tenant.0,
@@ -933,40 +961,17 @@ impl AdmissionControl {
         t.counters.submitted += 1;
         t.counters.admitted += 1;
         t.counters.max_depth = t.counters.max_depth.max(t.queue.len());
-        self.wake_ingest(state);
+        self.wake_puller(state);
         Ok(SubmitOutcome::Admitted)
     }
 
-    /// Releases the state lock and wakes the ingest worker if — and only if
+    /// Releases the state lock and wakes the state worker if — and only if
     /// — it is parked in [`Self::pull`].
-    fn wake_ingest(&self, mut state: std::sync::MutexGuard<'_, AdmissionState>) {
-        let parked = std::mem::replace(&mut state.ingest, IngestWait::Awake) != IngestWait::Awake;
+    fn wake_puller(&self, mut state: std::sync::MutexGuard<'_, AdmissionState>) {
+        let parked = std::mem::take(&mut state.puller_parked);
         drop(state);
         if parked {
             self.ready.notify_one();
-        }
-    }
-
-    /// The state worker went idle: makes a [`Self::pull`] that is waiting
-    /// for more events while its caller already holds some return
-    /// [`Ingress::Woken`], so the ingest worker can seal what it has instead
-    /// of sitting on it until the next arrival or the deadline.
-    ///
-    /// The flag is what closes the race with a worker that found the state
-    /// worker busy and is on its way *into* `pull`: it checks `kicked` under
-    /// the state lock before it ever waits.  A worker asleep with nothing in
-    /// hand is left asleep — there is nothing to seal, and once an event
-    /// arrives it reads `Sender::receiver_parked` itself; waking it anyway
-    /// would cost a context switch per served batch at partial load, where
-    /// the state worker parks after every one.  For the same reason a `pull`
-    /// entered empty-handed drops a pending kick.  Runs under the
-    /// sealed-batch queue's mutex (see `queue::channel_with_idle_hook`);
-    /// tolerates a poisoned lock like [`Self::close`], for the same reason.
-    pub fn kick(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.ingest != IngestWait::ParkedEmpty {
-            state.kicked = true;
-            self.wake_ingest(state);
         }
     }
 
@@ -997,55 +1002,32 @@ impl AdmissionControl {
             t.counters.admitted += 1;
         }
         t.counters.max_depth = t.counters.max_depth.max(t.queue.len());
-        self.wake_ingest(state);
+        self.wake_puller(state);
     }
 
-    /// Ingest side.  Blocks until some tenant queue holds an event, then —
-    /// still under that one lock acquisition — appends weighted-fair
-    /// round-robin visits to `out` (up to `weight` events per non-empty
-    /// tenant per visit) until `out` holds `max` events or every queue is
-    /// empty, stamps each event's pickup time and returns `Ready`.
+    /// The state worker's side.  Blocks until some tenant queue holds an
+    /// event, then — still under that one lock acquisition — appends
+    /// weighted-fair round-robin visits to `out` (up to `weight` events per
+    /// non-empty tenant per visit) until `out` holds `max` events or every
+    /// queue is empty, stamps each event's pickup time and returns `Ready`.
     ///
     /// Returns `Closed` once the layer is closed *and* every queue is
     /// drained (the no-drop drain guarantee: close never discards admitted
-    /// events), and `Woken` when `deadline` passes with nothing queued
-    /// (`None` waits indefinitely) or a [`Self::kick`] arrives while `out`
-    /// already holds events.  The lock is released before this returns: the
-    /// caller does its downstream `send` afterwards, so submitters (and
-    /// their drop policies) keep running while the pipeline is saturated.
-    pub fn pull(
-        &self,
-        out: &mut Vec<AdmittedEvent>,
-        max: usize,
-        deadline: Option<Instant>,
-    ) -> Ingress {
+    /// events).  The lock is released before this returns: the caller steps
+    /// the batch afterwards, so submitters (and their drop policies) keep
+    /// running while the pipeline is saturated.
+    pub fn pull(&self, out: &mut Vec<AdmittedEvent>, max: usize) -> Ingress {
         let mut state = self.state.lock().unwrap();
         while state.tenants.iter().all(|t| t.queue.is_empty()) {
             if state.closed {
                 return Ingress::Closed;
             }
-            if std::mem::take(&mut state.kicked) && !out.is_empty() {
-                return Ingress::Woken;
-            }
-            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if left.is_some_and(|l| l.is_zero()) {
-                return Ingress::Woken;
-            }
-            state.ingest = if out.is_empty() {
-                IngestWait::ParkedEmpty
-            } else {
-                IngestWait::ParkedHolding
-            };
-            state = match left {
-                None => self.ready.wait(state).unwrap(),
-                Some(l) => self.ready.wait_timeout(state, l).unwrap().0,
-            };
-            // A timeout (or a spurious wakeup) leaves it set.
-            state.ingest = IngestWait::Awake;
+            state.puller_parked = true;
+            state = self.ready.wait(state).unwrap();
+            // A spurious wakeup leaves it set.
+            state.puller_parked = false;
         }
-        // The caller re-reads `Sender::receiver_parked` after every `Ready`,
-        // which is at least as fresh as any kick recorded before now.
-        state.kicked = false;
+        let closed = state.closed;
         let picked_up_at = Instant::now();
         let from = out.len();
         let n = state.tenants.len();
@@ -1086,7 +1068,10 @@ impl AdmissionControl {
             // Wake every blocked submitter — possibly several tenants' worth.
             self.space.notify_all();
         }
-        Ingress::Ready(picked_up_at)
+        Ingress::Ready {
+            picked_up_at,
+            closed,
+        }
     }
 
     /// Raises every tenant's chronology floor to `t` (used after a warm-up
@@ -1101,7 +1086,7 @@ impl AdmissionControl {
     }
 
     /// Closes admission: future submits fail with `Closed`, blocked
-    /// submitters wake and fail, and the ingest worker drains the remaining
+    /// submitters wake and fail, and the state worker drains the remaining
     /// queued events before `pull` returns `Closed`.  Callable from a
     /// destructor mid-unwind: setting the flag is valid whatever state a
     /// panicking lock holder left behind, so a poisoned lock is recovered.
@@ -1131,13 +1116,13 @@ mod tests {
     }
 
     /// Closes the layer and pulls everything still queued, `max` events per
-    /// pull, in the order the ingest worker would see it.
+    /// pull, in the order the state worker would see it.
     fn drain_all(ac: &AdmissionControl, max: usize) -> Vec<AdmittedEvent> {
         ac.close();
         let mut out = Vec::new();
         loop {
             let mut pulled = Vec::new();
-            if ac.pull(&mut pulled, max, None) == Ingress::Closed {
+            if ac.pull(&mut pulled, max) == Ingress::Closed {
                 return out;
             }
             assert!(!pulled.is_empty() && pulled.len() <= max);
@@ -1208,7 +1193,7 @@ mod tests {
             ac.submit(TenantId(0), ev(k as f64)).unwrap();
         }
         let mut pulled = Vec::new();
-        ac.pull(&mut pulled, 8, None);
+        ac.pull(&mut pulled, 8);
         assert_eq!(pulled.len(), 8, "eight one-event visits of the busy tenant");
         for k in 0..64 {
             ac.submit(TenantId(1), ev(k as f64)).unwrap();
@@ -1313,7 +1298,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_submitter_unblocks_when_ingest_pulls() {
+    fn blocked_submitter_unblocks_when_the_state_worker_pulls() {
         let ac = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")
             .with_capacity(1)
             .with_policy(OverloadPolicy::Block)]));
@@ -1324,7 +1309,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         let mut b = Vec::new();
-        ac.pull(&mut b, 1, None); // frees the slot
+        ac.pull(&mut b, 1); // frees the slot
         assert_eq!(b.len(), 1);
         assert_eq!(
             submitter.join().unwrap().unwrap(),
@@ -1333,56 +1318,6 @@ mod tests {
         );
         let (_, c) = ac.tenant_snapshot(0);
         assert_eq!(c.blocked_submits, 1);
-    }
-
-    #[test]
-    fn kick_returns_a_waiting_pull_only_when_it_holds_events() {
-        let ac = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")]));
-        // Nothing in hand: the kick is dropped, the pull keeps waiting (here:
-        // until its deadline) and the flag does not linger.
-        ac.kick();
-        let mut held = Vec::new();
-        let soon = Instant::now() + Duration::from_millis(5);
-        assert_eq!(ac.pull(&mut held, 8, Some(soon)), Ingress::Woken);
-        assert!(
-            Instant::now() >= soon,
-            "returned on the deadline, not the kick"
-        );
-        // One event in hand, none queued: a kick that lands before the wait
-        // is seen on entry...
-        ac.submit(TenantId::DEFAULT, ev(0.0)).unwrap();
-        assert!(matches!(ac.pull(&mut held, 8, None), Ingress::Ready(_)));
-        ac.kick();
-        assert_eq!(ac.pull(&mut held, 8, None), Ingress::Woken);
-        // ...and one that lands during the wait wakes it.
-        let puller = {
-            let ac = ac.clone();
-            std::thread::spawn(move || ac.pull(&mut held, 8, None))
-        };
-        while !ac.ingest_parked() {
-            std::thread::yield_now();
-        }
-        ac.kick();
-        assert_eq!(puller.join().unwrap(), Ingress::Woken);
-        // A worker asleep empty-handed is not disturbed: the kick leaves it
-        // parked (no wakeup to lose — it is still marked asleep afterwards)
-        // and only an arrival gets it out.
-        let puller = {
-            let ac = ac.clone();
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                (ac.pull(&mut out, 8, None), out.len())
-            })
-        };
-        while !ac.ingest_parked() {
-            std::thread::yield_now();
-        }
-        ac.kick();
-        assert!(ac.ingest_parked(), "kicked awake with nothing to seal");
-        ac.submit(TenantId::DEFAULT, ev(1.0)).unwrap();
-        let (pulled, n) = puller.join().unwrap();
-        assert!(matches!(pulled, Ingress::Ready(_)));
-        assert_eq!(n, 1);
     }
 
     #[test]
@@ -1529,10 +1464,10 @@ mod tests {
         // The event has now been parked "before admission" for 500 ms.
         ac.advance_clock(Duration::from_millis(500));
         let mut b = Vec::new();
-        ac.pull(&mut b, 1, None); // frees the slot → the waiter admits
+        ac.pull(&mut b, 1); // frees the slot → the waiter admits
         assert!(submitter.join().unwrap().unwrap().is_admitted());
         b.clear();
-        ac.pull(&mut b, 1, None);
+        ac.pull(&mut b, 1);
         let admitted = &b[0];
         assert_eq!(admitted.event.timestamp, 1.0);
         assert_eq!(admitted.meta.deadline, Some(deadline));

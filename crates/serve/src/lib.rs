@@ -14,11 +14,12 @@
 //!   — a batch is whatever arrived while the previous one was being
 //!   processed, capped at `max_batch` — and executes them through the
 //!   paper's stage graph —
-//!   ingest → state → GNN, three workers over three queues — with a thread
-//!   only where work can overlap: one state worker runs sample → memory →
-//!   gather → commit in program order and dispatches each batch's GNN job
-//!   before committing it, so batch *k*'s GNN compute overlaps its
-//!   write-back and batch *k+1*'s state stages.  One GNN worker, like the
+//!   state → GNN, two workers over two queues — with a thread only where
+//!   work can overlap: one state worker pulls its own batches from
+//!   admission, runs seal → sample → memory → gather → commit in program
+//!   order and dispatches each batch's GNN job before committing it, so
+//!   batch *k*'s GNN compute overlaps its write-back and batch *k+1*'s
+//!   state stages.  One GNN worker, like the
 //!   paper's single embedding unit, computes the jobs in epoch order on
 //!   whichever backend each batch was sealed for, so results leave in epoch
 //!   order for any backend mix.
@@ -30,7 +31,7 @@
 //!   `ExecMode::Serial` on the same batch sequence (asserted by this
 //!   crate's property tests and replayed by every `benchmark/` run).
 //! * The admission front end is **multi-tenant** ([`admission`]): each
-//!   tenant owns a bounded ingress queue that the ingest worker drains
+//!   tenant owns a bounded ingress queue that the state worker drains
 //!   weighted-fair, and a per-tenant [`OverloadPolicy`] — `Block`,
 //!   `DropNewest`, `DropOldest`, `Late`, or `ServeStale` — governs what
 //!   happens when sustained overload fills the queue.  `ServeStale` answers

@@ -45,16 +45,16 @@ use tgnn_obs::{
 
 /// The pipeline stages visible to the flight recorder and the stage table.
 ///
-/// These are *logical* stages, each recording its own spans: the ingest
-/// worker executes `Scheduler` and `Batcher`, the state worker `Sampler`,
-/// `Memory` and `Update`, and the GNN worker `Gnn`.  `Deliver` is a point
-/// event (the `poll` handoff to the caller), not a span.
+/// These are *logical* stages, each recording its own spans: the state
+/// worker executes `Scheduler`, `Batcher`, `Sampler`, `Memory` and `Update`,
+/// and the GNN worker `Gnn`.  `Deliver` is a point event (the `poll`
+/// handoff to the caller), not a span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StageId {
     /// Weighted-fair pull from the tenant ingress queues (pre-epoch: spans
     /// carry epoch 0).
     Scheduler,
-    /// Micro-batcher (seals epochs; spans cover sort + WAL append + send).
+    /// Micro-batcher (seals epochs; spans cover sort + WAL append).
     Batcher,
     /// Neighbor sampler.
     Sampler,
@@ -141,14 +141,13 @@ pub(crate) const SLO_LANE_DROPS: usize = 1;
 /// queue wait and its compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SegmentId {
-    /// First admit of the epoch → pulled by the ingest worker (ingress
-    /// queue wait).
+    /// First admit of the epoch → pulled by the state worker (ingress
+    /// queue wait, including the previous batch's step).
     IngressWait,
-    /// Pulled → epoch sealed (size/deadline wait, chronological sort, WAL
-    /// `Seal` append).
+    /// Pulled → epoch sealed (chronological sort, WAL `Seal` append; for the
+    /// later batches of a mixed-backend pull, the earlier ones' steps).
     SealWait,
-    /// Sealed → sampled: the `ingest→state` queue wait, the previous epoch's
-    /// commit, and the neighbor sampling itself.
+    /// Sealed → sampled: the neighbor sampling.
     Sample,
     /// Memory/GRU stage, including the gather and the GNN job dispatch.
     Memory,
@@ -911,8 +910,7 @@ pub struct MetricsSnapshot {
     pub embeddings: u64,
     /// Micro-batches sealed, by [`SealReason::code`]: how the batcher is
     /// adapting — mostly `idle` at partial load, mostly `full` at
-    /// saturation; a growing `deadline` count means stragglers are waiting
-    /// out `batch_deadline` behind slow batches.
+    /// saturation.
     pub seals: [u64; SealReason::ALL.len()],
     /// Events per pipeline-served micro-batch (stale cache answers
     /// excluded) — the batch size load chose, capped by `max_batch`.  One

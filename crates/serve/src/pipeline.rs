@@ -2,12 +2,10 @@
 //!
 //! ```text
 //!       per-tenant bounded ingress queues (OverloadPolicy at the bound)
-//!                         │  weighted round-robin pull — see `admission`
-//!                   [ingest worker]   seals micro-batches (state worker idle /
-//!                         │            `max_batch` cap / deadline backstop)
-//!                         │  SealedBatch
-//!                    [state worker]   sample → memory → gather → commit,
-//!                         │            in program order on one thread
+//!                         │  weighted round-robin pull of what is pending,
+//!                         │  ≤ `max_batch` — see `admission`
+//!                    [state worker]   seal → sample → memory → gather →
+//!                         │            commit, in program order on one thread
 //!                         │  GnnJob (memory rows copied, features by id,
 //!                         │          epoch order)
 //!                     [gnn worker]    every prepared backend; cache insert,
@@ -17,13 +15,14 @@
 //!                      results
 //! ```
 //!
-//! Batch size is a function of load, not a setting: the ingest worker
-//! seals whatever it holds the moment the state worker parks on an empty
-//! sealed-batch queue ([`SealReason::Idle`]), so a lightly loaded server
-//! serves batches of one or two events at compute latency, and a saturated
-//! one — whose state worker always finds the next batch waiting — fills
-//! every batch to `max_batch` exactly as a size-only batcher would.  Why an
-//! early seal is safe: served embeddings are defined on the *served* batch
+//! Batch size is a function of load, not a setting: each time the state
+//! worker finishes a batch it pulls everything pending, up to `max_batch`,
+//! as the next one, and sleeps in the pull only when nothing is.  A lightly
+//! loaded server therefore serves batches of one or two events at compute
+//! latency, and a saturated one fills every batch to
+//! `min(max_batch, Σ ingress capacities)` — `max_batch` with the default
+//! queues.  Nothing is ever held back, so nothing has to be woken.  Why a
+//! small batch is safe: served embeddings are defined on the *served* batch
 //! boundaries (every identity check replays those), a `Seal` record carries
 //! its events so recovery re-serves the same boundaries, and a smaller
 //! batch only means the memory a later event reads is fresher.
@@ -55,7 +54,7 @@
 //!   consumer, so results leave in epoch order for any backend mix.
 //!
 //! A dying worker unwinds the pipeline through its channels: every loop
-//! returns when its input closes or its output is gone, and the ingest
+//! returns when its input closes or its output is gone, and the state
 //! worker closes admission on the way out.
 
 use crate::admission::{AdmissionControl, AdmittedEvent, EventMeta, Ingress};
@@ -77,21 +76,21 @@ use tgnn_graph::{EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, Tem
 use tgnn_obs::Histogram;
 use tgnn_tensor::{Float, Workspace};
 
-/// A micro-batch sealed by the ingest worker.  `metas` is aligned with
-/// the batch's events and carries each event's tenant/deadline stamp.
-/// Every event in a sealed batch shares one `backend` — the ingest worker
-/// partitions mixed pendings per backend at seal time, so a batch is the
-/// unit of backend routing.
+/// A micro-batch the state worker sealed and is about to step.  `metas` is
+/// aligned with the batch's events and carries each event's tenant/deadline
+/// stamp.  Every event in a sealed batch shares one `backend` — a mixed
+/// pull is partitioned per backend at seal time, so a batch is the unit of
+/// backend routing.
 #[derive(Debug)]
-pub(crate) struct SealedBatch {
-    pub epoch: u64,
-    pub batch: EventBatch,
-    pub metas: Vec<EventMeta>,
-    pub backend: BackendKind,
-    pub sealed_at: Instant,
+struct SealedBatch {
+    epoch: u64,
+    batch: EventBatch,
+    metas: Vec<EventMeta>,
+    backend: BackendKind,
+    sealed_at: Instant,
 }
 
-/// Why the ingest worker sealed a micro-batch — the counters an operator
+/// Why the state worker sealed a micro-batch — the counters an operator
 /// reads to see the batcher adapt to load
 /// ([`MetricsSnapshot::seals`](crate::MetricsSnapshot::seals)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,23 +98,17 @@ pub enum SealReason {
     /// `max_batch` events were pending: the cap, the steady state at
     /// saturation.
     Full,
-    /// The state worker was parked on an empty sealed-batch queue: the
+    /// Fewer than `max_batch` events were pending when the state worker
+    /// pulled — what arrived while it stepped the previous batch: the
     /// steady state at partial load.
     Idle,
-    /// The oldest pending event was `batch_deadline` old: the backstop.
-    Deadline,
     /// Admission closed (drain): the remainder.
     Close,
 }
 
 impl SealReason {
     /// Every reason, in [`Self::code`] order.
-    pub const ALL: [SealReason; 4] = [
-        SealReason::Full,
-        SealReason::Idle,
-        SealReason::Deadline,
-        SealReason::Close,
-    ];
+    pub const ALL: [SealReason; 3] = [SealReason::Full, SealReason::Idle, SealReason::Close];
 
     /// Dense index into per-reason arrays.
     pub fn code(self) -> usize {
@@ -127,7 +120,6 @@ impl SealReason {
         match self {
             SealReason::Full => "full",
             SealReason::Idle => "idle",
-            SealReason::Deadline => "deadline",
             SealReason::Close => "close",
         }
     }
@@ -249,7 +241,7 @@ pub(crate) struct Collector {
     /// batches — stale cache answers are served by the cache, not a
     /// backend, and are tracked by the tenant/cache counters instead.
     pub backends: [BackendCollector; NUM_BACKEND_KINDS],
-    /// Sealed batches by [`SealReason::code`], fed by the ingest worker.
+    /// Sealed batches by [`SealReason::code`], fed by the state worker.
     pub seals: [AtomicU64; SealReason::ALL.len()],
     /// Events per pipeline-served batch.
     pub batch_events: Histogram,
@@ -332,8 +324,8 @@ impl Collector {
     }
 }
 
-/// Closes admission when the ingest worker exits — by return *or* panic.
-/// The ingest worker is the only drain of the tenant queues: once it is
+/// Closes admission when the state worker exits — by return *or* panic.
+/// The state worker is the only drain of the tenant queues: once it is
 /// gone, a `Block`/`Late` submitter parked on a full queue would wait
 /// forever, so its exit must fail them with `Closed` instead.
 struct CloseAdmissionOnExit(Arc<AdmissionControl>);
@@ -344,61 +336,45 @@ impl Drop for CloseAdmissionOnExit {
     }
 }
 
-/// Ingest worker: pulls weighted-fair rounds straight out of the tenant
-/// ingress queues and seals what it holds as soon as one of these is true
-/// ([`SealReason`]):
-///
-/// * **idle** — the state worker is parked on the empty sealed-batch queue
-///   (`tx.receiver_parked()`), so anything held back now only adds latency;
-/// * **full** — `max_batch` events are pending (the cap);
-/// * **deadline** — the oldest pending event was picked up `deadline` ago
-///   (the backstop: it only fires when the state worker is neither idle nor
-///   producing backpressure for that long);
-/// * **close** — admission closed and the queues are drained.
-///
-/// There is one sealing path; load decides which condition trips first.
-/// At saturation the state worker always finds a sealed batch waiting, never
-/// parks, and every batch fills to the cap.  No event waits for a later
-/// arrival: if the worker is waiting in `pull` with events in hand when the
-/// state worker parks, the sealed-batch queue's idle hook
-/// (`AdmissionControl::kick`) wakes it — the lost-wakeup argument is in
-/// `queue.rs` and on `kick`.
-///
-/// Once an event is pulled it is guaranteed to be served — the overload
-/// drop policies act strictly upstream, in the tenant ingress queues, and
-/// keep acting while this worker is blocked on the downstream queue (it
-/// holds no admission lock then).  The worker records two logical stages: a
-/// `scheduler` span per pull (pre-epoch, so epoch 0; flight-ring writes
-/// sampled 1-in-`sampling`) and a `batcher` span per seal.
-///
-/// With durability on, the batch's `Seal` record is appended *before* the
-/// batch is sent downstream and its fsync is requested from the group-commit
-/// syncer; `poll` holds the epoch's results until the seal is durable.  A
-/// batch can therefore only ever be *delivered* with a durable seal, which
-/// is what lets recovery re-serve sealed-but-unacked epochs bit-identically
-/// — while the ingest worker itself never waits on the disk.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ingest_loop(
-    admission: Arc<AdmissionControl>,
-    tx: Sender<SealedBatch>,
-    max_batch: usize,
-    deadline: Duration,
-    next_epoch: Arc<AtomicU64>,
-    durability: Option<Arc<Durability>>,
-    collector: Arc<Collector>,
-    sched_obs: StageObs,
-    obs: StageObs,
-    sampling: u64,
-) {
-    let _close_on_exit = CloseAdmissionOnExit(admission.clone());
-    // Seals `items` (all on `backend`) as the next epoch and leaves the
-    // buffer empty for reuse.
-    let seal_one = |items: &mut Vec<AdmittedEvent>, backend: BackendKind, reason: SealReason| {
-        let epoch = next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        collector.seals[reason.code()].fetch_add(1, Ordering::Relaxed);
-        // The batcher span covers the seal work (sort + WAL append +
-        // downstream send), not the accumulation wait — idle time is
-        // "waiting for admitted events".
+/// The state worker's front end: where it pulls its batches from and what
+/// sealing one takes.
+pub(crate) struct Batcher {
+    pub admission: Arc<AdmissionControl>,
+    /// The cap on a batch ([`ServeConfig::max_batch`](crate::ServeConfig)).
+    pub max_batch: usize,
+    pub next_epoch: Arc<AtomicU64>,
+    pub durability: Option<Arc<Durability>>,
+    pub collector: Arc<Collector>,
+    /// `scheduler` spans, one per pull (pre-epoch, so epoch 0; flight-ring
+    /// writes sampled 1-in-`sampling`).
+    pub pull_obs: StageObs,
+    /// `batcher` spans, one per seal.
+    pub seal_obs: StageObs,
+    pub sampling: u64,
+}
+
+impl Batcher {
+    /// Seals `items` (all on `backend`) as the next epoch and leaves the
+    /// buffer empty for reuse.
+    ///
+    /// With durability on, the batch's `Seal` record is appended *before*
+    /// the batch is stepped and its fsync is requested from the group-commit
+    /// syncer; `poll` holds the epoch's results until the seal is durable.
+    /// A batch can therefore only ever be *delivered* with a durable seal,
+    /// which is what lets recovery re-serve sealed-but-unacked epochs
+    /// bit-identically — while the state worker itself never waits on the
+    /// disk.
+    fn seal(
+        &self,
+        items: &mut Vec<AdmittedEvent>,
+        backend: BackendKind,
+        reason: SealReason,
+    ) -> SealedBatch {
+        let obs = &self.seal_obs;
+        let epoch = self.next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.collector.seals[reason.code()].fetch_add(1, Ordering::Relaxed);
+        // The batcher span covers the seal work (sort + WAL append), not
+        // the pull — idle time is "waiting for admitted events".
         let span = obs.enter(epoch);
         // The weighted-fair merge is only per-tenant chronological, but the
         // engine consumes each batch as a chronological stream (Algorithm 1),
@@ -424,7 +400,7 @@ pub(crate) fn ingest_loop(
                 .picked_up_at
                 .saturating_duration_since(anchor.admitted_at),
         );
-        if let Some(d) = &durability {
+        if let Some(d) = &self.durability {
             if let Some(hook) = &d.wal_fault {
                 if hook(tgnn_durable::WalFaultPoint::Seal(epoch)) {
                     // Crash injection: freeze the WAL first so records still
@@ -439,7 +415,7 @@ pub(crate) fn ingest_loop(
                     epoch,
                     events: items.iter().map(|a| (a.meta.tenant.0, a.event)).collect(),
                 })
-                .expect("ingest: WAL seal append failed");
+                .expect("state: WAL seal append failed");
             // Group commit: request (don't await) the seal fsync — `poll`
             // holds the epoch until the synced watermark covers it, so
             // sealing proceeds at compute speed while the
@@ -453,77 +429,13 @@ pub(crate) fn ingest_loop(
             sealed_at.saturating_duration_since(anchor.picked_up_at),
         );
         let (events, metas) = items.drain(..).map(|a| (a.event, a.meta)).unzip();
-        let ok = tx
-            .send(SealedBatch {
-                epoch,
-                batch: EventBatch::new(events),
-                metas,
-                backend,
-                sealed_at,
-            })
-            .is_ok();
         obs.exit(epoch, span);
-        ok
-    };
-    // Seal everything pending.  A homogeneous pending set (every event on
-    // the same backend — always the case on a single-backend server) seals
-    // as one batch, exactly as before backends existed.  A mixed set seals
-    // one batch per backend kind, in `code()` order (deterministic),
-    // arrival order preserved within each kind — the sealed batch is the
-    // unit of backend routing, so it must be single-backend.  The split
-    // reorders events only *across* tenants (tenants are single-backend),
-    // which the weighted-fair merge already permits.
-    let seal = |pending: &mut Vec<AdmittedEvent>, reason: SealReason| {
-        let Some(first) = pending.first().map(|a| a.meta.backend) else {
-            return true;
-        };
-        if pending.iter().all(|a| a.meta.backend == first) {
-            return seal_one(pending, first, reason);
-        }
-        let sealed = BackendKind::ALL.into_iter().all(|kind| {
-            let mut part: Vec<AdmittedEvent> = pending
-                .iter()
-                .filter(|a| a.meta.backend == kind)
-                .copied()
-                .collect();
-            part.is_empty() || seal_one(&mut part, kind, reason)
-        });
-        pending.clear();
-        sealed
-    };
-    let sampling = sampling.max(1);
-    // One buffer for the worker's lifetime: a seal copies out exactly the
-    // events it holds, so a two-event batch no longer costs a
-    // `max_batch`-sized allocation.
-    let mut pending: Vec<AdmittedEvent> = Vec::with_capacity(max_batch);
-    let mut pulls = 0u64;
-    loop {
-        let due = pending.first().map(|a| a.meta.picked_up_at + deadline);
-        // An unpaced feed degenerates to one-event pulls, so the timeline
-        // write is sampled (`ServeConfig::metrics_sampling`) — busy time
-        // still counts every pull.
-        let record = pulls.is_multiple_of(sampling);
-        let pulled = admission.pull(&mut pending, max_batch, due);
-        if let Ingress::Ready(since) = pulled {
-            // The span starts where the wait ended: busy time is the drain.
-            let span = sched_obs.enter_sampled(0, record).map(|_| since);
-            sched_obs.exit_sampled(0, span, record);
-            pulls += 1;
-        }
-        let closed = pulled == Ingress::Closed;
-        let reason = if pending.len() >= max_batch {
-            SealReason::Full
-        } else if closed {
-            SealReason::Close
-        } else if due.is_some_and(|d| Instant::now() >= d) {
-            SealReason::Deadline
-        } else if !pending.is_empty() && tx.receiver_parked() {
-            SealReason::Idle
-        } else {
-            continue;
-        };
-        if !seal(&mut pending, reason) || closed {
-            return;
+        SealedBatch {
+            epoch,
+            batch: EventBatch::new(events),
+            metas,
+            backend,
+            sealed_at,
         }
     }
 }
@@ -720,64 +632,138 @@ fn run_sharded_memory_stage(
     updated
 }
 
-/// State worker: the only reader *and* writer of the sharded temporal
-/// state.  Per sealed batch it runs [`StateStage::step`] and sends the
-/// gathered job to the GNN worker between the memory stage and the commit,
-/// in epoch order.
-pub(crate) fn state_loop(rx: Receiver<SealedBatch>, tx: Sender<GnnJob>, mut stage: StateStage) {
+/// State worker: the only drain of the tenant ingress queues and the only
+/// reader *and* writer of the sharded temporal state.  Each time it
+/// finishes a batch it pulls a weighted-fair round of everything pending,
+/// up to `max_batch` — or sleeps in the pull until an event arrives — seals
+/// it ([`SealReason`]: **full** at the cap, **close** once admission has
+/// closed, **idle** otherwise) and runs [`StateStage::step`] on it, sending
+/// the gathered job to the GNN worker between the memory stage and the
+/// commit, in epoch order.
+///
+/// Once an event is pulled it is guaranteed to be served — the overload
+/// drop policies act strictly upstream, in the tenant ingress queues, and
+/// keep acting while this worker steps a batch or waits on the downstream
+/// queue (it holds no admission lock then).
+pub(crate) fn state_loop(batcher: Batcher, tx: Sender<GnnJob>, mut stage: StateStage) {
+    let _close_on_exit = CloseAdmissionOnExit(batcher.admission.clone());
     let trace = stage.obs.as_ref().map(|o| o.memory.clone());
-    let trace_record = |epoch, seg, d| {
-        if let Some(t) = &trace {
-            t.trace_record(epoch, seg, d);
+    let (max_batch, sampling) = (batcher.max_batch, batcher.sampling.max(1));
+    // Buffers for the worker's lifetime: a seal copies out exactly the
+    // events it holds, so a two-event batch costs no `max_batch`-sized
+    // allocation.
+    let mut pending: Vec<AdmittedEvent> = Vec::with_capacity(max_batch);
+    let mut part: Vec<AdmittedEvent> = Vec::new();
+    let mut pulls = 0u64;
+    loop {
+        // An unpaced feed degenerates to one-event pulls, so the timeline
+        // write is sampled (`ServeConfig::metrics_sampling`) — busy time
+        // still counts every pull.
+        let record = pulls.is_multiple_of(sampling);
+        let Ingress::Ready {
+            picked_up_at,
+            closed,
+        } = batcher.admission.pull(&mut pending, max_batch)
+        else {
+            return;
+        };
+        // The span starts where the wait ended: busy time is the drain.
+        let span = batcher
+            .pull_obs
+            .enter_sampled(0, record)
+            .map(|_| picked_up_at);
+        batcher.pull_obs.exit_sampled(0, span, record);
+        pulls += 1;
+        let reason = if pending.len() >= max_batch {
+            SealReason::Full
+        } else if closed {
+            SealReason::Close
+        } else {
+            SealReason::Idle
+        };
+        let mut run = |items: &mut Vec<AdmittedEvent>, kind| {
+            let sealed = batcher.seal(items, kind, reason);
+            step_sealed(&mut stage, &tx, trace.as_ref(), sealed)
+        };
+        // A homogeneous pull (every event on the same backend — always the
+        // case on a single-backend server) seals as one batch.  A mixed one
+        // seals one batch per backend kind, in `code()` order
+        // (deterministic), arrival order preserved within each kind — the
+        // sealed batch is the unit of backend routing, so it must be
+        // single-backend.  The split reorders events only *across* tenants
+        // (tenants are single-backend), which the weighted-fair merge
+        // already permits.
+        let first = pending[0].meta.backend;
+        let alive = if pending.iter().all(|a| a.meta.backend == first) {
+            run(&mut pending, first)
+        } else {
+            let alive = BackendKind::ALL.into_iter().all(|kind| {
+                part.extend(pending.iter().filter(|a| a.meta.backend == kind));
+                part.is_empty() || run(&mut part, kind)
+            });
+            pending.clear();
+            alive
+        };
+        // The GNN worker is gone — it died; unwind.
+        if !alive {
+            return;
         }
-    };
-    while let Some(SealedBatch {
+    }
+}
+
+/// Steps one sealed batch and sends its GNN job downstream between the
+/// memory stage and the commit.  `false` once the GNN worker is gone.
+fn step_sealed(
+    stage: &mut StateStage,
+    tx: &Sender<GnnJob>,
+    trace: Option<&StageObs>,
+    sealed: SealedBatch,
+) -> bool {
+    let SealedBatch {
         epoch,
         batch,
         metas,
         backend,
         sealed_at,
-    }) = rx.recv()
-    {
-        let events = batch.events().to_vec();
-        let mut downstream_alive = true;
-        stage.step(
-            epoch,
-            batch,
-            Some(|job: GnnJobBatch, sampled_at: Instant| {
-                // The additive trace segments tile wall time, no gaps:
-                // `Sample` spans seal → sampled (the sealed-batch queue wait,
-                // the previous epoch's commit, and the sampling itself),
-                // `Memory` spans sampled → dispatch (GRU + gather).
-                let dispatched_at = Instant::now();
-                trace_record(
-                    epoch,
-                    SegmentId::Sample,
-                    sampled_at.saturating_duration_since(sealed_at),
-                );
-                trace_record(
-                    epoch,
-                    SegmentId::Memory,
-                    dispatched_at.saturating_duration_since(sampled_at),
-                );
-                downstream_alive = tx
-                    .send(GnnJob {
-                        epoch,
-                        job,
-                        events,
-                        metas,
-                        backend,
-                        sealed_at,
-                        dispatched_at,
-                    })
-                    .is_ok();
-            }),
-        );
-        // The GNN worker is gone — it died; unwind.
-        if !downstream_alive {
-            return;
+    } = sealed;
+    let trace_record = |seg, d| {
+        if let Some(t) = trace {
+            t.trace_record(epoch, seg, d);
         }
-    }
+    };
+    let events = batch.events().to_vec();
+    let mut downstream_alive = true;
+    stage.step(
+        epoch,
+        batch,
+        Some(|job: GnnJobBatch, sampled_at: Instant| {
+            // The additive trace segments tile wall time, no gaps: `Sample`
+            // spans seal → sampled (the sampling itself: a batch is sealed
+            // right before it is stepped), `Memory` spans sampled →
+            // dispatch (GRU + gather).
+            let dispatched_at = Instant::now();
+            trace_record(
+                SegmentId::Sample,
+                sampled_at.saturating_duration_since(sealed_at),
+            );
+            trace_record(
+                SegmentId::Memory,
+                dispatched_at.saturating_duration_since(sampled_at),
+            );
+            downstream_alive = tx
+                .send(GnnJob {
+                    epoch,
+                    job,
+                    events,
+                    metas,
+                    backend,
+                    sealed_at,
+                    dispatched_at,
+                })
+                .is_ok();
+        }),
+    );
+    downstream_alive
 }
 
 /// GNN worker: the pipeline's embedding unit and its commit point.  It
@@ -932,31 +918,72 @@ mod tests {
 
     use crate::admission::TenantSpec;
     use crate::metrics::{HubConfig, MetricsHub, StageId};
-    use crate::queue::{channel_with_idle_hook, QueueMonitor};
+    use crate::queue::{channel, QueueMonitor};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
     use std::thread::{self, JoinHandle};
 
-    /// An ingest worker between a real `AdmissionControl` and a sealed-batch
-    /// queue whose `Receiver` the test itself drives — the state worker's
-    /// idleness is whatever the test makes it.
-    struct IngestRig {
-        admission: Arc<AdmissionControl>,
-        rx: Receiver<SealedBatch>,
-        sealed: QueueMonitor<SealedBatch>,
-        collector: Arc<Collector>,
-        next_epoch: Arc<AtomicU64>,
-        worker: Option<JoinHandle<()>>,
-        submitted: AtomicU64,
+    /// A state stage over a small generated graph and a +NP(M) model — the
+    /// co-designed variant the server defaults to.
+    fn tiny_stage() -> StateStage {
+        use tgnn_core::{ModelConfig, OptimizationVariant, TimeEncoderKind};
+        use tgnn_tensor::TensorRng;
+
+        let graph = Arc::new(tgnn_data::generate(&tgnn_data::tiny(11)));
+        let cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim())
+            .with_variant(OptimizationVariant::NpMedium);
+        let mut model = TgnModel::new(cfg, &mut TensorRng::new(11));
+        if model.config.time_encoder == TimeEncoderKind::Lut {
+            let deltas = tgnn_data::delta_t::memory_delta_t(graph.events(), graph.num_nodes());
+            model.calibrate_lut(&deltas);
+        }
+        let nodes = graph.num_nodes();
+        StateStage::new(
+            Arc::new(ShardedMemory::for_config(nodes, &model.config, 2)),
+            Arc::new(ShardedNeighborTable::new(
+                nodes,
+                model.config.sampled_neighbors,
+                2,
+            )),
+            Arc::new(model),
+            graph,
+            Arc::new(Mutex::new(CommitLog::new())),
+        )
     }
 
-    impl IngestRig {
-        fn new(max_batch: usize, deadline: Duration) -> Self {
+    /// Spins until `done` holds, failing the test after 10 s instead of
+    /// hanging it.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < give_up, "timed out waiting: {what}");
+            thread::yield_now();
+        }
+    }
+
+    /// A state worker between a real `AdmissionControl` and a `state→gnn`
+    /// queue of one slot whose `Receiver` the test itself drives: while the
+    /// test leaves a job in that slot, the worker's next send blocks — it is
+    /// busy exactly as long as the test says.
+    struct StateRig {
+        admission: Arc<AdmissionControl>,
+        /// `None` only while dropping: the worker's pending send fails once
+        /// it is gone.
+        rx: Option<Receiver<GnnJob>>,
+        jobs: QueueMonitor<GnnJob>,
+        collector: Arc<Collector>,
+        graph: Arc<TemporalGraph>,
+        submitted: AtomicUsize,
+        worker: Option<JoinHandle<()>>,
+    }
+
+    impl StateRig {
+        fn new(max_batch: usize) -> Self {
+            let stage = tiny_stage();
+            let graph = stage.graph.clone();
             let admission = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")]));
-            let (tx, rx) = {
-                let admission = admission.clone();
-                channel_with_idle_hook("ingest→state", 4, move || admission.kick())
-            };
-            let sealed = tx.monitor();
+            let (tx, rx) = channel::<GnnJob>("state→gnn", 1);
+            let jobs = rx.monitor();
             let collector = Arc::new(Collector::new(1));
             let next_epoch = Arc::new(AtomicU64::new(0));
             let hub = MetricsHub::new(HubConfig {
@@ -971,99 +998,96 @@ mod tests {
                 metrics_sampling: 1,
                 slo_engine: None,
             });
-            let worker = {
-                let (admission, collector, next_epoch) =
-                    (admission.clone(), collector.clone(), next_epoch.clone());
-                let (sched, batcher) = (
-                    hub.stage_obs(StageId::Scheduler),
-                    hub.stage_obs(StageId::Batcher),
-                );
-                thread::spawn(move || {
-                    ingest_loop(
-                        admission, tx, max_batch, deadline, next_epoch, None, collector, sched,
-                        batcher, 1,
-                    )
-                })
+            let batcher = Batcher {
+                admission: admission.clone(),
+                max_batch,
+                next_epoch,
+                durability: None,
+                collector: collector.clone(),
+                pull_obs: hub.stage_obs(StageId::Scheduler),
+                seal_obs: hub.stage_obs(StageId::Batcher),
+                sampling: 1,
             };
+            let worker = thread::spawn(move || state_loop(batcher, tx, stage));
             Self {
                 admission,
-                rx,
-                sealed,
+                rx: Some(rx),
+                jobs,
                 collector,
-                next_epoch,
+                graph,
+                submitted: AtomicUsize::new(0),
                 worker: Some(worker),
-                submitted: AtomicU64::new(0),
             }
         }
 
+        /// Submits the feed's next `n` events.
         fn submit(&self, n: usize) {
             for _ in 0..n {
-                let t = self.submitted.fetch_add(1, Ordering::Relaxed) as f64;
+                let i = self.submitted.fetch_add(1, Ordering::Relaxed);
                 self.admission
-                    .submit(TenantId::DEFAULT, InteractionEvent::new(0, 1, 0, t))
+                    .submit(TenantId::DEFAULT, self.graph.events()[i])
                     .unwrap();
             }
         }
 
-        /// Blocks until the worker has pulled everything submitted so far,
-        /// decided what to do with it, and gone back to sleep in `pull`.
-        fn settle(&self) {
-            while !self.admission.ingest_parked() {
-                thread::yield_now();
-            }
+        /// Leaves the worker busy as two one-event batches: the first job
+        /// in the queue's one slot, the second stuck in the worker's send
+        /// behind it.  Everything submitted afterwards waits in admission
+        /// until the test receives.
+        fn occupy(&self) {
+            self.submit(1);
+            wait_until("the first job fills the slot", || self.jobs.depth() == 1);
+            self.submit(1);
+            wait_until("the second job blocks in send", || {
+                self.jobs.stats().blocked_sends == 1
+            });
         }
 
-        /// Pops the next sealed batch without ever parking the receiver: to
-        /// the ingest worker the state worker looks busy throughout.
-        fn take_while_busy(&self) -> SealedBatch {
-            let give_up = Instant::now() + Duration::from_secs(10);
-            loop {
-                if let Some(b) = self.rx.try_recv() {
-                    return b;
+        /// Pops the next job, blocking on a helper thread so that a worker
+        /// that never sends fails the test on a timeout instead of hanging
+        /// it.  `None` once the worker has exited.
+        fn recv(&self) -> Option<GnnJob> {
+            let rx = self.rx.as_ref().unwrap();
+            thread::scope(|s| {
+                let (out, got) = mpsc::channel();
+                s.spawn(move || {
+                    // Fails only if the test already gave up on it.
+                    let _ = out.send(rx.recv());
+                });
+                let got = got.recv_timeout(Duration::from_secs(10));
+                if got.is_err() {
+                    // Release the helper (a close seals the remainder and
+                    // ends the worker) so the scope can end and the failure
+                    // below is reported.
+                    self.admission.close();
                 }
-                assert!(Instant::now() < give_up, "no batch was sealed");
-                thread::yield_now();
-            }
+                got.expect("the worker never sent a job")
+            })
+        }
+
+        /// The sizes of the next `n` batches.
+        fn recv_sizes(&self, n: usize) -> Vec<usize> {
+            (0..n)
+                .map(|_| self.recv().expect("worker exited").events.len())
+                .collect()
         }
 
         fn seals(&self, reason: SealReason) -> u64 {
             self.collector.seals[reason.code()].load(Ordering::Relaxed)
         }
-
-        fn sealed_epochs(&self) -> u64 {
-            self.next_epoch.load(Ordering::SeqCst)
-        }
     }
 
-    impl Drop for IngestRig {
+    impl Drop for StateRig {
         fn drop(&mut self) {
             self.admission.close();
+            drop(self.rx.take());
             if let Some(w) = self.worker.take() {
                 // A failed assertion is already unwinding; don't mask it.
                 if w.join().is_err() && !thread::panicking() {
-                    panic!("ingest worker panicked");
+                    panic!("state worker panicked");
                 }
             }
         }
-    }
-
-    /// Blocks in `rx.recv()` on a helper thread — so a broken wake path
-    /// fails the test on a timeout instead of hanging it — and runs
-    /// `meanwhile` on the test thread once the helper is spawned.
-    fn recv_on_helper(rig: &IngestRig, meanwhile: impl FnOnce()) -> SealedBatch {
-        thread::scope(|s| {
-            let (out, got) = mpsc::channel();
-            s.spawn(move || out.send(rig.rx.recv()));
-            meanwhile();
-            let got = got.recv_timeout(Duration::from_secs(10));
-            if got.is_err() {
-                // Release the helper (a close seals the remainder) so the
-                // scope can end and the failure below is reported.
-                rig.admission.close();
-            }
-            got.expect("the parked receiver was never handed a batch")
-                .expect("queue closed")
-        })
     }
 
     /// The state step allocates per batch, never per event: mailbox slots
@@ -1074,30 +1098,8 @@ mod tests {
     /// vectors), where a per-event allocation would add hundreds.
     #[test]
     fn state_step_allocations_scale_with_batches_not_events() {
-        use tgnn_core::{ModelConfig, OptimizationVariant, TimeEncoderKind};
-        use tgnn_tensor::TensorRng;
-
-        let graph = Arc::new(tgnn_data::generate(&tgnn_data::tiny(11)));
-        let cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim())
-            .with_variant(OptimizationVariant::NpMedium);
-        let mut model = TgnModel::new(cfg, &mut TensorRng::new(11));
-        if model.config.time_encoder == TimeEncoderKind::Lut {
-            let deltas = tgnn_data::delta_t::memory_delta_t(graph.events(), graph.num_nodes());
-            model.calibrate_lut(&deltas);
-        }
-        let nodes = graph.num_nodes();
-        let mut stage = StateStage::new(
-            Arc::new(ShardedMemory::for_config(nodes, &model.config, 2)),
-            Arc::new(ShardedNeighborTable::new(
-                nodes,
-                model.config.sampled_neighbors,
-                2,
-            )),
-            Arc::new(model),
-            graph.clone(),
-            Arc::new(Mutex::new(CommitLog::new())),
-        );
-
+        let mut stage = tiny_stage();
+        let graph = stage.graph.clone();
         let mut events = graph.events().iter().cloned();
         let mut epoch = 0;
         let mut step = |stage: &mut StateStage, n: usize| {
@@ -1119,71 +1121,39 @@ mod tests {
         );
     }
 
-    const HOUR: Duration = Duration::from_secs(3600);
-
     #[test]
-    fn ingest_seals_a_single_event_when_the_receiver_is_parked() {
-        let rig = IngestRig::new(8, HOUR);
-        let batch = recv_on_helper(&rig, || {
-            while !rig.sealed.receiver_parked() {
-                thread::yield_now();
-            }
-            rig.submit(1);
-        });
-        assert_eq!(batch.batch.len(), 1);
-        assert_eq!(batch.epoch, 1);
+    fn state_worker_serves_one_event_on_an_idle_server_as_a_batch_of_one() {
+        let rig = StateRig::new(8);
+        wait_until("the worker parks in pull", || rig.admission.puller_parked());
+        rig.submit(1);
+        // No later arrival: the one event alone is the batch.
+        let job = rig.recv().expect("worker exited");
+        assert_eq!((job.epoch, job.events.len()), (1, 1));
         assert_eq!(rig.seals(SealReason::Idle), 1);
     }
 
     #[test]
-    fn ingest_holds_a_partial_batch_while_the_receiver_is_busy() {
+    fn state_worker_takes_what_arrived_during_a_step_together_up_to_max_batch() {
         const CAP: usize = 8;
-        let rig = IngestRig::new(CAP, HOUR);
-        rig.submit(CAP - 1);
-        rig.settle();
-        assert_eq!(rig.sealed_epochs(), 0, "sealed below the cap, nobody idle");
-        assert_eq!(rig.sealed.depth(), 0);
-        rig.submit(1);
-        let batch = rig.take_while_busy();
-        assert_eq!(batch.batch.len(), CAP);
+        let rig = StateRig::new(CAP);
+        rig.occupy();
+        // Arrivals while the worker is busy wait in admission; the next pull
+        // takes them as one batch, cut at the cap.
+        rig.submit(CAP + 3);
+        assert_eq!(rig.recv_sizes(4), [1, 1, CAP, 3]);
         assert_eq!(rig.seals(SealReason::Full), 1);
-        assert_eq!(rig.sealed_epochs(), 1);
+        assert_eq!(rig.seals(SealReason::Idle), 3);
     }
 
     #[test]
-    fn ingest_is_woken_to_seal_when_the_receiver_parks_after_the_last_arrival() {
-        // The wake path: the event arrives while the state worker is busy,
-        // then nothing else does.  The worker is asleep in `pull` holding it
-        // when the receiver parks; only the queue's idle hook can get it out
-        // before the (one-hour) deadline.
-        let rig = IngestRig::new(8, HOUR);
-        rig.submit(1);
-        rig.settle();
-        assert_eq!(rig.sealed_epochs(), 0, "held back: the receiver is busy");
-        let batch = recv_on_helper(&rig, || ());
-        assert_eq!(batch.batch.len(), 1);
-        assert_eq!(rig.seals(SealReason::Idle), 1);
-    }
-
-    #[test]
-    fn ingest_deadline_is_the_backstop_behind_a_busy_receiver() {
-        let rig = IngestRig::new(8, Duration::from_millis(20));
+    fn state_worker_seals_the_remainder_on_close_and_exits() {
+        let rig = StateRig::new(8);
+        rig.occupy();
         rig.submit(3);
-        let batch = rig.take_while_busy();
-        assert_eq!(batch.batch.len(), 3);
-        assert_eq!(rig.seals(SealReason::Deadline), 1);
-        assert_eq!(rig.seals(SealReason::Idle) + rig.seals(SealReason::Full), 0);
-    }
-
-    #[test]
-    fn ingest_seals_the_remainder_on_close() {
-        let rig = IngestRig::new(8, HOUR);
-        rig.submit(2);
-        rig.settle();
         rig.admission.close();
-        let batch = rig.take_while_busy();
-        assert_eq!(batch.batch.len(), 2);
+        assert_eq!(rig.recv_sizes(3), [1, 1, 3]);
         assert_eq!(rig.seals(SealReason::Close), 1);
+        assert!(rig.recv().is_none(), "the worker exits once drained");
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!
 //! Both are a plain mutex + condvars — a mutex keeps the close/backpressure
 //! semantics obvious.  What is *not* noise once a micro-batch can be a single
-//! event (see `pipeline::ingest_loop`: batches shrink to whatever arrived
-//! while the state worker was busy) is the kernel entry behind every
-//! `Condvar::notify_*`: std's condvar always makes the futex call, waiter or
-//! not.  So each end records under the queue mutex that it is about to park
-//! and the other end notifies only then.
+//! event (batches shrink to whatever arrived while the state worker was
+//! busy) is the kernel entry behind every `Condvar::notify_*`: std's condvar
+//! always makes the futex call, waiter or not.  So each end records under
+//! the queue mutex that it is about to park and the other end notifies only
+//! then.
 //!
-//! Lost-wakeup arguments, all of one shape — *the flag and the condition it
+//! Lost-wakeup arguments, both of one shape — *the flag and the condition it
 //! guards change under the same mutex the waiter checks them under*:
 //! * **close / receiver gone** — `Sender::drop` / `Receiver::drop` set their
 //!   flag and notify while holding the queue mutex; a peer checks the flag
@@ -40,13 +40,6 @@
 //!   the item or the free slot before it ever waits.  The notifier clears
 //!   the flag — one wakeup per park, not one per item pushed while the
 //!   woken thread is still on its way back to the mutex.
-//! * **idle hook** ([`channel_with_idle_hook`]) — runs right after the
-//!   receiver sets `receiver_parked`, still under the queue mutex, so
-//!   whoever the hook wakes is guaranteed to read `true` from
-//!   [`Sender::receiver_parked`] until the next `send`.  The hook may take
-//!   other locks (the sealed-batch queue's takes the admission lock); that
-//!   is safe as long as nobody calls into this queue while holding them —
-//!   the ingest worker, the only user, never does.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -89,14 +82,10 @@ struct Spsc<T> {
     sender_parked: bool,
 }
 
-/// Called by the receiver when it parks on an empty queue.
-type IdleHook = Box<dyn Fn() + Send + Sync>;
-
 struct Inner<T> {
     state: Mutex<Spsc<T>>,
     not_full: Condvar,
     not_empty: Condvar,
-    on_idle: Option<IdleHook>,
     closed: AtomicBool,
     receiver_gone: AtomicBool,
     capacity: usize,
@@ -177,30 +166,6 @@ pub struct QueueMonitor<T> {
 /// # Panics
 /// Panics if `capacity == 0`.
 pub fn channel<T>(name: &'static str, capacity: usize) -> (Sender<T>, Receiver<T>) {
-    new_channel(name, capacity, None)
-}
-
-/// [`channel`] whose receiver calls `on_idle` each time it parks on an empty
-/// queue — after [`Sender::receiver_parked`] has turned `true`, before it
-/// sleeps.  This is how a consumer going idle wakes a producer that is
-/// holding work back for it (see the module header for the ordering
-/// argument and the locking rule).
-///
-/// # Panics
-/// Panics if `capacity == 0`.
-pub fn channel_with_idle_hook<T>(
-    name: &'static str,
-    capacity: usize,
-    on_idle: impl Fn() + Send + Sync + 'static,
-) -> (Sender<T>, Receiver<T>) {
-    new_channel(name, capacity, Some(Box::new(on_idle)))
-}
-
-fn new_channel<T>(
-    name: &'static str,
-    capacity: usize,
-    on_idle: Option<IdleHook>,
-) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "spsc channel: capacity must be positive");
     let inner = Arc::new(Inner {
         state: Mutex::new(Spsc {
@@ -210,7 +175,6 @@ fn new_channel<T>(
         }),
         not_full: Condvar::new(),
         not_empty: Condvar::new(),
-        on_idle,
         closed: AtomicBool::new(false),
         receiver_gone: AtomicBool::new(false),
         capacity,
@@ -261,13 +225,6 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Whether the receiver is parked in `recv` on an empty queue right now
-    /// — i.e. the consumer has nothing to do.  Only the sender can end that
-    /// state, so a `true` stays true until this sender's next `send`.
-    pub fn receiver_parked(&self) -> bool {
-        self.inner.state.lock().unwrap().receiver_parked
-    }
-
     /// A monitoring handle for this queue.
     pub fn monitor(&self) -> QueueMonitor<T> {
         QueueMonitor {
@@ -302,14 +259,7 @@ impl<T> Receiver<T> {
             if inner.closed.load(Ordering::Acquire) {
                 return None;
             }
-            // Still set after a wakeup means nothing was pushed (spurious,
-            // or the close raced in): the idle announcement stands.
-            if !s.receiver_parked {
-                s.receiver_parked = true;
-                if let Some(on_idle) = &inner.on_idle {
-                    on_idle();
-                }
-            }
+            s.receiver_parked = true;
             s = inner.not_empty.wait(s).unwrap();
         }
     }
@@ -352,12 +302,6 @@ impl<T> QueueMonitor<T> {
     /// Lifetime statistics.
     pub fn stats(&self) -> QueueStats {
         self.inner.stats()
-    }
-
-    /// [`Sender::receiver_parked`], for a test that does not hold the sender.
-    #[cfg(test)]
-    pub(crate) fn receiver_parked(&self) -> bool {
-        self.inner.state.lock().unwrap().receiver_parked
     }
 }
 
@@ -738,34 +682,6 @@ mod tests {
         tx.send(1).unwrap();
         drop(rx);
         assert_eq!(tx.send(2), Err(2));
-    }
-
-    #[test]
-    fn receiver_parked_is_true_exactly_while_the_receiver_sleeps_on_an_empty_queue() {
-        let idle_calls = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = {
-            let idle_calls = idle_calls.clone();
-            channel_with_idle_hook::<u32>("test", 2, move || {
-                idle_calls.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        assert!(!tx.receiver_parked(), "nobody is receiving");
-        tx.send(1).unwrap();
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(idle_calls.load(Ordering::SeqCst), 0, "an item was waiting");
-        let consumer = thread::spawn(move || (rx.recv(), rx));
-        // The hook runs after the flag is set, so once it has run the flag
-        // must read true — and stay true until this thread sends.
-        while idle_calls.load(Ordering::SeqCst) == 0 {
-            thread::yield_now();
-        }
-        assert!(tx.receiver_parked());
-        tx.send(2).unwrap();
-        assert!(!tx.receiver_parked(), "send ends the idle period");
-        let (got, rx) = consumer.join().unwrap();
-        assert_eq!(got, Some(2));
-        assert_eq!(idle_calls.load(Ordering::SeqCst), 1, "one call per park");
-        drop(rx);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The streaming inference server: admission, worker lifecycle, and the
 //! backpressure-aware serve report.
 //!
-//! A server owns three pipeline workers over three queues, whatever its
-//! backend mix — `tgnn-serve-ingest` → `ingest→state` →
-//! `tgnn-serve-state` → `state→gnn` → `tgnn-serve-gnn` → `gnn→results` →
-//! `poll` — plus `tgnn-serve-wal-sync` under `FsyncPolicy::OnSeal`.
+//! A server owns two pipeline workers over two queues, whatever its
+//! backend mix — the tenant ingress queues → `tgnn-serve-state` →
+//! `state→gnn` → `tgnn-serve-gnn` → `gnn→results` → `poll` — plus
+//! `tgnn-serve-wal-sync` under `FsyncPolicy::OnSeal`.
 
 use crate::admission::{
     AdmissionControl, AdmissionCounters, StaleServing, SubmitOutcome, TenantSpec,
@@ -13,10 +13,10 @@ use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
 use crate::metrics::{per_second, HubConfig, MetricsHub, MetricsSnapshot, StageId};
 use crate::pipeline::{
-    gnn_loop, ingest_loop, state_loop, Collector, GnnFaultHook, GnnJob, SealedBatch, ServedBatch,
-    StateObs, StateStage, STATE_ONLY,
+    gnn_loop, state_loop, Batcher, Collector, GnnFaultHook, GnnJob, ServedBatch, StateObs,
+    StateStage, STATE_ONLY,
 };
-use crate::queue::{channel, channel_with_idle_hook, QueueStats, Receiver};
+use crate::queue::{channel, QueueStats, Receiver};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,21 +43,17 @@ use tgnn_tensor::Workspace;
 #[derive(Clone)]
 pub struct ServeConfig {
     /// The **cap** on a micro-batch, in events.  Batch size is not set, it
-    /// follows load: the ingest worker seals whatever is pending as soon as
-    /// the state worker runs out of sealed batches, so a lightly loaded
-    /// server serves batches of one or two events and only a saturated one —
-    /// where a sealed batch is always waiting — fills them to this cap.  It
-    /// bounds the work per epoch (and the GEMM row count), not the latency.
-    /// Also the unit [`DurabilityConfig::snapshot_every`] is denominated in.
+    /// follows load: each time the state worker finishes a batch it takes
+    /// everything pending, up to this cap, as the next one — so a lightly
+    /// loaded server serves batches of one or two events and only a
+    /// saturated one fills them.  A batch can only hold what is queued at
+    /// that moment, so at saturation it is `min(max_batch, Σ ingress
+    /// capacities)` events ([`TenantSpec::ingress_capacity`]).  It bounds
+    /// the work per epoch (and the GEMM row count), not the latency.  Also
+    /// the unit [`DurabilityConfig::snapshot_every`] is denominated in.
     pub max_batch: usize,
-    /// The **backstop**: seal once the oldest pending event has waited this
-    /// long, whatever the state worker is doing.  At partial load the idle
-    /// rule seals long before it; under backpressure the cap does.  It fires
-    /// only when the state worker stays busy for this long while fewer than
-    /// `max_batch` events arrive — a bound on how long a straggler can wait
-    /// behind one slow batch.
-    pub batch_deadline: Duration,
-    /// Capacity of each inter-stage queue (micro-batches in flight).
+    /// Capacity of the inter-stage `state→gnn` queue (micro-batches in
+    /// flight between the state and GNN workers).
     pub stage_capacity: usize,
     /// Capacity of the results queue (completed batches awaiting `poll`).
     pub results_capacity: usize,
@@ -68,11 +64,11 @@ pub struct ServeConfig {
     /// `TenantSpec::new("default")`: `Block` policy, 1024-event ingress
     /// queue — so served results are bit-identical to the
     /// pre-admission-layer server and `submit` blocks rather than drop.
-    /// Backpressure starts at that queue: the ingest worker pulls from it
-    /// only as fast as the pipeline accepts sealed batches.  With more than
-    /// one entry, `submit_for` routes each event to its tenant's bounded
-    /// ingress queue and the ingest worker drains them weighted-fair into
-    /// micro-batches; see [`TenantSpec`] and [`OverloadPolicy`].
+    /// Backpressure starts at that queue: the state worker pulls from it
+    /// only as fast as it steps batches.  With more than one entry,
+    /// `submit_for` routes each event to its tenant's bounded ingress queue
+    /// and the state worker drains them weighted-fair into micro-batches;
+    /// see [`TenantSpec`] and [`OverloadPolicy`].
     pub tenants: Vec<TenantSpec>,
     /// Bounded-staleness embedding cache keyed on `(vertex, epoch)`,
     /// populated with every served embedding and invalidated at the epoch
@@ -92,7 +88,7 @@ pub struct ServeConfig {
     /// `None` (the default) performs no logging, no snapshots, and no I/O
     /// on any hot path, and single-tenant served results are bit-for-bit
     /// the pre-durability server's.  One behaviour is shared by both
-    /// settings: the ingest worker restores chronological order *inside* each
+    /// settings: the state worker restores chronological order *inside* each
     /// multi-tenant sealed batch (stable sort, so per-tenant order is
     /// preserved), because the engine consumes every batch as a
     /// chronological stream — the weighted-fair cross-tenant interleave
@@ -144,7 +140,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 200,
-            batch_deadline: Duration::from_millis(50),
             stage_capacity: 4,
             results_capacity: 256,
             num_shards: 4,
@@ -165,7 +160,6 @@ impl std::fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeConfig")
             .field("max_batch", &self.max_batch)
-            .field("batch_deadline", &self.batch_deadline)
             .field("stage_capacity", &self.stage_capacity)
             .field("results_capacity", &self.results_capacity)
             .field("num_shards", &self.num_shards)
@@ -309,7 +303,7 @@ pub struct ServeReport {
     pub throughput_eps: f64,
     /// Seal-to-embeddings latency distribution.
     pub latency: LatencySummary,
-    /// Per-queue occupancy statistics, the ingest→state queue first.
+    /// Per-queue occupancy statistics: `state→gnn`, then `gnn→results`.
     pub queues: Vec<QueueStats>,
     /// Blocked `send`s on the inter-stage queues plus blocked `submit_for`
     /// calls on full tenant ingress queues — the client-visible
@@ -385,10 +379,10 @@ impl std::error::Error for SubmitError {}
 ///
 /// Feed chronological [`InteractionEvent`]s with [`Self::submit`] (or
 /// [`Self::submit_for`] on a multi-tenant configuration); the admission
-/// layer queues them per tenant, the ingest worker drains tenants
-/// weighted-fair into micro-batches, the state worker advances the temporal
-/// state batch by batch (sample → memory → gather → commit) and the GNN
-/// worker computes each batch's embeddings meanwhile.  Completed batches
+/// layer queues them per tenant, the state worker drains tenants
+/// weighted-fair into micro-batches and advances the temporal state batch
+/// by batch (sample → memory → gather → commit), and the GNN worker
+/// computes each batch's embeddings meanwhile.  Completed batches
 /// come back via [`Self::poll`]; [`Self::drain`] flushes everything and
 /// returns the [`ServeReport`].
 pub struct StreamServer {
@@ -441,8 +435,8 @@ pub struct StreamServer {
 }
 
 impl StreamServer {
-    /// Builds the sharded state and spawns the pipeline workers: ingest,
-    /// state and GNN.
+    /// Builds the sharded state and spawns the pipeline workers: state and
+    /// GNN.
     ///
     /// # Panics
     /// Panics if a configured tenant has a zero weight or ingress capacity,
@@ -594,25 +588,10 @@ impl StreamServer {
         let commit_log = Arc::new(Mutex::new(CommitLog::new()));
         let next_epoch = Arc::new(AtomicU64::new(0));
 
-        // The state worker parking on this queue is the batcher's seal
-        // signal; the hook wakes an ingest worker that is holding events
-        // back while it waits for more.
-        let (sealed_tx, sealed_rx) = {
-            let admission = admission.clone();
-            channel_with_idle_hook::<SealedBatch>(
-                "ingest→state",
-                config.stage_capacity,
-                move || admission.kick(),
-            )
-        };
         let (gnn_tx, gnn_rx) = channel::<GnnJob>("state→gnn", config.stage_capacity);
         let (results_tx, results_rx) =
             channel::<ServedBatch>("gnn→results", config.results_capacity);
         let queue_stats: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>> = vec![
-            {
-                let m = sealed_tx.monitor();
-                Box::new(move || m.stats())
-            },
             {
                 let m = gnn_tx.monitor();
                 Box::new(move || m.stats())
@@ -642,24 +621,18 @@ impl StreamServer {
             d.set_obs(hub.durability_obs());
         }
 
-        let mut workers = Vec::with_capacity(3);
+        let mut workers = Vec::with_capacity(2);
         {
-            let admission = admission.clone();
-            let next_epoch = next_epoch.clone();
-            let (max_batch, deadline) = (config.max_batch, config.batch_deadline);
-            let durability = durability.clone();
-            let collector = collector.clone();
-            let sched_obs = hub.stage_obs(StageId::Scheduler);
-            let obs = hub.stage_obs(StageId::Batcher);
-            let sampling = config.metrics_sampling;
-            workers.push(spawn("tgnn-serve-ingest", move || {
-                ingest_loop(
-                    admission, sealed_tx, max_batch, deadline, next_epoch, durability, collector,
-                    sched_obs, obs, sampling,
-                )
-            }));
-        }
-        {
+            let batcher = Batcher {
+                admission: admission.clone(),
+                max_batch: config.max_batch,
+                next_epoch: next_epoch.clone(),
+                durability: durability.clone(),
+                collector: collector.clone(),
+                pull_obs: hub.stage_obs(StageId::Scheduler),
+                seal_obs: hub.stage_obs(StageId::Batcher),
+                sampling: config.metrics_sampling,
+            };
             // The live stage carries what the quiesced replay paths
             // (`warm_up`, `recover`) leave off: commit hooks and stage spans.
             let mut stage = StateStage::new(
@@ -677,7 +650,7 @@ impl StreamServer {
                 update: hub.stage_obs(StageId::Update),
             });
             workers.push(spawn("tgnn-serve-state", move || {
-                state_loop(sealed_rx, gnn_tx, stage)
+                state_loop(batcher, gnn_tx, stage)
             }));
         }
         {
@@ -691,7 +664,7 @@ impl StreamServer {
             }));
         }
         // Seal group commit (`OnSeal` only): one worker fsyncs all pending
-        // seals per call while the batcher runs ahead; `poll` gates delivery
+        // seals per call while the state worker runs ahead; `poll` gates delivery
         // on the synced watermark.
         let wal_sync = durability
             .as_ref()
@@ -1135,8 +1108,8 @@ impl StreamServer {
     /// # Panics
     /// Propagates a worker panic (e.g. an epoch-order violation).
     pub fn drain(&mut self) -> ServeReport {
-        // Close admission: the scheduler drains the remaining tenant queues
-        // and exits, and the shutdown ripples down the stages.
+        // Close admission: the state worker drains the remaining tenant
+        // queues and exits, and the shutdown ripples down the stages.
         self.admission.close();
         loop {
             while let Some(b) = self.results_rx.try_recv() {

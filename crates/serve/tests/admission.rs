@@ -129,7 +129,6 @@ fn drop_policies_never_drop_admitted_events() {
                 .collect();
             let config = ServeConfig {
                 max_batch: 5,
-                batch_deadline: Duration::from_secs(3600),
                 stage_capacity: 1,
                 results_capacity: 2,
                 num_shards: 2,
@@ -279,7 +278,7 @@ fn overloaded_shares(
                 polled += b.events.len() as u64;
             }
         }
-        // Yield the core so the ingest and stage workers interleave with
+        // Yield the core so the state and GNN workers interleave with
         // submission — sustained overload, not a burst-then-drain.
         std::thread::sleep(pace);
         lap += 1;
@@ -323,7 +322,7 @@ fn weighted_fair_draining_bounds_every_tenants_share_under_overload() {
     // (round-robin from one feed), tiny ingress AND downstream bounds so
     // the pipeline's slowness backs up into the tenant queues, and
     // DropNewest so the excess is shed rather than throttled.  Submission
-    // is paced just enough for the ingest and stage workers to run
+    // is paced just enough for the state and GNN workers to run
     // concurrently (this is a 1-vCPU-friendly rendition of sustained
     // overload): every tenant stays backlogged, so its *service* share must
     // track weight/Σweights.  The bound asserted is the acceptance
@@ -331,7 +330,6 @@ fn weighted_fair_draining_bounds_every_tenants_share_under_overload() {
     // its fair share either way.
     let tiny_bounds = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_secs(3600),
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 2,
@@ -347,7 +345,7 @@ fn weighted_fair_draining_bounds_every_tenants_share_under_overload() {
     }
 
     // Nothing hand-sized: default queues everywhere, weights 8:4:2:1, and a
-    // submitter that never yields.  The ingest worker pulls straight from
+    // submitter that never yields.  The state worker pulls straight from
     // the tenant queues, so service must come out as 53/27/13/7 % within
     // ±5 points — over the whole run, the arrival-order start and the
     // equal-depth drain tail (≤ 1024 events per tenant) included, hence the
@@ -377,8 +375,8 @@ fn weighted_fair_draining_bounds_every_tenants_share_under_overload() {
 fn late_policy_flags_deadline_misses_without_altering_results() {
     // Two runs under OverloadPolicy::Late differing only in the deadline:
     // an unmissable one (1 hour) and an unmeetable one (zero).  Batch
-    // boundaries are a function of load (the ingest worker seals when the
-    // state worker goes idle), so two live servers need not cut the stream
+    // boundaries are a function of load (the state worker takes whatever is
+    // pending when it pulls), so two live servers need not cut the stream
     // alike; what the disposition must not do is change *values*.  So each
     // run is graded against the serial engine on the boundaries it actually
     // served, and the runs are compared on what the deadline does decide —
@@ -388,7 +386,6 @@ fn late_policy_flags_deadline_misses_without_altering_results() {
     let run = |deadline: Duration| -> Vec<ServedBatch> {
         let config = ServeConfig {
             max_batch: 13,
-            batch_deadline: Duration::from_secs(3600),
             num_shards: 2,
             tenants: vec![TenantSpec::new("late-tenant")
                 .with_capacity(64)
@@ -447,7 +444,6 @@ fn multi_tenant_block_policy_serves_everything_bit_identically() {
         .collect();
     let config = ServeConfig {
         max_batch: 7,
-        batch_deadline: Duration::from_secs(3600),
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 3,

@@ -63,12 +63,11 @@ fn quantized_setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
     (model, graph)
 }
 
-/// No deadline seals: batches are cut by the cap or by the state worker
-/// going idle, so the replay comparisons follow the served boundaries.
+/// A batch is whatever was pending when the state worker pulled, up to the
+/// cap, so the replay comparisons follow the served boundaries.
 fn routed_config(tenants: Vec<TenantSpec>, num_shards: usize) -> ServeConfig {
     ServeConfig {
         max_batch: 32,
-        batch_deadline: Duration::from_secs(3600),
         num_shards,
         tenants,
         ..ServeConfig::default()
@@ -367,7 +366,6 @@ fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
     let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_secs(3600),
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 2,
@@ -509,7 +507,6 @@ fn per_tenant_staleness_bounds_tighten_the_shared_cache() {
     let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_secs(3600),
         stage_capacity: 1,
         results_capacity: 2,
         num_shards: 2,

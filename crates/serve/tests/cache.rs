@@ -53,7 +53,6 @@ fn multiset<'a>(events: impl Iterator<Item = &'a InteractionEvent>) -> Vec<(u32,
 fn overload_config(bound: u64, num_shards: usize) -> ServeConfig {
     ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_secs(3600),
         stage_capacity: 1,
         results_capacity: 2,
         num_shards,

@@ -1,7 +1,7 @@
 //! Thread and queue census: the server owns exactly the workers and queues
-//! its stage graph (ingest → state → GNN) names — three workers over three
-//! queues for any backend mix, plus the WAL syncer under `OnSeal`.  A
-//! re-introduced stage thread or inter-stage queue fails here.
+//! its stage graph (state → GNN) names — two workers over two queues for
+//! any backend mix, plus the WAL syncer under `OnSeal`.  A re-introduced
+//! stage thread or inter-stage queue fails here.
 //!
 //! One `#[test]` only: the census reads this process's thread list, so the
 //! cases must run one after another in a process of their own.
@@ -71,8 +71,8 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 
     // Whatever the backend mix: one worker per stage, one queue per hop.
-    let pipeline = ["tgnn-serve-gnn", "tgnn-serve-inge", "tgnn-serve-stat"];
-    let queues = ["ingest→state", "state→gnn", "gnn→results"];
+    let pipeline = ["tgnn-serve-gnn", "tgnn-serve-stat"];
+    let queues = ["state→gnn", "gnn→results"];
     let cases = [
         ("default", ServeConfig::default(), &pipeline[..]),
         (
@@ -93,19 +93,15 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
                 durability: Some(DurabilityConfig::new(&wal_dir).with_fsync(FsyncPolicy::OnSeal)),
                 ..ServeConfig::default()
             },
-            &[
-                "tgnn-serve-gnn",
-                "tgnn-serve-inge",
-                "tgnn-serve-stat",
-                "tgnn-serve-wal-",
-            ][..],
+            &["tgnn-serve-gnn", "tgnn-serve-stat", "tgnn-serve-wal-"][..],
         ),
     ];
 
     for (label, config, expected) in cases {
         assert!(
             serve_threads().is_empty(),
-            "{label}: a previous server's workers outlived its drain"
+            "{label}: a previous server's workers outlived its drain: {:?}",
+            serve_threads()
         );
         let tenants = config.tenants.len().max(1) as u32;
         let mut server = StreamServer::new(model.clone(), graph.clone(), config);

@@ -40,10 +40,9 @@ fn serve_stream(
 ) -> (Vec<ServedBatch>, tgnn_serve::ServeReport) {
     let config = ServeConfig {
         max_batch,
-        // No deadline seals: batches are cut by the cap or by the state
-        // worker going idle, so the boundaries vary from run to run — the
-        // replay comparison follows whatever was served.
-        batch_deadline: Duration::from_secs(3600),
+        // A batch is whatever was pending when the state worker pulled, up
+        // to the cap, so the boundaries vary from run to run — the replay
+        // comparison follows whatever was served.
         num_shards,
         ..ServeConfig::default()
     };
@@ -225,7 +224,6 @@ fn partial_batches_are_served_without_reaching_the_cap() {
     let graph = Arc::new(graph);
     let config = ServeConfig {
         max_batch: 1000, // never reached
-        batch_deadline: Duration::from_millis(10),
         num_shards: 2,
         ..ServeConfig::default()
     };
@@ -256,7 +254,6 @@ fn worker_panic_propagates_through_drain_instead_of_hanging() {
     let graph = Arc::new(graph);
     let config = ServeConfig {
         max_batch: 4,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         ..ServeConfig::default()
     };

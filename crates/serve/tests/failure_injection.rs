@@ -2,7 +2,7 @@
 //! (injected via the test-only [`GnnFaultHook`]) must unwind the pipeline
 //! through its dropped channel ends — `submit` fails `Closed`, `poll`
 //! terminates, `drain` propagates the panic — never hang it, whichever
-//! backend the faulted epoch was routed to.  (The ingest worker's death is
+//! backend the faulted epoch was routed to.  (The state worker's death is
 //! drilled by the recovery suite's injected WAL fault.)  Plus the
 //! stalled-disk drill: a group-commit fsync that outlasts the results queue
 //! must not deadlock a one-thread client.
@@ -83,7 +83,6 @@ fn panicking_gnn_worker_fails_submit_poll_drain() {
     let (model, graph) = setup(17);
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         gnn_fault: Some(panic_once_at_epoch_2()),
         ..ServeConfig::default()
@@ -114,7 +113,6 @@ fn panicking_gnn_worker_fails_submit_poll_drain() {
     const FAULT_EPOCH: u64 = 4;
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_secs(3600),
         num_shards: 2,
         tenants: vec![
             TenantSpec::new("f32").with_backend(BackendKind::F32),
@@ -169,7 +167,6 @@ fn fault_on_late_epoch_still_unwinds_after_successful_batches() {
     let (model, graph) = setup(23);
     let config = ServeConfig {
         max_batch: 4,
-        batch_deadline: Duration::from_secs(3600), // cap / idle seals only
         num_shards: 3,
         gnn_fault: Some(Arc::new(|epoch| epoch == 5)),
         ..ServeConfig::default()
@@ -222,7 +219,6 @@ fn fsync_stall_longer_than_the_results_queue_does_not_deadlock_a_block_client() 
     let release = Arc::new(Mutex::new(Some(release)));
     let config = ServeConfig {
         max_batch: 4,
-        batch_deadline: Duration::from_secs(3600),
         stage_capacity: 1,
         results_capacity: 2,
         tenants: vec![TenantSpec::new("block").with_capacity(8)],

@@ -57,7 +57,6 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
     let (model, graph) = setup(11);
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         ..ServeConfig::default()
     };
@@ -84,7 +83,7 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
             assert!(m.enabled);
             assert!(m.epochs > 0, "epochs must be sealed mid-stream");
             let queues: Vec<&str> = m.queues.iter().map(|q| q.name).collect();
-            assert_eq!(queues, ["ingest→state", "state→gnn", "gnn→results"]);
+            assert_eq!(queues, ["state→gnn", "gnn→results"]);
             live_seen = true;
         }
     }
@@ -164,7 +163,7 @@ fn metrics_snapshot_live_under_load_and_after_drain() {
 
     // The renderers include their key markers.
     let table = m.render_table();
-    assert!(table.contains("ingest→state"));
+    assert!(table.contains("state→gnn"));
     assert!(table.contains("batch latency"));
     let prom = m.to_prometheus();
     assert!(prom.contains("# TYPE tgnn_queue_depth gauge"));
@@ -183,12 +182,11 @@ fn seal_reasons_and_batch_sizes_are_exported_under_pinned_names() {
     let (model, graph) = setup(41);
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_secs(3600),
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), config);
-    // Lockstep: one event in flight.  Whenever it is sealed the state
-    // worker has nothing else to do, so every batch is an idle seal of one.
+    // Lockstep: one event in flight.  Whenever the state worker pulls it,
+    // nothing else is pending, so every batch is an idle seal of one.
     for &e in &graph.events()[..EVENTS] {
         server.submit(e).unwrap();
         let give_up = std::time::Instant::now() + Duration::from_secs(30);
@@ -201,10 +199,7 @@ fn seal_reasons_and_batch_sizes_are_exported_under_pinned_names() {
     let m = server.metrics();
     let seals = |r: SealReason| m.seals[r.code()];
     assert_eq!(seals(SealReason::Idle), EVENTS as u64);
-    assert_eq!(
-        seals(SealReason::Full) + seals(SealReason::Deadline) + seals(SealReason::Close),
-        0
-    );
+    assert_eq!(seals(SealReason::Full) + seals(SealReason::Close), 0);
     assert_eq!(m.batch_events.count(), EVENTS as u64);
     assert_eq!(m.batch_events.max(), 1);
 
@@ -213,7 +208,6 @@ fn seal_reasons_and_batch_sizes_are_exported_under_pinned_names() {
         "# TYPE tgnn_seals_total counter",
         "tgnn_seals_total{reason=\"full\"} 0",
         "tgnn_seals_total{reason=\"idle\"} 20",
-        "tgnn_seals_total{reason=\"deadline\"} 0",
         "tgnn_seals_total{reason=\"close\"} 0",
         "# TYPE tgnn_batch_events summary",
         "tgnn_batch_events{quantile=\"0.5\"} 1",
@@ -228,10 +222,10 @@ fn seal_reasons_and_batch_sizes_are_exported_under_pinned_names() {
     }
     assert!(m
         .render_table()
-        .contains("sealed full 0 / idle 20 / deadline 0 / close 0"));
+        .contains("sealed full 0 / idle 20 / close 0"));
     assert!(m
         .to_json_line()
-        .contains("\"tgnn_seals_total\":{\"full\":0,\"idle\":20,\"deadline\":0,\"close\":0}"));
+        .contains("\"tgnn_seals_total\":{\"full\":0,\"idle\":20,\"close\":0}"));
 }
 
 #[test]
@@ -262,7 +256,6 @@ fn durable_session_reports_fsync_latency_and_snapshot_lag() {
     let td = TempDir::new("durable");
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         durability: Some(
             DurabilityConfig::new(td.path())
@@ -310,7 +303,6 @@ fn jsonl_sampler_appends_parseable_lines() {
         graph.clone(),
         ServeConfig {
             max_batch: 8,
-            batch_deadline: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );
@@ -353,7 +345,6 @@ fn metrics_off_disables_spans_histograms_and_flight_recorder() {
         graph.clone(),
         ServeConfig {
             max_batch: 8,
-            batch_deadline: Duration::from_millis(1),
             metrics: false,
             ..ServeConfig::default()
         },
@@ -368,7 +359,7 @@ fn metrics_off_disables_spans_histograms_and_flight_recorder() {
     let m = server.metrics();
     assert!(!m.enabled);
     // Queue stats and tenant counters are structural — they stay live.
-    assert_eq!(m.queues.len(), 3);
+    assert_eq!(m.queues.len(), 2);
     assert_eq!(m.tenants[0].served as usize, graph.num_events());
     // Everything the recording path feeds stays empty.
     assert_eq!(m.flight.recorded, 0);
@@ -405,7 +396,6 @@ fn flight_recorder_dump_survives_gnn_panic() {
     };
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         gnn_fault: Some(hook),
         ..ServeConfig::default()
@@ -462,7 +452,6 @@ fn sampling_rate_one_records_every_scheduler_span() {
     let (model, graph) = setup(61);
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         metrics_sampling: 1,
         // Large enough that nothing is evicted: the full-rate scheduler
         // traffic plus the per-epoch stage spans must all survive.
@@ -541,7 +530,6 @@ fn snapshot_lag_seconds_tracks_the_last_completed_snapshot() {
     let td = TempDir::new("lag-seconds");
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         durability: Some(
             DurabilityConfig::new(td.path())
                 .with_fsync(FsyncPolicy::OnSeal)
@@ -612,7 +600,6 @@ fn full_session(names: [&str; 4], label: &str) -> (StreamServer, TempDir) {
     let [a, b, c, d] = names;
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         tenants: vec![
             TenantSpec::new(a).with_backend(BackendKind::F32),

@@ -35,7 +35,6 @@ fn sustained_overload_stays_bounded_and_completes() {
             // run executes under backpressure.
             let config = ServeConfig {
                 max_batch: 3,
-                batch_deadline: Duration::from_secs(3600),
                 tenants: vec![TenantSpec::new("default").with_capacity(2)],
                 stage_capacity: 1,
                 results_capacity: 2,
@@ -97,55 +96,64 @@ fn sustained_overload_stays_bounded_and_completes() {
 }
 
 /// Load-adaptive batching at its other end: a saturated pipeline fills
-/// every batch to `max_batch`.  The ingest worker seals early only when the
-/// state worker is parked on an empty sealed-batch queue, and under
-/// backpressure it never is — it is blocked *sending*, with the next batch
-/// already queued behind it.  The ingress queue is smaller than a batch, so
-/// no single pull can fill one: the worker has to hold a partial batch
-/// across pulls, which is exactly where a wrong idle signal would cut it.
+/// every batch to `min(max_batch, Σ ingress capacities)`.  The state worker
+/// takes what is pending each time it finishes a batch; under backpressure
+/// the submitter refills its ingress queue faster than a batch is stepped,
+/// so every pull finds the queue full — and a queue smaller than the cap
+/// bounds the batch, because nothing is held across pulls.
 #[test]
-fn saturated_pipeline_fills_every_batch_to_the_cap() {
+fn saturated_pipeline_fills_every_batch_to_the_smaller_of_cap_and_queue() {
     const CAP: usize = 8;
     const RAMP: usize = 16;
     let (model, graph) = setup(11);
-    let config = ServeConfig {
-        max_batch: CAP,
-        batch_deadline: Duration::from_secs(3600),
-        tenants: vec![TenantSpec::new("default").with_capacity(CAP / 2)],
-        // The hook never fires; it holds every GNN job for 2 ms, which
-        // makes the pipeline slower than any submitter on any host.
-        gnn_fault: Some(Arc::new(|_| {
-            std::thread::sleep(Duration::from_millis(2));
-            false
-        })),
-        ..ServeConfig::default()
-    };
-    let mut server = StreamServer::new(model, graph.clone(), config);
-    let mut sizes = Vec::new();
-    for &e in graph.events() {
-        server.submit(e).unwrap();
+    for (capacity, full_size) in [(2 * CAP, CAP), (CAP / 2, CAP / 2)] {
+        let label = format!("ingress capacity {capacity}, max_batch {CAP}");
+        let config = ServeConfig {
+            max_batch: CAP,
+            tenants: vec![TenantSpec::new("default").with_capacity(capacity)],
+            // The hook never fires; it holds every GNN job for 2 ms, which
+            // makes the pipeline slower than any submitter on any host.
+            gnn_fault: Some(Arc::new(|_| {
+                std::thread::sleep(Duration::from_millis(2));
+                false
+            })),
+            ..ServeConfig::default()
+        };
+        let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+        let mut sizes = Vec::new();
+        for &e in graph.events() {
+            server.submit(e).unwrap();
+            while let Some(b) = server.poll() {
+                sizes.push(b.events.len());
+            }
+        }
+        server.drain();
         while let Some(b) = server.poll() {
             sizes.push(b.events.len());
         }
+        assert_eq!(sizes.iter().sum::<usize>(), graph.num_events(), "{label}");
+        assert!(
+            sizes.iter().all(|&n| n <= full_size),
+            "{label}: a batch outgrew min(max_batch, capacity): {sizes:?}"
+        );
+        // After the ramp (the queue between the state worker and the held
+        // GNN stage filling up) and before the remainder sealed at close.
+        let steady = &sizes[RAMP..sizes.len() - 1];
+        let full = steady.iter().filter(|&&n| n == full_size).count();
+        assert!(
+            full * 100 >= steady.len() * 95,
+            "{label}: {full} of {} steady-state batches held {full_size}: {sizes:?}",
+            steady.len()
+        );
+        let seals = server.metrics().seals;
+        let cap_seals = seals[SealReason::Full.code()];
+        if full_size == CAP {
+            assert!(
+                cap_seals >= full as u64,
+                "{label}: full batches are sealed by the cap: {seals:?}"
+            );
+        } else {
+            assert_eq!(cap_seals, 0, "{label}: the cap is never reached");
+        }
     }
-    server.drain();
-    while let Some(b) = server.poll() {
-        sizes.push(b.events.len());
-    }
-    assert_eq!(sizes.iter().sum::<usize>(), graph.num_events());
-    assert!(sizes.iter().all(|&n| n <= CAP), "max_batch is the cap");
-    // After the ramp (the queues between the state worker and the held GNN
-    // stage filling up) and before the remainder sealed at close.
-    let steady = &sizes[RAMP..sizes.len() - 1];
-    let full = steady.iter().filter(|&&n| n == CAP).count();
-    assert!(
-        full * 100 >= steady.len() * 95,
-        "{full} of {} steady-state batches were full: {sizes:?}",
-        steady.len()
-    );
-    let seals = server.metrics().seals;
-    assert!(
-        seals[SealReason::Full.code()] >= full as u64,
-        "full batches are sealed by the cap: {seals:?}"
-    );
 }

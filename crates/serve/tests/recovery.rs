@@ -113,10 +113,9 @@ fn assert_matches_serial(
 fn base_config(dir: &Path, fsync: FsyncPolicy) -> ServeConfig {
     ServeConfig {
         max_batch: 16,
-        // No deadline seals.  Where the ingest worker cuts the stream still
-        // depends on timing (it seals when the state worker goes idle), so
-        // every check below replays the boundaries that were served.
-        batch_deadline: Duration::from_secs(3600),
+        // Where the state worker cuts the stream depends on timing (a batch
+        // is whatever was pending when it pulled), so every check below
+        // replays the boundaries that were served.
         tenants: vec![TenantSpec::new("default").with_capacity(32)],
         stage_capacity: 2,
         results_capacity: 4,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel};
 use tgnn_data::{generate, tiny};
-use tgnn_durable::{DurabilityConfig, FsyncPolicy};
+use tgnn_durable::{DurabilityConfig, FsyncPolicy, WalFaultPoint};
 use tgnn_graph::TemporalGraph;
 use tgnn_serve::{
     BurnState, CriticalPath, SegmentId, ServeConfig, SloConfig, StreamServer, TraceView,
@@ -129,7 +129,6 @@ fn additive_segments_tile_the_measured_latency_across_topologies() {
     for &(seed, shards) in &[(3u64, 1usize), (5, 2), (7, 4)] {
         let config = ServeConfig {
             max_batch: 8,
-            batch_deadline: Duration::from_millis(1),
             num_shards: shards,
             ..ServeConfig::default()
         };
@@ -146,16 +145,25 @@ fn additive_segments_tile_the_measured_latency_across_topologies() {
 fn durability_run_conserves_and_surfaces_wal_sync_wait() {
     // Lockstep feed: submit a batch's worth of events (one epoch, or two
     // when the idle state worker is handed the first event alone), then
-    // spin-poll until an epoch delivers.  With the pipeline this shallow
-    // the batch completes well inside the syncer's group-commit window, so
-    // the spin itself witnesses the blocked delivery gate — the race that
-    // a free-running feed only wins on warm-up epochs.
+    // spin-poll until an epoch delivers.  Every group commit is held 5 ms
+    // before its fsync, longer than a two-event epoch takes to compute, so
+    // the spin witnesses the blocked delivery gate whatever the disk's
+    // speed — without the stall a fast fsync can win every epoch's race.
     let dir = TempDir::new("conserve");
+    let stall: tgnn_durable::WalFaultHook = Arc::new(|point| {
+        if let WalFaultPoint::Sync(_) = point {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        false
+    });
     let config = ServeConfig {
         max_batch: 2,
-        batch_deadline: Duration::from_secs(3600),
         num_shards: 2,
-        durability: Some(DurabilityConfig::new(dir.path()).with_fsync(FsyncPolicy::OnSeal)),
+        durability: Some(
+            DurabilityConfig::new(dir.path())
+                .with_fsync(FsyncPolicy::OnSeal)
+                .with_wal_fault(stall),
+        ),
         ..ServeConfig::default()
     };
     let (model, graph) = setup(9);
@@ -200,7 +208,6 @@ fn durability_run_conserves_and_surfaces_wal_sync_wait() {
 fn critical_path_blames_the_dominant_segment() {
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         ..ServeConfig::default()
     };
@@ -247,7 +254,6 @@ fn tail_and_head_exemplars_are_retained_in_the_snapshot() {
     let (model, graph) = setup(17);
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         // Head-sample every delivered epoch so the ring cannot be empty.
         metrics_sampling: 1,
@@ -282,7 +288,6 @@ fn slo_engine_reports_latency_and_drop_lanes_from_live_traffic() {
     let (model, graph) = setup(19);
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         num_shards: 2,
         slo: Some(SloConfig {
             // Generous objective: healthy traffic must not fire.
@@ -319,7 +324,6 @@ fn slo_engine_reports_latency_and_drop_lanes_from_live_traffic() {
 fn metrics_off_disables_tracing_entirely() {
     let config = ServeConfig {
         max_batch: 8,
-        batch_deadline: Duration::from_millis(1),
         metrics: false,
         ..ServeConfig::default()
     };

@@ -33,7 +33,6 @@ fn main() {
     //    aggregates counters, queue depths, and latency histograms.
     let serve_config = ServeConfig {
         max_batch: 64,
-        batch_deadline: Duration::from_millis(5),
         num_shards: 4,
         ..ServeConfig::default()
     };

@@ -10,7 +10,6 @@
 //! Run with: `cargo run --release --example streaming_serve`
 
 use std::sync::Arc;
-use std::time::Duration;
 use tgnn::prelude::*;
 use tgnn_data::delta_t::memory_delta_t;
 
@@ -36,14 +35,13 @@ fn main() {
     let mut model = TgnModel::new(config, &mut rng);
     model.calibrate_lut(&memory_delta_t(graph.events(), graph.num_nodes()));
 
-    // 3. A streaming server: 4 vertex shards, micro-batches sealed whenever
-    //    the state worker runs out of work — capped at 200 events, with a
-    //    20 ms backstop for a straggler behind a slow batch.  Three workers
-    //    (ingest, state, GNN) over three queues; the one GNN worker computes
-    //    batches in epoch order, bit-identical to the serial engine.
+    // 3. A streaming server: 4 vertex shards; each micro-batch is whatever
+    //    was pending when the state worker finished the previous one,
+    //    capped at 200 events.  Two workers (state, GNN) over two queues;
+    //    the one GNN worker computes batches in epoch order, bit-identical
+    //    to the serial engine.
     let serve_config = ServeConfig {
         max_batch: 200,
-        batch_deadline: Duration::from_millis(20),
         num_shards: 4,
         ..ServeConfig::default()
     };
