@@ -79,9 +79,9 @@ fn main() {
         let seals = AtomicU64::new(0);
         durability = durability.with_wal_fault(wal_fault_hook(move |_epoch| {
             if seals.fetch_add(1, Ordering::SeqCst) + 1 == at {
-                // Let the group-commit syncer finish the seals already
-                // requested, so the second life has epochs to re-serve; what
-                // is admitted meanwhile stays in the buffer and dies with us.
+                // Let the GNN worker compute and sync the batches already
+                // sealed, so the second life has epochs to re-serve; what is
+                // admitted meanwhile stays in the buffer and dies with us.
                 std::thread::sleep(Duration::from_millis(50));
                 eprintln!("crash drill: aborting before streamed seal #{at}");
                 std::process::abort();

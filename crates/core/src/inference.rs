@@ -55,7 +55,10 @@ use tgnn_tensor::{Float, Matrix, Workspace};
 ///   that is not bit-identical** to the serial reference — its embedding
 ///   error is measured (cosine similarity / max-abs), not zero, which is why
 ///   attaching the weights is an explicit step
-///   ([`Self::with_quantized`](InferenceEngine::with_quantized)).
+///   ([`Self::with_quantized`](InferenceEngine::with_quantized)).  A model
+///   that carries an int8 weight set always runs it on the batched path, so
+///   [`InferenceEngine::new`] picks this mode for such a model and the
+///   batched f32 modes refuse it — the mode never mislabels the kernels.
 ///
 /// # Selection guide
 ///
@@ -193,10 +196,17 @@ pub struct InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Creates an engine for a graph with `num_nodes` vertices.
+    /// Creates an engine for a graph with `num_nodes` vertices, in the
+    /// default mode — [`ExecMode::Quantized`] when the model carries an
+    /// int8 weight set, since that is what its batched forwards run.
     pub fn new(model: TgnModel, num_nodes: usize) -> Self {
         let memory = NodeMemory::for_config(num_nodes, &model.config);
         let sampler = FifoSampler::new(num_nodes, model.config.sampled_neighbors);
+        let mode = if model.is_quantized() {
+            ExecMode::Quantized
+        } else {
+            ExecMode::default()
+        };
         Self {
             model,
             memory,
@@ -206,7 +216,7 @@ impl InferenceEngine {
             timings: StageTimings::default(),
             embeddings_generated: 0,
             events_processed: 0,
-            mode: ExecMode::default(),
+            mode,
             ws: Workspace::new(),
             par_workspaces: Vec::new(),
             observer: None,
@@ -216,9 +226,9 @@ impl InferenceEngine {
     /// Builder-style execution-mode override.
     ///
     /// # Panics
-    /// Panics when asked for [`ExecMode::Quantized`] without an attached
-    /// int8 weight set (see [`Self::with_quantized`]) — running f32 while
-    /// reporting `Quantized` would silently misattribute every measurement.
+    /// As [`Self::set_mode`]: when the mode does not name the kernels the
+    /// model would run — reporting one datapath while running the other
+    /// would silently misattribute every measurement.
     pub fn with_mode(mut self, mode: ExecMode) -> Self {
         self.set_mode(mode);
         self
@@ -250,12 +260,21 @@ impl InferenceEngine {
     /// # Panics
     /// Panics when asked for [`ExecMode::Quantized`] without an attached
     /// int8 weight set — attach one first ([`Self::with_quantized`] does
-    /// both in order).
+    /// both in order) — and when asked for [`ExecMode::Batched`] or
+    /// [`ExecMode::Parallel`] *with* one: those name the f32 kernels, but an
+    /// attached set runs int8 on every batched path.
     pub fn set_mode(&mut self, mode: ExecMode) {
+        let quantized = self.model.is_quantized();
         assert!(
-            mode != ExecMode::Quantized || self.model.is_quantized(),
+            mode != ExecMode::Quantized || quantized,
             "ExecMode::Quantized requires an attached int8 weight set \
              (InferenceEngine::with_quantized / TgnModel::attach_quantized)"
+        );
+        assert!(
+            !matches!(mode, ExecMode::Batched | ExecMode::Parallel) || !quantized,
+            "ExecMode::{mode:?} runs the f32 kernels, but the model carries an \
+             int8 weight set: TgnModel::detach_quantized it first, or ask for \
+             ExecMode::Quantized"
         );
         self.mode = mode;
     }

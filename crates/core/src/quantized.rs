@@ -503,4 +503,42 @@ mod tests {
             );
         }
     }
+
+    /// `model` with a small calibrated int8 set attached.
+    fn attached(mut model: TgnModel, graph: &TemporalGraph) -> TgnModel {
+        let events = graph.events();
+        let q = quantize_model(
+            &model,
+            graph,
+            &events[..50],
+            &events[50..150],
+            50,
+            QuantConfig::default(),
+        );
+        model.attach_quantized(Arc::new(q));
+        model
+    }
+
+    /// An attached set runs int8 on every batched path, so an engine built
+    /// on such a model says so.
+    #[test]
+    fn an_attached_model_defaults_to_the_quantized_mode() {
+        let (model, graph) = setup(OptimizationVariant::NpMedium);
+        let mut model = attached(model, &graph);
+        let engine = InferenceEngine::new(model.clone(), graph.num_nodes());
+        assert_eq!(engine.mode(), ExecMode::Quantized);
+        model.detach_quantized();
+        let engine = InferenceEngine::new(model, graph.num_nodes());
+        assert_eq!(engine.mode(), ExecMode::default());
+    }
+
+    /// `Batched` names the f32 kernels: on an attached model it would run
+    /// int8 under an f32 label.
+    #[test]
+    #[should_panic(expected = "detach_quantized")]
+    fn an_f32_mode_refuses_an_attached_model() {
+        let (model, graph) = setup(OptimizationVariant::NpMedium);
+        let model = attached(model, &graph);
+        let _ = InferenceEngine::new(model, graph.num_nodes()).with_mode(ExecMode::Batched);
+    }
 }

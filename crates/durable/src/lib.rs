@@ -12,7 +12,8 @@
 //!
 //! * **A write-ahead log** ([`wal`]): length-prefixed, CRC-framed records of
 //!   every admission outcome, eviction, sealed micro-batch, and delivered
-//!   epoch, in rotating segments, flushed before each batch seal.  Replaying
+//!   epoch, in rotating segments, synced before a sealed batch's results
+//!   leave the pipeline.  Replaying
 //!   the tail over the latest valid snapshot reproduces the exact pipeline
 //!   state — including drops-at-ingress semantics — at the crash point.
 //!
@@ -113,9 +114,10 @@ pub struct DurabilityConfig {
     /// WAL segment rotation threshold in bytes.
     pub segment_bytes: u64,
     /// Test-only fault injection, consulted at every [`WalFaultPoint`]:
-    /// before a `Seal` append it can crash the batcher (freezing the WAL, so
-    /// buffered records are lost as in a real crash); before a group-commit
-    /// fsync it can stall the syncer.
+    /// before a `Seal` append, `true` crashes the state worker (freezing the
+    /// WAL, so buffered records are lost as in a real crash); before a seal
+    /// flush it can stall the GNN worker, and `true` fails the sync point —
+    /// the GNN worker panics and nothing from that epoch on is delivered.
     pub wal_fault: Option<WalFaultHook>,
 }
 

@@ -10,9 +10,8 @@
 //! * an event's `Admit` precedes any `Seal` containing it (the admit is
 //!   written under the admission lock before the event is enqueued);
 //! * a batch's `Seal` is made durable before the batch's results are
-//!   *delivered* (group commit: the serve layer gates delivery on the seal
-//!   fsync watermark), hence before its `Ack` (written at delivery) can
-//!   exist.
+//!   *delivered* (the serve layer's GNN worker syncs it before handing the
+//!   batch on), hence before its `Ack` (written at delivery) can exist.
 //!
 //! Therefore in any durable prefix: every sealed event has a durable admit,
 //! every acked epoch has a durable seal, and `max(Ack) <= max(Seal)`.  The

@@ -40,6 +40,7 @@
 use crate::codec::{put_float_vec, put_floats, Cursor};
 use crate::crc::crc32;
 use crate::DurableError;
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -203,33 +204,29 @@ pub fn decode_neighbor_shard(payload: &[u8]) -> Result<NeighborTable, DurableErr
     let mut c = Cursor::new(payload);
     let n = c.u32()? as usize;
     let capacity = c.u32()? as usize;
-    if capacity == 0 {
-        return Err(DurableError::corrupt("neighbor shard capacity is zero"));
-    }
     if n > payload.len() / 4 + 1 {
         return Err(DurableError::corrupt(
             "neighbor shard node count implausible",
         ));
     }
-    let mut table = NeighborTable::new(n, capacity);
-    for v in 0..n {
+    // Storage grows with the entries actually read, never with a count the
+    // payload has not backed with bytes yet.
+    let mut fifos = Vec::with_capacity(n);
+    for _ in 0..n {
         let degree = c.u32()? as usize;
-        if degree > capacity {
-            return Err(DurableError::corrupt("neighbor degree exceeds capacity"));
-        }
+        let mut fifo = VecDeque::new();
         for _ in 0..degree {
-            table.push(
-                v as u32,
-                NeighborEntry {
-                    neighbor: c.u32()?,
-                    edge_id: c.u32()?,
-                    timestamp: c.f64()?,
-                },
-            );
+            fifo.push_back(NeighborEntry {
+                neighbor: c.u32()?,
+                edge_id: c.u32()?,
+                timestamp: c.f64()?,
+            });
         }
+        fifos.push(fifo);
     }
     c.done()?;
-    Ok(table)
+    NeighborTable::from_fifos(capacity, fifos)
+        .map_err(|e| DurableError::corrupt(format!("neighbor shard: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -746,6 +743,38 @@ mod tests {
         encode_neighbor_shard(&t, &mut buf);
         assert_table_eq(&decode_neighbor_shard(&buf).unwrap(), &t);
         assert!(decode_neighbor_shard(&buf[..buf.len() - 1]).is_err());
+    }
+
+    /// Every truncated prefix of a neighbor payload, and every flip of a
+    /// header byte (node count, capacity) or a degree byte, decodes to an
+    /// error or to a table that keeps its invariants — never a panic, and
+    /// never an allocation the payload does not account for.
+    #[test]
+    fn neighbor_shard_decoder_survives_truncation_and_flipped_counts() {
+        let t = sample_table();
+        let mut buf = Vec::new();
+        encode_neighbor_shard(&t, &mut buf);
+        for len in 0..buf.len() {
+            assert!(decode_neighbor_shard(&buf[..len]).is_err(), "prefix {len}");
+        }
+        let mut positions: Vec<usize> = (0..8).collect();
+        let mut at = 8;
+        for v in 0..t.num_nodes() as u32 {
+            positions.extend(at..at + 4);
+            at += 4 + 16 * t.degree(v);
+        }
+        assert_eq!(at, buf.len(), "count positions follow the encoding");
+        for &i in &positions {
+            for mask in (0..8).map(|b| 1u8 << b).chain([0xFF]) {
+                let mut bad = buf.clone();
+                bad[i] ^= mask;
+                if let Ok(table) = decode_neighbor_shard(&bad) {
+                    table
+                        .check_invariants()
+                        .unwrap_or_else(|e| panic!("byte {i} ^ {mask:#04x}: {e}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,12 +55,12 @@ pub enum WalFaultPoint {
     /// The state worker is about to append this epoch's `Seal` record.
     /// Returning `true` freezes the WAL (buffered, unflushed records are
     /// lost — simulating process death) and makes the caller panic so the
-    /// pipeline unwinds through the same poison machinery a real worker
-    /// death uses.
+    /// pipeline unwinds as it does on a real worker death.
     Seal(u64),
-    /// The group-commit syncer is about to fsync every seal up to this
-    /// epoch.  The hook may block to model a stalled disk; its return value
-    /// is ignored.
+    /// The serve layer is about to flush this epoch's `Seal` (and every
+    /// record appended before it) to make it durable.  The hook may block
+    /// to model a stalled disk; returning `true` fails the sync point, as a
+    /// failed `fsync` would: the caller panics with the epoch undelivered.
     Sync(u64),
 }
 
@@ -133,10 +133,11 @@ pub enum WalRecord {
         event: InteractionEvent,
     },
     /// A sealed micro-batch: the authoritative content and order of pipeline
-    /// epoch `epoch`.  Written and flushed *before* the batch is handed to
-    /// the sampler, so every served batch has a durable seal.  Events carry
-    /// their tenant because the weighted-fair scheduler interleaves tenants
-    /// nondeterministically — admit order alone cannot reproduce a batch.
+    /// epoch `epoch`.  Appended *before* the batch is stepped and made
+    /// durable before its results leave the pipeline, so every served batch
+    /// has a durable seal.  Events carry their tenant because the
+    /// weighted-fair scheduler interleaves tenants nondeterministically —
+    /// admit order alone cannot reproduce a batch.
     Seal {
         /// 1-based pipeline epoch of the batch.
         epoch: u64,
@@ -277,8 +278,8 @@ struct WalWriter {
     /// next sync point drains this list along with the current segment —
     /// without it, a rotation would strand the old segment's tail in the
     /// page cache forever while every later fsync targets only the new
-    /// file, and the synced watermark could mark seals durable that a power
-    /// loss would erase.
+    /// file, and a sync point could vouch for seals that a power loss
+    /// would erase.
     pending_sync: Vec<Arc<File>>,
 }
 
@@ -312,9 +313,9 @@ impl WalWriter {
     /// Pushes buffered frames to the OS and hands back the segment handle so
     /// the caller can `fsync` it **after releasing the writer lock** — the
     /// disk wait must never stall concurrent appenders (the admission path
-    /// logs admits under its own lock while the batcher syncs seals; holding
-    /// the writer lock across the fsync would serialize ingress with the
-    /// disk and cost half the pipeline's throughput).  Syncing a handle
+    /// logs admits under its own lock while the GNN worker syncs seals;
+    /// holding the writer lock across the fsync would serialize ingress with
+    /// the disk and cost half the pipeline's throughput).  Syncing a handle
     /// outside the lock is sound: the bytes this flush made visible to the
     /// OS are written before the lock is released, and `sync_data` persists
     /// at least those — concurrent writes landing in the same segment are
@@ -462,8 +463,7 @@ impl Wal {
         // segment — frames never split across files.  The retiring
         // segment's handle joins the pending-sync list: its just-written
         // tail is only in the page cache, and the next sync point must fsync
-        // it too, or the synced watermark would cover bytes a power loss
-        // could erase.
+        // it too, or it would vouch for bytes a power loss could erase.
         if w.file_bytes + w.buf.len() as u64 >= w.segment_bytes {
             if let Some(retired) = w.flush_os()? {
                 w.pending_sync.push(retired);
@@ -768,8 +768,8 @@ mod tests {
     fn rotation_retired_segments_are_fsynced_at_the_next_sync_point() {
         // Regression: rotation used to discard the retiring segment's handle
         // after write(), so its tail was never fsynced — later syncs hit only
-        // the new segment and the group-commit watermark could mark seals
-        // durable whose bytes sat in a retired segment's page cache.  Every
+        // the new segment and a sync point could vouch for seals whose bytes
+        // sat in a retired segment's page cache.  Every
         // sync point must drain the retired handles too: after R rotations
         // with no intervening sync, one flush(true) issues exactly R+1
         // fsyncs (each retired segment, then the current one).
@@ -867,6 +867,54 @@ mod tests {
         drop(wal);
         let scan = read_wal(&dir).unwrap();
         assert_eq!(scan.records, vec![WalRecord::Ack { epoch: 1 }]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log of every record kind over two segments (the second holds only
+    /// the final frame), with each bit of each byte flipped in turn: the
+    /// scan never panics and never returns anything but a prefix of what
+    /// was written.  A flip in the first segment is mid-log corruption
+    /// (`Err`); one in the last frame is an `Err` or a torn tail.
+    #[test]
+    fn every_bit_flip_fails_the_scan_or_tears_the_tail() {
+        let dir = std::env::temp_dir().join(format!("tgnn-wal-flip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut written = sample_records();
+        let wal = Wal::open(&dir, 0, 1 << 20, FsyncPolicy::Never).unwrap();
+        for rec in &written {
+            wal.append(rec).unwrap();
+        }
+        wal.flush(false).unwrap();
+        let last = WalRecord::Ack { epoch: 8 };
+        let wal = Wal::open(&dir, 1, 1 << 20, FsyncPolicy::Never).unwrap();
+        wal.append(&last).unwrap();
+        wal.flush(false).unwrap();
+        drop(wal);
+        written.push(last);
+        assert_eq!(read_wal(&dir).unwrap().records, written);
+
+        for seq in [1, 2] {
+            let path = dir.join(segment_name(seq));
+            let good = std::fs::read(&path).unwrap();
+            for i in 0..good.len() {
+                for bit in 0..8 {
+                    let mut bad = good.clone();
+                    bad[i] ^= 1 << bit;
+                    std::fs::write(&path, &bad).unwrap();
+                    let at = format!("segment {seq}, byte {i}, bit {bit}");
+                    match read_wal(&dir) {
+                        Ok(scan) => {
+                            assert_eq!(seq, 2, "{at}: mid-log corruption scanned clean");
+                            let torn = scan.torn.expect("a flipped last frame tears");
+                            assert_eq!(scan.records, written[..written.len() - 1], "{at}");
+                            assert_eq!(torn.valid_len, 0, "{at}");
+                        }
+                        Err(e) => assert!(matches!(e, DurableError::Corrupt(_)), "{at}: {e}"),
+                    }
+                }
+            }
+            std::fs::write(&path, &good).unwrap();
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -45,6 +45,23 @@ impl NeighborTable {
         }
     }
 
+    /// A table over already-filled FIFOs, one per vertex, oldest entry
+    /// first — how a snapshot decoder rebuilds one.  Unlike [`Self::new`] it
+    /// reserves nothing beyond what the entries occupy, so an untrusted
+    /// `capacity` costs no memory.  Fails if `capacity` is zero or a FIFO
+    /// breaks [`Self::check_invariants`].
+    pub fn from_fifos(
+        capacity: usize,
+        entries: Vec<VecDeque<NeighborEntry>>,
+    ) -> Result<Self, String> {
+        if capacity == 0 {
+            return Err("capacity must be positive".into());
+        }
+        let table = Self { capacity, entries };
+        table.check_invariants()?;
+        Ok(table)
+    }
+
     /// The per-vertex capacity `mr`.
     pub fn capacity(&self) -> usize {
         self.capacity

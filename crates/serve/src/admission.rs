@@ -443,7 +443,7 @@ struct AdmissionState {
 /// embedding cache instead of shedding it ([`OverloadPolicy::ServeStale`]).
 /// The stale output queue is drained by `StreamServer::poll` *ahead of*
 /// pipeline results — stale batches never pass through the pipeline (and
-/// therefore need no durability seal gate).
+/// answer from embeddings whose seal was already durable when cached).
 pub(crate) struct StaleServing {
     /// The shared embedding cache (population and invalidation happen in
     /// the pipeline; admission only reads).

@@ -8,14 +8,14 @@
 //! * **Admits** are appended by the admission layer under its state lock
 //!   (see `AdmissionControl::with_wal`), so an event's `Admit` always
 //!   precedes any `Seal` containing it.
-//! * **Seals** are appended by the batcher when it seals the batch, and made
-//!   durable by *group commit*: under the default
-//!   [`FsyncPolicy::OnSeal`](tgnn_durable::FsyncPolicy) the batcher only
-//!   *requests* an fsync (it never blocks on the disk), a dedicated syncer
-//!   worker fsyncs all pending seals in one call, and `poll` holds each
-//!   completed batch until the synced watermark covers it — a batch can
-//!   only have been *delivered* if its seal is durable, while the pipeline
-//!   itself runs at compute speed even through fsync latency spikes.
+//! * **Seals** are appended by the state worker when it seals the batch
+//!   (`Durability::append_seal`) and made durable by the GNN worker
+//!   before it hands the computed batch on (`Durability::sync_seal`):
+//!   the embedding cache and the `gnn→results` queue only ever hold epochs
+//!   whose seal is durable, so a batch can only be *delivered* with a
+//!   durable seal.  One fsync covers every seal appended before it, so
+//!   seals still share fsyncs while the state worker runs ahead, and a slow
+//!   disk back-pressures admission like any other slow stage.
 //! * **Acks** are appended when `poll` hands a batch to the client; under
 //!   `OnSeal`/`Never` the record is written (OS-buffered) without an fsync
 //!   so post-drain polls still reach the log.
@@ -31,7 +31,7 @@
 use crate::metrics::DurabilityObs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tgnn_core::ShardedMemory;
 use tgnn_durable::{
@@ -67,11 +67,11 @@ pub struct DurabilityStats {
     /// durability handle was opened when none has completed yet) — makes a
     /// stalled snapshot writer visible even when epochs stop advancing.
     pub snapshot_lag_seconds: f64,
-    /// Median group-commit fsync latency, µs (0 with metrics off).
+    /// Median seal fsync latency, µs (0 with metrics off).
     pub fsync_p50_us: u64,
-    /// p99 group-commit fsync latency, µs.
+    /// p99 seal fsync latency, µs.
     pub fsync_p99_us: u64,
-    /// Mean group-commit fsync latency, µs.
+    /// Mean seal fsync latency, µs.
     pub fsync_mean_us: f64,
 }
 
@@ -114,11 +114,11 @@ pub struct RecoveryReport {
 }
 
 /// The shared durability handle: one per durable `StreamServer`, threaded
-/// into the admission layer, the batcher, the update worker, and the
-/// server's `poll`/`drain` paths.
+/// into the admission layer, the state and GNN workers, and the server's
+/// `poll`/`drain` paths.
 pub(crate) struct Durability {
     pub wal: Arc<Wal>,
-    pub wal_fault: Option<WalFaultHook>,
+    wal_fault: Option<WalFaultHook>,
     /// Absorbed events between interval snapshots: `snapshot_every ×
     /// max_batch` (0 = none) — the same cut as "every `snapshot_every`
     /// epochs" whenever batches are full.
@@ -147,28 +147,21 @@ pub(crate) struct Durability {
     /// even when epochs stop advancing (the epoch-based lag stays flat
     /// then).
     last_snapshot_ns: AtomicU64,
-    /// Group-commit coordination between the batcher, the syncer worker
-    /// and `poll` (see [`Self::request_seal_sync`]).
-    seal_sync: Mutex<SealSyncState>,
-    seal_req: Condvar,
+    /// Highest epoch whose `Seal` the state worker has appended: stored
+    /// (`Release`) after the append, loaded (`Acquire`) by
+    /// [`Self::sync_seal`] before its flush, so that flush sees every seal up
+    /// to the loaded epoch.
+    sealed: AtomicU64,
+    /// Highest epoch whose `Seal` a [`Self::sync_seal`] flush covered; only
+    /// the GNN worker touches it.
+    synced: AtomicU64,
     /// The in-flight background snapshot write, if any (see
     /// [`Self::spawn_snapshot_write`]).  At most one at a time.
     pending_snapshot: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Span/latency recording handles of the syncer and snapshot workers,
-    /// attached by the server after the hub exists (the durability handle
-    /// is constructed first) and before any durability worker runs.
+    /// Span/latency recording handles of the seal sync and the snapshot
+    /// writer, attached by the server after the hub exists (the durability
+    /// handle is constructed first) and before any worker runs.
     obs: OnceLock<DurabilityObs>,
-}
-
-/// Shared state of the `OnSeal` group-commit protocol.
-struct SealSyncState {
-    /// Highest epoch whose `Seal` record has been appended and awaits fsync.
-    requested: u64,
-    /// Highest epoch whose seal is known durable.
-    synced: u64,
-    /// Set at shutdown (or on a syncer I/O failure) so waiters stop
-    /// blocking — by then `drain` has fsynced the tail itself.
-    shutdown: bool,
 }
 
 impl Durability {
@@ -194,12 +187,8 @@ impl Durability {
             last_snapshot_epoch: AtomicU64::new(0),
             opened: Instant::now(),
             last_snapshot_ns: AtomicU64::new(0),
-            seal_sync: Mutex::new(SealSyncState {
-                requested: 0,
-                synced: 0,
-                shutdown: false,
-            }),
-            seal_req: Condvar::new(),
+            sealed: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
             pending_snapshot: Mutex::new(None),
             obs: OnceLock::new(),
         })
@@ -212,116 +201,66 @@ impl Durability {
         let _ = self.obs.set(obs);
     }
 
-    /// Batcher-side half of seal group commit: make epoch `epoch`'s freshly
-    /// appended `Seal` record durable per the configured policy.
+    /// Appends epoch `epoch`'s `Seal` record — the state worker, before it
+    /// steps the batch.  The record becomes durable at the GNN worker's
+    /// [`Self::sync_seal`] for the epoch.
+    pub fn append_seal(&self, epoch: u64, events: Vec<(u32, InteractionEvent)>) {
+        if let Some(hook) = &self.wal_fault {
+            if hook(WalFaultPoint::Seal(epoch)) {
+                // Crash injection: freeze the WAL first so records still in
+                // its user-space buffer are lost exactly as a real process
+                // death would lose them, then die.
+                self.wal.freeze();
+                panic!("injected WAL fault at epoch {epoch}");
+            }
+        }
+        self.wal
+            .append(&WalRecord::Seal { epoch, events })
+            .expect("state: WAL seal append failed");
+        self.sealed.store(epoch, Ordering::Release);
+    }
+
+    /// Makes epoch `epoch`'s seal durable per the fsync policy — the GNN
+    /// worker, after computing the batch and before caching or delivering
+    /// it.  `OnSeal` fsyncs, `Never` hands the buffered frames to the OS,
+    /// `Always` has nothing to do (the append synced).  A flush covers every
+    /// seal appended before it, so an epoch an earlier flush covered costs
+    /// nothing.  Under `OnSeal` the fsync is timed as a `wal-sync` span and
+    /// into the fsync histogram.
     ///
-    /// Under `OnSeal` this *requests* an fsync from the syncer worker and
-    /// returns immediately — the batcher never waits on the disk, and one
-    /// fsync covers every seal appended since the previous one.  Delivery
-    /// still waits: `poll` holds an epoch's results until
-    /// [`Self::seal_synced`] clears it.  Under `Always` every append
-    /// already fsynced, and under `Never` durability is explicitly not
-    /// promised — both just hand buffered frames to the OS and advance the
-    /// watermark on the spot.
-    pub fn request_seal_sync(&self, epoch: u64) {
-        match self.wal.policy() {
-            FsyncPolicy::OnSeal => {
-                let mut s = self.seal_sync.lock().unwrap();
-                s.requested = s.requested.max(epoch);
-                self.seal_req.notify_one();
-            }
-            FsyncPolicy::Always | FsyncPolicy::Never => {
-                self.wal
-                    .flush(false)
-                    .expect("durability: WAL seal flush failed");
-                let mut s = self.seal_sync.lock().unwrap();
-                s.synced = s.synced.max(epoch);
-            }
+    /// # Panics
+    /// On a failed flush, and when the fault hook fails the sync point
+    /// ([`WalFaultPoint::Sync`]): the GNN worker dies with the epoch
+    /// undelivered and the pipeline unwinds.
+    pub fn sync_seal(&self, epoch: u64) {
+        let policy = self.wal.policy();
+        if policy == FsyncPolicy::Always || self.synced.load(Ordering::Relaxed) >= epoch {
+            return;
         }
-    }
-
-    /// Delivery-side half of seal group commit: whether epoch `epoch`'s seal
-    /// is durable, i.e. whether `poll` may hand its results to the client
-    /// (non-blocking — the pipeline keeps computing behind a slow fsync; the
-    /// client sees the batch a poll or two later).  Shutdown counts as
-    /// synced: it is only signalled from `drain`/`Drop`, which fsync the WAL
-    /// tail themselves.
-    pub fn seal_synced(&self, epoch: u64) -> bool {
-        let s = self.seal_sync.lock().unwrap();
-        s.synced >= epoch || s.shutdown
-    }
-
-    /// Seeds the seal-sync watermark (recovery): every sealed epoch read
-    /// back from the WAL is durable by construction, so re-served epochs
-    /// must not wait on the new session's syncer.
-    pub fn seed_seal_synced(&self, epoch: u64) {
-        let mut s = self.seal_sync.lock().unwrap();
-        s.requested = s.requested.max(epoch);
-        s.synced = s.synced.max(epoch);
-    }
-
-    /// Body of the `tgnn-serve-wal-sync` worker (`OnSeal` policy only):
-    /// fsync the WAL whenever seals are pending, then advance the synced
-    /// watermark past everything appended before the flush.  Exits once
-    /// shutdown is signalled and no requests remain outstanding.
-    pub fn syncer_loop(&self) {
-        loop {
-            let target = {
-                let mut s = self.seal_sync.lock().unwrap();
-                while s.requested <= s.synced && !s.shutdown {
-                    s = self.seal_req.wait(s).unwrap();
-                }
-                if s.requested <= s.synced {
-                    return;
-                }
-                // Group-commit window: seals arrive every millisecond or
-                // two at full throughput, so briefly holding the flush lets
-                // several of them share one fsync.  Delivery latency pays
-                // the window once; the CPU saved (each fsync burns guest
-                // cycles the pipeline could use) more than covers it.
-                if !s.shutdown {
-                    let (ns, _) = self
-                        .seal_req
-                        .wait_timeout(s, std::time::Duration::from_millis(2))
-                        .unwrap();
-                    s = ns;
-                }
-                if s.requested <= s.synced {
-                    if s.shutdown {
-                        return;
-                    }
-                    continue;
-                }
-                s.requested
-            };
-            // Span = one group commit, tagged with the highest epoch it
-            // covers; the fsync latency additionally feeds the histogram.
-            let span = self.obs.get().map(|o| (o, o.syncer.enter(target)));
-            if let Some(hook) = &self.wal_fault {
-                hook(WalFaultPoint::Sync(target));
-            }
-            if let Err(e) = self.wal.flush(true) {
-                // Mark shutdown before unwinding so `poll`'s seal gate opens
-                // instead of waiting on a dead syncer.
-                self.shutdown_seal_sync();
-                panic!("wal-sync: WAL flush failed: {e}");
-            }
-            if let Some((o, span)) = span {
-                if let Some(t0) = span {
-                    o.fsync_us.record(t0.elapsed().as_micros() as u64);
-                }
-                o.syncer.exit(target, span);
-            }
-            let mut s = self.seal_sync.lock().unwrap();
-            s.synced = s.synced.max(target);
+        // Every seal appended so far precedes the flush below.
+        let covered = self.sealed.load(Ordering::Acquire);
+        if let Some(hook) = &self.wal_fault {
+            assert!(
+                !hook(WalFaultPoint::Sync(epoch)),
+                "injected WAL sync failure at epoch {epoch}"
+            );
         }
-    }
-
-    /// Signals the syncer worker to exit and opens `poll`'s seal gate.
-    pub fn shutdown_seal_sync(&self) {
-        let mut s = self.seal_sync.lock().unwrap();
-        s.shutdown = true;
-        self.seal_req.notify_all();
+        let fsync = policy == FsyncPolicy::OnSeal;
+        let span = self
+            .obs
+            .get()
+            .filter(|_| fsync)
+            .map(|o| (o, o.sync.enter(epoch)));
+        if let Err(e) = self.wal.flush(fsync) {
+            panic!("gnn: WAL seal flush failed at epoch {epoch}: {e}");
+        }
+        if let Some((o, span)) = span {
+            if let Some(t0) = span {
+                o.fsync_us.record(t0.elapsed().as_micros() as u64);
+            }
+            o.sync.exit(epoch, span);
+        }
+        self.synced.store(covered, Ordering::Relaxed);
     }
 
     /// Records a committed batch's events for snapshot metadata.  Batches
@@ -371,17 +310,17 @@ impl Durability {
     }
 
     /// Records delivery of an epoch's results to the client: appends the
-    /// `Ack` and raises the watermark.
-    pub fn ack(&self, epoch: u64) {
+    /// `Ack` and raises the watermark.  `drained`: the pipeline is gone.
+    pub fn ack(&self, epoch: u64, drained: bool) {
         self.wal
             .append(&WalRecord::Ack { epoch })
             .expect("durability: WAL ack append failed");
-        if self.wal.policy() != FsyncPolicy::Always && self.seal_sync.lock().unwrap().shutdown {
+        if self.wal.policy() != FsyncPolicy::Always && drained {
             // While the pipeline is live, acks ride the next seal flush; a
             // lost ack tail only re-serves those epochs after a crash (the
-            // documented at-least-once contract).  Post-drain (syncer shut
-            // down) there is no later seal, so hand the record to the OS
-            // here — that keeps post-drain polls in the log.
+            // documented at-least-once contract).  Post-drain there is no
+            // later seal, so hand the record to the OS here — that keeps
+            // post-drain polls in the log.
             self.wal.flush(false).expect("durability: WAL flush failed");
         }
         self.acked.fetch_max(epoch, Ordering::SeqCst);
@@ -450,13 +389,13 @@ impl Durability {
 
     /// Writes an interval snapshot on a background thread.  The *capture* —
     /// encoding every shard at the epoch barrier — already happened in the
-    /// update worker's `commit_epoch_with` observers; the file writes and
+    /// state worker's `commit_epoch_with` observers; the file writes and
     /// their fsyncs carry no ordering constraint with pipeline compute, so
     /// they overlap it instead of stalling the single committer for the
     /// duration of the disk I/O.  At most one write is in flight: a new
     /// interval joins the previous one first (snapshot intervals dwarf write
     /// times, so this wait is normally zero), propagating its panic into the
-    /// update worker — and through the usual poison guard — if it failed.
+    /// state worker — which unwinds the pipeline — if it failed.
     pub fn spawn_snapshot_write(
         self: &Arc<Self>,
         epoch: u64,

@@ -22,7 +22,8 @@
 //!   state stages.  One GNN worker, like the
 //!   paper's single embedding unit, computes the jobs in epoch order on
 //!   whichever backend each batch was sealed for, so results leave in epoch
-//!   order for any backend mix.
+//!   order for any backend mix — and, with durability on, only once the
+//!   batch's WAL seal is durable.
 //! * The vertex state is partitioned (`node_id % N`) behind
 //!   [`tgnn_graph::ShardedNeighborTable`] and
 //!   [`tgnn_core::ShardedMemory`] — shards are the unit of locks, snapshot

@@ -47,8 +47,8 @@ use tgnn_obs::{
 ///
 /// These are *logical* stages, each recording its own spans: the state
 /// worker executes `Scheduler`, `Batcher`, `Sampler`, `Memory` and `Update`,
-/// and the GNN worker `Gnn`.  `Deliver` is a point event (the `poll`
-/// handoff to the caller), not a span.
+/// and the GNN worker `Gnn` and `WalSync`.  `Deliver` is a point event (the
+/// `poll` handoff to the caller), not a span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StageId {
     /// Weighted-fair pull from the tenant ingress queues (pre-epoch: spans
@@ -60,12 +60,14 @@ pub enum StageId {
     Sampler,
     /// Memory/GRU stage (also gathers and dispatches the GNN job).
     Memory,
-    /// GNN worker: compute on the batch's backend, then the cache insert,
-    /// dispositions and counters that commit the batch downstream.
+    /// GNN worker: compute on the batch's backend, the seal sync, then the
+    /// cache insert, dispositions and counters that commit the batch
+    /// downstream.
     Gnn,
     /// State write-back / epoch committer.
     Update,
-    /// WAL group-commit fsync worker.
+    /// The GNN worker's seal fsync (`FsyncPolicy::OnSeal`), nested in its
+    /// `Gnn` span.
     WalSync,
     /// Background snapshot writer.
     SnapWriter,
@@ -154,14 +156,15 @@ pub enum SegmentId {
     /// GNN job dispatched → computed: the `state→gnn` queue wait plus the
     /// backend's compute.
     Gnn,
-    /// Computed → handed to `gnn→results`: the GNN worker's cache insert,
-    /// dispositions and counters.  The name stays because `benchmark/`
-    /// reads this segment as `serve.seg.reorder_barrier.share`.
+    /// Seal synced → handed to `gnn→results`: the GNN worker's cache
+    /// insert, dispositions and counters.  The name stays because
+    /// `benchmark/` reads this segment as `serve.seg.reorder_barrier.share`.
     ReorderBarrier,
-    /// Time delivery was observed blocked on the WAL group-commit
-    /// watermark (zero without durability or when the fsync won the race).
+    /// Computed → seal synced: the GNN worker making the epoch's `Seal`
+    /// durable before it hands the batch on (zero without durability, or
+    /// when an earlier flush already covered the epoch).
     WalSyncWait,
-    /// Handed to `gnn→results` → `poll` handoff, minus the WAL-sync wait.
+    /// Handed to `gnn→results` → `poll` handoff.
     Deliver,
     /// The GNN job's dispatch → start wait (informational, not additive).
     GnnWait,
@@ -396,14 +399,14 @@ impl StageObs {
     }
 }
 
-/// The durability workers' observability bundle, attached to the shared
+/// The durability observability bundle, attached to the shared
 /// [`Durability`] handle after construction (it is created before the hub).
 pub(crate) struct DurabilityObs {
-    /// Span handle of the `tgnn-serve-wal-sync` worker.
-    pub syncer: StageObs,
+    /// Span handle of the GNN worker's seal fsync.
+    pub sync: StageObs,
     /// Span handle of the `tgnn-serve-snap` writer.
     pub snap: StageObs,
-    /// Latency of each group-commit `fsync`, in microseconds.
+    /// Latency of each seal `fsync`, in microseconds.
     pub fsync_us: Histogram,
 }
 
@@ -513,11 +516,11 @@ impl MetricsHub {
         }
     }
 
-    /// The observability bundle for the durability workers; `Durability`
-    /// owns it (and reads the fsync histogram back in its `stats`).
+    /// The durability observability bundle; `Durability` owns it (and
+    /// reads the fsync histogram back in its `stats`).
     pub(crate) fn durability_obs(&self) -> DurabilityObs {
         DurabilityObs {
-            syncer: self.stage_obs(StageId::WalSync),
+            sync: self.stage_obs(StageId::WalSync),
             snap: self.stage_obs(StageId::SnapWriter),
             fsync_us: Histogram::new(),
         }
@@ -529,10 +532,8 @@ impl MetricsHub {
     ///
     /// * `total` — the measured admit→deliver latency ([`SegmentId::Total`],
     ///   the reconciliation reference);
-    /// * `wal_wait` — time delivery was observed blocked on the WAL
-    ///   group-commit watermark ([`SegmentId::WalSyncWait`]);
-    /// * `since_completed` — handed to `gnn→results` → this handoff; minus
-    ///   `wal_wait` it becomes [`SegmentId::Deliver`].
+    /// * `since_completed` — handed to `gnn→results` → this handoff
+    ///   ([`SegmentId::Deliver`]).
     ///
     /// `traced` is false for results that never ran the pipeline in this
     /// session (stale cache answers, recovery re-serves) — their epochs own
@@ -547,7 +548,6 @@ impl MetricsHub {
         epoch: u64,
         traced: bool,
         total: Duration,
-        wal_wait: Duration,
         since_completed: Duration,
     ) {
         let inner = &self.inner;
@@ -562,12 +562,7 @@ impl MetricsHub {
         }
         inner
             .trace
-            .record(epoch, SegmentId::WalSyncWait.code(), wal_wait);
-        inner.trace.record(
-            epoch,
-            SegmentId::Deliver.code(),
-            since_completed.saturating_sub(wal_wait),
-        );
+            .record(epoch, SegmentId::Deliver.code(), since_completed);
         inner.trace.record(epoch, SegmentId::Total.code(), total);
         let us = total.as_micros() as u64;
         inner.delivery_latency_us.record(us);

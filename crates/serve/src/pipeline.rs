@@ -8,9 +8,9 @@
 //!                         │            commit, in program order on one thread
 //!                         │  GnnJob (memory rows copied, features by id,
 //!                         │          epoch order)
-//!                     [gnn worker]    every prepared backend; cache insert,
-//!                         │            dispositions, counters
-//!                         │  ServedBatch
+//!                     [gnn worker]    every prepared backend; seal sync,
+//!                         │            cache insert, dispositions, counters
+//!                         │  ServedBatch (its seal durable)
 //!                         ▼
 //!                      results
 //! ```
@@ -52,6 +52,11 @@
 //! * **gnn(k)** is pure compute over the job and the immutable graph.  The
 //!   state worker sends jobs in epoch order onto a FIFO queue with one
 //!   consumer, so results leave in epoch order for any backend mix.
+//! * **durable before delivered**: with durability on, the state worker
+//!   appends batch *k*'s `Seal` before it steps the batch, and the GNN
+//!   worker makes it durable after gnn(k) and before it caches or sends the
+//!   batch — so the cache and `gnn→results` only ever hold durably sealed
+//!   epochs, and a slow disk back-pressures admission through the queues.
 //!
 //! A dying worker unwinds the pipeline through its channels: every loop
 //! returns when its input closes or its output is gone, and the state
@@ -184,7 +189,8 @@ pub struct ServedBatch {
     /// GNN work on its simulated datapath.  `None` for backends that really
     /// execute where they are measured.
     pub modeled_latency: Option<Duration>,
-    /// Seal-to-embeddings pipeline latency (zero for stale batches).
+    /// Seal-to-embeddings pipeline latency, the seal's sync included with
+    /// durability on (zero for stale batches).
     pub latency: Duration,
     /// Admission time of the batch's causal-trace anchor event (the first
     /// event in sealed order) — what `poll` measures the admit→deliver
@@ -358,12 +364,11 @@ impl Batcher {
     /// buffer empty for reuse.
     ///
     /// With durability on, the batch's `Seal` record is appended *before*
-    /// the batch is stepped and its fsync is requested from the group-commit
-    /// syncer; `poll` holds the epoch's results until the seal is durable.
-    /// A batch can therefore only ever be *delivered* with a durable seal,
-    /// which is what lets recovery re-serve sealed-but-unacked epochs
-    /// bit-identically — while the state worker itself never waits on the
-    /// disk.
+    /// the batch is stepped; the GNN worker makes it durable before the
+    /// batch leaves it.  A batch can therefore only ever be *delivered* with
+    /// a durable seal, which is what lets recovery re-serve
+    /// sealed-but-unacked epochs bit-identically — while the state worker
+    /// itself never waits on the disk.
     fn seal(
         &self,
         items: &mut Vec<AdmittedEvent>,
@@ -401,26 +406,10 @@ impl Batcher {
                 .saturating_duration_since(anchor.admitted_at),
         );
         if let Some(d) = &self.durability {
-            if let Some(hook) = &d.wal_fault {
-                if hook(tgnn_durable::WalFaultPoint::Seal(epoch)) {
-                    // Crash injection: freeze the WAL first so records still
-                    // in its user-space buffer are lost exactly as a real
-                    // process death would lose them, then die.
-                    d.wal.freeze();
-                    panic!("injected WAL fault at epoch {epoch}");
-                }
-            }
-            d.wal
-                .append(&tgnn_durable::WalRecord::Seal {
-                    epoch,
-                    events: items.iter().map(|a| (a.meta.tenant.0, a.event)).collect(),
-                })
-                .expect("state: WAL seal append failed");
-            // Group commit: request (don't await) the seal fsync — `poll`
-            // holds the epoch until the synced watermark covers it, so
-            // sealing proceeds at compute speed while the
-            // durable-before-delivered contract still holds.
-            d.request_seal_sync(epoch);
+            d.append_seal(
+                epoch,
+                items.iter().map(|a| (a.meta.tenant.0, a.event)).collect(),
+            );
         }
         let sealed_at = Instant::now();
         obs.trace_record(
@@ -766,23 +755,34 @@ fn step_sealed(
     downstream_alive
 }
 
+/// What the GNN worker holds besides its two queue ends.
+pub(crate) struct GnnStage {
+    /// Indexed by [`BackendKind::code`]; `None` for kinds no tenant routes
+    /// to.
+    pub backends: Vec<Option<Arc<dyn ComputeBackend>>>,
+    pub collector: Arc<Collector>,
+    pub cache: Option<Arc<EmbeddingCache>>,
+    pub durability: Option<Arc<Durability>>,
+    pub fault: Option<GnnFaultHook>,
+    pub obs: StageObs,
+}
+
 /// GNN worker: the pipeline's embedding unit and its commit point.  It
-/// holds every prepared backend (indexed by [`BackendKind::code`]; `None`
-/// for kinds no tenant routes to) and computes each job on the one its
-/// batch was sealed for — f32 kernels, int8 kernels, or f32 kernels plus a
-/// modeled latency (hwsim) — on one persistent workspace.  Jobs arrive in
-/// epoch order and leave in it.  Per batch it then populates the embedding
-/// cache, feeds the collector, grades each event's deadline and emits the
-/// [`ServedBatch`].
-pub(crate) fn gnn_loop(
-    rx: Receiver<GnnJob>,
-    tx: Sender<ServedBatch>,
-    backends: Vec<Option<Arc<dyn ComputeBackend>>>,
-    collector: Arc<Collector>,
-    cache: Option<Arc<EmbeddingCache>>,
-    fault: Option<GnnFaultHook>,
-    obs: StageObs,
-) {
+/// computes each job on the prepared backend its batch was sealed for —
+/// f32 kernels, int8 kernels, or f32 kernels plus a modeled latency
+/// (hwsim) — on one persistent workspace.  Jobs arrive in epoch order and
+/// leave in it.  Per batch it then makes the batch's seal durable
+/// ([`Durability::sync_seal`]), populates the embedding cache, feeds the
+/// collector, grades each event's deadline and emits the [`ServedBatch`].
+pub(crate) fn gnn_loop(rx: Receiver<GnnJob>, tx: Sender<ServedBatch>, stage: GnnStage) {
+    let GnnStage {
+        backends,
+        collector,
+        cache,
+        durability,
+        fault,
+        obs,
+    } = stage;
     let mut ws = Workspace::new();
     while let Some(GnnJob {
         epoch,
@@ -807,6 +807,15 @@ pub(crate) fn gnn_loop(
             .expect("gnn: sealed batch routed to a backend that was not prepared")
             .run_gnn(&job, &mut ws);
         let computed = Instant::now();
+        // The commit point: nothing of this epoch leaves the worker before
+        // its seal is durable.
+        let synced = match &durability {
+            Some(d) => {
+                d.sync_seal(epoch);
+                Instant::now()
+            }
+            None => computed,
+        };
         let embeddings = out.embeddings;
         // Populate the embedding cache at the delivery commit point: a
         // cache entry is by construction exactly the embedding served for
@@ -848,7 +857,8 @@ pub(crate) fn gnn_loop(
             (SegmentId::GnnWait, dispatched_at, started),
             (SegmentId::GnnCompute, started, computed),
             (SegmentId::Gnn, dispatched_at, computed),
-            (SegmentId::ReorderBarrier, computed, completed_at),
+            (SegmentId::WalSyncWait, computed, synced),
+            (SegmentId::ReorderBarrier, synced, completed_at),
         ] {
             obs.trace_record(epoch, seg, to.saturating_duration_since(from));
         }

@@ -2,9 +2,9 @@
 //! backpressure-aware serve report.
 //!
 //! A server owns two pipeline workers over two queues, whatever its
-//! backend mix — the tenant ingress queues → `tgnn-serve-state` →
-//! `state→gnn` → `tgnn-serve-gnn` → `gnn→results` → `poll` — plus
-//! `tgnn-serve-wal-sync` under `FsyncPolicy::OnSeal`.
+//! backend mix and durability policy — the tenant ingress queues →
+//! `tgnn-serve-state` → `state→gnn` → `tgnn-serve-gnn` → `gnn→results` →
+//! `poll`.
 
 use crate::admission::{
     AdmissionControl, AdmissionCounters, StaleServing, SubmitOutcome, TenantSpec,
@@ -13,8 +13,8 @@ use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
 use crate::metrics::{per_second, HubConfig, MetricsHub, MetricsSnapshot, StageId};
 use crate::pipeline::{
-    gnn_loop, state_loop, Batcher, Collector, GnnFaultHook, GnnJob, ServedBatch, StateObs,
-    StateStage, STATE_ONLY,
+    gnn_loop, state_loop, Batcher, Collector, GnnFaultHook, GnnJob, GnnStage, ServedBatch,
+    StateObs, StateStage, STATE_ONLY,
 };
 use crate::queue::{channel, QueueStats, Receiver};
 use std::collections::VecDeque;
@@ -388,12 +388,10 @@ impl std::error::Error for SubmitError {}
 pub struct StreamServer {
     admission: Arc<AdmissionControl>,
     results_rx: Receiver<ServedBatch>,
+    /// Batches `poll` serves ahead of the results queue: recovery's
+    /// re-served epochs, and what `drain` emptied the queue into.
     completed: VecDeque<ServedBatch>,
     workers: Vec<JoinHandle<()>>,
-    /// The seal group-commit syncer (`OnSeal` policy only).  Kept out of
-    /// `workers`: it exits on an explicit shutdown signal, not on queue
-    /// closure, so the drain loop must not wait for it with the pipeline.
-    wal_sync: Option<JoinHandle<()>>,
     /// The bounded-staleness embedding cache, when configured (explicitly
     /// or via a `ServeStale` tenant).
     cache: Option<Arc<EmbeddingCache>>,
@@ -428,10 +426,6 @@ pub struct StreamServer {
     /// SLO recording handle: `poll` grades every pipeline delivery against
     /// the latency objective (a no-op without `ServeConfig::slo`).
     slo: crate::metrics::SloHandle,
-    /// Set while `poll` is blocked on the WAL group-commit watermark:
-    /// `(epoch, first observed blocked)` — what the causal trace's
-    /// `WalSyncWait` segment measures at delivery.
-    wal_block_since: Option<(u64, Instant)>,
 }
 
 impl StreamServer {
@@ -653,33 +647,23 @@ impl StreamServer {
                 state_loop(batcher, gnn_tx, stage)
             }));
         }
-        {
-            let backends = backends.clone();
-            let collector = collector.clone();
-            let cache = cache.clone();
-            let fault = config.gnn_fault.clone();
-            let obs = hub.stage_obs(StageId::Gnn);
-            workers.push(spawn("tgnn-serve-gnn", move || {
-                gnn_loop(gnn_rx, results_tx, backends, collector, cache, fault, obs)
-            }));
-        }
-        // Seal group commit (`OnSeal` only): one worker fsyncs all pending
-        // seals per call while the state worker runs ahead; `poll` gates delivery
-        // on the synced watermark.
-        let wal_sync = durability
-            .as_ref()
-            .filter(|d| d.wal.policy() == tgnn_durable::FsyncPolicy::OnSeal)
-            .map(|d| {
-                let d = d.clone();
-                spawn("tgnn-serve-wal-sync", move || d.syncer_loop())
-            });
+        let gnn = GnnStage {
+            backends: backends.clone(),
+            collector: collector.clone(),
+            cache: cache.clone(),
+            durability: durability.clone(),
+            fault: config.gnn_fault.clone(),
+            obs: hub.stage_obs(StageId::Gnn),
+        };
+        workers.push(spawn("tgnn-serve-gnn", move || {
+            gnn_loop(gnn_rx, results_tx, gnn)
+        }));
 
         Self {
             admission,
             results_rx,
             completed: VecDeque::new(),
             workers,
-            wal_sync,
             cache,
             stale_out,
             memory,
@@ -697,7 +681,6 @@ impl StreamServer {
             num_shards,
             durability,
             slo: slo_handle,
-            wal_block_since: None,
         }
     }
 
@@ -775,10 +758,6 @@ impl StreamServer {
             .clone()
             .expect("build keeps the durability handle");
         d.set_acked(plan.acked);
-        // Every sealed epoch read back from the log is durable by
-        // construction — re-served batches must pass poll's seal gate
-        // without waiting on this session's syncer.
-        d.seed_seal_synced(plan.max_sealed);
 
         let snapshot_epoch = loaded.as_ref().map_or(0, |s| s.meta.epoch);
         if let Some(s) = loaded {
@@ -1015,14 +994,13 @@ impl StreamServer {
     /// Pops the next completed micro-batch, if any (non-blocking).  Batches
     /// come back in submission (epoch) order.
     ///
-    /// With durability on, a batch is held back (`None`) until its `Seal` is
-    /// durable — the delivery gate of the seal group commit; the pipeline
-    /// keeps computing behind a slow fsync and the batch surfaces a poll or
-    /// two later.  Delivering a batch appends its `Ack` to the WAL (fsynced
-    /// under `FsyncPolicy::Always`): after a crash, acked epochs are
-    /// replayed for state only, never re-served — and because the ack gate
-    /// sits behind the seal fsync, an `Ack` can never outrun its `Seal` in
-    /// any durable prefix.
+    /// With durability on, every batch here already has a durable `Seal`:
+    /// the GNN worker syncs it before handing the batch on, so a slow disk
+    /// shows up as backpressure on `submit`, never as a held-back batch.
+    /// Delivering a batch appends its `Ack` to the WAL (fsynced under
+    /// `FsyncPolicy::Always`): after a crash, acked epochs are replayed for
+    /// state only, never re-served — and an `Ack` can never outrun its
+    /// `Seal` in any durable prefix.
     pub fn poll(&mut self) -> Option<ServedBatch> {
         let b = self.poll_inner()?;
         // `trace_id == 0` marks results that never ran the pipeline this
@@ -1031,17 +1009,6 @@ impl StreamServer {
         let traced = b.metas.first().is_some_and(|m| m.trace_id != 0);
         let now = Instant::now();
         let total = now.saturating_duration_since(b.admitted_at);
-        // Attribute the time delivery was observed blocked on the WAL
-        // group-commit watermark (tracked by `poll_inner`) to this epoch.
-        let wal_wait = match self.wal_block_since {
-            Some((e, since)) if e == b.epoch => {
-                // Consume only a matching entry: a stale batch delivered in
-                // between must not clear another epoch's wait clock.
-                self.wal_block_since = None;
-                now.saturating_duration_since(since)
-            }
-            _ => Duration::ZERO,
-        };
         if traced {
             self.slo.record_batch_latency(total, b.events.len() as u64);
         }
@@ -1049,7 +1016,6 @@ impl StreamServer {
             b.epoch,
             traced,
             total,
-            wal_wait,
             now.saturating_duration_since(b.completed_at),
         );
         Some(b)
@@ -1057,40 +1023,20 @@ impl StreamServer {
 
     fn poll_inner(&mut self) -> Option<ServedBatch> {
         // Stale answers first: they were synthesized at submit time from
-        // already-served (and, with durability on, already-sealed-and-acked)
-        // history, so they owe no seal gate and no ack — holding them behind
+        // already-served history, so they owe no ack — holding them behind
         // pipeline output would only age them further.
         if let Some(stale) = &self.stale_out {
             if let Some(b) = stale.lock().unwrap().pop_front() {
                 return Some(b);
             }
         }
-        let Some(d) = self.durability.clone() else {
-            return self
-                .completed
-                .pop_front()
-                .or_else(|| self.results_rx.try_recv());
-        };
-        // Empty the bounded results queue before testing the seal gate: were
-        // batches left there while the front waits on a slow fsync, a stall
-        // longer than `results_capacity` batches would back the pipeline up
-        // to admission and block a single-threaded client inside `submit`,
-        // where it can never poll again.
-        while let Some(b) = self.results_rx.try_recv() {
-            self.completed.push_back(b);
+        let b = self
+            .completed
+            .pop_front()
+            .or_else(|| self.results_rx.try_recv())?;
+        if let Some(d) = &self.durability {
+            d.ack(b.epoch, self.workers.is_empty());
         }
-        let front_epoch = self.completed.front()?.epoch;
-        if !d.seal_synced(front_epoch) {
-            // First blocked observation of this epoch starts its WAL-sync
-            // wait clock; repeat polls keep the original start.
-            match self.wal_block_since {
-                Some((e, _)) if e == front_epoch => {}
-                _ => self.wal_block_since = Some((front_epoch, Instant::now())),
-            }
-            return None;
-        }
-        let b = self.completed.pop_front().expect("front exists");
-        d.ack(b.epoch);
         Some(b)
     }
 
@@ -1124,21 +1070,12 @@ impl StreamServer {
             self.completed.push_back(b);
         }
         if let Some(d) = &self.durability {
-            // The pipeline workers are done appending: stop the group-commit
-            // syncer (it flushes any still-pending seal requests on its way
-            // out)…
-            d.shutdown_seal_sync();
-            // …then make the whole tail durable before any panic can
-            // propagate.  (A frozen WAL — crash injection — no-ops this, as
-            // a real death would.)
+            // The pipeline workers are done appending: make the whole tail
+            // durable before any panic can propagate.  (A frozen WAL — crash
+            // injection — no-ops this, as a real death would.)
             d.wal.flush(true).expect("drain: WAL flush failed");
         }
-        for w in self
-            .wal_sync
-            .take()
-            .into_iter()
-            .chain(self.workers.drain(..))
-        {
+        for w in self.workers.drain(..) {
             if let Err(panic) = w.join() {
                 std::panic::resume_unwind(panic);
             }
@@ -1244,12 +1181,8 @@ impl Drop for StreamServer {
         // Detach rather than join: receivers close as queue senders drop, so
         // the workers exit on their own; joining here could block a panicking
         // caller.  `drain` is the orderly shutdown path.
-        for w in self.workers.drain(..).chain(self.wal_sync.take()) {
-            drop(w);
-        }
+        self.workers.clear();
         if let Some(d) = &self.durability {
-            // Release the syncer so the detached thread can exit.
-            d.shutdown_seal_sync();
             // Best-effort: push any buffered tail (e.g. post-drain acks) to
             // disk.  Workers may still be appending, which is fine — flush
             // is atomic under the writer lock and they flush their own work.

@@ -1,7 +1,8 @@
 //! Thread and queue census: the server owns exactly the workers and queues
 //! its stage graph (state → GNN) names — two workers over two queues for
-//! any backend mix, plus the WAL syncer under `OnSeal`.  A re-introduced
-//! stage thread or inter-stage queue fails here.
+//! any backend mix and any fsync policy.  A re-introduced stage thread or
+//! inter-stage queue fails here, and so does a thread that outlives
+//! `drain`.
 //!
 //! One `#[test]` only: the census reads this process's thread list, so the
 //! cases must run one after another in a process of their own.
@@ -67,14 +68,25 @@ fn settled_threads(expected: usize) -> Vec<String> {
 #[test]
 fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
     let (model, graph) = setup();
-    let wal_dir: PathBuf = std::env::temp_dir().join(format!("tgnn-census-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    let durable = |policy: FsyncPolicy| {
+        let dir: PathBuf = std::env::temp_dir().join(format!(
+            "tgnn-census-{}-{}",
+            std::process::id(),
+            policy.label()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ServeConfig {
+            durability: Some(DurabilityConfig::new(dir).with_fsync(policy)),
+            ..ServeConfig::default()
+        }
+    };
 
-    // Whatever the backend mix: one worker per stage, one queue per hop.
+    // Whatever the backend mix and fsync policy: one worker per stage, one
+    // queue per hop.
     let pipeline = ["tgnn-serve-gnn", "tgnn-serve-stat"];
     let queues = ["state→gnn", "gnn→results"];
     let cases = [
-        ("default", ServeConfig::default(), &pipeline[..]),
+        ("default", ServeConfig::default()),
         (
             "f32 + int8 + hwsim",
             ServeConfig {
@@ -85,28 +97,23 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
                 ],
                 ..ServeConfig::default()
             },
-            &pipeline[..],
         ),
-        (
-            "durable (OnSeal)",
-            ServeConfig {
-                durability: Some(DurabilityConfig::new(&wal_dir).with_fsync(FsyncPolicy::OnSeal)),
-                ..ServeConfig::default()
-            },
-            &["tgnn-serve-gnn", "tgnn-serve-stat", "tgnn-serve-wal-"][..],
-        ),
+        ("durable (OnSeal)", durable(FsyncPolicy::OnSeal)),
+        ("durable (Always)", durable(FsyncPolicy::Always)),
+        ("durable (Never)", durable(FsyncPolicy::Never)),
     ];
 
-    for (label, config, expected) in cases {
+    for (label, config) in cases {
         assert!(
             serve_threads().is_empty(),
             "{label}: a previous server's workers outlived its drain: {:?}",
             serve_threads()
         );
         let tenants = config.tenants.len().max(1) as u32;
+        let dir = config.durability.as_ref().map(|d| d.dir.clone());
         let mut server = StreamServer::new(model.clone(), graph.clone(), config);
-        let threads = settled_threads(expected.len());
-        assert_eq!(threads, expected, "{label}: `tgnn-serve-*` threads");
+        let threads = settled_threads(pipeline.len());
+        assert_eq!(threads, pipeline, "{label}: `tgnn-serve-*` threads");
         let names: Vec<&str> = server.report().queues.iter().map(|q| q.name).collect();
         assert_eq!(names, queues, "{label}");
 
@@ -120,6 +127,9 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
             let served = report.backends.iter().filter(|b| b.served_batches > 0);
             assert_eq!(served.count(), 3, "{label}: every backend served");
         }
+        drop(server);
+        if let Some(dir) = dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }

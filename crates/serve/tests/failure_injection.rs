@@ -3,9 +3,10 @@
 //! through its dropped channel ends — `submit` fails `Closed`, `poll`
 //! terminates, `drain` propagates the panic — never hang it, whichever
 //! backend the faulted epoch was routed to.  (The state worker's death is
-//! drilled by the recovery suite's injected WAL fault.)  Plus the
-//! stalled-disk drill: a group-commit fsync that outlasts the results queue
-//! must not deadlock a one-thread client.
+//! drilled by the recovery suite's injected WAL fault.)  Plus the disk's
+//! two failure modes under durability: a failed seal fsync kills the GNN
+//! worker the same way and delivers nothing from its epoch on, and a
+//! stalled one back-pressures `submit` until the disk recovers.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -37,7 +38,8 @@ fn panic_once_at_epoch_2() -> GnnFaultHook {
 }
 
 /// Feeds `server` until its dead pipeline surfaces as `Closed`, then checks
-/// that `poll` terminates and `drain` propagates the worker panic.  The
+/// that `poll` terminates and `drain` propagates the worker panic; returns
+/// the epochs `poll` delivered on the way.  The
 /// ingress queue is deep, so a hang in the submit loop would mean the
 /// closed queues never rippled back through the stages.  Repeating the last
 /// event keeps each tenant's stream chronological (equal timestamps are
@@ -46,8 +48,9 @@ fn assert_dead_worker_unwinds(
     mut server: StreamServer,
     feed: &[(TenantId, InteractionEvent)],
     label: &str,
-) {
+) -> Vec<u64> {
     let deadline = Instant::now() + Duration::from_secs(30);
+    let mut delivered = Vec::new();
     let last = *feed.last().unwrap();
     let mut stream = feed.iter().copied().chain(std::iter::repeat(last));
     // The only way out of this loop is observing Closed (the deadline
@@ -59,7 +62,9 @@ fn assert_dead_worker_unwinds(
             Err(SubmitError::Closed) => break,
             Err(other) => panic!("{label}: unexpected submit error: {other}"),
         }
-        while server.poll().is_some() {}
+        while let Some(b) = server.poll() {
+            delivered.push(b.epoch);
+        }
         assert!(
             Instant::now() < deadline,
             "{label}: submit never observed the dead pipeline"
@@ -67,7 +72,9 @@ fn assert_dead_worker_unwinds(
     }
 
     // poll must not hang either: the results queue is closed.
-    while server.poll().is_some() {}
+    while let Some(b) = server.poll() {
+        delivered.push(b.epoch);
+    }
 
     // drain must propagate the injected panic rather than hang.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.drain()));
@@ -75,6 +82,7 @@ fn assert_dead_worker_unwinds(
         result.is_err(),
         "{label}: drain must propagate the worker panic"
     );
+    delivered
 }
 
 #[test]
@@ -197,26 +205,72 @@ fn fault_on_late_epoch_still_unwinds_after_successful_batches() {
     assert!(result.is_err(), "drain must propagate the worker panic");
 }
 
-/// ROADMAP 1b′: under durability `poll` holds a batch back until its `Seal`
-/// is fsynced.  If it also left every later batch in the bounded `results`
-/// queue, an fsync stall longer than `results_capacity` batches would fill
-/// that queue, back the pipeline up to admission, and block the only thread
-/// that polls inside `submit` — for good, even after the disk recovers.
-/// Here the syncer's first fsync stalls until the whole feed (24 or more
-/// batches against a results queue of 2) has been submitted; the submit-then-poll
-/// `Block` client must get through it on its own.
+/// Submits `e` and spins until `poll` delivers it as a batch of its own.
+fn deliver_alone(server: &mut StreamServer, e: InteractionEvent) -> u64 {
+    server.submit(e).unwrap();
+    let give_up = Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Some(b) = server.poll() {
+            assert_eq!(b.events, [e], "lockstep epochs hold one event");
+            return b.epoch;
+        }
+        assert!(Instant::now() < give_up, "event never delivered");
+        std::thread::yield_now();
+    }
+}
+
+/// A failed seal fsync is a dead GNN worker: the epoch whose sync failed
+/// and every later one stay undelivered — never served with a seal that
+/// did not reach the disk — and `submit`, `poll` and `drain` unwind.
+#[test]
+fn failed_seal_fsync_delivers_nothing_from_its_epoch_on() {
+    const FAIL_AT: u64 = 3;
+    let (model, graph) = setup(37);
+    let dir = std::env::temp_dir().join(format!("tgnn-fsync-fail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig {
+        max_batch: 4,
+        num_shards: 2,
+        durability: Some(DurabilityConfig::new(&dir).with_wal_fault(Arc::new(
+            |point| matches!(point, WalFaultPoint::Sync(epoch) if epoch == FAIL_AT),
+        ))),
+        ..ServeConfig::default()
+    };
+    let mut server = StreamServer::new(model, graph.clone(), config);
+    let events = &graph.events()[..64];
+    for (i, &e) in events[..FAIL_AT as usize - 1].iter().enumerate() {
+        assert_eq!(deliver_alone(&mut server, e), i as u64 + 1);
+    }
+    let delivered = assert_dead_worker_unwinds(
+        server,
+        &events[FAIL_AT as usize - 1..]
+            .iter()
+            .map(|&e| (TenantId::DEFAULT, e))
+            .collect::<Vec<_>>(),
+        "failed fsync",
+    );
+    assert!(
+        delivered.iter().all(|&epoch| epoch < FAIL_AT),
+        "delivered past the failed sync: {delivered:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stalled seal fsync holds the GNN worker, so the pipeline backs up to
+/// admission and a `Block` client waits inside `submit` — the disk
+/// back-pressures ingress like any other slow stage — and no batch is
+/// delivered before its seal is durable.  The client cannot end the stall
+/// (it is blocked); a timer thread does, once it sees the client blocked.
+/// Afterwards every event is delivered exactly once.
 #[test]
 fn fsync_stall_longer_than_the_results_queue_does_not_deadlock_a_block_client() {
     let (model, graph) = setup(31);
     let dir = std::env::temp_dir().join(format!("tgnn-fsync-stall-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // The stall: the syncer blocks on this channel at its first fsync and
-    // runs freely once the sender is gone.  The client drops it after its
-    // last submit; the watchdog below drops it if the client never gets
-    // there, so a failure shows the deadlock outliving the stall.
+    // The stall: the first seal sync blocks on this channel, and every sync
+    // runs freely once the sender is gone.
     let (release, stalled) = mpsc::channel::<()>();
     let stalled = Mutex::new(stalled);
-    let release = Arc::new(Mutex::new(Some(release)));
     let config = ServeConfig {
         max_batch: 4,
         stage_capacity: 1,
@@ -233,35 +287,56 @@ fn fsync_stall_longer_than_the_results_queue_does_not_deadlock_a_block_client() 
         ..ServeConfig::default()
     };
     let mut server = StreamServer::new(model, graph.clone(), config);
+    let hub = server.metrics_hub();
     let events: Vec<_> = graph.events()[..96].to_vec();
-    let total = events.len();
+    let released = Arc::new(AtomicBool::new(false));
 
-    let (done_tx, done_rx) = mpsc::channel();
-    let end_stall = release.clone();
-    let client = std::thread::spawn(move || {
-        let mut delivered = 0usize;
-        for e in events {
-            server.submit(e).unwrap();
-            while let Some(b) = server.poll() {
-                delivered += b.events.len();
+    let timer = {
+        let released = released.clone();
+        std::thread::spawn(move || {
+            let give_up = Instant::now() + Duration::from_secs(20);
+            while hub.snapshot().admission.blocked_submits == 0 && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
             }
-        }
-        assert_eq!(delivered, 0, "no delivery before its seal is durable");
-        end_stall.lock().unwrap().take();
-        server.drain();
-        while let Some(b) = server.poll() {
-            delivered += b.events.len();
-        }
-        done_tx.send(delivered).unwrap();
-    });
-    let delivered = done_rx
-        .recv_timeout(Duration::from_secs(20))
-        .or_else(|_| {
-            release.lock().unwrap().take();
-            done_rx.recv_timeout(Duration::from_secs(2))
+            released.store(true, Ordering::SeqCst);
+            drop(release);
         })
-        .expect("Block client stuck inside submit, even after the fsync stall ended");
+    };
+    let (done_tx, done_rx) = mpsc::channel();
+    let client = {
+        let (events, released) = (events.clone(), released.clone());
+        std::thread::spawn(move || {
+            let mut delivered = Vec::new();
+            let mut take = |b: tgnn_serve::ServedBatch| {
+                assert!(
+                    released.load(Ordering::SeqCst),
+                    "epoch {} delivered before its seal was durable",
+                    b.epoch
+                );
+                delivered.extend(b.events);
+            };
+            for e in events {
+                server.submit(e).unwrap();
+                while let Some(b) = server.poll() {
+                    take(b);
+                }
+            }
+            let report = server.drain();
+            while let Some(b) = server.poll() {
+                take(b);
+            }
+            done_tx.send((delivered, report)).unwrap();
+        })
+    };
+    let (delivered, report) = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the client never finished: the pipeline did not recover from the stall");
     client.join().unwrap();
-    assert_eq!(delivered, total, "every event is delivered exactly once");
+    timer.join().unwrap();
+    assert!(
+        report.tenants[0].counters.blocked_submits > 0,
+        "the stalled disk must back-pressure submit"
+    );
+    assert_eq!(delivered, events, "every event is delivered exactly once");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -284,7 +284,8 @@ fn durable_session_reports_fsync_latency_and_snapshot_lag() {
     assert!(d.snapshots > 0, "interval snapshots must have run");
     // Post-drain a final snapshot covers every sealed epoch.
     assert_eq!(d.snapshot_lag_epochs, 0);
-    // The WAL syncer and snapshot writer left spans in the flight recorder.
+    // The GNN worker's seal fsyncs and the snapshot writer left spans in
+    // the flight recorder.
     let dump = server.metrics_hub().flight_dump();
     assert!(dump.iter().any(|r| r.stage == StageId::WalSync));
     assert!(dump.iter().any(|r| r.stage == StageId::SnapWriter));

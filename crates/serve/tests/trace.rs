@@ -2,8 +2,8 @@
 //! ingress wait, seal wait, sample, memory, GNN, reorder barrier, WAL-sync
 //! wait, deliver — must tile the measured admit→deliver latency.  The
 //! property is checked across seeds × shards, with and without durability
-//! (the durability run must surface a non-zero WAL-sync wait segment
-//! somewhere), plus the per-epoch GNN wait/compute pair, the tail/head
+//! (the durability run must surface a non-zero WAL-sync wait segment — the
+//! GNN worker's seal fsync — somewhere), plus the per-epoch GNN wait/compute pair, the tail/head
 //! exemplar retention and the SLO engine's end-to-end wiring.
 
 use std::path::{Path, PathBuf};
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel};
 use tgnn_data::{generate, tiny};
-use tgnn_durable::{DurabilityConfig, FsyncPolicy, WalFaultPoint};
+use tgnn_durable::{DurabilityConfig, FsyncPolicy};
 use tgnn_graph::TemporalGraph;
 use tgnn_serve::{
     BurnState, CriticalPath, SegmentId, ServeConfig, SloConfig, StreamServer, TraceView,
@@ -145,25 +145,14 @@ fn additive_segments_tile_the_measured_latency_across_topologies() {
 fn durability_run_conserves_and_surfaces_wal_sync_wait() {
     // Lockstep feed: submit a batch's worth of events (one epoch, or two
     // when the idle state worker is handed the first event alone), then
-    // spin-poll until an epoch delivers.  Every group commit is held 5 ms
-    // before its fsync, longer than a two-event epoch takes to compute, so
-    // the spin witnesses the blocked delivery gate whatever the disk's
-    // speed — without the stall a fast fsync can win every epoch's race.
+    // spin-poll until an epoch delivers.  The GNN worker times each seal
+    // fsync it waits for as the epoch's WAL-sync wait, so any real fsync
+    // reads above zero.
     let dir = TempDir::new("conserve");
-    let stall: tgnn_durable::WalFaultHook = Arc::new(|point| {
-        if let WalFaultPoint::Sync(_) = point {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
-    });
     let config = ServeConfig {
         max_batch: 2,
         num_shards: 2,
-        durability: Some(
-            DurabilityConfig::new(dir.path())
-                .with_fsync(FsyncPolicy::OnSeal)
-                .with_wal_fault(stall),
-        ),
+        durability: Some(DurabilityConfig::new(dir.path()).with_fsync(FsyncPolicy::OnSeal)),
         ..ServeConfig::default()
     };
     let (model, graph) = setup(9);
