@@ -59,6 +59,7 @@ use tgnn_tensor::{Float, Matrix, Workspace};
 ///   that carries an int8 weight set always runs it on the batched path, so
 ///   [`InferenceEngine::new`] picks this mode for such a model and the
 ///   batched f32 modes refuse it — the mode never mislabels the kernels.
+///   It runs on one thread: rayon sharding is `Parallel`'s alone.
 ///
 /// # Selection guide
 ///

@@ -49,7 +49,9 @@ impl NeighborTable {
     /// first — how a snapshot decoder rebuilds one.  Unlike [`Self::new`] it
     /// reserves nothing beyond what the entries occupy, so an untrusted
     /// `capacity` costs no memory.  Fails if `capacity` is zero or a FIFO
-    /// breaks [`Self::check_invariants`].
+    /// holds more than `capacity` entries.  Timestamp order is not checked:
+    /// [`Self::push`] never enforces it, and a live server whose tenants
+    /// share a vertex may interleave their streams into one FIFO.
     pub fn from_fifos(
         capacity: usize,
         entries: Vec<VecDeque<NeighborEntry>>,
@@ -57,9 +59,10 @@ impl NeighborTable {
         if capacity == 0 {
             return Err("capacity must be positive".into());
         }
-        let table = Self { capacity, entries };
-        table.check_invariants()?;
-        Ok(table)
+        if let Some(v) = entries.iter().position(|q| q.len() > capacity) {
+            return Err(format!("vertex {v} exceeds capacity"));
+        }
+        Ok(Self { capacity, entries })
     }
 
     /// The per-vertex capacity `mr`.

@@ -755,34 +755,26 @@ fn step_sealed(
     downstream_alive
 }
 
-/// What the GNN worker holds besides its two queue ends.
-pub(crate) struct GnnStage {
-    /// Indexed by [`BackendKind::code`]; `None` for kinds no tenant routes
-    /// to.
-    pub backends: Vec<Option<Arc<dyn ComputeBackend>>>,
-    pub collector: Arc<Collector>,
-    pub cache: Option<Arc<EmbeddingCache>>,
-    pub durability: Option<Arc<Durability>>,
-    pub fault: Option<GnnFaultHook>,
-    pub obs: StageObs,
-}
-
 /// GNN worker: the pipeline's embedding unit and its commit point.  It
 /// computes each job on the prepared backend its batch was sealed for —
 /// f32 kernels, int8 kernels, or f32 kernels plus a modeled latency
-/// (hwsim) — on one persistent workspace.  Jobs arrive in epoch order and
-/// leave in it.  Per batch it then makes the batch's seal durable
-/// ([`Durability::sync_seal`]), populates the embedding cache, feeds the
-/// collector, grades each event's deadline and emits the [`ServedBatch`].
-pub(crate) fn gnn_loop(rx: Receiver<GnnJob>, tx: Sender<ServedBatch>, stage: GnnStage) {
-    let GnnStage {
-        backends,
-        collector,
-        cache,
-        durability,
-        fault,
-        obs,
-    } = stage;
+/// (hwsim) — on one persistent workspace.  `backends` is indexed by
+/// [`BackendKind::code`], `None` for kinds no tenant routes to.  Jobs
+/// arrive in epoch order and leave in it.  Per batch it then makes the
+/// batch's seal durable ([`Durability::sync_seal`]), populates the
+/// embedding cache, feeds the collector, grades each event's deadline and
+/// emits the [`ServedBatch`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gnn_loop(
+    rx: Receiver<GnnJob>,
+    tx: Sender<ServedBatch>,
+    backends: Vec<Option<Arc<dyn ComputeBackend>>>,
+    collector: Arc<Collector>,
+    cache: Option<Arc<EmbeddingCache>>,
+    durability: Option<Arc<Durability>>,
+    fault: Option<GnnFaultHook>,
+    obs: StageObs,
+) {
     let mut ws = Workspace::new();
     while let Some(GnnJob {
         epoch,

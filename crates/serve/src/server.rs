@@ -13,8 +13,8 @@ use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
 use crate::metrics::{per_second, HubConfig, MetricsHub, MetricsSnapshot, StageId};
 use crate::pipeline::{
-    gnn_loop, state_loop, Batcher, Collector, GnnFaultHook, GnnJob, GnnStage, ServedBatch,
-    StateObs, StateStage, STATE_ONLY,
+    gnn_loop, state_loop, Batcher, Collector, GnnFaultHook, GnnJob, ServedBatch, StateObs,
+    StateStage, STATE_ONLY,
 };
 use crate::queue::{channel, QueueStats, Receiver};
 use std::collections::VecDeque;
@@ -647,17 +647,19 @@ impl StreamServer {
                 state_loop(batcher, gnn_tx, stage)
             }));
         }
-        let gnn = GnnStage {
-            backends: backends.clone(),
-            collector: collector.clone(),
-            cache: cache.clone(),
-            durability: durability.clone(),
-            fault: config.gnn_fault.clone(),
-            obs: hub.stage_obs(StageId::Gnn),
-        };
-        workers.push(spawn("tgnn-serve-gnn", move || {
-            gnn_loop(gnn_rx, results_tx, gnn)
-        }));
+        {
+            let backends = backends.clone();
+            let collector = collector.clone();
+            let cache = cache.clone();
+            let durability = durability.clone();
+            let fault = config.gnn_fault.clone();
+            let obs = hub.stage_obs(StageId::Gnn);
+            workers.push(spawn("tgnn-serve-gnn", move || {
+                gnn_loop(
+                    gnn_rx, results_tx, backends, collector, cache, durability, fault, obs,
+                )
+            }));
+        }
 
         Self {
             admission,

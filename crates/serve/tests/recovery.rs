@@ -662,6 +662,59 @@ fn drain_writes_floor_snapshot_making_recovery_replay_free() {
 }
 
 #[test]
+fn a_vertex_two_tenants_share_recovers_with_its_interleaved_fifo() {
+    // Chronology is per tenant, so tenant 1's older event may commit after
+    // tenant 0's newer one on a vertex both touch: its neighbor FIFO then
+    // goes back in time.  The clean-drain snapshot holds it as it is, and
+    // recovery must load it.
+    let (model, graph) = setup(19);
+    let td = TempDir::new("shared-vertex");
+    let mut config = base_config(td.path(), FsyncPolicy::OnSeal);
+    config.tenants = vec![TenantSpec::new("t0"), TenantSpec::new("t1")];
+    let first = graph.events()[0];
+    let shared = first.src;
+    let newer = InteractionEvent {
+        timestamp: first.timestamp + 10.0,
+        ..first
+    };
+    let older = InteractionEvent {
+        src: first.dst,
+        dst: shared,
+        edge_id: graph.events()[1].edge_id,
+        timestamp: first.timestamp,
+    };
+    let fifo = |server: &StreamServer| {
+        let mut out = Vec::new();
+        let table = server.neighbor_table();
+        table.sample_into(shared, f64::INFINITY, usize::MAX, &mut out);
+        out
+    };
+    let before = {
+        let mut server = StreamServer::new(model.clone(), graph.clone(), config.clone());
+        server.submit_for(TenantId(0), newer).unwrap();
+        // Lockstep: the newer event commits in an epoch of its own first.
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        while server.poll().is_none() {
+            assert!(std::time::Instant::now() < give_up, "epoch never delivered");
+            std::thread::yield_now();
+        }
+        server.submit_for(TenantId(1), older).unwrap();
+        server.drain();
+        while server.poll().is_some() {}
+        assert!(
+            server.neighbor_table().check_invariants().is_err(),
+            "the shared vertex's FIFO goes back in time"
+        );
+        fifo(&server)
+    };
+    assert_eq!(before.len(), 2);
+    let (server, report) = StreamServer::recover(model, graph, config)
+        .expect("a snapshot holding an interleaved FIFO recovers");
+    assert_eq!(report.replayed_epochs, 0, "the drain snapshot is current");
+    assert_eq!(fifo(&server), before);
+}
+
+#[test]
 fn ingress_drops_are_durable_and_never_resurrected() {
     // Drop-policy outcomes are part of the durable contract: after a
     // restart, `resume_from` counts drops as consumed feed positions, and a
