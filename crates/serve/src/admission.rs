@@ -1678,4 +1678,256 @@ mod tests {
             Err(SubmitError::Closed)
         ));
     }
+
+    /// One row of the admission decision table: a policy and the four
+    /// conditions a submit can meet.
+    #[derive(Clone, Copy, Debug)]
+    struct Case {
+        policy: OverloadPolicy,
+        token: bool,
+        space: bool,
+        hit: bool,
+        gate: bool,
+    }
+
+    /// What one submit did: its outcome, the counter deltas (`max_depth`
+    /// absolute), the drop-objective sample (`Some(dropped)`, `None` for no
+    /// sample), the WAL records it appended, the stale answers it queued,
+    /// the ingress queue it left (timestamps) and the tokens left over.
+    #[derive(Debug, PartialEq)]
+    struct Effect {
+        outcome: SubmitOutcome,
+        delta: AdmissionCounters,
+        slo_dropped: Option<bool>,
+        wal: Vec<WalRecord>,
+        stale_answers: usize,
+        queue: Vec<f64>,
+        tokens: f64,
+    }
+
+    fn blocks(policy: OverloadPolicy) -> bool {
+        matches!(policy, OverloadPolicy::Block | OverloadPolicy::Late)
+    }
+
+    /// The table itself: what a submit of `ev(2.0)` must do.  The queue
+    /// holds `ev(0.0)` (space) or `ev(0.0), ev(1.0)` (full, capacity 2); the
+    /// bucket holds one token or none; a blocked submitter gets one token
+    /// refilled and, at a full queue, the head pulled.
+    fn expected(c: Case) -> Effect {
+        let mut queue = if c.space { vec![0.0] } else { vec![0.0, 1.0] };
+        let prefill = queue.len();
+        let mut delta = AdmissionCounters {
+            submitted: 1,
+            max_depth: prefill,
+            ..AdmissionCounters::default()
+        };
+        let admit = |disposition| WalRecord::Admit {
+            tenant: 0,
+            event: ev(2.0),
+            disposition,
+        };
+        // The two places that cannot queue the event: a `ServeStale` hit
+        // answers stale, anything else loses the event.
+        let shed = |mut delta: AdmissionCounters, miss, queue| {
+            let (outcome, disposition, answers) =
+                if c.policy == OverloadPolicy::ServeStale && c.hit {
+                    delta.served_stale += 1;
+                    (SubmitOutcome::ServedStale, AdmitDisposition::ServedStale, 1)
+                } else {
+                    match miss {
+                        AdmitDisposition::DroppedThrottled => delta.dropped_throttled += 1,
+                        _ => delta.dropped_newest += 1,
+                    }
+                    (SubmitOutcome::Dropped, miss, 0)
+                };
+            Effect {
+                outcome,
+                delta,
+                slo_dropped: Some(outcome == SubmitOutcome::Dropped),
+                wal: vec![admit(disposition)],
+                stale_answers: answers,
+                queue,
+                tokens: 0.0,
+            }
+        };
+        if !c.token {
+            if !blocks(c.policy) {
+                return shed(delta, AdmitDisposition::DroppedThrottled, queue);
+            }
+            delta.throttled += 1;
+        }
+        if c.policy == OverloadPolicy::ServeStale && c.space && c.gate && c.hit {
+            delta.preempt_stale += 1;
+            return shed(delta, AdmitDisposition::DroppedNewest, queue);
+        }
+        let mut wal = Vec::new();
+        let mut evicted = false;
+        if !c.space {
+            match c.policy {
+                p if blocks(p) => {
+                    delta.blocked_submits += 1;
+                    queue.remove(0);
+                }
+                OverloadPolicy::DropOldest => {
+                    delta.dropped_oldest += 1;
+                    wal.push(WalRecord::Evict {
+                        tenant: 0,
+                        event: ev(queue.remove(0)),
+                    });
+                    evicted = true;
+                }
+                _ => return shed(delta, AdmitDisposition::DroppedNewest, queue),
+            }
+        }
+        delta.admitted += 1;
+        wal.push(admit(AdmitDisposition::Admitted));
+        queue.push(2.0);
+        delta.max_depth = prefill.max(queue.len());
+        Effect {
+            outcome: SubmitOutcome::Admitted,
+            delta,
+            slo_dropped: Some(evicted),
+            wal,
+            stale_answers: 0,
+            queue,
+            tokens: 0.0,
+        }
+    }
+
+    /// Runs one row against a real WAL, cache, SLO engine and burn gate.
+    fn observed(c: Case, dir: &std::path::Path) -> Effect {
+        use tgnn_durable::read_wal;
+        use tgnn_obs::{SloEngine, SloSpec};
+        let _ = std::fs::remove_dir_all(dir);
+        let wal = Arc::new(Wal::open(dir, 0, 1 << 20, FsyncPolicy::Never).unwrap());
+        let cache = Arc::new(EmbeddingCache::new(
+            crate::cache::CacheConfig {
+                capacity: 64,
+                staleness_bound_epochs: 4,
+            },
+            2,
+        ));
+        if c.hit {
+            cache.insert(0, 1, &[1.0]);
+            cache.insert(1, 1, &[2.0]);
+        }
+        let out = Arc::new(Mutex::new(VecDeque::new()));
+        // Budget 1: a single sample reads as burn 0 (kept) or 1 (dropped).
+        let slo = Arc::new(SloEngine::new(vec![
+            SloSpec::new("latency", 1.0, 1.0),
+            SloSpec::new("drops", 1.0, 1.0),
+        ]));
+        let gate = c.gate;
+        let ac = Arc::new(
+            AdmissionControl::new(vec![TenantSpec::new("t")
+                .with_capacity(2)
+                .with_policy(c.policy)
+                .with_rate_eps(1000.0)
+                .with_rate_burst(1.0)])
+            .with_wal(Some(wal.clone()))
+            .with_stale(Some(StaleServing {
+                cache,
+                out: out.clone(),
+                collector: Arc::new(Collector::new(1)),
+            }))
+            .with_slo(SloHandle::new(Some(slo.clone()), None))
+            .with_burn_gate(Some(Arc::new(move || gate))),
+        );
+        let t0 = ac.freeze_clock();
+        let prefill = if c.space {
+            vec![ev(0.0)]
+        } else {
+            vec![ev(0.0), ev(1.0)]
+        };
+        ac.restore(TenantId::DEFAULT, &prefill, 1.0);
+        {
+            let mut state = ac.state.lock().unwrap();
+            let t = &mut state.tenants[0];
+            t.tokens = if c.token { 1.0 } else { 0.0 };
+            t.last_refill = t0;
+        }
+        let before = ac.tenant_snapshot(0).1;
+        let submitter = {
+            let ac = ac.clone();
+            std::thread::spawn(move || ac.submit(TenantId::DEFAULT, ev(2.0)))
+        };
+        let wait_for = |done: &dyn Fn(AdmissionCounters) -> bool| {
+            while !done(ac.tenant_snapshot(0).1) {
+                std::thread::yield_now();
+            }
+        };
+        if blocks(c.policy) {
+            if !c.token {
+                wait_for(&|now| now.throttled > before.throttled);
+                ac.advance_clock(Duration::from_millis(2));
+            }
+            if !c.space {
+                wait_for(&|now| now.blocked_submits > before.blocked_submits);
+                let mut head = Vec::new();
+                ac.pull(&mut head, 1);
+                assert_eq!(head.len(), 1);
+            }
+        }
+        let outcome = submitter.join().unwrap().unwrap();
+        let after = ac.tenant_snapshot(0).1;
+        wal.flush(false).unwrap();
+        let records = read_wal(dir).unwrap().records;
+        let _ = std::fs::remove_dir_all(dir);
+        let state = ac.state.lock().unwrap();
+        let stale_answers = out.lock().unwrap().len();
+        Effect {
+            outcome,
+            delta: AdmissionCounters {
+                submitted: after.submitted - before.submitted,
+                admitted: after.admitted - before.admitted,
+                dropped_newest: after.dropped_newest - before.dropped_newest,
+                dropped_oldest: after.dropped_oldest - before.dropped_oldest,
+                dropped_throttled: after.dropped_throttled - before.dropped_throttled,
+                served_stale: after.served_stale - before.served_stale,
+                blocked_submits: after.blocked_submits - before.blocked_submits,
+                throttled: after.throttled - before.throttled,
+                preempt_stale: after.preempt_stale - before.preempt_stale,
+                max_depth: after.max_depth,
+            },
+            slo_dropped: slo.status()[1].fast_burn.map(|burn| burn > 0.0),
+            wal: records,
+            stale_answers,
+            queue: state.tenants[0]
+                .queue
+                .iter()
+                .map(|e| e.event.timestamp)
+                .collect(),
+            tokens: state.tenants[0].tokens,
+        }
+    }
+
+    #[test]
+    fn admission_decision_table() {
+        let root = std::env::temp_dir().join(format!("tgnn-admit-table-{}", std::process::id()));
+        let mut rows = 0;
+        for policy in [
+            OverloadPolicy::Block,
+            OverloadPolicy::DropNewest,
+            OverloadPolicy::DropOldest,
+            OverloadPolicy::Late,
+            OverloadPolicy::ServeStale,
+        ] {
+            for bits in 0..16u32 {
+                let c = Case {
+                    policy,
+                    token: bits & 1 != 0,
+                    space: bits & 2 != 0,
+                    hit: bits & 4 != 0,
+                    gate: bits & 8 != 0,
+                };
+                assert_eq!(
+                    observed(c, &root.join(rows.to_string())),
+                    expected(c),
+                    "{c:?}"
+                );
+                rows += 1;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
