@@ -20,16 +20,19 @@
 //! | [`Block`](OverloadPolicy::Block) | `submit` blocks until space | backpressure | every event served |
 //! | [`DropNewest`](OverloadPolicy::DropNewest) | incoming event dropped | `Dropped` outcome | admitted events served |
 //! | [`DropOldest`](OverloadPolicy::DropOldest) | queue head evicted, incoming admitted | `Admitted` (eviction counted) | freshest events served |
-//! | [`Late`](OverloadPolicy::Late) | `submit` blocks until space | backpressure | served, flagged [`Disposition::Late`] past deadline |
 //! | [`ServeStale`](OverloadPolicy::ServeStale) | answered from the embedding cache | `ServedStale` outcome | flagged [`Disposition::Stale`] with its age |
 //!
 //! Dropping happens **only** in the ingress queue: once the scheduler hands
 //! an event to the micro-batcher it is sealed into a batch and will be
 //! served exactly once (the admission property tests assert this).
-//! `ServeStale` completes the block/drop/late spectrum with a *quality*
-//! axis: instead of delaying or discarding overload, it answers from the
-//! serving layer's bounded-staleness embedding cache and labels the result
-//! with how many epochs old it is.
+//! `ServeStale` completes the block/drop spectrum with a *quality* axis:
+//! instead of delaying or discarding overload, it answers from the serving
+//! layer's bounded-staleness embedding cache and labels the result with how
+//! many epochs old it is.
+//!
+//! Deadlines are orthogonal to the policy: a tenant that configures one has
+//! every pipeline-served result graded [`Disposition::Late`] past it,
+//! whatever its policy.
 
 /// Identifies one tenant of a multi-tenant serving instance.
 ///
@@ -61,9 +64,7 @@ impl std::fmt::Display for TenantId {
 /// See the [module table](self) for the full contract.  `Block` is the
 /// single-tenant default and preserves today's backpressure semantics
 /// bit-for-bit; the drop modes trade completeness for bounded queueing
-/// delay; `Late` admits everything (blocking at the bound like `Block`) but
-/// flags results whose admission-to-completion latency exceeded the
-/// tenant's deadline.
+/// delay; `ServeStale` trades freshness for it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OverloadPolicy {
     /// Block the submitter until the queue has space (backpressure).
@@ -73,9 +74,6 @@ pub enum OverloadPolicy {
     DropNewest,
     /// Evict the oldest queued event to admit the incoming one.
     DropOldest,
-    /// Admit (blocking at the bound) and mark results that complete after
-    /// the tenant's deadline as [`Disposition::Late`].
-    Late,
     /// Answer from the serving layer's bounded-staleness embedding cache
     /// when the queue is full: the event is *not* admitted to the pipeline;
     /// its result carries the last served embeddings of the touched
@@ -93,7 +91,6 @@ impl OverloadPolicy {
             OverloadPolicy::Block => "block",
             OverloadPolicy::DropNewest => "drop-newest",
             OverloadPolicy::DropOldest => "drop-oldest",
-            OverloadPolicy::Late => "late",
             OverloadPolicy::ServeStale => "serve-stale",
         }
     }
@@ -103,16 +100,15 @@ impl std::str::FromStr for OverloadPolicy {
     type Err = String;
 
     /// Parses the labels `label()` emits (hyphen/underscore-insensitive):
-    /// `block`, `drop-newest`, `drop-oldest`, `late`, `serve-stale`.
+    /// `block`, `drop-newest`, `drop-oldest`, `serve-stale`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().replace('_', "-").as_str() {
             "block" => Ok(OverloadPolicy::Block),
             "drop-newest" | "dropnewest" => Ok(OverloadPolicy::DropNewest),
             "drop-oldest" | "dropoldest" => Ok(OverloadPolicy::DropOldest),
-            "late" => Ok(OverloadPolicy::Late),
             "serve-stale" | "servestale" => Ok(OverloadPolicy::ServeStale),
             other => Err(format!(
-                "unknown overload policy {other:?} (expected block|drop-newest|drop-oldest|late|serve-stale)"
+                "unknown overload policy {other:?} (expected block|drop-newest|drop-oldest|serve-stale)"
             )),
         }
     }
@@ -134,9 +130,8 @@ pub enum Disposition {
     #[default]
     OnTime,
     /// Completed after the tenant's deadline elapsed.  Graded whenever the
-    /// tenant configures a deadline — [`OverloadPolicy::Late`] is the
-    /// policy built around it (admit everything, flag the stragglers), but
-    /// drop-policy tenants with a deadline get the same observability.
+    /// tenant configures a deadline, under every policy: a `Block` tenant
+    /// with a deadline admits everything and flags the stragglers.
     Late,
     /// Answered from the bounded-staleness embedding cache without entering
     /// the pipeline ([`OverloadPolicy::ServeStale`] under overload).
@@ -212,7 +207,6 @@ mod tests {
             OverloadPolicy::Block,
             OverloadPolicy::DropNewest,
             OverloadPolicy::DropOldest,
-            OverloadPolicy::Late,
             OverloadPolicy::ServeStale,
         ] {
             assert_eq!(p.label().parse::<OverloadPolicy>().unwrap(), p);
@@ -222,6 +216,7 @@ mod tests {
             OverloadPolicy::DropNewest
         );
         assert!("yolo".parse::<OverloadPolicy>().is_err());
+        assert!("late".parse::<OverloadPolicy>().is_err());
     }
 
     #[test]

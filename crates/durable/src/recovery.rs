@@ -60,16 +60,10 @@ pub struct RecoveryPlan {
     /// Per-tenant count of durable submit outcomes (admits *and* drops) —
     /// the index from which a client should resume submission.
     pub admits: Vec<u64>,
-    /// Per-tenant drops at the bound (`DropNewest`).
-    pub dropped_newest: Vec<u64>,
-    /// Per-tenant drops by the token-bucket rate limit.
-    pub dropped_throttled: Vec<u64>,
     /// Per-tenant events answered from the embedding cache (`ServeStale`).
     /// Counted like drops for tail purposes — the event never queued — but
     /// reported separately because the client did receive a (stale) result.
     pub served_stale: Vec<u64>,
-    /// Per-tenant `DropOldest` evictions.
-    pub evicted: Vec<u64>,
     /// Per-tenant largest durable submitted timestamp
     /// (`f64::NEG_INFINITY` when the tenant never submitted) — the
     /// chronology floor to reimpose after restart.
@@ -101,10 +95,7 @@ pub fn plan_recovery(scan: &WalScan, num_tenants: usize) -> Result<RecoveryPlan,
     let mut plan = RecoveryPlan {
         tails: vec![Vec::new(); num_tenants],
         admits: vec![0; num_tenants],
-        dropped_newest: vec![0; num_tenants],
-        dropped_throttled: vec![0; num_tenants],
         served_stale: vec![0; num_tenants],
-        evicted: vec![0; num_tenants],
         max_timestamp: vec![f64::NEG_INFINITY; num_tenants],
         ..RecoveryPlan::default()
     };
@@ -132,15 +123,12 @@ pub fn plan_recovery(scan: &WalScan, num_tenants: usize) -> Result<RecoveryPlan,
                 }
                 match disposition {
                     AdmitDisposition::Admitted => plan.tails[t].push(*event),
-                    AdmitDisposition::DroppedNewest => plan.dropped_newest[t] += 1,
-                    AdmitDisposition::DroppedThrottled => plan.dropped_throttled[t] += 1,
                     AdmitDisposition::ServedStale => plan.served_stale[t] += 1,
+                    AdmitDisposition::DroppedNewest | AdmitDisposition::DroppedThrottled => {}
                 }
             }
             WalRecord::Evict { tenant: t, event } => {
-                let t = tenant(*t)?;
-                plan.evicted[t] += 1;
-                remove_by_identity(&mut plan.tails[t], event, "Evict")?;
+                remove_by_identity(&mut plan.tails[tenant(*t)?], event, "Evict")?;
             }
             WalRecord::Seal { epoch, events } => {
                 if plan.first_sealed == 0 {
@@ -231,7 +219,6 @@ mod tests {
         assert_eq!(plan.acked, 1);
         assert_eq!(plan.max_sealed, 1);
         assert_eq!(plan.admits[0], 4);
-        assert_eq!(plan.evicted[0], 1);
         assert_eq!(plan.max_timestamp[0], 4.0);
     }
 
@@ -260,8 +247,6 @@ mod tests {
         .unwrap();
         assert!(plan.tails[0].is_empty());
         assert_eq!(plan.admits[0], 3);
-        assert_eq!(plan.dropped_newest[0], 1);
-        assert_eq!(plan.dropped_throttled[0], 1);
         assert_eq!(plan.served_stale[0], 1);
         assert_eq!(plan.max_timestamp[0], 3.0);
     }

@@ -20,15 +20,23 @@
 //!
 //! * **Bounded ingress** — each tenant owns a FIFO of at most
 //!   `ingress_capacity` pending events.  What happens at the bound is the
-//!   tenant's [`OverloadPolicy`]: `Block`/`Late` exert backpressure on the
+//!   tenant's [`OverloadPolicy`]: `Block` exerts backpressure on the
 //!   submitter, `DropNewest` rejects the incoming event, `DropOldest`
 //!   evicts the queue head, and `ServeStale` answers from the serving
 //!   layer's bounded-staleness embedding cache (see [`crate::cache`]) —
 //!   the result comes back through `poll` flagged
 //!   [`Disposition`]`::Stale` with its
 //!   age in epochs, and a cache miss degrades to a `DropNewest`-style
-//!   shed.  Drops can happen **only** here — an event the
+//!   shed.  A tenant's token bucket is checked first, with the same
+//!   split: `Block` waits for a token, the others shed the event.
+//!   Drops can happen **only** here — an event the
 //!   state worker has pulled is sealed and will be served.
+//! * **One decision per submit** — `admit` works out the outcome as the
+//!   WAL names it, an [`AdmitDisposition`] (plus the queue head a
+//!   `DropOldest` admit evicts), and one function records it: the
+//!   tenant's counters, the one drop-objective sample and the WAL
+//!   records.  The empty bucket and the full queue share one shed path,
+//!   and it and the burn-gate preemption share one cache attempt.
 //! * **Weighted-fair draining** — the state worker pulls straight from the
 //!   tenant queues (`AdmissionControl::pull`), each time it finishes a
 //!   batch, everything pending up to `max_batch`: it visits non-empty
@@ -138,16 +146,18 @@ pub struct TenantSpec {
     pub ingress_capacity: usize,
     /// Behaviour at the ingress bound; see [`OverloadPolicy`].
     pub policy: OverloadPolicy,
-    /// Admission-to-completion latency budget used by
-    /// [`OverloadPolicy::Late`] to flag results as late.  `None` means no
-    /// deadline (nothing is ever flagged).
+    /// Admission-to-completion latency budget: every pipeline-served result
+    /// that exceeds it is flagged [`Disposition::Late`], whatever the
+    /// policy (a `Block` tenant with a deadline admits everything and
+    /// flags the stragglers).  `None` means no deadline (nothing is ever
+    /// flagged).
     pub deadline: Option<Duration>,
     /// Token-bucket rate limit in events per second, applied at `submit_for`
     /// *before* the queue-bound policy.  `None` means unlimited.  Unlike the
     /// WRR `weight` — which divides pipeline capacity *proportionally* under
     /// contention — a rate cap bounds a tenant *absolutely*, so capping the
     /// best-effort tenants is how a premium tenant buys a throughput floor.
-    /// When the bucket is empty, `Block`/`Late` tenants wait for a token
+    /// When the bucket is empty, `Block` tenants wait for a token
     /// (counted in [`AdmissionCounters::throttled`]); drop-policy tenants
     /// lose the event ([`AdmissionCounters::dropped_throttled`]).
     pub rate_eps: Option<f64>,
@@ -211,7 +221,8 @@ impl TenantSpec {
         self
     }
 
-    /// Sets the `Late` deadline (builder style).
+    /// Sets the admission-to-completion deadline results are graded
+    /// against (builder style); see the `deadline` field.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -343,9 +354,10 @@ pub(crate) enum Ingress {
 /// the serve report's `TenantStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionCounters {
-    /// `submit_for` calls that returned `Ok` (admitted + dropped-newest);
-    /// calls failing with an error are not part of the accounting.  After a
-    /// drain, `submitted == served + dropped()` holds for every policy.
+    /// `submit_for` calls that returned `Ok` (admitted, dropped or answered
+    /// stale); calls failing with an error are not part of the accounting.
+    /// After a drain, `submitted == served + dropped()` holds for every
+    /// policy.
     pub submitted: u64,
     /// Events that entered the ingress queue.
     pub admitted: u64,
@@ -353,7 +365,8 @@ pub struct AdmissionCounters {
     pub dropped_newest: u64,
     /// Queued events evicted by [`OverloadPolicy::DropOldest`].
     pub dropped_oldest: u64,
-    /// Incoming events rejected by an empty token bucket (drop policies).
+    /// Incoming events rejected by an empty token bucket (every policy but
+    /// `Block`, which waits; for `ServeStale`, a cache miss).
     pub dropped_throttled: u64,
     /// Events answered from the embedding cache by
     /// [`OverloadPolicy::ServeStale`] — overflow that produced a (stale)
@@ -361,10 +374,10 @@ pub struct AdmissionCounters {
     /// after a drain `submitted == served + dropped()` still holds.
     pub served_stale: u64,
     /// `submit_for` calls that had to block on a full queue
-    /// (`Block`/`Late` backpressure).
+    /// (`Block` backpressure).
     pub blocked_submits: u64,
     /// `submit_for` calls that had to wait for a rate-limit token
-    /// (`Block`/`Late` policies).
+    /// (`Block` policy).
     pub throttled: u64,
     /// [`OverloadPolicy::ServeStale`] answers triggered by the SLO
     /// burn-rate gate while the queue still had space (a subset of
@@ -460,7 +473,7 @@ pub(crate) struct StaleServing {
 /// `StreamServer`, shared between the submitting thread and that worker.
 pub(crate) struct AdmissionControl {
     state: Mutex<AdmissionState>,
-    /// Signalled when a queue gains space (wakes `Block`/`Late` submitters).
+    /// Signalled when a queue gains space (wakes `Block` submitters).
     space: Condvar,
     /// Signalled when work arrives or the layer closes (wakes the state
     /// worker).
@@ -601,45 +614,33 @@ impl AdmissionControl {
         self.state.lock().unwrap().puller_parked
     }
 
-    /// Appends a WAL record for a submit outcome, under the admission lock
-    /// and without an fsync: `submit` syncs after releasing the lock.  A WAL
-    /// that cannot accept writes voids the durability contract, so failure
-    /// is fatal.
-    fn log(&self, rec: &WalRecord) {
-        if let Some(wal) = &self.wal {
-            wal.append_unsynced(rec)
-                .expect("admission WAL append failed");
-        }
-    }
-
     /// Number of configured tenants.
     pub fn num_tenants(&self) -> usize {
         self.state.lock().unwrap().tenants.len()
     }
 
-    /// Attempts to answer an overload event from the embedding cache
+    /// Answers an overload event from the embedding cache
     /// ([`OverloadPolicy::ServeStale`]).  On a hit — every touched vertex
     /// cached within the staleness bound — a [`ServedBatch`] flagged
-    /// [`Disposition::Stale`] is queued for `poll` and the answer's age (in
-    /// epochs) is returned; `None` on a miss, and the caller sheds the event
-    /// like a drop policy would.  The batch's embeddings are exactly the
-    /// cached (i.e. originally served) values; `cache_epochs` records the
-    /// serving epoch of each so clients and the bench can verify
-    /// bit-identity against history.
+    /// [`Disposition::Stale`] is queued for `poll` and `true` returned; on a
+    /// miss nothing happens.  The batch's embeddings are exactly the cached
+    /// (i.e. originally served) values; `cache_epochs` records the serving
+    /// epoch of each so clients and the bench can verify bit-identity
+    /// against history.
     ///
-    /// `bound` is the tenant's staleness override
-    /// ([`TenantSpec::staleness_bound_epochs`], `None` = the cache's global
-    /// bound); `backend` is the tenant's declared backend, stamped on the
-    /// stale result's metadata.
-    fn serve_stale(
-        &self,
-        tenant: TenantId,
-        event: InteractionEvent,
-        bound: Option<u64>,
-        backend: BackendKind,
-    ) -> Option<u64> {
-        let stale = self.stale.as_ref()?;
-        let (entries, age) = stale.cache.get_event_bounded(event.src, event.dst, bound)?;
+    /// The lookup honours the tenant's staleness override
+    /// ([`TenantSpec::staleness_bound_epochs`]), and the answer carries the
+    /// tenant's declared backend.
+    fn serve_stale(&self, spec: &TenantSpec, tenant: TenantId, event: InteractionEvent) -> bool {
+        let Some(stale) = self.stale.as_ref() else {
+            return false;
+        };
+        let bound = spec.staleness_bound_epochs;
+        let Some((entries, age)) = stale.cache.get_event_bounded(event.src, event.dst, bound)
+        else {
+            return false;
+        };
+        let backend = spec.backend.unwrap_or_default();
         stale.cache.record_stale_serve(age);
         let mut embeddings = Vec::with_capacity(entries.len());
         let mut cache_epochs = Vec::with_capacity(entries.len());
@@ -647,14 +648,11 @@ impl AdmissionControl {
             embeddings.push((v, emb));
             cache_epochs.push(epoch);
         }
-        // A stale answer is delivered, so it counts as a served event (the
-        // drain invariant `submitted == served + dropped()` depends on it),
-        // but it bypasses the pipeline: zero pipeline latency, and it is
-        // excluded from the tenant's admission-to-completion distribution.
-        stale
-            .collector
-            .record_batch(1, embeddings.len(), Duration::ZERO);
-        stale.collector.record_stale_event(tenant);
+        // A stale answer is delivered, so it counts toward the events,
+        // batches and embeddings served, but it bypasses the pipeline: it
+        // adds no seal→embeddings latency sample, and the tenant counts it
+        // through `AdmissionCounters::served_stale`.
+        stale.collector.count_batch(1, embeddings.len());
         let now = Instant::now();
         stale.out.lock().unwrap().push_back(ServedBatch {
             epoch: 0,
@@ -673,18 +671,42 @@ impl AdmissionControl {
             admitted_at: now,
             completed_at: now,
         });
-        Some(age)
+        true
+    }
+
+    /// The one cache attempt of the submit path: whether a `ServeStale`
+    /// tenant answered `event` stale (any other policy never does).
+    fn answered_stale(&self, t: &TenantIngress, tenant: TenantId, event: InteractionEvent) -> bool {
+        t.spec.policy == OverloadPolicy::ServeStale && self.serve_stale(&t.spec, tenant, event)
+    }
+
+    /// The shed path, shared by the two places that cannot queue the
+    /// event — an empty token bucket and a full queue: a `ServeStale` hit
+    /// is `ServedStale`; a miss, or any other policy, is the caller's
+    /// `miss` disposition (the cache never answers beyond its bound).
+    fn shed(
+        &self,
+        t: &TenantIngress,
+        tenant: TenantId,
+        event: InteractionEvent,
+        miss: AdmitDisposition,
+    ) -> AdmitDisposition {
+        if self.answered_stale(t, tenant, event) {
+            AdmitDisposition::ServedStale
+        } else {
+            miss
+        }
     }
 
     /// Submits one event for a tenant, applying its overload policy at the
-    /// queue bound.  Blocks only under `Block`/`Late` backpressure.
+    /// queue bound.  Blocks only under `Block` backpressure.
     ///
-    /// Counter invariant: `submitted` is bumped only on the `Ok` paths
-    /// (admitted or dropped-newest), so after a drain
-    /// `submitted == served + dropped()` holds exactly for every policy —
-    /// calls that fail with an error are not part of the accounting.
+    /// Counter invariant: `submitted` is bumped only on the `Ok` paths, so
+    /// after a drain `submitted == served + dropped()` holds exactly for
+    /// every policy — calls that fail with an error are not part of the
+    /// accounting.
     ///
-    /// Durability: the outcome's WAL record (`Admit`, plus an `Evict` for a
+    /// Durability: the outcome's WAL record (`Admit`, after an `Evict` for a
     /// `DropOldest` eviction) is appended under the admission lock, so log
     /// order is visibility order and every `Seal` follows its events'
     /// `Admit`s.  Under `FsyncPolicy::Always` the fsync runs after the lock
@@ -711,9 +733,10 @@ impl AdmissionControl {
         outcome
     }
 
-    /// [`Self::submit`] up to the fsync: the policy decision, its WAL
-    /// record and the enqueue, all under one lock acquisition that is
-    /// released on return.
+    /// [`Self::submit`] up to the fsync, under one lock acquisition that is
+    /// released on return: decides the submit's [`AdmitDisposition`] (plus
+    /// the queue head a `DropOldest` admit evicts), [records](Self::record)
+    /// it, and queues an admitted event.
     fn admit(
         &self,
         tenant: TenantId,
@@ -727,23 +750,30 @@ impl AdmissionControl {
         if state.closed {
             return Err(SubmitError::Closed);
         }
-        {
-            let t = &mut state.tenants[idx];
-            if event.timestamp < t.last_timestamp {
-                return Err(SubmitError::OutOfOrder {
-                    previous: t.last_timestamp,
-                    submitted: event.timestamp,
-                });
-            }
-            t.last_timestamp = event.timestamp;
+        let t = &mut state.tenants[idx];
+        if event.timestamp < t.last_timestamp {
+            return Err(SubmitError::OutOfOrder {
+                previous: t.last_timestamp,
+                submitted: event.timestamp,
+            });
         }
-        // Token bucket, before the queue-bound policy: blocking policies
-        // wait for a token, drop policies shed the event, `ServeStale`
-        // answers from the cache (or sheds on a miss).
-        if !state.tenants[idx].refill_tokens(self.now()) {
-            match state.tenants[idx].spec.policy {
-                OverloadPolicy::Block | OverloadPolicy::Late => {
-                    state.tenants[idx].counters.throttled += 1;
+        t.last_timestamp = event.timestamp;
+        let mut evicted = None;
+        let disposition = 'decide: {
+            // Token bucket, before the queue-bound policy: `Block` waits for
+            // a token, every other policy sheds the event.  The token is
+            // spent before the preemption check and the bound policy.
+            if t.spec.rate_eps.is_some() {
+                if !t.refill_tokens(self.now()) {
+                    if t.spec.policy != OverloadPolicy::Block {
+                        break 'decide self.shed(
+                            t,
+                            tenant,
+                            event,
+                            AdmitDisposition::DroppedThrottled,
+                        );
+                    }
+                    t.counters.throttled += 1;
                     loop {
                         if state.closed {
                             return Err(SubmitError::Closed);
@@ -759,195 +789,72 @@ impl AdmissionControl {
                         state.space_waiters -= 1;
                     }
                 }
-                OverloadPolicy::ServeStale => {
-                    let spec = &state.tenants[idx].spec;
-                    let (bound, backend) = (
-                        spec.staleness_bound_epochs,
-                        spec.backend.unwrap_or_default(),
-                    );
-                    let served = self.serve_stale(tenant, event, bound, backend);
-                    let t = &mut state.tenants[idx];
-                    t.counters.submitted += 1;
-                    return match served {
-                        Some(_) => {
-                            t.counters.served_stale += 1;
-                            self.slo.record_submit(false);
-                            self.log(&WalRecord::Admit {
-                                tenant: tenant.0,
-                                event,
-                                disposition: AdmitDisposition::ServedStale,
-                            });
-                            Ok(SubmitOutcome::ServedStale)
-                        }
-                        None => {
-                            t.counters.dropped_throttled += 1;
-                            self.slo.record_submit(true);
-                            self.log(&WalRecord::Admit {
-                                tenant: tenant.0,
-                                event,
-                                disposition: AdmitDisposition::DroppedThrottled,
-                            });
-                            Ok(SubmitOutcome::Dropped)
-                        }
-                    };
-                }
-                OverloadPolicy::DropNewest | OverloadPolicy::DropOldest => {
-                    let t = &mut state.tenants[idx];
-                    t.counters.submitted += 1;
-                    t.counters.dropped_throttled += 1;
-                    self.slo.record_submit(true);
-                    self.log(&WalRecord::Admit {
-                        tenant: tenant.0,
-                        event,
-                        disposition: AdmitDisposition::DroppedThrottled,
-                    });
-                    return Ok(SubmitOutcome::Dropped);
-                }
+                state.tenants[idx].tokens -= 1.0;
             }
-        }
-        if state.tenants[idx].spec.rate_eps.is_some() {
-            state.tenants[idx].tokens -= 1.0;
-        }
-        // SLO burn-rate preemption: while an objective fires, a `ServeStale`
-        // tenant answers from the cache even though its queue still has
-        // space — shedding load *before* the hard bound turns drops into
-        // stale answers.  A cache miss falls through to normal admission
-        // (the queue has space), so preemption never sheds an event the
-        // queue would have served.
-        if state.tenants[idx].spec.policy == OverloadPolicy::ServeStale
-            && state.tenants[idx].queue.len() < state.tenants[idx].spec.ingress_capacity
-            && self.burn_gate.as_ref().is_some_and(|g| g())
-            && self
-                .serve_stale(
-                    tenant,
-                    event,
-                    state.tenants[idx].spec.staleness_bound_epochs,
-                    state.tenants[idx].spec.backend.unwrap_or_default(),
-                )
-                .is_some()
-        {
             let t = &mut state.tenants[idx];
-            t.counters.submitted += 1;
-            t.counters.served_stale += 1;
-            t.counters.preempt_stale += 1;
-            self.slo.record_submit(false);
-            self.log(&WalRecord::Admit {
-                tenant: tenant.0,
-                event,
-                disposition: AdmitDisposition::ServedStale,
-            });
-            return Ok(SubmitOutcome::ServedStale);
-        }
-        // One drop-objective sample per submit: an admit that cost a
-        // `DropOldest` eviction counts as the eviction's loss, not as a
-        // clean admit.
-        let mut evicted_for_space = false;
-        let needs_wait = {
-            let t = &mut state.tenants[idx];
-            // Policy at the bound.
-            if t.queue.len() >= t.spec.ingress_capacity {
+            let full = t.queue.len() >= t.spec.ingress_capacity;
+            // SLO burn-rate preemption: while an objective fires, a
+            // `ServeStale` tenant answers from the cache even though its
+            // queue still has space — shedding load *before* the hard bound
+            // turns drops into stale answers.  A miss falls through to
+            // normal admission, so preemption never sheds an event the
+            // queue would have served.
+            if !full
+                && t.spec.policy == OverloadPolicy::ServeStale
+                && self.burn_gate.as_ref().is_some_and(|g| g())
+                && self.answered_stale(t, tenant, event)
+            {
+                t.counters.preempt_stale += 1;
+                break 'decide AdmitDisposition::ServedStale;
+            }
+            if full {
                 match t.spec.policy {
-                    OverloadPolicy::Block | OverloadPolicy::Late => {
+                    OverloadPolicy::Block => {
                         t.counters.blocked_submits += 1;
-                        true
-                    }
-                    OverloadPolicy::DropNewest => {
-                        t.counters.submitted += 1;
-                        t.counters.dropped_newest += 1;
-                        self.slo.record_submit(true);
-                        self.log(&WalRecord::Admit {
-                            tenant: tenant.0,
-                            event,
-                            disposition: AdmitDisposition::DroppedNewest,
-                        });
-                        return Ok(SubmitOutcome::Dropped);
-                    }
-                    OverloadPolicy::ServeStale => {
-                        let bound = t.spec.staleness_bound_epochs;
-                        let backend = t.spec.backend.unwrap_or_default();
-                        // `t` borrows `state`; release it for the helper and
-                        // re-take for the counters.
-                        let _ = t;
-                        let served = self.serve_stale(tenant, event, bound, backend);
-                        let t = &mut state.tenants[idx];
-                        t.counters.submitted += 1;
-                        return match served {
-                            Some(_) => {
-                                t.counters.served_stale += 1;
-                                self.slo.record_submit(false);
-                                self.log(&WalRecord::Admit {
-                                    tenant: tenant.0,
-                                    event,
-                                    disposition: AdmitDisposition::ServedStale,
-                                });
-                                Ok(SubmitOutcome::ServedStale)
+                        // The wait releases the state lock, so the tenant
+                        // borrow is re-taken on every wakeup.
+                        while state.tenants[idx].queue.len()
+                            >= state.tenants[idx].spec.ingress_capacity
+                        {
+                            if state.closed {
+                                return Err(SubmitError::Closed);
                             }
-                            // Miss: shed like DropNewest — the cache never
-                            // answers beyond its staleness bound.
-                            None => {
-                                t.counters.dropped_newest += 1;
-                                self.slo.record_submit(true);
-                                self.log(&WalRecord::Admit {
-                                    tenant: tenant.0,
-                                    event,
-                                    disposition: AdmitDisposition::DroppedNewest,
-                                });
-                                Ok(SubmitOutcome::Dropped)
-                            }
-                        };
-                    }
-                    OverloadPolicy::DropOldest => {
-                        if let Some(evicted) = t.queue.pop_front() {
-                            t.counters.dropped_oldest += 1;
-                            evicted_for_space = true;
-                            self.log(&WalRecord::Evict {
-                                tenant: tenant.0,
-                                event: evicted.event,
-                            });
+                            state.space_waiters += 1;
+                            state = self.space.wait(state).unwrap();
+                            state.space_waiters -= 1;
                         }
-                        false
+                        // Space freed *and* closed can be observed together
+                        // (e.g. the state worker pulled a batch and then
+                        // died): admitting now would strand the event in a
+                        // layer nothing will ever drain again.
+                        if state.closed {
+                            return Err(SubmitError::Closed);
+                        }
+                    }
+                    OverloadPolicy::DropOldest => evicted = t.queue.pop_front().map(|e| e.event),
+                    OverloadPolicy::DropNewest | OverloadPolicy::ServeStale => {
+                        break 'decide self.shed(t, tenant, event, AdmitDisposition::DroppedNewest);
                     }
                 }
-            } else {
-                false
             }
+            AdmitDisposition::Admitted
         };
-        if needs_wait {
-            // The wait releases the state lock, so the tenant borrow is
-            // re-taken on every wakeup.
-            while state.tenants[idx].queue.len() >= state.tenants[idx].spec.ingress_capacity {
-                if state.closed {
-                    return Err(SubmitError::Closed);
-                }
-                state.space_waiters += 1;
-                state = self.space.wait(state).unwrap();
-                state.space_waiters -= 1;
-            }
-            // Space freed *and* closed can be observed together (e.g. the
-            // state worker pulled a batch and then died): admitting now would
-            // strand the event in a layer nothing will ever drain again, so
-            // the closed check must be repeated after the wait.
-            if state.closed {
-                return Err(SubmitError::Closed);
+        let t = &mut state.tenants[idx];
+        self.record(t, tenant, event, disposition, evicted);
+        match disposition {
+            AdmitDisposition::Admitted => {}
+            AdmitDisposition::ServedStale => return Ok(SubmitOutcome::ServedStale),
+            AdmitDisposition::DroppedNewest | AdmitDisposition::DroppedThrottled => {
+                return Ok(SubmitOutcome::Dropped)
             }
         }
-        // The admit is logged *before* the event becomes visible to the
-        // state worker (the state lock is still held), so a durable seal
-        // always has a durable admit before it in the log.
-        self.log(&WalRecord::Admit {
-            tenant: tenant.0,
-            event,
-            disposition: AdmitDisposition::Admitted,
-        });
-        // `admitted_at` is stamped *here* — after any `Block`/`Late`
-        // backpressure or token wait — because the deadline contract budgets
+        // `admitted_at` is stamped *here* — after any `Block` backpressure
+        // or token wait — because the deadline contract budgets
         // admission-to-completion latency: time an event spends parked in
         // `submit_for` before admission is backpressure on the caller, not
         // pipeline delay, and must not count toward `Disposition::Late`
         // (pinned by `late_deadline_window_starts_at_admission_not_submit`).
         let admitted_at = self.now();
-        self.slo.record_submit(evicted_for_space);
-        let t = &mut state.tenants[idx];
         t.queue.push_back(AdmittedEvent {
             event,
             meta: EventMeta {
@@ -958,11 +865,58 @@ impl AdmissionControl {
                 backend: t.spec.backend.unwrap_or_default(),
             },
         });
-        t.counters.submitted += 1;
-        t.counters.admitted += 1;
         t.counters.max_depth = t.counters.max_depth.max(t.queue.len());
         self.wake_puller(state);
         Ok(SubmitOutcome::Admitted)
+    }
+
+    /// Applies one submit's decision, the one place each outcome is
+    /// recorded: `submitted` and the counter `disposition` names, the one
+    /// drop-objective sample (an admit that cost an eviction counts as a
+    /// drop), and the WAL records — the eviction's `Evict`, then the
+    /// `Admit` — appended without an fsync (`submit` syncs after releasing
+    /// the lock), before the event becomes visible to the state worker, so
+    /// a durable seal always has a durable admit before it.  A WAL that
+    /// cannot accept writes voids the durability contract, so failure is
+    /// fatal.
+    fn record(
+        &self,
+        t: &mut TenantIngress,
+        tenant: TenantId,
+        event: InteractionEvent,
+        disposition: AdmitDisposition,
+        evicted: Option<InteractionEvent>,
+    ) {
+        t.counters.submitted += 1;
+        *match disposition {
+            AdmitDisposition::Admitted => &mut t.counters.admitted,
+            AdmitDisposition::DroppedNewest => &mut t.counters.dropped_newest,
+            AdmitDisposition::DroppedThrottled => &mut t.counters.dropped_throttled,
+            AdmitDisposition::ServedStale => &mut t.counters.served_stale,
+        } += 1;
+        t.counters.dropped_oldest += u64::from(evicted.is_some());
+        let lost = !matches!(
+            disposition,
+            AdmitDisposition::Admitted | AdmitDisposition::ServedStale
+        );
+        self.slo.record_submit(lost || evicted.is_some());
+        if let Some(wal) = &self.wal {
+            let append = |rec: &WalRecord| {
+                wal.append_unsynced(rec)
+                    .expect("admission WAL append failed")
+            };
+            if let Some(head) = evicted {
+                append(&WalRecord::Evict {
+                    tenant: tenant.0,
+                    event: head,
+                });
+            }
+            append(&WalRecord::Admit {
+                tenant: tenant.0,
+                event,
+                disposition,
+            });
+        }
     }
 
     /// Releases the state lock and wakes the state worker if — and only if
@@ -1386,7 +1340,7 @@ mod tests {
     #[should_panic(expected = "rate_burst must be finite and >= 1")]
     fn sub_token_burst_is_rejected_by_the_builder() {
         // A burst in (0, 1) clamps the bucket below one token forever:
-        // Block/Late tenants would wait at submit indefinitely and drop
+        // Block tenants would wait at submit indefinitely and drop
         // tenants would shed every event.
         let _ = TenantSpec::new("t")
             .with_rate_eps(10.0)
@@ -1443,14 +1397,14 @@ mod tests {
     fn late_deadline_window_starts_at_admission_not_submit() {
         // The rustdoc contract on `TenantSpec::deadline` budgets
         // *admission-to-completion* latency: time a submitter spends parked
-        // in `submit_for` under `Block`/`Late` backpressure is the caller's
+        // in `submit_for` under `Block` backpressure is the caller's
         // backpressure, not pipeline delay, and must not eat the deadline.
         // Park a submitter for 10× its deadline and assert the admit stamp
         // post-dates the park, so grading at completion cannot flag it late.
         let deadline = Duration::from_millis(50);
         let ac = Arc::new(AdmissionControl::new(vec![TenantSpec::new("late")
             .with_capacity(1)
-            .with_policy(OverloadPolicy::Late)
+            .with_policy(OverloadPolicy::Block)
             .with_deadline(deadline)]));
         let t0 = ac.freeze_clock();
         ac.submit(TenantId::DEFAULT, ev(0.0)).unwrap();
@@ -1665,7 +1619,7 @@ mod tests {
     fn blocked_submitter_fails_closed_when_admission_closes() {
         let ac = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")
             .with_capacity(1)
-            .with_policy(OverloadPolicy::Late)]));
+            .with_policy(OverloadPolicy::Block)]));
         ac.submit(TenantId::DEFAULT, ev(0.0)).unwrap();
         let submitter = {
             let ac = ac.clone();
@@ -1706,7 +1660,7 @@ mod tests {
     }
 
     fn blocks(policy: OverloadPolicy) -> bool {
-        matches!(policy, OverloadPolicy::Block | OverloadPolicy::Late)
+        matches!(policy, OverloadPolicy::Block)
     }
 
     /// The table itself: what a submit of `ev(2.0)` must do.  The queue
@@ -1729,17 +1683,17 @@ mod tests {
         // The two places that cannot queue the event: a `ServeStale` hit
         // answers stale, anything else loses the event.
         let shed = |mut delta: AdmissionCounters, miss, queue| {
-            let (outcome, disposition, answers) =
-                if c.policy == OverloadPolicy::ServeStale && c.hit {
-                    delta.served_stale += 1;
-                    (SubmitOutcome::ServedStale, AdmitDisposition::ServedStale, 1)
-                } else {
-                    match miss {
-                        AdmitDisposition::DroppedThrottled => delta.dropped_throttled += 1,
-                        _ => delta.dropped_newest += 1,
-                    }
-                    (SubmitOutcome::Dropped, miss, 0)
-                };
+            let (outcome, disposition, answers) = if c.policy == OverloadPolicy::ServeStale && c.hit
+            {
+                delta.served_stale += 1;
+                (SubmitOutcome::ServedStale, AdmitDisposition::ServedStale, 1)
+            } else {
+                match miss {
+                    AdmitDisposition::DroppedThrottled => delta.dropped_throttled += 1,
+                    _ => delta.dropped_newest += 1,
+                }
+                (SubmitOutcome::Dropped, miss, 0)
+            };
             Effect {
                 outcome,
                 delta,
@@ -1909,7 +1863,6 @@ mod tests {
             OverloadPolicy::Block,
             OverloadPolicy::DropNewest,
             OverloadPolicy::DropOldest,
-            OverloadPolicy::Late,
             OverloadPolicy::ServeStale,
         ] {
             for bits in 0..16u32 {

@@ -3,7 +3,7 @@
 //!
 //! Production temporal-graph traffic is power-law: a small hot set of
 //! vertices absorbs most reads.  Every other overload policy answers a full
-//! ingress queue by delaying (`Block`/`Late`) or discarding
+//! ingress queue by delaying (`Block`) or discarding
 //! (`DropNewest`/`DropOldest`) work; [`OverloadPolicy::ServeStale`] instead
 //! answers from this cache — the last embedding *actually served* for each
 //! touched vertex, labelled with its age in epoch barriers.
@@ -183,7 +183,6 @@ pub struct EmbeddingCache {
     insertions: AtomicU64,
     evictions: AtomicU64,
     expired: AtomicU64,
-    served_stale: AtomicU64,
     /// Age (epochs) of the stale-served answers: constant space, however
     /// long the overload lasts.
     stale_age_hist: Histogram,
@@ -211,7 +210,6 @@ impl EmbeddingCache {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             expired: AtomicU64::new(0),
-            served_stale: AtomicU64::new(0),
             stale_age_hist: Histogram::new(),
             stale_age_max: AtomicU64::new(0),
         }
@@ -345,20 +343,20 @@ impl EmbeddingCache {
 
     /// Counts one overload event answered stale, at `age_epochs`.
     pub(crate) fn record_stale_serve(&self, age_epochs: u64) {
-        self.served_stale.fetch_add(1, Ordering::Relaxed);
         self.stale_age_hist.record(age_epochs);
         self.stale_age_max.fetch_max(age_epochs, Ordering::Relaxed);
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> CacheStats {
+        let ages = self.stale_age_hist.snapshot();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
-            served_stale: self.served_stale.load(Ordering::Relaxed),
+            served_stale: ages.count(),
             entries: self
                 .shards
                 .iter()
@@ -367,7 +365,7 @@ impl EmbeddingCache {
             committed_epoch: self.committed_epoch(),
             staleness_bound: self.staleness_bound,
             stale_age: StaleAgeSummary::from_histogram(
-                &self.stale_age_hist.snapshot(),
+                &ages,
                 self.stale_age_max.load(Ordering::Relaxed),
             ),
         }

@@ -34,7 +34,7 @@
 //! * The admission front end is **multi-tenant** ([`admission`]): each
 //!   tenant owns a bounded ingress queue that the state worker drains
 //!   weighted-fair, and a per-tenant [`OverloadPolicy`] — `Block`,
-//!   `DropNewest`, `DropOldest`, `Late`, or `ServeStale` — governs what
+//!   `DropNewest`, `DropOldest` or `ServeStale` — governs what
 //!   happens when sustained overload fills the queue.  `ServeStale` answers
 //!   read-style overload from the [`cache`] — a bounded, sharded embedding
 //!   cache invalidated at the epoch barrier — returning the last *served*

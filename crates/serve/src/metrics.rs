@@ -640,7 +640,7 @@ impl MetricsHub {
                 let (spec, counters) = inner.admission.tenant_snapshot(i);
                 admission += counters;
                 let tc = &c.tenants[i];
-                let served = tc.served.load(Ordering::Relaxed);
+                let served = tc.served.load(Ordering::Relaxed) + counters.served_stale;
                 TenantStats {
                     name: spec.name,
                     weight: spec.weight,
@@ -649,7 +649,7 @@ impl MetricsHub {
                     counters,
                     served,
                     late: tc.late.load(Ordering::Relaxed),
-                    served_stale: tc.served_stale.load(Ordering::Relaxed),
+                    served_stale: counters.served_stale,
                     latency: LatencySummary::from_histogram(&tc.latency_ns.snapshot(), NS_PER_MS),
                     throughput_eps: per_second(served, total_time),
                 }
@@ -897,7 +897,8 @@ pub struct MetricsSnapshot {
     pub total_time: Duration,
     /// Highest epoch assigned so far (warm-up chunks + sealed batches).
     pub epochs: u64,
-    /// Micro-batches that completed the pipeline.
+    /// Micro-batches served: those that completed the pipeline plus the
+    /// one-event batches of stale cache answers.
     pub batches_served: u64,
     /// Events in those batches.
     pub events_served: u64,

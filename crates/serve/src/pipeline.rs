@@ -204,18 +204,14 @@ pub struct ServedBatch {
 }
 
 /// Per-tenant completion-side counters fed by the GNN worker:
-/// served/late event counts and the admission-to-completion latency
-/// distribution (the client-visible queueing + compute delay the overload
-/// policies bound).
+/// pipeline-served/late event counts and the admission-to-completion
+/// latency distribution (the client-visible queueing + compute delay the
+/// overload policies bound).  Stale cache answers never reach it: the
+/// admission layer counts them (`AdmissionCounters::served_stale`).
 #[derive(Debug, Default)]
 pub(crate) struct TenantCollector {
     pub served: AtomicU64,
     pub late: AtomicU64,
-    /// Overload events answered from the embedding cache (`ServeStale`) —
-    /// included in `served`, excluded from `latency_ns` (they bypass the
-    /// pipeline, so their admission-to-completion delay is ~zero and would
-    /// skew the distribution the deadline budgets).
-    pub served_stale: AtomicU64,
     pub latency_ns: Histogram,
 }
 
@@ -304,6 +300,12 @@ impl Collector {
 
     pub fn record_batch(&self, events: usize, embeddings: usize, latency: Duration) {
         self.latency_ns.record(latency.as_nanos() as u64);
+        self.count_batch(events, embeddings);
+    }
+
+    /// Counts a batch served without a seal→embeddings latency (a stale
+    /// cache answer never ran the pipeline).
+    pub fn count_batch(&self, events: usize, embeddings: usize) {
         self.events.fetch_add(events, Ordering::Relaxed);
         self.embeddings.fetch_add(embeddings, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -319,20 +321,11 @@ impl Collector {
         }
         t.latency_ns.record(admit_latency.as_nanos() as u64);
     }
-
-    /// Records one overload event answered from the embedding cache: it is
-    /// served (the drain invariant counts it) but never late and never part
-    /// of the pipeline latency distribution.
-    pub fn record_stale_event(&self, tenant: TenantId) {
-        let t = &self.tenants[tenant.index()];
-        t.served.fetch_add(1, Ordering::Relaxed);
-        t.served_stale.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Closes admission when the state worker exits — by return *or* panic.
 /// The state worker is the only drain of the tenant queues: once it is
-/// gone, a `Block`/`Late` submitter parked on a full queue would wait
+/// gone, a `Block` submitter parked on a full queue would wait
 /// forever, so its exit must fail them with `Closed` instead.
 struct CloseAdmissionOnExit(Arc<AdmissionControl>);
 

@@ -127,13 +127,6 @@ pub struct ServeConfig {
     /// runs no SLO engine.  SLO accounting is independent of `metrics` —
     /// the engine is a handful of relaxed atomics per submit/delivery.
     pub slo: Option<crate::metrics::SloConfig>,
-    /// Design point of the hwsim-modeled FPGA backend, used whenever some
-    /// tenant routes to [`BackendKind::HwSim`] (see [`TenantSpec::backend`]).
-    /// `None` (the default) models the paper's Alveo U200 design over its
-    /// measured 77 GB/s DDR bandwidth; set it to time simulated tenants on a
-    /// different configuration (e.g. an int8 datapath).  Ignored when no
-    /// tenant asks for `hwsim`.
-    pub hwsim_design: Option<DesignConfig>,
 }
 
 impl Default for ServeConfig {
@@ -151,7 +144,6 @@ impl Default for ServeConfig {
             flight_capacity: 4096,
             metrics_sampling: 64,
             slo: None,
-            hwsim_design: None,
         }
     }
 }
@@ -171,7 +163,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("flight_capacity", &self.flight_capacity)
             .field("metrics_sampling", &self.metrics_sampling)
             .field("slo", &self.slo)
-            .field("hwsim_design", &self.hwsim_design)
             .finish()
     }
 }
@@ -234,14 +225,15 @@ pub struct TenantStats {
     /// admission layer — see [`AdmissionCounters`] for each field's
     /// contract.
     pub counters: AdmissionCounters,
-    /// Events whose results were delivered (admitted minus still in flight,
-    /// plus cache-served stale answers).
+    /// Events whose results were delivered: pipeline-served events plus
+    /// `counters.served_stale`, the cache-served stale answers.
     pub served: u64,
     /// Served events graded [`Disposition::Late`](tgnn_core::tenancy::Disposition).
     pub late: u64,
     /// Served events answered from the embedding cache
     /// ([`Disposition::Stale`](tgnn_core::tenancy::Disposition)) — a subset
     /// of `served`, excluded from `latency` (they bypass the pipeline).
+    /// Reads `counters.served_stale`.
     pub served_stale: u64,
     /// Admission-to-completion latency distribution of the pipeline-served
     /// events (stale answers excluded).
@@ -546,12 +538,11 @@ impl StreamServer {
             backends[kind.code()] = Some(match kind {
                 BackendKind::F32 => Arc::new(F32Backend::new(&model)) as Arc<dyn ComputeBackend>,
                 BackendKind::Int8 => Arc::new(Int8Backend::new(&model)),
+                // The paper's Alveo U200 design over its measured 77 GB/s
+                // DDR bandwidth.
                 BackendKind::HwSim => Arc::new(HwSimBackend::new(
                     &model,
-                    config
-                        .hwsim_design
-                        .clone()
-                        .unwrap_or_else(DesignConfig::u200),
+                    DesignConfig::u200(),
                     DdrModel::new_gbps(77.0),
                 )),
             });
@@ -975,10 +966,11 @@ impl StreamServer {
     }
 
     /// Feeds one event into `tenant`'s ingress queue, applying the tenant's
-    /// [`OverloadPolicy`] if the queue is full: `Block`/`Late` block the
-    /// caller (backpressure), `DropNewest` returns
-    /// [`SubmitOutcome::Dropped`], `DropOldest` evicts the queue head and
-    /// admits this event.  Each tenant's stream must be chronological;
+    /// [`OverloadPolicy`] if the queue is full: `Block` blocks the caller
+    /// (backpressure), `DropNewest` returns [`SubmitOutcome::Dropped`],
+    /// `DropOldest` evicts the queue head and admits this event, and
+    /// `ServeStale` answers from the embedding cache
+    /// ([`SubmitOutcome::ServedStale`]) or drops on a miss.  Each tenant's stream must be chronological;
     /// different tenants are ordered independently.
     pub fn submit_for(
         &mut self,

@@ -1,7 +1,8 @@
 //! Adversarial tests of the multi-tenant admission layer: weighted-fair
 //! scheduling under sustained overload, overload-policy behaviour at tiny
 //! queue bounds, drain semantics with in-flight drops, and the disposition
-//! metadata contract (`Late` flags, never alters, results).
+//! metadata contract (a deadline's `Late` disposition flags, never alters,
+//! results).
 //!
 //! The style follows the PR-3 concurrency suite: tiny bounds everywhere so
 //! submission immediately outruns the pipeline and every run executes under
@@ -372,8 +373,8 @@ fn weighted_fair_draining_bounds_every_tenants_share_under_overload() {
 }
 
 #[test]
-fn late_policy_flags_deadline_misses_without_altering_results() {
-    // Two runs under OverloadPolicy::Late differing only in the deadline:
+fn deadline_flags_misses_without_altering_results() {
+    // Two runs of a `Block` tenant differing only in the deadline:
     // an unmissable one (1 hour) and an unmeetable one (zero).  Batch
     // boundaries are a function of load (the state worker takes whatever is
     // pending when it pulls), so two live servers need not cut the stream
@@ -389,7 +390,6 @@ fn late_policy_flags_deadline_misses_without_altering_results() {
             num_shards: 2,
             tenants: vec![TenantSpec::new("late-tenant")
                 .with_capacity(64)
-                .with_policy(OverloadPolicy::Late)
                 .with_deadline(deadline)],
             ..ServeConfig::default()
         };

@@ -364,6 +364,43 @@ fn stale_answers_are_bit_identical_to_served_history_under_overload() {
 /// background tenant warms the cache, then floods an unpolled pipeline until
 /// 10 000 submits were shed — a hundred times the drop objective's 1 % budget,
 /// however long the gate's cached verdict takes to refresh.
+/// Stale answers count toward the events, batches and embeddings served,
+/// but they never ran the pipeline, so they add no sample to the
+/// seal→embeddings latency: with more stale answers than pipeline batches,
+/// a zero sample per answer would pull the median to zero.
+#[test]
+fn stale_answers_leave_the_pipeline_latency_alone() {
+    let (model, graph) = setup(7);
+    let base = &graph.events()[..200.min(graph.num_events())];
+    let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
+    let mut server = StreamServer::new(model, graph.clone(), overload_config(64, 2));
+    let mut served = Vec::new();
+    let mut out = Outcomes::default();
+    warm_lap(&mut server, base, 0, span, &mut out, &mut served);
+    let (_, stale, _) = burst_lap(&mut server, base, 1, span);
+    out.stale.extend(stale);
+    server.drain();
+    while let Some(b) = server.poll() {
+        served.push(b);
+    }
+    let pipeline: Vec<&ServedBatch> = served.iter().filter(|b| b.epoch > 0).collect();
+    assert!(
+        out.stale.len() > pipeline.len(),
+        "the run must answer more events stale ({}) than it serves batches ({})",
+        out.stale.len(),
+        pipeline.len()
+    );
+    assert!(pipeline.iter().all(|b| b.latency > Duration::ZERO));
+    let report = server.report();
+    assert_eq!(report.num_batches, pipeline.len() + out.stale.len());
+    assert!(
+        report.latency.p50_ms > 0.0,
+        "stale answers reached the pipeline latency: {:?}",
+        report.latency
+    );
+    assert_eq!(server.metrics().batch_latency, report.latency);
+}
+
 #[test]
 fn burn_gate_preempts_stale_serving_while_the_queue_has_space() {
     let (model, graph) = setup(13);
