@@ -5,18 +5,21 @@
 //! is about *heterogeneous datapaths* — the same model served from an f32
 //! CPU path, an int8 fixed-point path, or an FPGA pipeline, chosen per
 //! workload.  [`ComputeBackend`] is the seam that makes the choice
-//! pluggable: a backend owns a *prepared* weight set and answers the stage
-//! entry points of [`crate::stages`], so a scheduler (the `tgnn-serve`
-//! streaming pipeline) can route different tenants' batches to different
-//! backends while sharing one temporal-state trajectory.
+//! pluggable: a backend owns a *prepared* weight set and computes the GNN
+//! stage on it, so a scheduler (the `tgnn-serve` streaming pipeline) can
+//! route different tenants' batches to different backends while sharing
+//! one temporal-state trajectory.
 //!
 //! The contract every backend honours:
 //!
-//! * **Sampling and memory are shared.**  The temporal state (vertex
-//!   memory, mailbox, neighbor table) is one trajectory regardless of who
-//!   computes embeddings; the default [`ComputeBackend::stage_sample`] and
-//!   [`ComputeBackend::run_memory`] delegate to the shared stage functions
-//!   and are not meant to be overridden with different arithmetic.
+//! * **A backend is [`kind`](ComputeBackend::kind),
+//!   [`model`](ComputeBackend::model) and
+//!   [`run_gnn`](ComputeBackend::run_gnn).**  Sampling, the memory stage
+//!   and the state write-back are not backend stages: the temporal state
+//!   (vertex memory, mailbox, neighbor table) is one trajectory regardless
+//!   of who computes embeddings, and its owner — the serving pipeline's
+//!   state worker, or an [`InferenceEngine`](crate::InferenceEngine) —
+//!   runs them on one shared model through [`crate::stages`].
 //! * **GNN compute is the backend-specific stage.**
 //!   [`ComputeBackend::run_gnn`] runs the gathered [`GnnJobBatch`] on the
 //!   backend's prepared weights.  [`F32Backend`] and [`Int8Backend`]
@@ -27,16 +30,12 @@
 //!   this).  A modeled backend (`tgnn-hwsim`'s `HwSimBackend`) computes
 //!   with the f32 kernels but additionally reports a *modeled* service
 //!   latency in [`GnnStageOutput::modeled_latency`].
-//! * **Update is a state write-back**, not model compute: it is performed
-//!   by the caller against the shared state and is identical for every
-//!   backend.
 
-use crate::memory::MemoryTable;
 use crate::model::TgnModel;
-use crate::stages::{run_memory_stage, GnnJobBatch, SampledBatch, UpdatedRows};
+use crate::stages::GnnJobBatch;
 use std::sync::Arc;
 use std::time::Duration;
-use tgnn_graph::{EventBatch, NeighborEntry, NodeId, Timestamp};
+use tgnn_graph::NodeId;
 use tgnn_tensor::{Float, Workspace};
 
 /// Which compute backend serves a batch — carried on every result's
@@ -127,7 +126,7 @@ pub struct GnnStageOutput {
     pub modeled_latency: Option<Duration>,
 }
 
-/// A prepared compute backend: owned weights plus the stage entry points.
+/// A prepared compute backend: owned weights plus the GNN compute stage.
 ///
 /// Implementations must be cheap to share (`Send + Sync`) — the serving
 /// pipeline's GNN worker and its recovery path hold the same
@@ -136,39 +135,8 @@ pub trait ComputeBackend: Send + Sync {
     /// Which datapath this backend implements.
     fn kind(&self) -> BackendKind;
 
-    /// The prepared weight set the stage entry points run on.
+    /// The prepared weight set [`Self::run_gnn`] runs on.
     fn model(&self) -> &Arc<TgnModel>;
-
-    /// The sampling stage — shared across backends (the attention decision
-    /// it records reads only `a`, `W_t` and the budget, which every backend
-    /// of one model shares).  Provided so a backend is a complete set of
-    /// stage entry points; the default delegates to
-    /// [`SampledBatch::assemble`].
-    #[allow(clippy::type_complexity)]
-    fn stage_sample(
-        &self,
-        batch: EventBatch,
-        k: usize,
-        sample: &mut dyn FnMut(NodeId, Timestamp, usize, &mut Vec<NeighborEntry>),
-    ) -> SampledBatch {
-        SampledBatch::assemble(batch, k, self.model(), |v, t, kk, out| {
-            sample(v, t, kk, out)
-        })
-    }
-
-    /// The GRU memory stage on this backend's prepared model.  Note that a
-    /// *multi-backend* scheduler must run the memory stage once on one
-    /// shared model (a single state trajectory), not once per backend —
-    /// this entry point is for standalone single-backend use.
-    fn run_memory(
-        &self,
-        table: &mut dyn MemoryTable,
-        touched: &[NodeId],
-        query_times: &[Timestamp],
-        ws: &mut Workspace,
-    ) -> UpdatedRows {
-        run_memory_stage(self.model(), table, touched, query_times, ws)
-    }
 
     /// The backend-specific GNN compute stage: runs the gathered job on the
     /// prepared weights.  The default executes for real and models nothing.

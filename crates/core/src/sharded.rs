@@ -1,17 +1,16 @@
-//! Vertex-partitioned node memory with per-shard locks and epoch commits —
-//! the memory-table counterpart of
-//! [`tgnn_graph::ShardedNeighborTable`].
+//! Vertex-partitioned node memory with per-shard locks — the memory-table
+//! counterpart of [`tgnn_graph::ShardedNeighborTable`].
 //!
 //! Partitioning follows the same `node_id % N` scheme.  In the streaming
 //! server one state worker is the only reader and writer of this state: it
 //! samples, runs the memory stage and commits batch *k* before it touches
 //! batch *k+1*, so program order on that thread is what keeps the result
-//! bit-identical to the serial engine.  What the shards and their locks
-//! still buy is the commit observer: `commit_epoch_with` visits each shard
-//! under its lock right after the shard applies its writes, which is where
-//! the durability layer captures a consistent snapshot payload and the
-//! embedding cache advances its staleness watermark.  The [`EpochGate`]
-//! records each shard's committed epoch.
+//! bit-identical to the serial engine.  [`ShardedMemory::commit_epoch`] is
+//! a plain write of the batch's rows; it keeps one committed-epoch
+//! watermark and panics if an epoch moves backwards.  What else happens at
+//! the epoch barrier — the embedding cache's expiry before the writes, a
+//! snapshot capture after them, which reads each shard through
+//! [`ShardedMemory::read_shard`] — the state worker decides in one place.
 //!
 //! Mailbox slots are overwritten in place ([`NodeMemory`]), and the memory
 //! stage consumes messages through [`MemoryTable`], reading them under the
@@ -19,8 +18,9 @@
 
 use crate::config::ModelConfig;
 use crate::memory::{MemoryTable, Message, NodeMemory};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use tgnn_graph::sharded::{local_index, shard_len, shard_of, EpochGate};
+use tgnn_graph::sharded::{local_index, shard_len, shard_of};
 use tgnn_graph::{NodeId, Timestamp};
 use tgnn_tensor::Float;
 
@@ -29,7 +29,8 @@ use tgnn_tensor::Float;
 #[derive(Debug)]
 pub struct ShardedMemory {
     shards: Vec<Mutex<NodeMemory>>,
-    gate: EpochGate,
+    /// The last committed epoch: the out-of-order-commit tripwire.
+    committed: AtomicU64,
     num_shards: usize,
     num_nodes: usize,
     memory_dim: usize,
@@ -52,7 +53,7 @@ impl ShardedMemory {
             .collect();
         Self {
             shards,
-            gate: EpochGate::new(num_shards),
+            committed: AtomicU64::new(0),
             num_shards,
             num_nodes,
             memory_dim,
@@ -77,20 +78,6 @@ impl ShardedMemory {
     /// Memory dimensionality.
     pub fn memory_dim(&self) -> usize {
         self.memory_dim
-    }
-
-    /// The epoch gate readers synchronise on.
-    pub fn gate(&self) -> &EpochGate {
-        &self.gate
-    }
-
-    /// Fills `mask` (length `num_shards`) with the shards the given vertices
-    /// touch.
-    pub fn shard_mask(&self, vertices: &[NodeId], mask: &mut [bool]) {
-        mask.iter_mut().for_each(|m| *m = false);
-        for &v in vertices {
-            mask[shard_of(v, self.num_shards)] = true;
-        }
     }
 
     /// Runs `f` on the shard owning `v` with the vertex's local index.
@@ -158,37 +145,31 @@ impl ShardedMemory {
     }
 
     /// Commits one batch (epoch) of memory write-backs: every shard applies
-    /// the writes it owns, then its epoch watermark is bumped — including
-    /// shards with no writes.
+    /// the writes it owns.
     ///
-    /// Epochs must be committed in increasing order (enforced by the gate).
+    /// # Panics
+    /// Panics if `epoch` is below the last committed one — epochs must be
+    /// committed in order (re-committing the current epoch is allowed).
     pub fn commit_epoch<W: MemoryWrites + ?Sized>(&self, epoch: u64, writes: &W) {
-        self.commit_epoch_with(epoch, writes, |_, _| {});
+        let prev = self.committed.fetch_max(epoch, Ordering::Relaxed);
+        assert!(
+            prev <= epoch,
+            "ShardedMemory: committed epoch {epoch} after {prev}"
+        );
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut shard = shard.lock().unwrap();
+            writes.for_each_write(|v, row, t| {
+                if shard_of(v, self.num_shards) == s {
+                    shard.set_memory(local_index(v, self.num_shards) as NodeId, row, t);
+                }
+            });
+        }
     }
 
-    /// [`Self::commit_epoch`] with a per-shard observer: after shard `s`
-    /// applies its writes — still under its lock, *before* its epoch
-    /// watermark is bumped — `observe(s, &shard)` runs, so it sees exactly
-    /// the post-epoch shard image with no global pause; the durability layer
-    /// uses this to capture snapshot payloads at the epoch barrier.
-    pub fn commit_epoch_with<W: MemoryWrites + ?Sized>(
-        &self,
-        epoch: u64,
-        writes: &W,
-        mut observe: impl FnMut(usize, &NodeMemory),
-    ) {
-        for s in 0..self.num_shards {
-            {
-                let mut shard = self.shards[s].lock().unwrap();
-                writes.for_each_write(|v, row, t| {
-                    if shard_of(v, self.num_shards) == s {
-                        shard.set_memory(local_index(v, self.num_shards) as NodeId, row, t);
-                    }
-                });
-                observe(s, &shard);
-            }
-            self.gate.commit(s, epoch);
-        }
+    /// Runs `f` on one shard's memory, read-only, under its lock — how the
+    /// durability layer encodes a snapshot payload.
+    pub fn read_shard<R>(&self, shard: usize, f: impl FnOnce(&NodeMemory) -> R) -> R {
+        f(&self.shards[shard].lock().unwrap())
     }
 
     /// Replaces one shard's entire state (recovery restore path).
@@ -308,17 +289,27 @@ mod tests {
     }
 
     #[test]
-    fn gate_tracks_commits_per_shard() {
+    fn commit_epoch_lands_each_write_in_its_shard_only() {
         let sharded = ShardedMemory::new(8, 2, 4);
-        assert_eq!(sharded.gate().committed(0), 0);
         sharded.commit_epoch(1, &[(5, vec![0.5, 0.5], 1.0)]);
-        for s in 0..4 {
-            assert_eq!(sharded.gate().committed(s), 1);
-        }
-        let mut mask = vec![false; 4];
-        sharded.shard_mask(&[5, 6], &mut mask);
-        assert_eq!(mask, vec![false, true, true, false]);
-        sharded.gate().wait_for_mask(&mask, 1);
         assert_eq!(sharded.memory_of(5), vec![0.5, 0.5]);
+        for s in 0..4 {
+            // Vertex 5 is shard 1's local row 1; every other row stays zero.
+            let rows: Vec<Vec<Float>> =
+                sharded.read_shard(s, |m| (0..2).map(|l| m.memory_of(l).to_vec()).collect());
+            for (local, row) in rows.iter().enumerate() {
+                let want = if (s, local) == (1, 1) { 0.5 } else { 0.0 };
+                assert_eq!(row, &vec![want; 2], "shard {s} row {local}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "committed epoch 1 after 2")]
+    fn memory_commit_panics_when_the_epoch_moves_backwards() {
+        let sharded = ShardedMemory::new(4, 2, 2);
+        sharded.commit_epoch(2, &[(1, vec![1.0, 1.0], 0.0)]);
+        sharded.commit_epoch(2, &[]);
+        sharded.commit_epoch(1, &[]);
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! * **Snapshots** ([`snapshot`]): per-shard, CRC-checked images of
 //!   `ShardedMemory` and `ShardedNeighborTable`, captured at epoch barriers
-//!   (each shard under its own lock, just before its gate bump — the
-//!   `EpochGate` commit protocol is the consistency point, so no global
-//!   pause is needed) and committed by a manifest written last.
+//!   by the state's single writer right after its commit (program order on
+//!   that thread is the consistency point, so no global pause is needed)
+//!   and committed by a manifest written last.
 //!
 //! * **A write-ahead log** ([`wal`]): length-prefixed, CRC-framed records of
 //!   every admission outcome, eviction, sealed micro-batch, and delivered

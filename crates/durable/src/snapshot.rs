@@ -19,12 +19,13 @@
 //!
 //! ## Consistency
 //!
-//! Shard payloads are captured by the state worker *under each shard's
-//! lock, after the epoch's writes and before that shard's epoch gate is
-//! bumped* (the `commit_epoch_with` observers in `tgnn-core`/`tgnn-graph`).
-//! That worker is the state's only writer and commits epoch *k* before it
-//! touches epoch *k+1*, so each captured shard is exactly the post-batch
-//! state of the snapshot's epoch — the epoch barrier is the consistency
+//! Shard payloads are captured by the state worker right after it commits
+//! the snapshot's epoch, each shard read under its lock
+//! (`ShardedMemory::read_shard` / `ShardedNeighborTable::read_shard`), or
+//! by the server on quiesced state (warm-up end, drain).  That worker is
+//! the state's only writer and commits epoch *k* before it touches epoch
+//! *k+1*, so every captured shard is exactly the post-batch state of the
+//! snapshot's epoch — program order on one thread is the consistency
 //! point, with no global pause.  The codec reads only pending mailbox
 //! messages: a consumed slot encodes as an empty one, whatever buffers it
 //! keeps for the next message.
@@ -688,10 +689,11 @@ mod tests {
                     assert_eq!(plain.cached_message(v as u32), fresh.mailbox[v].as_ref());
                 }
                 assert_eq!(encoded(&plain), encoded(&fresh.build(1, 0)), "step {step}");
-                epoch += 1;
-                sharded.commit_epoch_with(epoch, &[], |s, m| {
-                    assert_eq!(encoded(m), encoded(&fresh.build(shards, s)), "step {step}");
-                });
+                for s in 0..shards {
+                    sharded.read_shard(s, |m| {
+                        assert_eq!(encoded(m), encoded(&fresh.build(shards, s)), "step {step}");
+                    });
+                }
             }
         }
     }

@@ -21,8 +21,8 @@
 //!   deployment modes discussed in Section II-A.
 //! * [`chronology`] — validation utilities for chronological-order
 //!   invariants.
-//! * [`sharded`] — the vertex-partitioned neighbor table and the
-//!   epoch-barrier commit gate used by the streaming pipeline (`tgnn-serve`).
+//! * [`sharded`] — the vertex-partitioned neighbor table the streaming
+//!   pipeline (`tgnn-serve`) commits batches into.
 
 pub mod batching;
 pub mod chronology;

@@ -1,24 +1,20 @@
-//! Vertex-partitioned (sharded) state with an epoch-barrier commit protocol.
+//! The vertex-partitioned (sharded) Vertex Neighbor Table, and the
+//! [`EpochGate`] primitive.
 //!
-//! The streaming pipeline (`tgnn-serve`) runs neighbor sampling, memory
-//! update, GNN compute, and state write-back as separate workers, so the
-//! shared vertex state must be safely readable by stage *k+1* while stage
-//! *k*'s writes are still being committed.  Following the multi-queue
-//! dataflow designs the paper's FPGA pipeline and FlowGNN use in hardware,
-//! the state is partitioned into `N` shards by `node_id % N`:
+//! The table is partitioned into `N` shards by `node_id % N`, each behind
+//! its own lock.  In the streaming server (`tgnn-serve`) one state worker
+//! is its only reader and writer: it samples batch *k+1* only after it has
+//! committed batch *k*, so program order on that thread is what gives the
+//! sampler the serial engine's chronological view — the software analogue
+//! of the paper's Updater, which commits vertex updates in order through
+//! one commit pointer.  [`ShardedNeighborTable::commit_epoch`] keeps one
+//! committed-epoch watermark as a tripwire: an epoch that moves backwards
+//! panics.
 //!
-//! * every shard is protected by its own lock, so the sampler can read shard
-//!   `a` while the updater writes shard `b`;
-//! * an [`EpochGate`] tracks, per shard, the highest batch (epoch) whose
-//!   writes have been fully committed.  A reader that needs batch-`k`
-//!   semantics waits until the shards it touches have committed epoch `k`,
-//!   which reproduces the serial engine's chronological ordering exactly —
-//!   this is the software analogue of the hardware Updater's guarantee.
-//!
-//! This module provides the gate and the sharded Vertex Neighbor Table; the
-//! sharded vertex memory lives in `tgnn-core` next to `NodeMemory`
-//! (`tgnn_core::memory` — not a dependency of this crate, so no intra-doc
-//! link).
+//! [`EpochGate`] — per-shard watermarks with blocking waits — stands alone:
+//! no table uses it.  The sharded vertex memory lives in `tgnn-core` next
+//! to `NodeMemory` (`tgnn_core::memory` — not a dependency of this crate,
+//! so no intra-doc link).
 
 use crate::neighbor_table::{NeighborEntry, NeighborTable};
 use crate::{InteractionEvent, NodeId, Timestamp};
@@ -122,16 +118,6 @@ impl EpochGate {
             guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
     }
-
-    /// Blocks until every shard whose bit is set in `mask` has committed at
-    /// least `epoch` (`mask[s]` corresponds to shard `s`).
-    pub fn wait_for_mask(&self, mask: &[bool], epoch: u64) {
-        for (shard, &needed) in mask.iter().enumerate() {
-            if needed {
-                self.wait_for(shard, epoch);
-            }
-        }
-    }
 }
 
 /// Maps a vertex to its shard under the `node_id % N` partition.
@@ -156,8 +142,7 @@ pub fn shard_len(num_nodes: usize, num_shards: usize, shard: usize) -> usize {
 }
 
 /// The Vertex Neighbor Table partitioned into `N` independently locked
-/// shards, with an [`EpochGate`] tracking which batch's interactions each
-/// shard has absorbed.
+/// shards.
 ///
 /// Invariants (asserted by `check_invariants` and the serve-crate property
 /// tests):
@@ -165,14 +150,14 @@ pub fn shard_len(num_nodes: usize, num_shards: usize, shard: usize) -> usize {
 ///   share a vertex;
 /// * within a shard, every per-vertex FIFO is chronologically ordered and
 ///   within capacity (inherited from [`NeighborTable`]);
-/// * shard `s` at gate epoch `k` contains exactly the interactions of batches
-///   `1..=k` whose endpoint lies in shard `s` — so a sampler that waits for
-///   epoch `k` observes the same table state the serial engine would have
-///   after processing batch `k`.
+/// * after `commit_epoch(k, ..)` shard `s` contains exactly the interactions
+///   of batches `1..=k` whose endpoint lies in shard `s` — the table state
+///   the serial engine has after processing batch `k`.
 #[derive(Debug)]
 pub struct ShardedNeighborTable {
     shards: Vec<Mutex<NeighborTable>>,
-    gate: EpochGate,
+    /// The last committed epoch: the out-of-order-commit tripwire.
+    committed: AtomicU64,
     num_shards: usize,
     num_nodes: usize,
 }
@@ -198,7 +183,7 @@ impl ShardedNeighborTable {
             .collect();
         Self {
             shards,
-            gate: EpochGate::new(num_shards),
+            committed: AtomicU64::new(0),
             num_shards,
             num_nodes,
         }
@@ -214,16 +199,10 @@ impl ShardedNeighborTable {
         self.num_nodes
     }
 
-    /// The epoch gate readers synchronise on.
-    pub fn gate(&self) -> &EpochGate {
-        &self.gate
-    }
-
     /// Samples up to `k` neighbors of `v` with timestamp strictly before `t`,
     /// most recent first, appending to `out`.  Bit-identical to
     /// `FifoSampler::sample_into` on an unsharded table maintained over the
-    /// same event prefix.  The caller must have waited for `v`'s shard to
-    /// reach the epoch whose table state it needs.
+    /// same event prefix: it reads the table as of the last committed epoch.
     pub fn sample_into(&self, v: NodeId, t: Timestamp, k: usize, out: &mut Vec<NeighborEntry>) {
         let shard = self.shards[shard_of(v, self.num_shards)].lock().unwrap();
         out.extend(
@@ -237,56 +216,48 @@ impl ShardedNeighborTable {
 
     /// Commits one batch (epoch) of interactions: every shard absorbs the
     /// endpoints it owns, in event order (src endpoint before dst, as
-    /// [`NeighborTable::record_interaction`] does), then the shard's epoch
-    /// watermark is bumped — including shards the batch does not touch, so
-    /// waiters never stall on idle shards.
+    /// [`NeighborTable::record_interaction`] does).
     ///
-    /// Epochs must be committed in increasing order (enforced by the gate).
+    /// # Panics
+    /// Panics if `epoch` is below the last committed one — epochs must be
+    /// committed in order (re-committing the current epoch is allowed).
     pub fn commit_epoch(&self, epoch: u64, events: &[InteractionEvent]) {
-        self.commit_epoch_with(epoch, events, |_, _| {});
+        let prev = self.committed.fetch_max(epoch, Ordering::Relaxed);
+        assert!(
+            prev <= epoch,
+            "ShardedNeighborTable: committed epoch {epoch} after {prev}"
+        );
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut shard = shard.lock().unwrap();
+            for e in events {
+                if shard_of(e.src, self.num_shards) == s {
+                    shard.push(
+                        local_index(e.src, self.num_shards) as NodeId,
+                        NeighborEntry {
+                            neighbor: e.dst,
+                            edge_id: e.edge_id,
+                            timestamp: e.timestamp,
+                        },
+                    );
+                }
+                if shard_of(e.dst, self.num_shards) == s {
+                    shard.push(
+                        local_index(e.dst, self.num_shards) as NodeId,
+                        NeighborEntry {
+                            neighbor: e.src,
+                            edge_id: e.edge_id,
+                            timestamp: e.timestamp,
+                        },
+                    );
+                }
+            }
+        }
     }
 
-    /// [`Self::commit_epoch`] with a per-shard observer: after shard `s`
-    /// absorbs its endpoints — still under its lock, *before* its epoch
-    /// watermark is bumped — `observe(s, &shard)` runs.  Readers wait on the
-    /// gate for this epoch before touching the shard, so the observer sees
-    /// exactly the post-epoch shard image; the durability layer captures
-    /// snapshot payloads here without pausing the pipeline.
-    pub fn commit_epoch_with(
-        &self,
-        epoch: u64,
-        events: &[InteractionEvent],
-        mut observe: impl FnMut(usize, &NeighborTable),
-    ) {
-        for s in 0..self.num_shards {
-            {
-                let mut shard = self.shards[s].lock().unwrap();
-                for e in events {
-                    if shard_of(e.src, self.num_shards) == s {
-                        shard.push(
-                            local_index(e.src, self.num_shards) as NodeId,
-                            NeighborEntry {
-                                neighbor: e.dst,
-                                edge_id: e.edge_id,
-                                timestamp: e.timestamp,
-                            },
-                        );
-                    }
-                    if shard_of(e.dst, self.num_shards) == s {
-                        shard.push(
-                            local_index(e.dst, self.num_shards) as NodeId,
-                            NeighborEntry {
-                                neighbor: e.src,
-                                edge_id: e.edge_id,
-                                timestamp: e.timestamp,
-                            },
-                        );
-                    }
-                }
-                observe(s, &shard);
-            }
-            self.gate.commit(s, epoch);
-        }
+    /// Runs `f` on one shard's table, read-only, under its lock — how the
+    /// durability layer encodes a snapshot payload.
+    pub fn read_shard<R>(&self, shard: usize, f: impl FnOnce(&NeighborTable) -> R) -> R {
+        f(&self.shards[shard].lock().unwrap())
     }
 
     /// Replaces one shard's entire state (recovery restore path).
@@ -394,6 +365,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "committed epoch 1 after 2")]
+    fn table_commit_panics_when_the_epoch_moves_backwards() {
+        let table = ShardedNeighborTable::new(4, 2, 2);
+        table.commit_epoch(2, &events(3, 4));
+        table.commit_epoch(2, &[]);
+        table.commit_epoch(1, &[]);
+    }
+
+    #[test]
     fn gate_waits_until_commit() {
         let gate = EpochGate::new(2);
         assert_eq!(gate.committed(0), 0);
@@ -408,7 +388,6 @@ mod tests {
             }
             assert!(waiter.join().unwrap() >= 3);
         });
-        gate.wait_for_mask(&[false, true], 3);
     }
 
     #[test]

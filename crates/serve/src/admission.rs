@@ -1476,7 +1476,7 @@ mod tests {
         // The events touch src 0 / dst 1 (see `ev`); both are cached.
         cache.insert(0, 3, &[0.5, -1.0]);
         cache.insert(1, 5, &[2.0]);
-        cache.on_shard_committed(0, 6);
+        cache.expire(6);
         assert!(ac.submit(TenantId::DEFAULT, ev(0.0)).unwrap().is_admitted());
         // Queue full → answered stale, max age across the two vertices.
         assert_eq!(
@@ -1494,7 +1494,7 @@ mod tests {
         assert_eq!(b.cache_epochs, vec![3, 5]);
         // Expire vertex 0 past the bound: the next overflow misses and is
         // shed DropNewest-style.
-        cache.on_shard_committed(0, 8);
+        cache.expire(8);
         assert_eq!(
             ac.submit(TenantId::DEFAULT, ev(2.0)).unwrap(),
             SubmitOutcome::Dropped
@@ -1532,8 +1532,7 @@ mod tests {
         assert_eq!(out.lock().unwrap().len(), 1);
         // Gate fired but cache expired: falls through to normal admission —
         // preemption never sheds what the queue would have served.
-        cache.on_shard_committed(0, 100);
-        cache.on_shard_committed(1, 100);
+        cache.expire(100);
         assert!(ac.submit(TenantId::DEFAULT, ev(2.0)).unwrap().is_admitted());
         let (_, c) = ac.tenant_snapshot(0);
         assert_eq!(c.submitted, 3);
@@ -1564,8 +1563,7 @@ mod tests {
         );
         assert_eq!(out.lock().unwrap().len(), 1);
         // Bucket dry *and* cache expired: dropped-throttled.
-        cache.on_shard_committed(0, 100);
-        cache.on_shard_committed(1, 100);
+        cache.expire(100);
         assert_eq!(
             ac.submit(TenantId::DEFAULT, ev(2.0)).unwrap(),
             SubmitOutcome::Dropped

@@ -16,15 +16,15 @@
 //!   the embedding a client saw at that epoch.  Nothing else writes
 //!   embeddings into the cache; a hit is therefore bit-identical to the
 //!   originally-served value (property-tested in `tests/cache.rs`).
-//! * **Invalidation** — the update worker's epoch-barrier commit is the only
-//!   place vertex state changes.  The cache hooks the *existing*
-//!   `commit_epoch_with` observer (the same per-shard, under-the-shard-lock
-//!   hook the snapshot writer uses): each shard commit advances the global
-//!   committed-epoch watermark and sweeps that shard's expired entries.
-//!   Entry age is `committed_epoch − entry.epoch`; [`EmbeddingCache::get`]
-//!   re-checks the bound at lookup time, so even an entry the sweep has not
-//!   reached yet can never be answered beyond the bound.  The watermark may
-//!   run slightly ahead of a not-yet-committed shard's gate — that
+//! * **Invalidation** — the state worker's epoch-barrier commit is the only
+//!   place vertex state changes.  Once per epoch, *before* it writes the
+//!   epoch's rows, it calls `EmbeddingCache::expire`: the global
+//!   committed-epoch watermark moves to the epoch and every stripe sweeps
+//!   its expired entries.  Entry age is `committed_epoch − entry.epoch`;
+//!   [`EmbeddingCache::get`] re-checks the bound at lookup time, so even an
+//!   entry the sweep has not reached yet can never be answered beyond the
+//!   bound.  Because the watermark moves before the writes, it never trails
+//!   the state; while the epoch commits it runs one epoch ahead — that
 //!   direction only *over*-ages entries, which is conservative: the bound
 //!   cannot be violated, an answer can only be refused early.
 //! * **Bounded memory** — per-shard FIFO insertion logs cap the entry count
@@ -57,7 +57,7 @@ pub struct CacheConfig {
     /// Maximum age, in committed epoch barriers, at which a cached
     /// embedding may still be served.  A hit's `age_epochs` never exceeds
     /// this; entries older than the bound are invisible to [`EmbeddingCache::get`]
-    /// and swept at the next epoch-barrier commit of their shard.
+    /// and swept at the next epoch barrier.
     ///
     /// An epoch is one served micro-batch, and a micro-batch is as large as
     /// load made it: `max_batch` events under the overload this cache
@@ -169,14 +169,14 @@ pub(crate) type CachedEventHit = (Vec<(NodeId, Vec<Float>, u64)>, u64);
 
 /// The sharded, bounded, epoch-aware embedding cache.  One instance per
 /// [`StreamServer`](crate::StreamServer); shared by the GNN worker
-/// (population), the state worker (invalidation at the epoch barrier), and
+/// (population), the state worker (expiry at the epoch barrier), and
 /// the admission layer (`ServeStale` lookups).  Cache shards are leaf locks:
 /// nothing is acquired while one is held.
 pub struct EmbeddingCache {
     shards: Vec<Mutex<CacheShard>>,
     per_shard_capacity: usize,
     staleness_bound: u64,
-    /// Highest epoch any shard has committed at the barrier.
+    /// Highest epoch the state worker has expired the cache at.
     committed: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -192,8 +192,7 @@ pub struct EmbeddingCache {
 
 impl EmbeddingCache {
     /// Builds an empty cache striped over `num_shards` shards (the
-    /// pipeline's vertex-shard count, so the epoch-barrier observer for
-    /// memory shard `s` sweeps exactly the vertices it owns).
+    /// pipeline's vertex-shard count).
     ///
     /// # Panics
     /// Panics if `num_shards == 0` or `config.capacity == 0`.
@@ -220,26 +219,26 @@ impl EmbeddingCache {
         self.committed.load(Ordering::Acquire)
     }
 
-    /// Epoch-barrier invalidation hook, called from the update worker's
-    /// `commit_epoch_with` observer for every shard of every epoch — under
-    /// the memory shard's lock, after the epoch's writes, before the gate
-    /// bump (the snapshot writer's exact hook point).  Advances the global
-    /// watermark and sweeps the shard's now-expired entries.
-    pub(crate) fn on_shard_committed(&self, shard: usize, epoch: u64) {
+    /// Epoch-barrier invalidation, called by the state worker once per
+    /// epoch before it commits the epoch's writes: advances the global
+    /// watermark to `epoch` and sweeps every stripe's now-expired entries.
+    pub(crate) fn expire(&self, epoch: u64) {
         self.committed.fetch_max(epoch, Ordering::AcqRel);
         let watermark = self.committed.load(Ordering::Acquire);
-        let mut s = self.shards[shard % self.shards.len()].lock().unwrap();
         let mut expired = 0u64;
-        while let Some(&(v, e)) = s.log.front() {
-            if e + self.staleness_bound >= watermark {
-                break;
-            }
-            s.log.pop_front();
-            // Only remove if the vertex was not re-inserted at a newer epoch
-            // (the newer log entry still guards the newer map entry).
-            if s.map.get(&v).is_some_and(|entry| entry.epoch == e) {
-                s.map.remove(&v);
-                expired += 1;
+        for shard in &self.shards {
+            let mut s = shard.lock().unwrap();
+            while let Some(&(v, e)) = s.log.front() {
+                if e + self.staleness_bound >= watermark {
+                    break;
+                }
+                s.log.pop_front();
+                // Only remove if the vertex was not re-inserted at a newer
+                // epoch (the newer log entry still guards the newer map entry).
+                if s.map.get(&v).is_some_and(|entry| entry.epoch == e) {
+                    s.map.remove(&v);
+                    expired += 1;
+                }
             }
         }
         if expired > 0 {
@@ -402,7 +401,7 @@ mod tests {
         let c = cache(16, 4, 2);
         let emb = vec![0.125f32, -3.5, 1e-7, f32::MIN_POSITIVE];
         c.insert(7, 3, &emb);
-        c.on_shard_committed(0, 5);
+        c.expire(5);
         let (got, epoch, age) = c.get(7).expect("within bound");
         assert_eq!(got, emb, "hit must be bit-identical to the insert");
         assert_eq!(epoch, 3);
@@ -414,9 +413,9 @@ mod tests {
     fn entries_beyond_the_staleness_bound_are_never_served() {
         let c = cache(16, 2, 1);
         c.insert(1, 1, &[1.0]);
-        c.on_shard_committed(0, 3);
+        c.expire(3);
         assert!(c.get(1).is_some(), "age 2 == bound: still servable");
-        c.on_shard_committed(0, 4);
+        c.expire(4);
         assert!(c.get(1).is_none(), "age 3 > bound: refused");
         let s = c.stats();
         assert_eq!(s.misses, 1);
@@ -432,7 +431,7 @@ mod tests {
         c.insert(1, 5, &[5.0]);
         // Sweeping at watermark 6 pops the stale (1, epoch 1) log entry but
         // must keep the fresher map entry.
-        c.on_shard_committed(0, 6);
+        c.expire(6);
         let (emb, epoch, age) = c.get(1).expect("fresh entry survives");
         assert_eq!((emb, epoch, age), (vec![5.0], 5, 1));
         assert_eq!(c.stats().expired, 0);
@@ -456,7 +455,7 @@ mod tests {
         let c = cache(16, 10, 2);
         c.insert(1, 2, &[1.0]);
         c.insert(2, 6, &[2.0]);
-        c.on_shard_committed(0, 8);
+        c.expire(8);
         let (pairs, age) = c.get_event(1, 2).expect("both cached");
         assert_eq!(pairs.len(), 2);
         assert_eq!(age, 6, "age is the max across touched vertices");
@@ -471,7 +470,7 @@ mod tests {
     fn bounded_lookup_tightens_but_never_extends_the_global_bound() {
         let c = cache(16, 4, 1);
         c.insert(1, 1, &[1.0]);
-        c.on_shard_committed(0, 4); // age 3, global bound 4
+        c.expire(4); // age 3, global bound 4
         assert!(c.get_bounded(1, None).is_some(), "within global bound");
         assert!(
             c.get_bounded(1, Some(2)).is_none(),
@@ -481,7 +480,7 @@ mod tests {
             c.get_bounded(1, Some(100)).is_some(),
             "a looser override still answers (clamped to the global bound)"
         );
-        c.on_shard_committed(0, 6); // age 5 > global 4: swept/refused for all
+        c.expire(6); // age 5 > global 4: swept/refused for all
         assert!(
             c.get_bounded(1, Some(100)).is_none(),
             "override must not see past the global bound"
@@ -490,7 +489,7 @@ mod tests {
         c.insert(2, 6, &[2.0]);
         c.insert(3, 4, &[3.0]);
         assert!(c.get_event_bounded(2, 3, Some(2)).is_some(), "ages 0 and 2");
-        c.on_shard_committed(0, 7);
+        c.expire(7);
         assert!(
             c.get_event_bounded(2, 3, Some(2)).is_none(),
             "one endpoint past the tenant bound refuses the whole answer"
@@ -501,7 +500,7 @@ mod tests {
     fn stats_track_stale_serves_and_hit_rate() {
         let c = cache(16, 4, 1);
         c.insert(1, 1, &[1.0]);
-        c.on_shard_committed(0, 2);
+        c.expire(2);
         assert!(c.get(1).is_some());
         assert!(c.get(9).is_none());
         c.record_stale_serve(1);

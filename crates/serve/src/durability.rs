@@ -19,12 +19,15 @@
 //! * **Acks** are appended when `poll` hands a batch to the client; under
 //!   `OnSeal`/`Never` the record is written (OS-buffered) without an fsync
 //!   so post-drain polls still reach the log.
-//! * **Snapshots** are captured at epoch barriers via the
-//!   `commit_epoch_with` observers and written *after* a full WAL
-//!   flush+fsync, so a snapshot never runs ahead of the durable log.  The
-//!   cadence is counted in absorbed **events** (`snapshot_every ×
-//!   max_batch`), not epochs: an epoch holds whatever arrived while the
-//!   state worker was busy — two events at partial load — and an image per
+//! * **Snapshots** are captured by one function, `Durability::capture`,
+//!   which encodes every shard of the committed state: the state worker
+//!   calls it right after an interval epoch's commit, and the quiesced
+//!   paths (warm-up end, drain) call it on the idle state.  The files are
+//!   written *after* a full WAL flush+fsync, so a snapshot never runs
+//!   ahead of the durable log.  The cadence is counted in absorbed
+//!   **events** (`snapshot_every × max_batch`), not epochs: an epoch holds
+//!   whatever arrived while the state worker was busy — two events at
+//!   partial load — and an image per
 //!   `snapshot_every` *epochs* would then cost a hundred times the I/O for
 //!   the same replay bound.
 
@@ -388,8 +391,8 @@ impl Durability {
     }
 
     /// Writes an interval snapshot on a background thread.  The *capture* —
-    /// encoding every shard at the epoch barrier — already happened in the
-    /// state worker's `commit_epoch_with` observers; the file writes and
+    /// [`Self::capture`] right after the epoch's commit — already happened
+    /// on the state worker; the file writes and
     /// their fsyncs carry no ordering constraint with pipeline compute, so
     /// they overlap it instead of stalling the single committer for the
     /// duration of the disk I/O.  At most one write is in flight: a new
@@ -423,10 +426,35 @@ impl Durability {
         }
     }
 
+    /// Encodes every shard of the state as it stands: the memory shards'
+    /// payloads, then the neighbor shards'.  The state worker calls it
+    /// right after an epoch's commit and the quiesced paths on idle state,
+    /// so the payloads are exactly the last committed epoch's image.
+    pub fn capture(
+        memory: &ShardedMemory,
+        table: &ShardedNeighborTable,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let n = memory.num_shards();
+        let mem = (0..n)
+            .map(|s| {
+                let mut buf = Vec::new();
+                memory.read_shard(s, |m| encode_memory_shard(m, &mut buf));
+                buf
+            })
+            .collect();
+        let nbr = (0..n)
+            .map(|s| {
+                let mut buf = Vec::new();
+                table.read_shard(s, |t| encode_neighbor_shard(t, &mut buf));
+                buf
+            })
+            .collect();
+        (mem, nbr)
+    }
+
     /// Captures and writes a snapshot of quiesced sharded state (no pipeline
-    /// activity in flight): warm-up end and clean drain.  `epoch` must be
-    /// the structures' current epoch watermark; re-committing it with no
-    /// writes runs the capture observers without changing state.
+    /// activity in flight): warm-up end and clean drain.  `epoch` is the
+    /// structures' last committed epoch.
     pub fn snapshot_quiesced(
         &self,
         epoch: u64,
@@ -436,11 +464,7 @@ impl Durability {
     ) {
         self.finish_snapshot_write();
         self.mark_snapshot_captured();
-        let n = memory.num_shards();
-        let mut mem = vec![Vec::new(); n];
-        memory.commit_epoch_with(epoch, &[], |s, m| encode_memory_shard(m, &mut mem[s]));
-        let mut nbr = vec![Vec::new(); n];
-        table.commit_epoch_with(epoch, &[], |s, t| encode_neighbor_shard(t, &mut nbr[s]));
+        let (mem, nbr) = Self::capture(memory, table);
         self.write_snapshot_payloads(epoch, floor, mem, nbr);
     }
 

@@ -304,7 +304,8 @@ impl Collector {
     }
 
     /// Counts a batch served without a seal→embeddings latency (a stale
-    /// cache answer never ran the pipeline).
+    /// cache answer or a recovery re-serve never ran this session's
+    /// pipeline).
     pub fn count_batch(&self, events: usize, embeddings: usize) {
         self.events.fetch_add(events, Ordering::Relaxed);
         self.embeddings.fetch_add(embeddings, Ordering::Relaxed);
@@ -314,12 +315,20 @@ impl Collector {
 
     /// Records one event's completion for its tenant.
     pub fn record_event(&self, tenant: TenantId, late: bool, admit_latency: Duration) {
+        self.count_event(tenant);
         let t = &self.tenants[tenant.index()];
-        t.served.fetch_add(1, Ordering::Relaxed);
         if late {
             t.late.fetch_add(1, Ordering::Relaxed);
         }
         t.latency_ns.record(admit_latency.as_nanos() as u64);
+    }
+
+    /// Counts one event served for its tenant without a latency sample (a
+    /// recovery re-serve never ran this session's pipeline).
+    pub fn count_event(&self, tenant: TenantId) {
+        self.tenants[tenant.index()]
+            .served
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -458,11 +467,11 @@ pub(crate) struct StateStage {
     pub model: Arc<TgnModel>,
     pub graph: Arc<TemporalGraph>,
     pub commit_log: Arc<Mutex<CommitLog>>,
-    /// Live-serving commit hooks (`None` on the replay paths, which run
-    /// quiesced and snapshot/seed explicitly): absorbed-event bookkeeping
-    /// plus snapshot capture at interval epochs…
+    /// What the live commit also does (`None` on the replay paths, which
+    /// run quiesced and snapshot/seed explicitly): absorbed-event
+    /// bookkeeping plus snapshot capture at interval epochs…
     pub durability: Option<Arc<Durability>>,
-    /// …and the embedding cache's staleness watermark + expiry sweep.
+    /// …and the embedding cache's expiry.
     pub cache: Option<Arc<EmbeddingCache>>,
     /// Stage spans (`None` on the replay paths).
     pub obs: Option<StateObs>,
@@ -503,14 +512,15 @@ impl StateStage {
     /// gathered *before* the commit overwrites this epoch's rows and
     /// dispatched before it runs, so GNN(k) overlaps commit(k).
     ///
-    /// With durability on, the epoch that completes a snapshot interval
-    /// (`Durability::snapshot_due`, counted in absorbed events) captures each
-    /// shard's payload through the `commit_epoch_with` observers — under the shard
-    /// lock, after the epoch's writes, before the epoch bump — so the
-    /// snapshot is the exact epoch-barrier state; the files are then
-    /// written by a background thread instead of stalling the committer on
-    /// disk I/O.  The embedding cache hooks the same observer to advance
-    /// its staleness watermark and sweep the shard's expired entries.
+    /// The commit is, in order: one embedding-cache expiry at `epoch` (run
+    /// before the writes, so the cache's watermark never trails the state),
+    /// the memory rows, the neighbor-table appends, and — with durability
+    /// on, on the epoch that completes a snapshot interval
+    /// (`Durability::snapshot_due`, counted in absorbed events) — the
+    /// capture of every shard's payload.  This thread is the state's only
+    /// writer, so the capture is the exact post-commit image of `epoch`; the
+    /// files are then written by a background thread instead of stalling
+    /// the committer on disk I/O.
     pub fn step(
         &mut self,
         epoch: u64,
@@ -555,34 +565,15 @@ impl StateStage {
             if let Some(d) = &self.durability {
                 d.note_absorbed(events);
             }
-            let cache = self.cache.as_deref();
-            match self.durability.as_ref().filter(|d| d.snapshot_due()) {
-                None => {
-                    match cache {
-                        None => memory.commit_epoch(epoch, &updated),
-                        Some(c) => memory.commit_epoch_with(epoch, &updated, |s, _| {
-                            c.on_shard_committed(s, epoch)
-                        }),
-                    }
-                    table.commit_epoch(epoch, events);
-                }
-                Some(d) => {
-                    let num_shards = memory.num_shards();
-                    let mut mem_bufs: Vec<Vec<u8>> = vec![Vec::new(); num_shards];
-                    memory.commit_epoch_with(epoch, &updated, |s, m| {
-                        tgnn_durable::encode_memory_shard(m, &mut mem_bufs[s]);
-                        if let Some(c) = cache {
-                            c.on_shard_committed(s, epoch);
-                        }
-                    });
-                    let mut nbr_bufs: Vec<Vec<u8>> = vec![Vec::new(); num_shards];
-                    table.commit_epoch_with(epoch, events, |s, t| {
-                        tgnn_durable::encode_neighbor_shard(t, &mut nbr_bufs[s])
-                    });
-                    // Hand the captured payloads to the background writer: the
-                    // consistent cut is done, the disk I/O needs no lock.
-                    d.spawn_snapshot_write(epoch, mem_bufs, nbr_bufs);
-                }
+            if let Some(c) = &self.cache {
+                c.expire(epoch);
+            }
+            memory.commit_epoch(epoch, &updated);
+            table.commit_epoch(epoch, events);
+            if let Some(d) = self.durability.as_ref().filter(|d| d.snapshot_due()) {
+                // Capture here, on the only writer; write in the background.
+                let (mem, nbr) = Durability::capture(memory, table);
+                d.spawn_snapshot_write(epoch, mem, nbr);
             }
         });
         updated.recycle(&mut self.ws);

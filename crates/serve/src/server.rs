@@ -769,10 +769,6 @@ impl StreamServer {
             for (i, table) in s.tables.into_iter().enumerate() {
                 server.table.restore_shard(i, table);
             }
-            for shard in 0..server.num_shards {
-                server.memory.gate().commit(shard, snapshot_epoch);
-                server.table.gate().commit(shard, snapshot_epoch);
-            }
         }
         server
             .next_epoch
@@ -860,16 +856,14 @@ impl StreamServer {
                     trace_id: 0,
                 })
                 .collect();
-            server
-                .collector
-                .record_batch(events.len(), embeddings.len(), Duration::ZERO);
+            // Counted as served, with no latency sample: a re-serve never
+            // ran this session's pipeline.
+            server.collector.count_batch(events.len(), embeddings.len());
             server
                 .collector
                 .record_backend_batch(kind, events.len(), out.modeled_latency);
             for (t, _) in &sealed.events {
-                server
-                    .collector
-                    .record_event(TenantId(*t), false, Duration::ZERO);
+                server.collector.count_event(TenantId(*t));
             }
             let now = Instant::now();
             server.completed.push_back(ServedBatch {
@@ -1051,26 +1045,20 @@ impl StreamServer {
         // Close admission: the state worker drains the remaining tenant
         // queues and exits, and the shutdown ripples down the stages.
         self.admission.close();
-        loop {
-            while let Some(b) = self.results_rx.try_recv() {
-                self.completed.push_back(b);
-            }
-            if self.workers.iter().all(|w| w.is_finished()) {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        while let Some(b) = self.results_rx.try_recv() {
+        while let Some(b) = self.results_rx.recv() {
             self.completed.push_back(b);
         }
+        // The GNN worker's sender is closed; join every worker before the
+        // flush so no append can follow it.
+        let exits: Vec<_> = self.workers.drain(..).map(JoinHandle::join).collect();
         if let Some(d) = &self.durability {
             // The pipeline workers are done appending: make the whole tail
             // durable before any panic can propagate.  (A frozen WAL — crash
             // injection — no-ops this, as a real death would.)
             d.wal.flush(true).expect("drain: WAL flush failed");
         }
-        for w in self.workers.drain(..) {
-            if let Err(panic) = w.join() {
+        for exit in exits {
+            if let Err(panic) = exit {
                 std::panic::resume_unwind(panic);
             }
         }

@@ -801,3 +801,56 @@ fn fresh_server_refuses_a_directory_with_an_existing_wal() {
         "StreamServer::new must refuse to append to an existing WAL"
     );
 }
+
+#[test]
+fn re_served_epochs_are_counted_without_latency_samples() {
+    // A re-served epoch never ran this session's pipeline: it counts as
+    // served, but adds no zero to the seal→embeddings or the tenant's
+    // admit→completion latency.
+    let (model, graph) = setup(5);
+    let events = &graph.events()[..50];
+    let (first, fresh) = events.split_at(48);
+    let td = TempDir::new("re-serve-latency");
+    let config = ServeConfig {
+        // Room for every first-life batch: that client never polls.
+        results_capacity: first.len(),
+        ..base_config(td.path(), FsyncPolicy::Always)
+    };
+    {
+        // First life: everything sealed and computed, nothing delivered —
+        // the client went away before it polled.
+        let mut server = StreamServer::new(model.clone(), graph.clone(), config.clone());
+        for &e in first {
+            server.submit(e).unwrap();
+        }
+        server.drain();
+    }
+    let (mut server, report) = StreamServer::recover(model, graph.clone(), config).unwrap();
+    assert!(report.re_served_epochs >= 3, "{report:?}");
+    assert_eq!(report.readmitted_events, 0, "a drained life leaves no tail");
+    let re_served = std::iter::from_fn(|| server.poll()).count();
+    assert_eq!(re_served, report.re_served_epochs);
+    // Two freshly served one-event batches.
+    for &e in fresh {
+        server.submit(e).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let b = loop {
+            if let Some(b) = server.poll() {
+                break b;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "fresh batch never served"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(multiset(b.events.iter()), multiset([e].iter()));
+    }
+    let r = server.drain();
+    assert_eq!(r.num_batches, re_served + 2);
+    assert_eq!(r.num_events, events.len());
+    assert!(r.latency.p50_ms > 0.0, "batch latency {:?}", r.latency);
+    let t = &r.tenants[0];
+    assert_eq!(t.served, events.len() as u64);
+    assert!(t.latency.p50_ms > 0.0, "tenant latency {:?}", t.latency);
+}
