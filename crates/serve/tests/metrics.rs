@@ -2,7 +2,9 @@
 //! (under load, after a drain, with durability on), the three renderers,
 //! the JSONL sampler, the metrics-off no-op path, and the flight-recorder
 //! drill — after an injected GNN panic the dump must still contain the
-//! poisoned epoch's partial timeline.
+//! poisoned epoch's partial timeline — and the golden counters: every
+//! count a lockstep session and a recovered life make deterministic,
+//! pinned to literal values.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -1014,3 +1016,377 @@ fn report_and_snapshot_agree_row_for_row() {
         }
     );
 }
+
+// ---------------------------------------------------------------------------
+// Golden counters: every count a lockstep feed makes deterministic, pinned.
+// ---------------------------------------------------------------------------
+
+/// Catalogue families the golden-counter tests leave unpinned, by line
+/// prefix.  Timings vary run to run: the uptime, the stage busy time and
+/// share, the batch-latency quantiles (its `_count` stays pinned), the
+/// snapshot lag in seconds, the delivery p99 and the tail exemplars it
+/// selects.  The fsync counts and latencies depend on how the disk and the
+/// WAL writer meet, not on the feed.  The queue mean depth is not a count,
+/// and the kernel info names the host's CPU.
+const UNPINNED: [&str; 11] = [
+    "tgnn_uptime_seconds",
+    "tgnn_stage_busy_seconds_total",
+    "tgnn_stage_busy_fraction",
+    "tgnn_batch_latency_ms{",
+    "tgnn_queue_mean_depth",
+    "tgnn_wal_fsync",
+    "tgnn_snapshot_lag_seconds",
+    "tgnn_trace_delivery_p99_ms",
+    "tgnn_trace_exemplars",
+    "tgnn_kernel_info",
+    "# TYPE",
+];
+
+/// The pinned lines of a snapshot's Prometheus exposition.
+fn pinned_lines(m: &tgnn_serve::MetricsSnapshot) -> Vec<String> {
+    m.to_prometheus()
+        .lines()
+        .filter(|l| !UNPINNED.iter().any(|p| l.starts_with(p)))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Compares the pinned exposition lines with `golden`, listing every
+/// difference at once.
+fn assert_golden(label: &str, m: &tgnn_serve::MetricsSnapshot, golden: &[&str]) {
+    let got = pinned_lines(m);
+    let missing: Vec<_> = golden
+        .iter()
+        .filter(|l| !got.iter().any(|g| g == *l))
+        .collect();
+    let extra: Vec<_> = got
+        .iter()
+        .filter(|g| !golden.contains(&g.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "{label}: golden lines missing: {missing:#?}\nexported instead: {extra:#?}"
+    );
+}
+
+/// Two tenants — `f32` (Block) and `int8`, a `ServeStale` tenant behind a
+/// token bucket that holds four tokens and refills one per 1000 s, so its
+/// fifth and later submits are answered from the cache or dropped — over a
+/// durable (`Never`) server whose snapshot interval is 8 absorbed events.
+fn golden_config(dir: &Path, results_capacity: usize) -> ServeConfig {
+    ServeConfig {
+        max_batch: 4,
+        num_shards: 2,
+        results_capacity,
+        tenants: vec![
+            TenantSpec::new("f32").with_backend(BackendKind::F32),
+            TenantSpec::new("int8")
+                .with_backend(BackendKind::Int8)
+                .with_policy(OverloadPolicy::ServeStale)
+                .with_rate_eps(1e-3)
+                .with_rate_burst(4.0),
+        ],
+        durability: Some(
+            DurabilityConfig::new(dir)
+                .with_fsync(FsyncPolicy::Never)
+                .with_snapshot_every(2),
+        ),
+        ..ServeConfig::default()
+    }
+}
+
+/// Waits until the pipeline has served all `admitted` events and the
+/// state worker has committed the last sealed epoch (the cache watermark
+/// has reached it), so the next submit's cache lookup sees a settled cache.
+fn settle(server: &StreamServer, admitted: u64) {
+    let give_up = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let m = server.metrics();
+        let served: u64 = m.backends.iter().map(|b| b.served_events).sum();
+        let watermark = m
+            .cache
+            .as_ref()
+            .expect("a ServeStale tenant")
+            .committed_epoch;
+        if served == admitted && watermark == m.epochs {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < give_up,
+            "never settled: served {served} of {admitted}, watermark {watermark} of {}",
+            m.epochs
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// Feeds `events` in lockstep, alternating the two tenants: one submit,
+/// then — when `poll` is set — polling until its answer is delivered
+/// (nothing is, for a drop), then settling.  Returns the admitted count.
+fn feed_lockstep(
+    server: &mut StreamServer,
+    events: &[tgnn_graph::InteractionEvent],
+    mut admitted: u64,
+    poll: bool,
+) -> u64 {
+    use tgnn_serve::SubmitOutcome;
+    for (i, &e) in events.iter().enumerate() {
+        let outcome = server.submit_for(TenantId(i as u32 % 2), e).unwrap();
+        admitted += u64::from(outcome == SubmitOutcome::Admitted);
+        if poll && outcome != SubmitOutcome::Dropped {
+            let give_up = std::time::Instant::now() + Duration::from_secs(30);
+            let b = loop {
+                if let Some(b) = server.poll() {
+                    break b;
+                }
+                assert!(std::time::Instant::now() < give_up, "event never delivered");
+                std::thread::yield_now();
+            };
+            assert_eq!(b.events, [e]);
+        }
+        settle(server, admitted);
+    }
+    admitted
+}
+
+/// The count fields of a serve report: events, batches, embeddings,
+/// commits, whether the commit log is clean, shards and backpressure
+/// blocks.
+fn report_counts(r: &tgnn_serve::ServeReport) -> (usize, usize, usize, usize, bool, usize, u64) {
+    (
+        r.num_events,
+        r.num_batches,
+        r.num_embeddings,
+        r.commits,
+        r.commit_log_clean,
+        r.num_shards,
+        r.backpressure_blocks,
+    )
+}
+
+/// The counters of one lockstep session — warm-up, a fed stream with stale
+/// answers and throttle drops, interval snapshots, drain — pinned to
+/// literal values.  A lockstep feed cuts every batch at one event, so every
+/// count below is a function of the feed alone.
+#[test]
+fn golden_counters_of_a_lockstep_session() {
+    let (model, graph) = quantized_setup(79);
+    let td = TempDir::new("golden");
+    let mut server = StreamServer::new(model, graph.clone(), golden_config(td.path(), 256));
+    server.warm_up(&graph.events()[..200]);
+    feed_lockstep(&mut server, &graph.events()[200..240], 0, true);
+    let report = server.drain();
+    assert!(server.poll().is_none(), "lockstep leaves nothing behind");
+    let m = server.metrics();
+    common::assert_conserved(&m);
+    assert_eq!(report_counts(&report), (27, 27, 54, 48, true, 2, 0));
+    assert_golden("lockstep session", &m, &GOLDEN_SESSION);
+}
+
+/// The counters of a life recovered from one that drained without polling:
+/// its sealed epochs come back as re-serves — counted as served, on their
+/// backends, without latency samples — ahead of a short fresh feed.
+#[test]
+fn golden_counters_of_a_recovered_life() {
+    let (model, graph) = quantized_setup(79);
+    let td = TempDir::new("golden-recovered");
+    let first = &graph.events()[200..224];
+    // Room for every first-life batch: that client never polls.
+    let config = golden_config(td.path(), first.len());
+    {
+        let mut server = StreamServer::new(model.clone(), graph.clone(), config.clone());
+        server.warm_up(&graph.events()[..200]);
+        feed_lockstep(&mut server, first, 0, false);
+        server.drain();
+    }
+    let (mut server, recovery) = StreamServer::recover(model, graph.clone(), config).unwrap();
+    assert_eq!(
+        (
+            recovery.snapshot_epoch,
+            recovery.acked,
+            recovery.sealed_epochs,
+            recovery.replayed_epochs,
+            recovery.re_served_epochs,
+            recovery.replayed_events,
+            recovery.readmitted_events,
+            recovery.resume_from.clone(),
+            recovery.served_stale.clone(),
+        ),
+        (1, 0, 16, 16, 16, 16, 0, vec![12, 12], vec![0, 0])
+    );
+    let re_served = std::iter::from_fn(|| server.poll()).count();
+    assert_eq!(re_served, recovery.re_served_epochs);
+    let admitted = recovery.re_served_epochs as u64;
+    feed_lockstep(&mut server, &graph.events()[224..240], admitted, true);
+    let report = server.drain();
+    assert!(server.poll().is_none(), "lockstep leaves nothing behind");
+    let m = server.metrics();
+    assert_eq!(report_counts(&report), (29, 29, 58, 56, true, 2, 0));
+    assert_golden("recovered life", &m, &GOLDEN_RECOVERED);
+}
+
+/// The pinned exposition of `golden_counters_of_a_lockstep_session`.
+const GOLDEN_SESSION: [&str; 79] = [
+    "tgnn_metrics_enabled 1",
+    "tgnn_epochs_total 25",
+    "tgnn_batches_served_total 27",
+    "tgnn_events_served_total 27",
+    "tgnn_embeddings_total 54",
+    "tgnn_seals_total{reason=\"full\"} 0",
+    "tgnn_seals_total{reason=\"idle\"} 24",
+    "tgnn_seals_total{reason=\"close\"} 0",
+    "tgnn_batch_events{quantile=\"0.5\"} 1",
+    "tgnn_batch_events{quantile=\"0.95\"} 1",
+    "tgnn_batch_events{quantile=\"0.99\"} 1",
+    "tgnn_batch_events{quantile=\"1\"} 1",
+    "tgnn_batch_events_sum 24",
+    "tgnn_batch_events_count 24",
+    "tgnn_queue_depth{queue=\"state→gnn\"} 0",
+    "tgnn_queue_depth{queue=\"gnn→results\"} 0",
+    "tgnn_queue_max_depth{queue=\"state→gnn\"} 1",
+    "tgnn_queue_max_depth{queue=\"gnn→results\"} 1",
+    "tgnn_queue_pushes_total{queue=\"state→gnn\"} 24",
+    "tgnn_queue_pushes_total{queue=\"gnn→results\"} 24",
+    "tgnn_queue_blocked_sends_total{queue=\"state→gnn\"} 0",
+    "tgnn_queue_blocked_sends_total{queue=\"gnn→results\"} 0",
+    "tgnn_stage_spans_total{stage=\"scheduler\"} 24",
+    "tgnn_stage_spans_total{stage=\"batcher\"} 24",
+    "tgnn_stage_spans_total{stage=\"sampler\"} 24",
+    "tgnn_stage_spans_total{stage=\"memory\"} 24",
+    "tgnn_stage_spans_total{stage=\"gnn\"} 24",
+    "tgnn_stage_spans_total{stage=\"update\"} 24",
+    "tgnn_stage_spans_total{stage=\"wal-sync\"} 0",
+    "tgnn_stage_spans_total{stage=\"snap-writer\"} 5",
+    "tgnn_batch_latency_ms_count 27",
+    "tgnn_admission_dropped_total{policy=\"newest\"} 0",
+    "tgnn_admission_dropped_total{policy=\"oldest\"} 0",
+    "tgnn_admission_dropped_total{policy=\"throttled\"} 13",
+    "tgnn_admission_submitted_total 40",
+    "tgnn_admission_admitted_total 24",
+    "tgnn_admission_blocked_submits_total 0",
+    "tgnn_admission_throttled_total 0",
+    "tgnn_admission_served_stale_total 3",
+    "tgnn_tenant_submitted_total{tenant=\"f32\"} 20",
+    "tgnn_tenant_submitted_total{tenant=\"int8\"} 20",
+    "tgnn_tenant_admitted_total{tenant=\"f32\"} 20",
+    "tgnn_tenant_admitted_total{tenant=\"int8\"} 4",
+    "tgnn_tenant_dropped_total{tenant=\"f32\"} 0",
+    "tgnn_tenant_dropped_total{tenant=\"int8\"} 13",
+    "tgnn_tenant_served_total{tenant=\"f32\"} 20",
+    "tgnn_tenant_served_total{tenant=\"int8\"} 7",
+    "tgnn_tenant_served_stale_total{tenant=\"f32\"} 0",
+    "tgnn_tenant_served_stale_total{tenant=\"int8\"} 3",
+    "tgnn_tenant_late_total{tenant=\"f32\"} 0",
+    "tgnn_tenant_late_total{tenant=\"int8\"} 0",
+    "tgnn_backend_served_batches_total{backend=\"f32\"} 20",
+    "tgnn_backend_served_batches_total{backend=\"int8\"} 4",
+    "tgnn_backend_served_events_total{backend=\"f32\"} 20",
+    "tgnn_backend_served_events_total{backend=\"int8\"} 4",
+    "tgnn_cache_hits_total 7",
+    "tgnn_cache_misses_total 13",
+    "tgnn_cache_insertions_total 48",
+    "tgnn_cache_evictions_total 0",
+    "tgnn_cache_expired_total 0",
+    "tgnn_cache_served_stale_total 3",
+    "tgnn_cache_entries 27",
+    "tgnn_cache_staleness_bound_epochs 64",
+    "tgnn_cache_stale_age_epochs{quantile=\"0.5\"} 9",
+    "tgnn_cache_stale_age_epochs{quantile=\"0.95\"} 17",
+    "tgnn_cache_stale_age_epochs{quantile=\"0.99\"} 17",
+    "tgnn_cache_stale_age_epochs{quantile=\"1\"} 17",
+    "tgnn_cache_stale_age_epochs_count 3",
+    "tgnn_wal_records_total 93",
+    "tgnn_wal_bytes_total 2933",
+    "tgnn_snapshots_total 5",
+    "tgnn_snapshot_lag_epochs 0",
+    "tgnn_traces_begun_total 24",
+    "tgnn_trace_conflicts_total 0",
+    "tgnn_trace_overflows_total 0",
+    "tgnn_trace_head_samples 0",
+    "tgnn_flight_capacity 4096",
+    "tgnn_flight_recorded_total 279",
+    "tgnn_flight_dropped_total 0",
+];
+
+/// The pinned exposition of `golden_counters_of_a_recovered_life`.
+const GOLDEN_RECOVERED: [&str; 79] = [
+    "tgnn_metrics_enabled 1",
+    "tgnn_epochs_total 29",
+    "tgnn_batches_served_total 29",
+    "tgnn_events_served_total 29",
+    "tgnn_embeddings_total 58",
+    "tgnn_seals_total{reason=\"full\"} 0",
+    "tgnn_seals_total{reason=\"idle\"} 12",
+    "tgnn_seals_total{reason=\"close\"} 0",
+    "tgnn_batch_events{quantile=\"0.5\"} 1",
+    "tgnn_batch_events{quantile=\"0.95\"} 1",
+    "tgnn_batch_events{quantile=\"0.99\"} 1",
+    "tgnn_batch_events{quantile=\"1\"} 1",
+    "tgnn_batch_events_sum 28",
+    "tgnn_batch_events_count 28",
+    "tgnn_queue_depth{queue=\"state→gnn\"} 0",
+    "tgnn_queue_depth{queue=\"gnn→results\"} 0",
+    "tgnn_queue_max_depth{queue=\"state→gnn\"} 1",
+    "tgnn_queue_max_depth{queue=\"gnn→results\"} 1",
+    "tgnn_queue_pushes_total{queue=\"state→gnn\"} 12",
+    "tgnn_queue_pushes_total{queue=\"gnn→results\"} 12",
+    "tgnn_queue_blocked_sends_total{queue=\"state→gnn\"} 0",
+    "tgnn_queue_blocked_sends_total{queue=\"gnn→results\"} 0",
+    "tgnn_stage_spans_total{stage=\"scheduler\"} 12",
+    "tgnn_stage_spans_total{stage=\"batcher\"} 12",
+    "tgnn_stage_spans_total{stage=\"sampler\"} 12",
+    "tgnn_stage_spans_total{stage=\"memory\"} 12",
+    "tgnn_stage_spans_total{stage=\"gnn\"} 12",
+    "tgnn_stage_spans_total{stage=\"update\"} 12",
+    "tgnn_stage_spans_total{stage=\"wal-sync\"} 0",
+    "tgnn_stage_spans_total{stage=\"snap-writer\"} 3",
+    "tgnn_batch_latency_ms_count 29",
+    "tgnn_admission_dropped_total{policy=\"newest\"} 0",
+    "tgnn_admission_dropped_total{policy=\"oldest\"} 0",
+    "tgnn_admission_dropped_total{policy=\"throttled\"} 3",
+    "tgnn_admission_submitted_total 16",
+    "tgnn_admission_admitted_total 12",
+    "tgnn_admission_blocked_submits_total 0",
+    "tgnn_admission_throttled_total 0",
+    "tgnn_admission_served_stale_total 1",
+    "tgnn_tenant_submitted_total{tenant=\"f32\"} 8",
+    "tgnn_tenant_submitted_total{tenant=\"int8\"} 8",
+    "tgnn_tenant_admitted_total{tenant=\"f32\"} 8",
+    "tgnn_tenant_admitted_total{tenant=\"int8\"} 4",
+    "tgnn_tenant_dropped_total{tenant=\"f32\"} 0",
+    "tgnn_tenant_dropped_total{tenant=\"int8\"} 3",
+    "tgnn_tenant_served_total{tenant=\"f32\"} 20",
+    "tgnn_tenant_served_total{tenant=\"int8\"} 9",
+    "tgnn_tenant_served_stale_total{tenant=\"f32\"} 0",
+    "tgnn_tenant_served_stale_total{tenant=\"int8\"} 1",
+    "tgnn_tenant_late_total{tenant=\"f32\"} 0",
+    "tgnn_tenant_late_total{tenant=\"int8\"} 0",
+    "tgnn_backend_served_batches_total{backend=\"f32\"} 20",
+    "tgnn_backend_served_batches_total{backend=\"int8\"} 8",
+    "tgnn_backend_served_events_total{backend=\"f32\"} 20",
+    "tgnn_backend_served_events_total{backend=\"int8\"} 8",
+    "tgnn_cache_hits_total 2",
+    "tgnn_cache_misses_total 3",
+    "tgnn_cache_insertions_total 56",
+    "tgnn_cache_evictions_total 0",
+    "tgnn_cache_expired_total 0",
+    "tgnn_cache_served_stale_total 1",
+    "tgnn_cache_entries 28",
+    "tgnn_cache_staleness_bound_epochs 64",
+    "tgnn_cache_stale_age_epochs{quantile=\"0.5\"} 13",
+    "tgnn_cache_stale_age_epochs{quantile=\"0.95\"} 13",
+    "tgnn_cache_stale_age_epochs{quantile=\"0.99\"} 13",
+    "tgnn_cache_stale_age_epochs{quantile=\"1\"} 13",
+    "tgnn_cache_stale_age_epochs_count 1",
+    "tgnn_wal_records_total 59",
+    "tgnn_wal_bytes_total 1611",
+    "tgnn_snapshots_total 3",
+    "tgnn_snapshot_lag_epochs 0",
+    "tgnn_traces_begun_total 12",
+    "tgnn_trace_conflicts_total 0",
+    "tgnn_trace_overflows_total 0",
+    "tgnn_trace_head_samples 0",
+    "tgnn_flight_capacity 4096",
+    "tgnn_flight_recorded_total 157",
+    "tgnn_flight_dropped_total 0",
+];
