@@ -119,8 +119,8 @@ use tgnn_durable::{AdmitDisposition, FsyncPolicy, Wal, WalRecord};
 use tgnn_graph::{InteractionEvent, Timestamp};
 
 use crate::cache::EmbeddingCache;
-use crate::metrics::SloHandle;
-use crate::pipeline::{Collector, ServedBatch};
+use crate::metrics::{SloHandle, StageObs};
+use crate::pipeline::ServedBatch;
 use crate::server::SubmitError;
 
 /// Burn-rate gate consulted by the submit path: returns `true` while an SLO
@@ -463,9 +463,10 @@ pub(crate) struct StaleServing {
     pub cache: Arc<EmbeddingCache>,
     /// Synthesized stale batches awaiting `poll`.
     pub out: Arc<Mutex<VecDeque<ServedBatch>>>,
-    /// The pipeline's completion-side collector: stale answers count as
-    /// served events so `submitted == served + dropped()` keeps holding.
-    pub collector: Arc<Collector>,
+    /// The server's recording handle for the answers' embeddings and
+    /// completion time (`deliver`: a stale answer is a delivery that
+    /// bypasses the pipeline).
+    pub obs: StageObs,
 }
 
 /// The shared admission front end: per-tenant bounded queues plus the
@@ -648,11 +649,11 @@ impl AdmissionControl {
             embeddings.push((v, emb));
             cache_epochs.push(epoch);
         }
-        // A stale answer is delivered, so it counts toward the events,
-        // batches and embeddings served, but it bypasses the pipeline: it
-        // adds no seal→embeddings latency sample, and the tenant counts it
-        // through `AdmissionCounters::served_stale`.
-        stale.collector.count_batch(1, embeddings.len());
+        // A stale answer is delivered, so its embeddings count as served,
+        // but it bypasses the pipeline: it adds no seal→embeddings latency
+        // sample.  The answer itself is counted once, as the tenant's
+        // `AdmissionCounters::served_stale`, which the served totals sum.
+        stale.obs.sinks.count_embeddings(embeddings.len());
         let now = Instant::now();
         stale.out.lock().unwrap().push_back(ServedBatch {
             epoch: 0,
@@ -1063,6 +1064,8 @@ impl AdmissionControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{Sinks, StageId};
+    use crate::server::ServeConfig;
     use std::sync::Arc;
 
     fn ev(t: f64) -> InteractionEvent {
@@ -1441,6 +1444,12 @@ mod tests {
         );
     }
 
+    /// A `deliver` recording handle onto a one-tenant server's sinks.
+    fn deliver_obs() -> StageObs {
+        let sinks = Arc::new(Sinks::new(&ServeConfig::default(), 1));
+        sinks.stage_obs(StageId::Deliver)
+    }
+
     fn stale_fixture(
         spec: TenantSpec,
         bound: u64,
@@ -1460,7 +1469,7 @@ mod tests {
         let ac = AdmissionControl::new(vec![spec]).with_stale(Some(StaleServing {
             cache: cache.clone(),
             out: out.clone(),
-            collector: Arc::new(Collector::new(1)),
+            obs: deliver_obs(),
         }));
         (ac, cache, out)
     }
@@ -1780,7 +1789,7 @@ mod tests {
             .with_stale(Some(StaleServing {
                 cache,
                 out: out.clone(),
-                collector: Arc::new(Collector::new(1)),
+                obs: deliver_obs(),
             }))
             .with_slo(SloHandle::new(Some(slo.clone()), None))
             .with_burn_gate(Some(Arc::new(move || gate))),

@@ -30,11 +30,16 @@
 //!   partial load — and an image per
 //!   `snapshot_every` *epochs* would then cost a hundred times the I/O for
 //!   the same replay bound.
+//!
+//! The seal fsync and the snapshot writes are timed as `wal-sync` and
+//! `snap-writer` spans (the fsyncs into the fsync histogram too) through the
+//! two recording handles `Durability::open` receives from the server's
+//! sinks.
 
-use crate::metrics::DurabilityObs;
+use crate::metrics::StageObs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tgnn_core::ShardedMemory;
 use tgnn_durable::{
@@ -70,7 +75,8 @@ pub struct DurabilityStats {
     /// durability handle was opened when none has completed yet) — makes a
     /// stalled snapshot writer visible even when epochs stop advancing.
     pub snapshot_lag_seconds: f64,
-    /// Median seal fsync latency, µs (0 with metrics off).
+    /// Median seal fsync latency, µs (0 with metrics off; the metrics
+    /// snapshot reads these three from its fsync histogram).
     pub fsync_p50_us: u64,
     /// p99 seal fsync latency, µs.
     pub fsync_p99_us: u64,
@@ -161,18 +167,25 @@ pub(crate) struct Durability {
     /// The in-flight background snapshot write, if any (see
     /// [`Self::spawn_snapshot_write`]).  At most one at a time.
     pending_snapshot: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Span/latency recording handles of the seal sync and the snapshot
-    /// writer, attached by the server after the hub exists (the durability
-    /// handle is constructed first) and before any worker runs.
-    obs: OnceLock<DurabilityObs>,
+    /// `wal-sync` spans and the fsync latencies of [`Self::sync_seal`].
+    sync_obs: StageObs,
+    /// `snap-writer` spans of [`Self::write_snapshot_payloads`].
+    snap_obs: StageObs,
 }
 
 impl Durability {
     /// Opens the WAL (continuing after segment `last_seq`; `0` for a fresh
     /// log) and an idle snapshot writer over the configured directory.
     /// `max_batch` is the server's batch cap — the event count one
-    /// `snapshot_every` unit stands for.
-    pub fn open(cfg: &DurabilityConfig, last_seq: u64, max_batch: usize) -> std::io::Result<Self> {
+    /// `snapshot_every` unit stands for; `sync_obs` and `snap_obs` are the
+    /// `wal-sync` and `snap-writer` recording handles.
+    pub fn open(
+        cfg: &DurabilityConfig,
+        last_seq: u64,
+        max_batch: usize,
+        sync_obs: StageObs,
+        snap_obs: StageObs,
+    ) -> std::io::Result<Self> {
         let wal = Arc::new(Wal::open(&cfg.dir, last_seq, cfg.segment_bytes, cfg.fsync)?);
         let snapshot_interval_events = cfg.snapshot_every.saturating_mul(max_batch as u64);
         Ok(Self {
@@ -193,15 +206,9 @@ impl Durability {
             sealed: AtomicU64::new(0),
             synced: AtomicU64::new(0),
             pending_snapshot: Mutex::new(None),
-            obs: OnceLock::new(),
+            sync_obs,
+            snap_obs,
         })
-    }
-
-    /// Attaches the observability handles (idempotent; later calls lose).
-    /// Called by `StreamServer::build` between hub construction and worker
-    /// spawn; without it the durability workers simply record nothing.
-    pub fn set_obs(&self, obs: DurabilityObs) {
-        let _ = self.obs.set(obs);
     }
 
     /// Appends epoch `epoch`'s `Seal` record — the state worker, before it
@@ -249,20 +256,19 @@ impl Durability {
             );
         }
         let fsync = policy == FsyncPolicy::OnSeal;
-        let span = self
-            .obs
-            .get()
-            .filter(|_| fsync)
-            .map(|o| (o, o.sync.enter(epoch)));
+        let span = if fsync {
+            self.sync_obs.enter(epoch)
+        } else {
+            None
+        };
         if let Err(e) = self.wal.flush(fsync) {
             panic!("gnn: WAL seal flush failed at epoch {epoch}: {e}");
         }
-        if let Some((o, span)) = span {
-            if let Some(t0) = span {
-                o.fsync_us.record(t0.elapsed().as_micros() as u64);
-            }
-            o.sync.exit(epoch, span);
+        if let Some(t0) = span {
+            let us = t0.elapsed().as_micros() as u64;
+            self.sync_obs.sinks.fsync_us.record(us);
         }
+        self.sync_obs.exit(epoch, span);
         self.synced.store(covered, Ordering::Relaxed);
     }
 
@@ -363,7 +369,7 @@ impl Durability {
         nbr: Vec<Vec<u8>>,
     ) {
         let t0 = Instant::now();
-        let span = self.obs.get().map(|o| (o, o.snap.enter(epoch)));
+        let span = self.snap_obs.enter(epoch);
         self.wal
             .flush(true)
             .expect("durability: WAL flush before snapshot failed");
@@ -385,9 +391,7 @@ impl Durability {
         self.last_snapshot_ns
             .store(self.opened.elapsed().as_nanos() as u64, Ordering::Relaxed);
         *self.snapshot_ms_total.lock().unwrap() += t0.elapsed().as_secs_f64() * 1e3;
-        if let Some((o, span)) = span {
-            o.snap.exit(epoch, span);
-        }
+        self.snap_obs.exit(epoch, span);
     }
 
     /// Writes an interval snapshot on a background thread.  The *capture* —
@@ -469,19 +473,15 @@ impl Durability {
     }
 
     /// Point-in-time counters; `epochs` is the highest epoch assigned so
-    /// far, the reference of the epoch-based snapshot lag.
+    /// far, the reference of the epoch-based snapshot lag.  The fsync
+    /// latencies are left at zero: their histogram is one of the server's
+    /// sinks, and the metrics snapshot fills them in.
     pub fn stats(&self, epochs: u64) -> DurabilityStats {
         let w = self.wal.stats();
         let last_snapshot_epoch = self.last_snapshot_epoch.load(Ordering::Relaxed);
         let since_open = self.opened.elapsed().as_nanos() as u64;
         let since_snapshot =
             since_open.saturating_sub(self.last_snapshot_ns.load(Ordering::Relaxed));
-        // Empty until the server attaches the workers' handles.
-        let fsync = self
-            .obs
-            .get()
-            .map(|o| o.fsync_us.snapshot())
-            .unwrap_or_default();
         DurabilityStats {
             wal_records: w.records.load(Ordering::Relaxed),
             wal_bytes: w.bytes.load(Ordering::Relaxed),
@@ -493,9 +493,7 @@ impl Durability {
             acked_epoch: self.acked(),
             snapshot_lag_epochs: epochs.saturating_sub(last_snapshot_epoch),
             snapshot_lag_seconds: since_snapshot as f64 / 1e9,
-            fsync_p50_us: fsync.percentile(0.50),
-            fsync_p99_us: fsync.percentile(0.99),
-            fsync_mean_us: fsync.mean(),
+            ..DurabilityStats::default()
         }
     }
 }

@@ -1,25 +1,30 @@
 //! Live observability of the serve pipeline: stage spans, queue depths,
 //! latency histograms, and the flight recorder.
 //!
-//! There is one read path.  [`MetricsHub::snapshot`] is the only code that
-//! reads the writers — the collector, the admission counters, the WAL and
-//! cache counters, the stage spans — and assembles a typed
-//! [`MetricsSnapshot`]; [`ServeReport`](crate::server::ServeReport) is a
-//! view of that snapshot plus the commit log.  The snapshot names what it
-//! exports once, in its metric catalogue, and both machine formats
+//! There is one write path and one read path.  The server builds its
+//! `Sinks` first — the served counts, the seal and latency histograms, the
+//! stage span counters, the trace slab, the flight recorder, the delivery
+//! and fsync histograms — and hands every writer a `StageObs` handle onto
+//! them when it constructs it: the two workers, the durability handle and
+//! admission's stale path.  [`MetricsHub::snapshot`] is the only code that
+//! reads the sinks, the admission counters and the WAL and cache counters,
+//! and assembles a typed [`MetricsSnapshot`];
+//! [`ServeReport`](crate::server::ServeReport) is a view of that snapshot
+//! plus the commit log.  The snapshot names what it exports once, in its
+//! metric catalogue, and both machine formats
 //! ([`MetricsSnapshot::to_prometheus`], [`MetricsSnapshot::to_json_line`])
 //! are walks over that list.  [`StreamServer::metrics`](crate::StreamServer::metrics)
 //! can be called at any moment (under load, after a graceful drain, or while
 //! the pipeline is unwinding from a worker panic).  The recording side is
-//! built on `tgnn-obs`: every worker gets a `StageObs` handle at spawn, and
-//! each epoch's pass through a stage costs two `Instant` reads, two relaxed
-//! counter adds, and two flight-recorder ring writes — budgeted at ≤ 2 % of
+//! built on `tgnn-obs`, and each epoch's pass through a stage costs two
+//! `Instant` reads, two relaxed counter adds, and two flight-recorder ring
+//! writes — budgeted at ≤ 2 % of
 //! throughput (`benchmark/`'s `serve.metrics_overhead_pct` row measures
 //! it), and a handful of branch-predicted no-ops with
 //! [`ServeConfig::metrics`](crate::server::ServeConfig::metrics) off.
 //!
 //! The **flight recorder** is the post-mortem half: a bounded seqlock ring
-//! shared by `Arc`, so it survives a worker panic and the unwind that
+//! in the `Arc`'d sinks, so it survives a worker panic and the unwind that
 //! follows.  After a GNN worker dies mid-epoch, [`MetricsHub::flight_dump`]
 //! still returns the faulted epoch's partial timeline — the `Enter` with no
 //! matching `Exit` pinpoints the stage that was holding the epoch.
@@ -27,9 +32,9 @@
 use crate::admission::{AdmissionControl, AdmissionCounters};
 use crate::cache::{CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats};
-use crate::pipeline::{Collector, SealReason};
+use crate::pipeline::SealReason;
 use crate::queue::QueueStats;
-use crate::server::{BackendStats, LatencySummary, TenantStats, NS_PER_MS};
+use crate::server::{BackendStats, LatencySummary, ServeConfig, TenantStats, NS_PER_MS};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::Path;
@@ -37,10 +42,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tgnn_core::BackendKind;
+use tgnn_core::tenancy::TenantId;
+use tgnn_core::{BackendKind, NUM_BACKEND_KINDS};
 use tgnn_obs::{
-    bucket_index, Counter, FlightRecorder, Histogram, HistogramSnapshot, SloEngine, SloSpec,
-    SloStatus, SpanKind, TraceSlab, TraceView,
+    bucket_index, FlightRecorder, Histogram, HistogramSnapshot, SloEngine, SloSpec, SloStatus,
+    SpanKind, TraceSlab, TraceView,
 };
 
 /// The pipeline stages visible to the flight recorder and the stage table.
@@ -266,16 +272,6 @@ impl Default for SloConfig {
     }
 }
 
-/// Builds the burn-rate engine for a declared [`SloConfig`]: lane
-/// [`SLO_LANE_LATENCY`] grades delivered batches, lane [`SLO_LANE_DROPS`]
-/// grades submit outcomes.
-pub(crate) fn new_slo_engine(c: &SloConfig) -> Arc<SloEngine> {
-    Arc::new(SloEngine::new(vec![
-        SloSpec::new("latency", c.latency_budget, c.fire_burn_rate),
-        SloSpec::new("drops", c.drop_budget, c.fire_burn_rate),
-    ]))
-}
-
 /// Cloneable recording handle onto the SLO engine; a no-op `Default` when
 /// no objectives are configured, so callers never branch on configuration.
 #[derive(Clone, Default)]
@@ -319,18 +315,17 @@ impl SloHandle {
     }
 }
 
-/// Per-worker recording handle, registered once at pipeline spawn.  With
-/// metrics off every method is a branch-predicted no-op; with metrics on,
-/// an `enter`/`exit` pair costs two ring writes plus two relaxed adds.
+/// A recording handle onto the server's [`Sinks`] for one [`StageId`],
+/// handed to each writer when it is constructed: the pipeline workers, the
+/// durability handle (its `wal-sync` and `snap-writer` spans) and
+/// admission's stale path.  The span methods are branch-predicted no-ops
+/// with metrics off; with metrics on, an `enter`/`exit` pair costs two ring
+/// writes plus two relaxed adds.  The served-side counts go through
+/// `sinks` and are kept either way.
 #[derive(Clone)]
 pub(crate) struct StageObs {
-    enabled: bool,
     stage: StageId,
-    recorder: Arc<FlightRecorder>,
-    busy_ns: Counter,
-    batches: Counter,
-    /// The shared causal-trace slab; `None` with metrics off.
-    trace: Option<Arc<TraceSlab>>,
+    pub sinks: Arc<Sinks>,
 }
 
 impl StageObs {
@@ -357,11 +352,12 @@ impl StageObs {
     /// the per-epoch timeline the recorder exists to keep.
     #[inline]
     pub fn enter_sampled(&self, epoch: u64, record: bool) -> Option<Instant> {
-        if !self.enabled {
+        if !self.sinks.enabled {
             return None;
         }
         if record {
-            self.recorder
+            self.sinks
+                .recorder
                 .record(self.stage.code(), 0, epoch, SpanKind::Enter);
         }
         Some(Instant::now())
@@ -373,10 +369,12 @@ impl StageObs {
     #[inline]
     pub fn exit_sampled(&self, epoch: u64, span: Option<Instant>, record: bool) {
         let Some(t0) = span else { return };
-        self.busy_ns.add(t0.elapsed().as_nanos() as u64);
-        self.batches.inc();
+        let code = self.stage.code() as usize;
+        let s = &self.sinks;
+        s.stage_busy_ns[code].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        s.stage_batches[code].fetch_add(1, Ordering::Relaxed);
         if record {
-            self.recorder
+            s.recorder
                 .record(self.stage.code(), 0, epoch, SpanKind::Exit);
         }
     }
@@ -385,145 +383,216 @@ impl StageObs {
     /// seal time, before any stage records segments).
     #[inline]
     pub fn trace_begin(&self, epoch: u64) {
-        if let Some(t) = &self.trace {
-            t.begin(epoch);
+        if self.sinks.enabled {
+            self.sinks.trace.begin(epoch);
         }
     }
 
     /// Appends one causal-trace segment to `epoch`'s trace.
     #[inline]
     pub fn trace_record(&self, epoch: u64, seg: SegmentId, duration: Duration) {
-        if let Some(t) = &self.trace {
-            t.record(epoch, seg.code(), duration);
+        if self.sinks.enabled {
+            self.sinks.trace.record(epoch, seg.code(), duration);
         }
     }
 }
 
-/// The durability observability bundle, attached to the shared
-/// [`Durability`] handle after construction (it is created before the hub).
-pub(crate) struct DurabilityObs {
-    /// Span handle of the GNN worker's seal fsync.
-    pub sync: StageObs,
-    /// Span handle of the `tgnn-serve-snap` writer.
-    pub snap: StageObs,
-    /// Latency of each seal `fsync`, in microseconds.
-    pub fsync_us: Histogram,
+/// One tenant's completion-side counts: pipeline-served and late events
+/// and the admission-to-completion latency distribution (the
+/// client-visible queueing + compute delay the overload policies bound).
+/// Stale cache answers never reach it: the admission layer counts them
+/// (`AdmissionCounters::served_stale`).
+#[derive(Debug, Default)]
+pub(crate) struct TenantCounts {
+    pub served: AtomicU64,
+    pub late: AtomicU64,
+    pub latency_ns: Histogram,
 }
 
-/// Construction parameters of [`MetricsHub`] (internal).
-pub(crate) struct HubConfig {
-    pub enabled: bool,
-    pub flight_capacity: usize,
-    pub queues: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>>,
-    pub collector: Arc<Collector>,
-    pub admission: Arc<AdmissionControl>,
-    pub durability: Option<Arc<Durability>>,
-    pub cache: Option<Arc<EmbeddingCache>>,
-    pub next_epoch: Arc<AtomicU64>,
-    /// `ServeConfig::metrics_sampling`: 1-in-N flight-ring sampling for
-    /// per-event stages, shared with trace head-sample retention.
-    pub metrics_sampling: u64,
-    /// The burn-rate engine (from [`new_slo_engine`]) — built by the server
-    /// before the hub so admission control shares the same lanes.
-    pub slo_engine: Option<Arc<SloEngine>>,
+/// One compute backend's counts: the batches and events it served — the
+/// pipeline's share of every served total — and, for modeled backends,
+/// the distribution of modeled service latencies.
+#[derive(Debug, Default)]
+pub(crate) struct BackendCounts {
+    pub served_batches: AtomicU64,
+    pub served_events: AtomicU64,
+    /// Modeled per-batch service latencies (hwsim backends only).
+    pub modeled_latency_ns: Histogram,
 }
 
-struct HubInner {
+impl BackendCounts {
+    /// This backend's row of the metrics snapshot; `modeled_latency` is
+    /// `None` until a modeled backend has served a batch.
+    pub fn stats(&self, kind: BackendKind) -> BackendStats {
+        let h = self.modeled_latency_ns.snapshot();
+        BackendStats {
+            kind,
+            served_batches: self.served_batches.load(Ordering::Relaxed),
+            served_events: self.served_events.load(Ordering::Relaxed),
+            modeled_latency: (h.count() > 0).then(|| LatencySummary::from_histogram(&h, NS_PER_MS)),
+        }
+    }
+}
+
+/// The server's recording sinks — the one place every number it reports is
+/// written.  Built first, before the WAL, the cache and admission, so each
+/// writer gets its [`StageObs`] handle at construction; the one reader is
+/// [`MetricsHub::snapshot`].
+///
+/// Each count is written once.  The served totals are not counted at all:
+/// the snapshot derives them as the backends' served batches and events
+/// plus the tenants' stale answers (one batch of one event each).  The
+/// stage spans, traces, flight recorder, delivery and fsync histograms
+/// record only with metrics on; the served-side counts, the seals and the
+/// latency histograms are kept either way.
+pub(crate) struct Sinks {
     enabled: bool,
     started: Instant,
-    recorder: Arc<FlightRecorder>,
-    /// Busy-nanoseconds and completed-batch counters, indexed by
+    /// `ServeConfig::metrics_sampling`: 1-in-N flight-ring sampling for
+    /// per-event stages, shared with trace head-sample retention.
+    metrics_sampling: u64,
+    recorder: FlightRecorder,
+    /// Busy-nanoseconds and completed-span counters, indexed by
     /// `StageId::code()`.
-    stage_busy_ns: Vec<Counter>,
-    stage_batches: Vec<Counter>,
-    queues: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>>,
-    collector: Arc<Collector>,
-    admission: Arc<AdmissionControl>,
-    durability: Option<Arc<Durability>>,
-    cache: Option<Arc<EmbeddingCache>>,
-    next_epoch: Arc<AtomicU64>,
+    stage_busy_ns: [AtomicU64; StageId::ALL.len()],
+    stage_batches: [AtomicU64; StageId::ALL.len()],
     /// The per-epoch causal-trace slab (allocated even with metrics off —
-    /// the worker handles just never write to it then).
-    trace: Arc<TraceSlab>,
-    /// The burn-rate engine, when objectives are declared.
-    slo: Option<Arc<SloEngine>>,
+    /// the handles just never write to it then).
+    trace: TraceSlab,
     /// Admit→deliver latency of traced deliveries (µs) — the tail-exemplar
     /// reference distribution, distinct from the seal-to-embeddings
-    /// `Collector::latency_ns`.
+    /// `latency_ns`.
     delivery_latency_us: Histogram,
     /// Tail exemplars: full traces of deliveries that landed in the top
     /// (p99) bucket of `delivery_latency_us`.
     exemplars: Mutex<VecDeque<TraceExemplar>>,
     /// Head samples: every `metrics_sampling`-th delivered epoch's trace.
     head_samples: Mutex<VecDeque<TraceExemplar>>,
-    metrics_sampling: u64,
+    /// Latency of each seal `fsync` (`FsyncPolicy::OnSeal`), µs.
+    pub fsync_us: Histogram,
+    /// The burn-rate engine, when objectives are declared; admission and
+    /// `poll` feed it through their [`SloHandle`]s.
+    pub slo: Option<Arc<SloEngine>>,
+    /// Seal-to-embeddings latency, one sample per pipeline-served batch.
+    pub latency_ns: Histogram,
+    embeddings: AtomicU64,
+    /// Nanoseconds after `started` of the first submit and of the last
+    /// served batch (0 = none yet): the serving time every throughput
+    /// figure divides by.
+    first_submit_ns: AtomicU64,
+    last_complete_ns: AtomicU64,
+    pub tenants: Vec<TenantCounts>,
+    /// Indexed by [`BackendKind::code`].
+    pub backends: [BackendCounts; NUM_BACKEND_KINDS],
+    /// Sealed batches by [`SealReason::code`].
+    seals: [AtomicU64; SealReason::ALL.len()],
+    /// Events per pipeline-served batch.
+    batch_events: Histogram,
 }
 
-/// `n` per second of `over`; 0 over an empty interval.
-pub(crate) fn per_second(n: u64, over: Duration) -> f64 {
-    if over.is_zero() {
-        0.0
-    } else {
-        n as f64 / over.as_secs_f64()
-    }
-}
-
-/// Cloneable, `Send + Sync` handle to a server's live metrics.  Obtained
-/// from [`StreamServer::metrics_hub`](crate::StreamServer::metrics_hub); it
-/// does not borrow the server, so a sampler thread (or a panic handler) can
-/// keep snapshotting while the owning thread is busy — or gone.
-#[derive(Clone)]
-pub struct MetricsHub {
-    inner: Arc<HubInner>,
-}
-
-impl MetricsHub {
-    pub(crate) fn new(cfg: HubConfig) -> Self {
-        let per_stage = || StageId::ALL.iter().map(|_| Counter::new()).collect();
-        MetricsHub {
-            inner: Arc::new(HubInner {
-                enabled: cfg.enabled,
-                started: Instant::now(),
-                recorder: Arc::new(FlightRecorder::new(cfg.flight_capacity)),
-                stage_busy_ns: per_stage(),
-                stage_batches: per_stage(),
-                queues: cfg.queues,
-                collector: cfg.collector,
-                admission: cfg.admission,
-                durability: cfg.durability,
-                cache: cfg.cache,
-                next_epoch: cfg.next_epoch,
-                trace: Arc::new(TraceSlab::new(TRACE_CAPACITY)),
-                slo: cfg.slo_engine,
-                delivery_latency_us: Histogram::new(),
-                exemplars: Mutex::new(VecDeque::new()),
-                head_samples: Mutex::new(VecDeque::new()),
-                metrics_sampling: cfg.metrics_sampling.max(1),
-            }),
-        }
-    }
-
-    /// The recording handle a worker loop carries.
-    pub(crate) fn stage_obs(&self, stage: StageId) -> StageObs {
-        let code = stage.code() as usize;
-        StageObs {
-            enabled: self.inner.enabled,
-            stage,
-            recorder: self.inner.recorder.clone(),
-            busy_ns: self.inner.stage_busy_ns[code].clone(),
-            batches: self.inner.stage_batches[code].clone(),
-            trace: self.inner.enabled.then(|| self.inner.trace.clone()),
-        }
-    }
-
-    /// The durability observability bundle; `Durability` owns it (and
-    /// reads the fsync histogram back in its `stats`).
-    pub(crate) fn durability_obs(&self) -> DurabilityObs {
-        DurabilityObs {
-            sync: self.stage_obs(StageId::WalSync),
-            snap: self.stage_obs(StageId::SnapWriter),
+impl Sinks {
+    pub fn new(config: &ServeConfig, num_tenants: usize) -> Self {
+        Self {
+            enabled: config.metrics,
+            started: Instant::now(),
+            metrics_sampling: config.metrics_sampling.max(1),
+            recorder: FlightRecorder::new(config.flight_capacity),
+            stage_busy_ns: Default::default(),
+            stage_batches: Default::default(),
+            trace: TraceSlab::new(TRACE_CAPACITY),
+            delivery_latency_us: Histogram::new(),
+            exemplars: Mutex::new(VecDeque::new()),
+            head_samples: Mutex::new(VecDeque::new()),
             fsync_us: Histogram::new(),
+            // Lane `SLO_LANE_LATENCY` grades delivered batches, lane
+            // `SLO_LANE_DROPS` submit outcomes.
+            slo: config.slo.as_ref().map(|c| {
+                Arc::new(SloEngine::new(vec![
+                    SloSpec::new("latency", c.latency_budget, c.fire_burn_rate),
+                    SloSpec::new("drops", c.drop_budget, c.fire_burn_rate),
+                ]))
+            }),
+            latency_ns: Histogram::new(),
+            embeddings: AtomicU64::new(0),
+            first_submit_ns: AtomicU64::new(0),
+            last_complete_ns: AtomicU64::new(0),
+            tenants: (0..num_tenants).map(|_| TenantCounts::default()).collect(),
+            backends: Default::default(),
+            seals: Default::default(),
+            batch_events: Histogram::new(),
         }
+    }
+
+    /// The recording handle a writer carries for `stage`.
+    pub fn stage_obs(self: &Arc<Self>, stage: StageId) -> StageObs {
+        StageObs {
+            stage,
+            sinks: self.clone(),
+        }
+    }
+
+    /// Nanoseconds since the sinks were built, at least 1 (0 means "none").
+    fn now_ns(&self) -> u64 {
+        (self.started.elapsed().as_nanos() as u64).max(1)
+    }
+
+    /// Starts the serving clock: the first submit of this life.
+    pub fn start_clock(&self) {
+        self.first_submit_ns.store(self.now_ns(), Ordering::Relaxed);
+    }
+
+    /// Counts one sealed batch.
+    pub fn seal(&self, reason: SealReason) {
+        self.seals[reason.code()].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one batch the pipeline served — or recovery re-served, with
+    /// no seal→embeddings `latency`: a re-serve never ran this session's
+    /// pipeline — on `backend`.
+    pub fn served_batch(
+        &self,
+        backend: BackendKind,
+        events: usize,
+        embeddings: usize,
+        latency: Option<Duration>,
+        modeled: Option<Duration>,
+    ) {
+        if let Some(l) = latency {
+            self.latency_ns.record(l.as_nanos() as u64);
+        }
+        self.batch_events.record(events as u64);
+        let b = &self.backends[backend.code()];
+        b.served_batches.fetch_add(1, Ordering::Relaxed);
+        b.served_events.fetch_add(events as u64, Ordering::Relaxed);
+        if let Some(d) = modeled {
+            b.modeled_latency_ns.record(d.as_nanos() as u64);
+        }
+        self.count_embeddings(embeddings);
+    }
+
+    /// Counts one served event for its tenant.  `graded` is its deadline
+    /// verdict and admission-to-completion latency — `None` for a recovery
+    /// re-serve.
+    pub fn served_event(&self, tenant: TenantId, graded: Option<(bool, Duration)>) {
+        let t = &self.tenants[tenant.index()];
+        t.served.fetch_add(1, Ordering::Relaxed);
+        if let Some((late, latency)) = graded {
+            if late {
+                t.late.fetch_add(1, Ordering::Relaxed);
+            }
+            t.latency_ns.record(latency.as_nanos() as u64);
+        }
+    }
+
+    /// Counts `embeddings` served and stamps the completion time — for a
+    /// pipeline batch through [`Self::served_batch`], for a stale cache
+    /// answer directly (the answer itself is admission's
+    /// `AdmissionCounters::served_stale`).
+    pub fn count_embeddings(&self, embeddings: usize) {
+        self.embeddings
+            .fetch_add(embeddings as u64, Ordering::Relaxed);
+        self.last_complete_ns
+            .fetch_max(self.now_ns(), Ordering::Relaxed);
     }
 
     /// Records delivery of an epoch's results to the caller (`poll`) and —
@@ -543,38 +612,35 @@ impl MetricsHub {
     /// admit→deliver histogram has its full trace retained as a **tail
     /// exemplar**; every `metrics_sampling`-th epoch is retained as a
     /// **head sample**.  Both rings ride the [`MetricsSnapshot`].
-    pub(crate) fn record_delivery(
+    pub fn record_delivery(
         &self,
         epoch: u64,
         traced: bool,
         total: Duration,
         since_completed: Duration,
     ) {
-        let inner = &self.inner;
-        if !inner.enabled {
+        if !self.enabled {
             return;
         }
-        inner
-            .recorder
+        self.recorder
             .record(StageId::Deliver.code(), 0, epoch, SpanKind::Mark);
         if !traced {
             return;
         }
-        inner
-            .trace
+        self.trace
             .record(epoch, SegmentId::Deliver.code(), since_completed);
-        inner.trace.record(epoch, SegmentId::Total.code(), total);
+        self.trace.record(epoch, SegmentId::Total.code(), total);
         let us = total.as_micros() as u64;
-        inner.delivery_latency_us.record(us);
+        self.delivery_latency_us.record(us);
         // Tail test: the sample was just recorded, so on the very first
         // delivery p99 is the sample's own bucket — at least one exemplar
         // is always captured.
-        let tail = bucket_index(us) >= bucket_index(inner.delivery_latency_us.percentile(0.99));
-        let head = epoch.is_multiple_of(inner.metrics_sampling);
+        let tail = bucket_index(us) >= bucket_index(self.delivery_latency_us.percentile(0.99));
+        let head = epoch.is_multiple_of(self.metrics_sampling);
         if !tail && !head {
             return;
         }
-        let Some(view) = inner.trace.snapshot(epoch) else {
+        let Some(view) = self.trace.snapshot(epoch) else {
             return;
         };
         let push = |ring: &Mutex<VecDeque<TraceExemplar>>, ex: TraceExemplar| {
@@ -586,10 +652,59 @@ impl MetricsHub {
         };
         let ex = TraceExemplar { epoch, total, view };
         if tail {
-            push(&inner.exemplars, ex.clone());
+            push(&self.exemplars, ex.clone());
         }
         if head {
-            push(&inner.head_samples, ex);
+            push(&self.head_samples, ex);
+        }
+    }
+}
+
+/// `n` per second of `over`; 0 over an empty interval.
+pub(crate) fn per_second(n: u64, over: Duration) -> f64 {
+    if over.is_zero() {
+        0.0
+    } else {
+        n as f64 / over.as_secs_f64()
+    }
+}
+
+/// The live queue-depth readers, one per pipeline queue.
+pub(crate) type QueueMonitors = Vec<Box<dyn Fn() -> QueueStats + Send + Sync>>;
+
+/// Cloneable, `Send + Sync` handle to a server's live metrics: its
+/// `Sinks` plus what the snapshot reads but the sinks do not own —
+/// admission's counters, the durability and cache counters, the queue
+/// monitors and the epoch counter.  Obtained from
+/// [`StreamServer::metrics_hub`](crate::StreamServer::metrics_hub); it
+/// does not borrow the server, so a sampler thread (or a panic handler) can
+/// keep snapshotting while the owning thread is busy — or gone.
+#[derive(Clone)]
+pub struct MetricsHub {
+    pub(crate) sinks: Arc<Sinks>,
+    admission: Arc<AdmissionControl>,
+    durability: Option<Arc<Durability>>,
+    cache: Option<Arc<EmbeddingCache>>,
+    queues: Arc<QueueMonitors>,
+    next_epoch: Arc<AtomicU64>,
+}
+
+impl MetricsHub {
+    pub(crate) fn new(
+        sinks: Arc<Sinks>,
+        admission: Arc<AdmissionControl>,
+        durability: Option<Arc<Durability>>,
+        cache: Option<Arc<EmbeddingCache>>,
+        queues: QueueMonitors,
+        next_epoch: Arc<AtomicU64>,
+    ) -> Self {
+        MetricsHub {
+            sinks,
+            admission,
+            durability,
+            cache,
+            queues: Arc::new(queues),
+            next_epoch,
         }
     }
 
@@ -597,29 +712,28 @@ impl MetricsHub {
     /// [`TRACE_CAPACITY`](crate::metrics) epochs), sorted by epoch — the
     /// post-drain feed of the bench's blame table and `--trace-out` dump.
     pub fn trace_dump(&self) -> Vec<TraceView> {
-        self.inner.trace.dump()
+        self.sinks.trace.dump()
     }
 
     /// Assembles a point-in-time [`MetricsSnapshot`] — the one function that
-    /// reads the pipeline's writers (collector, admission counters, WAL and
-    /// cache counters, stage spans); every report is a view of its result.
-    /// Lock-free on the hot counters; the queue depths and tenant counters
-    /// take their short registration locks.  Callable at any moment —
-    /// including while the pipeline is poisoned.
+    /// reads the sinks and the admission, WAL, cache and queue counters;
+    /// every report is a view of its result.  Lock-free on the hot
+    /// counters; the queue depths and tenant counters take their short
+    /// registration locks.  Callable at any moment — including while the
+    /// pipeline is poisoned.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = &self.inner;
-        let c = &inner.collector;
-        let uptime = inner.started.elapsed();
+        let s = &self.sinks;
+        let uptime = s.started.elapsed();
         let stages = StageId::ALL
             .into_iter()
-            .filter(|&s| s != StageId::Deliver)
-            .map(|s| {
-                let code = s.code() as usize;
-                let busy = Duration::from_nanos(inner.stage_busy_ns[code].get());
+            .filter(|&st| st != StageId::Deliver)
+            .map(|st| {
+                let code = st.code() as usize;
+                let busy = Duration::from_nanos(s.stage_busy_ns[code].load(Ordering::Relaxed));
                 StageSnapshot {
-                    stage: s,
+                    stage: st,
                     busy,
-                    batches: inner.stage_batches[code].get(),
+                    batches: s.stage_batches[code].load(Ordering::Relaxed),
                     busy_frac: if uptime.is_zero() {
                         0.0
                     } else {
@@ -628,18 +742,19 @@ impl MetricsHub {
                 }
             })
             .collect();
-        let first = *c.first_submit.lock().unwrap();
-        let last = *c.last_complete.lock().unwrap();
-        let total_time = match (first, last) {
-            (Some(a), Some(b)) => b.saturating_duration_since(a),
-            _ => Duration::ZERO,
+        let first = s.first_submit_ns.load(Ordering::Relaxed);
+        let last = s.last_complete_ns.load(Ordering::Relaxed);
+        let total_time = if first == 0 || last == 0 {
+            Duration::ZERO
+        } else {
+            Duration::from_nanos(last.saturating_sub(first))
         };
         let mut admission = AdmissionCounters::default();
-        let tenants: Vec<TenantStats> = (0..inner.admission.num_tenants())
+        let tenants: Vec<TenantStats> = (0..self.admission.num_tenants())
             .map(|i| {
-                let (spec, counters) = inner.admission.tenant_snapshot(i);
+                let (spec, counters) = self.admission.tenant_snapshot(i);
                 admission += counters;
-                let tc = &c.tenants[i];
+                let tc = &s.tenants[i];
                 let served = tc.served.load(Ordering::Relaxed) + counters.served_stale;
                 TenantStats {
                     name: spec.name,
@@ -655,48 +770,62 @@ impl MetricsHub {
                 }
             })
             .collect();
+        // The served totals: every pipeline batch is one backend's, and
+        // every stale answer is a batch of one event.
+        let all = BackendKind::ALL.map(|k| s.backends[k.code()].stats(k));
+        let batches_served =
+            all.iter().map(|b| b.served_batches).sum::<u64>() + admission.served_stale;
+        let events_served =
+            all.iter().map(|b| b.served_events).sum::<u64>() + admission.served_stale;
         // One row per *prepared* backend — every kind some tenant routes to
         // — whether or not it has served yet: an idle pool is information.
-        let backends = BackendKind::ALL
+        let backends = all
             .into_iter()
-            .filter(|k| tenants.iter().any(|t| t.backend == *k))
-            .map(|k| c.backends[k.code()].stats(k))
+            .filter(|b| tenants.iter().any(|t| t.backend == b.kind))
             .collect();
-        let epochs = inner.next_epoch.load(Ordering::SeqCst);
-        let dl = inner.delivery_latency_us.snapshot();
+        let epochs = self.next_epoch.load(Ordering::SeqCst);
+        let dl = s.delivery_latency_us.snapshot();
         let trace = TraceStats {
-            capacity: inner.trace.capacity(),
-            begun: inner.trace.begun(),
-            conflicts: inner.trace.conflicts(),
-            overflows: inner.trace.overflows(),
+            capacity: s.trace.capacity(),
+            begun: s.trace.begun(),
+            conflicts: s.trace.conflicts(),
+            overflows: s.trace.overflows(),
             delivery_p99_ms: dl.percentile(0.99) as f64 / 1e3,
-            exemplars: inner.exemplars.lock().unwrap().iter().cloned().collect(),
-            head_samples: inner.head_samples.lock().unwrap().iter().cloned().collect(),
+            exemplars: s.exemplars.lock().unwrap().iter().cloned().collect(),
+            head_samples: s.head_samples.lock().unwrap().iter().cloned().collect(),
         };
         MetricsSnapshot {
-            enabled: inner.enabled,
+            enabled: s.enabled,
             uptime,
             total_time,
             epochs,
-            batches_served: c.batches.load(Ordering::Relaxed) as u64,
-            events_served: c.events.load(Ordering::Relaxed) as u64,
-            embeddings: c.embeddings.load(Ordering::Relaxed) as u64,
-            seals: std::array::from_fn(|i| c.seals[i].load(Ordering::Relaxed)),
-            batch_events: c.batch_events.snapshot(),
-            queues: inner.queues.iter().map(|q| q()).collect(),
+            batches_served,
+            events_served,
+            embeddings: s.embeddings.load(Ordering::Relaxed),
+            seals: std::array::from_fn(|i| s.seals[i].load(Ordering::Relaxed)),
+            batch_events: s.batch_events.snapshot(),
+            queues: self.queues.iter().map(|q| q()).collect(),
             stages,
-            batch_latency: LatencySummary::from_histogram(&c.latency_ns.snapshot(), NS_PER_MS),
+            batch_latency: LatencySummary::from_histogram(&s.latency_ns.snapshot(), NS_PER_MS),
             admission,
             tenants,
             backends,
-            durability: inner.durability.as_ref().map(|d| d.stats(epochs)),
-            cache: inner.cache.as_ref().map(|cache| cache.stats()),
+            durability: self.durability.as_ref().map(|d| {
+                let fsync = s.fsync_us.snapshot();
+                DurabilityStats {
+                    fsync_p50_us: fsync.percentile(0.50),
+                    fsync_p99_us: fsync.percentile(0.99),
+                    fsync_mean_us: fsync.mean(),
+                    ..d.stats(epochs)
+                }
+            }),
+            cache: self.cache.as_ref().map(|cache| cache.stats()),
             flight: FlightStats {
-                capacity: inner.recorder.capacity(),
-                recorded: inner.recorder.recorded(),
-                dropped: inner.recorder.dropped(),
+                capacity: s.recorder.capacity(),
+                recorded: s.recorder.recorded(),
+                dropped: s.recorder.dropped(),
             },
-            slo: inner.slo.as_ref().map(|e| e.status()).unwrap_or_default(),
+            slo: s.slo.as_ref().map(|e| e.status()).unwrap_or_default(),
             trace,
             gemm_kernels: tgnn_tensor::dispatched_kernels(),
         }
@@ -709,7 +838,7 @@ impl MetricsHub {
     /// it.  A poisoned epoch shows up as an `Enter` without a matching
     /// `Exit` on the stage that was holding it.
     pub fn flight_dump(&self) -> Vec<SpanRecord> {
-        self.inner
+        self.sinks
             .recorder
             .dump()
             .into_iter()
@@ -770,8 +899,8 @@ impl MetricsHub {
 impl std::fmt::Debug for MetricsHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsHub")
-            .field("enabled", &self.inner.enabled)
-            .field("flight_capacity", &self.inner.recorder.capacity())
+            .field("enabled", &self.sinks.enabled)
+            .field("flight_capacity", &self.sinks.recorder.capacity())
             .finish()
     }
 }

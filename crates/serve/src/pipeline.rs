@@ -67,18 +67,14 @@ use crate::cache::EmbeddingCache;
 use crate::durability::Durability;
 use crate::metrics::{SegmentId, StageObs};
 use crate::queue::{Receiver, Sender};
-use crate::server::{BackendStats, LatencySummary, NS_PER_MS};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tgnn_core::stages::{run_memory_stage, GnnJobBatch, SampledBatch, UpdatedRows};
-use tgnn_core::tenancy::{Disposition, ResultMeta, TenantId};
-use tgnn_core::{
-    BackendKind, ComputeBackend, MemoryWrites, ShardedMemory, TgnModel, NUM_BACKEND_KINDS,
-};
+use tgnn_core::tenancy::{Disposition, ResultMeta};
+use tgnn_core::{BackendKind, ComputeBackend, MemoryWrites, ShardedMemory, TgnModel};
 use tgnn_graph::chronology::CommitLog;
 use tgnn_graph::{EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, TemporalGraph};
-use tgnn_obs::Histogram;
 use tgnn_tensor::{Float, Workspace};
 
 /// A micro-batch the state worker sealed and is about to step.  `metas` is
@@ -203,135 +199,6 @@ pub struct ServedBatch {
     pub completed_at: Instant,
 }
 
-/// Per-tenant completion-side counters fed by the GNN worker:
-/// pipeline-served/late event counts and the admission-to-completion
-/// latency distribution (the client-visible queueing + compute delay the
-/// overload policies bound).  Stale cache answers never reach it: the
-/// admission layer counts them (`AdmissionCounters::served_stale`).
-#[derive(Debug, Default)]
-pub(crate) struct TenantCollector {
-    pub served: AtomicU64,
-    pub late: AtomicU64,
-    pub latency_ns: Histogram,
-}
-
-/// Per-backend completion-side counters fed by the GNN worker: how many
-/// batches/events each compute backend served, and — for modeled backends —
-/// the distribution of modeled service latencies.
-#[derive(Debug, Default)]
-pub(crate) struct BackendCollector {
-    pub served_batches: AtomicU64,
-    pub served_events: AtomicU64,
-    /// Modeled per-batch service latencies (hwsim backends only).
-    pub modeled_latency_ns: Histogram,
-}
-
-/// Aggregate counters the GNN (terminal) worker feeds.  Latencies go
-/// into fixed-size log-linear histograms (nanoseconds), so a session's
-/// accounting footprint does not grow with the number of events served.
-#[derive(Debug)]
-pub(crate) struct Collector {
-    /// Seal-to-embeddings latency, one sample per served batch.
-    pub latency_ns: Histogram,
-    pub events: AtomicUsize,
-    pub embeddings: AtomicUsize,
-    pub batches: AtomicUsize,
-    pub first_submit: Mutex<Option<Instant>>,
-    pub last_complete: Mutex<Option<Instant>>,
-    pub tenants: Vec<TenantCollector>,
-    /// Indexed by [`BackendKind::code`].  Counts only pipeline-served
-    /// batches — stale cache answers are served by the cache, not a
-    /// backend, and are tracked by the tenant/cache counters instead.
-    pub backends: [BackendCollector; NUM_BACKEND_KINDS],
-    /// Sealed batches by [`SealReason::code`], fed by the state worker.
-    pub seals: [AtomicU64; SealReason::ALL.len()],
-    /// Events per pipeline-served batch.
-    pub batch_events: Histogram,
-}
-
-impl BackendCollector {
-    /// This backend's row of the serve report and of the metrics snapshot;
-    /// `modeled_latency` is `None` until a modeled backend has served a
-    /// batch.
-    pub fn stats(&self, kind: BackendKind) -> BackendStats {
-        let h = self.modeled_latency_ns.snapshot();
-        BackendStats {
-            kind,
-            served_batches: self.served_batches.load(Ordering::Relaxed),
-            served_events: self.served_events.load(Ordering::Relaxed),
-            modeled_latency: (h.count() > 0).then(|| LatencySummary::from_histogram(&h, NS_PER_MS)),
-        }
-    }
-}
-
-impl Collector {
-    pub fn new(num_tenants: usize) -> Self {
-        Self {
-            latency_ns: Histogram::new(),
-            events: AtomicUsize::new(0),
-            embeddings: AtomicUsize::new(0),
-            batches: AtomicUsize::new(0),
-            first_submit: Mutex::new(None),
-            last_complete: Mutex::new(None),
-            tenants: (0..num_tenants)
-                .map(|_| TenantCollector::default())
-                .collect(),
-            backends: Default::default(),
-            seals: Default::default(),
-            batch_events: Histogram::new(),
-        }
-    }
-
-    /// Records one pipeline-served batch for its backend.
-    pub fn record_backend_batch(
-        &self,
-        kind: BackendKind,
-        events: usize,
-        modeled: Option<Duration>,
-    ) {
-        self.batch_events.record(events as u64);
-        let b = &self.backends[kind.code()];
-        b.served_batches.fetch_add(1, Ordering::Relaxed);
-        b.served_events.fetch_add(events as u64, Ordering::Relaxed);
-        if let Some(d) = modeled {
-            b.modeled_latency_ns.record(d.as_nanos() as u64);
-        }
-    }
-
-    pub fn record_batch(&self, events: usize, embeddings: usize, latency: Duration) {
-        self.latency_ns.record(latency.as_nanos() as u64);
-        self.count_batch(events, embeddings);
-    }
-
-    /// Counts a batch served without a seal→embeddings latency (a stale
-    /// cache answer or a recovery re-serve never ran this session's
-    /// pipeline).
-    pub fn count_batch(&self, events: usize, embeddings: usize) {
-        self.events.fetch_add(events, Ordering::Relaxed);
-        self.embeddings.fetch_add(embeddings, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        *self.last_complete.lock().unwrap() = Some(Instant::now());
-    }
-
-    /// Records one event's completion for its tenant.
-    pub fn record_event(&self, tenant: TenantId, late: bool, admit_latency: Duration) {
-        self.count_event(tenant);
-        let t = &self.tenants[tenant.index()];
-        if late {
-            t.late.fetch_add(1, Ordering::Relaxed);
-        }
-        t.latency_ns.record(admit_latency.as_nanos() as u64);
-    }
-
-    /// Counts one event served for its tenant without a latency sample (a
-    /// recovery re-serve never ran this session's pipeline).
-    pub fn count_event(&self, tenant: TenantId) {
-        self.tenants[tenant.index()]
-            .served
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Closes admission when the state worker exits — by return *or* panic.
 /// The state worker is the only drain of the tenant queues: once it is
 /// gone, a `Block` submitter parked on a full queue would wait
@@ -352,11 +219,10 @@ pub(crate) struct Batcher {
     pub max_batch: usize,
     pub next_epoch: Arc<AtomicU64>,
     pub durability: Option<Arc<Durability>>,
-    pub collector: Arc<Collector>,
     /// `scheduler` spans, one per pull (pre-epoch, so epoch 0; flight-ring
     /// writes sampled 1-in-`sampling`).
     pub pull_obs: StageObs,
-    /// `batcher` spans, one per seal.
+    /// `batcher` spans and the seal counts, one per seal.
     pub seal_obs: StageObs,
     pub sampling: u64,
 }
@@ -379,7 +245,7 @@ impl Batcher {
     ) -> SealedBatch {
         let obs = &self.seal_obs;
         let epoch = self.next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.collector.seals[reason.code()].fetch_add(1, Ordering::Relaxed);
+        obs.sinks.seal(reason);
         // The batcher span covers the seal work (sort + WAL append), not
         // the pull — idle time is "waiting for admitted events".
         let span = obs.enter(epoch);
@@ -746,14 +612,12 @@ fn step_sealed(
 /// [`BackendKind::code`], `None` for kinds no tenant routes to.  Jobs
 /// arrive in epoch order and leave in it.  Per batch it then makes the
 /// batch's seal durable ([`Durability::sync_seal`]), populates the
-/// embedding cache, feeds the collector, grades each event's deadline and
-/// emits the [`ServedBatch`].
-#[allow(clippy::too_many_arguments)]
+/// embedding cache, counts the batch and grades each event's deadline
+/// through `obs`, and emits the [`ServedBatch`].
 pub(crate) fn gnn_loop(
     rx: Receiver<GnnJob>,
     tx: Sender<ServedBatch>,
     backends: Vec<Option<Arc<dyn ComputeBackend>>>,
-    collector: Arc<Collector>,
     cache: Option<Arc<EmbeddingCache>>,
     durability: Option<Arc<Durability>>,
     fault: Option<GnnFaultHook>,
@@ -803,8 +667,13 @@ pub(crate) fn gnn_loop(
             }
         }
         let latency = sealed_at.elapsed();
-        collector.record_batch(events.len(), embeddings.len(), latency);
-        collector.record_backend_batch(backend, events.len(), out.modeled_latency);
+        obs.sinks.served_batch(
+            backend,
+            events.len(),
+            embeddings.len(),
+            Some(latency),
+            out.modeled_latency,
+        );
         // Grade each event's deadline disposition at the completion point:
         // the admission-to-completion delay (queueing + batching + compute)
         // is what the tenant's deadline budgets.  The disposition is pure
@@ -815,7 +684,8 @@ pub(crate) fn gnn_loop(
             .map(|m| {
                 let admit_latency = m.admitted_at.elapsed();
                 let late = m.deadline.is_some_and(|d| admit_latency > d);
-                collector.record_event(m.tenant, late, admit_latency);
+                obs.sinks
+                    .served_event(m.tenant, Some((late, admit_latency)));
                 ResultMeta {
                     tenant: m.tenant,
                     disposition: if late {
@@ -903,11 +773,13 @@ mod tests {
     static ALLOCATOR: CountingAllocator = CountingAllocator;
 
     use crate::admission::TenantSpec;
-    use crate::metrics::{HubConfig, MetricsHub, StageId};
+    use crate::metrics::{MetricsHub, Sinks, StageId};
     use crate::queue::{channel, QueueMonitor};
+    use crate::server::{LatencySummary, ServeConfig, NS_PER_MS};
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
     use std::thread::{self, JoinHandle};
+    use tgnn_core::tenancy::TenantId;
 
     /// A state stage over a small generated graph and a +NP(M) model — the
     /// co-designed variant the server defaults to.
@@ -957,7 +829,7 @@ mod tests {
         /// it is gone.
         rx: Option<Receiver<GnnJob>>,
         jobs: QueueMonitor<GnnJob>,
-        collector: Arc<Collector>,
+        hub: MetricsHub,
         graph: Arc<TemporalGraph>,
         submitted: AtomicUsize,
         worker: Option<JoinHandle<()>>,
@@ -970,36 +842,30 @@ mod tests {
             let admission = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")]));
             let (tx, rx) = channel::<GnnJob>("state→gnn", 1);
             let jobs = rx.monitor();
-            let collector = Arc::new(Collector::new(1));
-            let next_epoch = Arc::new(AtomicU64::new(0));
-            let hub = MetricsHub::new(HubConfig {
-                enabled: false,
+            let config = ServeConfig {
+                metrics: false,
                 flight_capacity: 16,
-                queues: Vec::new(),
-                collector: collector.clone(),
-                admission: admission.clone(),
-                durability: None,
-                cache: None,
-                next_epoch: next_epoch.clone(),
                 metrics_sampling: 1,
-                slo_engine: None,
-            });
+                ..ServeConfig::default()
+            };
+            let sinks = Arc::new(Sinks::new(&config, 1));
+            let next_epoch = Arc::new(AtomicU64::new(0));
             let batcher = Batcher {
                 admission: admission.clone(),
                 max_batch,
-                next_epoch,
+                next_epoch: next_epoch.clone(),
                 durability: None,
-                collector: collector.clone(),
-                pull_obs: hub.stage_obs(StageId::Scheduler),
-                seal_obs: hub.stage_obs(StageId::Batcher),
+                pull_obs: sinks.stage_obs(StageId::Scheduler),
+                seal_obs: sinks.stage_obs(StageId::Batcher),
                 sampling: 1,
             };
+            let hub = MetricsHub::new(sinks, admission.clone(), None, None, Vec::new(), next_epoch);
             let worker = thread::spawn(move || state_loop(batcher, tx, stage));
             Self {
                 admission,
                 rx: Some(rx),
                 jobs,
-                collector,
+                hub,
                 graph,
                 submitted: AtomicUsize::new(0),
                 worker: Some(worker),
@@ -1059,7 +925,7 @@ mod tests {
         }
 
         fn seals(&self, reason: SealReason) -> u64 {
-            self.collector.seals[reason.code()].load(Ordering::Relaxed)
+            self.hub.snapshot().seals[reason.code()]
         }
     }
 
@@ -1146,7 +1012,7 @@ mod tests {
     fn latency_accounting_is_constant_space_and_within_bucket_error() {
         const EVENTS: usize = 200_000;
         const BATCH: usize = 200;
-        let collector = Collector::new(2);
+        let sinks = Sinks::new(&ServeConfig::default(), 2);
         // A deterministic, heavy-tailed latency stream (xorshift): 50 µs to
         // ~130 ms, the range the serve path actually produces.
         let mut x = 0x9e3779b97f4a7c15u64;
@@ -1160,10 +1026,10 @@ mod tests {
         let before = ALLOCATIONS.with(Cell::get);
         for (i, &ns) in exact.iter().enumerate() {
             let latency = Duration::from_nanos(ns);
-            collector.record_event(TenantId((i % 2) as u32), false, latency);
+            sinks.served_event(TenantId((i % 2) as u32), Some((false, latency)));
             if i % BATCH == 0 {
-                collector.record_batch(BATCH, BATCH, latency);
-                collector.record_backend_batch(BackendKind::HwSim, BATCH, Some(latency));
+                let modeled = Some(latency);
+                sinks.served_batch(BackendKind::HwSim, BATCH, BATCH, Some(latency), modeled);
             }
         }
         assert_eq!(
@@ -1174,8 +1040,8 @@ mod tests {
 
         // Both tenants together saw every sample: their merged histogram
         // must answer within the documented 6.25 % of exact nearest-rank.
-        let mut merged = collector.tenants[0].latency_ns.snapshot();
-        merged.merge(&collector.tenants[1].latency_ns.snapshot());
+        let mut merged = sinks.tenants[0].latency_ns.snapshot();
+        merged.merge(&sinks.tenants[1].latency_ns.snapshot());
         assert_eq!(merged.count(), EVENTS as u64);
         let summary = LatencySummary::from_histogram(&merged, NS_PER_MS);
         exact.sort_unstable();
@@ -1191,8 +1057,8 @@ mod tests {
                 "{label}: histogram {got} ms vs exact {want} ms"
             );
         }
-        assert_eq!(collector.latency_ns.count(), (EVENTS / BATCH) as u64);
-        assert!(collector.backends[BackendKind::HwSim.code()]
+        assert_eq!(sinks.latency_ns.count(), (EVENTS / BATCH) as u64);
+        assert!(sinks.backends[BackendKind::HwSim.code()]
             .stats(BackendKind::HwSim)
             .modeled_latency
             .is_some());

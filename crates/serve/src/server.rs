@@ -11,10 +11,10 @@ use crate::admission::{
 };
 use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
-use crate::metrics::{per_second, HubConfig, MetricsHub, MetricsSnapshot, StageId};
+use crate::metrics::{per_second, MetricsHub, MetricsSnapshot, QueueMonitors, Sinks, StageId};
 use crate::pipeline::{
-    gnn_loop, state_loop, Batcher, Collector, GnnFaultHook, GnnJob, ServedBatch, StateObs,
-    StateStage, STATE_ONLY,
+    gnn_loop, state_loop, Batcher, GnnFaultHook, GnnJob, ServedBatch, StateObs, StateStage,
+    STATE_ONLY,
 };
 use crate::queue::{channel, QueueStats, Receiver};
 use std::collections::VecDeque;
@@ -185,7 +185,7 @@ pub struct LatencySummary {
     pub max_ms: f64,
 }
 
-/// Histogram units per millisecond for the collector's nanosecond samples.
+/// Histogram units per millisecond for the sinks' nanosecond samples.
 pub(crate) const NS_PER_MS: f64 = 1e6;
 
 impl LatencySummary {
@@ -406,7 +406,6 @@ pub struct StreamServer {
     tenant_backends: Vec<BackendKind>,
     graph: Arc<TemporalGraph>,
     commit_log: Arc<Mutex<CommitLog>>,
-    collector: Arc<Collector>,
     next_epoch: Arc<AtomicU64>,
     hub: MetricsHub,
     /// Latest timestamp absorbed by `warm_up` — the floor every tenant's
@@ -479,14 +478,22 @@ impl StreamServer {
         }
         let tenant_backends: Vec<BackendKind> =
             tenants.iter().map(|t| t.backend.unwrap()).collect();
-        let num_tenants = tenants.len();
+        // The recording sinks come first: every writer built below — the
+        // WAL, admission's stale path, the workers — gets its handle onto
+        // them at construction.
+        let sinks = Arc::new(Sinks::new(&config, tenants.len()));
         let durability = config.durability.as_ref().map(|dcfg| {
             Arc::new(
-                Durability::open(dcfg, wal_last_seq, config.max_batch)
-                    .expect("StreamServer: opening the WAL failed"),
+                Durability::open(
+                    dcfg,
+                    wal_last_seq,
+                    config.max_batch,
+                    sinks.stage_obs(StageId::WalSync),
+                    sinks.stage_obs(StageId::SnapWriter),
+                )
+                .expect("StreamServer: opening the WAL failed"),
             )
         });
-        let collector = Arc::new(Collector::new(num_tenants));
         // The cache exists when configured explicitly or when any tenant
         // needs it for its overload policy.
         let cache_config = config.cache.or_else(|| {
@@ -499,13 +506,11 @@ impl StreamServer {
         let stale_out = cache
             .is_some()
             .then(|| Arc::new(Mutex::new(VecDeque::new())));
-        // The SLO engine is built before both the admission layer and the
-        // metrics hub so they share the same burn-rate lanes: admission
-        // feeds the drop objective (and consults the burn gate when
-        // `preempt_stale` is on), `poll` feeds the latency objective, and
-        // the hub snapshots the verdicts.
-        let slo_engine = config.slo.as_ref().map(crate::metrics::new_slo_engine);
-        let slo_handle = crate::metrics::SloHandle::new(slo_engine.clone(), config.slo.as_ref());
+        // The SLO engine is one of the sinks: admission feeds the drop
+        // objective (and consults the burn gate when `preempt_stale` is
+        // on), `poll` feeds the latency objective, and the hub snapshots
+        // the verdicts.
+        let slo_handle = crate::metrics::SloHandle::new(sinks.slo.clone(), config.slo.as_ref());
         let burn_gate: Option<crate::admission::BurnGate> =
             config.slo.as_ref().filter(|c| c.preempt_stale).map(|_| {
                 let h = slo_handle.clone();
@@ -518,7 +523,7 @@ impl StreamServer {
                     StaleServing {
                         cache: cache.clone(),
                         out: out.clone(),
-                        collector: collector.clone(),
+                        obs: sinks.stage_obs(StageId::Deliver),
                     }
                 }))
                 .with_slo(slo_handle.clone())
@@ -576,7 +581,7 @@ impl StreamServer {
         let (gnn_tx, gnn_rx) = channel::<GnnJob>("state→gnn", config.stage_capacity);
         let (results_tx, results_rx) =
             channel::<ServedBatch>("gnn→results", config.results_capacity);
-        let queue_stats: Vec<Box<dyn Fn() -> QueueStats + Send + Sync>> = vec![
+        let queue_stats: QueueMonitors = vec![
             {
                 let m = gnn_tx.monitor();
                 Box::new(move || m.stats())
@@ -587,25 +592,6 @@ impl StreamServer {
             },
         ];
 
-        // The metrics hub must exist before any worker spawns: every worker
-        // carries its `StageObs` handle from birth, and the durability
-        // workers resolve theirs through the handle's `OnceLock`.
-        let hub = MetricsHub::new(HubConfig {
-            enabled: config.metrics,
-            flight_capacity: config.flight_capacity,
-            queues: queue_stats,
-            collector: collector.clone(),
-            admission: admission.clone(),
-            durability: durability.clone(),
-            cache: cache.clone(),
-            next_epoch: next_epoch.clone(),
-            metrics_sampling: config.metrics_sampling,
-            slo_engine,
-        });
-        if let Some(d) = &durability {
-            d.set_obs(hub.durability_obs());
-        }
-
         let mut workers = Vec::with_capacity(2);
         {
             let batcher = Batcher {
@@ -613,9 +599,8 @@ impl StreamServer {
                 max_batch: config.max_batch,
                 next_epoch: next_epoch.clone(),
                 durability: durability.clone(),
-                collector: collector.clone(),
-                pull_obs: hub.stage_obs(StageId::Scheduler),
-                seal_obs: hub.stage_obs(StageId::Batcher),
+                pull_obs: sinks.stage_obs(StageId::Scheduler),
+                seal_obs: sinks.stage_obs(StageId::Batcher),
                 sampling: config.metrics_sampling,
             };
             // The live stage carries what the quiesced replay paths
@@ -630,9 +615,9 @@ impl StreamServer {
             stage.durability = durability.clone();
             stage.cache = cache.clone();
             stage.obs = Some(StateObs {
-                sampler: hub.stage_obs(StageId::Sampler),
-                memory: hub.stage_obs(StageId::Memory),
-                update: hub.stage_obs(StageId::Update),
+                sampler: sinks.stage_obs(StageId::Sampler),
+                memory: sinks.stage_obs(StageId::Memory),
+                update: sinks.stage_obs(StageId::Update),
             });
             workers.push(spawn("tgnn-serve-state", move || {
                 state_loop(batcher, gnn_tx, stage)
@@ -640,17 +625,22 @@ impl StreamServer {
         }
         {
             let backends = backends.clone();
-            let collector = collector.clone();
             let cache = cache.clone();
             let durability = durability.clone();
             let fault = config.gnn_fault.clone();
-            let obs = hub.stage_obs(StageId::Gnn);
+            let obs = sinks.stage_obs(StageId::Gnn);
             workers.push(spawn("tgnn-serve-gnn", move || {
-                gnn_loop(
-                    gnn_rx, results_tx, backends, collector, cache, durability, fault, obs,
-                )
+                gnn_loop(gnn_rx, results_tx, backends, cache, durability, fault, obs)
             }));
         }
+        let hub = MetricsHub::new(
+            sinks,
+            admission.clone(),
+            durability.clone(),
+            cache.clone(),
+            queue_stats,
+            next_epoch.clone(),
+        );
 
         Self {
             admission,
@@ -666,7 +656,6 @@ impl StreamServer {
             tenant_backends,
             graph,
             commit_log,
-            collector,
             next_epoch,
             hub,
             warm_timestamp: Timestamp::NEG_INFINITY,
@@ -858,12 +847,16 @@ impl StreamServer {
                 .collect();
             // Counted as served, with no latency sample: a re-serve never
             // ran this session's pipeline.
-            server.collector.count_batch(events.len(), embeddings.len());
-            server
-                .collector
-                .record_backend_batch(kind, events.len(), out.modeled_latency);
+            let sinks = &server.hub.sinks;
+            sinks.served_batch(
+                kind,
+                events.len(),
+                embeddings.len(),
+                None,
+                out.modeled_latency,
+            );
             for (t, _) in &sealed.events {
-                server.collector.count_event(TenantId(*t));
+                sinks.served_event(TenantId(*t), None);
             }
             let now = Instant::now();
             server.completed.push_back(ServedBatch {
@@ -900,7 +893,7 @@ impl StreamServer {
         if server.submitted > 0 {
             // The per-life clock starts at recovery; `submit_for` only
             // stamps it on the very first submission ever.
-            *server.collector.first_submit.lock().unwrap() = Some(Instant::now());
+            server.hub.sinks.start_clock();
         }
 
         let report = RecoveryReport {
@@ -972,7 +965,7 @@ impl StreamServer {
         event: InteractionEvent,
     ) -> Result<SubmitOutcome, SubmitError> {
         if self.submitted == 0 {
-            *self.collector.first_submit.lock().unwrap() = Some(Instant::now());
+            self.hub.sinks.start_clock();
         }
         let outcome = self.admission.submit(tenant, event)?;
         self.submitted += 1;
@@ -1000,7 +993,7 @@ impl StreamServer {
         if traced {
             self.slo.record_batch_latency(total, b.events.len() as u64);
         }
-        self.hub.record_delivery(
+        self.hub.sinks.record_delivery(
             b.epoch,
             traced,
             total,
