@@ -33,10 +33,12 @@ use tgnn_tensor::{Float, Matrix, Workspace};
 
 /// How the engine executes the per-batch computation.
 ///
-/// All three modes produce **bit-identical embeddings**: the batched GEMMs
-/// and the parallel split preserve each vertex's accumulation order exactly
-/// (asserted by the engine's mode-equivalence tests).  The modes differ only
-/// in speed and in how easy they are to reason about:
+/// The three f32 modes — `Serial`, `Batched` and `Parallel` — produce
+/// **bit-identical embeddings**: the batched GEMMs and the parallel split
+/// preserve each vertex's accumulation order exactly (asserted by the
+/// engine's mode-equivalence tests).  They differ only in speed and in how
+/// easy they are to reason about; the fourth, `Quantized`, trades a
+/// measured accuracy budget for int8 kernels:
 ///
 /// * [`ExecMode::Serial`] — the literal Algorithm-1 reference loop, one
 ///   vertex at a time on the blocked kernels.  Slowest; kept as the
@@ -63,9 +65,12 @@ use tgnn_tensor::{Float, Matrix, Workspace};
 ///
 /// # Selection guide
 ///
-/// Debugging or validating numerics → `Serial`.  Latency-sensitive
-/// single-core serving → `Batched`.  Multi-core hosts → `Parallel` (the
-/// default; it degrades to `Batched` on one core).  Throughput-bound
+/// Debugging or validating numerics → `Serial`.  Otherwise `Batched` or
+/// `Parallel` (the default; it degrades to `Batched` on one core), by
+/// model: on 2 vCPUs at the paper's dimensions, `Parallel` ran a
+/// GNN-bound Baseline model at 1.46× `Batched`'s throughput but the
+/// co-designed +NP(M) model at 0.96× (median of 10 alternating pairs, first
+/// 60 k Wikipedia-like events, batches of 200).  Throughput-bound
 /// serving that can afford a measured, gated accuracy budget →
 /// calibrate + quantize, then `Quantized` (see [`crate::quantized`]):
 ///

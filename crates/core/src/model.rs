@@ -176,11 +176,12 @@ pub struct TgnModel {
     pub lut_encoder: Option<LutTimeEncoder>,
     /// Output feature transformation (FTM): `[h_agg || f'_i] -> embedding`.
     pub output: Linear,
-    /// Attached int8 weight set.  When present, the *batched* entry points
-    /// ([`Self::compute_embeddings_batch`], [`Self::update_memory_ws`]) run
-    /// on the quantized kernels — which is how both `ExecMode::Quantized`
-    /// and the `tgnn-serve` pipeline execute the int8 path without any
-    /// caller changes.  The per-vertex reference paths always stay f32.
+    /// Attached int8 weight set.  When present, the *batched* paths — the
+    /// embedding unit's [`Self::embeddings_selected`] and the memory
+    /// stage's `update_memory_with` — run on the quantized kernels, which
+    /// is how both `ExecMode::Quantized` and the `tgnn-serve` pipeline
+    /// execute the int8 path without any caller changes.  The per-vertex
+    /// reference paths always stay f32.
     pub quantized: Option<Arc<QuantizedTgn>>,
 }
 

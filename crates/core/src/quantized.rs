@@ -17,10 +17,11 @@
 //! 3. **Serve** — attach the result with
 //!    [`TgnModel::attach_quantized`](crate::TgnModel::attach_quantized) (or
 //!    [`InferenceEngine::with_quantized`](crate::InferenceEngine::with_quantized)):
-//!    every *batched* entry point — `compute_embeddings_batch`,
-//!    `update_memory_ws`, and therefore the whole `tgnn-serve` streaming
-//!    pipeline — transparently runs the int8 kernels.  `ExecMode::Serial`
-//!    always stays f32 and remains the accuracy reference.
+//!    the batched embedding unit (`TgnModel::embeddings_selected`) and
+//!    memory stage (`update_memory_with`) — the paths `ExecMode::Quantized`
+//!    and the whole `tgnn-serve` streaming pipeline run — transparently use
+//!    the int8 kernels.  `ExecMode::Serial` always stays f32 and remains
+//!    the accuracy reference.
 //!
 //! Everything outside the large projections (softmax, top-k pruning, GRU
 //! gate nonlinearities, time encodings, per-neighbor logit arithmetic) stays

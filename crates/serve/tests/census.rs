@@ -1,8 +1,9 @@
 //! Thread and queue census: the server owns exactly the workers and queues
 //! its stage graph (state → GNN) names — two workers over two queues for
-//! any backend mix and any fsync policy.  A re-introduced stage thread or
-//! inter-stage queue fails here, and so does a thread that outlives
-//! `drain`.
+//! any backend mix and any fsync policy, plus, with durability on, at most
+//! one short-lived `tgnn-serve-snap` interval-snapshot writer.  A
+//! re-introduced stage thread or inter-stage queue fails here, and so does
+//! a thread that outlives `drain`.
 //!
 //! One `#[test]` only: the census reads this process's thread list, so the
 //! cases must run one after another in a process of their own.
@@ -68,9 +69,9 @@ fn settled_threads(expected: usize) -> Vec<String> {
 #[test]
 fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
     let (model, graph) = setup();
-    let durable = |policy: FsyncPolicy| {
+    let durable = |policy: FsyncPolicy, label: &str| {
         let dir: PathBuf = std::env::temp_dir().join(format!(
-            "tgnn-census-{}-{}",
+            "tgnn-census-{}-{}-{label}",
             std::process::id(),
             policy.label()
         ));
@@ -80,6 +81,13 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
             ..ServeConfig::default()
         }
     };
+    // An interval snapshot every 4 absorbed events: 64 events spawn the
+    // transient snapshot writer at least 8 times.
+    let mut snapshotting = durable(FsyncPolicy::OnSeal, "snap");
+    snapshotting.max_batch = 4;
+    if let Some(d) = snapshotting.durability.take() {
+        snapshotting.durability = Some(d.with_snapshot_every(1));
+    }
 
     // Whatever the backend mix and fsync policy: one worker per stage, one
     // queue per hop.
@@ -98,9 +106,10 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
                 ..ServeConfig::default()
             },
         ),
-        ("durable (OnSeal)", durable(FsyncPolicy::OnSeal)),
-        ("durable (Always)", durable(FsyncPolicy::Always)),
-        ("durable (Never)", durable(FsyncPolicy::Never)),
+        ("durable (OnSeal)", durable(FsyncPolicy::OnSeal, "")),
+        ("durable (Always)", durable(FsyncPolicy::Always, "")),
+        ("durable (Never)", durable(FsyncPolicy::Never, "")),
+        ("durable (OnSeal, snapshot every batch)", snapshotting),
     ];
 
     for (label, config) in cases {
@@ -117,12 +126,36 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
         let names: Vec<&str> = server.report().queues.iter().map(|q| q.name).collect();
         assert_eq!(names, queues, "{label}");
 
-        // The census holds under load too, and drain joins every worker.
+        // The census holds under load too — the snapshot writer comes and
+        // goes, one at a time — and drain joins every thread.
         for (i, &e) in graph.events()[..64].iter().enumerate() {
             server.submit_for(TenantId(i as u32 % tenants), e).unwrap();
+            // Beside the two workers, at most the snapshot writer — which
+            // reads as `tgnn-serve-stat`, the thread that spawned it, until
+            // it names itself.  A joined writer can linger in the task list
+            // for a moment after it exits, so a miss must survive a re-read.
+            let known = |t: &String| pipeline.contains(&t.as_str()) || t == "tgnn-serve-snap";
+            let census = |threads: &[String]| {
+                pipeline.iter().all(|p| threads.iter().any(|t| t == p))
+                    && threads.len() <= pipeline.len() + 1
+                    && threads.iter().all(known)
+            };
+            let mut threads = serve_threads();
+            if !census(&threads) {
+                std::thread::sleep(Duration::from_millis(5));
+                threads = serve_threads();
+            }
+            assert!(
+                census(&threads),
+                "{label}: `tgnn-serve-*` threads under load: {threads:?}"
+            );
         }
         let report = server.drain();
         assert_eq!(report.num_events, 64, "{label}");
+        if label.contains("snapshot every batch") {
+            let snapshots = report.durability.map_or(0, |d| d.snapshots);
+            assert!(snapshots >= 3, "{label}: {snapshots} snapshots");
+        }
         if tenants > 1 {
             let served = report.backends.iter().filter(|b| b.served_batches > 0);
             assert_eq!(served.count(), 3, "{label}: every backend served");
@@ -132,4 +165,9 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
+    assert!(
+        serve_threads().is_empty(),
+        "the last server's threads outlived its drain: {:?}",
+        serve_threads()
+    );
 }
