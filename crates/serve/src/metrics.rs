@@ -448,9 +448,10 @@ impl BackendCounts {
 pub(crate) struct Sinks {
     enabled: bool,
     started: Instant,
-    /// `ServeConfig::metrics_sampling`: 1-in-N flight-ring sampling for
-    /// per-event stages, shared with trace head-sample retention.
-    metrics_sampling: u64,
+    /// `ServeConfig::metrics_sampling`, at least 1: 1-in-N flight-ring
+    /// sampling for per-event stages, shared with trace head-sample
+    /// retention.
+    pub metrics_sampling: u64,
     recorder: FlightRecorder,
     /// Busy-nanoseconds and completed-span counters, indexed by
     /// `StageId::code()`.
@@ -872,10 +873,14 @@ impl MetricsHub {
         let handle = std::thread::Builder::new()
             .name("tgnn-metrics-sampler".into())
             .spawn(move || loop {
+                // Read the flag before the snapshot, so the last line is
+                // taken after `stop` — a snapshot already under way when
+                // the flag is set can predate the caller's final counts.
+                let stopping = flag.load(Ordering::Acquire);
                 let line = hub.snapshot().to_json_line();
                 let _ = writeln!(file, "{line}");
                 let _ = file.flush();
-                if flag.load(Ordering::Acquire) {
+                if stopping {
                     return;
                 }
                 // Sleep in short slices so stop() returns promptly even with

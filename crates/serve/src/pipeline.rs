@@ -220,11 +220,10 @@ pub(crate) struct Batcher {
     pub next_epoch: Arc<AtomicU64>,
     pub durability: Option<Arc<Durability>>,
     /// `scheduler` spans, one per pull (pre-epoch, so epoch 0; flight-ring
-    /// writes sampled 1-in-`sampling`).
+    /// writes sampled 1-in-`ServeConfig::metrics_sampling`).
     pub pull_obs: StageObs,
     /// `batcher` spans and the seal counts, one per seal.
     pub seal_obs: StageObs,
-    pub sampling: u64,
 }
 
 impl Batcher {
@@ -487,7 +486,7 @@ fn run_sharded_memory_stage(
 pub(crate) fn state_loop(batcher: Batcher, tx: Sender<GnnJob>, mut stage: StateStage) {
     let _close_on_exit = CloseAdmissionOnExit(batcher.admission.clone());
     let trace = stage.obs.as_ref().map(|o| o.memory.clone());
-    let (max_batch, sampling) = (batcher.max_batch, batcher.sampling.max(1));
+    let (max_batch, sampling) = (batcher.max_batch, batcher.pull_obs.sinks.metrics_sampling);
     // Buffers for the worker's lifetime: a seal copies out exactly the
     // events it holds, so a two-event batch costs no `max_batch`-sized
     // allocation.
@@ -857,7 +856,6 @@ mod tests {
                 durability: None,
                 pull_obs: sinks.stage_obs(StageId::Scheduler),
                 seal_obs: sinks.stage_obs(StageId::Batcher),
-                sampling: 1,
             };
             let hub = MetricsHub::new(sinks, admission.clone(), None, None, Vec::new(), next_epoch);
             let worker = thread::spawn(move || state_loop(batcher, tx, stage));

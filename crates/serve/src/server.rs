@@ -601,7 +601,6 @@ impl StreamServer {
                 durability: durability.clone(),
                 pull_obs: sinks.stage_obs(StageId::Scheduler),
                 seal_obs: sinks.stage_obs(StageId::Batcher),
-                sampling: config.metrics_sampling,
             };
             // The live stage carries what the quiesced replay paths
             // (`warm_up`, `recover`) leave off: commit hooks and stage spans.

@@ -165,9 +165,16 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
+    // The last case has no successor to check it.  A joined thread can
+    // linger in the task list for a moment, so a leftover must survive a
+    // re-read.
+    let mut left = serve_threads();
+    if !left.is_empty() {
+        std::thread::sleep(Duration::from_millis(5));
+        left = serve_threads();
+    }
     assert!(
-        serve_threads().is_empty(),
-        "the last server's threads outlived its drain: {:?}",
-        serve_threads()
+        left.is_empty(),
+        "the last server's threads outlived its drain: {left:?}"
     );
 }
