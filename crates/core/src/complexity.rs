@@ -6,6 +6,13 @@
 //! or written to the external vertex tables (memory, mailbox, neighbor table,
 //! node/edge features).  Learnable parameters are assumed to be resident
 //! on-chip, as in the paper's accounting.
+//!
+//! The GNN MACs count the paper's per-neighbor (FPGA) order — every sampled
+//! or kept neighbor row projected through `W_k` / `W_v`, then scored and
+//! summed — not the order the CPU forwards run, which aggregate the rows
+//! first and project once per target vertex (`ARCHITECTURE.md`, *one
+//! aggregation rule*).  The counts model the accelerator; `hwsim` is pinned
+//! to them.
 
 use crate::config::{AttentionKind, ModelConfig, TimeEncoderKind};
 use crate::profiling::Stage;

@@ -9,10 +9,11 @@
 //! Algorithm 1.
 
 use crate::config::{AttentionKind, ModelConfig, TimeEncoderKind};
+use crate::quantized::QuantizedKey;
 use crate::quantized::{layers, QuantizedTgn};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tgnn_nn::attention::{Selection, SimplifiedCache, VanillaCache};
+use tgnn_nn::attention::{aggregate_ws, key_logits_into, Selection, SimplifiedCache, VanillaCache};
 use tgnn_nn::{
     CosTimeEncoder, GruCell, Linear, LutTimeEncoder, Param, SimplifiedAttention, VanillaAttention,
 };
@@ -72,28 +73,10 @@ pub struct EmbeddingOutput {
 /// Backward cache for one embedding computation.
 #[derive(Debug)]
 pub struct EmbeddingCache {
-    f_prime: Matrix,
     node_feature: Option<Matrix>,
-    query_input: Matrix,
     concat_input: Matrix,
     vanilla: Option<VanillaCache>,
     simplified: Option<SimplifiedCache>,
-}
-
-/// Accumulates `Σ_j weights[j] · m.row(first_row + j)` into `out`,
-/// replicating `tgnn_tensor::ops::weighted_row_sum`'s accumulation order
-/// (including its zero-weight skip) over a contiguous row range so batched
-/// and per-vertex aggregation are bit-identical.
-fn weighted_rows_into(m: &Matrix, first_row: usize, weights: &[Float], out: &mut [Float]) {
-    out.fill(0.0);
-    for (j, &w) in weights.iter().enumerate() {
-        if w == 0.0 {
-            continue;
-        }
-        for (a, &x) in out.iter_mut().zip(m.row(first_row + j)) {
-            *a += w * x;
-        }
-    }
 }
 
 /// Hands a projection's input to the calibration observer, if there is one:
@@ -136,6 +119,79 @@ impl Projection<'_> {
             (Self::Int8(q), Some((lut, dts))) => q.forward_folded_ws(x, lut, dts, ws),
         }
     }
+
+    /// Input columns the aggregated forward multiplies.
+    fn head_dim(self) -> usize {
+        match self {
+            Self::F32(l) => l.head_dim(),
+            Self::Int8(q) => q.in_dim(),
+        }
+    }
+
+    /// Row `j`'s time-tail chain, for every row of `rows`
+    /// ([`Linear::tails_ws`]; an int8 layer has one only when folded).
+    fn tails_ws(
+        self,
+        rows: &Matrix,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        ws: &mut Workspace,
+    ) -> Option<Matrix> {
+        match self {
+            Self::F32(l) => l.tails_ws(rows, fold, ws),
+            Self::Int8(q) => q.tails_ws(fold, ws),
+        }
+    }
+
+    /// Aggregate, then transform ([`Linear::forward_aggregated_ws`]).
+    fn forward_aggregated_ws(
+        self,
+        xbar: &Matrix,
+        tails: Option<&Matrix>,
+        mass: &[Float],
+        ws: &mut Workspace,
+    ) -> Matrix {
+        match self {
+            Self::F32(l) => l.forward_aggregated_ws(xbar, tails, mass, ws),
+            Self::Int8(q) => q.forward_aggregated_ws(xbar, tails, mass, ws),
+        }
+    }
+}
+
+/// Vanilla attention's key side on whichever datapath serves it: `W_kᵀ`
+/// (run on the queries), `b_k`, and the keys' time-tail chains.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum KeySide<'a> {
+    F32(&'a Linear),
+    Int8(&'a QuantizedKey),
+}
+
+impl KeySide<'_> {
+    /// `W_k[:, ..h]ᵀ q_i` for every query row (workspace matrix).
+    fn transposed_ws(self, q: &Matrix, ws: &mut Workspace) -> Matrix {
+        match self {
+            Self::F32(l) => l.forward_transposed_ws(q, ws),
+            Self::Int8(k) => k.transposed_ws(q, ws),
+        }
+    }
+
+    fn bias(&self) -> &[Float] {
+        match self {
+            Self::F32(l) => l.bias.value.row(0),
+            Self::Int8(k) => k.bias(),
+        }
+    }
+
+    fn tails_ws(
+        self,
+        rows: &Matrix,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        ws: &mut Workspace,
+    ) -> Option<Matrix> {
+        match self {
+            Self::F32(l) => l.tails_ws(rows, fold, ws),
+            Self::Int8(k) => k.tails_ws(fold, ws),
+        }
+    }
 }
 
 /// The weight set one batched GNN stage runs on: the model's own f32 layers
@@ -143,9 +199,9 @@ impl Projection<'_> {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct GnnLayers<'a> {
     pub node_proj: Option<Projection<'a>>,
-    /// Vanilla attention's query and key projections.
+    /// Vanilla attention's query projection and key side.
     pub w_q: Option<Projection<'a>>,
-    pub w_k: Option<Projection<'a>>,
+    pub key: Option<KeySide<'a>>,
     pub w_v: Projection<'a>,
     pub output: Projection<'a>,
     /// The LUT every time tail of these layers is folded over; `None`: the
@@ -405,19 +461,12 @@ impl TgnModel {
         let f_prime = self.f_prime(memory, node_feature_matrix.as_ref());
         let (neighbor_input, dts) = self.neighbor_inputs(neighbors);
 
-        let (agg, logits, used, vanilla_cache, simplified_cache) = match self.config.attention {
+        let (out, vanilla, simplified) = match self.config.attention {
             AttentionKind::Vanilla => {
                 let att = self.vanilla.as_ref().expect("vanilla attention missing");
-                let zero_enc = self.encode_time(&[0.0]);
-                let query_input = f_prime.hconcat(&zero_enc);
+                let query_input = f_prime.hconcat(&self.encode_time(&[0.0]));
                 let (out, cache) = att.forward_cached(&query_input, &neighbor_input);
-                (
-                    out.output,
-                    out.logits,
-                    out.selected,
-                    Some((query_input, cache)),
-                    None,
-                )
+                (out, Some(cache), None)
             }
             AttentionKind::Simplified => {
                 let att = self
@@ -426,32 +475,23 @@ impl TgnModel {
                     .expect("simplified attention missing");
                 let budget = self.config.neighbor_budget;
                 let (out, cache) = att.forward_cached(&dts, &neighbor_input, budget);
-                (out.output, out.logits, out.selected, None, Some(cache))
+                (out, None, Some(cache))
             }
         };
 
         // FTM: embedding = W_out [agg || f'_i] + b_out.
-        let agg_row = Matrix::row_vector(&agg);
-        let concat_input = agg_row.hconcat(&f_prime);
+        let concat_input = Matrix::row_vector(&out.output).hconcat(&f_prime);
         let embedding = self.output.forward(&concat_input).row_to_vec(0);
-
-        let (query_input, vanilla_cache) = match vanilla_cache {
-            Some((qi, c)) => (qi, Some(c)),
-            None => (Matrix::zeros(1, self.config.query_input_dim()), None),
-        };
-
         let output = EmbeddingOutput {
             embedding,
-            attention_logits: logits,
-            used_neighbors: used,
+            attention_logits: out.logits,
+            used_neighbors: out.selected,
         };
         let cache = EmbeddingCache {
-            f_prime,
             node_feature: node_feature_matrix,
-            query_input,
             concat_input,
-            vanilla: vanilla_cache,
-            simplified: simplified_cache,
+            vanilla,
+            simplified,
         };
         (output, cache)
     }
@@ -587,7 +627,7 @@ impl TgnModel {
         GnnLayers {
             node_proj: self.node_proj.as_ref().map(Projection::F32),
             w_q: w_q.map(Projection::F32),
-            w_k: w_k.map(Projection::F32),
+            key: w_k.map(KeySide::F32),
             w_v: Projection::F32(w_v),
             output: Projection::F32(&self.output),
             lut: self.fold_over(w_v).filter(|_| foldable),
@@ -596,8 +636,10 @@ impl TgnModel {
 
     /// The batched GNN stage — the hot path of every mode but `Serial` and
     /// of every served batch: one GEMM per weight matrix per batch on the
-    /// packed kernel (int8 with a quantized set attached), temporaries from
-    /// the workspace.  `jobs[i].neighbors` are the neighbors vertex `i`
+    /// packed kernel (int8 with a quantized set attached), each over one row
+    /// per target vertex — the attention aggregates its neighbor rows before
+    /// it projects them ([`tgnn_nn::attention`]) — temporaries from the
+    /// workspace.  `jobs[i].neighbors` are the neighbors vertex `i`
     /// **aggregates** (kept ones, kept order), weighted by entry
     /// `selection.1 + i` of `selection.0` — a shard passes the batch's
     /// selection and its offset.  Returns `jobs.len() × embedding_dim` in a
@@ -605,8 +647,10 @@ impl TgnModel {
     ///
     /// No attention decision is taken here: there is one `select`
     /// ([`SimplifiedAttention::select`]) and every caller has been through
-    /// it; and one split rule ([`Linear::with_time_tail`]) says how a time
-    /// encoding enters a sum, here (folded) as in the unfolded reference.
+    /// it; one split rule ([`Linear::with_time_tail`]) says how a time
+    /// encoding enters a sum, here (folded) as in the unfolded reference;
+    /// and one aggregation rule ([`aggregate_ws`], [`key_logits_into`]) says
+    /// how the neighbor rows meet the projections, here as in `Serial`.
     /// With `obs` the f32 layers run and every input a quantized projection
     /// would see is recorded (int8 calibration).
     ///
@@ -719,15 +763,14 @@ impl TgnModel {
         // --- Neighbor-side inputs of the rows held, each target's contiguous.
         let (nbr_rows, nbr_dts) = self.neighbor_rows(jobs, layers.lut.is_some(), ws);
         let nbr_fold = layers.lut.map(|lut| (lut, &nbr_dts[..]));
-        record_input(&mut obs, layers::ATTN_NEIGHBOR, &nbr_rows, nbr_fold);
 
-        // --- Aggregate per attention kind into `agg` (T×mem).
-        let mut agg = ws.take_matrix(t, mem_dim);
-        let v_all = layers.w_v.forward_ws(&nbr_rows, nbr_fold, ws);
-        match (layers.w_q, layers.w_k) {
-            (Some(w_q), Some(w_k)) => {
+        // --- The attention weights of those rows, vertices back to back.
+        let mut weights = ws.take(nbr_rows.rows());
+        match (layers.w_q, layers.key) {
+            (Some(w_q), Some(key)) => {
                 // Vanilla: queries from `[f'_i ‖ Φ(0)]`, one W_q GEMM for the
-                // batch and one W_k GEMM over all targets' neighbors.
+                // batch; they meet the keys as `W_kᵀ q_i` (one GEMM more), so
+                // no neighbor row is projected.
                 let zero_dts = ws.take(t);
                 let q_fold = layers.lut.map(|lut| (lut, &zero_dts[..]));
                 let unfolded = q_fold.is_none().then(|| {
@@ -747,25 +790,22 @@ impl TgnModel {
                 let q_all = w_q.forward_ws(query_input, q_fold, ws);
                 unfolded.into_iter().for_each(|m| ws.recycle_matrix(m));
                 ws.recycle(zero_dts);
-                let k_all = w_k.forward_ws(&nbr_rows, nbr_fold, ws);
-                let mut weights = ws.take(cfg.sampled_neighbors);
+                record_input(&mut obs, layers::ATTN_Q, &q_all, None);
+                let p_all = key.transposed_ws(&q_all, ws);
+                let k_tails = key.tails_ws(&nbr_rows, nbr_fold, ws);
                 let mut off = 0;
                 for (i, job) in jobs.iter().enumerate() {
-                    let n = job.neighbors.len();
-                    let weights = &mut weights[..n];
-                    let scale = 1.0 / (n as Float).sqrt();
-                    for (j, w) in weights.iter_mut().enumerate() {
-                        *w = tgnn_tensor::gemm::dot(q_all.row(i), k_all.row(off + j)) * scale;
-                    }
+                    let w = &mut weights[off..off + job.neighbors.len()];
+                    let (q, p) = (q_all.row(i), p_all.row(i));
+                    key_logits_into(q, p, key.bias(), &nbr_rows, off, k_tails.as_ref(), w);
                     if let Some(logits) = vanilla_logits.as_deref_mut() {
-                        logits.extend_from_slice(weights);
+                        logits.extend_from_slice(w);
                     }
-                    softmax_in_place(weights);
-                    weighted_rows_into(&v_all, off, weights, agg.row_mut(i));
-                    off += n;
+                    softmax_in_place(w);
+                    off += w.len();
                 }
-                ws.recycle(weights);
-                ws.recycle_matrix(k_all);
+                k_tails.into_iter().for_each(|m| ws.recycle_matrix(m));
+                ws.recycle_matrix(p_all);
                 ws.recycle_matrix(q_all);
             }
             _ => {
@@ -773,18 +813,27 @@ impl TgnModel {
                 // were fixed when they were selected.
                 let mut off = 0;
                 for (i, job) in jobs.iter().enumerate() {
-                    let weights = sel.weights_of(first + i);
-                    assert_eq!(
-                        weights.len(),
-                        job.neighbors.len(),
-                        "selection / job mismatch"
-                    );
-                    weighted_rows_into(&v_all, off, weights, agg.row_mut(i));
-                    off += weights.len();
+                    let w = sel.weights_of(first + i);
+                    assert_eq!(w.len(), job.neighbors.len(), "selection / job mismatch");
+                    weights[off..off + w.len()].copy_from_slice(w);
+                    off += w.len();
                 }
             }
         }
-        ws.recycle_matrix(v_all);
+
+        // --- Values: each target's rows aggregated, then one W_v product
+        // per target for the batch.
+        let v_tails = layers.w_v.tails_ws(&nbr_rows, nbr_fold, ws);
+        let lens = jobs.iter().map(|job| job.neighbors.len());
+        let head = layers.w_v.head_dim();
+        let agg = aggregate_ws(&nbr_rows, head, lens, &weights, v_tails.as_ref(), ws);
+        record_input(&mut obs, layers::ATTN_NEIGHBOR, &agg.rows, nbr_fold);
+        let h_agg = layers
+            .w_v
+            .forward_aggregated_ws(&agg.rows, agg.tails.as_ref(), &agg.mass, ws);
+        agg.recycle(ws);
+        v_tails.into_iter().for_each(|m| ws.recycle_matrix(m));
+        ws.recycle(weights);
         ws.recycle(nbr_dts);
         ws.recycle_matrix(nbr_rows);
 
@@ -792,13 +841,13 @@ impl TgnModel {
         let mut concat = ws.take_matrix(t, 2 * mem_dim);
         for i in 0..t {
             let dst = concat.row_mut(i);
-            dst[..mem_dim].copy_from_slice(agg.row(i));
+            dst[..mem_dim].copy_from_slice(h_agg.row(i));
             dst[mem_dim..].copy_from_slice(f_prime.row(i));
         }
         record_input(&mut obs, layers::FTM_INPUT, &concat, None);
         let out_mat = layers.output.forward_ws(&concat, None, ws);
         ws.recycle_matrix(concat);
-        ws.recycle_matrix(agg);
+        ws.recycle_matrix(h_agg);
         ws.recycle_matrix(f_prime);
         out_mat
     }
@@ -851,8 +900,6 @@ impl TgnModel {
         if let (Some(proj), Some(feat)) = (self.node_proj.as_mut(), cache.node_feature.as_ref()) {
             let _ = proj.backward(feat, &Matrix::row_vector(&grad_f_prime));
         }
-        let _ = &cache.f_prime;
-        let _ = &cache.query_input;
         grad_f_prime
     }
 
@@ -1214,20 +1261,23 @@ mod tests {
 
     #[test]
     fn a_model_without_time_tails_serves_the_bits_it_always_has() {
-        // `Baseline` takes neither new path (kept = all, no split), so what
-        // it serves must not move: three embeddings pinned at the parent
-        // commit of the change that introduced `select` and the time tail.
+        // What `Baseline` serves (kept = all, no fold, no time tail) must not
+        // move unnoticed: three embeddings pinned when the GNN body began
+        // aggregating before it projects; a change that moves them re-pins
+        // them and says why.  The bits of the per-neighbor order before
+        // that are the reference of `tests/parent_bits.rs`, which holds the
+        // served ones within rounding of them.
         const PARENT: [[u32; 8]; 3] = [
             [
-                0x3ec39888, 0x3e78a244, 0x3f141e48, 0xbd135924, 0xbe276b1e, 0x3fcb6b90, 0xbee96a0e,
+                0x3ec39886, 0x3e78a23c, 0x3f141e49, 0xbd135934, 0xbe276b22, 0x3fcb6b90, 0xbee96a0e,
                 0x3eb6e538,
             ],
             [
-                0x3f64cfba, 0xbcc3fbb1, 0xbf3e4122, 0x3f3d0a28, 0x3d3fd4e3, 0xbed74411, 0x3e90583f,
-                0x3e3e6c29,
+                0x3f64cfb8, 0xbcc3fbb1, 0xbf3e4122, 0x3f3d0a26, 0x3d3fd4eb, 0xbed74413, 0x3e90583d,
+                0x3e3e6c27,
             ],
             [
-                0x3e43c3d8, 0x3fc76da7, 0xbfcef383, 0xbd7e6767, 0xbf4f7dd5, 0x3f0fbbb2, 0x3da20de2,
+                0x3e43c3dc, 0x3fc76da7, 0xbfcef383, 0xbd7e6767, 0xbf4f7dd6, 0x3f0fbbb4, 0x3da20dea,
                 0x3f74dc3f,
             ],
         ];
@@ -1247,6 +1297,65 @@ mod tests {
         for (out, parent) in served.iter().zip(PARENT) {
             let bits: Vec<u32> = out.embedding.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, parent);
+        }
+    }
+
+    #[test]
+    fn a_second_identical_batch_takes_nothing_new_from_the_heap() {
+        let mut rng = TensorRng::new(23);
+        let vanilla_lut = ModelConfig {
+            time_encoder: TimeEncoderKind::Lut,
+            ..ModelConfig::tiny(0, 4)
+        };
+        let configs = OptimizationVariant::ladder()
+            .map(|v| ModelConfig::tiny(0, 4).with_variant(v))
+            .into_iter()
+            .chain([vanilla_lut]);
+        for cfg in configs {
+            let mut model = TgnModel::new(cfg.clone(), &mut rng);
+            let samples: Vec<Float> = (0..500).map(|_| rng.pareto(1.0, 1.3).min(1e4)).collect();
+            model.calibrate_lut(&samples);
+            let batch: Vec<(Vec<Float>, Vec<NeighborContext>)> = (0..9)
+                .map(|i| {
+                    let memory = rng.uniform_vec(cfg.memory_dim, -1.0, 1.0);
+                    (
+                        memory,
+                        tiny_neighbors(&mut rng, i % (cfg.sampled_neighbors + 1), &cfg),
+                    )
+                })
+                .collect();
+            with_jobs(&batch, |jobs| {
+                // Selected as the sampling stage selects; the kept rows held.
+                let mut sel = Selection::default();
+                let mut kept = Vec::new();
+                for job in jobs {
+                    let dts: Vec<Float> = job.neighbors.iter().map(|n| n.delta_t).collect();
+                    model.select(&dts, &mut sel);
+                    let kept_of = sel.kept_of(sel.ranges.len() - 1);
+                    kept.extend(kept_of.iter().map(|&j| job.neighbors[j as usize]));
+                }
+                let kept_jobs: Vec<EmbeddingJob<'_>> = jobs
+                    .iter()
+                    .zip(&sel.ranges)
+                    .map(|(job, &(start, len))| EmbeddingJob {
+                        neighbors: &kept[start..start + len],
+                        ..*job
+                    })
+                    .collect();
+                let mut ws = Workspace::new();
+                let first = model.embeddings_selected(&kept_jobs, (&sel, 0), &mut ws, None);
+                let warm = ws.heap_allocs();
+                ws.recycle_matrix(first);
+                let second = model.embeddings_selected(&kept_jobs, (&sel, 0), &mut ws, None);
+                assert_eq!(
+                    ws.heap_allocs(),
+                    warm,
+                    "{:?}/{:?}: the second batch allocated",
+                    cfg.attention,
+                    cfg.time_encoder
+                );
+                ws.recycle_matrix(second);
+            });
         }
     }
 

@@ -64,7 +64,7 @@
 
 use crate::config::AttentionKind;
 use crate::inference::{ExecMode, InferenceEngine};
-use crate::model::{GnnLayers, Projection, TgnModel};
+use crate::model::{GnnLayers, KeySide, Projection, TgnModel};
 use tgnn_graph::{InteractionEvent, TemporalGraph};
 use tgnn_nn::{Linear, LutTimeEncoder};
 use tgnn_quant::{ActivationRanges, ActivationRecorder, QuantConfig, QuantizedLinear};
@@ -79,11 +79,16 @@ pub mod layers {
     pub const GRU_INPUT: &str = "gru.input";
     /// GRU hidden-state input (input of the stacked hidden-side projection).
     pub const GRU_HIDDEN: &str = "gru.hidden";
-    /// Stacked neighbor inputs `[s_j || e_ij || Φ(Δt_j)]` — input of the
-    /// attention key/value projections.
+    /// Aggregated neighbor inputs `x̄_i = Σ_j w_j [s_j || e_ij || Φ(Δt_j)]`,
+    /// one row per target vertex (the time columns stop at the split when
+    /// the LUT is folded; the LUT rows the fold reads are recorded too) —
+    /// input of the value projection.
     pub const ATTN_NEIGHBOR: &str = "attn.neighbor";
     /// Query inputs `[f'_i || Φ(0)]` — input of the vanilla query projection.
     pub const ATTN_QUERY: &str = "attn.query";
+    /// Queries `q_i = W_q [f'_i || Φ(0)] + b_q` — input of the vanilla key
+    /// side's transposed projection `W_kᵀ`.
+    pub const ATTN_Q: &str = "attn.q";
     /// FTM input `[h_agg || f'_i]`.
     pub const FTM_INPUT: &str = "ftm.input";
     /// Static node features — input of the node projection.
@@ -143,6 +148,60 @@ fn quantize(model: &TgnModel, layer: &Linear, act_scale: Float) -> QuantizedLine
     }
 }
 
+/// Vanilla attention's key side on int8: `W_kᵀ` as a [`QuantizedLinear`]
+/// run on the queries (per-row scales over the transposed weight, i.e. one
+/// per input column of `W_k`; its input scale is [`layers::ATTN_Q`]'s), `b_k`
+/// in f32 and — when the model serves from a LUT — the f32 key tail chain of
+/// every bin, `T_k = table · W_k[:, split..]ᵀ`.  No neighbor row is
+/// projected: `logit_ij` is `(W_kᵀ q_i)·x_j (+ q_i·T_k[bin_j]) + q_i·b_k`,
+/// scaled ([`tgnn_nn::attention::key_logits_into`]).
+#[derive(Clone, Debug)]
+pub struct QuantizedKey {
+    w_t: QuantizedLinear,
+    bias: Vec<Float>,
+    tail_table: Option<Matrix>,
+}
+
+impl QuantizedKey {
+    fn from_model(model: &TgnModel, w_k: &Linear, q_scale: Float) -> Self {
+        let lut = model.fold_over(w_k);
+        let width = match lut {
+            Some(_) => w_k.head_dim(),
+            None => w_k.in_dim(),
+        };
+        let weight = &w_k.weight().value;
+        let transposed = weight.columns(0, width).transpose();
+        let w_t = Linear::from_parts("attention.w_k.t", transposed, vec![0.0; width]);
+        Self {
+            w_t: QuantizedLinear::from_linear(&w_t, q_scale),
+            bias: w_k.bias.value.row(0).to_vec(),
+            tail_table: lut.map(|lut| lut.fuse_with(&weight.columns(width, w_k.in_dim()))),
+        }
+    }
+
+    /// `W_kᵀ q_i` for every query row (workspace matrix).
+    pub(crate) fn transposed_ws(&self, q: &Matrix, ws: &mut Workspace) -> Matrix {
+        self.w_t.forward_ws(q, ws)
+    }
+
+    /// `b_k`.
+    pub(crate) fn bias(&self) -> &[Float] {
+        &self.bias
+    }
+
+    /// Each row's key tail chain `T_k[bin_j]` when folded.
+    pub(crate) fn tails_ws(
+        &self,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        ws: &mut Workspace,
+    ) -> Option<Matrix> {
+        let ((lut, dts), table) = fold.zip(self.tail_table.as_ref())?;
+        let mut tails = ws.take_matrix(dts.len(), table.cols());
+        lut.lookup_rows_into(table, dts, &mut tails);
+        Some(tails)
+    }
+}
+
 /// The quantized weight set of a [`TgnModel`]: every large projection as a
 /// [`QuantizedLinear`] (per-row int8 weights, pre-packed panels, calibrated
 /// activation scales).  Attach to a model with
@@ -159,9 +218,10 @@ pub struct QuantizedTgn {
     pub ranges: ActivationRanges,
     gru: Option<QuantizedGru>,
     node_proj: Option<QuantizedLinear>,
-    /// Vanilla attention projections (query, key) — `None` for simplified.
+    /// Vanilla attention's query projection and key side — `None` for
+    /// simplified.
     w_q: Option<QuantizedLinear>,
-    w_k: Option<QuantizedLinear>,
+    key: Option<QuantizedKey>,
     /// Value projection (vanilla or simplified).
     w_v: QuantizedLinear,
     output: QuantizedLinear,
@@ -177,13 +237,17 @@ impl QuantizedTgn {
     /// never exercised it).
     pub fn from_model(model: &TgnModel, ranges: &ActivationRanges, config: QuantConfig) -> Self {
         let nbr_scale = ranges.scale(layers::ATTN_NEIGHBOR);
-        let (w_q, w_k, w_v) = match model.config.attention {
+        let (w_q, key, w_v) = match model.config.attention {
             AttentionKind::Vanilla => {
                 let att = model.vanilla.as_ref().expect("vanilla attention missing");
-                let q_scale = ranges.scale(layers::ATTN_QUERY);
+                let query_scale = ranges.scale(layers::ATTN_QUERY);
                 (
-                    Some(quantize(model, &att.w_q, q_scale)),
-                    Some(quantize(model, &att.w_k, nbr_scale)),
+                    Some(quantize(model, &att.w_q, query_scale)),
+                    Some(QuantizedKey::from_model(
+                        model,
+                        &att.w_k,
+                        ranges.scale(layers::ATTN_Q),
+                    )),
                     &att.w_v,
                 )
             }
@@ -201,7 +265,7 @@ impl QuantizedTgn {
                 QuantizedLinear::from_linear(proj, ranges.scale(layers::NODE_PROJ_INPUT))
             }),
             w_q,
-            w_k,
+            key,
             lut: model.fold_over(w_v).cloned(),
             w_v: quantize(model, w_v, nbr_scale),
             output: QuantizedLinear::from_linear(&model.output, ranges.scale(layers::FTM_INPUT)),
@@ -216,13 +280,13 @@ impl QuantizedTgn {
 
     /// The int8 layers the batched GNN stage runs on
     /// ([`TgnModel::embeddings_selected`]): every large projection replaced
-    /// by its [`QuantizedLinear`]; batch assembly, logits, softmax, pruning
-    /// and aggregation stay f32.
+    /// by its [`QuantizedLinear`] (the key side by [`QuantizedKey`]); batch
+    /// assembly, logits, softmax, pruning and aggregation stay f32.
     pub(crate) fn gnn_layers(&self) -> GnnLayers<'_> {
         GnnLayers {
             node_proj: self.node_proj.as_ref().map(Projection::Int8),
             w_q: self.w_q.as_ref().map(Projection::Int8),
-            w_k: self.w_k.as_ref().map(Projection::Int8),
+            key: self.key.as_ref().map(KeySide::Int8),
             w_v: Projection::Int8(&self.w_v),
             output: Projection::Int8(&self.output),
             lut: self.lut.as_ref(),
@@ -310,6 +374,22 @@ mod tests {
             }
             if variant == OptimizationVariant::Baseline {
                 assert!(ranges.contains(layers::ATTN_QUERY));
+                assert!(ranges.contains(layers::ATTN_Q), "the key side's input");
+                // One row per touched vertex, as many as the FTM saw — the
+                // value side aggregates before its projection.
+                let cfg = &model.config;
+                let rows = |layer: &str, width: usize| {
+                    let observed = ranges.get(layer).expect("recorded").observed;
+                    assert_eq!(observed % width as u64, 0, "{layer}: whole rows");
+                    observed / width as u64
+                };
+                let touched = rows(layers::FTM_INPUT, 2 * cfg.memory_dim);
+                assert!(touched > 0);
+                assert_eq!(
+                    rows(layers::ATTN_NEIGHBOR, cfg.neighbor_input_dim()),
+                    touched
+                );
+                assert_eq!(rows(layers::ATTN_Q, cfg.memory_dim), touched);
             }
         }
     }

@@ -60,7 +60,8 @@ fn batch_embeddings(model: Model) -> Vec<Vec<Float>> {
     let mut rng = TensorRng::new(2024);
     let built = build(model, 4, &mut rng);
     let cfg = built.config.clone();
-    let batch: Vec<(Vec<Float>, Vec<(Vec<Float>, Vec<Float>, Float)>)> = (0..3)
+    type Neighbor = (Vec<Float>, Vec<Float>, Float);
+    let batch: Vec<(Vec<Float>, Vec<Neighbor>)> = (0..3)
         .map(|i| {
             let memory = rng.uniform_vec(cfg.memory_dim, -1.0, 1.0);
             let neighbors = (0..i + 2)

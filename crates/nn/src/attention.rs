@@ -13,17 +13,151 @@
 //!   temporal-neighbor pruning of Section III-B and the prefetching the
 //!   hardware relies on.
 //!
-//! Both operate on one target vertex at a time: the caller supplies the
-//! target's query-side input row and a `n × d_n` matrix of neighbor-side
-//! inputs (already concatenated `[f'_j || e_ij || Φ(Δt_j)]`, exactly the
-//! layout the Embedding Unit streams from the Data Loader).
+//! Both forwards take one target vertex: the caller supplies the target's
+//! query-side input row and a `n × d_n` matrix of neighbor-side inputs
+//! (already concatenated `[f'_j || e_ij || Φ(Δt_j)]`, exactly the layout the
+//! Embedding Unit streams from the Data Loader).
+//!
+//! **Neither projects a neighbor row.**  Both aggregate first and transform
+//! once per vertex — the paper's FPGA order projects every neighbor, this
+//! CPU order is the same sums reassociated:
+//!
+//! * values: `Σ_j w_j (W_v x_j + b_v) = W_v x̄ + (Σ_j w_j) b_v` with
+//!   `x̄ = Σ_j w_j x_j` ([`aggregate_ws`], then
+//!   [`Linear::forward_aggregated_ws`]);
+//! * keys (vanilla): `q·(W_k x_j + b_k) = (W_kᵀ q)·x_j + q·b_k`
+//!   ([`Linear::forward_transposed_ws`], then [`key_logits_into`]).
+//!
+//! A layer with a time tail keeps its split rule: the tail of row `j` is its
+//! own chain (the fused-table entry of its bin when folded), summed with
+//! the row's weight (values) or dotted with `q` (keys).  The batched GNN
+//! stage (`tgnn-core`) runs the same helpers over a whole batch, on f32 or
+//! int8 weights, so there is one arithmetic definition of each aggregator.
 
 use crate::linear::Linear;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
-use tgnn_tensor::gemm::dot;
-use tgnn_tensor::ops::{softmax, softmax_in_place, weighted_row_sum};
+use tgnn_tensor::gemm::{dot, dot_lanes};
+use tgnn_tensor::ops::{softmax, softmax_in_place, weighted_sum_into};
 use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
+
+/// What the value side of a batch of vertices aggregates before its one
+/// projection per vertex (see [`aggregate_ws`]); workspace buffers, hand
+/// them back with [`Self::recycle`].
+#[derive(Debug)]
+pub struct Aggregate {
+    /// `x̄_i = Σ_j w_j x_j[..head]`, one row per vertex.
+    pub rows: Matrix,
+    /// `τ_i = Σ_j w_j tail_j`, when the rows have tails.
+    pub tails: Option<Matrix>,
+    /// `Σ_j w_j` per vertex — what the bias is scaled by.
+    pub mass: Vec<Float>,
+}
+
+impl Aggregate {
+    /// Returns the buffers to the workspace.
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.recycle_matrix(self.rows);
+        if let Some(tails) = self.tails {
+            ws.recycle_matrix(tails);
+        }
+        ws.recycle(self.mass);
+    }
+}
+
+/// The value side's aggregation over vertices whose rows lie back to back
+/// in `rows` (vertex `i` owns the next `lens[i]` of them, and the same
+/// entries of `weights`): `x̄_i` over the first `head` columns, the weighted
+/// sum of the rows' `tails` (one per row, when the layer has a time tail)
+/// and the weight mass — each in [`weighted_sum_into`]'s order, so a vertex
+/// without a weight aggregates to exact zeros.
+///
+/// # Panics
+/// Panics if the lengths do not cover `rows` and `weights` exactly.
+pub fn aggregate_ws(
+    rows: &Matrix,
+    head: usize,
+    lens: impl ExactSizeIterator<Item = usize>,
+    weights: &[Float],
+    tails: Option<&Matrix>,
+    ws: &mut Workspace,
+) -> Aggregate {
+    let t = lens.len();
+    let mut agg = Aggregate {
+        rows: ws.take_matrix(t, head),
+        tails: tails.map(|m| ws.take_matrix(t, m.cols())),
+        mass: ws.take(t),
+    };
+    let mut off = 0;
+    for (i, n) in lens.enumerate() {
+        let w = &weights[off..off + n];
+        weighted_sum_into(w, |j| rows.row(off + j), agg.rows.row_mut(i));
+        if let (Some(src), Some(dst)) = (tails, agg.tails.as_mut()) {
+            weighted_sum_into(w, |j| src.row(off + j), dst.row_mut(i));
+        }
+        agg.mass[i] = w.iter().fold(0.0, |m, &w| m + w);
+        off += n;
+    }
+    assert_eq!(
+        (off, off),
+        (rows.rows(), weights.len()),
+        "aggregate_ws: lengths must cover the rows and weights"
+    );
+    agg
+}
+
+/// Vanilla attention's pre-softmax logits for one vertex, over rows
+/// `first..first + out.len()` of `rows`:
+/// `logit_j = ((p·x_j[..h] + q·tail_j) + q·b_k) · (1/√n)` — `q` the vertex's
+/// query, `p = W_k[:, ..h]ᵀ q` ([`Linear::forward_transposed_ws`], `h =
+/// p.len()`), `tail_j` row `j`'s key tail chain when the key layer has one
+/// (then `p·x_j[..h] + q·tail_j`; without, just `p·x_j`), and every dot a
+/// [`dot_lanes`].  Equals `q·k_j / √n` up to rounding; the `q·b_k` term
+/// keeps the logits themselves exact, not just their softmax.
+///
+/// # Panics
+/// Panics on shape mismatches.
+pub fn key_logits_into(
+    q: &[Float],
+    p: &[Float],
+    k_bias: &[Float],
+    rows: &Matrix,
+    first: usize,
+    tails: Option<&Matrix>,
+    out: &mut [Float],
+) {
+    let h = p.len();
+    let scale = 1.0 / (out.len() as Float).sqrt();
+    let q_bias = dot_lanes(q, k_bias);
+    for (j, logit) in out.iter_mut().enumerate() {
+        let row = first + j;
+        let head = dot_lanes(p, &rows.row(row)[..h]);
+        let key = match tails {
+            Some(t) => head + dot_lanes(q, t.row(row)),
+            None => head,
+        };
+        *logit = (key + q_bias) * scale;
+    }
+}
+
+/// One vertex's value side: its rows aggregated with `weights`, then
+/// projected once (unfolded — `rows` are full-width).
+fn project_aggregate(
+    w_v: &Linear,
+    rows: &Matrix,
+    weights: &[Float],
+    ws: &mut Workspace,
+) -> Vec<Float> {
+    let tails = w_v.tails_ws(rows, None, ws);
+    let lens = std::iter::once(rows.rows());
+    let agg = aggregate_ws(rows, w_v.head_dim(), lens, weights, tails.as_ref(), ws);
+    let out = w_v.forward_aggregated_ws(&agg.rows, agg.tails.as_ref(), &agg.mass, ws);
+    let output = out.row_to_vec(0);
+    ws.recycle_matrix(out);
+    agg.recycle(ws);
+    tails.into_iter().for_each(|m| ws.recycle_matrix(m));
+    output
+}
 
 /// Output of an attention forward pass, including what is needed for
 /// backward and for the pruning/complexity analysis.
@@ -97,14 +231,13 @@ pub struct VanillaAttention {
     value_dim: usize,
 }
 
-/// Cache for [`VanillaAttention::backward`].
+/// Cache for [`VanillaAttention::backward`]: the inputs and the attention
+/// weights; the per-neighbor keys and values the gradient needs are
+/// recomputed there (training is not a served path).
 #[derive(Clone, Debug)]
 pub struct VanillaCache {
     query_input: Matrix,
     neighbor_input: Matrix,
-    q: Vec<Float>,
-    k: Matrix,
-    v: Matrix,
     weights: Vec<Float>,
 }
 
@@ -176,74 +309,20 @@ impl VanillaAttention {
         query_input: &Matrix,
         neighbor_input: &Matrix,
     ) -> (PrunedAttentionOutput, VanillaCache) {
-        assert_eq!(
-            query_input.rows(),
-            1,
-            "VanillaAttention: one query row per call"
-        );
-        assert_eq!(
-            query_input.cols(),
-            self.query_in_dim,
-            "VanillaAttention: query dim mismatch"
-        );
-        let n = neighbor_input.rows();
-        if n > 0 {
-            assert_eq!(
-                neighbor_input.cols(),
-                self.neighbor_in_dim,
-                "VanillaAttention: neighbor dim mismatch"
-            );
-        }
-
-        let q = self.w_q.forward(query_input).row_to_vec(0);
-        if n == 0 {
-            let out = PrunedAttentionOutput {
-                output: vec![0.0; self.value_dim],
-                weights: Vec::new(),
-                selected: Vec::new(),
-                logits: Vec::new(),
-            };
-            let cache = VanillaCache {
-                query_input: query_input.clone(),
-                neighbor_input: neighbor_input.clone(),
-                q,
-                k: Matrix::zeros(0, self.head_dim),
-                v: Matrix::zeros(0, self.value_dim),
-                weights: Vec::new(),
-            };
-            return (out, cache);
-        }
-
-        let k = self.w_k.forward(neighbor_input);
-        let v = self.w_v.forward(neighbor_input);
-        let scale = 1.0 / (n as Float).sqrt();
-        let logits: Vec<Float> = (0..n)
-            .map(|j| tgnn_tensor::gemm::dot(&q, k.row(j)) * scale)
-            .collect();
-        let weights = softmax(&logits);
-        let output = weighted_row_sum(&v, &weights);
-
-        let out = PrunedAttentionOutput {
-            output,
-            weights: weights.clone(),
-            selected: (0..n).collect(),
-            logits,
-        };
+        let out = self.forward_ws(query_input, neighbor_input, &mut Workspace::new());
         let cache = VanillaCache {
             query_input: query_input.clone(),
             neighbor_input: neighbor_input.clone(),
-            q,
-            k,
-            v,
-            weights,
+            weights: out.weights.clone(),
         };
         (out, cache)
     }
 
-    /// Allocation-light inference forward pass: all projection matrices come
-    /// from the workspace and run on the packed GEMM (bit-identical to
-    /// [`Self::forward`]); only the returned output/weight/logit vectors are
-    /// freshly allocated, since they leave the call.
+    /// The inference forward pass, temporaries from the workspace: `q`,
+    /// the key side `W_kᵀ q` and the logits ([`key_logits_into`]), the
+    /// softmax, then the value side aggregated before its one projection
+    /// ([`aggregate_ws`], [`Linear::forward_aggregated_ws`]).  Only the
+    /// returned vectors are freshly allocated, since they leave the call.
     pub fn forward_ws(
         &self,
         query_input: &Matrix,
@@ -275,17 +354,24 @@ impl VanillaAttention {
             "VanillaAttention: neighbor dim mismatch"
         );
         let q = self.w_q.forward_ws(query_input, ws);
-        let k = self.w_k.forward_ws(neighbor_input, ws);
-        let v = self.w_v.forward_ws(neighbor_input, ws);
-        let scale = 1.0 / (n as Float).sqrt();
-        let logits: Vec<Float> = (0..n)
-            .map(|j| tgnn_tensor::gemm::dot(q.row(0), k.row(j)) * scale)
-            .collect();
+        let p = self.w_k.forward_transposed_ws(&q, ws);
+        let k_tails = self.w_k.tails_ws(neighbor_input, None, ws);
+        let mut logits = vec![0.0; n];
+        let k_bias = self.w_k.bias.value.row(0);
+        key_logits_into(
+            q.row(0),
+            p.row(0),
+            k_bias,
+            neighbor_input,
+            0,
+            k_tails.as_ref(),
+            &mut logits,
+        );
         let weights = softmax(&logits);
-        let output = weighted_row_sum(&v, &weights);
+        let output = project_aggregate(&self.w_v, neighbor_input, &weights, ws);
+        k_tails.into_iter().for_each(|m| ws.recycle_matrix(m));
+        ws.recycle_matrix(p);
         ws.recycle_matrix(q);
-        ws.recycle_matrix(k);
-        ws.recycle_matrix(v);
         PrunedAttentionOutput {
             output,
             weights,
@@ -310,6 +396,9 @@ impl VanillaAttention {
             );
         }
         let scale = 1.0 / (n as Float).sqrt();
+        let q = self.w_q.forward(&cache.query_input).row_to_vec(0);
+        let k = self.w_k.forward(&cache.neighbor_input);
+        let v = self.w_v.forward(&cache.neighbor_input);
 
         // output = Σ_j w_j v_j
         // dv_j = w_j * grad_output
@@ -320,9 +409,7 @@ impl VanillaAttention {
             }
         }
         // dw_j = grad_output · v_j
-        let dw: Vec<Float> = (0..n)
-            .map(|j| tgnn_tensor::gemm::dot(grad_output, cache.v.row(j)))
-            .collect();
+        let dw: Vec<Float> = (0..n).map(|j| dot(grad_output, v.row(j))).collect();
         // softmax backward: dlogit_j = w_j * (dw_j - Σ_k w_k dw_k)
         let dot_sum: Float = cache.weights.iter().zip(&dw).map(|(&w, &d)| w * d).sum();
         let dlogits: Vec<Float> = (0..n)
@@ -334,10 +421,10 @@ impl VanillaAttention {
         let mut grad_k = Matrix::zeros(n, self.head_dim);
         for (j, &dlogit) in dlogits.iter().enumerate() {
             let dl = dlogit * scale;
-            for (gq, &kj) in grad_q.iter_mut().zip(cache.k.row(j)) {
+            for (gq, &kj) in grad_q.iter_mut().zip(k.row(j)) {
                 *gq += dl * kj;
             }
-            for (gk, &qi) in grad_k.row_mut(j).iter_mut().zip(&cache.q) {
+            for (gk, &qi) in grad_k.row_mut(j).iter_mut().zip(&q) {
                 *gk = dl * qi;
             }
         }
@@ -371,7 +458,9 @@ impl VanillaAttention {
     }
 
     /// MAC count for one target with `n` neighbors: query, key, value
-    /// projections plus the score dot-products and the weighted sum.
+    /// projections plus the score dot-products and the weighted sum — the
+    /// paper's per-neighbor (FPGA) order, which projects every neighbor row,
+    /// not the aggregate-first order the CPU forwards run.
     pub fn macs(&self, n: usize) -> u64 {
         let proj = self.w_q.macs(1) + self.w_k.macs(n) + self.w_v.macs(n);
         let scores = (n * self.head_dim) as u64;
@@ -406,14 +495,14 @@ pub struct SimplifiedAttention {
     time_scale: Float,
 }
 
-/// Cache for [`SimplifiedAttention::backward`].
+/// Cache for [`SimplifiedAttention::backward`] (which recomputes the
+/// selected neighbors' values).
 #[derive(Clone, Debug)]
 pub struct SimplifiedCache {
     neighbor_input: Matrix,
     scaled_dt: Vec<Float>,
     selected: Vec<usize>,
     weights: Vec<Float>,
-    v_selected: Matrix,
 }
 
 impl SimplifiedAttention {
@@ -556,34 +645,21 @@ impl SimplifiedAttention {
         self.check_inputs(delta_t, neighbor_input);
         let mut sel = Selection::default();
         self.select(delta_t, budget, &mut sel);
-        let selected: Vec<usize> = sel.kept.iter().map(|&j| j as usize).collect();
-
-        // Only the selected neighbors' values are computed/fetched.
-        let v_selected = if selected.is_empty() {
-            Matrix::zeros(0, self.value_dim)
-        } else {
-            self.w_v.forward(&neighbor_input.gather_rows(&selected))
-        };
-        let out = PrunedAttentionOutput {
-            output: weighted_row_sum(&v_selected, &sel.weights),
-            weights: sel.weights.clone(),
-            selected: selected.clone(),
-            logits: sel.logits,
-        };
+        let out = self.aggregate_selected(&sel, neighbor_input, &mut Workspace::new());
         let cache = SimplifiedCache {
             neighbor_input: neighbor_input.clone(),
             scaled_dt: sel.scaled,
-            selected,
+            selected: out.selected.clone(),
             weights: sel.weights,
-            v_selected,
         };
         (out, cache)
     }
 
-    /// Allocation-light inference forward pass mirroring
-    /// [`Self::forward`] bit-for-bit: the gathered selected-neighbor inputs
-    /// and their value projections live in the workspace; only the returned
-    /// vectors are freshly allocated.
+    /// The inference forward pass, temporaries from the workspace: the
+    /// selected neighbors' inputs are gathered and aggregated before their
+    /// one value projection ([`aggregate_ws`],
+    /// [`Linear::forward_aggregated_ws`]); only the returned vectors are
+    /// freshly allocated.
     pub fn forward_ws(
         &self,
         delta_t: &[Float],
@@ -594,26 +670,34 @@ impl SimplifiedAttention {
         self.check_inputs(delta_t, neighbor_input);
         let mut sel = Selection::default();
         self.select(delta_t, budget, &mut sel);
+        self.aggregate_selected(&sel, neighbor_input, ws)
+    }
+
+    /// The forward pass after [`Self::select`]: only the selected
+    /// neighbors' rows are gathered and aggregated.
+    fn aggregate_selected(
+        &self,
+        sel: &Selection,
+        neighbor_input: &Matrix,
+        ws: &mut Workspace,
+    ) -> PrunedAttentionOutput {
         let selected: Vec<usize> = sel.kept.iter().map(|&j| j as usize).collect();
         let mut output = vec![0.0; self.value_dim];
         if !selected.is_empty() {
-            // Only the selected neighbors' values are computed/fetched.
             let mut selected_input = ws.take_matrix(selected.len(), self.neighbor_in_dim);
             for (dst, &src) in selected.iter().enumerate() {
                 selected_input
                     .row_mut(dst)
                     .copy_from_slice(neighbor_input.row(src));
             }
-            let v_selected = self.w_v.forward_ws(&selected_input, ws);
-            output = weighted_row_sum(&v_selected, &sel.weights);
-            ws.recycle_matrix(v_selected);
+            output = project_aggregate(&self.w_v, &selected_input, &sel.weights, ws);
             ws.recycle_matrix(selected_input);
         }
         PrunedAttentionOutput {
             output,
-            weights: sel.weights,
+            weights: sel.weights.clone(),
             selected,
-            logits: sel.logits,
+            logits: sel.logits.clone(),
         }
     }
 
@@ -633,6 +717,8 @@ impl SimplifiedAttention {
             return grad_neighbor_input;
         }
         let k = cache.selected.len();
+        let selected_input = cache.neighbor_input.gather_rows(&cache.selected);
+        let v_selected = self.w_v.forward(&selected_input);
 
         // output = Σ_j w_j v_j over selected neighbors.
         let mut grad_v = Matrix::zeros(k, self.value_dim);
@@ -642,7 +728,7 @@ impl SimplifiedAttention {
             }
         }
         let dw: Vec<Float> = (0..k)
-            .map(|j| tgnn_tensor::gemm::dot(grad_output, cache.v_selected.row(j)))
+            .map(|j| dot(grad_output, v_selected.row(j)))
             .collect();
         let dot_sum: Float = cache.weights.iter().zip(&dw).map(|(&w, &d)| w * d).sum();
         let dlogits_selected: Vec<Float> = (0..k)
@@ -650,7 +736,6 @@ impl SimplifiedAttention {
             .collect();
 
         // Value projection backward (only selected rows).
-        let selected_input = cache.neighbor_input.gather_rows(&cache.selected);
         let grad_selected_input = self.w_v.backward(&selected_input, &grad_v);
         for (pos, &orig) in cache.selected.iter().enumerate() {
             let src = grad_selected_input.row(pos).to_vec();
@@ -697,7 +782,8 @@ impl SimplifiedAttention {
     /// of the selected neighbors, and the weighted sum.  Compare with
     /// [`VanillaAttention::macs`]: there is no query/key projection and no
     /// per-neighbor dot product, and the value work scales with `k`, not
-    /// `slots`.
+    /// `slots`.  Counted in the paper's per-neighbor (FPGA) order, like
+    /// [`VanillaAttention::macs`].
     pub fn macs(&self, k: usize) -> u64 {
         let logit = (self.slots * self.slots) as u64;
         let values = self.w_v.macs(k);

@@ -32,6 +32,15 @@ use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
 /// the pack and dropped with it; against a change of the *encoder* it is
 /// validated by the encoder's [`Stamp`] on every use.
 ///
+/// **Aggregate, then transform.**  Attention sums `Σ_j w_j · forward(x_j)`
+/// over a vertex's neighbor rows; [`Self::forward_aggregated_ws`] computes
+/// it as one product per vertex — `(x̄ · W[:, ..split]ᵀ + τ) + (Σ_j w_j)·b`,
+/// where `x̄ = Σ_j w_j x_j[..split]` and `τ = Σ_j w_j · (row j's tail chain)`
+/// ([`Self::tails_ws`]: the fused-table entry of its bin when folded) — and
+/// [`Self::forward_transposed_ws`] runs the weight backwards (`y · W`, from
+/// a packed `W` kept like the forward pack), which is how a query meets the
+/// keys without projecting a single neighbor row.
+///
 /// All forward paths follow the fused numeric contract stated in
 /// `ARCHITECTURE.md` (numeric identity) and are bit-identical to each other.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -51,6 +60,10 @@ pub struct Linear {
     /// The time columns' pack (split layers, unfolded forward only).
     #[serde(skip)]
     packed_tail: OnceLock<PackedB>,
+    /// `W[:, ..split]` itself in packed-panel layout, for
+    /// [`Self::forward_transposed_ws`]; dropped with the other packs.
+    #[serde(skip)]
+    packed_t: OnceLock<PackedB>,
     #[serde(skip)]
     fused: FusedTable,
 }
@@ -110,6 +123,7 @@ impl Linear {
             split: None,
             packed: OnceLock::new(),
             packed_tail: OnceLock::new(),
+            packed_t: OnceLock::new(),
             fused: FusedTable::default(),
         }
     }
@@ -140,6 +154,7 @@ impl Linear {
     fn drop_derived(&mut self) {
         self.packed.take();
         self.packed_tail.take();
+        self.packed_t.take();
         *self
             .fused
             .0
@@ -152,7 +167,7 @@ impl Linear {
         &self.weight
     }
 
-    /// Mutable access to the weight; drops the inference pack and the fused
+    /// Mutable access to the weight; drops the inference packs and the fused
     /// time table, which the next forward rebuilds from the new values.
     pub fn weight_mut(&mut self) -> &mut Param {
         self.drop_derived();
@@ -167,6 +182,12 @@ impl Linear {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.out_dim
+    }
+
+    /// Input columns the head product multiplies: those before the split,
+    /// all of them without one.
+    pub fn head_dim(&self) -> usize {
+        self.split.unwrap_or(self.in_dim)
     }
 
     /// Forward pass: `x (B×in) -> y (B×out)`.
@@ -186,23 +207,35 @@ impl Linear {
 
     /// The pack of the columns before the split (of all of them without one).
     fn head_pack(&self) -> &PackedB {
-        self.packed.get_or_init(|| {
-            let head = self.split.unwrap_or(self.in_dim);
-            PackedB::from_transposed_cols(&self.weight.value, 0..head)
-        })
+        self.packed
+            .get_or_init(|| PackedB::from_transposed_cols(&self.weight.value, 0..self.head_dim()))
+    }
+
+    /// The time columns' pack.
+    fn tail_pack(&self, split: usize) -> &PackedB {
+        self.packed_tail
+            .get_or_init(|| PackedB::from_transposed_cols(&self.weight.value, split..self.in_dim))
     }
 
     /// The one epilogue of every packed forward: row `i` of `out` becomes
-    /// `(out + tail_row(i)) + bias` — just `out + bias` without a tail.
-    fn finish<'a>(&self, out: &mut Matrix, tail_row: impl Fn(usize) -> Option<&'a [Float]>) {
+    /// `(out + tail_row(i)) + mass(i)·bias` — `out + mass(i)·bias` without a
+    /// tail.  A row forward has mass 1 (`1·b` is `b`, bit for bit), an
+    /// aggregated row the sum of its weights.
+    fn finish<'a>(
+        &self,
+        out: &mut Matrix,
+        tail_row: impl Fn(usize) -> Option<&'a [Float]>,
+        mass: impl Fn(usize) -> Float,
+    ) {
         let bias = self.bias.value.row(0);
         for i in 0..out.rows() {
+            let m = mass(i);
             let row = out.row_mut(i);
             match tail_row(i) {
-                None => row.iter_mut().zip(bias).for_each(|(v, &b)| *v += b),
+                None => row.iter_mut().zip(bias).for_each(|(v, &b)| *v += m * b),
                 Some(tail) => {
                     for ((v, &t), &b) in row.iter_mut().zip(tail).zip(bias) {
-                        *v = (*v + t) + b;
+                        *v = (*v + t) + m * b;
                     }
                 }
             }
@@ -240,13 +273,10 @@ impl Linear {
         matmul_prepacked_cols_into(x, 0, self.head_pack(), out);
         match (self.split, tail) {
             (Some(split), Some(tail)) => {
-                let pack = self.packed_tail.get_or_init(|| {
-                    PackedB::from_transposed_cols(&self.weight.value, split..self.in_dim)
-                });
-                matmul_prepacked_cols_into(x, split, pack, tail);
-                self.finish(out, |i| Some(tail.row(i)));
+                matmul_prepacked_cols_into(x, split, self.tail_pack(split), tail);
+                self.finish(out, |i| Some(tail.row(i)), |_| 1.0);
             }
-            _ => self.finish(out, |_| None),
+            _ => self.finish(out, |_| None, |_| 1.0),
         }
     }
 
@@ -316,7 +346,11 @@ impl Linear {
         );
         matmul_prepacked_cols_into(head, 0, self.head_pack(), out);
         let fused = self.fused_table(lut, split);
-        self.finish(out, |i| Some(fused.1.row(lut.lookup_bin(delta_t[i]))));
+        self.finish(
+            out,
+            |i| Some(fused.1.row(lut.lookup_bin(delta_t[i]))),
+            |_| 1.0,
+        );
     }
 
     /// [`Self::forward_folded_into`] with the output taken from the
@@ -330,6 +364,96 @@ impl Linear {
     ) -> Matrix {
         let mut out = ws.take_matrix(head.rows(), self.out_dim);
         self.forward_folded_into(head, lut, delta_t, &mut out);
+        out
+    }
+
+    /// The tail chain of every row of `rows` (`N × out`, from the
+    /// workspace), `None` for a layer without a time tail: the product of
+    /// the time columns, or — with `fold` — the fused-table entry of each
+    /// row's Δt bin, the same bits.  `rows` are full-width without `fold`;
+    /// with it they may stop at the split (they are not read).
+    ///
+    /// # Panics
+    /// Panics on shape mismatches.
+    pub fn tails_ws(
+        &self,
+        rows: &Matrix,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        ws: &mut Workspace,
+    ) -> Option<Matrix> {
+        let split = self.split?;
+        let mut tails = ws.take_matrix(rows.rows(), self.out_dim);
+        match fold {
+            Some((lut, dts)) => {
+                let fused = self.fused_table(lut, split);
+                lut.lookup_rows_into(&fused.1, dts, &mut tails);
+            }
+            None => {
+                assert_eq!(
+                    rows.cols(),
+                    self.in_dim,
+                    "Linear::tails_ws: input dim mismatch"
+                );
+                matmul_prepacked_cols_into(rows, split, self.tail_pack(split), &mut tails);
+            }
+        }
+        Some(tails)
+    }
+
+    /// Aggregate, then transform: row `i` of the result is
+    /// `(x̄_i · W[:, ..split]ᵀ + τ_i) + mass_i · b` — the layer applied to
+    /// the weighted sum `x̄_i` of a vertex's rows (head columns, `t ×
+    /// head_dim`), `τ_i` the same weighted sum of their [`Self::tails_ws`]
+    /// (required iff the layer has a time tail) and `mass_i` the sum of the
+    /// weights.  Equals `Σ_j w_j · forward(x_j)` up to rounding; a vertex
+    /// with no weight (`x̄ = 0`, `τ = 0`, mass 0) gets an exact `+0.0` row.
+    /// Output from the workspace.
+    ///
+    /// # Panics
+    /// Panics on shape mismatches or a tail given to a layer without one
+    /// (or missing from one with one).
+    pub fn forward_aggregated_ws(
+        &self,
+        xbar: &Matrix,
+        tails: Option<&Matrix>,
+        mass: &[Float],
+        ws: &mut Workspace,
+    ) -> Matrix {
+        assert_eq!(
+            (xbar.cols(), mass.len()),
+            (self.head_dim(), xbar.rows()),
+            "Linear::forward_aggregated_ws: input shape mismatch"
+        );
+        assert_eq!(
+            tails.is_some(),
+            self.split.is_some(),
+            "Linear::forward_aggregated_ws: a tail sum iff the layer has a time tail"
+        );
+        let mut out = ws.take_matrix(xbar.rows(), self.out_dim);
+        matmul_prepacked_cols_into(xbar, 0, self.head_pack(), &mut out);
+        self.finish(&mut out, |i| tails.map(|t| t.row(i)), |i| mass[i]);
+        out
+    }
+
+    /// The weight run backwards over the head columns: `y · W[:, ..split]`
+    /// (`y` is `rows × out`, the result `rows × head_dim`, from the
+    /// workspace) on the packed kernel, from a pack of `W` built on first
+    /// use and dropped with the forward pack.  For a query `q`, row `i` is
+    /// `W_kᵀ q_i`, whose dot with a neighbor row `x_j` is `q_i · W_k x_j`.
+    ///
+    /// # Panics
+    /// Panics if `y.cols() != out_dim`.
+    pub fn forward_transposed_ws(&self, y: &Matrix, ws: &mut Workspace) -> Matrix {
+        assert_eq!(
+            y.cols(),
+            self.out_dim,
+            "Linear::forward_transposed_ws: output dim mismatch"
+        );
+        let pack = self
+            .packed_t
+            .get_or_init(|| PackedB::from_cols(&self.weight.value, 0..self.head_dim()));
+        let mut out = ws.take_matrix(y.rows(), self.head_dim());
+        matmul_prepacked_cols_into(y, 0, pack, &mut out);
         out
     }
 
@@ -369,7 +493,7 @@ impl Linear {
         matmul(grad_out, &self.weight.value)
     }
 
-    /// The learnable parameters of the layer (drops the inference pack and
+    /// The learnable parameters of the layer (drops the inference packs and
     /// the fused table, like [`Self::weight_mut`]).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.drop_derived();
@@ -382,7 +506,9 @@ impl Linear {
     }
 
     /// Number of multiply-accumulate operations for a batch of `batch` rows —
-    /// used by the complexity accounting of Table I/II.
+    /// used by the complexity accounting of Table I/II, which counts the
+    /// paper's per-neighbor (FPGA) order (`batch` = neighbor rows for an
+    /// attention projection, not the aggregated rows the CPU multiplies).
     pub fn macs(&self, batch: usize) -> u64 {
         (batch * self.in_dim * self.out_dim) as u64
     }
@@ -496,12 +622,19 @@ mod tests {
         let mut ws = Workspace::new();
         let mut layer = Linear::new("t", 33, 12, &mut rng);
         let x = rng.uniform_matrix(9, 33, -1.0, 1.0);
+        let y = rng.uniform_matrix(4, 12, -1.0, 1.0);
+        // Both packs against the reference kernel on the current weight: the
+        // forward one (`x · Wᵀ`) and the transposed one (`y · W`).
         let assert_ws_matches_forward = |layer: &Linear, ws: &mut Workspace, what: &str| {
             let out = layer.forward_ws(&x, ws);
             assert_eq!(out.as_slice(), layer.forward(&x).as_slice(), "{what}");
             ws.recycle_matrix(out);
+            let back = layer.forward_transposed_ws(&y, ws);
+            let reference = matmul(&y, &layer.weight().value);
+            assert_eq!(back.as_slice(), reference.as_slice(), "{what}: W_kᵀ pack");
+            ws.recycle_matrix(back);
         };
-        assert_ws_matches_forward(&layer, &mut ws, "fresh layer"); // builds the pack
+        assert_ws_matches_forward(&layer, &mut ws, "fresh layer"); // builds the packs
 
         // An optimizer step through `params_mut`.
         let before = layer.forward(&x);
@@ -522,8 +655,66 @@ mod tests {
             layer.bias.value.row(0).to_vec(),
         );
         assert_ws_matches_forward(&loaded, &mut ws, "after a reload");
-        // A clone carries the (current) pack along.
+        // A clone carries the (current) packs along.
         assert_ws_matches_forward(&layer.clone(), &mut ws, "clone");
+    }
+
+    #[test]
+    fn an_aggregated_forward_is_the_weighted_sum_of_row_forwards() {
+        let mut rng = TensorRng::new(16);
+        let mut ws = Workspace::new();
+        let (head_dim, time_dim, out_dim) = (21, 6, 11);
+        let lut = random_lut(5, time_dim, &mut rng);
+        let lens = [3usize, 0, 1, 4];
+        let n: usize = lens.iter().sum();
+        let head = rng.uniform_matrix(n, head_dim, -1.0, 1.0);
+        let dts = rng.uniform_vec(n, -1.0, 6.0);
+        let x = head.hconcat(&lut.forward(&dts));
+        let weights = rng.uniform_vec(n, 0.0, 1.0);
+        for tail in [None, Some(time_dim)] {
+            let mut layer =
+                Linear::new("t", head_dim + time_dim, out_dim, &mut rng).with_time_tail(tail);
+            layer.bias.value = rng.uniform_matrix(1, out_dim, -0.5, 0.5);
+            let per_row = layer.forward(&x);
+            // Unfolded (full-width rows) and, for a split layer, folded.
+            let mut served = Vec::new();
+            for fold in [None, tail.map(|_| (&lut, &dts[..]))] {
+                let rows = if fold.is_some() { &head } else { &x };
+                let tails = layer.tails_ws(rows, fold, &mut ws);
+                let h = layer.head_dim();
+                let agg = crate::attention::aggregate_ws(
+                    rows,
+                    h,
+                    lens.iter().copied(),
+                    &weights,
+                    tails.as_ref(),
+                    &mut ws,
+                );
+                let out =
+                    layer.forward_aggregated_ws(&agg.rows, agg.tails.as_ref(), &agg.mass, &mut ws);
+                served.push(out.as_slice().to_vec());
+                let mut off = 0;
+                for (i, &len) in lens.iter().enumerate() {
+                    let expected = tgnn_tensor::ops::weighted_row_sum(
+                        &per_row.gather_rows(&(off..off + len).collect::<Vec<_>>()),
+                        &weights[off..off + len],
+                    );
+                    for (a, b) in out.row(i).iter().zip(&expected) {
+                        assert!(approx_eq(*a, *b, 1e-5), "{tail:?} vertex {i}: {a} vs {b}");
+                    }
+                    if len == 0 {
+                        assert!(out.row(i).iter().all(|v| v.to_bits() == 0), "exact +0.0");
+                    }
+                    off += len;
+                }
+                ws.recycle_matrix(out);
+                agg.recycle(&mut ws);
+                tails.into_iter().for_each(|m| ws.recycle_matrix(m));
+            }
+            if let [unfolded, folded] = &served[..] {
+                assert_eq!(unfolded, folded, "folded ≡ unfolded, bit for bit");
+            }
+        }
     }
 
     #[test]

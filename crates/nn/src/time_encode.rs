@@ -248,14 +248,30 @@ impl LutTimeEncoder {
     /// # Panics
     /// Panics if `out` is not `delta_t.len() × dim`.
     pub fn forward_into(&self, delta_t: &[Float], out: &mut Matrix) {
+        self.lookup_rows_into(&self.table.value, delta_t, out);
+    }
+
+    /// Row `i` of `out` becomes the row of `table` for `delta_t[i]`'s bin —
+    /// `table` holds one row per bin: this encoder's own
+    /// ([`Self::forward_into`]) or one fused with a layer's weight.
+    ///
+    /// # Panics
+    /// Panics if `table` has not one row per bin or `out` is not
+    /// `delta_t.len() × table.cols()`.
+    pub fn lookup_rows_into(&self, table: &Matrix, delta_t: &[Float], out: &mut Matrix) {
+        assert_eq!(
+            table.rows(),
+            self.bins(),
+            "LutTimeEncoder::lookup_rows_into: one table row per bin"
+        );
         assert_eq!(
             out.shape(),
-            (delta_t.len(), self.dim),
-            "LutTimeEncoder::forward_into: output shape mismatch"
+            (delta_t.len(), table.cols()),
+            "LutTimeEncoder::lookup_rows_into: output shape mismatch"
         );
         for (i, &dt) in delta_t.iter().enumerate() {
-            let b = self.lookup_bin(dt);
-            out.row_mut(i).copy_from_slice(self.table.value.row(b));
+            out.row_mut(i)
+                .copy_from_slice(table.row(self.lookup_bin(dt)));
         }
     }
 

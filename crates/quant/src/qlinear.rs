@@ -152,6 +152,11 @@ impl QuantizedLinear {
     /// # Panics
     /// Panics on shape mismatches.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, ws: &mut Workspace) {
+        self.gemm_into(x, Some(&self.bias), out, ws);
+    }
+
+    /// `dequant(quant(x) · W_qᵀ)`, plus `bias` in the fused epilogue.
+    fn gemm_into(&self, x: &Matrix, bias: Option<&[Float]>, out: &mut Matrix, ws: &mut Workspace) {
         assert_eq!(
             x.cols(),
             self.in_dim,
@@ -178,7 +183,7 @@ impl QuantizedLinear {
             &self.packed,
             self.out_dim,
             &self.combined_scales,
-            Some(&self.bias),
+            bias,
             out,
         );
         ws.recycle_i8(a_q);
@@ -220,6 +225,69 @@ impl QuantizedLinear {
             let entry = table.row(lut.lookup_bin(dt));
             for (v, &t) in out.row_mut(i).iter_mut().zip(entry) {
                 *v += t;
+            }
+        }
+        out
+    }
+
+    /// The int8 counterpart of `Linear::tails_ws`: with `fold`, each row's
+    /// time-table entry (`N × out`, from the workspace; the layer must have
+    /// been built folded over `lut`); without, `None` — an unfolded int8
+    /// layer multiplies its time columns with the rest.
+    ///
+    /// # Panics
+    /// Panics if `fold` is given to a layer that was not built folded.
+    pub fn tails_ws(
+        &self,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        ws: &mut Workspace,
+    ) -> Option<Matrix> {
+        let (lut, dts) = fold?;
+        let table = self
+            .time_table
+            .as_ref()
+            .expect("QuantizedLinear::tails_ws: the layer is not folded");
+        let mut tails = ws.take_matrix(dts.len(), self.out_dim);
+        lut.lookup_rows_into(table, dts, &mut tails);
+        Some(tails)
+    }
+
+    /// Aggregate, then transform, on the int8 kernel — the counterpart of
+    /// `Linear::forward_aggregated_ws`: row `i` is
+    /// `(dequant(quant(x̄_i) · W_qᵀ) + τ_i) + mass_i · b`, with `τ_i` the
+    /// weighted sum of the rows' [`Self::tails_ws`] (folded layers only).
+    /// A vertex with no weight gets an exact `+0.0` row.  Output from the
+    /// workspace.
+    ///
+    /// # Panics
+    /// Panics on shape mismatches or a tail sum that does not match how
+    /// the layer was built.
+    pub fn forward_aggregated_ws(
+        &self,
+        xbar: &Matrix,
+        tails: Option<&Matrix>,
+        mass: &[Float],
+        ws: &mut Workspace,
+    ) -> Matrix {
+        assert_eq!(
+            (mass.len(), tails.is_some()),
+            (xbar.rows(), self.time_table.is_some()),
+            "QuantizedLinear::forward_aggregated_ws: one mass per row, a tail sum iff folded"
+        );
+        let mut out = ws.take_matrix(xbar.rows(), self.out_dim);
+        self.gemm_into(xbar, None, &mut out, ws);
+        for (i, &m) in mass.iter().enumerate() {
+            let row = out.row_mut(i);
+            match tails {
+                None => row
+                    .iter_mut()
+                    .zip(&self.bias)
+                    .for_each(|(v, &b)| *v += m * b),
+                Some(tails) => {
+                    for ((v, &t), &b) in row.iter_mut().zip(tails.row(i)).zip(&self.bias) {
+                        *v = (*v + t) + m * b;
+                    }
+                }
             }
         }
         out

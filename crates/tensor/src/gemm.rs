@@ -306,6 +306,25 @@ impl PackedB {
         }
         Self { k, n, panels }
     }
+
+    /// Packs `B = b[:, cols]` itself (`k = b.rows()`, `n = cols.len()`): the
+    /// pack of a product `A · W[:, cols]` that runs a layer's weight
+    /// backwards, from its output space into its input columns.
+    ///
+    /// # Panics
+    /// Panics if `cols` is not within `0..b.cols()`.
+    pub fn from_cols(b: &Matrix, cols: std::ops::Range<usize>) -> Self {
+        assert!(
+            cols.start <= cols.end && cols.end <= b.cols(),
+            "PackedB::from_cols: column range out of bounds"
+        );
+        let (k, n) = (b.rows(), cols.len());
+        let mut panels = vec![0.0; packed_len(k, n)];
+        if n > 0 && k > 0 {
+            pack_b_panels::<false>(&b.as_slice()[cols.start..], b.cols(), k, n, &mut panels);
+        }
+        Self { k, n, panels }
+    }
 }
 
 /// A register tile's accumulators as they leave the registers: `TILE_M`
@@ -713,6 +732,47 @@ pub fn dot(a: &[Float], b: &[Float]) -> Float {
     a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
 }
 
+/// Accumulator lanes of [`dot_lanes`].
+pub const DOT_LANES: usize = 16;
+
+/// The dot product with [`DOT_LANES`] interleaved chains — one stated
+/// order, fast enough for a hot loop of short dots: element `k` goes to lane
+/// `k % DOT_LANES`, each lane accumulates from `+0.0` in ascending `k` as
+/// `acc + a[k]·b[k]` (product rounded, then sum rounded; no FMA), and the
+/// lanes are folded in halves — lane `l` gains lane `l + 8`, then `l + 4`,
+/// `l + 2`, `l + 1` — into lane 0.  The lanes are independent, so the
+/// compiler vectorises them without reassociating anything, and every
+/// target computes the same bits.
+///
+/// # Panics
+/// Panics if lengths differ.
+#[inline]
+pub fn dot_lanes(a: &[Float], b: &[Float]) -> Float {
+    assert_eq!(a.len(), b.len(), "dot_lanes: length mismatch");
+    let mut acc = [0.0 as Float; DOT_LANES];
+    let (a_main, a_rest) = a.split_at(a.len() - a.len() % DOT_LANES);
+    let (b_main, b_rest) = b.split_at(a_main.len());
+    for (xa, xb) in a_main
+        .chunks_exact(DOT_LANES)
+        .zip(b_main.chunks_exact(DOT_LANES))
+    {
+        for l in 0..DOT_LANES {
+            acc[l] += xa[l] * xb[l];
+        }
+    }
+    for (l, (&x, &y)) in a_rest.iter().zip(b_rest).enumerate() {
+        acc[l] += x * y;
+    }
+    let mut half = DOT_LANES / 2;
+    while half > 0 {
+        for l in 0..half {
+            acc[l] += acc[l + half];
+        }
+        half /= 2;
+    }
+    acc[0]
+}
+
 /// Outer product `x (m) ⊗ y (n) -> M (m×n)`.
 pub fn outer(x: &[Float], y: &[Float]) -> Matrix {
     let mut out = Matrix::zeros(x.len(), y.len());
@@ -794,6 +854,58 @@ mod tests {
             w_ref.as_slice(),
             "vecmat is the reference kernel"
         );
+    }
+
+    /// [`dot_lanes`]' stated order, written out one element at a time.
+    fn dot_lanes_oracle(a: &[Float], b: &[Float]) -> Float {
+        let mut lanes = [0.0 as Float; DOT_LANES];
+        for k in 0..a.len() {
+            lanes[k % DOT_LANES] += a[k] * b[k];
+        }
+        for half in [8, 4, 2, 1] {
+            for l in 0..half {
+                lanes[l] += lanes[l + half];
+            }
+        }
+        lanes[0]
+    }
+
+    #[test]
+    fn dot_lanes_is_its_stated_order_at_every_vector_edge() {
+        let mut rng = TensorRng::new(19);
+        // Every remainder of every lane count a compiler might vectorise
+        // with, past three full passes, and the attention widths.
+        let lengths = (0..=3 * DOT_LANES + 1).chain([100, 272, 372, 373]);
+        for n in lengths {
+            let a = rng.uniform_vec(n, -2.0, 2.0);
+            let b = rng.uniform_vec(n, -2.0, 2.0);
+            let got = dot_lanes(&a, &b);
+            assert_eq!(got.to_bits(), dot_lanes_oracle(&a, &b).to_bits(), "n = {n}");
+            assert!(
+                (got - dot(&a, &b)).abs() <= 1e-4 * (n as Float + 1.0),
+                "n = {n}"
+            );
+        }
+        // Signed zeros and non-finite values follow the same order.
+        assert_eq!(dot_lanes(&[], &[]).to_bits(), (0.0 as Float).to_bits());
+        assert_eq!(
+            dot_lanes(&[-0.0], &[1.0]).to_bits(),
+            (0.0 as Float).to_bits()
+        );
+        assert!(dot_lanes(&[Float::INFINITY, 1.0], &[0.0, 1.0]).is_nan());
+    }
+
+    #[test]
+    fn a_pack_of_columns_is_the_product_with_those_columns() {
+        let mut rng = TensorRng::new(23);
+        for (m, k, n, cols) in [(1, 100, 372, 0..272), (7, 9, 20, 3..20), (3, 5, 4, 0..0)] {
+            let a = rng.uniform_matrix(m, k, -1.0, 1.0);
+            let w = rng.uniform_matrix(k, n, -1.0, 1.0);
+            let mut c = Matrix::full(m, cols.len(), 42.0);
+            matmul_prepacked_into(&a, &PackedB::from_cols(&w, cols.clone()), &mut c);
+            let reference = matmul(&a, &w.columns(cols.start, cols.end));
+            assert_eq!(c.as_slice(), reference.as_slice(), "{m}x{k}x{n}");
+        }
     }
 
     #[test]

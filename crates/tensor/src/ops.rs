@@ -151,22 +151,38 @@ pub fn add_assign(a: &mut Matrix, b: &Matrix) {
 }
 
 /// Weighted sum of rows: `Σ_i w[i] * m.row(i)`, the feature-aggregation
-/// primitive of the Embedding Unit's FAM module.
+/// primitive of the Embedding Unit's FAM module ([`weighted_sum_into`]).
 ///
 /// # Panics
 /// Panics if `weights.len() != m.rows()`.
 pub fn weighted_row_sum(m: &Matrix, weights: &[Float]) -> Vec<Float> {
     assert_eq!(m.rows(), weights.len(), "weighted_row_sum: length mismatch");
     let mut acc = vec![0.0; m.cols()];
+    weighted_sum_into(weights, |i| m.row(i), &mut acc);
+    acc
+}
+
+/// `out = Σ_i weights[i] · row(i)` — the one aggregation order: `out` starts
+/// at `+0.0`, rows are added in ascending `i` as `out + w·x` (product
+/// rounded, then sum), and a zero weight skips its row.
+///
+/// # Panics
+/// Panics if a row is shorter than `out`.
+pub fn weighted_sum_into<'a>(
+    weights: &[Float],
+    row: impl Fn(usize) -> &'a [Float],
+    out: &mut [Float],
+) {
+    out.fill(0.0);
     for (i, &w) in weights.iter().enumerate() {
         if w == 0.0 {
             continue;
         }
-        for (a, &x) in acc.iter_mut().zip(m.row(i)) {
+        let x = &row(i)[..out.len()];
+        for (a, &x) in out.iter_mut().zip(x) {
             *a += w * x;
         }
     }
-    acc
 }
 
 /// Squared L2 distance between two slices.
