@@ -23,10 +23,13 @@
 //!    the int8 kernels.  `ExecMode::Serial` always stays f32 and remains
 //!    the accuracy reference.
 //!
-//! Everything outside the large projections (softmax, top-k pruning, GRU
-//! gate nonlinearities, time encodings, per-neighbor logit arithmetic) stays
-//! in f32, matching the co-design's split between MAC arrays and the scalar
-//! epilogue logic.
+//! Everything outside the large projections (softmax, top-k pruning, the
+//! weighted aggregation of neighbor rows, GRU gate nonlinearities, time
+//! encodings, per-neighbor logit dots) stays in f32, matching the
+//! co-design's split between MAC arrays and the scalar epilogue logic.  The
+//! projections run in the f32 path's aggregate-first order: `W_v` on one
+//! aggregated row per vertex, the key side as `W_kᵀ` on the queries
+//! ([`QuantizedKey`]).
 //!
 //! The whole calibrate → quantize → serve workflow, end to end:
 //!
