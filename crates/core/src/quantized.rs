@@ -347,9 +347,16 @@ mod tests {
     use tgnn_tensor::TensorRng;
 
     fn setup(variant: OptimizationVariant) -> (TgnModel, TemporalGraph) {
+        setup_with(|cfg| cfg.with_variant(variant))
+    }
+
+    /// The tiny model and graph, the configuration shaped by `shape`.
+    fn setup_with(shape: impl FnOnce(ModelConfig) -> ModelConfig) -> (TgnModel, TemporalGraph) {
         let graph = generate(&tiny(31));
-        let cfg = ModelConfig::tiny(graph.node_feature_dim(), graph.edge_feature_dim())
-            .with_variant(variant);
+        let cfg = shape(ModelConfig::tiny(
+            graph.node_feature_dim(),
+            graph.edge_feature_dim(),
+        ));
         let mut rng = TensorRng::new(5);
         let mut model = TgnModel::new(cfg, &mut rng);
         if model.config.time_encoder == TimeEncoderKind::Lut {
@@ -399,8 +406,21 @@ mod tests {
 
     #[test]
     fn quantized_stream_tracks_f32_embeddings_closely() {
-        for variant in [OptimizationVariant::Baseline, OptimizationVariant::NpMedium] {
-            let (model, graph) = setup(variant);
+        // Vanilla attention on the LUT runs no workload, so its folded int8
+        // key side (`T_k`) is held here.
+        type Shape = fn(ModelConfig) -> ModelConfig;
+        let cases: [(&str, Shape); 3] = [
+            ("Baseline", |c| {
+                c.with_variant(OptimizationVariant::Baseline)
+            }),
+            ("+NP(M)", |c| c.with_variant(OptimizationVariant::NpMedium)),
+            ("vanilla+LUT", |c| ModelConfig {
+                time_encoder: TimeEncoderKind::Lut,
+                ..c
+            }),
+        ];
+        for (variant, shape) in cases {
+            let (model, graph) = setup_with(shape);
             let events = graph.events();
             let (warm, sample) = (&events[..150], &events[150..500]);
             let q = Arc::new(quantize_model(
@@ -411,6 +431,9 @@ mod tests {
                 50,
                 QuantConfig::default(),
             ));
+            if let Some(key) = &q.key {
+                assert_eq!(key.tail_table.is_some(), model.uses_lut(), "{variant}");
+            }
 
             // f32 reference.
             let mut f32_engine =
@@ -434,7 +457,7 @@ mod tests {
                 for ((v_a, e_a), (v_b, e_b)) in
                     reference.embeddings.iter().zip(&quantized.embeddings)
                 {
-                    assert_eq!(v_a, v_b, "{variant:?}: vertex order diverged");
+                    assert_eq!(v_a, v_b, "{variant}: vertex order diverged");
                     let cos = cosine_agreement(e_a, e_b);
                     worst_cos = worst_cos.min(cos);
                     cos_sum += cos as f64;
@@ -445,18 +468,18 @@ mod tests {
             // The softmax makes vanilla attention more sensitive to int8
             // logit error than the pruned simplified path, so the worst-case
             // bar differs per variant; the mean must be tight for both.
-            let worst_bar = match variant {
-                OptimizationVariant::Baseline => 0.995,
-                _ => 0.999,
+            let worst_bar = match model.config.attention {
+                AttentionKind::Vanilla => 0.995,
+                AttentionKind::Simplified => 0.999,
             };
             assert!(
                 worst_cos >= worst_bar,
-                "{variant:?}: worst embedding cosine {worst_cos} < {worst_bar} (max abs err {worst_err})"
+                "{variant}: worst embedding cosine {worst_cos} < {worst_bar} (max abs err {worst_err})"
             );
             let mean_cos = cos_sum / count as f64;
             assert!(
                 mean_cos >= 0.9995,
-                "{variant:?}: mean embedding cosine {mean_cos}"
+                "{variant}: mean embedding cosine {mean_cos}"
             );
             assert!(q_engine.commit_log().is_clean());
         }

@@ -826,6 +826,38 @@ mod tests {
     }
 
     #[test]
+    fn vanilla_matches_the_per_neighbor_order_to_rounding() {
+        // The definition the aggregate-first forward reassociates: project
+        // every neighbor row, score `q·k_j / √n` (biases included, so the
+        // logits themselves match), and sum `w_j v_j` — with and without a
+        // time tail.
+        let mut rng = TensorRng::new(11);
+        for tail in [None, Some(3)] {
+            let mut att = VanillaAttention::new("att", 6, 9, 5, 4, &mut rng).with_time_tail(tail);
+            for layer in [&mut att.w_q, &mut att.w_k, &mut att.w_v] {
+                layer.bias.value = rng.uniform_matrix(1, layer.out_dim(), -0.5, 0.5);
+            }
+            let q_in = rng.uniform_matrix(1, 6, -1.0, 1.0);
+            let nbrs = rng.uniform_matrix(7, 9, -1.0, 1.0);
+            let out = att.forward(&q_in, &nbrs);
+            let q = att.w_q.forward(&q_in);
+            let (k, v) = (att.w_k.forward(&nbrs), att.w_v.forward(&nbrs));
+            let scale = 1.0 / (7.0 as Float).sqrt();
+            for (j, &logit) in out.logits.iter().enumerate() {
+                let naive = dot(q.row(0), k.row(j)) * scale;
+                assert!(
+                    approx_eq(logit, naive, 1e-5),
+                    "{tail:?} logit {j}: {logit} vs {naive}"
+                );
+            }
+            let naive = tgnn_tensor::ops::weighted_row_sum(&v, &softmax(&out.logits));
+            for (a, b) in out.output.iter().zip(&naive) {
+                assert!(approx_eq(*a, *b, 1e-5), "{tail:?}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
     fn vanilla_single_neighbor_gets_full_weight() {
         let (att, q, nbrs, _) = setup_vanilla();
         let single = nbrs.gather_rows(&[2]);
