@@ -3,17 +3,19 @@
 //! The engine hard-wires one arithmetic path per
 //! [`ExecMode`](crate::ExecMode); the paper's co-design argument, however,
 //! is about *heterogeneous datapaths* — the same model served from an f32
-//! CPU path, an int8 fixed-point path, or an FPGA pipeline, chosen per
-//! workload.  [`ComputeBackend`] is the seam that makes the choice
-//! pluggable: a backend owns a *prepared* weight set and computes the GNN
-//! stage on it, so a scheduler (the `tgnn-serve` streaming pipeline) can
-//! route different tenants' batches to different backends while sharing
-//! one temporal-state trajectory.
+//! path or an int8 fixed-point path, chosen per workload.
+//! [`ComputeBackend`] is the seam that makes the choice pluggable: a
+//! backend owns a *prepared* weight set and computes the GNN stage on it,
+//! so a scheduler (the `tgnn-serve` streaming pipeline) can route different
+//! tenants' batches to different backends while sharing one
+//! temporal-state trajectory.  There are two, and both compute: the FPGA
+//! pipeline model (`tgnn-hwsim`) is not a backend — it predicts what the
+//! accelerator would take for a batch, and the server records that beside
+//! every batch either backend computes.
 //!
 //! The contract every backend honours:
 //!
-//! * **A backend is [`kind`](ComputeBackend::kind),
-//!   [`model`](ComputeBackend::model) and
+//! * **A backend is [`model`](ComputeBackend::model) and
 //!   [`run_gnn`](ComputeBackend::run_gnn).**  Sampling, the memory stage
 //!   and the state write-back are not backend stages: the temporal state
 //!   (vertex memory, mailbox, neighbor table) is one trajectory regardless
@@ -27,14 +29,11 @@
 //!   `ExecMode::Quantized` respectively, so a stream routed through either
 //!   is bit-identical to the corresponding standalone engine (the
 //!   backend-equivalence matrix in `tgnn-serve/tests/backends.rs` pins
-//!   this).  A modeled backend (`tgnn-hwsim`'s `HwSimBackend`) computes
-//!   with the f32 kernels but additionally reports a *modeled* service
-//!   latency in [`GnnStageOutput::modeled_latency`].
+//!   this).
 
 use crate::model::TgnModel;
 use crate::stages::GnnJobBatch;
 use std::sync::Arc;
-use std::time::Duration;
 use tgnn_graph::NodeId;
 use tgnn_tensor::{Float, Workspace};
 
@@ -49,44 +48,29 @@ pub enum BackendKind {
     /// The int8 fixed-point path (`ExecMode::Quantized` kernels; requires
     /// an attached [`QuantizedTgn`](crate::QuantizedTgn) weight set).
     Int8,
-    /// The hwsim-modeled FPGA datapath: f32 kernels for the values, a
-    /// cycle-approximate pipeline model for the latency — hardware in the
-    /// scheduling loop without hardware.
-    HwSim,
 }
 
 /// Number of backend kinds (the size of a `code()`-indexed table).
-pub const NUM_BACKEND_KINDS: usize = 3;
+pub const NUM_BACKEND_KINDS: usize = 2;
 
 impl BackendKind {
     /// All kinds, in `code()` order.
-    pub const ALL: [BackendKind; NUM_BACKEND_KINDS] =
-        [BackendKind::F32, BackendKind::Int8, BackendKind::HwSim];
+    pub const ALL: [BackendKind; NUM_BACKEND_KINDS] = [BackendKind::F32, BackendKind::Int8];
 
     /// Stable lower-case label, used in reports and the bench JSON.
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::F32 => "f32",
             BackendKind::Int8 => "int8",
-            BackendKind::HwSim => "hwsim",
         }
     }
 
-    /// Dense index for `code()`-indexed tables (0, 1, 2).
+    /// Dense index for `code()`-indexed tables (0, 1).
     pub fn code(self) -> usize {
         match self {
             BackendKind::F32 => 0,
             BackendKind::Int8 => 1,
-            BackendKind::HwSim => 2,
         }
-    }
-
-    /// Inverse of [`Self::code`].
-    ///
-    /// # Panics
-    /// Panics if `code >= NUM_BACKEND_KINDS`.
-    pub fn from_code(code: usize) -> Self {
-        Self::ALL[code]
     }
 }
 
@@ -96,55 +80,21 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    /// Parses the labels `label()` emits (case/underscore-insensitive):
-    /// `f32`, `int8`, `hwsim`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().replace('_', "-").as_str() {
-            "f32" | "fp32" => Ok(BackendKind::F32),
-            "int8" | "i8" | "quantized" => Ok(BackendKind::Int8),
-            "hwsim" | "hw-sim" | "fpga" => Ok(BackendKind::HwSim),
-            other => Err(format!(
-                "unknown compute backend {other:?} (expected f32|int8|hwsim)"
-            )),
-        }
-    }
-}
-
-/// Output of one GNN compute stage run on a backend.
-#[derive(Clone, Debug)]
-pub struct GnnStageOutput {
-    /// `(vertex, embedding)` in the job's touched order — for [`F32Backend`]
-    /// and [`Int8Backend`] exactly what `GnnJobBatch::run` produces on the
-    /// backend's prepared model.
-    pub embeddings: Vec<(NodeId, Vec<Float>)>,
-    /// Service latency a modeled backend (hwsim) predicts for this job on
-    /// its datapath; `None` for backends that really execute where they
-    /// are measured.
-    pub modeled_latency: Option<Duration>,
-}
-
 /// A prepared compute backend: owned weights plus the GNN compute stage.
 ///
 /// Implementations must be cheap to share (`Send + Sync`) — the serving
 /// pipeline's GNN worker and its recovery path hold the same
 /// `Arc<dyn ComputeBackend>`.
 pub trait ComputeBackend: Send + Sync {
-    /// Which datapath this backend implements.
-    fn kind(&self) -> BackendKind;
-
     /// The prepared weight set [`Self::run_gnn`] runs on.
     fn model(&self) -> &Arc<TgnModel>;
 
     /// The backend-specific GNN compute stage: runs the gathered job on the
-    /// prepared weights.  The default executes for real and models nothing.
-    fn run_gnn(&self, job: &GnnJobBatch, ws: &mut Workspace) -> GnnStageOutput {
-        GnnStageOutput {
-            embeddings: job.run(self.model(), ws),
-            modeled_latency: None,
-        }
+    /// prepared weights and returns `(vertex, embedding)` in the job's
+    /// touched order — exactly what `GnnJobBatch::run` produces on
+    /// [`Self::model`].
+    fn run_gnn(&self, job: &GnnJobBatch, ws: &mut Workspace) -> Vec<(NodeId, Vec<Float>)> {
+        job.run(self.model(), ws)
     }
 }
 
@@ -164,10 +114,6 @@ impl F32Backend {
 }
 
 impl ComputeBackend for F32Backend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::F32
-    }
-
     fn model(&self) -> &Arc<TgnModel> {
         &self.model
     }
@@ -198,10 +144,6 @@ impl Int8Backend {
 }
 
 impl ComputeBackend for Int8Backend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Int8
-    }
-
     fn model(&self) -> &Arc<TgnModel> {
         &self.model
     }
@@ -214,18 +156,10 @@ mod tests {
     use tgnn_tensor::TensorRng;
 
     #[test]
-    fn backend_kind_labels_roundtrip_through_from_str() {
-        for k in BackendKind::ALL {
-            assert_eq!(k.label().parse::<BackendKind>().unwrap(), k);
-            assert_eq!(BackendKind::from_code(k.code()), k);
+    fn backend_kind_codes_index_all_in_order() {
+        for (i, k) in BackendKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.code(), i);
         }
-        assert_eq!("FP32".parse::<BackendKind>().unwrap(), BackendKind::F32);
-        assert_eq!(
-            "quantized".parse::<BackendKind>().unwrap(),
-            BackendKind::Int8
-        );
-        assert_eq!("HW_SIM".parse::<BackendKind>().unwrap(), BackendKind::HwSim);
-        assert!("tpu".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::default(), BackendKind::F32);
     }
 
@@ -234,7 +168,6 @@ mod tests {
         let cfg = ModelConfig::tiny(3, 2);
         let model = TgnModel::new(cfg, &mut TensorRng::new(7));
         let b = F32Backend::new(&model);
-        assert_eq!(b.kind(), BackendKind::F32);
         assert!(!b.model().is_quantized());
     }
 

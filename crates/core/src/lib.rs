@@ -43,8 +43,8 @@
 //!   [`Disposition`] metadata.
 //! * [`backend`] — pluggable compute backends over the stage entry points:
 //!   [`BackendKind`], the [`ComputeBackend`] trait, and the [`F32Backend`] /
-//!   [`Int8Backend`] implementations (the modeled `HwSimBackend` lives in
-//!   `tgnn-hwsim`).
+//!   [`Int8Backend`] implementations.  The FPGA latency model that times
+//!   every batch they compute is `tgnn-hwsim`'s, not a backend.
 
 pub mod apan;
 pub mod backend;
@@ -62,9 +62,7 @@ pub mod stages;
 pub mod tenancy;
 pub mod training;
 
-pub use backend::{
-    BackendKind, ComputeBackend, F32Backend, GnnStageOutput, Int8Backend, NUM_BACKEND_KINDS,
-};
+pub use backend::{BackendKind, ComputeBackend, F32Backend, Int8Backend, NUM_BACKEND_KINDS};
 pub use complexity::{OpCounts, StageOps};
 pub use config::{AttentionKind, ModelConfig, OptimizationVariant, TimeEncoderKind};
 pub use inference::{ExecMode, InferenceEngine, InferenceReport};

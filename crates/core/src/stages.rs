@@ -448,7 +448,7 @@ impl GnnJobBatch {
     }
 
     /// Total number of *sampled* neighbors across the job — the candidates a
-    /// modeled backend's datapath scores.
+    /// modeled accelerator datapath scores.
     pub fn total_neighbors(&self) -> usize {
         self.nbr_dt.len()
     }

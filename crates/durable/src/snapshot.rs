@@ -54,6 +54,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 const MAGIC_MEM: &[u8; 4] = b"TGNM";
 const MAGIC_NBR: &[u8; 4] = b"TGNN";
 const MAGIC_MANIFEST: &[u8; 4] = b"TGNS";
+/// Encoded size of one shard's [`ShardSums`] in the manifest.
+const SHARD_SUMS_LEN: usize = 4 + 8 + 4 + 8;
 
 /// Snapshot-wide metadata recorded in the manifest.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -361,6 +363,11 @@ fn decode_manifest(data: &[u8]) -> Result<(SnapshotMeta, Vec<ShardSums>), Durabl
     let events_total = c.u64()?;
     let max_timestamp = c.f64()?;
     let warm_timestamp = c.f64()?;
+    // The CRC only proves the bytes are what a writer framed, not that the
+    // count is backed by them: reserve nothing the payload does not hold.
+    if (num_shards as usize).saturating_mul(SHARD_SUMS_LEN) > payload.len() - c.pos {
+        return Err(DurableError::corrupt("manifest: shard count implausible"));
+    }
     let mut sums = Vec::with_capacity(num_shards as usize);
     for _ in 0..num_shards {
         sums.push(ShardSums {
@@ -864,6 +871,60 @@ mod tests {
 
         // A directory without a manifest (crashed mid-write) is skipped.
         std::fs::remove_file(dir.join("MANIFEST")).unwrap();
+        assert!(list_snapshots(&base).unwrap().is_empty());
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// Every strict prefix and every single-byte flip of a real manifest
+    /// fails to decode, and so does one re-framed with a valid CRC around a
+    /// shard count of `u32::MAX` — without reserving room for the sums it
+    /// claims — so `list_snapshots` skips its directory.
+    #[test]
+    fn manifest_decoder_rejects_truncation_flips_and_an_unbacked_shard_count() {
+        let base = std::env::temp_dir().join(format!("tgnn-snap-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let mut mbuf = Vec::new();
+        encode_memory_shard(&sample_memory(), &mut mbuf);
+        let mut tbuf = Vec::new();
+        encode_neighbor_shard(&sample_table(), &mut tbuf);
+        let meta = SnapshotMeta {
+            epoch: 12,
+            acked: 11,
+            floor: false,
+            num_shards: 2,
+            events_total: 40,
+            max_timestamp: 9.5,
+            warm_timestamp: 1.0,
+        };
+        let shards = [mbuf.clone(), mbuf];
+        let (dir, _) = write_snapshot(&base, &meta, &shards, &[tbuf.clone(), tbuf]).unwrap();
+        let manifest = dir.join("MANIFEST");
+        let data = std::fs::read(&manifest).unwrap();
+        assert_eq!(decode_manifest(&data).unwrap().0, meta);
+
+        for len in 0..data.len() {
+            assert!(decode_manifest(&data[..len]).is_err(), "prefix {len}");
+        }
+        for i in 0..data.len() {
+            for mask in 1..=255u8 {
+                let mut bad = data.clone();
+                bad[i] ^= mask;
+                assert!(decode_manifest(&bad).is_err(), "byte {i} ^ {mask:#04x}");
+            }
+        }
+
+        // The payload follows the 16-byte frame; the shard count follows
+        // the epoch.
+        let mut payload = data[16..].to_vec();
+        payload[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut forged = Vec::new();
+        forged.extend_from_slice(MAGIC_MANIFEST);
+        forged.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        forged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        forged.extend_from_slice(&crc32(&payload).to_le_bytes());
+        forged.extend_from_slice(&payload);
+        assert!(decode_manifest(&forged).is_err());
+        std::fs::write(&manifest, &forged).unwrap();
         assert!(list_snapshots(&base).unwrap().is_empty());
         std::fs::remove_dir_all(&base).unwrap();
     }

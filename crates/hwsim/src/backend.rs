@@ -1,64 +1,49 @@
-//! The hwsim-modeled FPGA datapath as a pluggable [`ComputeBackend`] —
-//! hardware in the scheduling loop without hardware.
+//! The FPGA latency model of one served GNN job — the paper's U200
+//! accelerator timed beside every batch the server computes.
 //!
-//! [`HwSimBackend`] computes embeddings with the exact f32 kernels (so its
-//! values are bit-identical to [`F32Backend`](tgnn_core::F32Backend) on the
-//! same job), but answers every GNN job with a *modeled* service latency
-//! from the 9-stage pipeline model ([`crate::pipeline::PipelineModel`]):
-//! the job's workload (edges, memory updates, embeddings, neighbor fetches)
-//! is split into `N_b`-edge processing batches and timed on the configured
+//! [`HwSimBackend`] computes nothing: it answers a gathered GNN job with
+//! the service latency the 9-stage pipeline model
+//! ([`crate::pipeline::PipelineModel`]) predicts for it.  The job's
+//! workload (edges, memory updates, embeddings, neighbor fetches) is split
+//! into `N_b`-edge processing batches and timed on the configured
 //! [`DesignConfig`] — including its
 //! [`DatapathPrecision`](crate::design::DatapathPrecision), so an int8
 //! accelerator design reports proportionally smaller memory-stage times.
+//! It is not a compute backend: the embeddings come from `tgnn_core`'s two
+//! backends, and the serving layer records this model's prediction for
+//! every batch either of them computes.
 //!
 //! Because the pipeline model is a pure function of the workload, the
 //! modeled latency is deterministic: the same event stream produces the
 //! same sealed batches, the same gathered jobs, and therefore the same
-//! modeled latencies, run after run (pinned by the serving layer's
-//! determinism test).  That is what makes the backend usable as a
-//! scheduler testbed — a serving experiment can route a tenant onto a
-//! simulated accelerator and observe honest, reproducible timing.
+//! modeled latencies, run after run (the serving layer's golden-counter
+//! tests pin the exported quantiles).
 
 use crate::ddr::DdrModel;
 use crate::design::DesignConfig;
 use crate::pipeline::{BatchWorkload, PipelineModel};
-use std::sync::Arc;
-use std::time::Duration;
-use tgnn_core::{BackendKind, ComputeBackend, GnnJobBatch, GnnStageOutput, TgnModel};
-use tgnn_tensor::Workspace;
+use tgnn_core::{GnnJobBatch, TgnModel};
 
-/// An hwsim-modeled FPGA compute backend: f32 kernels for the values, the
-/// cycle-approximate pipeline model for the latency.
+/// The accelerator latency model of a served GNN job: a design point over
+/// a DDR model, for one model configuration.  Holds no weights.
 pub struct HwSimBackend {
-    model: Arc<TgnModel>,
     pipeline: PipelineModel,
 }
 
 impl HwSimBackend {
-    /// Prepares the backend from `model` (any attached int8 weight set is
-    /// detached — the simulated datapath's *values* are the f32 reference;
-    /// its precision only affects the timing model), timed on `design` over
-    /// `ddr`.
+    /// The latency model of `model`'s configuration timed on `design` over
+    /// `ddr` (the weights are not read: timing depends on the shapes only).
     pub fn new(model: &TgnModel, design: DesignConfig, ddr: DdrModel) -> Self {
-        let mut m = model.clone();
-        m.detach_quantized();
-        let pipeline = PipelineModel::new(design, m.config.clone(), ddr);
         Self {
-            model: Arc::new(m),
-            pipeline,
+            pipeline: PipelineModel::new(design, model.config.clone(), ddr),
         }
     }
 
     /// [`Self::new`] on the paper's Alveo U200 design point with its
-    /// measured DDR bandwidth — the default accelerator a serving
-    /// configuration gets when it asks for `hwsim` without a design.
+    /// measured 77 GB/s DDR bandwidth — the accelerator the server times
+    /// every batch on.
     pub fn u200(model: &TgnModel) -> Self {
         Self::new(model, DesignConfig::u200(), DdrModel::new_gbps(77.0))
-    }
-
-    /// The design configuration the latency model runs on.
-    pub fn design(&self) -> &DesignConfig {
-        &self.pipeline.design
     }
 
     /// Models the service latency of one gathered GNN job on the configured
@@ -73,7 +58,7 @@ impl HwSimBackend {
             embeddings: job.len(),
             // Every sampled neighbor is scored; only the ones pruning keeps
             // are fetched and aggregated (as in `accelerator`/`perf_model`).
-            neighbors_fetched: job.neighbors_within_budget(self.model.config.neighbor_budget),
+            neighbors_fetched: job.neighbors_within_budget(self.pipeline.model.neighbor_budget),
             neighbors_scored: job.total_neighbors(),
         };
         self.pipeline
@@ -81,30 +66,11 @@ impl HwSimBackend {
     }
 }
 
-impl ComputeBackend for HwSimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::HwSim
-    }
-
-    fn model(&self) -> &Arc<TgnModel> {
-        &self.model
-    }
-
-    fn run_gnn(&self, job: &GnnJobBatch, ws: &mut Workspace) -> GnnStageOutput {
-        let embeddings = job.run(&self.model, ws);
-        let modeled = self.modeled_latency(job);
-        GnnStageOutput {
-            embeddings,
-            modeled_latency: Some(Duration::from_secs_f64(modeled)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::DatapathPrecision;
-    use tgnn_core::{F32Backend, ModelConfig, OptimizationVariant, SampledBatch};
+    use tgnn_core::{ModelConfig, OptimizationVariant, SampledBatch};
     use tgnn_graph::{EventBatch, InteractionEvent, TemporalGraph};
     use tgnn_tensor::{Matrix, TensorRng};
 
@@ -139,23 +105,18 @@ mod tests {
     }
 
     #[test]
-    fn hwsim_values_match_f32_and_latency_is_modeled_and_deterministic() {
+    fn modeled_latency_is_positive_and_pure_in_the_job() {
         let (model, job) = gathered_job(3);
-        let hw = HwSimBackend::u200(&model);
-        let f32b = F32Backend::new(&model);
-        let mut ws = Workspace::new();
-        let a = hw.run_gnn(&job, &mut ws);
-        let b = f32b.run_gnn(&job, &mut ws);
+        let lat = HwSimBackend::u200(&model).modeled_latency(&job);
+        assert!(lat > 0.0);
+        // The same job models the same latency, on this model and on a
+        // fresh one of the same configuration: the weights are not read.
+        assert_eq!(HwSimBackend::u200(&model).modeled_latency(&job), lat);
+        let (other, _) = gathered_job(4);
         assert_eq!(
-            a.embeddings, b.embeddings,
-            "hwsim must compute with the f32 kernels"
+            HwSimBackend::u200(&other).modeled_latency(&job).to_bits(),
+            lat.to_bits()
         );
-        assert!(b.modeled_latency.is_none());
-        let lat = a.modeled_latency.expect("hwsim models a latency");
-        assert!(lat > Duration::ZERO);
-        // Pure in the job: the same job models the same latency.
-        let again = hw.run_gnn(&job, &mut ws);
-        assert_eq!(again.modeled_latency, Some(lat));
     }
 
     #[test]
@@ -168,7 +129,6 @@ mod tests {
             DdrModel::new_gbps(77.0),
         );
         assert!(int8.modeled_latency(&job) <= fp32.modeled_latency(&job));
-        assert_eq!(int8.kind(), BackendKind::HwSim);
     }
 
     #[test]

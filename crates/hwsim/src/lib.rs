@@ -28,9 +28,9 @@
 //! * [`baseline`] — CPU (1 and 32 threads) and GPU cost models calibrated on
 //!   the paper's Table I measurements, used for the cross-platform
 //!   comparisons of Fig. 5–7.
-//! * [`backend`] — [`HwSimBackend`]: the modeled datapath as a pluggable
-//!   `tgnn_core::ComputeBackend` (f32 values, modeled latency), so the
-//!   serving scheduler can route tenants onto a simulated accelerator.
+//! * [`backend`] — [`HwSimBackend`]: the U200 latency model of one served
+//!   GNN job, which the serving layer records beside every batch it
+//!   computes (a gauge, not a compute backend).
 
 pub mod accelerator;
 pub mod backend;

@@ -667,7 +667,6 @@ impl AdmissionControl {
             embeddings,
             cache_epochs,
             backend,
-            modeled_latency: None,
             latency: Duration::ZERO,
             admitted_at: now,
             completed_at: now,

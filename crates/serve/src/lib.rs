@@ -114,7 +114,6 @@ pub use tgnn_core::{BackendKind, ComputeBackend, F32Backend, Int8Backend};
 pub use tgnn_durable::{
     wal_fault_hook, DurabilityConfig, DurableError, FsyncPolicy, WalFaultHook, WalFaultPoint,
 };
-pub use tgnn_hwsim::HwSimBackend;
 pub use tgnn_obs::{
     Blame, BurnState, CriticalPath, HistogramSnapshot, SloStatus, SpanKind, TraceSegment,
     TraceView, MAX_TRACE_SEGMENTS,

@@ -410,19 +410,19 @@ pub(crate) struct TenantCounts {
 }
 
 /// One compute backend's counts: the batches and events it served — the
-/// pipeline's share of every served total — and, for modeled backends,
-/// the distribution of modeled service latencies.
+/// pipeline's share of every served total — and the distribution of the
+/// service latencies the U200 model predicts for them.
 #[derive(Debug, Default)]
 pub(crate) struct BackendCounts {
     pub served_batches: AtomicU64,
     pub served_events: AtomicU64,
-    /// Modeled per-batch service latencies (hwsim backends only).
+    /// Modelled per-batch service latencies, one sample per served batch.
     pub modeled_latency_ns: Histogram,
 }
 
 impl BackendCounts {
     /// This backend's row of the metrics snapshot; `modeled_latency` is
-    /// `None` until a modeled backend has served a batch.
+    /// `None` until the backend has served a batch.
     pub fn stats(&self, kind: BackendKind) -> BackendStats {
         let h = self.modeled_latency_ns.snapshot();
         BackendStats {
@@ -549,14 +549,15 @@ impl Sinks {
 
     /// Counts one batch the pipeline served — or recovery re-served, with
     /// no seal→embeddings `latency`: a re-serve never ran this session's
-    /// pipeline — on `backend`.
+    /// pipeline — on `backend`, with the latency the U200 model predicts
+    /// for its job.
     pub fn served_batch(
         &self,
         backend: BackendKind,
         events: usize,
         embeddings: usize,
         latency: Option<Duration>,
-        modeled: Option<Duration>,
+        modeled: Duration,
     ) {
         if let Some(l) = latency {
             self.latency_ns.record(l.as_nanos() as u64);
@@ -565,9 +566,7 @@ impl Sinks {
         let b = &self.backends[backend.code()];
         b.served_batches.fetch_add(1, Ordering::Relaxed);
         b.served_events.fetch_add(events as u64, Ordering::Relaxed);
-        if let Some(d) = modeled {
-            b.modeled_latency_ns.record(d.as_nanos() as u64);
-        }
+        b.modeled_latency_ns.record(modeled.as_nanos() as u64);
         self.count_embeddings(embeddings);
     }
 

@@ -8,8 +8,9 @@
 //!                         │            commit, in program order on one thread
 //!                         │  GnnJob (memory rows copied, features by id,
 //!                         │          epoch order)
-//!                     [gnn worker]    every prepared backend; seal sync,
-//!                         │            cache insert, dispositions, counters
+//!                     [gnn worker]    every prepared backend, the U200
+//!                         │            latency model; seal sync, cache
+//!                         │            insert, dispositions, counters
 //!                         │  ServedBatch (its seal durable)
 //!                         ▼
 //!                      results
@@ -42,7 +43,9 @@
 //!
 //! One GNN worker holds every prepared backend and computes each job on the
 //! backend its batch was sealed for, as the paper's single embedding unit
-//! takes the memory updater's output in chronological order.
+//! takes the memory updater's output in chronological order.  Beside each
+//! job it records the latency the paper's U200 pipeline model predicts for
+//! it (`GnnCompute`) — the modelled accelerator next to the measured one.
 //!
 //! Ordering argument (epochs are 1-based batch numbers):
 //! * **state(k)** runs after state(k-1) on the same thread, so sampling and
@@ -72,9 +75,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tgnn_core::stages::{run_memory_stage, GnnJobBatch, SampledBatch, UpdatedRows};
 use tgnn_core::tenancy::{Disposition, ResultMeta};
-use tgnn_core::{BackendKind, ComputeBackend, MemoryWrites, ShardedMemory, TgnModel};
+use tgnn_core::{
+    BackendKind, ComputeBackend, F32Backend, Int8Backend, MemoryWrites, ShardedMemory, TgnModel,
+    NUM_BACKEND_KINDS,
+};
 use tgnn_graph::chronology::CommitLog;
 use tgnn_graph::{EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, TemporalGraph};
+use tgnn_hwsim::HwSimBackend;
 use tgnn_tensor::{Float, Workspace};
 
 /// A micro-batch the state worker sealed and is about to step.  `metas` is
@@ -181,10 +188,6 @@ pub struct ServedBatch {
     /// `metas[i].backend` — hoisted here so clients need not inspect metas
     /// to route on it.
     pub backend: BackendKind,
-    /// Service latency a modeled backend (hwsim) predicted for this batch's
-    /// GNN work on its simulated datapath.  `None` for backends that really
-    /// execute where they are measured.
-    pub modeled_latency: Option<Duration>,
     /// Seal-to-embeddings pipeline latency, the seal's sync included with
     /// durability on (zero for stale batches).
     pub latency: Duration,
@@ -604,19 +607,67 @@ fn step_sealed(
     downstream_alive
 }
 
+/// The GNN stage's compute, shared by the GNN worker and recovery: one
+/// prepared backend per kind some tenant routes to, and the latency model
+/// of the paper's Alveo U200 design (fp32 datapath, 77 GB/s DDR) that
+/// times every job either backend computes.
+pub(crate) struct GnnCompute {
+    /// Indexed by [`BackendKind::code`]; `None` for kinds no tenant routes
+    /// to.
+    backends: [Option<Arc<dyn ComputeBackend>>; NUM_BACKEND_KINDS],
+    latency_model: HwSimBackend,
+}
+
+impl GnnCompute {
+    /// Prepares one backend per kind in `kinds` from `model`:
+    /// `F32Backend` pins a detached-f32 weight set, `Int8Backend` requires
+    /// (and keeps) the attached int8 set.
+    pub fn new(model: &TgnModel, kinds: &[BackendKind]) -> Self {
+        let mut backends: [Option<Arc<dyn ComputeBackend>>; NUM_BACKEND_KINDS] = Default::default();
+        for &kind in kinds {
+            backends[kind.code()].get_or_insert_with(|| match kind {
+                BackendKind::F32 => Arc::new(F32Backend::new(model)),
+                BackendKind::Int8 => Arc::new(Int8Backend::new(model)),
+            });
+        }
+        Self {
+            backends,
+            latency_model: HwSimBackend::u200(model),
+        }
+    }
+
+    /// Computes `job` on the prepared `kind` backend: its embeddings, and
+    /// the service latency the U200 model predicts for the job.
+    ///
+    /// # Panics
+    /// Panics if no tenant routes to `kind` (its backend was not prepared).
+    pub fn run(
+        &self,
+        kind: BackendKind,
+        job: &GnnJobBatch,
+        ws: &mut Workspace,
+    ) -> (Vec<(NodeId, Vec<Float>)>, Duration) {
+        let embeddings = self.backends[kind.code()]
+            .as_ref()
+            .expect("gnn: sealed batch routed to a backend that was not prepared")
+            .run_gnn(job, ws);
+        let modeled = Duration::from_secs_f64(self.latency_model.modeled_latency(job));
+        (embeddings, modeled)
+    }
+}
+
 /// GNN worker: the pipeline's embedding unit and its commit point.  It
 /// computes each job on the prepared backend its batch was sealed for —
-/// f32 kernels, int8 kernels, or f32 kernels plus a modeled latency
-/// (hwsim) — on one persistent workspace.  `backends` is indexed by
-/// [`BackendKind::code`], `None` for kinds no tenant routes to.  Jobs
-/// arrive in epoch order and leave in it.  Per batch it then makes the
-/// batch's seal durable ([`Durability::sync_seal`]), populates the
-/// embedding cache, counts the batch and grades each event's deadline
-/// through `obs`, and emits the [`ServedBatch`].
+/// f32 or int8 kernels — on one persistent workspace, and times it on the
+/// U200 latency model ([`GnnCompute::run`]).  Jobs arrive in epoch order
+/// and leave in it.  Per batch it then makes the batch's seal durable
+/// ([`Durability::sync_seal`]), populates the embedding cache, counts the
+/// batch and its modelled latency and grades each event's deadline through
+/// `obs`, and emits the [`ServedBatch`].
 pub(crate) fn gnn_loop(
     rx: Receiver<GnnJob>,
     tx: Sender<ServedBatch>,
-    backends: Vec<Option<Arc<dyn ComputeBackend>>>,
+    compute: Arc<GnnCompute>,
     cache: Option<Arc<EmbeddingCache>>,
     durability: Option<Arc<Durability>>,
     fault: Option<GnnFaultHook>,
@@ -641,10 +692,7 @@ pub(crate) fn gnn_loop(
             assert!(!hook(epoch), "injected GNN worker fault at epoch {epoch}");
         }
         let started = Instant::now();
-        let out = backends[backend.code()]
-            .as_ref()
-            .expect("gnn: sealed batch routed to a backend that was not prepared")
-            .run_gnn(&job, &mut ws);
+        let (embeddings, modeled) = compute.run(backend, &job, &mut ws);
         let computed = Instant::now();
         // The commit point: nothing of this epoch leaves the worker before
         // its seal is durable.
@@ -655,7 +703,6 @@ pub(crate) fn gnn_loop(
             }
             None => computed,
         };
-        let embeddings = out.embeddings;
         // Populate the embedding cache at the delivery commit point: a
         // cache entry is by construction exactly the embedding served for
         // this (vertex, epoch), which is what makes `ServeStale` hits
@@ -671,7 +718,7 @@ pub(crate) fn gnn_loop(
             events.len(),
             embeddings.len(),
             Some(latency),
-            out.modeled_latency,
+            modeled,
         );
         // Grade each event's deadline disposition at the completion point:
         // the admission-to-completion delay (queueing + batching + compute)
@@ -715,7 +762,6 @@ pub(crate) fn gnn_loop(
                 embeddings,
                 cache_epochs: Vec::new(),
                 backend,
-                modeled_latency: out.modeled_latency,
                 latency,
                 admitted_at: admitted_at.unwrap_or(completed_at),
                 completed_at,
@@ -1026,8 +1072,7 @@ mod tests {
             let latency = Duration::from_nanos(ns);
             sinks.served_event(TenantId((i % 2) as u32), Some((false, latency)));
             if i % BATCH == 0 {
-                let modeled = Some(latency);
-                sinks.served_batch(BackendKind::HwSim, BATCH, BATCH, Some(latency), modeled);
+                sinks.served_batch(BackendKind::Int8, BATCH, BATCH, Some(latency), latency);
             }
         }
         assert_eq!(
@@ -1056,8 +1101,8 @@ mod tests {
             );
         }
         assert_eq!(sinks.latency_ns.count(), (EVENTS / BATCH) as u64);
-        assert!(sinks.backends[BackendKind::HwSim.code()]
-            .stats(BackendKind::HwSim)
+        assert!(sinks.backends[BackendKind::Int8.code()]
+            .stats(BackendKind::Int8)
             .modeled_latency
             .is_some());
     }

@@ -13,8 +13,8 @@ use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
 use crate::metrics::{per_second, MetricsHub, MetricsSnapshot, QueueMonitors, Sinks, StageId};
 use crate::pipeline::{
-    gnn_loop, state_loop, Batcher, GnnFaultHook, GnnJob, ServedBatch, StateObs, StateStage,
-    STATE_ONLY,
+    gnn_loop, state_loop, Batcher, GnnCompute, GnnFaultHook, GnnJob, ServedBatch, StateObs,
+    StateStage, STATE_ONLY,
 };
 use crate::queue::{channel, QueueStats, Receiver};
 use std::collections::VecDeque;
@@ -25,17 +25,13 @@ use std::time::{Duration, Instant};
 use tgnn_core::profiling::{Stage, StageTimings};
 use tgnn_core::stages::GnnJobBatch;
 use tgnn_core::tenancy::{Disposition, OverloadPolicy, ResultMeta, TenantId};
-use tgnn_core::{
-    BackendKind, ComputeBackend, F32Backend, Int8Backend, ShardedMemory, TgnModel,
-    NUM_BACKEND_KINDS,
-};
+use tgnn_core::{BackendKind, ShardedMemory, TgnModel};
 use tgnn_durable::{
     list_snapshots, load_snapshot, plan_recovery, read_wal, repair_torn_tail, DurabilityConfig,
     DurableError,
 };
 use tgnn_graph::chronology::CommitLog;
 use tgnn_graph::{EventBatch, InteractionEvent, ShardedNeighborTable, TemporalGraph, Timestamp};
-use tgnn_hwsim::{DdrModel, DesignConfig, HwSimBackend};
 use tgnn_obs::HistogramSnapshot;
 use tgnn_tensor::Workspace;
 
@@ -261,9 +257,10 @@ impl TenantStats {
 
 /// Per-backend slice of the serve report and of the
 /// [`MetricsSnapshot`]: how many pipeline-served batches
-/// each prepared compute backend answered and, for modeled backends
-/// (hwsim), the distribution of modeled service latencies.  Stale cache
-/// answers are served by the cache, not a backend, and are excluded.
+/// each prepared compute backend answered and the distribution of the
+/// service latencies the paper's U200 pipeline model predicts for them.
+/// Stale cache answers are served by the cache, not a backend, and are
+/// excluded.
 #[derive(Clone, Debug)]
 pub struct BackendStats {
     /// Which datapath this row describes.
@@ -272,9 +269,9 @@ pub struct BackendStats {
     pub served_batches: u64,
     /// Events inside those batches.
     pub served_events: u64,
-    /// Modeled service-latency distribution (one sample per served batch);
-    /// `None` for backends that really execute where they are measured
-    /// (f32, int8).
+    /// Modelled U200 service-latency distribution, one sample per served
+    /// batch (recovery re-serves included); `None` until the backend has
+    /// served one.
     pub modeled_latency: Option<LatencySummary>,
 }
 
@@ -397,10 +394,10 @@ pub struct StreamServer {
     /// sessions keep the base model as-is (including an attached int8
     /// weight set); heterogeneous sessions pin it to f32.
     model: Arc<TgnModel>,
-    /// Prepared compute backends, indexed by [`BackendKind::code`]; `None`
-    /// for kinds no tenant routes to.  Recovery replays sealed epochs
-    /// through these — the same per-tenant routing the live pipeline runs.
-    backends: Vec<Option<Arc<dyn ComputeBackend>>>,
+    /// The prepared compute backends and the U200 latency model.  Recovery
+    /// replays sealed epochs through these — the same per-tenant routing
+    /// the live pipeline runs.
+    compute: Arc<GnnCompute>,
     /// Resolved backend kind per tenant index — what `build` wrote back
     /// into the tenant specs before admission started.
     tenant_backends: Vec<BackendKind>,
@@ -530,28 +527,9 @@ impl StreamServer {
                 .with_burn_gate(burn_gate),
         );
         let model = Arc::new(model);
-        // One prepared backend per kind any tenant routes to.  `F32Backend`
-        // pins a detached-f32 weight set, `Int8Backend` requires (and
-        // keeps) the attached int8 set, `HwSimBackend` computes f32 and
-        // models its latency on the configured design point.
-        let mut backends: Vec<Option<Arc<dyn ComputeBackend>>> =
-            (0..NUM_BACKEND_KINDS).map(|_| None).collect();
-        for kind in tenant_backends.iter().copied() {
-            if backends[kind.code()].is_some() {
-                continue;
-            }
-            backends[kind.code()] = Some(match kind {
-                BackendKind::F32 => Arc::new(F32Backend::new(&model)) as Arc<dyn ComputeBackend>,
-                BackendKind::Int8 => Arc::new(Int8Backend::new(&model)),
-                // The paper's Alveo U200 design over its measured 77 GB/s
-                // DDR bandwidth.
-                BackendKind::HwSim => Arc::new(HwSimBackend::new(
-                    &model,
-                    DesignConfig::u200(),
-                    DdrModel::new_gbps(77.0),
-                )),
-            });
-        }
+        // One prepared backend per kind any tenant routes to, and the
+        // latency model that times every batch they compute.
+        let compute = Arc::new(GnnCompute::new(&model, &tenant_backends));
         // The sampling/memory/update stages run once on one shared model —
         // a single temporal-state trajectory regardless of who computes
         // embeddings.  A heterogeneous session pins that model to f32
@@ -623,13 +601,13 @@ impl StreamServer {
             }));
         }
         {
-            let backends = backends.clone();
+            let compute = compute.clone();
             let cache = cache.clone();
             let durability = durability.clone();
             let fault = config.gnn_fault.clone();
             let obs = sinks.stage_obs(StageId::Gnn);
             workers.push(spawn("tgnn-serve-gnn", move || {
-                gnn_loop(gnn_rx, results_tx, backends, cache, durability, fault, obs)
+                gnn_loop(gnn_rx, results_tx, compute, cache, durability, fault, obs)
             }));
         }
         let hub = MetricsHub::new(
@@ -651,7 +629,7 @@ impl StreamServer {
             memory,
             table,
             model: stage_model,
-            backends,
+            compute,
             tenant_backends,
             graph,
             commit_log,
@@ -811,18 +789,14 @@ impl StreamServer {
                 .and_then(|(t, _)| server.tenant_backends.get(*t as usize))
                 .copied()
                 .unwrap_or_default();
-            let be = server.backends[kind.code()]
-                .as_ref()
-                .expect("recover: every resolved tenant backend is prepared")
-                .clone();
+            let compute = &server.compute;
             let mut out = None;
             stage.step(
                 sealed.epoch,
                 EventBatch::new(events.clone()),
-                Some(|job: GnnJobBatch, _| out = Some(be.run_gnn(&job, &mut ws))),
+                Some(|job: GnnJobBatch, _| out = Some(compute.run(kind, &job, &mut ws))),
             );
-            let out = out.expect("step dispatches the gathered job");
-            let embeddings = out.embeddings;
+            let (embeddings, modeled) = out.expect("step dispatches the gathered job");
             // Seed the cache from the re-served epochs — these are
             // bit-identical to what the crashed server computed, and the
             // pre-raised watermark ages them correctly (entries already
@@ -844,16 +818,10 @@ impl StreamServer {
                     trace_id: 0,
                 })
                 .collect();
-            // Counted as served, with no latency sample: a re-serve never
-            // ran this session's pipeline.
+            // Counted as served, with its modelled latency but no measured
+            // one: a re-serve never ran this session's pipeline.
             let sinks = &server.hub.sinks;
-            sinks.served_batch(
-                kind,
-                events.len(),
-                embeddings.len(),
-                None,
-                out.modeled_latency,
-            );
+            sinks.served_batch(kind, events.len(), embeddings.len(), None, modeled);
             for (t, _) in &sealed.events {
                 sinks.served_event(TenantId(*t), None);
             }
@@ -864,7 +832,6 @@ impl StreamServer {
                 metas,
                 embeddings,
                 backend: kind,
-                modeled_latency: out.modeled_latency,
                 cache_epochs: Vec::new(),
                 latency: Duration::ZERO,
                 admitted_at: now,

@@ -1,13 +1,11 @@
 //! Backend-equivalence property suite for heterogeneous per-tenant routing:
 //! a tenant declared on a compute backend must be served **bit-identically**
 //! to the standalone engine running that backend's `ExecMode`
-//! (`Batched` for f32, `Quantized` for int8; the hwsim backend runs the f32
-//! kernels and only *models* latency, so it verifies against the f32
-//! engine).  The suite also pins the routing contract itself: every result's
-//! disposition backend matches its tenant's declared backend, per-tenant
-//! accounting conserves events under overload, the modeled-latency stream of
-//! the hwsim backend is deterministic, and per-tenant staleness bounds
-//! tighten the shared cache's global bound.
+//! (`Batched` for f32, `Quantized` for int8).  The suite also pins the
+//! routing contract itself: every result's disposition backend matches its
+//! tenant's declared backend, every backend's batches are timed on the U200
+//! latency model, per-tenant accounting conserves events under overload,
+//! and per-tenant staleness bounds tighten the shared cache's global bound.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -195,16 +193,15 @@ fn f32_routed_tenant_is_bit_identical_to_batched_engine() {
             assert_eq!(total, events.len(), "{label}: events lost or duplicated");
             assert!(report.commit_log_clean, "{label}");
             assert_routing(&served, &[BackendKind::F32], &label);
-            assert!(
-                served.iter().all(|b| b.modeled_latency.is_none()),
-                "{label}: a real backend must not model latency"
-            );
             assert_eq!(report.tenants[0].backend, BackendKind::F32, "{label}");
             let row = backend_row(&report, BackendKind::F32, &label);
             assert_eq!(report.backends.len(), 1, "{label}: one active backend");
             assert_eq!(row.served_events as usize, events.len(), "{label}");
             assert_eq!(row.served_batches as usize, served.len(), "{label}");
-            assert!(row.modeled_latency.is_none(), "{label}");
+            assert!(
+                row.modeled_latency.is_some(),
+                "{label}: every batch is timed"
+            );
             let engine =
                 InferenceEngine::new(model.clone(), graph.num_nodes()).with_mode(ExecMode::Batched);
             let compared = assert_matches_engine(engine, &graph, &served, |_| true, &label);
@@ -236,7 +233,10 @@ fn int8_routed_tenant_is_bit_identical_to_quantized_engine() {
             let row = backend_row(&report, BackendKind::Int8, &label);
             assert_eq!(report.backends.len(), 1, "{label}: one active backend");
             assert_eq!(row.served_events as usize, events.len(), "{label}");
-            assert!(row.modeled_latency.is_none(), "{label}");
+            assert!(
+                row.modeled_latency.is_some(),
+                "{label}: every batch is timed"
+            );
             let engine = InferenceEngine::new(model.clone(), graph.num_nodes())
                 .with_mode(ExecMode::Quantized);
             let compared = assert_matches_engine(engine, &graph, &served, |_| true, &label);
@@ -245,8 +245,8 @@ fn int8_routed_tenant_is_bit_identical_to_quantized_engine() {
     }
 }
 
-/// The heterogeneous flagship: three tenants declared on three different
-/// backends share one feed (event *i* → tenant *i* mod 3) and one temporal
+/// The heterogeneous flagship: two tenants declared on the two backends
+/// share one feed (event *i* → tenant *i* mod 2) and one temporal
 /// state, and **each** tenant's batches must be bit-identical to the
 /// standalone engine of its backend replaying the server's exact batch
 /// sequence.  Both reference engines replay *every* batch — the shared f32
@@ -259,7 +259,7 @@ fn int8_routed_tenant_is_bit_identical_to_quantized_engine() {
 /// interleave).
 #[test]
 fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
-    let declared = [BackendKind::F32, BackendKind::Int8, BackendKind::HwSim];
+    let declared = [BackendKind::F32, BackendKind::Int8];
     for seed in [5u64, 19] {
         let (model, graph) = quantized_setup(seed);
         let events = &graph.events()[..240.min(graph.num_events())];
@@ -268,13 +268,12 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
             let tenants = vec![
                 TenantSpec::new("prod-f32").with_backend(BackendKind::F32),
                 TenantSpec::new("batch-int8").with_backend(BackendKind::Int8),
-                TenantSpec::new("canary-hwsim").with_backend(BackendKind::HwSim),
             ];
             let (served, report) = serve_routed(
                 model.clone(),
                 &graph,
                 events,
-                |i| TenantId(i as u32 % 3),
+                |i| TenantId(i as u32 % 2),
                 routed_config(tenants, num_shards),
                 false,
             );
@@ -286,20 +285,7 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
             );
             assert_routing(&served, &declared, &label);
 
-            // Modeled latency appears exactly on the modeled backend.
-            for b in &served {
-                assert_eq!(
-                    b.modeled_latency.is_some(),
-                    b.backend == BackendKind::HwSim,
-                    "{label}: epoch {} modeled-latency stamp is wrong for {}",
-                    b.epoch,
-                    b.backend
-                );
-            }
-
-            // Per-tenant engine replays.  f32 and hwsim both verify
-            // against the f32 engine (hwsim computes with the same f32
-            // kernels; only its latency is simulated).
+            // Per-tenant engine replays.
             let mut f32_model = model.clone();
             f32_model.detach_quantized();
             let f32_engine =
@@ -323,9 +309,9 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
             assert_eq!(f32_compared + int8_compared, served.len(), "{label}");
             assert!(int8_compared > 0, "{label}: int8 tenant never served");
 
-            // Report: three active backends, all of them exercised, and
-            // the modeled row carries a latency summary.
-            assert_eq!(report.backends.len(), 3, "{label}");
+            // Report: two active backends, both exercised, and each row
+            // carries the modelled latency of its batches.
+            assert_eq!(report.backends.len(), 2, "{label}");
             let mut events_by_backend = 0usize;
             for &kind in &declared {
                 let row = backend_row(&report, kind, &label);
@@ -333,10 +319,9 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
                     row.served_batches > 0 && row.served_events > 0,
                     "{label}: declared backend {kind} never served"
                 );
-                assert_eq!(
+                assert!(
                     row.modeled_latency.is_some(),
-                    kind == BackendKind::HwSim,
-                    "{label}: {kind} modeled-latency row is wrong"
+                    "{label}: {kind} batches were not timed"
                 );
                 events_by_backend += row.served_events as usize;
             }
@@ -345,7 +330,7 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
                 assert_eq!(report.tenants[i].backend, kind, "{label}");
                 assert_eq!(
                     report.tenants[i].served as usize,
-                    events.len() / 3 + usize::from(i < events.len() % 3),
+                    events.len() / 2 + usize::from(i < events.len() % 2),
                     "{label}: tenant {i} served count"
                 );
             }
@@ -354,13 +339,13 @@ fn mixed_backend_tenants_match_their_per_backend_engine_replays() {
 }
 
 /// Routing conservation under real overload: three drop-policy tenants on
-/// three backends, tiny queue bounds, submission bursts that outrun the
+/// both backends, tiny queue bounds, submission bursts that outrun the
 /// drain.  Per tenant, `submitted == served + dropped()` must balance
 /// (stale answers count as served), and every delivered result — pipeline
 /// or cache — must still carry its tenant's declared backend.
 #[test]
 fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
-    let declared = [BackendKind::F32, BackendKind::Int8, BackendKind::HwSim];
+    let declared = [BackendKind::F32, BackendKind::Int8, BackendKind::F32];
     let (model, graph) = quantized_setup(13);
     let base = &graph.events()[..240.min(graph.num_events())];
     let span = 1.0 + base.last().unwrap().timestamp - base[0].timestamp;
@@ -382,8 +367,8 @@ fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
                 .with_backend(BackendKind::Int8)
                 .with_capacity(4)
                 .with_policy(OverloadPolicy::DropOldest),
-            TenantSpec::new("hwsim-stale")
-                .with_backend(BackendKind::HwSim)
+            TenantSpec::new("f32-stale")
+                .with_backend(BackendKind::F32)
                 .with_capacity(4)
                 .with_policy(OverloadPolicy::ServeStale),
         ],
@@ -444,55 +429,6 @@ fn overloaded_heterogeneous_routing_conserves_events_per_tenant() {
     for (i, t) in report.tenants.iter().enumerate() {
         assert_eq!(delivered[i], t.served, "tenant {i} delivery count");
     }
-}
-
-/// The modeled backend is a simulator: same seed, same feed, same sealing →
-/// the same batch composition, the same modeled-latency stream, and
-/// bit-identical embeddings, run to run.  "Same sealing" needs a cap of one:
-/// two live servers cut a stream alike only when load has no say in it (a
-/// larger batch ends wherever the state worker happened to go idle).
-#[test]
-fn hwsim_backend_is_deterministic_run_to_run() {
-    let (model, graph) = setup(29);
-    let events = &graph.events()[..160.min(graph.num_events())];
-    let run = || {
-        let tenants = vec![TenantSpec::new("hwsim").with_backend(BackendKind::HwSim)];
-        serve_routed(
-            model.clone(),
-            &graph,
-            events,
-            |_| TenantId::DEFAULT,
-            ServeConfig {
-                max_batch: 1,
-                ..routed_config(tenants, 2)
-            },
-            true,
-        )
-    };
-    let (served_a, report_a) = run();
-    let (served_b, report_b) = run();
-    assert_eq!(served_a.len(), served_b.len(), "batch count diverged");
-    for (a, b) in served_a.iter().zip(&served_b) {
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.events, b.events, "epoch {} batch composition", a.epoch);
-        assert_eq!(
-            a.modeled_latency, b.modeled_latency,
-            "epoch {} modeled latency diverged between identical runs",
-            a.epoch
-        );
-        assert!(a.modeled_latency.is_some(), "hwsim must model every batch");
-        assert!(a.modeled_latency.unwrap() > Duration::ZERO);
-        assert_eq!(a.embeddings, b.embeddings, "epoch {} embeddings", a.epoch);
-    }
-    let row_a = backend_row(&report_a, BackendKind::HwSim, "hwsim run A");
-    let row_b = backend_row(&report_b, BackendKind::HwSim, "hwsim run B");
-    assert_eq!(row_a.served_events, row_b.served_events);
-    let (ml_a, ml_b) = (
-        row_a.modeled_latency.as_ref().unwrap(),
-        row_b.modeled_latency.as_ref().unwrap(),
-    );
-    assert_eq!(ml_a.p50_ms, ml_b.p50_ms, "modeled p50 diverged");
-    assert_eq!(ml_a.max_ms, ml_b.max_ms, "modeled max diverged");
 }
 
 /// Per-tenant staleness bounds over one shared cache: the tight tenant's

@@ -594,9 +594,9 @@ fn quantized_setup(seed: u64) -> (TgnModel, Arc<TemporalGraph>) {
 }
 
 /// Serves a session with every optional section on — four tenants over the
-/// f32, int8 and hwsim-modeled backends, the cache (one `ServeStale`
-/// tenant), durability and SLOs — and drains it.  The int8 tenant (index 3)
-/// receives no traffic: an idle prepared backend.
+/// f32 and int8 backends, the cache (one `ServeStale` tenant), durability
+/// and SLOs — and drains it.  The int8 tenant (index 3) receives no
+/// traffic: an idle prepared backend.
 fn full_session(names: [&str; 4], label: &str) -> (StreamServer, TempDir) {
     let (model, graph) = quantized_setup(73);
     let td = TempDir::new(label);
@@ -609,7 +609,7 @@ fn full_session(names: [&str; 4], label: &str) -> (StreamServer, TempDir) {
             TenantSpec::new(b)
                 .with_backend(BackendKind::F32)
                 .with_policy(OverloadPolicy::ServeStale),
-            TenantSpec::new(c).with_backend(BackendKind::HwSim),
+            TenantSpec::new(c).with_backend(BackendKind::F32),
             TenantSpec::new(d).with_backend(BackendKind::Int8),
         ],
         durability: Some(
@@ -988,14 +988,21 @@ fn report_and_snapshot_agree_row_for_row() {
     let listed: Vec<BackendKind> = m.backends.iter().map(|b| b.kind).collect();
     assert_eq!(
         listed,
-        [BackendKind::F32, BackendKind::Int8, BackendKind::HwSim],
+        [BackendKind::F32, BackendKind::Int8],
         "every prepared backend has a row"
     );
     assert_eq!(m.backends[1].served_batches, 0, "the int8 backend is idle");
     for (r, s) in report.backends.iter().zip(&m.backends) {
         assert_eq!(r.modeled_latency, s.modeled_latency);
     }
-    assert!(m.backends[2].modeled_latency.is_some());
+    assert!(
+        m.backends[0].modeled_latency.is_some(),
+        "every batch is timed"
+    );
+    assert!(
+        m.backends[1].modeled_latency.is_none(),
+        "an idle backend has no sample"
+    );
 
     assert_eq!(report.latency, m.batch_latency);
     assert_eq!(report.total_time, m.total_time);
@@ -1167,7 +1174,11 @@ fn report_counts(r: &tgnn_serve::ServeReport) -> (usize, usize, usize, usize, bo
 /// The counters of one lockstep session — warm-up, a fed stream with stale
 /// answers and throttle drops, interval snapshots, drain — pinned to
 /// literal values.  A lockstep feed cuts every batch at one event, so every
-/// count below is a function of the feed alone.
+/// count below is a function of the feed alone, and so is the U200
+/// latency model's answer for each batch: the `tgnn_backend_modeled_latency_ms`
+/// lines pin it on both backends, run to run.  The int8 tenant's stale
+/// answers are served by the cache, not a backend, and add no modelled
+/// sample.
 #[test]
 fn golden_counters_of_a_lockstep_session() {
     let (model, graph) = quantized_setup(79);
@@ -1185,7 +1196,8 @@ fn golden_counters_of_a_lockstep_session() {
 
 /// The counters of a life recovered from one that drained without polling:
 /// its sealed epochs come back as re-serves — counted as served, on their
-/// backends, without latency samples — ahead of a short fresh feed.
+/// backends, with a modelled latency but no measured one — ahead of a
+/// short fresh feed.
 #[test]
 fn golden_counters_of_a_recovered_life() {
     let (model, graph) = quantized_setup(79);
@@ -1226,7 +1238,7 @@ fn golden_counters_of_a_recovered_life() {
 }
 
 /// The pinned exposition of `golden_counters_of_a_lockstep_session`.
-const GOLDEN_SESSION: [&str; 79] = [
+const GOLDEN_SESSION: [&str; 87] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 25",
     "tgnn_batches_served_total 27",
@@ -1282,6 +1294,14 @@ const GOLDEN_SESSION: [&str; 79] = [
     "tgnn_backend_served_batches_total{backend=\"int8\"} 4",
     "tgnn_backend_served_events_total{backend=\"f32\"} 20",
     "tgnn_backend_served_events_total{backend=\"int8\"} 4",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.5\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002559",
     "tgnn_cache_hits_total 7",
     "tgnn_cache_misses_total 13",
     "tgnn_cache_insertions_total 48",
@@ -1309,7 +1329,7 @@ const GOLDEN_SESSION: [&str; 79] = [
 ];
 
 /// The pinned exposition of `golden_counters_of_a_recovered_life`.
-const GOLDEN_RECOVERED: [&str; 79] = [
+const GOLDEN_RECOVERED: [&str; 87] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 29",
     "tgnn_batches_served_total 29",
@@ -1365,6 +1385,14 @@ const GOLDEN_RECOVERED: [&str; 79] = [
     "tgnn_backend_served_batches_total{backend=\"int8\"} 8",
     "tgnn_backend_served_events_total{backend=\"f32\"} 20",
     "tgnn_backend_served_events_total{backend=\"int8\"} 8",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.5\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002559",
     "tgnn_cache_hits_total 2",
     "tgnn_cache_misses_total 3",
     "tgnn_cache_insertions_total 56",

@@ -64,13 +64,15 @@ fn main() {
         "--- prometheus exposition ({} lines, excerpt) ---",
         prom.lines().count()
     );
-    // The stage busy counters, and the batcher adapting to load: why each
-    // batch was sealed and how large load let it grow.
+    // The stage busy counters, the batcher adapting to load (why each
+    // batch was sealed and how large load let it grow), and what the
+    // paper's U200 accelerator would have taken per batch.
     for line in prom.lines().filter(|l| {
         [
             "tgnn_stage_busy_seconds",
             "tgnn_seals_total",
             "tgnn_batch_events",
+            "tgnn_backend_modeled_latency_ms",
         ]
         .iter()
         .any(|p| l.contains(p))
