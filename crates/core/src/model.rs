@@ -2,6 +2,12 @@
 //! (vanilla or simplified), time encoder (cos or LUT), and output feature
 //! transformation.
 //!
+//! The batched GNN stage ([`TgnModel::embeddings_selected`]) is the paper's
+//! Embedding Unit on a CPU: batch GEMMs for the per-target projections and,
+//! between them, one pass per target over its neighbor rows, staged in a
+//! `k`-row buffer the next target reuses (the unit's on-chip neighbor
+//! buffer) while the next target's edge features are prefetched.
+//!
 //! The model is *stateless with respect to the graph*: it owns only learnable
 //! parameters.  The persistent vertex state (memory, mailbox, neighbor table)
 //! lives in [`crate::memory::NodeMemory`] and `tgnn_graph`, and the
@@ -13,12 +19,12 @@ use crate::quantized::QuantizedKey;
 use crate::quantized::{layers, QuantizedTgn};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tgnn_nn::attention::{aggregate_ws, key_logits_into, Selection, SimplifiedCache, VanillaCache};
+use tgnn_nn::attention::{key_logits_into, Aggregate, Selection, SimplifiedCache, VanillaCache};
 use tgnn_nn::{
     CosTimeEncoder, GruCell, Linear, LutTimeEncoder, Param, SimplifiedAttention, VanillaAttention,
 };
 use tgnn_quant::{ActivationObserver, QuantizedLinear};
-use tgnn_tensor::ops::softmax_in_place;
+use tgnn_tensor::ops::{prefetch, softmax_in_place};
 use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
 
 /// Per-neighbor context assembled by the caller (memory snapshot, edge
@@ -80,17 +86,19 @@ pub struct EmbeddingCache {
 }
 
 /// Hands a projection's input to the calibration observer, if there is one:
-/// the rows of `x`, and for a folded layer the LUT rows its time tail reads.
+/// the rows of `x`, and for a layer folded over `lut` the LUT rows its time
+/// tail reads, one per Δt of `dts`.
 fn record_input(
     obs: &mut Option<&mut dyn ActivationObserver>,
     layer: &'static str,
     x: &Matrix,
-    fold: Option<(&LutTimeEncoder, &[Float])>,
+    lut: Option<&LutTimeEncoder>,
+    dts: impl IntoIterator<Item = Float>,
 ) {
     let Some(o) = obs else { return };
     o.record(layer, x.as_slice());
-    if let Some((lut, dts)) = fold {
-        for &dt in dts {
+    if let Some(lut) = lut {
+        for dt in dts {
             o.record(layer, lut.table().value.row(lut.lookup_bin(dt)));
         }
     }
@@ -128,17 +136,27 @@ impl Projection<'_> {
         }
     }
 
-    /// Row `j`'s time-tail chain, for every row of `rows`
-    /// ([`Linear::tails_ws`]; an int8 layer has one only when folded).
-    fn tails_ws(
+    /// Columns of a row's time-tail chain, when the layer has one on rows
+    /// staged folded or not (an int8 layer has one only when folded).
+    fn tail_dim(self, folded: bool) -> Option<usize> {
+        match self {
+            Self::F32(l) => l.split().map(|_| l.out_dim()),
+            Self::Int8(q) => folded.then(|| q.out_dim()),
+        }
+    }
+
+    /// Row `j`'s time-tail chain, for every row of `rows`, into `out`
+    /// ([`Linear::tails_into`]; only for a layer with a [`Self::tail_dim`]).
+    fn tails_into(
         self,
         rows: &Matrix,
         fold: Option<(&LutTimeEncoder, &[Float])>,
-        ws: &mut Workspace,
-    ) -> Option<Matrix> {
-        match self {
-            Self::F32(l) => l.tails_ws(rows, fold, ws),
-            Self::Int8(q) => q.tails_ws(fold, ws),
+        out: &mut Matrix,
+    ) {
+        match (self, fold) {
+            (Self::F32(l), _) => l.tails_into(rows, fold, out),
+            (Self::Int8(q), Some((lut, dts))) => q.tails_into(lut, dts, out),
+            (Self::Int8(_), None) => unreachable!("an unfolded int8 layer has no tails"),
         }
     }
 
@@ -181,16 +199,90 @@ impl KeySide<'_> {
         }
     }
 
-    fn tails_ws(
+    /// Columns of a row's key tail chain, as [`Projection::tail_dim`].
+    fn tail_dim(self, folded: bool) -> Option<usize> {
+        match self {
+            Self::F32(l) => l.split().map(|_| l.out_dim()),
+            Self::Int8(k) => k.tail_dim().filter(|_| folded),
+        }
+    }
+
+    /// The key tail chains of `rows`, as [`Projection::tails_into`].
+    fn tails_into(
         self,
         rows: &Matrix,
         fold: Option<(&LutTimeEncoder, &[Float])>,
-        ws: &mut Workspace,
-    ) -> Option<Matrix> {
-        match self {
-            Self::F32(l) => l.tails_ws(rows, fold, ws),
-            Self::Int8(k) => k.tails_ws(fold, ws),
+        out: &mut Matrix,
+    ) {
+        match (self, fold) {
+            (Self::F32(l), _) => l.tails_into(rows, fold, out),
+            (Self::Int8(k), Some((lut, dts))) => k.tails_into(lut, dts, out),
+            (Self::Int8(_), None) => unreachable!("an unfolded int8 key has no tails"),
         }
+    }
+}
+
+/// One target's neighbor rows on chip: the buffers the per-vertex pass of
+/// [`TgnModel::embeddings_selected`] stages a target's ≤ k neighbors in —
+/// the Embedding Unit's neighbor buffer.  Taken once per batch at `k` rows;
+/// each target resizes them to its own count and overwrites them, so the
+/// stage's footprint does not grow with the batch or its neighbor counts.
+struct NeighborStage {
+    /// `[s_j ‖ e_ij]`, then `Φ(Δt_j)` unless the layers fold it.
+    rows: Matrix,
+    /// The rows' Δt's.
+    dts: Vec<Float>,
+    /// `Φ(Δt_j)` on its way into `rows` (unfolded layers only).
+    enc: Option<Matrix>,
+    /// The rows' key and value time-tail chains, for layers with them.
+    k_tails: Option<Matrix>,
+    v_tails: Option<Matrix>,
+    /// The rows' attention weights (vanilla: the logits first).
+    weights: Vec<Float>,
+}
+
+impl NeighborStage {
+    fn take(cfg: &ModelConfig, layers: &GnnLayers<'_>, ws: &mut Workspace) -> Self {
+        let k = cfg.sampled_neighbors;
+        let folded = layers.lut.is_some();
+        let width = match folded {
+            true => cfg.memory_dim + cfg.edge_feature_dim,
+            false => cfg.neighbor_input_dim(),
+        };
+        let key_tail = layers.key.and_then(|key| key.tail_dim(folded));
+        Self {
+            rows: ws.take_matrix(k, width),
+            dts: ws.take(k),
+            enc: (!folded).then(|| ws.take_matrix(k, cfg.time_dim)),
+            k_tails: key_tail.map(|d| ws.take_matrix(k, d)),
+            v_tails: layers.w_v.tail_dim(folded).map(|d| ws.take_matrix(k, d)),
+            weights: ws.take(k),
+        }
+    }
+
+    /// Stages one target's neighbors: their rows and Δt's
+    /// ([`TgnModel::stage_rows`]), then the tails of the layers with one.
+    fn stage(&mut self, model: &TgnModel, layers: &GnnLayers<'_>, neighbors: &[NeighborRef<'_>]) {
+        model.stage_rows(neighbors, &mut self.rows, &mut self.dts, self.enc.as_mut());
+        let fold = layers.lut.map(|lut| (lut, &self.dts[..]));
+        if let (Some(key), Some(tails)) = (layers.key, self.k_tails.as_mut()) {
+            tails.resize_rows(neighbors.len());
+            key.tails_into(&self.rows, fold, tails);
+        }
+        if let Some(tails) = self.v_tails.as_mut() {
+            tails.resize_rows(neighbors.len());
+            layers.w_v.tails_into(&self.rows, fold, tails);
+        }
+    }
+
+    fn recycle(self, ws: &mut Workspace) {
+        let matrices = [Some(self.rows), self.enc, self.k_tails, self.v_tails];
+        matrices
+            .into_iter()
+            .flatten()
+            .for_each(|m| ws.recycle_matrix(m));
+        ws.recycle(self.dts);
+        ws.recycle(self.weights);
     }
 }
 
@@ -394,7 +486,7 @@ impl TgnModel {
     }
 
     /// Builds the neighbor-side input matrix `[s_j || e_ij || Φ(Δt_j)]` of one
-    /// vertex (the per-vertex reference's view of [`Self::neighbor_rows`]).
+    /// vertex (the per-vertex reference's view of [`Self::stage_rows`]).
     fn neighbor_inputs(&self, neighbors: &[NeighborContext]) -> (Matrix, Vec<Float>) {
         let refs: Vec<NeighborRef<'_>> = neighbors
             .iter()
@@ -404,12 +496,12 @@ impl TgnModel {
                 delta_t: c.delta_t,
             })
             .collect();
-        let job = EmbeddingJob {
-            memory: &[],
-            node_feature: None,
-            neighbors: &refs,
-        };
-        self.neighbor_rows(&[job], false, &mut Workspace::new())
+        let (n, cfg) = (refs.len(), &self.config);
+        let mut rows = Matrix::zeros(n, cfg.neighbor_input_dim());
+        let mut dts = Vec::with_capacity(n);
+        let mut enc = Matrix::zeros(n, cfg.time_dim);
+        self.stage_rows(&refs, &mut rows, &mut dts, Some(&mut enc));
+        (rows, dts)
     }
 
     /// Computes the embedding of one target vertex.
@@ -639,8 +731,11 @@ impl TgnModel {
     /// packed kernel (int8 with a quantized set attached), each over one row
     /// per target vertex — the attention aggregates its neighbor rows before
     /// it projects them ([`tgnn_nn::attention`]) — temporaries from the
-    /// workspace.  `jobs[i].neighbors` are the neighbors vertex `i`
-    /// **aggregates** (kept ones, kept order), weighted by entry
+    /// workspace.  Between the GEMMs runs one pass per target: its ≤ k
+    /// neighbor rows are staged in a `k`-row buffer the next target reuses,
+    /// scored (vanilla) and aggregated there, so no matrix of the batch's
+    /// neighbor rows is ever built.  `jobs[i].neighbors` are the neighbors
+    /// vertex `i` **aggregates** (kept ones, kept order), weighted by entry
     /// `selection.1 + i` of `selection.0` — a shard passes the batch's
     /// selection and its offset.  Returns `jobs.len() × embedding_dim` in a
     /// workspace matrix (recycle it).
@@ -649,8 +744,9 @@ impl TgnModel {
     /// ([`SimplifiedAttention::select`]) and every caller has been through
     /// it; one split rule ([`Linear::with_time_tail`]) says how a time
     /// encoding enters a sum, here (folded) as in the unfolded reference;
-    /// and one aggregation rule ([`aggregate_ws`], [`key_logits_into`]) says
-    /// how the neighbor rows meet the projections, here as in `Serial`.
+    /// and one aggregation rule ([`Aggregate::set_vertex`],
+    /// [`key_logits_into`]) says how the neighbor rows meet the
+    /// projections, here as in `Serial`.
     /// With `obs` the f32 layers run and every input a quantized projection
     /// would see is recorded (int8 calibration).
     ///
@@ -671,27 +767,22 @@ impl TgnModel {
         self.embed_selected(layers, jobs, selection, None, ws, obs)
     }
 
-    /// The neighbor-side inputs of the rows `jobs` hold, stacked, plus their
-    /// Δt's: `[s_j ‖ e_ij]` when the layers fold the time encoding,
-    /// `[s_j ‖ e_ij ‖ Φ(Δt_j)]` otherwise.
-    fn neighbor_rows(
+    /// Stages one vertex's neighbor-side inputs in `rows`, resized to one
+    /// row per neighbor, and their Δt's in `dts`: `[s_j ‖ e_ij]`, then — with
+    /// `enc`, the scratch the encodings pass through — `Φ(Δt_j)`.
+    fn stage_rows(
         &self,
-        jobs: &[EmbeddingJob<'_>],
-        folded: bool,
-        ws: &mut Workspace,
-    ) -> (Matrix, Vec<Float>) {
+        neighbors: &[NeighborRef<'_>],
+        rows: &mut Matrix,
+        dts: &mut Vec<Float>,
+        enc: Option<&mut Matrix>,
+    ) {
         let cfg = &self.config;
         let (mem_dim, head) = (cfg.memory_dim, cfg.memory_dim + cfg.edge_feature_dim);
-        let total: usize = jobs.iter().map(|j| j.neighbors.len()).sum();
-        let width = if folded {
-            head
-        } else {
-            cfg.neighbor_input_dim()
-        };
-        let mut rows = ws.take_matrix(total, width);
-        let mut dts = ws.take(total);
-        let neighbors = jobs.iter().flat_map(|job| job.neighbors);
-        for (row, ctx) in neighbors.enumerate() {
+        let n = neighbors.len();
+        rows.resize_rows(n);
+        dts.clear();
+        for (row, ctx) in neighbors.iter().enumerate() {
             assert_eq!(ctx.memory.len(), mem_dim, "neighbor memory dim mismatch");
             assert_eq!(
                 ctx.edge_feature.len(),
@@ -701,17 +792,15 @@ impl TgnModel {
             let dst = rows.row_mut(row);
             dst[..mem_dim].copy_from_slice(ctx.memory);
             dst[mem_dim..head].copy_from_slice(ctx.edge_feature);
-            dts[row] = ctx.delta_t;
+            dts.push(ctx.delta_t);
         }
-        if !folded && total > 0 {
-            let mut enc = ws.take_matrix(total, cfg.time_dim);
-            self.encode_time_into(&dts, &mut enc);
-            for row in 0..total {
+        if let Some(enc) = enc.filter(|_| n > 0) {
+            enc.resize_rows(n);
+            self.encode_time_into(dts, enc);
+            for row in 0..n {
                 rows.row_mut(row)[head..].copy_from_slice(enc.row(row));
             }
-            ws.recycle_matrix(enc);
         }
-        (rows, dts)
     }
 
     /// The one body of the batched GNN stage (see
@@ -751,7 +840,7 @@ impl TgnModel {
                     .expect("model expects node features but none were supplied");
                 features.row_mut(i).copy_from_slice(feat);
             }
-            record_input(&mut obs, layers::NODE_PROJ_INPUT, &features, None);
+            record_input(&mut obs, layers::NODE_PROJ_INPUT, &features, None, []);
             let projected = proj.forward_ws(&features, None, ws);
             for (a, &b) in f_prime.as_mut_slice().iter_mut().zip(projected.as_slice()) {
                 *a += b;
@@ -760,17 +849,11 @@ impl TgnModel {
             ws.recycle_matrix(features);
         }
 
-        // --- Neighbor-side inputs of the rows held, each target's contiguous.
-        let (nbr_rows, nbr_dts) = self.neighbor_rows(jobs, layers.lut.is_some(), ws);
-        let nbr_fold = layers.lut.map(|lut| (lut, &nbr_dts[..]));
-
-        // --- The attention weights of those rows, vertices back to back.
-        let mut weights = ws.take(nbr_rows.rows());
-        match (layers.w_q, layers.key) {
+        // --- Vanilla: queries from `[f'_i ‖ Φ(0)]`, one W_q GEMM for the
+        // batch; they meet the keys as `W_kᵀ q_i` (one GEMM more), so no
+        // neighbor row is projected.
+        let queries = match (layers.w_q, layers.key) {
             (Some(w_q), Some(key)) => {
-                // Vanilla: queries from `[f'_i ‖ Φ(0)]`, one W_q GEMM for the
-                // batch; they meet the keys as `W_kᵀ q_i` (one GEMM more), so
-                // no neighbor row is projected.
                 let zero_dts = ws.take(t);
                 let q_fold = layers.lut.map(|lut| (lut, &zero_dts[..]));
                 let unfolded = q_fold.is_none().then(|| {
@@ -786,56 +869,69 @@ impl TgnModel {
                     query_input
                 });
                 let query_input = unfolded.as_ref().unwrap_or(&f_prime);
-                record_input(&mut obs, layers::ATTN_QUERY, query_input, q_fold);
+                let zeros = std::iter::repeat_n(0.0, t);
+                record_input(&mut obs, layers::ATTN_QUERY, query_input, layers.lut, zeros);
                 let q_all = w_q.forward_ws(query_input, q_fold, ws);
                 unfolded.into_iter().for_each(|m| ws.recycle_matrix(m));
                 ws.recycle(zero_dts);
-                record_input(&mut obs, layers::ATTN_Q, &q_all, None);
+                record_input(&mut obs, layers::ATTN_Q, &q_all, None, []);
                 let p_all = key.transposed_ws(&q_all, ws);
-                let k_tails = key.tails_ws(&nbr_rows, nbr_fold, ws);
-                let mut off = 0;
-                for (i, job) in jobs.iter().enumerate() {
-                    let w = &mut weights[off..off + job.neighbors.len()];
-                    let (q, p) = (q_all.row(i), p_all.row(i));
-                    key_logits_into(q, p, key.bias(), &nbr_rows, off, k_tails.as_ref(), w);
+                Some((key, q_all, p_all))
+            }
+            _ => None,
+        };
+
+        // --- Per target, one pass over its neighbor rows staged on chip:
+        // their weights — vanilla scores them against its query, simplified
+        // took them when it selected the rows — then `x̄_i`, `τ_i` and the
+        // mass into row i of the aggregate.  The next target's edge features
+        // are on their way to the cache meanwhile.
+        let mut stage = NeighborStage::take(cfg, &layers, ws);
+        let tail_dim = stage.v_tails.as_ref().map(Matrix::cols);
+        let mut agg = Aggregate::take(t, layers.w_v.head_dim(), tail_dim, ws);
+        for (i, job) in jobs.iter().enumerate() {
+            let next = jobs.get(i + 1).map_or(&[][..], |next| next.neighbors);
+            next.iter().for_each(|ctx| prefetch(ctx.edge_feature));
+            stage.stage(self, &layers, job.neighbors);
+            let n = job.neighbors.len();
+            let weights = match &queries {
+                Some((key, q_all, p_all)) => {
+                    let w = &mut stage.weights[..n];
+                    let (q, p, k_tails) = (q_all.row(i), p_all.row(i), stage.k_tails.as_ref());
+                    key_logits_into(q, p, key.bias(), &stage.rows, k_tails, w);
                     if let Some(logits) = vanilla_logits.as_deref_mut() {
                         logits.extend_from_slice(w);
                     }
                     softmax_in_place(w);
-                    off += w.len();
+                    &stage.weights[..n]
                 }
-                k_tails.into_iter().for_each(|m| ws.recycle_matrix(m));
-                ws.recycle_matrix(p_all);
-                ws.recycle_matrix(q_all);
-            }
-            _ => {
-                // Simplified: the rows held are the kept ones, their weights
-                // were fixed when they were selected.
-                let mut off = 0;
-                for (i, job) in jobs.iter().enumerate() {
+                None => {
                     let w = sel.weights_of(first + i);
-                    assert_eq!(w.len(), job.neighbors.len(), "selection / job mismatch");
-                    weights[off..off + w.len()].copy_from_slice(w);
-                    off += w.len();
+                    assert_eq!(w.len(), n, "selection / job mismatch");
+                    w
                 }
-            }
+            };
+            agg.set_vertex(i, &stage.rows, weights, stage.v_tails.as_ref());
+        }
+        stage.recycle(ws);
+        if let Some((_, q_all, p_all)) = queries {
+            ws.recycle_matrix(p_all);
+            ws.recycle_matrix(q_all);
         }
 
-        // --- Values: each target's rows aggregated, then one W_v product
-        // per target for the batch.
-        let v_tails = layers.w_v.tails_ws(&nbr_rows, nbr_fold, ws);
-        let lens = jobs.iter().map(|job| job.neighbors.len());
-        let head = layers.w_v.head_dim();
-        let agg = aggregate_ws(&nbr_rows, head, lens, &weights, v_tails.as_ref(), ws);
-        record_input(&mut obs, layers::ATTN_NEIGHBOR, &agg.rows, nbr_fold);
+        // --- Values: one W_v product per target for the batch.
+        let nbr_dts = jobs.iter().flat_map(|job| job.neighbors).map(|c| c.delta_t);
+        record_input(
+            &mut obs,
+            layers::ATTN_NEIGHBOR,
+            &agg.rows,
+            layers.lut,
+            nbr_dts,
+        );
         let h_agg = layers
             .w_v
             .forward_aggregated_ws(&agg.rows, agg.tails.as_ref(), &agg.mass, ws);
         agg.recycle(ws);
-        v_tails.into_iter().for_each(|m| ws.recycle_matrix(m));
-        ws.recycle(weights);
-        ws.recycle(nbr_dts);
-        ws.recycle_matrix(nbr_rows);
 
         // --- FTM: one GEMM over `[h_agg || f'_i]` for the whole batch.
         let mut concat = ws.take_matrix(t, 2 * mem_dim);
@@ -844,7 +940,7 @@ impl TgnModel {
             dst[..mem_dim].copy_from_slice(h_agg.row(i));
             dst[mem_dim..].copy_from_slice(f_prime.row(i));
         }
-        record_input(&mut obs, layers::FTM_INPUT, &concat, None);
+        record_input(&mut obs, layers::FTM_INPUT, &concat, None, []);
         let out_mat = layers.output.forward_ws(&concat, None, ws);
         ws.recycle_matrix(concat);
         ws.recycle_matrix(h_agg);

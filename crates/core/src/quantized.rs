@@ -192,16 +192,18 @@ impl QuantizedKey {
         &self.bias
     }
 
-    /// Each row's key tail chain `T_k[bin_j]` when folded.
-    pub(crate) fn tails_ws(
-        &self,
-        fold: Option<(&LutTimeEncoder, &[Float])>,
-        ws: &mut Workspace,
-    ) -> Option<Matrix> {
-        let ((lut, dts), table) = fold.zip(self.tail_table.as_ref())?;
-        let mut tails = ws.take_matrix(dts.len(), table.cols());
-        lut.lookup_rows_into(table, dts, &mut tails);
-        Some(tails)
+    /// Columns of a row's key tail chain, when the key side was folded.
+    pub(crate) fn tail_dim(&self) -> Option<usize> {
+        self.tail_table.as_ref().map(Matrix::cols)
+    }
+
+    /// Each row's key tail chain `T_k[bin_j]` into `out`.
+    ///
+    /// # Panics
+    /// Panics if the key side was not folded.
+    pub(crate) fn tails_into(&self, lut: &LutTimeEncoder, dts: &[Float], out: &mut Matrix) {
+        let table = self.tail_table.as_ref();
+        lut.lookup_rows_into(table.expect("the key side is folded"), dts, out);
     }
 }
 

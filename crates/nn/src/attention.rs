@@ -23,16 +23,22 @@
 //! CPU order is the same sums reassociated:
 //!
 //! * values: `Σ_j w_j (W_v x_j + b_v) = W_v x̄ + (Σ_j w_j) b_v` with
-//!   `x̄ = Σ_j w_j x_j` ([`aggregate_ws`], then
+//!   `x̄ = Σ_j w_j x_j` ([`Aggregate::set_vertex`], then
 //!   [`Linear::forward_aggregated_ws`]);
 //! * keys (vanilla): `q·(W_k x_j + b_k) = (W_kᵀ q)·x_j + q·b_k`
 //!   ([`Linear::forward_transposed_ws`], then [`key_logits_into`]).
 //!
 //! A layer with a time tail keeps its split rule: the tail of row `j` is its
 //! own chain (the fused-table entry of its bin when folded), summed with
-//! the row's weight (values) or dotted with `q` (keys).  The batched GNN
-//! stage (`tgnn-core`) runs the same helpers over a whole batch, on f32 or
-//! int8 weights, so there is one arithmetic definition of each aggregator.
+//! the row's weight (values) or dotted with `q` (keys).
+//!
+//! Both helpers take **one vertex's rows**.  The batched GNN stage
+//! (`tgnn-core`) stages each target's ≤ k neighbor rows in one small buffer
+//! that the next target overwrites — the Embedding Unit's on-chip neighbor
+//! buffer — scores and aggregates them there, and leaves only the per-vertex
+//! `x̄_i`, `τ_i` and `Σ_j w_j` for the batch's projections; no batch-wide
+//! matrix of neighbor rows exists.  On f32 or int8 weights alike, so there is
+//! one arithmetic definition of each aggregator.
 
 use crate::linear::Linear;
 use crate::param::Param;
@@ -42,8 +48,9 @@ use tgnn_tensor::ops::{softmax, softmax_in_place, weighted_sum_into};
 use tgnn_tensor::{Float, Matrix, TensorRng, Workspace};
 
 /// What the value side of a batch of vertices aggregates before its one
-/// projection per vertex (see [`aggregate_ws`]); workspace buffers, hand
-/// them back with [`Self::recycle`].
+/// projection per vertex, filled one vertex at a time
+/// ([`Self::set_vertex`]); workspace buffers, hand them back with
+/// [`Self::recycle`].
 #[derive(Debug)]
 pub struct Aggregate {
     /// `x̄_i = Σ_j w_j x_j[..head]`, one row per vertex.
@@ -55,6 +62,46 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
+    /// The aggregate of `t` vertices from the workspace: `x̄` over `head`
+    /// columns, and `τ` over `tail_dim` columns when the rows have tails.
+    pub fn take(t: usize, head: usize, tail_dim: Option<usize>, ws: &mut Workspace) -> Self {
+        Self {
+            rows: ws.take_matrix(t, head),
+            tails: tail_dim.map(|d| ws.take_matrix(t, d)),
+            mass: ws.take(t),
+        }
+    }
+
+    /// Vertex `i`'s entry, from its own rows — the first `weights.len()` of
+    /// `rows` and of `tails` (one tail per row, when the layer has a time
+    /// tail): `x̄_i` over the first `head` columns, the weighted sum of the
+    /// tails and the weight mass, each in [`weighted_sum_into`]'s order, so
+    /// a vertex without a weight aggregates to exact zeros.  The rows can
+    /// live in a buffer the next vertex overwrites.
+    ///
+    /// # Panics
+    /// Panics if `rows` (or `tails`) hold fewer rows than weights, or
+    /// `tails` is given to an aggregate without them.
+    pub fn set_vertex(
+        &mut self,
+        i: usize,
+        rows: &Matrix,
+        weights: &[Float],
+        tails: Option<&Matrix>,
+    ) {
+        assert!(
+            rows.rows() >= weights.len(),
+            "Aggregate::set_vertex: a row per weight"
+        );
+        weighted_sum_into(weights, |j| rows.row(j), self.rows.row_mut(i));
+        match (tails, self.tails.as_mut()) {
+            (Some(src), Some(dst)) => weighted_sum_into(weights, |j| src.row(j), dst.row_mut(i)),
+            (None, None) => {}
+            _ => panic!("Aggregate::set_vertex: tails iff the aggregate has them"),
+        }
+        self.mass[i] = weights.iter().fold(0.0, |m, &w| m + w);
+    }
+
     /// Returns the buffers to the workspace.
     pub fn recycle(self, ws: &mut Workspace) {
         ws.recycle_matrix(self.rows);
@@ -65,49 +112,8 @@ impl Aggregate {
     }
 }
 
-/// The value side's aggregation over vertices whose rows lie back to back
-/// in `rows` (vertex `i` owns the next `lens[i]` of them, and the same
-/// entries of `weights`): `x̄_i` over the first `head` columns, the weighted
-/// sum of the rows' `tails` (one per row, when the layer has a time tail)
-/// and the weight mass — each in [`weighted_sum_into`]'s order, so a vertex
-/// without a weight aggregates to exact zeros.
-///
-/// # Panics
-/// Panics if the lengths do not cover `rows` and `weights` exactly.
-pub fn aggregate_ws(
-    rows: &Matrix,
-    head: usize,
-    lens: impl ExactSizeIterator<Item = usize>,
-    weights: &[Float],
-    tails: Option<&Matrix>,
-    ws: &mut Workspace,
-) -> Aggregate {
-    let t = lens.len();
-    let mut agg = Aggregate {
-        rows: ws.take_matrix(t, head),
-        tails: tails.map(|m| ws.take_matrix(t, m.cols())),
-        mass: ws.take(t),
-    };
-    let mut off = 0;
-    for (i, n) in lens.enumerate() {
-        let w = &weights[off..off + n];
-        weighted_sum_into(w, |j| rows.row(off + j), agg.rows.row_mut(i));
-        if let (Some(src), Some(dst)) = (tails, agg.tails.as_mut()) {
-            weighted_sum_into(w, |j| src.row(off + j), dst.row_mut(i));
-        }
-        agg.mass[i] = w.iter().fold(0.0, |m, &w| m + w);
-        off += n;
-    }
-    assert_eq!(
-        (off, off),
-        (rows.rows(), weights.len()),
-        "aggregate_ws: lengths must cover the rows and weights"
-    );
-    agg
-}
-
-/// Vanilla attention's pre-softmax logits for one vertex, over rows
-/// `first..first + out.len()` of `rows`:
+/// Vanilla attention's pre-softmax logits for one vertex, over the first
+/// `out.len()` of its staged `rows`:
 /// `logit_j = ((p·x_j[..h] + q·tail_j) + q·b_k) · (1/√n)` — `q` the vertex's
 /// query, `p = W_k[:, ..h]ᵀ q` ([`Linear::forward_transposed_ws`], `h =
 /// p.len()`), `tail_j` row `j`'s key tail chain when the key layer has one
@@ -122,7 +128,6 @@ pub fn key_logits_into(
     p: &[Float],
     k_bias: &[Float],
     rows: &Matrix,
-    first: usize,
     tails: Option<&Matrix>,
     out: &mut [Float],
 ) {
@@ -130,10 +135,9 @@ pub fn key_logits_into(
     let scale = 1.0 / (out.len() as Float).sqrt();
     let q_bias = dot_lanes(q, k_bias);
     for (j, logit) in out.iter_mut().enumerate() {
-        let row = first + j;
-        let head = dot_lanes(p, &rows.row(row)[..h]);
+        let head = dot_lanes(p, &rows.row(j)[..h]);
         let key = match tails {
-            Some(t) => head + dot_lanes(q, t.row(row)),
+            Some(t) => head + dot_lanes(q, t.row(j)),
             None => head,
         };
         *logit = (key + q_bias) * scale;
@@ -149,8 +153,9 @@ fn project_aggregate(
     ws: &mut Workspace,
 ) -> Vec<Float> {
     let tails = w_v.tails_ws(rows, None, ws);
-    let lens = std::iter::once(rows.rows());
-    let agg = aggregate_ws(rows, w_v.head_dim(), lens, weights, tails.as_ref(), ws);
+    let tail_dim = tails.as_ref().map(Matrix::cols);
+    let mut agg = Aggregate::take(1, w_v.head_dim(), tail_dim, ws);
+    agg.set_vertex(0, rows, weights, tails.as_ref());
     let out = w_v.forward_aggregated_ws(&agg.rows, agg.tails.as_ref(), &agg.mass, ws);
     let output = out.row_to_vec(0);
     ws.recycle_matrix(out);
@@ -321,7 +326,7 @@ impl VanillaAttention {
     /// The inference forward pass, temporaries from the workspace: `q`,
     /// the key side `W_kᵀ q` and the logits ([`key_logits_into`]), the
     /// softmax, then the value side aggregated before its one projection
-    /// ([`aggregate_ws`], [`Linear::forward_aggregated_ws`]).  Only the
+    /// ([`Aggregate::set_vertex`], [`Linear::forward_aggregated_ws`]).  Only the
     /// returned vectors are freshly allocated, since they leave the call.
     pub fn forward_ws(
         &self,
@@ -363,7 +368,6 @@ impl VanillaAttention {
             p.row(0),
             k_bias,
             neighbor_input,
-            0,
             k_tails.as_ref(),
             &mut logits,
         );
@@ -657,7 +661,7 @@ impl SimplifiedAttention {
 
     /// The inference forward pass, temporaries from the workspace: the
     /// selected neighbors' inputs are gathered and aggregated before their
-    /// one value projection ([`aggregate_ws`],
+    /// one value projection ([`Aggregate::set_vertex`],
     /// [`Linear::forward_aggregated_ws`]); only the returned vectors are
     /// freshly allocated.
     pub fn forward_ws(

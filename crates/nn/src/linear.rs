@@ -368,10 +368,8 @@ impl Linear {
     }
 
     /// The tail chain of every row of `rows` (`N × out`, from the
-    /// workspace), `None` for a layer without a time tail: the product of
-    /// the time columns, or — with `fold` — the fused-table entry of each
-    /// row's Δt bin, the same bits.  `rows` are full-width without `fold`;
-    /// with it they may stop at the split (they are not read).
+    /// workspace), `None` for a layer without a time tail
+    /// ([`Self::tails_into`]).
     ///
     /// # Panics
     /// Panics on shape mismatches.
@@ -381,23 +379,42 @@ impl Linear {
         fold: Option<(&LutTimeEncoder, &[Float])>,
         ws: &mut Workspace,
     ) -> Option<Matrix> {
-        let split = self.split?;
+        self.split?;
         let mut tails = ws.take_matrix(rows.rows(), self.out_dim);
+        self.tails_into(rows, fold, &mut tails);
+        Some(tails)
+    }
+
+    /// The tail chain of every row of `rows` into `out` (`N × out_dim`): the
+    /// product of the time columns, or — with `fold` — the fused-table entry
+    /// of each row's Δt bin, the same bits.  `rows` are full-width without
+    /// `fold`; with it they may stop at the split (they are not read).
+    ///
+    /// # Panics
+    /// Panics if the layer has no time tail or on shape mismatches.
+    pub fn tails_into(
+        &self,
+        rows: &Matrix,
+        fold: Option<(&LutTimeEncoder, &[Float])>,
+        out: &mut Matrix,
+    ) {
+        let split = self
+            .split
+            .expect("Linear::tails_into: the layer has no time tail");
         match fold {
             Some((lut, dts)) => {
                 let fused = self.fused_table(lut, split);
-                lut.lookup_rows_into(&fused.1, dts, &mut tails);
+                lut.lookup_rows_into(&fused.1, dts, out);
             }
             None => {
                 assert_eq!(
                     rows.cols(),
                     self.in_dim,
-                    "Linear::tails_ws: input dim mismatch"
+                    "Linear::tails_into: input dim mismatch"
                 );
-                matmul_prepacked_cols_into(rows, split, self.tail_pack(split), &mut tails);
+                matmul_prepacked_cols_into(rows, split, self.tail_pack(split), out);
             }
         }
-        Some(tails)
     }
 
     /// Aggregate, then transform: row `i` of the result is
@@ -517,6 +534,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::Aggregate;
     use crate::gradcheck::check_gradients;
     use tgnn_tensor::approx_eq;
 
@@ -681,15 +699,15 @@ mod tests {
             for fold in [None, tail.map(|_| (&lut, &dts[..]))] {
                 let rows = if fold.is_some() { &head } else { &x };
                 let tails = layer.tails_ws(rows, fold, &mut ws);
-                let h = layer.head_dim();
-                let agg = crate::attention::aggregate_ws(
-                    rows,
-                    h,
-                    lens.iter().copied(),
-                    &weights,
-                    tails.as_ref(),
-                    &mut ws,
-                );
+                let tail_dim = tails.as_ref().map(Matrix::cols);
+                let mut agg = Aggregate::take(lens.len(), layer.head_dim(), tail_dim, &mut ws);
+                let mut off = 0;
+                for (i, &len) in lens.iter().enumerate() {
+                    let own = |m: &Matrix| m.gather_rows(&(off..off + len).collect::<Vec<_>>());
+                    let own_tails = tails.as_ref().map(own);
+                    agg.set_vertex(i, &own(rows), &weights[off..off + len], own_tails.as_ref());
+                    off += len;
+                }
                 let out =
                     layer.forward_aggregated_ws(&agg.rows, agg.tails.as_ref(), &agg.mass, &mut ws);
                 served.push(out.as_slice().to_vec());

@@ -230,32 +230,25 @@ impl QuantizedLinear {
         out
     }
 
-    /// The int8 counterpart of `Linear::tails_ws`: with `fold`, each row's
-    /// time-table entry (`N × out`, from the workspace; the layer must have
-    /// been built folded over `lut`); without, `None` — an unfolded int8
-    /// layer multiplies its time columns with the rest.
+    /// The int8 counterpart of `Linear::tails_into` for a folded layer: row
+    /// `i` of `out` becomes the time-table entry of `delta_t[i]`'s bin (`lut`
+    /// must be the encoder the layer was folded over).  An unfolded int8
+    /// layer multiplies its time columns with the rest and has no tails.
     ///
     /// # Panics
-    /// Panics if `fold` is given to a layer that was not built folded.
-    pub fn tails_ws(
-        &self,
-        fold: Option<(&LutTimeEncoder, &[Float])>,
-        ws: &mut Workspace,
-    ) -> Option<Matrix> {
-        let (lut, dts) = fold?;
+    /// Panics if the layer was not built folded or on shape mismatches.
+    pub fn tails_into(&self, lut: &LutTimeEncoder, delta_t: &[Float], out: &mut Matrix) {
         let table = self
             .time_table
             .as_ref()
-            .expect("QuantizedLinear::tails_ws: the layer is not folded");
-        let mut tails = ws.take_matrix(dts.len(), self.out_dim);
-        lut.lookup_rows_into(table, dts, &mut tails);
-        Some(tails)
+            .expect("QuantizedLinear::tails_into: the layer is not folded");
+        lut.lookup_rows_into(table, delta_t, out);
     }
 
     /// Aggregate, then transform, on the int8 kernel — the counterpart of
     /// `Linear::forward_aggregated_ws`: row `i` is
     /// `(dequant(quant(x̄_i) · W_qᵀ) + τ_i) + mass_i · b`, with `τ_i` the
-    /// weighted sum of the rows' [`Self::tails_ws`] (folded layers only).
+    /// weighted sum of the rows' [`Self::tails_into`] (folded layers only).
     /// A vertex with no weight gets an exact `+0.0` row.  Output from the
     /// workspace.
     ///

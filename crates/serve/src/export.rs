@@ -273,7 +273,9 @@ impl MetricsSnapshot {
             if let Some(modeled) = &b.modeled_latency {
                 let family = "tgnn_backend_modeled_latency_ms";
                 let backend = [("backend", label(b))];
-                c.summary(family, &backend, quantiles_ms(modeled, 6), [None, None]);
+                let n = b.modeled_samples;
+                let sum_count = [Some(Float(modeled.mean_ms * n as f64, 6)), Some(Int(n))];
+                c.summary(family, &backend, quantiles_ms(modeled, 6), sum_count);
             }
         }
         if let Some(k) = &self.cache {

@@ -430,6 +430,7 @@ impl BackendCounts {
             served_batches: self.served_batches.load(Ordering::Relaxed),
             served_events: self.served_events.load(Ordering::Relaxed),
             modeled_latency: (h.count() > 0).then(|| LatencySummary::from_histogram(&h, NS_PER_MS)),
+            modeled_samples: h.count(),
         }
     }
 }

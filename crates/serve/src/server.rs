@@ -273,6 +273,8 @@ pub struct BackendStats {
     /// batch (recovery re-serves included); `None` until the backend has
     /// served one.
     pub modeled_latency: Option<LatencySummary>,
+    /// Samples in that distribution: one per batch this backend served.
+    pub modeled_samples: u64,
 }
 
 /// Aggregate report of a serve session — throughput, tail latency, queue

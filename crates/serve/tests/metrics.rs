@@ -1192,6 +1192,7 @@ fn golden_counters_of_a_lockstep_session() {
     common::assert_conserved(&m);
     assert_eq!(report_counts(&report), (27, 27, 54, 48, true, 2, 0));
     assert_golden("lockstep session", &m, &GOLDEN_SESSION);
+    assert_one_modeled_sample_per_computed_batch(&m);
 }
 
 /// The counters of a life recovered from one that drained without polling:
@@ -1235,10 +1236,27 @@ fn golden_counters_of_a_recovered_life() {
     let m = server.metrics();
     assert_eq!(report_counts(&report), (29, 29, 58, 56, true, 2, 0));
     assert_golden("recovered life", &m, &GOLDEN_RECOVERED);
+    assert_one_modeled_sample_per_computed_batch(&m);
+}
+
+/// One modelled-latency sample per batch a backend computed: each backend
+/// row's `_count` is its served batches, and the stale answers its tenant
+/// got from the cache add none (lockstep: a batch is one event).
+fn assert_one_modeled_sample_per_computed_batch(m: &tgnn_serve::MetricsSnapshot) {
+    for b in &m.backends {
+        assert_eq!(b.modeled_samples, b.served_batches, "{}", b.kind);
+        let tenants = m.tenants.iter().filter(|t| t.backend == b.kind);
+        let computed: u64 = tenants.map(|t| t.served - t.served_stale).sum();
+        assert_eq!(
+            b.modeled_samples, computed,
+            "{}: stale answers add none",
+            b.kind
+        );
+    }
 }
 
 /// The pinned exposition of `golden_counters_of_a_lockstep_session`.
-const GOLDEN_SESSION: [&str; 87] = [
+const GOLDEN_SESSION: [&str; 91] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 25",
     "tgnn_batches_served_total 27",
@@ -1298,10 +1316,14 @@ const GOLDEN_SESSION: [&str; 87] = [
     "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"f32\"} 0.048502",
+    "tgnn_backend_modeled_latency_ms_count{backend=\"f32\"} 20",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"int8\"} 0.009598",
+    "tgnn_backend_modeled_latency_ms_count{backend=\"int8\"} 4",
     "tgnn_cache_hits_total 7",
     "tgnn_cache_misses_total 13",
     "tgnn_cache_insertions_total 48",
@@ -1329,7 +1351,7 @@ const GOLDEN_SESSION: [&str; 87] = [
 ];
 
 /// The pinned exposition of `golden_counters_of_a_recovered_life`.
-const GOLDEN_RECOVERED: [&str; 87] = [
+const GOLDEN_RECOVERED: [&str; 91] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 29",
     "tgnn_batches_served_total 29",
@@ -1389,10 +1411,14 @@ const GOLDEN_RECOVERED: [&str; 87] = [
     "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"f32\"} 0.048502",
+    "tgnn_backend_modeled_latency_ms_count{backend=\"f32\"} 20",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002559",
     "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002559",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"int8\"} 0.019452",
+    "tgnn_backend_modeled_latency_ms_count{backend=\"int8\"} 8",
     "tgnn_cache_hits_total 2",
     "tgnn_cache_misses_total 3",
     "tgnn_cache_insertions_total 56",

@@ -173,6 +173,15 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Changes the row count in place, keeping the buffer: rows past the old
+    /// count read zero, and a row count within the capacity the buffer
+    /// already has allocates nothing — so one workspace matrix can stage a
+    /// varying number of rows.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Copies row `i` into a new `Vec`.
     pub fn row_to_vec(&self, i: usize) -> Vec<Float> {
         self.row(i).to_vec()

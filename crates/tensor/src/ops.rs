@@ -152,6 +152,9 @@ pub fn add_assign(a: &mut Matrix, b: &Matrix) {
 
 /// Weighted sum of rows: `Σ_i w[i] * m.row(i)`, the feature-aggregation
 /// primitive of the Embedding Unit's FAM module ([`weighted_sum_into`]).
+/// Like the FAM, which streams one target's neighbor features out of a
+/// small staging buffer, the GNN stage applies it to one target's rows at a
+/// time, never to a batch-wide matrix of neighbor rows.
 ///
 /// # Panics
 /// Panics if `weights.len() != m.rows()`.
@@ -183,6 +186,30 @@ pub fn weighted_sum_into<'a>(
             *a += w * x;
         }
     }
+}
+
+/// Asks the CPU to start loading `xs` into its caches, one request per
+/// 64-byte line — a hint that changes no value (a no-op off x86-64).  The
+/// GNN stage issues it for the next vertex's rows while it computes this
+/// one's, the CPU form of the Embedding Unit's prefetching loader.
+#[inline]
+pub fn prefetch(xs: &[Float]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64 / std::mem::size_of::<Float>();
+        let last = xs.len().saturating_sub(1);
+        for i in (0..xs.len())
+            .step_by(LINE)
+            .chain((xs.len() > 1).then_some(last))
+        {
+            // SAFETY: a prefetch reads no memory architecturally and never
+            // faults; the address is inside `xs` anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(xs.as_ptr().add(i).cast()) }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = xs;
 }
 
 /// Squared L2 distance between two slices.

@@ -110,6 +110,13 @@ impl Workspace {
         self.heap_allocs
     }
 
+    /// Capacity, in elements, of the largest buffer in the `f32` pool: once
+    /// a computation has handed its buffers back, the largest single
+    /// temporary it needed (0 for an empty pool).
+    pub fn largest_pooled(&self) -> usize {
+        self.pool.iter().map(Vec::capacity).max().unwrap_or(0)
+    }
+
     /// The dedicated packing buffer, grown to at least `len` elements.
     /// Contents are unspecified; the GEMM packing routines overwrite the
     /// region they use.
@@ -191,6 +198,26 @@ mod tests {
         assert_ne!(a.as_ptr(), b.as_ptr());
         ws.recycle(a);
         ws.recycle(b);
+    }
+
+    #[test]
+    fn largest_pooled_reports_the_high_water_buffer() {
+        let mut ws = Workspace::new();
+        assert_eq!(ws.largest_pooled(), 0);
+        let (a, b) = (ws.take(8), ws.take(32));
+        assert_eq!(ws.largest_pooled(), 0, "checked-out buffers are not pooled");
+        ws.recycle(a);
+        ws.recycle(b);
+        assert!(ws.largest_pooled() >= 32);
+        let mut m = ws.take_matrix(2, 16);
+        m.resize_rows(1);
+        m.resize_rows(2);
+        ws.recycle_matrix(m);
+        assert_eq!(
+            ws.largest_pooled(),
+            32,
+            "resizing within capacity grows nothing"
+        );
     }
 
     #[test]
