@@ -9,8 +9,9 @@
 //!    current batch (information-leak-safe ordering);
 //! 3. **GNN** — computes the output embedding of every touched vertex with
 //!    the configured attention aggregator and time encoder;
-//! 4. **update** — writes the new memory back, records the new interactions
-//!    in the neighbor table, and logs the commit order.
+//! 4. **update** — writes the new memory back, checking each row's time
+//!    against the vertex's stored update time, and records the new
+//!    interactions in the neighbor table.
 //!
 //! Wall-clock time per stage (Table I), MAC/MEM counters (Tables I–II), and
 //! per-batch latencies (Fig. 5) are collected as the stream is processed.
@@ -25,7 +26,6 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
-use tgnn_graph::chronology::CommitLog;
 use tgnn_graph::{
     EventBatch, FifoSampler, InteractionEvent, NodeId, TemporalGraph, TemporalSampler, Timestamp,
 };
@@ -185,7 +185,10 @@ pub struct InferenceEngine {
     model: TgnModel,
     memory: NodeMemory,
     sampler: FifoSampler,
-    commit_log: CommitLog,
+    /// Memory rows the update stage wrote, and those of them earlier than
+    /// their vertex's stored update time.
+    commits: usize,
+    backward_commits: usize,
     ops: StageOps,
     timings: StageTimings,
     embeddings_generated: usize,
@@ -217,7 +220,8 @@ impl InferenceEngine {
             model,
             memory,
             sampler,
-            commit_log: CommitLog::new(),
+            commits: 0,
+            backward_commits: 0,
             ops: StageOps::default(),
             timings: StageTimings::default(),
             embeddings_generated: 0,
@@ -300,10 +304,16 @@ impl InferenceEngine {
         &self.memory
     }
 
-    /// The chronological-commit log (its cleanliness is asserted by the
-    /// integration tests).
-    pub fn commit_log(&self) -> &CommitLog {
-        &self.commit_log
+    /// Memory rows written back so far (warm-up included).
+    pub fn commits(&self) -> usize {
+        self.commits
+    }
+
+    /// Written-back rows that were earlier than their vertex's stored update
+    /// time — zero while the engine commits in chronological order (asserted
+    /// by the integration tests).
+    pub fn backward_commits(&self) -> usize {
+        self.backward_commits
     }
 
     /// Number of embeddings generated so far.
@@ -316,7 +326,8 @@ impl InferenceEngine {
         let num_nodes = self.memory.num_nodes();
         self.memory = NodeMemory::for_config(num_nodes, &self.model.config);
         self.sampler = FifoSampler::new(num_nodes, self.model.config.sampled_neighbors);
-        self.commit_log = CommitLog::new();
+        self.commits = 0;
+        self.backward_commits = 0;
         self.ops = StageOps::default();
         self.timings = StageTimings::default();
         self.embeddings_generated = 0;
@@ -329,8 +340,7 @@ impl InferenceEngine {
     /// split, as the paper does before measuring inference performance.
     pub fn warm_up(&mut self, events: &[InteractionEvent], graph: &TemporalGraph) {
         for chunk in events.chunks(256) {
-            let batch = EventBatch::new(chunk.to_vec());
-            self.advance_state(&batch, graph);
+            self.advance_state(EventBatch::new(chunk.to_vec()), graph);
         }
     }
 
@@ -448,9 +458,10 @@ impl InferenceEngine {
         embeddings
     }
 
-    /// Stage 4: writes the updated memory back, records the batch's
-    /// interactions in the neighbor table, and logs the chronological
-    /// commits.
+    /// Stage 4: writes the updated memory back — counting each row whose
+    /// time is earlier than its vertex's stored update time
+    /// ([`Self::backward_commits`]) — and records the batch's interactions
+    /// in the neighbor table.
     pub fn stage_update(
         &mut self,
         sampled: &SampledBatch,
@@ -458,8 +469,8 @@ impl InferenceEngine {
     ) {
         for (&v, new_mem) in updated_memory {
             let t = sampled.query_time_of(v);
-            self.memory.set_memory(v, new_mem, t);
-            self.commit_log.commit(v, t);
+            self.commits += 1;
+            self.backward_commits += usize::from(!self.memory.commit_memory(v, new_mem, t));
             self.ops.update.mems += self.model.config.memory_dim as u64;
         }
         for e in sampled.batch.events() {
@@ -751,49 +762,19 @@ impl InferenceEngine {
     }
 
     /// Advances the vertex state over a batch without producing embeddings
-    /// (used by [`Self::warm_up`] and by the trainer between optimisation
-    /// batches).
-    pub fn advance_state(&mut self, batch: &EventBatch, graph: &TemporalGraph) {
+    /// (used by [`Self::warm_up`]) — the state-only step the streaming
+    /// server's warm-up and recovery run: no neighbor is sampled, then the
+    /// memory and update stages.
+    pub fn advance_state(&mut self, batch: EventBatch, graph: &TemporalGraph) {
         if batch.is_empty() {
             return;
         }
-        let touched = batch.touched_vertices();
-        let query_times = latest_event_times(batch);
-        let aligned: Vec<Timestamp> = touched.iter().map(|v| query_times[v]).collect();
-        let updated = self.update_memories(&touched, &aligned);
-        for e in batch.events() {
-            self.memory.cache_interaction_messages(
-                e.src,
-                e.dst,
-                graph.edge_feature(e.edge_id),
-                e.timestamp,
-            );
-        }
-        for (&v, new_mem) in &updated {
-            let t = query_times[&v];
-            self.memory.set_memory(v, new_mem, t);
-            self.commit_log.commit(v, t);
-        }
-        for e in batch.events() {
-            self.sampler.observe(e);
-        }
-        self.events_processed += batch.len();
+        let events = batch.len();
+        let sampled = SampledBatch::assemble(batch, 0, &self.model, |_, _, _, _| {});
+        let updated = self.stage_memory(&sampled, graph);
+        self.stage_update(&sampled, &updated);
+        self.events_processed += events;
     }
-}
-
-/// The latest event timestamp per vertex within a batch (the query time used
-/// for its embedding).
-fn latest_event_times(batch: &EventBatch) -> HashMap<NodeId, Timestamp> {
-    let mut times = HashMap::new();
-    for e in batch.events() {
-        for v in e.endpoints() {
-            let entry = times.entry(v).or_insert(e.timestamp);
-            if e.timestamp > *entry {
-                *entry = e.timestamp;
-            }
-        }
-    }
-    times
 }
 
 #[cfg(test)]
@@ -838,14 +819,32 @@ mod tests {
         assert_eq!(report.num_events, 200);
         assert_eq!(report.num_batches, 8);
         assert!(report.num_embeddings > 0);
-        assert!(engine.commit_log().is_clean());
-        assert!(engine.commit_log().commits() > 0);
+        assert_eq!(engine.backward_commits(), 0);
+        assert!(engine.commits() > 0);
         // Some vertex memory must have moved away from zero.
         let moved = (0..graph.num_nodes() as u32)
             .any(|v| engine.memory().memory_of(v).iter().any(|&x| x.abs() > 1e-6));
         assert!(moved, "node memory never updated");
         assert!(report.throughput_eps() > 0.0);
         assert!(report.mean_latency() > Duration::ZERO);
+    }
+
+    #[test]
+    fn a_commit_earlier_than_the_stored_update_time_counts_one_backward_commit() {
+        let (model, graph) = tiny_setup(OptimizationVariant::Baseline);
+        let mut engine = InferenceEngine::new(model, graph.num_nodes());
+        let ev = InteractionEvent::new;
+        // A vertex commits once it has a pending message: 0 and 1 get one at
+        // t = 1 and commit at t = 10.
+        for batch in [vec![ev(0, 1, 0, 1.0)], vec![ev(0, 1, 1, 10.0)]] {
+            engine.process_batch(&EventBatch::new(batch), &graph);
+        }
+        assert_eq!((engine.commits(), engine.backward_commits()), (2, 0));
+        // Vertex 0 again, at t = 5: one backwards commit (2 has no message).
+        engine.process_batch(&EventBatch::new(vec![ev(0, 2, 2, 5.0)]), &graph);
+        assert_eq!((engine.commits(), engine.backward_commits()), (3, 1));
+        engine.reset_state();
+        assert_eq!((engine.commits(), engine.backward_commits()), (0, 0));
     }
 
     #[test]
@@ -887,7 +886,11 @@ mod tests {
         engine.warm_up(graph.train_events(), &graph);
         assert_eq!(engine.embeddings_generated(), 0);
         assert!(engine.memory().pending_messages() > 0);
-        assert!(engine.commit_log().is_clean());
+        assert_eq!(engine.backward_commits(), 0);
+        assert!(
+            engine.commits() > 0,
+            "warm-up commits through the update stage"
+        );
         // After warm-up, processing the validation events still works.
         let batch = EventBatch::new(graph.val_events().to_vec());
         let out = engine.process_batch(&batch, &graph);
@@ -928,8 +931,8 @@ mod tests {
                     let out = engine.process_batch(&batch, &graph);
                     all.extend(out.embeddings);
                 }
-                assert!(engine.commit_log().is_clean(), "{variant:?} {mode:?}");
-                commits.push(engine.commit_log().commits());
+                assert_eq!(engine.backward_commits(), 0, "{variant:?} {mode:?}");
+                commits.push(engine.commits());
                 outputs.push(all);
             }
 
@@ -964,7 +967,7 @@ mod tests {
             staged.stage_update(&sampled, &updated);
             assert_eq!(out.embeddings, embeddings);
         }
-        assert!(staged.commit_log().is_clean());
+        assert_eq!(staged.backward_commits(), 0);
         assert_eq!(whole.embeddings_generated(), staged.embeddings_generated());
     }
 

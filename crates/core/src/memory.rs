@@ -156,6 +156,16 @@ impl NodeMemory {
         self.last_update[v as usize] = at;
     }
 
+    /// [`Self::set_memory`] plus the chronology check the hardware Updater
+    /// guarantees: returns `false` when `at` is earlier than the vertex's
+    /// stored update time (the write still lands).  Commit owners count
+    /// these; a raw `set_memory` (a snapshot restore, a test) counts nothing.
+    pub fn commit_memory(&mut self, v: NodeId, new_memory: &[Float], at: Timestamp) -> bool {
+        let in_order = at >= self.last_update[v as usize];
+        self.set_memory(v, new_memory, at);
+        in_order
+    }
+
     /// Timestamp of the last committed memory update of a vertex.
     pub fn last_update(&self, v: NodeId) -> Timestamp {
         self.last_update[v as usize]

@@ -7,7 +7,10 @@
 //! batch *k+1*, so program order on that thread is what keeps the result
 //! bit-identical to the serial engine.  [`ShardedMemory::commit_epoch`] is
 //! a plain write of the batch's rows; it keeps one committed-epoch
-//! watermark and panics if an epoch moves backwards.  What else happens at
+//! watermark and panics if an epoch moves backwards, and it checks each
+//! row's time against the vertex's stored update time, counting the
+//! commits and the backwards ones ([`ShardedMemory::backward_commits`] —
+//! the chronology the hardware Updater guarantees).  What else happens at
 //! the epoch barrier — the embedding cache's expiry before the writes, a
 //! snapshot capture after them, which reads each shard through
 //! [`ShardedMemory::read_shard`] — the state worker decides in one place.
@@ -31,6 +34,10 @@ pub struct ShardedMemory {
     shards: Vec<Mutex<NodeMemory>>,
     /// The last committed epoch: the out-of-order-commit tripwire.
     committed: AtomicU64,
+    /// Rows written by [`Self::commit_epoch`], and those of them earlier
+    /// than their vertex's stored update time.
+    commits: AtomicU64,
+    backward_commits: AtomicU64,
     num_shards: usize,
     num_nodes: usize,
     memory_dim: usize,
@@ -54,6 +61,8 @@ impl ShardedMemory {
         Self {
             shards,
             committed: AtomicU64::new(0),
+            commits: AtomicU64::new(0),
+            backward_commits: AtomicU64::new(0),
             num_shards,
             num_nodes,
             memory_dim,
@@ -145,7 +154,8 @@ impl ShardedMemory {
     }
 
     /// Commits one batch (epoch) of memory write-backs: every shard applies
-    /// the writes it owns.
+    /// the writes it owns, each checked against its vertex's stored update
+    /// time ([`NodeMemory::commit_memory`]) and counted.
     ///
     /// # Panics
     /// Panics if `epoch` is below the last committed one — epochs must be
@@ -156,14 +166,30 @@ impl ShardedMemory {
             prev <= epoch,
             "ShardedMemory: committed epoch {epoch} after {prev}"
         );
+        let (mut commits, mut backward) = (0u64, 0u64);
         for (s, shard) in self.shards.iter().enumerate() {
             let mut shard = shard.lock().unwrap();
             writes.for_each_write(|v, row, t| {
                 if shard_of(v, self.num_shards) == s {
-                    shard.set_memory(local_index(v, self.num_shards) as NodeId, row, t);
+                    let local = local_index(v, self.num_shards) as NodeId;
+                    commits += 1;
+                    backward += u64::from(!shard.commit_memory(local, row, t));
                 }
             });
         }
+        self.commits.fetch_add(commits, Ordering::Relaxed);
+        self.backward_commits.fetch_add(backward, Ordering::Relaxed);
+    }
+
+    /// Memory rows written by [`Self::commit_epoch`] so far.
+    pub fn commits(&self) -> u64 {
+        self.commits.load(Ordering::Relaxed)
+    }
+
+    /// Committed rows that were earlier than their vertex's stored update
+    /// time — zero while every vertex is updated in chronological order.
+    pub fn backward_commits(&self) -> u64 {
+        self.backward_commits.load(Ordering::Relaxed)
     }
 
     /// Runs `f` on one shard's memory, read-only, under its lock — how the
@@ -302,6 +328,22 @@ mod tests {
                 assert_eq!(row, &vec![want; 2], "shard {s} row {local}");
             }
         }
+    }
+
+    #[test]
+    fn a_commit_earlier_than_the_stored_update_time_counts_one_backward_commit() {
+        let sharded = ShardedMemory::new(4, 2, 2);
+        sharded.commit_epoch(1, &[(1, vec![1.0, 1.0], 10.0), (2, vec![2.0, 2.0], 3.0)]);
+        sharded.commit_epoch(2, &[(1, vec![1.5, 1.5], 10.0), (2, vec![2.5, 2.5], 4.0)]);
+        assert_eq!((sharded.commits(), sharded.backward_commits()), (4, 0));
+        sharded.commit_epoch(3, &[(1, vec![0.5, 0.5], 5.0), (3, vec![3.0, 3.0], 1.0)]);
+        assert_eq!((sharded.commits(), sharded.backward_commits()), (6, 1));
+        // The write itself still lands: the check counts, it does not veto.
+        assert_eq!(sharded.memory_of(1), vec![0.5, 0.5]);
+        assert_eq!(sharded.last_update(1), 5.0);
+        // A restored shard is not a commit.
+        sharded.restore_shard(1, NodeMemory::new(2, 2));
+        assert_eq!((sharded.commits(), sharded.backward_commits()), (6, 1));
     }
 
     #[test]

@@ -77,17 +77,21 @@ impl SampledBatch {
         model: &TgnModel,
         mut sample: impl FnMut(NodeId, Timestamp, usize, &mut Vec<NeighborEntry>),
     ) -> Self {
-        let touched = batch.touched_vertices();
-        let mut index = HashMap::with_capacity(touched.len());
-        for (i, &v) in touched.iter().enumerate() {
-            index.insert(v, i);
-        }
-        let mut query_times = vec![Timestamp::NEG_INFINITY; touched.len()];
+        // One hash per endpoint: first appearance appends the vertex, every
+        // appearance raises its query time.
+        let endpoints = 2 * batch.len();
+        let mut touched = Vec::with_capacity(endpoints);
+        let mut query_times = Vec::with_capacity(endpoints);
+        let mut index = HashMap::with_capacity(endpoints);
         for e in batch.events() {
             for v in e.endpoints() {
-                let slot = &mut query_times[index[&v]];
-                if e.timestamp > *slot {
-                    *slot = e.timestamp;
+                let i = *index.entry(v).or_insert_with(|| {
+                    touched.push(v);
+                    query_times.push(Timestamp::NEG_INFINITY);
+                    touched.len() - 1
+                });
+                if e.timestamp > query_times[i] {
+                    query_times[i] = e.timestamp;
                 }
             }
         }

@@ -583,6 +583,27 @@ mod tests {
         assert!(decode_memory_shard(&buf[..buf.len() - 1]).is_err());
     }
 
+    /// A restore is not a commit: shards rebuilt by `decode_memory_shard`
+    /// (through `set_memory`) leave the table's commit counts at zero, and
+    /// the restored update times are what the next commit is checked
+    /// against.
+    #[test]
+    fn decoded_shards_count_no_commits_and_carry_the_update_times() {
+        let source = ShardedMemory::new(6, 2, 2);
+        let writes: Vec<_> = (0..6u32).map(|v| (v, vec![v as Float; 2], 10.0)).collect();
+        source.commit_epoch(1, &writes);
+        assert_eq!((source.commits(), source.backward_commits()), (6, 0));
+
+        let restored = ShardedMemory::new(6, 2, 2);
+        for s in 0..2 {
+            let payload = source.read_shard(s, encoded);
+            restored.restore_shard(s, decode_memory_shard(&payload).unwrap());
+        }
+        assert_eq!((restored.commits(), restored.backward_commits()), (0, 0));
+        restored.commit_epoch(2, &[(4, vec![0.0; 2], 10.0), (3, vec![0.0; 2], 5.0)]);
+        assert_eq!((restored.commits(), restored.backward_commits()), (2, 1));
+    }
+
     const DIM: usize = 4;
     const EDGE_DIM: usize = 3;
 

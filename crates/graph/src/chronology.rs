@@ -1,12 +1,14 @@
-//! Chronological-order validation.
+//! Chronological-order validation of event streams.
 //!
 //! The correctness of memory-based TGNN inference hinges on vertex memory and
 //! cached messages being updated in event order (the hardware Updater exists
-//! to guarantee exactly this, Section IV-B).  This module provides the
-//! checks used by tests and by the simulator to assert that property.
+//! to guarantee exactly this, Section IV-B).  This module checks that a
+//! stream is in order.  The per-vertex half of the guarantee is checked
+//! where memory is written back: each commit owner (`InferenceEngine`'s
+//! update stage, `ShardedMemory::commit_epoch`) compares a row's time with
+//! the vertex's stored update time and counts the backwards ones.
 
-use crate::{InteractionEvent, NodeId, Timestamp};
-use std::collections::HashMap;
+use crate::InteractionEvent;
 
 /// Returns `true` if the event slice is sorted by timestamp (ties allowed).
 pub fn is_chronological(events: &[InteractionEvent]) -> bool {
@@ -21,65 +23,10 @@ pub fn first_violation(events: &[InteractionEvent]) -> Option<usize> {
         .map(|i| i + 1)
 }
 
-/// Tracks, per vertex, the timestamp of the last committed update and rejects
-/// regressions.  The accelerator simulator records every vertex-memory
-/// write-back through a `CommitLog`, and the integration tests assert that
-/// the log never observed a violation — the software analogue of the
-/// chronological guarantee the hardware Updater provides.
-#[derive(Clone, Debug, Default)]
-pub struct CommitLog {
-    last_commit: HashMap<NodeId, Timestamp>,
-    commits: usize,
-    violations: usize,
-}
-
-impl CommitLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a vertex-state commit at `t`.  Returns `false` (and counts a
-    /// violation) if `t` is earlier than a previously committed update for
-    /// the same vertex.
-    pub fn commit(&mut self, v: NodeId, t: Timestamp) -> bool {
-        self.commits += 1;
-        match self.last_commit.get(&v) {
-            Some(&prev) if t < prev => {
-                self.violations += 1;
-                false
-            }
-            _ => {
-                self.last_commit.insert(v, t);
-                true
-            }
-        }
-    }
-
-    /// Total number of commits recorded.
-    pub fn commits(&self) -> usize {
-        self.commits
-    }
-
-    /// Number of out-of-order commits observed.
-    pub fn violations(&self) -> usize {
-        self.violations
-    }
-
-    /// True when no violation has been observed.
-    pub fn is_clean(&self) -> bool {
-        self.violations == 0
-    }
-
-    /// Timestamp of the last commit for a vertex.
-    pub fn last_commit_time(&self, v: NodeId) -> Option<Timestamp> {
-        self.last_commit.get(&v).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Timestamp;
 
     fn ev(t: Timestamp) -> InteractionEvent {
         InteractionEvent::new(0, 1, 0, t)
@@ -92,28 +39,5 @@ mod tests {
         assert_eq!(first_violation(&[ev(1.0), ev(3.0), ev(2.0)]), Some(2));
         assert_eq!(first_violation(&[ev(1.0), ev(2.0)]), None);
         assert!(is_chronological(&[]));
-    }
-
-    #[test]
-    fn commit_log_accepts_monotone_updates() {
-        let mut log = CommitLog::new();
-        assert!(log.commit(3, 1.0));
-        assert!(log.commit(3, 1.0)); // equal timestamps allowed (same batch)
-        assert!(log.commit(3, 2.0));
-        assert!(log.commit(4, 0.5)); // other vertices independent
-        assert!(log.is_clean());
-        assert_eq!(log.commits(), 4);
-        assert_eq!(log.last_commit_time(3), Some(2.0));
-    }
-
-    #[test]
-    fn commit_log_flags_regressions() {
-        let mut log = CommitLog::new();
-        assert!(log.commit(1, 5.0));
-        assert!(!log.commit(1, 4.0));
-        assert_eq!(log.violations(), 1);
-        assert!(!log.is_clean());
-        // The violating commit does not move the clock backwards.
-        assert_eq!(log.last_commit_time(1), Some(5.0));
     }
 }

@@ -19,8 +19,8 @@
 //!   equivalence tests between them.
 //! * [`batching`] — fixed-size and fixed-time-window batch formation, the two
 //!   deployment modes discussed in Section II-A.
-//! * [`chronology`] — validation utilities for chronological-order
-//!   invariants.
+//! * [`chronology`] — checks that an event stream is in chronological
+//!   order (per-vertex order is checked where memory is written back).
 //! * [`sharded`] — the vertex-partitioned neighbor table the streaming
 //!   pipeline (`tgnn-serve`) commits batches into.
 

@@ -1,11 +1,7 @@
 //! `tgnn-obs`: dependency-free observability primitives for the serve pipeline.
 //!
-//! Five pieces, each usable on its own:
+//! Four pieces, each usable on its own:
 //!
-//! * [`Counter`] — a lock-free scalar: a handle is cloned once at pipeline
-//!   spawn and recording afterwards is a single relaxed atomic op.  Whoever
-//!   owns a counter reads it; names are given where values are exported
-//!   (`tgnn-serve`'s metric catalogue), not where they are recorded.
 //! * [`Histogram`] — a log-linear histogram with a *fixed* bucket layout
 //!   (16 sub-buckets per octave, ≤ 6.25 % relative error), so snapshots
 //!   taken on different threads or machines are mergeable bucket-by-bucket
@@ -29,13 +25,11 @@
 
 #![warn(missing_docs)]
 
-mod counter;
 mod flight;
 mod hist;
 mod slo;
 mod trace;
 
-pub use counter::Counter;
 pub use flight::{FlightRecord, FlightRecorder, SpanKind};
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use slo::{

@@ -50,8 +50,10 @@
 //!   chronological; *across* tenants the fair drain may interleave freely
 //!   (that is what fairness means), so the merged stream is only
 //!   per-tenant ordered.  The shared temporal state observes cross-tenant
-//!   reordering through the commit log (`ServeReport::commit_log_clean`),
-//!   which stays clean when tenants touch disjoint vertex sets — the
+//!   reordering at the memory write-back, which counts every commit
+//!   earlier than its vertex's stored update time
+//!   (`ServeReport::commit_log_clean`) and stays clean when tenants touch
+//!   disjoint vertex sets — the
 //!   natural deployment shape, one sub-graph per tenant.  See
 //!   `ARCHITECTURE.md` for the full ordering contract.
 //!

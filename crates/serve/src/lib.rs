@@ -49,7 +49,10 @@
 //!   queue depths, p50/p95/p99 batch latency, per-tenant [`TenantStats`]
 //!   (drop counts, late counts, admission-to-completion percentiles),
 //!   per-backend, WAL and cache rows.  [`ServeReport`] — what `drain`
-//!   returns — is a view of that snapshot plus the commit log, and
+//!   returns — is a view of that snapshot plus the memory table's commit
+//!   counts (chronology is checked where each memory row is written back:
+//!   `commit_log_clean` means no vertex was committed earlier than its
+//!   stored update time), and
 //!   [`export`] renders it: a table, and Prometheus text / a JSONL line
 //!   that are two walks over one metric catalogue.
 //!

@@ -71,15 +71,14 @@ use crate::durability::Durability;
 use crate::metrics::{SegmentId, StageObs};
 use crate::queue::{Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tgnn_core::stages::{run_memory_stage, GnnJobBatch, SampledBatch, UpdatedRows};
 use tgnn_core::tenancy::{Disposition, ResultMeta};
 use tgnn_core::{
-    BackendKind, ComputeBackend, F32Backend, Int8Backend, MemoryWrites, ShardedMemory, TgnModel,
+    BackendKind, ComputeBackend, F32Backend, Int8Backend, ShardedMemory, TgnModel,
     NUM_BACKEND_KINDS,
 };
-use tgnn_graph::chronology::CommitLog;
 use tgnn_graph::{EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, TemporalGraph};
 use tgnn_hwsim::HwSimBackend;
 use tgnn_tensor::{Float, Workspace};
@@ -334,7 +333,6 @@ pub(crate) struct StateStage {
     /// trajectory, and only GNN compute is backend-specific.
     pub model: Arc<TgnModel>,
     pub graph: Arc<TemporalGraph>,
-    pub commit_log: Arc<Mutex<CommitLog>>,
     /// What the live commit also does (`None` on the replay paths, which
     /// run quiesced and snapshot/seed explicitly): absorbed-event
     /// bookkeeping plus snapshot capture at interval epochs…
@@ -353,14 +351,12 @@ impl StateStage {
         table: Arc<ShardedNeighborTable>,
         model: Arc<TgnModel>,
         graph: Arc<TemporalGraph>,
-        commit_log: Arc<Mutex<CommitLog>>,
     ) -> Self {
         Self {
             memory,
             table,
             model,
             graph,
-            commit_log,
             durability: None,
             cache: None,
             obs: None,
@@ -382,10 +378,11 @@ impl StateStage {
     ///
     /// The commit is, in order: one embedding-cache expiry at `epoch` (run
     /// before the writes, so the cache's watermark never trails the state),
-    /// the memory rows, the neighbor-table appends, and — with durability
-    /// on, on the epoch that completes a snapshot interval
-    /// (`Durability::snapshot_due`, counted in absorbed events) — the
-    /// capture of every shard's payload.  This thread is the state's only
+    /// the memory rows (each checked against its vertex's stored update
+    /// time and counted by [`ShardedMemory::commit_epoch`]), the
+    /// neighbor-table appends, and — with durability on, on the epoch that
+    /// completes a snapshot interval (`Durability::snapshot_due`, counted in
+    /// absorbed events) — the capture of every shard's payload.  This thread is the state's only
     /// writer, so the capture is the exact post-commit image of `epoch`; the
     /// files are then written by a background thread instead of stalling
     /// the committer on disk I/O.
@@ -424,12 +421,6 @@ impl StateStage {
         });
         in_span(obs.map(|o| &o.update), epoch, || {
             let events = sampled.batch.events();
-            {
-                let mut log = self.commit_log.lock().unwrap();
-                updated.for_each_write(|v, _, t| {
-                    log.commit(v, t);
-                });
-            }
             if let Some(d) = &self.durability {
                 d.note_absorbed(events);
             }
@@ -850,7 +841,6 @@ mod tests {
             )),
             Arc::new(model),
             graph,
-            Arc::new(Mutex::new(CommitLog::new())),
         )
     }
 

@@ -30,7 +30,6 @@ use tgnn_durable::{
     list_snapshots, load_snapshot, plan_recovery, read_wal, repair_torn_tail, DurabilityConfig,
     DurableError,
 };
-use tgnn_graph::chronology::CommitLog;
 use tgnn_graph::{EventBatch, InteractionEvent, ShardedNeighborTable, TemporalGraph, Timestamp};
 use tgnn_obs::HistogramSnapshot;
 use tgnn_tensor::Workspace;
@@ -307,10 +306,11 @@ pub struct ServeReport {
     /// (in [`BackendKind::code`] order).  A passthrough session has exactly
     /// one row.
     pub backends: Vec<BackendStats>,
-    /// Vertex-state commits recorded.
+    /// Vertex-memory rows committed ([`ShardedMemory::commits`]).
     pub commits: usize,
-    /// True when no chronological-order violation was observed — the
-    /// pipeline analogue of `InferenceEngine::commit_log().is_clean()`.
+    /// True when no commit was earlier than its vertex's stored update time
+    /// ([`ShardedMemory::backward_commits`] is zero) — the pipeline
+    /// analogue of `InferenceEngine::backward_commits() == 0`.
     pub commit_log_clean: bool,
     /// Shard count the session ran with.
     pub num_shards: usize,
@@ -404,7 +404,6 @@ pub struct StreamServer {
     /// into the tenant specs before admission started.
     tenant_backends: Vec<BackendKind>,
     graph: Arc<TemporalGraph>,
-    commit_log: Arc<Mutex<CommitLog>>,
     next_epoch: Arc<AtomicU64>,
     hub: MetricsHub,
     /// Latest timestamp absorbed by `warm_up` — the floor every tenant's
@@ -555,7 +554,6 @@ impl StreamServer {
             model.config.sampled_neighbors,
             num_shards,
         ));
-        let commit_log = Arc::new(Mutex::new(CommitLog::new()));
         let next_epoch = Arc::new(AtomicU64::new(0));
 
         let (gnn_tx, gnn_rx) = channel::<GnnJob>("state→gnn", config.stage_capacity);
@@ -589,7 +587,6 @@ impl StreamServer {
                 table.clone(),
                 stage_model.clone(),
                 graph.clone(),
-                commit_log.clone(),
             );
             stage.durability = durability.clone();
             stage.cache = cache.clone();
@@ -634,7 +631,6 @@ impl StreamServer {
             compute,
             tenant_backends,
             graph,
-            commit_log,
             next_epoch,
             hub,
             warm_timestamp: Timestamp::NEG_INFINITY,
@@ -1038,8 +1034,8 @@ impl StreamServer {
 
     /// The aggregate report so far (cheap; callable live or after `drain`):
     /// a view of [`Self::metrics`] — every count and latency in it is the
-    /// snapshot's — plus what only the server holds, the commit log and the
-    /// shard count.
+    /// snapshot's — plus what only the server holds, the memory table's
+    /// commit counts and the shard count.
     pub fn report(&self) -> ServeReport {
         let m = self.hub.snapshot();
         let mut stage_timings = StageTimings::default();
@@ -1052,7 +1048,6 @@ impl StreamServer {
             let busy = m.stages.iter().find(|s| s.stage == id).map(|s| s.busy);
             stage_timings.add(stage, busy.unwrap_or_default());
         }
-        let log = self.commit_log.lock().unwrap();
         ServeReport {
             num_events: m.events_served as usize,
             num_batches: m.batches_served as usize,
@@ -1065,8 +1060,8 @@ impl StreamServer {
             queues: m.queues,
             tenants: m.tenants,
             backends: m.backends,
-            commits: log.commits(),
-            commit_log_clean: log.is_clean(),
+            commits: self.memory.commits() as usize,
+            commit_log_clean: self.memory.backward_commits() == 0,
             num_shards: self.num_shards,
             durability: m.durability,
             cache: m.cache,
@@ -1098,7 +1093,6 @@ impl StreamServer {
             self.table.clone(),
             self.model.clone(),
             self.graph.clone(),
-            self.commit_log.clone(),
         )
     }
 

@@ -498,6 +498,46 @@ fn unknown_tenant_and_drained_server_are_rejected() {
     assert_eq!(report.tenants[1].served, 1);
 }
 
+/// Tenants are ordered independently, so it is the memory write-back that
+/// sees one tenant commit a vertex earlier than another tenant already did.
+/// Lockstep (every batch one event): tenant `b` committing vertex 0 at
+/// t = 5 after tenant `a` committed it at t = 10 is one backwards commit,
+/// and the report says so; the same session on disjoint vertices is clean.
+#[test]
+fn a_tenant_committing_a_vertex_behind_another_tenant_is_reported() {
+    let (model, graph) = setup(7);
+    let session = |b_vertex: u32| {
+        let config = ServeConfig {
+            tenants: vec![TenantSpec::new("a"), TenantSpec::new("b")],
+            ..ServeConfig::default()
+        };
+        let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+        // A vertex commits once it has a pending message: the first event
+        // of each tenant leaves one, the second commits.
+        let feed = [
+            (0, 0, 1, 1.0),
+            (1, b_vertex, 2, 2.0),
+            (0, 0, 1, 10.0),
+            (1, b_vertex, 2, 5.0),
+        ];
+        for (tenant, src, dst, t) in feed {
+            let e = InteractionEvent::new(src, dst, 0, t);
+            server.submit_for(TenantId(tenant), e).unwrap();
+            let give_up = std::time::Instant::now() + Duration::from_secs(30);
+            while server.poll().is_none() {
+                assert!(std::time::Instant::now() < give_up, "event never served");
+                std::thread::yield_now();
+            }
+        }
+        let report = server.drain();
+        (report.commits, report.commit_log_clean)
+    };
+    // Shared: 0 at t = 2 (b), 0 and 1 at 10 (a), 0 and 2 at 5 (b) — 0 back.
+    assert_eq!(session(0), (5, false));
+    // Disjoint: 0 and 1 at 10 (a), 3 and 2 at 5 (b).
+    assert_eq!(session(3), (4, true));
+}
+
 #[test]
 fn single_tenant_default_reports_one_block_policy_tenant() {
     // The implicit single-tenant configuration must look like one

@@ -66,6 +66,23 @@ fn settled_threads(expected: usize) -> Vec<String> {
     serve_threads()
 }
 
+/// Re-reads the census until `holds` accepts it or about 2 s pass, and
+/// returns the last read.  A thread that has been joined — a worker by
+/// `drain`, the snapshot writer by the state worker — can linger in the
+/// task list for a moment after the join returns, so one read may still
+/// list it; a thread nobody joined does not leave, and fails at the
+/// deadline.
+fn census_until(holds: impl Fn(&[String]) -> bool) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let threads = serve_threads();
+        if holds(&threads) || Instant::now() >= deadline {
+            return threads;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
     let (model, graph) = setup();
@@ -112,10 +129,10 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
     ];
 
     for (label, config) in cases {
+        let left = census_until(|t| t.is_empty());
         assert!(
-            serve_threads().is_empty(),
-            "{label}: a previous server's workers outlived its drain: {:?}",
-            serve_threads()
+            left.is_empty(),
+            "{label}: a previous server's workers outlived its drain: {left:?}"
         );
         let tenants = config.tenants.len().max(1) as u32;
         let dir = config.durability.as_ref().map(|d| d.dir.clone());
@@ -131,19 +148,14 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
             server.submit_for(TenantId(i as u32 % tenants), e).unwrap();
             // Beside the two workers, at most the snapshot writer — which
             // reads as `tgnn-serve-stat`, the thread that spawned it, until
-            // it names itself.  A joined writer can linger in the task list
-            // for a moment after it exits, so a miss must survive a re-read.
+            // it names itself.
             let known = |t: &String| pipeline.contains(&t.as_str()) || t == "tgnn-serve-snap";
             let census = |threads: &[String]| {
                 pipeline.iter().all(|p| threads.iter().any(|t| t == p))
                     && threads.len() <= pipeline.len() + 1
                     && threads.iter().all(known)
             };
-            let mut threads = serve_threads();
-            if !census(&threads) {
-                std::thread::sleep(Duration::from_millis(5));
-                threads = serve_threads();
-            }
+            let threads = census_until(census);
             assert!(
                 census(&threads),
                 "{label}: `tgnn-serve-*` threads under load: {threads:?}"
@@ -164,14 +176,8 @@ fn server_owns_exactly_the_stage_graphs_threads_and_queues() {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
-    // The last case has no successor to check it.  A joined thread can
-    // linger in the task list for a moment, so a leftover must survive a
-    // re-read.
-    let mut left = serve_threads();
-    if !left.is_empty() {
-        std::thread::sleep(Duration::from_millis(5));
-        left = serve_threads();
-    }
+    // The last case has no successor to check it.
+    let left = census_until(|t| t.is_empty());
     assert!(
         left.is_empty(),
         "the last server's threads outlived its drain: {left:?}"

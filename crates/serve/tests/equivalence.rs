@@ -98,7 +98,7 @@ fn assert_matches_serial(
             );
         }
     }
-    assert!(engine.commit_log().is_clean(), "{label}");
+    assert_eq!(engine.backward_commits(), 0, "{label}");
 }
 
 #[test]

@@ -61,7 +61,7 @@ fn main() {
     );
     println!(
         "chronological commits verified: {} commits, {} violations",
-        engine.commit_log().commits(),
-        engine.commit_log().violations()
+        engine.commits(),
+        engine.backward_commits()
     );
 }
