@@ -22,10 +22,11 @@
 //! the same micro-batches.  `--fsync <always|onseal|never>` (default
 //! `onseal`) picks the WAL policy; give both lives the same one.
 //!
-//! The workload is fixed (Wikipedia-like at scale 0.005, seed 7, +NP(M),
-//! batches of at most 40 events, 4 shards): a drill, not a measurement.
+//! The workload is fixed (Wikipedia-like at scale 0.01, seed 7, +NP(M),
+//! batches of at most 40 events, 4 shards, 4 KiB WAL segments so the first
+//! life's log spans several): a drill, not a measurement.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tgnn_bench::{build_model, harness_model_config, Dataset};
@@ -37,6 +38,9 @@ use tgnn_serve::{
 
 const USAGE: &str = "usage: crash_drill <dir> [--crash-at <n>] [--fsync <always|onseal|never>]";
 const MAX_BATCH: usize = 40;
+/// The first life's admits fill several of these, so recovery reads across
+/// segments that rotation synced.
+const SEGMENT_BYTES: u64 = 4096;
 
 /// `(dir, crash_at, fsync)`.  A missing or malformed value is an error,
 /// never a silent default: a drill that quietly ran some other configuration
@@ -66,22 +70,30 @@ fn main() {
         std::process::exit(2);
     });
 
-    let graph = Arc::new(Dataset::Wikipedia.graph(0.005, 7));
+    let graph = Arc::new(Dataset::Wikipedia.graph(0.01, 7));
     let cfg = harness_model_config(&graph, OptimizationVariant::NpMedium);
     let model = build_model(&graph, &cfg, 7);
     let warm = graph.train_events().to_vec();
     let feed = graph.events()[graph.train_end()..].to_vec();
 
     let mut durability = DurabilityConfig::new(&dir).with_fsync(fsync);
+    durability.segment_bytes = SEGMENT_BYTES;
+    let submitted = Arc::new(AtomicUsize::new(0));
     if let Some(at) = crash_at {
         // Count *streamed* seals (warm-up epochs never reach the batcher) and
         // die before the n-th one is appended.
         let seals = AtomicU64::new(0);
+        let (submitted, feed_len) = (submitted.clone(), feed.len());
         durability = durability.with_wal_fault(wal_fault_hook(move |_epoch| {
             if seals.fetch_add(1, Ordering::SeqCst) + 1 == at {
-                // Let the GNN worker compute and sync the batches already
-                // sealed, so the second life has epochs to re-serve; what is
-                // admitted meanwhile stays in the buffer and dies with us.
+                // Wait for the whole feed to be admitted (ingress holds it),
+                // so the log has rotated however slow each admit's fsync is.
+                // Then let the GNN worker compute and sync the batches
+                // already sealed, so the second life has epochs to re-serve;
+                // admits still buffered die with us.
+                while submitted.load(Ordering::SeqCst) < feed_len {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 std::thread::sleep(Duration::from_millis(50));
                 eprintln!("crash drill: aborting before streamed seal #{at}");
                 std::process::abort();
@@ -106,6 +118,7 @@ fn main() {
         server.warm_up(&warm);
         for &e in &feed {
             server.submit(e).expect("chronological feed");
+            submitted.fetch_add(1, Ordering::SeqCst);
         }
         server.drain();
         eprintln!(

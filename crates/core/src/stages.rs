@@ -154,11 +154,6 @@ impl SampledBatch {
         self.neighbors.len()
     }
 
-    /// Index of a touched vertex, if present.
-    pub fn index_of(&self, v: NodeId) -> Option<usize> {
-        self.index.get(&v).copied()
-    }
-
     /// Query time of a touched vertex.
     ///
     /// # Panics

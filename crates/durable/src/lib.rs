@@ -33,7 +33,7 @@ pub mod recovery;
 pub mod snapshot;
 pub mod wal;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 pub use crc::crc32;
@@ -202,6 +202,13 @@ impl From<std::io::Error> for DurableError {
     fn from(e: std::io::Error) -> Self {
         DurableError::Io(e)
     }
+}
+
+/// `fsync`s a directory, persisting the entries of the files created in it:
+/// POSIX makes no promise that a new file's name survives a power loss until
+/// its directory is synced, however often the file itself is.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Convenience: wraps a crash-injection closure — called with the epoch at

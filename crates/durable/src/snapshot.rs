@@ -435,12 +435,8 @@ pub fn write_snapshot(
     bytes += write_file_synced(&dir.join("MANIFEST"), &[&header, &payload])?;
     // Persist the directory entries themselves (best-effort: directory
     // fsync is not supported everywhere).
-    if let Ok(d) = File::open(&dir) {
-        let _ = d.sync_all();
-    }
-    if let Ok(d) = File::open(base) {
-        let _ = d.sync_all();
-    }
+    let _ = crate::sync_dir(&dir);
+    let _ = crate::sync_dir(base);
     Ok((dir, bytes))
 }
 

@@ -35,6 +35,24 @@
 //! user-space buffered suffix (that is also how the crash-injection tests
 //! simulate process death in-process: a [`WalFaultHook`] freezes the writer
 //! so buffered bytes are never flushed, then panics the hosting worker).
+//!
+//! Two rules make a sync point's one `fsync` enough.  They hold under
+//! [`FsyncPolicy::OnSeal`] and [`FsyncPolicy::Always`]; under
+//! [`FsyncPolicy::Never`] the WAL syncs nothing on its own, so a
+//! `flush(true)` there covers only the current segment — that policy
+//! promises nothing across a power loss, and a rotation's sync would stall
+//! the appender on a whole segment's writeback.
+//!
+//! * **Rotation rule.**  A segment is made durable once, when rotation
+//!   retires it: the rotating append writes the old segment's tail and
+//!   `fsync`s it under the writer lock, before it opens `seq + 1`.  No
+//!   frame lands in a newer segment until every older frame is on disk, so
+//!   a sync point only syncs the current segment.
+//! * **Directory rule.**  A new segment's name survives a power loss only
+//!   once its directory is synced, so [`Wal::open`] syncs the WAL directory
+//!   (and its parent, which may have just created it) after it creates the
+//!   first segment, and every rotation syncs the directory after it creates
+//!   the next one — before any frame is written there.
 
 use crate::crc::crc32;
 use crate::{DurableError, FsyncPolicy};
@@ -42,7 +60,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use tgnn_graph::InteractionEvent;
 
 /// Largest frame payload the reader accepts; a length above this is treated
@@ -254,7 +272,7 @@ pub struct WalStats {
     pub records: AtomicU64,
     /// Frame bytes appended (headers + payloads).
     pub bytes: AtomicU64,
-    /// `fsync` calls issued.
+    /// `fsync` calls issued: segment syncs and WAL-directory syncs.
     pub fsyncs: AtomicU64,
     /// Segment rotations performed.
     pub rotations: AtomicU64,
@@ -273,27 +291,6 @@ struct WalWriter {
     /// silent no-op, so buffered records are lost exactly as they would be
     /// if the process had died.
     frozen: bool,
-    /// Segments retired by rotation whose tails were `write`n but not yet
-    /// `fsync`ed — always the segments just below `seq`, oldest first.  The
-    /// next sync point drains this list along with the current segment —
-    /// without it, a rotation would strand the old segment's tail in the
-    /// page cache forever while every later fsync targets only the new
-    /// file, and a sync point could vouch for seals that a power loss
-    /// would erase.
-    pending_sync: Vec<Arc<File>>,
-}
-
-/// What one sync point must `fsync`, taken under the writer lock.
-struct SyncBatch {
-    /// Segments retired since the previous sync point, oldest first: the
-    /// ones numbered `seq - retired.len()` up to `seq - 1`.
-    retired: Vec<Arc<File>>,
-    current: Arc<File>,
-    /// The current segment's number.  Every segment below it holds frames
-    /// appended before this sync point, so the sync point is complete only
-    /// once all of them are synced — the ones another sync point took
-    /// included.
-    seq: u64,
 }
 
 /// Segment file name for a sequence number.
@@ -310,38 +307,14 @@ impl WalWriter {
             .map(Arc::new)
     }
 
-    /// Pushes buffered frames to the OS and hands back the segment handle so
-    /// the caller can `fsync` it **after releasing the writer lock** — the
-    /// disk wait must never stall concurrent appenders (the admission path
-    /// logs admits under its own lock while the GNN worker syncs seals;
-    /// holding the writer lock across the fsync would serialize ingress with
-    /// the disk and cost half the pipeline's throughput).  Syncing a handle
-    /// outside the lock is sound: the bytes this flush made visible to the
-    /// OS are written before the lock is released, and `sync_data` persists
-    /// at least those — concurrent writes landing in the same segment are
-    /// synced early, which is harmless.
-    fn flush_os(&mut self) -> std::io::Result<Option<Arc<File>>> {
-        if self.frozen {
-            return Ok(None);
-        }
+    /// Pushes buffered frames to the OS (`write`) into the current segment.
+    fn flush_os(&mut self) -> std::io::Result<()> {
         if !self.buf.is_empty() {
             (&*self.file).write_all(&self.buf)?;
             self.file_bytes += self.buf.len() as u64;
             self.buf.clear();
         }
-        Ok(Some(Arc::clone(&self.file)))
-    }
-
-    /// Flushes and collects *every* handle the caller must fsync to make all
-    /// flushed frames durable: segments retired since the last sync point
-    /// (their tails were written at rotation but not yet synced), then the
-    /// current segment.  `None` when frozen.
-    fn flush_for_sync(&mut self) -> std::io::Result<Option<SyncBatch>> {
-        Ok(self.flush_os()?.map(|current| SyncBatch {
-            retired: std::mem::take(&mut self.pending_sync),
-            current,
-            seq: self.seq,
-        }))
+        Ok(())
     }
 }
 
@@ -351,21 +324,6 @@ pub struct Wal {
     inner: Mutex<WalWriter>,
     policy: FsyncPolicy,
     stats: WalStats,
-    /// Retired segments known synced, shared by concurrent sync points.
-    retired: Mutex<RetiredSync>,
-    /// Signalled when [`RetiredSync::synced_below`] rises or a sync fails.
-    retired_cv: Condvar,
-}
-
-/// How far the retired segments are synced.  A sync point that took no
-/// retired handle may still have to wait here: another sync point can have
-/// taken a segment holding an earlier frame and be inside its `fsync`.
-struct RetiredSync {
-    /// Every segment numbered below this one is synced (or predates this
-    /// writer).
-    synced_below: u64,
-    /// A sync point failed: the watermark will not rise again.
-    failed: bool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -382,6 +340,9 @@ impl Wal {
     /// (`0` for a fresh log → the first segment is `wal-00000001.seg`).
     /// A recovering server never appends to an existing segment — the old
     /// tail may have been repaired — it always starts `last_seq + 1`.
+    /// Unless the policy is [`FsyncPolicy::Never`], it then syncs the WAL
+    /// directory and its parent (`create_dir_all` may have just created the
+    /// directory), so the first segment's name is durable.
     pub fn open(
         dir: &Path,
         last_seq: u64,
@@ -391,7 +352,7 @@ impl Wal {
         std::fs::create_dir_all(dir)?;
         let seq = last_seq + 1;
         let file = WalWriter::open_segment(dir, seq)?;
-        Ok(Self {
+        let wal = Self {
             inner: Mutex::new(WalWriter {
                 dir: dir.to_path_buf(),
                 segment_bytes: segment_bytes.max(4096),
@@ -400,16 +361,21 @@ impl Wal {
                 file_bytes: 0,
                 buf: Vec::with_capacity(64 << 10),
                 frozen: false,
-                pending_sync: Vec::new(),
             }),
             policy,
             stats: WalStats::default(),
-            retired: Mutex::new(RetiredSync {
-                synced_below: seq,
-                failed: false,
-            }),
-            retired_cv: Condvar::new(),
-        })
+        };
+        if policy != FsyncPolicy::Never {
+            // A bare relative name's parent is the empty path: the working
+            // directory.
+            let parent = dir
+                .parent()
+                .filter(|p| !p.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            wal.sync_dir(dir)?;
+            wal.sync_dir(parent)?;
+        }
+        Ok(wal)
     }
 
     /// The configured fsync policy.
@@ -438,8 +404,11 @@ impl Wal {
     /// caller that must not hold its own lock across the disk wait issues
     /// after releasing it.  Any `flush(true)` that starts after this returns
     /// — another appender's included — returns only once this record is
-    /// synced, even when a rotation retired its segment and a concurrent
-    /// sync point took that segment's handle.
+    /// synced: it syncs the current segment, and if a rotation has retired
+    /// this record's segment since, that rotation synced it (and the
+    /// directory entry of its successor) before any frame could follow.
+    /// The rotating append pays for both syncs while it holds the writer
+    /// lock — and whatever lock its caller holds.
     pub fn append_unsynced(&self, rec: &WalRecord) -> std::io::Result<()> {
         let mut w = self.inner.lock().unwrap();
         if w.frozen {
@@ -460,76 +429,77 @@ impl Wal {
         self.stats.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
         // Rotate once the segment (including what is buffered for it) would
         // exceed its budget.  The whole buffer still lands in the *current*
-        // segment — frames never split across files.  The retiring
-        // segment's handle joins the pending-sync list: its just-written
-        // tail is only in the page cache, and the next sync point must fsync
-        // it too, or it would vouch for bytes a power loss could erase.
+        // segment — frames never split across files.
         if w.file_bytes + w.buf.len() as u64 >= w.segment_bytes {
-            if let Some(retired) = w.flush_os()? {
-                w.pending_sync.push(retired);
-            }
-            w.seq += 1;
-            w.file = WalWriter::open_segment(&w.dir, w.seq)?;
-            w.file_bytes = 0;
-            self.stats.rotations.fetch_add(1, Ordering::Relaxed);
+            self.rotate(&mut w)?;
         }
         Ok(())
     }
 
-    /// Flushes buffered frames to the OS; with `sync` also fsyncs.  The
-    /// caller picks the flush points (batch seal, snapshot, drain) and maps
-    /// the configured policy to the `sync` argument.  The fsync itself runs
-    /// outside the writer lock (see `WalWriter::flush_os`), so appenders
-    /// on other threads proceed while this call waits on the disk.  With
-    /// `sync`, it returns once every frame appended before it is synced.
-    pub fn flush(&self, sync: bool) -> std::io::Result<()> {
+    /// Retires the current segment and moves the writer to `seq + 1` (see
+    /// the rotation and directory rules in the module docs): writes the
+    /// tail, syncs it, creates the next segment and syncs the directory —
+    /// the syncs skipped under [`FsyncPolicy::Never`].  A failed step
+    /// returns before the writer moves, so a later sync point syncs the same
+    /// segment again rather than vouching for it.
+    fn rotate(&self, w: &mut WalWriter) -> std::io::Result<()> {
+        w.flush_os()?;
+        let sync = self.policy != FsyncPolicy::Never;
         if sync {
-            let batch = self.inner.lock().unwrap().flush_for_sync()?;
-            if let Some(batch) = batch {
-                self.sync_batch(batch)?;
-            }
-        } else {
-            self.inner.lock().unwrap().flush_os()?;
+            self.sync_file(&w.file)?;
         }
+        let next = WalWriter::open_segment(&w.dir, w.seq + 1)?;
+        if sync {
+            self.sync_dir(&w.dir)?;
+        }
+        w.seq += 1;
+        w.file = next;
+        w.file_bytes = 0;
+        self.stats.rotations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// `fsync`s a batch collected by `flush_for_sync` (outside the writer
-    /// lock): its retired segments, then the current one.  Then it waits
-    /// until every segment below its own retired ones is synced — those
-    /// went to earlier sync points, which may still be inside their
-    /// `fsync` — and raises the retired watermark past its own.  Sync
-    /// points take retired segments in order, so the watermark rises
-    /// without gaps.
-    fn sync_batch(&self, batch: SyncBatch) -> std::io::Result<()> {
-        let first = batch.seq - batch.retired.len() as u64;
-        let synced = batch
-            .retired
-            .iter()
-            .chain([&batch.current])
-            .try_for_each(|f| {
-                f.sync_data()?;
-                self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            });
-        let mut r = self.retired.lock().unwrap();
-        if let Err(e) = synced {
-            r.failed = true;
-            self.retired_cv.notify_all();
-            return Err(e);
+    /// Flushes buffered frames to the OS; with `sync` also fsyncs the
+    /// current segment — the one file a sync point syncs: the rotation that
+    /// retired each older segment synced it, and the directory was synced
+    /// when the current segment was created (neither under
+    /// [`FsyncPolicy::Never`]; see the module docs).  The caller picks the
+    /// flush points (batch seal, snapshot, drain) and maps the configured
+    /// policy to the `sync` argument.  With `sync`, it returns once every
+    /// frame appended before it is synced.
+    ///
+    /// The fsync runs after the writer lock is released: the disk wait must
+    /// never stall concurrent appenders (the admission path logs admits
+    /// under its own lock while the GNN worker syncs seals; holding the
+    /// writer lock across the fsync would serialize ingress with the disk).
+    /// That is sound: the bytes this flush wrote reached the OS under the
+    /// lock, and `sync_data` persists at least those — frames other threads
+    /// write meanwhile are synced early, which is harmless.
+    pub fn flush(&self, sync: bool) -> std::io::Result<()> {
+        let mut w = self.inner.lock().unwrap();
+        if w.frozen {
+            return Ok(());
         }
-        while r.synced_below < first {
-            if r.failed {
-                return Err(std::io::Error::other(
-                    "an earlier WAL segment failed to sync",
-                ));
-            }
-            r = self.retired_cv.wait(r).unwrap();
+        w.flush_os()?;
+        if !sync {
+            return Ok(());
         }
-        if r.synced_below < batch.seq {
-            r.synced_below = batch.seq;
-            self.retired_cv.notify_all();
-        }
+        let file = Arc::clone(&w.file);
+        drop(w);
+        self.sync_file(&file)
+    }
+
+    /// `sync_data` on one segment, counted in [`WalStats::fsyncs`].
+    fn sync_file(&self, file: &File) -> std::io::Result<()> {
+        file.sync_data()?;
+        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// [`crate::sync_dir`], counted in [`WalStats::fsyncs`].
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        crate::sync_dir(dir)?;
+        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -764,18 +734,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn fsyncs(wal: &Wal) -> u64 {
+        wal.stats().fsyncs.load(Ordering::Relaxed)
+    }
+
+    fn rotations(wal: &Wal) -> u64 {
+        wal.stats().rotations.load(Ordering::Relaxed)
+    }
+
     #[test]
-    fn rotation_retired_segments_are_fsynced_at_the_next_sync_point() {
-        // Regression: rotation used to discard the retiring segment's handle
-        // after write(), so its tail was never fsynced — later syncs hit only
-        // the new segment and a sync point could vouch for seals whose bytes
-        // sat in a retired segment's page cache.  Every
-        // sync point must drain the retired handles too: after R rotations
-        // with no intervening sync, one flush(true) issues exactly R+1
-        // fsyncs (each retired segment, then the current one).
+    fn rotation_syncs_the_retired_segment_and_the_directory() {
+        // A segment is made durable once, when rotation retires it, and the
+        // directory entry of its successor with it: open costs 2 fsyncs
+        // (the WAL directory, then its parent), every rotation 2 (the
+        // retired segment, then the directory) and every sync point 1 (the
+        // current segment) — under OnSeal and Always alike; Never issues
+        // none of them.
         let dir = std::env::temp_dir().join(format!("tgnn-wal-rotsync-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = Wal::open(&dir, 0, 4096, FsyncPolicy::OnSeal).unwrap();
+        assert_eq!(fsyncs(&wal), 2, "open syncs the directory and its parent");
         for i in 0..400u64 {
             wal.append(&WalRecord::Seal {
                 epoch: i,
@@ -783,73 +761,100 @@ mod tests {
             })
             .unwrap();
         }
-        let rotations = wal.stats().rotations.load(Ordering::Relaxed);
-        assert!(rotations > 1, "4 KiB segments must rotate");
+        let r = rotations(&wal);
+        assert!(r > 1, "4 KiB segments must rotate");
         assert_eq!(
-            wal.stats().fsyncs.load(Ordering::Relaxed),
-            0,
-            "OnSeal appends must not fsync on their own"
+            fsyncs(&wal),
+            2 + 2 * r,
+            "OnSeal appends sync only when they rotate"
         );
         wal.flush(true).unwrap();
-        assert_eq!(
-            wal.stats().fsyncs.load(Ordering::Relaxed),
-            rotations + 1,
-            "one sync point must fsync every retired segment plus the current one"
-        );
-        // The pending list is drained, not re-synced: another sync touches
-        // only the current segment.
+        assert_eq!(fsyncs(&wal), 2 + 2 * r + 1, "a sync point syncs one file");
         wal.flush(true).unwrap();
-        assert_eq!(wal.stats().fsyncs.load(Ordering::Relaxed), rotations + 2);
+        assert_eq!(fsyncs(&wal), 2 + 2 * r + 2);
 
-        // Under Always, the rotating append itself syncs both files.
+        // Under Always every append is a sync point of its own.
         let dir2 = std::env::temp_dir().join(format!("tgnn-wal-rotsync-a-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir2);
         let wal2 = Wal::open(&dir2, 0, 4096, FsyncPolicy::Always).unwrap();
         let mut appends = 0u64;
-        while wal2.stats().rotations.load(Ordering::Relaxed) == 0 {
+        while rotations(&wal2) < 3 {
             wal2.append(&WalRecord::Seal {
                 epoch: appends,
                 events: vec![(0, ev(appends as f64)); 4],
             })
             .unwrap();
             appends += 1;
+            assert_eq!(fsyncs(&wal2), 2 + 2 * rotations(&wal2) + appends);
         }
-        assert_eq!(
-            wal2.stats().fsyncs.load(Ordering::Relaxed),
-            appends + 1,
-            "the rotating append must fsync the retired segment and the new one"
-        );
+        assert_eq!(read_wal(&dir2).unwrap().segments, 4);
+
+        // Never syncs nothing on its own, rotating or not.
+        let dir3 = std::env::temp_dir().join(format!("tgnn-wal-rotsync-n-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir3);
+        let wal3 = Wal::open(&dir3, 0, 4096, FsyncPolicy::Never).unwrap();
+        for i in 0..400u64 {
+            wal3.append(&WalRecord::Ack { epoch: i }).unwrap();
+        }
+        wal3.flush_seal().unwrap();
+        assert!(rotations(&wal3) > 0);
+        assert_eq!(fsyncs(&wal3), 0);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
+        std::fs::remove_dir_all(&dir3).unwrap();
     }
 
     #[test]
-    fn a_sync_point_waits_for_a_retired_segment_another_one_is_syncing() {
-        // Thread A's append rotates, so its frame sits in the retired
-        // segment R; a concurrent sync point S takes R's handle and is
-        // inside its fsync.  A later sync point that finds the pending list
-        // empty must not return — vouching for the frames before it — until
-        // S has synced R.
-        let dir = std::env::temp_dir().join(format!("tgnn-wal-retired-{}", std::process::id()));
+    fn concurrent_sync_points_each_sync_one_file() {
+        // Four appenders rotate 4 KiB segments while two threads call
+        // flush(true): every record lands, in each appender's order, and
+        // the fsync count is open + 2 per rotation + 1 per sync point — no
+        // sync point ever synced more than the current segment.
+        let dir = std::env::temp_dir().join(format!("tgnn-wal-concur-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = Wal::open(&dir, 0, 4096, FsyncPolicy::OnSeal).unwrap();
-        let mut epoch = 0u64;
-        while wal.stats().rotations.load(Ordering::Relaxed) == 0 {
-            wal.append_unsynced(&WalRecord::Ack { epoch }).unwrap();
-            epoch += 1;
-        }
-        let taken = wal.inner.lock().unwrap().flush_for_sync().unwrap().unwrap();
-        assert_eq!(taken.retired.len(), 1, "S holds the retired segment");
+        const PER_THREAD: u64 = 600;
+        let appending = AtomicU64::new(4);
+        let sync_points = AtomicU64::new(0);
         std::thread::scope(|s| {
-            let later = s.spawn(|| wal.flush(true));
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            assert!(
-                !later.is_finished(),
-                "a sync point returned while an earlier frame's segment was unsynced"
-            );
-            wal.sync_batch(taken).unwrap();
-            later.join().unwrap().unwrap();
+            for t in 0..4u64 {
+                let (wal, appending) = (&wal, &appending);
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        wal.append_unsynced(&WalRecord::Ack {
+                            epoch: t * PER_THREAD + i,
+                        })
+                        .unwrap();
+                    }
+                    appending.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            for _ in 0..2 {
+                let (wal, appending, sync_points) = (&wal, &appending, &sync_points);
+                s.spawn(move || {
+                    while appending.load(Ordering::SeqCst) > 0 {
+                        wal.flush(true).unwrap();
+                        sync_points.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
         });
+        wal.flush(true).unwrap();
+        let sync_points = sync_points.into_inner() + 1;
+        let scan = read_wal(&dir).unwrap();
+        assert!(scan.torn.is_none());
+        assert!(scan.segments >= 3, "{} segments", scan.segments);
+        let mut next = [0u64; 4];
+        for rec in &scan.records {
+            let WalRecord::Ack { epoch } = *rec else {
+                panic!("unexpected record {rec:?}")
+            };
+            let t = (epoch / PER_THREAD) as usize;
+            assert_eq!(epoch % PER_THREAD, next[t], "appender {t} out of order");
+            next[t] += 1;
+        }
+        assert_eq!(next, [PER_THREAD; 4], "every record lands");
+        assert_eq!(fsyncs(&wal), 2 + 2 * rotations(&wal) + sync_points);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! The temporal graph: features + chronological event log + splits.
 
-use crate::{EventBatch, InteractionEvent, NodeId, Timestamp};
+use crate::{InteractionEvent, NodeId, Timestamp};
 use serde::{Deserialize, Serialize};
 use tgnn_tensor::Matrix;
 
@@ -172,11 +172,6 @@ impl TemporalGraph {
     /// performance experiments in the paper.
     pub fn test_events(&self) -> &[InteractionEvent] {
         &self.events[self.val_end()..]
-    }
-
-    /// All events as a single batch (useful for small tests).
-    pub fn as_single_batch(&self) -> EventBatch {
-        EventBatch::new(self.events.clone())
     }
 
     /// Mean number of events per vertex — a rough interaction-frequency

@@ -76,11 +76,6 @@ impl FpgaDevice {
     pub fn on_chip_bytes(&self) -> u64 {
         (self.total_brams() * 36 * 1024 + self.total_urams() * 288 * 1024) / 8
     }
-
-    /// Peak DDR bandwidth in bytes per second.
-    pub fn ddr_bandwidth_bytes(&self) -> f64 {
-        self.ddr_bandwidth_gbps * 1e9
-    }
 }
 
 /// Non-FPGA baseline platforms (Table III).

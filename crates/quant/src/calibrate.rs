@@ -81,11 +81,6 @@ impl ActivationRecorder {
         Self::default()
     }
 
-    /// Number of distinct layers observed so far.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Finalises the pass into per-layer activation scales.
     pub fn finish(&self, config: &QuantConfig) -> ActivationRanges {
         let mut scales = HashMap::with_capacity(self.layers.len());

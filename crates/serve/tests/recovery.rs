@@ -308,6 +308,16 @@ fn crash_recovery_is_bit_identical_across_faults_and_shards() {
 
 #[test]
 fn paced_feed_snapshots_by_absorbed_events_and_recovers_bit_identically() {
+    // Once with the default 8 MiB segments, once with 4 KiB ones, which the
+    // first life's ~15 KiB of log rotates through: a recovered stream reads
+    // across segments that rotation synced.
+    let default_segment = DurabilityConfig::new("").segment_bytes;
+    for segment_bytes in [default_segment, 4096] {
+        paced_feed_recovers(segment_bytes);
+    }
+}
+
+fn paced_feed_recovers(segment_bytes: u64) {
     // One event in flight at a time, so every epoch holds one event — 16
     // epochs where a saturated server has one.  The snapshot cadence must
     // not notice: `snapshot_every` (4) × `max_batch` (16) = an image per 64
@@ -316,8 +326,9 @@ fn paced_feed_snapshots_by_absorbed_events_and_recovers_bit_identically() {
     const FAULT_EPOCH: u64 = 150;
     let (model, graph) = setup(17);
     let events = &graph.events()[..240.min(graph.num_events())];
-    let td = TempDir::new("paced-cadence");
-    let config = base_config(td.path(), FsyncPolicy::Always);
+    let td = TempDir::new(&format!("paced-cadence-{segment_bytes}"));
+    let mut config = base_config(td.path(), FsyncPolicy::Always);
+    config.durability.as_mut().unwrap().segment_bytes = segment_bytes;
 
     let mut first = config.clone();
     first.gnn_fault = Some(Arc::new(|epoch| epoch == FAULT_EPOCH));
@@ -355,6 +366,12 @@ fn paced_feed_snapshots_by_absorbed_events_and_recovers_bit_identically() {
         snapshots(&server),
         absorbed / INTERVAL,
         "{absorbed} absorbed events in one-event epochs"
+    );
+    let rotations = server.report().durability.unwrap().wal_rotations;
+    assert_eq!(
+        rotations > 0,
+        segment_bytes == 4096,
+        "{rotations} rotations of {segment_bytes}-byte segments"
     );
     let crashed = catch_unwind(AssertUnwindSafe(move || server.drain())).is_err();
     assert!(crashed, "the injected fault must surface as a drain panic");

@@ -691,37 +691,6 @@ pub fn matmul_packed_transb_into(a: &Matrix, bt: &Matrix, c: &mut Matrix, ws: &m
     }
 }
 
-/// Matrix–vector product `A (m×k) · x (k) -> y (m)`.
-///
-/// # Panics
-/// Panics if `x.len() != a.cols()`.
-pub fn matvec(a: &Matrix, x: &[Float]) -> Vec<Float> {
-    assert_eq!(a.cols(), x.len(), "matvec: dimension mismatch");
-    (0..a.rows()).map(|i| dot(a.row(i), x)).collect()
-}
-
-/// Allocation-free [`matvec`] writing into a pre-sized output slice.
-///
-/// # Panics
-/// Panics if `x.len() != a.cols()` or `y.len() != a.rows()`.
-pub fn matvec_into(a: &Matrix, x: &[Float], y: &mut [Float]) {
-    assert_eq!(a.cols(), x.len(), "matvec_into: dimension mismatch");
-    assert_eq!(a.rows(), y.len(), "matvec_into: output length mismatch");
-    for (i, out) in y.iter_mut().enumerate() {
-        *out = dot(a.row(i), x);
-    }
-}
-
-/// Vector–matrix product `x (m) · A (m×n) -> y (n)`; equivalent to
-/// `Aᵀ · x` but avoids materialising the transpose.  Runs the reference
-/// kernel on a one-row `A`, so it is bit-identical to [`matmul`].
-pub fn vecmat(x: &[Float], a: &Matrix) -> Vec<Float> {
-    assert_eq!(a.rows(), x.len(), "vecmat: dimension mismatch");
-    let mut y = vec![0.0; a.cols()];
-    reference_loop(x, x.len(), a.cols(), a.as_slice(), &mut y);
-    y
-}
-
 /// Dot product of two equally-sized slices.
 ///
 /// # Panics
@@ -785,18 +754,6 @@ pub fn outer(x: &[Float], y: &[Float]) -> Matrix {
     out
 }
 
-/// `y += alpha * x`, the BLAS axpy primitive.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn axpy(alpha: Float, x: &[Float], y: &mut [Float]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,28 +789,6 @@ mod tests {
         let eye = Matrix::identity(6);
         assert_eq!(matmul(&a, &eye), a);
         assert_eq!(matmul(&eye, &a), a);
-    }
-
-    #[test]
-    fn matvec_and_vecmat_consistent_with_matmul() {
-        let mut rng = TensorRng::new(5);
-        let a = rng.uniform_matrix(4, 7, -1.0, 1.0);
-        let x: Vec<Float> = (0..7).map(|i| i as Float * 0.5).collect();
-        let y = matvec(&a, &x);
-        let x_col = Matrix::from_vec(7, 1, x.clone());
-        let y_ref = matmul(&a, &x_col);
-        for i in 0..4 {
-            assert!((y[i] - y_ref[(i, 0)]).abs() < 1e-5);
-        }
-
-        let z: Vec<Float> = (0..4).map(|i| 1.0 - i as Float).collect();
-        let w = vecmat(&z, &a);
-        let w_ref = matmul(&Matrix::from_vec(1, 4, z), &a);
-        assert_eq!(
-            w.as_slice(),
-            w_ref.as_slice(),
-            "vecmat is the reference kernel"
-        );
     }
 
     /// [`dot_lanes`]' stated order, written out one element at a time.
@@ -909,14 +844,11 @@ mod tests {
     }
 
     #[test]
-    fn dot_outer_axpy() {
+    fn dot_and_outer() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         let m = outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
         assert_eq!(m.shape(), (2, 3));
         assert_eq!(m[(1, 2)], 10.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
     }
 
     #[test]
@@ -1100,11 +1032,9 @@ mod tests {
         a[(3, 5)] = 0.0;
         b[(5, 7)] = Float::INFINITY;
         let packed = matmul_packed(&a, &b, &mut ws);
-        let row = vecmat(a.row(3), &b);
         for (name, got) in [
             ("matmul", matmul(&a, &b)[(3, 7)]),
             ("packed", packed[(3, 7)]),
-            ("vecmat", row[7]),
         ] {
             assert!(got.is_nan(), "{name} masked 0·inf: {got}");
         }

@@ -187,17 +187,6 @@ impl Matrix {
         self.row(i).to_vec()
     }
 
-    /// Copies column `j` into a new `Vec`.
-    pub fn col_to_vec(&self, j: usize) -> Vec<Float> {
-        assert!(
-            j < self.cols,
-            "col {} out of bounds ({} cols)",
-            j,
-            self.cols
-        );
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Overwrites row `i` with `values`.
     pub fn set_row(&mut self, i: usize, values: &[Float]) {
         assert_eq!(values.len(), self.cols, "set_row: length mismatch");
@@ -221,13 +210,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(Float) -> Float) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -499,9 +481,9 @@ mod tests {
     }
 
     #[test]
-    fn set_row_and_col_to_vec() {
+    fn set_row_overwrites_one_row() {
         let mut m = Matrix::zeros(3, 2);
         m.set_row(1, &[7.0, 8.0]);
-        assert_eq!(m.col_to_vec(1), vec![0.0, 8.0, 0.0]);
+        assert_eq!(m.as_slice(), &[0.0, 0.0, 7.0, 8.0, 0.0, 0.0]);
     }
 }

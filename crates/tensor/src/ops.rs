@@ -21,23 +21,11 @@ pub fn sigmoid(mut x: Float) -> Float {
     x
 }
 
-/// Derivative of the sigmoid expressed in terms of its output `s`.
-#[inline]
-pub fn sigmoid_grad_from_output(s: Float) -> Float {
-    s * (1.0 - s)
-}
-
 /// Hyperbolic tangent.
 #[inline]
 pub fn tanh(mut x: Float) -> Float {
     tanh_slice(std::slice::from_mut(&mut x));
     x
-}
-
-/// Derivative of tanh expressed in terms of its output `t`.
-#[inline]
-pub fn tanh_grad_from_output(t: Float) -> Float {
-    1.0 - t * t
 }
 
 /// Rectified linear unit.
@@ -83,16 +71,6 @@ pub fn softmax_in_place(xs: &mut [Float]) {
     exp_slice(xs);
     let sum: Float = xs.iter().sum();
     xs.iter_mut().for_each(|e| *e /= sum);
-}
-
-/// Softmax applied independently to every row of a matrix.
-pub fn softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), m.cols());
-    for i in 0..m.rows() {
-        let row = softmax(m.row(i));
-        out.row_mut(i).copy_from_slice(&row);
-    }
-    out
 }
 
 /// Log-softmax of a slice (stable).
@@ -212,12 +190,6 @@ pub fn prefetch(xs: &[Float]) {
     let _ = xs;
 }
 
-/// Squared L2 distance between two slices.
-pub fn squared_distance(a: &[Float], b: &[Float]) -> Float {
-    assert_eq!(a.len(), b.len(), "squared_distance: length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
-}
-
 /// Cosine similarity between two slices (0 if either is the zero vector).
 /// Re-exported from [`crate::stats`], where the comparison statistics live.
 pub use crate::stats::cosine_similarity;
@@ -232,15 +204,6 @@ mod tests {
         assert!(approx_eq(sigmoid(0.0), 0.5, 1e-6));
         assert!(sigmoid(10.0) > 0.999);
         assert!(sigmoid(-10.0) < 0.001);
-        // derivative identity
-        let s = sigmoid(0.7);
-        assert!(approx_eq(sigmoid_grad_from_output(s), s * (1.0 - s), 1e-7));
-    }
-
-    #[test]
-    fn tanh_grad_identity() {
-        let t = tanh(0.3);
-        assert!(approx_eq(tanh_grad_from_output(t), 1.0 - t * t, 1e-7));
     }
 
     #[test]
@@ -293,16 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_each_row_normalised() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![-1.0, 0.0, 1.0]]);
-        let s = softmax_rows(&m);
-        for i in 0..2 {
-            let sum: Float = s.row(i).iter().sum();
-            assert!(approx_eq(sum, 1.0, 1e-6));
-        }
-    }
-
-    #[test]
     fn elementwise_ops() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
@@ -338,10 +291,5 @@ mod tests {
             1e-6
         ));
         assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-        assert!(approx_eq(
-            squared_distance(&[1.0, 2.0], &[3.0, 0.0]),
-            8.0,
-            1e-6
-        ));
     }
 }
