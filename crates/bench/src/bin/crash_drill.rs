@@ -34,6 +34,7 @@ use tgnn_core::{ExecMode, InferenceEngine, OptimizationVariant};
 use tgnn_graph::EventBatch;
 use tgnn_serve::{
     wal_fault_hook, DurabilityConfig, FsyncPolicy, ServeConfig, ServedBatch, StreamServer,
+    TenantSpec,
 };
 
 const USAGE: &str = "usage: crash_drill <dir> [--crash-at <n>] [--fsync <always|onseal|never>]";
@@ -75,6 +76,14 @@ fn main() {
     let model = build_model(&graph, &cfg, 7);
     let warm = graph.train_events().to_vec();
     let feed = graph.events()[graph.train_end()..].to_vec();
+    // The crash hook holds the state worker until the whole feed is
+    // submitted, which ends only if the ingress queue can hold all of it.
+    let ingress = TenantSpec::new("default").ingress_capacity;
+    assert!(
+        feed.len() <= ingress,
+        "the {}-event feed must fit the {ingress}-event ingress queue",
+        feed.len()
+    );
 
     let mut durability = DurabilityConfig::new(&dir).with_fsync(fsync);
     durability.segment_bytes = SEGMENT_BYTES;
@@ -86,7 +95,7 @@ fn main() {
         let (submitted, feed_len) = (submitted.clone(), feed.len());
         durability = durability.with_wal_fault(wal_fault_hook(move |_epoch| {
             if seals.fetch_add(1, Ordering::SeqCst) + 1 == at {
-                // Wait for the whole feed to be admitted (ingress holds it),
+                // Wait for the whole feed to be admitted (asserted to fit),
                 // so the log has rotated however slow each admit's fsync is.
                 // Then let the GNN worker compute and sync the batches
                 // already sealed, so the second life has epochs to re-serve;

@@ -59,8 +59,10 @@ pub enum FsyncPolicy {
     /// after the last seal — exactly the events the client would learn to
     /// resubmit from the recovered resume index.
     OnSeal,
-    /// Flush (`write`) at seal but never fsync: the OS decides when bytes
-    /// reach the disk.  Survives process death, not power loss.
+    /// Flush (`write`) at seal without an fsync: the OS decides when a
+    /// seal's bytes reach the disk.  Survives process death, not power
+    /// loss.  Rotation still syncs each segment it retires and the WAL
+    /// directory, and snapshots and drain still sync the whole log.
     Never,
 }
 

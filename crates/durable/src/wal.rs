@@ -36,12 +36,8 @@
 //! simulate process death in-process: a [`WalFaultHook`] freezes the writer
 //! so buffered bytes are never flushed, then panics the hosting worker).
 //!
-//! Two rules make a sync point's one `fsync` enough.  They hold under
-//! [`FsyncPolicy::OnSeal`] and [`FsyncPolicy::Always`]; under
-//! [`FsyncPolicy::Never`] the WAL syncs nothing on its own, so a
-//! `flush(true)` there covers only the current segment — that policy
-//! promises nothing across a power loss, and a rotation's sync would stall
-//! the appender on a whole segment's writeback.
+//! Two rules, kept under every policy, make a sync point's one `fsync`
+//! enough:
 //!
 //! * **Rotation rule.**  A segment is made durable once, when rotation
 //!   retires it: the rotating append writes the old segment's tail and
@@ -291,6 +287,24 @@ struct WalWriter {
     /// silent no-op, so buffered records are lost exactly as they would be
     /// if the process had died.
     frozen: bool,
+    /// Every step taken under the writer lock, in order.
+    #[cfg(test)]
+    steps: Vec<Step>,
+}
+
+/// A writer step, recorded in test builds so the tests can pin the order in
+/// which rotation makes a segment durable.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// Buffered frames were written into segment `seq`.
+    Wrote(u64),
+    /// Rotation synced segment `seq`, which it retires.
+    Retired(u64),
+    /// Rotation created segment `seq`.
+    Created(u64),
+    /// Rotation synced the WAL directory.
+    DirSynced,
 }
 
 /// Segment file name for a sequence number.
@@ -313,6 +327,8 @@ impl WalWriter {
             (&*self.file).write_all(&self.buf)?;
             self.file_bytes += self.buf.len() as u64;
             self.buf.clear();
+            #[cfg(test)]
+            self.steps.push(Step::Wrote(self.seq));
         }
         Ok(())
     }
@@ -340,9 +356,9 @@ impl Wal {
     /// (`0` for a fresh log → the first segment is `wal-00000001.seg`).
     /// A recovering server never appends to an existing segment — the old
     /// tail may have been repaired — it always starts `last_seq + 1`.
-    /// Unless the policy is [`FsyncPolicy::Never`], it then syncs the WAL
-    /// directory and its parent (`create_dir_all` may have just created the
-    /// directory), so the first segment's name is durable.
+    /// It then syncs the WAL directory and its parent (`create_dir_all` may
+    /// have just created the directory), so the first segment's name is
+    /// durable.
     pub fn open(
         dir: &Path,
         last_seq: u64,
@@ -361,20 +377,20 @@ impl Wal {
                 file_bytes: 0,
                 buf: Vec::with_capacity(64 << 10),
                 frozen: false,
+                #[cfg(test)]
+                steps: Vec::new(),
             }),
             policy,
             stats: WalStats::default(),
         };
-        if policy != FsyncPolicy::Never {
-            // A bare relative name's parent is the empty path: the working
-            // directory.
-            let parent = dir
-                .parent()
-                .filter(|p| !p.as_os_str().is_empty())
-                .unwrap_or(Path::new("."));
-            wal.sync_dir(dir)?;
-            wal.sync_dir(parent)?;
-        }
+        // A bare relative name's parent is the empty path: the working
+        // directory.
+        let parent = dir
+            .parent()
+            .filter(|p| !p.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        wal.sync_dir(dir)?;
+        wal.sync_dir(parent)?;
         Ok(wal)
     }
 
@@ -438,20 +454,20 @@ impl Wal {
 
     /// Retires the current segment and moves the writer to `seq + 1` (see
     /// the rotation and directory rules in the module docs): writes the
-    /// tail, syncs it, creates the next segment and syncs the directory —
-    /// the syncs skipped under [`FsyncPolicy::Never`].  A failed step
-    /// returns before the writer moves, so a later sync point syncs the same
-    /// segment again rather than vouching for it.
+    /// tail, syncs it, creates the next segment and syncs the directory.  A
+    /// failed step returns before the writer moves, so a later sync point
+    /// syncs the same segment again rather than vouching for it.
     fn rotate(&self, w: &mut WalWriter) -> std::io::Result<()> {
         w.flush_os()?;
-        let sync = self.policy != FsyncPolicy::Never;
-        if sync {
-            self.sync_file(&w.file)?;
-        }
+        self.sync_file(&w.file)?;
+        #[cfg(test)]
+        w.steps.push(Step::Retired(w.seq));
         let next = WalWriter::open_segment(&w.dir, w.seq + 1)?;
-        if sync {
-            self.sync_dir(&w.dir)?;
-        }
+        #[cfg(test)]
+        w.steps.push(Step::Created(w.seq + 1));
+        self.sync_dir(&w.dir)?;
+        #[cfg(test)]
+        w.steps.push(Step::DirSynced);
         w.seq += 1;
         w.file = next;
         w.file_bytes = 0;
@@ -462,8 +478,8 @@ impl Wal {
     /// Flushes buffered frames to the OS; with `sync` also fsyncs the
     /// current segment — the one file a sync point syncs: the rotation that
     /// retired each older segment synced it, and the directory was synced
-    /// when the current segment was created (neither under
-    /// [`FsyncPolicy::Never`]; see the module docs).  The caller picks the
+    /// when the current segment was created (see the module docs).  The
+    /// caller picks the
     /// flush points (batch seal, snapshot, drain) and maps the configured
     /// policy to the `sync` argument.  With `sync`, it returns once every
     /// frame appended before it is synced.
@@ -742,14 +758,46 @@ mod tests {
         wal.stats().rotations.load(Ordering::Relaxed)
     }
 
+    /// Checks the writer's step trace from segment `first` on: a frame
+    /// lands only in the current segment, and every rotation is the retired
+    /// segment's sync, then the next segment's creation, then the directory
+    /// sync, with nothing between them — all before the writer moves, under
+    /// the writer lock.  Returns the rotations seen.
+    fn assert_rotation_order(wal: &Wal, first: u64) -> u64 {
+        let steps = wal.inner.lock().unwrap().steps.clone();
+        let (mut seq, mut i) = (first, 0);
+        while i < steps.len() {
+            match steps[i] {
+                Step::Wrote(s) => {
+                    assert_eq!(s, seq, "step {i}: a frame left the current segment")
+                }
+                Step::Retired(s) => {
+                    assert_eq!(
+                        s, seq,
+                        "step {i}: rotation synced a segment it does not retire"
+                    );
+                    assert_eq!(
+                        steps.get(i + 1..i + 3),
+                        Some(&[Step::Created(seq + 1), Step::DirSynced][..]),
+                        "step {i}: segment {seq}'s sync must precede the next segment and the directory sync"
+                    );
+                    seq += 1;
+                    i += 2;
+                }
+                step => panic!("step {i}: {step:?} outside a rotation"),
+            }
+            i += 1;
+        }
+        seq - first
+    }
+
     #[test]
     fn rotation_syncs_the_retired_segment_and_the_directory() {
         // A segment is made durable once, when rotation retires it, and the
         // directory entry of its successor with it: open costs 2 fsyncs
         // (the WAL directory, then its parent), every rotation 2 (the
         // retired segment, then the directory) and every sync point 1 (the
-        // current segment) — under OnSeal and Always alike; Never issues
-        // none of them.
+        // current segment), under every policy.
         let dir = std::env::temp_dir().join(format!("tgnn-wal-rotsync-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = Wal::open(&dir, 0, 4096, FsyncPolicy::OnSeal).unwrap();
@@ -772,6 +820,16 @@ mod tests {
         assert_eq!(fsyncs(&wal), 2 + 2 * r + 1, "a sync point syncs one file");
         wal.flush(true).unwrap();
         assert_eq!(fsyncs(&wal), 2 + 2 * r + 2);
+        // Without concurrent flushes each segment is written once, by the
+        // rotation that retires it (the last one by the first sync point).
+        let steps = wal.inner.lock().unwrap().steps.clone();
+        let mut want = Vec::new();
+        for seq in 1..=r {
+            want.extend([Step::Wrote(seq), Step::Retired(seq)]);
+            want.extend([Step::Created(seq + 1), Step::DirSynced]);
+        }
+        want.push(Step::Wrote(r + 1));
+        assert_eq!(steps, want);
 
         // Under Always every append is a sync point of its own.
         let dir2 = std::env::temp_dir().join(format!("tgnn-wal-rotsync-a-{}", std::process::id()));
@@ -787,21 +845,10 @@ mod tests {
             appends += 1;
             assert_eq!(fsyncs(&wal2), 2 + 2 * rotations(&wal2) + appends);
         }
+        assert_eq!(assert_rotation_order(&wal2, 1), 3);
         assert_eq!(read_wal(&dir2).unwrap().segments, 4);
-
-        // Never syncs nothing on its own, rotating or not.
-        let dir3 = std::env::temp_dir().join(format!("tgnn-wal-rotsync-n-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir3);
-        let wal3 = Wal::open(&dir3, 0, 4096, FsyncPolicy::Never).unwrap();
-        for i in 0..400u64 {
-            wal3.append(&WalRecord::Ack { epoch: i }).unwrap();
-        }
-        wal3.flush_seal().unwrap();
-        assert!(rotations(&wal3) > 0);
-        assert_eq!(fsyncs(&wal3), 0);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
-        std::fs::remove_dir_all(&dir3).unwrap();
     }
 
     #[test]
@@ -809,7 +856,9 @@ mod tests {
         // Four appenders rotate 4 KiB segments while two threads call
         // flush(true): every record lands, in each appender's order, and
         // the fsync count is open + 2 per rotation + 1 per sync point — no
-        // sync point ever synced more than the current segment.
+        // sync point ever synced more than the current segment.  The step
+        // trace shows every rotation synced its segment before any frame,
+        // from any thread, landed in the next one.
         let dir = std::env::temp_dir().join(format!("tgnn-wal-concur-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = Wal::open(&dir, 0, 4096, FsyncPolicy::OnSeal).unwrap();
@@ -855,6 +904,7 @@ mod tests {
         }
         assert_eq!(next, [PER_THREAD; 4], "every record lands");
         assert_eq!(fsyncs(&wal), 2 + 2 * rotations(&wal) + sync_points);
+        assert_eq!(assert_rotation_order(&wal, 1), rotations(&wal));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
