@@ -235,10 +235,7 @@ impl TenantSpec {
     /// # Panics
     /// Panics if `rate_eps` is not finite and positive.
     pub fn with_rate_eps(mut self, rate_eps: f64) -> Self {
-        assert!(
-            rate_eps.is_finite() && rate_eps > 0.0,
-            "TenantSpec: rate_eps must be finite and positive"
-        );
+        assert_rate_eps(rate_eps);
         self.rate_eps = Some(rate_eps);
         self
     }
@@ -283,6 +280,17 @@ impl TenantSpec {
             .unwrap_or_else(|| self.rate_eps.unwrap_or(1.0))
             .max(1.0)
     }
+}
+
+/// Panics unless `rate_eps` is a rate a token bucket can refill at: a zero
+/// rate makes a `Block` submitter's wait for a token infinite (a panic
+/// inside the admission lock), a negative or NaN one never earns a token,
+/// and an infinite one turns the bucket's arithmetic into NaN.
+fn assert_rate_eps(rate_eps: f64) {
+    assert!(
+        rate_eps.is_finite() && rate_eps > 0.0,
+        "TenantSpec: rate_eps must be finite and positive"
+    );
 }
 
 /// What `submit_for` did with the event.
@@ -510,8 +518,10 @@ impl AdmissionControl {
     /// Builds the queues from the tenant table.
     ///
     /// # Panics
-    /// Panics if the table is empty or any spec has a zero weight or
-    /// capacity.
+    /// Panics if the table is empty, any spec has a zero weight or
+    /// capacity, or a `rate_eps` that is not finite and positive (the field
+    /// is public, so a struct literal can bypass
+    /// [`TenantSpec::with_rate_eps`]).
     pub fn new(specs: Vec<TenantSpec>) -> Self {
         assert!(!specs.is_empty(), "admission: need at least one tenant");
         let tenants = specs
@@ -522,6 +532,9 @@ impl AdmissionControl {
                     spec.ingress_capacity >= 1,
                     "admission: tenant ingress capacity must be >= 1"
                 );
+                if let Some(rate_eps) = spec.rate_eps {
+                    assert_rate_eps(rate_eps);
+                }
                 let tokens = spec.effective_burst();
                 TenantIngress {
                     queue: VecDeque::with_capacity(spec.ingress_capacity),

@@ -33,7 +33,7 @@ use crate::admission::{AdmissionControl, AdmissionCounters};
 use crate::cache::{CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats};
 use crate::pipeline::SealReason;
-use crate::queue::QueueStats;
+use crate::queue::{QueueMonitor, QueueStats};
 use crate::server::{BackendStats, LatencySummary, ServeConfig, TenantStats, NS_PER_MS};
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -670,9 +670,6 @@ pub(crate) fn per_second(n: u64, over: Duration) -> f64 {
     }
 }
 
-/// The live queue-depth readers, one per pipeline queue.
-pub(crate) type QueueMonitors = Vec<Box<dyn Fn() -> QueueStats + Send + Sync>>;
-
 /// Cloneable, `Send + Sync` handle to a server's live metrics: its
 /// `Sinks` plus what the snapshot reads but the sinks do not own —
 /// admission's counters, the durability and cache counters, the queue
@@ -686,7 +683,7 @@ pub struct MetricsHub {
     admission: Arc<AdmissionControl>,
     durability: Option<Arc<Durability>>,
     cache: Option<Arc<EmbeddingCache>>,
-    queues: Arc<QueueMonitors>,
+    queues: Vec<QueueMonitor>,
     next_epoch: Arc<AtomicU64>,
 }
 
@@ -696,7 +693,7 @@ impl MetricsHub {
         admission: Arc<AdmissionControl>,
         durability: Option<Arc<Durability>>,
         cache: Option<Arc<EmbeddingCache>>,
-        queues: QueueMonitors,
+        queues: Vec<QueueMonitor>,
         next_epoch: Arc<AtomicU64>,
     ) -> Self {
         MetricsHub {
@@ -704,7 +701,7 @@ impl MetricsHub {
             admission,
             durability,
             cache,
-            queues: Arc::new(queues),
+            queues,
             next_epoch,
         }
     }
@@ -719,9 +716,9 @@ impl MetricsHub {
     /// Assembles a point-in-time [`MetricsSnapshot`] — the one function that
     /// reads the sinks and the admission, WAL, cache and queue counters;
     /// every report is a view of its result.  Lock-free on the hot
-    /// counters; the queue depths and tenant counters take their short
-    /// registration locks.  Callable at any moment — including while the
-    /// pipeline is poisoned.
+    /// counters and the queue counters (depths included); the tenant
+    /// counters take their short registration lock.  Callable at any
+    /// moment — including while the pipeline is poisoned.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let s = &self.sinks;
         let uptime = s.started.elapsed();
@@ -805,7 +802,7 @@ impl MetricsHub {
             embeddings: s.embeddings.load(Ordering::Relaxed),
             seals: std::array::from_fn(|i| s.seals[i].load(Ordering::Relaxed)),
             batch_events: s.batch_events.snapshot(),
-            queues: self.queues.iter().map(|q| q()).collect(),
+            queues: self.queues.iter().map(QueueMonitor::stats).collect(),
             stages,
             batch_latency: LatencySummary::from_histogram(&s.latency_ns.snapshot(), NS_PER_MS),
             admission,

@@ -863,7 +863,7 @@ mod tests {
         /// `None` only while dropping: the worker's pending send fails once
         /// it is gone.
         rx: Option<Receiver<GnnJob>>,
-        jobs: QueueMonitor<GnnJob>,
+        jobs: QueueMonitor,
         hub: MetricsHub,
         graph: Arc<TemporalGraph>,
         submitted: AtomicUsize,

@@ -11,7 +11,7 @@ use crate::admission::{
 };
 use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
-use crate::metrics::{per_second, MetricsHub, MetricsSnapshot, QueueMonitors, Sinks, StageId};
+use crate::metrics::{per_second, MetricsHub, MetricsSnapshot, Sinks, StageId};
 use crate::pipeline::{
     gnn_loop, state_loop, Batcher, GnnCompute, GnnFaultHook, GnnJob, ServedBatch, StateObs,
     StateStage, STATE_ONLY,
@@ -46,6 +46,7 @@ pub struct ServeConfig {
     /// capacities)` events ([`TenantSpec::ingress_capacity`]).  It bounds
     /// the work per epoch (and the GEMM row count), not the latency.  Also
     /// the unit [`DurabilityConfig::snapshot_every`] is denominated in.
+    /// Must be at least 1.
     pub max_batch: usize,
     /// Capacity of the inter-stage `state→gnn` queue (micro-batches in
     /// flight between the state and GNN workers).
@@ -422,11 +423,12 @@ impl StreamServer {
     /// GNN.
     ///
     /// # Panics
-    /// Panics if a configured tenant has a zero weight or ingress capacity,
-    /// or if `config.durability` points at a directory that already contains
-    /// WAL segments — a prior durable session ended there, and silently
-    /// appending to its log would corrupt the seal sequence; call
-    /// [`Self::recover`] instead.
+    /// Panics if `config.max_batch` is 0, if a configured tenant has a zero
+    /// weight or ingress capacity or a `rate_eps` that is not finite and
+    /// positive, or if `config.durability` points at a directory that
+    /// already contains WAL segments — a prior durable session ended there,
+    /// and silently appending to its log would corrupt the seal sequence;
+    /// call [`Self::recover`] instead.
     pub fn new(model: TgnModel, graph: Arc<TemporalGraph>, config: ServeConfig) -> Self {
         if let Some(dcfg) = &config.durability {
             assert!(
@@ -449,6 +451,9 @@ impl StreamServer {
         config: ServeConfig,
         wal_last_seq: u64,
     ) -> Self {
+        // A zero cap makes every pull empty, which kills the state worker
+        // mid-stream; rejected here, before anything is opened or spawned.
+        assert!(config.max_batch >= 1, "ServeConfig: max_batch must be >= 1");
         let num_nodes = graph.num_nodes();
         let num_shards = config.num_shards;
         let mut tenants = if config.tenants.is_empty() {
@@ -559,16 +564,7 @@ impl StreamServer {
         let (gnn_tx, gnn_rx) = channel::<GnnJob>("state→gnn", config.stage_capacity);
         let (results_tx, results_rx) =
             channel::<ServedBatch>("gnn→results", config.results_capacity);
-        let queue_stats: QueueMonitors = vec![
-            {
-                let m = gnn_tx.monitor();
-                Box::new(move || m.stats())
-            },
-            {
-                let m = results_tx.monitor();
-                Box::new(move || m.stats())
-            },
-        ];
+        let queues = vec![gnn_tx.monitor(), results_tx.monitor()];
 
         let mut workers = Vec::with_capacity(2);
         {
@@ -614,7 +610,7 @@ impl StreamServer {
             admission.clone(),
             durability.clone(),
             cache.clone(),
-            queue_stats,
+            queues,
             next_epoch.clone(),
         );
 

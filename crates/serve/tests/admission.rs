@@ -559,3 +559,60 @@ fn single_tenant_default_reports_one_block_policy_tenant() {
     assert_eq!(t.late, 0);
     assert!(report.commit_log_clean);
 }
+
+/// Builds a server from `config` and returns the message it panicked with,
+/// or `None` if it was built.
+fn construction_panic(
+    model: &TgnModel,
+    graph: &Arc<TemporalGraph>,
+    config: ServeConfig,
+) -> Option<String> {
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        StreamServer::new(model.clone(), graph.clone(), config)
+    }));
+    match built {
+        Ok(server) => {
+            drop(server);
+            None
+        }
+        Err(payload) => Some(
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default(),
+        ),
+    }
+}
+
+#[test]
+fn unusable_numbers_fail_construction_not_the_stream() {
+    // A struct literal bypasses `TenantSpec::with_rate_eps`'s assert, and
+    // nothing else checked `max_batch`: a zero rate used to panic inside the
+    // admission lock on a `Block` tenant's second submit, poisoning it for
+    // every later submit, and a zero cap killed the state worker on its
+    // first pull.  Both must be refused when the server is built.
+    let (model, graph) = setup(21);
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let config = ServeConfig {
+            tenants: vec![TenantSpec {
+                rate_eps: Some(rate),
+                ..TenantSpec::new("t")
+            }],
+            ..ServeConfig::default()
+        };
+        let msg = construction_panic(&model, &graph, config)
+            .unwrap_or_else(|| panic!("rate_eps {rate} built a server"));
+        assert!(
+            msg.contains("rate_eps must be finite and positive"),
+            "rate_eps {rate}: {msg}"
+        );
+    }
+    let config = ServeConfig {
+        max_batch: 0,
+        ..ServeConfig::default()
+    };
+    let msg = construction_panic(&model, &graph, config)
+        .unwrap_or_else(|| panic!("max_batch 0 built a server"));
+    assert!(msg.contains("max_batch must be >= 1"), "max_batch 0: {msg}");
+}

@@ -1,165 +1,103 @@
 //! Stress tests for the queue close/backpressure paths — many iterations of
 //! a producer or consumer blocked on a full/empty queue racing the other
 //! end's close.  Guards the lost-wakeup discipline (close flag + notify under
-//! the queue mutex) on both the SPSC channels and the MPMC pool channels: a
-//! regression shows up as a hung iteration, caught by the suite's timeout.
+//! the queue mutex) of the channel both pipeline queues use.  A lost wakeup
+//! parks a thread forever, so each case runs its loop on a thread of its own
+//! under a watchdog: a hung iteration fails the test after [`WATCHDOG`]
+//! instead of hanging the suite.
 //!
 //! Each test spawns its own racing threads; CI additionally runs this suite
 //! in release (tighter race windows than debug codegen) with several test
 //! functions concurrent for extra thread pressure.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
-use tgnn_serve::queue::{channel, mpmc_channel};
+use tgnn_serve::queue::channel;
 
 const ITERS: usize = 10_000;
 
-/// Producer blocked on a full SPSC queue races the receiver dropping: the
-/// send must fail (item returned), never hang.
-#[test]
-fn spsc_close_races_blocked_push() {
-    for i in 0..ITERS {
-        let (tx, rx) = channel::<u32>("stress", 1);
-        tx.send(0).unwrap(); // fill: the next send blocks
-        thread::scope(|s| {
-            let producer = s.spawn(move || tx.send(1));
-            if i % 3 == 0 {
-                thread::yield_now(); // vary interleaving across iterations
-            }
-            drop(rx);
-            assert_eq!(producer.join().unwrap(), Err(1), "iteration {i}");
-        });
+/// How long one case's whole loop may take.  A case takes well under a
+/// second in release and a few in debug.
+const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// Runs `case` on a thread of its own and fails if it does not finish
+/// within [`WATCHDOG`]; a panic inside `case` fails the test as it is.
+fn with_watchdog(case: fn()) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        case();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(WATCHDOG) {
+        Ok(()) => runner.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().unwrap_err())
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("an iteration hung for {WATCHDOG:?}: a lost wakeup parked a queue end")
+        }
     }
 }
 
-/// Consumer blocked on an empty SPSC queue races the sender dropping: the
-/// recv must observe end of stream, never hang.
+/// Producer blocked on a full queue races the receiver dropping: the send
+/// must fail (item returned), never hang.
+#[test]
+fn spsc_close_races_blocked_push() {
+    with_watchdog(|| {
+        for i in 0..ITERS {
+            let (tx, rx) = channel::<u32>("stress", 1);
+            tx.send(0).unwrap(); // fill: the next send blocks
+            thread::scope(|s| {
+                let producer = s.spawn(move || tx.send(1));
+                if i % 3 == 0 {
+                    thread::yield_now(); // vary interleaving across iterations
+                }
+                drop(rx);
+                assert_eq!(producer.join().unwrap(), Err(1), "iteration {i}");
+            });
+        }
+    });
+}
+
+/// Consumer blocked on an empty queue races the sender dropping: the recv
+/// must observe end of stream, never hang.
 #[test]
 fn spsc_close_races_blocked_pop() {
-    for i in 0..ITERS {
-        let (tx, rx) = channel::<u32>("stress", 1);
-        thread::scope(|s| {
-            let consumer = s.spawn(move || rx.recv());
-            if i % 3 == 0 {
-                thread::yield_now();
-            }
-            drop(tx);
-            assert_eq!(consumer.join().unwrap(), None, "iteration {i}");
-        });
-    }
+    with_watchdog(|| {
+        for i in 0..ITERS {
+            let (tx, rx) = channel::<u32>("stress", 1);
+            thread::scope(|s| {
+                let consumer = s.spawn(move || rx.recv());
+                if i % 3 == 0 {
+                    thread::yield_now();
+                }
+                drop(tx);
+                assert_eq!(consumer.join().unwrap(), None, "iteration {i}");
+            });
+        }
+    });
 }
 
 /// Last item sent right before the close must still be delivered — the
-/// close/drain ordering half of the SPSC contract.
+/// close/drain ordering half of the contract.
 #[test]
 fn spsc_item_sent_before_close_is_never_lost() {
-    for i in 0..ITERS {
-        let (tx, rx) = channel::<u32>("stress", 2);
-        thread::scope(|s| {
-            let consumer = s.spawn(move || {
-                let mut got = Vec::new();
-                while let Some(x) = rx.recv() {
-                    got.push(x);
-                }
-                got
-            });
-            tx.send(i as u32).unwrap();
-            drop(tx);
-            assert_eq!(consumer.join().unwrap(), vec![i as u32], "iteration {i}");
-        });
-    }
-}
-
-/// Producer blocked on a full MPMC queue races an explicit `close()` from
-/// the consumer side: the send must fail, and the pre-close item must stay
-/// poppable.
-#[test]
-fn mpmc_close_races_blocked_push() {
-    for i in 0..ITERS {
-        let (tx, rx) = mpmc_channel::<u32>("stress", 1);
-        tx.send(0).unwrap();
-        thread::scope(|s| {
-            let tx2 = tx.clone();
-            let producer = s.spawn(move || tx2.send(1));
-            if i % 3 == 0 {
-                thread::yield_now();
-            }
-            rx.close();
-            assert_eq!(producer.join().unwrap(), Err(1), "iteration {i}");
-            assert_eq!(rx.recv(), Some(0), "iteration {i}: pre-close item lost");
-            assert_eq!(rx.recv(), None, "iteration {i}");
-        });
-    }
-}
-
-/// Consumer blocked on an empty MPMC queue races `close()` from the
-/// producer side (and, every other iteration, the last sender dropping
-/// instead): the recv must observe end of stream, never hang.
-#[test]
-fn mpmc_close_races_blocked_pop() {
-    for i in 0..ITERS {
-        let (tx, rx) = mpmc_channel::<u32>("stress", 1);
-        thread::scope(|s| {
-            let rx2 = rx.clone();
-            let consumer = s.spawn(move || rx2.recv());
-            if i % 3 == 0 {
-                thread::yield_now();
-            }
-            if i % 2 == 0 {
-                tx.close();
-            } else {
-                drop(tx);
-            }
-            assert_eq!(consumer.join().unwrap(), None, "iteration {i}");
-        });
-        // tx dropped here on even iterations; already gone on odd ones.
-    }
-}
-
-/// Full pool shape: several blocked producers and consumers race one close.
-/// Every producer must resolve to Ok or Err (no hang) and every item sent
-/// successfully before the close must be delivered exactly once.
-#[test]
-fn mpmc_pool_close_resolves_every_blocked_end() {
-    for i in 0..ITERS / 10 {
-        let (tx, rx) = mpmc_channel::<u32>("stress", 2);
-        thread::scope(|s| {
-            let mut producers = Vec::new();
-            for p in 0..3u32 {
-                let tx = tx.clone();
-                producers.push(s.spawn(move || tx.send(p).map_err(|_| p)));
-            }
-            let mut consumers = Vec::new();
-            for _ in 0..2 {
-                let rx = rx.clone();
-                consumers.push(s.spawn(move || {
+    with_watchdog(|| {
+        for i in 0..ITERS {
+            let (tx, rx) = channel::<u32>("stress", 2);
+            thread::scope(|s| {
+                let consumer = s.spawn(move || {
                     let mut got = Vec::new();
                     while let Some(x) = rx.recv() {
                         got.push(x);
                     }
                     got
-                }));
-            }
-            if i % 2 == 0 {
-                thread::sleep(Duration::from_micros(50));
-            }
-            tx.close();
-            let sent_ok: Vec<bool> = producers
-                .into_iter()
-                .map(|p| p.join().unwrap().is_ok())
-                .collect();
-            drop(rx);
-            let mut delivered: Vec<u32> = consumers
-                .into_iter()
-                .flat_map(|c| c.join().unwrap())
-                .collect();
-            delivered.sort_unstable();
-            let ok_count = sent_ok.iter().filter(|&&b| b).count();
-            assert_eq!(
-                delivered.len(),
-                ok_count,
-                "iteration {i}: accepted items must be delivered exactly once"
-            );
-        });
-    }
+                });
+                tx.send(i as u32).unwrap();
+                drop(tx);
+                assert_eq!(consumer.join().unwrap(), vec![i as u32], "iteration {i}");
+            });
+        }
+    });
 }
