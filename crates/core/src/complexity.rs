@@ -7,17 +7,24 @@
 //! node/edge features).  Learnable parameters are assumed to be resident
 //! on-chip, as in the paper's accounting.
 //!
+//! There is one formula, [`StageOps::of`], and it prices a [`BatchWorkload`]
+//! — edges, memory updates, embeddings, neighbors scored and fetched.  The
+//! inference engine records the workload it actually ran
+//! (`InferenceEngine::workload`) and its `ops()` are that workload priced;
+//! the closed-form per-embedding figures of Tables I–II
+//! ([`per_embedding_ops`]) price the nominal workload of one edge
+//! ([`BatchWorkload::nominal`]).  `hwsim` times the same workloads.
+//!
 //! The GNN MACs count the paper's per-neighbor (FPGA) order — every sampled
 //! or kept neighbor row projected through `W_k` / `W_v`, then scored and
 //! summed — not the order the CPU forwards run, which aggregate the rows
 //! first and project once per target vertex (`ARCHITECTURE.md`, *one
-//! aggregation rule*).  The counts model the accelerator; `hwsim` is pinned
-//! to them.
+//! aggregation rule*).  The counts model the accelerator.
 
 use crate::config::{AttentionKind, ModelConfig, TimeEncoderKind};
 use crate::profiling::Stage;
 use serde::{Deserialize, Serialize};
-use std::ops::{Add, AddAssign};
+use std::ops::{Add, AddAssign, Div, Sub};
 
 /// MAC and MEM counts for one stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -100,74 +107,150 @@ impl AddAssign for StageOps {
     }
 }
 
-/// Analytical per-embedding operation counts for a model configuration —
-/// the closed-form version used by Table I/II and by the hardware
-/// performance model.  The inference engine also counts operations as it
-/// executes; tests check the two agree.
-pub fn per_embedding_ops(config: &ModelConfig) -> StageOps {
-    let mem = config.memory_dim as u64;
-    let time = config.time_dim as u64;
-    let efeat = config.edge_feature_dim as u64;
-    let nfeat = config.node_feature_dim as u64;
-    let msg = config.message_dim() as u64;
-    let sampled = config.sampled_neighbors as u64;
-    let budget = config.neighbor_budget as u64;
-    let nbr_in = config.neighbor_input_dim() as u64;
-    let q_in = config.query_input_dim() as u64;
-    let emb = config.embedding_dim as u64;
-
-    let mut ops = StageOps::default();
-
-    // --- sample: read the neighbor table (index, edge id, timestamp per
-    // neighbor slot); no arithmetic.
-    ops.sample.mems = sampled * 3;
-
-    // --- memory: read the cached message + own memory, run the time encoder
-    // for the message Δt, and the GRU.
-    ops.memory.mems = msg + mem;
-    let time_macs = match config.time_encoder {
-        TimeEncoderKind::Cos => 2 * time,
-        TimeEncoderKind::Lut => 0,
-    };
-    // GRU: three input-side and three hidden-side projections.
-    ops.memory.macs = time_macs + 3 * msg * mem + 3 * mem * mem;
-
-    // --- GNN: read the neighbor memories + edge features (+ own node
-    // feature), encode neighbor Δt, run the attention aggregator and the
-    // output feature transformation.
-    let fetched_neighbors = match config.attention {
-        // Vanilla attention must fetch every sampled neighbor before scores
-        // are known.
-        AttentionKind::Vanilla => sampled,
-        // Simplified attention knows the scores first and fetches only the
-        // pruned set.
-        AttentionKind::Simplified => budget,
-    };
-    ops.gnn.mems = fetched_neighbors * (mem + efeat) + nfeat;
-    let neighbor_time_macs = match config.time_encoder {
-        TimeEncoderKind::Cos => 2 * time * fetched_neighbors,
-        TimeEncoderKind::Lut => 0,
-    };
-    let attention_macs = match config.attention {
-        AttentionKind::Vanilla => {
-            // q, K, V projections + score dot products + weighted sum.
-            q_in * mem + sampled * nbr_in * mem * 2 + sampled * mem + sampled * mem
+impl Div<u64> for OpCounts {
+    type Output = OpCounts;
+    fn div(self, rhs: u64) -> OpCounts {
+        OpCounts {
+            macs: self.macs / rhs,
+            mems: self.mems / rhs,
         }
-        AttentionKind::Simplified => {
+    }
+}
+
+impl Div<u64> for StageOps {
+    type Output = StageOps;
+    fn div(self, rhs: u64) -> StageOps {
+        StageOps {
+            sample: self.sample / rhs,
+            memory: self.memory / rhs,
+            gnn: self.gnn / rhs,
+            update: self.update / rhs,
+        }
+    }
+}
+
+/// The workload of one processing batch, or of a whole stream: what the
+/// engine did, counted where it did it — the quantity both the operation
+/// counts ([`StageOps::of`]) and the accelerator's timing model price.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct BatchWorkload {
+    /// Edges in the processing batch.
+    pub edges: usize,
+    /// Vertices whose memory is updated (had a pending message).
+    pub memory_updates: usize,
+    /// Vertices for which embeddings are produced.
+    pub embeddings: usize,
+    /// Total neighbor-feature fetches (after pruning).
+    pub neighbors_fetched: usize,
+    /// Total candidate neighbors scored (before pruning).
+    pub neighbors_scored: usize,
+}
+
+impl BatchWorkload {
+    /// The nominal workload of `edges` edges: each edge updates and embeds
+    /// its two endpoints, and every embedding scores `k` sampled neighbors
+    /// and fetches `k` of them (vanilla attention) or the pruning budget
+    /// (simplified attention, which scores before it fetches).  A real
+    /// stream does less: vertices repeat within a batch and young vertices
+    /// have fewer than `k` neighbors.
+    pub fn nominal(config: &ModelConfig, edges: usize) -> Self {
+        let endpoints = 2 * edges;
+        let fetched = match config.attention {
+            AttentionKind::Vanilla => config.sampled_neighbors,
+            AttentionKind::Simplified => config.neighbor_budget,
+        };
+        Self {
+            edges,
+            memory_updates: endpoints,
+            embeddings: endpoints,
+            neighbors_fetched: endpoints * fetched,
+            neighbors_scored: endpoints * config.sampled_neighbors,
+        }
+    }
+}
+
+impl Sub for BatchWorkload {
+    type Output = BatchWorkload;
+    fn sub(self, rhs: BatchWorkload) -> BatchWorkload {
+        BatchWorkload {
+            edges: self.edges - rhs.edges,
+            memory_updates: self.memory_updates - rhs.memory_updates,
+            embeddings: self.embeddings - rhs.embeddings,
+            neighbors_fetched: self.neighbors_fetched - rhs.neighbors_fetched,
+            neighbors_scored: self.neighbors_scored - rhs.neighbors_scored,
+        }
+    }
+}
+
+impl StageOps {
+    /// The operation counts of a workload — the one MAC/MEM formula.  The
+    /// engine's counters, the per-embedding figures of Tables I–II and the
+    /// nominal workloads all go through it.
+    pub fn of(config: &ModelConfig, w: &BatchWorkload) -> StageOps {
+        let mem = config.memory_dim as u64;
+        let time = config.time_dim as u64;
+        let efeat = config.edge_feature_dim as u64;
+        let nfeat = config.node_feature_dim as u64;
+        let msg = config.message_dim() as u64;
+        let k = config.sampled_neighbors as u64;
+        let nbr_in = config.neighbor_input_dim() as u64;
+        let q_in = config.query_input_dim() as u64;
+        let emb = config.embedding_dim as u64;
+        let edges = w.edges as u64;
+        let updates = w.memory_updates as u64;
+        let embeddings = w.embeddings as u64;
+        let fetched = w.neighbors_fetched as u64;
+        let scored = w.neighbors_scored as u64;
+        let time_macs = |encodings: u64| match config.time_encoder {
+            TimeEncoderKind::Cos => 2 * time * encodings,
+            TimeEncoderKind::Lut => 0,
+        };
+
+        let mut ops = StageOps::default();
+
+        // --- sample: read the neighbor table (index, edge id, timestamp per
+        // neighbor slot); no arithmetic.
+        ops.sample.mems = 3 * scored;
+
+        // --- memory: read the cached message + own memory, run the time
+        // encoder for the message Δt, and the GRU (three input-side and three
+        // hidden-side projections).
+        ops.memory.mems = updates * (msg + mem);
+        ops.memory.macs = time_macs(updates) + updates * (3 * msg * mem + 3 * mem * mem);
+
+        // --- GNN: read the fetched neighbors' memories + edge features (+
+        // each vertex's node feature), encode their Δt, run the attention
+        // aggregator and the output feature transformation.
+        ops.gnn.mems = fetched * (mem + efeat) + embeddings * nfeat;
+        let attention_macs = match config.attention {
+            // q, K, V projections + score dot products + weighted sum: every
+            // sampled neighbor is fetched before its score is known.
+            AttentionKind::Vanilla => {
+                embeddings * q_in * mem + 2 * scored * nbr_in * mem + 2 * scored * mem
+            }
             // W_t·Δt + value projections of the pruned set + weighted sum.
-            sampled * sampled + budget * nbr_in * mem + budget * mem
-        }
-    };
-    // Node-feature projection (W_s) + output transformation (FTM).
-    let projection_macs = if nfeat > 0 { nfeat * mem } else { 0 };
-    let ftm_macs = (mem + mem) * emb;
-    ops.gnn.macs = neighbor_time_macs + attention_macs + projection_macs + ftm_macs;
+            AttentionKind::Simplified => {
+                embeddings * k * k + fetched * nbr_in * mem + fetched * mem
+            }
+        };
+        // Node-feature projection (W_s) + output transformation (FTM).
+        let projection_macs = embeddings * nfeat * mem;
+        let ftm_macs = embeddings * (mem + mem) * emb;
+        ops.gnn.macs = time_macs(fetched) + attention_macs + projection_macs + ftm_macs;
 
-    // --- update: write back the new memory and the new cached message,
-    // append to the neighbor table.
-    ops.update.mems = mem + msg + 3;
+        // --- update: write back the new memories; per edge, cache the two
+        // new messages and append to both endpoints' neighbor tables.
+        ops.update.mems = updates * mem + edges * (2 * msg + 6);
 
-    ops
+        ops
+    }
+}
+
+/// Analytical per-embedding operation counts for a model configuration —
+/// the figures of Table I/II: [`StageOps::of`] on one nominal edge, which
+/// embeds two vertices.
+pub fn per_embedding_ops(config: &ModelConfig) -> StageOps {
+    StageOps::of(config, &BatchWorkload::nominal(config, 1)) / 2
 }
 
 /// Computation-reduction factor of a configuration relative to a baseline
@@ -265,6 +348,19 @@ mod tests {
         let lut = per_embedding_ops(&wiki_config(OptimizationVariant::SatLut));
         assert!(lut.total().macs < sat.total().macs);
         assert_eq!(lut.total().mems, sat.total().mems);
+    }
+
+    #[test]
+    fn halving_one_nominal_edge_is_exact() {
+        // Every term of one edge's count covers both endpoints alike, so
+        // `per_embedding_ops` loses nothing to the division.
+        for shape in [(0, 172), (200, 0), (100, 16)] {
+            for variant in OptimizationVariant::ladder() {
+                let cfg = ModelConfig::paper_default(shape.0, shape.1).with_variant(variant);
+                let edge = StageOps::of(&cfg, &BatchWorkload::nominal(&cfg, 1));
+                assert_eq!(per_embedding_ops(&cfg) + per_embedding_ops(&cfg), edge);
+            }
+        }
     }
 
     #[test]

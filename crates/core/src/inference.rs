@@ -13,11 +13,11 @@
 //!    against the vertex's stored update time, and records the new
 //!    interactions in the neighbor table.
 //!
-//! Wall-clock time per stage (Table I), MAC/MEM counters (Tables I–II), and
-//! per-batch latencies (Fig. 5) are collected as the stream is processed.
+//! Wall-clock time per stage (Table I), the workload that
+//! [`StageOps::of`] prices into MAC/MEM counts (Tables I–II), and per-batch
+//! latencies (Fig. 5) are collected as the stream is processed.
 
-use crate::complexity::{OpCounts, StageOps};
-use crate::config::{AttentionKind, TimeEncoderKind};
+use crate::complexity::{BatchWorkload, OpCounts, StageOps};
 use crate::memory::NodeMemory;
 use crate::model::{EmbeddingJob, NeighborContext, NeighborRef, TgnModel};
 use crate::profiling::{Stage, StageTimer, StageTimings};
@@ -171,10 +171,7 @@ impl InferenceReport {
         if self.num_embeddings == 0 {
             OpCounts::default()
         } else {
-            OpCounts {
-                macs: self.ops.total().macs / self.num_embeddings as u64,
-                mems: self.ops.total().mems / self.num_embeddings as u64,
-            }
+            self.ops.total() / self.num_embeddings as u64
         }
     }
 }
@@ -185,14 +182,13 @@ pub struct InferenceEngine {
     model: TgnModel,
     memory: NodeMemory,
     sampler: FifoSampler,
-    /// Memory rows the update stage wrote, and those of them earlier than
-    /// their vertex's stored update time.
-    commits: usize,
+    /// What the stages did since construction / reset, each count recorded
+    /// by the stage that did the work; [`Self::ops`] prices it.
+    workload: BatchWorkload,
+    /// Written-back memory rows earlier than their vertex's stored update
+    /// time.
     backward_commits: usize,
-    ops: StageOps,
     timings: StageTimings,
-    embeddings_generated: usize,
-    events_processed: usize,
     mode: ExecMode,
     /// Scratch for the single-threaded hot path (memory stage + batched GNN).
     ws: Workspace,
@@ -220,12 +216,9 @@ impl InferenceEngine {
             model,
             memory,
             sampler,
-            commits: 0,
+            workload: BatchWorkload::default(),
             backward_commits: 0,
-            ops: StageOps::default(),
             timings: StageTimings::default(),
-            embeddings_generated: 0,
-            events_processed: 0,
             mode,
             ws: Workspace::new(),
             par_workspaces: Vec::new(),
@@ -306,7 +299,7 @@ impl InferenceEngine {
 
     /// Memory rows written back so far (warm-up included).
     pub fn commits(&self) -> usize {
-        self.commits
+        self.workload.memory_updates
     }
 
     /// Written-back rows that were earlier than their vertex's stored update
@@ -318,7 +311,7 @@ impl InferenceEngine {
 
     /// Number of embeddings generated so far.
     pub fn embeddings_generated(&self) -> usize {
-        self.embeddings_generated
+        self.workload.embeddings
     }
 
     /// Resets all vertex state (model weights are kept).
@@ -326,12 +319,9 @@ impl InferenceEngine {
         let num_nodes = self.memory.num_nodes();
         self.memory = NodeMemory::for_config(num_nodes, &self.model.config);
         self.sampler = FifoSampler::new(num_nodes, self.model.config.sampled_neighbors);
-        self.commits = 0;
+        self.workload = BatchWorkload::default();
         self.backward_commits = 0;
-        self.ops = StageOps::default();
         self.timings = StageTimings::default();
-        self.embeddings_generated = 0;
-        self.events_processed = 0;
     }
 
     /// Warm-up: replays a chronological event prefix updating only the vertex
@@ -369,7 +359,6 @@ impl InferenceEngine {
         timer.stop();
 
         self.timings.merge(&timer.finish());
-        self.events_processed += batch.len();
         BatchOutput {
             embeddings,
             latency: wall_start.elapsed(),
@@ -385,7 +374,7 @@ impl InferenceEngine {
         let sampled = SampledBatch::assemble(batch.clone(), k, &self.model, |v, t, k, out| {
             sampler.sample_into(v, t, k, out)
         });
-        self.ops.sample.mems += 3 * sampled.total_sampled() as u64;
+        self.workload.neighbors_scored += sampled.total_sampled();
         sampled
     }
 
@@ -407,7 +396,6 @@ impl InferenceEngine {
                 graph.edge_feature(e.edge_id),
                 e.timestamp,
             );
-            self.ops.update.mems += 2 * self.model.config.message_dim() as u64;
         }
         updated_memory
     }
@@ -441,20 +429,16 @@ impl InferenceEngine {
                     let out = self
                         .model
                         .compute_embedding(&memory_row, node_feature, &contexts);
-                    self.count_gnn_ops(contexts.len(), out.used_neighbors.len());
                     embeddings.push((v, out.embedding));
                 }
             }
             ExecMode::Batched | ExecMode::Parallel | ExecMode::Quantized => {
                 let outputs = self.gnn_stage_fast(sampled, updated_memory, graph);
-                for (i, (&v, embedding)) in sampled.touched.iter().zip(outputs).enumerate() {
-                    let kept = sampled.selection().ranges[i].1;
-                    self.count_gnn_ops(sampled.neighbors_of(i).len(), kept);
-                    embeddings.push((v, embedding));
-                }
+                embeddings.extend(sampled.touched.iter().copied().zip(outputs));
             }
         }
-        self.embeddings_generated += embeddings.len();
+        self.workload.embeddings += embeddings.len();
+        self.workload.neighbors_fetched += sampled.selection().kept.len();
         embeddings
     }
 
@@ -469,14 +453,13 @@ impl InferenceEngine {
     ) {
         for (&v, new_mem) in updated_memory {
             let t = sampled.query_time_of(v);
-            self.commits += 1;
             self.backward_commits += usize::from(!self.memory.commit_memory(v, new_mem, t));
-            self.ops.update.mems += self.model.config.memory_dim as u64;
         }
         for e in sampled.batch.events() {
             self.sampler.observe(e);
-            self.ops.update.mems += 6; // two neighbor-table appends of (id, edge, t)
         }
+        self.workload.memory_updates += updated_memory.len();
+        self.workload.edges += sampled.batch.len();
     }
 
     /// Runs a full event stream split into fixed-size batches and returns the
@@ -498,9 +481,8 @@ impl InferenceEngine {
         batches: &[EventBatch],
         graph: &TemporalGraph,
     ) -> InferenceReport {
-        let ops_before = self.ops;
+        let workload_before = self.workload;
         let timings_before = self.timings;
-        let embeddings_before = self.embeddings_generated;
         let start = std::time::Instant::now();
         let mut latencies = Vec::with_capacity(batches.len());
         let mut events = 0;
@@ -510,15 +492,7 @@ impl InferenceEngine {
             events += batch.len();
         }
         let total_time = start.elapsed();
-        let mut ops = self.ops;
-        ops.sample.macs -= ops_before.sample.macs;
-        ops.sample.mems -= ops_before.sample.mems;
-        ops.memory.macs -= ops_before.memory.macs;
-        ops.memory.mems -= ops_before.memory.mems;
-        ops.gnn.macs -= ops_before.gnn.macs;
-        ops.gnn.mems -= ops_before.gnn.mems;
-        ops.update.macs -= ops_before.update.macs;
-        ops.update.mems -= ops_before.update.mems;
+        let workload = self.workload - workload_before;
 
         let mut timings = self.timings;
         timings.sample -= timings_before.sample;
@@ -528,18 +502,25 @@ impl InferenceEngine {
 
         InferenceReport {
             num_events: events,
-            num_embeddings: self.embeddings_generated - embeddings_before,
+            num_embeddings: workload.embeddings,
             num_batches: batches.len(),
             total_time,
             batch_latencies: latencies,
             timings,
-            ops,
+            ops: StageOps::of(&self.model.config, &workload),
         }
     }
 
-    /// Accumulated operation counters since construction / reset.
+    /// The workload processed since construction / reset (warm-up
+    /// included): edges, memory rows committed, embeddings, neighbors
+    /// scored and fetched.
+    pub fn workload(&self) -> BatchWorkload {
+        self.workload
+    }
+
+    /// Operation counts of [`Self::workload`] (Tables I–II).
     pub fn ops(&self) -> StageOps {
-        self.ops
+        StageOps::of(&self.model.config, &self.workload)
     }
 
     /// Accumulated stage timings since construction / reset.
@@ -560,11 +541,6 @@ impl InferenceEngine {
         query_times: &[Timestamp],
     ) -> HashMap<NodeId, Vec<Float>> {
         let cfg = &self.model.config;
-        let time_macs = match cfg.time_encoder {
-            TimeEncoderKind::Cos => 2 * cfg.time_dim as u64,
-            TimeEncoderKind::Lut => 0,
-        };
-
         if self.mode == ExecMode::Serial {
             // Reference path: per-call allocations, blocked GEMM.
             let with_messages: Vec<(NodeId, crate::memory::Message)> = (touched.iter())
@@ -585,8 +561,6 @@ impl InferenceEngine {
                 let assembled = msg.assemble(encodings.row(i));
                 messages.set_row(i, &assembled);
                 memories.set_row(i, self.memory.memory_of(*v));
-                self.ops.memory.mems += (cfg.message_dim() + cfg.memory_dim) as u64;
-                self.ops.memory.macs += time_macs + self.model.gru.macs(1);
             }
             let updated = self.model.update_memory(&messages, &memories);
             return with_messages
@@ -610,11 +584,8 @@ impl InferenceEngine {
             &mut self.ws,
             obs,
         );
-        let rows = updated.len();
         let out = updated.iter().map(|(v, row)| (v, row.to_vec())).collect();
         updated.recycle(&mut self.ws);
-        self.ops.memory.mems += (rows * (cfg.message_dim() + cfg.memory_dim)) as u64;
-        self.ops.memory.macs += rows as u64 * (time_macs + self.model.gru.macs(1));
         out
     }
 
@@ -727,40 +698,6 @@ impl InferenceEngine {
             .collect()
     }
 
-    /// Operation accounting for one embedding with `sampled` candidate
-    /// neighbors of which `used` were aggregated.
-    fn count_gnn_ops(&mut self, sampled: usize, used: usize) {
-        let cfg = &self.model.config;
-        let mem = cfg.memory_dim as u64;
-        let efeat = cfg.edge_feature_dim as u64;
-        let nfeat = cfg.node_feature_dim as u64;
-        let nbr_in = cfg.neighbor_input_dim() as u64;
-        let q_in = cfg.query_input_dim() as u64;
-        let emb = cfg.embedding_dim as u64;
-        let sampled = sampled as u64;
-        let used = used as u64;
-
-        let fetched = match cfg.attention {
-            AttentionKind::Vanilla => sampled,
-            AttentionKind::Simplified => used,
-        };
-        self.ops.gnn.mems += fetched * (mem + efeat) + nfeat;
-        let time_macs = match cfg.time_encoder {
-            TimeEncoderKind::Cos => 2 * cfg.time_dim as u64 * fetched,
-            TimeEncoderKind::Lut => 0,
-        };
-        let attention_macs = match cfg.attention {
-            AttentionKind::Vanilla => q_in * mem + 2 * sampled * nbr_in * mem + 2 * sampled * mem,
-            AttentionKind::Simplified => {
-                (cfg.sampled_neighbors * cfg.sampled_neighbors) as u64
-                    + used * nbr_in * mem
-                    + used * mem
-            }
-        };
-        let projection = if nfeat > 0 { nfeat * mem } else { 0 };
-        self.ops.gnn.macs += time_macs + attention_macs + projection + 2 * mem * emb;
-    }
-
     /// Advances the vertex state over a batch without producing embeddings
     /// (used by [`Self::warm_up`]) — the state-only step the streaming
     /// server's warm-up and recovery run: no neighbor is sampled, then the
@@ -769,18 +706,16 @@ impl InferenceEngine {
         if batch.is_empty() {
             return;
         }
-        let events = batch.len();
         let sampled = SampledBatch::assemble(batch, 0, &self.model, |_, _, _, _| {});
         let updated = self.stage_memory(&sampled, graph);
         self.stage_update(&sampled, &updated);
-        self.events_processed += events;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ModelConfig, OptimizationVariant};
+    use crate::config::{ModelConfig, OptimizationVariant, TimeEncoderKind};
     use tgnn_data::{generate, tiny};
     use tgnn_tensor::TensorRng;
 

@@ -4,27 +4,26 @@
 //! Functionally, the accelerator runs Algorithm 1 exactly like the software
 //! [`tgnn_core::InferenceEngine`] (the hardware changes *where* work happens,
 //! not *what* is computed), so the simulator wraps that engine for the
-//! numerical results and drives the timing models with the per-batch
-//! workload it actually observed (how many vertices had pending messages,
-//! how many neighbors were fetched after pruning, how many redundant updates
-//! the Updater squashed).
+//! numerical results and drives the timing models with the batch's
+//! workload as the engine recorded it ([`InferenceEngine::workload`]: how
+//! many vertices had pending messages, how many neighbors were scored and
+//! fetched after pruning) plus how many redundant updates the Updater
+//! squashed.
 
 use crate::ddr::DdrModel;
 use crate::design::DesignConfig;
 use crate::device::FpgaDevice;
-use crate::pipeline::{BatchWorkload, PipelineModel};
+use crate::pipeline::PipelineModel;
 use crate::updater::Updater;
 use serde::{Deserialize, Serialize};
-use tgnn_core::{InferenceEngine, TgnModel};
+use tgnn_core::{BatchWorkload, InferenceEngine, TgnModel};
 use tgnn_graph::{EventBatch, InteractionEvent, TemporalGraph};
 
 /// Timing result of one user-visible batch.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimulatedBatch {
-    /// Number of edges in the batch.
-    pub edges: usize,
-    /// Number of embeddings produced.
-    pub embeddings: usize,
+    /// The batch's workload as the functional engine recorded it.
+    pub workload: BatchWorkload,
     /// Simulated latency on the accelerator, seconds.
     pub latency: f64,
     /// Redundant vertex writes eliminated by the Updater.
@@ -111,34 +110,10 @@ impl AcceleratorSim {
     /// Processes one user-visible batch: functional results from the
     /// reference engine, timing from the pipeline + Updater models.
     pub fn process_batch(&mut self, batch: &EventBatch, graph: &TemporalGraph) -> SimulatedBatch {
-        if batch.is_empty() {
-            return SimulatedBatch {
-                edges: 0,
-                embeddings: 0,
-                latency: 0.0,
-                redundant_writes_eliminated: 0,
-            };
-        }
-        let ops_before = self.engine.ops();
-        let out = self.engine.process_batch(batch, graph);
-        let ops_after = self.engine.ops();
-
-        // Derive the observed workload of this batch from the engine's
-        // counters and outputs.
+        let before = self.engine.workload();
+        self.engine.process_batch(batch, graph);
+        let workload = self.engine.workload() - before;
         let cfg = &self.pipeline.model;
-        let gnn_mem_delta = ops_after.gnn.mems - ops_before.gnn.mems;
-        let per_neighbor_words = (cfg.memory_dim + cfg.edge_feature_dim).max(1) as u64;
-        let neighbors_fetched = (gnn_mem_delta / per_neighbor_words) as usize;
-        let memory_updates = ((ops_after.memory.mems - ops_before.memory.mems)
-            / (cfg.message_dim() + cfg.memory_dim).max(1) as u64)
-            as usize;
-        let workload = BatchWorkload {
-            edges: batch.len(),
-            memory_updates,
-            embeddings: out.embeddings.len(),
-            neighbors_fetched,
-            neighbors_scored: out.embeddings.len() * cfg.sampled_neighbors,
-        };
 
         // Updater simulation: edges are assigned to CUs round-robin; each
         // edge produces two vertex updates.
@@ -165,8 +140,7 @@ impl AcceleratorSim {
         latency += updater.stats().scan_cycles as f64 * self.design.clock_period();
 
         SimulatedBatch {
-            edges: batch.len(),
-            embeddings: out.embeddings.len(),
+            workload,
             latency,
             redundant_writes_eliminated: updater.stats().invalidated,
         }
@@ -196,8 +170,8 @@ impl AcceleratorSim {
         for batch in batches {
             let sim = self.process_batch(batch, graph);
             total_time += sim.latency;
-            events += sim.edges;
-            embeddings += sim.embeddings;
+            events += sim.workload.edges;
+            embeddings += sim.workload.embeddings;
             results.push(sim);
         }
         SimulatedStreamReport {
@@ -272,6 +246,53 @@ mod tests {
     }
 
     #[test]
+    fn each_batch_is_timed_on_the_sampled_and_kept_counts_of_a_node_feature_graph() {
+        // Node features are GNN-stage reads that are not neighbor fetches,
+        // and young vertices sample fewer than `k` neighbors: a workload
+        // recovered from the op counters gets both wrong.
+        let graph = generate(&tgnn_data::DatasetConfig {
+            node_feature_dim: 6,
+            edge_feature_dim: 0,
+            ..tiny(91)
+        });
+        for variant in [OptimizationVariant::Baseline, OptimizationVariant::NpSmall] {
+            let cfg = ModelConfig {
+                sampled_neighbors: 6,
+                ..ModelConfig::tiny(graph.node_feature_dim(), 0)
+            }
+            .with_variant(variant);
+            let mut model = TgnModel::new(cfg, &mut TensorRng::new(2));
+            if model.config.time_encoder == tgnn_core::TimeEncoderKind::Lut {
+                let deltas = tgnn_data::delta_t::memory_delta_t(graph.events(), graph.num_nodes());
+                model.calibrate_lut(&deltas);
+            }
+            let mut reference = InferenceEngine::new(model.clone(), graph.num_nodes());
+            let mut sim = AcceleratorSim::new(
+                model,
+                graph.num_nodes(),
+                FpgaDevice::alveo_u200(),
+                DesignConfig::u200(),
+            );
+            for chunk in graph.events()[..300].chunks(50) {
+                let batch = EventBatch::new(chunk.to_vec());
+                let sampled = reference.stage_sample(&batch);
+                let updated = reference.stage_memory(&sampled, &graph);
+                reference.stage_gnn(&sampled, &updated, &graph);
+                reference.stage_update(&sampled, &updated);
+                let expected = BatchWorkload {
+                    edges: batch.len(),
+                    memory_updates: updated.len(),
+                    embeddings: sampled.len(),
+                    neighbors_fetched: sampled.selection().kept.len(),
+                    neighbors_scored: sampled.total_sampled(),
+                };
+                let simulated = sim.process_batch(&batch, &graph);
+                assert_eq!(simulated.workload, expected, "{variant:?}");
+            }
+        }
+    }
+
+    #[test]
     fn u200_is_faster_than_zcu104_in_simulation() {
         let (mut u200, graph) = build(
             OptimizationVariant::NpMedium,
@@ -333,6 +354,6 @@ mod tests {
         );
         let out = sim.process_batch(&EventBatch::empty(), &graph);
         assert_eq!(out.latency, 0.0);
-        assert_eq!(out.edges, 0);
+        assert_eq!(out.workload, BatchWorkload::default());
     }
 }

@@ -21,8 +21,8 @@
 
 use crate::ddr::DdrModel;
 use crate::design::DesignConfig;
-use crate::pipeline::{BatchWorkload, PipelineModel};
-use tgnn_core::{GnnJobBatch, TgnModel};
+use crate::pipeline::PipelineModel;
+use tgnn_core::{BatchWorkload, GnnJobBatch, TgnModel};
 
 /// The accelerator latency model of a served GNN job: a design point over
 /// a DDR model, for one model configuration.  Holds no weights.

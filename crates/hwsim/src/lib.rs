@@ -20,11 +20,14 @@
 //!   squashes redundant writes (Fig. 3).
 //! * [`pipeline`] — the 9-stage task schedule (Fig. 4): per-stage cycle
 //!   counts, batching, prefetching, and the pipelined execution across
-//!   processing batches.
-//! * [`perf_model`] — the closed-form performance model (Eq. 18–22).
+//!   processing batches, timed from a
+//!   [`BatchWorkload`](tgnn_core::BatchWorkload) — the workload type the
+//!   operation counts of `tgnn_core::complexity` price too.
+//! * [`perf_model`] — the closed-form performance model (Eq. 18–22), timed
+//!   at the nominal workload of one processing batch.
 //! * [`accelerator`] — the full accelerator simulation: functional results
 //!   identical to the software reference engine, timing from the pipeline
-//!   model.
+//!   model on the workload the engine recorded for each batch.
 //! * [`baseline`] — CPU (1 and 32 threads) and GPU cost models calibrated on
 //!   the paper's Table I measurements, used for the cross-platform
 //!   comparisons of Fig. 5–7.

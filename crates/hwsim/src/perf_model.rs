@@ -8,9 +8,9 @@
 
 use crate::ddr::DdrModel;
 use crate::design::DesignConfig;
-use crate::pipeline::{BatchWorkload, PipelineModel, StageBreakdown};
+use crate::pipeline::{PipelineModel, StageBreakdown};
 use serde::{Deserialize, Serialize};
-use tgnn_core::ModelConfig;
+use tgnn_core::{BatchWorkload, ModelConfig};
 
 /// Bytes per data word of the paper's fp32 implementation.  The byte width
 /// actually used by the model comes from
@@ -51,26 +51,14 @@ impl PerformanceModel {
         Self { design, model, ddr }
     }
 
-    /// The nominal workload of one processing batch of `N_b` edges: every
-    /// edge updates its two endpoints, every endpoint produces an embedding,
-    /// and every embedding aggregates the full pruning budget of neighbors.
-    /// The real stream deviates from this (vertices repeat within a batch,
-    /// young vertices have fewer neighbors than the budget), which is exactly
-    /// the source of prediction error the paper discusses.
-    fn nominal_workload(&self) -> BatchWorkload {
-        let nb = self.design.nb;
-        BatchWorkload {
-            edges: nb,
-            memory_updates: 2 * nb,
-            embeddings: 2 * nb,
-            neighbors_fetched: 2 * nb * self.model.neighbor_budget,
-            neighbors_scored: 2 * nb * self.model.sampled_neighbors,
-        }
-    }
-
+    /// The stage breakdown of one processing batch of `N_b` edges at its
+    /// nominal workload ([`BatchWorkload::nominal`]).  The real stream does
+    /// less (vertices repeat within a batch, young vertices have fewer
+    /// neighbors than `k`), which is exactly the source of prediction error
+    /// the paper discusses.
     fn nominal_breakdown(&self) -> StageBreakdown {
         PipelineModel::new(self.design.clone(), self.model.clone(), self.ddr.clone())
-            .stage_breakdown(&self.nominal_workload())
+            .stage_breakdown(&BatchWorkload::nominal(&self.model, self.design.nb))
     }
 
     /// `T_comp_max` (Eq. 20): the dominant computation stage for one
@@ -233,5 +221,48 @@ mod tests {
             "latency {} s implausibly small",
             p.latency
         );
+    }
+
+    #[test]
+    fn predicted_latency_matches_the_pins_on_every_rung_and_feature_shape() {
+        // `predict(200).latency` as f64 bits on U200 and ZCU104, per
+        // `(node, edge)` feature shape and rung, as the model predicted
+        // while it built its nominal workload itself.
+        use OptimizationVariant::*;
+        let pins: [((usize, usize), OptimizationVariant, u64, u64); 18] = [
+            ((0, 172), Baseline, 0x3f99357603925bb8, 0x3fc6273929ed3954),
+            ((0, 172), Sat, 0x3f692428d434a01c, 0x3fa0d1df5b44ca34),
+            ((0, 172), SatLut, 0x3f692428d434a01c, 0x3fa0d1df5b44ca34),
+            ((0, 172), NpLarge, 0x3f6323c932e458db, 0x3fa0d1df5b44ca34),
+            ((0, 172), NpMedium, 0x3f6323c932e458db, 0x3fa0d1df5b44ca34),
+            ((0, 172), NpSmall, 0x3f6323c932e458db, 0x3fa0d1df5b44ca34),
+            ((200, 0), Baseline, 0x3f8b2b3461309c80, 0x3fb7e02645e4e69f),
+            ((200, 0), Sat, 0x3f5b089a02752546, 0x3f956191148fd9fe),
+            ((200, 0), SatLut, 0x3f5b089a02752546, 0x3f956191148fd9fe),
+            ((200, 0), NpLarge, 0x3f58548a9bcfd4bf, 0x3f956191148fd9fe),
+            ((200, 0), NpMedium, 0x3f58548a9bcfd4bf, 0x3f956191148fd9fe),
+            ((200, 0), NpSmall, 0x3f58548a9bcfd4bf, 0x3f956191148fd9fe),
+            ((100, 16), Baseline, 0x3f8d54da4ce81020, 0x3fb9c6b053198289),
+            ((100, 16), Sat, 0x3f5d323fee2c98e6, 0x3f96857d82e29def),
+            ((100, 16), SatLut, 0x3f5d323fee2c98e6, 0x3f96857d82e29def),
+            ((100, 16), NpLarge, 0x3f59a0baf60ab3b8, 0x3f96857d82e29def),
+            ((100, 16), NpMedium, 0x3f59a0baf60ab3b8, 0x3f96857d82e29def),
+            ((100, 16), NpSmall, 0x3f59a0baf60ab3b8, 0x3f96857d82e29def),
+        ];
+        for ((node, edge), rung, u200, zcu104) in pins {
+            let cfg = ModelConfig::paper_default(node, edge).with_variant(rung);
+            for (design, gbps, pinned) in [
+                (DesignConfig::u200(), 77.0, u200),
+                (DesignConfig::zcu104(), 19.2, zcu104),
+            ] {
+                let pm = PerformanceModel::new(design, cfg.clone(), DdrModel::new_gbps(gbps));
+                let latency = pm.predict(200).latency;
+                assert_eq!(
+                    latency.to_bits(),
+                    pinned,
+                    "({node}, {edge}) {rung:?}: {latency:e}"
+                );
+            }
+        }
     }
 }

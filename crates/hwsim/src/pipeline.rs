@@ -11,29 +11,20 @@
 //!
 //! The simulator works at stage-time granularity: each stage's duration is
 //! derived from cycle counts (compute stages) or from the DDR model (memory
-//! stages), using the *actual* per-batch workload (how many vertices had
-//! pending messages, how many neighbors were fetched after pruning), which is
-//! what distinguishes it from the closed-form model of Section V.
+//! stages), using the *actual* per-batch workload the functional engine
+//! recorded (how many vertices had pending messages, how many neighbors were
+//! scored, and fetched after pruning), which is what distinguishes it from
+//! the closed-form model of Section V (which times
+//! [`BatchWorkload::nominal`]).
 
 use crate::ddr::DdrModel;
 use crate::design::DesignConfig;
 use serde::{Deserialize, Serialize};
 use tgnn_core::{AttentionKind, ModelConfig, TimeEncoderKind};
 
-/// Workload of one processing batch (measured by the functional engine).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct BatchWorkload {
-    /// Edges in the processing batch.
-    pub edges: usize,
-    /// Vertices whose memory is updated (had a pending message).
-    pub memory_updates: usize,
-    /// Vertices for which embeddings are produced.
-    pub embeddings: usize,
-    /// Total neighbor-feature fetches (after pruning).
-    pub neighbors_fetched: usize,
-    /// Total candidate neighbors scored (before pruning).
-    pub neighbors_scored: usize,
-}
+/// The workload a processing batch is timed from — defined beside the
+/// operation counts it also feeds ([`tgnn_core::StageOps::of`]).
+pub use tgnn_core::BatchWorkload;
 
 /// Per-stage time breakdown of one processing batch, seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -243,16 +234,6 @@ mod tests {
     use crate::device::FpgaDevice;
     use tgnn_core::OptimizationVariant;
 
-    fn workload(edges: usize, model: &ModelConfig) -> BatchWorkload {
-        BatchWorkload {
-            edges,
-            memory_updates: edges * 2,
-            embeddings: edges * 2,
-            neighbors_fetched: edges * 2 * model.neighbor_budget,
-            neighbors_scored: edges * 2 * model.sampled_neighbors,
-        }
-    }
-
     fn pipeline(variant: OptimizationVariant, design: DesignConfig, gbps: f64) -> PipelineModel {
         PipelineModel::new(
             design,
@@ -264,7 +245,7 @@ mod tests {
     #[test]
     fn stage_breakdown_is_positive_and_bounded() {
         let p = pipeline(OptimizationVariant::NpMedium, DesignConfig::u200(), 77.0);
-        let w = workload(8, &p.model);
+        let w = BatchWorkload::nominal(&p.model, 8);
         let b = p.stage_breakdown(&w);
         assert!(b.total() > 0.0);
         assert!(b.max_stage() <= b.total());
@@ -275,8 +256,8 @@ mod tests {
     fn simplified_attention_shrinks_the_attention_stage() {
         let vanilla = pipeline(OptimizationVariant::Baseline, DesignConfig::u200(), 77.0);
         let sat = pipeline(OptimizationVariant::Sat, DesignConfig::u200(), 77.0);
-        let wv = workload(8, &vanilla.model);
-        let ws = workload(8, &sat.model);
+        let wv = BatchWorkload::nominal(&vanilla.model, 8);
+        let ws = BatchWorkload::nominal(&sat.model, 8);
         let bv = vanilla.stage_breakdown(&wv);
         let bs = sat.stage_breakdown(&ws);
         assert!(
@@ -291,8 +272,8 @@ mod tests {
     fn lut_time_encoder_removes_time_encoding_cycles() {
         let cos = pipeline(OptimizationVariant::Sat, DesignConfig::u200(), 77.0);
         let lut = pipeline(OptimizationVariant::SatLut, DesignConfig::u200(), 77.0);
-        let wc = workload(8, &cos.model);
-        let wl = workload(8, &lut.model);
+        let wc = BatchWorkload::nominal(&cos.model, 8);
+        let wl = BatchWorkload::nominal(&lut.model, 8);
         assert!(
             lut.stage_breakdown(&wl).eu_time_encoding < cos.stage_breakdown(&wc).eu_time_encoding
         );
@@ -307,7 +288,7 @@ mod tests {
         design.prefetch = false;
         let without = pipeline(OptimizationVariant::NpMedium, design, 77.0);
         let with = pipeline(OptimizationVariant::NpMedium, DesignConfig::u200(), 77.0);
-        let w = workload(8, &with.model);
+        let w = BatchWorkload::nominal(&with.model, 8);
         let b_without = without.stage_breakdown(&w);
         let b_with = with.stage_breakdown(&w);
         assert!(b_with.prefetch_neighbors <= b_without.prefetch_neighbors);
@@ -316,7 +297,7 @@ mod tests {
     #[test]
     fn pipelining_beats_sequential_execution() {
         let p = pipeline(OptimizationVariant::NpMedium, DesignConfig::u200(), 77.0);
-        let total = workload(256, &p.model);
+        let total = BatchWorkload::nominal(&p.model, 256);
         let workloads = p.split_workload(&total);
         assert!(workloads.len() > 1);
         let pipelined = p.batch_latency(&workloads);
@@ -330,7 +311,7 @@ mod tests {
     #[test]
     fn split_workload_conserves_edges() {
         let p = pipeline(OptimizationVariant::NpSmall, DesignConfig::zcu104(), 19.2);
-        let total = workload(103, &p.model);
+        let total = BatchWorkload::nominal(&p.model, 103);
         let parts = p.split_workload(&total);
         let edges: usize = parts.iter().map(|w| w.edges).sum();
         assert_eq!(edges, 103);
@@ -347,7 +328,7 @@ mod tests {
             DesignConfig::u200().with_precision(DatapathPrecision::int8()),
             77.0,
         );
-        let w = workload(64, &fp32.model);
+        let w = BatchWorkload::nominal(&fp32.model, 64);
         let bf = fp32.stage_breakdown(&w);
         let bi = int8.stage_breakdown(&w);
         assert!(bi.load_edges < bf.load_edges);
@@ -375,8 +356,8 @@ mod tests {
             DesignConfig::zcu104(),
             FpgaDevice::zcu104().ddr_bandwidth_gbps,
         );
-        let total_u = workload(200, &u200.model);
-        let total_z = workload(200, &zcu.model);
+        let total_u = BatchWorkload::nominal(&u200.model, 200);
+        let total_z = BatchWorkload::nominal(&zcu.model, 200);
         let lat_u = u200.batch_latency(&u200.split_workload(&total_u));
         let lat_z = zcu.batch_latency(&zcu.split_workload(&total_z));
         assert!(lat_u < lat_z);

@@ -164,9 +164,10 @@ pub struct TenantSpec {
     /// lose the event ([`AdmissionCounters::dropped_throttled`]).
     pub rate_eps: Option<f64>,
     /// Token-bucket capacity (maximum burst, events).  `None` defaults to
-    /// one second's worth of tokens (`max(rate_eps, 1)`).  Clamped to at
-    /// least 1 — admission spends a whole token per event, so a smaller
-    /// bucket could never admit anything.
+    /// one second's worth of tokens (`max(rate_eps, 1)`).  Must be finite
+    /// and at least 1 — admission spends a whole token per event, so a
+    /// smaller bucket could never admit anything, and an infinite one is no
+    /// limit at all ([`AdmissionControl::new`] panics otherwise).
     pub rate_burst: Option<f64>,
     /// Which compute backend serves this tenant's sealed batches.  `None`
     /// means the server default: the one backend a homogeneous server runs
@@ -243,15 +244,10 @@ impl TenantSpec {
     /// Sets the token-bucket burst capacity in events (builder style).
     ///
     /// # Panics
-    /// Panics if `burst` is not finite or is below 1.0: admission spends a
-    /// whole token per event, and `refill_tokens` caps the bucket at the
-    /// burst — a capacity under one token could never be spent, so the
-    /// tenant would block (or drop) forever.
+    /// Panics if `burst` is not finite or is below 1.0 (see
+    /// `assert_rate_burst`).
     pub fn with_rate_burst(mut self, burst: f64) -> Self {
-        assert!(
-            burst.is_finite() && burst >= 1.0,
-            "TenantSpec: rate_burst must be finite and >= 1 (admission needs a whole token per event)"
-        );
+        assert_rate_burst(burst);
         self.rate_burst = Some(burst);
         self
     }
@@ -271,14 +267,11 @@ impl TenantSpec {
     }
 
     /// Effective bucket capacity: the explicit burst, or one second's worth
-    /// of tokens — clamped to at least 1 either way, because a bucket that
-    /// can never hold a whole token can never admit anything (the clamp
-    /// covers a `rate_burst` field written directly, bypassing the
-    /// builder's assert).
+    /// of tokens but at least one, because a bucket that can never hold a
+    /// whole token can never admit anything.
     pub(crate) fn effective_burst(&self) -> f64 {
         self.rate_burst
-            .unwrap_or_else(|| self.rate_eps.unwrap_or(1.0))
-            .max(1.0)
+            .unwrap_or_else(|| self.rate_eps.map_or(1.0, |rate| rate.max(1.0)))
     }
 }
 
@@ -290,6 +283,18 @@ fn assert_rate_eps(rate_eps: f64) {
     assert!(
         rate_eps.is_finite() && rate_eps > 0.0,
         "TenantSpec: rate_eps must be finite and positive"
+    );
+}
+
+/// Panics unless `burst` is a bucket capacity admission can spend from:
+/// admission spends a whole token per event and `refill_tokens` caps the
+/// bucket at the burst, so a capacity under one token (or NaN) could never
+/// be spent — the tenant would block (or drop) forever — and an infinite
+/// one switches the rate limit off.
+fn assert_rate_burst(burst: f64) {
+    assert!(
+        burst.is_finite() && burst >= 1.0,
+        "TenantSpec: rate_burst must be finite and >= 1 (admission needs a whole token per event)"
     );
 }
 
@@ -519,9 +524,10 @@ impl AdmissionControl {
     ///
     /// # Panics
     /// Panics if the table is empty, any spec has a zero weight or
-    /// capacity, or a `rate_eps` that is not finite and positive (the field
-    /// is public, so a struct literal can bypass
-    /// [`TenantSpec::with_rate_eps`]).
+    /// capacity, a `rate_eps` that is not finite and positive, or a
+    /// `rate_burst` that is not finite and at least 1 (the fields are
+    /// public, so a struct literal can bypass [`TenantSpec::with_rate_eps`]
+    /// and [`TenantSpec::with_rate_burst`]).
     pub fn new(specs: Vec<TenantSpec>) -> Self {
         assert!(!specs.is_empty(), "admission: need at least one tenant");
         let tenants = specs
@@ -534,6 +540,9 @@ impl AdmissionControl {
                 );
                 if let Some(rate_eps) = spec.rate_eps {
                     assert_rate_eps(rate_eps);
+                }
+                if let Some(burst) = spec.rate_burst {
+                    assert_rate_burst(burst);
                 }
                 let tokens = spec.effective_burst();
                 TenantIngress {
@@ -1365,13 +1374,27 @@ mod tests {
     }
 
     #[test]
-    fn effective_burst_clamps_direct_field_writes_to_one_token() {
-        // The pub field can bypass the builder's assert; the clamp keeps the
-        // tenant able to earn a whole token regardless.
-        let mut spec = TenantSpec::new("t").with_rate_eps(10.0);
-        spec.rate_burst = Some(0.25);
-        assert_eq!(spec.effective_burst(), 1.0);
-        // The rate_eps-derived default is clamped the same way.
+    fn direct_field_bursts_below_one_token_or_not_finite_are_rejected() {
+        // The pub field bypasses the builder's assert; construction repeats
+        // it with the builder's message.
+        for burst in [f64::INFINITY, f64::NAN, 0.5] {
+            let spec = TenantSpec {
+                rate_burst: Some(burst),
+                ..TenantSpec::new("t").with_rate_eps(10.0)
+            };
+            let built = std::panic::catch_unwind(|| AdmissionControl::new(vec![spec]));
+            let panic = built
+                .err()
+                .unwrap_or_else(|| panic!("burst {burst} was accepted"));
+            let message = (panic.downcast_ref::<&str>().map(|m| m.to_string()))
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                message.contains("rate_burst must be finite and >= 1"),
+                "burst {burst}: {message:?}"
+            );
+        }
+        // The rate_eps-derived default is at least one token.
         let slow = TenantSpec::new("slow").with_rate_eps(0.01);
         assert_eq!(slow.effective_burst(), 1.0);
     }

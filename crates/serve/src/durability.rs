@@ -122,6 +122,14 @@ pub struct RecoveryReport {
     pub recovery_ms: f64,
 }
 
+/// One snapshot as [`Durability::capture`] took it: the manifest and every
+/// shard's payload, as of the same epoch.
+pub(crate) struct Capture {
+    meta: SnapshotMeta,
+    mem: Vec<Vec<u8>>,
+    nbr: Vec<Vec<u8>>,
+}
+
 /// The shared durability handle: one per durable `StreamServer`, threaded
 /// into the admission layer, the state and GNN workers, and the server's
 /// `poll`/`drain` paths.
@@ -169,7 +177,7 @@ pub(crate) struct Durability {
     pending_snapshot: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// `wal-sync` spans and the fsync latencies of [`Self::sync_seal`].
     sync_obs: StageObs,
-    /// `snap-writer` spans of [`Self::write_snapshot_payloads`].
+    /// `snap-writer` spans of [`Self::write_capture`].
     snap_obs: StageObs,
 }
 
@@ -354,34 +362,21 @@ impl Durability {
         self.mark_snapshot_captured();
     }
 
-    /// Writes a snapshot from pre-captured shard payloads.  The WAL is
-    /// flushed and fsynced *first*: a snapshot must never describe state the
-    /// durable log cannot account for.  (With a frozen WAL — crash
-    /// injection — the flush is a silent no-op; such a snapshot is exactly
-    /// one whose epoch exceeds the durable ack watermark, which recovery
-    /// refuses to use unless it is a `floor` snapshot, and floor snapshots
-    /// are only written on paths that cannot race a freeze.)
-    pub fn write_snapshot_payloads(
-        &self,
-        epoch: u64,
-        floor: bool,
-        mem: Vec<Vec<u8>>,
-        nbr: Vec<Vec<u8>>,
-    ) {
+    /// Writes a captured snapshot.  The WAL is flushed and fsynced *first*:
+    /// a snapshot must never describe state the durable log cannot account
+    /// for.  (With a frozen WAL — crash injection — the flush is a silent
+    /// no-op; such a snapshot is exactly one whose epoch exceeds the durable
+    /// ack watermark, which recovery refuses to use unless it is a `floor`
+    /// snapshot, and floor snapshots are only written on paths that cannot
+    /// race a freeze.)
+    fn write_capture(&self, capture: Capture) {
+        let Capture { meta, mem, nbr } = capture;
+        let epoch = meta.epoch;
         let t0 = Instant::now();
         let span = self.snap_obs.enter(epoch);
         self.wal
             .flush(true)
             .expect("durability: WAL flush before snapshot failed");
-        let meta = SnapshotMeta {
-            epoch,
-            acked: self.acked(),
-            floor,
-            num_shards: mem.len() as u32,
-            events_total: self.events_total.load(Ordering::Relaxed),
-            max_timestamp: *self.max_timestamp.lock().unwrap(),
-            warm_timestamp: *self.warm_timestamp.lock().unwrap(),
-        };
         write_snapshot(&self.dir, &meta, &mem, &nbr).expect("durability: snapshot write failed");
         self.wal
             .append(&WalRecord::SnapshotMark { epoch })
@@ -403,17 +398,12 @@ impl Durability {
     /// interval joins the previous one first (snapshot intervals dwarf write
     /// times, so this wait is normally zero), propagating its panic into the
     /// state worker — which unwinds the pipeline — if it failed.
-    pub fn spawn_snapshot_write(
-        self: &Arc<Self>,
-        epoch: u64,
-        mem: Vec<Vec<u8>>,
-        nbr: Vec<Vec<u8>>,
-    ) {
+    pub fn spawn_snapshot_write(self: &Arc<Self>, capture: Capture) {
         self.finish_snapshot_write();
         let d = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name("tgnn-serve-snap".into())
-            .spawn(move || d.write_snapshot_payloads(epoch, false, mem, nbr))
+            .spawn(move || d.write_capture(capture))
             .expect("durability: failed to spawn snapshot writer");
         *self.pending_snapshot.lock().unwrap() = Some(handle);
     }
@@ -430,14 +420,19 @@ impl Durability {
         }
     }
 
-    /// Encodes every shard of the state as it stands: the memory shards'
-    /// payloads, then the neighbor shards'.  The state worker calls it
-    /// right after an epoch's commit and the quiesced paths on idle state,
-    /// so the payloads are exactly the last committed epoch's image.
+    /// Captures the state as it stands as epoch `epoch`'s snapshot: every
+    /// shard's payload and the manifest describing them.  Only the thread
+    /// that owns the state calls it — the state worker right after the
+    /// epoch's commit, the quiesced paths on idle state — so the payloads
+    /// and the absorbed-event counters both stand exactly at `epoch`, and
+    /// the background writer cannot see later epochs in either.
     pub fn capture(
+        &self,
+        epoch: u64,
+        floor: bool,
         memory: &ShardedMemory,
         table: &ShardedNeighborTable,
-    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    ) -> Capture {
         let n = memory.num_shards();
         let mem = (0..n)
             .map(|s| {
@@ -453,7 +448,16 @@ impl Durability {
                 buf
             })
             .collect();
-        (mem, nbr)
+        let meta = SnapshotMeta {
+            epoch,
+            acked: self.acked(),
+            floor,
+            num_shards: n as u32,
+            events_total: self.events_total.load(Ordering::Relaxed),
+            max_timestamp: *self.max_timestamp.lock().unwrap(),
+            warm_timestamp: *self.warm_timestamp.lock().unwrap(),
+        };
+        Capture { meta, mem, nbr }
     }
 
     /// Captures and writes a snapshot of quiesced sharded state (no pipeline
@@ -468,8 +472,7 @@ impl Durability {
     ) {
         self.finish_snapshot_write();
         self.mark_snapshot_captured();
-        let (mem, nbr) = Self::capture(memory, table);
-        self.write_snapshot_payloads(epoch, floor, mem, nbr);
+        self.write_capture(self.capture(epoch, floor, memory, table));
     }
 
     /// Point-in-time counters; `epochs` is the highest epoch assigned so

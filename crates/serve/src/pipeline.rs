@@ -431,8 +431,7 @@ impl StateStage {
             table.commit_epoch(epoch, events);
             if let Some(d) = self.durability.as_ref().filter(|d| d.snapshot_due()) {
                 // Capture here, on the only writer; write in the background.
-                let (mem, nbr) = Durability::capture(memory, table);
-                d.spawn_snapshot_write(epoch, mem, nbr);
+                d.spawn_snapshot_write(d.capture(epoch, false, memory, table));
             }
         });
         updated.recycle(&mut self.ws);

@@ -16,7 +16,10 @@ use tgnn_core::{
     ExecMode, InferenceEngine, ModelConfig, OptimizationVariant, TgnModel, TimeEncoderKind,
 };
 use tgnn_data::{generate, tiny};
-use tgnn_durable::{read_wal, repair_torn_tail, segment_name, AdmitDisposition, Wal, WalRecord};
+use tgnn_durable::{
+    list_snapshots, plan_recovery, read_wal, repair_torn_tail, segment_name, AdmitDisposition, Wal,
+    WalRecord,
+};
 use tgnn_graph::{EventBatch, InteractionEvent, TemporalGraph};
 use tgnn_serve::{
     wal_fault_hook, DurabilityConfig, FsyncPolicy, OverloadPolicy, ServeConfig, ServedBatch,
@@ -676,6 +679,42 @@ fn drain_writes_floor_snapshot_making_recovery_replay_free() {
     let report2 = server.drain();
     assert_eq!(report2.num_events, 1);
     assert!(report2.commit_log_clean);
+}
+
+#[test]
+fn every_interval_manifest_counts_the_events_of_its_own_epoch() {
+    // The state worker captures epoch k's shards while the stream keeps
+    // moving; the manifest beside them must still count exactly what was
+    // absorbed through k — warm-up plus the sealed epochs up to k — or a
+    // recovered server seeds its snapshot cadence from a later count and
+    // replay adds those events a second time.
+    let (model, graph) = setup(5);
+    let (warm, stream) = graph.events()[..700].split_at(200);
+    let td = TempDir::new("manifest-epoch");
+    let mut config = base_config(td.path(), FsyncPolicy::OnSeal);
+    config.durability = config.durability.map(|d| d.with_snapshot_every(1));
+    config.results_capacity = stream.len();
+    let mut server = StreamServer::new(model, graph.clone(), config);
+    server.warm_up(warm);
+    for &e in stream {
+        server.submit(e).unwrap();
+        while server.poll().is_some() {}
+    }
+    server.drain();
+    while server.poll().is_some() {}
+
+    let plan = plan_recovery(&read_wal(td.path()).unwrap(), 1).unwrap();
+    let snapshots = list_snapshots(td.path()).unwrap();
+    assert!(snapshots.len() > 10, "{} snapshots", snapshots.len());
+    for snapshot in snapshots {
+        let epoch = snapshot.meta.epoch;
+        let sealed = plan.sealed.iter().take_while(|s| s.epoch <= epoch);
+        let absorbed = warm.len() + sealed.map(|s| s.events.len()).sum::<usize>();
+        assert_eq!(
+            snapshot.meta.events_total, absorbed as u64,
+            "manifest of epoch {epoch}"
+        );
+    }
 }
 
 #[test]
