@@ -167,16 +167,15 @@ impl ShardedMemory {
             "ShardedMemory: committed epoch {epoch} after {prev}"
         );
         let (mut commits, mut backward) = (0u64, 0u64);
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock().unwrap();
-            writes.for_each_write(|v, row, t| {
-                if shard_of(v, self.num_shards) == s {
-                    let local = local_index(v, self.num_shards) as NodeId;
-                    commits += 1;
-                    backward += u64::from(!shard.commit_memory(local, row, t));
-                }
-            });
-        }
+        // Each shard locked once, in index order like every path that holds
+        // two, and one pass routes every write.
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
+        writes.for_each_write(|v, row, t| {
+            let local = local_index(v, self.num_shards) as NodeId;
+            let shard = &mut shards[shard_of(v, self.num_shards)];
+            commits += 1;
+            backward += u64::from(!shard.commit_memory(local, row, t));
+        });
         self.commits.fetch_add(commits, Ordering::Relaxed);
         self.backward_commits.fetch_add(backward, Ordering::Relaxed);
     }

@@ -18,20 +18,25 @@
 //!   consumes them from ([`MemoryTable`]: a plain
 //!   [`NodeMemory`](crate::NodeMemory) in the engine, per-shard locks in the
 //!   pipeline).  Its output, [`UpdatedRows`], is one workspace matrix that
-//!   the GNN gather and the commit both read.
+//!   the GNN gather and the commit both read.  The pipeline runs it as
+//!   [`MemoryStage`], the GRU cut into row blocks ([`GruBlocks`]) that a
+//!   second thread can help compute, bit for bit the one-call GRU.
 //! * [`GnnJobBatch`] — a self-contained input for the batched GNN stage:
 //!   the memory row of every *kept* neighbor is copied out of the shared
 //!   state (pruned ones are never fetched), so the compute stage can run
 //!   while the commit overwrites memory rows.  Static edge and node
 //!   features are not copied: the job holds edge ids and the immutable
-//!   graph, and the GNN stage reads the features from it in place.
+//!   graph, and the GNN stage reads the features from it in place.  Its
+//!   neighbor half does not read the memory stage's output, so a pipeline
+//!   gathers it while the GRU is still being computed.
 
 use crate::config::ModelConfig;
 use crate::memory::MemoryTable;
 use crate::model::{EmbeddingJob, NeighborRef, TgnModel};
 use crate::sharded::MemoryWrites;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tgnn_graph::{EdgeId, EventBatch, NeighborEntry, NodeId, TemporalGraph, Timestamp};
 use tgnn_nn::attention::Selection;
 use tgnn_tensor::{Float, Matrix, Workspace};
@@ -254,7 +259,8 @@ pub fn run_memory_stage(
 
 /// [`run_memory_stage`] with an optional activation observer recording the
 /// assembled GRU inputs (message rows and memory rows) — the hook the int8
-/// calibration pass uses to derive the GRU's static activation scales.
+/// calibration pass uses to derive the GRU's static activation scales.  The
+/// GRU runs as one call over every row: a single block.
 pub fn run_memory_stage_obs(
     model: &TgnModel,
     table: &mut (impl MemoryTable + ?Sized),
@@ -263,84 +269,340 @@ pub fn run_memory_stage_obs(
     ws: &mut Workspace,
     obs: Option<&mut dyn tgnn_quant::ActivationObserver>,
 ) -> UpdatedRows {
-    let cfg = &model.config;
-    // A LUT model's GRU reads the time encoding's contribution from its
-    // fused table: the messages stop at the edge feature and no encoding is
-    // materialised.  Otherwise the encoding is the message's last block.
-    let lut = model.fold_over(&model.gru.w_i);
-    let head = 2 * cfg.memory_dim + cfg.edge_feature_dim;
-    let width = if lut.is_some() {
-        head
-    } else {
-        cfg.message_dim()
-    };
+    let mut set = GruBlocks::new(touched.len().max(1));
+    let staged = set.stage(model, table, touched, query_times, ws, obs);
+    let updated = set.finish(staged, model, ws);
+    set.recycle(ws);
+    updated
+}
 
-    // Sized for every touched vertex, cut to the ones with a message.
-    let mut messages = ws.take_matrix(touched.len(), width);
-    let mut memories = ws.take_matrix(touched.len(), cfg.memory_dim);
-    let mut dts = ws.take(touched.len());
-    let mut vertices = Vec::with_capacity(touched.len());
-    let mut times = Vec::with_capacity(touched.len());
-    let mut row_of = Vec::with_capacity(touched.len());
-    for (&v, &t) in touched.iter().zip(query_times) {
-        let r = vertices.len();
-        let Some(event_time) = table.take_message_into(v, &mut messages.row_mut(r)[..head]) else {
-            row_of.push(UpdatedRows::NO_ROW);
-            continue;
-        };
-        dts[r] = (event_time - table.last_update(v)).max(0.0) as Float;
-        table.copy_memory_into(v, memories.row_mut(r));
-        row_of.push(r as u32);
-        vertices.push(v);
-        times.push(t);
-    }
-    let rows = vertices.len();
-    let mut messages = first_rows(messages, rows);
-    let memories = first_rows(memories, rows);
-    dts.truncate(rows);
+/// Rows of one GRU block in the pipeline's memory stage: two 12-row
+/// register tiles of the AVX-512 GEMM kernel.
+pub const GRU_BLOCK_ROWS: usize = 24;
 
-    if lut.is_none() && rows > 0 {
-        let mut encodings = ws.take_matrix(rows, cfg.time_dim);
-        model.encode_time_into(&dts, &mut encodings);
-        for i in 0..rows {
-            messages.row_mut(i)[head..].copy_from_slice(encodings.row(i));
-        }
-        ws.recycle_matrix(encodings);
-    }
-    if let (Some(o), true) = (obs, rows > 0) {
-        use crate::quantized::layers::{GRU_HIDDEN, GRU_INPUT};
-        o.record(GRU_INPUT, messages.as_slice());
-        if let Some(lut) = lut {
-            for &dt in &dts {
-                o.record(GRU_INPUT, lut.table().value.row(lut.lookup_bin(dt)));
+/// The pipeline's memory stage: [`run_memory_stage`] with the GRU cut into
+/// [`GRU_BLOCK_ROWS`]-row blocks that a second thread can help compute.  It
+/// keeps its block sets across batches, so a warm stage allocates no GRU
+/// buffers.
+#[derive(Debug, Default)]
+pub struct MemoryStage {
+    sets: Vec<Arc<GruBlocks>>,
+}
+
+impl MemoryStage {
+    /// [`run_memory_stage`] over row blocks.  Between staging the GRU's
+    /// inputs and computing it, `overlap` runs on this thread — with the
+    /// block set when the GRU fills more than one block, for the caller to
+    /// hand to a helper thread ([`GruBlocks::help`]).  The stage then
+    /// computes every block nobody has claimed and waits only for blocks a
+    /// helper holds, computing again any block a helper abandoned by
+    /// panicking.  A set is restaged once no helper holds it any more; while
+    /// one does, the batch takes another.
+    pub fn run(
+        &mut self,
+        model: &TgnModel,
+        table: &mut (impl MemoryTable + ?Sized),
+        touched: &[NodeId],
+        query_times: &[Timestamp],
+        ws: &mut Workspace,
+        overlap: impl FnOnce(Option<&Arc<GruBlocks>>),
+    ) -> UpdatedRows {
+        let vacant = self.sets.iter_mut().position(|s| Arc::get_mut(s).is_some());
+        let set = match vacant {
+            Some(i) => &mut self.sets[i],
+            None => {
+                self.sets.push(Arc::new(GruBlocks::new(GRU_BLOCK_ROWS)));
+                self.sets.last_mut().expect("just pushed")
             }
-        }
-        o.record(GRU_HIDDEN, memories.as_slice());
-    }
-
-    let updated = if rows == 0 {
-        ws.take_matrix(0, cfg.memory_dim)
-    } else {
-        let fold = lut.map(|lut| (lut, &dts[..]));
-        model.update_memory_with(&messages, fold, &memories, ws)
-    };
-    ws.recycle_matrix(memories);
-    ws.recycle_matrix(messages);
-    ws.recycle(dts);
-    UpdatedRows {
-        vertices,
-        times,
-        row_of,
-        rows: updated,
+        };
+        let staged = Arc::get_mut(set)
+            .expect("no helper holds a vacant set")
+            .stage(model, table, touched, query_times, ws, None);
+        overlap((set.len() > 1).then_some(&*set));
+        set.finish(staged, model, ws)
     }
 }
 
-/// The first `rows` rows of `m`, in its buffer.
-fn first_rows(m: Matrix, rows: usize) -> Matrix {
-    let cols = m.cols();
-    let mut data = m.into_vec();
-    data.truncate(rows * cols);
-    Matrix::from_vec(rows, cols, data)
+/// One batch's GRU inputs cut into fixed row blocks, which any thread
+/// holding the set may compute ([`Self::help`]): a shared claim counter
+/// hands the blocks out, and each block's lock and `done` flag decide who
+/// computes it, so no block is computed twice and none is lost.  The GEMM
+/// contract is per output element and the gate pass and the LUT row add are
+/// per row, so a row's result does not depend on the block it sits in or the
+/// thread that computed it: any cut is bit-identical to the one-call GRU.
+#[derive(Debug)]
+pub struct GruBlocks {
+    block_rows: usize,
+    blocks: Vec<Mutex<GruBlock>>,
+    /// Blocks the batch's rows fill.
+    used: usize,
+    /// The next block to claim.  It only spreads the work — the block locks
+    /// order the data — so it publishes nothing and is read `Relaxed`.
+    next: AtomicUsize,
+}
+
+/// One GRU block: its staged inputs and, once `done`, its new rows.
+#[derive(Debug)]
+struct GruBlock {
+    /// `s_v ‖ s_u ‖ f_e`, then `Φ(Δt)` unless the model folds the encoding.
+    messages: Matrix,
+    memories: Matrix,
+    dts: Vec<Float>,
+    out: Matrix,
+    done: bool,
+}
+
+impl GruBlock {
+    fn new() -> Self {
+        Self {
+            messages: Matrix::zeros(0, 0),
+            memories: Matrix::zeros(0, 0),
+            dts: Vec::new(),
+            out: Matrix::zeros(0, 0),
+            done: false,
+        }
+    }
+
+    /// Shapes the input buffers to `rows` rows of the given widths,
+    /// reusing them when the widths already match.
+    fn reset(&mut self, rows: usize, width: usize, memory_dim: usize, ws: &mut Workspace) {
+        for (m, cols) in [
+            (&mut self.messages, width),
+            (&mut self.memories, memory_dim),
+        ] {
+            if m.cols() == cols {
+                m.resize_rows(rows);
+            } else {
+                let fresh = ws.take_matrix(rows, cols);
+                ws.recycle_matrix(std::mem::replace(m, fresh));
+            }
+        }
+        self.dts.resize(rows, 0.0);
+        self.done = false;
+    }
+
+    /// Cuts the block to its first `rows` rows.
+    fn truncate(&mut self, rows: usize) {
+        self.messages.resize_rows(rows);
+        self.memories.resize_rows(rows);
+        self.dts.truncate(rows);
+    }
+
+    /// Runs the GRU on the block.  `out` is replaced and `done` set only
+    /// after the GRU returns, so a panic mid-block leaves the block whole
+    /// and not done.
+    fn compute(&mut self, model: &TgnModel, ws: &mut Workspace) {
+        let fold = model
+            .fold_over(&model.gru.w_i)
+            .map(|lut| (lut, &self.dts[..]));
+        let out = model.update_memory_with(&self.messages, fold, &self.memories, ws);
+        ws.recycle_matrix(std::mem::replace(&mut self.out, out));
+        self.done = true;
+    }
+}
+
+/// A block's lock.  A thread that panicked computing the block poisoned it,
+/// but the block is still whole and not done ([`GruBlock::compute`]), so the
+/// next locker computes it again.
+fn lock(block: &Mutex<GruBlock>) -> MutexGuard<'_, GruBlock> {
+    block.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for the owner of the set, which needs no locking.
+fn get_mut(block: &mut Mutex<GruBlock>) -> &mut GruBlock {
+    block.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl GruBlocks {
+    fn new(block_rows: usize) -> Self {
+        Self {
+            block_rows,
+            blocks: Vec::new(),
+            used: 0,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Number of blocks the batch's rows fill.
+    pub fn len(&self) -> usize {
+        self.used
+    }
+
+    /// True when no touched vertex had a pending message.
+    pub fn is_empty(&self) -> bool {
+        self.used == 0
+    }
+
+    /// Computes blocks nobody has claimed until none is left, on `model` and
+    /// `ws`; returns how many this call computed.  A set whose blocks are
+    /// all claimed costs one atomic.
+    pub fn help(&self, model: &TgnModel, ws: &mut Workspace) -> usize {
+        let mut computed = 0;
+        let blocks = &self.blocks[..self.used];
+        while let Some(block) = blocks.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            let mut block = lock(block);
+            if !block.done {
+                block.compute(model, ws);
+                computed += 1;
+            }
+        }
+        computed
+    }
+
+    /// Consumes the touched vertices' messages into the blocks — the head
+    /// straight from the mailbox, the time encoding after it unless `model`
+    /// folds it — with each vertex's memory row and Δt, and resets the
+    /// claims.  `obs` records every message row, then the LUT rows a folded
+    /// GRU reads, then every memory row.
+    fn stage(
+        &mut self,
+        model: &TgnModel,
+        table: &mut (impl MemoryTable + ?Sized),
+        touched: &[NodeId],
+        query_times: &[Timestamp],
+        ws: &mut Workspace,
+        obs: Option<&mut dyn tgnn_quant::ActivationObserver>,
+    ) -> Staged {
+        let cfg = &model.config;
+        // A LUT model's GRU reads the time encoding's contribution from its
+        // fused table: the messages stop at the edge feature and no encoding
+        // is materialised.  Otherwise the encoding is the message's last block.
+        let lut = model.fold_over(&model.gru.w_i);
+        let head = 2 * cfg.memory_dim + cfg.edge_feature_dim;
+        let width = if lut.is_some() {
+            head
+        } else {
+            cfg.message_dim()
+        };
+        let n = self.block_rows;
+
+        let mut vertices = Vec::with_capacity(touched.len());
+        let mut times = Vec::with_capacity(touched.len());
+        let mut row_of = Vec::with_capacity(touched.len());
+        for (&v, &t) in touched.iter().zip(query_times) {
+            let r = vertices.len();
+            let (b, i) = (r / n, r % n);
+            if i == 0 {
+                // Block `b` gets its first row: full height, cut below.
+                if b == self.blocks.len() {
+                    self.blocks.push(Mutex::new(GruBlock::new()));
+                }
+                get_mut(&mut self.blocks[b]).reset(n, width, cfg.memory_dim, ws);
+            }
+            let block = get_mut(&mut self.blocks[b]);
+            let Some(event_time) =
+                table.take_message_into(v, &mut block.messages.row_mut(i)[..head])
+            else {
+                row_of.push(UpdatedRows::NO_ROW);
+                continue;
+            };
+            block.dts[i] = (event_time - table.last_update(v)).max(0.0) as Float;
+            table.copy_memory_into(v, block.memories.row_mut(i));
+            row_of.push(r as u32);
+            vertices.push(v);
+            times.push(t);
+        }
+        let rows = vertices.len();
+        self.used = rows.div_ceil(n);
+        *self.next.get_mut() = 0;
+        let blocks = &mut self.blocks[..self.used];
+        if let Some(last) = blocks.last_mut() {
+            get_mut(last).truncate(rows - (self.used - 1) * n);
+        }
+
+        if lut.is_none() {
+            for block in blocks.iter_mut().map(get_mut) {
+                let mut encodings = ws.take_matrix(block.dts.len(), cfg.time_dim);
+                model.encode_time_into(&block.dts, &mut encodings);
+                for i in 0..block.dts.len() {
+                    block.messages.row_mut(i)[head..].copy_from_slice(encodings.row(i));
+                }
+                ws.recycle_matrix(encodings);
+            }
+        }
+        if let Some(o) = obs {
+            use crate::quantized::layers::{GRU_HIDDEN, GRU_INPUT};
+            for block in blocks.iter_mut().map(get_mut) {
+                o.record(GRU_INPUT, block.messages.as_slice());
+            }
+            if let Some(lut) = lut {
+                for block in blocks.iter_mut().map(get_mut) {
+                    for &dt in &block.dts {
+                        o.record(GRU_INPUT, lut.table().value.row(lut.lookup_bin(dt)));
+                    }
+                }
+            }
+            for block in blocks.iter_mut().map(get_mut) {
+                o.record(GRU_HIDDEN, block.memories.as_slice());
+            }
+        }
+        Staged {
+            vertices,
+            times,
+            row_of,
+        }
+    }
+
+    /// Computes every block nobody has claimed, then takes the rows of each
+    /// block in order — waiting on a block another thread still holds, and
+    /// computing any block that is not done (one a helper claimed but had
+    /// not begun, or abandoned by panicking).
+    fn finish(&self, staged: Staged, model: &TgnModel, ws: &mut Workspace) -> UpdatedRows {
+        self.help(model, ws);
+        let memory_dim = model.config.memory_dim;
+        let rows = match &self.blocks[..self.used] {
+            [] => ws.take_matrix(0, memory_dim),
+            // One block's rows are the stage's rows: hand them over whole.
+            [only] => {
+                let mut block = lock(only);
+                if !block.done {
+                    block.compute(model, ws);
+                }
+                std::mem::replace(&mut block.out, Matrix::zeros(0, 0))
+            }
+            blocks => {
+                let mut rows = ws.take_matrix(staged.vertices.len(), memory_dim);
+                let stride = self.block_rows * memory_dim;
+                for (chunk, block) in rows.as_mut_slice().chunks_mut(stride).zip(blocks) {
+                    let mut block = lock(block);
+                    if !block.done {
+                        block.compute(model, ws);
+                    }
+                    chunk.copy_from_slice(block.out.as_slice());
+                }
+                rows
+            }
+        };
+        let Staged {
+            vertices,
+            times,
+            row_of,
+        } = staged;
+        UpdatedRows {
+            vertices,
+            times,
+            row_of,
+            rows,
+        }
+    }
+
+    /// Returns every buffer of a set no other thread holds to `ws`.
+    fn recycle(self, ws: &mut Workspace) {
+        for block in self.blocks {
+            let block = block.into_inner().unwrap_or_else(PoisonError::into_inner);
+            for m in [block.messages, block.memories, block.out] {
+                ws.recycle_matrix(m);
+            }
+            ws.recycle(block.dts);
+        }
+    }
+}
+
+/// What staging learned about the batch's rows, beside the blocks.
+struct Staged {
+    vertices: Vec<NodeId>,
+    times: Vec<Timestamp>,
+    row_of: Vec<u32>,
 }
 
 /// A self-contained input for the batched GNN stage.
@@ -401,17 +663,23 @@ impl GnnJobBatch {
         cfg: &ModelConfig,
         mut read_memory: impl FnMut(NodeId, &mut [Float]),
     ) -> Self {
+        let mut job = Self::gather_neighbors(sampled, graph, cfg, &mut read_memory);
+        job.gather_own(updated, read_memory);
+        job
+    }
+
+    /// The half of [`Self::gather`] that does not read the memory stage's
+    /// output: everything but the touched vertices' own memory rows, which
+    /// [`Self::gather_own`] fills in.  A pipeline runs it while the GRU is
+    /// still being computed.
+    pub fn gather_neighbors(
+        sampled: &SampledBatch,
+        graph: &Arc<TemporalGraph>,
+        cfg: &ModelConfig,
+        mut read_memory: impl FnMut(NodeId, &mut [Float]),
+    ) -> Self {
         let t = sampled.len();
         let mem_dim = cfg.memory_dim;
-
-        let mut self_memory = Matrix::zeros(t, mem_dim);
-        for (i, &v) in sampled.touched.iter().enumerate() {
-            match updated.updated(i, v) {
-                Some(m) => self_memory.row_mut(i).copy_from_slice(m),
-                None => read_memory(v, self_memory.row_mut(i)),
-            }
-        }
-
         let kept = sampled.selection.kept.len();
         let mut nbr_memory = Matrix::zeros(kept, mem_dim);
         let mut nbr_edges = Vec::with_capacity(kept);
@@ -426,13 +694,29 @@ impl GnnJobBatch {
 
         Self {
             touched: sampled.touched.clone(),
-            self_memory,
+            self_memory: Matrix::zeros(t, mem_dim),
             nbr_memory,
             nbr_edges,
             nbr_dt: sampled.delta_t.clone(),
             ranges: sampled.ranges.clone(),
             selection: sampled.selection.clone(),
             graph: graph.clone(),
+        }
+    }
+
+    /// The other half of [`Self::gather`]: each touched vertex's own memory —
+    /// its new row when the memory stage updated it, its stored one
+    /// otherwise.
+    pub fn gather_own(
+        &mut self,
+        updated: &impl UpdatedMemory,
+        mut read_memory: impl FnMut(NodeId, &mut [Float]),
+    ) {
+        for (i, &v) in self.touched.iter().enumerate() {
+            match updated.updated(i, v) {
+                Some(m) => self.self_memory.row_mut(i).copy_from_slice(m),
+                None => read_memory(v, self.self_memory.row_mut(i)),
+            }
         }
     }
 
@@ -598,6 +882,174 @@ mod tests {
                 Some(self.graph.node_feature(v)),
                 &contexts,
             )
+        }
+    }
+
+    /// A model of `variant` on the fixture's stream, its GRU on int8
+    /// kernels when `int8`.
+    fn gru_model(variant: OptimizationVariant, int8: bool) -> TgnModel {
+        let f = fixture(variant, 23);
+        let mut model = f.model;
+        if int8 {
+            let events = f.graph.events();
+            let config = tgnn_quant::QuantConfig::default();
+            let q = crate::quantized::quantize_model(
+                &model,
+                &f.graph,
+                &events[..100],
+                &events[100..300],
+                50,
+                config,
+            );
+            assert!(q.gru().is_some(), "the default config quantizes the GRU");
+            model.attach_quantized(Arc::new(q));
+        }
+        model
+    }
+
+    /// A table in which each of `rows` vertices holds a pending message and
+    /// a memory row updated at its own time, so the Δt's spread over the
+    /// time encoding's range; and the touched vertices with their query
+    /// times — three of them without a message, first, in the middle and
+    /// last.
+    fn pending_messages(
+        model: &TgnModel,
+        rows: usize,
+    ) -> (crate::NodeMemory, Vec<NodeId>, Vec<Timestamp>) {
+        use crate::memory::Message;
+        let cfg = &model.config;
+        let mut rng = TensorRng::new(rows as u64);
+        let mut table = crate::NodeMemory::new(rows + 3, cfg.memory_dim);
+        let mut touched: Vec<NodeId> = (0..rows as NodeId).collect();
+        touched.insert(0, rows as NodeId);
+        touched.insert(touched.len() / 2, rows as NodeId + 1);
+        touched.push(rows as NodeId + 2);
+        for v in 0..rows as NodeId {
+            let at = rng.pareto(1.0, 1.3).min(1e4) as Timestamp;
+            table.set_memory(v, &rng.uniform_vec(cfg.memory_dim, -1.0, 1.0), at);
+            let message = Message {
+                self_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
+                other_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
+                edge_feature: rng.uniform_vec(cfg.edge_feature_dim, -1.0, 1.0),
+                event_time: at + rng.pareto(1.0, 1.3).min(1e4) as Timestamp,
+            };
+            table.store_message(v, message);
+        }
+        let times = (0..touched.len()).map(|i| i as Timestamp).collect();
+        (table, touched, times)
+    }
+
+    fn rows_of(updated: UpdatedRows, ws: &mut Workspace) -> Vec<(NodeId, Vec<Float>)> {
+        let rows = updated.iter().map(|(v, r)| (v, r.to_vec())).collect();
+        updated.recycle(ws);
+        rows
+    }
+
+    #[test]
+    fn gru_split_blocks_equal_the_one_call_gru_bitwise_with_a_helper_racing() {
+        use std::sync::mpsc;
+        for (variant, int8) in [
+            (OptimizationVariant::NpMedium, false),
+            (OptimizationVariant::Baseline, false),
+            (OptimizationVariant::NpMedium, true),
+        ] {
+            let model = gru_model(variant, int8);
+            let folded = model.fold_over(&model.gru.w_i).is_some();
+            assert_eq!(folded, variant == OptimizationVariant::NpMedium);
+            let mut stage = MemoryStage::default();
+            let mut ws = Workspace::new();
+            for rows in [1, 23, 24, 25, 47, 138, 200] {
+                let what = format!("{variant:?} int8 {int8}, {rows} rows");
+                let (table, touched, times) = pending_messages(&model, rows);
+                let one_call = rows_of(
+                    run_memory_stage(&model, &mut table.clone(), &touched, &times, &mut ws),
+                    &mut ws,
+                );
+                assert_eq!(one_call.len(), rows, "{what}");
+                let blocks = rows.div_ceil(GRU_BLOCK_ROWS);
+                let (offers, sets) = mpsc::channel::<Arc<GruBlocks>>();
+                let helped = std::thread::scope(|s| {
+                    let model = &model;
+                    let helper = s.spawn(move || {
+                        let mut ws = Workspace::new();
+                        sets.iter()
+                            .map(|set| set.help(model, &mut ws))
+                            .sum::<usize>()
+                    });
+                    // Three batches: a set is restaged only once the helper
+                    // has let go of it.
+                    for _ in 0..3 {
+                        let mut offered = None;
+                        let updated = stage.run(
+                            model,
+                            &mut table.clone(),
+                            &touched,
+                            &times,
+                            &mut ws,
+                            |set| {
+                                offered = set.map(|set| set.len());
+                                if let Some(set) = set {
+                                    offers.send(set.clone()).unwrap();
+                                }
+                            },
+                        );
+                        assert_eq!(rows_of(updated, &mut ws), one_call, "{what}");
+                        let want = (blocks > 1).then_some(blocks);
+                        assert_eq!(offered, want, "{what}: a one-block GRU is never offered");
+                    }
+                    drop(offers);
+                    helper.join().unwrap()
+                });
+                assert!(helped <= 3 * blocks, "{what}: helped {helped}");
+            }
+        }
+    }
+
+    #[test]
+    fn gru_split_recomputes_a_block_whose_helper_panicked_and_never_hangs() {
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        let (done, watchdog) = mpsc::channel();
+        let owner = std::thread::spawn(move || {
+            let model = gru_model(OptimizationVariant::NpMedium, false);
+            let (table, touched, times) = pending_messages(&model, 138);
+            // The helper's model disagrees with the staged blocks, so its
+            // GRU panics in the first block it claims, with the lock held.
+            let mut cfg = model.config.clone();
+            cfg.memory_dim += 1;
+            let broken = Arc::new(TgnModel::new(cfg, &mut TensorRng::new(5)));
+            let mut ws = Workspace::new();
+            let one_call = rows_of(
+                run_memory_stage(&model, &mut table.clone(), &touched, &times, &mut ws),
+                &mut ws,
+            );
+            let mut stage = MemoryStage::default();
+            for _ in 0..2 {
+                let updated = stage.run(
+                    &model,
+                    &mut table.clone(),
+                    &touched,
+                    &times,
+                    &mut ws,
+                    |set| {
+                        let set = set.expect("138 rows fill six blocks").clone();
+                        let broken = broken.clone();
+                        let helper =
+                            std::thread::spawn(move || set.help(&broken, &mut Workspace::new()));
+                        assert!(helper.join().is_err(), "the helper panics mid-block");
+                    },
+                );
+                assert_eq!(rows_of(updated, &mut ws), one_call);
+            }
+            done.send(()).unwrap();
+        });
+        match watchdog.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(()) => owner.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(owner.join().unwrap_err())
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("a helper that panicked mid-block hung the memory stage")
+            }
         }
     }
 

@@ -216,7 +216,9 @@ impl ShardedNeighborTable {
 
     /// Commits one batch (epoch) of interactions: every shard absorbs the
     /// endpoints it owns, in event order (src endpoint before dst, as
-    /// [`NeighborTable::record_interaction`] does).
+    /// [`NeighborTable::record_interaction`] does).  Each shard is locked
+    /// once, in index order, and one pass over the events routes every
+    /// append.
     ///
     /// # Panics
     /// Panics if `epoch` is below the last committed one — epochs must be
@@ -227,29 +229,17 @@ impl ShardedNeighborTable {
             prev <= epoch,
             "ShardedNeighborTable: committed epoch {epoch} after {prev}"
         );
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock().unwrap();
-            for e in events {
-                if shard_of(e.src, self.num_shards) == s {
-                    shard.push(
-                        local_index(e.src, self.num_shards) as NodeId,
-                        NeighborEntry {
-                            neighbor: e.dst,
-                            edge_id: e.edge_id,
-                            timestamp: e.timestamp,
-                        },
-                    );
-                }
-                if shard_of(e.dst, self.num_shards) == s {
-                    shard.push(
-                        local_index(e.dst, self.num_shards) as NodeId,
-                        NeighborEntry {
-                            neighbor: e.src,
-                            edge_id: e.edge_id,
-                            timestamp: e.timestamp,
-                        },
-                    );
-                }
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
+        for e in events {
+            for (v, neighbor) in [(e.src, e.dst), (e.dst, e.src)] {
+                shards[shard_of(v, self.num_shards)].push(
+                    local_index(v, self.num_shards) as NodeId,
+                    NeighborEntry {
+                        neighbor,
+                        edge_id: e.edge_id,
+                        timestamp: e.timestamp,
+                    },
+                );
             }
         }
     }
@@ -361,6 +351,29 @@ mod tests {
                 }
             }
             assert!(sharded.check_invariants().is_ok());
+        }
+    }
+
+    #[test]
+    fn every_vertex_appends_in_event_order_as_the_plain_table_does() {
+        let nodes = 11u32;
+        let mut evs = events(90, nodes);
+        // A self-loop appends to its vertex twice, src side first.
+        evs.push(InteractionEvent::new(3, 3, 90, 90.0 * 0.25));
+        for num_shards in [1usize, 3, 4] {
+            let sharded = ShardedNeighborTable::new(nodes as usize, 64, num_shards);
+            let mut plain = NeighborTable::new(nodes as usize, 64);
+            for (epoch, chunk) in evs.chunks(13).enumerate() {
+                sharded.commit_epoch(epoch as u64 + 1, chunk);
+                for e in chunk {
+                    plain.record_interaction(e.src, e.dst, e.edge_id, e.timestamp);
+                }
+                for v in 0..nodes {
+                    let local = local_index(v, num_shards) as NodeId;
+                    let got = sharded.read_shard(shard_of(v, num_shards), |t| t.neighbors(local));
+                    assert_eq!(got, plain.neighbors(v), "shards={num_shards} vertex {v}");
+                }
+            }
         }
     }
 

@@ -202,26 +202,28 @@ impl PipelineModel {
     /// Splits a user batch of `edges` into processing batches of `N_b` and
     /// produces per-processing-batch workloads assuming the given average
     /// statistics (used when only aggregate workload numbers are available).
+    /// Each field is shared out by cumulative rounding — chunk `i` gets
+    /// `round(T·E_i/E) − round(T·E_{i−1}/E)` of its batch total `T`, `E_i`
+    /// being the edges of chunks `0…i` — so the chunks sum to the total
+    /// exactly and no work rounds away.
     pub fn split_workload(&self, total: &BatchWorkload) -> Vec<BatchWorkload> {
         let nb = self.design.nb.max(1);
-        if total.edges == 0 {
+        let edges = total.edges;
+        if edges == 0 {
             return Vec::new();
         }
-        let chunks = total.edges.div_ceil(nb);
-        (0..chunks)
+        // round(field · upto / edges), half up, in exact integers.
+        let share = |field: usize, upto: usize| (2 * field * upto + edges) / (2 * edges);
+        (0..edges.div_ceil(nb))
             .map(|i| {
-                let edges = if i + 1 == chunks {
-                    total.edges - nb * (chunks - 1)
-                } else {
-                    nb
-                };
-                let scale = edges as f64 / total.edges as f64;
+                let (from, upto) = (i * nb, ((i + 1) * nb).min(edges));
+                let cut = |field| share(field, upto) - share(field, from);
                 BatchWorkload {
-                    edges,
-                    memory_updates: (total.memory_updates as f64 * scale).round() as usize,
-                    embeddings: (total.embeddings as f64 * scale).round() as usize,
-                    neighbors_fetched: (total.neighbors_fetched as f64 * scale).round() as usize,
-                    neighbors_scored: (total.neighbors_scored as f64 * scale).round() as usize,
+                    edges: upto - from,
+                    memory_updates: cut(total.memory_updates),
+                    embeddings: cut(total.embeddings),
+                    neighbors_fetched: cut(total.neighbors_fetched),
+                    neighbors_scored: cut(total.neighbors_scored),
                 }
             })
             .collect()
@@ -311,12 +313,55 @@ mod tests {
     #[test]
     fn split_workload_conserves_edges() {
         let p = pipeline(OptimizationVariant::NpSmall, DesignConfig::zcu104(), 19.2);
-        let total = BatchWorkload::nominal(&p.model, 103);
-        let parts = p.split_workload(&total);
-        let edges: usize = parts.iter().map(|w| w.edges).sum();
-        assert_eq!(edges, 103);
-        assert!(parts.iter().all(|w| w.edges <= p.design.nb));
+        let nominal = BatchWorkload::nominal(&p.model, 103);
+        // A measured workload's fields need not be multiples of the edges:
+        // shares of a few units per chunk must still add up.
+        let measured = BatchWorkload {
+            edges: 1000,
+            memory_updates: 7,
+            embeddings: 1999,
+            neighbors_fetched: 3,
+            neighbors_scored: 12_345,
+        };
+        for total in [nominal, measured] {
+            let parts = p.split_workload(&total);
+            let sum = parts
+                .iter()
+                .fold(BatchWorkload::default(), |a, w| BatchWorkload {
+                    edges: a.edges + w.edges,
+                    memory_updates: a.memory_updates + w.memory_updates,
+                    embeddings: a.embeddings + w.embeddings,
+                    neighbors_fetched: a.neighbors_fetched + w.neighbors_fetched,
+                    neighbors_scored: a.neighbors_scored + w.neighbors_scored,
+                });
+            assert_eq!(sum, total);
+            assert!(parts.iter().all(|w| w.edges <= p.design.nb));
+        }
         assert!(p.split_workload(&BatchWorkload::default()).is_empty());
+    }
+
+    #[test]
+    fn zcu104_batch_latency_grows_with_the_batch() {
+        let p = pipeline(
+            OptimizationVariant::NpMedium,
+            DesignConfig::zcu104(),
+            FpgaDevice::zcu104().ddr_bandwidth_gbps,
+        );
+        // A measured per-edge mix whose per-chunk shares are fractions.
+        let at = |edges: usize| BatchWorkload {
+            edges,
+            memory_updates: edges * 3 / 2,
+            embeddings: edges * 3 / 2,
+            neighbors_fetched: edges / 3,
+            neighbors_scored: edges * 2,
+        };
+        let latency = |edges| p.batch_latency(&p.split_workload(&at(edges)));
+        let mut last = 0.0;
+        for edges in (1..=40).map(|i| i * 50) {
+            let now = latency(edges);
+            assert!(now > last, "{edges} edges: {now} s after {last} s");
+            last = now;
+        }
     }
 
     #[test]

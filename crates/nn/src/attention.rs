@@ -460,17 +460,6 @@ impl VanillaAttention {
         out.extend(self.w_v.params());
         out
     }
-
-    /// MAC count for one target with `n` neighbors: query, key, value
-    /// projections plus the score dot-products and the weighted sum — the
-    /// paper's per-neighbor (FPGA) order, which projects every neighbor row,
-    /// not the aggregate-first order the CPU forwards run.
-    pub fn macs(&self, n: usize) -> u64 {
-        let proj = self.w_q.macs(1) + self.w_k.macs(n) + self.w_v.macs(n);
-        let scores = (n * self.head_dim) as u64;
-        let aggregate = (n * self.value_dim) as u64;
-        proj + scores + aggregate
-    }
 }
 
 /// The paper's simplified temporal attention (Eq. 16) with optional top-k
@@ -780,20 +769,6 @@ impl SimplifiedAttention {
         out.extend(self.w_v.params());
         out
     }
-
-    /// MAC count for one target aggregating `k` selected neighbors out of
-    /// `slots` candidates: the tiny `W_t·Δt` product, the value projections
-    /// of the selected neighbors, and the weighted sum.  Compare with
-    /// [`VanillaAttention::macs`]: there is no query/key projection and no
-    /// per-neighbor dot product, and the value work scales with `k`, not
-    /// `slots`.  Counted in the paper's per-neighbor (FPGA) order, like
-    /// [`VanillaAttention::macs`].
-    pub fn macs(&self, k: usize) -> u64 {
-        let logit = (self.slots * self.slots) as u64;
-        let values = self.w_v.macs(k);
-        let aggregate = (k * self.value_dim) as u64;
-        logit + values + aggregate
-    }
 }
 
 #[cfg(test)]
@@ -1060,24 +1035,6 @@ mod tests {
         assert_eq!(out.selected.len(), 3);
         let empty = att.forward(&[], &Matrix::zeros(0, 6), 5);
         assert_eq!(empty.output, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn simplified_macs_smaller_than_vanilla() {
-        let mut rng = TensorRng::new(33);
-        // Dimensions roughly matching the paper (100-dim memory, 172-dim
-        // edge features, 100-dim time encoding, 10 neighbors).
-        let neighbor_in = 100 + 172 + 100;
-        let vanilla = VanillaAttention::new("v", 200, neighbor_in, 100, 100, &mut rng);
-        let sat = SimplifiedAttention::new("s", 10, neighbor_in, 100, 86_400.0, &mut rng);
-        let full = vanilla.macs(10);
-        let simplified = sat.macs(10);
-        let pruned = sat.macs(2);
-        assert!(
-            (simplified as f64) < 0.75 * full as f64,
-            "SAT should cut computation substantially: {simplified} vs {full}"
-        );
-        assert!((pruned as f64) < 0.3 * full as f64);
     }
 
     #[test]

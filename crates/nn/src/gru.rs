@@ -250,12 +250,6 @@ impl GruCell {
         out.extend(self.w_h.params());
         out
     }
-
-    /// Multiply-accumulate count per batch of `batch` vertices (three
-    /// input-side and three hidden-side gate projections).
-    pub fn macs(&self, batch: usize) -> u64 {
-        self.w_i.macs(batch) + self.w_h.macs(batch)
-    }
 }
 
 #[cfg(test)]
@@ -574,14 +568,5 @@ mod tests {
                 ws.recycle_matrix(folded);
             }
         }
-    }
-
-    #[test]
-    fn macs_formula() {
-        let mut rng = TensorRng::new(5);
-        let cell = GruCell::new("g", 10, 4, &mut rng);
-        // 3 * (10*4) + 3 * (4*4) per row.
-        assert_eq!(cell.macs(1), 120 + 48);
-        assert_eq!(cell.macs(7), 7 * 168);
     }
 }

@@ -521,14 +521,6 @@ impl Linear {
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
     }
-
-    /// Number of multiply-accumulate operations for a batch of `batch` rows —
-    /// used by the complexity accounting of Table I/II, which counts the
-    /// paper's per-neighbor (FPGA) order (`batch` = neighbor rows for an
-    /// attention projection, not the aggregated rows the CPU multiplies).
-    pub fn macs(&self, batch: usize) -> u64 {
-        (batch * self.in_dim * self.out_dim) as u64
-    }
 }
 
 #[cfg(test)]
@@ -548,14 +540,6 @@ mod tests {
         assert!(approx_eq(y[(0, 0)], 3.5, 1e-6));
         assert!(approx_eq(y[(0, 1)], 6.5, 1e-6));
         assert!(approx_eq(y[(1, 2)], 10.0, 1e-6));
-    }
-
-    #[test]
-    fn macs_scale_with_batch() {
-        let mut rng = TensorRng::new(0);
-        let layer = Linear::new("t", 8, 4, &mut rng);
-        assert_eq!(layer.macs(1), 32);
-        assert_eq!(layer.macs(10), 320);
     }
 
     #[test]

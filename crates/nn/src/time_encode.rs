@@ -120,13 +120,6 @@ impl CosTimeEncoder {
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.omega, &self.phi]
     }
-
-    /// MAC count for encoding `batch` time deltas (one multiply-add plus the
-    /// cosine per output element; the cosine is counted as one MAC-equivalent
-    /// as in the paper's operation accounting).
-    pub fn macs(&self, batch: usize) -> u64 {
-        (2 * batch * self.dim) as u64
-    }
 }
 
 /// LUT-based time encoder.
@@ -322,11 +315,6 @@ impl LutTimeEncoder {
     pub fn table_bytes(&self, bytes_per_word: usize) -> usize {
         self.bins() * self.dim * bytes_per_word
     }
-
-    /// MACs per encoded Δt — zero, which is the whole point of the LUT.
-    pub fn macs(&self, _batch: usize) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -436,7 +424,6 @@ mod tests {
         // Out-of-range values saturate to the first/last bin.
         assert_eq!(lut.forward(&[-5.0]).row(0), &[1.0, 0.0]);
         assert_eq!(lut.forward(&[100.0]).row(0), &[0.5, 0.5]);
-        assert_eq!(lut.macs(1000), 0);
     }
 
     #[test]

@@ -208,6 +208,13 @@ impl MetricsSnapshot {
         ]);
         let seals = SealReason::ALL.map(|r| (r.label(), self.seals[r.code()]));
         c.counts("tgnn_seals_total", "reason", &seals);
+        c.scalars([
+            (
+                "tgnn_gru_blocks_offered_total",
+                Int(self.gru_blocks_offered),
+            ),
+            ("tgnn_gru_blocks_helped_total", Int(self.gru_blocks_helped)),
+        ]);
         let (events, batches) = self.pipeline_served();
         c.summary(
             "tgnn_batch_events",

@@ -490,6 +490,10 @@ pub(crate) struct Sinks {
     seals: [AtomicU64; SealReason::ALL.len()],
     /// Events per pipeline-served batch.
     batch_events: Histogram,
+    /// GRU blocks the state worker offered, and those of them the GNN
+    /// worker computed.
+    pub gru_offered: AtomicU64,
+    pub gru_helped: AtomicU64,
 }
 
 impl Sinks {
@@ -521,6 +525,8 @@ impl Sinks {
             tenants: (0..num_tenants).map(|_| TenantCounts::default()).collect(),
             backends: Default::default(),
             seals: Default::default(),
+            gru_offered: AtomicU64::new(0),
+            gru_helped: AtomicU64::new(0),
             batch_events: Histogram::new(),
         }
     }
@@ -546,6 +552,16 @@ impl Sinks {
     /// Counts one sealed batch.
     pub fn seal(&self, reason: SealReason) {
         self.seals[reason.code()].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts the blocks of a GRU the state worker offered.
+    pub fn gru_offered(&self, blocks: usize) {
+        self.gru_offered.fetch_add(blocks as u64, Ordering::Relaxed);
+    }
+
+    /// Counts the offered GRU blocks the GNN worker computed.
+    pub fn gru_helped(&self, blocks: usize) {
+        self.gru_helped.fetch_add(blocks as u64, Ordering::Relaxed);
     }
 
     /// Counts one batch the pipeline served — or recovery re-served, with
@@ -801,6 +817,8 @@ impl MetricsHub {
             events_served,
             embeddings: s.embeddings.load(Ordering::Relaxed),
             seals: std::array::from_fn(|i| s.seals[i].load(Ordering::Relaxed)),
+            gru_blocks_offered: s.gru_offered.load(Ordering::Relaxed),
+            gru_blocks_helped: s.gru_helped.load(Ordering::Relaxed),
             batch_events: s.batch_events.snapshot(),
             queues: self.queues.iter().map(QueueMonitor::stats).collect(),
             stages,
@@ -1039,6 +1057,13 @@ pub struct MetricsSnapshot {
     /// adapting — mostly `idle` at partial load, mostly `full` at
     /// saturation.
     pub seals: [u64; SealReason::ALL.len()],
+    /// GRU row blocks the state worker offered the GNN worker: the blocks
+    /// of every batch whose GRU fills more than one, while `state→gnn` has
+    /// room.
+    pub gru_blocks_offered: u64,
+    /// Of those, the blocks the GNN worker computed between its jobs —
+    /// `gru_blocks_helped / gru_blocks_offered` is the GRU's share it took.
+    pub gru_blocks_helped: u64,
     /// Events per pipeline-served micro-batch (stale cache answers
     /// excluded) — the batch size load chose, capped by `max_batch`.  One
     /// sample per batch counted in `backends`; sizes up to 31 are exact,

@@ -7,10 +7,12 @@
 //!                    [state worker]   seal → sample → memory → gather →
 //!                         │            commit, in program order on one thread
 //!                         │  GnnJob (memory rows copied, features by id,
-//!                         │          epoch order)
+//!                         │          epoch order) — and, offered ahead of
+//!                         │          it, the batch's GRU row blocks
 //!                     [gnn worker]    every prepared backend, the U200
 //!                         │            latency model; seal sync, cache
-//!                         │            insert, dispositions, counters
+//!                         │            insert, dispositions, counters;
+//!                         │            between jobs, free GRU blocks
 //!                         │  ServedBatch (its seal durable)
 //!                         ▼
 //!                      results
@@ -28,18 +30,36 @@
 //! its events so recovery re-serves the same boundaries, and a smaller
 //! batch only means the memory a later event reads is fresher.
 //!
-//! A thread exists only where work can overlap.  The state stages cannot:
-//! sample(k+1) reads what commit(k) wrote, commit(k) needs memory(k)'s
-//! rows, and memory(k+1) needs sample(k+1) — so one worker runs them back
-//! to back (`StateStage::step`), and the same body replays warm-up and
-//! recovery.  The GNN stage can: its input is a gathered job that owns a
-//! copy of every memory row it reads (static features it reads from the
-//! immutable graph by id), so the state worker dispatches batch *k*'s job
-//! *before* committing batch *k* and GNN(k) — the dominant cost per the
-//! paper's co-design analysis — runs concurrently with commit(k) and
-//! state(k+1).  That is the paper's two compute stages (memory updater,
-//! embedding unit) behind a prefetching front end, and the only overlap the
-//! dependencies allow.
+//! A thread exists only where work can overlap.  The state stages cannot
+//! overlap each other: sample(k+1) reads what commit(k) wrote, commit(k)
+//! needs memory(k)'s rows, and memory(k+1) needs sample(k+1) — so one
+//! worker runs them back to back (`StateStage::step`), and the same body
+//! replays warm-up and recovery.  The GNN stage can: its input is a
+//! gathered job that owns a copy of every memory row it reads (static
+//! features it reads from the immutable graph by id), so the state worker
+//! dispatches batch *k*'s job *before* committing batch *k* and GNN(k) runs
+//! concurrently with commit(k) and state(k+1).  That is the paper's two
+//! compute stages (memory updater, embedding unit) behind a prefetching
+//! front end.
+//!
+//! Within memory(k), the GRU's rows are independent of each other, so its
+//! work is split across both workers, as the paper sizes the two units so
+//! that neither sets the period alone.  The state worker stages the GRU's
+//! inputs in fixed row blocks (`tgnn_core::stages::MemoryStage`), offers a
+//! GRU of more than one block to the GNN worker with a non-blocking push
+//! onto `state→gnn` (skipped when the queue is full: the GNN worker is then
+//! backlogged and could not help), does the work that does not read the
+//! GRU's output while the offer is out — the batch's new mailbox messages
+//! and the GNN job's neighbor half — then claims blocks itself and waits
+//! only for the ones the GNN worker holds.  The GNN worker computes the free blocks
+//! of any offer it pops between jobs; one whose blocks are all claimed
+//! costs it one atomic.  No bit moves — the GEMM contract is per element,
+//! the gate pass and the LUT row add per row — and a GNN worker that dies
+//! holding a block leaves it for the state worker to compute again.
+//! State-only steps (warm-up, recovery) offer nothing, and neither does a
+//! model whose GNN stage is the heavier one (`gru_split_pays`: vanilla or
+//! unpruned attention), where the GNN worker is the bound and has no time
+//! to give.
 //!
 //! One GNN worker holds every prepared backend and computes each job on the
 //! backend its batch was sealed for, as the paper's single embedding unit
@@ -68,15 +88,16 @@
 use crate::admission::{AdmissionControl, AdmittedEvent, EventMeta, Ingress};
 use crate::cache::EmbeddingCache;
 use crate::durability::Durability;
-use crate::metrics::{SegmentId, StageObs};
+use crate::metrics::{SegmentId, Sinks, StageObs};
 use crate::queue::{Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tgnn_core::stages::{run_memory_stage, GnnJobBatch, SampledBatch, UpdatedRows};
+use tgnn_core::complexity::per_embedding_ops;
+use tgnn_core::stages::{GnnJobBatch, GruBlocks, MemoryStage, SampledBatch};
 use tgnn_core::tenancy::{Disposition, ResultMeta};
 use tgnn_core::{
-    BackendKind, ComputeBackend, F32Backend, Int8Backend, ShardedMemory, TgnModel,
+    BackendKind, ComputeBackend, F32Backend, Int8Backend, ModelConfig, ShardedMemory, TgnModel,
     NUM_BACKEND_KINDS,
 };
 use tgnn_graph::{EventBatch, InteractionEvent, NodeId, ShardedNeighborTable, TemporalGraph};
@@ -148,6 +169,21 @@ pub(crate) struct GnnJob {
     /// When the state worker finished the gather and sent the job — the
     /// anchor the GNN trace segments start from.
     pub dispatched_at: Instant,
+}
+
+/// What the state worker sends the GNN worker over `state→gnn`, in order.
+// A job moves by value, as it did before offers shared its queue: boxing it
+// would cost an allocation per batch to shrink a handful of queue slots.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub(crate) enum ToGnn {
+    /// One batch's GNN work.
+    Job(GnnJob),
+    /// The GRU blocks of the batch the state worker is stepping, for the
+    /// GNN worker to help compute between its jobs ([`GruBlocks::help`])
+    /// on the stage model.  Offered, never sent: the queue does not count
+    /// it ([`Sender::offer`]).
+    Gru(Arc<TgnModel>, Arc<GruBlocks>),
 }
 
 /// Test-only fault-injection hook: the GNN worker calls it with the epoch
@@ -321,6 +357,46 @@ fn in_span<R>(obs: Option<&StageObs>, epoch: u64, f: impl FnOnce() -> R) -> R {
 /// job is gathered.
 pub(crate) const STATE_ONLY: Option<fn(GnnJobBatch, Instant)> = None;
 
+/// Where [`StateStage::step`] hands its work: the gathered GNN job and,
+/// while the batch's GRU runs, its row blocks for another thread to help
+/// compute.  A closure takes the job alone.
+pub(crate) trait Downstream {
+    /// Offered the batch's GRU blocks (only when they are more than one)
+    /// and the model to compute them on; declining costs nothing.
+    fn offer_gru(&mut self, _model: &Arc<TgnModel>, _blocks: &Arc<GruBlocks>) {}
+
+    /// Takes the gathered job and the instant sampling finished.
+    fn dispatch(self, job: GnnJobBatch, sampled_at: Instant);
+}
+
+impl<F: FnOnce(GnnJobBatch, Instant)> Downstream for F {
+    fn dispatch(self, job: GnnJobBatch, sampled_at: Instant) {
+        self(job, sampled_at)
+    }
+}
+
+/// The state worker's [`Downstream`]: GRU offers go onto `state→gnn`
+/// when it has room — when it is full the GNN worker is backlogged and
+/// could not help — and the job through `dispatch`.
+struct Offering<'a, F> {
+    tx: &'a Sender<ToGnn>,
+    sinks: &'a Sinks,
+    dispatch: F,
+}
+
+impl<F: FnOnce(GnnJobBatch, Instant)> Downstream for Offering<'_, F> {
+    fn offer_gru(&mut self, model: &Arc<TgnModel>, blocks: &Arc<GruBlocks>) {
+        let offer = ToGnn::Gru(model.clone(), blocks.clone());
+        if self.tx.offer(offer).is_ok() {
+            self.sinks.gru_offered(blocks.len());
+        }
+    }
+
+    fn dispatch(self, job: GnnJobBatch, sampled_at: Instant) {
+        (self.dispatch)(job, sampled_at)
+    }
+}
+
 /// The temporal state and the one body that advances it by a batch.  The
 /// state worker, `StreamServer::warm_up` and `StreamServer::recover` all
 /// call [`Self::step`], which is what keeps served, warmed and recovered
@@ -342,6 +418,25 @@ pub(crate) struct StateStage {
     /// Stage spans (`None` on the replay paths).
     pub obs: Option<StateObs>,
     pub ws: Workspace,
+    /// The memory stage's GRU block sets, kept across batches.
+    gru: MemoryStage,
+    /// Whether a GRU of more than one block is offered ([`gru_split_pays`]).
+    offer_gru: bool,
+}
+
+/// Whether the state worker offers `config`'s GRU to the GNN worker.  The
+/// GNN worker has time to help only where its stage is lighter than the
+/// state worker's step: the GRU plus sampling, message caching, the
+/// gathers and the commit, which cost about as much again as the GRU on a
+/// CPU.  So the split is on where the GNN stage's MACs are under twice the
+/// memory stage's ([`per_embedding_ops`]) — the pruned `+NP` models.  Where
+/// the GNN stage is heavier (vanilla or unpruned attention) the GNN worker
+/// is the bound and could take blocks only in the lulls of a noisy host,
+/// moving GRU work onto the long pole whenever it did: throughput would
+/// follow how often the lulls came, not the model.
+fn gru_split_pays(config: &ModelConfig) -> bool {
+    let ops = per_embedding_ops(config);
+    ops.gnn.macs < 2 * ops.memory.macs
 }
 
 impl StateStage {
@@ -355,26 +450,36 @@ impl StateStage {
         Self {
             memory,
             table,
-            model,
             graph,
             durability: None,
             cache: None,
             obs: None,
             ws: Workspace::new(),
+            gru: MemoryStage::default(),
+            offer_gru: gru_split_pays(&model.config),
+            model,
         }
     }
 
     /// Advances the state by one batch, in program order: **sample** the
-    /// neighbor table, run the **memory** stage (consume mailbox messages,
-    /// GRU, cache the batch's new raw messages), **gather** the GNN
-    /// job and hand it to `dispatch` with the instant sampling finished,
-    /// then **commit** memory rows and neighbor-table appends as `epoch`.
+    /// neighbor table, run the **memory** stage (consume mailbox messages
+    /// into the GRU's row blocks, cache the batch's new raw messages, gather
+    /// the GNN job's neighbor half, GRU), **gather** the job's own-memory
+    /// half and hand the job to `dispatch` with the instant sampling
+    /// finished, then **commit** memory rows and neighbor-table appends as
+    /// `epoch`.  The memory rows stay in a matrix of the stage's workspace
+    /// until the commit.
     ///
     /// `dispatch` is the only parameter: `Some` gathers a GNN job (the
     /// batch's embeddings will be computed), `None` ([`STATE_ONLY`]) advances
     /// the state only and skips the neighbor sampling nothing would read.  The job is
     /// gathered *before* the commit overwrites this epoch's rows and
-    /// dispatched before it runs, so GNN(k) overlaps commit(k).
+    /// dispatched before it runs, so GNN(k) overlaps commit(k).  A GRU of
+    /// more than one block is offered to `dispatch` first
+    /// ([`Downstream::offer_gru`]) on a model whose GNN stage leaves the GNN
+    /// worker time to help ([`gru_split_pays`]), and the work that does not
+    /// read the GRU's output runs while the offer is out; a state-only step
+    /// computes every block itself.
     ///
     /// The commit is, in order: one embedding-cache expiry at `epoch` (run
     /// before the writes, so the cache's watermark never trails the state),
@@ -386,12 +491,7 @@ impl StateStage {
     /// writer, so the capture is the exact post-commit image of `epoch`; the
     /// files are then written by a background thread instead of stalling
     /// the committer on disk I/O.
-    pub fn step(
-        &mut self,
-        epoch: u64,
-        batch: EventBatch,
-        dispatch: Option<impl FnOnce(GnnJobBatch, Instant)>,
-    ) {
+    pub fn step(&mut self, epoch: u64, batch: EventBatch, mut dispatch: Option<impl Downstream>) {
         let obs = self.obs.as_ref();
         let (memory, table) = (&*self.memory, &*self.table);
         let k = match dispatch {
@@ -404,18 +504,47 @@ impl StateStage {
             })
         });
         let sampled_at = Instant::now();
+        let read_memory = |v, dst: &mut [Float]| memory.copy_memory_into(v, dst);
+        let offer_gru = self.offer_gru;
         let updated = in_span(obs.map(|o| &o.memory), epoch, || {
-            let updated =
-                run_sharded_memory_stage(&sampled, memory, &self.model, &self.graph, &mut self.ws);
-            if let Some(dispatch) = dispatch {
-                let job = GnnJobBatch::gather(
-                    &sampled,
-                    &updated,
-                    &self.graph,
-                    &self.model.config,
-                    |v, dst| memory.copy_memory_into(v, dst),
-                );
-                dispatch(job, sampled_at);
+            let (model, graph) = (&self.model, &self.graph);
+            let (touched, times) = (&sampled.touched, &sampled.query_times);
+            let mut job = None;
+            let updated = self.gru.run(
+                model,
+                &mut &*memory,
+                touched,
+                times,
+                &mut self.ws,
+                |blocks| {
+                    if let (Some(blocks), Some(d)) =
+                        (blocks.filter(|_| offer_gru), dispatch.as_mut())
+                    {
+                        d.offer_gru(model, blocks);
+                    }
+                    // While the blocks are out, the work that does not read the
+                    // GRU's output: the batch's new raw messages (Eq. 4–5) into
+                    // their mailbox slots, in event order from the pre-write-back
+                    // memory rows — the serial engine's information-leak-safe
+                    // ordering — and the job's neighbor half.
+                    for e in sampled.batch.events() {
+                        let edge = graph.edge_feature(e.edge_id);
+                        memory.cache_interaction_messages(e.src, e.dst, edge, e.timestamp);
+                    }
+                    if dispatch.is_some() {
+                        let cfg = &model.config;
+                        job = Some(GnnJobBatch::gather_neighbors(
+                            &sampled,
+                            graph,
+                            cfg,
+                            read_memory,
+                        ));
+                    }
+                },
+            );
+            if let (Some(dispatch), Some(mut job)) = (dispatch, job) {
+                job.gather_own(&updated, read_memory);
+                dispatch.dispatch(job, sampled_at);
             }
             updated
         });
@@ -438,31 +567,6 @@ impl StateStage {
     }
 }
 
-/// The memory-stage computation: consume the touched vertices' mailbox
-/// messages in place, run the GRU on them, and write the batch's new raw
-/// messages (Eq. 4–5) into their mailbox slots in event order from the
-/// pre-write-back snapshots — the same information-leak-safe ordering as the
-/// serial engine.  The new rows stay in a matrix of `ws` until the commit.
-fn run_sharded_memory_stage(
-    sampled: &SampledBatch,
-    memory: &ShardedMemory,
-    model: &TgnModel,
-    graph: &TemporalGraph,
-    ws: &mut Workspace,
-) -> UpdatedRows {
-    let updated = run_memory_stage(
-        model,
-        &mut &*memory,
-        &sampled.touched,
-        &sampled.query_times,
-        ws,
-    );
-    for e in sampled.batch.events() {
-        memory.cache_interaction_messages(e.src, e.dst, graph.edge_feature(e.edge_id), e.timestamp);
-    }
-    updated
-}
-
 /// State worker: the only drain of the tenant ingress queues and the only
 /// reader *and* writer of the sharded temporal state.  Each time it
 /// finishes a batch it pulls a weighted-fair round of everything pending,
@@ -476,7 +580,7 @@ fn run_sharded_memory_stage(
 /// drop policies act strictly upstream, in the tenant ingress queues, and
 /// keep acting while this worker steps a batch or waits on the downstream
 /// queue (it holds no admission lock then).
-pub(crate) fn state_loop(batcher: Batcher, tx: Sender<GnnJob>, mut stage: StateStage) {
+pub(crate) fn state_loop(batcher: Batcher, tx: Sender<ToGnn>, mut stage: StateStage) {
     let _close_on_exit = CloseAdmissionOnExit(batcher.admission.clone());
     let trace = stage.obs.as_ref().map(|o| o.memory.clone());
     let (max_batch, sampling) = (batcher.max_batch, batcher.pull_obs.sinks.metrics_sampling);
@@ -514,7 +618,8 @@ pub(crate) fn state_loop(batcher: Batcher, tx: Sender<GnnJob>, mut stage: StateS
         };
         let mut run = |items: &mut Vec<AdmittedEvent>, kind| {
             let sealed = batcher.seal(items, kind, reason);
-            step_sealed(&mut stage, &tx, trace.as_ref(), sealed)
+            let sinks = &batcher.seal_obs.sinks;
+            step_sealed(&mut stage, &tx, sinks, trace.as_ref(), sealed)
         };
         // A homogeneous pull (every event on the same backend — always the
         // case on a single-backend server) seals as one batch.  A mixed one
@@ -542,11 +647,13 @@ pub(crate) fn state_loop(batcher: Batcher, tx: Sender<GnnJob>, mut stage: StateS
     }
 }
 
-/// Steps one sealed batch and sends its GNN job downstream between the
-/// memory stage and the commit.  `false` once the GNN worker is gone.
+/// Steps one sealed batch, offering its GRU blocks to the GNN worker, and
+/// sends its GNN job downstream between the memory stage and the commit.
+/// `false` once the GNN worker is gone.
 fn step_sealed(
     stage: &mut StateStage,
-    tx: &Sender<GnnJob>,
+    tx: &Sender<ToGnn>,
+    sinks: &Sinks,
     trace: Option<&StageObs>,
     sealed: SealedBatch,
 ) -> bool {
@@ -564,36 +671,38 @@ fn step_sealed(
     };
     let events = batch.events().to_vec();
     let mut downstream_alive = true;
-    stage.step(
-        epoch,
-        batch,
-        Some(|job: GnnJobBatch, sampled_at: Instant| {
-            // The additive trace segments tile wall time, no gaps: `Sample`
-            // spans seal → sampled (the sampling itself: a batch is sealed
-            // right before it is stepped), `Memory` spans sampled →
-            // dispatch (GRU + gather).
-            let dispatched_at = Instant::now();
-            trace_record(
-                SegmentId::Sample,
-                sampled_at.saturating_duration_since(sealed_at),
-            );
-            trace_record(
-                SegmentId::Memory,
-                dispatched_at.saturating_duration_since(sampled_at),
-            );
-            downstream_alive = tx
-                .send(GnnJob {
-                    epoch,
-                    job,
-                    events,
-                    metas,
-                    backend,
-                    sealed_at,
-                    dispatched_at,
-                })
-                .is_ok();
-        }),
-    );
+    let dispatch = |job: GnnJobBatch, sampled_at: Instant| {
+        // The additive trace segments tile wall time, no gaps: `Sample`
+        // spans seal → sampled (the sampling itself: a batch is sealed
+        // right before it is stepped), `Memory` spans sampled →
+        // dispatch (GRU + gather).
+        let dispatched_at = Instant::now();
+        trace_record(
+            SegmentId::Sample,
+            sampled_at.saturating_duration_since(sealed_at),
+        );
+        trace_record(
+            SegmentId::Memory,
+            dispatched_at.saturating_duration_since(sampled_at),
+        );
+        downstream_alive = tx
+            .send(ToGnn::Job(GnnJob {
+                epoch,
+                job,
+                events,
+                metas,
+                backend,
+                sealed_at,
+                dispatched_at,
+            }))
+            .is_ok();
+    };
+    let offering = Offering {
+        tx,
+        sinks,
+        dispatch,
+    };
+    stage.step(epoch, batch, Some(offering));
     downstream_alive
 }
 
@@ -646,8 +755,10 @@ impl GnnCompute {
     }
 }
 
-/// GNN worker: the pipeline's embedding unit and its commit point.  It
-/// computes each job on the prepared backend its batch was sealed for —
+/// GNN worker: the pipeline's embedding unit and its commit point.  Between
+/// jobs it computes the free blocks of any GRU the state worker offers
+/// ([`GruBlocks::help`]).  It computes each job on the prepared backend its
+/// batch was sealed for —
 /// f32 or int8 kernels — on one persistent workspace, and times it on the
 /// U200 latency model ([`GnnCompute::run`]).  Jobs arrive in epoch order
 /// and leave in it.  Per batch it then makes the batch's seal durable
@@ -655,7 +766,7 @@ impl GnnCompute {
 /// batch and its modelled latency and grades each event's deadline through
 /// `obs`, and emits the [`ServedBatch`].
 pub(crate) fn gnn_loop(
-    rx: Receiver<GnnJob>,
+    rx: Receiver<ToGnn>,
     tx: Sender<ServedBatch>,
     compute: Arc<GnnCompute>,
     cache: Option<Arc<EmbeddingCache>>,
@@ -664,16 +775,22 @@ pub(crate) fn gnn_loop(
     obs: StageObs,
 ) {
     let mut ws = Workspace::new();
-    while let Some(GnnJob {
-        epoch,
-        job,
-        events,
-        metas,
-        backend,
-        sealed_at,
-        dispatched_at,
-    }) = rx.recv()
-    {
+    while let Some(next) = rx.recv() {
+        let GnnJob {
+            epoch,
+            job,
+            events,
+            metas,
+            backend,
+            sealed_at,
+            dispatched_at,
+        } = match next {
+            ToGnn::Job(job) => job,
+            ToGnn::Gru(model, blocks) => {
+                obs.sinks.gru_helped(blocks.help(&model, &mut ws));
+                continue;
+            }
+        };
         // Enter before the fault hook: an injected panic must leave this
         // epoch's `Enter` without an `Exit` in the flight recorder — that
         // dangling span is exactly what the post-mortem dump pinpoints.
@@ -816,6 +933,26 @@ mod tests {
     use std::thread::{self, JoinHandle};
     use tgnn_core::tenancy::TenantId;
 
+    /// The GRU is split on the pruned models, whose GNN stage is lighter
+    /// than the state worker's step, and on no other rung of the ladder —
+    /// on the paper's dimensions and on the tiny ones the tests serve.
+    #[test]
+    fn the_gru_is_offered_on_the_pruned_models_only() {
+        use tgnn_core::OptimizationVariant::*;
+        for (variant, split) in [
+            (Baseline, false),
+            (Sat, false),
+            (SatLut, false),
+            (NpLarge, true),
+            (NpMedium, true),
+            (NpSmall, true),
+        ] {
+            let paper = ModelConfig::paper_default(0, 172).with_variant(variant);
+            assert_eq!(gru_split_pays(&paper), split, "{variant:?}");
+        }
+        assert!(tiny_stage().offer_gru, "the tiny +NP(M) stage offers");
+    }
+
     /// A state stage over a small generated graph and a +NP(M) model — the
     /// co-designed variant the server defaults to.
     fn tiny_stage() -> StateStage {
@@ -861,7 +998,7 @@ mod tests {
         admission: Arc<AdmissionControl>,
         /// `None` only while dropping: the worker's pending send fails once
         /// it is gone.
-        rx: Option<Receiver<GnnJob>>,
+        rx: Option<Receiver<ToGnn>>,
         jobs: QueueMonitor,
         hub: MetricsHub,
         graph: Arc<TemporalGraph>,
@@ -874,7 +1011,7 @@ mod tests {
             let stage = tiny_stage();
             let graph = stage.graph.clone();
             let admission = Arc::new(AdmissionControl::new(vec![TenantSpec::new("t")]));
-            let (tx, rx) = channel::<GnnJob>("state→gnn", 1);
+            let (tx, rx) = channel::<ToGnn>("state→gnn", 1);
             let jobs = rx.monitor();
             let config = ServeConfig {
                 metrics: false,
@@ -928,16 +1065,20 @@ mod tests {
             });
         }
 
-        /// Pops the next job, blocking on a helper thread so that a worker
-        /// that never sends fails the test on a timeout instead of hanging
-        /// it.  `None` once the worker has exited.
+        /// Pops the next job, skipping GRU offers, blocking on a helper
+        /// thread so that a worker that never sends fails the test on a
+        /// timeout instead of hanging it.  `None` once the worker has exited.
         fn recv(&self) -> Option<GnnJob> {
             let rx = self.rx.as_ref().unwrap();
             thread::scope(|s| {
                 let (out, got) = mpsc::channel();
                 s.spawn(move || {
+                    let job = std::iter::from_fn(|| rx.recv()).find_map(|next| match next {
+                        ToGnn::Job(job) => Some(job),
+                        ToGnn::Gru(..) => None,
+                    });
                     // Fails only if the test already gave up on it.
-                    let _ = out.send(rx.recv());
+                    let _ = out.send(job);
                 });
                 let got = got.recv_timeout(Duration::from_secs(10));
                 if got.is_err() {
@@ -977,33 +1118,87 @@ mod tests {
 
     /// The state step allocates per batch, never per event: mailbox slots
     /// are rewritten in place, the memory stage's new rows live in the
-    /// stage's workspace, and the GNN job holds edge ids instead of copied
-    /// features.  Once warm, a 200-event step may allocate only a constant
-    /// more than a 50-event one (amortised growth of the batch's own
-    /// vectors), where a per-event allocation would add hundreds.
+    /// stage's workspace, its GRU blocks are reused across batches, and the
+    /// GNN job holds edge ids instead of copied features.  Once warm, a
+    /// 200-event step may allocate only a constant more than a 50-event one
+    /// (amortised growth of the batch's own vectors), where a per-event
+    /// allocation would add hundreds — with the GRU computed alone, and
+    /// with its blocks offered to a helper that takes them off `state→gnn`
+    /// as the GNN worker does.
     #[test]
     fn state_step_allocations_scale_with_batches_not_events() {
-        let mut stage = tiny_stage();
-        let graph = stage.graph.clone();
-        let mut events = graph.events().iter().cloned();
-        let mut epoch = 0;
-        let mut step = |stage: &mut StateStage, n: usize| {
-            let batch = EventBatch::new(events.by_ref().take(n).collect());
-            assert_eq!(batch.len(), n, "the stream ran out");
-            epoch += 1;
-            let before = ALLOCATIONS.with(Cell::get);
-            stage.step(epoch, batch, Some(|job: GnnJobBatch, _| drop(job)));
-            ALLOCATIONS.with(Cell::get) - before
-        };
-        for n in [50, 200, 50, 200] {
-            step(&mut stage, n);
-        }
-        let small = step(&mut stage, 50);
-        let large = step(&mut stage, 200);
-        assert!(
-            large <= small + 24,
-            "a 200-event step made {large} allocations, a 50-event step {small}"
-        );
+        let sinks = &Sinks::new(&ServeConfig::default(), 1);
+        let (tx, rx) = channel::<ToGnn>("state→gnn", 4);
+        let (helped, jobs_done) = channel::<()>("helped", 1);
+        thread::scope(|s| {
+            s.spawn(move || {
+                let mut ws = Workspace::new();
+                while let Some(next) = rx.recv() {
+                    match next {
+                        ToGnn::Gru(model, blocks) => sinks.gru_helped(blocks.help(&model, &mut ws)),
+                        // Everything offered before the job is let go of.
+                        ToGnn::Job(_) => helped.send(()).unwrap(),
+                    }
+                }
+            });
+            for offers in [false, true] {
+                let mut stage = tiny_stage();
+                let graph = stage.graph.clone();
+                let mut events = graph.events().iter().cloned();
+                let mut epoch = 0;
+                let mut step = |stage: &mut StateStage, n: usize| {
+                    let batch = EventBatch::new(events.by_ref().take(n).collect());
+                    assert_eq!(batch.len(), n, "the stream ran out");
+                    epoch += 1;
+                    let before = ALLOCATIONS.with(Cell::get);
+                    if offers {
+                        let dispatch = |job, at| {
+                            let job = GnnJob {
+                                epoch,
+                                job,
+                                events: Vec::new(),
+                                metas: Vec::new(),
+                                backend: BackendKind::F32,
+                                sealed_at: at,
+                                dispatched_at: at,
+                            };
+                            tx.send(ToGnn::Job(job)).unwrap()
+                        };
+                        stage.step(
+                            epoch,
+                            batch,
+                            Some(Offering {
+                                tx: &tx,
+                                sinks,
+                                dispatch,
+                            }),
+                        );
+                        jobs_done.recv().unwrap();
+                    } else {
+                        stage.step(epoch, batch, Some(|job: GnnJobBatch, _| drop(job)));
+                    }
+                    ALLOCATIONS.with(Cell::get) - before
+                };
+                for n in [50, 200, 50, 200] {
+                    step(&mut stage, n);
+                }
+                let offered = || sinks.gru_offered.load(Ordering::Relaxed);
+                let warm = offered();
+                let small = step(&mut stage, 50);
+                let large = step(&mut stage, 200);
+                assert!(
+                    large <= small + 24,
+                    "offers {offers}: a 200-event step made {large} allocations, a 50-event step {small}"
+                );
+                if offers {
+                    assert!(
+                        offered() >= warm + 4,
+                        "both steps offered two blocks or more"
+                    );
+                }
+            }
+            drop(tx);
+        });
     }
 
     #[test]

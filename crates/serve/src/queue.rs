@@ -8,6 +8,11 @@
 //! [`Sender`]; the receiver then drains the remaining items and observes end
 //! of stream, which is how shutdown ripples down the pipeline.
 //!
+//! Besides `send`, a producer can [`Sender::offer`] an item: pushed only
+//! if there is room, never blocking, and invisible to the statistics and
+//! the capacity — how the state worker hands the GNN worker spare work
+//! without disturbing the backpressure it reads.
+//!
 //! There is one flavour, [`channel`].  [`mpmc_channel`] is the same queue
 //! under the name `benchmark/` times as `serve.queue_mpmc.ns_per_item`; the
 //! name goes when that benchmark row does.
@@ -110,7 +115,11 @@ impl Counters {
 /// The SPSC state the queue mutex guards.
 #[derive(Debug)]
 struct Spsc<T> {
-    queue: VecDeque<T>,
+    /// Each item with whether the statistics count it ([`Sender::offer`]
+    /// pushes the ones they do not).
+    queue: VecDeque<(T, bool)>,
+    /// Items in `queue` the statistics do not count.
+    offers: usize,
     /// The receiver is blocked in `recv` on an empty queue and nothing has
     /// been pushed since: set by the receiver before it waits, cleared by
     /// the `send` that wakes it.
@@ -118,6 +127,20 @@ struct Spsc<T> {
     /// The sender is blocked in `send` on a full queue; set and cleared the
     /// same way from the other side.
     sender_parked: bool,
+}
+
+impl<T> Spsc<T> {
+    /// The items the statistics count — what the capacity bounds.
+    fn depth(&self) -> usize {
+        self.queue.len() - self.offers
+    }
+
+    /// Pops the next item, with whether the statistics count it.
+    fn pop(&mut self) -> Option<(T, bool)> {
+        let (item, counted) = self.queue.pop_front()?;
+        self.offers -= usize::from(!counted);
+        Some((item, counted))
+    }
 }
 
 struct Inner<T> {
@@ -134,7 +157,7 @@ impl<T> Inner<T> {
     /// as well as peaks) and wakes the sender if it was parked on a full
     /// queue.
     fn popped(&self, mut state: std::sync::MutexGuard<'_, Spsc<T>>) {
-        let depth = state.queue.len();
+        let depth = state.depth();
         self.counters.depth.store(depth, Ordering::Relaxed);
         let wake = std::mem::take(&mut state.sender_parked);
         drop(state);
@@ -185,6 +208,7 @@ pub fn channel<T>(name: &'static str, capacity: usize) -> (Sender<T>, Receiver<T
     let inner = Arc::new(Inner {
         state: Mutex::new(Spsc {
             queue: VecDeque::with_capacity(capacity),
+            offers: 0,
             receiver_parked: false,
             sender_parked: false,
         }),
@@ -228,9 +252,9 @@ impl<T> Sender<T> {
             return Err(item);
         }
         let mut s = inner.state.lock().unwrap();
-        if s.queue.len() >= counters.capacity {
+        if s.depth() >= counters.capacity {
             counters.blocked_sends.fetch_add(1, Ordering::Relaxed);
-            while s.queue.len() >= counters.capacity {
+            while s.depth() >= counters.capacity {
                 if inner.receiver_gone.load(Ordering::Acquire) {
                     return Err(item);
                 }
@@ -238,8 +262,8 @@ impl<T> Sender<T> {
                 s = inner.not_full.wait(s).unwrap();
             }
         }
-        s.queue.push_back(item);
-        let depth = s.queue.len();
+        s.queue.push_back((item, true));
+        let depth = s.depth();
         counters.depth.store(depth, Ordering::Relaxed);
         let wake = std::mem::take(&mut s.receiver_parked);
         drop(s);
@@ -248,6 +272,29 @@ impl<T> Sender<T> {
             .depth_sum
             .fetch_add(depth as u64, Ordering::Relaxed);
         counters.max_depth.fetch_max(depth, Ordering::Relaxed);
+        if wake {
+            inner.not_empty.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Pushes `item` only if the queue has room and the receiver is still
+    /// there, never blocking, and leaves it out of the statistics: neither
+    /// its push nor its pop is counted, and it takes no room from `send`.
+    /// Returns the item when it was not pushed.
+    pub fn offer(&self, item: T) -> Result<(), T> {
+        let inner = &*self.inner;
+        if inner.receiver_gone.load(Ordering::Acquire) {
+            return Err(item);
+        }
+        let mut s = inner.state.lock().unwrap();
+        if s.depth() >= inner.counters.capacity {
+            return Err(item);
+        }
+        s.queue.push_back((item, false));
+        s.offers += 1;
+        let wake = std::mem::take(&mut s.receiver_parked);
+        drop(s);
         if wake {
             inner.not_empty.notify_one();
         }
@@ -281,8 +328,10 @@ impl<T> Receiver<T> {
         let inner = &*self.inner;
         let mut s = inner.state.lock().unwrap();
         loop {
-            if let Some(item) = s.queue.pop_front() {
-                inner.popped(s);
+            if let Some((item, counted)) = s.pop() {
+                if counted {
+                    inner.popped(s);
+                }
                 return Some(item);
             }
             if inner.closed.load(Ordering::Acquire) {
@@ -297,11 +346,11 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Option<T> {
         let inner = &*self.inner;
         let mut s = inner.state.lock().unwrap();
-        let item = s.queue.pop_front();
-        if item.is_some() {
+        let (item, counted) = s.pop()?;
+        if counted {
             inner.popped(s);
         }
-        item
+        Some(item)
     }
 
     /// A monitoring handle for this queue.
@@ -432,6 +481,24 @@ mod tests {
         assert_eq!(rx.try_recv(), None);
         tx.send(7).unwrap();
         assert_eq!(rx.try_recv(), Some(7));
+    }
+
+    #[test]
+    fn offers_are_not_counted_and_take_no_room() {
+        let (tx, rx) = channel::<u32>("test", 1);
+        tx.offer(1).unwrap();
+        // Behind an offer, the one slot is still free for `send`.
+        tx.send(2).unwrap();
+        assert_eq!(tx.offer(3), Err(3), "no offer into a full queue");
+        assert_eq!(tx.monitor().depth(), 1);
+        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(rx.try_recv(), Some(2));
+        let stats = tx.monitor().stats();
+        let counts = (stats.pushes, stats.pops, stats.blocked_sends);
+        assert_eq!((counts, stats.max_depth, stats.depth), ((1, 1, 0), 1, 0));
+        assert!((stats.mean_depth - 0.5).abs() < 1e-9);
+        drop(rx);
+        assert_eq!(tx.offer(4), Err(4), "no offer once the receiver is gone");
     }
 
     #[test]

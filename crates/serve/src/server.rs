@@ -13,8 +13,8 @@ use crate::cache::{CacheConfig, CacheStats, EmbeddingCache};
 use crate::durability::{Durability, DurabilityStats, RecoveryReport};
 use crate::metrics::{per_second, MetricsHub, MetricsSnapshot, Sinks, StageId};
 use crate::pipeline::{
-    gnn_loop, state_loop, Batcher, GnnCompute, GnnFaultHook, GnnJob, ServedBatch, StateObs,
-    StateStage, STATE_ONLY,
+    gnn_loop, state_loop, Batcher, GnnCompute, GnnFaultHook, ServedBatch, StateObs, StateStage,
+    ToGnn, STATE_ONLY,
 };
 use crate::queue::{channel, QueueStats, Receiver};
 use std::collections::VecDeque;
@@ -561,7 +561,7 @@ impl StreamServer {
         ));
         let next_epoch = Arc::new(AtomicU64::new(0));
 
-        let (gnn_tx, gnn_rx) = channel::<GnnJob>("state→gnn", config.stage_capacity);
+        let (gnn_tx, gnn_rx) = channel::<ToGnn>("state→gnn", config.stage_capacity);
         let (results_tx, results_rx) =
             channel::<ServedBatch>("gnn→results", config.results_capacity);
         let queues = vec![gnn_tx.monitor(), results_tx.monitor()];

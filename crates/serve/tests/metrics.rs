@@ -1256,7 +1256,7 @@ fn assert_one_modeled_sample_per_computed_batch(m: &tgnn_serve::MetricsSnapshot)
 }
 
 /// The pinned exposition of `golden_counters_of_a_lockstep_session`.
-const GOLDEN_SESSION: [&str; 91] = [
+const GOLDEN_SESSION: [&str; 93] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 25",
     "tgnn_batches_served_total 27",
@@ -1265,6 +1265,8 @@ const GOLDEN_SESSION: [&str; 91] = [
     "tgnn_seals_total{reason=\"full\"} 0",
     "tgnn_seals_total{reason=\"idle\"} 24",
     "tgnn_seals_total{reason=\"close\"} 0",
+    "tgnn_gru_blocks_offered_total 0",
+    "tgnn_gru_blocks_helped_total 0",
     "tgnn_batch_events{quantile=\"0.5\"} 1",
     "tgnn_batch_events{quantile=\"0.95\"} 1",
     "tgnn_batch_events{quantile=\"0.99\"} 1",
@@ -1351,7 +1353,7 @@ const GOLDEN_SESSION: [&str; 91] = [
 ];
 
 /// The pinned exposition of `golden_counters_of_a_recovered_life`.
-const GOLDEN_RECOVERED: [&str; 91] = [
+const GOLDEN_RECOVERED: [&str; 93] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 29",
     "tgnn_batches_served_total 29",
@@ -1360,6 +1362,8 @@ const GOLDEN_RECOVERED: [&str; 91] = [
     "tgnn_seals_total{reason=\"full\"} 0",
     "tgnn_seals_total{reason=\"idle\"} 12",
     "tgnn_seals_total{reason=\"close\"} 0",
+    "tgnn_gru_blocks_offered_total 0",
+    "tgnn_gru_blocks_helped_total 0",
     "tgnn_batch_events{quantile=\"0.5\"} 1",
     "tgnn_batch_events{quantile=\"0.95\"} 1",
     "tgnn_batch_events{quantile=\"0.99\"} 1",
