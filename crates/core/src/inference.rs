@@ -388,14 +388,18 @@ impl InferenceEngine {
         sampled: &SampledBatch,
         graph: &TemporalGraph,
     ) -> HashMap<NodeId, Vec<Float>> {
-        let updated_memory = self.update_memories(&sampled.touched, &sampled.query_times);
+        let updated_memory = self.update_memories(&sampled.touched, &sampled.query_times, graph);
         for e in sampled.batch.events() {
-            self.memory.cache_interaction_messages(
-                e.src,
-                e.dst,
-                graph.edge_feature(e.edge_id),
-                e.timestamp,
+            // The message names its edge; its feature is read when the
+            // message is consumed, so check the edge at its own event.
+            let edges = graph.num_events();
+            assert!(
+                (e.edge_id as usize) < edges,
+                "event names edge {} of {edges}",
+                e.edge_id
             );
+            self.memory
+                .cache_interaction_messages(e.src, e.dst, e.edge_id, e.timestamp);
         }
         updated_memory
     }
@@ -539,6 +543,7 @@ impl InferenceEngine {
         &mut self,
         touched: &[NodeId],
         query_times: &[Timestamp],
+        graph: &TemporalGraph,
     ) -> HashMap<NodeId, Vec<Float>> {
         let cfg = &self.model.config;
         if self.mode == ExecMode::Serial {
@@ -558,7 +563,7 @@ impl InferenceEngine {
                 .collect();
             let encodings = self.model.encode_time(&dts);
             for (i, (v, msg)) in with_messages.iter().enumerate() {
-                let assembled = msg.assemble(encodings.row(i));
+                let assembled = msg.assemble(graph.edge_feature(msg.edge_id), encodings.row(i));
                 messages.set_row(i, &assembled);
                 memories.set_row(i, self.memory.memory_of(*v));
             }
@@ -578,6 +583,7 @@ impl InferenceEngine {
             .map(|o| o as &mut dyn tgnn_quant::ActivationObserver);
         let updated = stages::run_memory_stage_obs(
             &self.model,
+            graph,
             &mut self.memory,
             touched,
             query_times,

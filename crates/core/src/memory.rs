@@ -9,11 +9,13 @@
 
 use crate::config::ModelConfig;
 use serde::{Deserialize, Serialize};
-use tgnn_graph::{NodeId, Timestamp};
+use tgnn_graph::{EdgeId, NodeId, Timestamp};
 use tgnn_tensor::{Float, Matrix};
 
 /// A cached raw message for one vertex: everything needed to rebuild
-/// `m_v = s_v || s_u || f_e || Φ(Δt)` at memory-update time.
+/// `m_v = s_v || s_u || f_e || Φ(Δt)` at memory-update time.  The edge
+/// feature `f_e` is static, so the message names its edge and the feature
+/// is read from the graph's edge table when the message is consumed.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Message {
     /// Snapshot of the destination vertex's own memory when the message was
@@ -21,36 +23,36 @@ pub struct Message {
     pub self_memory: Vec<Float>,
     /// Snapshot of the counterpart vertex's memory.
     pub other_memory: Vec<Float>,
-    /// Edge feature of the generating interaction.
-    pub edge_feature: Vec<Float>,
+    /// The generating interaction's edge (row of the graph's edge feature
+    /// table).
+    pub edge_id: EdgeId,
     /// Timestamp of the generating interaction.
     pub event_time: Timestamp,
 }
 
 impl Message {
-    /// Assembles the flat message vector given the time encoding of Δt.
-    pub fn assemble(&self, time_encoding: &[Float]) -> Vec<Float> {
+    /// Assembles the flat message vector given the generating edge's
+    /// feature and the time encoding of Δt.
+    pub fn assemble(&self, edge_feature: &[Float], time_encoding: &[Float]) -> Vec<Float> {
         let mut out = Vec::with_capacity(
             self.self_memory.len()
                 + self.other_memory.len()
-                + self.edge_feature.len()
+                + edge_feature.len()
                 + time_encoding.len(),
         );
         out.extend_from_slice(&self.self_memory);
         out.extend_from_slice(&self.other_memory);
-        out.extend_from_slice(&self.edge_feature);
+        out.extend_from_slice(edge_feature);
         out.extend_from_slice(time_encoding);
         out
     }
 
-    /// Writes the message head `s_v ‖ s_u ‖ f_e` (everything but the time
-    /// encoding) into `dst`, which must be exactly that long.
-    pub fn write_head(&self, dst: &mut [Float]) {
-        let (own, rest) = dst.split_at_mut(self.self_memory.len());
-        let (other, edge) = rest.split_at_mut(self.other_memory.len());
+    /// Writes the part of the message head the slot holds, `s_v ‖ s_u`,
+    /// into `dst`, which must be exactly that long.
+    pub fn write_memories(&self, dst: &mut [Float]) {
+        let (own, other) = dst.split_at_mut(self.self_memory.len());
         own.copy_from_slice(&self.self_memory);
         other.copy_from_slice(&self.other_memory);
-        edge.copy_from_slice(&self.edge_feature);
     }
 }
 
@@ -67,23 +69,14 @@ struct Slot {
 impl Slot {
     /// The mailbox's one write path: overwrites the slot in place with the
     /// message a vertex whose memory is `own` receives from an interaction
-    /// at `event_time` with a vertex whose memory is `other`.
-    fn write(
-        &mut self,
-        own: &[Float],
-        other: &[Float],
-        edge_feature: &[Float],
-        event_time: Timestamp,
-    ) {
+    /// along `edge_id` at `event_time` with a vertex whose memory is `other`.
+    fn write(&mut self, own: &[Float], other: &[Float], edge_id: EdgeId, event_time: Timestamp) {
         let m = &mut self.message;
-        for (dst, src) in [
-            (&mut m.self_memory, own),
-            (&mut m.other_memory, other),
-            (&mut m.edge_feature, edge_feature),
-        ] {
+        for (dst, src) in [(&mut m.self_memory, own), (&mut m.other_memory, other)] {
             dst.clear();
             dst.extend_from_slice(src);
         }
+        m.edge_id = edge_id;
         m.event_time = event_time;
         self.pending = true;
     }
@@ -187,7 +180,15 @@ impl NodeMemory {
 
     /// Store a new cached message for a vertex, replacing any previous one
     /// (the "Most-Recent" message aggregator of TGN).
+    ///
+    /// # Panics
+    /// Panics if either memory row of the message is not `memory_dim` wide.
     pub fn store_message(&mut self, v: NodeId, message: Message) {
+        assert!(
+            message.self_memory.len() == self.memory_dim
+                && message.other_memory.len() == self.memory_dim,
+            "store_message: message width mismatch"
+        );
         self.mailbox[v as usize] = Slot {
             pending: true,
             message,
@@ -201,13 +202,13 @@ impl NodeMemory {
         &mut self,
         src: NodeId,
         dst: NodeId,
-        edge_feature: &[Float],
+        edge_id: EdgeId,
         event_time: Timestamp,
     ) {
         let (memory, mailbox) = (&self.memory, &mut self.mailbox);
         for (v, other) in [(src, dst), (dst, src)] {
             let (v, other) = (v as usize, other as usize);
-            mailbox[v].write(memory.row(v), memory.row(other), edge_feature, event_time);
+            mailbox[v].write(memory.row(v), memory.row(other), edge_id, event_time);
         }
     }
 
@@ -219,11 +220,11 @@ impl NodeMemory {
         &mut self,
         v: NodeId,
         other: &[Float],
-        edge_feature: &[Float],
+        edge_id: EdgeId,
         event_time: Timestamp,
     ) {
         let v = v as usize;
-        self.mailbox[v].write(self.memory.row(v), other, edge_feature, event_time);
+        self.mailbox[v].write(self.memory.row(v), other, edge_id, event_time);
     }
 
     /// Number of vertices that currently have a pending cached message.
@@ -252,10 +253,14 @@ impl NodeMemory {
 /// [`NodeMemory`] in the engine, the per-shard locks of a
 /// [`ShardedMemory`](crate::ShardedMemory) in the pipeline.
 pub trait MemoryTable {
-    /// Consumes `v`'s pending message, writing its head `s_v ‖ s_u ‖ f_e`
-    /// into `head` and returning its event time; `None`, with `head`
+    /// Consumes `v`'s pending message, writing `s_v ‖ s_u` into `memories`
+    /// and returning its edge and event time; `None`, with `memories`
     /// untouched, when the slot is empty.
-    fn take_message_into(&mut self, v: NodeId, head: &mut [Float]) -> Option<Timestamp>;
+    fn take_message_into(
+        &mut self,
+        v: NodeId,
+        memories: &mut [Float],
+    ) -> Option<(EdgeId, Timestamp)>;
 
     /// Timestamp of the last committed memory update of `v`.
     fn last_update(&self, v: NodeId) -> Timestamp;
@@ -265,10 +270,14 @@ pub trait MemoryTable {
 }
 
 impl MemoryTable for NodeMemory {
-    fn take_message_into(&mut self, v: NodeId, head: &mut [Float]) -> Option<Timestamp> {
+    fn take_message_into(
+        &mut self,
+        v: NodeId,
+        memories: &mut [Float],
+    ) -> Option<(EdgeId, Timestamp)> {
         let m = self.take_message(v)?;
-        m.write_head(head);
-        Some(m.event_time)
+        m.write_memories(memories);
+        Some((m.edge_id, m.event_time))
     }
 
     fn last_update(&self, v: NodeId) -> Timestamp {
@@ -289,10 +298,13 @@ mod tests {
         let m = Message {
             self_memory: vec![1.0, 2.0],
             other_memory: vec![3.0],
-            edge_feature: vec![4.0, 5.0],
+            edge_id: 7,
             event_time: 9.0,
         };
-        assert_eq!(m.assemble(&[6.0]), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(
+            m.assemble(&[4.0, 5.0], &[6.0]),
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        );
     }
 
     #[test]
@@ -318,7 +330,7 @@ mod tests {
             Message {
                 self_memory: vec![0.0; 2],
                 other_memory: vec![0.0; 2],
-                edge_feature: vec![],
+                edge_id: 0,
                 event_time: 1.0,
             },
         );
@@ -327,7 +339,7 @@ mod tests {
             Message {
                 self_memory: vec![1.0; 2],
                 other_memory: vec![1.0; 2],
-                edge_feature: vec![],
+                edge_id: 1,
                 event_time: 2.0,
             },
         );
@@ -342,14 +354,14 @@ mod tests {
         let mut mem = NodeMemory::new(4, 2);
         mem.set_memory(1, &[1.0, 1.0], 0.0);
         mem.set_memory(2, &[2.0, 2.0], 0.0);
-        mem.cache_interaction_messages(1, 2, &[0.5], 3.0);
+        mem.cache_interaction_messages(1, 2, 5, 3.0);
         let m1 = mem.cached_message(1).unwrap();
         let m2 = mem.cached_message(2).unwrap();
         assert_eq!(m1.self_memory, vec![1.0, 1.0]);
         assert_eq!(m1.other_memory, vec![2.0, 2.0]);
         assert_eq!(m2.self_memory, vec![2.0, 2.0]);
         assert_eq!(m2.other_memory, vec![1.0, 1.0]);
-        assert_eq!(m1.edge_feature, m2.edge_feature);
+        assert_eq!((m1.edge_id, m2.edge_id), (5, 5));
         assert_eq!(m1.event_time, 3.0);
         assert_eq!(mem.pending_messages(), 2);
     }
@@ -359,10 +371,10 @@ mod tests {
         let mut mem = NodeMemory::new(3, 2);
         mem.set_memory(0, &[1.0, 2.0], 0.0);
         mem.set_memory(1, &[3.0, 4.0], 0.0);
-        mem.cache_interaction_messages(0, 1, &[0.5, 0.25], 1.0);
+        mem.cache_interaction_messages(0, 1, 0, 1.0);
         let buffers = |mem: &NodeMemory| {
             let m = &mem.mailbox[0].message;
-            [&m.self_memory, &m.other_memory, &m.edge_feature].map(|b| b.as_ptr())
+            [&m.self_memory, &m.other_memory].map(|b| b.as_ptr())
         };
         let first = buffers(&mem);
 
@@ -375,13 +387,13 @@ mod tests {
         // A write into the consumed slot, then one replacing a pending
         // message: both in place.
         mem.set_memory(1, &[5.0, 6.0], 1.0);
-        mem.cache_interaction_messages(1, 0, &[0.75, 1.0], 2.0);
-        mem.cache_interaction_messages(0, 2, &[0.0, 0.0], 3.0);
+        mem.cache_interaction_messages(1, 0, 1, 2.0);
+        mem.cache_interaction_messages(0, 2, 2, 3.0);
         assert_eq!(buffers(&mem), first);
         let m = mem.cached_message(0).unwrap();
         assert_eq!(
-            (m.other_memory.as_slice(), m.event_time),
-            (&[0.0, 0.0][..], 3.0)
+            (m.other_memory.as_slice(), m.edge_id, m.event_time),
+            (&[0.0, 0.0][..], 2, 3.0)
         );
     }
 
@@ -389,7 +401,7 @@ mod tests {
     fn reset_clears_state() {
         let mut mem = NodeMemory::new(2, 2);
         mem.set_memory(0, &[1.0, 1.0], 2.0);
-        mem.cache_interaction_messages(0, 1, &[], 2.0);
+        mem.cache_interaction_messages(0, 1, 0, 2.0);
         mem.reset();
         assert_eq!(mem.memory_of(0), &[0.0, 0.0]);
         assert_eq!(mem.last_update(0), 0.0);

@@ -1478,12 +1478,20 @@ mod tests {
                 (memory, tiny_neighbors(&mut rng, i % 5, &cfg))
             })
             .collect();
+        let events = (0..5).map(|e| tgnn_graph::InteractionEvent::new(0, 1, e, e as f64));
+        let graph = tgnn_graph::TemporalGraph::new(
+            "messages",
+            2,
+            Matrix::zeros(2, 0),
+            rng.uniform_matrix(5, cfg.edge_feature_dim, -1.0, 1.0),
+            events.collect(),
+        );
         let messages: Vec<(u32, Message)> = (0..5)
             .map(|v| {
                 let message = Message {
                     self_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
                     other_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
-                    edge_feature: rng.uniform_vec(cfg.edge_feature_dim, -1.0, 1.0),
+                    edge_id: 4 - v,
                     event_time: 40.0 * (v + 1) as f64,
                 };
                 (v, message)
@@ -1502,7 +1510,7 @@ mod tests {
             }
             let touched: Vec<u32> = messages.iter().map(|(v, _)| *v).collect();
             let times = vec![0.0; touched.len()];
-            let updated = run_memory_stage(model, &mut table, &touched, &times, ws);
+            let updated = run_memory_stage(model, &graph, &mut table, &touched, &times, ws);
             rows.extend(updated.iter().map(|(_, row)| row.to_vec()));
             updated.recycle(ws);
             rows

@@ -24,7 +24,7 @@ use crate::memory::{MemoryTable, Message, NodeMemory};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use tgnn_graph::sharded::{local_index, shard_len, shard_of};
-use tgnn_graph::{NodeId, Timestamp};
+use tgnn_graph::{EdgeId, NodeId, Timestamp};
 use tgnn_tensor::Float;
 
 /// The node memory table (memory rows, last-update clocks, mailbox)
@@ -125,7 +125,7 @@ impl ShardedMemory {
         &self,
         src: NodeId,
         dst: NodeId,
-        edge_feature: &[Float],
+        edge_id: EdgeId,
         event_time: Timestamp,
     ) {
         let s_src = shard_of(src, self.num_shards);
@@ -136,7 +136,7 @@ impl ShardedMemory {
             self.shards[s_src]
                 .lock()
                 .unwrap()
-                .cache_interaction_messages(l_src, l_dst, edge_feature, event_time);
+                .cache_interaction_messages(l_src, l_dst, edge_id, event_time);
             return;
         }
         // Acquire both shard locks in index order (deadlock-safe against any
@@ -149,8 +149,8 @@ impl ShardedMemory {
         } else {
             (&mut *shard_hi, &mut *shard_lo)
         };
-        src_shard.cache_message_from(l_src, dst_shard.memory_of(l_dst), edge_feature, event_time);
-        dst_shard.cache_message_from(l_dst, src_shard.memory_of(l_src), edge_feature, event_time);
+        src_shard.cache_message_from(l_src, dst_shard.memory_of(l_dst), edge_id, event_time);
+        dst_shard.cache_message_from(l_dst, src_shard.memory_of(l_src), edge_id, event_time);
     }
 
     /// Commits one batch (epoch) of memory write-backs: every shard applies
@@ -255,8 +255,12 @@ impl MemoryWrites for Vec<(NodeId, Vec<Float>, Timestamp)> {
 }
 
 impl MemoryTable for &ShardedMemory {
-    fn take_message_into(&mut self, v: NodeId, head: &mut [Float]) -> Option<Timestamp> {
-        self.with_shard(v, |m, local| m.take_message_into(local, head))
+    fn take_message_into(
+        &mut self,
+        v: NodeId,
+        memories: &mut [Float],
+    ) -> Option<(EdgeId, Timestamp)> {
+        self.with_shard(v, |m, local| m.take_message_into(local, memories))
     }
 
     fn last_update(&self, v: NodeId) -> Timestamp {
@@ -302,8 +306,8 @@ mod tests {
         reference.set_memory(1, &[1.0, 1.0], 0.0);
         reference.set_memory(2, &[2.0, 2.0], 0.0);
 
-        sharded.cache_interaction_messages(1, 2, &[0.5], 3.0);
-        reference.cache_interaction_messages(1, 2, &[0.5], 3.0);
+        sharded.cache_interaction_messages(1, 2, 4, 3.0);
+        reference.cache_interaction_messages(1, 2, 4, 3.0);
         assert_eq!(sharded.pending_messages(), 2);
         for v in [1u32, 2] {
             let got = sharded.take_message(v).unwrap();

@@ -17,10 +17,12 @@
 //!   vertices with pending mailbox messages, generic over the table it
 //!   consumes them from ([`MemoryTable`]: a plain
 //!   [`NodeMemory`](crate::NodeMemory) in the engine, per-shard locks in the
-//!   pipeline).  Its output, [`UpdatedRows`], is one workspace matrix that
-//!   the GNN gather and the commit both read.  The pipeline runs it as
-//!   [`MemoryStage`], the GRU cut into row blocks ([`GruBlocks`]) that a
-//!   second thread can help compute, bit for bit the one-call GRU.
+//!   pipeline).  A message names its edge; the stage reads the edge feature
+//!   from the graph into the GRU input.  Its output, [`UpdatedRows`], is one
+//!   workspace matrix that the GNN gather and the commit both read.  The
+//!   GRU runs in row blocks ([`GruBlocks`]), bit for bit the one-call GRU;
+//!   the pipeline runs the stage as [`MemoryStage`], whose blocks a second
+//!   thread can help compute.
 //! * [`GnnJobBatch`] — a self-contained input for the batched GNN stage:
 //!   the memory row of every *kept* neighbor is copied out of the shared
 //!   state (pruned ones are never fetched), so the compute stage can run
@@ -244,43 +246,46 @@ impl MemoryWrites for UpdatedRows {
 ///
 /// Each message is consumed from `table` (a plain
 /// [`NodeMemory`](crate::NodeMemory) in the engine, per-shard locks in the
-/// pipeline) straight into the GRU's input matrix; `query_times` is aligned
-/// with `touched`.  Results are bit-identical to the engine's serial
-/// reference path.
+/// pipeline) straight into the GRU's input matrix, its edge feature read
+/// from `graph`; `query_times` is aligned with `touched`.  Results are
+/// bit-identical to the engine's serial reference path.
 pub fn run_memory_stage(
     model: &TgnModel,
+    graph: &TemporalGraph,
     table: &mut (impl MemoryTable + ?Sized),
     touched: &[NodeId],
     query_times: &[Timestamp],
     ws: &mut Workspace,
 ) -> UpdatedRows {
-    run_memory_stage_obs(model, table, touched, query_times, ws, None)
+    run_memory_stage_obs(model, graph, table, touched, query_times, ws, None)
 }
 
 /// [`run_memory_stage`] with an optional activation observer recording the
 /// assembled GRU inputs (message rows and memory rows) — the hook the int8
 /// calibration pass uses to derive the GRU's static activation scales.  The
-/// GRU runs as one call over every row: a single block.
+/// GRU runs in [`GRU_BLOCK_ROWS`]-row blocks on this thread, bit for bit the
+/// one-call GRU.
 pub fn run_memory_stage_obs(
     model: &TgnModel,
+    graph: &TemporalGraph,
     table: &mut (impl MemoryTable + ?Sized),
     touched: &[NodeId],
     query_times: &[Timestamp],
     ws: &mut Workspace,
     obs: Option<&mut dyn tgnn_quant::ActivationObserver>,
 ) -> UpdatedRows {
-    let mut set = GruBlocks::new(touched.len().max(1));
-    let staged = set.stage(model, table, touched, query_times, ws, obs);
+    let mut set = GruBlocks::new(GRU_BLOCK_ROWS);
+    let staged = set.stage(model, graph, table, touched, query_times, ws, obs);
     let updated = set.finish(staged, model, ws);
     set.recycle(ws);
     updated
 }
 
-/// Rows of one GRU block in the pipeline's memory stage: two 12-row
-/// register tiles of the AVX-512 GEMM kernel.
+/// Rows of one GRU block in the memory stage: two 12-row register tiles of
+/// the AVX-512 GEMM kernel.
 pub const GRU_BLOCK_ROWS: usize = 24;
 
-/// The pipeline's memory stage: [`run_memory_stage`] with the GRU cut into
+/// The pipeline's memory stage: [`run_memory_stage`] with
 /// [`GRU_BLOCK_ROWS`]-row blocks that a second thread can help compute.  It
 /// keeps its block sets across batches, so a warm stage allocates no GRU
 /// buffers.
@@ -298,9 +303,11 @@ impl MemoryStage {
     /// helper holds, computing again any block a helper abandoned by
     /// panicking.  A set is restaged once no helper holds it any more; while
     /// one does, the batch takes another.
+    #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
         model: &TgnModel,
+        graph: &TemporalGraph,
         table: &mut (impl MemoryTable + ?Sized),
         touched: &[NodeId],
         query_times: &[Timestamp],
@@ -317,7 +324,7 @@ impl MemoryStage {
         };
         let staged = Arc::get_mut(set)
             .expect("no helper holds a vacant set")
-            .stage(model, table, touched, query_times, ws, None);
+            .stage(model, graph, table, touched, query_times, ws, None);
         overlap((set.len() > 1).then_some(&*set));
         set.finish(staged, model, ws)
     }
@@ -449,14 +456,17 @@ impl GruBlocks {
         computed
     }
 
-    /// Consumes the touched vertices' messages into the blocks — the head
-    /// straight from the mailbox, the time encoding after it unless `model`
-    /// folds it — with each vertex's memory row and Δt, and resets the
-    /// claims.  `obs` records every message row, then the LUT rows a folded
-    /// GRU reads, then every memory row.
+    /// Consumes the touched vertices' messages into the blocks — `s_v ‖ s_u`
+    /// straight from the mailbox, `f_e` from `graph`'s edge table, the time
+    /// encoding after them unless `model` folds it — with each vertex's
+    /// memory row and Δt, and resets the claims.  `obs` records every
+    /// message row, then the LUT rows a folded GRU reads, then every memory
+    /// row.
+    #[allow(clippy::too_many_arguments)]
     fn stage(
         &mut self,
         model: &TgnModel,
+        graph: &TemporalGraph,
         table: &mut (impl MemoryTable + ?Sized),
         touched: &[NodeId],
         query_times: &[Timestamp],
@@ -468,7 +478,8 @@ impl GruBlocks {
         // fused table: the messages stop at the edge feature and no encoding
         // is materialised.  Otherwise the encoding is the message's last block.
         let lut = model.fold_over(&model.gru.w_i);
-        let head = 2 * cfg.memory_dim + cfg.edge_feature_dim;
+        let memories = 2 * cfg.memory_dim;
+        let head = memories + cfg.edge_feature_dim;
         let width = if lut.is_some() {
             head
         } else {
@@ -490,12 +501,13 @@ impl GruBlocks {
                 get_mut(&mut self.blocks[b]).reset(n, width, cfg.memory_dim, ws);
             }
             let block = get_mut(&mut self.blocks[b]);
-            let Some(event_time) =
-                table.take_message_into(v, &mut block.messages.row_mut(i)[..head])
+            let message = block.messages.row_mut(i);
+            let Some((edge, event_time)) = table.take_message_into(v, &mut message[..memories])
             else {
                 row_of.push(UpdatedRows::NO_ROW);
                 continue;
             };
+            message[memories..head].copy_from_slice(graph.edge_feature(edge));
             block.dts[i] = (event_time - table.last_update(v)).max(0.0) as Float;
             table.copy_memory_into(v, block.memories.row_mut(i));
             row_of.push(r as u32);
@@ -886,8 +898,8 @@ mod tests {
     }
 
     /// A model of `variant` on the fixture's stream, its GRU on int8
-    /// kernels when `int8`.
-    fn gru_model(variant: OptimizationVariant, int8: bool) -> TgnModel {
+    /// kernels when `int8`, and the stream's graph.
+    fn gru_model(variant: OptimizationVariant, int8: bool) -> (TgnModel, Arc<TemporalGraph>) {
         let f = fixture(variant, 23);
         let mut model = f.model;
         if int8 {
@@ -904,16 +916,17 @@ mod tests {
             assert!(q.gru().is_some(), "the default config quantizes the GRU");
             model.attach_quantized(Arc::new(q));
         }
-        model
+        (model, f.graph)
     }
 
-    /// A table in which each of `rows` vertices holds a pending message and
-    /// a memory row updated at its own time, so the Δt's spread over the
-    /// time encoding's range; and the touched vertices with their query
-    /// times — three of them without a message, first, in the middle and
-    /// last.
+    /// A table in which each of `rows` vertices holds a pending message
+    /// along an edge of `graph` and a memory row updated at its own time, so
+    /// the Δt's spread over the time encoding's range; and the touched
+    /// vertices with their query times — three of them without a message,
+    /// first, in the middle and last.
     fn pending_messages(
         model: &TgnModel,
+        graph: &TemporalGraph,
         rows: usize,
     ) -> (crate::NodeMemory, Vec<NodeId>, Vec<Timestamp>) {
         use crate::memory::Message;
@@ -930,7 +943,7 @@ mod tests {
             let message = Message {
                 self_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
                 other_memory: rng.uniform_vec(cfg.memory_dim, -1.0, 1.0),
-                edge_feature: rng.uniform_vec(cfg.edge_feature_dim, -1.0, 1.0),
+                edge_id: rng.index(graph.num_events()) as EdgeId,
                 event_time: at + rng.pareto(1.0, 1.3).min(1e4) as Timestamp,
             };
             table.store_message(v, message);
@@ -945,6 +958,21 @@ mod tests {
         rows
     }
 
+    /// The memory stage with the GRU as one call over every row: the
+    /// reference every block cut must equal.
+    fn one_call_gru(
+        model: &TgnModel,
+        graph: &TemporalGraph,
+        (table, touched, times): &(crate::NodeMemory, Vec<NodeId>, Vec<Timestamp>),
+        ws: &mut Workspace,
+    ) -> Vec<(NodeId, Vec<Float>)> {
+        let mut set = GruBlocks::new(touched.len().max(1));
+        let staged = set.stage(model, graph, &mut table.clone(), touched, times, ws, None);
+        let updated = set.finish(staged, model, ws);
+        set.recycle(ws);
+        rows_of(updated, ws)
+    }
+
     #[test]
     fn gru_split_blocks_equal_the_one_call_gru_bitwise_with_a_helper_racing() {
         use std::sync::mpsc;
@@ -953,23 +981,28 @@ mod tests {
             (OptimizationVariant::Baseline, false),
             (OptimizationVariant::NpMedium, true),
         ] {
-            let model = gru_model(variant, int8);
+            let (model, graph) = gru_model(variant, int8);
             let folded = model.fold_over(&model.gru.w_i).is_some();
             assert_eq!(folded, variant == OptimizationVariant::NpMedium);
             let mut stage = MemoryStage::default();
             let mut ws = Workspace::new();
             for rows in [1, 23, 24, 25, 47, 138, 200] {
                 let what = format!("{variant:?} int8 {int8}, {rows} rows");
-                let (table, touched, times) = pending_messages(&model, rows);
-                let one_call = rows_of(
-                    run_memory_stage(&model, &mut table.clone(), &touched, &times, &mut ws),
-                    &mut ws,
-                );
+                let pending = pending_messages(&model, &graph, rows);
+                let (table, touched, times) = &pending;
+                let one_call = one_call_gru(&model, &graph, &pending, &mut ws);
                 assert_eq!(one_call.len(), rows, "{what}");
+                let engine =
+                    run_memory_stage(&model, &graph, &mut table.clone(), touched, times, &mut ws);
+                assert_eq!(
+                    rows_of(engine, &mut ws),
+                    one_call,
+                    "{what}: the engine's blocks"
+                );
                 let blocks = rows.div_ceil(GRU_BLOCK_ROWS);
                 let (offers, sets) = mpsc::channel::<Arc<GruBlocks>>();
                 let helped = std::thread::scope(|s| {
-                    let model = &model;
+                    let (model, graph) = (&model, &*graph);
                     let helper = s.spawn(move || {
                         let mut ws = Workspace::new();
                         sets.iter()
@@ -982,9 +1015,10 @@ mod tests {
                         let mut offered = None;
                         let updated = stage.run(
                             model,
+                            graph,
                             &mut table.clone(),
-                            &touched,
-                            &times,
+                            touched,
+                            times,
                             &mut ws,
                             |set| {
                                 offered = set.map(|set| set.len());
@@ -1010,25 +1044,24 @@ mod tests {
         use std::sync::mpsc::{self, RecvTimeoutError};
         let (done, watchdog) = mpsc::channel();
         let owner = std::thread::spawn(move || {
-            let model = gru_model(OptimizationVariant::NpMedium, false);
-            let (table, touched, times) = pending_messages(&model, 138);
+            let (model, graph) = gru_model(OptimizationVariant::NpMedium, false);
+            let pending = pending_messages(&model, &graph, 138);
+            let (table, touched, times) = &pending;
             // The helper's model disagrees with the staged blocks, so its
             // GRU panics in the first block it claims, with the lock held.
             let mut cfg = model.config.clone();
             cfg.memory_dim += 1;
             let broken = Arc::new(TgnModel::new(cfg, &mut TensorRng::new(5)));
             let mut ws = Workspace::new();
-            let one_call = rows_of(
-                run_memory_stage(&model, &mut table.clone(), &touched, &times, &mut ws),
-                &mut ws,
-            );
+            let one_call = one_call_gru(&model, &graph, &pending, &mut ws);
             let mut stage = MemoryStage::default();
             for _ in 0..2 {
                 let updated = stage.run(
                     &model,
+                    &graph,
                     &mut table.clone(),
-                    &touched,
-                    &times,
+                    touched,
+                    times,
                     &mut ws,
                     |set| {
                         let set = set.expect("138 rows fill six blocks").clone();

@@ -241,7 +241,7 @@ impl StreamState {
             Some(msg) => {
                 let dt = (msg.event_time - self.memory.last_update(v)).max(0.0) as Float;
                 let enc = model.encode_time(&[dt]);
-                msg.assemble(enc.row(0))
+                msg.assemble(graph.edge_feature(msg.edge_id), enc.row(0))
             }
             None => Vec::new(),
         };
@@ -286,7 +286,7 @@ impl StreamState {
             if let Some(msg) = self.memory.take_message(v).cloned() {
                 let dt = (msg.event_time - self.memory.last_update(v)).max(0.0) as Float;
                 let enc = model.encode_time(&[dt]);
-                let assembled = msg.assemble(enc.row(0));
+                let assembled = msg.assemble(graph.edge_feature(msg.edge_id), enc.row(0));
                 let messages = Matrix::row_vector(&assembled);
                 let memories = Matrix::row_vector(self.memory.memory_of(v));
                 let updated = model.update_memory(&messages, &memories);
@@ -294,9 +294,8 @@ impl StreamState {
             }
         }
         for e in batch.events() {
-            let edge_feature = graph.edge_feature(e.edge_id).to_vec();
             self.memory
-                .cache_interaction_messages(e.src, e.dst, &edge_feature, e.timestamp);
+                .cache_interaction_messages(e.src, e.dst, e.edge_id, e.timestamp);
             self.sampler.observe(e);
         }
     }

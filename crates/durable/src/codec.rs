@@ -51,11 +51,6 @@ impl<'a> Cursor<'a> {
             .collect())
     }
 
-    pub(crate) fn float_vec(&mut self) -> Result<Vec<Float>, DurableError> {
-        let n = self.u32()? as usize;
-        self.floats(n)
-    }
-
     pub(crate) fn event(&mut self) -> Result<InteractionEvent, DurableError> {
         Ok(InteractionEvent {
             src: self.u32()?,
@@ -74,13 +69,20 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Appends `xs` little-endian: on a little-endian target, one block copy
+/// of the floats' bytes.
 pub(crate) fn put_floats(buf: &mut Vec<u8>, xs: &[Float]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the slice covers exactly the bytes of `xs`, which `u8`
+        // may read at any alignment; an `f32` has no padding bytes.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs))
+        };
+        buf.extend_from_slice(bytes);
+    }
+    #[cfg(not(target_endian = "little"))]
     for x in xs {
         buf.extend_from_slice(&x.to_le_bytes());
     }
-}
-
-pub(crate) fn put_float_vec(buf: &mut Vec<u8>, xs: &[Float]) {
-    buf.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    put_floats(buf, xs);
 }

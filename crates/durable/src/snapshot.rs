@@ -17,6 +17,23 @@
 //! valid manifest, which [`list_snapshots`] silently skips and a later
 //! snapshot at the same epoch overwrites.
 //!
+//! ## Format v2
+//!
+//! A memory payload is `[n u32][dim u32]`, the `n` memory rows, the `n`
+//! clocks (`f64`), then one mailbox entry per vertex: a `0` tag for an
+//! empty slot, or a `1` tag and a fixed-width message — `s_v ‖ s_u`
+//! (`2·dim` floats), the edge id (`u32`), the event time (`f64`).  A
+//! message names its edge: the feature is static and the graph holds it,
+//! so the image does not (version 1 stored each message's edge feature and
+//! length-prefixed every vector).  A neighbor payload is `[n u32]
+//! [capacity u32]`, then per vertex its degree and `(neighbor u32, edge
+//! u32, timestamp f64)` entries, oldest first.  Both encoders reserve the
+//! payload's exact size once, and [`write_snapshot`] computes each
+//! payload's CRC once, for the file header and the manifest alike, on the
+//! folded CRC kernel ([`crate::crc`]).  [`load_snapshot`] verifies the
+//! checksums and that every edge id an image names is an edge of the graph
+//! it is loaded for.
+//!
 //! ## Consistency
 //!
 //! Shard payloads are captured by the state worker right after it commits
@@ -38,7 +55,7 @@
 //! (warm events are not in the WAL, so no earlier state is reconstructible)
 //! and the drain snapshot when everything sealed was already delivered.
 
-use crate::codec::{put_float_vec, put_floats, Cursor};
+use crate::codec::{put_floats, Cursor};
 use crate::crc::crc32;
 use crate::DurableError;
 use std::collections::VecDeque;
@@ -48,14 +65,20 @@ use std::path::{Path, PathBuf};
 use tgnn_core::{Message, NodeMemory};
 use tgnn_graph::{NeighborEntry, NeighborTable};
 
-/// Format version of shard files and manifests.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Format version of shard files and manifests.  Version 2 encodes a
+/// mailbox message as its two memory rows, its edge id and its time, at a
+/// fixed width; version 1 (per-vector length prefixes and the edge feature
+/// itself) is not read.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const MAGIC_MEM: &[u8; 4] = b"TGNM";
 const MAGIC_NBR: &[u8; 4] = b"TGNN";
 const MAGIC_MANIFEST: &[u8; 4] = b"TGNS";
 /// Encoded size of one shard's [`ShardSums`] in the manifest.
 const SHARD_SUMS_LEN: usize = 4 + 8 + 4 + 8;
+/// Encoded size of a shard file's header: magic, version, epoch, shard,
+/// payload length, payload CRC.
+const SHARD_HEADER_LEN: usize = 4 + 4 + 8 + 4 + 8 + 4;
 
 /// Snapshot-wide metadata recorded in the manifest.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -107,7 +130,8 @@ impl std::fmt::Debug for SnapshotEntry {
     }
 }
 
-/// A fully loaded, checksum-verified snapshot.
+/// A fully loaded, verified snapshot: every checksum matched, and every
+/// edge id it names is an edge of the graph it was loaded for.
 pub struct LoadedSnapshot {
     /// Manifest metadata.
     pub meta: SnapshotMeta,
@@ -121,10 +145,17 @@ pub struct LoadedSnapshot {
 // Shard payload codecs
 // ---------------------------------------------------------------------------
 
-/// Encodes one shard's [`NodeMemory`] (rows, clocks, mailbox) into `buf`.
+/// Appends one shard's [`NodeMemory`] (rows, clocks, mailbox) to `buf`,
+/// reserving the payload's exact size once.
 pub fn encode_memory_shard(mem: &NodeMemory, buf: &mut Vec<u8>) {
     let n = mem.num_nodes();
     let dim = mem.memory_dim();
+    // Per vertex its row, clock and mailbox tag; per pending message both
+    // memory rows, the edge id and the event time.
+    let message = 2 * dim * 4 + 4 + 8;
+    let len = 8 + n * (dim * 4 + 8 + 1) + mem.pending_messages() * message;
+    buf.reserve_exact(len);
+    let start = buf.len();
     buf.extend_from_slice(&(n as u32).to_le_bytes());
     buf.extend_from_slice(&(dim as u32).to_le_bytes());
     for v in 0..n {
@@ -138,13 +169,14 @@ pub fn encode_memory_shard(mem: &NodeMemory, buf: &mut Vec<u8>) {
             None => buf.push(0),
             Some(m) => {
                 buf.push(1);
-                put_float_vec(buf, &m.self_memory);
-                put_float_vec(buf, &m.other_memory);
-                put_float_vec(buf, &m.edge_feature);
+                put_floats(buf, &m.self_memory);
+                put_floats(buf, &m.other_memory);
+                buf.extend_from_slice(&m.edge_id.to_le_bytes());
                 buf.extend_from_slice(&m.event_time.to_le_bytes());
             }
         }
     }
+    debug_assert_eq!(buf.len() - start, len, "memory shard size");
 }
 
 /// Decodes a payload produced by [`encode_memory_shard`].
@@ -167,14 +199,11 @@ pub fn decode_memory_shard(payload: &[u8]) -> Result<NodeMemory, DurableError> {
             0 => {}
             1 => {
                 let message = Message {
-                    self_memory: c.float_vec()?,
-                    other_memory: c.float_vec()?,
-                    edge_feature: c.float_vec()?,
+                    self_memory: c.floats(dim)?,
+                    other_memory: c.floats(dim)?,
+                    edge_id: c.u32()?,
                     event_time: c.f64()?,
                 };
-                if message.self_memory.len() != dim || message.other_memory.len() != dim {
-                    return Err(DurableError::corrupt("mailbox message width mismatch"));
-                }
                 mem.store_message(v as u32, message);
             }
             _ => return Err(DurableError::corrupt("unknown mailbox tag")),
@@ -184,9 +213,14 @@ pub fn decode_memory_shard(payload: &[u8]) -> Result<NodeMemory, DurableError> {
     Ok(mem)
 }
 
-/// Encodes one shard's [`NeighborTable`] (per-vertex FIFOs, oldest first).
+/// Appends one shard's [`NeighborTable`] (per-vertex FIFOs, oldest first)
+/// to `buf`, reserving the payload's exact size once.
 pub fn encode_neighbor_shard(table: &NeighborTable, buf: &mut Vec<u8>) {
     let n = table.num_nodes();
+    let entries_total: usize = (0..n as u32).map(|v| table.degree(v)).sum();
+    let len = 8 + 4 * n + 16 * entries_total;
+    buf.reserve_exact(len);
+    let start = buf.len();
     buf.extend_from_slice(&(n as u32).to_le_bytes());
     buf.extend_from_slice(&(table.capacity() as u32).to_le_bytes());
     let mut entries = Vec::new();
@@ -200,6 +234,7 @@ pub fn encode_neighbor_shard(table: &NeighborTable, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&e.timestamp.to_le_bytes());
         }
     }
+    debug_assert_eq!(buf.len() - start, len, "neighbor shard size");
 }
 
 /// Decodes a payload produced by [`encode_neighbor_shard`].
@@ -236,14 +271,14 @@ pub fn decode_neighbor_shard(payload: &[u8]) -> Result<NeighborTable, DurableErr
 // File I/O
 // ---------------------------------------------------------------------------
 
-fn shard_header(magic: &[u8; 4], epoch: u64, shard: u32, payload: &[u8]) -> Vec<u8> {
-    let mut h = Vec::with_capacity(32);
+fn shard_header(magic: &[u8; 4], epoch: u64, shard: u32, len: u64, crc: u32) -> Vec<u8> {
+    let mut h = Vec::with_capacity(SHARD_HEADER_LEN);
     h.extend_from_slice(magic);
     h.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     h.extend_from_slice(&epoch.to_le_bytes());
     h.extend_from_slice(&shard.to_le_bytes());
-    h.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    h.extend_from_slice(&crc32(payload).to_le_bytes());
+    h.extend_from_slice(&len.to_le_bytes());
+    h.extend_from_slice(&crc.to_le_bytes());
     h
 }
 
@@ -258,6 +293,8 @@ fn write_file_synced(path: &Path, parts: &[&[u8]]) -> std::io::Result<u64> {
     Ok(total)
 }
 
+/// Reads and verifies one shard file; its payload is the returned bytes
+/// after [`SHARD_HEADER_LEN`].
 fn read_shard_file(
     path: &Path,
     magic: &[u8; 4],
@@ -295,15 +332,15 @@ fn read_shard_file(
             path.display()
         )));
     }
-    let payload = c.take(len as usize)?.to_vec();
+    let payload = c.take(len as usize)?;
     c.done()?;
-    if crc32(&payload) != crc {
+    if crc32(payload) != crc {
         return Err(DurableError::corrupt(format!(
             "{}: payload checksum mismatch",
             path.display()
         )));
     }
-    Ok(payload)
+    Ok(data)
 }
 
 /// Name of the snapshot directory for an epoch.
@@ -393,9 +430,10 @@ fn decode_manifest(data: &[u8]) -> Result<(SnapshotMeta, Vec<ShardSums>), Durabl
 }
 
 /// Writes a snapshot from pre-captured shard payloads (`mem[i]` / `nbr[i]`
-/// produced by the encode functions under shard `i`'s lock).  Every shard
-/// file is fsynced before the manifest — the commit point — is written and
-/// fsynced.  Returns the directory and total bytes written.
+/// produced by the encode functions under shard `i`'s lock).  Each payload
+/// is checksummed once, for its file header and the manifest alike.  Every
+/// shard file is fsynced before the manifest — the commit point — is
+/// written and fsynced.  Returns the directory and total bytes written.
 ///
 /// A pre-existing directory for the same epoch (a crashed earlier attempt)
 /// is removed first.
@@ -415,16 +453,17 @@ pub fn write_snapshot(
     let mut bytes = 0u64;
     let mut sums = Vec::with_capacity(mem.len());
     for (i, (m, t)) in mem.iter().zip(nbr).enumerate() {
-        let mh = shard_header(MAGIC_MEM, meta.epoch, i as u32, m);
-        bytes += write_file_synced(&dir.join(mem_name(i)), &[&mh, m])?;
-        let th = shard_header(MAGIC_NBR, meta.epoch, i as u32, t);
-        bytes += write_file_synced(&dir.join(nbr_name(i)), &[&th, t])?;
-        sums.push(ShardSums {
+        let s = ShardSums {
             mem_crc: crc32(m),
             mem_len: m.len() as u64,
             nbr_crc: crc32(t),
             nbr_len: t.len() as u64,
-        });
+        };
+        let mh = shard_header(MAGIC_MEM, meta.epoch, i as u32, s.mem_len, s.mem_crc);
+        bytes += write_file_synced(&dir.join(mem_name(i)), &[&mh, m])?;
+        let th = shard_header(MAGIC_NBR, meta.epoch, i as u32, s.nbr_len, s.nbr_crc);
+        bytes += write_file_synced(&dir.join(nbr_name(i)), &[&th, t])?;
+        sums.push(s);
     }
     let payload = encode_manifest(meta, &sums);
     let mut header = Vec::with_capacity(16);
@@ -469,8 +508,24 @@ pub fn list_snapshots(base: &Path) -> Result<Vec<SnapshotEntry>, DurableError> {
     Ok(out)
 }
 
-/// Loads and checksum-verifies every shard of a snapshot.
-pub fn load_snapshot(entry: &SnapshotEntry) -> Result<LoadedSnapshot, DurableError> {
+/// Loads and verifies every shard of a snapshot taken over a graph of
+/// `num_edges` edges: each payload's checksum, and each edge id a mailbox
+/// message or a neighbor entry names — an id the graph does not have would
+/// pass every checksum and fail only when a stage reads its feature.
+pub fn load_snapshot(
+    entry: &SnapshotEntry,
+    num_edges: usize,
+) -> Result<LoadedSnapshot, DurableError> {
+    let edge_in_range = |edge: u32, what: &str, i: usize| {
+        if (edge as usize) < num_edges {
+            Ok(())
+        } else {
+            Err(DurableError::corrupt(format!(
+                "{}: shard {i} {what} names edge {edge} of {num_edges}",
+                entry.dir.display()
+            )))
+        }
+    };
     let mut memory = Vec::with_capacity(entry.sums.len());
     let mut tables = Vec::with_capacity(entry.sums.len());
     for (i, sums) in entry.sums.iter().enumerate() {
@@ -482,7 +537,13 @@ pub fn load_snapshot(entry: &SnapshotEntry) -> Result<LoadedSnapshot, DurableErr
             sums.mem_crc,
             sums.mem_len,
         )?;
-        memory.push(decode_memory_shard(&m)?);
+        let shard = decode_memory_shard(&m[SHARD_HEADER_LEN..])?;
+        for v in 0..shard.num_nodes() as u32 {
+            if let Some(message) = shard.cached_message(v) {
+                edge_in_range(message.edge_id, "mailbox", i)?;
+            }
+        }
+        memory.push(shard);
         let t = read_shard_file(
             &entry.dir.join(nbr_name(i)),
             MAGIC_NBR,
@@ -491,7 +552,13 @@ pub fn load_snapshot(entry: &SnapshotEntry) -> Result<LoadedSnapshot, DurableErr
             sums.nbr_crc,
             sums.nbr_len,
         )?;
-        tables.push(decode_neighbor_shard(&t)?);
+        let table = decode_neighbor_shard(&t[SHARD_HEADER_LEN..])?;
+        for v in 0..table.num_nodes() as u32 {
+            for e in table.iter_recent(v) {
+                edge_in_range(e.edge_id, "neighbor table", i)?;
+            }
+        }
+        tables.push(table);
     }
     Ok(LoadedSnapshot {
         meta: entry.meta,
@@ -516,7 +583,7 @@ mod tests {
             Message {
                 self_memory: vec![1.0, 2.0],
                 other_memory: vec![3.0, 4.0],
-                edge_feature: vec![0.5],
+                edge_id: 7,
                 event_time: 8.25,
             },
         );
@@ -575,6 +642,7 @@ mod tests {
         let mem = sample_memory();
         let mut buf = Vec::new();
         encode_memory_shard(&mem, &mut buf);
+        assert_eq!(buf.capacity(), buf.len(), "one exact reservation");
         assert_memory_eq(&decode_memory_shard(&buf).unwrap(), &mem);
         assert!(decode_memory_shard(&buf[..buf.len() - 1]).is_err());
     }
@@ -601,7 +669,8 @@ mod tests {
     }
 
     const DIM: usize = 4;
-    const EDGE_DIM: usize = 3;
+    /// Edges of the graph the samples are taken over.
+    const EDGES: usize = 8;
 
     /// The mailbox as it behaved before slots were reused in place: every
     /// message a fresh allocation, a consumed one dropped.
@@ -618,13 +687,13 @@ mod tests {
             }
         }
 
-        fn interact(&mut self, src: usize, dst: usize, edge: &[Float], t: f64) {
+        fn interact(&mut self, src: usize, dst: usize, edge_id: u32, t: f64) {
             let (s, d) = (self.rows[src].0.clone(), self.rows[dst].0.clone());
             for (v, own, other) in [(src, &s, &d), (dst, &d, &s)] {
                 self.mailbox[v] = Some(Message {
                     self_memory: own.clone(),
                     other_memory: other.clone(),
-                    edge_feature: edge.to_vec(),
+                    edge_id,
                     event_time: t,
                 });
             }
@@ -667,17 +736,17 @@ mod tests {
             let sharded = ShardedMemory::new(NODES, DIM, shards);
             let mut fresh = FreshMailbox::new(NODES);
             let mut epoch = 0;
-            let mut head = [0.0; 2 * DIM + EDGE_DIM];
+            let mut head = [0.0; 2 * DIM];
             for step in 0..600 {
                 let t = step as f64;
                 let v = rng.index(NODES);
                 match rng.index(4) {
                     0 | 1 => {
                         let u = rng.index(NODES);
-                        let edge: Vec<Float> = (0..EDGE_DIM).map(|_| rng.normal()).collect();
-                        plain.cache_interaction_messages(v as u32, u as u32, &edge, t);
-                        sharded.cache_interaction_messages(v as u32, u as u32, &edge, t);
-                        fresh.interact(v, u, &edge, t);
+                        let edge = rng.index(EDGES) as u32;
+                        plain.cache_interaction_messages(v as u32, u as u32, edge, t);
+                        sharded.cache_interaction_messages(v as u32, u as u32, edge, t);
+                        fresh.interact(v, u, edge, t);
                     }
                     2 => {
                         let want = fresh.mailbox[v].take();
@@ -685,16 +754,16 @@ mod tests {
                             assert_eq!(plain.take_message(v as u32), want.as_ref());
                             assert_eq!(sharded.take_message(v as u32), want);
                         } else {
-                            // The memory stage's path: the head read in place.
+                            // The memory stage's path: the rows read in place.
                             let want = want.map(|m| {
                                 let mut h = head;
-                                m.write_head(&mut h);
-                                (h, m.event_time)
+                                m.write_memories(&mut h);
+                                (h, m.edge_id, m.event_time)
                             });
                             let got = plain.take_message_into(v as u32, &mut head);
-                            assert_eq!(got.map(|t| (head, t)), want);
+                            assert_eq!(got.map(|(e, t)| (head, e, t)), want);
                             let got = (&sharded).take_message_into(v as u32, &mut head);
-                            assert_eq!(got.map(|t| (head, t)), want);
+                            assert_eq!(got.map(|(e, t)| (head, e, t)), want);
                         }
                         assert!(plain.cached_message(v as u32).is_none());
                     }
@@ -724,13 +793,14 @@ mod tests {
 
     /// Every truncated prefix of a payload holding pending and consumed
     /// slots, and every flip of a header byte or mailbox tag, decodes to an
-    /// error or to a `NodeMemory` — never a panic.
+    /// error or to a `NodeMemory` — never a panic.  Pending messages are
+    /// fixed width: tag, two memory rows, edge id, time.
     #[test]
     fn memory_shard_decoder_survives_truncation_and_flipped_tags() {
         let mut mem = NodeMemory::new(4, 2);
         mem.set_memory(1, &[0.5, -1.0], 2.0);
-        mem.cache_interaction_messages(0, 1, &[0.25, 0.75, 1.5], 3.0);
-        mem.cache_interaction_messages(2, 3, &[1.0, 2.0, 3.0], 4.0);
+        mem.cache_interaction_messages(0, 1, 5, 3.0);
+        mem.cache_interaction_messages(2, 3, 6, 4.0);
         let _ = mem.take_message(1);
         let _ = mem.take_message(3);
         let buf = encoded(&mem);
@@ -745,9 +815,8 @@ mod tests {
         for v in 0..4u32 {
             positions.push(at);
             at += 1;
-            if let Some(m) = mem.cached_message(v) {
-                at += 3 * 4 + 4 * (m.self_memory.len() + m.other_memory.len());
-                at += 4 * m.edge_feature.len() + 8;
+            if mem.cached_message(v).is_some() {
+                at += 2 * 2 * 4 + 4 + 8;
             }
         }
         assert_eq!(at, buf.len(), "tag positions follow the encoding");
@@ -767,8 +836,13 @@ mod tests {
         let t = sample_table();
         let mut buf = Vec::new();
         encode_neighbor_shard(&t, &mut buf);
+        assert_eq!(buf.capacity(), buf.len(), "one exact reservation");
         assert_table_eq(&decode_neighbor_shard(&buf).unwrap(), &t);
         assert!(decode_neighbor_shard(&buf[..buf.len() - 1]).is_err());
+        // Appending reserves the appended payload's size, no more.
+        let len = buf.len();
+        encode_neighbor_shard(&t, &mut buf);
+        assert_eq!((buf.len(), buf.capacity()), (2 * len, 2 * len));
     }
 
     /// A FIFO whose timestamps go back in time — two tenants sharing vertex
@@ -852,9 +926,57 @@ mod tests {
         let listed = list_snapshots(&base).unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].meta, meta);
-        let loaded = load_snapshot(&listed[0]).unwrap();
+        let loaded = load_snapshot(&listed[0], EDGES).unwrap();
         assert_memory_eq(&loaded.memory[0], &mem);
         assert_table_eq(&loaded.tables[0], &table);
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// An image whose every checksum holds but which names an edge the
+    /// graph does not have — in a mailbox message or a neighbor entry —
+    /// fails to load, like a checksum mismatch.
+    #[test]
+    fn load_rejects_an_edge_id_beyond_the_graph() {
+        let base = std::env::temp_dir().join(format!("tgnn-snap-edges-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let mut within_table = sample_memory(); // mailbox edge 0, table edges 5 and 6
+        within_table.store_message(
+            1,
+            Message {
+                self_memory: vec![0.0; 2],
+                other_memory: vec![0.0; 2],
+                edge_id: 0,
+                event_time: 1.0,
+            },
+        );
+        for (epoch, mem, edges) in [(1, sample_memory(), 7), (2, within_table, 6)] {
+            let mut mbuf = Vec::new();
+            encode_memory_shard(&mem, &mut mbuf);
+            let mut tbuf = Vec::new();
+            encode_neighbor_shard(&sample_table(), &mut tbuf);
+            let meta = SnapshotMeta {
+                epoch,
+                acked: epoch,
+                floor: false,
+                num_shards: 1,
+                events_total: 3,
+                max_timestamp: 9.5,
+                warm_timestamp: f64::NEG_INFINITY,
+            };
+            write_snapshot(&base, &meta, &[mbuf], &[tbuf]).unwrap();
+            let listed = list_snapshots(&base).unwrap();
+            let entry = listed.iter().find(|e| e.meta.epoch == epoch).unwrap();
+            assert!(load_snapshot(entry, EDGES).is_ok(), "epoch {epoch}");
+            let err = load_snapshot(entry, edges)
+                .err()
+                .expect("an edge beyond the graph");
+            let what = if epoch == 1 {
+                "mailbox"
+            } else {
+                "neighbor table"
+            };
+            assert!(err.to_string().contains(what), "epoch {epoch}: {err}");
+        }
         std::fs::remove_dir_all(&base).unwrap();
     }
 
@@ -884,7 +1006,7 @@ mod tests {
         data[last] ^= 0xFF;
         std::fs::write(&mem_path, &data).unwrap();
         let listed = list_snapshots(&base).unwrap();
-        assert!(load_snapshot(&listed[0]).is_err());
+        assert!(load_snapshot(&listed[0], EDGES).is_err());
 
         // A directory without a manifest (crashed mid-write) is skipped.
         std::fs::remove_file(dir.join("MANIFEST")).unwrap();

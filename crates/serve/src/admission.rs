@@ -167,7 +167,7 @@ pub struct TenantSpec {
     /// one second's worth of tokens (`max(rate_eps, 1)`).  Must be finite
     /// and at least 1 — admission spends a whole token per event, so a
     /// smaller bucket could never admit anything, and an infinite one is no
-    /// limit at all ([`AdmissionControl::new`] panics otherwise).
+    /// limit at all (`AdmissionControl::new` panics otherwise).
     pub rate_burst: Option<f64>,
     /// Which compute backend serves this tenant's sealed batches.  `None`
     /// means the server default: the one backend a homogeneous server runs

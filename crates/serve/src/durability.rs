@@ -66,6 +66,9 @@ pub struct DurabilityStats {
     pub snapshot_ms_total: f64,
     /// Epoch of the most recent snapshot (0 = none yet).
     pub last_snapshot_epoch: u64,
+    /// Bytes the most recent snapshot wrote — shard files and manifest
+    /// (0 = none yet).
+    pub last_snapshot_bytes: u64,
     /// Highest epoch whose results were delivered to the client.
     pub acked_epoch: u64,
     /// Epochs sealed since the last completed snapshot — how much WAL
@@ -156,6 +159,7 @@ pub(crate) struct Durability {
     snapshots: AtomicU64,
     snapshot_ms_total: Mutex<f64>,
     last_snapshot_epoch: AtomicU64,
+    last_snapshot_bytes: AtomicU64,
     /// When this handle was opened — the reference point of the wall-clock
     /// snapshot-lag gauge before the first snapshot completes.
     opened: Instant,
@@ -209,6 +213,7 @@ impl Durability {
             snapshots: AtomicU64::new(0),
             snapshot_ms_total: Mutex::new(0.0),
             last_snapshot_epoch: AtomicU64::new(0),
+            last_snapshot_bytes: AtomicU64::new(0),
             opened: Instant::now(),
             last_snapshot_ns: AtomicU64::new(0),
             sealed: AtomicU64::new(0),
@@ -377,12 +382,14 @@ impl Durability {
         self.wal
             .flush(true)
             .expect("durability: WAL flush before snapshot failed");
-        write_snapshot(&self.dir, &meta, &mem, &nbr).expect("durability: snapshot write failed");
+        let (_, bytes) = write_snapshot(&self.dir, &meta, &mem, &nbr)
+            .expect("durability: snapshot write failed");
         self.wal
             .append(&WalRecord::SnapshotMark { epoch })
             .expect("durability: WAL snapshot mark failed");
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         self.last_snapshot_epoch.store(epoch, Ordering::Relaxed);
+        self.last_snapshot_bytes.store(bytes, Ordering::Relaxed);
         self.last_snapshot_ns
             .store(self.opened.elapsed().as_nanos() as u64, Ordering::Relaxed);
         *self.snapshot_ms_total.lock().unwrap() += t0.elapsed().as_secs_f64() * 1e3;
@@ -493,6 +500,7 @@ impl Durability {
             snapshots: self.snapshots.load(Ordering::Relaxed),
             snapshot_ms_total: *self.snapshot_ms_total.lock().unwrap(),
             last_snapshot_epoch,
+            last_snapshot_bytes: self.last_snapshot_bytes.load(Ordering::Relaxed),
             acked_epoch: self.acked(),
             snapshot_lag_epochs: epochs.saturating_sub(last_snapshot_epoch),
             snapshot_lag_seconds: since_snapshot as f64 / 1e9,

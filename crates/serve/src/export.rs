@@ -138,14 +138,15 @@ impl MetricsSnapshot {
         if let Some(d) = &self.durability {
             let _ = writeln!(
                 out,
-                "wal  records {}  fsyncs {}  fsync p50/p99 {}/{} µs   snapshots {}  lag {} epochs / {:.1}s",
+                "wal  records {}  fsyncs {}  fsync p50/p99 {}/{} µs   snapshots {}  lag {} epochs / {:.1}s  last {:.1} MB",
                 d.wal_records,
                 d.wal_fsyncs,
                 d.fsync_p50_us,
                 d.fsync_p99_us,
                 d.snapshots,
                 d.snapshot_lag_epochs,
-                d.snapshot_lag_seconds
+                d.snapshot_lag_seconds,
+                d.last_snapshot_bytes as f64 / 1e6
             );
         }
         let burn = |b: Option<f64>| match b {
@@ -314,6 +315,7 @@ impl MetricsSnapshot {
                     "tgnn_snapshot_lag_seconds",
                     Float(d.snapshot_lag_seconds, 3),
                 ),
+                ("tgnn_snapshot_last_bytes", Int(d.last_snapshot_bytes)),
             ]);
         }
         for s in &self.slo {

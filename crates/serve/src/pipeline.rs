@@ -512,6 +512,7 @@ impl StateStage {
             let mut job = None;
             let updated = self.gru.run(
                 model,
+                graph,
                 &mut &*memory,
                 touched,
                 times,
@@ -528,8 +529,16 @@ impl StateStage {
                     // memory rows — the serial engine's information-leak-safe
                     // ordering — and the job's neighbor half.
                     for e in sampled.batch.events() {
-                        let edge = graph.edge_feature(e.edge_id);
-                        memory.cache_interaction_messages(e.src, e.dst, edge, e.timestamp);
+                        // A message names its edge and the memory stage
+                        // reads the feature when it consumes it: an edge
+                        // the graph lacks fails here, at its own event.
+                        let edges = graph.num_events();
+                        assert!(
+                            (e.edge_id as usize) < edges,
+                            "state: event names edge {} of {edges}",
+                            e.edge_id
+                        );
+                        memory.cache_interaction_messages(e.src, e.dst, e.edge_id, e.timestamp);
                     }
                     if dispatch.is_some() {
                         let cfg = &model.config;

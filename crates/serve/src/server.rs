@@ -683,9 +683,10 @@ impl StreamServer {
         // drain) are always usable; interval snapshots only when everything
         // sealed past them was already delivered (`epoch <= acked`) —
         // otherwise the undelivered epochs behind them could not be
-        // re-served.  An eligible snapshot that fails verification falls
-        // back to the next older one; if none survives, that is corruption,
-        // not a silent cold start.
+        // re-served.  An eligible snapshot that fails verification — a
+        // checksum, or an edge id this graph does not have — falls back to
+        // the next older one; if none survives, that is corruption, not a
+        // silent cold start.
         let entries = list_snapshots(&dcfg.dir)?;
         let mut loaded = None;
         let mut eligible = 0usize;
@@ -694,7 +695,7 @@ impl StreamServer {
                 continue;
             }
             eligible += 1;
-            if let Ok(s) = load_snapshot(entry) {
+            if let Ok(s) = load_snapshot(entry, graph.edge_features().rows()) {
                 loaded = Some(s);
                 break;
             }

@@ -15,7 +15,7 @@ use tgnn_core::{
     BackendKind, ModelConfig, OptimizationVariant, OverloadPolicy, TenantId, TgnModel,
 };
 use tgnn_data::{generate, tiny};
-use tgnn_durable::{DurabilityConfig, FsyncPolicy};
+use tgnn_durable::{list_snapshots, DurabilityConfig, FsyncPolicy};
 use tgnn_graph::TemporalGraph;
 use tgnn_serve::{
     render_flight_timeline, SealReason, ServeConfig, SloConfig, SpanKind, StageId, StreamServer,
@@ -294,6 +294,20 @@ fn durable_session_reports_fsync_latency_and_snapshot_lag() {
     let prom = m.to_prometheus();
     assert!(prom.contains("tgnn_wal_fsyncs_total"));
     assert!(prom.contains("tgnn_snapshot_lag_epochs"));
+    // The drain snapshot's size: the two shards' images and the manifest.
+    let written: u64 = list_snapshots(td.path())
+        .unwrap()
+        .last()
+        .map(|s| files_bytes(&s.dir))
+        .unwrap();
+    assert_eq!(d.last_snapshot_bytes, written);
+    assert!(prom.contains(&format!("tgnn_snapshot_last_bytes {written}")));
+}
+
+/// Total size of the files in `dir`.
+fn files_bytes(dir: &Path) -> u64 {
+    let files = std::fs::read_dir(dir).unwrap().flatten();
+    files.map(|f| f.metadata().unwrap().len()).sum()
 }
 
 #[test]
@@ -1256,7 +1270,7 @@ fn assert_one_modeled_sample_per_computed_batch(m: &tgnn_serve::MetricsSnapshot)
 }
 
 /// The pinned exposition of `golden_counters_of_a_lockstep_session`.
-const GOLDEN_SESSION: [&str; 93] = [
+const GOLDEN_SESSION: [&str; 94] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 25",
     "tgnn_batches_served_total 27",
@@ -1343,6 +1357,7 @@ const GOLDEN_SESSION: [&str; 93] = [
     "tgnn_wal_bytes_total 2933",
     "tgnn_snapshots_total 5",
     "tgnn_snapshot_lag_epochs 0",
+    "tgnn_snapshot_last_bytes 10529",
     "tgnn_traces_begun_total 24",
     "tgnn_trace_conflicts_total 0",
     "tgnn_trace_overflows_total 0",
@@ -1353,7 +1368,7 @@ const GOLDEN_SESSION: [&str; 93] = [
 ];
 
 /// The pinned exposition of `golden_counters_of_a_recovered_life`.
-const GOLDEN_RECOVERED: [&str; 93] = [
+const GOLDEN_RECOVERED: [&str; 94] = [
     "tgnn_metrics_enabled 1",
     "tgnn_epochs_total 29",
     "tgnn_batches_served_total 29",
@@ -1440,6 +1455,7 @@ const GOLDEN_RECOVERED: [&str; 93] = [
     "tgnn_wal_bytes_total 1611",
     "tgnn_snapshots_total 3",
     "tgnn_snapshot_lag_epochs 0",
+    "tgnn_snapshot_last_bytes 10545",
     "tgnn_traces_begun_total 12",
     "tgnn_trace_conflicts_total 0",
     "tgnn_trace_overflows_total 0",

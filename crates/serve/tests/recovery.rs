@@ -17,8 +17,8 @@ use tgnn_core::{
 };
 use tgnn_data::{generate, tiny};
 use tgnn_durable::{
-    list_snapshots, plan_recovery, read_wal, repair_torn_tail, segment_name, AdmitDisposition, Wal,
-    WalRecord,
+    encode_memory_shard, encode_neighbor_shard, list_snapshots, load_snapshot, plan_recovery,
+    read_wal, repair_torn_tail, segment_name, write_snapshot, AdmitDisposition, Wal, WalRecord,
 };
 use tgnn_graph::{EventBatch, InteractionEvent, TemporalGraph};
 use tgnn_serve::{
@@ -679,6 +679,104 @@ fn drain_writes_floor_snapshot_making_recovery_replay_free() {
     let report2 = server.drain();
     assert_eq!(report2.num_events, 1);
     assert!(report2.commit_log_clean);
+}
+
+/// The shard files of a snapshot directory, by name (the manifest, whose
+/// `acked` races delivery, left out).
+fn shard_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = (std::fs::read_dir(dir).unwrap().flatten())
+        .map(|f| (f.file_name().to_string_lossy().into_owned(), f.path()))
+        .filter(|(name, _)| name.starts_with("shard-"))
+        .map(|(name, path)| (name, std::fs::read(path).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn an_image_naming_an_edge_beyond_the_graph_falls_back_to_the_older_one() {
+    // A snapshot whose checksums all hold but whose mailbox names an edge
+    // the graph does not have — the newest image, forged and re-checksummed
+    // by `write_snapshot` — fails verification like a bad checksum:
+    // recovery falls back to the next older eligible image and replays the
+    // WAL from there to the same state.
+    let (model, graph) = setup(19);
+    let (events, next) = (&graph.events()[..160], graph.events()[160]);
+    let forged = TempDir::new("edge-forged");
+    {
+        let config = base_config(forged.path(), FsyncPolicy::OnSeal);
+        let mut server = StreamServer::new(model.clone(), graph.clone(), config);
+        for &e in events {
+            server.submit(e).unwrap();
+            while server.poll().is_some() {}
+        }
+        server.drain();
+        while server.poll().is_some() {}
+    }
+    let clean = TempDir::new("edge-clean");
+    copy_dir(forged.path(), clean.path());
+
+    let edges = graph.num_events();
+    let snapshots = list_snapshots(forged.path()).unwrap();
+    assert!(snapshots.len() >= 2, "{} snapshots", snapshots.len());
+    let newest = snapshots.last().unwrap();
+    let image = load_snapshot(newest, edges).unwrap();
+    let mut memory = image.memory;
+    let (shard, v) = (0..memory.len())
+        .flat_map(|s| (0..memory[s].num_nodes() as u32).map(move |v| (s, v)))
+        .find(|&(s, v)| memory[s].cached_message(v).is_some())
+        .expect("a pending message");
+    let mut message = memory[shard].cached_message(v).unwrap().clone();
+    message.edge_id = edges as u32;
+    memory[shard].store_message(v, message);
+    let encode = |f: &dyn Fn(&mut Vec<u8>)| {
+        let mut buf = Vec::new();
+        f(&mut buf);
+        buf
+    };
+    let mem: Vec<_> = (memory.iter())
+        .map(|m| encode(&|b| encode_memory_shard(m, b)))
+        .collect();
+    let nbr: Vec<_> = (image.tables.iter())
+        .map(|t| encode(&|b| encode_neighbor_shard(t, b)))
+        .collect();
+    write_snapshot(forged.path(), &newest.meta, &mem, &nbr).unwrap();
+    let rewritten = list_snapshots(forged.path()).unwrap().pop().unwrap();
+    assert_eq!(rewritten.meta, newest.meta);
+    assert!(
+        load_snapshot(&rewritten, usize::MAX).is_ok(),
+        "checksums hold"
+    );
+    assert!(load_snapshot(&rewritten, edges).is_err());
+
+    // Both lives take one more event and drain: their last images agree.
+    let mut lives = Vec::new();
+    for dir in [clean.path(), forged.path()] {
+        let config = base_config(dir, FsyncPolicy::OnSeal);
+        let (mut server, report) = StreamServer::recover(model.clone(), graph.clone(), config)
+            .expect("recovery falls back to an older image");
+        server.submit(next).unwrap();
+        while server.poll().is_some() {}
+        server.drain();
+        while server.poll().is_some() {}
+        let last = list_snapshots(dir).unwrap().pop().unwrap();
+        lives.push((report, last.meta.epoch, shard_files(&last.dir)));
+    }
+    let [(clean_report, clean_epoch, clean_files), (forged_report, forged_epoch, forged_files)] =
+        <[_; 2]>::try_from(lives).ok().unwrap();
+    assert_eq!(clean_report.snapshot_epoch, newest.meta.epoch);
+    assert_eq!(clean_report.replayed_epochs, 0);
+    assert!(forged_report.snapshot_epoch < newest.meta.epoch);
+    assert!(forged_report.replayed_epochs > 0);
+    assert_eq!(
+        (clean_epoch, forged_epoch),
+        (newest.meta.epoch + 1, newest.meta.epoch + 1)
+    );
+    assert_eq!(clean_files.len(), 2 * 4, "two files per shard");
+    assert!(
+        clean_files == forged_files,
+        "the fallback replays to the same image"
+    );
 }
 
 #[test]
