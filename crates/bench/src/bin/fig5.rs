@@ -39,6 +39,8 @@ fn main() {
         let cpu = BaselineSimulator::new(BaselinePlatform::CpuMultiThread, paper_baseline.clone());
         let gpu = BaselineSimulator::new(BaselinePlatform::Gpu, paper_baseline);
 
+        // (edges per timed batch, latency) of the previous ZCU104 cell.
+        let mut last_zcu = (0.0, 0.0);
         for &batch_size in &BATCH_SIZES {
             let mut cells = vec![batch_size.to_string()];
             cells.push(tgnn_bench::secs_to_ms(cpu.estimate(batch_size).latency));
@@ -71,6 +73,17 @@ fn main() {
                 batch_size,
                 args.seed,
             );
+            // The ZCU104 column grows with the batch it times (a short
+            // stream times its whole window for the largest sizes alike).
+            let edges = zcu.num_events as f64 / zcu.batches.len() as f64;
+            assert!(
+                edges <= last_zcu.0 || zcu.mean_latency() > last_zcu.1,
+                "{}: ZCU104 latency {} s at {batch_size} edges, {} s at fewer",
+                dataset.name(),
+                zcu.mean_latency(),
+                last_zcu.1
+            );
+            last_zcu = (edges, zcu.mean_latency());
             cells.push(tgnn_bench::secs_to_ms(zcu.mean_latency()));
             cells.push(format!(
                 "{:.1}",
@@ -171,8 +184,5 @@ fn simulate(
     run_cfg.node_feature_dim = graph.node_feature_dim();
     run_cfg.edge_feature_dim = graph.edge_feature_dim();
     let model = build_model(graph, &run_cfg, seed);
-    let mut sim = AcceleratorSim::new(model, graph.num_nodes(), device, design);
-    let events = graph.events();
-    let take = events.len().min(4 * batch_size.max(500));
-    sim.simulate_stream(&events[..take], graph, batch_size)
+    tgnn_bench::simulate_warm(graph, model, device, design, batch_size)
 }

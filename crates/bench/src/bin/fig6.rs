@@ -6,7 +6,7 @@ use tgnn_bench::{build_model, Dataset, HarnessArgs};
 use tgnn_core::OptimizationVariant;
 use tgnn_hwsim::design::DesignConfig;
 use tgnn_hwsim::device::FpgaDevice;
-use tgnn_hwsim::{AcceleratorSim, DdrModel, PerformanceModel};
+use tgnn_hwsim::{DdrModel, PerformanceModel};
 
 const BATCH_SIZES: [usize; 6] = [100, 200, 500, 1000, 2000, 4000];
 
@@ -51,10 +51,13 @@ fn main() {
             let prediction = perf.predict(batch_size);
 
             let model = build_model(&graph, &run_cfg, args.seed);
-            let mut sim =
-                AcceleratorSim::new(model, graph.num_nodes(), device.clone(), design.clone());
-            let take = graph.num_events().min(4 * batch_size.max(500));
-            let report = sim.simulate_stream(&graph.events()[..take], &graph, batch_size);
+            let report = tgnn_bench::simulate_warm(
+                &graph,
+                model,
+                device.clone(),
+                design.clone(),
+                batch_size,
+            );
 
             // The closed-form model assumes the nominal workload of 2
             // embeddings / 2 memory updates per edge.  On a small synthetic

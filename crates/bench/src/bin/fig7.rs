@@ -10,7 +10,6 @@ use tgnn_core::OptimizationVariant;
 use tgnn_hwsim::baseline::{BaselinePlatform, BaselineSimulator};
 use tgnn_hwsim::design::DesignConfig;
 use tgnn_hwsim::device::FpgaDevice;
-use tgnn_hwsim::AcceleratorSim;
 use tgnn_tensor::TensorRng;
 
 const BATCH_SIZE: usize = 200;
@@ -98,10 +97,8 @@ fn main() {
             (DesignConfig::zcu104(), FpgaDevice::zcu104()),
         ] {
             let model = build_model(&graph, &student_cfg, args.seed);
-            let mut sim =
-                AcceleratorSim::new(model, graph.num_nodes(), device.clone(), design.clone());
-            let take = graph.num_events().min(2_000);
-            let report = sim.simulate_stream(&graph.events()[..take], &graph, BATCH_SIZE);
+            let report =
+                tgnn_bench::simulate_warm(&graph, model, device, design.clone(), BATCH_SIZE);
             tgnn_bench::print_row(&[
                 format!("Ours {}", variant.label()),
                 design.name.clone(),

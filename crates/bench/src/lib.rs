@@ -11,6 +11,7 @@ use std::time::Duration;
 use tgnn_core::{ModelConfig, OptimizationVariant, TgnModel, TimeEncoderKind};
 use tgnn_data::{gdelt_like, generate, reddit_like, wikipedia_like, DatasetConfig};
 use tgnn_graph::TemporalGraph;
+use tgnn_hwsim::{AcceleratorSim, DesignConfig, FpgaDevice, SimulatedStreamReport};
 use tgnn_tensor::TensorRng;
 
 /// The three datasets evaluated in the paper.
@@ -194,6 +195,35 @@ pub fn build_model(graph: &TemporalGraph, config: &ModelConfig, seed: u64) -> Tg
         model.calibrate_lut(&deltas);
     }
     model
+}
+
+/// Times `batch_size`-edge batches of `graph`'s stream on an accelerator
+/// design — the FPGA runs of Figures 5–7.  The model is warmed on the
+/// stream's first quarter, so every timed batch finds the memory, mailbox
+/// and neighbor tables a running stream has (a cold model's first batch
+/// has no pending message and no neighbor, and times as nearly free), and
+/// every batch size starts from the same state.  The timed window is the
+/// next `min(4·max(batch_size, 500), ¾·len)` events cut to whole batches,
+/// so a short last batch does not pull the mean down — or, where the rest
+/// of the stream is shorter than one batch, all of it.
+pub fn simulate_warm(
+    graph: &TemporalGraph,
+    model: TgnModel,
+    device: FpgaDevice,
+    design: DesignConfig,
+    batch_size: usize,
+) -> SimulatedStreamReport {
+    let events = graph.events();
+    let (warm, rest) = events.split_at(events.len() / 4);
+    let window = (4 * batch_size.max(500)).min(rest.len());
+    let take = if window < batch_size {
+        window
+    } else {
+        window - window % batch_size
+    };
+    let mut sim = AcceleratorSim::new(model, graph.num_nodes(), device, design);
+    sim.warm_up(warm, graph);
+    sim.simulate_stream(&rest[..take], graph, batch_size)
 }
 
 /// Formats a duration in the unit Fig. 5 uses (milliseconds).

@@ -1,19 +1,24 @@
 //! Operation accounting: multiply-accumulates (MACs) and external-memory
 //! accesses (MEMs) per inference stage — the quantities reported in Table I
-//! and Table II of the paper.
+//! and Table II of the paper, and the work the accelerator model times.
 //!
 //! MEMs are counted in data words (one word = one feature element) read from
 //! or written to the external vertex tables (memory, mailbox, neighbor table,
 //! node/edge features).  Learnable parameters are assumed to be resident
 //! on-chip, as in the paper's accounting.
 //!
-//! There is one formula, [`StageOps::of`], and it prices a [`BatchWorkload`]
-//! — edges, memory updates, embeddings, neighbors scored and fetched.  The
+//! This module is the only place that counts work.  [`StageTerms::of`]
+//! prices a [`BatchWorkload`] — edges, memory updates, embeddings, neighbors
+//! scored and fetched — as one [`Term`] (MACs, words, and an item count
+//! where a stage is charged per item) per stage of the accelerator's
+//! nine-stage schedule.  [`StageOps::of`] groups those terms into Table I's
+//! four stages; `hwsim`'s pipeline model divides them by a design's
+//! parallelism, clock and DDR bandwidth, and adds no count of its own.  The
 //! inference engine records the workload it actually ran
-//! (`InferenceEngine::workload`) and its `ops()` are that workload priced;
-//! the closed-form per-embedding figures of Tables I–II
-//! ([`per_embedding_ops`]) price the nominal workload of one edge
-//! ([`BatchWorkload::nominal`]).  `hwsim` times the same workloads.
+//! (`InferenceEngine::workload`), a served GNN job the workload of its batch
+//! (`GnnJobBatch::workload`); the closed-form per-embedding figures of
+//! Tables I–II ([`per_embedding_ops`]) price the nominal workload of one
+//! edge ([`BatchWorkload::nominal`]).
 //!
 //! The GNN MACs count the paper's per-neighbor (FPGA) order — every sampled
 //! or kept neighbor row projected through `W_k` / `W_v`, then scored and
@@ -182,11 +187,92 @@ impl Sub for BatchWorkload {
     }
 }
 
-impl StageOps {
-    /// The operation counts of a workload — the one MAC/MEM formula.  The
-    /// engine's counters, the per-embedding figures of Tables I–II and the
-    /// nominal workloads all go through it.
-    pub fn of(config: &ModelConfig, w: &BatchWorkload) -> StageOps {
+/// One term of a workload's work: what one stage of the accelerator's
+/// schedule computes and moves.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Term {
+    /// Multiply-accumulates.
+    pub macs: u64,
+    /// External-memory accesses, in data words.
+    pub words: u64,
+    /// Width in words of the rows the term moves — its DDR burst (0 where
+    /// it moves nothing).
+    pub row: u64,
+    /// Work charged item by item rather than per MAC: the time encoder's
+    /// table reads (one per Δt under `Lut`) or cosine elements (`time_dim`
+    /// per Δt under `Cos`); 0 for every other term.
+    pub items: u64,
+}
+
+/// Two terms one stage carries together: counts add, and the stage moves
+/// rows as wide as the wider term's.
+impl Add for Term {
+    type Output = Term;
+    fn add(self, rhs: Term) -> Term {
+        Term {
+            macs: self.macs + rhs.macs,
+            words: self.words + rhs.words,
+            row: self.row.max(rhs.row),
+            items: self.items + rhs.items,
+        }
+    }
+}
+
+/// A workload's work term by term, in the order of the accelerator's
+/// nine-stage schedule (Fig. 4): (1) load edges, (2) load neighbors, vertex
+/// memory and mail, (3) prefetch neighbor memories, (4) update neighbors,
+/// memory and mail, (5) update embeddings, (6) the Memory Update Unit and
+/// (7) the Embedding Unit.  The only place that counts work:
+/// [`StageOps::of`] groups the terms into Table I's four stages, and
+/// `hwsim` divides each by a design's parallelism, clock and DDR
+/// bandwidth.  Two terms lie outside Table I — the edge records and the
+/// embedding write-out; they are counted here once, for the accelerator's
+/// memory stages.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageTerms {
+    /// (1) The batch's edge records — source, destination, time and edge
+    /// feature — which the accelerator reads to build the new messages it
+    /// writes in (4).  Not in Table I: the CPU engine takes its events from
+    /// the caller.
+    pub load_edges: Term,
+    /// (2) The neighbor-table entries of every neighbor scored — index,
+    /// edge id and time.  Table I: sample.
+    pub load_neighbors: Term,
+    /// (2) Each updated vertex's cached message and memory.  Table I:
+    /// memory.
+    pub load_vertex_state: Term,
+    /// (3) The fetched neighbors' memory and edge feature, and each
+    /// embedded vertex's node feature.  Table I: GNN.
+    pub prefetch_neighbors: Term,
+    /// (6.1) The message Δt of every update, encoded.  Table I: memory.
+    pub muu_time_encoding: Term,
+    /// (6.2–6.5) The GRU: three input-side and three hidden-side
+    /// projections per update.  Table I: memory.
+    pub muu_gates: Term,
+    /// (7.1) Attention scores: vanilla projects the query and every scored
+    /// neighbor's key and takes their dot products; simplified attention
+    /// computes `W_t·Δt` once per embedding.  Table I: GNN.
+    pub eu_attention: Term,
+    /// (7.2) The fetched neighbors' Δt, encoded.  Table I: GNN.
+    pub eu_time_encoding: Term,
+    /// (7.3) Values: each aggregated neighbor's value projection and its
+    /// share of the weighted sum.  Table I: GNN.
+    pub eu_aggregation: Term,
+    /// (7.4) The node-feature projection `W_s` and the output
+    /// transformation (FTM).  Table I: GNN.
+    pub eu_transformation: Term,
+    /// (4) The new memories; per edge, the two new messages and the two
+    /// neighbor-table appends.  Table I: update.
+    pub write_back: Term,
+    /// (5) The embeddings written out.  Not in Table I: the CPU engine
+    /// hands them to the caller.
+    pub write_embeddings: Term,
+}
+
+impl StageTerms {
+    /// The terms of a workload on a model configuration.  The GNN terms
+    /// count the paper's per-neighbor order (see the module doc).
+    pub fn of(config: &ModelConfig, w: &BatchWorkload) -> StageTerms {
         let mem = config.memory_dim as u64;
         let time = config.time_dim as u64;
         let efeat = config.edge_feature_dim as u64;
@@ -201,48 +287,77 @@ impl StageOps {
         let embeddings = w.embeddings as u64;
         let fetched = w.neighbors_fetched as u64;
         let scored = w.neighbors_scored as u64;
-        let time_macs = |encodings: u64| match config.time_encoder {
-            TimeEncoderKind::Cos => 2 * time * encodings,
-            TimeEncoderKind::Lut => 0,
+        let moved = |words: u64, row: u64| Term {
+            words,
+            row,
+            ..Term::default()
         };
-
-        let mut ops = StageOps::default();
-
-        // --- sample: read the neighbor table (index, edge id, timestamp per
-        // neighbor slot); no arithmetic.
-        ops.sample.mems = 3 * scored;
-
-        // --- memory: read the cached message + own memory, run the time
-        // encoder for the message Δt, and the GRU (three input-side and three
-        // hidden-side projections).
-        ops.memory.mems = updates * (msg + mem);
-        ops.memory.macs = time_macs(updates) + updates * (3 * msg * mem + 3 * mem * mem);
-
-        // --- GNN: read the fetched neighbors' memories + edge features (+
-        // each vertex's node feature), encode their Δt, run the attention
-        // aggregator and the output feature transformation.
-        ops.gnn.mems = fetched * (mem + efeat) + embeddings * nfeat;
-        let attention_macs = match config.attention {
-            // q, K, V projections + score dot products + weighted sum: every
-            // sampled neighbor is fetched before its score is known.
-            AttentionKind::Vanilla => {
-                embeddings * q_in * mem + 2 * scored * nbr_in * mem + 2 * scored * mem
-            }
-            // W_t·Δt + value projections of the pruned set + weighted sum.
+        let computed = |macs: u64| Term {
+            macs,
+            ..Term::default()
+        };
+        let encoded = |deltas: u64| match config.time_encoder {
+            TimeEncoderKind::Cos => Term {
+                macs: 2 * time * deltas,
+                items: time * deltas,
+                ..Term::default()
+            },
+            TimeEncoderKind::Lut => Term {
+                items: deltas,
+                ..Term::default()
+            },
+        };
+        // Vanilla scores every sampled neighbor from its features, so every
+        // one is fetched before its score is known; simplified attention
+        // scores from Δt alone and aggregates the kept ones.
+        let (eu_attention, eu_aggregation) = match config.attention {
+            AttentionKind::Vanilla => (
+                embeddings * q_in * mem + scored * nbr_in * mem + scored * mem,
+                scored * nbr_in * mem + scored * mem,
+            ),
             AttentionKind::Simplified => {
-                embeddings * k * k + fetched * nbr_in * mem + fetched * mem
+                (embeddings * k * k, fetched * nbr_in * mem + fetched * mem)
             }
         };
-        // Node-feature projection (W_s) + output transformation (FTM).
-        let projection_macs = embeddings * nfeat * mem;
-        let ftm_macs = embeddings * (mem + mem) * emb;
-        ops.gnn.macs = time_macs(fetched) + attention_macs + projection_macs + ftm_macs;
+        StageTerms {
+            load_edges: moved(edges * (3 + efeat), 3 + efeat),
+            load_neighbors: moved(3 * scored, 3),
+            load_vertex_state: moved(updates * (msg + mem), msg),
+            prefetch_neighbors: moved(fetched * (mem + efeat) + embeddings * nfeat, mem + efeat),
+            muu_time_encoding: encoded(updates),
+            muu_gates: computed(updates * (3 * msg * mem + 3 * mem * mem)),
+            eu_attention: computed(eu_attention),
+            eu_time_encoding: encoded(fetched),
+            eu_aggregation: computed(eu_aggregation),
+            eu_transformation: computed(embeddings * (nfeat * mem + (mem + mem) * emb)),
+            write_back: moved(updates * mem + edges * (2 * msg + 6), mem),
+            write_embeddings: moved(embeddings * emb, emb),
+        }
+    }
+}
 
-        // --- update: write back the new memories; per edge, cache the two
-        // new messages and append to both endpoints' neighbor tables.
-        ops.update.mems = updates * mem + edges * (2 * msg + 6);
-
-        ops
+impl StageOps {
+    /// The operation counts of a workload: its [`StageTerms`] grouped into
+    /// Table I's four stages.  The engine's counters, the per-embedding
+    /// figures of Tables I–II and the nominal workloads all go through it.
+    pub fn of(config: &ModelConfig, w: &BatchWorkload) -> StageOps {
+        let t = StageTerms::of(config, w);
+        let ops = |macs: u64, mems: u64| OpCounts { macs, mems };
+        StageOps {
+            sample: ops(0, t.load_neighbors.words),
+            memory: ops(
+                t.muu_time_encoding.macs + t.muu_gates.macs,
+                t.load_vertex_state.words,
+            ),
+            gnn: ops(
+                t.eu_time_encoding.macs
+                    + t.eu_attention.macs
+                    + t.eu_aggregation.macs
+                    + t.eu_transformation.macs,
+                t.prefetch_neighbors.words,
+            ),
+            update: ops(0, t.write_back.words),
+        }
     }
 }
 

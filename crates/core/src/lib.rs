@@ -63,7 +63,7 @@ pub mod tenancy;
 pub mod training;
 
 pub use backend::{BackendKind, ComputeBackend, F32Backend, Int8Backend, NUM_BACKEND_KINDS};
-pub use complexity::{BatchWorkload, OpCounts, StageOps};
+pub use complexity::{BatchWorkload, OpCounts, StageOps, StageTerms, Term};
 pub use config::{AttentionKind, ModelConfig, OptimizationVariant, TimeEncoderKind};
 pub use inference::{ExecMode, InferenceEngine, InferenceReport};
 pub use link_prediction::LinkDecoder;

@@ -32,6 +32,7 @@
 //!   neighbor half does not read the memory stage's output, so a pipeline
 //!   gathers it while the GRU is still being computed.
 
+use crate::complexity::BatchWorkload;
 use crate::config::ModelConfig;
 use crate::memory::MemoryTable;
 use crate::model::{EmbeddingJob, NeighborRef, TgnModel};
@@ -649,6 +650,8 @@ pub struct GnnJobBatch {
     selection: Selection,
     /// The static node and edge features the job reads.
     graph: Arc<TemporalGraph>,
+    /// The batch's workload, counted as it was gathered.
+    workload: BatchWorkload,
 }
 
 impl std::fmt::Debug for GnnJobBatch {
@@ -713,23 +716,36 @@ impl GnnJobBatch {
             ranges: sampled.ranges.clone(),
             selection: sampled.selection.clone(),
             graph: graph.clone(),
+            workload: BatchWorkload {
+                edges: sampled.batch.len(),
+                memory_updates: 0,
+                embeddings: t,
+                neighbors_fetched: kept,
+                neighbors_scored: sampled.total_sampled(),
+            },
         }
     }
 
     /// The other half of [`Self::gather`]: each touched vertex's own memory —
     /// its new row when the memory stage updated it, its stored one
-    /// otherwise.
+    /// otherwise.  The rows it takes from the memory stage are the batch's
+    /// memory updates.
     pub fn gather_own(
         &mut self,
         updated: &impl UpdatedMemory,
         mut read_memory: impl FnMut(NodeId, &mut [Float]),
     ) {
+        let mut updates = 0;
         for (i, &v) in self.touched.iter().enumerate() {
             match updated.updated(i, v) {
-                Some(m) => self.self_memory.row_mut(i).copy_from_slice(m),
+                Some(m) => {
+                    self.self_memory.row_mut(i).copy_from_slice(m);
+                    updates += 1;
+                }
                 None => read_memory(v, self.self_memory.row_mut(i)),
             }
         }
+        self.workload.memory_updates = updates;
     }
 
     /// The touched vertices, aligned with the outputs of [`Self::run`].
@@ -742,18 +758,12 @@ impl GnnJobBatch {
         self.touched.len()
     }
 
-    /// Total number of *sampled* neighbors across the job — the candidates a
-    /// modeled accelerator datapath scores.
-    pub fn total_neighbors(&self) -> usize {
-        self.nbr_dt.len()
-    }
-
-    /// Neighbor rows a model that keeps at most `budget` per vertex goes on
-    /// to read, `Σ min(kept_i, budget)` — with the budget the job was
-    /// gathered under, the rows it actually holds.
-    pub fn neighbors_within_budget(&self, budget: usize) -> usize {
-        let kept = self.selection.ranges.iter();
-        kept.map(|&(_, len)| len.min(budget)).sum()
+    /// The batch's workload, as the engine would record it: the batch's
+    /// events, the rows the memory stage updated, the embeddings, and the
+    /// neighbors scored (sampled) and fetched (kept, the rows the job
+    /// holds).
+    pub fn workload(&self) -> BatchWorkload {
+        self.workload
     }
 
     /// True when the job holds no vertices.
@@ -1117,13 +1127,19 @@ mod tests {
 
             // Job invariants: every sampled neighbor is counted, only kept
             // ones are held.
-            assert_eq!(job.total_neighbors(), f.sampled.total_sampled());
+            let w = job.workload();
+            let (edges, updates) = (f.sampled.batch.len(), f.updated.len());
+            assert_eq!(
+                (w.edges, w.memory_updates, w.embeddings),
+                (edges, updates, served.len())
+            );
+            assert_eq!(w.neighbors_scored, f.sampled.total_sampled());
             assert_eq!(job.nbr_dt.len(), f.sampled.total_sampled());
-            let held = job.neighbors_within_budget(cfg.neighbor_budget);
+            let held = w.neighbors_fetched;
             assert_eq!(held, sel.kept.len());
             assert_eq!((job.nbr_memory.rows(), job.nbr_edges.len()), (held, held));
             let prunes = cfg.neighbor_budget < cfg.sampled_neighbors;
-            assert_eq!(held < job.total_neighbors(), prunes, "{variant:?}");
+            assert_eq!(held < w.neighbors_scored, prunes, "{variant:?}");
         }
     }
 }

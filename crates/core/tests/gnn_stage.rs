@@ -173,7 +173,10 @@ fn both_backends_serve_the_pinned_bits() {
         assert!(COUNTS.contains(&model.config.neighbor_budget));
         let job = job(&model, &graph, &memory, 2, |i| COUNTS[i]);
         assert_eq!(job.len(), 4, "two events, four distinct endpoints");
-        assert_eq!(job.total_neighbors(), COUNTS.iter().sum::<usize>());
+        assert_eq!(
+            job.workload().neighbors_scored,
+            COUNTS.iter().sum::<usize>()
+        );
         let mut ws = Workspace::new();
         let f32_bits = bits(&F32Backend::new(&model).run_gnn(&job, &mut ws));
         let int8_bits = bits(&Int8Backend::new(&model).run_gnn(&job, &mut ws));
@@ -198,7 +201,8 @@ fn neighbor_staging_does_not_grow_with_the_neighbor_count() {
         let one = job(&model, &graph, &memory, 30, |_| 1);
         let full = job(&model, &graph, &memory, 30, |_| K);
         assert_eq!(one.touched(), full.touched());
-        assert!(full.total_neighbors() > 5 * one.total_neighbors());
+        let scored = |job: &GnnJobBatch| job.workload().neighbors_scored;
+        assert!(scored(&full) > 5 * scored(&one));
         let f32_backend = F32Backend::new(&model);
         let int8_backend = Int8Backend::new(&model);
         let backends: [&dyn ComputeBackend; 2] = [&f32_backend, &int8_backend];

@@ -113,7 +113,6 @@ impl AcceleratorSim {
         let before = self.engine.workload();
         self.engine.process_batch(batch, graph);
         let workload = self.engine.workload() - before;
-        let cfg = &self.pipeline.model;
 
         // Updater simulation: edges are assigned to CUs round-robin; each
         // edge produces two vertex updates.
@@ -125,8 +124,8 @@ impl AcceleratorSim {
         );
         for (i, e) in batch.events().iter().enumerate() {
             let cu = i % self.design.num_cu;
-            updater.receive(cu, e.src, e.timestamp, cfg.memory_dim + cfg.message_dim());
-            updater.receive(cu, e.dst, e.timestamp, cfg.memory_dim + cfg.message_dim());
+            updater.receive(cu, e.src, e.timestamp);
+            updater.receive(cu, e.dst, e.timestamp);
             if i % 2 == 1 {
                 updater.commit_cycle();
             }
@@ -188,7 +187,7 @@ impl AcceleratorSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgnn_core::{ModelConfig, OptimizationVariant};
+    use tgnn_core::{GnnJobBatch, ModelConfig, OptimizationVariant};
     use tgnn_data::{generate, tiny};
     use tgnn_tensor::TensorRng;
 
@@ -255,13 +254,14 @@ mod tests {
             edge_feature_dim: 0,
             ..tiny(91)
         });
+        let shared = std::sync::Arc::new(graph.clone());
         for variant in [OptimizationVariant::Baseline, OptimizationVariant::NpSmall] {
             let cfg = ModelConfig {
                 sampled_neighbors: 6,
                 ..ModelConfig::tiny(graph.node_feature_dim(), 0)
             }
             .with_variant(variant);
-            let mut model = TgnModel::new(cfg, &mut TensorRng::new(2));
+            let mut model = TgnModel::new(cfg.clone(), &mut TensorRng::new(2));
             if model.config.time_encoder == tgnn_core::TimeEncoderKind::Lut {
                 let deltas = tgnn_data::delta_t::memory_delta_t(graph.events(), graph.num_nodes());
                 model.calibrate_lut(&deltas);
@@ -277,6 +277,10 @@ mod tests {
                 let batch = EventBatch::new(chunk.to_vec());
                 let sampled = reference.stage_sample(&batch);
                 let updated = reference.stage_memory(&sampled, &graph);
+                // A served job records the same workload as it is gathered.
+                let job = GnnJobBatch::gather(&sampled, &updated, &shared, &cfg, |v, dst| {
+                    dst.copy_from_slice(reference.memory().memory_of(v))
+                });
                 reference.stage_gnn(&sampled, &updated, &graph);
                 reference.stage_update(&sampled, &updated);
                 let expected = BatchWorkload {
@@ -288,6 +292,7 @@ mod tests {
                 };
                 let simulated = sim.process_batch(&batch, &graph);
                 assert_eq!(simulated.workload, expected, "{variant:?}");
+                assert_eq!(job.workload(), expected, "{variant:?}");
             }
         }
     }

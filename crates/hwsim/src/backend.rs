@@ -3,10 +3,14 @@
 //!
 //! [`HwSimBackend`] computes nothing: it answers a gathered GNN job with
 //! the service latency the 9-stage pipeline model
-//! ([`crate::pipeline::PipelineModel`]) predicts for it.  The job's
-//! workload (edges, memory updates, embeddings, neighbor fetches) is split
-//! into `N_b`-edge processing batches and timed on the configured
-//! [`DesignConfig`] — including its
+//! ([`crate::pipeline::PipelineModel`]) predicts for it.  The job carries
+//! its batch's workload, recorded as it was gathered
+//! ([`GnnJobBatch::workload`]: the batch's events, the rows the memory stage
+//! updated, the embeddings, the neighbors scored and fetched) — the same
+//! five counts the engine records, so the gauge prices what the batch did
+//! rather than an estimate of it.  The workload is split into `N_b`-edge
+//! processing batches and timed on the configured [`DesignConfig`] —
+//! including its
 //! [`DatapathPrecision`](crate::design::DatapathPrecision), so an int8
 //! accelerator design reports proportionally smaller memory-stage times.
 //! It is not a compute backend: the embeddings come from `tgnn_core`'s two
@@ -22,7 +26,7 @@
 use crate::ddr::DdrModel;
 use crate::design::DesignConfig;
 use crate::pipeline::PipelineModel;
-use tgnn_core::{BatchWorkload, GnnJobBatch, TgnModel};
+use tgnn_core::{GnnJobBatch, TgnModel};
 
 /// The accelerator latency model of a served GNN job: a design point over
 /// a DDR model, for one model configuration.  Holds no weights.
@@ -47,22 +51,12 @@ impl HwSimBackend {
     }
 
     /// Models the service latency of one gathered GNN job on the configured
-    /// datapath (seconds), without computing anything.
+    /// datapath (seconds), without computing anything: the workload the job
+    /// recorded as it was gathered ([`GnnJobBatch::workload`]), split into
+    /// `N_b`-edge processing batches and timed on the pipeline model.
     pub fn modeled_latency(&self, job: &GnnJobBatch) -> f64 {
-        let total = BatchWorkload {
-            // The gathered job no longer knows its event count; embeddings
-            // (touched vertices) bound it within 2× and keep the model a
-            // pure function of the job.
-            edges: job.len(),
-            memory_updates: job.len(),
-            embeddings: job.len(),
-            // Every sampled neighbor is scored; only the ones pruning keeps
-            // are fetched and aggregated (as in `accelerator`/`perf_model`).
-            neighbors_fetched: job.neighbors_within_budget(self.pipeline.model.neighbor_budget),
-            neighbors_scored: job.total_neighbors(),
-        };
-        self.pipeline
-            .batch_latency(&self.pipeline.split_workload(&total))
+        let chunks = self.pipeline.split_workload(&job.workload());
+        self.pipeline.batch_latency(&chunks)
     }
 }
 
@@ -99,7 +93,9 @@ mod tests {
         let sampled = SampledBatch::assemble(EventBatch::new(events), 0, &model, |_, _, _, out| {
             out.extend_from_slice(&history)
         });
-        let updated = std::collections::HashMap::new();
+        // Two of the five touched vertices had a pending message.
+        let row = vec![0.5; cfg.memory_dim];
+        let updated = std::collections::HashMap::from([(0, row.clone()), (2, row)]);
         let job = GnnJobBatch::gather(&sampled, &updated, &graph, &cfg, |_, dst| dst.fill(0.25));
         (model, job)
     }
@@ -141,7 +137,7 @@ mod tests {
         );
         let latency = |cfg: &ModelConfig| {
             let (model, job) = gathered_job_of(5, cfg.clone());
-            assert_eq!(job.total_neighbors(), 3 * job.len());
+            assert_eq!(job.workload().neighbors_scored, 3 * job.len());
             HwSimBackend::u200(&model).modeled_latency(&job)
         };
         assert!(latency(&np_small) < latency(&sat_lut));
@@ -151,18 +147,21 @@ mod tests {
     }
 
     #[test]
-    fn modeled_latency_is_what_it_was_before_pruned_rows_stopped_being_gathered() {
-        // The model has always charged kept rows only; gathering kept rows
-        // only changes what the job holds, not what the model is fed.  The
-        // constants are the parent commit's (seconds, as f64 bits).
-        for (variant, parent) in [
-            (OptimizationVariant::Baseline, 0x3ed53754d9eb7b45u64),
-            (OptimizationVariant::SatLut, 0x3ed38f3413f83c74),
-            (OptimizationVariant::NpSmall, 0x3ed2245378c9f604),
+    fn modeled_latency_prices_the_recorded_workload_to_the_pinned_bits() {
+        // The job's own workload — 12 events, 5 touched vertices of which
+        // 2 were updated, 3 neighbors scored each and the kept ones fetched
+        // — timed on the U200 (seconds, as f64 bits).
+        for (variant, pinned) in [
+            (OptimizationVariant::Baseline, 0x3ede93f3ee19028eu64),
+            (OptimizationVariant::SatLut, 0x3edd4b634a611bc6),
+            (OptimizationVariant::NpSmall, 0x3edc71423f644d67),
         ] {
             let (model, job) = gathered_job_of(5, ModelConfig::tiny(0, 2).with_variant(variant));
+            let w = job.workload();
+            assert_eq!((w.edges, w.memory_updates, w.embeddings), (12, 2, 5));
+            assert_eq!(w.neighbors_scored, 15);
             let latency = HwSimBackend::u200(&model).modeled_latency(&job);
-            assert_eq!(latency.to_bits(), parent, "{variant:?}: {latency:e}");
+            assert_eq!(latency.to_bits(), pinned, "{variant:?}: {latency:e}");
         }
     }
 }

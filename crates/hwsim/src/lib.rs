@@ -18,11 +18,11 @@
 //! * [`updater`] — the Updater: a fully-associative cache with rotating
 //!   write/commit pointers that guarantees chronological vertex updates and
 //!   squashes redundant writes (Fig. 3).
-//! * [`pipeline`] — the 9-stage task schedule (Fig. 4): per-stage cycle
-//!   counts, batching, prefetching, and the pipelined execution across
-//!   processing batches, timed from a
-//!   [`BatchWorkload`](tgnn_core::BatchWorkload) — the workload type the
-//!   operation counts of `tgnn_core::complexity` price too.
+//! * [`pipeline`] — the 9-stage task schedule (Fig. 4): each stage's
+//!   MACs and words from `tgnn_core::StageTerms` (the counts Table I
+//!   groups) divided by the design's parallelism, clock and DDR bandwidth,
+//!   batching, prefetching, and the pipelined execution across processing
+//!   batches, timed from a [`BatchWorkload`](tgnn_core::BatchWorkload).
 //! * [`perf_model`] — the closed-form performance model (Eq. 18–22), timed
 //!   at the nominal workload of one processing batch.
 //! * [`accelerator`] — the full accelerator simulation: functional results

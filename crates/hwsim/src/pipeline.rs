@@ -9,22 +9,44 @@
 //! fully pipelined, so the steady-state cost of a batch is the longest stage
 //! (`T_p`), with the full pipeline depth paid once per user-visible batch.
 //!
-//! The simulator works at stage-time granularity: each stage's duration is
-//! derived from cycle counts (compute stages) or from the DDR model (memory
-//! stages), using the *actual* per-batch workload the functional engine
-//! recorded (how many vertices had pending messages, how many neighbors were
-//! scored, and fetched after pruning), which is what distinguishes it from
-//! the closed-form model of Section V (which times
+//! The simulator works at stage-time granularity and counts nothing itself:
+//! `tgnn_core::StageTerms` gives each stage's MACs, words and items — the
+//! same terms Table I groups — and [`PipelineModel::stage_breakdown`]
+//! divides them by the design's parallelism (`S_g²` for the MUU gates,
+//! `S_FAM` for attention and aggregation, `S_FTM²` for the transformation,
+//! `N_cu`) and clock, or times them on the DDR model at the datapath's bytes
+//! per word.  Three design-side factors are named constants below.  It
+//! times the *actual* per-batch workload the functional engine or a served
+//! job recorded (how many vertices had pending messages, how many neighbors
+//! were scored, and fetched after pruning), which is what distinguishes it
+//! from the closed-form model of Section V (which times
 //! [`BatchWorkload::nominal`]).
 
 use crate::ddr::DdrModel;
 use crate::design::DesignConfig;
 use serde::{Deserialize, Serialize};
-use tgnn_core::{AttentionKind, ModelConfig, TimeEncoderKind};
+use tgnn_core::{ModelConfig, StageTerms, Term, TimeEncoderKind};
 
 /// The workload a processing batch is timed from — defined beside the
 /// operation counts it also feeds ([`tgnn_core::StageOps::of`]).
 pub use tgnn_core::BatchWorkload;
+
+/// How many times faster the Feature Aggregation Module retires the
+/// aggregation's MACs than the attention's at the same `S_FAM`: the
+/// aggregation stage takes `MACs / (S_FAM · 8)` cycles.  The factor has
+/// been in the simulator since its first version; the repository records
+/// no derivation for it (`PAPER.md` carries the paper's title only), so it
+/// is kept as it was.
+pub const FAM_AGGREGATION_SPEEDUP: f64 = 8.0;
+
+/// Cycles the cosine time encoder spends per element of `Φ(Δt)`: one, so
+/// encoding a Δt takes `time_dim` cycles — the simulator's timing since its
+/// first version.
+pub const COS_CYCLES_PER_ELEMENT: f64 = 1.0;
+
+/// Cycles a lookup-table time encoder spends per Δt: one table read — the
+/// simulator's timing since its first version.
+pub const LUT_CYCLES_PER_READ: f64 = 1.0;
 
 /// Per-stage time breakdown of one processing batch, seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -91,75 +113,32 @@ impl PipelineModel {
     }
 
     /// Stage breakdown for one processing batch with the given measured
-    /// workload.
+    /// workload: its [`StageTerms`] divided by the design's parallelism and
+    /// clock (compute stages) or timed on the DDR model (memory stages).
     pub fn stage_breakdown(&self, w: &BatchWorkload) -> StageBreakdown {
         let d = &self.design;
-        let m = &self.model;
-        let clk = d.clock_period();
+        let t = StageTerms::of(&self.model, w);
+        // Seconds per cycle of work, the CUs sharing it.
+        let cycle = d.clock_period() / d.num_cu as f64;
+        let on = |parallel: usize, term: Term| term.macs as f64 / parallel as f64 * cycle;
+        let per_item = match self.model.time_encoder {
+            TimeEncoderKind::Lut => LUT_CYCLES_PER_READ,
+            TimeEncoderKind::Cos => COS_CYCLES_PER_ELEMENT,
+        };
+        let encode = |term: Term| term.items as f64 * per_item * cycle;
         // Everything the pipeline moves over DDR per batch (memory rows,
         // features, messages, embeddings) is activation-width data; the
         // datapath precision sets the bytes per word, so an int8 design
-        // quarters every transfer below relative to fp32.
+        // quarters every transfer relative to fp32.
         let word = d.precision.activation_bytes;
-
-        let msg = m.message_dim() as f64;
-        let mem = m.memory_dim as f64;
-        let efeat = m.edge_feature_dim as f64;
-        let nfeat = m.node_feature_dim as f64;
-        let emb = m.embedding_dim as f64;
-        let time = m.time_dim as f64;
-
-        // --- memory stages (DDR model).
-        let edge_bytes = w.edges as f64 * (2.0 + 1.0 + efeat) * word;
-        let vertex_state_bytes =
-            w.embeddings as f64 * (msg + mem + m.sampled_neighbors as f64 * 3.0) * word;
-        let neighbor_bytes =
-            w.neighbors_fetched as f64 * (mem + efeat) * word + w.embeddings as f64 * nfeat * word;
-        let write_bytes = w.memory_updates as f64 * mem * word
-            + w.edges as f64 * 2.0 * msg * word
-            + w.embeddings as f64 * emb * word;
-
-        let load_edges = self.ddr.transfer_time(edge_bytes, (efeat.max(4.0)) * word);
-        let load_vertex_state = self.ddr.transfer_time(vertex_state_bytes, msg * word);
-        let mut prefetch_neighbors = self.ddr.transfer_time(neighbor_bytes, (mem + efeat) * word);
-        let write_back = self.ddr.transfer_time(write_bytes, mem * word);
-
-        // --- compute stages (cycle counts / parallelism / frequency).
-        let cu = d.num_cu as f64;
-        let muu_time_encoding = match m.time_encoder {
-            // One LUT read per update: a single cycle each.
-            TimeEncoderKind::Lut => w.memory_updates as f64 * clk / cu,
-            TimeEncoderKind::Cos => w.memory_updates as f64 * time * clk / cu,
+        let transfer = |term: Term| {
+            self.ddr
+                .transfer_time(term.words as f64 * word, term.row as f64 * word)
         };
-        let muu_gates = w.memory_updates as f64 * 3.0 * msg * mem / (d.sg * d.sg) as f64 * clk / cu;
 
-        let eu_attention = match m.attention {
-            AttentionKind::Vanilla => {
-                // q·K dot products plus the key/query projections.
-                w.neighbors_scored as f64 * (m.neighbor_input_dim() as f64 * mem + mem)
-                    / d.s_fam as f64
-                    * clk
-                    / cu
-            }
-            AttentionKind::Simplified => {
-                // The tiny W_t·Δt product per embedding.
-                w.embeddings as f64 * (m.sampled_neighbors * m.sampled_neighbors) as f64
-                    / d.s_fam as f64
-                    * clk
-                    / cu
-            }
-        };
-        let eu_time_encoding = match m.time_encoder {
-            TimeEncoderKind::Lut => w.neighbors_fetched as f64 * clk / cu,
-            TimeEncoderKind::Cos => w.neighbors_fetched as f64 * time * clk / cu,
-        };
-        let eu_aggregation =
-            w.neighbors_fetched as f64 * m.neighbor_input_dim() as f64 * mem / d.s_fam as f64 / 8.0
-                * clk
-                / cu;
-        let eu_transformation =
-            w.embeddings as f64 * 2.0 * mem * emb / (d.s_ftm * d.s_ftm) as f64 * clk / cu;
-
+        let muu_time_encoding = encode(t.muu_time_encoding);
+        let muu_gates = on(d.sg * d.sg, t.muu_gates);
+        let mut prefetch_neighbors = transfer(t.prefetch_neighbors);
         // Prefetching (Section IV-C) overlaps the neighbor-memory loads with
         // the MUU computation: only the non-overlapped part remains on the
         // critical path.
@@ -169,16 +148,16 @@ impl PipelineModel {
         }
 
         StageBreakdown {
-            load_edges,
-            load_vertex_state,
+            load_edges: transfer(t.load_edges),
+            load_vertex_state: transfer(t.load_neighbors + t.load_vertex_state),
             prefetch_neighbors,
             muu_time_encoding,
             muu_gates,
-            eu_attention,
-            eu_time_encoding,
-            eu_aggregation,
-            eu_transformation,
-            write_back,
+            eu_attention: on(d.s_fam, t.eu_attention),
+            eu_time_encoding: encode(t.eu_time_encoding),
+            eu_aggregation: on(d.s_fam, t.eu_aggregation) / FAM_AGGREGATION_SPEEDUP,
+            eu_transformation: on(d.s_ftm * d.s_ftm, t.eu_transformation),
+            write_back: transfer(t.write_back + t.write_embeddings),
         }
     }
 
@@ -186,16 +165,17 @@ impl PipelineModel {
     /// batches (fully pipelined): the pipeline fills once and then advances
     /// one processing batch per period.
     pub fn batch_latency(&self, workloads: &[BatchWorkload]) -> f64 {
-        if workloads.is_empty() {
+        let Some((first, rest)) = workloads.split_first() else {
             return 0.0;
-        }
-        let breakdowns: Vec<StageBreakdown> =
-            workloads.iter().map(|w| self.stage_breakdown(w)).collect();
+        };
         // Fill latency of the first processing batch plus one period per
         // subsequent batch (each period bounded by that batch's slowest
         // stage — a conservative dynamic version of Eq. 22).
-        let fill = breakdowns[0].total();
-        let steady: f64 = breakdowns[1..].iter().map(|b| b.max_stage()).sum();
+        let fill = self.stage_breakdown(first).total();
+        let steady: f64 = rest
+            .iter()
+            .map(|w| self.stage_breakdown(w).max_stage())
+            .sum();
         fill + steady
     }
 
@@ -406,5 +386,85 @@ mod tests {
         let lat_u = u200.batch_latency(&u200.split_workload(&total_u));
         let lat_z = zcu.batch_latency(&zcu.split_workload(&total_z));
         assert!(lat_u < lat_z);
+    }
+
+    #[test]
+    fn stage_breakdown_of_a_measured_workload_matches_the_pins() {
+        // Every stage of one fixed measured workload as f64 bits, on the
+        // U200 with +NP(M) over Wikipedia's shape (simplified attention, LUT)
+        // and on the ZCU104 with the Baseline over GDELT's (vanilla
+        // attention, cos encoder, node features) — without prefetching, so
+        // the neighbor loads show.  A drift in any term's count or divisor
+        // moves a pin; the message prints the new ones.
+        let w = BatchWorkload {
+            edges: 8,
+            memory_updates: 11,
+            embeddings: 13,
+            neighbors_fetched: 37,
+            neighbors_scored: 104,
+        };
+        let stages = |b: StageBreakdown| {
+            [
+                b.load_edges,
+                b.load_vertex_state,
+                b.prefetch_neighbors,
+                b.muu_time_encoding,
+                b.muu_gates,
+                b.eu_attention,
+                b.eu_time_encoding,
+                b.eu_aggregation,
+                b.eu_transformation,
+                b.write_back,
+            ]
+            .map(f64::to_bits)
+        };
+        let no_prefetch = DesignConfig {
+            prefetch: false,
+            ..DesignConfig::zcu104()
+        };
+        let cases = [
+            (
+                OptimizationVariant::NpMedium,
+                (0, 172),
+                DesignConfig::u200(),
+                77.0,
+            ),
+            (OptimizationVariant::Baseline, (200, 0), no_prefetch, 19.2),
+        ];
+        let got = cases.map(|(rung, (node, edge), design, gbps)| {
+            let model = ModelConfig::paper_default(node, edge).with_variant(rung);
+            let p = PipelineModel::new(design, model, DdrModel::new_gbps(gbps));
+            stages(p.stage_breakdown(&w))
+        });
+        let pins: [[u64; 10]; 2] = [
+            [
+                0x3ea2b746373e55be,
+                0x3eb3da26345b3a18,
+                0x0000000000000000,
+                0x3e579f505f35670d,
+                0x3f0eed2b1125c232,
+                0x3e85cf751db94e6b,
+                0x3e73dd3dc46ce81c,
+                0x3ef69c8f175f9816,
+                0x3ee10a137f38c544,
+                0x3edbec2a1cd4df0e,
+            ],
+            [
+                0x3ea3c51226456292,
+                0x3ec05d4afdd3bc1d,
+                0x3ed6d1c60491656a,
+                0x3ee27476ca61b882,
+                0x3f45a07b352a8438,
+                0x3f634125643d973b,
+                0x3eff09b082ea2aac,
+                0x3f311fe2f4567e92,
+                0x3f310a137f38c544,
+                0x3eda625273837f8e,
+            ],
+        ];
+        let table: Vec<String> = (got.iter())
+            .map(|g| format!("[{}],", g.map(|b| format!("{b:#018x}")).join(", ")))
+            .collect();
+        assert!(got == pins, "moved pins; now:\n{}", table.join("\n"));
     }
 }

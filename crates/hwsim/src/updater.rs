@@ -21,8 +21,6 @@ struct CacheLine {
     vertex: NodeId,
     /// Timestamp carried with the update (used only for verification).
     timestamp: f64,
-    /// Payload size in words (memory + message + neighbor entry).
-    words: usize,
 }
 
 /// Statistics of an Updater run.
@@ -77,7 +75,6 @@ impl Updater {
                     valid: false,
                     vertex: 0,
                     timestamp: 0.0,
-                    words: 0
                 };
                 capacity
             ],
@@ -113,7 +110,7 @@ impl Updater {
     /// If redundant-write elimination is enabled and an uncommitted line for
     /// the same vertex exists, that older line is invalidated (its write will
     /// never reach external memory).
-    pub fn receive(&mut self, cu: usize, vertex: NodeId, timestamp: f64, words: usize) {
+    pub fn receive(&mut self, cu: usize, vertex: NodeId, timestamp: f64) {
         assert!(cu < self.write_pointers.len(), "Updater: unknown CU index");
         self.stats.received += 1;
 
@@ -137,7 +134,6 @@ impl Updater {
             valid: true,
             vertex,
             timestamp,
-            words,
         };
         self.write_pointers[cu] += self.write_pointers.len();
     }
@@ -202,7 +198,7 @@ mod tests {
     fn commits_everything_without_duplicates_when_vertices_distinct() {
         let mut upd = Updater::new(16, 2, 3, true);
         for i in 0..10u32 {
-            upd.receive((i % 2) as usize, i, i as f64, 100);
+            upd.receive((i % 2) as usize, i, i as f64);
         }
         upd.drain();
         let stats = upd.stats();
@@ -218,7 +214,7 @@ mod tests {
         // The same vertex is updated 5 times before any commit: only the
         // newest version should reach external memory.
         for i in 0..5 {
-            upd.receive(i % 2, 7, i as f64, 100);
+            upd.receive(i % 2, 7, i as f64);
         }
         upd.drain();
         let stats = upd.stats();
@@ -232,7 +228,7 @@ mod tests {
     fn without_elimination_every_write_commits() {
         let mut upd = Updater::new(16, 1, 3, false);
         for i in 0..5 {
-            upd.receive(0, 7, i as f64, 100);
+            upd.receive(0, 7, i as f64);
         }
         upd.drain();
         assert_eq!(upd.stats().committed, 5);
@@ -253,7 +249,7 @@ mod tests {
             (0usize, 2u32, 3.0),
         ];
         for &(cu, v, t) in &updates {
-            upd.receive(cu, v, t, 50);
+            upd.receive(cu, v, t);
         }
         upd.drain();
         assert!(upd.verify_chronological());
@@ -263,7 +259,7 @@ mod tests {
     fn full_cache_forces_commit_instead_of_dropping() {
         let mut upd = Updater::new(2, 1, 1, true);
         for i in 0..6u32 {
-            upd.receive(0, i, i as f64, 10);
+            upd.receive(0, i, i as f64);
         }
         upd.drain();
         assert_eq!(upd.stats().committed, 6);
@@ -274,7 +270,7 @@ mod tests {
     fn scan_cycles_scale_with_capacity_over_width() {
         let mut upd = Updater::new(30, 1, 3, true);
         for i in 0..30u32 {
-            upd.receive(0, i, i as f64, 10);
+            upd.receive(0, i, i as f64);
         }
         let cycles = upd.drain();
         // 30 valid lines scanned 3 per cycle → at least 10 cycles.

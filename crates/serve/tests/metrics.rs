@@ -1328,17 +1328,17 @@ const GOLDEN_SESSION: [&str; 94] = [
     "tgnn_backend_served_batches_total{backend=\"int8\"} 4",
     "tgnn_backend_served_events_total{backend=\"f32\"} 20",
     "tgnn_backend_served_events_total{backend=\"int8\"} 4",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.5\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms_sum{backend=\"f32\"} 0.048502",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.5\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"f32\"} 0.039030",
     "tgnn_backend_modeled_latency_ms_count{backend=\"f32\"} 20",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms_sum{backend=\"int8\"} 0.009598",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"int8\"} 0.007550",
     "tgnn_backend_modeled_latency_ms_count{backend=\"int8\"} 4",
     "tgnn_cache_hits_total 7",
     "tgnn_cache_misses_total 13",
@@ -1426,17 +1426,17 @@ const GOLDEN_RECOVERED: [&str; 94] = [
     "tgnn_backend_served_batches_total{backend=\"int8\"} 8",
     "tgnn_backend_served_events_total{backend=\"f32\"} 20",
     "tgnn_backend_served_events_total{backend=\"int8\"} 8",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.5\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms_sum{backend=\"f32\"} 0.048502",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.5\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.95\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"0.99\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"f32\",quantile=\"1\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"f32\"} 0.039030",
     "tgnn_backend_modeled_latency_ms_count{backend=\"f32\"} 20",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002559",
-    "tgnn_backend_modeled_latency_ms_sum{backend=\"int8\"} 0.019452",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.5\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.95\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"0.99\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms{backend=\"int8\",quantile=\"1\"} 0.002047",
+    "tgnn_backend_modeled_latency_ms_sum{backend=\"int8\"} 0.015484",
     "tgnn_backend_modeled_latency_ms_count{backend=\"int8\"} 8",
     "tgnn_cache_hits_total 2",
     "tgnn_cache_misses_total 3",
